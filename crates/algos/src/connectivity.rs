@@ -73,6 +73,7 @@ impl PartwiseOp for ComponentsOp {
             rounds: report.mst.rounds.total(),
             messages: report.mst.messages,
             bits: report.mst.bits,
+            truncated: report.mst.truncated,
             quality: None,
             threads,
             bandwidth_bits,

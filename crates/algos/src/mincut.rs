@@ -114,6 +114,9 @@ pub struct MincutReport {
     pub messages: u64,
     /// Total simulated bits.
     pub bits: u64,
+    /// Whether a simulator run (tree construction or evaluation) hit the
+    /// round cap.
+    pub truncated: bool,
 }
 
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
@@ -136,6 +139,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
     let mut eval_rounds = 0u64;
     let mut messages = 0u64;
     let mut bits = 0u64;
+    let mut truncated = false;
     let mut best = u64::MAX;
 
     for _ in 0..q {
@@ -146,6 +150,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
         rounds.notification += report.rounds.notification;
         messages += report.messages;
         bits += report.bits;
+        truncated |= report.truncated;
 
         // Orient the packed tree and evaluate its 1-respecting cuts.
         let tree = tree_from_edges(g, &report.edges, root);
@@ -159,6 +164,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
         eval_rounds += run.metrics.rounds;
         messages += run.metrics.messages;
         bits += run.metrics.bits;
+        truncated |= run.metrics.truncated;
 
         // Increase loads along the tree.
         for &e in &report.edges {
@@ -173,6 +179,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
         eval_rounds,
         messages,
         bits,
+        truncated,
     }
 }
 
@@ -211,6 +218,7 @@ impl PartwiseOp for MincutOp {
             rounds: report.rounds.total() + report.eval_rounds,
             messages: report.messages,
             bits: report.bits,
+            truncated: report.truncated,
             quality: None,
             threads,
             bandwidth_bits,

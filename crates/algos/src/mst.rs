@@ -17,7 +17,7 @@ use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, ShortcutSession};
 use lcs_core::{full_shortcut, Partition, Shortcut, ShortcutConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
-use lcs_partwise::{solve_partwise, PartwiseConfig};
+use lcs_partwise::{AggregateOp, ParticipationMap, PartwiseConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -123,6 +123,8 @@ pub struct MstReport {
     /// Total simulated bits (id-aware accounting; id exchanges are billed
     /// at `id_bits(n)` per message).
     pub bits: u64,
+    /// Whether an aggregation run hit the simulator's round cap.
+    pub truncated: bool,
 }
 
 /// Builds shortcuts for the parts living inside the BFS tree's component;
@@ -235,6 +237,8 @@ pub fn distributed_mst(
     // Fragment state (centralized bookkeeping of the distributed state).
     let mut fragment_of: Vec<u32> = (0..n as u32).collect();
     let mut mst: Vec<EdgeId> = Vec::new();
+    let mut in_mst = vec![false; g.num_edges()];
+    let mut truncated = false;
     let mut rounds = MstRounds::default();
     let mut messages = 0u64;
     let mut bits = 0u64;
@@ -291,19 +295,24 @@ pub fn distributed_mst(
             &mut bits,
         );
 
+        // Both aggregations of the phase run over the same `G[P_i] + H_i`.
+        let participation = ParticipationMap::build(g, &partition, &shortcut);
+        let mut aggregate = |values: &[u64], op: AggOp| {
+            let op = AggregateOp {
+                values,
+                op,
+                leaders: None,
+            };
+            let out = op.run_with(g, &partition, &cfg.partwise, &participation);
+            messages += out.metrics.messages;
+            bits += out.metrics.bits;
+            truncated |= out.metrics.truncated;
+            out
+        };
+
         // MWOE aggregation per fragment.
-        let agg = solve_partwise(
-            g,
-            &partition,
-            &shortcut,
-            &local,
-            AggOp::Min,
-            None,
-            &cfg.partwise,
-        );
+        let agg = aggregate(&local, AggOp::Min);
         rounds.aggregation += agg.metrics.rounds;
-        messages += agg.metrics.messages;
-        bits += agg.metrics.bits;
         debug_assert!(agg.all_members_informed);
 
         // Coin flips and merge decisions (tail -> head).
@@ -315,7 +324,7 @@ pub fn distributed_mst(
                 continue; // no outgoing edge: fragment is a finished component
             }
             let e = unpack(p);
-            if !mst.contains(&e) {
+            if !std::mem::replace(&mut in_mst[e.index()], true) {
                 mst.push(e); // every MWOE is safe by the cut property
             }
             let (u, v) = g.endpoints(e);
@@ -345,29 +354,14 @@ pub fn distributed_mst(
                 notify[inside.index()] = u64::from(*target) + 1;
             }
         }
-        let note = solve_partwise(
-            g,
-            &partition,
-            &shortcut,
-            &notify,
-            AggOp::Max,
-            None,
-            &cfg.partwise,
-        );
+        let note = aggregate(&notify, AggOp::Max);
         rounds.notification += note.metrics.rounds;
-        messages += note.metrics.messages;
-        bits += note.metrics.bits;
 
-        // Apply merges.
-        for (i, fid) in frag_ids.iter().enumerate() {
-            let Some(res) = note.results[i] else { continue };
-            if res > 0 {
-                let target = (res - 1) as u32;
-                for v in g.nodes() {
-                    if fragment_of[v.index()] == *fid {
-                        fragment_of[v.index()] = target;
-                    }
-                }
+        // Apply merges. One pass suffices: tails merge into heads, and a
+        // head stays put, so no relabeled node is relabeled again.
+        for fid in &mut fragment_of {
+            if let Some(res @ 1..) = note.results[frag_index(*fid)] {
+                *fid = (res - 1) as u32;
             }
         }
     }
@@ -381,6 +375,7 @@ pub fn distributed_mst(
         rounds,
         messages,
         bits,
+        truncated,
     }
 }
 
@@ -455,6 +450,7 @@ pub(crate) fn op_report(g: &Graph, cfg: &BoruvkaConfig, report: MstReport) -> Op
         rounds: report.rounds.total(),
         messages: report.messages,
         bits: report.bits,
+        truncated: report.truncated,
         quality: None,
         threads,
         bandwidth_bits,

@@ -681,6 +681,10 @@ pub struct OpReport<T> {
     pub messages: u64,
     /// Simulated bits (id-aware accounting).
     pub bits: u64,
+    /// Whether a simulator run of the operation was cut short by
+    /// [`SimConfig::max_rounds`]: the result is then partial and must not
+    /// be read as a finished answer.
+    pub truncated: bool,
     /// Quality of the served shortcut, when the op ran over the session's
     /// partition (`None` for fragment-based ops like MST, whose partitions
     /// change per phase). Shared via [`Arc`] with the session's cache — the
@@ -706,6 +710,7 @@ impl<T> OpReport<T> {
             rounds: metrics.rounds,
             messages: metrics.messages,
             bits: metrics.bits,
+            truncated: metrics.truncated,
             quality,
             threads: metrics.threads,
             bandwidth_bits: metrics.bandwidth_bits,
@@ -719,6 +724,7 @@ impl<T> OpReport<T> {
             rounds: self.rounds,
             messages: self.messages,
             bits: self.bits,
+            truncated: self.truncated,
             quality: self.quality,
             threads: self.threads,
             bandwidth_bits: self.bandwidth_bits,

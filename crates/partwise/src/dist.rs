@@ -11,7 +11,7 @@ use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of the distributed solver.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -52,24 +52,51 @@ pub struct PartwiseOutcome {
     pub metrics: RunMetrics,
 }
 
+/// `count` start delays, uniform in `[0, range)`; `range == 0` disables
+/// delays without drawing from `rng`.
+pub(crate) fn random_delays(rng: &mut SmallRng, count: usize, range: u32) -> Vec<u32> {
+    let mut draw = |_| {
+        if range == 0 {
+            0
+        } else {
+            rng.gen_range(0..range)
+        }
+    };
+    (0..count).map(&mut draw).collect()
+}
+
+/// "No port": the table's marker for a member's own (possibly edgeless)
+/// slot and the protocol's "no parent yet". Real ports are `< degree`.
+const NO_PORT: u32 = u32::MAX;
+
 /// Per node, per part, the participating ports — the subgraph
 /// `G[P_i] + H_i` every part-wise protocol runs over. An edge participates
 /// in part `i` iff it is in `H_i` or both endpoints lie in `P_i`
 /// (Definition 2.1); this rule is shared by the leader-based solver and
 /// the gossip solver, so it lives in exactly one place.
 ///
-/// Building the map is O(n + m) — per-query cost a serving deployment
-/// should not pay twice. The session-driven ops cache one instance in the
-/// session's derived-artifact store
-/// ([`ShortcutSession::op_artifact_patched`]), keyed by this type: every
-/// later aggregate/gossip call reuses it while the partition and shortcut
-/// are unchanged, a tracked `reassign_parts` churn refreshes only the
-/// touched parts' entries via [`ParticipationMap::refreshed`], and a
-/// wholesale partition change rebuilds it. The legacy free functions build
-/// a fresh one per call.
-#[derive(Clone, Debug)]
+/// Four flat arrays in the graph core's `first_out` idiom:
+/// `first_slot[v]..first_slot[v + 1]` are node `v`'s *slots*, one per part
+/// it participates in (as member or relay), ascending by `slot_part`;
+/// `first_port[s]..first_port[s + 1]` are slot `s`'s participating `ports`,
+/// ascending. A member always owns a slot for its own part, with no ports
+/// if none of its edges participate. Programs borrow their node's slices
+/// for a run (`NodeSlots`) and index their state by local slot.
+///
+/// With `T = Σ_i (|P_i| + deg(P_i) + 2·|H_i|)` entries, [`build`](Self::build)
+/// is one `O(T log T)` sort and [`refreshed`](Self::refreshed) one
+/// `O(n + T)` merge plus the sort of the touched parts' entries. The
+/// session ops cache one instance as a derived artifact
+/// ([`ShortcutSession::op_artifact_patched`]): reused while partition and
+/// shortcut are unchanged, `refreshed` under tracked `reassign_parts`
+/// churn, rebuilt on a wholesale partition change. The legacy free
+/// functions build a fresh one per call.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParticipationMap {
-    per_node: Vec<HashMap<u32, Vec<usize>>>,
+    first_slot: Vec<u32>,
+    slot_part: Vec<u32>,
+    first_port: Vec<u32>,
+    ports: Vec<u32>,
 }
 
 impl ParticipationMap {
@@ -80,48 +107,14 @@ impl ParticipationMap {
     ///
     /// Panics if the shortcut's shape differs from the partition's.
     pub fn build(g: &Graph, partition: &Partition, shortcut: &Shortcut) -> Self {
-        assert_eq!(
-            shortcut.num_parts(),
-            partition.num_parts(),
-            "shortcut and partition shapes differ"
-        );
-        let mut participation: Vec<HashMap<u32, Vec<usize>>> = vec![HashMap::new(); g.num_nodes()];
-        let mut register = |part: u32, u: NodeId, v: NodeId| {
-            let pu = g.port_to(u, v).expect("edge endpoints adjacent");
-            participation[u.index()].entry(part).or_default().push(pu);
-        };
-        for (pid, _) in partition.iter() {
-            for &e in shortcut.edges_for(pid) {
-                let (u, v) = g.endpoints(e);
-                register(pid.0, u, v);
-                register(pid.0, v, u);
-            }
-        }
-        for er in g.edges() {
-            if let (Some(a), Some(b)) = (partition.part_of(er.u), partition.part_of(er.v)) {
-                if a == b && !shortcut.contains(a, er.id) {
-                    register(a.0, er.u, er.v);
-                    register(a.0, er.v, er.u);
-                }
-            }
-        }
-        for lists in &mut participation {
-            for ports in lists.values_mut() {
-                ports.sort_unstable();
-                ports.dedup();
-            }
-        }
-        ParticipationMap {
-            per_node: participation,
-        }
+        let entries = Self::entries_of(g, partition, shortcut, partition.part_ids());
+        Self::from_sorted(g.num_nodes(), entries.into_iter())
     }
 
-    /// An incrementally refreshed copy: the entries of the `touched` parts
-    /// are dropped everywhere and re-registered from the (new) partition
-    /// and shortcut; every other part's entries are carried over untouched.
-    /// Equals [`ParticipationMap::build`] on the same inputs, at
-    /// O(n·|touched| + Σ_{i ∈ touched} (|P_i| · deg + |H_i|)) instead of
-    /// O(n + m).
+    /// An incrementally refreshed copy: the slots of the `touched` parts
+    /// are dropped everywhere and re-derived from the (new) partition and
+    /// shortcut; every other part's slots are carried over in one linear
+    /// merge. Equals [`ParticipationMap::build`] on the same inputs.
     ///
     /// # Panics
     ///
@@ -133,52 +126,162 @@ impl ParticipationMap {
         shortcut: &Shortcut,
         touched: &[PartId],
     ) -> Self {
+        let mut is_touched = vec![false; partition.num_parts()];
+        for &p in touched {
+            is_touched[p.index()] = true;
+        }
+        let fresh = Self::entries_of(g, partition, shortcut, touched.iter().copied());
+        let mut kept = self
+            .entries()
+            .filter(|&(_, part, _)| !is_touched[part as usize])
+            .peekable();
+        let mut fresh = fresh.into_iter().peekable();
+        let merged = std::iter::from_fn(|| match (kept.peek(), fresh.peek()) {
+            (Some(a), Some(b)) if a < b => kept.next(),
+            (Some(_), None) => kept.next(),
+            _ => fresh.next(),
+        });
+        Self::from_sorted(g.num_nodes(), merged)
+    }
+
+    /// The sorted, deduplicated `(node, part, port)` entries of `parts`:
+    /// both directions of every `H_i` edge and of every edge inside `P_i`,
+    /// plus one `NO_PORT` entry per member so that it owns a slot.
+    fn entries_of(
+        g: &Graph,
+        partition: &Partition,
+        shortcut: &Shortcut,
+        parts: impl Iterator<Item = PartId>,
+    ) -> Vec<(u32, u32, u32)> {
         assert_eq!(
             shortcut.num_parts(),
             partition.num_parts(),
             "shortcut and partition shapes differ"
         );
-        let mut participation = self.per_node.clone();
-        for lists in &mut participation {
-            for &p in touched {
-                lists.remove(&p.0);
-            }
-        }
-        for &pid in touched {
+        let mut entries = Vec::new();
+        for pid in parts {
             for &e in shortcut.edges_for(pid) {
                 let (u, v) = g.endpoints(e);
                 for (a, b) in [(u, v), (v, u)] {
-                    let pa = g.port_to(a, b).expect("edge endpoints adjacent");
-                    participation[a.index()].entry(pid.0).or_default().push(pa);
+                    let port = g.port_to(a, b).expect("edge endpoints adjacent");
+                    entries.push((a.0, pid.0, port as u32));
                 }
             }
             for &u in partition.part(pid) {
-                for (port, nb) in g.neighbors(u).enumerate() {
-                    if partition.part_of(nb.node) == Some(pid) && !shortcut.contains(pid, nb.edge) {
-                        participation[u.index()]
-                            .entry(pid.0)
-                            .or_default()
-                            .push(port);
+                entries.push((u.0, pid.0, NO_PORT));
+                for (port, &w) in g.heads(u).iter().enumerate() {
+                    if partition.part_of(w) == Some(pid) {
+                        entries.push((u.0, pid.0, port as u32));
                     }
                 }
             }
         }
-        for lists in &mut participation {
-            for &p in touched {
-                if let Some(ports) = lists.get_mut(&p.0) {
-                    ports.sort_unstable();
-                    ports.dedup();
-                }
-            }
-        }
-        ParticipationMap {
-            per_node: participation,
-        }
+        entries.sort_unstable();
+        entries.dedup();
+        entries
     }
 
-    /// The `part id -> participating ports` lists of one node.
-    pub(crate) fn at(&self, v: NodeId) -> &HashMap<u32, Vec<usize>> {
-        &self.per_node[v.index()]
+    /// The table's entries in sorted order, every slot closed by a
+    /// `NO_PORT` entry (the inverse of [`from_sorted`](Self::from_sorted)).
+    fn entries(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        (0..self.first_slot.len() as u32 - 1).flat_map(move |v| {
+            let slots = self.node(NodeId(v));
+            (0..slots.parts.len()).flat_map(move |s| {
+                let ports = slots.ports(s).iter().chain([&NO_PORT]);
+                ports.map(move |&port| (v, slots.parts[s], port))
+            })
+        })
+    }
+
+    /// Lays sorted `(node, part, port)` entries out as the flat table: a
+    /// new slot per distinct `(node, part)`, `NO_PORT` entries opening a
+    /// slot without adding a port.
+    fn from_sorted(n: usize, entries: impl Iterator<Item = (u32, u32, u32)>) -> Self {
+        let mut map = ParticipationMap {
+            first_slot: vec![0; n + 1],
+            slot_part: Vec::new(),
+            first_port: Vec::new(),
+            ports: Vec::new(),
+        };
+        let mut open = None;
+        for (node, part, port) in entries {
+            if open != Some((node, part)) {
+                open = Some((node, part));
+                map.first_slot[node as usize + 1] += 1;
+                map.slot_part.push(part);
+                map.first_port.push(map.ports.len() as u32);
+            }
+            if port != NO_PORT {
+                map.ports.push(port);
+            }
+        }
+        map.first_port.push(map.ports.len() as u32);
+        for v in 0..n {
+            map.first_slot[v + 1] += map.first_slot[v];
+        }
+        map
+    }
+
+    /// The session's cached map (one artifact slot shared by aggregate and
+    /// gossip): built on first use, refreshed for the touched parts only
+    /// under `reassign_parts` churn.
+    pub(crate) fn of_session(session: &mut ShortcutSession<'_>) -> Arc<Self> {
+        session.op_artifact_patched(
+            deps::SHORTCUT,
+            |s| Self::build(s.graph(), s.partition(), s.shortcut_ref()),
+            |s, old: &Self, touched| {
+                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
+            },
+        )
+    }
+
+    /// Node `v`'s slices of the table.
+    pub(crate) fn node(&self, v: NodeId) -> NodeSlots<'_> {
+        let lo = self.first_slot[v.index()] as usize;
+        let hi = self.first_slot[v.index() + 1] as usize;
+        NodeSlots {
+            parts: &self.slot_part[lo..hi],
+            first_port: &self.first_port[lo..=hi],
+            ports: &self.ports,
+        }
+    }
+}
+
+/// One node's view of a [`ParticipationMap`], borrowed by the node's
+/// program for the run. Slots are local indices `0..len()`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NodeSlots<'a> {
+    /// Part id per slot, ascending.
+    pub(crate) parts: &'a [u32],
+    /// Slot `s`'s ports are `ports[first_port[s]..first_port[s + 1]]`.
+    first_port: &'a [u32],
+    /// The whole table's port array.
+    ports: &'a [u32],
+}
+
+impl<'a> NodeSlots<'a> {
+    /// The slot of a part this node participates in (any part a message
+    /// arrives for, and a member's own part).
+    pub(crate) fn slot_of(&self, part: u32) -> usize {
+        let slot = self.parts.binary_search(&part);
+        slot.expect("part-wise messages travel participating edges only")
+    }
+
+    /// The participating ports of `slot`, ascending.
+    pub(crate) fn ports(&self, slot: usize) -> &'a [u32] {
+        &self.ports[self.first_port[slot] as usize..self.first_port[slot + 1] as usize]
+    }
+
+    /// Where `slot`'s ports sit in a node-local array with one entry per
+    /// `(slot, port)` pair.
+    fn port_range(&self, slot: usize) -> std::ops::Range<usize> {
+        let base = self.first_port[0];
+        (self.first_port[slot] - base) as usize..(self.first_port[slot + 1] - base) as usize
+    }
+
+    /// Total `(slot, port)` pairs of this node.
+    fn num_ports(&self) -> usize {
+        (self.first_port[self.parts.len()] - self.first_port[0]) as usize
     }
 }
 
@@ -214,180 +317,163 @@ impl MessageSize for PaMsg {
     }
 }
 
-/// Per-(node, part) protocol state.
-#[derive(Clone, Debug)]
-struct PartState {
-    ports: Vec<usize>,
-    parent: Option<usize>,
-    started: bool,
-    awaiting_replies: usize,
-    children: Vec<usize>,
-    pending_up: usize,
+/// Per-(node, part) protocol state, one per slot.
+#[derive(Clone, Debug, Default)]
+struct SlotState {
+    /// The part's scheduling priority (its random delay, reused as a queue
+    /// priority so late-starting parts also yield edge access).
+    priority: u64,
     acc: u64,
+    result: Option<u64>,
+    /// Port towards the parent; `NO_PORT` until adopted.
+    parent: u32,
+    awaiting_replies: u32,
+    pending_up: u32,
+    started: bool,
     is_leader: bool,
     up_sent: bool,
-    result: Option<u64>,
 }
 
-struct PaProgram {
+struct PaProgram<'a> {
     op: AggOp,
-    /// part id -> state.
-    states: HashMap<u32, PartState>,
-    /// (part, remaining delay) for leader starts.
-    delays: Vec<(u32, u32)>,
-    /// Per-part scheduling priority (the part's random delay, reused as a
-    /// queue priority so late-starting parts also yield edge access).
-    priority: HashMap<u32, u64>,
+    slots: NodeSlots<'a>,
+    /// Indexed by slot.
+    states: Vec<SlotState>,
+    /// "Adopted me" per `(slot, port)` pair, laid out like the node's ports
+    /// (see [`NodeSlots::port_range`]): a slot's children in port order.
+    is_child: Vec<bool>,
+    /// `(slot, remaining delay)` of the part this node leads and has not
+    /// started yet. One entry suffices: a leader is a member of its part.
+    leader_start: Option<(usize, u32)>,
     /// Sends buffered during one callback, flushed grouped by
     /// `(port, priority)` at the callback's end so same-edge traffic of
     /// different parts is issued consecutively — the shape
     /// [`SimConfig::message_packing`] coalesces into multi-value messages.
-    pending: Vec<(usize, u64, PaMsg)>,
+    pending: Vec<(u32, u64, PaMsg)>,
 }
 
-impl PaProgram {
-    fn queue(&mut self, port: usize, msg: PaMsg, prio: u64) {
-        self.pending.push((port, prio, msg));
-    }
-
+impl PaProgram<'_> {
     /// Flushes the callback's buffered sends, stable-sorted by
     /// `(port, priority)`: per-edge order of equal-priority messages is
     /// preserved (FIFO semantics unchanged), while runs on one shared edge
     /// become adjacent and thus packable.
     fn flush_pending(&mut self, ctx: &mut Ctx<'_, PaMsg>) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|&(port, prio, _)| (port, prio));
-        for (port, prio, msg) in pending.drain(..) {
-            ctx.send_with_priority(port, msg, prio);
+        self.pending.sort_by_key(|&(port, prio, _)| (port, prio));
+        for (port, prio, msg) in self.pending.drain(..) {
+            ctx.send_with_priority(port as usize, msg, prio);
         }
-        self.pending = pending;
     }
 
-    fn start_part(&mut self, part: u32) {
-        let prio = self.priority[&part];
-        let st = self.states.get_mut(&part).expect("leader state exists");
+    /// Counts down the led part's start delay; starts it at zero.
+    fn tick_leader_start(&mut self, ctx: &mut Ctx<'_, PaMsg>, elapsed: u32) {
+        let Some((slot, delay)) = self.leader_start else {
+            return;
+        };
+        if delay == elapsed {
+            self.leader_start = None;
+            self.start_part(slot, NO_PORT);
+        } else {
+            self.leader_start = Some((slot, delay - elapsed));
+            ctx.wake_next_round();
+        }
+    }
+
+    /// Joins the part's wave at `slot`: adopts over `parent` (`NO_PORT`
+    /// when the leader starts its own part) and offers to every other port.
+    fn start_part(&mut self, slot: usize, parent: u32) {
+        let (part, ports) = (self.slots.parts[slot], self.slots.ports(slot));
+        let st = &mut self.states[slot];
         st.started = true;
-        st.awaiting_replies = st.ports.len();
-        let ports = st.ports.clone();
-        for p in ports {
-            self.queue(p, PaMsg::Offer(part), prio);
+        st.parent = parent;
+        let prio = st.priority;
+        if parent != NO_PORT {
+            self.pending.push((parent, prio, PaMsg::Adopt(part)));
         }
-        self.maybe_up(part);
+        let others = ports.iter().filter(|&&p| p != parent);
+        let offers = others.map(|&p| (p, prio, PaMsg::Offer(part)));
+        let before = self.pending.len();
+        self.pending.extend(offers);
+        st.awaiting_replies = (self.pending.len() - before) as u32;
+        self.maybe_up(slot);
     }
 
-    fn maybe_up(&mut self, part: u32) {
-        let prio = self.priority[&part];
-        let st = self.states.get_mut(&part).expect("state exists");
+    fn maybe_up(&mut self, slot: usize) {
+        let st = &mut self.states[slot];
         if st.up_sent || !st.started || st.awaiting_replies > 0 || st.pending_up > 0 {
             return;
         }
         st.up_sent = true;
+        let acc = st.acc;
         if st.is_leader {
-            st.result = Some(st.acc);
-            let acc = st.acc;
-            let children = st.children.clone();
-            for p in children {
-                self.queue(p, PaMsg::Down(part, acc), prio);
-            }
+            self.deliver(slot, acc);
         } else {
-            let parent = st.parent.expect("non-leader has a parent once started");
-            let acc = st.acc;
-            self.queue(parent, PaMsg::Up(part, acc), prio);
+            assert_ne!(st.parent, NO_PORT, "non-leader has a parent once started");
+            let up = PaMsg::Up(self.slots.parts[slot], acc);
+            self.pending.push((st.parent, st.priority, up));
+        }
+    }
+
+    /// Records the part's result and passes it down to the slot's children.
+    fn deliver(&mut self, slot: usize, val: u64) {
+        let st = &mut self.states[slot];
+        st.result = Some(val);
+        let down = PaMsg::Down(self.slots.parts[slot], val);
+        let children = &self.is_child[self.slots.port_range(slot)];
+        for (&p, _) in (self.slots.ports(slot).iter().zip(children)).filter(|(_, &c)| c) {
+            self.pending.push((p, st.priority, down));
         }
     }
 }
 
-impl NodeProgram for PaProgram {
+impl NodeProgram for PaProgram<'_> {
     type Msg = PaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, PaMsg>) {
-        let immediate: Vec<u32> = self
-            .delays
-            .iter()
-            .filter(|&&(_, d)| d == 0)
-            .map(|&(p, _)| p)
-            .collect();
-        self.delays.retain(|&(_, d)| d > 0);
-        for part in immediate {
-            self.start_part(part);
-        }
-        if !self.delays.is_empty() {
-            ctx.wake_next_round();
-        }
+        self.tick_leader_start(ctx, 0);
         self.flush_pending(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, PaMsg>, inbox: &[Incoming<PaMsg>]) {
-        // Tick leader delays.
-        if !self.delays.is_empty() {
-            let mut ready = Vec::new();
-            for d in &mut self.delays {
-                d.1 -= 1;
-                if d.1 == 0 {
-                    ready.push(d.0);
-                }
-            }
-            self.delays.retain(|&(_, d)| d > 0);
-            for part in ready {
-                self.start_part(part);
-            }
-            if !self.delays.is_empty() {
-                ctx.wake_next_round();
-            }
-        }
+        self.tick_leader_start(ctx, 1);
 
         for m in inbox {
+            let port = m.port as u32;
             match m.msg {
                 PaMsg::Offer(part) => {
-                    let prio = self.priority[&part];
-                    let st = self
-                        .states
-                        .get_mut(&part)
-                        .expect("offer only travels participating edges");
-                    if st.started {
-                        self.queue(m.port, PaMsg::Decline(part), prio);
+                    let slot = self.slots.slot_of(part);
+                    if self.states[slot].started {
+                        let prio = self.states[slot].priority;
+                        self.pending.push((port, prio, PaMsg::Decline(part)));
                     } else {
-                        st.started = true;
-                        st.parent = Some(m.port);
-                        st.awaiting_replies = st.ports.len() - 1;
-                        let ports = st.ports.clone();
-                        self.queue(m.port, PaMsg::Adopt(part), prio);
-                        for p in ports {
-                            if p != m.port {
-                                self.queue(p, PaMsg::Offer(part), prio);
-                            }
-                        }
-                        self.maybe_up(part);
+                        self.start_part(slot, port);
                     }
                 }
                 PaMsg::Adopt(part) => {
-                    let st = self.states.get_mut(&part).expect("state exists");
-                    st.children.push(m.port);
+                    let slot = self.slots.slot_of(part);
+                    let at = self.slots.ports(slot).binary_search(&port);
+                    let at = at.expect("adopt answers an offer sent over this port");
+                    self.is_child[self.slots.port_range(slot).start + at] = true;
+                    let st = &mut self.states[slot];
                     st.pending_up += 1;
                     st.awaiting_replies -= 1;
-                    self.maybe_up(part);
+                    self.maybe_up(slot);
                 }
                 PaMsg::Decline(part) => {
-                    let st = self.states.get_mut(&part).expect("state exists");
-                    st.awaiting_replies -= 1;
-                    self.maybe_up(part);
+                    let slot = self.slots.slot_of(part);
+                    self.states[slot].awaiting_replies -= 1;
+                    self.maybe_up(slot);
                 }
                 PaMsg::Up(part, val) => {
-                    let op = self.op;
-                    let st = self.states.get_mut(&part).expect("state exists");
-                    st.acc = op.apply(st.acc, val);
+                    let slot = self.slots.slot_of(part);
+                    let st = &mut self.states[slot];
+                    st.acc = self.op.apply(st.acc, val);
                     st.pending_up -= 1;
-                    self.maybe_up(part);
+                    self.maybe_up(slot);
                 }
                 PaMsg::Down(part, val) => {
-                    let prio = self.priority[&part];
-                    let st = self.states.get_mut(&part).expect("state exists");
-                    if st.result.is_none() {
-                        st.result = Some(val);
-                        let children = st.children.clone();
-                        for p in children {
-                            self.queue(p, PaMsg::Down(part, val), prio);
-                        }
+                    let slot = self.slots.slot_of(part);
+                    if self.states[slot].result.is_none() {
+                        self.deliver(slot, val);
                     }
                 }
             }
@@ -396,7 +482,7 @@ impl NodeProgram for PaProgram {
     }
 
     fn is_done(&self) -> bool {
-        self.states.values().all(|st| st.result.is_some())
+        self.states.iter().all(|st| st.result.is_some())
     }
 }
 
@@ -424,16 +510,7 @@ impl PartwiseOp for AggregateOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<PartwiseOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        // The O(n + m) participation map is a session artifact: built on
-        // the first aggregate/gossip call, reused by every later one, and
-        // refreshed only for the touched parts under reassign_parts churn.
-        let participation = session.op_artifact_patched(
-            deps::SHORTCUT,
-            |s| ParticipationMap::build(s.graph(), s.partition(), s.shortcut_ref()),
-            |s, old: &ParticipationMap, touched| {
-                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
-            },
-        );
+        let participation = ParticipationMap::of_session(session);
         let sc = session.config();
         let cfg = PartwiseConfig {
             delay_range: sc.aggregate.delay_range,
@@ -465,9 +542,16 @@ impl AggregateOp<'_> {
         self.run_with(g, partition, cfg, &participation)
     }
 
-    /// Runs the protocol over a prebuilt [`ParticipationMap`] — the path
-    /// the session ops take with the cached map.
-    fn run_with(
+    /// Runs the protocol over a prebuilt [`ParticipationMap`] of
+    /// `partition` and its shortcut — the path the session ops take with
+    /// the cached map, and callers running several aggregations over one
+    /// `G[P_i] + H_i` (a Boruvka phase).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.values.len() != g.num_nodes()` or a leader is not a
+    /// member of its part.
+    pub fn run_with(
         &self,
         g: &Graph,
         partition: &Partition,
@@ -491,17 +575,8 @@ impl AggregateOp<'_> {
             );
         }
 
-        // Random delays per part.
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let delays: Vec<u32> = (0..k)
-            .map(|_| {
-                if cfg.delay_range == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..cfg.delay_range)
-                }
-            })
-            .collect();
+        let delays = random_delays(&mut rng, k, cfg.delay_range);
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
@@ -509,73 +584,43 @@ impl AggregateOp<'_> {
         };
         let sim = Simulator::new(g, sim_cfg);
         let run = sim.run(|v, _| {
-            let mut states = HashMap::new();
-            let mut priority = HashMap::new();
-            let mut node_delays = Vec::new();
-            // States for parts this node participates in (as relay or member).
-            let mut parts: Vec<u32> = participation.at(v).keys().copied().collect();
-            if let Some(pid) = partition.part_of(v) {
-                if !parts.contains(&pid.0) {
-                    parts.push(pid.0); // singleton part without edges
-                }
-            }
-            for part in parts {
-                let is_member = partition.part_of(v) == Some(PartId(part));
-                let is_leader = leaders[part as usize] == v;
-                let ports = participation.at(v).get(&part).cloned().unwrap_or_default();
-                states.insert(
-                    part,
-                    PartState {
-                        ports,
-                        parent: None,
-                        started: false,
-                        awaiting_replies: 0,
-                        children: Vec::new(),
-                        pending_up: 0,
-                        acc: if is_member {
-                            values[v.index()]
-                        } else {
-                            identity(op)
-                        },
-                        is_leader,
-                        up_sent: false,
-                        result: None,
+            let slots = participation.node(v);
+            let own = partition.part_of(v).map(|p| p.0);
+            let leads = own.filter(|&p| leaders[p as usize] == v);
+            let states = (slots.parts.iter())
+                .map(|&part| SlotState {
+                    priority: u64::from(delays[part as usize]),
+                    acc: if own == Some(part) {
+                        values[v.index()]
+                    } else {
+                        identity(op)
                     },
-                );
-                priority.insert(part, u64::from(delays[part as usize]));
-                if is_leader {
-                    node_delays.push((part, delays[part as usize]));
-                }
-            }
+                    parent: NO_PORT,
+                    is_leader: leads == Some(part),
+                    ..SlotState::default()
+                })
+                .collect();
             PaProgram {
                 op,
+                slots,
                 states,
-                delays: node_delays,
-                priority,
+                is_child: vec![false; slots.num_ports()],
+                leader_start: leads.map(|p| (slots.slot_of(p), delays[p as usize])),
                 pending: Vec::new(),
             }
         });
 
-        // Collect results.
-        let mut results: Vec<Option<u64>> = vec![None; k];
-        let mut all_informed = true;
-        for (i, &leader) in leaders.iter().enumerate() {
-            let part = i as u32;
-            results[i] = run.programs[leader.index()]
-                .states
-                .get(&part)
-                .and_then(|st| st.result);
-            for &member in partition.part(PartId(part)) {
-                let informed = run.programs[member.index()]
-                    .states
-                    .get(&part)
-                    .map(|st| st.result.is_some())
-                    .unwrap_or(false);
-                if !informed {
-                    all_informed = false;
-                }
-            }
-        }
+        // Collect results: a member always owns a slot for its part.
+        let result_at = |v: NodeId, part: PartId| {
+            let program = &run.programs[v.index()];
+            program.states[program.slots.slot_of(part.0)].result
+        };
+        let results = (leaders.iter().enumerate())
+            .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
+            .collect();
+        let all_informed = partition
+            .iter()
+            .all(|(pid, members)| members.iter().all(|&v| result_at(v, pid).is_some()));
 
         PartwiseOutcome {
             results,
@@ -621,6 +666,7 @@ mod tests {
     use super::*;
     use lcs_core::{baseline, full_shortcut, ShortcutConfig};
     use lcs_graph::{bfs, gen};
+    use proptest::prelude::*;
 
     fn grid_setup(side: usize) -> (Graph, Partition, Shortcut) {
         let g = gen::grid(side, side);
@@ -806,32 +852,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refreshed_participation_matches_fresh_build() {
-        // Drive the real churn path: the session's incremental shortcut
-        // keeps untouched parts' H_i byte-identical, which is exactly the
-        // contract `refreshed` relies on.
-        use lcs_core::session::Session;
-        let g = gen::grid(6, 6);
-        let mut session = Session::on(&g)
-            .partition(gen::rows_of_grid(6, 6))
-            .build()
-            .unwrap();
-        session.prepare();
-        let old_map = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
-        let touched = session.reassign_parts(&[(NodeId(6), PartId(0))]).unwrap();
-        assert_eq!(touched, vec![PartId(0), PartId(1)]);
-        session.prepare(); // re-customizes the touched parts in place
-        let refreshed =
-            old_map.refreshed(&g, session.partition(), session.shortcut_ref(), &touched);
-        let fresh = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
-        for v in g.nodes() {
-            let mut a: Vec<_> = refreshed.at(v).iter().collect();
-            let mut b: Vec<_> = fresh.at(v).iter().collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "node {v:?}");
+    /// A connected graph with connected parts from one of three generator
+    /// families: grid rows, torus cells, road-like voronoi cells.
+    fn arb_instance() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>)> {
+        (0usize..3, 4usize..9, 0u64..1000).prop_map(|(family, side, seed)| match family {
+            0 => (gen::grid(side, side), gen::rows_of_grid(side, side)),
+            1 => {
+                let g = gen::torus(side, side);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let parts = gen::random_connected_parts(&g, side, &mut rng);
+                (g, parts)
+            }
+            _ => {
+                let g = gen::road_like(side, side, seed);
+                let parts = gen::voronoi_parts_seeded(&g, side, seed);
+                (g, parts)
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random `reassign_parts` sequences through the real churn path
+        /// (the session's incremental shortcut keeps untouched parts' `H_i`
+        /// byte-identical, which is the contract `refreshed` relies on):
+        /// after every tick the refreshed table equals a fresh build.
+        #[test]
+        fn refreshed_participation_matches_fresh_build(
+            (g, parts) in arb_instance(),
+            seed in 0u64..1000,
+        ) {
+            use lcs_core::session::Session;
+            let mut session = Session::on(&g).partition(parts).build().unwrap();
+            session.prepare();
+            let mut map = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut ticks = 0;
+            for _ in 0..24 {
+                // Up to three nodes hop into a neighbor's part; the session
+                // refuses ticks that would disconnect or empty a part.
+                let moves: Vec<(NodeId, PartId)> = (0..rng.gen_range(1..4))
+                    .filter_map(|_| {
+                        let v = NodeId(rng.gen_range(0..g.num_nodes() as u32));
+                        let nb = g.heads(v)[rng.gen_range(0..g.degree(v))];
+                        Some((v, session.partition().part_of(nb)?))
+                    })
+                    .collect();
+                let Ok(touched) = session.reassign_parts(&moves) else { continue };
+                if touched.is_empty() {
+                    continue;
+                }
+                session.prepare(); // re-customizes the touched parts in place
+                map = map.refreshed(&g, session.partition(), session.shortcut_ref(), &touched);
+                let fresh = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
+                prop_assert_eq!(&map, &fresh);
+                ticks += 1;
+            }
+            prop_assert!(ticks > 0, "no tick was accepted");
         }
+    }
+
+    #[test]
+    fn edgeless_member_owns_an_empty_slot() {
+        // Node 0 is a singleton part without shortcut edges: no edge of
+        // G[P_0] + H_0 touches it, yet it leads and finishes its part.
+        let g = gen::path(3);
+        let parts = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(2)]];
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let shortcut = baseline::no_shortcut(&partition);
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let slots = map.node(NodeId(0));
+        assert_eq!(slots.parts, &[0]);
+        assert!(slots.ports(0).is_empty());
+        let out = solve_partwise(
+            &g,
+            &partition,
+            &shortcut,
+            &[5, 6, 7],
+            AggOp::Sum,
+            None,
+            &PartwiseConfig::default(),
+        );
+        assert!(out.metrics.terminated && out.all_members_informed);
+        assert_eq!(out.results, vec![Some(5), Some(13)]);
+    }
+
+    #[test]
+    fn relay_of_many_parts_resolves_slots() {
+        // Eleven singleton leaf parts whose H_i is the member's spoke plus
+        // a spoke to a second, relay-only leaf: the hub relays all eleven
+        // parts and is a member of none.
+        let g = gen::star(23);
+        let parts: Vec<Vec<NodeId>> = (0..11).map(|i| vec![NodeId(2 * i + 1)]).collect();
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let spokes = |i: u32| {
+            [2 * i + 1, 2 * i + 2].map(|leaf| g.find_edge(NodeId(0), NodeId(leaf)).unwrap())
+        };
+        let shortcut = Shortcut::from_edge_lists((0..11).map(|i| spokes(i).to_vec()).collect());
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let hub = map.node(NodeId(0));
+        assert_eq!(hub.parts, (0..11).collect::<Vec<u32>>());
+        for part in 0..11 {
+            assert_eq!(hub.ports(hub.slot_of(part)), &[2 * part, 2 * part + 1]);
+        }
+        let values: Vec<u64> = (0..23).collect();
+        let out = solve_partwise(
+            &g,
+            &partition,
+            &shortcut,
+            &values,
+            AggOp::Sum,
+            None,
+            &PartwiseConfig::default(),
+        );
+        // Relays contribute the identity: each part's sum is its member's value.
+        assert!(out.metrics.terminated && out.all_members_informed);
+        let expect: Vec<Option<u64>> = (0..11).map(|i| Some(2 * i + 1)).collect();
+        assert_eq!(out.results, expect);
     }
 
     #[test]

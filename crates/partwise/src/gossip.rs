@@ -12,14 +12,13 @@
 //! [`solve_partwise`](crate::solve_partwise); the type system enforces the
 //! distinction via [`IdempotentOp`].
 
-use crate::dist::ParticipationMap;
+use crate::dist::{NodeSlots, ParticipationMap};
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{OpReport, PartwiseOp, ShortcutSession};
 use lcs_core::{Partition, Shortcut};
-use lcs_graph::{Graph, PartId};
-use std::collections::HashMap;
+use lcs_graph::{Graph, NodeId, PartId};
 
 /// Aggregates safe under re-application (gossip does not double-count).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,58 +75,61 @@ impl MessageSize for GossipMsg {
     }
 }
 
-struct GossipProgram {
+struct GossipProgram<'a> {
     op: IdempotentOp,
-    /// part -> (participating ports, current best).
-    states: HashMap<u32, (Vec<usize>, u64)>,
+    slots: NodeSlots<'a>,
+    /// Current best per slot.
+    best: Vec<u64>,
+    /// Scratch: the slots improved by the current inbox.
+    improved: Vec<usize>,
+    /// Scratch: the current callback's `(port, part, value)` sends.
+    sends: Vec<(u32, u32, u64)>,
 }
 
-impl GossipProgram {
-    /// Emits one `GossipMsg` per `(part, port)` pair, **grouped by port**
-    /// (ties broken by part id): a node relaying several parts over one
-    /// shared edge issues those sends consecutively, which is the shape
-    /// [`SimConfig::message_packing`] coalesces into multi-value messages.
-    /// The grouping also makes the send order fully deterministic
-    /// (independent of the state map's iteration order).
-    fn send_grouped_by_port(&self, parts: Vec<u32>, ctx: &mut Ctx<'_, GossipMsg>) {
-        let mut sends: Vec<(usize, u32, u64)> = Vec::new();
-        for part in parts {
-            let (ports, value) = &self.states[&part];
-            for &p in ports {
-                sends.push((p, part, *value));
-            }
+impl GossipProgram<'_> {
+    /// Emits one `GossipMsg` per `(slot, port)` pair of `self.improved`,
+    /// **grouped by port** (ties broken by part id): a node relaying
+    /// several parts over one shared edge issues those sends
+    /// consecutively, which is the shape [`SimConfig::message_packing`]
+    /// coalesces into multi-value messages. The grouping also makes the
+    /// send order independent of the order parts improved in.
+    fn send_improved(&mut self, ctx: &mut Ctx<'_, GossipMsg>) {
+        for &slot in &self.improved {
+            let (part, value) = (self.slots.parts[slot], self.best[slot]);
+            let ports = self.slots.ports(slot).iter();
+            self.sends.extend(ports.map(|&p| (p, part, value)));
         }
-        sends.sort_unstable_by_key(|&(p, part, _)| (p, part));
-        for (p, part, value) in sends {
-            ctx.send(p, GossipMsg { part, value });
+        // One slot's ports are already ascending.
+        if self.improved.len() > 1 {
+            self.sends.sort_unstable_by_key(|&(p, part, _)| (p, part));
+        }
+        self.improved.clear();
+        for (p, part, value) in self.sends.drain(..) {
+            ctx.send(p as usize, GossipMsg { part, value });
         }
     }
 }
 
-impl NodeProgram for GossipProgram {
+impl NodeProgram for GossipProgram<'_> {
     type Msg = GossipMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, GossipMsg>) {
-        let parts: Vec<u32> = self.states.keys().copied().collect();
-        self.send_grouped_by_port(parts, ctx);
+        self.improved.extend(0..self.best.len());
+        self.send_improved(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, GossipMsg>, inbox: &[Incoming<GossipMsg>]) {
-        let mut improved: Vec<u32> = Vec::new();
         for m in inbox {
-            let (_, best) = self
-                .states
-                .get_mut(&m.msg.part)
-                .expect("gossip travels participating edges only");
-            let merged = self.op.apply(*best, m.msg.value);
-            if merged != *best {
-                *best = merged;
-                if !improved.contains(&m.msg.part) {
-                    improved.push(m.msg.part);
+            let slot = self.slots.slot_of(m.msg.part);
+            let merged = self.op.apply(self.best[slot], m.msg.value);
+            if merged != self.best[slot] {
+                self.best[slot] = merged;
+                if !self.improved.contains(&slot) {
+                    self.improved.push(slot);
                 }
             }
         }
-        self.send_grouped_by_port(improved, ctx);
+        self.send_improved(ctx);
     }
 
     fn is_done(&self) -> bool {
@@ -156,16 +158,7 @@ impl PartwiseOp for GossipOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<GossipOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        // Reuses the session-cached participation map (shared with the
-        // leader-based aggregation — same artifact type, same slot), with
-        // the same incremental refresh under reassign_parts churn.
-        let participation = session.op_artifact_patched(
-            deps::SHORTCUT,
-            |s| ParticipationMap::build(s.graph(), s.partition(), s.shortcut_ref()),
-            |s, old: &ParticipationMap, touched| {
-                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
-            },
-        );
+        let participation = ParticipationMap::of_session(session);
         let sim = session.config().aggregate_sim();
         let out = self.run_with(session.graph(), session.partition(), sim, &participation);
         let metrics = out.metrics.clone();
@@ -210,24 +203,24 @@ impl GossipOp<'_> {
         };
         let simulator = Simulator::new(g, sim_cfg);
         let run = simulator.run(|v, _| {
-            let mut states = HashMap::new();
-            let mut parts: Vec<u32> = participation.at(v).keys().copied().collect();
-            if let Some(p) = partition.part_of(v) {
-                if !parts.contains(&p.0) {
-                    parts.push(p.0);
-                }
+            let slots = participation.node(v);
+            let own = partition.part_of(v).map(|p| p.0);
+            let best = (slots.parts.iter())
+                .map(|&part| {
+                    if own == Some(part) {
+                        values[v.index()]
+                    } else {
+                        op.identity()
+                    }
+                })
+                .collect();
+            GossipProgram {
+                op,
+                slots,
+                best,
+                improved: Vec::new(),
+                sends: Vec::new(),
             }
-            for part in parts {
-                let is_member = partition.part_of(v) == Some(PartId(part));
-                let ports = participation.at(v).get(&part).cloned().unwrap_or_default();
-                let init = if is_member {
-                    values[v.index()]
-                } else {
-                    op.identity()
-                };
-                states.insert(part, (ports, init));
-            }
-            GossipProgram { op, states }
         });
 
         // Collect and verify convergence.
@@ -240,19 +233,18 @@ impl GossipOp<'_> {
                     .fold(op.identity(), |a, b| op.apply(a, b))
             })
             .collect();
-        let mut results = vec![None; partition.num_parts()];
-        let mut converged = true;
-        for (pid, nodes) in partition.iter() {
-            let mut part_value = None;
-            for &v in nodes {
-                let held = run.programs[v.index()].states.get(&pid.0).map(|s| s.1);
-                if held != Some(expect[pid.index()]) {
-                    converged = false;
-                }
-                part_value = held;
-            }
-            results[pid.index()] = part_value;
-        }
+        // A member always owns a slot for its part.
+        let held = |v: &NodeId, pid: PartId| {
+            let program = &run.programs[v.index()];
+            program.best[program.slots.slot_of(pid.0)]
+        };
+        let converged = partition
+            .iter()
+            .all(|(pid, nodes)| nodes.iter().all(|v| held(v, pid) == expect[pid.index()]));
+        let results = partition
+            .iter()
+            .map(|(pid, nodes)| nodes.last().map(|v| held(v, pid)))
+            .collect();
 
         GossipOutcome {
             results,

@@ -8,6 +8,7 @@
 //! module implements the store-and-forward protocol on the queued simulator
 //! and reports measured rounds against those two quantities.
 
+use crate::dist::random_delays;
 use lcs_congest::{
     Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
@@ -16,7 +17,6 @@ use lcs_graph::{Graph, NodeId, RootedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration for [`route_multiple_unicasts`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -66,65 +66,71 @@ impl MessageSize for Packet {
     }
 }
 
-struct RouterProgram {
-    /// packet id -> outgoing port for packets this node must forward.
-    forward: HashMap<u32, usize>,
+/// The entries of `sorted` (ascending by their first field, a node id)
+/// that belong to `node` — how a program borrows its rows of a run-wide
+/// table.
+fn rows_of<T>(sorted: &[(u32, T)], node: NodeId) -> &[(u32, T)] {
+    let lo = sorted.partition_point(|e| e.0 < node.0);
+    let len = sorted[lo..].partition_point(|e| e.0 == node.0);
+    &sorted[lo..lo + len]
+}
+
+struct RouterProgram<'a> {
+    /// `(this node, (packet id, outgoing port))` for the packets this node
+    /// must send or forward, ascending by packet id.
+    forward: &'a [(u32, (u32, u32))],
     /// Packets originating here: (packet id, remaining delay).
     inject: Vec<(u32, u32)>,
-    /// Packet ids this node is the target of (receipt recorded here).
-    expect: Vec<u32>,
-    received: Vec<u32>,
-    /// Per-packet priorities (shared random map).
-    priority: HashMap<u32, u64>,
+    /// `(this node, packet id)` for the packets this node is the target of.
+    expect: &'a [(u32, u32)],
+    received: usize,
+    /// Priority per packet id, shared by all nodes.
+    priority: &'a [u64],
 }
 
-impl RouterProgram {
+impl RouterProgram<'_> {
     fn send_packet(&self, id: u32, ctx: &mut Ctx<'_, Packet>) {
-        let port = self.forward[&id];
-        ctx.send_with_priority(port, Packet(id), self.priority[&id]);
+        let row = self
+            .forward
+            .binary_search_by_key(&id, |&(_, (packet, _))| packet);
+        let (_, (_, port)) = self.forward[row.expect("packets follow their tree path")];
+        ctx.send_with_priority(port as usize, Packet(id), self.priority[id as usize]);
     }
-}
 
-impl NodeProgram for RouterProgram {
-    type Msg = Packet;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        let ready: Vec<u32> = self
-            .inject
-            .iter()
-            .filter(|&&(_, d)| d == 0)
-            .map(|&(id, _)| id)
-            .collect();
-        self.inject.retain(|&(_, d)| d > 0);
-        for id in ready {
-            self.send_packet(id, ctx);
+    /// Counts the injection delays down by `elapsed` rounds and sends the
+    /// packets that are due.
+    fn inject_due(&mut self, elapsed: u32, ctx: &mut Ctx<'_, Packet>) {
+        if self.inject.is_empty() {
+            return;
         }
+        let mut inject = std::mem::take(&mut self.inject);
+        inject.retain_mut(|(id, delay)| {
+            *delay -= elapsed;
+            if *delay == 0 {
+                self.send_packet(*id, ctx);
+            }
+            *delay > 0
+        });
+        self.inject = inject;
         if !self.inject.is_empty() {
             ctx.wake_next_round();
         }
     }
+}
+
+impl NodeProgram for RouterProgram<'_> {
+    type Msg = Packet;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        self.inject_due(0, ctx);
+    }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &[Incoming<Packet>]) {
-        if !self.inject.is_empty() {
-            let mut ready = Vec::new();
-            for item in &mut self.inject {
-                item.1 -= 1;
-                if item.1 == 0 {
-                    ready.push(item.0);
-                }
-            }
-            self.inject.retain(|&(_, d)| d > 0);
-            for id in ready {
-                self.send_packet(id, ctx);
-            }
-            if !self.inject.is_empty() {
-                ctx.wake_next_round();
-            }
-        }
+        self.inject_due(1, ctx);
         for m in inbox {
             let id = m.msg.0;
-            if self.expect.contains(&id) {
-                self.received.push(id);
+            if self.expect.iter().any(|&(_, packet)| packet == id) {
+                self.received += 1;
             } else {
                 self.send_packet(id, ctx);
             }
@@ -132,7 +138,7 @@ impl NodeProgram for RouterProgram {
     }
 
     fn is_done(&self) -> bool {
-        self.inject.is_empty() && self.received.len() == self.expect.len()
+        self.inject.is_empty() && self.received == self.expect.len()
     }
 }
 
@@ -180,8 +186,11 @@ impl UnicastOp<'_> {
         // Tree paths (up to the LCA, then down) with per-edge load counting.
         let mut load = vec![0u32; g.num_edges()];
         let mut dilation = 0u32;
-        // forward tables: node -> (packet -> port).
-        let mut forward: Vec<HashMap<u32, usize>> = vec![HashMap::new(); g.num_nodes()];
+        // Run-wide tables the programs borrow their rows of (`rows_of`):
+        // forwarding hops, sources and targets, each keyed by node.
+        let mut forward: Vec<(u32, (u32, u32))> = Vec::new();
+        let mut sources: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
+        let mut targets: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
         for (i, &(s, t)) in pairs.iter().enumerate() {
             assert!(s != t, "source equals target for packet {i}");
             assert!(
@@ -195,23 +204,19 @@ impl UnicastOp<'_> {
                 let port = g.port_to(cur, next).expect("tree path steps along edges");
                 let edge = g.edge_ids(cur)[port];
                 load[edge.index()] += 1;
-                forward[cur.index()].insert(i as u32, port);
+                forward.push((cur.0, (i as u32, port as u32)));
                 cur = next;
             }
+            sources.push((s.0, i as u32));
+            targets.push((t.0, i as u32));
         }
+        forward.sort_unstable();
+        sources.sort_unstable();
+        targets.sort_unstable();
         let congestion = load.iter().copied().max().unwrap_or(0);
 
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let delays: Vec<u32> = pairs
-            .iter()
-            .map(|_| {
-                if cfg.delay_range == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..cfg.delay_range)
-                }
-            })
-            .collect();
+        let delays = random_delays(&mut rng, pairs.len(), cfg.delay_range);
         let priorities: Vec<u64> = pairs.iter().map(|_| rng.gen()).collect();
 
         let sim_cfg = SimConfig {
@@ -219,37 +224,17 @@ impl UnicastOp<'_> {
             ..cfg.sim
         };
         let sim = Simulator::new(g, sim_cfg);
-        let run = sim.run(|v, _| {
-            let mut priority = HashMap::new();
-            let fwd = forward[v.index()].clone();
-            for &id in fwd.keys() {
-                priority.insert(id, priorities[id as usize]);
-            }
-            let inject: Vec<(u32, u32)> = pairs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(s, _))| s == v)
-                .map(|(i, _)| (i as u32, delays[i]))
-                .collect();
-            for &(id, _) in &inject {
-                priority.insert(id, priorities[id as usize]);
-            }
-            let expect: Vec<u32> = pairs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, t))| t == v)
-                .map(|(i, _)| i as u32)
-                .collect();
-            RouterProgram {
-                forward: fwd,
-                inject,
-                expect,
-                received: Vec::new(),
-                priority,
-            }
+        let run = sim.run(|v, _| RouterProgram {
+            forward: rows_of(&forward, v),
+            inject: (rows_of(&sources, v).iter())
+                .map(|&(_, id)| (id, delays[id as usize]))
+                .collect(),
+            expect: rows_of(&targets, v),
+            received: 0,
+            priority: &priorities,
         });
 
-        let delivered = run.programs.iter().map(|p| p.received.len()).sum::<usize>();
+        let delivered = run.programs.iter().map(|p| p.received).sum::<usize>();
         UnicastOutcome {
             delivered,
             congestion,

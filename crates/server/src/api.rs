@@ -140,6 +140,7 @@ fn report_value<T>(report: &OpReport<T>, result: Value) -> Value {
         ("rounds", Value::U64(report.rounds)),
         ("messages", Value::U64(report.messages)),
         ("bits", Value::U64(report.bits)),
+        ("truncated", Value::Bool(report.truncated)),
         ("threads", Value::U64(report.threads as u64)),
         ("bandwidth_bits", Value::U64(report.bandwidth_bits as u64)),
         ("quality", quality),

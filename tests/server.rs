@@ -8,9 +8,10 @@
 use lcs_server::client::Client;
 use lcs_server::{Server, ServerConfig, ServerHandle};
 use low_congestion_shortcuts::congest::protocols::AggOp;
-use low_congestion_shortcuts::facade::{Session, SessionPartwiseOps};
+use low_congestion_shortcuts::congest::SimConfig;
+use low_congestion_shortcuts::facade::{Session, SessionConfig, SessionPartwiseOps};
 use low_congestion_shortcuts::graph::{gen, NodeId};
-use serde::Value;
+use serde::{Serialize, Value};
 use std::time::Duration;
 
 fn start() -> ServerHandle {
@@ -68,6 +69,43 @@ fn result_values(r: &lcs_server::client::Response) -> Vec<Option<u64>> {
             other => panic!("unexpected result entry {other:?}"),
         })
         .collect()
+}
+
+/// Op responses carry `truncated`: `true` when the session's round cap
+/// cut the run short (still a 200 — the typed error is a later step),
+/// `false` on a finished run.
+#[test]
+fn op_responses_report_truncated_runs() {
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    let body = Value::object([
+        ("values", Value::Arr(vec![Value::U64(1); 36])),
+        ("op", Value::Str("sum".to_string())),
+    ]);
+    for (max_rounds, expected) in [(2, true), (1_000_000, false)] {
+        let config = SessionConfig {
+            sim: SimConfig {
+                max_rounds,
+                ..SimConfig::default()
+            },
+            ..SessionConfig::default()
+        };
+        let mut spec = grid_spec(6, 6);
+        if let Value::Obj(fields) = &mut spec {
+            fields.push(("config".to_string(), config.to_value()));
+        }
+        let id = create(&mut client, &spec);
+        let agg = client
+            .post(&format!("/sessions/{id}/aggregate"), &body)
+            .expect("aggregate");
+        assert_eq!(agg.status, 200);
+        assert_eq!(
+            agg.field("truncated"),
+            Some(&Value::Bool(expected)),
+            "max_rounds = {max_rounds}"
+        );
+    }
+    handle.shutdown();
 }
 
 /// All six ops answer 200 over the socket with values matching the

@@ -19,7 +19,7 @@ use low_congestion_shortcuts::congest::{SimConfig, SimMode};
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
 use low_congestion_shortcuts::core::WitnessMode;
 use low_congestion_shortcuts::facade::*;
-use low_congestion_shortcuts::partwise::centralized_aggregate;
+use low_congestion_shortcuts::partwise::{centralized_aggregate, IdempotentOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,6 +49,48 @@ fn fast_config() -> SessionConfig {
         sim: env_sim(),
         ..SessionConfig::default()
     }
+}
+
+/// A run cut short by `SimConfig::max_rounds` must say so in its
+/// `OpReport`: with a deliberately tiny cap every part-wise op comes back
+/// `truncated` (and partial), with the default cap none does.
+#[test]
+fn op_reports_flag_runs_cut_short_by_the_round_cap() {
+    let g = gen::grid(8, 8);
+    let values: Vec<u64> = (0..64).collect();
+    let demands = [(NodeId(0), NodeId(63))];
+    let session_with = |max_rounds| {
+        let config = SessionConfig {
+            sim: SimConfig {
+                max_rounds,
+                ..env_sim()
+            },
+            ..fast_config()
+        };
+        Session::on(&g)
+            .partition(gen::rows_of_grid(8, 8))
+            .backend(Backend::Centralized)
+            .config(config)
+            .build()
+            .unwrap()
+    };
+
+    let mut capped = session_with(2);
+    let agg = capped.aggregate(&values, AggOp::Sum);
+    assert!(agg.truncated && agg.rounds == 2);
+    assert!(!agg.result.all_members_informed);
+    assert!(capped.gossip(&values, IdempotentOp::Max).truncated);
+    let routed = capped.unicast(&demands);
+    assert!(routed.truncated && routed.result.delivered == 0);
+
+    let mut free = session_with(SimConfig::default().max_rounds);
+    let agg = free.aggregate(&values, AggOp::Sum);
+    assert!(!agg.truncated && agg.result.all_members_informed);
+    assert!(!free.gossip(&values, IdempotentOp::Max).truncated);
+    assert!(!free.unicast(&demands).truncated);
+    assert!(!free.mst(&EdgeWeights::unit(&g)).truncated);
+    assert!(!free.components().truncated);
+    assert!(!free.mincut().truncated);
 }
 
 /// Acceptance criterion of the facade: the second aggregate call on the

@@ -375,6 +375,144 @@ fn metrics_match_pinned_seed_corpus_threads8() {
     assert_corpus_matches(8, env_packing());
 }
 
+/// `(case, unpacked, message_packing = 8)`, each column set
+/// `[rounds, messages, bits, max_queue]`, of the part-wise programs —
+/// captured on the hash-map participation layer (commit `12bee48`) by
+/// printing the actual rows, like [`PINNED`]. A rewrite of `lcs_partwise`
+/// is a host-only change and must leave the wire stream, packed and
+/// unpacked, exactly as it was.
+#[rustfmt::skip]
+const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
+    ("road48_voronoi24/aggregate_sum", [239, 23324, 962468, 3], [236, 22084, 962468, 2]),
+    ("road48_voronoi24/aggregate_sum_delayed", [247, 23324, 962468, 3], [247, 22527, 962468, 4]),
+    ("road48_voronoi24/gossip_max", [84, 47770, 3630520, 16], [79, 40112, 3520092, 8]),
+    ("road48_voronoi24/unicast", [127, 2375, 76000, 2], [127, 2375, 76000, 2]),
+    ("grid12_rows/aggregate_sum", [78, 4180, 164252, 9], [68, 3764, 164252, 1]),
+    ("grid12_rows/aggregate_sum_delayed", [83, 4180, 164252, 5], [82, 4021, 164252, 5]),
+    ("grid12_rows/gossip_max", [49, 7357, 529704, 13], [24, 4440, 514152, 6]),
+    ("grid12_rows/unicast", [28, 461, 14752, 3], [28, 461, 14752, 3]),
+    ("wheel64_rim/aggregate_sum", [8, 504, 13104, 2], [8, 502, 13104, 1]),
+    ("wheel64_rim/aggregate_sum_delayed", [20, 504, 13104, 2], [20, 502, 13104, 1]),
+    ("wheel64_rim/gossip_max", [3, 615, 43665, 1], [3, 615, 43665, 1]),
+    ("wheel64_rim/unicast", [6, 62, 1984, 2], [6, 62, 1984, 2]),
+];
+
+/// The part-wise corpus: aggregate (with and without random delays),
+/// gossip and unicast on a road-like graph with voronoi parts, grid rows
+/// and the wheel rim. Fingerprints are the protocol results.
+fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
+    use low_congestion_shortcuts::facade::{AggregateOp, GossipOp, UnicastOp};
+    use low_congestion_shortcuts::partwise::{IdempotentOp, PartwiseConfig, UnicastConfig};
+    use rand::Rng;
+
+    let sim = SimConfig {
+        threads,
+        message_packing: packing,
+        ..SimConfig::default()
+    };
+    let road = gen::road_like(48, 48, 7);
+    let road_parts = gen::voronoi_parts_seeded(&road, 24, 0x5eed);
+    let wheel = gen::wheel(64);
+    let instances = [
+        ("road48_voronoi24", road, road_parts),
+        ("grid12_rows", gen::grid(12, 12), gen::rows_of_grid(12, 12)),
+        ("wheel64_rim", wheel, vec![(1..64).map(NodeId).collect()]),
+    ];
+    let mut rows = Vec::new();
+    for (name, g, parts) in instances {
+        let n = g.num_nodes();
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+        let values: Vec<u64> = (0..n as u64).map(|x| (x * 37) % 101).collect();
+        let aggregate = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        };
+        for (case, delay_range) in [("aggregate_sum", 0), ("aggregate_sum_delayed", 16)] {
+            let cfg = PartwiseConfig {
+                delay_range,
+                sim,
+                ..PartwiseConfig::default()
+            };
+            let out = aggregate.run_on(&g, &partition, &shortcut, &cfg);
+            assert!(out.all_members_informed, "{name}/{case}");
+            rows.push(row(
+                &format!("{name}/{case}"),
+                &out.metrics,
+                format!("{:?}", out.results),
+            ));
+        }
+        let gossip = GossipOp {
+            values: &values,
+            op: IdempotentOp::Max,
+        };
+        let out = gossip.run_on(&g, &partition, &shortcut, sim);
+        assert!(out.converged, "{name}/gossip_max");
+        rows.push(row(
+            &format!("{name}/gossip_max"),
+            &out.metrics,
+            format!("{:?}", out.results),
+        ));
+        let mut rng = SmallRng::seed_from_u64(5);
+        let demands: Vec<(NodeId, NodeId)> = (0..32)
+            .map(|_| {
+                let s = rng.gen_range(0..n as u32);
+                (
+                    NodeId(s),
+                    NodeId((s + rng.gen_range(1..n as u32)) % n as u32),
+                )
+            })
+            .collect();
+        let cfg = UnicastConfig {
+            delay_range: 4,
+            sim,
+            ..UnicastConfig::default()
+        };
+        let out = UnicastOp { demands: &demands }.run_on(&g, &tree, &cfg);
+        assert_eq!(out.delivered, demands.len(), "{name}/unicast");
+        rows.push(row(
+            &format!("{name}/unicast"),
+            &out.metrics,
+            format!("{:?}", (out.congestion, out.dilation)),
+        ));
+    }
+    rows
+}
+
+/// The part-wise programs keep their exact wire stream: every pinned
+/// column at threads ∈ {1, 4} (plus `LCS_SIM_THREADS`), unpacked and at
+/// `message_packing = 8` (the level CI's `LCS_SIM_PACKING` run uses), with
+/// results identical across all of them.
+#[test]
+fn partwise_metrics_match_pinned_corpus() {
+    let reference = partwise_corpus(1, 1);
+    let mut lanes = vec![1, 4, env_threads()];
+    lanes.sort_unstable();
+    lanes.dedup();
+    for threads in lanes {
+        for packing in [1, 8] {
+            let actual = partwise_corpus(threads, packing);
+            assert_eq!(actual.len(), PARTWISE_PINNED.len(), "corpus size changed");
+            for ((r, &(case, unpacked, packed)), base) in
+                actual.iter().zip(PARTWISE_PINNED).zip(&reference)
+            {
+                assert_eq!(r.case, case, "part-wise corpus order changed");
+                assert_eq!(
+                    [r.rounds, r.messages, r.bits, r.max_queue],
+                    if packing == 1 { unpacked } else { packed },
+                    "{case} (threads={threads}, packing={packing}): wire stream drifted"
+                );
+                assert_eq!(
+                    r.fingerprint, base.fingerprint,
+                    "{case} (threads={threads}, packing={packing}): result drifted"
+                );
+            }
+        }
+    }
+}
+
 /// Strict mode must keep rejecting a double send over one directed edge in
 /// one round (the rewrite batches sends, so the check moved from queue push
 /// to the pending arena — behavior must be unchanged).
