@@ -6,7 +6,7 @@ use crate::table::{f2, Table};
 use lcs_congest::protocols::AggOp;
 use lcs_core::{baseline, full_shortcut, measure_quality, Partition, ShortcutConfig};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{solve_partwise, PartwiseConfig};
+use lcs_partwise::{AggregateOp, PartwiseConfig};
 
 /// Runs E10 and renders the table.
 pub fn run(fast: bool) -> String {
@@ -32,22 +32,16 @@ pub fn run(fast: bool) -> String {
         let built = full_shortcut(&g, &tree, &partition, &cfg);
         let q = measure_quality(&g, &partition, &tree, &built.shortcut);
         let values: Vec<u64> = (0..n as u64).collect();
-        let with = solve_partwise(
-            &g,
-            &partition,
-            &built.shortcut,
-            &values,
-            AggOp::Max,
-            None,
-            &PartwiseConfig::default(),
-        );
-        let without = solve_partwise(
+        let op = AggregateOp {
+            values: &values,
+            op: AggOp::Max,
+            leaders: None,
+        };
+        let with = op.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+        let without = op.run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &values,
-            AggOp::Max,
-            None,
             &PartwiseConfig::default(),
         );
         assert_eq!(with.results, without.results, "results must agree");

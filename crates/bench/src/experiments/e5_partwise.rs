@@ -11,7 +11,7 @@ use crate::table::{f2, Table};
 use lcs_congest::protocols::AggOp;
 use lcs_core::{full_shortcut, measure_quality, ShortcutConfig};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{route_multiple_unicasts, solve_partwise, PartwiseConfig, UnicastConfig};
+use lcs_partwise::{AggregateOp, PartwiseConfig, UnicastConfig, UnicastOp};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -46,13 +46,15 @@ fn aggregation_table(fast: bool) -> String {
         let values: Vec<u64> = (0..inst.graph.num_nodes() as u64)
             .map(|x| (x * 131) % 997)
             .collect();
-        let out = solve_partwise(
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Min,
+            leaders: None,
+        }
+        .run_on(
             &inst.graph,
             &inst.partition,
             &built.shortcut,
-            &values,
-            AggOp::Min,
-            None,
             &PartwiseConfig::default(),
         );
         let expect = lcs_partwise::centralized_aggregate(&inst.partition, &values, AggOp::Min);
@@ -106,7 +108,7 @@ fn unicast_table(fast: bool) -> String {
             let pairs: Vec<(NodeId, NodeId)> = (0..k.min(nodes.len() / 2))
                 .map(|i| (nodes[2 * i], nodes[2 * i + 1]))
                 .collect();
-            let out = route_multiple_unicasts(&g, &tree, &pairs, &UnicastConfig::default());
+            let out = UnicastOp { demands: &pairs }.run_on(&g, &tree, &UnicastConfig::default());
             let budget = u64::from(out.congestion + out.dilation).max(1);
             t.row(vec![
                 format!("grid {s}x{s}"),

@@ -719,5 +719,42 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let q = measure_quality(&g, &partition, &tree, &a.shortcut);
         assert!(q.tree_restricted);
+
+        // Accuracy, on an instance large enough that edges do get cut. A
+        // `t = 16` KMV estimate carries ~25% relative error, so the sketch
+        // may cut different tree edges than the exact detector; its
+        // decisions must stay inside the estimator's error band. `data`
+        // is re-derived centrally, so `oe.parts` is each cut's true load.
+        let g = gen::grid(32, 32);
+        let partition = Partition::from_parts(&g, gen::singleton_parts(&g)).unwrap();
+        let dist = DistConfig {
+            mode: DistMode::Sketch {
+                t: 16,
+                hash_seed: 0xbeef,
+                cut_factor: 1.0,
+            },
+            ..DistConfig::default()
+        };
+        let data = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist).data;
+        assert!(!data.over_edges.is_empty(), "the instance must cut edges");
+        let threshold = data.congestion_threshold as usize;
+        for oe in &data.over_edges {
+            assert!(
+                2 * oe.parts.len() >= threshold,
+                "sketch cut {:?} at true load {} < 0.5 × threshold {threshold}",
+                oe.edge,
+                oe.parts.len()
+            );
+        }
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let exact = match partial_shortcut_or_witness(&g, &tree, &partition, 1, &cfg) {
+            SweepOutcome::Shortcut(ps) => ps.data.over_edges.len(),
+            SweepOutcome::DenseMinor { data, .. } => data.over_edges.len(),
+        };
+        let sketch = data.over_edges.len();
+        assert!(
+            4 * sketch >= exact && sketch <= 4 * exact,
+            "sketch cut {sketch} edges vs {exact} exact — outside the [1/4, 4] band"
+        );
     }
 }

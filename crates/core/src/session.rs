@@ -1031,16 +1031,6 @@ impl<'g> ShortcutSession<'g> {
         &self.stats
     }
 
-    /// Number of shortcut constructions this session actually performed
-    /// (full builds plus one per distinct partial `δ̂`; incremental
-    /// re-customizations do not count).
-    #[deprecated(
-        note = "use cache_stats() — this equals cache_stats().full.builds + cache_stats().partials.builds"
-    )]
-    pub fn constructions(&self) -> usize {
-        (self.stats.full.builds + self.stats.partials.builds) as usize
-    }
-
     /// Replaces the partition wholesale, validating the raw node lists,
     /// and bumps the [`Input::Partition`] epoch: every partition-scoped
     /// artifact is invalidated (lazily) and rebuilt on next access.
@@ -1898,10 +1888,15 @@ impl<'g> ShortcutSession<'g> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use lcs_graph::gen;
+
+    /// Shortcut constructions performed: full builds plus one per distinct
+    /// partial `δ̂` (incremental re-customizations do not count).
+    fn constructed(s: &ShortcutSession<'_>) -> u64 {
+        let stats = s.cache_stats();
+        stats.full.builds + stats.partials.builds
+    }
 
     fn grid_session(side: usize) -> ShortcutSession<'static> {
         // Leak the graph for 'static test sessions (tests only).
@@ -1916,17 +1911,17 @@ mod tests {
     #[test]
     fn builder_is_lazy_and_artifacts_cache() {
         let mut s = grid_session(8);
-        assert_eq!(s.constructions(), 0, "build() must not construct");
+        assert_eq!(constructed(&s), 0, "build() must not construct");
         let dh = s.delta_hat();
         assert_eq!(dh, 1);
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructed(&s), 1);
         // Every later access is served from the cache.
         let edges_a = s.shortcut().total_edges();
         let edges_b = s.shortcut().total_edges();
         assert_eq!(edges_a, edges_b);
         let _ = s.quality();
         let _ = s.witness();
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructed(&s), 1);
         assert_eq!(s.cache_stats().full.builds, 1);
         assert!(s.cache_stats().full.hits >= 3);
         assert_eq!(s.cache_stats().full.invalidations, 0);
@@ -1940,7 +1935,7 @@ mod tests {
         assert_eq!(d1, d2);
         let db = s.diameter();
         assert!(db.lower <= db.upper);
-        assert_eq!(s.constructions(), 0, "tree/diameter are not constructions");
+        assert_eq!(constructed(&s), 0, "tree/diameter are not constructions");
         assert_eq!(s.cache_stats().tree.builds, 1);
         assert_eq!(s.cache_stats().tree.hits, 1);
         assert_eq!(s.cache_stats().diameter.builds, 1);
@@ -1950,12 +1945,12 @@ mod tests {
     fn partials_cache_per_delta_hat() {
         let mut s = grid_session(8);
         let served1 = s.partial(1).served.len();
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructed(&s), 1);
         let served1_again = s.partial(1).served.len();
         assert_eq!(served1, served1_again);
-        assert_eq!(s.constructions(), 1, "same δ̂ reuses the cache");
+        assert_eq!(constructed(&s), 1, "same δ̂ reuses the cache");
         let _ = s.partial(2);
-        assert_eq!(s.constructions(), 2, "a new δ̂ constructs once");
+        assert_eq!(constructed(&s), 2, "a new δ̂ constructs once");
         assert_eq!(s.cache_stats().partials.builds, 2);
         assert_eq!(s.cache_stats().partials.hits, 1);
     }
@@ -1996,7 +1991,7 @@ mod tests {
             .unwrap();
         assert_eq!(served.shortcut(), &sc);
         assert_eq!(served.delta_hat(), 0, "provided shortcuts have unknown δ̂");
-        assert_eq!(served.constructions(), 0);
+        assert_eq!(constructed(&served), 0);
     }
 
     #[test]
@@ -2010,7 +2005,7 @@ mod tests {
             .build()
             .unwrap();
         let _ = s.shortcut(); // the provided tree IS the protocol's tree
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructed(&s), 1);
     }
 
     #[test]
@@ -2075,7 +2070,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
         assert_eq!(a.0, 36 + 6 + 6);
         // Accessing the artifact forced the full shortcut exactly once.
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructed(&s), 1);
         assert_eq!(s.cache_stats().op_artifacts.builds, 1);
         assert_eq!(s.cache_stats().op_artifacts.hits, 1);
     }
@@ -2278,20 +2273,7 @@ mod tests {
         let a = s.quality_shared().expect("session has a partition");
         let b = s.quality_shared().expect("session has a partition");
         assert!(Arc::ptr_eq(&a, &b), "reports share the cached allocation");
-        assert_eq!(s.constructions(), 1);
-    }
-
-    #[test]
-    fn constructions_wrapper_matches_cache_stats() {
-        let mut s = grid_session(8);
-        let _ = s.shortcut();
-        let _ = s.partial(1);
-        let _ = s.partial(2);
-        assert_eq!(
-            s.constructions() as u64,
-            s.cache_stats().full.builds + s.cache_stats().partials.builds
-        );
-        assert_eq!(s.constructions(), 3);
+        assert_eq!(constructed(&s), 1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl PartitionSource {
     }
 
     /// The source's short name (`rows` / `voronoi` / `singletons` /
-    /// `separator`) — the `partition_source` column of bench snapshots.
+    /// `separator`).
     pub fn name(&self) -> &'static str {
         match self {
             PartitionSource::Rows { .. } => "rows",
@@ -169,7 +169,7 @@ pub enum GeneratorSpec {
 }
 
 impl GeneratorSpec {
-    /// The family's short name (the `family` column of bench snapshots).
+    /// The family's short name.
     pub fn name(&self) -> &'static str {
         match self {
             GeneratorSpec::Path { .. } => "path",
@@ -393,7 +393,7 @@ pub enum GraphSource {
 
 impl GraphSource {
     /// The source kind's short name (`generator` / `edge_list_json` /
-    /// `flat_binary`) — the `graph_source` column of bench snapshots.
+    /// `flat_binary`).
     pub fn name(&self) -> &'static str {
         match self {
             GraphSource::Generator(_) => "generator",

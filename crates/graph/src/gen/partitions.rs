@@ -70,8 +70,8 @@ pub fn voronoi_parts(g: &Graph, seeds: &[NodeId]) -> Vec<Vec<NodeId>> {
 
 /// [`voronoi_parts`] with seeds sampled without replacement from a
 /// [`SmallRng`](rand::rngs::SmallRng) initialized with `seed` — the whole
-/// partition is reproducible from the single `u64`, which is how bench
-/// partition sources are recorded in `BENCH_*.json`.
+/// partition is reproducible from the single `u64`, which is all a
+/// `PartitionSource::Voronoi` spec records.
 ///
 /// # Panics
 ///

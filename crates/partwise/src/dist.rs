@@ -39,7 +39,7 @@ impl Default for PartwiseConfig {
     }
 }
 
-/// Result of [`solve_partwise`].
+/// Result of an [`AggregateOp`].
 #[derive(Clone, Debug)]
 pub struct PartwiseOutcome {
     /// Aggregate per part as known by its leader (`None` if the leader never
@@ -89,8 +89,8 @@ const NO_PORT: u32 = u32::MAX;
 /// session ops cache one instance as a derived artifact
 /// ([`ShortcutSession::op_artifact_patched`]): reused while partition and
 /// shortcut are unchanged, `refreshed` under tracked `reassign_parts`
-/// churn, rebuilt on a wholesale partition change. The legacy free
-/// functions build a fresh one per call.
+/// churn, rebuilt on a wholesale partition change. The explicit-artifact
+/// `run_on` paths build a fresh one per call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParticipationMap {
     first_slot: Vec<u32>,
@@ -492,8 +492,8 @@ impl NodeProgram for PaProgram<'_> {
 ///
 /// Used in two ways: `session.run(AggregateOp { .. })` (or the facade's
 /// `session.aggregate(..)` sugar) serves it from the session's cached
-/// shortcut; the legacy [`solve_partwise`] free function runs it over
-/// explicitly supplied artifacts.
+/// shortcut; [`run_on`](Self::run_on) runs it over explicitly supplied
+/// artifacts.
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateOp<'a> {
     /// One value per node.
@@ -630,37 +630,6 @@ impl AggregateOp<'_> {
     }
 }
 
-/// Solves part-wise aggregation distributedly over `G[P_i] + H_i` —
-/// the legacy free-function surface, now a one-line wrapper over
-/// [`AggregateOp::run_on`]. For repeated queries on one topology prefer a
-/// [`ShortcutSession`], which caches the shortcut between calls.
-///
-/// `leaders[i]`, when given, must be a member of part `i`; by default the
-/// minimum-id member leads. Every part's subgraph must be connected for the
-/// run to complete (a disconnected part simply never finishes and is
-/// reported as uninformed).
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.num_nodes()`, a leader is not a member of
-/// its part, or the shortcut's shape differs from the partition's.
-pub fn solve_partwise(
-    g: &Graph,
-    partition: &Partition,
-    shortcut: &Shortcut,
-    values: &[u64],
-    op: AggOp,
-    leaders: Option<&[NodeId]>,
-    cfg: &PartwiseConfig,
-) -> PartwiseOutcome {
-    AggregateOp {
-        values,
-        op,
-        leaders,
-    }
-    .run_on(g, partition, shortcut, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,15 +650,12 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-            let out = solve_partwise(
-                &g,
-                &partition,
-                &shortcut,
-                &values,
+            let out = AggregateOp {
+                values: &values,
                 op,
-                None,
-                &PartwiseConfig::default(),
-            );
+                leaders: None,
+            }
+            .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
             assert!(out.metrics.terminated);
             assert!(out.all_members_informed);
             let expect = crate::centralized_aggregate(&partition, &values, op);
@@ -703,24 +669,13 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let empty = baseline::no_shortcut(&partition);
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
-        let with = solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
-        let without = solve_partwise(
-            &g,
-            &partition,
-            &empty,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let op = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        };
+        let with = op.run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
+        let without = op.run_on(&g, &partition, &empty, &PartwiseConfig::default());
         assert!(with.all_members_informed && without.all_members_informed);
         assert_eq!(with.results, without.results);
         // On short row parts the shortcut brings no speedup (the rows are
@@ -739,22 +694,16 @@ mod tests {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
 
-        let with = solve_partwise(
-            &g,
-            &partition,
-            &built.shortcut,
-            &values,
-            AggOp::Max,
-            None,
-            &PartwiseConfig::default(),
-        );
-        let without = solve_partwise(
+        let op = AggregateOp {
+            values: &values,
+            op: AggOp::Max,
+            leaders: None,
+        };
+        let with = op.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+        let without = op.run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &values,
-            AggOp::Max,
-            None,
             &PartwiseConfig::default(),
         );
         assert_eq!(with.results[0], Some(n as u64 - 1));
@@ -776,15 +725,12 @@ mod tests {
         let far = g.find_edge(NodeId(4), NodeId(5)).unwrap();
         let s = Shortcut::from_edge_lists(vec![vec![far]]);
         let values = vec![1; 6];
-        let out = solve_partwise(
-            &g,
-            &partition,
-            &s,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &s, &PartwiseConfig::default());
         // The members finish (their side is connected) and the run quiesces
         // early, but the relay island never hears an offer, so the run does
         // not count as fully terminated.
@@ -802,13 +748,15 @@ mod tests {
             .map(|(_, nodes)| *nodes.last().unwrap())
             .collect();
         let values = vec![3u64; g.num_nodes()];
-        let out = solve_partwise(
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: Some(&leaders),
+        }
+        .run_on(
             &g,
             &partition,
             &shortcut,
-            &values,
-            AggOp::Sum,
-            Some(&leaders),
             &PartwiseConfig {
                 delay_range: 8,
                 ..PartwiseConfig::default()
@@ -826,13 +774,15 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
         let run_with = |threads| {
-            solve_partwise(
+            AggregateOp {
+                values: &values,
+                op: AggOp::Sum,
+                leaders: None,
+            }
+            .run_on(
                 &g,
                 &partition,
                 &shortcut,
-                &values,
-                AggOp::Sum,
-                None,
                 &PartwiseConfig {
                     delay_range: 12,
                     sim: SimConfig {
@@ -925,15 +875,12 @@ mod tests {
         let slots = map.node(NodeId(0));
         assert_eq!(slots.parts, &[0]);
         assert!(slots.ports(0).is_empty());
-        let out = solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &[5, 6, 7],
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let out = AggregateOp {
+            values: &[5, 6, 7],
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!(out.results, vec![Some(5), Some(13)]);
     }
@@ -957,15 +904,12 @@ mod tests {
             assert_eq!(hub.ports(hub.slot_of(part)), &[2 * part, 2 * part + 1]);
         }
         let values: Vec<u64> = (0..23).collect();
-        let out = solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
         // Relays contribute the identity: each part's sum is its member's value.
         assert!(out.metrics.terminated && out.all_members_informed);
         let expect: Vec<Option<u64>> = (0..11).map(|i| Some(2 * i + 1)).collect();
@@ -978,15 +922,12 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(4);
         let bad: Vec<NodeId> = vec![NodeId(0); 4];
         let values = vec![0u64; g.num_nodes()];
-        solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &values,
-            AggOp::Sum,
-            Some(&bad),
-            &PartwiseConfig::default(),
-        );
+        AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: Some(&bad),
+        }
+        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
     }
 
     use lcs_graph::Graph;

@@ -9,7 +9,7 @@
 //! the minimum member id).
 //!
 //! Non-idempotent aggregates (sum) need the tree discipline of
-//! [`solve_partwise`](crate::solve_partwise); the type system enforces the
+//! [`AggregateOp`](crate::AggregateOp); the type system enforces the
 //! distinction via [`IdempotentOp`].
 
 use crate::dist::{NodeSlots, ParticipationMap};
@@ -45,7 +45,7 @@ impl IdempotentOp {
     }
 }
 
-/// Result of [`gossip_aggregate`].
+/// Result of a [`GossipOp`].
 #[derive(Clone, Debug)]
 pub struct GossipOutcome {
     /// Converged aggregate per part (value held by every member).
@@ -142,8 +142,8 @@ impl NodeProgram for GossipProgram<'_> {
 /// `O(dilation)` rounds.
 ///
 /// `session.run(GossipOp { .. })` (or the facade's `session.gossip(..)`)
-/// serves it from the cached shortcut; the legacy [`gossip_aggregate`]
-/// free function runs it over explicit artifacts.
+/// serves it from the cached shortcut; [`run_on`](Self::run_on) runs it
+/// over explicit artifacts.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipOp<'a> {
     /// One value per node.
@@ -254,29 +254,6 @@ impl GossipOp<'_> {
     }
 }
 
-/// Solves part-wise aggregation for an idempotent operator without leaders,
-/// by flooding over `G[P_i] + H_i` — the legacy free-function surface, now
-/// a one-line wrapper over [`GossipOp::run_on`]. For repeated queries on
-/// one topology prefer a [`ShortcutSession`].
-///
-/// `sim.threads` flows through to the sharded round executor; outcomes and
-/// metrics are identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.num_nodes()` or the shortcut's shape
-/// differs from the partition's.
-pub fn gossip_aggregate(
-    g: &Graph,
-    partition: &Partition,
-    shortcut: &Shortcut,
-    values: &[u64],
-    op: IdempotentOp,
-    sim: SimConfig,
-) -> GossipOutcome {
-    GossipOp { values, op }.run_on(g, partition, shortcut, sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,14 +269,11 @@ mod tests {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..36u64).map(|x| (x * 7) % 23).collect();
         for op in [IdempotentOp::Min, IdempotentOp::Max] {
-            let out = gossip_aggregate(
-                &g,
-                &partition,
-                &built.shortcut,
-                &values,
+            let out = GossipOp {
+                values: &values,
                 op,
-                SimConfig::default(),
-            );
+            }
+            .run_on(&g, &partition, &built.shortcut, SimConfig::default());
             assert!(out.converged, "gossip must converge to the true aggregate");
         }
     }
@@ -314,14 +288,11 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let ids: Vec<u64> = g.nodes().map(|v| u64::from(v.0)).collect();
-        let out = gossip_aggregate(
-            &g,
-            &partition,
-            &built.shortcut,
-            &ids,
-            IdempotentOp::Min,
-            SimConfig::default(),
-        );
+        let out = GossipOp {
+            values: &ids,
+            op: IdempotentOp::Min,
+        }
+        .run_on(&g, &partition, &built.shortcut, SimConfig::default());
         assert!(out.converged);
         for (pid, nodes) in partition.iter() {
             let min_id = nodes.iter().map(|v| u64::from(v.0)).min().unwrap();
@@ -338,20 +309,15 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
-        let with = gossip_aggregate(
-            &g,
-            &partition,
-            &built.shortcut,
-            &values,
-            IdempotentOp::Max,
-            SimConfig::default(),
-        );
-        let without = gossip_aggregate(
+        let op = GossipOp {
+            values: &values,
+            op: IdempotentOp::Max,
+        };
+        let with = op.run_on(&g, &partition, &built.shortcut, SimConfig::default());
+        let without = op.run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &values,
-            IdempotentOp::Max,
             SimConfig::default(),
         );
         assert!(with.converged && without.converged);

@@ -15,7 +15,7 @@
 //! use lcs_congest::protocols::AggOp;
 //! use lcs_core::{full_shortcut, Partition, ShortcutConfig};
 //! use lcs_graph::{bfs, gen, NodeId};
-//! use lcs_partwise::{solve_partwise, PartwiseConfig};
+//! use lcs_partwise::{AggregateOp, PartwiseConfig};
 //!
 //! let g = gen::grid(6, 6);
 //! let partition = Partition::from_parts(&g, gen::rows_of_grid(6, 6))?;
@@ -23,10 +23,8 @@
 //! let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
 //! let values: Vec<u64> = (0..36).collect();
 //!
-//! let out = solve_partwise(
-//!     &g, &partition, &built.shortcut, &values, AggOp::Max, None,
-//!     &PartwiseConfig::default(),
-//! );
+//! let out = AggregateOp { values: &values, op: AggOp::Max, leaders: None }
+//!     .run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
 //! assert!(out.all_members_informed);
 //! assert_eq!(out.results[0], Some(5)); // max of row 0's values 0..=5
 //! # Ok::<(), lcs_core::PartitionError>(())
@@ -42,7 +40,7 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{solve_partwise, AggregateOp, ParticipationMap, PartwiseConfig, PartwiseOutcome};
-pub use gossip::{gossip_aggregate, GossipOp, GossipOutcome, IdempotentOp};
+pub use dist::{AggregateOp, ParticipationMap, PartwiseConfig, PartwiseOutcome};
+pub use gossip::{GossipOp, GossipOutcome, IdempotentOp};
 pub use session_ops::SessionPartwiseOps;
-pub use unicast::{route_multiple_unicasts, UnicastConfig, UnicastOp, UnicastOutcome};
+pub use unicast::{UnicastConfig, UnicastOp, UnicastOutcome};

@@ -38,7 +38,7 @@ use lcs_graph::{NodeId, PartId};
 /// ```
 pub trait SessionPartwiseOps {
     /// Leader-based part-wise aggregation over the cached shortcut
-    /// ([`solve_partwise`](crate::solve_partwise) semantics).
+    /// ([`AggregateOp`] semantics).
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome>;
 
     /// Aggregation with explicit per-part leaders.
@@ -50,12 +50,11 @@ pub trait SessionPartwiseOps {
     ) -> OpReport<PartwiseOutcome>;
 
     /// Leaderless idempotent aggregation by flooding
-    /// ([`gossip_aggregate`](crate::gossip_aggregate) semantics).
+    /// ([`GossipOp`] semantics).
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome>;
 
     /// Multi-unicast routing along the cached tree
-    /// ([`route_multiple_unicasts`](crate::route_multiple_unicasts)
-    /// semantics).
+    /// ([`UnicastOp`] semantics).
     fn unicast(&mut self, demands: &[(NodeId, NodeId)]) -> OpReport<UnicastOutcome>;
 
     /// [`aggregate`](Self::aggregate) with arguments validated up front: a

@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Configuration for [`route_multiple_unicasts`].
+/// Configuration for [`UnicastOp::run_on`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UnicastConfig {
     /// Packets start after a uniform random delay in `[0, delay_range)`
@@ -147,8 +147,8 @@ impl NodeProgram for RouterProgram<'_> {
 /// unique tree paths under random-delay scheduling.
 ///
 /// `session.run(UnicastOp { .. })` (or the facade's `session.unicast(..)`)
-/// routes over the session's cached tree; the legacy
-/// [`route_multiple_unicasts`] free function takes an explicit tree.
+/// routes over the session's cached tree; [`run_on`](Self::run_on) takes
+/// an explicit tree.
 #[derive(Clone, Copy, Debug)]
 pub struct UnicastOp<'a> {
     /// The `(source, target)` demand pairs.
@@ -244,25 +244,6 @@ impl UnicastOp<'_> {
     }
 }
 
-/// Routes one packet per `(source, target)` pair along its unique tree path,
-/// all pairs concurrently, under random-delay scheduling — the legacy
-/// free-function surface, now a one-line wrapper over [`UnicastOp::run_on`].
-/// For repeated routing on one topology prefer a [`ShortcutSession`], which
-/// caches the tree between calls.
-///
-/// # Panics
-///
-/// Panics if some endpoint lies outside the tree's component, or a source
-/// equals its target.
-pub fn route_multiple_unicasts(
-    g: &Graph,
-    tree: &RootedTree,
-    pairs: &[(NodeId, NodeId)],
-    cfg: &UnicastConfig,
-) -> UnicastOutcome {
-    UnicastOp { demands: pairs }.run_on(g, tree, cfg)
-}
-
 /// The node sequence from `s` to `t` along the tree (excluding `s`,
 /// including `t`): ascend to the LCA, then descend.
 fn tree_path(tree: &RootedTree, s: NodeId, t: NodeId) -> Vec<NodeId> {
@@ -335,7 +316,7 @@ mod tests {
         let g = gen::grid(8, 8);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (NodeId(i), NodeId(63 - i))).collect();
-        let out = route_multiple_unicasts(&g, &t, &pairs, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &UnicastConfig::default());
         assert!(out.metrics.terminated);
         assert_eq!(out.delivered, 16);
         assert!(out.congestion >= 1 && out.dilation >= 1);
@@ -354,7 +335,7 @@ mod tests {
         let g = gen::star(12);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (1..7).map(|i| (NodeId(i), NodeId(i + 5))).collect();
-        let out = route_multiple_unicasts(&g, &t, &pairs, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &UnicastConfig::default());
         assert_eq!(out.delivered, 6);
         assert_eq!(out.dilation, 2);
         // All six packets enter distinct hub edges but leave over distinct
@@ -371,7 +352,7 @@ mod tests {
             delay_range: 8,
             ..UnicastConfig::default()
         };
-        let out = route_multiple_unicasts(&g, &t, &pairs, &cfg);
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &cfg);
         assert_eq!(out.delivered, 12);
     }
 
@@ -380,7 +361,10 @@ mod tests {
     fn rejects_self_pairs() {
         let g = gen::path(3);
         let t = tree_of(&g);
-        route_multiple_unicasts(&g, &t, &[(NodeId(1), NodeId(1))], &UnicastConfig::default());
+        UnicastOp {
+            demands: &[(NodeId(1), NodeId(1))],
+        }
+        .run_on(&g, &t, &UnicastConfig::default());
     }
 
     use lcs_graph::Graph;

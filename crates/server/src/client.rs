@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 JSON client for the daemon — shared by the
-//! integration tests, the `lcs_client` CLI, and `bench_serve` (the
-//! container has no curl). One [`Client`] holds one keep-alive connection;
+//! integration tests, the `lcs_client` CLI, and the layered benchmark
+//! (the container has no curl). One [`Client`] holds one keep-alive connection;
 //! a request on a dead connection reconnects once before failing.
 
 use crate::json::{self, Json};

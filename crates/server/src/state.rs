@@ -282,9 +282,23 @@ impl Registry {
 
         // Build outside the registry lock (graph generation and session
         // construction can take milliseconds); a concurrent identical
-        // create is resolved at insertion time below.
-        let (graph, file_weights) = self.get_or_leak_graph(spec)?;
-        let session = spec.build_session(graph, file_weights)?;
+        // create is resolved at insertion time below. Everything the spec
+        // can be rejected for is checked before its graph is leaked, so a
+        // refused create never costs a registry slot.
+        let graph_key = json::render(&spec.graph.canonical_value());
+        let (graph, partition, weights) = match self.known_graph(&graph_key)? {
+            Some((graph, file_weights)) => {
+                let (partition, weights) = spec.resolve_inputs(graph, file_weights)?;
+                (graph, partition, weights)
+            }
+            None => {
+                let (built, file_weights) = spec.graph.build()?;
+                let (partition, weights) = spec.resolve_inputs(&built, file_weights.clone())?;
+                let graph = self.leak_graph(graph_key, built, file_weights)?;
+                (graph, partition, weights)
+            }
+        };
+        let session = spec.build_session(graph, partition, weights);
 
         let mut inner = self.locked();
         if let Some(id) = inner.by_spec.get(&spec_key).cloned() {
@@ -319,40 +333,46 @@ impl Registry {
         Ok((entry, true))
     }
 
-    /// The leaked graph for this spec (plus any weights its source file
-    /// carried), deduplicated by canonical graph key. Refuses to leak
-    /// past the graph cap.
-    fn get_or_leak_graph(
+    /// The already-leaked graph under `key` (plus any weights its source
+    /// file carried); 409 when it is unknown and the registry is full.
+    fn known_graph(
         &self,
-        spec: &SessionSpec,
-    ) -> Result<(&'static Graph, Option<EdgeWeights>), ApiError> {
-        let key = json::render(&spec.graph.canonical_value());
-        {
-            let inner = self.locked();
-            if let Some((g, w)) = inner.graphs.get(&key) {
-                return Ok((g, w.clone()));
-            }
-            if inner.graphs.len() >= self.graph_capacity {
-                return Err(ApiError::conflict(format!(
-                    "graph registry full ({} distinct graphs) — reuse an existing graph spec",
-                    self.graph_capacity
-                )));
-            }
+        key: &str,
+    ) -> Result<Option<(&'static Graph, Option<EdgeWeights>)>, ApiError> {
+        let inner = self.locked();
+        match inner.graphs.get(key) {
+            Some((g, w)) => Ok(Some((g, w.clone()))),
+            None => self.check_graph_room(&inner).map(|()| None),
         }
-        let (built, weights) = spec.graph.build()?;
+    }
+
+    /// Leaks `built` into the registry under `key`, deduplicated by that
+    /// canonical graph key: a create that lost a concurrent race drops its
+    /// copy and serves the winner's. Refuses to leak past the graph cap.
+    fn leak_graph(
+        &self,
+        key: String,
+        built: Graph,
+        weights: Option<EdgeWeights>,
+    ) -> Result<&'static Graph, ApiError> {
         let mut inner = self.locked();
-        if let Some((g, w)) = inner.graphs.get(&key) {
-            return Ok((g, w.clone())); // lost a concurrent race; drop our copy
+        if let Some((g, _)) = inner.graphs.get(&key) {
+            return Ok(g);
         }
-        if inner.graphs.len() >= self.graph_capacity {
-            return Err(ApiError::conflict(format!(
-                "graph registry full ({} distinct graphs) — reuse an existing graph spec",
-                self.graph_capacity
-            )));
-        }
+        self.check_graph_room(&inner)?;
         let leaked: &'static Graph = Box::leak(Box::new(built));
-        inner.graphs.insert(key, (leaked, weights.clone()));
-        Ok((leaked, weights))
+        inner.graphs.insert(key, (leaked, weights));
+        Ok(leaked)
+    }
+
+    fn check_graph_room(&self, inner: &RegistryInner) -> Result<(), ApiError> {
+        if inner.graphs.len() < self.graph_capacity {
+            return Ok(());
+        }
+        Err(ApiError::conflict(format!(
+            "graph registry full ({} distinct graphs) — reuse an existing graph spec",
+            self.graph_capacity
+        )))
     }
 }
 
@@ -695,28 +715,33 @@ impl SessionSpec {
         ])
     }
 
-    /// Builds the session against the (leaked) graph. `file_weights` are
-    /// the weights the graph's source file carried, if any; an explicit
+    /// Resolves every part of the spec a create can be refused for — the
+    /// empty-graph check, the partition, the weight count — against
+    /// `graph`, which need not be leaked yet. `file_weights` are the
+    /// weights the graph's source file carried, if any; an explicit
     /// `weights` field in the spec wins over them.
-    pub fn build_session(
+    pub fn resolve_inputs(
         &self,
-        graph: &'static Graph,
+        graph: &Graph,
         file_weights: Option<EdgeWeights>,
-    ) -> Result<ShortcutSession<'static>, ApiError> {
+    ) -> Result<(Option<Partition>, Option<EdgeWeights>), ApiError> {
         if graph.num_nodes() == 0 {
             return Err(ApiError::bad_args("cannot serve an empty graph"));
         }
-        let mut builder = Session::on(graph);
-        match &self.partition {
-            PartitionSpec::Default => {
-                if let Some(parts) = self.graph.default_partition() {
-                    builder = builder.partition(parts);
-                }
-            }
-            PartitionSpec::None => {}
-            PartitionSpec::Singletons => {
-                builder = builder.partition(gen::singleton_parts(graph));
-            }
+        let from_parts = |parts| {
+            Partition::from_parts(graph, parts).map_err(|e| ApiError::unprocessable_partition(&e))
+        };
+        // Sources promise covering partitions, so an unassigned node is a
+        // structured 422 (`partition_uncovered`) rather than a generic
+        // failure.
+        let from_source = |src: &PartitionSource| {
+            Partition::from_parts_covering(graph, src.resolve(graph))
+                .map_err(|e| ApiError::unprocessable_partition(&e))
+        };
+        let partition = match &self.partition {
+            PartitionSpec::Default => self.graph.default_partition().map(from_parts),
+            PartitionSpec::None => None,
+            PartitionSpec::Singletons => Some(from_parts(gen::singleton_parts(graph))),
             PartitionSpec::Explicit(parts) => {
                 let n = graph.num_nodes();
                 if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
@@ -724,21 +749,49 @@ impl SessionSpec {
                         "partition node {bad} out of range — the graph has {n} nodes"
                     )));
                 }
-                builder = builder.partition(
-                    parts
-                        .iter()
-                        .map(|p| p.iter().map(|&v| NodeId(v)).collect())
-                        .collect(),
-                );
+                let parts = parts
+                    .iter()
+                    .map(|p| p.iter().map(|&v| NodeId(v)).collect())
+                    .collect();
+                Some(from_parts(parts))
             }
-            PartitionSpec::Source(src) => {
-                // Sources promise covering partitions, so an unassigned
-                // node is a structured 422 (`partition_uncovered`) rather
-                // than a generic failure.
-                let p = Partition::from_parts_covering(graph, src.resolve(graph))
-                    .map_err(|e| ApiError::unprocessable_partition(&e))?;
-                builder = builder.partition_object(p);
+            PartitionSpec::Source(src) => Some(from_source(src)),
+        };
+        // A spec without a partition falls back to the config's source, as
+        // the session builder would.
+        let config_source = self
+            .config
+            .as_ref()
+            .and_then(|c| c.partition_source.as_ref());
+        let partition = partition
+            .or_else(|| config_source.map(from_source))
+            .transpose()?;
+
+        let weights = match &self.weights {
+            Some(w) if w.len() != graph.num_edges() => {
+                return Err(ApiError::bad_args(format!(
+                    "one weight per edge required — got {}, the graph has {} edges",
+                    w.len(),
+                    graph.num_edges()
+                )));
             }
+            Some(w) => Some(EdgeWeights::from_vec(graph, w.clone())),
+            None => file_weights,
+        };
+        Ok((partition, weights))
+    }
+
+    /// Builds the session on the leaked graph from the inputs
+    /// [`resolve_inputs`](Self::resolve_inputs) validated against it.
+    pub fn build_session(
+        &self,
+        graph: &'static Graph,
+        partition: Option<Partition>,
+        weights: Option<EdgeWeights>,
+    ) -> ShortcutSession<'static> {
+        let mut builder = Session::on(graph);
+        if let Some(p) = partition {
+            builder = builder.partition_object(p);
         }
         if let Some(backend) = &self.backend {
             builder = builder.backend(backend.clone());
@@ -751,22 +804,13 @@ impl SessionSpec {
         builder = builder.graph_source(self.graph.source.clone());
         let mut session = builder
             .build()
-            .map_err(|e| ApiError::unprocessable_partition(&e))?;
-        if let Some(w) = &self.weights {
-            if w.len() != graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    w.len(),
-                    graph.num_edges()
-                )));
-            }
+            .expect("resolve_inputs validated the partition");
+        if let Some(w) = weights {
             session
-                .try_set_weights(EdgeWeights::from_vec(graph, w.clone()))
-                .map_err(ApiError::from)?;
-        } else if let Some(w) = file_weights {
-            session.try_set_weights(w).map_err(ApiError::from)?;
+                .try_set_weights(w)
+                .expect("resolve_inputs checked the weight count");
         }
-        Ok(session)
+        session
     }
 }
 
@@ -820,6 +864,48 @@ mod tests {
         assert_eq!(err.status, 409);
         // Same graph again is fine (deduplicated, not a new leak).
         reg.get_or_create(&grid_spec(3, 3)).unwrap();
+    }
+
+    /// A create whose graph resolves but whose session inputs are refused
+    /// must not take a registry slot: the graph is leaked only after the
+    /// partition and weights were validated against it.
+    #[test]
+    fn refused_creates_do_not_fill_the_graph_registry() {
+        let reg = Registry::new(2, 8);
+        let grid = |side: u64| {
+            Value::object([
+                ("family", Value::Str("grid".to_string())),
+                ("rows", Value::U64(side)),
+                ("cols", Value::U64(side)),
+            ])
+        };
+        let u64s = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| Value::U64(x)).collect());
+        let refused = [
+            // Out-of-range node, disconnected part, wrong weight count.
+            Value::object([
+                ("graph", grid(3)),
+                ("partition", Value::Arr(vec![u64s(&[0, 99])])),
+            ]),
+            Value::object([
+                ("graph", grid(4)),
+                ("partition", Value::Arr(vec![u64s(&[0, 15])])),
+            ]),
+            Value::object([("graph", grid(5)), ("weights", u64s(&[1, 2, 3]))]),
+        ];
+        for body in &refused {
+            let spec = SessionSpec::from_value(body).expect("parses");
+            let err = reg.get_or_create(&spec).map(|_| ()).unwrap_err();
+            assert_eq!(err.status, 422, "{}", err.message);
+            assert!(
+                !err.message.contains("graph registry full"),
+                "{}",
+                err.message
+            );
+        }
+        assert_eq!(reg.stats().graphs, 0, "refused creates leak nothing");
+        reg.get_or_create(&grid_spec(3, 3)).unwrap();
+        reg.get_or_create(&grid_spec(4, 4)).unwrap();
+        assert_eq!(reg.stats().graphs, 2);
     }
 
     #[test]

@@ -71,15 +71,15 @@ pub use lcs_separator as separator;
 /// assert_eq!(session.aggregate(&values, AggOp::Sum).result.results[0], Some(28));
 /// ```
 ///
-/// Migration from the legacy free functions (which remain available as
-/// thin wrappers):
+/// The explicit-artifact calls and the session method that serves the
+/// same result from cached artifacts:
 ///
-/// | Legacy call | Session method |
+/// | Explicit-artifact call | Session method |
 /// |---|---|
-/// | `solve_partwise(g, parts, shortcut, values, op, None, cfg)` | `session.aggregate(values, op)` |
-/// | `solve_partwise(.., Some(leaders), ..)` | `session.aggregate_with_leaders(values, op, leaders)` |
-/// | `gossip_aggregate(g, parts, shortcut, values, op, sim)` | `session.gossip(values, op)` |
-/// | `route_multiple_unicasts(g, tree, pairs, cfg)` | `session.unicast(pairs)` |
+/// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, cfg)` | `session.aggregate(values, op)` |
+/// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
+/// | `GossipOp { values, op }.run_on(g, parts, shortcut, sim)` | `session.gossip(values, op)` |
+/// | `UnicastOp { demands }.run_on(g, tree, cfg)` | `session.unicast(demands)` |
 /// | `distributed_mst(g, weights, root, cfg)` | `session.mst(weights)` |
 /// | `distributed_components(g, root, cfg)` | `session.components()` |
 /// | `approx_mincut_distributed(g, root, cfg)` | `session.mincut()` |
@@ -128,8 +128,7 @@ pub use lcs_separator as separator;
 /// [`CacheStats`](lcs_core::session::CacheStats) (serde-able, via
 /// [`cache_stats`](lcs_core::session::ShortcutSession::cache_stats))
 /// counts builds/hits/invalidations per artifact class plus the
-/// incremental-recustomization tallies; it replaces the deprecated
-/// `constructions()` counter.
+/// incremental-recustomization tallies.
 ///
 /// **Migration note:** code that held a `&PartialArtifact` (or
 /// `&Shortcut` from `shortcut_ref()`) across a mutation must re-fetch it

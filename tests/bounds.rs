@@ -52,6 +52,67 @@ const C_CONG: f64 = 8.0;
 /// `blocks ≤ 8δ̂ + 1`, i.e. `(8δ̂ + 1)(2D + 1) ≤ 27 · δ̂D` for `δ̂, D ≥ 1`.
 const C_DIL: f64 = 27.0;
 
+/// Builds the full shortcut for `partition` on the BFS tree rooted at node
+/// 0, checks it is valid, and returns the observed Theorem 1.1 constants
+/// `(c_cong, c_dil, c_blocks)` — congestion over `δ̂D(log₂ n + 1)`,
+/// dilation over `δ̂D`, blocks over `δ̂`.
+fn observed_constants(g: &Graph, partition: &Partition) -> (f64, f64, f64) {
+    let tree = bfs::bfs_tree(g, NodeId(0));
+    let d = f64::from(tree.depth_of_tree().max(1));
+    let built = full_shortcut(g, &tree, partition, &ShortcutConfig::default());
+    let q = measure_quality(g, partition, &tree, &built.shortcut);
+    assert!(q.tree_restricted && q.all_connected());
+    let delta_hat = f64::from(built.delta_hat.max(1));
+    let log_n = (g.num_nodes() as f64).log2() + 1.0;
+    (
+        f64::from(q.max_congestion) / (delta_hat * d * log_n),
+        f64::from(q.max_dilation_upper) / (delta_hat * d),
+        f64::from(q.max_blocks) / delta_hat,
+    )
+}
+
+/// Quality gate of the dissection engine: on the n = 1e4 grid, a partition
+/// computed from the graph alone (`PartitionSource::Separator`) must sit
+/// no deeper in the Theorem 1.1 envelope than the best embedding-aware
+/// synthetic source. The scalar compared is the binding constant, the
+/// envelope occupancy `max(c_cong / 8, c_dil / 27)`. Every source aims for
+/// `side` parts, so the rows compare like with like.
+#[test]
+fn separator_occupancy_no_worse_than_best_synthetic_on_grid() {
+    use low_congestion_shortcuts::facade::PartitionSource;
+
+    let side = 100usize;
+    let g = gen::grid(side, side);
+    let occupancy = |source: PartitionSource| {
+        let partition = Partition::from_parts_covering(&g, source.resolve(&g)).unwrap();
+        let (c_cong, c_dil, c_blocks) = observed_constants(&g, &partition);
+        assert!(
+            c_cong <= C_CONG && c_dil <= C_DIL && c_blocks <= 9.0,
+            "{}: outside the Theorem 1.1 envelope \
+             (c_cong={c_cong:.3}, c_dil={c_dil:.3}, c_blocks={c_blocks:.3})",
+            source.name()
+        );
+        (c_cong / C_CONG).max(c_dil / C_DIL)
+    };
+    let rows = occupancy(PartitionSource::Rows {
+        rows: side,
+        cols: side,
+    });
+    let voronoi = occupancy(PartitionSource::Voronoi {
+        parts: side,
+        seed: 7,
+    });
+    let separator = occupancy(PartitionSource::Separator {
+        level: side.next_power_of_two().trailing_zeros(),
+        min_region: 8,
+    });
+    assert!(
+        separator <= rows.min(voronoi),
+        "separator envelope occupancy {separator:.4} worse than the best synthetic \
+         source's (rows {rows:.4}, voronoi {voronoi:.4})"
+    );
+}
+
 /// A random minor-free instance: planar / bounded-genus / bounded-treewidth
 /// graph plus a random connected (Voronoi) partition.
 fn arb_minor_free() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>, &'static str)> {
@@ -122,30 +183,19 @@ proptest! {
     ) {
         use low_congestion_shortcuts::facade::PartitionSource;
 
-        let n = g.num_nodes() as f64;
         let source = PartitionSource::Separator { level, min_region: 4 };
         let partition = Partition::from_parts(&g, source.resolve(&g)).unwrap();
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let d = f64::from(tree.depth_of_tree().max(1));
-        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
-        let q = measure_quality(&g, &partition, &tree, &built.shortcut);
-        prop_assert!(q.tree_restricted && q.all_connected());
-
-        let delta_hat = f64::from(built.delta_hat.max(1));
-        let log_n = n.log2() + 1.0;
-        let c_cong = f64::from(q.max_congestion) / (delta_hat * d * log_n);
+        let (c_cong, c_dil, c_blocks) = observed_constants(&g, &partition);
         prop_assert!(
             c_cong <= C_CONG,
             "{family} (separator level {level}): observed congestion constant \
              c={c_cong:.3} > {C_CONG}"
         );
-        let c_dil = f64::from(q.max_dilation_upper) / (delta_hat * d);
         prop_assert!(
             c_dil <= C_DIL,
             "{family} (separator level {level}): observed dilation constant \
              c={c_dil:.3} > {C_DIL}"
         );
-        let c_blocks = f64::from(q.max_blocks) / delta_hat;
         prop_assert!(
             c_blocks <= 9.0,
             "{family} (separator level {level}): observed block constant \

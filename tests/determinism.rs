@@ -6,7 +6,7 @@ use low_congestion_shortcuts::algos::mst::{distributed_mst, BoruvkaConfig};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
 use low_congestion_shortcuts::core::WitnessMode;
-use low_congestion_shortcuts::partwise::{solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -22,24 +22,13 @@ fn partwise_runs_are_replayable() {
         delay_range: 16,
         ..PartwiseConfig::default()
     };
-    let a = solve_partwise(
-        &g,
-        &partition,
-        &built.shortcut,
-        &values,
-        AggOp::Sum,
-        None,
-        &cfg,
-    );
-    let b = solve_partwise(
-        &g,
-        &partition,
-        &built.shortcut,
-        &values,
-        AggOp::Sum,
-        None,
-        &cfg,
-    );
+    let op = AggregateOp {
+        values: &values,
+        op: AggOp::Sum,
+        leaders: None,
+    };
+    let a = op.run_on(&g, &partition, &built.shortcut, &cfg);
+    let b = op.run_on(&g, &partition, &built.shortcut, &cfg);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.results, b.results);
 }

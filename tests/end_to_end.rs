@@ -11,7 +11,7 @@ use low_congestion_shortcuts::core::dist::{
     distributed_full_shortcut, distributed_partial_shortcut, DistConfig,
 };
 use low_congestion_shortcuts::core::{SweepOutcome, WitnessMode};
-use low_congestion_shortcuts::partwise::{centralized_aggregate, solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp, PartwiseConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,15 +43,12 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
         .map(|_| rand::Rng::gen_range(&mut rng, 0..1_000_000))
         .collect();
     for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-        let out = solve_partwise(
-            g,
-            &partition,
-            &built.shortcut,
-            &values,
+        let out = AggregateOp {
+            values: &values,
             op,
-            None,
-            &PartwiseConfig::default(),
-        );
+            leaders: None,
+        }
+        .run_on(g, &partition, &built.shortcut, &PartwiseConfig::default());
         assert!(
             out.all_members_informed,
             "all members must learn the result"

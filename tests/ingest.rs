@@ -161,6 +161,23 @@ fn every_family_round_trips_through_a_file() {
         assert_eq!(resolved.graph, g, "{}", spec.name());
         assert_eq!(resolved.weights, Some(w), "{}", spec.name());
         let _ = std::fs::remove_file(&path);
+
+        // The legacy `{"n", "edges"}` store decodes to the identical graph.
+        let edges: Vec<String> = (g.edges().map(|e| format!("[{},{}]", e.u.0, e.v.0))).collect();
+        let json = format!(
+            "{{\"n\": {}, \"edges\": [{}]}}",
+            g.num_nodes(),
+            edges.join(",")
+        );
+        let path = path.with_extension("json");
+        std::fs::write(&path, json).expect("write edge list");
+        let resolved = GraphSource::EdgeListJson {
+            path: path.to_str().expect("utf-8").to_string(),
+        }
+        .resolve()
+        .expect("load");
+        assert_eq!(resolved.graph, g, "{} as JSON", spec.name());
+        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -25,7 +25,7 @@ use low_congestion_shortcuts::core::dist::{
     distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
 };
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
-use low_congestion_shortcuts::partwise::{solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -185,13 +185,15 @@ fn partwise_aggregates_are_packing_invariant() {
         for delay_range in [0, 8] {
             let mut reference: Option<Vec<Option<u64>>> = None;
             for packing in PACKING_LEVELS {
-                let out = solve_partwise(
+                let out = AggregateOp {
+                    values: &values,
+                    op: AggOp::Sum,
+                    leaders: None,
+                }
+                .run_on(
                     &g,
                     &partition,
                     &built.shortcut,
-                    &values,
-                    AggOp::Sum,
-                    None,
                     &PartwiseConfig {
                         delay_range,
                         sim: SimConfig {

@@ -3,7 +3,7 @@
 
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::{partial_shortcut_or_witness, SweepOutcome};
-use low_congestion_shortcuts::partwise::{solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -161,15 +161,12 @@ fn section_2_aggregation_within_quality_budget() {
     let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
     let q = measure_quality(&g, &partition, &tree, &built.shortcut);
     let values = vec![1u64; g.num_nodes()];
-    let out = solve_partwise(
-        &g,
-        &partition,
-        &built.shortcut,
-        &values,
-        AggOp::Sum,
-        None,
-        &PartwiseConfig::default(),
-    );
+    let out = AggregateOp {
+        values: &values,
+        op: AggOp::Sum,
+        leaders: None,
+    }
+    .run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
     assert!(out.all_members_informed);
     let budget = f64::from(q.max_congestion)
         + f64::from(q.max_dilation_upper) * (g.num_nodes() as f64).log2();

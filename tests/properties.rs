@@ -4,7 +4,7 @@ use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, BoruvkaConfig};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::KmvSketch;
-use low_congestion_shortcuts::partwise::{centralized_aggregate, solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp, PartwiseConfig};
 use low_congestion_shortcuts::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -62,9 +62,7 @@ proptest! {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let op = [AggOp::Min, AggOp::Max, AggOp::Sum][op_idx];
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x.wrapping_mul(2654435761) % 10_000).collect();
-        let out = solve_partwise(
-            &g, &partition, &built.shortcut, &values, op, None, &PartwiseConfig::default(),
-        );
+        let out = AggregateOp { values: &values, op, leaders: None }.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
         prop_assert!(out.all_members_informed);
         let expect = centralized_aggregate(&partition, &values, op);
         for (i, r) in out.results.iter().enumerate() {

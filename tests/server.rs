@@ -12,6 +12,8 @@ use low_congestion_shortcuts::congest::SimConfig;
 use low_congestion_shortcuts::facade::{Session, SessionConfig, SessionPartwiseOps};
 use low_congestion_shortcuts::graph::{gen, NodeId};
 use serde::{Serialize, Value};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn start() -> ServerHandle {
@@ -366,6 +368,124 @@ fn structured_errors_do_not_kill_the_worker() {
     handle.shutdown();
 }
 
+/// Writes `bytes` on a fresh connection, half-closes it, and returns
+/// everything the server wrote before it closed its side. A reset while
+/// the server still had unread input counts as its close.
+fn raw_exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    // The server may answer and close before it has read everything.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut received = Vec::new();
+    match stream.read_to_end(&mut received) {
+        Ok(_) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("the server neither answered nor closed: {e}"),
+    }
+    received
+}
+
+/// The statuses in `received`, which must be a sequence of complete
+/// responses: an `HTTP/1.1` status line, a `Content-Length`, and exactly
+/// that many bytes of JSON.
+fn response_statuses(mut received: &[u8], label: &str) -> Vec<u16> {
+    let mut statuses = Vec::new();
+    while !received.is_empty() {
+        let head_len = received
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .unwrap_or_else(|| panic!("{label}: response head never ends"))
+            + 4;
+        let head = std::str::from_utf8(&received[..head_len])
+            .unwrap_or_else(|_| panic!("{label}: response head is not UTF-8"));
+        let mut lines = head.split("\r\n");
+        let status = lines
+            .next()
+            .and_then(|line| line.strip_prefix("HTTP/1.1 "))
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|code| code.parse().ok())
+            .unwrap_or_else(|| panic!("{label}: bad status line in {head:?}"));
+        let body_len: usize = lines
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .and_then(|len| len.parse().ok())
+            .unwrap_or_else(|| panic!("{label}: no Content-Length in {head:?}"));
+        let rest = &received[head_len..];
+        assert!(rest.len() >= body_len, "{label}: response body cut short");
+        let (body, next) = rest.split_at(body_len);
+        assert!(
+            !body.is_empty() && lcs_server::json::parse(body).is_ok(),
+            "{label}: response body is not JSON: {:?}",
+            String::from_utf8_lossy(body)
+        );
+        statuses.push(status);
+        received = next;
+    }
+    statuses
+}
+
+/// Byte-level robustness of the HTTP and JSON layers: every proper prefix
+/// of one valid aggregate request, and every head byte and each of the
+/// first 256 body bytes XOR-ed with three masks (neighbouring character,
+/// case / separator flip, non-ASCII), goes out on its own raw connection.
+/// Each connection must end in well-formed 2xx/4xx JSON answers or a
+/// plain close — never a 5xx, a torn response, or a dead worker.
+#[test]
+fn truncated_and_mutated_requests_never_break_a_worker() {
+    let handle = start();
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = create(&mut client, &grid_spec(8, 8));
+
+    let values: Vec<u64> = (1000..1064).collect();
+    let body = lcs_server::json::render(&Value::object([
+        ("values", values.to_value()),
+        ("op", Value::Str("sum".to_string())),
+    ]));
+    assert!(
+        body.len() > 256,
+        "the mutated window must lie inside the body"
+    );
+    let head = format!(
+        "POST /sessions/{id}/aggregate HTTP/1.1\r\nHost: lcs\r\n\
+         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        body.len()
+    );
+    let request = [head.as_bytes(), body.as_bytes()].concat();
+    assert_eq!(
+        response_statuses(&raw_exchange(addr, &request), "intact"),
+        [200]
+    );
+
+    let check = |bytes: &[u8], label: String| {
+        for status in response_statuses(&raw_exchange(addr, bytes), &label) {
+            assert!(
+                (200..300).contains(&status) || (400..500).contains(&status),
+                "{label}: answered {status}"
+            );
+        }
+    };
+    for len in 0..request.len() {
+        check(&request[..len], format!("prefix of {len} bytes"));
+    }
+    for at in 0..head.len() + 256 {
+        for mask in [0x01, 0x20, 0x80] {
+            let mut mutated = request.clone();
+            mutated[at] ^= mask;
+            check(&mutated, format!("byte {at} ^ {mask:#04x}"));
+        }
+    }
+
+    let metrics = client.get("/metrics").unwrap();
+    let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
+    assert_eq!(get_u64(server_stats, "worker_panics"), 0);
+    assert_eq!(client.get("/health").unwrap().status, 200);
+
+    handle.shutdown();
+}
+
 /// Re-POSTing an identical spec returns the warm session; a different
 /// spec builds a new one.
 #[test]
@@ -447,7 +567,7 @@ fn served_mutation_matches_fresh_build() {
     let values: Vec<u64> = (0..(rows * cols) as u64).collect();
 
     // Churn: move the first node of row r to row r − 1's part and back,
-    // across several ticks (the bench_churn mover pattern).
+    // across several ticks.
     let mut parts = gen::rows_of_grid(rows, cols);
     for tick in 0..3 {
         let row = 1 + 2 * (tick % 2); // rows 1 and 3

@@ -93,7 +93,7 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
     assert!(!free.mincut().truncated);
 }
 
-/// Acceptance criterion of the facade: the second aggregate call on the
+/// Acceptance bar of the facade: the second aggregate call on the
 /// same session must reuse the cached shortcut.
 #[test]
 fn second_aggregate_reuses_cached_shortcut() {
