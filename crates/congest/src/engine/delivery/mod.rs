@@ -4,8 +4,9 @@
 //! A backend instance owns every in-flight message whose directed edge is
 //! received by its shard, and runs entirely on that shard's lane: the lane
 //! validates its own nodes' sends, routes each envelope to the receiving
-//! lane's mailbox, and at the start of the next round the receiving lane
-//! pushes the ingested envelopes into its partition and stages the round's
+//! lane's mailbox (lane 0 pushes the ones it receives itself directly),
+//! and at the start of the next round the receiving lane pushes the
+//! ingested envelopes into its partition and stages the round's
 //! deliveries — no coordinator-side pass touches message payloads.
 //!
 //! Determinism does not depend on which thread runs a partition, only on

@@ -17,13 +17,15 @@
 //!   messages under `message_packing`).
 //! - [`shard`] — a contiguous node range owning its programs, RNGs,
 //!   inboxes, and wake bookkeeping; the unit of parallel work.
-//! - [`parallel`] — the decentralized round executor: each *lane* (a
-//!   shard plus its delivery partition) ingests routed envelopes, stages,
-//!   computes,
-//!   and validates/bit-accounts its own sends fully in parallel; the
-//!   coordinator's serial window shrinks to an `O(threads)` account fold,
-//!   a prefix sum of send counts (the sequence-number bases), and a
-//!   mailbox rotation — no per-message serial work remains.
+//! - [`parallel`] — the round loop, the one executor every run goes
+//!   through: each *lane* (a shard plus its delivery partition) runs
+//!   `on_start` as round 0, then per round ingests routed envelopes,
+//!   stages, computes, and validates/bit-accounts its own sends — the one
+//!   place a send is checked and billed. The coordinator's serial window
+//!   between rounds is an `O(threads)` account fold, a prefix sum of send
+//!   counts (the sequence-number bases), and a mailbox rotation — no
+//!   per-message serial work. `threads = 1` is the same loop with one
+//!   lane on the calling thread, spawning nothing.
 //!
 //! Determinism: every per-message decision happens inside a lane, in an
 //! order fixed by the topology (nodes ascending within a shard, issue
@@ -39,13 +41,13 @@ mod parallel;
 mod shard;
 mod topology;
 
-use crate::{MessageSize, PackedMsg, PhaseTimings, RunMetrics};
-use delivery::{CalendarDelivery, Delivery, ShardAccount, StrictDelivery};
+use crate::{MessageSize, PhaseTimings, RunMetrics};
+use delivery::{CalendarDelivery, StrictDelivery};
 use lcs_graph::{EdgeId, Graph, NodeId};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use shard::Shard;
-use std::time::Instant;
+use std::sync::OnceLock;
 use topology::Topology;
 
 /// How the engine treats sends beyond one message per edge per round.
@@ -81,12 +83,14 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Seed for the per-node RNG streams.
     pub seed: u64,
-    /// Worker threads for the sharded round executor. `1` (the default)
-    /// runs fully inline with zero threading overhead; `0` resolves to the
-    /// host's available parallelism; larger values are capped at 64 and at
-    /// the node count. **Any setting yields bit-identical metrics**: shard
-    /// outboxes are merged in shard order, so rounds, messages, bits, and
-    /// max_queue never depend on the thread count.
+    /// Lanes of the round loop: the node-id space is split into this many
+    /// contiguous shards, run by up to as many OS threads as the host has
+    /// cores. `1` (the default) is one lane on the calling thread — nothing
+    /// is spawned; `0` resolves to the host's available parallelism; larger
+    /// values are capped at 64 and at the node count. **Any setting yields
+    /// bit-identical metrics**: the lanes' sends are sequence-numbered in
+    /// shard order, so rounds, messages, bits, and max_queue never depend
+    /// on the thread count.
     pub threads: usize,
     /// Multi-value message packing factor. `1` (the default) is the
     /// unpacked engine: every send is its own message, metrics are
@@ -308,9 +312,7 @@ impl<'g> Simulator<'g> {
     /// The worker count [`SimConfig::threads`] resolves to on this host.
     pub fn effective_threads(&self) -> usize {
         let t = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            host_parallelism()
         } else {
             self.config.threads
         };
@@ -332,7 +334,19 @@ impl<'g> Simulator<'g> {
     /// messages, or (in strict mode) two sends over one directed edge in one
     /// round. Violations raised on a worker thread are re-raised on the
     /// calling thread.
-    pub fn run<P, F>(&self, mut init: F) -> RunOutcome<P>
+    pub fn run<P, F>(&self, init: F) -> RunOutcome<P>
+    where
+        P: NodeProgram + Send,
+        P::Msg: Send,
+        F: FnMut(NodeId, &Graph) -> P,
+    {
+        self.run_on(None, init)
+    }
+
+    /// [`run`](Self::run) with the OS thread count forced to
+    /// `exec_override` (tests use it to exercise the multi-thread schedule
+    /// on single-core hosts); `None` resolves to the host parallelism.
+    pub(crate) fn run_on<P, F>(&self, exec_override: Option<usize>, mut init: F) -> RunOutcome<P>
     where
         P: NodeProgram + Send,
         P::Msg: Send,
@@ -341,7 +355,9 @@ impl<'g> Simulator<'g> {
         let g = self.graph;
         let topo = Topology::build(g, self.effective_threads());
         let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
-        let shards: Vec<Shard<P>> = (0..topo.num_shards())
+        let lanes = 0..topo.num_shards();
+        let shards: Vec<Shard<P>> = lanes
+            .clone()
             .map(|s| {
                 Shard::new(
                     g,
@@ -353,203 +369,44 @@ impl<'g> Simulator<'g> {
                 )
             })
             .collect();
-        let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
+        // `parts[s]` is receiver shard `s`'s delivery partition.
         match self.config.mode {
-            SimMode::Strict => self.drive(
+            SimMode::Strict => parallel::drive_lanes(
+                &self.config,
+                g,
                 &topo,
-                (0..topo.num_shards())
+                budget,
+                lanes
                     .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
                     .collect(),
                 shards,
+                exec_override,
             ),
-            SimMode::Queued => self.drive(
+            SimMode::Queued => parallel::drive_lanes(
+                &self.config,
+                g,
                 &topo,
-                (0..topo.num_shards())
+                budget,
+                lanes
                     .map(|s| CalendarDelivery::new(topo.shard_dir_count(s), pack, budget))
                     .collect(),
                 shards,
+                exec_override,
             ),
         }
     }
-
-    /// Round 0 plus the round loop, generic over the delivery backend.
-    /// `parts[s]` is receiver shard `s`'s delivery partition.
-    fn drive<P, D>(
-        &self,
-        topo: &Topology<'_>,
-        mut parts: Vec<D>,
-        mut shards: Vec<Shard<P>>,
-    ) -> RunOutcome<P>
-    where
-        P: NodeProgram + Send,
-        P::Msg: Send,
-        D: Delivery<PackedMsg<P::Msg>> + Send,
-    {
-        let g = self.graph;
-        let bandwidth = self.bandwidth_bits();
-        let mut metrics = RunMetrics {
-            threads: self.effective_threads(),
-            bandwidth_bits: bandwidth,
-            packing: self.effective_packing(),
-            ..RunMetrics::default()
-        };
-        let mut seq = 0u64;
-        let mut wakes = 0usize;
-
-        // Round 0: on_start on every shard, flushed in shard order — the
-        // coordinator pushes round-0 sends straight into the partitions
-        // (no mailbox hop; the lanes have not started yet).
-        for shard in &mut shards {
-            shard.run_start(g);
-        }
-        for shard in &mut shards {
-            flush_shard(
-                shard,
-                &mut parts,
-                topo,
-                0,
-                bandwidth,
-                &mut seq,
-                &mut metrics,
-            );
-            wakes += shard.pending_wakes();
-        }
-
-        let (shards, metrics, timings) = if shards.len() == 1 {
-            drive_seq(
-                &self.config,
-                g,
-                topo,
-                bandwidth,
-                parts,
-                shards,
-                metrics,
-                seq,
-                wakes,
-            )
-        } else {
-            parallel::drive_par(
-                &self.config,
-                g,
-                topo,
-                bandwidth,
-                parts,
-                shards,
-                metrics,
-                seq,
-                None,
-            )
-        };
-        RunOutcome {
-            programs: shards.into_iter().flat_map(Shard::into_programs).collect(),
-            metrics,
-            timings,
-        }
-    }
 }
 
-/// Milliseconds of a [`std::time::Duration`], for the phase-timing
-/// accumulators.
-pub(crate) fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// The inline round loop used at `threads = 1` (no pools, no barriers, no
-/// mailbox hop — the single partition's staged messages land directly in
-/// the shard's inbound buffer and its outbox flushes directly back).
-///
-/// Per-message work is identical to a lane of the parallel executor
-/// ([`parallel::drive_par`]); only the envelope routing differs, which is
-/// what keeps the two paths metric-identical.
-#[allow(clippy::too_many_arguments)]
-fn drive_seq<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    mut parts: Vec<D>,
-    mut shards: Vec<Shard<P>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-    mut wakes: usize,
-) -> (Vec<Shard<P>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    debug_assert_eq!(shards.len(), 1);
-    debug_assert_eq!(parts.len(), 1);
-    let mut timings = PhaseTimings::default();
-    loop {
-        if parts[0].pending() == 0 && wakes == 0 {
-            metrics.terminated = shards.iter().all(Shard::all_done);
-            break;
-        }
-        if metrics.rounds >= config.max_rounds {
-            metrics.truncated = true;
-            break;
-        }
-        metrics.rounds += 1;
-        let round = metrics.rounds;
-        let t0 = Instant::now();
-        let mut acc = ShardAccount::default();
-        parts[0].stage(round, topo, &mut shards[0].inbound, &mut acc);
-        metrics.messages += acc.messages;
-        metrics.max_queue = metrics.max_queue.max(acc.max_queue);
-        let t1 = Instant::now();
-        shards[0].run_round(g, topo, round);
-        let t2 = Instant::now();
-        flush_shard(
-            &mut shards[0],
-            &mut parts,
-            topo,
-            round,
-            bandwidth,
-            &mut seq,
-            &mut metrics,
-        );
-        wakes = shards[0].pending_wakes();
-        let t3 = Instant::now();
-        timings.stage_ms += ms(t1 - t0);
-        timings.compute_ms += ms(t2 - t1);
-        timings.merge_ms += ms(t3 - t2);
-    }
-    (shards, metrics, timings)
-}
-
-/// Flushes one shard's outbox into the delivery partitions: per-message
-/// bandwidth validation, global sequence numbering, bit accounting, and
-/// routing by the receiver's shard. Used by the coordinator for round 0
-/// (all shards, in shard order) and by the single-shard loop every round;
-/// the parallel executor's lanes inline the same per-message work with
-/// lane-local sequence indices instead. Sizing is `n`-aware
-/// ([`MessageSize::size_bits_in`]): id payloads are billed at `O(log n)`
-/// bits, as the CONGEST model assumes; a packed envelope bills its true
-/// multi-value width (see [`PackedMsg`]) and must fit the budget like any
-/// other message.
-pub(crate) fn flush_shard<P, D>(
-    shard: &mut Shard<P>,
-    parts: &mut [D],
-    topo: &Topology<'_>,
-    round: u64,
-    bandwidth: usize,
-    seq: &mut u64,
-    metrics: &mut RunMetrics,
-) where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let n = topo.num_nodes();
-    for (dir, priority, msg) in shard.outbox.drain(..) {
-        let bits = msg.size_bits_in(n);
-        assert!(
-            bits <= bandwidth,
-            "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
-        );
-        metrics.bits += bits as u64;
-        *seq += 1;
-        parts[topo.dir_shard(dir)].push(dir, priority, *seq, msg, round, topo);
-    }
+/// The host's available parallelism (1 when it cannot be queried), asked
+/// once per process: the query reads the affinity mask and the cgroup
+/// files — tens of microseconds that every short run would pay again.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// SplitMix64-style mixer: derives a well-mixed 64-bit value from a seed
@@ -570,8 +427,8 @@ mod tests {
 
     /// Floods the maximum node id; every node is done once it stops hearing
     /// larger values.
-    struct MaxFlood {
-        best: u32,
+    pub(super) struct MaxFlood {
+        pub best: u32,
     }
 
     impl NodeProgram for MaxFlood {
@@ -629,6 +486,7 @@ mod tests {
 
     #[test]
     fn strict_mode_rejects_double_send() {
+        #[derive(Debug)]
         struct DoubleSend;
         impl NodeProgram for DoubleSend {
             type Msg = u32;
@@ -643,11 +501,19 @@ mod tests {
                 true
             }
         }
-        let g = gen::path(2);
-        let sim = Simulator::new(&g, SimConfig::default());
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(|_, _| DoubleSend)));
-        assert!(result.is_err());
+        // `on_start` is the lanes' round 0. One lane pushes node 0's sends
+        // straight into its own partition; at four lanes node 1 lives on
+        // lane 1, which meets the double send when it ingests its mailbox.
+        let g = gen::path(4);
+        for threads in [1, 4] {
+            let sim = Simulator::new(&g, with_threads(threads));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(|_, _| DoubleSend)
+            }));
+            let payload = result.expect_err("a strict double send must panic");
+            let msg = panic_message(payload.as_ref());
+            assert!(msg.contains("sent twice"), "threads={threads}: {msg}");
+        }
     }
 
     #[test]
@@ -786,21 +652,23 @@ mod tests {
                 false
             }
         }
-        let g = gen::path(2);
-        let sim = Simulator::new(
-            &g,
-            SimConfig {
-                max_rounds: 10,
-                ..SimConfig::default()
-            },
-        );
-        let run = sim.run(|_, _| Forever);
-        assert!(!run.metrics.terminated);
-        assert!(
-            run.metrics.truncated,
-            "hitting the cap with pending work must be observable"
-        );
-        assert_eq!(run.metrics.rounds, 10);
+        let g = gen::path(8);
+        for threads in [1, 4] {
+            let sim = Simulator::new(
+                &g,
+                SimConfig {
+                    max_rounds: 10,
+                    ..with_threads(threads)
+                },
+            );
+            let run = sim.run(|_, _| Forever);
+            assert!(!run.metrics.terminated, "threads={threads}");
+            assert!(
+                run.metrics.truncated,
+                "hitting the cap with pending work must be observable"
+            );
+            assert_eq!(run.metrics.rounds, 10, "threads={threads}");
+        }
     }
 
     #[test]
@@ -816,19 +684,21 @@ mod tests {
     fn truncation_with_messages_in_flight_is_flagged() {
         // MaxFlood on a long path needs ~n rounds; cap it far below that.
         let g = gen::path(40);
-        let sim = Simulator::new(
-            &g,
-            SimConfig {
-                max_rounds: 5,
-                ..SimConfig::default()
-            },
-        );
-        let run = sim.run(|v, _| MaxFlood { best: v.0 });
-        assert!(run.metrics.truncated);
-        assert!(!run.metrics.terminated);
-        assert_eq!(run.metrics.rounds, 5);
-        // The flood cannot have finished.
-        assert!(run.programs.iter().any(|p| p.best != 39));
+        for threads in [1, 4] {
+            let sim = Simulator::new(
+                &g,
+                SimConfig {
+                    max_rounds: 5,
+                    ..with_threads(threads)
+                },
+            );
+            let run = sim.run(|v, _| MaxFlood { best: v.0 });
+            assert!(run.metrics.truncated, "threads={threads}");
+            assert!(!run.metrics.terminated, "threads={threads}");
+            assert_eq!(run.metrics.rounds, 5, "threads={threads}");
+            // The flood cannot have finished.
+            assert!(run.programs.iter().any(|p| p.best != 39));
+        }
     }
 
     #[test]
@@ -900,42 +770,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_panics_propagate_to_the_caller() {
-        #[derive(Debug)]
-        struct Bomb;
-        impl NodeProgram for Bomb {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                ctx.wake_next_round();
-            }
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
-                if ctx.node() == NodeId(5) {
-                    panic!("protocol bug on node 5");
-                }
-            }
-            fn is_done(&self) -> bool {
-                true
+    /// Panics in node 5's first `on_round`.
+    #[derive(Debug)]
+    pub(super) struct Bomb;
+    impl NodeProgram for Bomb {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.wake_next_round();
+        }
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
+            if ctx.node() == NodeId(5) {
+                panic!("protocol bug on node 5");
             }
         }
-        let g = gen::path(8);
-        let sim = Simulator::new(
-            &g,
-            SimConfig {
-                threads: 4,
-                ..SimConfig::default()
-            },
-        );
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(|_, _| Bomb)));
-        let payload = result.expect_err("the worker panic must reach the caller");
-        let msg = payload
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// The message of a caught panic (`&str` or `String` payload).
+    pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
             .downcast_ref::<&str>()
             .copied()
             .map(str::to_owned)
             .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("protocol bug on node 5"), "got: {msg}");
+            .unwrap_or_default()
+    }
+
+    fn with_threads(threads: usize) -> SimConfig {
+        SimConfig {
+            threads,
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn worker_panics_propagate_to_the_caller() {
+        let g = gen::path(8);
+        for threads in [1, 4] {
+            let sim = Simulator::new(&g, with_threads(threads));
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(|_, _| Bomb)));
+            let payload = result.expect_err("the lane panic must reach the caller");
+            let msg = panic_message(payload.as_ref());
+            assert!(
+                msg.contains("protocol bug on node 5"),
+                "threads={threads}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn phase_timings_fill_every_bucket_within_the_run_wall() {
+        // One meaning at any lane count: ingest + staging, callbacks, and
+        // flush + serial window are each timed inside the calling thread's
+        // lane phases, so all three are non-zero and sum to at most the
+        // wall of `run`.
+        let g = gen::grid(40, 40);
+        for threads in [1, 4] {
+            let sim = Simulator::new(&g, with_threads(threads));
+            let t0 = std::time::Instant::now();
+            let run = sim.run(|v, _| MaxFlood { best: v.0 });
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let t = run.timings;
+            assert!(run.metrics.terminated);
+            assert!(t.stage_ms > 0.0, "threads={threads}: {t:?}");
+            assert!(t.compute_ms > 0.0, "threads={threads}: {t:?}");
+            assert!(t.merge_ms > 0.0, "threads={threads}: {t:?}");
+            let sum = t.stage_ms + t.compute_ms + t.merge_ms;
+            assert!(sum <= wall_ms, "threads={threads}: {sum} > {wall_ms}");
+        }
     }
 
     /// Node 0 bursts `count` u32 values at node 1 in one callback; node 1

@@ -1,42 +1,53 @@
-//! The decentralized sharded round executor.
+//! The round loop: the one executor every run goes through.
 //!
-//! Earlier engine versions funneled every envelope through a coordinator
-//! thread that validated, sequence-numbered, bit-accounted, and staged all
-//! messages between rounds — an `O(messages)` serial section that capped
-//! parallel speedup well below the shard count. This executor moves all of
-//! that **into the shards**. Each *lane* pairs a [`Shard`] with the
-//! delivery partition of the dirs its nodes receive, and runs four steps
-//! per round with no synchronization beyond two barriers:
+//! All per-message work happens **inside the lanes**. A *lane* pairs a
+//! [`Shard`] with the delivery partition of the dirs its nodes receive,
+//! and one lane phase is one round of that shard, timed into the three
+//! [`PhaseTimings`] buckets:
 //!
-//! 1. **Ingest** the mailboxes routed to it last round (sender-shard
-//!    order), pushing each envelope into its own delivery partition with
-//!    the *exact global sequence number* reconstructed as
-//!    `mail.base + idx + 1`.
-//! 2. **Stage** the round's due deliveries straight into its shard's
-//!    inbound buffer.
-//! 3. **Compute** the node callbacks ([`Shard::run_round`]).
-//! 4. **Flush**: validate each send against the bandwidth budget, account
-//!    its bits, and route it — tagged with its lane-local send index — to
-//!    the receiving lane's mailbox for the *next* round.
+//! 1. **Ingest + stage** (`stage_ms`): push the mailboxes routed to the
+//!    lane last round (sender-lane order) into its own delivery partition
+//!    with the *exact global sequence number* reconstructed as
+//!    `mail.base + idx + 1`, then move the round's due deliveries straight
+//!    into the shard's inbound buffer. Round 0 has nothing to ingest.
+//! 2. **Compute** (`compute_ms`): the node callbacks — `on_start` in
+//!    round 0 ([`Shard::run_start`]), `on_round` afterwards
+//!    ([`Shard::run_round`]).
+//! 3. **Flush** (`merge_ms`): validate each send against the bandwidth
+//!    budget, account its bits, and route it — tagged with its lane-local
+//!    send index — to the receiving lane's mailbox for the *next* round.
+//!    This is the only place a send is validated or billed.
 //!
-//! The coordinator's serial window between rounds is `O(lanes)`, not
-//! `O(messages)`: sum the per-lane accounts for the quiescence check,
-//! prefix-sum the per-lane send counts **in shard order** to obtain each
-//! lane's sequence base for the round, and rotate the mailbox buffers
-//! (receiver's drained vec swaps back to the sender — the steady state
-//! allocates nothing). The per-round metric fold is overlapped with the
-//! next round's compute.
+//! Between two rounds the coordinator (the calling thread) runs a serial
+//! window that is `O(lanes)`, not `O(messages)`, and is also booked under
+//! `merge_ms`: fold the per-lane accounts into the run metrics in lane
+//! order, decide quiescence / the round cap, prefix-sum the per-lane send
+//! counts **in lane order** to obtain each lane's sequence base for the
+//! finished round, and rotate the mailbox buffers (the receiver's drained
+//! vec swaps back to the sender — the steady state allocates nothing).
+//!
+//! # Lane 0 skips the mailbox
+//!
+//! Lane 0's sends are the first of the round in the global order, so its
+//! sequence base *is* the running `seq` — known before the round starts.
+//! It therefore pushes the sends addressed to its own partition straight
+//! into that partition with the exact `seq + idx + 1`, and they precede
+//! everything the other lanes route there (ingested next round), exactly
+//! as the mailbox order would have it. A single-lane run (`threads = 1`)
+//! thus never buffers a round's traffic twice: the partition's staged
+//! messages land in the shard's inbound buffer and its outbox flushes
+//! directly back.
 //!
 //! # Determinism argument
 //!
-//! The global send order is defined as: shards in ascending order, nodes
-//! ascending within a shard, issue order within a node. The prefix sum
+//! The global send order is defined as: lanes in ascending order, nodes
+//! ascending within a lane, issue order within a node. The prefix sum
 //! gives lane `t` the base `seq + Σ_{u<t} sends_u`, so
 //! `base + idx + 1` reproduces the exact sequence numbers a serial merge
 //! in that order would have assigned. A partition only ever sees the
-//! envelopes addressed to its own dirs, ingested sender-shard-major — a
+//! envelopes addressed to its own dirs, in sender-lane-major order — a
 //! filter of the fixed global order, hence itself fixed. Metrics are
-//! folded from the per-lane [`ShardAccount`]s in shard order. None of
+//! folded from the per-lane [`ShardAccount`]s in lane order. None of
 //! this depends on which OS thread runs which lane, so rounds, messages,
 //! bits, and max_queue are bit-identical at any thread count — the pinned
 //! corpus in `tests/sim_conformance.rs` checks exactly this.
@@ -45,42 +56,44 @@
 //!
 //! Lanes are the *determinism* unit; OS threads are the *execution* unit.
 //! `exec = min(available_parallelism, lanes)` threads run the lanes
-//! round-robin (thread `w` owns lanes `w, w + exec, …`). On a single-core
-//! host `exec == 1` and the whole loop runs inline — no threads, no
-//! barriers, no mutexes — so asking for `threads = 4` on one core costs
-//! (almost) nothing over `threads = 1` instead of thrashing a spin
-//! barrier. With `exec > 1`, rounds are microseconds long, so the barrier
-//! is a spin barrier (sense-reversing, two atomics) with a `yield_now`
-//! fallback for oversubscribed hosts. Worker panics are caught, parked
-//! until the barrier cycle completes (a raw unwind past a barrier would
-//! deadlock everyone else), and re-raised on the coordinator once the
-//! workers have been shut down — so a protocol assertion behaves exactly
-//! as in the single-shard engine.
+//! round-robin (thread `w` owns lanes `w, w + exec, …`; the calling thread
+//! is thread 0) between two barriers per round. With `exec == 1` — one
+//! lane, or a single-core host — the same loop runs on the calling thread
+//! alone: no worker is spawned, the barrier has one participant and falls
+//! through, and no lock is ever contended. With `exec > 1`, rounds are
+//! microseconds long, so the barrier is a spin barrier (sense-reversing,
+//! two atomics) with a `yield_now` fallback for oversubscribed hosts. A
+//! panic inside a lane phase (a protocol assertion, an oversized message,
+//! a strict-mode double send) is caught, parked until the barrier cycle
+//! completes (a raw unwind past a barrier would deadlock everyone else),
+//! and re-raised on the calling thread once the workers have been shut
+//! down.
 
 use super::delivery::{Delivery, ShardAccount};
 use super::shard::Shard;
 use super::topology::Topology;
-use super::{ms, NodeProgram, RunMetrics, SimConfig};
+use super::{host_parallelism, NodeProgram, RunMetrics, RunOutcome, SimConfig};
 use crate::{MessageSize, PackedMsg, PhaseTimings};
 use lcs_graph::Graph;
+use std::ops::DerefMut;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A sense-reversing spin barrier for `total` participants.
 ///
 /// Spins briefly, then yields — on a loaded or single-core host the
 /// participants degrade to cooperative scheduling instead of burning the
-/// quantum.
-pub(crate) struct SpinBarrier {
+/// quantum. With one participant every `wait` returns at once.
+struct SpinBarrier {
     total: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
 }
 
 impl SpinBarrier {
-    pub fn new(total: usize) -> Self {
+    fn new(total: usize) -> Self {
         SpinBarrier {
             total,
             count: AtomicUsize::new(0),
@@ -88,7 +101,7 @@ impl SpinBarrier {
         }
     }
 
-    pub fn wait(&self) {
+    fn wait(&self) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             // Last arrival: reset the count, then open the next generation.
@@ -144,15 +157,27 @@ struct Lane<P: NodeProgram, D> {
     account: ShardAccount,
 }
 
-/// One lane's full round: ingest → stage → compute → flush. Runs with no
-/// access to any other lane's state; panics (bandwidth or strict-mode
-/// assertions) unwind to the calling worker's catch.
+/// Milliseconds of a [`Duration`], for the phase-timing accumulators.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// One lane's full round: ingest → stage → compute → flush (round 0:
+/// `on_start` → flush). Runs with no access to any other lane's state;
+/// panics (program, bandwidth or strict-mode assertions) unwind to the
+/// calling thread's catch.
+///
+/// `own_base` is `Some(seq)` for lane 0 only — its sequence base for this
+/// round is the running `seq` (see the module docs), which lets it push
+/// the sends it receives itself straight into its partition.
 fn lane_phase<P, D>(
     lane: &mut Lane<P, D>,
     g: &Graph,
     topo: &Topology<'_>,
     round: u64,
     bandwidth: usize,
+    own_base: Option<u64>,
+    timings: &mut PhaseTimings,
 ) where
     P: NodeProgram,
     D: Delivery<PackedMsg<P::Msg>>,
@@ -164,83 +189,104 @@ fn lane_phase<P, D>(
         out_to,
         account: acc,
     } = lane;
-
-    // Ingest: last round's sends routed to this partition, sender-shard
-    // major. The senders executed in `round - 1`, which is the round the
-    // delivery backends schedule from.
-    for mail in in_from.iter_mut() {
-        for env in mail.envs.drain(..) {
-            part.push(
-                env.dir,
-                env.priority,
-                mail.base + u64::from(env.idx) + 1,
-                env.msg,
-                round - 1,
-                topo,
-            );
-        }
-    }
-
     *acc = ShardAccount::default();
+    let t0 = Instant::now();
 
-    // Stage this round's due deliveries straight into the shard's inbound
-    // buffer — no coordinator staging pass, no extra copy.
-    debug_assert!(shard.inbound.is_empty());
-    part.stage(round, topo, &mut shard.inbound, acc);
+    if round > 0 {
+        // Ingest: last round's sends routed to this partition, sender-lane
+        // major. The senders executed in `round - 1`, which is the round
+        // the delivery backends schedule from.
+        for mail in in_from.iter_mut() {
+            for env in mail.envs.drain(..) {
+                part.push(
+                    env.dir,
+                    env.priority,
+                    mail.base + u64::from(env.idx) + 1,
+                    env.msg,
+                    round - 1,
+                    topo,
+                );
+            }
+        }
+        // Stage this round's due deliveries straight into the shard's
+        // inbound buffer — no coordinator staging pass, no extra copy.
+        debug_assert!(shard.inbound.is_empty());
+        part.stage(round, topo, &mut shard.inbound, acc);
+    }
+    let t1 = Instant::now();
 
-    // Compute.
-    shard.run_round(g, topo, round);
+    // Compute: `on_start` is round 0.
+    if round == 0 {
+        shard.run_start(g);
+    } else {
+        shard.run_round(g, topo, round);
+    }
+    let t2 = Instant::now();
 
     // Flush: validate + bit-account this lane's own sends and route each
     // envelope to the lane that receives it. `idx` is the lane-local send
     // index the coordinator's prefix sum turns into exact global seqs.
+    // Sizing is `n`-aware ([`MessageSize::size_bits_in`]): id payloads are
+    // billed at `O(log n)` bits, as the CONGEST model assumes; a packed
+    // envelope bills its true multi-value width (see [`PackedMsg`]) and
+    // must fit the budget like any other message.
     let n = topo.num_nodes();
     let mut idx = 0u32;
-    for (dir, priority, msg) in shard.outbox.drain(..) {
-        let bits = msg.size_bits_in(n);
+    for send in shard.outbox.drain(..) {
+        // Sized through the reference and only then taken apart: with the
+        // tuple destructured in the loop head and two places for `msg` to
+        // go, LLVM spills the envelope through overlapping stack slots — a
+        // store-forwarding stall per message, +35 % on this loop.
+        let bits = send.2.size_bits_in(n);
         assert!(
             bits <= bandwidth,
             "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
         );
         acc.bits += bits as u64;
-        out_to[topo.dir_shard(dir)].push(Env {
-            dir,
-            priority,
-            idx,
-            msg,
-        });
+        let (dir, priority, msg) = send;
+        match (own_base, topo.dir_shard(dir)) {
+            (Some(base), 0) => {
+                part.push(dir, priority, base + u64::from(idx) + 1, msg, round, topo)
+            }
+            (_, to) => out_to[to].push(Env {
+                dir,
+                priority,
+                idx,
+                msg,
+            }),
+        }
         idx += 1;
     }
     acc.sends = u64::from(idx);
     acc.wakes = shard.pending_wakes();
     acc.pending = part.pending();
+    let t3 = Instant::now();
+    timings.stage_ms += ms(t1 - t0);
+    timings.compute_ms += ms(t2 - t1);
+    timings.merge_ms += ms(t3 - t2);
 }
 
 /// The coordinator's mailbox rotation: assigns each lane its sequence
-/// base for the finished round (prefix sum of send counts in shard
+/// base for the finished round (prefix sum of send counts in lane
 /// order — the determinism keystone) and swaps every `out_to[s]` with the
 /// matching `in_from[t]` buffer, so the receiver gets the envelopes and
 /// the sender gets a drained vec back. `O(lanes²)` pointer swaps, no
 /// envelope is copied.
-fn rotate_mailboxes<P, D>(lanes: &mut [&mut Lane<P, D>], seq: &mut u64)
+fn rotate_mailboxes<P, D>(lanes: &mut [impl DerefMut<Target = Lane<P, D>>], seq: &mut u64)
 where
     P: NodeProgram,
 {
     let count = lanes.len();
-    let mut bases = [0u64; 64];
-    debug_assert!(count <= 64, "threads are clamped to 64");
-    for (t, lane) in lanes.iter().enumerate() {
-        bases[t] = *seq;
-        *seq += lane.account.sends;
-    }
     for t in 0..count {
+        let base = *seq;
+        *seq += lanes[t].account.sends;
         for s in 0..count {
             if s == t {
                 let Lane {
                     in_from, out_to, ..
                 } = &mut *lanes[t];
                 std::mem::swap(&mut out_to[t], &mut in_from[t].envs);
-                in_from[t].base = bases[t];
+                in_from[t].base = base;
             } else {
                 let (a, b) = lanes.split_at_mut(s.max(t));
                 let (sender, receiver) = if t < s {
@@ -249,41 +295,27 @@ where
                     (&mut *b[0], &mut *a[s])
                 };
                 std::mem::swap(&mut sender.out_to[s], &mut receiver.in_from[t].envs);
-                receiver.in_from[t].base = bases[t];
+                receiver.in_from[t].base = base;
             }
         }
     }
 }
 
-/// Folds the per-lane accounts of one round into the run metrics, in
-/// shard order.
-fn fold_accounts(accounts: &[ShardAccount], metrics: &mut RunMetrics) {
-    for acc in accounts {
-        metrics.bits += acc.bits;
-        metrics.messages += acc.messages;
-        metrics.max_queue = metrics.max_queue.max(acc.max_queue);
-    }
-}
-
-/// Runs the round loop over `shards.len()` lanes. Returns the final
-/// shards (for program extraction), metrics, and phase timings.
+/// Runs `shards.len()` lanes from round 0 (`on_start`) to quiescence or
+/// the round cap.
 ///
-/// `metrics` and `seq` carry the round-0 (`on_start`) state the caller
-/// already flushed into the partitions. `exec_override` forces the OS
-/// thread count (tests use it to exercise the threaded path on
-/// single-core hosts); `None` resolves to the host parallelism.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_par<P, D>(
+/// `exec_override` forces the OS thread count (tests use it to exercise
+/// the multi-thread schedule on single-core hosts); `None` resolves to the
+/// host parallelism.
+pub(super) fn drive_lanes<P, D>(
     config: &SimConfig,
     g: &Graph,
     topo: &Topology<'_>,
     bandwidth: usize,
     parts: Vec<D>,
     shards: Vec<Shard<P>>,
-    metrics: RunMetrics,
-    seq: u64,
     exec_override: Option<usize>,
-) -> (Vec<Shard<P>>, RunMetrics, PhaseTimings)
+) -> RunOutcome<P>
 where
     P: NodeProgram + Send,
     P::Msg: Send,
@@ -291,18 +323,11 @@ where
 {
     let count = shards.len();
     debug_assert_eq!(parts.len(), count);
-    let lanes: Vec<Lane<P, D>> = shards
+    let cells: Vec<Mutex<Lane<P, D>>> = shards
         .into_iter()
         .zip(parts)
         .map(|(shard, part)| {
-            // Seed the account with the round-0 state so the first serial
-            // window's quiescence check sees on_start's sends and wakes.
-            let account = ShardAccount {
-                wakes: shard.pending_wakes(),
-                pending: part.pending(),
-                ..ShardAccount::default()
-            };
-            Lane {
+            Mutex::new(Lane {
                 shard,
                 part,
                 in_from: (0..count)
@@ -312,197 +337,106 @@ where
                     })
                     .collect(),
                 out_to: (0..count).map(|_| Vec::new()).collect(),
-                account,
-            }
+                account: ShardAccount::default(),
+            })
         })
         .collect();
-
     let exec = exec_override
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(host_parallelism)
         .clamp(1, count);
 
-    let (lanes, metrics, timings) = if exec == 1 {
-        drive_lanes_inline(config, g, topo, bandwidth, lanes, metrics, seq)
-    } else {
-        drive_lanes_threaded(config, g, topo, bandwidth, lanes, metrics, seq, exec)
+    let mut metrics = RunMetrics {
+        threads: count,
+        bandwidth_bits: bandwidth,
+        packing: config.message_packing,
+        ..RunMetrics::default()
     };
-    (
-        lanes.into_iter().map(|l| l.shard).collect(),
-        metrics,
-        timings,
-    )
-}
-
-/// The `exec == 1` loop: every lane runs on the calling thread, in lane
-/// order, with zero synchronization. Deterministically identical to the
-/// threaded loop (same lane phases, same serial window); this is what a
-/// multi-shard config costs on a single-core host.
-fn drive_lanes_inline<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    mut lanes: Vec<Lane<P, D>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-) -> (Vec<Lane<P, D>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let mut timings = PhaseTimings::default();
-    let mut fold: Vec<ShardAccount> = Vec::with_capacity(lanes.len());
-    loop {
-        // Serial window (same work the threaded coordinator does).
-        let t0 = Instant::now();
-        let inflight: usize = lanes
-            .iter()
-            .map(|l| l.account.pending + l.account.sends as usize)
-            .sum();
-        let wakes: usize = lanes.iter().map(|l| l.account.wakes).sum();
-        fold.clear();
-        fold.extend(lanes.iter().map(|l| l.account));
-        if inflight == 0 && wakes == 0 {
-            fold_accounts(&fold, &mut metrics);
-            metrics.terminated = lanes.iter().all(|l| l.shard.all_done());
-            break;
-        }
-        if metrics.rounds >= config.max_rounds {
-            fold_accounts(&fold, &mut metrics);
-            metrics.truncated = true;
-            break;
-        }
-        let mut refs: Vec<&mut Lane<P, D>> = lanes.iter_mut().collect();
-        rotate_mailboxes(&mut refs, &mut seq);
-        metrics.rounds += 1;
-        let round = metrics.rounds;
-        let t1 = Instant::now();
-        fold_accounts(&fold, &mut metrics);
-        let t2 = Instant::now();
-        for lane in &mut lanes {
-            lane_phase(lane, g, topo, round, bandwidth);
-        }
-        let t3 = Instant::now();
-        timings.stage_ms += ms(t1 - t0);
-        timings.merge_ms += ms(t2 - t1);
-        timings.compute_ms += ms(t3 - t2);
-    }
-    (lanes, metrics, timings)
-}
-
-/// The `exec > 1` loop: `exec - 1` scoped workers plus the coordinator,
-/// each running the lanes `w, w + exec, …` between two spin barriers per
-/// round. The round-`r-1` metric fold happens after the release barrier,
-/// overlapped with the workers' round-`r` compute.
-#[allow(clippy::too_many_arguments)]
-fn drive_lanes_threaded<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    lanes: Vec<Lane<P, D>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-    exec: usize,
-) -> (Vec<Lane<P, D>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram + Send,
-    P::Msg: Send,
-    D: Delivery<PackedMsg<P::Msg>> + Send,
-{
-    let cells: Vec<Mutex<Lane<P, D>>> = lanes.into_iter().map(Mutex::new).collect();
     let barrier = SpinBarrier::new(exec);
     let stop = AtomicBool::new(false);
-    let round_now = AtomicU64::new(0);
-    let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let lane_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let mut timings = PhaseTimings::default();
+    let mut seq = 0u64;
 
     std::thread::scope(|scope| {
         for w in 1..exec {
-            let cells = &cells;
-            let (barrier, stop, round_now) = (&barrier, &stop, &round_now);
-            let worker_panic = &worker_panic;
-            scope.spawn(move || loop {
-                barrier.wait(); // released by the coordinator once rotated
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let round = round_now.load(Ordering::Acquire);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for cell in cells.iter().skip(w).step_by(exec) {
-                        lane_phase(&mut lock(cell), g, topo, round, bandwidth);
+            let (cells, lane_panic) = (&cells, &lane_panic);
+            let (barrier, stop) = (&barrier, &stop);
+            scope.spawn(move || {
+                // Workers never run lane 0 and report no timings (see
+                // `PhaseTimings`: the buckets are the calling thread's).
+                let mut unreported = PhaseTimings::default();
+                // Every release is the next round, counted from 0 like the
+                // coordinator's `metrics.rounds`.
+                for round in 0u64.. {
+                    barrier.wait(); // released by the coordinator
+                    if stop.load(Ordering::Acquire) {
+                        break;
                     }
-                }));
-                if let Err(payload) = result {
-                    lock(worker_panic).get_or_insert(payload);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        for cell in cells.iter().skip(w).step_by(exec) {
+                            let lane = &mut lock(cell);
+                            lane_phase(lane, g, topo, round, bandwidth, None, &mut unreported);
+                        }
+                    }));
+                    if let Err(payload) = result {
+                        lock(lane_panic).get_or_insert(payload);
+                    }
+                    barrier.wait(); // round work done
                 }
-                barrier.wait(); // round work done
             });
         }
 
-        // The coordinator loop must not unwind between barriers (the
-        // workers would deadlock); its own lane phases are caught like a
-        // worker's, and the serial window is guarded by this outer catch.
+        // The coordinator must not unwind between barriers (the workers
+        // would deadlock): its own lane phases are caught like a worker's,
+        // and the serial window is guarded by this outer catch.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut fold: Vec<ShardAccount> = Vec::with_capacity(cells.len());
+            // Every lane's guard during the serial window; allocated once
+            // so the steady-state round allocates nothing.
+            let mut lanes = Vec::with_capacity(count);
             loop {
-                // Serial window: the workers are parked at the release
-                // barrier, so every lock is uncontended.
-                let t0 = Instant::now();
-                let mut guards: Vec<_> = cells.iter().map(lock).collect();
-                let inflight: usize = guards
-                    .iter()
-                    .map(|l| l.account.pending + l.account.sends as usize)
-                    .sum();
-                let wakes: usize = guards.iter().map(|l| l.account.wakes).sum();
-                fold.clear();
-                fold.extend(guards.iter().map(|l| l.account));
-                if inflight == 0 && wakes == 0 {
-                    fold_accounts(&fold, &mut metrics);
-                    metrics.terminated = guards.iter().all(|l| l.shard.all_done());
-                    break;
-                }
-                if metrics.rounds >= config.max_rounds {
-                    fold_accounts(&fold, &mut metrics);
-                    metrics.truncated = true;
-                    break;
-                }
-                let mut refs: Vec<&mut Lane<P, D>> = guards.iter_mut().map(|g| &mut **g).collect();
-                rotate_mailboxes(&mut refs, &mut seq);
-                drop(refs);
-                drop(guards);
-                metrics.rounds += 1;
+                // Parallel region: every lane runs round `metrics.rounds`; the
+                // coordinator is thread 0.
                 let round = metrics.rounds;
-                round_now.store(round, Ordering::Release);
-                let t1 = Instant::now();
-
                 barrier.wait(); // release the workers into the round
-                                // Overlap: fold the previous round's accounts while the
-                                // workers are already computing this one.
-                fold_accounts(&fold, &mut metrics);
-                let t2 = Instant::now();
-                // The coordinator is worker 0: run its own lanes.
                 let own = catch_unwind(AssertUnwindSafe(|| {
-                    for cell in cells.iter().step_by(exec) {
-                        lane_phase(&mut lock(cell), g, topo, round, bandwidth);
+                    for (t, cell) in cells.iter().enumerate().step_by(exec) {
+                        let own_base = (t == 0).then_some(seq);
+                        let lane = &mut lock(cell);
+                        lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
                     }
                 }));
                 if let Err(payload) = own {
-                    lock(&worker_panic).get_or_insert(payload);
+                    lock(&lane_panic).get_or_insert(payload);
                 }
                 barrier.wait(); // wait for every lane to finish
-                let t3 = Instant::now();
-                timings.stage_ms += ms(t1 - t0);
-                timings.merge_ms += ms(t2 - t1);
-                timings.compute_ms += ms(t3 - t2);
-
-                if lock(&worker_panic).is_some() {
+                if lock(&lane_panic).is_some() {
                     break; // re-raised below, after the workers are stopped
                 }
+
+                // Serial window: the workers are parked at the release
+                // barrier, so every lock is uncontended.
+                let t0 = Instant::now();
+                lanes.extend(cells.iter().map(lock));
+                let (mut inflight, mut wakes) = (0usize, 0usize);
+                for acc in lanes.iter().map(|l| l.account) {
+                    metrics.bits += acc.bits;
+                    metrics.messages += acc.messages;
+                    metrics.max_queue = metrics.max_queue.max(acc.max_queue);
+                    inflight += acc.pending + acc.sends as usize;
+                    wakes += acc.wakes;
+                }
+                if inflight == 0 && wakes == 0 {
+                    metrics.terminated = lanes.iter().all(|l| l.shard.all_done());
+                    break;
+                }
+                if metrics.rounds >= config.max_rounds {
+                    metrics.truncated = true;
+                    break;
+                }
+                rotate_mailboxes(&mut lanes, &mut seq);
+                metrics.rounds += 1;
+                lanes.clear(); // unlock for the next round's phases
+                timings.merge_ms += ms(t0.elapsed());
             }
         }));
 
@@ -510,22 +444,31 @@ where
         stop.store(true, Ordering::Release);
         barrier.wait();
         if let Err(payload) = outcome {
-            lock(&worker_panic).get_or_insert(payload);
+            lock(&lane_panic).get_or_insert(payload);
         }
     });
 
-    if let Some(payload) = lock(&worker_panic).take() {
+    if let Some(payload) = lock(&lane_panic).take() {
         resume_unwind(payload);
     }
 
-    let lanes = cells
+    // One lane hands its program vector over as it is; further lanes
+    // append to it.
+    let mut shards = cells
         .into_iter()
-        .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    (lanes, metrics, timings)
+        .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()).shard);
+    let mut programs = shards.next().map_or_else(Vec::new, Shard::into_programs);
+    for shard in shards {
+        programs.extend(shard.into_programs());
+    }
+    RunOutcome {
+        programs,
+        metrics,
+        timings,
+    }
 }
 
-/// Locks ignoring poison: a poisoned lane only occurs on a worker panic,
+/// Locks ignoring poison: a poisoned lane only occurs on a lane panic,
 /// which the coordinator re-raises anyway.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -533,172 +476,56 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::delivery::StrictDelivery;
-    use super::super::{flush_shard, Ctx, Incoming};
+    use super::super::tests::{panic_message, Bomb, MaxFlood};
+    use super::super::Simulator;
     use super::*;
-    use lcs_graph::{gen, NodeId};
+    use lcs_graph::gen;
 
-    /// MaxFlood: floods the maximum node id (same shape as the engine-level
-    /// test program, rebuilt here because that one is private to the
-    /// `engine::tests` module).
-    struct MaxFlood {
-        best: u32,
-    }
-
-    impl NodeProgram for MaxFlood {
-        type Msg = u32;
-
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            let best = self.best;
-            ctx.broadcast(best);
-        }
-
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
-            let mut improved = false;
-            for m in inbox {
-                if m.msg > self.best {
-                    self.best = m.msg;
-                    improved = true;
-                }
-            }
-            if improved {
-                let best = self.best;
-                ctx.broadcast(best);
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-
-    /// Replicates `Simulator::run`'s setup (round 0 included) and drives
-    /// the lanes with a forced OS thread count — the only way to exercise
-    /// the threaded path on a single-core host.
-    fn run_max_flood(
-        g: &lcs_graph::Graph,
-        lanes: usize,
-        exec: usize,
-    ) -> (Vec<MaxFlood>, RunMetrics) {
-        let config = SimConfig::default();
-        let topo = Topology::build(g, lanes);
-        let mut shards: Vec<Shard<MaxFlood>> = (0..topo.num_shards())
-            .map(|s| {
-                Shard::new(
-                    g,
-                    topo.shard_range(s),
-                    config.seed,
-                    1,
-                    1 << 20,
-                    &mut |v, _| MaxFlood { best: v.0 },
-                )
-            })
-            .collect();
-        let mut parts: Vec<StrictDelivery<PackedMsg<u32>>> = (0..topo.num_shards())
-            .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
-            .collect();
-        let mut metrics = RunMetrics::default();
-        let mut seq = 0u64;
-        for shard in &mut shards {
-            shard.run_start(g);
-        }
-        for shard in &mut shards {
-            flush_shard(shard, &mut parts, &topo, 0, 1 << 20, &mut seq, &mut metrics);
-        }
-        let (shards, metrics, _) = drive_par(
-            &config,
-            g,
-            &topo,
-            1 << 20,
-            parts,
-            shards,
-            metrics,
-            seq,
-            Some(exec),
-        );
-        (
-            shards.into_iter().flat_map(Shard::into_programs).collect(),
-            metrics,
-        )
+    /// A max-flood over `lanes` lanes with the OS thread count forced to
+    /// `exec` — the only way to exercise the multi-thread schedule on a
+    /// single-core host.
+    fn run_max_flood(g: &Graph, lanes: usize, exec: usize) -> (Vec<MaxFlood>, RunMetrics) {
+        let config = SimConfig {
+            threads: lanes,
+            ..SimConfig::default()
+        };
+        let run = Simulator::new(g, config).run_on(Some(exec), |v, _| MaxFlood { best: v.0 });
+        (run.programs, run.metrics)
     }
 
     #[test]
-    fn forced_thread_counts_match_the_inline_path() {
+    fn forced_exec_counts_yield_identical_runs() {
         let g = gen::grid(7, 9);
         let (base_progs, base) = run_max_flood(&g, 4, 1);
         assert!(base.terminated);
         assert!(base_progs.iter().all(|p| p.best == 62));
         for exec in [2, 3, 4] {
             let (progs, metrics) = run_max_flood(&g, 4, exec);
-            assert_eq!(metrics.counts(), base.counts(), "exec={exec}");
+            assert_eq!(metrics, base, "exec={exec}");
             assert!(progs.iter().all(|p| p.best == 62), "exec={exec}");
         }
         // Lanes ≠ exec ≠ divisor cases: uneven round-robin assignment.
         let (_, m7) = run_max_flood(&g, 7, 3);
         let (_, m7b) = run_max_flood(&g, 7, 1);
-        assert_eq!(m7.counts(), m7b.counts());
+        assert_eq!(m7, m7b);
+        assert_eq!(m7.counts(), base.counts());
     }
 
     #[test]
-    fn threaded_worker_panics_propagate() {
-        struct Bomb;
-        impl NodeProgram for Bomb {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                ctx.wake_next_round();
-            }
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
-                if ctx.node() == NodeId(5) {
-                    panic!("protocol bug on node 5");
-                }
-            }
-            fn is_done(&self) -> bool {
-                true
-            }
-        }
+    fn lane_panics_propagate_at_every_exec_count() {
+        // Node 5 of 8 lives on lane 2 of 4: thread 0's second lane at
+        // exec 1 and 2, a spawned worker's lane at exec 3 and 4.
         let g = gen::path(8);
-        let config = SimConfig::default();
-        let topo = Topology::build(&g, 4);
-        let mut shards: Vec<Shard<Bomb>> = (0..topo.num_shards())
-            .map(|s| {
-                Shard::new(
-                    &g,
-                    topo.shard_range(s),
-                    config.seed,
-                    1,
-                    1 << 20,
-                    &mut |_, _| Bomb,
-                )
-            })
-            .collect();
-        let parts: Vec<StrictDelivery<PackedMsg<u32>>> = (0..topo.num_shards())
-            .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
-            .collect();
-        for shard in &mut shards {
-            shard.run_start(&g);
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            drive_par(
-                &config,
-                &g,
-                &topo,
-                1 << 20,
-                parts,
-                shards,
-                RunMetrics::default(),
-                0,
-                Some(2),
-            )
-        }));
-        let payload = match result {
-            Err(payload) => payload,
-            Ok(_) => panic!("the worker panic must reach the caller"),
+        let config = SimConfig {
+            threads: 4,
+            ..SimConfig::default()
         };
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .unwrap_or_default();
-        assert!(msg.contains("protocol bug on node 5"), "got: {msg}");
+        for exec in [1, 2, 3, 4] {
+            let sim = Simulator::new(&g, config);
+            let result = catch_unwind(AssertUnwindSafe(|| sim.run_on(Some(exec), |_, _| Bomb)));
+            let payload = result.expect_err("the lane panic must reach the caller");
+            let msg = panic_message(payload.as_ref());
+            assert!(msg.contains("protocol bug on node 5"), "exec={exec}: {msg}");
+        }
     }
 }

@@ -124,8 +124,12 @@ impl<'g> Topology<'g> {
         (self.starts[s], self.starts[s + 1])
     }
 
-    /// The shard owning `node`. Linear scan: the boundary list has at most
-    /// `threads + 1` entries (and single-shard runs short-circuit).
+    /// The shard owning `node`. Linear scan over the interior boundaries:
+    /// at most `threads - 1` entries, and none at all with one shard, which
+    /// returns before setting up the scan. Only the table build calls it —
+    /// once per dir, so the early return is worth tens of microseconds of
+    /// every one-lane run; the round loop reads the precomputed
+    /// [`dir_shard`](Topology::dir_shard).
     #[inline]
     pub fn shard_of(&self, node: u32) -> usize {
         debug_assert!((node as usize) < self.g.num_nodes());

@@ -61,43 +61,35 @@ pub struct RunMetrics {
 /// thread counts and compared with `==` by the conformance suite, while
 /// timings are measurements of *this* execution.
 ///
-/// What the buckets mean depends on the executor path:
+/// Every run goes through one round loop, and the buckets are timed inside
+/// its lane phases (round 0 — `on_start` — included), so they mean the
+/// same thing at every [`SimConfig::threads`]:
 ///
-/// * single shard (`threads = 1`): `stage_ms` is delivery staging,
-///   `merge_ms` is the flush/validation/accounting pass, `compute_ms` is
-///   the node programs' `on_round` work;
-/// * sharded (`threads > 1`): `stage_ms` is the coordinator's serial
-///   window (account collection, quiescence check, seq-base prefix sum,
-///   mailbox rotation), `merge_ms` is the metric fold (overlapped with the
-///   next round's compute), `compute_ms` is the parallel region wall —
-///   everything the lanes do between barriers, which *includes* their
-///   in-lane validation, staging and flush.
+/// | bucket       | what the calling thread spent in                      |
+/// |--------------|-------------------------------------------------------|
+/// | `stage_ms`   | ingesting routed envelopes into the delivery partition and staging the round's due deliveries |
+/// | `compute_ms` | the node programs' `on_start` / `on_round` callbacks (with inbox unpacking and send coalescing) |
+/// | `merge_ms`   | flushing the sends — bandwidth validation, bit accounting, routing — plus the serial window between rounds (account fold, quiescence check, seq-base prefix sum, mailbox rotation) |
+///
+/// The clock runs on the calling thread, over the lanes that thread
+/// executes: all of them unless the host gives the run more than one core,
+/// lanes `0, exec, 2·exec, …` of `exec` OS threads otherwise. The three
+/// buckets therefore never sum to more than the wall of
+/// [`Simulator::run`]; the remainder is run set-up (routing tables, program
+/// construction) and, on several threads, barrier waits.
 ///
 /// [`RunOutcome::timings`]: crate::RunOutcome::timings
+/// [`SimConfig::threads`]: crate::SimConfig::threads
+/// [`Simulator::run`]: crate::Simulator::run
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Wall milliseconds in node-program execution (the parallel region
-    /// for sharded runs).
+    /// Wall milliseconds in the node programs' callbacks.
     pub compute_ms: f64,
-    /// Wall milliseconds staging deliveries (single shard) or in the
-    /// coordinator's serial window (sharded).
+    /// Wall milliseconds ingesting and staging deliveries.
     pub stage_ms: f64,
-    /// Wall milliseconds merging/validating outboxes (single shard) or
-    /// folding shard accounts (sharded).
+    /// Wall milliseconds validating, billing and routing sends, plus the
+    /// serial window between rounds.
     pub merge_ms: f64,
-}
-
-impl PhaseTimings {
-    /// The serial-coordination share of the loop: `(stage_ms + merge_ms) /
-    /// total`, in `[0, 1]`. 0 for an empty run.
-    pub fn serial_share(&self) -> f64 {
-        let total = self.compute_ms + self.stage_ms + self.merge_ms;
-        if total <= 0.0 {
-            0.0
-        } else {
-            (self.stage_ms + self.merge_ms) / total
-        }
-    }
 }
 
 impl RunMetrics {

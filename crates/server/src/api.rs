@@ -20,11 +20,10 @@
 
 use crate::error::ApiError;
 use crate::json;
-use crate::state::{AppState, SessionEntry, SessionSpec};
+use crate::state::{edge_weights, AppState, SessionEntry, SessionSpec};
 use lcs_algos::SessionAlgoOps;
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::{OpReport, SessionConfig};
-use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, NodeId, PartId};
 use lcs_partwise::{IdempotentOp, SessionPartwiseOps};
 use serde::{Serialize, Value};
@@ -80,11 +79,8 @@ fn metrics(state: &AppState) -> Value {
         .snapshot()
         .iter()
         .map(|e| {
-            let s = e.lock();
-            Value::object([
-                ("id", Value::Str(e.id.clone())),
-                ("cache_stats", s.cache_stats().to_value()),
-            ])
+            let [busy, cache_stats] = observed_stats(e);
+            Value::object([("id", Value::Str(e.id.clone())), busy, cache_stats])
         })
         .collect();
     Value::object([
@@ -109,14 +105,27 @@ fn session_info(state: &AppState, id: &str) -> Result<Value, ApiError> {
         .registry
         .get(id)
         .ok_or_else(|| ApiError::not_found(format!("no session `{id}`")))?;
-    let session = entry.lock();
+    let [busy, cache_stats] = observed_stats(&entry);
     Ok(Value::object([
         ("id", Value::Str(entry.id.clone())),
         ("spec", entry.spec.clone()),
         ("num_nodes", Value::U64(entry.graph.num_nodes() as u64)),
         ("num_edges", Value::U64(entry.graph.num_edges() as u64)),
-        ("cache_stats", session.cache_stats().to_value()),
+        busy,
+        cache_stats,
     ]))
+}
+
+/// The `busy` / `cache_stats` pair of the observability endpoints, read
+/// without waiting for the session: while an op holds it the session is
+/// reported `"busy": true` with `null` stats instead of stalling the
+/// scrape behind the op.
+fn observed_stats(entry: &SessionEntry) -> [(&'static str, Value); 2] {
+    let stats = entry.try_lock().map(|s| s.cache_stats().to_value());
+    [
+        ("busy", Value::Bool(stats.is_none())),
+        ("cache_stats", stats.unwrap_or(Value::Null)),
+    ]
 }
 
 fn create_session(state: &AppState, body: &[u8]) -> Result<Value, ApiError> {
@@ -269,15 +278,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             Ok(report_value(&report, result))
         }
         "mst" => {
-            let weights: Vec<u64> = json::require(args, "weights")?;
-            if weights.len() != entry.graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    weights.len(),
-                    entry.graph.num_edges()
-                )));
-            }
-            let weights = EdgeWeights::from_vec(entry.graph, weights);
+            let weights = edge_weights(entry.graph, json::require(args, "weights")?)?;
             let report = s.try_mst(&weights)?;
             let result = Value::object([
                 (
@@ -353,15 +354,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             )]))
         }
         "set_weights" => {
-            let weights: Vec<u64> = json::require(args, "weights")?;
-            if weights.len() != entry.graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    weights.len(),
-                    entry.graph.num_edges()
-                )));
-            }
-            s.try_set_weights(EdgeWeights::from_vec(entry.graph, weights))?;
+            s.try_set_weights(edge_weights(entry.graph, json::require(args, "weights")?)?)?;
             Ok(Value::object([(
                 "updated",
                 Value::U64(entry.graph.num_edges() as u64),
@@ -390,5 +383,64 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
              unicast, mst, components, mincut, reassign_parts, update_weights, set_weights, \
              set_partition"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::ServerConfig;
+    use std::sync::mpsc;
+
+    /// The first session's `(busy, cache_stats)` as `GET /metrics` and
+    /// `GET /sessions/s0` report them.
+    fn observed(state: &AppState) -> [(Value, Value); 2] {
+        let fields = |v: &Value| {
+            // `lookup` reads a `null` field as absent.
+            let get = |name| json::lookup(v, name).cloned().unwrap_or(Value::Null);
+            (get("busy"), get("cache_stats"))
+        };
+        let (status, body) = handle(state, "GET", "/metrics", b"");
+        assert_eq!(status, 200);
+        let metrics = json::parse(body.as_bytes()).unwrap();
+        let Some(Value::Arr(sessions)) = json::lookup(&metrics, "sessions") else {
+            panic!("metrics lists the sessions");
+        };
+        let (status, body) = handle(state, "GET", "/sessions/s0", b"");
+        assert_eq!(status, 200);
+        [
+            fields(&sessions[0]),
+            fields(&json::parse(body.as_bytes()).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn observability_reads_do_not_wait_for_a_running_op() {
+        let state = AppState::new(ServerConfig::default());
+        let spec = br#"{"graph": {"family": "grid", "rows": 4, "cols": 4}}"#;
+        assert_eq!(handle(&state, "POST", "/sessions", spec).0, 200);
+        let entry = state.registry.get("s0").expect("created");
+
+        // Stand in for a long op: another thread holds the session until
+        // told to let go (or until a failed assertion drops the sender).
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (state_ref, entry_ref) = (&state, &entry);
+        std::thread::scope(move |scope| {
+            scope.spawn(move || {
+                let _op = entry_ref.lock();
+                locked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            locked_rx.recv().unwrap();
+            for (busy, stats) in observed(state_ref) {
+                assert_eq!((busy, stats), (Value::Bool(true), Value::Null));
+            }
+            release_tx.send(()).unwrap();
+        });
+        for (busy, stats) in observed(&state) {
+            assert_eq!(busy, Value::Bool(false));
+            assert!(matches!(stats, Value::Obj(_)), "idle sessions report stats");
+        }
     }
 }

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
 /// Tunables of one server instance.
@@ -171,6 +171,30 @@ impl SessionEntry {
     pub fn lock(&self) -> MutexGuard<'_, ShortcutSession<'static>> {
         self.session.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// The session if no op holds it right now — what the read-only
+    /// observability endpoints use, so a scrape never queues behind a
+    /// running op. Poisoning is ignored as in [`lock`](Self::lock).
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, ShortcutSession<'static>>> {
+        match self.session.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+}
+
+/// Client-supplied weights as [`EdgeWeights`] of `graph`: one per edge, or
+/// a 400 (`EdgeWeights::from_vec` panics on a length mismatch).
+pub fn edge_weights(graph: &Graph, weights: Vec<u64>) -> Result<EdgeWeights, ApiError> {
+    if weights.len() != graph.num_edges() {
+        return Err(ApiError::bad_args(format!(
+            "one weight per edge required — got {}, the graph has {} edges",
+            weights.len(),
+            graph.num_edges()
+        )));
+    }
+    Ok(EdgeWeights::from_vec(graph, weights))
 }
 
 /// Point-in-time registry counters for `GET /metrics`.
@@ -552,12 +576,12 @@ pub enum PartitionSpec {
     Default,
     /// No partition: tree/unicast/MST only.
     None,
-    /// One part per node.
-    Singletons,
     /// Explicit parts as node-id lists.
     Explicit(Vec<Vec<u32>>),
     /// A declarative [`PartitionSource`] resolved on the graph at build
     /// time (`{"kind": "voronoi", ...}` / `{"kind": "separator", ...}`).
+    /// The string `"singletons"` is shorthand for `{"kind": "singletons"}`
+    /// and parses to the same value, hence the same LRU key.
     Source(PartitionSource),
 }
 
@@ -568,7 +592,7 @@ impl PartitionSpec {
             Some(Value::Str(s)) => match s.as_str() {
                 "default" => Ok(PartitionSpec::Default),
                 "none" => Ok(PartitionSpec::None),
-                "singletons" => Ok(PartitionSpec::Singletons),
+                "singletons" => Ok(PartitionSpec::Source(PartitionSource::Singletons)),
                 other => Err(ApiError::bad_args(format!(
                     "unknown partition kind `{other}` — one of default, none, singletons, \
                      a source object {{\"kind\": ...}}, or an explicit [[node, ...], ...] array"
@@ -613,7 +637,6 @@ impl PartitionSpec {
         match self {
             PartitionSpec::Default => Value::Str("default".to_string()),
             PartitionSpec::None => Value::Str("none".to_string()),
-            PartitionSpec::Singletons => Value::Str("singletons".to_string()),
             PartitionSpec::Explicit(parts) => parts.to_value(),
             PartitionSpec::Source(src) => {
                 let kind = ("kind", Value::Str(src.name().to_string()));
@@ -741,7 +764,6 @@ impl SessionSpec {
         let partition = match &self.partition {
             PartitionSpec::Default => self.graph.default_partition().map(from_parts),
             PartitionSpec::None => None,
-            PartitionSpec::Singletons => Some(from_parts(gen::singleton_parts(graph))),
             PartitionSpec::Explicit(parts) => {
                 let n = graph.num_nodes();
                 if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
@@ -768,14 +790,7 @@ impl SessionSpec {
             .transpose()?;
 
         let weights = match &self.weights {
-            Some(w) if w.len() != graph.num_edges() => {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    w.len(),
-                    graph.num_edges()
-                )));
-            }
-            Some(w) => Some(EdgeWeights::from_vec(graph, w.clone())),
+            Some(w) => Some(edge_weights(graph, w.clone())?),
             None => file_weights,
         };
         Ok((partition, weights))
@@ -965,6 +980,18 @@ mod tests {
             assert!(Arc::ptr_eq(&a, &b));
             assert!(a.lock().partition().num_parts() > 1);
         }
+        // Both spellings of the singleton partition are one spec key, so
+        // the second create hits the session the first one built.
+        let short = spec_with_partition(Value::Str("singletons".to_string()));
+        let long = spec_with_partition(Value::object([(
+            "kind",
+            Value::Str("singletons".to_string()),
+        )]));
+        let (a, created_a) = reg.get_or_create(&short).unwrap();
+        let (b, created_b) = reg.get_or_create(&long).unwrap();
+        assert!(created_a && !created_b, "one session for both spellings");
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.lock().partition().num_parts(), 36);
     }
 
     #[test]
