@@ -17,7 +17,7 @@ use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, ShortcutSession};
 use lcs_core::{full_shortcut, Partition, Shortcut, ShortcutConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
-use lcs_partwise::{AggregateOp, ParticipationMap, PartwiseConfig};
+use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, PartwiseConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -295,15 +295,18 @@ pub fn distributed_mst(
             &mut bits,
         );
 
-        // Both aggregations of the phase run over the same `G[P_i] + H_i`.
+        // Both aggregations of the phase run over the same `G[P_i] + H_i`:
+        // the first roots every fragment, the second only converge- and
+        // broadcasts over those trees.
         let participation = ParticipationMap::build(g, &partition, &shortcut);
+        let mut forest = AggForest::unrooted(&partition, &participation);
         let mut aggregate = |values: &[u64], op: AggOp| {
             let op = AggregateOp {
                 values,
                 op,
                 leaders: None,
             };
-            let out = op.run_with(g, &partition, &cfg.partwise, &participation);
+            let out = op.run_with(g, &partition, &cfg.partwise, &participation, &mut forest);
             messages += out.metrics.messages;
             bits += out.metrics.bits;
             truncated |= out.metrics.truncated;

@@ -1452,6 +1452,21 @@ impl<'g> ShortcutSession<'g> {
         self.op_artifact_with(deps, build)
     }
 
+    /// Replaces the value in the fresh op-artifact slot of type `T`,
+    /// keeping its stamp and dependency set — for an artifact that learns
+    /// from the runs it serves (the partwise aggregation forest, harvested
+    /// from each aggregate's final states). A stale or missing slot is
+    /// left alone: what `value` was derived from is gone. Counts as neither
+    /// build, hit nor patch.
+    pub fn op_artifact_swap<T: Any + Send + Sync>(&mut self, value: T) {
+        let now = self.epochs;
+        if let Some(slot) = self.op_artifacts.get_mut(&TypeId::of::<T>()) {
+            if slot.stamp.agrees_on(&now, slot.deps) {
+                slot.value = Arc::new(value);
+            }
+        }
+    }
+
     /// Ensures tree and full shortcut (and quality, when a partition
     /// exists) are built and fresh — the preparation step ops call once
     /// before taking shared references.
@@ -2265,6 +2280,24 @@ mod tests {
         });
         assert_eq!(c.0.len(), 8);
         drop(a);
+    }
+
+    #[test]
+    fn op_artifact_swap_replaces_a_fresh_value_only() {
+        #[derive(Debug, PartialEq)]
+        struct Learned(u32);
+        let mut s = grid_session(8);
+        s.op_artifact_swap(Learned(7)); // no slot yet: nothing to replace
+        assert_eq!(*s.op_artifact(|_, _, _| Learned(0)), Learned(0));
+        let before = *s.cache_stats();
+        s.op_artifact_swap(Learned(1));
+        assert_eq!(*s.cache_stats(), before, "a swap is no build, hit or patch");
+        let cached = s.op_artifact(|_, _, _| -> Learned { unreachable!("cached") });
+        assert_eq!(*cached, Learned(1));
+        // A value learned under an older partition must not resurface.
+        s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
+        s.op_artifact_swap(Learned(2));
+        assert_eq!(*s.op_artifact(|_, _, _| Learned(0)), Learned(0));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the distributed solver.
@@ -50,6 +51,10 @@ pub struct PartwiseOutcome {
     /// Simulation metrics (rounds are the headline number: expect
     /// `Õ(congestion + dilation)`).
     pub metrics: RunMetrics,
+    /// Parts served from the cached [`AggForest`] in this run: they sent
+    /// only `Up`/`Down` and did not pay for the offer wave. `0` on a cold
+    /// run.
+    pub rooted_parts: usize,
 }
 
 /// `count` start delays, uniform in `[0, range)`; `range == 0` disables
@@ -86,11 +91,11 @@ const NO_PORT: u32 = u32::MAX;
 /// With `T = Σ_i (|P_i| + deg(P_i) + 2·|H_i|)` entries, [`build`](Self::build)
 /// is one `O(T log T)` sort and [`refreshed`](Self::refreshed) one
 /// `O(n + T)` merge plus the sort of the touched parts' entries. The
-/// session ops cache one instance as a derived artifact
-/// ([`ShortcutSession::op_artifact_patched`]): reused while partition and
-/// shortcut are unchanged, `refreshed` under tracked `reassign_parts`
-/// churn, rebuilt on a wholesale partition change. The explicit-artifact
-/// `run_on` paths build a fresh one per call.
+/// session ops cache one instance — with the [`AggForest`] over it — as a
+/// derived artifact ([`ShortcutSession::op_artifact_patched`]): reused
+/// while partition and shortcut are unchanged, `refreshed` under tracked
+/// `reassign_parts` churn, rebuilt on a wholesale partition change. The
+/// explicit-artifact `run_on` paths build a fresh one per call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParticipationMap {
     first_slot: Vec<u32>,
@@ -222,23 +227,14 @@ impl ParticipationMap {
         map
     }
 
-    /// The session's cached map (one artifact slot shared by aggregate and
-    /// gossip): built on first use, refreshed for the touched parts only
-    /// under `reassign_parts` churn.
-    pub(crate) fn of_session(session: &mut ShortcutSession<'_>) -> Arc<Self> {
-        session.op_artifact_patched(
-            deps::SHORTCUT,
-            |s| Self::build(s.graph(), s.partition(), s.shortcut_ref()),
-            |s, old: &Self, touched| {
-                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
-            },
-        )
+    /// Node `v`'s slots in the table-wide slot numbering.
+    fn slot_range(&self, v: NodeId) -> Range<usize> {
+        self.first_slot[v.index()] as usize..self.first_slot[v.index() + 1] as usize
     }
 
     /// Node `v`'s slices of the table.
     pub(crate) fn node(&self, v: NodeId) -> NodeSlots<'_> {
-        let lo = self.first_slot[v.index()] as usize;
-        let hi = self.first_slot[v.index() + 1] as usize;
+        let Range { start: lo, end: hi } = self.slot_range(v);
         NodeSlots {
             parts: &self.slot_part[lo..hi],
             first_port: &self.first_port[lo..=hi],
@@ -269,19 +265,164 @@ impl<'a> NodeSlots<'a> {
 
     /// The participating ports of `slot`, ascending.
     pub(crate) fn ports(&self, slot: usize) -> &'a [u32] {
-        &self.ports[self.first_port[slot] as usize..self.first_port[slot + 1] as usize]
+        &self.ports[self.entry_range(slot)]
     }
 
     /// Where `slot`'s ports sit in a node-local array with one entry per
     /// `(slot, port)` pair.
-    fn port_range(&self, slot: usize) -> std::ops::Range<usize> {
+    fn port_range(&self, slot: usize) -> Range<usize> {
         let base = self.first_port[0];
         (self.first_port[slot] - base) as usize..(self.first_port[slot + 1] - base) as usize
     }
 
-    /// Total `(slot, port)` pairs of this node.
-    fn num_ports(&self) -> usize {
-        (self.first_port[self.parts.len()] - self.first_port[0]) as usize
+    /// Where `slot`'s ports sit in the table-wide port array (and in
+    /// [`AggForest::child`], which is parallel to it).
+    fn entry_range(&self, slot: usize) -> Range<usize> {
+        self.first_port[slot] as usize..self.first_port[slot + 1] as usize
+    }
+
+    /// This node's `(slot, port)` pairs in the table-wide port array.
+    fn entries(&self) -> Range<usize> {
+        self.first_port[0] as usize..self.first_port[self.parts.len()] as usize
+    }
+}
+
+/// "No root": the forest's marker for a part without a cached tree.
+const NO_ROOT: u32 = u32::MAX;
+
+/// The aggregation forest — "root once, aggregate many". The echo protocol
+/// of an [`AggregateOp`] spends its offer/adopt/decline wave finding one
+/// spanning tree per `G[P_i] + H_i`; the forest keeps those trees between
+/// runs so the next aggregation over the same tables starts at the
+/// convergecast and sends only `Up`/`Down`: `2·(slots − parts)` messages.
+///
+/// Laid out flat and parallel to a [`ParticipationMap`]: per slot the port
+/// towards the parent, per `(slot, port)` entry whether that neighbor is a
+/// child, per part the leader the tree is rooted at. Nodes keep
+/// `O(participation)` words between aggregations — harvesting the final
+/// program states costs no simulated round. A part is *rooted* once a run
+/// finished it on every participating node, and stays rooted until its
+/// tables change; an unfinished, truncated or re-led part is unrooted and
+/// the next run re-roots it with the full echo.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AggForest {
+    /// Per part, the leader its tree is rooted at; `NO_ROOT` if none is.
+    root: Vec<u32>,
+    /// Per slot, the port towards the parent; `NO_PORT` at a root and
+    /// throughout unrooted parts.
+    parent: Vec<u32>,
+    /// Per `(slot, port)` entry, whether the neighbor adopted this slot;
+    /// `false` throughout unrooted parts.
+    child: Vec<bool>,
+}
+
+impl AggForest {
+    /// The forest of a cold start: every part of `partition` unrooted, shaped
+    /// like `participation`.
+    pub fn unrooted(partition: &Partition, participation: &ParticipationMap) -> Self {
+        AggForest {
+            root: vec![NO_ROOT; partition.num_parts()],
+            parent: vec![NO_PORT; participation.slot_part.len()],
+            child: vec![false; participation.ports.len()],
+        }
+    }
+
+    /// The forest over `new`, the [`refreshed`](ParticipationMap::refreshed)
+    /// successor of the table `old` this forest is laid out over: `touched`
+    /// parts are unrooted, every other part's tree is carried over — its
+    /// slots hold the same ports in both tables — in one linear pass.
+    fn carried(&self, old: &ParticipationMap, new: &ParticipationMap, touched: &[PartId]) -> Self {
+        let mut out = AggForest {
+            root: self.root.clone(),
+            parent: vec![NO_PORT; new.slot_part.len()],
+            child: vec![false; new.ports.len()],
+        };
+        for &p in touched {
+            out.root[p.index()] = NO_ROOT;
+        }
+        for v in (0..new.first_slot.len() as u32 - 1).map(NodeId) {
+            let (old_slots, new_slots) = (old.node(v), new.node(v));
+            let (old_base, new_base) = (old.slot_range(v).start, new.slot_range(v).start);
+            let mut o = 0;
+            for (s, &part) in new_slots.parts.iter().enumerate() {
+                if out.root[part as usize] == NO_ROOT {
+                    continue;
+                }
+                while old_slots.parts[o] != part {
+                    o += 1;
+                }
+                out.parent[new_base + s] = self.parent[old_base + o];
+                out.child[new_slots.entry_range(s)]
+                    .copy_from_slice(&self.child[old_slots.entry_range(o)]);
+            }
+        }
+        out
+    }
+
+    /// Records the trees a run left behind: a part is rooted at its leader
+    /// iff the run was not truncated and every slot of the part — relays
+    /// included — holds the result; every other part is unrooted.
+    fn harvest(&mut self, programs: &[PaProgram<'_>], leaders: &[NodeId], truncated: bool) {
+        let mut finished = vec![!truncated; leaders.len()];
+        for program in programs {
+            for (&part, st) in program.slots.parts.iter().zip(&program.states) {
+                finished[part as usize] &= st.result.is_some();
+            }
+        }
+        // Programs come in node order, so their slots tile `parent`.
+        let mut parents = self.parent.iter_mut();
+        for program in programs {
+            let slots = program.slots;
+            for (s, (&part, st)) in slots.parts.iter().zip(&program.states).enumerate() {
+                let parent = parents.next().expect("one entry per slot");
+                let children = &mut self.child[slots.entry_range(s)];
+                if finished[part as usize] {
+                    *parent = st.parent;
+                    children.copy_from_slice(&program.is_child[slots.port_range(s)]);
+                } else {
+                    *parent = NO_PORT;
+                    children.fill(false);
+                }
+            }
+        }
+        for ((root, &leader), done) in self.root.iter_mut().zip(leaders).zip(finished) {
+            *root = if done { leader.0 } else { NO_ROOT };
+        }
+    }
+}
+
+/// What a session caches for the part-wise ops, in one op-artifact slot:
+/// the participation tables (shared by aggregate and gossip) and the
+/// aggregation forest over them. Built on first use, refreshed for the
+/// touched parts only under `reassign_parts` churn — untouched parts keep
+/// their trees — and dropped with the shortcut (`deps::SHORTCUT`).
+pub(crate) struct SessionTables {
+    pub(crate) participation: Arc<ParticipationMap>,
+    forest: AggForest,
+}
+
+impl SessionTables {
+    pub(crate) fn of_session(session: &mut ShortcutSession<'_>) -> Arc<Self> {
+        session.op_artifact_patched(
+            deps::SHORTCUT,
+            |s| {
+                let (partition, shortcut) = (s.partition(), s.shortcut_ref());
+                let participation = ParticipationMap::build(s.graph(), partition, shortcut);
+                SessionTables {
+                    forest: AggForest::unrooted(partition, &participation),
+                    participation: Arc::new(participation),
+                }
+            },
+            |s, old: &Self, touched| {
+                let (partition, shortcut) = (s.partition(), s.shortcut_ref());
+                let old_map = &old.participation;
+                let participation = old_map.refreshed(s.graph(), partition, shortcut, touched);
+                SessionTables {
+                    forest: old.forest.carried(old_map, &participation, touched),
+                    participation: Arc::new(participation),
+                }
+            },
+        )
     }
 }
 
@@ -429,6 +570,13 @@ impl NodeProgram for PaProgram<'_> {
     type Msg = PaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, PaMsg>) {
+        // Slots seeded from the forest are past the wave: a leaf reports
+        // at once, the others as soon as their children have.
+        for slot in 0..self.states.len() {
+            if self.states[slot].started {
+                self.maybe_up(slot);
+            }
+        }
         self.tick_leader_start(ctx, 0);
         self.flush_pending(ctx);
     }
@@ -510,21 +658,29 @@ impl PartwiseOp for AggregateOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<PartwiseOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        let participation = ParticipationMap::of_session(session);
+        let tables = SessionTables::of_session(session);
         let sc = session.config();
         let cfg = PartwiseConfig {
             delay_range: sc.aggregate.delay_range,
             seed: sc.aggregate.seed,
             sim: sc.aggregate_sim(),
         };
-        let out = self.run_with(session.graph(), session.partition(), &cfg, &participation);
+        let mut forest = tables.forest.clone();
+        let (g, partition, participation) =
+            (session.graph(), session.partition(), &tables.participation);
+        let out = self.run_with(g, partition, &cfg, participation, &mut forest);
+        session.op_artifact_swap(SessionTables {
+            participation: participation.clone(),
+            forest,
+        });
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
     }
 }
 
 impl AggregateOp<'_> {
-    /// Runs the protocol over explicit artifacts (the non-session path).
+    /// Runs the protocol over explicit artifacts (the non-session path) —
+    /// always cold: the spanning trees it finds are not kept.
     ///
     /// # Panics
     ///
@@ -539,24 +695,31 @@ impl AggregateOp<'_> {
         cfg: &PartwiseConfig,
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, cfg, &participation)
+        let mut forest = AggForest::unrooted(partition, &participation);
+        self.run_with(g, partition, cfg, &participation, &mut forest)
     }
 
     /// Runs the protocol over a prebuilt [`ParticipationMap`] of
-    /// `partition` and its shortcut — the path the session ops take with
-    /// the cached map, and callers running several aggregations over one
-    /// `G[P_i] + H_i` (a Boruvka phase).
+    /// `partition` and its shortcut and the [`AggForest`] over it — the
+    /// path the session ops take with the cached tables, and callers
+    /// running several aggregations over one `G[P_i] + H_i` (a Boruvka
+    /// phase). A part `forest` holds a tree for, rooted at this run's
+    /// leader, starts at the convergecast; every other part runs the full
+    /// echo. Afterwards `forest` holds the trees of the parts this run
+    /// finished, and no other.
     ///
     /// # Panics
     ///
-    /// Panics if `self.values.len() != g.num_nodes()` or a leader is not a
-    /// member of its part.
+    /// Panics if `self.values.len() != g.num_nodes()`, a leader is not a
+    /// member of its part, or `forest` is not laid out over
+    /// `participation`.
     pub fn run_with(
         &self,
         g: &Graph,
         partition: &Partition,
         cfg: &PartwiseConfig,
         participation: &ParticipationMap,
+        forest: &mut AggForest,
     ) -> PartwiseOutcome {
         let (values, op, leaders) = (self.values, self.op, self.leaders);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
@@ -575,6 +738,17 @@ impl AggregateOp<'_> {
             );
         }
 
+        assert!(
+            forest.root.len() == k
+                && forest.parent.len() == participation.slot_part.len()
+                && forest.child.len() == participation.ports.len(),
+            "forest is not laid out over this participation map"
+        );
+        // Seed only from a tree rooted where this run's leader sits.
+        let rooted: Vec<bool> = (forest.root.iter().zip(leaders))
+            .map(|(&root, leader)| root == leader.0)
+            .collect();
+
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let delays = random_delays(&mut rng, k, cfg.delay_range);
 
@@ -583,29 +757,43 @@ impl AggregateOp<'_> {
             ..cfg.sim
         };
         let sim = Simulator::new(g, sim_cfg);
+        let seed = &*forest;
         let run = sim.run(|v, _| {
             let slots = participation.node(v);
             let own = partition.part_of(v).map(|p| p.0);
             let leads = own.filter(|&p| leaders[p as usize] == v);
-            let states = (slots.parts.iter())
-                .map(|&part| SlotState {
-                    priority: u64::from(delays[part as usize]),
-                    acc: if own == Some(part) {
-                        values[v.index()]
-                    } else {
-                        identity(op)
-                    },
-                    parent: NO_PORT,
-                    is_leader: leads == Some(part),
-                    ..SlotState::default()
+            let parents = &seed.parent[participation.slot_range(v)];
+            let mut is_child = seed.child[slots.entries()].to_vec();
+            let states = (slots.parts.iter().enumerate())
+                .map(|(s, &part)| {
+                    let children = &mut is_child[slots.port_range(s)];
+                    let seeded = rooted[part as usize];
+                    if !seeded {
+                        children.fill(false);
+                    }
+                    SlotState {
+                        priority: u64::from(delays[part as usize]),
+                        acc: if own == Some(part) {
+                            values[v.index()]
+                        } else {
+                            identity(op)
+                        },
+                        parent: if seeded { parents[s] } else { NO_PORT },
+                        pending_up: children.iter().filter(|&&c| c).count() as u32,
+                        started: seeded,
+                        is_leader: leads == Some(part),
+                        ..SlotState::default()
+                    }
                 })
                 .collect();
+            // A seeded leader has no wave to start.
+            let starts = leads.filter(|&p| !rooted[p as usize]);
             PaProgram {
                 op,
                 slots,
                 states,
-                is_child: vec![false; slots.num_ports()],
-                leader_start: leads.map(|p| (slots.slot_of(p), delays[p as usize])),
+                is_child,
+                leader_start: starts.map(|p| (slots.slot_of(p), delays[p as usize])),
                 pending: Vec::new(),
             }
         });
@@ -622,10 +810,13 @@ impl AggregateOp<'_> {
             .iter()
             .all(|(pid, members)| members.iter().all(|&v| result_at(v, pid).is_some()));
 
+        forest.harvest(&run.programs, leaders, run.metrics.truncated);
+
         PartwiseOutcome {
             results,
             all_members_informed: all_informed,
             metrics: run.metrics,
+            rooted_parts: rooted.iter().filter(|&&r| r).count(),
         }
     }
 }
@@ -643,6 +834,38 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         (g, partition, built.shortcut)
+    }
+
+    /// Parts `forest` holds a tree for.
+    fn rooted_parts(forest: &AggForest) -> usize {
+        forest.root.iter().filter(|&&r| r != NO_ROOT).count()
+    }
+
+    fn sum_of(values: &[u64]) -> AggregateOp<'_> {
+        AggregateOp {
+            values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+    }
+
+    /// A forest as table-independent facts: the root per part and, per
+    /// slot of a rooted part, `(node, part, parent port, child ports)`.
+    type ForestFacts = (Vec<u32>, Vec<(u32, u32, u32, Vec<u32>)>);
+
+    fn facts(forest: &AggForest, map: &ParticipationMap) -> ForestFacts {
+        let mut slots = Vec::new();
+        for v in (0..map.first_slot.len() as u32 - 1).map(NodeId) {
+            let (node, base) = (map.node(v), map.slot_range(v).start);
+            for (s, &part) in node.parts.iter().enumerate() {
+                let children = node.ports(s).iter().zip(&forest.child[node.entry_range(s)]);
+                let children = children.filter(|(_, &c)| c).map(|(&p, _)| p).collect();
+                if forest.root[part as usize] != NO_ROOT {
+                    slots.push((v.0, part, forest.parent[base + s], children));
+                }
+            }
+        }
+        (forest.root.clone(), slots)
     }
 
     #[test]
@@ -768,37 +991,34 @@ mod tests {
 
     /// The heaviest queued-mode consumer (many instances, mixed random-delay
     /// priorities) must be invisible to the thread count: same results,
-    /// same metrics.
+    /// same metrics, same harvested forest — on the cold run and on the
+    /// warm run seeded from it.
     #[test]
     fn partwise_is_thread_count_invariant() {
         let (g, partition, shortcut) = grid_setup(8);
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
-        let run_with = |threads| {
-            AggregateOp {
-                values: &values,
-                op: AggOp::Sum,
-                leaders: None,
-            }
-            .run_on(
-                &g,
-                &partition,
-                &shortcut,
-                &PartwiseConfig {
-                    delay_range: 12,
-                    sim: SimConfig {
-                        threads,
-                        ..SimConfig::default()
-                    },
-                    ..PartwiseConfig::default()
+        let cold_then_warm = |threads| {
+            let cfg = PartwiseConfig {
+                delay_range: 12,
+                sim: SimConfig {
+                    threads,
+                    ..SimConfig::default()
                 },
-            )
+                ..PartwiseConfig::default()
+            };
+            let mut forest = AggForest::unrooted(&partition, &map);
+            let runs = [(); 2].map(|()| {
+                let out = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+                assert!(out.all_members_informed);
+                (out.results, out.metrics.counts(), out.rooted_parts)
+            });
+            (runs, forest)
         };
-        let t1 = run_with(1);
-        assert!(t1.all_members_informed);
+        let t1 = cold_then_warm(1);
+        assert_eq!((t1.0[0].2, t1.0[1].2), (0, partition.num_parts()));
         for threads in [2, 4] {
-            let t = run_with(threads);
-            assert_eq!(t.results, t1.results, "threads={threads}");
-            assert_eq!(t.metrics.counts(), t1.metrics.counts(), "threads={threads}");
+            assert_eq!(cold_then_warm(threads), t1, "threads={threads}");
         }
     }
 
@@ -827,7 +1047,10 @@ mod tests {
         /// Random `reassign_parts` sequences through the real churn path
         /// (the session's incremental shortcut keeps untouched parts' `H_i`
         /// byte-identical, which is the contract `refreshed` relies on):
-        /// after every tick the refreshed table equals a fresh build.
+        /// after every tick the refreshed table equals a fresh build, the
+        /// carried forest is the old one minus the touched parts, and the
+        /// mixed run over it — touched parts echo, the others start at the
+        /// convergecast — answers like a cold run on a fresh build.
         #[test]
         fn refreshed_participation_matches_fresh_build(
             (g, parts) in arb_instance(),
@@ -836,7 +1059,11 @@ mod tests {
             use lcs_core::session::Session;
             let mut session = Session::on(&g).partition(parts).build().unwrap();
             session.prepare();
+            let cfg = PartwiseConfig::default();
+            let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
             let mut map = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
+            let mut forest = AggForest::unrooted(session.partition(), &map);
+            sum_of(&values).run_with(&g, session.partition(), &cfg, &map, &mut forest);
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut ticks = 0;
             for _ in 0..24 {
@@ -854,13 +1081,176 @@ mod tests {
                     continue;
                 }
                 session.prepare(); // re-customizes the touched parts in place
-                map = map.refreshed(&g, session.partition(), session.shortcut_ref(), &touched);
-                let fresh = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
-                prop_assert_eq!(&map, &fresh);
+                let (partition, shortcut) = (session.partition(), session.shortcut_ref());
+                let next = map.refreshed(&g, partition, shortcut, &touched);
+                prop_assert_eq!(&next, &ParticipationMap::build(&g, partition, shortcut));
+
+                let (mut roots, mut slots) = facts(&forest, &map);
+                let is_touched = |part: u32| touched.contains(&PartId(part));
+                slots.retain(|&(_, part, ..)| !is_touched(part));
+                for p in &touched {
+                    roots[p.index()] = NO_ROOT;
+                }
+                forest = forest.carried(&map, &next, &touched);
+                map = next;
+                prop_assert_eq!(facts(&forest, &map), (roots, slots));
+
+                let kept = partition.num_parts() - touched.len();
+                let mixed = sum_of(&values).run_with(&g, partition, &cfg, &map, &mut forest);
+                let fresh = sum_of(&values).run_on(&g, partition, shortcut, &cfg);
+                prop_assert_eq!(mixed.rooted_parts, kept);
+                prop_assert!(mixed.metrics.terminated && mixed.all_members_informed);
+                prop_assert_eq!(&mixed.results, &fresh.results);
+                let expect = crate::centralized_aggregate(partition, &values, AggOp::Sum);
+                prop_assert_eq!(mixed.results, expect.into_iter().map(Some).collect::<Vec<_>>());
+                prop_assert_eq!(rooted_parts(&forest), partition.num_parts());
                 ticks += 1;
             }
             prop_assert!(ticks > 0, "no tick was accepted");
         }
+    }
+
+    /// Root once, aggregate many: over a forest harvested from any earlier
+    /// run, an aggregation of any operator sends exactly one `Up` and one
+    /// `Down` per non-root slot and is no slower than the echo.
+    #[test]
+    fn warm_run_sends_only_up_and_down() {
+        let road = gen::road_like(12, 12, 3);
+        let road_parts = gen::voronoi_parts_seeded(&road, 9, 3);
+        let road_parts = Partition::from_parts(&road, road_parts).unwrap();
+        let (grid, rows, _) = grid_setup(8);
+        for (g, partition) in [(grid, rows), (road, road_parts)] {
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let shortcut =
+                full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+            let map = ParticipationMap::build(&g, &partition, &shortcut);
+            let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+            let cfg = PartwiseConfig::default();
+            let mut forest = AggForest::unrooted(&partition, &map);
+            sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+            assert_eq!(rooted_parts(&forest), partition.num_parts());
+            let rooted = forest.clone();
+            for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
+                let op = AggregateOp {
+                    op,
+                    ..sum_of(&values)
+                };
+                let cold = op.run_on(&g, &partition, &shortcut, &cfg);
+                let warm = op.run_with(&g, &partition, &cfg, &map, &mut forest);
+                assert_eq!(
+                    (cold.rooted_parts, warm.rooted_parts),
+                    (0, partition.num_parts())
+                );
+                assert!(warm.metrics.terminated && warm.all_members_informed);
+                assert_eq!(warm.results, cold.results);
+                let expect = crate::centralized_aggregate(&partition, &values, op.op);
+                assert_eq!(
+                    warm.results,
+                    expect.into_iter().map(Some).collect::<Vec<_>>()
+                );
+                let non_roots = (map.slot_part.len() - partition.num_parts()) as u64;
+                assert_eq!(warm.metrics.messages, 2 * non_roots);
+                assert!(warm.metrics.rounds <= cold.metrics.rounds);
+                assert_eq!(forest, rooted, "a warm run keeps the trees it ran over");
+            }
+        }
+    }
+
+    /// A run cut short by the round cap roots nothing — not even the parts
+    /// it was seeded with — and the next run re-roots everything.
+    #[test]
+    fn truncated_run_leaves_every_part_unrooted() {
+        let (g, partition, shortcut) = grid_setup(8);
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let values = vec![1u64; g.num_nodes()];
+        let capped = PartwiseConfig {
+            sim: SimConfig {
+                max_rounds: 2,
+                ..SimConfig::default()
+            },
+            ..PartwiseConfig::default()
+        };
+        let free = PartwiseConfig::default();
+        let cold = sum_of(&values).run_on(&g, &partition, &shortcut, &free);
+
+        let mut forest = AggForest::unrooted(&partition, &map);
+        for seeded in [0, partition.num_parts()] {
+            let cut = sum_of(&values).run_with(&g, &partition, &capped, &map, &mut forest);
+            assert!(cut.metrics.truncated && cut.rooted_parts == seeded);
+            assert_eq!(forest, AggForest::unrooted(&partition, &map));
+            let rerooted = sum_of(&values).run_with(&g, &partition, &free, &map, &mut forest);
+            assert_eq!(rerooted.rooted_parts, 0);
+            assert_eq!(rerooted.metrics.counts(), cold.metrics.counts());
+            assert_eq!(rerooted.results, cold.results);
+            assert_eq!(rooted_parts(&forest), partition.num_parts());
+        }
+    }
+
+    /// The relay island of `disconnected_shortcut_reports_uninformed` never
+    /// hears the wave, so its part's tree is unfinished: it is never
+    /// cached, and every run pays the echo again instead of waiting for an
+    /// `Up` the island cannot send.
+    #[test]
+    fn unfinished_part_is_never_seeded() {
+        let g = gen::path(8);
+        let parts = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]];
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let far = g.find_edge(NodeId(6), NodeId(7)).unwrap();
+        let s = Shortcut::from_edge_lists(vec![vec![far], vec![]]);
+        let map = ParticipationMap::build(&g, &partition, &s);
+        let cfg = PartwiseConfig::default();
+        let values = vec![1; 8];
+        let mut forest = AggForest::unrooted(&partition, &map);
+        let first = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert!(!first.metrics.terminated && first.all_members_informed);
+        assert_eq!(
+            forest.root,
+            [NO_ROOT, 2],
+            "only the connected part is rooted"
+        );
+        let again = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert_eq!(again.rooted_parts, 1);
+        assert_eq!(again.results, vec![Some(2), Some(2)]);
+        assert!(!again.metrics.terminated && again.all_members_informed);
+        // Part 0 re-floods its 1 participating edge (Offer + Adopt), part 1
+        // only converge- and broadcasts.
+        assert_eq!(first.metrics.messages, 8);
+        assert_eq!(again.metrics.messages, 4 + 2);
+        assert_eq!(forest.root, [NO_ROOT, 2]);
+    }
+
+    /// A tree is only good for the leader it is rooted at: explicit leaders
+    /// elsewhere (`aggregate_with_leaders`) run the cold echo, which
+    /// re-roots the parts at the new leaders.
+    #[test]
+    fn foreign_leader_reroots_the_part() {
+        let (g, partition, shortcut) = grid_setup(6);
+        let k = partition.num_parts();
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let cfg = PartwiseConfig::default();
+        let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
+        let mut last: Vec<NodeId> = partition
+            .iter()
+            .map(|(_, nodes)| *nodes.last().unwrap())
+            .collect();
+        last[0] = partition.part(PartId(0))[0]; // part 0 keeps its default leader
+        let elsewhere = AggregateOp {
+            leaders: Some(&last),
+            ..sum_of(&values)
+        };
+        let cold = elsewhere.run_on(&g, &partition, &shortcut, &cfg);
+
+        let mut forest = AggForest::unrooted(&partition, &map);
+        sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        let moved = elsewhere.run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert_eq!(moved.rooted_parts, 1);
+        assert_eq!(moved.results, cold.results);
+        assert!(moved.metrics.terminated && moved.all_members_informed);
+        assert_eq!(forest.root, last.iter().map(|l| l.0).collect::<Vec<_>>());
+        let warm = elsewhere.run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert_eq!((warm.rooted_parts, &warm.results), (k, &cold.results));
+        let back = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert_eq!((back.rooted_parts, &back.results), (1, &cold.results));
     }
 
     #[test]

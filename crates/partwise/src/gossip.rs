@@ -12,7 +12,7 @@
 //! [`AggregateOp`](crate::AggregateOp); the type system enforces the
 //! distinction via [`IdempotentOp`].
 
-use crate::dist::{NodeSlots, ParticipationMap};
+use crate::dist::{NodeSlots, ParticipationMap, SessionTables};
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
@@ -158,9 +158,10 @@ impl PartwiseOp for GossipOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<GossipOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        let participation = ParticipationMap::of_session(session);
+        let tables = SessionTables::of_session(session);
         let sim = session.config().aggregate_sim();
-        let out = self.run_with(session.graph(), session.partition(), sim, &participation);
+        let (g, partition) = (session.graph(), session.partition());
+        let out = self.run_with(g, partition, sim, &tables.participation);
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
     }

@@ -9,6 +9,25 @@
 //! multiplexed with the random-delays technique [LMR94, Gha15] on the queued
 //! CONGEST simulator, completing in `Õ(congestion + dilation)` rounds.
 //!
+//! # Root once, aggregate many
+//!
+//! The wave's spanning trees depend only on `G[P_i] + H_i` and the leaders,
+//! so an [`AggForest`] keeps them between runs: per slot of the
+//! [`ParticipationMap`] the parent port, per `(slot, port)` a child flag, per
+//! part the leader it is rooted at. [`AggregateOp::run_with`] takes the
+//! forest in/out. A *cold* run (nothing rooted; every
+//! [`AggregateOp::run_on`]) is the echo above, bit for bit. A *warm* run
+//! sends only the convergecast and the broadcast — exactly
+//! `2·(slots − parts)` messages. Rooted and unrooted parts mix in one run
+//! of one program, and [`PartwiseOutcome::rooted_parts`] reports how many
+//! were served from the forest. A part is rooted only by a run that was not
+//! truncated and finished it on every participating node; a part led from
+//! elsewhere is re-rooted by the echo. A session keeps the forest in the
+//! participation tables' artifact slot: `reassign_parts` churn unroots
+//! exactly the touched parts, and whatever drops the tables drops the
+//! forest. This is a model choice, not a host optimisation: nodes keep
+//! `O(participation)` words of state between aggregations.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +59,7 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{AggregateOp, ParticipationMap, PartwiseConfig, PartwiseOutcome};
+pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseConfig, PartwiseOutcome};
 pub use gossip::{GossipOp, GossipOutcome, IdempotentOp};
 pub use session_ops::SessionPartwiseOps;
 pub use unicast::{UnicastConfig, UnicastOp, UnicastOutcome};

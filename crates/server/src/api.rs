@@ -247,6 +247,10 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
                     "all_members_informed",
                     Value::Bool(report.result.all_members_informed),
                 ),
+                (
+                    "rooted_parts",
+                    Value::U64(report.result.rooted_parts as u64),
+                ),
             ]);
             Ok(report_value(&report, result))
         }

@@ -142,6 +142,16 @@ fn happy_path_ops_over_loopback() {
         get_u64(&agg.body, "rounds") > 0,
         "ops bill simulated rounds"
     );
+    // A served aggregate says whether it paid for the offer wave: the
+    // first one roots every part, the second is served from those trees.
+    let again = client
+        .post(&format!("/sessions/{id}/aggregate"), &body)
+        .expect("warm aggregate");
+    assert_eq!(result_values(&again), expected);
+    let rooted =
+        |r: &lcs_server::client::Response| get_u64(r.field("result").unwrap(), "rooted_parts");
+    assert_eq!((rooted(&agg), rooted(&again)), (0, rows));
+    assert!(get_u64(&again.body, "messages") < get_u64(&agg.body, "messages"));
 
     // Gossip min per row.
     let body = Value::object([

@@ -33,9 +33,19 @@ fn env_packing() -> usize {
         .unwrap_or(1)
 }
 
+/// Simulator lane count for the differential corpus (CI also runs it at
+/// `LCS_SIM_THREADS` ∈ {2, 8}; results must be identical).
+fn env_threads() -> usize {
+    std::env::var("LCS_SIM_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
 fn env_sim() -> SimConfig {
     SimConfig {
         message_packing: env_packing(),
+        threads: env_threads(),
         ..SimConfig::default()
     }
 }
@@ -215,6 +225,55 @@ fn session_aggregate_matches_centralized_on_ktrees_all_backends() {
         let parts = gen::random_connected_parts(&g, k, &mut rng);
         assert_session_matches_centralized(&g, parts, &format!("ktree seed {seed}"));
     }
+}
+
+/// Root once, aggregate many: the aggregation forest rides the
+/// participation tables' artifact slot. A warm aggregate is served from it
+/// (`rooted_parts`), gossip leaves it alone, `reassign_parts` churn unroots
+/// exactly the touched parts in the one patch per tick, foreign leaders
+/// re-root, and a wholesale partition change drops it with the tables.
+#[test]
+fn aggregation_forest_follows_the_participation_tables() {
+    let g = gen::grid(8, 8);
+    let mut session = Session::on(&g)
+        .partition(gen::rows_of_grid(8, 8))
+        .config(fast_config())
+        .build()
+        .unwrap();
+    let values: Vec<u64> = (0..64).collect();
+    let cold = session.aggregate(&values, AggOp::Sum);
+    let _ = session.gossip(&values, IdempotentOp::Max);
+    let warm = session.aggregate(&values, AggOp::Sum);
+    assert_eq!((cold.result.rooted_parts, warm.result.rooted_parts), (0, 8));
+    assert_eq!(warm.result.results, cold.result.results);
+    assert!(warm.result.all_members_informed && !warm.truncated);
+    assert!(warm.messages < cold.messages && warm.rounds <= cold.rounds);
+
+    let touched = reassign_one_boundary_node(&mut session).expect("rows have boundary moves");
+    let after_churn = session.aggregate(&values, AggOp::Sum);
+    assert_eq!(after_churn.result.rooted_parts, 8 - touched.len());
+    assert_eq!(
+        session.aggregate(&values, AggOp::Sum).result.rooted_parts,
+        8
+    );
+    assert_eq!(session.cache_stats().op_artifact_patches, 1);
+    assert_eq!(session.cache_stats().op_artifacts.builds, 1);
+
+    let last: Vec<NodeId> = (session.partition().iter())
+        .map(|(_, nodes)| *nodes.iter().max().unwrap())
+        .collect();
+    let moved = session.aggregate_with_leaders(&values, AggOp::Sum, &last);
+    assert_eq!(moved.result.rooted_parts, 0);
+    assert!(moved.result.all_members_informed);
+    let expect = centralized_aggregate(session.partition(), &values, AggOp::Sum);
+    let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+    assert_eq!(moved.result.results, expect);
+
+    let columns = (0..8).map(|c| (0..8).map(|r| NodeId(r * 8 + c)).collect());
+    session.set_partition(columns.collect()).unwrap();
+    let rebuilt = session.aggregate(&values, AggOp::Sum);
+    assert_eq!(rebuilt.result.rooted_parts, 0);
+    assert_eq!(session.cache_stats().op_artifacts.builds, 2);
 }
 
 /// Finds one boundary move the session accepts and applies it: candidates

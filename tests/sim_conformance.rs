@@ -380,29 +380,37 @@ fn metrics_match_pinned_seed_corpus_threads8() {
 /// captured on the hash-map participation layer (commit `12bee48`) by
 /// printing the actual rows, like [`PINNED`]. A rewrite of `lcs_partwise`
 /// is a host-only change and must leave the wire stream, packed and
-/// unpacked, exactly as it was.
+/// unpacked, exactly as it was. The `aggregate_sum_warm` rows (the second
+/// of two runs over one `AggForest`: `2·(slots − parts)` messages) were
+/// captured on the change that introduced the forest.
 #[rustfmt::skip]
 const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
     ("road48_voronoi24/aggregate_sum", [239, 23324, 962468, 3], [236, 22084, 962468, 2]),
     ("road48_voronoi24/aggregate_sum_delayed", [247, 23324, 962468, 3], [247, 22527, 962468, 4]),
+    ("road48_voronoi24/aggregate_sum_warm", [163, 9572, 756188, 12], [156, 9296, 756188, 6]),
     ("road48_voronoi24/gossip_max", [84, 47770, 3630520, 16], [79, 40112, 3520092, 8]),
     ("road48_voronoi24/unicast", [127, 2375, 76000, 2], [127, 2375, 76000, 2]),
     ("grid12_rows/aggregate_sum", [78, 4180, 164252, 9], [68, 3764, 164252, 1]),
     ("grid12_rows/aggregate_sum_delayed", [83, 4180, 164252, 5], [82, 4021, 164252, 5]),
+    ("grid12_rows/aggregate_sum_warm", [55, 1848, 138600, 12], [49, 1477, 138600, 6]),
     ("grid12_rows/gossip_max", [49, 7357, 529704, 13], [24, 4440, 514152, 6]),
     ("grid12_rows/unicast", [28, 461, 14752, 3], [28, 461, 14752, 3]),
     ("wheel64_rim/aggregate_sum", [8, 504, 13104, 2], [8, 502, 13104, 1]),
     ("wheel64_rim/aggregate_sum_delayed", [20, 504, 13104, 2], [20, 502, 13104, 1]),
+    ("wheel64_rim/aggregate_sum_warm", [4, 126, 9324, 1], [4, 126, 9324, 1]),
     ("wheel64_rim/gossip_max", [3, 615, 43665, 1], [3, 615, 43665, 1]),
     ("wheel64_rim/unicast", [6, 62, 1984, 2], [6, 62, 1984, 2]),
 ];
 
-/// The part-wise corpus: aggregate (with and without random delays),
-/// gossip and unicast on a road-like graph with voronoi parts, grid rows
-/// and the wheel rim. Fingerprints are the protocol results.
+/// The part-wise corpus: aggregate (cold with and without random delays,
+/// and warm over the forest a cold run left), gossip and unicast on a
+/// road-like graph with voronoi parts, grid rows and the wheel rim.
+/// Fingerprints are the protocol results.
 fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
     use low_congestion_shortcuts::facade::{AggregateOp, GossipOp, UnicastOp};
-    use low_congestion_shortcuts::partwise::{IdempotentOp, PartwiseConfig, UnicastConfig};
+    use low_congestion_shortcuts::partwise::{
+        AggForest, IdempotentOp, ParticipationMap, PartwiseConfig, UnicastConfig,
+    };
     use rand::Rng;
 
     let sim = SimConfig {
@@ -444,6 +452,24 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
                 format!("{:?}", out.results),
             ));
         }
+        // The second of two runs over one forest: `Up`/`Down` only.
+        let cfg = PartwiseConfig {
+            sim,
+            ..PartwiseConfig::default()
+        };
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let mut forest = AggForest::unrooted(&partition, &map);
+        aggregate.run_with(&g, &partition, &cfg, &map, &mut forest);
+        let out = aggregate.run_with(&g, &partition, &cfg, &map, &mut forest);
+        assert!(
+            out.all_members_informed && out.rooted_parts == partition.num_parts(),
+            "{name}/aggregate_sum_warm"
+        );
+        rows.push(row(
+            &format!("{name}/aggregate_sum_warm"),
+            &out.metrics,
+            format!("{:?}", out.results),
+        ));
         let gossip = GossipOp {
             values: &values,
             op: IdempotentOp::Max,
