@@ -5,7 +5,7 @@
 //! unit weights, the MST machinery computes a spanning forest, and fragment
 //! ids at fixpoint are component labels, in `Õ(δD)` rounds per phase.
 
-use crate::mst::{boruvka_config_of, distributed_mst, BoruvkaConfig, MstReport};
+use crate::mst::{boruvka_config_of, distributed_mst, op_report, BoruvkaConfig, MstReport};
 use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, UnionFind};
@@ -67,18 +67,15 @@ impl PartwiseOp for ComponentsOp {
             let cfg = boruvka_config_of(s);
             distributed_components(s.graph(), s.root(), &cfg)
         });
-        let cfg = boruvka_config_of(session);
-        let (threads, bandwidth_bits) = crate::mst::exec_config(session.graph(), cfg.partwise.sim);
-        OpReport {
-            rounds: report.mst.rounds.total(),
-            messages: report.mst.messages,
-            bits: report.mst.bits,
-            truncated: report.mst.truncated,
-            quality: None,
-            threads,
-            bandwidth_bits,
-            result: (*report).clone(),
-        }
+        op_report(
+            session.graph(),
+            session.config().mst_sim(),
+            report.mst.rounds.total(),
+            report.mst.messages,
+            report.mst.bits,
+            report.mst.truncated,
+            (*report).clone(),
+        )
     }
 }
 

@@ -19,7 +19,7 @@
 //! deg-sum half is simulated and whose LCA-token half is computed centrally
 //! (charged as zero; `O(D + load)` rounds in theory).
 
-use crate::mst::{boruvka_config_of, distributed_mst, BoruvkaConfig, MstRounds};
+use crate::mst::{boruvka_config_of, distributed_mst, op_report, BoruvkaConfig, MstRounds};
 use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
 use lcs_congest::Simulator;
 use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
@@ -193,9 +193,11 @@ impl PartwiseOp for MincutOp {
     type Output = MincutReport;
 
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<MincutReport> {
-        let mincut_config = |s: &ShortcutSession<'_>| {
+        // Purely topology-scoped: partition and weight churn keep the
+        // cached report alive.
+        let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
             let boruvka = boruvka_config_of(s);
-            MincutConfig {
+            let cfg = MincutConfig {
                 trees: s.config().mincut.trees,
                 boruvka: BoruvkaConfig {
                     partwise: lcs_partwise::PartwiseConfig {
@@ -204,26 +206,18 @@ impl PartwiseOp for MincutOp {
                     },
                     ..boruvka
                 },
-            }
-        };
-        // Purely topology-scoped: partition and weight churn keep the
-        // cached report alive.
-        let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            approx_mincut_distributed(s.graph(), s.root(), &mincut_config(s))
+            };
+            approx_mincut_distributed(s.graph(), s.root(), &cfg)
         });
-        let cfg = mincut_config(session);
-        let (threads, bandwidth_bits) =
-            crate::mst::exec_config(session.graph(), cfg.boruvka.partwise.sim);
-        OpReport {
-            rounds: report.rounds.total() + report.eval_rounds,
-            messages: report.messages,
-            bits: report.bits,
-            truncated: report.truncated,
-            quality: None,
-            threads,
-            bandwidth_bits,
-            result: (*report).clone(),
-        }
+        op_report(
+            session.graph(),
+            session.config().mincut_sim(),
+            report.rounds.total() + report.eval_rounds,
+            report.messages,
+            report.bits,
+            report.truncated,
+            (*report).clone(),
+        )
     }
 }
 

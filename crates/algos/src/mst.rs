@@ -10,10 +10,10 @@
 //! second aggregation wave. All MWOEs are safe by the cut property under
 //! the (weight, edge-id) tie-break, so the edge set is exact.
 
-use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
-use lcs_core::dist::{distributed_full_shortcut, DistConfig, DistMode};
-use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, ShortcutSession};
+use lcs_congest::{id_bits, SimConfig, Simulator};
+use lcs_core::dist::{distributed_full_shortcut, DistConfig};
+use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
 use lcs_core::{full_shortcut, Partition, Shortcut, ShortcutConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
@@ -386,10 +386,10 @@ pub fn distributed_mst(
 /// ([`PartwiseOp`]): the session supplies graph, root, the edge weights
 /// (the `Weights` input — set via the builder's `.weights(..)` or
 /// `session.set_weights(..)`), and the shortcut provider matching its
-/// backend (centralized oracle for [`Backend::Centralized`], the simulated
-/// Theorem 1.5 construction for [`Backend::Distributed`] /
-/// [`Backend::Sketch`]); per-phase fragment partitions are built by the
-/// algorithm itself.
+/// [`Backend`](lcs_core::session::Backend) (centralized oracle for
+/// `Centralized`, the simulated Theorem 1.5 construction for `Distributed`
+/// / `Sketch`); per-phase fragment partitions are built by the algorithm
+/// itself.
 ///
 /// The [`MstReport`] is cached as a weight-scoped session artifact
 /// (`deps::WEIGHTED`): repeated calls reuse it until the weights (or
@@ -405,8 +405,15 @@ impl PartwiseOp for MstOp {
             let cfg = boruvka_config_of(s);
             distributed_mst(s.graph(), s.weights(), s.root(), &cfg)
         });
-        let cfg = boruvka_config_of(session);
-        op_report(session.graph(), &cfg, (*report).clone())
+        op_report(
+            session.graph(),
+            session.config().mst_sim(),
+            report.rounds.total(),
+            report.messages,
+            report.bits,
+            report.truncated,
+            (*report).clone(),
+        )
     }
 }
 
@@ -414,16 +421,9 @@ impl PartwiseOp for MstOp {
 /// [`SessionConfig`](lcs_core::session::SessionConfig) knobs.
 pub fn boruvka_config_of(session: &ShortcutSession<'_>) -> BoruvkaConfig {
     let sc = session.config();
-    let provider = match session.backend() {
-        Backend::Centralized => ShortcutProvider::MinorSweepOracle(sc.shortcut),
-        Backend::Distributed(sim) => ShortcutProvider::MinorSweepDistributed(
-            sc.shortcut,
-            DistConfig {
-                mode: DistMode::Exact,
-                sim: *sim,
-            },
-        ),
-        Backend::Sketch(dist) => ShortcutProvider::MinorSweepDistributed(sc.shortcut, *dist),
+    let provider = match session.backend().dist_config() {
+        None => ShortcutProvider::MinorSweepOracle(sc.shortcut),
+        Some(dist) => ShortcutProvider::MinorSweepDistributed(sc.shortcut, dist),
     };
     BoruvkaConfig {
         provider,
@@ -438,26 +438,28 @@ pub fn boruvka_config_of(session: &ShortcutSession<'_>) -> BoruvkaConfig {
     }
 }
 
-/// Resolves `(effective threads, bandwidth bits)` — the execution
-/// configuration an [`OpReport`] records — for a simulator setting on `g`.
-pub(crate) fn exec_config(g: &Graph, sim: lcs_congest::SimConfig) -> (usize, usize) {
-    let s = lcs_congest::Simulator::new(g, sim);
-    (s.effective_threads(), s.bandwidth_bits())
-}
-
-/// Wraps an [`MstReport`] into the uniform [`OpReport`], resolving the
-/// execution configuration from the Boruvka simulator settings.
-pub(crate) fn op_report(g: &Graph, cfg: &BoruvkaConfig, report: MstReport) -> OpReport<MstReport> {
-    let (threads, bandwidth_bits) = exec_config(g, cfg.partwise.sim);
+/// Wraps the (cached) report of a whole-graph op into the uniform
+/// [`OpReport`]: its simulated totals plus the execution configuration —
+/// effective threads, bandwidth bits — `sim` resolves to on `g`.
+pub(crate) fn op_report<T>(
+    g: &Graph,
+    sim: SimConfig,
+    rounds: u64,
+    messages: u64,
+    bits: u64,
+    truncated: bool,
+    result: T,
+) -> OpReport<T> {
+    let simulator = Simulator::new(g, sim);
     OpReport {
-        rounds: report.rounds.total(),
-        messages: report.messages,
-        bits: report.bits,
-        truncated: report.truncated,
+        rounds,
+        messages,
+        bits,
+        truncated,
         quality: None,
-        threads,
-        bandwidth_bits,
-        result: report,
+        threads: simulator.effective_threads(),
+        bandwidth_bits: simulator.bandwidth_bits(),
+        result,
     }
 }
 

@@ -9,8 +9,8 @@
 //! [`Session::on(&graph)`](Session::on) starts a typed builder
 //! (`.tree(..)`, `.partition(..)`, `.backend(..)`, `.config(..)`), and the
 //! resulting [`ShortcutSession`] lazily computes and caches the BFS tree,
-//! diameter bounds, the full shortcut (with quality report and dense-minor
-//! certificate), and per-`δ̂` partial sweeps. Construction runs on one of
+//! the full shortcut (with quality report and dense-minor certificate),
+//! and per-`δ̂` partial sweeps. Construction runs on one of
 //! three pluggable [`Backend`]s — centralized Theorem 1.2, the simulated
 //! exact Theorem 1.5 protocol, or KMV-sketch detection — and every
 //! operation ([`PartwiseOp`] impls in `lcs_partwise` / `lcs_algos`)
@@ -37,9 +37,9 @@
 //! partition wholesale, [`ShortcutSession::reassign_parts`] moves nodes
 //! between parts and re-customizes only the touched parts, and
 //! [`ShortcutSession::update_weights`] mutates the weight input of MST.
-//! Each cached artifact declares which inputs it depends on and is
-//! invalidated precisely when one changes — see the [`session`] module
-//! docs for the epoch model.
+//! Each cached artifact declares which of the two mutable inputs
+//! (partition, weights) it depends on and is invalidated precisely when
+//! one changes — see the [`session`] module docs for the epoch model.
 //!
 //! # The underlying machinery
 //!
@@ -78,12 +78,10 @@ mod sweep;
 mod witness;
 
 pub mod dist;
-pub mod hierarchy;
 pub mod session;
 
 pub use config::{ShortcutConfig, WitnessMode};
 pub use full::{full_shortcut, FullShortcutResult, RoundLog};
-pub use hierarchy::HierarchySession;
 pub use partition::{Partition, PartitionError};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{

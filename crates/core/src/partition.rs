@@ -98,8 +98,8 @@ impl Partition {
 
     /// [`from_parts`](Self::from_parts), additionally requiring every node
     /// of `g` to be covered — the validation partition *sources* (rows,
-    /// voronoi, separator levels) and hierarchy sessions use, where an
-    /// unassigned node is a bug, not a choice.
+    /// voronoi, separator levels) use, where an unassigned node is a bug,
+    /// not a choice.
     ///
     /// # Errors
     ///

@@ -1,0 +1,165 @@
+//! The typed builder: `Session::on(&graph)` … `.build()`.
+
+use super::cache::{deps, CacheStats, Epochs, Slot};
+use super::{Backend, FullArtifact, SessionConfig, ShortcutSession, TreeSource};
+use crate::source::{GraphSource, PartitionSource};
+use crate::{Partition, PartitionError, Shortcut};
+use lcs_graph::weights::EdgeWeights;
+use lcs_graph::{Graph, NodeId};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// Entry point of the builder: `Session::on(&graph)`.
+pub struct Session;
+
+impl Session {
+    /// Starts building a session over `g`.
+    pub fn on(g: &Graph) -> SessionBuilder<'_> {
+        SessionBuilder {
+            g,
+            tree: None,
+            parts: None,
+            partition: None,
+            weights: None,
+            backend: Backend::Centralized,
+            config: SessionConfig::default(),
+            provided_shortcut: None,
+        }
+    }
+}
+
+/// Builder for [`ShortcutSession`]. Construction is free: no tree and no
+/// shortcut is computed until an accessor or operation first needs it.
+pub struct SessionBuilder<'g> {
+    g: &'g Graph,
+    tree: Option<TreeSource>,
+    parts: Option<Vec<Vec<NodeId>>>,
+    partition: Option<Partition>,
+    weights: Option<EdgeWeights>,
+    backend: Backend,
+    config: SessionConfig,
+    provided_shortcut: Option<Shortcut>,
+}
+
+impl<'g> SessionBuilder<'g> {
+    /// Sets the tree source (default: BFS from `NodeId(0)`).
+    pub fn tree(mut self, source: TreeSource) -> Self {
+        self.tree = Some(source);
+        self
+    }
+
+    /// Sets the partition from raw node lists (validated at
+    /// [`build`](Self::build)).
+    pub fn partition(mut self, parts: Vec<Vec<NodeId>>) -> Self {
+        self.parts = Some(parts);
+        self.partition = None;
+        self
+    }
+
+    /// Sets an already-validated partition.
+    pub fn partition_object(mut self, partition: Partition) -> Self {
+        self.partition = Some(partition);
+        self.parts = None;
+        self
+    }
+
+    /// Sets a declarative [`PartitionSource`], resolved against the graph
+    /// at [`build`](Self::build) time (stored in
+    /// [`SessionConfig::partition_source`], so the whole recipe stays in
+    /// the one serde-able config). An explicit `.partition(..)` /
+    /// `.partition_object(..)` takes precedence. The resolved parts must
+    /// cover every node — [`build`](Self::build) returns
+    /// [`PartitionError::Uncovered`] otherwise (e.g. a Voronoi source on
+    /// a disconnected graph).
+    pub fn partition_source(mut self, source: PartitionSource) -> Self {
+        self.config.partition_source = Some(source);
+        self
+    }
+
+    /// Records the declarative [`GraphSource`] the session's graph came
+    /// from (stored in [`SessionConfig::graph_source`], so the whole
+    /// recipe stays in the one serde-able config). The explicit graph
+    /// handed to [`Session::on`] always wins — the source is provenance,
+    /// resolved (if at all) *before* the builder exists via
+    /// [`GraphSource::resolve`](crate::GraphSource::resolve) /
+    /// [`ResolvedGraph::session`](crate::ResolvedGraph::session), which
+    /// calls this setter for you.
+    pub fn graph_source(mut self, source: GraphSource) -> Self {
+        self.config.graph_source = Some(source);
+        self
+    }
+
+    /// Sets the initial edge weights (the `Weights` input read by weighted
+    /// ops like MST; mutable later via
+    /// [`set_weights`](ShortcutSession::set_weights) /
+    /// [`update_weights`](ShortcutSession::update_weights)).
+    ///
+    /// # Panics
+    ///
+    /// [`build`](Self::build) panics if the length differs from the
+    /// graph's edge count.
+    pub fn weights(mut self, weights: EdgeWeights) -> Self {
+        self.weights = Some(weights);
+        self
+    }
+
+    /// Sets the construction backend (default: [`Backend::Centralized`]).
+    pub fn backend(mut self, backend: Backend) -> Self {
+        self.backend = backend;
+        self
+    }
+
+    /// Sets the session configuration (default: [`SessionConfig::default`]).
+    pub fn config(mut self, config: SessionConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Seeds the shortcut cache with an externally built shortcut (e.g.
+    /// deserialized from a prior run, or a baseline for comparison). The
+    /// session serves it as-is and charges zero constructions.
+    pub fn shortcut(mut self, shortcut: Shortcut) -> Self {
+        self.provided_shortcut = Some(shortcut);
+        self
+    }
+
+    /// Finishes the builder. Validates the partition (if given as raw node
+    /// lists); everything else stays lazy.
+    pub fn build(self) -> Result<ShortcutSession<'g>, PartitionError> {
+        let partition = match (self.partition, self.parts) {
+            (Some(p), _) => Some(p),
+            (None, Some(lists)) => Some(Partition::from_parts(self.g, lists)?),
+            (None, None) => match &self.config.partition_source {
+                Some(src) => Some(Partition::from_parts_covering(self.g, src.resolve(self.g))?),
+                None => None,
+            },
+        };
+        if let Some(w) = &self.weights {
+            assert_eq!(w.len(), self.g.num_edges(), "one weight per edge required");
+        }
+        let source = self.tree.unwrap_or(TreeSource::Bfs(NodeId(0)));
+        let (root, tree) = match source {
+            TreeSource::Bfs(r) => (r, None),
+            TreeSource::Provided(t) => (t.root(), Some(t)),
+        };
+        let tree_provided = tree.is_some();
+        let stamp = Epochs::default();
+        Ok(ShortcutSession {
+            g: self.g,
+            root,
+            partition,
+            weights: self.weights,
+            backend: self.backend,
+            config: self.config,
+            epochs: stamp,
+            tree: tree.map(|t| Slot::new(t, stamp, deps::TOPOLOGY_ONLY)),
+            tree_provided,
+            full: self
+                .provided_shortcut
+                .map(|s| Slot::new(FullArtifact::provided(s), stamp, deps::SHORTCUT)),
+            partials: BTreeMap::new(),
+            op_artifacts: HashMap::new(),
+            partition_log: VecDeque::new(),
+            stats: CacheStats::default(),
+        })
+    }
+}

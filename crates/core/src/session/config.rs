@@ -1,0 +1,206 @@
+//! What a session is configured with: tree source, construction backend,
+//! and the one serde-able [`SessionConfig`] with its per-op override
+//! blocks.
+
+use crate::dist::{DistConfig, DistMode};
+use crate::source::{GraphSource, PartitionSource};
+use crate::ShortcutConfig;
+use lcs_congest::SimConfig;
+use lcs_graph::{NodeId, RootedTree};
+use serde::{Deserialize, Serialize};
+
+/// Where the session's spanning tree comes from.
+#[derive(Clone, Debug)]
+pub enum TreeSource {
+    /// Run BFS from this root (the canonical min-id-parent rule, identical
+    /// to what the distributed BFS protocol builds).
+    Bfs(NodeId),
+    /// Use a caller-provided rooted tree (e.g. deserialized from a prior
+    /// run, or a non-BFS tree for experiments). Note: the distributed
+    /// backends run the Theorem 1.5 protocol, which builds its own BFS
+    /// tree — they accept a provided tree only if it equals that canonical
+    /// tree (asserted at construction time); arbitrary trees require
+    /// [`Backend::Centralized`].
+    Provided(RootedTree),
+}
+
+/// The execution backend shortcut construction runs on.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Backend {
+    /// Centralized Theorem 1.2 construction (no simulated rounds charged).
+    Centralized,
+    /// Distributed Theorem 1.5 construction with exact set streaming on the
+    /// CONGEST simulator, using this simulator configuration. Reproduces
+    /// the centralized cut set edge-for-edge.
+    Distributed(SimConfig),
+    /// Distributed Theorem 1.5 construction with the given detection
+    /// configuration — typically [`DistMode::Sketch`], which caps per-edge
+    /// traffic at `t + 1` messages and makes `n = 10⁵` affordable.
+    Sketch(DistConfig),
+}
+
+impl Backend {
+    /// The Theorem 1.5 protocol configuration this backend runs, or `None`
+    /// for [`Backend::Centralized`]: [`Backend::Distributed`] is exact set
+    /// streaming on its simulator settings, [`Backend::Sketch`] carries
+    /// its own.
+    pub fn dist_config(&self) -> Option<DistConfig> {
+        match *self {
+            Backend::Centralized => None,
+            Backend::Distributed(sim) => Some(DistConfig {
+                mode: DistMode::Exact,
+                sim,
+            }),
+            Backend::Sketch(dist) => Some(dist),
+        }
+    }
+}
+
+/// Per-op overrides for leader-based aggregation (absorbs the legacy
+/// `PartwiseConfig` knobs).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct AggregateOpts {
+    /// Leaders delay their start uniformly in `[0, delay_range)` rounds;
+    /// `0` disables the random-delays smoothing.
+    pub delay_range: u32,
+    /// Seed for the delays.
+    pub seed: u64,
+    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
+    pub sim: Option<SimConfig>,
+}
+
+impl Default for AggregateOpts {
+    fn default() -> Self {
+        AggregateOpts {
+            delay_range: 0,
+            seed: 0xde1af,
+            sim: None,
+        }
+    }
+}
+
+/// Per-op overrides for multi-unicast routing (absorbs the legacy
+/// `UnicastConfig` knobs).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct UnicastOpts {
+    /// Packets start after a uniform random delay in `[0, delay_range)`.
+    pub delay_range: u32,
+    /// Seed for delays and queue priorities.
+    pub seed: u64,
+    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
+    pub sim: Option<SimConfig>,
+}
+
+impl Default for UnicastOpts {
+    fn default() -> Self {
+        UnicastOpts {
+            delay_range: 0,
+            seed: 0x0417,
+            sim: None,
+        }
+    }
+}
+
+/// Per-op overrides for Boruvka MST / connectivity (absorbs the legacy
+/// `BoruvkaConfig` knobs; the shortcut provider is derived from the
+/// session's [`Backend`]).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct MstOpts {
+    /// Seed for the merge coin flips.
+    pub seed: u64,
+    /// Safety cap on phases; `None` = `4·log₂ n + 16`.
+    pub max_phases: Option<usize>,
+    /// Skip shortcutting fragments of at most `2D + 1` nodes (their own
+    /// diameter already meets the dilation bound).
+    pub skip_small_fragments: bool,
+    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
+    pub sim: Option<SimConfig>,
+}
+
+impl Default for MstOpts {
+    fn default() -> Self {
+        MstOpts {
+            seed: 0xb0_aa_12,
+            max_phases: None,
+            skip_small_fragments: true,
+            sim: None,
+        }
+    }
+}
+
+/// Per-op overrides for the min-cut approximation (absorbs the legacy
+/// `MincutConfig` knobs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct MincutOpts {
+    /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
+    pub trees: Option<usize>,
+    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
+    pub sim: Option<SimConfig>,
+}
+
+/// Every knob of the facade in one serde-able struct: shortcut-construction
+/// parameters, the session-wide simulator configuration, and per-op
+/// override blocks. This collapses the legacy `PartwiseConfig` /
+/// `UnicastConfig` / `BoruvkaConfig` / `MincutConfig` constellation into a
+/// single value a service can load from disk.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct SessionConfig {
+    /// Theorem 3.1 construction constants and witness policy.
+    pub shortcut: ShortcutConfig,
+    /// Simulator settings every op inherits (ops force the queue mode they
+    /// need; [`SimConfig::threads`] selects the sharded executor and
+    /// [`SimConfig::message_packing`] the multi-value packing factor —
+    /// `k > 1` coalesces burst sends into multi-value CONGEST messages,
+    /// cutting rounds on streaming workloads like the sketch construction
+    /// while leaving every result bit-identical).
+    pub sim: SimConfig,
+    /// Aggregation overrides.
+    pub aggregate: AggregateOpts,
+    /// Unicast overrides.
+    pub unicast: UnicastOpts,
+    /// MST / connectivity overrides.
+    pub mst: MstOpts,
+    /// Min-cut overrides.
+    pub mincut: MincutOpts,
+    /// Declarative partition source, resolved at
+    /// [`build`](super::SessionBuilder::build) time when the builder was
+    /// given no explicit partition (an explicit `.partition(..)` /
+    /// `.partition_object(..)` always wins). Lets one serde-able config
+    /// carry the whole session recipe — including *how* to partition —
+    /// across processes. Sources must cover every node
+    /// ([`Partition::from_parts_covering`](crate::Partition::from_parts_covering)).
+    pub partition_source: Option<PartitionSource>,
+    /// Declarative graph source — *where the graph came from*. Sessions
+    /// always run over the explicit [`Graph`](lcs_graph::Graph) handed to
+    /// [`Session::on`](super::Session::on) (the graph is the session's
+    /// borrowed substrate, so an explicit graph always wins, mirroring the
+    /// [`partition_source`](Self::partition_source) precedence); this
+    /// field makes the recipe serde-able end to end:
+    /// [`GraphSource::resolve`](crate::GraphSource::resolve) +
+    /// [`ResolvedGraph::session`](crate::ResolvedGraph::session) start a
+    /// builder from the recorded source, and servers canonicalize it into
+    /// their dedup keys.
+    pub graph_source: Option<GraphSource>,
+}
+
+impl SessionConfig {
+    /// The simulator configuration for aggregation/gossip ops.
+    pub fn aggregate_sim(&self) -> SimConfig {
+        self.aggregate.sim.unwrap_or(self.sim)
+    }
+
+    /// The simulator configuration for unicast routing.
+    pub fn unicast_sim(&self) -> SimConfig {
+        self.unicast.sim.unwrap_or(self.sim)
+    }
+
+    /// The simulator configuration for MST / connectivity.
+    pub fn mst_sim(&self) -> SimConfig {
+        self.mst.sim.unwrap_or(self.sim)
+    }
+
+    /// The simulator configuration for min-cut.
+    pub fn mincut_sim(&self) -> SimConfig {
+        self.mincut.sim.unwrap_or(self.sim)
+    }
+}

@@ -1,0 +1,835 @@
+//! The `ShortcutSession` facade: build once, serve many operations,
+//! mutate cheaply.
+//!
+//! The whole point of the shortcut framework (and of this paper) is that
+//! one object — the shortcut — is *prepared once* for a topology and then
+//! *served* to many part-wise operations: aggregation, gossip, unicast
+//! routing, MST, connectivity, min-cut. This module is the API that says
+//! so. A [`ShortcutSession`] is built via the [`Session`] builder:
+//!
+//! ```
+//! use lcs_core::session::{Backend, Session, TreeSource};
+//! use lcs_graph::{gen, NodeId};
+//!
+//! let g = gen::grid(8, 8);
+//! let mut session = Session::on(&g)
+//!     .tree(TreeSource::Bfs(NodeId(0)))
+//!     .partition(gen::rows_of_grid(8, 8))
+//!     .backend(Backend::Centralized)
+//!     .build()?;
+//! // Artifacts are computed lazily and cached: the first access constructs,
+//! // every later access reuses.
+//! let delta_hat = session.delta_hat();
+//! assert_eq!(session.cache_stats().full.builds, 1);
+//! let _ = session.shortcut(); // cached — no second construction
+//! assert_eq!(session.cache_stats().full.builds, 1);
+//! # Ok::<(), lcs_core::PartitionError>(())
+//! ```
+//!
+//! # The artifact graph
+//!
+//! The graph, the tree, the backend and the configuration are fixed when
+//! the session is built; exactly two [`Input`]s can change under it — the
+//! partition and the edge weights — and each carries an epoch counter
+//! ([`Epochs`]). The session caches the BFS tree, the full shortcut (with
+//! its quality report and dense-minor certificate), per-`δ̂` partial
+//! shortcuts, and typed per-op artifacts. Each cached artifact declares
+//! which inputs it depends on (the constants in [`deps`]): a cached value
+//! is served only while its recorded epochs agree with the current ones
+//! on every declared dependency, and is invalidated — precisely, lazily —
+//! when one of them bumps. One routine does the hit / invalidate / build /
+//! stamp sequence for every artifact class.
+//!
+//! # Mutating a live session
+//!
+//! Sessions are not frozen after the first construction; the mutation API
+//! bumps input epochs instead of requiring a rebuild-from-scratch:
+//!
+//! * [`set_partition`](ShortcutSession::set_partition) replaces the
+//!   partition wholesale — every partition-scoped artifact is invalidated
+//!   and rebuilt on next access;
+//! * [`reassign_parts`](ShortcutSession::reassign_parts) moves individual
+//!   nodes between existing parts and *re-customizes incrementally*: only
+//!   the touched parts' shortcut edges and quality rows are recomputed
+//!   (a mini doubling search over just those parts), everything else
+//!   survives byte-for-byte;
+//! * [`set_weights`](ShortcutSession::set_weights) /
+//!   [`update_weights`](ShortcutSession::update_weights) mutate the
+//!   `Weights` input read by weighted algorithms (MST) — the shortcut and
+//!   partition artifacts are weight-independent and survive.
+//!
+//! The preparation/customization split mirrors customizable contraction
+//! hierarchies: the metric- and partition-independent work (the tree) is
+//! never repeated, and partition churn pays only for what it touched.
+//! [`CacheStats`] reports builds/hits/invalidations per artifact class so a
+//! serving process can watch the cache behave.
+//!
+//! Operations plug in through the [`PartwiseOp`] trait (implemented by
+//! `lcs_partwise` and `lcs_algos`; the umbrella crate's `facade` module
+//! re-exports the method-call surface `session.aggregate(..)`,
+//! `session.mst(..)`, …). Every operation returns a uniform [`OpReport`].
+//! All knobs live in one serde-able [`SessionConfig`] with per-op
+//! overrides.
+//!
+//! # Layout
+//!
+//! `error` (the typed [`SessionError`]), `config` ([`TreeSource`],
+//! [`Backend`], [`SessionConfig`] and its option blocks), `builder`
+//! ([`Session`] / [`SessionBuilder`]), `cache` (inputs, epochs, dependency
+//! sets, stats, the cache routine, the mutation API and the op-artifact
+//! table) and `construct` (the artifacts and how each is produced); this
+//! file holds the session itself, [`OpReport`] and [`PartwiseOp`].
+
+mod builder;
+mod cache;
+mod config;
+mod construct;
+mod error;
+
+pub use builder::{Session, SessionBuilder};
+pub use cache::{deps, ArtifactStats, CacheStats, Epochs, Input};
+pub use config::{
+    AggregateOpts, Backend, MincutOpts, MstOpts, SessionConfig, TreeSource, UnicastOpts,
+};
+pub use construct::{ConstructionStats, FullArtifact, PartialArtifact};
+pub use error::SessionError;
+
+use crate::{Partition, QualityReport};
+use cache::{OpValue, PartitionDelta, Slot};
+use error::{NO_PARTITION, NO_WEIGHTS};
+use lcs_congest::RunMetrics;
+use lcs_graph::weights::EdgeWeights;
+use lcs_graph::{Graph, NodeId, RootedTree};
+use std::any::TypeId;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
+
+/// The uniform result wrapper every session operation returns: the op's
+/// typed result plus the simulated cost and the execution configuration it
+/// was measured under.
+#[derive(Clone, Debug)]
+pub struct OpReport<T> {
+    /// The operation's own outcome (aggregates, routed packets, MST
+    /// edges, …).
+    pub result: T,
+    /// Simulated rounds of the operation (construction rounds of cached
+    /// artifacts are *not* re-charged — that is the point of the session).
+    pub rounds: u64,
+    /// Simulated messages.
+    pub messages: u64,
+    /// Simulated bits (id-aware accounting).
+    pub bits: u64,
+    /// Whether a simulator run of the operation was cut short by
+    /// [`SimConfig::max_rounds`](lcs_congest::SimConfig::max_rounds): the
+    /// result is then partial and must not be read as a finished answer.
+    pub truncated: bool,
+    /// Quality of the served shortcut, when the op ran over the session's
+    /// partition (`None` for fragment-based ops like MST, whose partitions
+    /// change per phase). Shared via [`Arc`] with the session's cache — the
+    /// report is measured once per session and every `OpReport` holds the
+    /// same allocation instead of a per-call deep clone of its O(k)
+    /// per-part vectors.
+    pub quality: Option<Arc<QualityReport>>,
+    /// Worker threads the simulator ran with.
+    pub threads: usize,
+    /// Per-message bandwidth limit (bits) the run enforced.
+    pub bandwidth_bits: usize,
+}
+
+impl<T> OpReport<T> {
+    /// Wraps an op result measured by a single simulator run.
+    pub fn from_metrics(
+        result: T,
+        metrics: &RunMetrics,
+        quality: Option<Arc<QualityReport>>,
+    ) -> Self {
+        OpReport {
+            result,
+            rounds: metrics.rounds,
+            messages: metrics.messages,
+            bits: metrics.bits,
+            truncated: metrics.truncated,
+            quality,
+            threads: metrics.threads,
+            bandwidth_bits: metrics.bandwidth_bits,
+        }
+    }
+
+    /// Maps the result, keeping the measurements.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> OpReport<U> {
+        OpReport {
+            result: f(self.result),
+            rounds: self.rounds,
+            messages: self.messages,
+            bits: self.bits,
+            truncated: self.truncated,
+            quality: self.quality,
+            threads: self.threads,
+            bandwidth_bits: self.bandwidth_bits,
+        }
+    }
+}
+
+/// An operation the session can drive: part-wise aggregation, gossip,
+/// unicast routing, MST, connectivity, min-cut. Implementations live next
+/// to their protocols (`lcs_partwise`, `lcs_algos`); the session supplies
+/// the cached artifacts and collects the uniform [`OpReport`].
+pub trait PartwiseOp {
+    /// The operation's typed result.
+    type Output;
+
+    /// Runs the operation over the session's cached artifacts.
+    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<Self::Output>;
+}
+
+/// A prepared-topology session: one graph, one tree, one backend, one
+/// configuration — with a mutable partition and mutable weights.
+/// Artifacts are computed lazily, cached under per-input epoch stamps,
+/// invalidated precisely when a declared dependency changes, and served to
+/// any number of operations. See the [module docs](self) for the full
+/// story.
+pub struct ShortcutSession<'g> {
+    g: &'g Graph,
+    root: NodeId,
+    partition: Option<Partition>,
+    weights: Option<EdgeWeights>,
+    backend: Backend,
+    config: SessionConfig,
+    /// Current epoch of each [`Input`].
+    epochs: Epochs,
+    tree: Option<Slot<RootedTree>>,
+    /// Whether `tree` came from [`TreeSource::Provided`] (the distributed
+    /// backends must verify it matches the protocol's own BFS tree).
+    tree_provided: bool,
+    /// The full shortcut; its quality report rides inside.
+    full: Option<Slot<FullArtifact>>,
+    partials: BTreeMap<u32, Slot<PartialArtifact>>,
+    /// Per-op-type derived artifacts (e.g. the partwise participation
+    /// map), keyed by the artifact's [`TypeId`] and shared via [`Arc`].
+    /// See [`op_artifact_with`](ShortcutSession::op_artifact_with).
+    op_artifacts: HashMap<TypeId, Slot<OpValue>>,
+    /// What each of the most recent partition-epoch bumps changed, newest
+    /// last (bounded; older changes cannot be patched across).
+    partition_log: VecDeque<PartitionDelta>,
+    stats: CacheStats,
+}
+
+impl<'g> ShortcutSession<'g> {
+    /// The graph this session serves.
+    pub fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    /// The tree root.
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// The construction backend.
+    pub fn backend(&self) -> &Backend {
+        &self.backend
+    }
+
+    /// The session configuration.
+    pub fn config(&self) -> &SessionConfig {
+        &self.config
+    }
+
+    /// The session partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was built without one (partition-based ops
+    /// require `.partition(..)` on the builder). Use
+    /// [`try_partition`](Self::try_partition) for the fallible form.
+    pub fn partition(&self) -> &Partition {
+        self.partition.as_ref().expect(NO_PARTITION)
+    }
+
+    /// Fallible [`partition`](Self::partition): the session partition, or
+    /// [`SessionError::NoPartition`].
+    pub fn try_partition(&self) -> Result<&Partition, SessionError> {
+        self.partition.as_ref().ok_or(SessionError::NoPartition)
+    }
+
+    /// The session's edge weights (the `Weights` input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has no weights — pass `.weights(..)` to the
+    /// builder or call [`set_weights`](Self::set_weights).
+    pub fn weights(&self) -> &EdgeWeights {
+        self.weights.as_ref().expect(NO_WEIGHTS)
+    }
+
+    /// Per-artifact cache counters: builds, hits, invalidations, and the
+    /// incremental-recustomization tallies.
+    pub fn cache_stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Drives one operation over the cached artifacts. Equivalent to the
+    /// named methods of the facade (`session.aggregate(..)`,
+    /// `session.mst(..)`, …), which are extension-trait sugar over this.
+    pub fn run<O: PartwiseOp>(&mut self, op: O) -> OpReport<O::Output> {
+        op.run(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{measure_quality, PartitionError};
+    use lcs_congest::SimConfig;
+    use lcs_graph::{bfs, gen, EdgeId, PartId};
+
+    /// Shortcut constructions performed: full builds plus one per distinct
+    /// partial `δ̂` (incremental re-customizations do not count).
+    fn constructed(s: &ShortcutSession<'_>) -> u64 {
+        let stats = s.cache_stats();
+        stats.full.builds + stats.partials.builds
+    }
+
+    fn grid_session(side: usize) -> ShortcutSession<'static> {
+        // Leak the graph for 'static test sessions (tests only).
+        let g = Box::leak(Box::new(gen::grid(side, side)));
+        Session::on(g)
+            .tree(TreeSource::Bfs(NodeId(0)))
+            .partition(gen::rows_of_grid(side, side))
+            .build()
+            .expect("grid rows are valid parts")
+    }
+
+    #[test]
+    fn builder_is_lazy_and_artifacts_cache() {
+        let mut s = grid_session(8);
+        assert_eq!(constructed(&s), 0, "build() must not construct");
+        let dh = s.delta_hat();
+        assert_eq!(dh, 1);
+        assert_eq!(constructed(&s), 1);
+        // Every later access is served from the cache.
+        let edges_a = s.shortcut().total_edges();
+        let edges_b = s.shortcut().total_edges();
+        assert_eq!(edges_a, edges_b);
+        let _ = s.quality();
+        let _ = s.witness();
+        assert_eq!(constructed(&s), 1);
+        assert_eq!(s.cache_stats().full.builds, 1);
+        assert!(s.cache_stats().full.hits >= 3);
+        assert_eq!(s.cache_stats().full.invalidations, 0);
+    }
+
+    #[test]
+    fn tree_is_cached() {
+        let mut s = grid_session(6);
+        let d1 = s.tree().depth_of_tree();
+        let d2 = s.tree().depth_of_tree();
+        assert_eq!(d1, d2);
+        assert_eq!(constructed(&s), 0, "the tree is not a construction");
+        assert_eq!(s.cache_stats().tree.builds, 1);
+        assert_eq!(s.cache_stats().tree.hits, 1);
+    }
+
+    #[test]
+    fn partials_cache_per_delta_hat() {
+        let mut s = grid_session(8);
+        let served1 = s.partial(1).served.len();
+        assert_eq!(constructed(&s), 1);
+        let served1_again = s.partial(1).served.len();
+        assert_eq!(served1, served1_again);
+        assert_eq!(constructed(&s), 1, "same δ̂ reuses the cache");
+        let _ = s.partial(2);
+        assert_eq!(constructed(&s), 2, "a new δ̂ constructs once");
+        assert_eq!(s.cache_stats().partials.builds, 2);
+        assert_eq!(s.cache_stats().partials.hits, 1);
+    }
+
+    #[test]
+    fn distributed_backend_matches_centralized_shortcut() {
+        let g = gen::grid(8, 8);
+        let parts = gen::rows_of_grid(8, 8);
+        let mut central = Session::on(&g)
+            .partition(parts.clone())
+            .backend(Backend::Centralized)
+            .build()
+            .unwrap();
+        let mut dist = Session::on(&g)
+            .partition(parts)
+            .backend(Backend::Distributed(SimConfig::default()))
+            .build()
+            .unwrap();
+        // Exact streaming reproduces the centralized construction.
+        assert_eq!(central.shortcut(), dist.shortcut());
+        assert_eq!(central.delta_hat(), dist.delta_hat());
+        // The distributed backend charges simulated construction cost.
+        let stats = dist.construction_stats();
+        assert!(stats.rounds > 0 && stats.messages > 0 && stats.bits > 0);
+        assert_eq!(central.construction_stats(), ConstructionStats::default());
+    }
+
+    #[test]
+    fn provided_shortcut_is_served_without_construction() {
+        let g = gen::grid(6, 6);
+        let parts = gen::rows_of_grid(6, 6);
+        let mut built = Session::on(&g).partition(parts.clone()).build().unwrap();
+        let sc = built.shortcut().clone();
+        let mut served = Session::on(&g)
+            .partition(parts)
+            .shortcut(sc.clone())
+            .build()
+            .unwrap();
+        assert_eq!(served.shortcut(), &sc);
+        assert_eq!(served.delta_hat(), 0, "provided shortcuts have unknown δ̂");
+        assert_eq!(constructed(&served), 0);
+    }
+
+    #[test]
+    fn distributed_backend_accepts_the_canonical_provided_tree() {
+        let g = gen::grid(5, 5);
+        let tree = bfs::bfs_tree(&g, NodeId(3));
+        let mut s = Session::on(&g)
+            .tree(TreeSource::Provided(tree))
+            .partition(gen::rows_of_grid(5, 5))
+            .backend(Backend::Distributed(SimConfig::default()))
+            .build()
+            .unwrap();
+        let _ = s.shortcut(); // the provided tree IS the protocol's tree
+        assert_eq!(constructed(&s), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs at node")]
+    fn distributed_backend_rejects_non_canonical_trees() {
+        // On a cycle, the path tree (parent(i) = i-1) is a valid spanning
+        // tree rooted at 0 but NOT the BFS tree (BFS splits both ways).
+        let g = gen::cycle(6);
+        let n = 6u32;
+        let parent: Vec<_> = (0..n)
+            .map(|i| {
+                (i > 0).then(|| {
+                    let p = NodeId(i - 1);
+                    let e = g.find_edge(p, NodeId(i)).expect("cycle edge");
+                    (p, e)
+                })
+            })
+            .collect();
+        let dist: Vec<u32> = (0..n).collect();
+        let order: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let path_tree = lcs_graph::RootedTree::from_parents(&g, NodeId(0), &parent, &dist, &order);
+        let mut sess = Session::on(&g)
+            .tree(TreeSource::Provided(path_tree))
+            .partition(vec![vec![NodeId(0), NodeId(1)]])
+            .backend(Backend::Distributed(SimConfig::default()))
+            .build()
+            .unwrap();
+        let _ = sess.shortcut();
+    }
+
+    #[test]
+    fn provided_tree_sets_the_root() {
+        let g = gen::grid(5, 5);
+        let tree = bfs::bfs_tree(&g, NodeId(12));
+        let mut s = Session::on(&g)
+            .tree(TreeSource::Provided(tree.clone()))
+            .build()
+            .unwrap();
+        assert_eq!(s.root(), NodeId(12));
+        assert_eq!(s.tree().parent(NodeId(0)), tree.parent(NodeId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "no partition")]
+    fn partition_ops_demand_a_partition() {
+        let g = gen::path(4);
+        let mut s = Session::on(&g).build().unwrap();
+        let _ = s.shortcut();
+    }
+
+    #[test]
+    fn op_artifacts_build_once_and_share_one_allocation() {
+        struct Expensive(usize);
+        let mut s = grid_session(6);
+        let mut builds = 0;
+        let a = s.op_artifact_with(deps::SHORTCUT, |s| {
+            builds += 1;
+            s.prepare();
+            let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
+            Expensive(g.num_nodes() + partition.num_parts() + shortcut.num_parts())
+        });
+        let b = s.op_artifact_with(deps::SHORTCUT, |_| -> Expensive {
+            unreachable!("cached after first build")
+        });
+        assert_eq!(builds, 1);
+        assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
+        assert_eq!(a.0, 36 + 6 + 6);
+        // Accessing the artifact forced the full shortcut exactly once.
+        assert_eq!(constructed(&s), 1);
+        assert_eq!(s.cache_stats().op_artifacts.builds, 1);
+        assert_eq!(s.cache_stats().op_artifacts.hits, 1);
+    }
+
+    #[test]
+    fn op_artifacts_are_invalidated_by_partition_changes() {
+        // The pre-epoch cache served stale op artifacts across partition
+        // changes; pin the fix.
+        struct PartCount(usize);
+        let mut s = grid_session(4);
+        let count = |s: &mut ShortcutSession<'_>| PartCount(s.partition().num_parts());
+        let a = s.op_artifact_with(deps::SHORTCUT, count);
+        assert_eq!(a.0, 4);
+        let two_rows: Vec<Vec<NodeId>> =
+            vec![(0..8).map(NodeId).collect(), (8..16).map(NodeId).collect()];
+        s.set_partition(two_rows).unwrap();
+        let b = s.op_artifact_with(deps::SHORTCUT, count);
+        assert_eq!(b.0, 2, "artifact must rebuild against the new partition");
+        assert_eq!(s.cache_stats().op_artifacts.builds, 2);
+        assert_eq!(s.cache_stats().op_artifacts.invalidations, 1);
+    }
+
+    #[test]
+    fn op_artifacts_respect_declared_dependency_sets() {
+        struct TreeScoped(#[allow(dead_code)] u32);
+        let mut s = grid_session(4);
+        let a = s.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
+            TreeScoped(s.tree().depth_of_tree())
+        });
+        s.set_partition(gen::rows_of_grid(4, 4)).unwrap();
+        let b = s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| -> TreeScoped {
+            unreachable!("tree-scoped artifacts survive partition churn")
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn reassign_recustomizes_incrementally() {
+        let mut s = grid_session(8);
+        let _ = s.quality();
+        assert_eq!(s.cache_stats().full.builds, 1);
+        // Move the first node of row 1 into row 0's part: both stay
+        // connected (rows are paths; (1,0)-(0,0) is a grid edge).
+        let touched = s
+            .reassign_parts(&[(NodeId(8), PartId(0))])
+            .expect("move keeps both parts connected");
+        assert_eq!(touched, vec![PartId(0), PartId(1)]);
+        assert_eq!(s.partition().part_of(NodeId(8)), Some(PartId(0)));
+        let q_patched = s.quality().clone();
+        // No full rebuild happened — one incremental re-customization did.
+        assert_eq!(s.cache_stats().full.builds, 1);
+        assert_eq!(s.cache_stats().full.invalidations, 0);
+        assert_eq!(s.cache_stats().recustomizations, 1);
+        assert_eq!(s.cache_stats().recustomized_parts, 2);
+        // The patched report is exactly what a fresh measurement of the
+        // mutated session's shortcut yields.
+        let tree = s.tree().clone();
+        let fresh = measure_quality(s.graph(), s.partition(), &tree, s.shortcut_ref());
+        assert_eq!(q_patched, fresh);
+        assert!(q_patched.all_connected());
+    }
+
+    #[test]
+    fn repeated_reassignments_accumulate_into_one_patch() {
+        let mut s = grid_session(8);
+        let _ = s.shortcut();
+        // Two mutations before the next artifact access: the refresh must
+        // cover the union of touched parts.
+        s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
+        s.reassign_parts(&[(NodeId(63), PartId(6))]).unwrap();
+        let _ = s.quality();
+        assert_eq!(s.cache_stats().full.builds, 1);
+        assert_eq!(s.cache_stats().recustomizations, 1);
+        assert_eq!(s.cache_stats().recustomized_parts, 4);
+        let tree = s.tree().clone();
+        let fresh = measure_quality(s.graph(), s.partition(), &tree, s.shortcut_ref());
+        assert_eq!(s.quality(), &fresh);
+    }
+
+    #[test]
+    fn reassign_error_leaves_the_session_untouched() {
+        let mut s = grid_session(6);
+        let _ = s.shortcut();
+        let before = s.epochs;
+        // Moving an interior row node away would disconnect its row.
+        let err = s.reassign_parts(&[(NodeId(9), PartId(0))]).unwrap_err();
+        assert!(matches!(err, PartitionError::Disconnected(1)));
+        assert_eq!(s.epochs, before, "failed mutations must not bump epochs");
+        assert_eq!(s.partition().part_of(NodeId(9)), Some(PartId(1)));
+        let _ = s.shortcut();
+        assert_eq!(s.cache_stats().full.builds, 1);
+    }
+
+    #[test]
+    fn noop_reassignment_is_free() {
+        let mut s = grid_session(6);
+        let _ = s.shortcut();
+        let before = s.epochs;
+        let touched = s.reassign_parts(&[(NodeId(7), PartId(1))]).unwrap();
+        assert!(touched.is_empty(), "node already in its target part");
+        assert_eq!(s.epochs, before);
+    }
+
+    #[test]
+    fn set_partition_invalidates_wholesale() {
+        let mut s = grid_session(6);
+        let _ = s.quality();
+        assert_eq!(s.cache_stats().full.builds, 1);
+        s.set_partition(gen::rows_of_grid(6, 6)).unwrap();
+        let _ = s.quality();
+        assert_eq!(s.cache_stats().full.builds, 2);
+        assert_eq!(s.cache_stats().full.invalidations, 1);
+        assert_eq!(s.cache_stats().quality.builds, 2);
+        assert_eq!(s.cache_stats().recustomizations, 0);
+    }
+
+    #[test]
+    fn weights_input_is_epoch_tracked() {
+        struct TotalWeight(u64);
+        let g = gen::grid(4, 4);
+        let mut s = Session::on(&g)
+            .partition(gen::rows_of_grid(4, 4))
+            .weights(EdgeWeights::unit(&g))
+            .build()
+            .unwrap();
+        let before = s.epochs;
+        // Re-setting equal weights is a no-op.
+        s.set_weights(EdgeWeights::unit(&g));
+        assert_eq!(s.epochs, before);
+        let a = s.op_artifact_with(deps::WEIGHTED, |s| {
+            TotalWeight(s.weights().total(s.graph().edges().map(|e| e.id)))
+        });
+        assert_eq!(a.0, g.num_edges() as u64);
+        // Weight-scoped artifacts survive partition churn...
+        s.set_partition(gen::rows_of_grid(4, 4)).unwrap();
+        let b = s.op_artifact_with(deps::WEIGHTED, |_| -> TotalWeight {
+            unreachable!("weight-scoped artifacts ignore the partition epoch")
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        // ...but not weight updates.
+        s.update_weights(&[(EdgeId(0), 11)]);
+        let c = s.op_artifact_with(deps::WEIGHTED, |s| {
+            TotalWeight(s.weights().total(s.graph().edges().map(|e| e.id)))
+        });
+        assert_eq!(c.0, g.num_edges() as u64 + 10);
+    }
+
+    #[test]
+    fn op_artifact_patched_takes_the_incremental_path() {
+        /// Tracks which parts were patched.
+        struct EdgesPerPart(Vec<usize>);
+        fn build(s: &mut ShortcutSession<'_>) -> EdgesPerPart {
+            s.prepare();
+            let sc = s.shortcut_ref();
+            EdgesPerPart(
+                (0..sc.num_parts())
+                    .map(|p| sc.edges_for(PartId(p as u32)).len())
+                    .collect(),
+            )
+        }
+        let mut s = grid_session(8);
+        let a = s.op_artifact_patched(deps::SHORTCUT, build, |_, _, _| {
+            unreachable!("first access builds")
+        });
+        s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
+        let b = s.op_artifact_patched(
+            deps::SHORTCUT,
+            |_| -> EdgesPerPart { unreachable!("tracked churn must patch, not rebuild") },
+            |s, old, touched| {
+                s.prepare();
+                let sc = s.shortcut_ref();
+                let mut v = old.0.clone();
+                for &p in touched {
+                    v[p.index()] = sc.edges_for(p).len();
+                }
+                EdgesPerPart(v)
+            },
+        );
+        assert_eq!(b.0, build(&mut s).0, "patched == rebuilt from scratch");
+        assert_eq!(s.cache_stats().op_artifact_patches, 1);
+        // A wholesale replacement falls back to build.
+        s.set_partition(gen::rows_of_grid(8, 8)).unwrap();
+        let c = s.op_artifact_patched(deps::SHORTCUT, build, |_, _, _| {
+            unreachable!("wholesale changes cannot be patched")
+        });
+        assert_eq!(c.0.len(), 8);
+        drop(a);
+    }
+
+    #[test]
+    fn op_artifact_swap_replaces_a_fresh_value_only() {
+        #[derive(Debug, PartialEq)]
+        struct Learned(u32);
+        let mut s = grid_session(8);
+        s.op_artifact_swap(Learned(7)); // no slot yet: nothing to replace
+        let zero = |_: &mut ShortcutSession<'_>| Learned(0);
+        assert_eq!(*s.op_artifact_with(deps::SHORTCUT, zero), Learned(0));
+        let before = *s.cache_stats();
+        s.op_artifact_swap(Learned(1));
+        assert_eq!(*s.cache_stats(), before, "a swap is no build, hit or patch");
+        let cached = s.op_artifact_with(deps::SHORTCUT, |_| -> Learned { unreachable!("cached") });
+        assert_eq!(*cached, Learned(1));
+        // A value learned under an older partition must not resurface.
+        s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
+        s.op_artifact_swap(Learned(2));
+        assert_eq!(*s.op_artifact_with(deps::SHORTCUT, zero), Learned(0));
+    }
+
+    #[test]
+    fn quality_is_shared_not_cloned() {
+        let mut s = grid_session(6);
+        let a = s.quality_shared().expect("session has a partition");
+        let b = s.quality_shared().expect("session has a partition");
+        assert!(Arc::ptr_eq(&a, &b), "reports share the cached allocation");
+        assert_eq!(constructed(&s), 1);
+    }
+
+    #[test]
+    fn config_sim_overrides_resolve() {
+        let mut cfg = SessionConfig::default();
+        assert_eq!(cfg.aggregate_sim(), cfg.sim);
+        let over = SimConfig {
+            threads: 4,
+            ..SimConfig::default()
+        };
+        cfg.unicast.sim = Some(over);
+        assert_eq!(cfg.unicast_sim(), over);
+        assert_eq!(cfg.mst_sim(), cfg.sim);
+        assert_eq!(cfg.mincut_sim(), cfg.sim);
+    }
+
+    #[test]
+    fn shortcut_ref_reports_lifecycle_states() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let panics = |s: &ShortcutSession<'_>| {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                let _ = s.shortcut_ref();
+            }));
+            err.err()
+                .map(|p| *p.downcast::<&str>().expect("a literal panic message"))
+        };
+        let mut s = grid_session(5);
+        // Never prepared.
+        assert_eq!(
+            panics(&s),
+            Some("shortcut not prepared — call prepare() first")
+        );
+        s.prepare();
+        assert_eq!(panics(&s), None);
+        // Partition churn stales the shortcut until the next prepare().
+        s.reassign_parts(&[(NodeId(0), PartId(1))])
+            .expect("row move keeps parts connected");
+        assert!(panics(&s).is_some_and(|m| m.starts_with("shortcut stale")));
+        s.prepare();
+        assert_eq!(panics(&s), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "shortcut stale — an input changed since prepare()")]
+    fn shortcut_ref_panic_message_is_unchanged() {
+        let mut s = grid_session(5);
+        s.prepare();
+        s.reassign_parts(&[(NodeId(0), PartId(1))])
+            .expect("row move keeps parts connected");
+        let _ = s.shortcut_ref();
+    }
+
+    #[test]
+    fn try_accessors_report_missing_inputs() {
+        let g = gen::path(4);
+        let mut s = Session::on(&g).build().unwrap();
+        assert_eq!(s.try_partition().unwrap_err(), SessionError::NoPartition);
+        assert_eq!(s.try_quality().unwrap_err(), SessionError::NoPartition);
+        assert_eq!(
+            s.try_full_artifact().unwrap_err(),
+            SessionError::NoPartition
+        );
+        assert_eq!(
+            s.try_update_weights(&[(EdgeId(0), 2)]).unwrap_err(),
+            SessionError::NoWeights
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "δ̂ must be at least 1")]
+    fn partial_rejects_zero_delta_hat() {
+        let _ = grid_session(4).partial(0);
+    }
+
+    #[test]
+    fn try_update_weights_validates_edges_atomically() {
+        let mut s = grid_session(4);
+        let m = s.graph().num_edges();
+        s.set_weights(EdgeWeights::unit(s.graph()));
+        let before = s.epochs;
+        let err = s
+            .try_update_weights(&[(EdgeId(0), 7), (EdgeId(m as u32), 9)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::EdgeOutOfRange {
+                edge: EdgeId(m as u32),
+                num_edges: m
+            }
+        );
+        // Rejected updates leave weights and epochs untouched.
+        assert_eq!(s.epochs, before);
+        assert_eq!(s.weights().weight(EdgeId(0)), 1);
+        s.try_update_weights(&[(EdgeId(0), 7)]).expect("in range");
+        assert_eq!(s.weights().weight(EdgeId(0)), 7);
+    }
+
+    #[test]
+    fn try_set_weights_validates_length() {
+        let mut s = grid_session(4);
+        let g2 = gen::path(3);
+        let err = s.try_set_weights(EdgeWeights::unit(&g2)).unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::WeightCountMismatch {
+                got: 2,
+                expected: s.graph().num_edges()
+            }
+        );
+        assert_eq!(
+            s.try_update_weights(&[]).unwrap_err(),
+            SessionError::NoWeights,
+            "rejected weights are not installed"
+        );
+    }
+
+    #[test]
+    fn try_reassign_parts_reports_typed_errors() {
+        let mut s = grid_session(4);
+        let parts = s.partition().num_parts();
+        // Target part out of range: typed error instead of the panic the
+        // legacy `reassign_parts` keeps.
+        let err = s
+            .try_reassign_parts(&[(NodeId(0), PartId(parts as u32))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::PartOutOfRange {
+                part: PartId(parts as u32),
+                num_parts: parts
+            }
+        );
+        // Node out of range flows through as a wrapped PartitionError.
+        let n = s.graph().num_nodes();
+        let err = s
+            .try_reassign_parts(&[(NodeId(n as u32), PartId(0))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::Partition(PartitionError::OutOfRange(NodeId(n as u32)))
+        );
+        // And the happy path still reassigns.
+        let touched = s
+            .try_reassign_parts(&[(NodeId(0), PartId(1))])
+            .expect("row move keeps parts connected");
+        assert_eq!(touched.len(), 2);
+    }
+
+    #[test]
+    fn session_error_display_matches_legacy_messages() {
+        assert_eq!(SessionError::NoPartition.to_string(), NO_PARTITION);
+        assert_eq!(SessionError::NoWeights.to_string(), NO_WEIGHTS);
+    }
+}

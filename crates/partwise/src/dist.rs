@@ -105,8 +105,7 @@ pub struct ParticipationMap {
 }
 
 impl ParticipationMap {
-    /// Derives the map from a graph, partition, and shortcut (the
-    /// signature [`ShortcutSession::op_artifact`] expects).
+    /// Derives the map from a graph, partition, and shortcut.
     ///
     /// # Panics
     ///

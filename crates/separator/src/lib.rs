@@ -20,9 +20,8 @@
 //!   partition source for `lcs_core` sessions (each region keeps its cut
 //!   level, so regions stay connected: the near side of a cut is a union
 //!   of BFS level prefixes, the far sides are components);
-//! * the tree itself powers hierarchy-mode sessions: level-`k` parts are
-//!   unions of level-`k+1` parts by construction, so shortcut artifacts
-//!   built on the finer level warm-start the coarser one.
+//! * the levels form a refinement chain: level-`k` parts are unions of
+//!   level-`k+1` parts by construction.
 //!
 //! Everything is deterministic: regions are kept sorted by node id, BFS
 //! follows the CSR adjacency order, and farthest-node ties break toward
@@ -103,8 +102,7 @@ impl SepNode {
 ///
 /// Every level of the tree is a partition of the vertex set into
 /// connected parts ([`partition_at_level`](Self::partition_at_level)),
-/// and level-`k` parts are unions of level-`k+1` parts — the refinement
-/// chain hierarchy-mode sessions exploit.
+/// and level-`k` parts are unions of level-`k+1` parts.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeparatorTree {
     /// The arena, DFS preorder, root first.

@@ -34,6 +34,7 @@
 use crate::error::ApiError;
 use crate::json;
 use crate::metrics::Metrics;
+use lcs_core::dist::{DistConfig, DistMode};
 use lcs_core::session::{Backend, Session, SessionConfig, ShortcutSession};
 use lcs_core::{GeneratorSpec, GraphSource, Partition, PartitionSource};
 use lcs_graph::weights::EdgeWeights;
@@ -692,6 +693,17 @@ impl SessionSpec {
                     .map_err(|e| ApiError::bad_args(format!("field `backend`: {e}")))?,
             ),
         };
+        // A sketch of capacity below 2 deserializes but cannot detect
+        // anything: the construction asserts on it mid-run.
+        if let Some(Backend::Sketch(DistConfig {
+            mode: DistMode::Sketch { t: 0 | 1, .. },
+            ..
+        })) = backend
+        {
+            return Err(ApiError::bad_args(
+                "field `backend.Sketch.mode.Sketch.t`: sketch detection needs capacity t >= 2",
+            ));
+        }
         let config = match json::lookup(v, "config") {
             None => None,
             Some(c) => Some(

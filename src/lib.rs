@@ -101,8 +101,9 @@ pub use lcs_separator as separator;
 ///
 /// # Mutating a live session
 ///
-/// Sessions are no longer frozen after the first construction. Five
-/// tracked inputs — `Topology`, `Tree`, `Partition`, `Weights`, `Sim`
+/// Sessions are not frozen after the first construction. Graph, tree,
+/// backend and configuration are fixed at `build()`; the two inputs that
+/// can change — `Partition` and `Weights`
 /// ([`Input`](lcs_core::session::Input)) — each carry an epoch counter
 /// ([`Epochs`](lcs_core::session::Epochs)); every cached artifact records
 /// the epochs it was built under plus a declared dependency set
@@ -111,8 +112,8 @@ pub use lcs_separator as separator;
 ///
 /// * [`set_partition`](lcs_core::session::ShortcutSession::set_partition)
 ///   replaces the partition wholesale — shortcut, quality, partials, and
-///   partition-scoped op artifacts rebuild on next access; the tree and
-///   diameter bounds survive.
+///   partition-scoped op artifacts rebuild on next access; the tree
+///   survives.
 /// * [`reassign_parts`](lcs_core::session::ShortcutSession::reassign_parts)
 ///   moves nodes between existing parts and **re-customizes
 ///   incrementally**: a mini doubling search over only the touched parts
@@ -133,11 +134,15 @@ pub use lcs_separator as separator;
 /// **Migration note:** code that held a `&PartialArtifact` (or
 /// `&Shortcut` from `shortcut_ref()`) across a mutation must re-fetch it
 /// afterwards: references returned by the accessors are tied to the epoch
-/// they were read at, and `shortcut_ref()`/`tree_ref()` panic if called
-/// on a stale cache — call `prepare()` (or any owning accessor) after a
-/// mutation to refresh. The borrow checker already prevents holding a
-/// shared borrow across the `&mut self` mutation calls; the panic guards
-/// the remaining raw-handle patterns.
+/// they were read at, and `shortcut_ref()` — the one shared-reference
+/// accessor; `tree_ref()` is gone, read the tree through `tree()` —
+/// panics if called on a stale cache: call `prepare()` (or any owning
+/// accessor) after a mutation to refresh. The borrow checker already
+/// prevents holding a shared borrow across the `&mut self` mutation
+/// calls; the panic guards the remaining raw-handle patterns. Diameter
+/// bounds are no session artifact:
+/// `lcs_graph::diameter::diameter_bounds(session.graph(), session.root())`
+/// is the one call it was.
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_algos::{
@@ -150,7 +155,7 @@ pub mod facade {
         FullArtifact, Input, MincutOpts, MstOpts, OpReport, PartialArtifact, PartwiseOp, Session,
         SessionBuilder, SessionConfig, SessionError, ShortcutSession, TreeSource, UnicastOpts,
     };
-    pub use lcs_core::{HierarchySession, PartitionSource};
+    pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};
     pub use lcs_separator::{nested_dissection, SeparatorConfig, SeparatorTree};
 }
@@ -158,8 +163,8 @@ pub mod facade {
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use crate::facade::{
-        Backend, HierarchySession, OpReport, PartitionSource, Session, SessionAlgoOps,
-        SessionConfig, SessionPartwiseOps, ShortcutSession, TreeSource,
+        Backend, OpReport, PartitionSource, Session, SessionAlgoOps, SessionConfig,
+        SessionPartwiseOps, ShortcutSession, TreeSource,
     };
     pub use lcs_congest::protocols::AggOp;
     pub use lcs_core::{

@@ -1,10 +1,11 @@
-//! Property tests for the nested-dissection engine plus the hierarchy
-//! differential: multi-level sessions must serve leaf-level op results
-//! bit-identical to a flat session built on the same leaf partition.
+//! Property tests for the nested-dissection engine plus the served-path
+//! differential: at every dissection level, the declarative `separator`
+//! partition source serves results bit-identical to a session built on
+//! the explicit level partition.
 
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::facade::{
-    Backend, HierarchySession, SeparatorConfig, Session, SessionConfig, SessionPartwiseOps,
+    PartitionSource, SeparatorConfig, Session, SessionPartwiseOps,
 };
 use low_congestion_shortcuts::graph::{components, gen, Graph};
 use low_congestion_shortcuts::separator::nested_dissection;
@@ -62,8 +63,8 @@ proptest! {
     }
 
     /// Every dissection level is a covering partition into connected
-    /// parts, on every family — the invariant the hierarchy sessions and
-    /// the `separator` partition source both build on.
+    /// parts, on every family — the invariant the `separator` partition
+    /// source builds on.
     #[test]
     fn every_level_is_a_connected_covering_partition((g, family) in arb_any_family()) {
         let cfg = SeparatorConfig { min_region: 4, max_levels: 30 };
@@ -91,13 +92,16 @@ proptest! {
     }
 }
 
-/// The hierarchy differential: over 30 seeds × 3 minor-free families, a
-/// [`HierarchySession`]'s leaf level must serve results **bit-identical**
-/// to a flat session built directly on the leaf partition — same δ̂, same
-/// quality report, same aggregate values, same simulated round/message
-/// counts.
+/// The served-path differential: over 30 seeds × 3 minor-free families,
+/// at **every** level of the dissection, a session whose partition comes
+/// from the declarative `separator` source (what a config file or the
+/// server spec names) must serve results **bit-identical** to one built
+/// on the explicit level partition of the full dissection tree — same
+/// aggregate values, same simulated round/message counts, same δ̂, same
+/// quality report.
 #[test]
-fn hierarchy_leaf_is_bit_identical_to_flat_session() {
+fn separator_source_matches_the_explicit_level_partition_at_every_level() {
+    const MIN_REGION: usize = 4;
     for seed in 0..30u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = 4 + (seed as usize % 5);
@@ -108,60 +112,47 @@ fn hierarchy_leaf_is_bit_identical_to_flat_session() {
             (gen::ktree(a * b, 3, &mut rng), "ktree"),
         ] {
             let sep = SeparatorConfig {
-                min_region: 4,
+                min_region: MIN_REGION,
                 max_levels: 30,
             };
-            let mut h =
-                HierarchySession::build(&g, &sep, Backend::Centralized, SessionConfig::default())
-                    .unwrap_or_else(|e| panic!("{family}/seed {seed}: {e}"));
-            let leaf_parts = h.tree().leaf_partition();
-            let mut flat = Session::on(&g)
-                .partition(leaf_parts)
-                .build()
-                .unwrap_or_else(|e| panic!("{family}/seed {seed}: {e}"));
-
+            let tree = nested_dissection(&g, &sep);
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 31 % 257).collect();
-            let from_h = h.leaf_session().aggregate(&values, AggOp::Sum);
-            let from_flat = flat.aggregate(&values, AggOp::Sum);
-            assert_eq!(
-                from_h.result.results, from_flat.result.results,
-                "{family}/seed {seed}: aggregate results diverge"
-            );
-            assert_eq!(
-                (from_h.rounds, from_h.messages),
-                (from_flat.rounds, from_flat.messages),
-                "{family}/seed {seed}: simulated cost diverges"
-            );
-            assert_eq!(
-                h.leaf_session().delta_hat(),
-                flat.delta_hat(),
-                "{family}/seed {seed}: doubling search diverges"
-            );
-            assert_eq!(
-                h.leaf_session().quality().clone(),
-                flat.quality().clone(),
-                "{family}/seed {seed}: quality reports diverge"
-            );
+            for level in 0..tree.num_levels() {
+                let at = format!("{family}/seed {seed}/level {level}");
+                let mut from_source = Session::on(&g)
+                    .partition_source(PartitionSource::Separator {
+                        level,
+                        min_region: MIN_REGION,
+                    })
+                    .build()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                let mut explicit = Session::on(&g)
+                    .partition(tree.partition_at_level(level))
+                    .build()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+
+                let sourced = from_source.aggregate(&values, AggOp::Sum);
+                let flat = explicit.aggregate(&values, AggOp::Sum);
+                assert_eq!(
+                    sourced.result.results, flat.result.results,
+                    "{at}: aggregate results diverge"
+                );
+                assert_eq!(
+                    (sourced.rounds, sourced.messages),
+                    (flat.rounds, flat.messages),
+                    "{at}: simulated cost diverges"
+                );
+                assert_eq!(
+                    from_source.delta_hat(),
+                    explicit.delta_hat(),
+                    "{at}: doubling search diverges"
+                );
+                assert_eq!(
+                    from_source.quality(),
+                    explicit.quality(),
+                    "{at}: quality reports diverge"
+                );
+            }
         }
     }
-}
-
-/// `prepare_all` amortization sanity on top of the differential: warm
-/// starts change no leaf-level artifact, and every level stays cached.
-#[test]
-fn prepare_all_leaves_leaf_results_untouched() {
-    let g = gen::grid(9, 9);
-    let sep = SeparatorConfig {
-        min_region: 4,
-        max_levels: 30,
-    };
-    let mut h =
-        HierarchySession::build(&g, &sep, Backend::Centralized, SessionConfig::default()).unwrap();
-    let values: Vec<u64> = (0..81).collect();
-    let before = h.leaf_session().aggregate(&values, AggOp::Max);
-    let dhs = h.prepare_all();
-    let after = h.leaf_session().aggregate(&values, AggOp::Max);
-    assert_eq!(before.result.results, after.result.results);
-    assert_eq!(dhs[h.leaf_level()], h.leaf_session().delta_hat());
-    assert_eq!(h.leaf_session().cache_stats().full.builds, 1);
 }

@@ -9,7 +9,8 @@ use lcs_server::client::Client;
 use lcs_server::{Server, ServerConfig, ServerHandle};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::congest::SimConfig;
-use low_congestion_shortcuts::facade::{Session, SessionConfig, SessionPartwiseOps};
+use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
+use low_congestion_shortcuts::facade::{Backend, Session, SessionConfig, SessionPartwiseOps};
 use low_congestion_shortcuts::graph::{gen, NodeId};
 use serde::{Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
@@ -371,6 +372,58 @@ fn structured_errors_do_not_kill_the_worker() {
     // The same connection (reconnected after the 413 close) still serves.
     let r = client.get("/health").unwrap();
     assert_eq!(r.status, 200);
+    let metrics = client.get("/metrics").unwrap();
+    let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
+    assert_eq!(get_u64(server_stats, "worker_panics"), 0);
+
+    handle.shutdown();
+}
+
+/// A sketch backend of capacity `t < 2` deserializes, but the detection
+/// program asserts on it mid-construction: the spec must be refused where
+/// it enters (422 naming the field), not answered by the panic fence on
+/// the first `prepare`.
+#[test]
+fn degenerate_sketch_capacity_is_refused_at_create() {
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    let spec_with_capacity = |t: usize| {
+        let backend = Backend::Sketch(DistConfig {
+            mode: DistMode::Sketch {
+                t,
+                hash_seed: 7,
+                cut_factor: 1.0,
+            },
+            sim: SimConfig::default(),
+        });
+        let mut spec = grid_spec(4, 4);
+        if let Value::Obj(fields) = &mut spec {
+            fields.push(("backend".to_string(), backend.to_value()));
+        }
+        spec
+    };
+    for t in [0, 1] {
+        let r = client.post("/sessions", &spec_with_capacity(t)).unwrap();
+        assert_eq!(
+            (r.status, r.field("error")),
+            (422, Some(&Value::Str("bad_args".to_string()))),
+            "t = {t}: {}",
+            lcs_server::json::render(&r.body)
+        );
+        let Some(Value::Str(message)) = r.field("message") else {
+            panic!("t = {t}: no message");
+        };
+        assert!(
+            message.contains("`backend.Sketch.mode.Sketch.t`"),
+            "{message}"
+        );
+    }
+    // The same connection keeps serving, a working capacity included.
+    let id = create(&mut client, &spec_with_capacity(2));
+    let r = client
+        .post_raw(&format!("/sessions/{id}/prepare"), b"{}")
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", lcs_server::json::render(&r.body));
     let metrics = client.get("/metrics").unwrap();
     let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
     assert_eq!(get_u64(server_stats, "worker_panics"), 0);
