@@ -69,7 +69,7 @@ impl PartwiseOp for ComponentsOp {
         });
         op_report(
             session.graph(),
-            session.config().mst_sim(),
+            session.config().sim,
             report.mst.rounds.total(),
             report.mst.messages,
             report.mst.bits,

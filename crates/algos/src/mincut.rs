@@ -201,7 +201,7 @@ impl PartwiseOp for MincutOp {
                 trees: s.config().mincut.trees,
                 boruvka: BoruvkaConfig {
                     partwise: lcs_partwise::PartwiseConfig {
-                        sim: s.config().mincut_sim(),
+                        sim: s.config().sim,
                         ..boruvka.partwise
                     },
                     ..boruvka
@@ -211,7 +211,7 @@ impl PartwiseOp for MincutOp {
         });
         op_report(
             session.graph(),
-            session.config().mincut_sim(),
+            session.config().sim,
             report.rounds.total() + report.eval_rounds,
             report.messages,
             report.bits,

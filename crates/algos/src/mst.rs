@@ -407,7 +407,7 @@ impl PartwiseOp for MstOp {
         });
         op_report(
             session.graph(),
-            session.config().mst_sim(),
+            session.config().sim,
             report.rounds.total(),
             report.messages,
             report.bits,
@@ -430,7 +430,7 @@ pub fn boruvka_config_of(session: &ShortcutSession<'_>) -> BoruvkaConfig {
         partwise: PartwiseConfig {
             delay_range: sc.aggregate.delay_range,
             seed: sc.aggregate.seed,
-            sim: sc.mst_sim(),
+            sim: sc.sim,
         },
         seed: sc.mst.seed,
         max_phases: sc.mst.max_phases,

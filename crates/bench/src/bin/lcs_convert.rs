@@ -11,14 +11,10 @@
 //! lcs_convert info FILE.lcsg
 //! ```
 //!
-//! `generate` families and their parameters mirror [`lcs_core::GeneratorSpec`]:
-//!
-//! | family            | parameters                  |
-//! |-------------------|-----------------------------|
-//! | `path` `cycle` `complete` `wheel` | `--n N`     |
-//! | `grid` `torus`    | `--rows R --cols C`         |
-//! | `grid_of_cliques` | `--rows R --cols C --r K`   |
-//! | `road_like`       | `--rows R --cols C [--seed S]` |
+//! `generate` takes the families of [`lcs_core::GeneratorSpec`] (the
+//! generator rows of the README's "Source notation" table), each
+//! parameter as the flag of its name: `--family grid_of_cliques --rows 3
+//! --cols 3 --r 4`, `--family road_like --rows R --cols C [--seed S]`.
 //!
 //! `road` is shorthand for `generate --family road_like` — the seeded
 //! near-planar generator sized for the n = 1e6–1e7 scale-up benchmarks
@@ -74,53 +70,10 @@ fn required<T: std::str::FromStr>(args: &[String], name: &str) -> Result<T, Stri
     parsed(args, name)?.ok_or_else(|| format!("missing required flag {name}"))
 }
 
-/// Builds the [`GeneratorSpec`] named by `--family` + its parameter flags.
-fn spec_from_flags(args: &[String]) -> Result<GeneratorSpec, String> {
-    let family: String = required(args, "--family")?;
-    let spec = match family.as_str() {
-        "path" => GeneratorSpec::Path {
-            n: required(args, "--n")?,
-        },
-        "cycle" => GeneratorSpec::Cycle {
-            n: required(args, "--n")?,
-        },
-        "complete" => GeneratorSpec::Complete {
-            n: required(args, "--n")?,
-        },
-        "wheel" => GeneratorSpec::Wheel {
-            n: required(args, "--n")?,
-        },
-        "grid" => GeneratorSpec::Grid {
-            rows: required(args, "--rows")?,
-            cols: required(args, "--cols")?,
-        },
-        "torus" => GeneratorSpec::Torus {
-            rows: required(args, "--rows")?,
-            cols: required(args, "--cols")?,
-        },
-        "grid_of_cliques" => GeneratorSpec::GridOfCliques {
-            rows: required(args, "--rows")?,
-            cols: required(args, "--cols")?,
-            clique: required(args, "--r")?,
-        },
-        "road_like" => road_spec(args)?,
-        other => {
-            return Err(format!(
-                "unknown family `{other}` — one of path, cycle, complete, wheel, grid, \
-                 torus, grid_of_cliques, road_like"
-            ))
-        }
-    };
-    spec.validate().map_err(|e| e.to_string())?;
-    Ok(spec)
-}
-
-fn road_spec(args: &[String]) -> Result<GeneratorSpec, String> {
-    Ok(GeneratorSpec::RoadLike {
-        rows: required(args, "--rows")?,
-        cols: required(args, "--cols")?,
-        seed: parsed(args, "--seed")?.unwrap_or(0),
-    })
+/// The [`GeneratorSpec`] of `family`, each parameter read from the flag of
+/// its name (`rows` from `--rows`).
+fn spec_from_flags(family: &str, args: &[String]) -> Result<GeneratorSpec, String> {
+    GeneratorSpec::from_params(family, |key| parsed(args, &format!("--{key}")))
 }
 
 /// Saves `g` (with optional seeded weights) and prints a one-line summary.
@@ -143,14 +96,12 @@ fn save(g: &Graph, args: &[String], what: &str) -> Result<(), String> {
 
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("generate") => {
-            let spec = spec_from_flags(&args[1..])?;
-            let g = spec.build().map_err(|e| e.to_string())?;
-            save(&g, &args[1..], spec.name())
-        }
-        Some("road") => {
-            let spec = road_spec(&args[1..])?;
-            spec.validate().map_err(|e| e.to_string())?;
+        Some(command @ ("generate" | "road")) => {
+            let family = match command {
+                "road" => "road_like".to_string(),
+                _ => required(&args[1..], "--family")?,
+            };
+            let spec = spec_from_flags(&family, &args[1..])?;
             let g = spec.build().map_err(|e| e.to_string())?;
             save(&g, &args[1..], spec.name())
         }
@@ -183,6 +134,63 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("lcs_convert: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Flags and JSON are two spellings of one parameter table: every
+    /// family reads the same from either, and an unknown family is refused
+    /// with the same list of names.
+    #[test]
+    fn flag_and_json_spellings_agree_on_every_family() {
+        let cases = [
+            ("path", "--n 6", r#"{"kind":"path","n":6}"#),
+            ("cycle", "--n 5", r#"{"kind":"cycle","n":5}"#),
+            ("complete", "--n 4", r#"{"kind":"complete","n":4}"#),
+            ("wheel", "--n 7", r#"{"kind":"wheel","n":7}"#),
+            (
+                "grid",
+                "--rows 3 --cols 4",
+                r#"{"kind":"grid","rows":3,"cols":4}"#,
+            ),
+            (
+                "torus",
+                "--rows 3 --cols 5",
+                r#"{"kind":"torus","rows":3,"cols":5}"#,
+            ),
+            (
+                "grid_of_cliques",
+                "--rows 3 --cols 3 --r 4",
+                r#"{"kind":"grid_of_cliques","rows":3,"cols":3,"r":4}"#,
+            ),
+            (
+                "road_like",
+                "--rows 6 --cols 7 --seed 42",
+                r#"{"kind":"road_like","rows":6,"cols":7,"seed":42}"#,
+            ),
+            (
+                "road_like",
+                "--rows 6 --cols 7",
+                r#"{"kind":"road_like","rows":6,"cols":7}"#,
+            ),
+        ];
+        for (family, flags, json) in cases {
+            let args: Vec<String> = flags.split(' ').map(String::from).collect();
+            let from_json: GeneratorSpec = serde_json::from_str(json).expect(json);
+            assert_eq!(spec_from_flags(family, &args), Ok(from_json), "{family}");
+        }
+
+        let by_flag = spec_from_flags("hypercube", &[]).unwrap_err();
+        let by_json = serde_json::from_str::<GeneratorSpec>(r#"{"kind":"hypercube"}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(by_json.contains(&by_flag), "`{by_json}` vs `{by_flag}`");
+        for (family, _, _) in cases {
+            assert!(by_flag.contains(family), "{by_flag} does not list {family}");
         }
     }
 }

@@ -12,9 +12,8 @@
 //!   messages with priorities (queued mode, used for random-delay
 //!   scheduling), and reporting exact round/message/bit counts
 //!   ([`RunMetrics`]),
-//! * [`protocols`] — the standard building blocks (BFS tree, broadcast,
-//!   convergecast, leader election) every distributed algorithm in the
-//!   workspace reuses.
+//! * [`protocols`] — the standard building blocks (BFS tree,
+//!   convergecast) the distributed algorithms in the workspace reuse.
 //!
 //! Determinism: node programs receive seeded per-node RNG streams; identical
 //! seeds yield identical executions, so all measured round counts in

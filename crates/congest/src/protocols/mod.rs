@@ -1,5 +1,4 @@
-//! Standard CONGEST building blocks: BFS trees, broadcast, convergecast,
-//! leader election.
+//! Standard CONGEST building blocks: BFS trees and convergecast.
 //!
 //! These are the primitives every shortcut-based algorithm composes
 //! (Section 2 of the paper assumes them implicitly). Each protocol is a
@@ -15,15 +14,9 @@
 mod parallel_tests;
 
 mod bfs_tree;
-mod broadcast;
 mod convergecast;
-mod intervals;
-mod leader;
 mod tree_knowledge;
 
 pub use bfs_tree::{extract_tree, BfsMsg, BfsTreeProgram};
-pub use broadcast::BroadcastProgram;
 pub use convergecast::{AggOp, ConvergecastProgram};
-pub use intervals::{IntervalLabelProgram, IntervalMsg};
-pub use leader::LeaderElectProgram;
 pub use tree_knowledge::TreeKnowledge;

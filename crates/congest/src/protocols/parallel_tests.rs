@@ -1,7 +1,7 @@
 //! Thread-count invariance of the standard protocols: the sharded executor
-//! must produce the same trees, leaders, and metrics as the inline loop.
+//! must produce the same trees and metrics as the inline loop.
 
-use super::{extract_tree, BfsTreeProgram, LeaderElectProgram};
+use super::{extract_tree, BfsTreeProgram};
 use crate::{SimConfig, Simulator};
 use lcs_graph::{gen, NodeId};
 
@@ -27,26 +27,4 @@ fn bfs_tree_is_thread_count_invariant() {
         assert_eq!(metrics.counts(), metrics1.counts(), "threads={threads}");
         assert_eq!(tree.parent_port, tree1.parent_port, "threads={threads}");
     }
-}
-
-#[test]
-fn leader_election_is_thread_count_invariant() {
-    let g = gen::torus(5, 5);
-    let run_with = |threads| {
-        let sim = Simulator::new(
-            &g,
-            SimConfig {
-                threads,
-                ..SimConfig::default()
-            },
-        );
-        let run = sim.run(|v, _| LeaderElectProgram::new(v));
-        assert!(run.metrics.terminated);
-        let leaders: Vec<_> = run.programs.iter().map(|p| p.leader()).collect();
-        (run.metrics, leaders)
-    };
-    let (metrics1, leaders1) = run_with(1);
-    let (metrics4, leaders4) = run_with(4);
-    assert_eq!(metrics4.counts(), metrics1.counts());
-    assert_eq!(leaders4, leaders1);
 }

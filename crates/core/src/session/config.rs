@@ -65,8 +65,6 @@ pub struct AggregateOpts {
     pub delay_range: u32,
     /// Seed for the delays.
     pub seed: u64,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for AggregateOpts {
@@ -74,7 +72,6 @@ impl Default for AggregateOpts {
         AggregateOpts {
             delay_range: 0,
             seed: 0xde1af,
-            sim: None,
         }
     }
 }
@@ -87,8 +84,6 @@ pub struct UnicastOpts {
     pub delay_range: u32,
     /// Seed for delays and queue priorities.
     pub seed: u64,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for UnicastOpts {
@@ -96,7 +91,6 @@ impl Default for UnicastOpts {
         UnicastOpts {
             delay_range: 0,
             seed: 0x0417,
-            sim: None,
         }
     }
 }
@@ -113,8 +107,6 @@ pub struct MstOpts {
     /// Skip shortcutting fragments of at most `2D + 1` nodes (their own
     /// diameter already meets the dilation bound).
     pub skip_small_fragments: bool,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for MstOpts {
@@ -123,7 +115,6 @@ impl Default for MstOpts {
             seed: 0xb0_aa_12,
             max_phases: None,
             skip_small_fragments: true,
-            sim: None,
         }
     }
 }
@@ -134,8 +125,6 @@ impl Default for MstOpts {
 pub struct MincutOpts {
     /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
     pub trees: Option<usize>,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 /// Every knob of the facade in one serde-able struct: shortcut-construction
@@ -178,29 +167,7 @@ pub struct SessionConfig {
     /// field makes the recipe serde-able end to end:
     /// [`GraphSource::resolve`](crate::GraphSource::resolve) +
     /// [`ResolvedGraph::session`](crate::ResolvedGraph::session) start a
-    /// builder from the recorded source, and servers canonicalize it into
-    /// their dedup keys.
+    /// builder from the recorded source; `lcs_server` fills it in from the
+    /// session spec's `graph`.
     pub graph_source: Option<GraphSource>,
-}
-
-impl SessionConfig {
-    /// The simulator configuration for aggregation/gossip ops.
-    pub fn aggregate_sim(&self) -> SimConfig {
-        self.aggregate.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for unicast routing.
-    pub fn unicast_sim(&self) -> SimConfig {
-        self.unicast.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for MST / connectivity.
-    pub fn mst_sim(&self) -> SimConfig {
-        self.mst.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for min-cut.
-    pub fn mincut_sim(&self) -> SimConfig {
-        self.mincut.sim.unwrap_or(self.sim)
-    }
 }

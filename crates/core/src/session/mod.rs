@@ -682,20 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn config_sim_overrides_resolve() {
-        let mut cfg = SessionConfig::default();
-        assert_eq!(cfg.aggregate_sim(), cfg.sim);
-        let over = SimConfig {
-            threads: 4,
-            ..SimConfig::default()
-        };
-        cfg.unicast.sim = Some(over);
-        assert_eq!(cfg.unicast_sim(), over);
-        assert_eq!(cfg.mst_sim(), cfg.sim);
-        assert_eq!(cfg.mincut_sim(), cfg.sim);
-    }
-
-    #[test]
     fn shortcut_ref_reports_lifecycle_states() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let panics = |s: &ShortcutSession<'_>| {

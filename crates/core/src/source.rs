@@ -1,41 +1,83 @@
 //! Declarative graph and partition sources: serde-able recipes that
 //! resolve to a concrete [`Graph`] / [`Partition`](crate::Partition).
 //!
-//! Sessions historically took partitions as explicit node lists; a
-//! [`PartitionSource`] instead names *how* to derive one — grid rows,
+//! A [`PartitionSource`] names *how* to derive a partition — grid rows,
 //! seeded Voronoi growth, singletons, or a nested-dissection level — so
 //! the choice travels inside [`SessionConfig`](crate::SessionConfig),
 //! through the `Session` builder, and over the wire in `lcs_server`
-//! session specs, and so benches can sweep partition sources from one
-//! config surface. Every source is deterministic: Voronoi is pinned by
+//! session specs. Every source is deterministic: Voronoi is pinned by
 //! its `u64` seed ([`gen::voronoi_parts_seeded`]) and the separator
 //! dissection is deterministic by construction.
 //!
 //! [`GraphSource`] does the same for the *graph* input: a generator
 //! family with parameters, a JSON edge-list file, or a flat-binary
-//! `.lcsg` file ([`lcs_graph::io`]) — one resolver
-//! ([`GraphSource::resolve`]) replaces the formerly divergent ad-hoc
-//! construction paths (server family JSON, edge-list files, programmatic
-//! `Graph::from_edges`). The source rides
+//! `.lcsg` file ([`lcs_graph::io`]), all built by one resolver
+//! ([`GraphSource::resolve`]). The source rides
 //! [`SessionConfig::graph_source`](crate::SessionConfig), the `Session`
 //! builder (where an explicitly supplied graph always wins, mirroring the
-//! partition precedence), and the `lcs_server` graph-spec JSON, and its
-//! [`canonical_key`](GraphSource::canonical_key) is what registries
-//! deduplicate on.
+//! partition precedence), and the `lcs_server` graph-spec JSON.
+//!
+//! # Wire form
+//!
+//! Every source (de)serializes as one flat object, `kind` first and then
+//! its parameters: `{"kind":"grid","rows":3,"cols":4}`,
+//! `{"kind":"flat_binary","path":"g.lcsg"}`,
+//! `{"kind":"voronoi","parts":6,"seed":7}` (the README's "Source
+//! notation" table lists every kind). The impls are hand-written here —
+//! this file is the only place that names a kind or a parameter key — so
+//! `SessionConfig`, the server's `graph` / `partition` fields and
+//! `lcs_convert`'s flags all speak it, and the rendered object is what the
+//! server's graph registry and warm-session LRU deduplicate on.
 
 use crate::session::{Session, SessionBuilder};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, CapacityError, Graph, GraphBuilder, NodeId};
 use lcs_separator::SeparatorConfig;
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
+
+/// `{"kind": <kind>, <key>: <value>, ...}` — the one shape every source
+/// serializes to.
+fn kind_object(kind: &str, params: &[(&str, u64)]) -> Value {
+    let mut fields = vec![("kind".to_string(), Value::Str(kind.to_string()))];
+    fields.extend(params.iter().map(|&(k, x)| (k.to_string(), Value::U64(x))));
+    Value::Obj(fields)
+}
+
+/// The integer parameter `key` among a source object's fields: an absent
+/// or `null` key reads as `None`, and keys nobody asks for are ignored.
+fn json_param(fields: &[(String, Value)], key: &str) -> Result<Option<u64>, String> {
+    match fields.iter().find(|(k, _)| k == key) {
+        None | Some((_, Value::Null)) => Ok(None),
+        Some((_, x)) => u64::from_value(x)
+            .map(Some)
+            .map_err(|e| format!("parameter `{key}`: {e}")),
+    }
+}
+
+/// The parameter `key` of a `kind` object, narrowed to the field type it
+/// fills. An absent one reads as `default`; with no default it is required.
+fn param<T: TryFrom<u64>>(
+    lookup: &impl Fn(&str) -> Result<Option<u64>, String>,
+    kind: &str,
+    key: &str,
+    default: Option<u64>,
+) -> Result<T, String> {
+    let raw = (lookup(key)?.or(default))
+        .ok_or_else(|| format!("missing parameter `{key}` of kind `{kind}`"))?;
+    T::try_from(raw).map_err(|_| format!("parameter `{key}`: {raw} is out of range"))
+}
+
+fn unknown_kind(what: &str, kind: &str, known: &[&str]) -> String {
+    format!("unknown {what} kind `{kind}` — one of {}", known.join(", "))
+}
 
 /// A recipe for deriving a partition from a graph. Resolved at session
 /// build time by [`resolve`](Self::resolve); sources always produce
 /// covering partitions on connected graphs (validated with
 /// [`Partition::from_parts_covering`](crate::Partition::from_parts_covering)
 /// by the consumers, so an unassigned node is a structured error).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartitionSource {
     /// The rows of a `rows × cols` grid (or torus) — each row an induced
     /// path/cycle. Only meaningful on grid-shaped graphs; on anything
@@ -107,11 +149,70 @@ impl PartitionSource {
     }
 }
 
+const PARTITION_KINDS: [&str; 4] = ["rows", "voronoi", "singletons", "separator"];
+
+impl Serialize for PartitionSource {
+    fn to_value(&self) -> Value {
+        let params = match *self {
+            PartitionSource::Rows { rows, cols } => {
+                vec![("rows", rows as u64), ("cols", cols as u64)]
+            }
+            PartitionSource::Voronoi { parts, seed } => {
+                vec![("parts", parts as u64), ("seed", seed)]
+            }
+            PartitionSource::Singletons => vec![],
+            PartitionSource::Separator { level, min_region } => {
+                vec![
+                    ("level", u64::from(level)),
+                    ("min_region", min_region as u64),
+                ]
+            }
+        };
+        kind_object(self.name(), &params)
+    }
+}
+
+impl PartitionSource {
+    /// The source of `kind` with its parameters read through `lookup`;
+    /// `seed` defaults to 0 and `min_region` to
+    /// [`SeparatorConfig::default`]'s when absent.
+    fn from_params(
+        kind: &str,
+        lookup: impl Fn(&str) -> Result<Option<u64>, String>,
+    ) -> Result<Self, String> {
+        let min_region = SeparatorConfig::default().min_region as u64;
+        Ok(match kind {
+            "rows" => PartitionSource::Rows {
+                rows: param(&lookup, kind, "rows", None)?,
+                cols: param(&lookup, kind, "cols", None)?,
+            },
+            "voronoi" => PartitionSource::Voronoi {
+                parts: param(&lookup, kind, "parts", None)?,
+                seed: param(&lookup, kind, "seed", Some(0))?,
+            },
+            "singletons" => PartitionSource::Singletons,
+            "separator" => PartitionSource::Separator {
+                level: param(&lookup, kind, "level", None)?,
+                min_region: param(&lookup, kind, "min_region", Some(min_region))?,
+            },
+            other => return Err(unknown_kind("partition source", other, &PARTITION_KINDS)),
+        })
+    }
+}
+
+impl<'de> Deserialize<'de> for PartitionSource {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = de::object(v, "PartitionSource")?;
+        let kind: String = de::field(fields, "kind", "PartitionSource")?;
+        Self::from_params(&kind, |key| json_param(fields, key)).map_err(DeError::new)
+    }
+}
+
 /// A generator family with its parameters — the serde-able form of the
 /// `lcs_graph::gen` constructors a [`GraphSource::Generator`] names.
 /// Deterministic: equal specs build bit-identical graphs (the road-like
 /// family is pinned by its `u64` seed).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GeneratorSpec {
     /// [`gen::path`] on `n` nodes.
     Path {
@@ -183,59 +284,101 @@ impl GeneratorSpec {
         }
     }
 
-    /// The node count the spec would build, computed without building —
-    /// servers use this to enforce size caps before spending memory.
-    pub fn num_nodes(&self) -> u64 {
+    /// The family's parameters as `(wire key, value)` pairs in wire order —
+    /// with [`from_params`](Self::from_params) the one table the JSON
+    /// form, `lcs_convert`'s `--flags` and [`num_nodes`](Self::num_nodes)
+    /// all read.
+    pub fn params(&self) -> Vec<(&'static str, u64)> {
         match *self {
             GeneratorSpec::Path { n }
             | GeneratorSpec::Cycle { n }
             | GeneratorSpec::Complete { n }
-            | GeneratorSpec::Wheel { n } => n as u64,
-            GeneratorSpec::Grid { rows, cols }
-            | GeneratorSpec::Torus { rows, cols }
-            | GeneratorSpec::RoadLike { rows, cols, .. } => rows as u64 * cols as u64,
-            GeneratorSpec::GridOfCliques { rows, cols, clique } => {
-                rows as u64 * cols as u64 * clique as u64
+            | GeneratorSpec::Wheel { n } => vec![("n", n as u64)],
+            GeneratorSpec::Grid { rows, cols } | GeneratorSpec::Torus { rows, cols } => {
+                vec![("rows", rows as u64), ("cols", cols as u64)]
+            }
+            GeneratorSpec::GridOfCliques { rows, cols, clique } => vec![
+                ("rows", rows as u64),
+                ("cols", cols as u64),
+                ("r", clique as u64),
+            ],
+            GeneratorSpec::RoadLike { rows, cols, seed } => {
+                vec![("rows", rows as u64), ("cols", cols as u64), ("seed", seed)]
             }
         }
     }
 
-    /// Checks the family's parameter preconditions without building, so
-    /// callers get a typed [`GraphSourceError::InvalidSpec`] instead of a
+    /// The family named `kind` with its parameters read through `lookup`
+    /// (`Ok(None)` = not given): every size is required, `seed` defaults
+    /// to 0. The inverse of [`name`](Self::name) + [`params`](Self::params);
+    /// the result is not yet [`validate`](Self::validate)d.
+    pub fn from_params(
+        kind: &str,
+        lookup: impl Fn(&str) -> Result<Option<u64>, String>,
+    ) -> Result<Self, String> {
+        let size = |key| param::<usize>(&lookup, kind, key, None);
+        Ok(match kind {
+            "path" => GeneratorSpec::Path { n: size("n")? },
+            "cycle" => GeneratorSpec::Cycle { n: size("n")? },
+            "complete" => GeneratorSpec::Complete { n: size("n")? },
+            "wheel" => GeneratorSpec::Wheel { n: size("n")? },
+            "grid" => GeneratorSpec::Grid {
+                rows: size("rows")?,
+                cols: size("cols")?,
+            },
+            "torus" => GeneratorSpec::Torus {
+                rows: size("rows")?,
+                cols: size("cols")?,
+            },
+            "grid_of_cliques" => GeneratorSpec::GridOfCliques {
+                rows: size("rows")?,
+                cols: size("cols")?,
+                clique: size("r")?,
+            },
+            "road_like" => GeneratorSpec::RoadLike {
+                rows: size("rows")?,
+                cols: size("cols")?,
+                seed: param(&lookup, kind, "seed", Some(0))?,
+            },
+            other => return Err(unknown_kind("generator", other, &FAMILY_KINDS)),
+        })
+    }
+
+    /// The family's size parameters: all of [`params`](Self::params) but
+    /// `seed`.
+    fn sizes(&self) -> impl Iterator<Item = u64> {
+        let params = self.params().into_iter();
+        params.filter_map(|(key, size)| (key != "seed").then_some(size))
+    }
+
+    /// The node count the spec would build, computed without building —
+    /// servers use this to enforce size caps before spending memory. Every
+    /// family's count is the product of its sizes; the product saturates,
+    /// so a spec that overflows `u64` reads as larger than any cap instead
+    /// of wrapping past it.
+    pub fn num_nodes(&self) -> u64 {
+        self.sizes().fold(1, u64::saturating_mul)
+    }
+
+    /// Checks the family's parameter preconditions — every size at least
+    /// the family's minimum, the node count within CSR capacity — without
+    /// building, so callers get a typed [`GraphSourceError`] instead of a
     /// generator panic.
     pub fn validate(&self) -> Result<(), GraphSourceError> {
-        let invalid = |reason: String| Err(GraphSourceError::InvalidSpec { reason });
-        match *self {
-            GeneratorSpec::Path { n } | GeneratorSpec::Complete { n } => {
-                if n == 0 {
-                    return invalid(format!("{} needs at least 1 node", self.name()));
-                }
+        let (min, rule) = match self {
+            GeneratorSpec::Path { .. } | GeneratorSpec::Complete { .. } => {
+                (1, "needs at least 1 node")
             }
-            GeneratorSpec::Cycle { n } => {
-                if n < 3 {
-                    return invalid("cycle needs at least 3 nodes".to_string());
-                }
-            }
-            GeneratorSpec::Wheel { n } => {
-                if n < 4 {
-                    return invalid("wheel needs at least 4 nodes".to_string());
-                }
-            }
-            GeneratorSpec::Grid { rows, cols } | GeneratorSpec::RoadLike { rows, cols, .. } => {
-                if rows == 0 || cols == 0 {
-                    return invalid(format!("{} dimensions must be positive", self.name()));
-                }
-            }
-            GeneratorSpec::Torus { rows, cols } => {
-                if rows < 3 || cols < 3 {
-                    return invalid("torus dimensions must be at least 3".to_string());
-                }
-            }
-            GeneratorSpec::GridOfCliques { rows, cols, clique } => {
-                if rows == 0 || cols == 0 || clique == 0 {
-                    return invalid("grid_of_cliques dimensions must be positive".to_string());
-                }
-            }
+            GeneratorSpec::Cycle { .. } => (3, "needs at least 3 nodes"),
+            GeneratorSpec::Wheel { .. } => (4, "needs at least 4 nodes"),
+            GeneratorSpec::Torus { .. } => (3, "dimensions must be at least 3"),
+            GeneratorSpec::Grid { .. }
+            | GeneratorSpec::GridOfCliques { .. }
+            | GeneratorSpec::RoadLike { .. } => (1, "dimensions must be positive"),
+        };
+        if self.sizes().any(|size| size < min) {
+            let reason = format!("{} {rule}", self.name());
+            return Err(GraphSourceError::InvalidSpec { reason });
         }
         lcs_graph::check_csr_capacity(self.num_nodes(), 0)?;
         Ok(())
@@ -256,6 +399,33 @@ impl GeneratorSpec {
             }
             GeneratorSpec::RoadLike { rows, cols, seed } => gen::road_like(rows, cols, seed),
         })
+    }
+}
+
+/// [`GeneratorSpec::name`] of every family, as an unknown-kind error lists
+/// them.
+const FAMILY_KINDS: [&str; 8] = [
+    "path",
+    "cycle",
+    "complete",
+    "wheel",
+    "grid",
+    "torus",
+    "grid_of_cliques",
+    "road_like",
+];
+
+impl Serialize for GeneratorSpec {
+    fn to_value(&self) -> Value {
+        kind_object(self.name(), &self.params())
+    }
+}
+
+impl<'de> Deserialize<'de> for GeneratorSpec {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = de::object(v, "GeneratorSpec")?;
+        let kind: String = de::field(fields, "kind", "GeneratorSpec")?;
+        Self::from_params(&kind, |key| json_param(fields, key)).map_err(DeError::new)
     }
 }
 
@@ -370,9 +540,11 @@ struct EdgeListFile {
 /// the workspace. Resolved by [`resolve`](Self::resolve) into a
 /// [`ResolvedGraph`]; serde-able, so the recipe travels inside
 /// [`SessionConfig`](crate::SessionConfig) and over the wire in
-/// `lcs_server` session specs, where its canonical form is the registry
-/// dedup key.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// `lcs_server` session specs, where its serialized form is the registry
+/// dedup key. A generator serializes as its [`GeneratorSpec`] does — the
+/// family name is the `kind` — and the two file kinds as
+/// `{"kind": ..., "path": ...}`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphSource {
     /// A deterministic generator family ([`GeneratorSpec`]).
     Generator(GeneratorSpec),
@@ -392,21 +564,14 @@ pub enum GraphSource {
 }
 
 impl GraphSource {
-    /// The source kind's short name (`generator` / `edge_list_json` /
-    /// `flat_binary`).
+    /// The source's wire `kind`: the family name of a generator,
+    /// `edge_list_json` or `flat_binary`.
     pub fn name(&self) -> &'static str {
         match self {
-            GraphSource::Generator(_) => "generator",
+            GraphSource::Generator(spec) => spec.name(),
             GraphSource::EdgeListJson { .. } => "edge_list_json",
             GraphSource::FlatBinary { .. } => "flat_binary",
         }
-    }
-
-    /// The canonical serialized form of the source — structurally equal
-    /// sources render identically, so this string is what graph registries
-    /// and warm-session caches deduplicate on.
-    pub fn canonical_key(&self) -> String {
-        serde_json::to_string(self).expect("graph sources always serialize")
     }
 
     /// Resolves the source into a graph (plus weights, when the backing
@@ -473,6 +638,42 @@ impl GraphSource {
             b.add_edge(NodeId(u), NodeId(v));
         }
         b.try_build().map_err(GraphSourceError::from)
+    }
+}
+
+impl Serialize for GraphSource {
+    fn to_value(&self) -> Value {
+        match self {
+            GraphSource::Generator(spec) => spec.to_value(),
+            GraphSource::EdgeListJson { path } | GraphSource::FlatBinary { path } => {
+                Value::object([
+                    ("kind", Value::Str(self.name().to_string())),
+                    ("path", Value::Str(path.clone())),
+                ])
+            }
+        }
+    }
+}
+
+impl<'de> Deserialize<'de> for GraphSource {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = de::object(v, "GraphSource")?;
+        let kind: String = de::field(fields, "kind", "GraphSource")?;
+        match kind.as_str() {
+            "edge_list_json" => Ok(GraphSource::EdgeListJson {
+                path: de::field(fields, "path", "GraphSource")?,
+            }),
+            "flat_binary" => Ok(GraphSource::FlatBinary {
+                path: de::field(fields, "path", "GraphSource")?,
+            }),
+            family if FAMILY_KINDS.contains(&family) => {
+                GeneratorSpec::from_value(v).map(GraphSource::Generator)
+            }
+            other => {
+                let kinds = [&FAMILY_KINDS[..], &["edge_list_json", "flat_binary"]].concat();
+                Err(DeError::new(unknown_kind("graph", other, &kinds)))
+            }
+        }
     }
 }
 
@@ -630,13 +831,17 @@ mod tests {
         }
     }
 
+    /// The serialized source is the registry key: equal sources render
+    /// identically, distinct ones never collide.
     #[test]
     fn canonical_keys_dedup_identical_specs_and_split_distinct_ones() {
+        let key = |src: &GraphSource| serde_json::to_string(src).unwrap();
         let a = GraphSource::Generator(GeneratorSpec::Grid { rows: 8, cols: 8 });
         let b = GraphSource::Generator(GeneratorSpec::Grid { rows: 8, cols: 8 });
         let c = GraphSource::Generator(GeneratorSpec::Grid { rows: 8, cols: 9 });
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_ne!(a.canonical_key(), c.canonical_key());
+        assert_eq!(key(&a), key(&b));
+        assert_ne!(key(&a), key(&c));
+        assert_eq!(key(&a), r#"{"kind":"grid","rows":8,"cols":8}"#);
         // Different source kinds never collide, even on equal payloads.
         let f1 = GraphSource::EdgeListJson {
             path: "x".to_string(),
@@ -644,7 +849,51 @@ mod tests {
         let f2 = GraphSource::FlatBinary {
             path: "x".to_string(),
         };
-        assert_ne!(f1.canonical_key(), f2.canonical_key());
+        assert_ne!(key(&f1), key(&f2));
+    }
+
+    /// Every listed family name builds the family of that name, so the
+    /// error list, `name()` and `from_params` cannot drift apart.
+    #[test]
+    fn every_listed_family_kind_round_trips_through_the_table() {
+        for kind in FAMILY_KINDS {
+            let spec = GeneratorSpec::from_params(kind, |_| Ok(Some(5))).unwrap();
+            assert_eq!(spec.name(), kind);
+            let given = spec.params();
+            let again = GeneratorSpec::from_params(kind, |key| {
+                Ok(given.iter().find(|(k, _)| *k == key).map(|&(_, x)| x))
+            });
+            assert_eq!(again, Ok(spec));
+        }
+        for kind in PARTITION_KINDS {
+            let src = PartitionSource::from_params(kind, |_| Ok(Some(5))).unwrap();
+            assert_eq!(src.name(), kind);
+        }
+    }
+
+    /// A size product past `u64` must not wrap to a small count that slips
+    /// under the capacity check (2³²·2³² wraps to 0, and `gen::grid` then
+    /// panics on its first edge).
+    #[test]
+    fn overflowing_sizes_are_a_capacity_error_not_a_wrap() {
+        let huge = 1usize << 32;
+        for spec in [
+            GeneratorSpec::Grid {
+                rows: huge,
+                cols: huge,
+            },
+            GeneratorSpec::GridOfCliques {
+                rows: 1 << 22,
+                cols: 1 << 21,
+                clique: 1 << 21,
+            },
+        ] {
+            assert_eq!(spec.num_nodes(), u64::MAX, "{}", spec.name());
+            let err = spec.validate().unwrap_err();
+            assert_eq!(err.code(), "graph_too_large", "{err}");
+            assert!(matches!(err, GraphSourceError::Capacity(_)));
+            assert_eq!(spec.build().unwrap_err().code(), "graph_too_large");
+        }
     }
 
     #[test]

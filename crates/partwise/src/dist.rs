@@ -662,7 +662,7 @@ impl PartwiseOp for AggregateOp<'_> {
         let cfg = PartwiseConfig {
             delay_range: sc.aggregate.delay_range,
             seed: sc.aggregate.seed,
-            sim: sc.aggregate_sim(),
+            sim: sc.sim,
         };
         let mut forest = tables.forest.clone();
         let (g, partition, participation) =

@@ -159,7 +159,7 @@ impl PartwiseOp for GossipOp<'_> {
         session.prepare();
         let quality = session.quality_shared();
         let tables = SessionTables::of_session(session);
-        let sim = session.config().aggregate_sim();
+        let sim = session.config().sim;
         let (g, partition) = (session.graph(), session.partition());
         let out = self.run_with(g, partition, sim, &tables.participation);
         let metrics = out.metrics.clone();

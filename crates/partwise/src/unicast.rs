@@ -163,7 +163,7 @@ impl PartwiseOp for UnicastOp<'_> {
         let cfg = UnicastConfig {
             delay_range: sc.unicast.delay_range,
             seed: sc.unicast.seed,
-            sim: sc.unicast_sim(),
+            sim: sc.sim,
         };
         let g = session.graph();
         // Routing needs only the tree — it must not force a shortcut

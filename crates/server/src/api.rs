@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn observability_reads_do_not_wait_for_a_running_op() {
         let state = AppState::new(ServerConfig::default());
-        let spec = br#"{"graph": {"family": "grid", "rows": 4, "cols": 4}}"#;
+        let spec = br#"{"graph": {"kind": "grid", "rows": 4, "cols": 4}}"#;
         assert_eq!(handle(&state, "POST", "/sessions", spec).0, 200);
         let entry = state.registry.get("s0").expect("created");
 

@@ -3,7 +3,7 @@
 //! ```text
 //! lcs_client ADDR METHOD PATH [JSON_BODY]
 //! lcs_client 127.0.0.1:7420 GET /health
-//! lcs_client 127.0.0.1:7420 POST /sessions '{"graph":{"family":"grid","rows":8,"cols":8}}'
+//! lcs_client 127.0.0.1:7420 POST /sessions '{"graph":{"kind":"grid","rows":8,"cols":8}}'
 //! ```
 //!
 //! Prints the response body to stdout and exits 0 on 2xx, 1 otherwise

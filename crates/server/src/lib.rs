@@ -45,7 +45,7 @@
 //! let spec = Value::object([(
 //!     "graph",
 //!     Value::object([
-//!         ("family", Value::Str("grid".into())),
+//!         ("kind", Value::Str("grid".into())),
 //!         ("rows", Value::U64(8)),
 //!         ("cols", Value::U64(8)),
 //!     ]),

@@ -4,8 +4,8 @@
 //!
 //! `ShortcutSession<'g>` borrows its graph, so the daemon gives every
 //! served graph a `'static` lifetime by leaking it ([`Box::leak`]) into a
-//! **deduplicated, capacity-bounded registry** keyed by the canonical
-//! graph spec — the leak is deliberate and bounded: a graph is a few MB,
+//! **deduplicated, capacity-bounded registry** keyed by the serialized
+//! [`GraphSource`] — the leak is deliberate and bounded: a graph is a few MB,
 //! the registry refuses new graphs past its cap (409), and identical
 //! specs share one allocation across all sessions.
 //!
@@ -39,7 +39,6 @@ use lcs_core::session::{Backend, Session, SessionConfig, ShortcutSession};
 use lcs_core::{GeneratorSpec, GraphSource, Partition, PartitionSource};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
-use lcs_separator::SeparatorConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -310,14 +309,14 @@ impl Registry {
         // create is resolved at insertion time below. Everything the spec
         // can be rejected for is checked before its graph is leaked, so a
         // refused create never costs a registry slot.
-        let graph_key = json::render(&spec.graph.canonical_value());
+        let graph_key = json::render(&spec.graph.to_value());
         let (graph, partition, weights) = match self.known_graph(&graph_key)? {
             Some((graph, file_weights)) => {
                 let (partition, weights) = spec.resolve_inputs(graph, file_weights)?;
                 (graph, partition, weights)
             }
             None => {
-                let (built, file_weights) = spec.graph.build()?;
+                let (built, file_weights) = build_graph(&spec.graph)?;
                 let (partition, weights) = spec.resolve_inputs(&built, file_weights.clone())?;
                 let graph = self.leak_graph(graph_key, built, file_weights)?;
                 (graph, partition, weights)
@@ -401,172 +400,49 @@ impl Registry {
     }
 }
 
-/// A validated graph spec: a thin wrapper over the unified
-/// [`GraphSource`] — the server's wire form of the one graph-construction
-/// path the whole workspace shares.
-///
-/// Two wire forms parse to the same source (and therefore the same
-/// canonical key, warm session, and leaked graph):
-///
-/// - the **unified form**, mirroring partition sources:
-///   `{"kind": "grid", "rows": 8, "cols": 8}`,
-///   `{"kind": "road_like", "rows": 1000, "cols": 1000, "seed": 7}`,
-///   `{"kind": "edge_list_json", "path": "g.json"}`,
-///   `{"kind": "flat_binary", "path": "g.lcsg"}`;
-/// - the **legacy form** `{"family": ...}` (deprecated alias), including
-///   `{"family": "file", "path": ...}` which maps onto
-///   [`GraphSource::EdgeListJson`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GraphSpec {
-    /// The unified source this spec names.
-    pub source: GraphSource,
-}
-
 /// Node-count cap on served graphs (generator families are rejected at
 /// parse time; file-backed graphs after loading).
 const MAX_SERVED_NODES: u64 = 40_000_000;
 
-impl GraphSpec {
-    /// Parses and validates the `graph` field of a session spec (both
-    /// wire forms; see the type docs).
-    pub fn from_value(v: &Value) -> Result<Self, ApiError> {
-        let kind: String = match json::lookup(v, "kind") {
-            Some(_) => json::require(v, "kind")?,
-            // Legacy alias: `{"family": ...}`.
-            None => json::require(v, "family")?,
-        };
-        if kind == "file" || kind == "edge_list_json" {
-            let path: String = json::require(v, "path")?;
-            return Ok(GraphSpec {
-                source: GraphSource::EdgeListJson { path },
-            });
-        }
-        if kind == "flat_binary" {
-            let path: String = json::require(v, "path")?;
-            return Ok(GraphSpec {
-                source: GraphSource::FlatBinary { path },
-            });
-        }
-        let spec = match kind.as_str() {
-            "grid" => GeneratorSpec::Grid {
-                rows: json::require(v, "rows")?,
-                cols: json::require(v, "cols")?,
-            },
-            "torus" => GeneratorSpec::Torus {
-                rows: json::require(v, "rows")?,
-                cols: json::require(v, "cols")?,
-            },
-            "path" => GeneratorSpec::Path {
-                n: json::require(v, "n")?,
-            },
-            "cycle" => GeneratorSpec::Cycle {
-                n: json::require(v, "n")?,
-            },
-            "complete" => GeneratorSpec::Complete {
-                n: json::require(v, "n")?,
-            },
-            "wheel" => GeneratorSpec::Wheel {
-                n: json::require(v, "n")?,
-            },
-            "grid_of_cliques" => GeneratorSpec::GridOfCliques {
-                rows: json::require(v, "rows")?,
-                cols: json::require(v, "cols")?,
-                clique: json::require(v, "r")?,
-            },
-            "road_like" => GeneratorSpec::RoadLike {
-                rows: json::require(v, "rows")?,
-                cols: json::require(v, "cols")?,
-                seed: json::optional(v, "seed")?.unwrap_or(0),
-            },
-            other => {
-                return Err(ApiError::bad_args(format!(
-                    "unknown graph kind `{other}` — one of grid, torus, path, cycle, \
-                     complete, wheel, grid_of_cliques, road_like, edge_list_json, \
-                     flat_binary (or the legacy `family` aliases)"
-                )))
-            }
-        };
-        spec.validate()
-            .map_err(|e| ApiError::unprocessable_graph(&e))?;
-        if spec.num_nodes() > MAX_SERVED_NODES {
-            return Err(ApiError::bad_args("graph too large for this server"));
-        }
-        Ok(GraphSpec {
-            source: GraphSource::Generator(spec),
-        })
+fn check_served_size(nodes: u64) -> Result<(), ApiError> {
+    if nodes > MAX_SERVED_NODES {
+        return Err(ApiError::bad_args("graph too large for this server"));
     }
+    Ok(())
+}
 
-    /// The canonical JSON form (fixed field order, always the unified
-    /// `kind` shape — legacy-alias specs canonicalize to the same value,
-    /// so they share warm sessions with their unified twins).
-    pub fn canonical_value(&self) -> Value {
-        let path_obj = |kind: &str, path: &str| {
-            Value::object([
-                ("kind", Value::Str(kind.to_string())),
-                ("path", Value::Str(path.to_string())),
-            ])
-        };
-        match &self.source {
-            GraphSource::EdgeListJson { path } => path_obj("edge_list_json", path),
-            GraphSource::FlatBinary { path } => path_obj("flat_binary", path),
-            GraphSource::Generator(spec) => {
-                let kind = ("kind", Value::Str(spec.name().to_string()));
-                match *spec {
-                    GeneratorSpec::Path { n }
-                    | GeneratorSpec::Cycle { n }
-                    | GeneratorSpec::Complete { n }
-                    | GeneratorSpec::Wheel { n } => {
-                        Value::object([kind, ("n", Value::U64(n as u64))])
-                    }
-                    GeneratorSpec::Grid { rows, cols } | GeneratorSpec::Torus { rows, cols } => {
-                        Value::object([
-                            kind,
-                            ("rows", Value::U64(rows as u64)),
-                            ("cols", Value::U64(cols as u64)),
-                        ])
-                    }
-                    GeneratorSpec::GridOfCliques { rows, cols, clique } => Value::object([
-                        kind,
-                        ("rows", Value::U64(rows as u64)),
-                        ("cols", Value::U64(cols as u64)),
-                        ("r", Value::U64(clique as u64)),
-                    ]),
-                    GeneratorSpec::RoadLike { rows, cols, seed } => Value::object([
-                        kind,
-                        ("rows", Value::U64(rows as u64)),
-                        ("cols", Value::U64(cols as u64)),
-                        ("seed", Value::U64(seed)),
-                    ]),
-                }
-            }
-        }
-    }
+/// What the server asks of a graph source before building anything: a
+/// generator meets its family's preconditions (typed 422) and stays under
+/// the node cap. File-backed graphs can only be measured after loading
+/// ([`build_graph`]).
+fn check_graph(source: &GraphSource) -> Result<(), ApiError> {
+    let GraphSource::Generator(spec) = source else {
+        return Ok(());
+    };
+    spec.validate()
+        .map_err(|e| ApiError::unprocessable_graph(&e))?;
+    check_served_size(spec.num_nodes())
+}
 
-    /// Resolves the source into a graph (plus weights when the backing
-    /// `.lcsg` file carries them), mapping every
-    /// [`lcs_core::GraphSourceError`] onto its structured 422/404.
-    pub fn build(&self) -> Result<(Graph, Option<EdgeWeights>), ApiError> {
-        let resolved = self
-            .source
-            .resolve()
-            .map_err(|e| ApiError::unprocessable_graph(&e))?;
-        // Generator sizes are capped at parse time; file-backed graphs
-        // can only be measured after loading.
-        if resolved.graph.num_nodes() as u64 > MAX_SERVED_NODES {
-            return Err(ApiError::bad_args("graph too large for this server"));
-        }
-        Ok((resolved.graph, resolved.weights))
-    }
+/// Resolves the source into a graph (plus weights when the backing
+/// `.lcsg` file carries them), mapping every
+/// [`lcs_core::GraphSourceError`] onto its structured 422/404.
+fn build_graph(source: &GraphSource) -> Result<(Graph, Option<EdgeWeights>), ApiError> {
+    let resolved = source
+        .resolve()
+        .map_err(|e| ApiError::unprocessable_graph(&e))?;
+    check_served_size(resolved.graph.num_nodes() as u64)?;
+    Ok((resolved.graph, resolved.weights))
+}
 
-    /// The default partition for this source (`rows` for grids/tori,
-    /// `None` otherwise).
-    pub fn default_partition(&self) -> Option<Vec<Vec<NodeId>>> {
-        match &self.source {
-            GraphSource::Generator(
-                GeneratorSpec::Grid { rows, cols } | GeneratorSpec::Torus { rows, cols },
-            ) => Some(gen::rows_of_grid(*rows, *cols)),
-            _ => None,
-        }
+/// The default partition for a source (`rows` for grids/tori, `None`
+/// otherwise).
+fn default_partition(source: &GraphSource) -> Option<Vec<Vec<NodeId>>> {
+    match source {
+        GraphSource::Generator(
+            GeneratorSpec::Grid { rows, cols } | GeneratorSpec::Torus { rows, cols },
+        ) => Some(gen::rows_of_grid(*rows, *cols)),
+        _ => None,
     }
 }
 
@@ -580,7 +456,7 @@ pub enum PartitionSpec {
     /// Explicit parts as node-id lists.
     Explicit(Vec<Vec<u32>>),
     /// A declarative [`PartitionSource`] resolved on the graph at build
-    /// time (`{"kind": "voronoi", ...}` / `{"kind": "separator", ...}`).
+    /// time, in its own wire form (`{"kind": "separator", "level": 3}`).
     /// The string `"singletons"` is shorthand for `{"kind": "singletons"}`
     /// and parses to the same value, hence the same LRU key.
     Source(PartitionSource),
@@ -599,38 +475,8 @@ impl PartitionSpec {
                      a source object {{\"kind\": ...}}, or an explicit [[node, ...], ...] array"
                 ))),
             },
-            Some(obj @ Value::Obj(_)) => Ok(PartitionSpec::Source(Self::source_from_value(obj)?)),
-            Some(arr) => {
-                let parts: Vec<Vec<u32>> = <Vec<Vec<u32>> as Deserialize>::from_value(arr)
-                    .map_err(|e| ApiError::bad_args(format!("field `partition`: {e}")))?;
-                Ok(PartitionSpec::Explicit(parts))
-            }
-        }
-    }
-
-    /// Parses the object form of `partition`: a [`PartitionSource`] recipe
-    /// keyed by `kind`.
-    fn source_from_value(v: &Value) -> Result<PartitionSource, ApiError> {
-        let kind: String = json::require(v, "kind")?;
-        match kind.as_str() {
-            "rows" => Ok(PartitionSource::Rows {
-                rows: json::require(v, "rows")?,
-                cols: json::require(v, "cols")?,
-            }),
-            "voronoi" => Ok(PartitionSource::Voronoi {
-                parts: json::require(v, "parts")?,
-                seed: json::optional(v, "seed")?.unwrap_or(0),
-            }),
-            "singletons" => Ok(PartitionSource::Singletons),
-            "separator" => Ok(PartitionSource::Separator {
-                level: json::require(v, "level")?,
-                min_region: json::optional(v, "min_region")?
-                    .unwrap_or_else(|| SeparatorConfig::default().min_region),
-            }),
-            other => Err(ApiError::bad_args(format!(
-                "unknown partition source kind `{other}` — one of rows, voronoi, \
-                 singletons, separator"
-            ))),
+            Some(Value::Obj(_)) => Ok(PartitionSpec::Source(json::require(v, "partition")?)),
+            Some(_) => Ok(PartitionSpec::Explicit(json::require(v, "partition")?)),
         }
     }
 
@@ -639,27 +485,7 @@ impl PartitionSpec {
             PartitionSpec::Default => Value::Str("default".to_string()),
             PartitionSpec::None => Value::Str("none".to_string()),
             PartitionSpec::Explicit(parts) => parts.to_value(),
-            PartitionSpec::Source(src) => {
-                let kind = ("kind", Value::Str(src.name().to_string()));
-                match *src {
-                    PartitionSource::Rows { rows, cols } => Value::object([
-                        kind,
-                        ("rows", Value::U64(rows as u64)),
-                        ("cols", Value::U64(cols as u64)),
-                    ]),
-                    PartitionSource::Voronoi { parts, seed } => Value::object([
-                        kind,
-                        ("parts", Value::U64(parts as u64)),
-                        ("seed", Value::U64(seed)),
-                    ]),
-                    PartitionSource::Singletons => Value::object([kind]),
-                    PartitionSource::Separator { level, min_region } => Value::object([
-                        kind,
-                        ("level", Value::U64(u64::from(level))),
-                        ("min_region", Value::U64(min_region as u64)),
-                    ]),
-                }
-            }
+            PartitionSpec::Source(src) => src.to_value(),
         }
     }
 }
@@ -667,32 +493,50 @@ impl PartitionSpec {
 /// A full, validated session spec — the LRU key domain.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionSpec {
-    /// The graph to serve.
-    pub graph: GraphSpec,
+    /// The graph to serve (`{"kind": "grid", "rows": 8, "cols": 8}`, …);
+    /// its serialized form keys the graph registry.
+    pub graph: GraphSource,
     /// How to partition it.
     pub partition: PartitionSpec,
     /// Execution backend (default [`Backend::Centralized`]).
     pub backend: Option<Backend>,
-    /// Full session configuration (default [`SessionConfig::default`]).
+    /// Full session configuration (default [`SessionConfig::default`]);
+    /// `None` when it says nothing the default does not.
     pub config: Option<SessionConfig>,
     /// Initial edge weights (default none; `set_weights` can add them).
     pub weights: Option<Vec<u64>>,
 }
 
+/// LEGACY ALIAS SHIM — delete once `benchmark/` POSTs `kind` (it is frozen
+/// for every PR but a `[benchmark]` one, and the last client that spells
+/// `{"family": "grid", ...}`): a graph object without `kind` has its
+/// `family` key read as `kind`, and the family `file` as `edge_list_json`.
+fn legacy_family_alias(graph: &Value) -> Value {
+    let mut graph = graph.clone();
+    let Value::Obj(fields) = &mut graph else {
+        return graph;
+    };
+    if fields.iter().all(|(key, _)| key != "kind") {
+        if let Some((key, name)) = fields.iter_mut().find(|(key, _)| key == "family") {
+            *key = "kind".to_string();
+            if *name == Value::Str("file".to_string()) {
+                *name = Value::Str("edge_list_json".to_string());
+            }
+        }
+    }
+    graph
+}
+
 impl SessionSpec {
     /// Parses and validates a `POST /sessions` body.
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
-        let graph_value = json::lookup(v, "graph")
+        let graph = json::lookup(v, "graph")
             .ok_or_else(|| ApiError::bad_args("missing required field `graph`"))?;
-        let graph = GraphSpec::from_value(graph_value)?;
+        let graph = GraphSource::from_value(&legacy_family_alias(graph))
+            .map_err(|e| ApiError::bad_args(format!("field `graph`: {e}")))?;
+        check_graph(&graph)?;
         let partition = PartitionSpec::from_value(v)?;
-        let backend = match json::lookup(v, "backend") {
-            None => None,
-            Some(b) => Some(
-                <Backend as Deserialize>::from_value(b)
-                    .map_err(|e| ApiError::bad_args(format!("field `backend`: {e}")))?,
-            ),
-        };
+        let backend: Option<Backend> = json::optional(v, "backend")?;
         // A sketch of capacity below 2 deserializes but cannot detect
         // anything: the construction asserts on it mid-run.
         if let Some(Backend::Sketch(DistConfig {
@@ -704,13 +548,19 @@ impl SessionSpec {
                 "field `backend.Sketch.mode.Sketch.t`: sketch detection needs capacity t >= 2",
             ));
         }
-        let config = match json::lookup(v, "config") {
-            None => None,
-            Some(c) => Some(
-                <SessionConfig as Deserialize>::from_value(c)
-                    .map_err(|e| ApiError::bad_args(format!("field `config`: {e}")))?,
-            ),
-        };
+        let mut config: Option<SessionConfig> = json::optional(v, "config")?;
+        // The session records `graph` as its provenance, so a config may
+        // only repeat it; what is left is dropped when it is all defaults,
+        // so every spelling of one session shares one LRU key.
+        if let Some(c) = &mut config {
+            if c.graph_source.take().is_some_and(|source| source != graph) {
+                return Err(ApiError::bad_args(
+                    "field `config.graph_source`: names a different graph than `graph` — \
+                     leave it out or make the two equal",
+                ));
+            }
+        }
+        let config = config.filter(|c| *c != SessionConfig::default());
         let weights: Option<Vec<u64>> = json::optional(v, "weights")?;
         Ok(SessionSpec {
             graph,
@@ -724,29 +574,11 @@ impl SessionSpec {
     /// The canonical JSON of the whole spec (the LRU key).
     pub fn canonical_value(&self) -> Value {
         Value::object([
-            ("graph", self.graph.canonical_value()),
+            ("graph", self.graph.to_value()),
             ("partition", self.partition.canonical_value()),
-            (
-                "backend",
-                self.backend
-                    .as_ref()
-                    .map(|b| b.to_value())
-                    .unwrap_or(Value::Null),
-            ),
-            (
-                "config",
-                self.config
-                    .as_ref()
-                    .map(|c| c.to_value())
-                    .unwrap_or(Value::Null),
-            ),
-            (
-                "weights",
-                self.weights
-                    .as_ref()
-                    .map(|w| w.to_value())
-                    .unwrap_or(Value::Null),
-            ),
+            ("backend", self.backend.to_value()),
+            ("config", self.config.to_value()),
+            ("weights", self.weights.to_value()),
         ])
     }
 
@@ -774,7 +606,7 @@ impl SessionSpec {
                 .map_err(|e| ApiError::unprocessable_partition(&e))
         };
         let partition = match &self.partition {
-            PartitionSpec::Default => self.graph.default_partition().map(from_parts),
+            PartitionSpec::Default => default_partition(&self.graph).map(from_parts),
             PartitionSpec::None => None,
             PartitionSpec::Explicit(parts) => {
                 let n = graph.num_nodes();
@@ -828,7 +660,7 @@ impl SessionSpec {
         }
         // Provenance: record which source produced the graph. Applied
         // after `.config(..)` so an explicit config does not erase it.
-        builder = builder.graph_source(self.graph.source.clone());
+        builder = builder.graph_source(self.graph.clone());
         let mut session = builder
             .build()
             .expect("resolve_inputs validated the partition");
@@ -849,7 +681,7 @@ mod tests {
         let v = Value::object([(
             "graph",
             Value::object([
-                ("family", Value::Str("grid".to_string())),
+                ("kind", Value::Str("grid".to_string())),
                 ("rows", Value::U64(rows as u64)),
                 ("cols", Value::U64(cols as u64)),
             ]),
@@ -901,7 +733,7 @@ mod tests {
         let reg = Registry::new(2, 8);
         let grid = |side: u64| {
             Value::object([
-                ("family", Value::Str("grid".to_string())),
+                ("kind", Value::Str("grid".to_string())),
                 ("rows", Value::U64(side)),
                 ("cols", Value::U64(side)),
             ])
@@ -941,7 +773,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("path".to_string())),
+                    ("kind", Value::Str("path".to_string())),
                     ("n", Value::U64(4)),
                 ]),
             ),
@@ -961,7 +793,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("grid".to_string())),
+                    ("kind", Value::Str("grid".to_string())),
                     ("rows", Value::U64(6)),
                     ("cols", Value::U64(6)),
                 ]),
@@ -1083,29 +915,58 @@ mod tests {
             ),
         ] {
             let spec = graph_only_spec(graph);
-            let (g, w) = spec.graph.build().expect("builds");
+            let (g, w) = build_graph(&spec.graph).expect("builds");
             assert_eq!(g.num_nodes(), nodes);
             assert!(w.is_none(), "generators never carry weights");
         }
     }
 
+    /// `object` with its first key (the `kind`) spelled `family`.
+    fn legacy_spelling(object: &Value) -> Value {
+        let Value::Obj(fields) = object else {
+            panic!("sources serialize to objects");
+        };
+        let mut fields = fields.clone();
+        assert_eq!(fields[0].0, "kind");
+        fields[0].0 = "family".to_string();
+        Value::Obj(fields)
+    }
+
     #[test]
     fn legacy_family_and_unified_kind_share_one_warm_session() {
         // The pre-GraphSource wire form must keep working *and* dedup
-        // onto the same canonical key as its unified twin.
-        let legacy = grid_spec(4, 4);
-        let unified = graph_only_spec(Value::object([
-            ("kind", Value::Str("grid".to_string())),
-            ("rows", Value::U64(4)),
-            ("cols", Value::U64(4)),
-        ]));
-        assert_eq!(legacy.graph, unified.graph);
-        let reg = Registry::new(4, 4);
-        let (a, created_a) = reg.get_or_create(&legacy).unwrap();
-        let (b, created_b) = reg.get_or_create(&unified).unwrap();
-        assert!(created_a && !created_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(reg.stats().graphs, 1);
+        // onto the same canonical key as its unified twin — for every
+        // family (the file alias has its own test below).
+        let families = [
+            GeneratorSpec::Path { n: 6 },
+            GeneratorSpec::Cycle { n: 5 },
+            GeneratorSpec::Complete { n: 4 },
+            GeneratorSpec::Wheel { n: 7 },
+            GeneratorSpec::Grid { rows: 4, cols: 4 },
+            GeneratorSpec::Torus { rows: 3, cols: 5 },
+            GeneratorSpec::GridOfCliques {
+                rows: 2,
+                cols: 2,
+                clique: 3,
+            },
+            GeneratorSpec::RoadLike {
+                rows: 4,
+                cols: 5,
+                seed: 11,
+            },
+        ];
+        let reg = Registry::new(8, 8);
+        for (i, family) in families.into_iter().enumerate() {
+            let unified = graph_only_spec(family.to_value());
+            let legacy = graph_only_spec(legacy_spelling(&family.to_value()));
+            assert_eq!(unified.graph, GraphSource::Generator(family));
+            assert_eq!(legacy, unified);
+            let (a, created_a) = reg.get_or_create(&legacy).unwrap();
+            let (b, created_b) = reg.get_or_create(&unified).unwrap();
+            assert!(created_a && !created_b, "{}", unified.graph.name());
+            assert!(Arc::ptr_eq(&a, &b));
+            assert_eq!(reg.stats().graphs, i + 1);
+        }
     }
 
     #[test]
@@ -1121,15 +982,15 @@ mod tests {
             ("path", Value::Str(path.as_str().to_string())),
         ]));
         assert_eq!(
-            legacy.graph.source,
+            legacy.graph,
             GraphSource::EdgeListJson {
                 path: path.as_str().to_string()
             }
         );
         assert_eq!(legacy.graph, unified.graph);
         assert_eq!(
-            json::render(&legacy.graph.canonical_value()),
-            json::render(&unified.graph.canonical_value()),
+            json::render(&legacy.canonical_value()),
+            json::render(&unified.canonical_value()),
         );
         let reg = Registry::new(4, 4);
         let (a, _) = reg.get_or_create(&legacy).unwrap();
@@ -1138,6 +999,58 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(reg.stats().graphs, 1);
         assert_eq!(a.graph.num_nodes(), 3);
+    }
+
+    /// A config may repeat the spec's graph as its `graph_source`; the
+    /// repeat is normalised away, so both bodies name one warm session.
+    #[test]
+    fn an_equal_config_graph_source_shares_the_warm_session() {
+        let plain = grid_spec(4, 4);
+        let config = SessionConfig {
+            graph_source: Some(plain.graph.clone()),
+            ..SessionConfig::default()
+        };
+        let repeated = SessionSpec::from_value(&Value::object([
+            ("graph", plain.graph.to_value()),
+            ("config", config.to_value()),
+        ]))
+        .expect("an equal graph_source is accepted");
+        assert_eq!(repeated, plain);
+        let reg = Registry::new(4, 4);
+        let (a, created_a) = reg.get_or_create(&plain).unwrap();
+        let (b, created_b) = reg.get_or_create(&repeated).unwrap();
+        assert!(created_a && !created_b, "one session for both bodies");
+        assert_eq!(a.id, b.id);
+        assert_eq!(
+            a.lock().config().graph_source.as_ref(),
+            Some(&plain.graph),
+            "provenance is the served graph"
+        );
+    }
+
+    /// A `config.graph_source` naming another graph than `graph` used to
+    /// be overwritten silently while still splitting the LRU key.
+    #[test]
+    fn a_disagreeing_config_graph_source_is_refused() {
+        let config = SessionConfig {
+            graph_source: Some(GraphSource::Generator(GeneratorSpec::Grid {
+                rows: 4,
+                cols: 5,
+            })),
+            ..SessionConfig::default()
+        };
+        let err = SessionSpec::from_value(&Value::object([
+            ("graph", grid_spec(4, 4).graph.to_value()),
+            ("config", config.to_value()),
+        ]))
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!((err.status, err.code), (422, "bad_args"));
+        assert!(
+            err.message.contains("`config.graph_source`"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
@@ -1159,7 +1072,7 @@ mod tests {
         assert_eq!(session.weights(), &w, "file weights reach the session");
         assert_eq!(
             session.config().graph_source,
-            Some(spec.graph.source.clone()),
+            Some(spec.graph.clone()),
             "provenance survives into the session config"
         );
     }
@@ -1227,7 +1140,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("path".to_string())),
+                    ("kind", Value::Str("path".to_string())),
                     ("n", Value::U64(4)),
                 ]),
             ),

@@ -96,8 +96,7 @@ pub use lcs_separator as separator;
 /// multi-value CONGEST messages (`k > 1` coalesces burst sends into packed
 /// batches within the `O(log n)`-bit budget — the n = 10⁵ sketch
 /// construction drops ~2.6× in simulated rounds at `k = 8` with
-/// bit-identical results). Per-op overrides (`aggregate.sim`, `mst.sim`, …)
-/// replace the session-wide `sim` wholesale when set.
+/// bit-identical results).
 ///
 /// # Mutating a live session
 ///

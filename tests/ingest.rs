@@ -3,13 +3,15 @@
 //! distinct typed [`IoError`] — never a panic, never a silently wrong
 //! graph.
 
-use lcs_core::{GeneratorSpec, GraphSource, GraphSourceError};
+use lcs_core::{GeneratorSpec, GraphSource, GraphSourceError, PartitionSource};
 use lcs_graph::io::{self, IoError};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde::de::DeserializeOwned;
+use serde::{Deserialize, Serialize, Value};
 
 /// Offset of the first section byte (the header is 40 bytes, see the
 /// [`lcs_graph::io`] format table).
@@ -98,8 +100,122 @@ fn arb_spec() -> impl Strategy<Value = GeneratorSpec> {
         .prop_map(|(f, a, b, s)| spec_from(f, a, b, s))
 }
 
+/// One of the three graph-source kinds (an index draw, as in
+/// [`spec_from`]).
+fn graph_source_from(kind: usize, spec: GeneratorSpec, seed: u64) -> GraphSource {
+    match kind {
+        0 => GraphSource::Generator(spec),
+        1 => GraphSource::EdgeListJson {
+            path: format!("graphs/{seed}.json"),
+        },
+        _ => GraphSource::FlatBinary {
+            path: format!("graphs/{seed}.lcsg"),
+        },
+    }
+}
+
+/// One of the four partition-source kinds.
+fn partition_source_from(kind: usize, a: usize, b: usize, seed: u64) -> PartitionSource {
+    match kind {
+        0 => PartitionSource::Rows { rows: a, cols: b },
+        1 => PartitionSource::Voronoi { parts: a, seed },
+        2 => PartitionSource::Singletons,
+        _ => PartitionSource::Separator {
+            level: a as u32,
+            min_region: b,
+        },
+    }
+}
+
+/// The wire form of one source: `from_value(to_value(x)) == x`, the
+/// object leads with its `kind`, and its keys are the row the README's
+/// "Source notation" table gives that kind. Returns the rendered fields.
+fn check_wire_form<T>(source: &T) -> Vec<(String, Value)>
+where
+    T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
+{
+    let value = source.to_value();
+    assert_eq!(T::from_value(&value).as_ref(), Ok(source));
+    let Value::Obj(fields) = value else {
+        panic!("{source:?} must render as an object");
+    };
+    let (kind, params) = match fields.as_slice() {
+        [(key, Value::Str(kind)), params @ ..] if key == "kind" => (kind, params),
+        _ => panic!("{source:?} must lead with its kind"),
+    };
+    let keys: Vec<String> = params.iter().map(|(key, _)| format!("`{key}`")).collect();
+    let keys = if keys.is_empty() {
+        "—".to_string()
+    } else {
+        keys.join(", ")
+    };
+    let row = format!("| `{kind}` | {keys} |");
+    assert!(
+        include_str!("../README.md").contains(&row),
+        "the README notation table has no row {row}"
+    );
+    fields
+}
+
+/// `fields` without `key`, as a value to deserialize.
+fn without(fields: &[(String, Value)], key: &str) -> Value {
+    Value::Obj(fields.iter().filter(|(k, _)| k != key).cloned().collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every source round-trips through the one `kind` notation, which is
+    /// the README table; the two optional parameters default when absent,
+    /// and any other absent parameter is an error that names it.
+    #[test]
+    fn sources_round_trip_through_the_kind_wire_form(
+        spec in arb_spec(),
+        kinds in (0usize..3, 0usize..4),
+        (a, b) in (0usize..1000, 0usize..1000),
+        seed in 0u64..1_000_000,
+    ) {
+        let generator = check_wire_form(&spec);
+        let graph = graph_source_from(kinds.0, spec.clone(), seed);
+        check_wire_form(&graph);
+        if let GraphSource::Generator(_) = graph {
+            // A generator source is its spec, not a wrapper around it.
+            prop_assert_eq!(graph.to_value(), spec.to_value());
+        }
+        let partition = partition_source_from(kinds.1, a, b, seed);
+        let partition_fields = check_wire_form(&partition);
+
+        for (key, _) in &generator[1..] {
+            let read = GeneratorSpec::from_value(&without(&generator, key));
+            match (&spec, key.as_str()) {
+                (GeneratorSpec::RoadLike { rows, cols, .. }, "seed") => prop_assert_eq!(
+                    read,
+                    Ok(GeneratorSpec::RoadLike { rows: *rows, cols: *cols, seed: 0 })
+                ),
+                _ => {
+                    let err = read.expect_err("sizes are required").to_string();
+                    prop_assert!(err.contains(&format!("`{key}`")), "{}", err);
+                }
+            }
+        }
+        for (key, _) in &partition_fields[1..] {
+            let read = PartitionSource::from_value(&without(&partition_fields, key));
+            match (&partition, key.as_str()) {
+                (PartitionSource::Voronoi { parts, .. }, "seed") => prop_assert_eq!(
+                    read,
+                    Ok(PartitionSource::Voronoi { parts: *parts, seed: 0 })
+                ),
+                (PartitionSource::Separator { level, .. }, "min_region") => prop_assert_eq!(
+                    read,
+                    Ok(PartitionSource::Separator { level: *level, min_region: 8 })
+                ),
+                _ => {
+                    let err = read.expect_err("required").to_string();
+                    prop_assert!(err.contains(&format!("`{key}`")), "{}", err);
+                }
+            }
+        }
+    }
 
     /// Graph → `.lcsg` → Graph is the identity — same CSR arrays, same
     /// edge ids, same weights — and re-encoding reproduces the identical
@@ -142,6 +258,42 @@ proptest! {
             "flip at {} gave {}", idx, err
         );
     }
+}
+
+/// An unknown `kind` is refused with the list of kinds that exist — the
+/// eight families for a generator, those plus the two file kinds for a
+/// graph source, the four partition sources — and a file kind without its
+/// `path` names the key.
+#[test]
+fn unknown_kinds_and_missing_paths_are_named() {
+    let unknown = Value::object([("kind", Value::Str("hypercube".to_string()))]);
+    let families: Vec<&str> = all_families().iter().map(GeneratorSpec::name).collect();
+    let listed = |err: String, kinds: &[&str]| {
+        assert!(err.contains("`hypercube`"), "{err}");
+        for kind in kinds {
+            assert!(err.contains(kind), "{err} does not list {kind}");
+        }
+    };
+    let err = GeneratorSpec::from_value(&unknown).unwrap_err();
+    listed(err.to_string(), &families);
+    assert!(!err.to_string().contains("flat_binary"), "{err}");
+    let err = GraphSource::from_value(&unknown).unwrap_err();
+    listed(err.to_string(), &families);
+    listed(err.to_string(), &["edge_list_json", "flat_binary"]);
+    let err = PartitionSource::from_value(&unknown).unwrap_err();
+    listed(
+        err.to_string(),
+        &["rows", "voronoi", "singletons", "separator"],
+    );
+
+    for kind in ["edge_list_json", "flat_binary"] {
+        let pathless = Value::object([("kind", Value::Str(kind.to_string()))]);
+        let err = GraphSource::from_value(&pathless).unwrap_err();
+        assert!(err.to_string().contains("`path`"), "{err}");
+    }
+    let kindless = Value::object([("rows", Value::U64(3)), ("cols", Value::U64(4))]);
+    let err = GraphSource::from_value(&kindless).unwrap_err();
+    assert!(err.to_string().contains("`kind`"), "{err}");
 }
 
 #[test]

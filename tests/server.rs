@@ -31,7 +31,7 @@ fn grid_spec(rows: u64, cols: u64) -> Value {
     Value::object([(
         "graph",
         Value::object([
-            ("family", Value::Str("grid".to_string())),
+            ("kind", Value::Str("grid".to_string())),
             ("rows", Value::U64(rows)),
             ("cols", Value::U64(cols)),
         ]),
@@ -428,6 +428,78 @@ fn degenerate_sketch_capacity_is_refused_at_create() {
     let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
     assert_eq!(get_u64(server_stats, "worker_panics"), 0);
 
+    handle.shutdown();
+}
+
+/// A family spec whose size product overflows `u64` (2³²·2³² and
+/// 2²²·2²¹·2²¹ both wrap to 0) used to pass the size checks as an empty
+/// graph and die in the generator behind the panic fence; it is a typed
+/// 422 like any other oversized graph.
+#[test]
+fn overflowing_graph_sizes_are_refused_not_panicked_on() {
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    for graph in [
+        r#"{"kind":"grid","rows":4294967296,"cols":4294967296}"#,
+        r#"{"kind":"grid_of_cliques","rows":4194304,"cols":2097152,"r":2097152}"#,
+    ] {
+        let body = format!("{{\"graph\":{graph}}}");
+        let r = client.post_raw("/sessions", body.as_bytes()).unwrap();
+        assert_eq!(
+            (r.status, r.field("error")),
+            (422, Some(&Value::Str("graph_too_large".to_string()))),
+            "{graph}: {}",
+            lcs_server::json::render(&r.body)
+        );
+    }
+    // The same connection keeps serving.
+    create(&mut client, &grid_spec(4, 4));
+    let metrics = client.get("/metrics").unwrap();
+    let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
+    assert_eq!(get_u64(server_stats, "worker_panics"), 0);
+    handle.shutdown();
+}
+
+/// One notation end to end: a `config.partition_source` written in the
+/// `kind` form (and no `partition`) builds the session, and the spec echo
+/// spells `graph` and `config.partition_source` the way the sources
+/// serialize themselves.
+#[test]
+fn config_partition_source_speaks_the_kind_notation() {
+    use low_congestion_shortcuts::core::{GeneratorSpec, GraphSource};
+
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    let voronoi = r#"{"kind":"voronoi","parts":3,"seed":7}"#;
+    let Value::Obj(mut config) = SessionConfig::default().to_value() else {
+        panic!("configs serialize to objects");
+    };
+    for (key, value) in &mut config {
+        if key == "partition_source" {
+            *value = lcs_server::json::parse(voronoi.as_bytes()).unwrap();
+        }
+    }
+    let graph = GraphSource::Generator(GeneratorSpec::Path { n: 12 });
+    let spec = Value::object([("graph", graph.to_value()), ("config", Value::Obj(config))]);
+    let id = create(&mut client, &spec);
+
+    let body = Value::object([("values", Value::Arr(vec![Value::U64(1); 12]))]);
+    let agg = client
+        .post(&format!("/sessions/{id}/aggregate"), &body)
+        .expect("aggregate");
+    assert_eq!(agg.status, 200, "{}", lcs_server::json::render(&agg.body));
+    let sums = result_values(&agg);
+    assert_eq!(sums.len(), 3, "the config's source partitioned the path");
+    assert_eq!(sums.iter().flatten().sum::<u64>(), 12);
+
+    let info = client.get(&format!("/sessions/{id}")).unwrap();
+    let echoed = info.field("spec").expect("spec echo");
+    let field = |v: &Value, name: &str| lcs_server::json::lookup(v, name).cloned().unwrap();
+    let echoed_graph = lcs_server::json::render(&field(echoed, "graph"));
+    assert_eq!(echoed_graph, r#"{"kind":"path","n":12}"#);
+    assert_eq!(echoed_graph, serde_json::to_string(&graph).unwrap());
+    let echoed_source = field(&field(echoed, "config"), "partition_source");
+    assert_eq!(lcs_server::json::render(&echoed_source), voronoi);
     handle.shutdown();
 }
 

@@ -571,10 +571,6 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     cfg.sim.mode = SimMode::Queued;
     cfg.sim.threads = 4;
     cfg.aggregate.delay_range = 9;
-    cfg.aggregate.sim = Some(SimConfig {
-        threads: 2,
-        ..SimConfig::default()
-    });
     cfg.mst.max_phases = Some(12);
     cfg.mincut.trees = Some(5);
     assert_eq!(roundtrip(&cfg), cfg);
@@ -583,6 +579,14 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     // field is a config-compatibility break and must be deliberate.
     let snapshot = serde_json::to_string(&SessionConfig::default()).unwrap();
     assert_eq!(snapshot, SNAPSHOT, "SessionConfig default schema drifted");
+
+    // A config persisted before the per-op `sim` overrides were removed
+    // spells `"sim": null` inside an op block; unknown keys are ignored, so
+    // it still loads.
+    let old = SNAPSHOT.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
+    assert_ne!(old, SNAPSHOT);
+    let loaded: SessionConfig = serde_json::from_str(&old).expect("old schema still loads");
+    assert_eq!(loaded, SessionConfig::default());
 }
 
 /// The serialized `SessionConfig::default()` — the on-disk schema a
@@ -591,10 +595,10 @@ const SNAPSHOT: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\"congestion_fact
 \"block_factor\":8,\"witness_mode\":\"Derandomized\",\"seed\":1554098974},\
 \"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\"max_rounds\":1000000,\
 \"seed\":12648430,\"threads\":1,\"message_packing\":1},\
-\"aggregate\":{\"delay_range\":0,\"seed\":909743,\"sim\":null},\
-\"unicast\":{\"delay_range\":0,\"seed\":1047,\"sim\":null},\
-\"mst\":{\"seed\":11577874,\"max_phases\":null,\"skip_small_fragments\":true,\"sim\":null},\
-\"mincut\":{\"trees\":null,\"sim\":null},\"partition_source\":null,\"graph_source\":null}";
+\"aggregate\":{\"delay_range\":0,\"seed\":909743},\
+\"unicast\":{\"delay_range\":0,\"seed\":1047},\
+\"mst\":{\"seed\":11577874,\"max_phases\":null,\"skip_small_fragments\":true},\
+\"mincut\":{\"trees\":null},\"partition_source\":null,\"graph_source\":null}";
 
 /// `CacheStats` is the serde-able observability surface a serving daemon
 /// exports — the counters must survive a round trip untouched.
