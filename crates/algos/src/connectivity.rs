@@ -5,8 +5,8 @@
 //! unit weights, the MST machinery computes a spanning forest, and fragment
 //! ids at fixpoint are component labels, in `Õ(δD)` rounds per phase.
 
-use crate::mst::{boruvka_config_of, distributed_mst, op_report, BoruvkaConfig, MstReport};
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
+use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, UnionFind};
 
@@ -21,14 +21,20 @@ pub struct ComponentsReport {
     pub mst: MstReport,
 }
 
-/// Computes connected components distributedly via unit-weight Boruvka.
+/// Computes connected components distributedly via unit-weight Boruvka
+/// (`provider` and `config` as for [`distributed_mst`]).
 ///
 /// # Panics
 ///
 /// Panics like [`distributed_mst`].
-pub fn distributed_components(g: &Graph, root: NodeId, cfg: &BoruvkaConfig) -> ComponentsReport {
+pub fn distributed_components(
+    g: &Graph,
+    root: NodeId,
+    provider: ShortcutProvider,
+    config: &SessionConfig,
+) -> ComponentsReport {
     let weights = EdgeWeights::unit(g);
-    let mst = distributed_mst(g, &weights, root, cfg);
+    let mst = distributed_mst(g, &weights, root, provider, config);
     let mut uf = UnionFind::new(g.num_nodes());
     for &e in &mst.edges {
         let (u, v) = g.endpoints(e);
@@ -51,43 +57,21 @@ pub fn distributed_components(g: &Graph, root: NodeId, cfg: &BoruvkaConfig) -> C
     }
 }
 
-/// Connected components as a session-drivable operation ([`PartwiseOp`]):
-/// unit-weight Boruvka over the session's root and backend-derived
-/// shortcut provider.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ComponentsOp;
-
-impl PartwiseOp for ComponentsOp {
-    type Output = ComponentsReport;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<ComponentsReport> {
-        // Purely topology-scoped: partition and weight churn keep the
-        // cached report alive.
-        let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            let cfg = boruvka_config_of(s);
-            distributed_components(s.graph(), s.root(), &cfg)
-        });
-        op_report(
-            session.graph(),
-            session.config().sim,
-            report.mst.rounds.total(),
-            report.mst.messages,
-            report.mst.bits,
-            report.mst.truncated,
-            (*report).clone(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lcs_graph::{components, gen};
 
+    /// Components from node 0 with oracle shortcuts, default knobs.
+    fn components_of(g: &Graph) -> ComponentsReport {
+        let config = SessionConfig::default();
+        distributed_components(g, NodeId(0), ShortcutProvider::Oracle, &config)
+    }
+
     #[test]
     fn single_component_grid() {
         let g = gen::grid(5, 5);
-        let rep = distributed_components(&g, NodeId(0), &BoruvkaConfig::default());
+        let rep = components_of(&g);
         assert_eq!(rep.count, 1);
         assert_eq!(rep.mst.edges.len(), 24);
         assert!(rep.label.iter().all(|&l| l == rep.label[0]));
@@ -96,7 +80,7 @@ mod tests {
     #[test]
     fn matches_centralized_components() {
         let g = Graph::from_edges(8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (5, 7)]);
-        let rep = distributed_components(&g, NodeId(0), &BoruvkaConfig::default());
+        let rep = components_of(&g);
         let reference = components::connected_components(&g);
         assert_eq!(rep.count, reference.count);
         // Labels agree up to renaming: same label iff same component.

@@ -19,13 +19,12 @@
 //! deg-sum half is simulated and whose LCA-token half is computed centrally
 //! (charged as zero; `O(D + load)` rounds in theory).
 
-use crate::mst::{boruvka_config_of, distributed_mst, op_report, BoruvkaConfig, MstRounds};
+use crate::mst::{distributed_mst, MstRounds, ShortcutProvider};
 use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
 use lcs_congest::Simulator;
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, components, EdgeId, Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Exact minimum cut by Stoer–Wagner (`O(n³)`); returns 0 for disconnected
 /// graphs. Unit edge weights (edge connectivity).
@@ -90,15 +89,6 @@ pub fn stoer_wagner_weighted(g: &Graph, weights: &EdgeWeights) -> u64 {
     best
 }
 
-/// Configuration of [`approx_mincut_distributed`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MincutConfig {
-    /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
-    pub trees: Option<usize>,
-    /// Boruvka settings for each packed tree.
-    pub boruvka: BoruvkaConfig,
-}
-
 /// Result of [`approx_mincut_distributed`].
 #[derive(Clone, Debug)]
 pub struct MincutReport {
@@ -120,16 +110,23 @@ pub struct MincutReport {
 }
 
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
-/// 1-respecting cuts.
+/// 1-respecting cuts. Of `config` it reads
+/// [`mincut.trees`](lcs_core::session::MincutOpts::trees) and, for every
+/// packed tree, what [`distributed_mst`] reads.
 ///
 /// # Panics
 ///
 /// Panics if `g` is disconnected or has fewer than 2 nodes.
-pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) -> MincutReport {
+pub fn approx_mincut_distributed(
+    g: &Graph,
+    root: NodeId,
+    provider: ShortcutProvider,
+    config: &SessionConfig,
+) -> MincutReport {
     assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
     assert!(components::is_connected(g), "graph must be connected");
     let n = g.num_nodes();
-    let q = cfg.trees.unwrap_or_else(|| {
+    let q = config.mincut.trees.unwrap_or_else(|| {
         let by_degree = g.min_degree().max(1);
         by_degree.min(2 * (n as f64).ln().ceil() as usize + 4)
     });
@@ -143,7 +140,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
     let mut best = u64::MAX;
 
     for _ in 0..q {
-        let report = distributed_mst(g, &loads, root, &cfg.boruvka);
+        let report = distributed_mst(g, &loads, root, provider, config);
         rounds.exchange += report.rounds.exchange;
         rounds.construction += report.rounds.construction;
         rounds.aggregation += report.rounds.aggregation;
@@ -159,7 +156,7 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
         let tk = TreeKnowledge::from_rooted_tree(g, &tree);
-        let sim = Simulator::new(g, cfg.boruvka.partwise.sim);
+        let sim = Simulator::new(g, config.sim);
         let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
         eval_rounds += run.metrics.rounds;
         messages += run.metrics.messages;
@@ -180,44 +177,6 @@ pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) ->
         messages,
         bits,
         truncated,
-    }
-}
-
-/// The min-cut approximation as a session-drivable operation
-/// ([`PartwiseOp`]): greedy tree packing over the session's root and
-/// backend-derived shortcut provider.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MincutOp;
-
-impl PartwiseOp for MincutOp {
-    type Output = MincutReport;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<MincutReport> {
-        // Purely topology-scoped: partition and weight churn keep the
-        // cached report alive.
-        let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            let boruvka = boruvka_config_of(s);
-            let cfg = MincutConfig {
-                trees: s.config().mincut.trees,
-                boruvka: BoruvkaConfig {
-                    partwise: lcs_partwise::PartwiseConfig {
-                        sim: s.config().sim,
-                        ..boruvka.partwise
-                    },
-                    ..boruvka
-                },
-            };
-            approx_mincut_distributed(s.graph(), s.root(), &cfg)
-        });
-        op_report(
-            session.graph(),
-            session.config().sim,
-            report.rounds.total() + report.eval_rounds,
-            report.messages,
-            report.bits,
-            report.truncated,
-            (*report).clone(),
-        )
     }
 }
 
@@ -398,6 +357,12 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
+    /// The approximation from node 0 with oracle shortcuts, default knobs.
+    fn approx(g: &Graph) -> MincutReport {
+        let config = SessionConfig::default();
+        approx_mincut_distributed(g, NodeId(0), ShortcutProvider::Oracle, &config)
+    }
+
     #[test]
     fn stoer_wagner_basics() {
         assert_eq!(stoer_wagner(&gen::cycle(8)), 2);
@@ -434,7 +399,7 @@ mod tests {
                 (5, 6),
             ],
         );
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = approx(&g);
         assert_eq!(rep.estimate, 1); // the pendant edge (5,6)
         assert_eq!(rep.estimate, stoer_wagner(&g));
     }
@@ -442,7 +407,7 @@ mod tests {
     #[test]
     fn cycle_and_grid_cuts_found() {
         for g in [gen::cycle(10), gen::grid(5, 5), gen::torus(4, 4)] {
-            let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+            let rep = approx(&g);
             let exact = stoer_wagner(&g);
             assert!(rep.estimate >= exact, "estimate below true min cut");
             assert_eq!(rep.estimate, exact, "small cuts should be found exactly");
@@ -508,7 +473,7 @@ mod tests {
     fn estimate_is_always_an_upper_bound() {
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(21);
         let g = gen::gnm_connected(30, 60, &mut rng);
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = approx(&g);
         assert!(rep.estimate >= stoer_wagner(&g));
     }
 

@@ -10,14 +10,14 @@
 //! second aggregation wave. All MWOEs are safe by the cut property under
 //! the (weight, edge-id) tie-break, so the edge set is exact.
 
+use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
-use lcs_congest::{id_bits, SimConfig, Simulator};
 use lcs_core::dist::{distributed_full_shortcut, DistConfig};
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
-use lcs_core::{full_shortcut, Partition, Shortcut, ShortcutConfig};
+use lcs_core::session::SessionConfig;
+use lcs_core::{baseline, full_shortcut, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
-use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, PartwiseConfig};
+use lcs_partwise::{AggForest, AggregateOp, ParticipationMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -41,50 +41,23 @@ pub fn kruskal(g: &Graph, weights: &EdgeWeights) -> Vec<EdgeId> {
     forest
 }
 
-/// How each Boruvka phase obtains its shortcuts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// How each Boruvka phase obtains its shortcuts — the one input of the
+/// Boruvka family a [`SessionConfig`] does not carry (a session derives it
+/// from its [`Backend`](lcs_core::session::Backend)). The construction
+/// constants are read from [`SessionConfig::shortcut`] either way.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ShortcutProvider {
     /// Centralized Theorem 1.2 construction ("oracle" — construction rounds
     /// are not charged; use to isolate aggregation cost).
-    MinorSweepOracle(ShortcutConfig),
+    Oracle,
     /// The real distributed Theorem 1.5 construction; its simulated rounds
     /// are charged per phase.
-    MinorSweepDistributed(ShortcutConfig, DistConfig),
+    Distributed(DistConfig),
     /// The folklore `D + √n` shortcut (parts bigger than `√n` get the whole
     /// BFS tree). Constructible in `O(D)` rounds, charged as zero.
     Baseline,
     /// No shortcuts: fragments communicate inside `G[P_i]` only.
     None,
-}
-
-/// Configuration of [`distributed_mst`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BoruvkaConfig {
-    /// Shortcut provider per phase.
-    pub provider: ShortcutProvider,
-    /// Aggregation settings.
-    pub partwise: PartwiseConfig,
-    /// Seed for the leader coin flips.
-    pub seed: u64,
-    /// Safety cap on phases (default `4·log₂ n + 16`).
-    pub max_phases: Option<usize>,
-    /// When `true` (default), fragments with at most `2D + 1` nodes get
-    /// `H_i = ∅`: their own diameter already meets the Observation 2.6
-    /// dilation bound, so shortcutting them only adds congestion. Set to
-    /// `false` for the ablation that shortcuts everything.
-    pub skip_small_fragments: bool,
-}
-
-impl Default for BoruvkaConfig {
-    fn default() -> Self {
-        BoruvkaConfig {
-            provider: ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            partwise: PartwiseConfig::default(),
-            seed: 0xb0_aa_12,
-            max_phases: None,
-            skip_small_fragments: true,
-        }
-    }
 }
 
 /// Round breakdown of one run.
@@ -108,7 +81,7 @@ impl MstRounds {
 }
 
 /// Result of [`distributed_mst`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MstReport {
     /// The forest edges, sorted by id.
     pub edges: Vec<EdgeId>,
@@ -129,41 +102,26 @@ pub struct MstReport {
 
 /// Builds shortcuts for the parts living inside the BFS tree's component;
 /// parts in other components (possible for spanning forests on disconnected
-/// graphs) get `H_i = ∅`.
-#[allow(clippy::too_many_arguments)]
+/// graphs) get `H_i = ∅`. Construction cost is added to `report`.
 fn provide_shortcuts(
     g: &Graph,
     tree: &lcs_graph::RootedTree,
-    root: NodeId,
     partition: &Partition,
-    provider: &ShortcutProvider,
-    skip_small: bool,
-    rounds: &mut MstRounds,
-    messages: &mut u64,
-    bits: &mut u64,
+    provider: ShortcutProvider,
+    config: &SessionConfig,
+    report: &mut MstReport,
 ) -> Shortcut {
     let k = partition.num_parts();
-    match provider {
+    let dist = match provider {
         ShortcutProvider::None => return Shortcut::empty(k),
-        ShortcutProvider::Baseline => {
-            let lists = partition
-                .iter()
-                .map(|(_, nodes)| {
-                    let big = nodes.len() > (g.num_nodes() as f64).sqrt() as usize;
-                    if big && tree.contains(nodes[0]) {
-                        tree.tree_edges().map(|(e, _)| e).collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            return Shortcut::from_edge_lists(lists);
-        }
-        _ => {}
-    }
+        ShortcutProvider::Baseline => return baseline::general_graph_shortcut(g, tree, partition),
+        ShortcutProvider::Oracle => None,
+        ShortcutProvider::Distributed(dist) => Some(dist),
+    };
     // Restrict to in-tree parts that actually profit from shortcuts (a part
     // with at most 2D+1 nodes already meets the dilation bound on its own),
     // construct, and map back.
+    let skip_small = config.mst.skip_small_fragments;
     let small_cap = (2 * tree.depth_of_tree() + 1) as usize;
     let in_tree: Vec<PartId> = partition
         .iter()
@@ -178,16 +136,15 @@ fn provide_shortcuts(
         .map(|&p| partition.part(p).to_vec())
         .collect();
     let sub = Partition::from_parts(g, sub_parts).expect("sub-partition stays valid");
-    let sub_shortcut = match provider {
-        ShortcutProvider::MinorSweepOracle(sc) => full_shortcut(g, tree, &sub, sc).shortcut,
-        ShortcutProvider::MinorSweepDistributed(sc, dc) => {
-            let res = distributed_full_shortcut(g, root, &sub, sc, dc);
-            rounds.construction += res.rounds;
-            *messages += res.messages;
-            *bits += res.bits;
+    let sub_shortcut = match dist {
+        None => full_shortcut(g, tree, &sub, &config.shortcut).shortcut,
+        Some(dist) => {
+            let res = distributed_full_shortcut(g, tree.root(), &sub, &config.shortcut, &dist);
+            report.rounds.construction += res.rounds;
+            report.messages += res.messages;
+            report.bits += res.bits;
             res.shortcut
         }
-        _ => unreachable!("handled above"),
     };
     let mut shortcut = Shortcut::empty(k);
     for (si, &orig) in in_tree.iter().enumerate() {
@@ -211,7 +168,12 @@ fn unpack(p: u64) -> EdgeId {
 ///
 /// Returns the exact minimum spanning forest (per the `(weight, edge-id)`
 /// tie-break) together with simulated round counts. `root` is the BFS-tree
-/// root used for shortcut construction.
+/// root used for shortcut construction. Of `config` it reads
+/// [`mst`](SessionConfig::mst) (coin-flip seed, phase cap, small-fragment
+/// skip), [`aggregate`](SessionConfig::aggregate) and
+/// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
+/// and [`shortcut`](SessionConfig::shortcut) for the constructing
+/// providers — the blocks `session.mst(..)` passes.
 ///
 /// # Panics
 ///
@@ -221,28 +183,23 @@ pub fn distributed_mst(
     g: &Graph,
     weights: &EdgeWeights,
     root: NodeId,
-    cfg: &BoruvkaConfig,
+    provider: ShortcutProvider,
+    config: &SessionConfig,
 ) -> MstReport {
     let n = g.num_nodes();
     assert!(n > 0, "empty graph");
     for (_, w) in weights.iter() {
         assert!(w < (1 << 31), "weights must fit in 31 bits");
     }
-    let max_phases = cfg
-        .max_phases
-        .unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
+    let max_phases =
+        (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
     let tree = lcs_graph::bfs::bfs_tree(g, root);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(config.mst.seed);
 
     // Fragment state (centralized bookkeeping of the distributed state).
     let mut fragment_of: Vec<u32> = (0..n as u32).collect();
-    let mut mst: Vec<EdgeId> = Vec::new();
     let mut in_mst = vec![false; g.num_edges()];
-    let mut truncated = false;
-    let mut rounds = MstRounds::default();
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-    let mut phases = 0usize;
+    let mut report = MstReport::default();
 
     loop {
         // Build the current fragment partition.
@@ -258,10 +215,10 @@ pub fn distributed_mst(
 
         // Local MWOE per node: lightest incident edge leaving the fragment.
         // Distributedly this needs one round of neighbor id exchange.
-        rounds.exchange += 1;
-        messages += 2 * g.num_edges() as u64;
+        report.rounds.exchange += 1;
+        report.messages += 2 * g.num_edges() as u64;
         // Fragment ids are id payloads: one id per directed edge.
-        bits += 2 * g.num_edges() as u64 * id_bits(n) as u64;
+        report.bits += 2 * g.num_edges() as u64 * id_bits(n) as u64;
         let mut local: Vec<u64> = vec![u64::MAX; n];
         let mut any_outgoing = false;
         for v in g.nodes() {
@@ -278,22 +235,12 @@ pub fn distributed_mst(
         if !any_outgoing || k <= 1 {
             break;
         }
-        phases += 1;
-        assert!(phases <= max_phases, "Boruvka phase cap hit");
+        report.phases += 1;
+        assert!(report.phases <= max_phases, "Boruvka phase cap hit");
 
         // Shortcuts for the fragments (only parts inside the BFS tree's
         // component can be served; on connected graphs that is everything).
-        let shortcut = provide_shortcuts(
-            g,
-            &tree,
-            root,
-            &partition,
-            &cfg.provider,
-            cfg.skip_small_fragments,
-            &mut rounds,
-            &mut messages,
-            &mut bits,
-        );
+        let shortcut = provide_shortcuts(g, &tree, &partition, provider, config, &mut report);
 
         // Both aggregations of the phase run over the same `G[P_i] + H_i`:
         // the first roots every fragment, the second only converge- and
@@ -306,16 +253,17 @@ pub fn distributed_mst(
                 op,
                 leaders: None,
             };
-            let out = op.run_with(g, &partition, &cfg.partwise, &participation, &mut forest);
-            messages += out.metrics.messages;
-            bits += out.metrics.bits;
-            truncated |= out.metrics.truncated;
+            let (opts, sim) = (&config.aggregate, config.sim);
+            let out = op.run_with(g, &partition, opts, sim, &participation, &mut forest);
+            report.messages += out.metrics.messages;
+            report.bits += out.metrics.bits;
+            report.truncated |= out.metrics.truncated;
             out
         };
 
         // MWOE aggregation per fragment.
         let agg = aggregate(&local, AggOp::Min);
-        rounds.aggregation += agg.metrics.rounds;
+        report.rounds.aggregation += agg.metrics.rounds;
         debug_assert!(agg.all_members_informed);
 
         // Coin flips and merge decisions (tail -> head).
@@ -328,7 +276,7 @@ pub fn distributed_mst(
             }
             let e = unpack(p);
             if !std::mem::replace(&mut in_mst[e.index()], true) {
-                mst.push(e); // every MWOE is safe by the cut property
+                report.edges.push(e); // every MWOE is safe by the cut property
             }
             let (u, v) = g.endpoints(e);
             let (fu, fv) = (fragment_of[u.index()], fragment_of[v.index()]);
@@ -358,7 +306,7 @@ pub fn distributed_mst(
             }
         }
         let note = aggregate(&notify, AggOp::Max);
-        rounds.notification += note.metrics.rounds;
+        report.rounds.notification += note.metrics.rounds;
 
         // Apply merges. One pass suffices: tails merge into heads, and a
         // head stays put, so no relabeled node is relabeled again.
@@ -369,98 +317,9 @@ pub fn distributed_mst(
         }
     }
 
-    mst.sort_unstable();
-    let total_weight = weights.total(mst.iter().copied());
-    MstReport {
-        edges: mst,
-        total_weight,
-        phases,
-        rounds,
-        messages,
-        bits,
-        truncated,
-    }
-}
-
-/// Distributed Boruvka MST as a session-drivable operation
-/// ([`PartwiseOp`]): the session supplies graph, root, the edge weights
-/// (the `Weights` input — set via the builder's `.weights(..)` or
-/// `session.set_weights(..)`), and the shortcut provider matching its
-/// [`Backend`](lcs_core::session::Backend) (centralized oracle for
-/// `Centralized`, the simulated Theorem 1.5 construction for `Distributed`
-/// / `Sketch`); per-phase fragment partitions are built by the algorithm
-/// itself.
-///
-/// The [`MstReport`] is cached as a weight-scoped session artifact
-/// (`deps::WEIGHTED`): repeated calls reuse it until the weights (or
-/// topology/sim config) change — partition churn does not evict it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MstOp;
-
-impl PartwiseOp for MstOp {
-    type Output = MstReport;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<MstReport> {
-        let report = session.op_artifact_with(deps::WEIGHTED, |s| {
-            let cfg = boruvka_config_of(s);
-            distributed_mst(s.graph(), s.weights(), s.root(), &cfg)
-        });
-        op_report(
-            session.graph(),
-            session.config().sim,
-            report.rounds.total(),
-            report.messages,
-            report.bits,
-            report.truncated,
-            (*report).clone(),
-        )
-    }
-}
-
-/// Assembles the legacy [`BoruvkaConfig`] from a session's backend and
-/// [`SessionConfig`](lcs_core::session::SessionConfig) knobs.
-pub fn boruvka_config_of(session: &ShortcutSession<'_>) -> BoruvkaConfig {
-    let sc = session.config();
-    let provider = match session.backend().dist_config() {
-        None => ShortcutProvider::MinorSweepOracle(sc.shortcut),
-        Some(dist) => ShortcutProvider::MinorSweepDistributed(sc.shortcut, dist),
-    };
-    BoruvkaConfig {
-        provider,
-        partwise: PartwiseConfig {
-            delay_range: sc.aggregate.delay_range,
-            seed: sc.aggregate.seed,
-            sim: sc.sim,
-        },
-        seed: sc.mst.seed,
-        max_phases: sc.mst.max_phases,
-        skip_small_fragments: sc.mst.skip_small_fragments,
-    }
-}
-
-/// Wraps the (cached) report of a whole-graph op into the uniform
-/// [`OpReport`]: its simulated totals plus the execution configuration —
-/// effective threads, bandwidth bits — `sim` resolves to on `g`.
-pub(crate) fn op_report<T>(
-    g: &Graph,
-    sim: SimConfig,
-    rounds: u64,
-    messages: u64,
-    bits: u64,
-    truncated: bool,
-    result: T,
-) -> OpReport<T> {
-    let simulator = Simulator::new(g, sim);
-    OpReport {
-        rounds,
-        messages,
-        bits,
-        truncated,
-        quality: None,
-        threads: simulator.effective_threads(),
-        bandwidth_bits: simulator.bandwidth_bits(),
-        result,
-    }
+    report.edges.sort_unstable();
+    report.total_weight = weights.total(report.edges.iter().copied());
+    report
 }
 
 #[cfg(test)]
@@ -468,11 +327,16 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
-    fn check_matches_kruskal(g: &Graph, seed: u64, cfg: &BoruvkaConfig) {
+    /// Boruvka from node 0 on the default knobs.
+    fn mst_of(g: &Graph, w: &EdgeWeights, provider: ShortcutProvider) -> MstReport {
+        distributed_mst(g, w, NodeId(0), provider, &SessionConfig::default())
+    }
+
+    fn check_matches_kruskal(g: &Graph, seed: u64, provider: ShortcutProvider) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
-        let report = distributed_mst(g, &w, NodeId(0), cfg);
+        let report = mst_of(g, &w, provider);
         assert_eq!(report.edges, reference, "MST edge sets differ");
         assert_eq!(report.total_weight, w.total(reference));
         assert!(report.phases >= 1);
@@ -488,49 +352,62 @@ mod tests {
     #[test]
     fn matches_kruskal_on_grid() {
         let g = gen::grid(7, 7);
-        check_matches_kruskal(&g, 11, &BoruvkaConfig::default());
+        check_matches_kruskal(&g, 11, ShortcutProvider::Oracle);
     }
 
     #[test]
     fn matches_kruskal_on_torus() {
         let g = gen::torus(5, 5);
-        check_matches_kruskal(&g, 12, &BoruvkaConfig::default());
+        check_matches_kruskal(&g, 12, ShortcutProvider::Oracle);
     }
 
     #[test]
     fn matches_kruskal_with_baseline_provider() {
         let g = gen::grid(6, 6);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::Baseline,
-            ..BoruvkaConfig::default()
-        };
-        check_matches_kruskal(&g, 13, &cfg);
+        check_matches_kruskal(&g, 13, ShortcutProvider::Baseline);
+    }
+
+    /// The `Baseline` provider is `lcs_core::baseline`'s function — big
+    /// parts get the tree, small ones nothing — at no charge.
+    #[test]
+    fn baseline_provider_is_the_core_baseline() {
+        let g = gen::grid(10, 10); // √n = 10
+        let rows = gen::rows_of_grid(10, 10);
+        let big = rows[..2].concat();
+        let partition = Partition::from_parts(&g, vec![big, rows[2].clone()]).unwrap();
+        let tree = lcs_graph::bfs::bfs_tree(&g, NodeId(0));
+        let mut report = MstReport::default();
+        let provided = provide_shortcuts(
+            &g,
+            &tree,
+            &partition,
+            ShortcutProvider::Baseline,
+            &SessionConfig::default(),
+            &mut report,
+        );
+        assert_eq!(
+            provided,
+            baseline::general_graph_shortcut(&g, &tree, &partition)
+        );
+        assert_eq!(provided.edges_for(PartId(0)).len(), 99);
+        assert!(provided.edges_for(PartId(1)).is_empty());
+        assert_eq!(report.rounds.total() + report.messages + report.bits, 0);
     }
 
     #[test]
     fn matches_kruskal_with_no_shortcuts() {
         let g = gen::wheel(20);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::None,
-            ..BoruvkaConfig::default()
-        };
-        check_matches_kruskal(&g, 14, &cfg);
+        check_matches_kruskal(&g, 14, ShortcutProvider::None);
     }
 
     #[test]
     fn matches_kruskal_with_distributed_construction() {
         let g = gen::grid(6, 6);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::MinorSweepDistributed(
-                ShortcutConfig::default(),
-                DistConfig::default(),
-            ),
-            ..BoruvkaConfig::default()
-        };
+        let provider = ShortcutProvider::Distributed(DistConfig::default());
         let mut rng = SmallRng::seed_from_u64(15);
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
-        let report = distributed_mst(&g, &w, NodeId(0), &cfg);
+        let report = mst_of(&g, &w, provider);
         assert_eq!(report.edges, reference);
         assert!(report.rounds.construction > 0);
     }
@@ -539,7 +416,7 @@ mod tests {
     fn spanning_forest_on_disconnected_graph() {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]);
         let w = EdgeWeights::unit(&g);
-        let report = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+        let report = mst_of(&g, &w, ShortcutProvider::Oracle);
         // Forest: 2 + 2 edges.
         assert_eq!(report.edges.len(), 4);
         assert_eq!(report.edges, kruskal(&g, &w));
@@ -549,7 +426,7 @@ mod tests {
     fn single_node_graph() {
         let g = Graph::from_edges(1, []);
         let w = EdgeWeights::unit(&g);
-        let report = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+        let report = mst_of(&g, &w, ShortcutProvider::Oracle);
         assert!(report.edges.is_empty());
         assert_eq!(report.phases, 0);
     }

@@ -1,14 +1,16 @@
-//! The algorithms half of the [`ShortcutSession`] operation surface:
-//! method-call sugar over [`PartwiseOp`] for MST, connectivity, and
-//! min-cut.
+//! The algorithms half of the [`ShortcutSession`] operation surface: MST,
+//! connectivity, and min-cut. Each method calls its algorithm with the
+//! session's graph, root, [`SessionConfig`](lcs_core::session::SessionConfig)
+//! and backend-derived [`ShortcutProvider`], and caches the report as a
+//! session artifact.
 //!
-//! [`PartwiseOp`]: lcs_core::session::PartwiseOp
 //! [`ShortcutSession`]: lcs_core::session::ShortcutSession
 
-use crate::connectivity::{ComponentsOp, ComponentsReport};
-use crate::mincut::{MincutOp, MincutReport};
-use crate::mst::{MstOp, MstReport};
-use lcs_core::session::{OpReport, SessionError, ShortcutSession};
+use crate::connectivity::{distributed_components, ComponentsReport};
+use crate::mincut::{approx_mincut_distributed, MincutReport};
+use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
+use lcs_congest::Simulator;
+use lcs_core::session::{deps, OpReport, SessionError, ShortcutSession};
 use lcs_graph::components;
 use lcs_graph::weights::EdgeWeights;
 
@@ -34,21 +36,21 @@ use lcs_graph::weights::EdgeWeights;
 /// ```
 pub trait SessionAlgoOps {
     /// Exact minimum spanning forest by shortcut-based Boruvka
-    /// (Corollary 1.6; [`distributed_mst`](crate::mst::distributed_mst)
-    /// semantics). Stores `weights` as the session's `Weights` input (a
-    /// no-op when unchanged) and caches the report until that input — or
-    /// the topology / sim config — changes.
+    /// (Corollary 1.6; [`distributed_mst`] semantics). Stores `weights` as
+    /// the session's `Weights` input (a no-op when unchanged) and caches
+    /// the report as a weight-scoped artifact (`deps::WEIGHTED`): repeated
+    /// calls reuse it until the weights change — partition churn does not
+    /// evict it.
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport>;
 
     /// Connected components by unit-weight Boruvka
-    /// ([`distributed_components`](crate::connectivity::distributed_components)
-    /// semantics).
+    /// ([`distributed_components`] semantics). The report is
+    /// topology-scoped: partition and weight churn keep it cached.
     fn components(&mut self) -> OpReport<ComponentsReport>;
 
     /// Min-cut upper bound by greedy tree packing + 1-respecting cuts
-    /// (Corollary 1.7;
-    /// [`approx_mincut_distributed`](crate::mincut::approx_mincut_distributed)
-    /// semantics).
+    /// (Corollary 1.7; [`approx_mincut_distributed`] semantics).
+    /// Topology-scoped like [`components`](Self::components).
     fn mincut(&mut self) -> OpReport<MincutReport>;
 
     /// [`mst`](Self::mst) with the weight vector validated up front: a
@@ -69,18 +71,62 @@ pub trait SessionAlgoOps {
     fn try_mincut(&mut self) -> Result<OpReport<MincutReport>, SessionError>;
 }
 
+/// The provider matching the session's backend: the centralized oracle, or
+/// the simulated Theorem 1.5 construction on the backend's settings.
+fn provider_of(session: &ShortcutSession<'_>) -> ShortcutProvider {
+    let dist = session.backend().dist_config();
+    dist.map_or(ShortcutProvider::Oracle, ShortcutProvider::Distributed)
+}
+
+/// Wraps the (cached) report of a whole-graph op into the uniform
+/// [`OpReport`]: its simulated totals plus the execution configuration —
+/// effective threads, bandwidth bits — the session's simulator settings
+/// resolve to on its graph.
+fn op_report<T>(
+    session: &ShortcutSession<'_>,
+    rounds: u64,
+    messages: u64,
+    bits: u64,
+    truncated: bool,
+    result: T,
+) -> OpReport<T> {
+    let simulator = Simulator::new(session.graph(), session.config().sim);
+    OpReport {
+        rounds,
+        messages,
+        bits,
+        truncated,
+        quality: None,
+        threads: simulator.effective_threads(),
+        bandwidth_bits: simulator.bandwidth_bits(),
+        result,
+    }
+}
+
 impl SessionAlgoOps for ShortcutSession<'_> {
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport> {
         self.set_weights(weights.clone());
-        self.run(MstOp)
+        let r = self.op_artifact_with(deps::WEIGHTED, |s| {
+            distributed_mst(s.graph(), s.weights(), s.root(), provider_of(s), s.config())
+        });
+        let rounds = r.rounds.total();
+        op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone())
     }
 
     fn components(&mut self) -> OpReport<ComponentsReport> {
-        self.run(ComponentsOp)
+        let r = self.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
+            distributed_components(s.graph(), s.root(), provider_of(s), s.config())
+        });
+        let (m, rounds) = (&r.mst, r.mst.rounds.total());
+        op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone())
     }
 
     fn mincut(&mut self) -> OpReport<MincutReport> {
-        self.run(MincutOp)
+        let r = self.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
+            approx_mincut_distributed(s.graph(), s.root(), provider_of(s), s.config())
+        });
+        let rounds = r.rounds.total() + r.eval_rounds;
+        op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone())
     }
 
     fn try_mst(&mut self, weights: &EdgeWeights) -> Result<OpReport<MstReport>, SessionError> {

@@ -4,9 +4,10 @@
 
 use crate::table::{f2, Table};
 use lcs_congest::protocols::AggOp;
-use lcs_core::{baseline, full_shortcut, measure_quality, Partition, ShortcutConfig};
+use lcs_core::session::SessionConfig;
+use lcs_core::{baseline, full_shortcut, measure_quality, Partition};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{AggregateOp, PartwiseConfig};
+use lcs_partwise::AggregateOp;
 
 /// Runs E10 and renders the table.
 pub fn run(fast: bool) -> String {
@@ -22,14 +23,14 @@ pub fn run(fast: bool) -> String {
         ],
     );
     let exps: &[usize] = if fast { &[5, 7] } else { &[5, 6, 7, 8, 9, 10] };
-    let cfg = ShortcutConfig::default();
+    let config = SessionConfig::default();
     for &e in exps {
         let n = 1usize << e;
         let g = gen::wheel(n);
         let rim: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
         let partition = Partition::from_parts(&g, vec![rim]).expect("rim is connected");
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let built = full_shortcut(&g, &tree, &partition, &cfg);
+        let built = full_shortcut(&g, &tree, &partition, &config.shortcut);
         let q = measure_quality(&g, &partition, &tree, &built.shortcut);
         let values: Vec<u64> = (0..n as u64).collect();
         let op = AggregateOp {
@@ -37,12 +38,14 @@ pub fn run(fast: bool) -> String {
             op: AggOp::Max,
             leaders: None,
         };
-        let with = op.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+        let (opts, sim) = (&config.aggregate, config.sim);
+        let with = op.run_on(&g, &partition, &built.shortcut, opts, sim);
         let without = op.run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &PartwiseConfig::default(),
+            opts,
+            sim,
         );
         assert_eq!(with.results, without.results, "results must agree");
         t.row(vec![

@@ -9,9 +9,10 @@
 use crate::experiments::family_zoo;
 use crate::table::{f2, Table};
 use lcs_congest::protocols::AggOp;
-use lcs_core::{full_shortcut, measure_quality, ShortcutConfig};
+use lcs_core::session::SessionConfig;
+use lcs_core::{full_shortcut, measure_quality};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{AggregateOp, PartwiseConfig, UnicastConfig, UnicastOp};
+use lcs_partwise::{AggregateOp, UnicastOp};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -39,9 +40,9 @@ fn aggregation_table(fast: bool) -> String {
             "correct",
         ],
     );
-    let cfg = ShortcutConfig::default();
+    let config = SessionConfig::default();
     for inst in family_zoo(fast) {
-        let built = full_shortcut(&inst.graph, &inst.tree, &inst.partition, &cfg);
+        let built = full_shortcut(&inst.graph, &inst.tree, &inst.partition, &config.shortcut);
         let q = measure_quality(&inst.graph, &inst.partition, &inst.tree, &built.shortcut);
         let values: Vec<u64> = (0..inst.graph.num_nodes() as u64)
             .map(|x| (x * 131) % 997)
@@ -55,7 +56,8 @@ fn aggregation_table(fast: bool) -> String {
             &inst.graph,
             &inst.partition,
             &built.shortcut,
-            &PartwiseConfig::default(),
+            &config.aggregate,
+            config.sim,
         );
         let expect = lcs_partwise::centralized_aggregate(&inst.partition, &values, AggOp::Min);
         let got: Vec<u64> = out.results.iter().map(|r| r.unwrap_or(u64::MAX)).collect();
@@ -93,6 +95,7 @@ fn unicast_table(fast: bool) -> String {
             "delivered",
         ],
     );
+    let config = SessionConfig::default();
     let sides: &[usize] = if fast { &[8] } else { &[8, 16, 24] };
     for &s in sides {
         let g = gen::grid(s, s);
@@ -108,7 +111,7 @@ fn unicast_table(fast: bool) -> String {
             let pairs: Vec<(NodeId, NodeId)> = (0..k.min(nodes.len() / 2))
                 .map(|i| (nodes[2 * i], nodes[2 * i + 1]))
                 .collect();
-            let out = UnicastOp { demands: &pairs }.run_on(&g, &tree, &UnicastConfig::default());
+            let out = UnicastOp { demands: &pairs }.run_on(&g, &tree, &config.unicast, config.sim);
             let budget = u64::from(out.congestion + out.dilation).max(1);
             t.row(vec![
                 format!("grid {s}x{s}"),

@@ -8,8 +8,8 @@
 //! grids are an easy instance. Every run is checked against Kruskal.
 
 use crate::table::Table;
-use lcs_algos::mst::{distributed_mst, kruskal, BoruvkaConfig, ShortcutProvider};
-use lcs_core::ShortcutConfig;
+use lcs_algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
 use rand::rngs::SmallRng;
@@ -19,11 +19,8 @@ fn run_one(g: &Graph, provider: ShortcutProvider, seed: u64) -> (u64, usize, boo
     let mut rng = SmallRng::seed_from_u64(seed);
     let weights = EdgeWeights::random_unique(g, &mut rng);
     let reference = kruskal(g, &weights);
-    let cfg = BoruvkaConfig {
-        provider,
-        ..BoruvkaConfig::default()
-    };
-    let report = distributed_mst(g, &weights, NodeId(0), &cfg);
+    let config = SessionConfig::default();
+    let report = distributed_mst(g, &weights, NodeId(0), provider, &config);
     (
         report.rounds.total(),
         report.phases,
@@ -47,11 +44,7 @@ pub fn run(fast: bool) -> String {
     };
     for &n in wheel_sizes {
         let g = gen::wheel(n);
-        let (r_sweep, _, ok1) = run_one(
-            &g,
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            7,
-        );
+        let (r_sweep, _, ok1) = run_one(&g, ShortcutProvider::Oracle, 7);
         let (r_base, _, ok2) = run_one(&g, ShortcutProvider::Baseline, 7);
         let (r_none, _, ok3) = run_one(&g, ShortcutProvider::None, 7);
         t.row(vec![
@@ -84,11 +77,7 @@ pub fn run(fast: bool) -> String {
     let grid_sides: &[usize] = if fast { &[8, 12] } else { &[8, 12, 16, 24] };
     for &s in grid_sides {
         let g = gen::grid(s, s);
-        let (r_sweep, _, ok1) = run_one(
-            &g,
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            9,
-        );
+        let (r_sweep, _, ok1) = run_one(&g, ShortcutProvider::Oracle, 9);
         let (r_base, _, ok2) = run_one(&g, ShortcutProvider::Baseline, 9);
         let (r_none, _, ok3) = run_one(&g, ShortcutProvider::None, 9);
         t.row(vec![

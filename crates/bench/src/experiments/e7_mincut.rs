@@ -6,9 +6,9 @@
 //! cut (an upper bound on λ).
 
 use crate::table::{f2, Table};
-use lcs_algos::mincut::{
-    approx_mincut_distributed, exact_mincut_via_packing, stoer_wagner, MincutConfig,
-};
+use lcs_algos::mincut::{approx_mincut_distributed, exact_mincut_via_packing, stoer_wagner};
+use lcs_algos::mst::ShortcutProvider;
+use lcs_core::session::SessionConfig;
 use lcs_graph::{gen, Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -47,7 +47,12 @@ pub fn run(fast: bool) -> String {
     }
     for (name, g) in cases {
         let exact = stoer_wagner(&g);
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = approx_mincut_distributed(
+            &g,
+            NodeId(0),
+            ShortcutProvider::Oracle,
+            &SessionConfig::default(),
+        );
         let two = exact_mincut_via_packing(&g, NodeId(0), rep.trees.max(3));
         let sound = rep.estimate >= exact && two == exact;
         t.row(vec![

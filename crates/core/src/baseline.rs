@@ -12,14 +12,15 @@ use crate::{Partition, Shortcut};
 use lcs_graph::{EdgeId, Graph, RootedTree};
 
 /// The folklore `D + √n` shortcut: `H_i = T` for parts with more than `√n`
-/// nodes, `H_i = ∅` otherwise.
+/// nodes, `H_i = ∅` otherwise — and for parts outside the tree's component
+/// (Boruvka fragments of a disconnected graph), which `T` cannot reach.
 pub fn general_graph_shortcut(g: &Graph, tree: &RootedTree, partition: &Partition) -> Shortcut {
     let threshold = (g.num_nodes() as f64).sqrt() as usize;
     let tree_edges: Vec<EdgeId> = tree.tree_edges().map(|(e, _)| e).collect();
     let lists = partition
         .iter()
         .map(|(_, nodes)| {
-            if nodes.len() > threshold {
+            if nodes.len() > threshold && tree.contains(nodes[0]) {
                 tree_edges.clone()
             } else {
                 Vec::new()

@@ -41,16 +41,6 @@ pub struct FullShortcutResult {
     pub round_log: Vec<RoundLog>,
 }
 
-impl FullShortcutResult {
-    /// The congestion bound the construction guarantees:
-    /// `c_final · (#successful rounds)`, cf. Observation 2.7's
-    /// `c·log₂ n`.
-    pub fn congestion_bound(&self, config: &ShortcutConfig, tree_depth: u32) -> u64 {
-        u64::from(config.congestion_threshold(self.delta_hat, tree_depth))
-            * self.successful_rounds.max(1) as u64
-    }
-}
-
 /// Builds a full tree-restricted shortcut for every part (Theorem 1.2
 /// machinery): doubling search over `δ̂`, and per Observation 2.7 repeated
 /// partial-shortcut rounds over the still-unserved parts.

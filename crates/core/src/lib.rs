@@ -8,14 +8,14 @@
 //! operations — that serving shape is the [`session`] module:
 //! [`Session::on(&graph)`](Session::on) starts a typed builder
 //! (`.tree(..)`, `.partition(..)`, `.backend(..)`, `.config(..)`), and the
-//! resulting [`ShortcutSession`] lazily computes and caches the BFS tree,
-//! the full shortcut (with quality report and dense-minor certificate),
-//! and per-`δ̂` partial sweeps. Construction runs on one of
+//! resulting [`ShortcutSession`] lazily computes and caches the BFS tree
+//! and the full shortcut (with quality report and dense-minor
+//! certificate). Construction runs on one of
 //! three pluggable [`Backend`]s — centralized Theorem 1.2, the simulated
 //! exact Theorem 1.5 protocol, or KMV-sketch detection — and every
-//! operation ([`PartwiseOp`] impls in `lcs_partwise` / `lcs_algos`)
-//! returns a uniform [`OpReport`]. All knobs live in one serde-able
-//! [`SessionConfig`].
+//! operation (the extension-trait methods of `lcs_partwise` /
+//! `lcs_algos`) returns a uniform [`OpReport`]. All knobs live in one
+//! serde-able [`SessionConfig`].
 //!
 //! ```
 //! use lcs_core::session::{Backend, Session, TreeSource};
@@ -85,8 +85,8 @@ pub use full::{full_shortcut, FullShortcutResult, RoundLog};
 pub use partition::{Partition, PartitionError};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{
-    ArtifactStats, Backend, CacheStats, Epochs, Input, OpReport, PartwiseOp, Session,
-    SessionBuilder, SessionConfig, ShortcutSession, TreeSource,
+    ArtifactStats, Backend, CacheStats, Epochs, Input, OpReport, Session, SessionBuilder,
+    SessionConfig, ShortcutSession, TreeSource,
 };
 pub use shortcut::Shortcut;
 pub use source::{GeneratorSpec, GraphSource, GraphSourceError, PartitionSource, ResolvedGraph};

@@ -1,6 +1,6 @@
 //! Partitions of the vertex set into connected parts (Definition 2.1).
 
-use lcs_graph::{components, Graph, NodeId, PartId};
+use lcs_graph::{bfs, components, Graph, NodeId, PartId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -34,6 +34,10 @@ pub enum PartitionError {
     /// A node is not assigned to any part, but the caller required a
     /// covering partition ([`Partition::from_parts_covering`]).
     Uncovered(NodeId),
+    /// A part lies outside the connected component the session's spanning
+    /// tree spans ([`Partition::check_reachable_from`]): no tree-restricted
+    /// shortcut can serve it. The node is the part's first.
+    OffTree(NodeId),
 }
 
 impl PartitionError {
@@ -46,6 +50,7 @@ impl PartitionError {
             Self::OutOfRange(_) => "partition_out_of_range",
             Self::Disconnected(_) => "partition_disconnected",
             Self::Uncovered(_) => "partition_uncovered",
+            Self::OffTree(_) => "partition_off_tree",
         }
     }
 }
@@ -58,6 +63,11 @@ impl fmt::Display for PartitionError {
             Self::OutOfRange(v) => write!(f, "node {v:?} out of range"),
             Self::Disconnected(i) => write!(f, "part {i} does not induce a connected subgraph"),
             Self::Uncovered(v) => write!(f, "node {v:?} is not assigned to any part"),
+            Self::OffTree(v) => write!(
+                f,
+                "node {v:?} lies outside the spanning tree's component — parts must be \
+                 reachable from the tree root"
+            ),
         }
     }
 }
@@ -112,6 +122,35 @@ impl Partition {
             return Err(PartitionError::Uncovered(NodeId(v as u32)));
         }
         Ok(p)
+    }
+
+    /// Requires every part to lie in the connected component of `root` —
+    /// what a session whose spanning tree is the BFS tree of `root` can
+    /// serve (the Theorem 3.1 sweep walks tree ancestors of part nodes).
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::OffTree`] for the first part outside it.
+    pub fn check_reachable_from(&self, g: &Graph, root: NodeId) -> Result<(), PartitionError> {
+        // No part, no search: the graph may even be empty.
+        if self.parts.is_empty() {
+            return Ok(());
+        }
+        let reach = bfs::bfs(g, root);
+        self.check_within(|v| reach.reached(v))
+    }
+
+    /// [`check_reachable_from`](Self::check_reachable_from) against an
+    /// explicit membership test. Parts are connected, so a part lies in the
+    /// component iff its first node does.
+    pub(crate) fn check_within(
+        &self,
+        in_component: impl Fn(NodeId) -> bool,
+    ) -> Result<(), PartitionError> {
+        match self.parts.iter().find(|part| !in_component(part[0])) {
+            Some(part) => Err(PartitionError::OffTree(part[0])),
+            None => Ok(()),
+        }
     }
 
     /// Every node of `g` as its own part (Boruvka's initial fragments).

@@ -6,7 +6,7 @@ use crate::source::{GraphSource, PartitionSource};
 use crate::{Partition, PartitionError, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Entry point of the builder: `Session::on(&graph)`.
 pub struct Session;
@@ -123,7 +123,9 @@ impl<'g> SessionBuilder<'g> {
     }
 
     /// Finishes the builder. Validates the partition (if given as raw node
-    /// lists); everything else stays lazy.
+    /// lists) and requires every part to lie in the component the tree
+    /// spans ([`PartitionError::OffTree`] otherwise); everything else stays
+    /// lazy.
     pub fn build(self) -> Result<ShortcutSession<'g>, PartitionError> {
         let partition = match (self.partition, self.parts) {
             (Some(p), _) => Some(p),
@@ -143,7 +145,7 @@ impl<'g> SessionBuilder<'g> {
         };
         let tree_provided = tree.is_some();
         let stamp = Epochs::default();
-        Ok(ShortcutSession {
+        let session = ShortcutSession {
             g: self.g,
             root,
             partition,
@@ -156,10 +158,13 @@ impl<'g> SessionBuilder<'g> {
             full: self
                 .provided_shortcut
                 .map(|s| Slot::new(FullArtifact::provided(s), stamp, deps::SHORTCUT)),
-            partials: BTreeMap::new(),
             op_artifacts: HashMap::new(),
             partition_log: VecDeque::new(),
             stats: CacheStats::default(),
-        })
+        };
+        if let Some(partition) = &session.partition {
+            session.check_parts_on_tree(partition)?;
+        }
+        Ok(session)
     }
 }

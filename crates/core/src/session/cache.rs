@@ -64,8 +64,8 @@ pub mod deps {
     use super::Input;
 
     /// Shortcut-scoped artifacts — the full shortcut (with its quality
-    /// report), per-`δ̂` partials, and partition-derived op artifacts (e.g.
-    /// the partwise participation tables).
+    /// report) and partition-derived op artifacts (e.g. the partwise
+    /// participation tables).
     pub const SHORTCUT: &[Input] = &[Input::Partition];
     /// Weighted whole-graph algorithms (MST): weights but no partition.
     pub const WEIGHTED: &[Input] = &[Input::Weights];
@@ -100,8 +100,6 @@ pub struct CacheStats {
     /// The quality report (cached inside the full artifact it measures,
     /// patched and dropped with it).
     pub quality: ArtifactStats,
-    /// Per-`δ̂` partial artifacts (summed over `δ̂`).
-    pub partials: ArtifactStats,
     /// Typed op artifacts (summed over artifact types).
     pub op_artifacts: ArtifactStats,
     /// Incremental re-customizations of the full shortcut performed by
@@ -200,11 +198,26 @@ impl<'g> ShortcutSession<'g> {
     ///
     /// # Errors
     ///
-    /// Returns the validation error without changing the session.
+    /// Returns the validation error — including
+    /// [`PartitionError::OffTree`] for a part the session tree cannot
+    /// reach — without changing the session.
     pub fn set_partition(&mut self, parts: Vec<Vec<NodeId>>) -> Result<(), PartitionError> {
         let partition = Partition::from_parts(self.g, parts)?;
+        self.check_parts_on_tree(&partition)?;
         self.install_partition(partition, PartitionDelta::Wholesale);
         Ok(())
+    }
+
+    /// Refuses a partition with a part outside the component the session
+    /// tree spans — the root's, or a provided tree's: the sweep asserts on
+    /// such a part, so it is turned away where a partition is installed.
+    /// [`reassign_parts`](Self::reassign_parts) needs no check: a move
+    /// keeps both parts connected, hence inside their component.
+    pub(super) fn check_parts_on_tree(&self, partition: &Partition) -> Result<(), PartitionError> {
+        match &self.tree {
+            Some(tree) => partition.check_within(|v| tree.value.contains(v)),
+            None => partition.check_reachable_from(self.g, self.root),
+        }
     }
 
     /// Moves nodes between existing parts and re-customizes incrementally.
@@ -498,16 +511,14 @@ mod tests {
         Tree,
         Full,
         Quality,
-        Partial,
         ShortcutOp,
         WeightedOp,
         TopologyOp,
     }
-    const COLUMNS: [Column; 7] = [
+    const COLUMNS: [Column; 6] = [
         Column::Tree,
         Column::Full,
         Column::Quality,
-        Column::Partial,
         Column::ShortcutOp,
         Column::WeightedOp,
         Column::TopologyOp,
@@ -517,16 +528,16 @@ mod tests {
     /// [`COLUMNS`] order. Last: how far it moves the (partition, weights)
     /// epochs. Widening or narrowing any set in [`deps`] flips a cell.
     #[rustfmt::skip]
-    const MATRIX: [(Mutator, [Cell; 7], (u64, u64)); 8] = [
-        //                    tree full qual part  S  W  T
-        (SetPartition,       [K,   R,   R,   R,    R, K, K], (1, 0)),
-        (Reassign,           [K,   P,   P,   R,    P, K, K], (1, 0)),
-        (ReassignNoop,       [K,   K,   K,   K,    K, K, K], (0, 0)),
-        (ReassignFailing,    [K,   K,   K,   K,    K, K, K], (0, 0)),
-        (SetWeightsEqual,    [K,   K,   K,   K,    K, K, K], (0, 0)),
-        (SetWeights,         [K,   K,   K,   K,    K, R, K], (0, 1)),
-        (UpdateWeights,      [K,   K,   K,   K,    K, R, K], (0, 1)),
-        (UpdateWeightsEmpty, [K,   K,   K,   K,    K, K, K], (0, 0)),
+    const MATRIX: [(Mutator, [Cell; 6], (u64, u64)); 8] = [
+        //                    tree full qual  S  W  T
+        (SetPartition,       [K,   R,   R,    R, K, K], (1, 0)),
+        (Reassign,           [K,   P,   P,    P, K, K], (1, 0)),
+        (ReassignNoop,       [K,   K,   K,    K, K, K], (0, 0)),
+        (ReassignFailing,    [K,   K,   K,    K, K, K], (0, 0)),
+        (SetWeightsEqual,    [K,   K,   K,    K, K, K], (0, 0)),
+        (SetWeights,         [K,   K,   K,    K, R, K], (0, 1)),
+        (UpdateWeights,      [K,   K,   K,    K, R, K], (0, 1)),
+        (UpdateWeightsEmpty, [K,   K,   K,    K, K, K], (0, 0)),
     ];
 
     const SIDE: usize = 6;
@@ -612,7 +623,6 @@ mod tests {
                     let fresh = measure_quality(s.graph(), s.partition(), &tree, s.shortcut_ref());
                     assert_eq!(served, fresh, "a served report is the current shortcut's");
                 }
-                Column::Partial => assert!(s.partial(2).case_one),
                 Column::ShortcutOp => assert_eq!(part_count(s).0, s.partition().num_parts()),
                 Column::WeightedOp => {
                     let total = s.weights().total(s.graph().edges().map(|e| e.id));
@@ -631,7 +641,6 @@ mod tests {
                 Column::Full => (before.full, after.full, recustomized),
                 // The report is patched with the shortcut it rides in.
                 Column::Quality => (before.quality, after.quality, recustomized),
-                Column::Partial => (before.partials, after.partials, 0),
                 Column::ShortcutOp | Column::WeightedOp | Column::TopologyOp => (
                     before.op_artifacts,
                     after.op_artifacts,
@@ -675,7 +684,6 @@ mod tests {
         assert_eq!(stats.tree, built_once);
         assert_eq!((stats.full.builds, stats.full.invalidations), (1, 0));
         assert_eq!((stats.quality.builds, stats.quality.invalidations), (1, 0));
-        assert_eq!((stats.partials.builds, stats.partials.hits), (1, 0));
         assert_eq!(stats.op_artifacts.builds, 3);
         let served = (part_count(&mut s), total_weight(&mut s), tree_depth(&mut s));
         (s, served)

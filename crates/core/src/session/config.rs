@@ -1,6 +1,6 @@
 //! What a session is configured with: tree source, construction backend,
-//! and the one serde-able [`SessionConfig`] with its per-op override
-//! blocks.
+//! and the one serde-able [`SessionConfig`] with one option block per op —
+//! the only place an op knob is declared.
 
 use crate::dist::{DistConfig, DistMode};
 use crate::source::{GraphSource, PartitionSource};
@@ -56,8 +56,8 @@ impl Backend {
     }
 }
 
-/// Per-op overrides for leader-based aggregation (absorbs the legacy
-/// `PartwiseConfig` knobs).
+/// Knobs of leader-based part-wise aggregation (`AggregateOp`, and the
+/// aggregations inside every Boruvka phase).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AggregateOpts {
     /// Leaders delay their start uniformly in `[0, delay_range)` rounds;
@@ -76,8 +76,7 @@ impl Default for AggregateOpts {
     }
 }
 
-/// Per-op overrides for multi-unicast routing (absorbs the legacy
-/// `UnicastConfig` knobs).
+/// Knobs of multi-unicast routing (`UnicastOp`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UnicastOpts {
     /// Packets start after a uniform random delay in `[0, delay_range)`.
@@ -95,9 +94,8 @@ impl Default for UnicastOpts {
     }
 }
 
-/// Per-op overrides for Boruvka MST / connectivity (absorbs the legacy
-/// `BoruvkaConfig` knobs; the shortcut provider is derived from the
-/// session's [`Backend`]).
+/// Knobs of Boruvka MST / connectivity (`distributed_mst`; a session
+/// derives the per-phase shortcut provider from its [`Backend`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MstOpts {
     /// Seed for the merge coin flips.
@@ -119,19 +117,17 @@ impl Default for MstOpts {
     }
 }
 
-/// Per-op overrides for the min-cut approximation (absorbs the legacy
-/// `MincutConfig` knobs).
+/// Knobs of the min-cut approximation (`approx_mincut_distributed`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MincutOpts {
     /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
     pub trees: Option<usize>,
 }
 
-/// Every knob of the facade in one serde-able struct: shortcut-construction
-/// parameters, the session-wide simulator configuration, and per-op
-/// override blocks. This collapses the legacy `PartwiseConfig` /
-/// `UnicastConfig` / `BoruvkaConfig` / `MincutConfig` constellation into a
-/// single value a service can load from disk.
+/// Every knob in one serde-able struct a service can load from disk:
+/// shortcut-construction parameters, the simulator configuration every op
+/// runs on, and one block per op. The explicit-artifact entry points
+/// (`AggregateOp::run_on`, `distributed_mst`, …) read these same blocks.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Theorem 3.1 construction constants and witness policy.
@@ -143,13 +139,13 @@ pub struct SessionConfig {
     /// cutting rounds on streaming workloads like the sketch construction
     /// while leaving every result bit-identical).
     pub sim: SimConfig,
-    /// Aggregation overrides.
+    /// Aggregation knobs.
     pub aggregate: AggregateOpts,
-    /// Unicast overrides.
+    /// Unicast knobs.
     pub unicast: UnicastOpts,
-    /// MST / connectivity overrides.
+    /// MST / connectivity knobs.
     pub mst: MstOpts,
-    /// Min-cut overrides.
+    /// Min-cut knobs.
     pub mincut: MincutOpts,
     /// Declarative partition source, resolved at
     /// [`build`](super::SessionBuilder::build) time when the builder was

@@ -1,19 +1,14 @@
-//! The cached artifacts and how each is produced: the spanning tree, the
-//! full shortcut on the session backend (with its lazily measured quality
-//! report and incremental re-customization), and per-`δ̂` partial sweeps.
+//! The cached artifacts and how each is produced: the spanning tree and
+//! the full shortcut on the session backend (with its lazily measured
+//! quality report and incremental re-customization).
 
 use super::cache::{deps, Slot};
-use super::error::NO_PARTITION;
 use super::{SessionError, ShortcutSession};
-use crate::dist::{distributed_full_shortcut, distributed_partial_shortcut};
+use crate::dist::distributed_full_shortcut;
 use crate::full::run_doubling_search;
 use crate::quality::measure_parts;
 use crate::sweep::sweep_active;
-use crate::{
-    full_shortcut, measure_quality, partial_shortcut_or_witness, QualityReport, Shortcut,
-    SweepData, SweepOutcome,
-};
-use lcs_congest::RunMetrics;
+use crate::{full_shortcut, measure_quality, QualityReport, Shortcut};
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{bfs, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
@@ -61,28 +56,6 @@ impl FullArtifact {
             quality: None,
         }
     }
-}
-
-/// The cached per-`δ̂` partial-shortcut artifact (one Theorem 3.1 sweep).
-#[derive(Clone, Debug)]
-pub struct PartialArtifact {
-    /// The assembled partial shortcut (empty edge lists for unserved
-    /// parts).
-    pub shortcut: Shortcut,
-    /// Parts served by the sweep, sorted.
-    pub served: Vec<PartId>,
-    /// Whether at least half the parts were served (Case (I)).
-    pub case_one: bool,
-    /// The sweep bookkeeping (cut set with true crossing loads, thresholds,
-    /// `B`-degrees).
-    pub data: SweepData,
-    /// Case (II) certificate, when the backend extracts one (centralized
-    /// only).
-    pub witness: Option<MinorWitness>,
-    /// BFS-phase metrics (distributed backends only).
-    pub metrics_bfs: Option<RunMetrics>,
-    /// Detection-phase metrics (distributed backends only).
-    pub metrics_detect: Option<RunMetrics>,
 }
 
 impl ShortcutSession<'_> {
@@ -198,26 +171,6 @@ impl ShortcutSession<'_> {
             }
             Some(slot) => &slot.value.shortcut,
         }
-    }
-
-    /// The per-`δ̂` partial shortcut (one Theorem 3.1 sweep over all parts),
-    /// constructed on first access and cached per `δ̂` (invalidated like
-    /// the full shortcut when the partition changes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `δ̂ = 0` or the session has no partition.
-    pub fn partial(&mut self, delta_hat: u32) -> &PartialArtifact {
-        assert!(delta_hat >= 1, "δ̂ must be at least 1");
-        assert!(self.partition.is_some(), "{NO_PARTITION}");
-        let slot = Slot::ensure(
-            self.partials.remove(&delta_hat),
-            self,
-            deps::SHORTCUT,
-            |c| &mut c.partials,
-            |s| s.build_partial(delta_hat),
-        );
-        &self.partials.entry(delta_hat).or_insert(slot).value
     }
 
     fn cached_tree(&self) -> &RootedTree {
@@ -403,53 +356,6 @@ impl ShortcutSession<'_> {
                  differs at node {v:?} — use Backend::Centralized for non-BFS trees",
                 self.root
             );
-        }
-    }
-
-    fn build_partial(&mut self, delta_hat: u32) -> PartialArtifact {
-        let Some(dist) = self.backend.dist_config() else {
-            self.ensure_tree();
-            let outcome = partial_shortcut_or_witness(
-                self.g,
-                self.cached_tree(),
-                self.partition(),
-                delta_hat,
-                &self.config.shortcut,
-            );
-            let (shortcut, served, case_one, data, witness) = match outcome {
-                SweepOutcome::Shortcut(ps) => (ps.shortcut, ps.served, true, ps.data, None),
-                SweepOutcome::DenseMinor { witness, data } => {
-                    let unserved = Shortcut::empty(self.partition().num_parts());
-                    (unserved, Vec::new(), false, data, witness)
-                }
-            };
-            return PartialArtifact {
-                shortcut,
-                served,
-                case_one,
-                data,
-                witness,
-                metrics_bfs: None,
-                metrics_detect: None,
-            };
-        };
-        self.assert_provided_tree_is_canonical();
-        let res = distributed_partial_shortcut(
-            self.g,
-            self.root,
-            self.partition(),
-            delta_hat,
-            &self.config.shortcut,
-            &dist,
-        );
-        PartialArtifact {
-            shortcut: res.shortcut,
-            served: res.served,
-            case_one: res.case_one,
-            data: res.data,
-            witness: None,
-            metrics_bfs: Some(res.metrics_bfs),
-            metrics_detect: Some(res.metrics_shortcut),
         }
     }
 }

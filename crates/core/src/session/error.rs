@@ -35,6 +35,12 @@ pub enum SessionError {
         /// Number of nodes in the session graph.
         num_nodes: usize,
     },
+    /// A node lies outside the connected component the session tree spans
+    /// (unicast packets travel tree paths).
+    NodeOffTree {
+        /// The offending node.
+        node: NodeId,
+    },
     /// A part id exceeds the partition's part count.
     PartOutOfRange {
         /// The offending part.
@@ -113,6 +119,11 @@ impl fmt::Display for SessionError {
                     "node {node:?} out of range — the graph has {num_nodes} nodes"
                 )
             }
+            Self::NodeOffTree { node } => write!(
+                f,
+                "node {node:?} lies outside the spanning tree's component — unicast endpoints \
+                 must be reachable from the tree root"
+            ),
             Self::PartOutOfRange { part, num_parts } => {
                 write!(
                     f,

@@ -32,8 +32,8 @@
 //! the session is built; exactly two [`Input`]s can change under it — the
 //! partition and the edge weights — and each carries an epoch counter
 //! ([`Epochs`]). The session caches the BFS tree, the full shortcut (with
-//! its quality report and dense-minor certificate), per-`δ̂` partial
-//! shortcuts, and typed per-op artifacts. Each cached artifact declares
+//! its quality report and dense-minor certificate), and typed per-op
+//! artifacts. Each cached artifact declares
 //! which inputs it depends on (the constants in [`deps`]): a cached value
 //! is served only while its recorded epochs agree with the current ones
 //! on every declared dependency, and is invalidated — precisely, lazily —
@@ -64,12 +64,13 @@
 //! [`CacheStats`] reports builds/hits/invalidations per artifact class so a
 //! serving process can watch the cache behave.
 //!
-//! Operations plug in through the [`PartwiseOp`] trait (implemented by
-//! `lcs_partwise` and `lcs_algos`; the umbrella crate's `facade` module
-//! re-exports the method-call surface `session.aggregate(..)`,
-//! `session.mst(..)`, …). Every operation returns a uniform [`OpReport`].
-//! All knobs live in one serde-able [`SessionConfig`] with per-op
-//! overrides.
+//! Operations are extension-trait methods implemented next to their
+//! protocols (`SessionPartwiseOps` in `lcs_partwise`, `SessionAlgoOps` in
+//! `lcs_algos`; the umbrella crate's `facade` module re-exports both):
+//! `session.aggregate(..)`, `session.mst(..)`, … read the cached artifacts
+//! and call the algorithm. Every operation returns a uniform [`OpReport`].
+//! All knobs live in one serde-able [`SessionConfig`] with one block per
+//! op.
 //!
 //! # Layout
 //!
@@ -78,7 +79,7 @@
 //! ([`Session`] / [`SessionBuilder`]), `cache` (inputs, epochs, dependency
 //! sets, stats, the cache routine, the mutation API and the op-artifact
 //! table) and `construct` (the artifacts and how each is produced); this
-//! file holds the session itself, [`OpReport`] and [`PartwiseOp`].
+//! file holds the session itself and [`OpReport`].
 
 mod builder;
 mod cache;
@@ -91,7 +92,7 @@ pub use cache::{deps, ArtifactStats, CacheStats, Epochs, Input};
 pub use config::{
     AggregateOpts, Backend, MincutOpts, MstOpts, SessionConfig, TreeSource, UnicastOpts,
 };
-pub use construct::{ConstructionStats, FullArtifact, PartialArtifact};
+pub use construct::{ConstructionStats, FullArtifact};
 pub use error::SessionError;
 
 use crate::{Partition, QualityReport};
@@ -101,7 +102,7 @@ use lcs_congest::RunMetrics;
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, RootedTree};
 use std::any::TypeId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The uniform result wrapper every session operation returns: the op's
@@ -154,32 +155,6 @@ impl<T> OpReport<T> {
             bandwidth_bits: metrics.bandwidth_bits,
         }
     }
-
-    /// Maps the result, keeping the measurements.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> OpReport<U> {
-        OpReport {
-            result: f(self.result),
-            rounds: self.rounds,
-            messages: self.messages,
-            bits: self.bits,
-            truncated: self.truncated,
-            quality: self.quality,
-            threads: self.threads,
-            bandwidth_bits: self.bandwidth_bits,
-        }
-    }
-}
-
-/// An operation the session can drive: part-wise aggregation, gossip,
-/// unicast routing, MST, connectivity, min-cut. Implementations live next
-/// to their protocols (`lcs_partwise`, `lcs_algos`); the session supplies
-/// the cached artifacts and collects the uniform [`OpReport`].
-pub trait PartwiseOp {
-    /// The operation's typed result.
-    type Output;
-
-    /// Runs the operation over the session's cached artifacts.
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<Self::Output>;
 }
 
 /// A prepared-topology session: one graph, one tree, one backend, one
@@ -203,7 +178,6 @@ pub struct ShortcutSession<'g> {
     tree_provided: bool,
     /// The full shortcut; its quality report rides inside.
     full: Option<Slot<FullArtifact>>,
-    partials: BTreeMap<u32, Slot<PartialArtifact>>,
     /// Per-op-type derived artifacts (e.g. the partwise participation
     /// map), keyed by the artifact's [`TypeId`] and shared via [`Arc`].
     /// See [`op_artifact_with`](ShortcutSession::op_artifact_with).
@@ -267,13 +241,6 @@ impl<'g> ShortcutSession<'g> {
     pub fn cache_stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    /// Drives one operation over the cached artifacts. Equivalent to the
-    /// named methods of the facade (`session.aggregate(..)`,
-    /// `session.mst(..)`, …), which are extension-trait sugar over this.
-    pub fn run<O: PartwiseOp>(&mut self, op: O) -> OpReport<O::Output> {
-        op.run(self)
-    }
 }
 
 #[cfg(test)]
@@ -283,11 +250,10 @@ mod tests {
     use lcs_congest::SimConfig;
     use lcs_graph::{bfs, gen, EdgeId, PartId};
 
-    /// Shortcut constructions performed: full builds plus one per distinct
-    /// partial `δ̂` (incremental re-customizations do not count).
+    /// Shortcut constructions performed (incremental re-customizations do
+    /// not count).
     fn constructed(s: &ShortcutSession<'_>) -> u64 {
-        let stats = s.cache_stats();
-        stats.full.builds + stats.partials.builds
+        s.cache_stats().full.builds
     }
 
     fn grid_session(side: usize) -> ShortcutSession<'static> {
@@ -328,20 +294,6 @@ mod tests {
         assert_eq!(constructed(&s), 0, "the tree is not a construction");
         assert_eq!(s.cache_stats().tree.builds, 1);
         assert_eq!(s.cache_stats().tree.hits, 1);
-    }
-
-    #[test]
-    fn partials_cache_per_delta_hat() {
-        let mut s = grid_session(8);
-        let served1 = s.partial(1).served.len();
-        assert_eq!(constructed(&s), 1);
-        let served1_again = s.partial(1).served.len();
-        assert_eq!(served1, served1_again);
-        assert_eq!(constructed(&s), 1, "same δ̂ reuses the cache");
-        let _ = s.partial(2);
-        assert_eq!(constructed(&s), 2, "a new δ̂ constructs once");
-        assert_eq!(s.cache_stats().partials.builds, 2);
-        assert_eq!(s.cache_stats().partials.hits, 1);
     }
 
     #[test]
@@ -734,12 +686,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "δ̂ must be at least 1")]
-    fn partial_rejects_zero_delta_hat() {
-        let _ = grid_session(4).partial(0);
-    }
-
-    #[test]
     fn try_update_weights_validates_edges_atomically() {
         let mut s = grid_session(4);
         let m = s.graph().num_edges();
@@ -817,5 +763,39 @@ mod tests {
     fn session_error_display_matches_legacy_messages() {
         assert_eq!(SessionError::NoPartition.to_string(), NO_PARTITION);
         assert_eq!(SessionError::NoWeights.to_string(), NO_WEIGHTS);
+    }
+
+    /// A part outside the tree's component is refused where a partition
+    /// is installed — `build` and `set_partition` — and a refused
+    /// `set_partition` leaves the session as it was.
+    #[test]
+    fn off_tree_parts_are_refused_where_a_partition_is_installed() {
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let near = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2)]];
+        let far = vec![vec![NodeId(0)], vec![NodeId(4), NodeId(5)]];
+        let off_tree = PartitionError::OffTree(NodeId(4));
+        for tree in [None, Some(bfs::bfs_tree(&g, NodeId(0)))] {
+            let on = |parts: Vec<Vec<NodeId>>| {
+                let builder = Session::on(&g).partition(parts);
+                match tree.clone() {
+                    Some(t) => builder.tree(TreeSource::Provided(t)).build(),
+                    None => builder.build(),
+                }
+            };
+            assert_eq!(on(far.clone()).err(), Some(off_tree.clone()));
+            let mut s = on(near.clone()).expect("both parts hang off node 0");
+            let _ = s.quality();
+            let (epochs, stats) = (s.epochs, *s.cache_stats());
+            assert_eq!(s.set_partition(far.clone()), Err(off_tree.clone()));
+            assert_eq!((s.epochs, *s.cache_stats()), (epochs, stats));
+            assert_eq!(s.partition().num_parts(), 2);
+            assert_eq!(s.partition().part_of(NodeId(4)), None);
+            assert!(s.quality().all_connected(), "still serving");
+        }
+        // From the other component the same parts are fine.
+        let rooted_far = Session::on(&g)
+            .tree(TreeSource::Bfs(NodeId(3)))
+            .partition(vec![vec![NodeId(4), NodeId(5)]]);
+        assert!(rooted_far.build().is_ok());
     }
 }

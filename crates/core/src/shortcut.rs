@@ -59,14 +59,6 @@ impl Shortcut {
         self.per_part[p.index()] = edges;
     }
 
-    /// Adds edges to `H_p`.
-    pub fn extend_edges(&mut self, p: PartId, edges: impl IntoIterator<Item = EdgeId>) {
-        let list = &mut self.per_part[p.index()];
-        list.extend(edges);
-        list.sort_unstable();
-        list.dedup();
-    }
-
     /// Total size `Σ|H_i|`.
     pub fn total_edges(&self) -> usize {
         self.per_part.iter().map(Vec::len).sum()

@@ -5,40 +5,13 @@ use lcs_congest::protocols::AggOp;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{deps, AggregateOpts, ShortcutSession};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Configuration of the distributed solver.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PartwiseConfig {
-    /// Leaders delay their start uniformly in `[0, delay_range)` rounds —
-    /// the random-delays smoothing; `0` disables delays.
-    pub delay_range: u32,
-    /// Seed for delays.
-    pub seed: u64,
-    /// Simulator settings; the mode is forced to
-    /// [`Queued`](lcs_congest::SimMode::Queued) because several protocol
-    /// instances share edges. [`SimConfig::threads`] flows through to the
-    /// sharded round executor — results and metrics are identical at any
-    /// thread count.
-    pub sim: SimConfig,
-}
-
-impl Default for PartwiseConfig {
-    fn default() -> Self {
-        PartwiseConfig {
-            delay_range: 0,
-            seed: 0xde1af,
-            sim: SimConfig::default(),
-        }
-    }
-}
 
 /// Result of an [`AggregateOp`].
 #[derive(Clone, Debug)]
@@ -397,7 +370,7 @@ impl AggForest {
 /// their trees — and dropped with the shortcut (`deps::SHORTCUT`).
 pub(crate) struct SessionTables {
     pub(crate) participation: Arc<ParticipationMap>,
-    forest: AggForest,
+    pub(crate) forest: AggForest,
 }
 
 impl SessionTables {
@@ -633,14 +606,13 @@ impl NodeProgram for PaProgram<'_> {
     }
 }
 
-/// Part-wise aggregation as a session-drivable operation ([`PartwiseOp`]):
-/// every node of part `P_i` learns the aggregate of its part's values,
-/// computed by one echo protocol per part over `G[P_i] + H_i`.
+/// Part-wise aggregation: every node of part `P_i` learns the aggregate of
+/// its part's values, computed by one echo protocol per part over
+/// `G[P_i] + H_i`.
 ///
-/// Used in two ways: `session.run(AggregateOp { .. })` (or the facade's
-/// `session.aggregate(..)` sugar) serves it from the session's cached
-/// shortcut; [`run_on`](Self::run_on) runs it over explicitly supplied
-/// artifacts.
+/// `session.aggregate(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
+/// serves it from the session's cached shortcut, tables and forest;
+/// [`run_on`](Self::run_on) runs it over explicitly supplied artifacts.
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateOp<'a> {
     /// One value per node.
@@ -651,35 +623,13 @@ pub struct AggregateOp<'a> {
     pub leaders: Option<&'a [NodeId]>,
 }
 
-impl PartwiseOp for AggregateOp<'_> {
-    type Output = PartwiseOutcome;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<PartwiseOutcome> {
-        session.prepare();
-        let quality = session.quality_shared();
-        let tables = SessionTables::of_session(session);
-        let sc = session.config();
-        let cfg = PartwiseConfig {
-            delay_range: sc.aggregate.delay_range,
-            seed: sc.aggregate.seed,
-            sim: sc.sim,
-        };
-        let mut forest = tables.forest.clone();
-        let (g, partition, participation) =
-            (session.graph(), session.partition(), &tables.participation);
-        let out = self.run_with(g, partition, &cfg, participation, &mut forest);
-        session.op_artifact_swap(SessionTables {
-            participation: participation.clone(),
-            forest,
-        });
-        let metrics = out.metrics.clone();
-        OpReport::from_metrics(out, &metrics, quality)
-    }
-}
-
 impl AggregateOp<'_> {
     /// Runs the protocol over explicit artifacts (the non-session path) —
-    /// always cold: the spanning trees it finds are not kept.
+    /// always cold: the spanning trees it finds are not kept. `opts` and
+    /// `sim` are the [`SessionConfig`](lcs_core::session::SessionConfig)
+    /// blocks a session would pass; the simulator mode is forced to
+    /// [`Queued`](SimMode::Queued) because several protocol instances
+    /// share edges.
     ///
     /// # Panics
     ///
@@ -691,11 +641,12 @@ impl AggregateOp<'_> {
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
-        cfg: &PartwiseConfig,
+        opts: &AggregateOpts,
+        sim: SimConfig,
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
         let mut forest = AggForest::unrooted(partition, &participation);
-        self.run_with(g, partition, cfg, &participation, &mut forest)
+        self.run_with(g, partition, opts, sim, &participation, &mut forest)
     }
 
     /// Runs the protocol over a prebuilt [`ParticipationMap`] of
@@ -716,7 +667,8 @@ impl AggregateOp<'_> {
         &self,
         g: &Graph,
         partition: &Partition,
-        cfg: &PartwiseConfig,
+        opts: &AggregateOpts,
+        sim: SimConfig,
         participation: &ParticipationMap,
         forest: &mut AggForest,
     ) -> PartwiseOutcome {
@@ -748,16 +700,16 @@ impl AggregateOp<'_> {
             .map(|(&root, leader)| root == leader.0)
             .collect();
 
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let delays = random_delays(&mut rng, k, cfg.delay_range);
+        let mut rng = SmallRng::seed_from_u64(opts.seed);
+        let delays = random_delays(&mut rng, k, opts.delay_range);
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
-            ..cfg.sim
+            ..sim
         };
-        let sim = Simulator::new(g, sim_cfg);
+        let simulator = Simulator::new(g, sim_cfg);
         let seed = &*forest;
-        let run = sim.run(|v, _| {
+        let run = simulator.run(|v, _| {
             let slots = participation.node(v);
             let own = partition.part_of(v).map(|p| p.0);
             let leads = own.filter(|&p| leaders[p as usize] == v);
@@ -840,6 +792,17 @@ mod tests {
         forest.root.iter().filter(|&&r| r != NO_ROOT).count()
     }
 
+    /// A cold run on the default knobs.
+    fn run_cold(
+        op: AggregateOp<'_>,
+        g: &Graph,
+        partition: &Partition,
+        shortcut: &Shortcut,
+    ) -> PartwiseOutcome {
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        op.run_on(g, partition, shortcut, &opts, sim)
+    }
+
     fn sum_of(values: &[u64]) -> AggregateOp<'_> {
         AggregateOp {
             values,
@@ -872,12 +835,16 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-            let out = AggregateOp {
-                values: &values,
-                op,
-                leaders: None,
-            }
-            .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
+            let out = run_cold(
+                AggregateOp {
+                    values: &values,
+                    op,
+                    leaders: None,
+                },
+                &g,
+                &partition,
+                &shortcut,
+            );
             assert!(out.metrics.terminated);
             assert!(out.all_members_informed);
             let expect = crate::centralized_aggregate(&partition, &values, op);
@@ -896,8 +863,8 @@ mod tests {
             op: AggOp::Sum,
             leaders: None,
         };
-        let with = op.run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
-        let without = op.run_on(&g, &partition, &empty, &PartwiseConfig::default());
+        let with = run_cold(op, &g, &partition, &shortcut);
+        let without = run_cold(op, &g, &partition, &empty);
         assert!(with.all_members_informed && without.all_members_informed);
         assert_eq!(with.results, without.results);
         // On short row parts the shortcut brings no speedup (the rows are
@@ -921,13 +888,8 @@ mod tests {
             op: AggOp::Max,
             leaders: None,
         };
-        let with = op.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
-        let without = op.run_on(
-            &g,
-            &partition,
-            &baseline::no_shortcut(&partition),
-            &PartwiseConfig::default(),
-        );
+        let with = run_cold(op, &g, &partition, &built.shortcut);
+        let without = run_cold(op, &g, &partition, &baseline::no_shortcut(&partition));
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
         // Shortcut routes through the hub: O(1) diameter vs Θ(n) rim walk.
@@ -947,12 +909,16 @@ mod tests {
         let far = g.find_edge(NodeId(4), NodeId(5)).unwrap();
         let s = Shortcut::from_edge_lists(vec![vec![far]]);
         let values = vec![1; 6];
-        let out = AggregateOp {
-            values: &values,
-            op: AggOp::Sum,
-            leaders: None,
-        }
-        .run_on(&g, &partition, &s, &PartwiseConfig::default());
+        let out = run_cold(
+            AggregateOp {
+                values: &values,
+                op: AggOp::Sum,
+                leaders: None,
+            },
+            &g,
+            &partition,
+            &s,
+        );
         // The members finish (their side is connected) and the run quiesces
         // early, but the relay island never hears an offer, so the run does
         // not count as fully terminated.
@@ -979,10 +945,11 @@ mod tests {
             &g,
             &partition,
             &shortcut,
-            &PartwiseConfig {
+            &AggregateOpts {
                 delay_range: 8,
-                ..PartwiseConfig::default()
+                ..AggregateOpts::default()
             },
+            SimConfig::default(),
         );
         assert!(out.all_members_informed);
         assert!(out.results.iter().all(|&r| r == Some(18)));
@@ -998,17 +965,17 @@ mod tests {
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
         let cold_then_warm = |threads| {
-            let cfg = PartwiseConfig {
+            let opts = AggregateOpts {
                 delay_range: 12,
-                sim: SimConfig {
-                    threads,
-                    ..SimConfig::default()
-                },
-                ..PartwiseConfig::default()
+                ..AggregateOpts::default()
+            };
+            let sim = SimConfig {
+                threads,
+                ..SimConfig::default()
             };
             let mut forest = AggForest::unrooted(&partition, &map);
             let runs = [(); 2].map(|()| {
-                let out = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+                let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
                 assert!(out.all_members_informed);
                 (out.results, out.metrics.counts(), out.rooted_parts)
             });
@@ -1058,11 +1025,11 @@ mod tests {
             use lcs_core::session::Session;
             let mut session = Session::on(&g).partition(parts).build().unwrap();
             session.prepare();
-            let cfg = PartwiseConfig::default();
+            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
             let mut map = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
             let mut forest = AggForest::unrooted(session.partition(), &map);
-            sum_of(&values).run_with(&g, session.partition(), &cfg, &map, &mut forest);
+            sum_of(&values).run_with(&g, session.partition(), &opts, sim, &map, &mut forest);
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut ticks = 0;
             for _ in 0..24 {
@@ -1095,8 +1062,8 @@ mod tests {
                 prop_assert_eq!(facts(&forest, &map), (roots, slots));
 
                 let kept = partition.num_parts() - touched.len();
-                let mixed = sum_of(&values).run_with(&g, partition, &cfg, &map, &mut forest);
-                let fresh = sum_of(&values).run_on(&g, partition, shortcut, &cfg);
+                let mixed = sum_of(&values).run_with(&g, partition, &opts, sim, &map, &mut forest);
+                let fresh = sum_of(&values).run_on(&g, partition, shortcut, &opts, sim);
                 prop_assert_eq!(mixed.rooted_parts, kept);
                 prop_assert!(mixed.metrics.terminated && mixed.all_members_informed);
                 prop_assert_eq!(&mixed.results, &fresh.results);
@@ -1124,9 +1091,9 @@ mod tests {
                 full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
             let map = ParticipationMap::build(&g, &partition, &shortcut);
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-            let cfg = PartwiseConfig::default();
+            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
             let mut forest = AggForest::unrooted(&partition, &map);
-            sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+            sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
             assert_eq!(rooted_parts(&forest), partition.num_parts());
             let rooted = forest.clone();
             for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
@@ -1134,8 +1101,8 @@ mod tests {
                     op,
                     ..sum_of(&values)
                 };
-                let cold = op.run_on(&g, &partition, &shortcut, &cfg);
-                let warm = op.run_with(&g, &partition, &cfg, &map, &mut forest);
+                let cold = op.run_on(&g, &partition, &shortcut, &opts, sim);
+                let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
                 assert_eq!(
                     (cold.rooted_parts, warm.rooted_parts),
                     (0, partition.num_parts())
@@ -1162,22 +1129,20 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values = vec![1u64; g.num_nodes()];
-        let capped = PartwiseConfig {
-            sim: SimConfig {
-                max_rounds: 2,
-                ..SimConfig::default()
-            },
-            ..PartwiseConfig::default()
+        let opts = AggregateOpts::default();
+        let free = SimConfig::default();
+        let capped = SimConfig {
+            max_rounds: 2,
+            ..free
         };
-        let free = PartwiseConfig::default();
-        let cold = sum_of(&values).run_on(&g, &partition, &shortcut, &free);
+        let cold = sum_of(&values).run_on(&g, &partition, &shortcut, &opts, free);
 
         let mut forest = AggForest::unrooted(&partition, &map);
         for seeded in [0, partition.num_parts()] {
-            let cut = sum_of(&values).run_with(&g, &partition, &capped, &map, &mut forest);
+            let cut = sum_of(&values).run_with(&g, &partition, &opts, capped, &map, &mut forest);
             assert!(cut.metrics.truncated && cut.rooted_parts == seeded);
             assert_eq!(forest, AggForest::unrooted(&partition, &map));
-            let rerooted = sum_of(&values).run_with(&g, &partition, &free, &map, &mut forest);
+            let rerooted = sum_of(&values).run_with(&g, &partition, &opts, free, &map, &mut forest);
             assert_eq!(rerooted.rooted_parts, 0);
             assert_eq!(rerooted.metrics.counts(), cold.metrics.counts());
             assert_eq!(rerooted.results, cold.results);
@@ -1197,17 +1162,17 @@ mod tests {
         let far = g.find_edge(NodeId(6), NodeId(7)).unwrap();
         let s = Shortcut::from_edge_lists(vec![vec![far], vec![]]);
         let map = ParticipationMap::build(&g, &partition, &s);
-        let cfg = PartwiseConfig::default();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let values = vec![1; 8];
         let mut forest = AggForest::unrooted(&partition, &map);
-        let first = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        let first = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert!(!first.metrics.terminated && first.all_members_informed);
         assert_eq!(
             forest.root,
             [NO_ROOT, 2],
             "only the connected part is rooted"
         );
-        let again = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        let again = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert_eq!(again.rooted_parts, 1);
         assert_eq!(again.results, vec![Some(2), Some(2)]);
         assert!(!again.metrics.terminated && again.all_members_informed);
@@ -1226,7 +1191,7 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(6);
         let k = partition.num_parts();
         let map = ParticipationMap::build(&g, &partition, &shortcut);
-        let cfg = PartwiseConfig::default();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
         let mut last: Vec<NodeId> = partition
             .iter()
@@ -1237,18 +1202,18 @@ mod tests {
             leaders: Some(&last),
             ..sum_of(&values)
         };
-        let cold = elsewhere.run_on(&g, &partition, &shortcut, &cfg);
+        let cold = elsewhere.run_on(&g, &partition, &shortcut, &opts, sim);
 
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
-        let moved = elsewhere.run_with(&g, &partition, &cfg, &map, &mut forest);
+        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let moved = elsewhere.run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert_eq!(moved.rooted_parts, 1);
         assert_eq!(moved.results, cold.results);
         assert!(moved.metrics.terminated && moved.all_members_informed);
         assert_eq!(forest.root, last.iter().map(|l| l.0).collect::<Vec<_>>());
-        let warm = elsewhere.run_with(&g, &partition, &cfg, &map, &mut forest);
+        let warm = elsewhere.run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert_eq!((warm.rooted_parts, &warm.results), (k, &cold.results));
-        let back = sum_of(&values).run_with(&g, &partition, &cfg, &map, &mut forest);
+        let back = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert_eq!((back.rooted_parts, &back.results), (1, &cold.results));
     }
 
@@ -1264,12 +1229,16 @@ mod tests {
         let slots = map.node(NodeId(0));
         assert_eq!(slots.parts, &[0]);
         assert!(slots.ports(0).is_empty());
-        let out = AggregateOp {
-            values: &[5, 6, 7],
-            op: AggOp::Sum,
-            leaders: None,
-        }
-        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
+        let out = run_cold(
+            AggregateOp {
+                values: &[5, 6, 7],
+                op: AggOp::Sum,
+                leaders: None,
+            },
+            &g,
+            &partition,
+            &shortcut,
+        );
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!(out.results, vec![Some(5), Some(13)]);
     }
@@ -1293,12 +1262,16 @@ mod tests {
             assert_eq!(hub.ports(hub.slot_of(part)), &[2 * part, 2 * part + 1]);
         }
         let values: Vec<u64> = (0..23).collect();
-        let out = AggregateOp {
-            values: &values,
-            op: AggOp::Sum,
-            leaders: None,
-        }
-        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
+        let out = run_cold(
+            AggregateOp {
+                values: &values,
+                op: AggOp::Sum,
+                leaders: None,
+            },
+            &g,
+            &partition,
+            &shortcut,
+        );
         // Relays contribute the identity: each part's sum is its member's value.
         assert!(out.metrics.terminated && out.all_members_informed);
         let expect: Vec<Option<u64>> = (0..11).map(|i| Some(2 * i + 1)).collect();
@@ -1311,12 +1284,16 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(4);
         let bad: Vec<NodeId> = vec![NodeId(0); 4];
         let values = vec![0u64; g.num_nodes()];
-        AggregateOp {
-            values: &values,
-            op: AggOp::Sum,
-            leaders: Some(&bad),
-        }
-        .run_on(&g, &partition, &shortcut, &PartwiseConfig::default());
+        run_cold(
+            AggregateOp {
+                values: &values,
+                op: AggOp::Sum,
+                leaders: Some(&bad),
+            },
+            &g,
+            &partition,
+            &shortcut,
+        );
     }
 
     use lcs_graph::Graph;

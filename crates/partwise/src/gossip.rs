@@ -12,11 +12,10 @@
 //! [`AggregateOp`](crate::AggregateOp); the type system enforces the
 //! distinction via [`IdempotentOp`].
 
-use crate::dist::{NodeSlots, ParticipationMap, SessionTables};
+use crate::dist::{NodeSlots, ParticipationMap};
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{OpReport, PartwiseOp, ShortcutSession};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{Graph, NodeId, PartId};
 
@@ -137,11 +136,10 @@ impl NodeProgram for GossipProgram<'_> {
     }
 }
 
-/// Leaderless idempotent aggregation as a session-drivable operation
-/// ([`PartwiseOp`]): flooding over `G[P_i] + H_i`, converging in
-/// `O(dilation)` rounds.
+/// Leaderless idempotent aggregation: flooding over `G[P_i] + H_i`,
+/// converging in `O(dilation)` rounds.
 ///
-/// `session.run(GossipOp { .. })` (or the facade's `session.gossip(..)`)
+/// `session.gossip(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
 /// serves it from the cached shortcut; [`run_on`](Self::run_on) runs it
 /// over explicit artifacts.
 #[derive(Clone, Copy, Debug)]
@@ -150,21 +148,6 @@ pub struct GossipOp<'a> {
     pub values: &'a [u64],
     /// The idempotent operator.
     pub op: IdempotentOp,
-}
-
-impl PartwiseOp for GossipOp<'_> {
-    type Output = GossipOutcome;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<GossipOutcome> {
-        session.prepare();
-        let quality = session.quality_shared();
-        let tables = SessionTables::of_session(session);
-        let sim = session.config().sim;
-        let (g, partition) = (session.graph(), session.partition());
-        let out = self.run_with(g, partition, sim, &tables.participation);
-        let metrics = out.metrics.clone();
-        OpReport::from_metrics(out, &metrics, quality)
-    }
 }
 
 impl GossipOp<'_> {
@@ -188,7 +171,7 @@ impl GossipOp<'_> {
 
     /// Runs the flooding protocol over a prebuilt [`ParticipationMap`] —
     /// the path the session ops take with the cached map.
-    fn run_with(
+    pub(crate) fn run_with(
         &self,
         g: &Graph,
         partition: &Partition,

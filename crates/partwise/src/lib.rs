@@ -32,9 +32,11 @@
 //!
 //! ```
 //! use lcs_congest::protocols::AggOp;
+//! use lcs_congest::SimConfig;
+//! use lcs_core::session::AggregateOpts;
 //! use lcs_core::{full_shortcut, Partition, ShortcutConfig};
 //! use lcs_graph::{bfs, gen, NodeId};
-//! use lcs_partwise::{AggregateOp, PartwiseConfig};
+//! use lcs_partwise::AggregateOp;
 //!
 //! let g = gen::grid(6, 6);
 //! let partition = Partition::from_parts(&g, gen::rows_of_grid(6, 6))?;
@@ -43,7 +45,7 @@
 //! let values: Vec<u64> = (0..36).collect();
 //!
 //! let out = AggregateOp { values: &values, op: AggOp::Max, leaders: None }
-//!     .run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+//!     .run_on(&g, &partition, &built.shortcut, &AggregateOpts::default(), SimConfig::default());
 //! assert!(out.all_members_informed);
 //! assert_eq!(out.results[0], Some(5)); // max of row 0's values 0..=5
 //! # Ok::<(), lcs_core::PartitionError>(())
@@ -59,7 +61,7 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseConfig, PartwiseOutcome};
+pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseOutcome};
 pub use gossip::{GossipOp, GossipOutcome, IdempotentOp};
 pub use session_ops::SessionPartwiseOps;
-pub use unicast::{UnicastConfig, UnicastOp, UnicastOutcome};
+pub use unicast::{UnicastOp, UnicastOutcome};

@@ -1,9 +1,12 @@
 //! The part-wise half of the [`ShortcutSession`] operation surface:
-//! method-call sugar over [`PartwiseOp`] for aggregation, gossip, and
-//! unicast routing.
+//! aggregation, gossip, and unicast routing over the session's cached
+//! artifacts. Each method reads what it needs from the session — tree,
+//! shortcut, participation tables, the [`SessionConfig`] block of its op —
+//! and calls the protocol in [`AggregateOp`] / [`GossipOp`] / [`UnicastOp`].
 //!
-//! [`PartwiseOp`]: lcs_core::session::PartwiseOp
+//! [`SessionConfig`]: lcs_core::session::SessionConfig
 
+use crate::dist::SessionTables;
 use crate::{
     AggregateOp, GossipOp, GossipOutcome, IdempotentOp, PartwiseOutcome, UnicastOp, UnicastOutcome,
 };
@@ -84,8 +87,10 @@ pub trait SessionPartwiseOps {
         op: IdempotentOp,
     ) -> Result<OpReport<GossipOutcome>, SessionError>;
 
-    /// [`unicast`](Self::unicast) with demands validated up front (node
-    /// range, no self-loops).
+    /// [`unicast`](Self::unicast) with demands validated up front: node
+    /// range, no self-loops, and both endpoints inside the component the
+    /// session tree spans ([`SessionError::NodeOffTree`] otherwise — the
+    /// packets travel tree paths).
     fn try_unicast(
         &mut self,
         demands: &[(NodeId, NodeId)],
@@ -105,13 +110,38 @@ fn check_values(s: &ShortcutSession<'_>, values: &[u64]) -> Result<(), SessionEr
     Ok(())
 }
 
+/// The body of both aggregate forms: runs the protocol over the cached
+/// tables, seeded from the cached forest, and stores the forest the run
+/// leaves behind.
+fn aggregate_on(
+    session: &mut ShortcutSession<'_>,
+    values: &[u64],
+    op: AggOp,
+    leaders: Option<&[NodeId]>,
+) -> OpReport<PartwiseOutcome> {
+    session.prepare();
+    let quality = session.quality_shared();
+    let tables = SessionTables::of_session(session);
+    let mut forest = tables.forest.clone();
+    let (g, partition, config) = (session.graph(), session.partition(), session.config());
+    let op = AggregateOp {
+        values,
+        op,
+        leaders,
+    };
+    let (opts, sim, participation) = (&config.aggregate, config.sim, &tables.participation);
+    let out = op.run_with(g, partition, opts, sim, participation, &mut forest);
+    session.op_artifact_swap(SessionTables {
+        participation: participation.clone(),
+        forest,
+    });
+    let metrics = out.metrics.clone();
+    OpReport::from_metrics(out, &metrics, quality)
+}
+
 impl SessionPartwiseOps for ShortcutSession<'_> {
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome> {
-        self.run(AggregateOp {
-            values,
-            op,
-            leaders: None,
-        })
+        aggregate_on(self, values, op, None)
     }
 
     fn aggregate_with_leaders(
@@ -120,19 +150,21 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         op: AggOp,
         leaders: &[NodeId],
     ) -> OpReport<PartwiseOutcome> {
-        self.run(AggregateOp {
-            values,
-            op,
-            leaders: Some(leaders),
-        })
+        aggregate_on(self, values, op, Some(leaders))
     }
 
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome> {
-        self.run(GossipOp { values, op })
+        self.prepare();
+        let quality = self.quality_shared();
+        let tables = SessionTables::of_session(self);
+        let (g, partition, sim) = (self.graph(), self.partition(), self.config().sim);
+        let out = GossipOp { values, op }.run_with(g, partition, sim, &tables.participation);
+        let metrics = out.metrics.clone();
+        OpReport::from_metrics(out, &metrics, quality)
     }
 
     fn unicast(&mut self, demands: &[(NodeId, NodeId)]) -> OpReport<UnicastOutcome> {
-        self.run(UnicastOp { demands })
+        self.try_unicast(demands).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_aggregate(
@@ -181,6 +213,9 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         Ok(self.gossip(values, op))
     }
 
+    /// Holds the unicast body: the membership check needs the very tree
+    /// the packets are routed over, so the checked form fetches it once
+    /// and the panicking form is this one plus `panic!`.
     fn try_unicast(
         &mut self,
         demands: &[(NodeId, NodeId)],
@@ -196,7 +231,17 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
                 return Err(SessionError::UnicastSelfLoop { packet: i });
             }
         }
-        Ok(self.unicast(demands))
+        let (g, opts, sim) = (self.graph(), self.config().unicast, self.config().sim);
+        // Routing needs only the tree — it must not force a shortcut
+        // construction on sessions used purely for unicast serving.
+        let tree = self.tree();
+        let mut endpoints = demands.iter().flat_map(|&(s, t)| [s, t]);
+        if let Some(node) = endpoints.find(|&v| !tree.contains(v)) {
+            return Err(SessionError::NodeOffTree { node });
+        }
+        let out = UnicastOp { demands }.run_on(g, tree, &opts, sim);
+        let metrics = out.metrics.clone();
+        Ok(OpReport::from_metrics(out, &metrics, None))
     }
 }
 
@@ -297,6 +342,30 @@ mod tests {
         let ok = s
             .try_unicast(&[(NodeId(0), NodeId(15))])
             .expect("valid demand");
+        assert_eq!(ok.result.delivered, 1);
+    }
+
+    /// Unicast packets travel tree paths: an endpoint in another component
+    /// than the root is a typed refusal, not the router's assert — and the
+    /// panicking form panics with that error's text.
+    #[test]
+    fn try_unicast_refuses_endpoints_off_the_tree() {
+        use lcs_graph::Graph;
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let mut s = Session::on(&g).build().unwrap();
+        for (demand, node) in [
+            ((NodeId(0), NodeId(4)), NodeId(4)),
+            ((NodeId(3), NodeId(5)), NodeId(3)),
+        ] {
+            let err = s.try_unicast(&[demand]).unwrap_err();
+            assert_eq!(err, SessionError::NodeOffTree { node });
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.unicast(&[demand]);
+            }));
+            let text = *panic.unwrap_err().downcast::<String>().expect("a message");
+            assert_eq!(text, err.to_string());
+        }
+        let ok = s.try_unicast(&[(NodeId(0), NodeId(2))]).expect("same side");
         assert_eq!(ok.result.delivered, 1);
     }
 }

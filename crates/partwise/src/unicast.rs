@@ -12,35 +12,10 @@ use crate::dist::random_delays;
 use lcs_congest::{
     Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::UnicastOpts;
 use lcs_graph::{Graph, NodeId, RootedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// Configuration for [`UnicastOp::run_on`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct UnicastConfig {
-    /// Packets start after a uniform random delay in `[0, delay_range)`
-    /// (0 disables delays; the per-packet queue priority still randomizes
-    /// drain order).
-    pub delay_range: u32,
-    /// Seed for delays and priorities.
-    pub seed: u64,
-    /// Simulator settings (mode forced to queued;
-    /// [`SimConfig::threads`] selects the sharded executor's worker count).
-    pub sim: SimConfig,
-}
-
-impl Default for UnicastConfig {
-    fn default() -> Self {
-        UnicastConfig {
-            delay_range: 0,
-            seed: 0x0417,
-            sim: SimConfig::default(),
-        }
-    }
-}
 
 /// Result of a routing run.
 #[derive(Clone, Debug)]
@@ -142,46 +117,35 @@ impl NodeProgram for RouterProgram<'_> {
     }
 }
 
-/// Multi-unicast routing as a session-drivable operation ([`PartwiseOp`]):
-/// one packet per `(source, target)` demand, store-and-forward along the
-/// unique tree paths under random-delay scheduling.
+/// Multi-unicast routing: one packet per `(source, target)` demand,
+/// store-and-forward along the unique tree paths under random-delay
+/// scheduling.
 ///
-/// `session.run(UnicastOp { .. })` (or the facade's `session.unicast(..)`)
-/// routes over the session's cached tree; [`run_on`](Self::run_on) takes
-/// an explicit tree.
+/// `session.unicast(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
+/// routes over the session's cached tree; [`run_on`](Self::run_on) takes an
+/// explicit tree.
 #[derive(Clone, Copy, Debug)]
 pub struct UnicastOp<'a> {
     /// The `(source, target)` demand pairs.
     pub demands: &'a [(NodeId, NodeId)],
 }
 
-impl PartwiseOp for UnicastOp<'_> {
-    type Output = UnicastOutcome;
-
-    fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<UnicastOutcome> {
-        let sc = session.config();
-        let cfg = UnicastConfig {
-            delay_range: sc.unicast.delay_range,
-            seed: sc.unicast.seed,
-            sim: sc.sim,
-        };
-        let g = session.graph();
-        // Routing needs only the tree — it must not force a shortcut
-        // construction on sessions used purely for unicast serving.
-        let out = self.run_on(g, session.tree(), &cfg);
-        let metrics = out.metrics.clone();
-        OpReport::from_metrics(out, &metrics, None)
-    }
-}
-
 impl UnicastOp<'_> {
-    /// Routes over an explicit tree (the non-session path).
+    /// Routes over an explicit tree (the non-session path). `opts` and
+    /// `sim` are the [`SessionConfig`](lcs_core::session::SessionConfig)
+    /// blocks a session would pass; the simulator mode is forced to queued.
     ///
     /// # Panics
     ///
     /// Panics if some endpoint lies outside the tree's component, or a
     /// source equals its target.
-    pub fn run_on(&self, g: &Graph, tree: &RootedTree, cfg: &UnicastConfig) -> UnicastOutcome {
+    pub fn run_on(
+        &self,
+        g: &Graph,
+        tree: &RootedTree,
+        opts: &UnicastOpts,
+        sim: SimConfig,
+    ) -> UnicastOutcome {
         let pairs = self.demands;
         // Tree paths (up to the LCA, then down) with per-edge load counting.
         let mut load = vec![0u32; g.num_edges()];
@@ -215,16 +179,16 @@ impl UnicastOp<'_> {
         targets.sort_unstable();
         let congestion = load.iter().copied().max().unwrap_or(0);
 
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let delays = random_delays(&mut rng, pairs.len(), cfg.delay_range);
+        let mut rng = SmallRng::seed_from_u64(opts.seed);
+        let delays = random_delays(&mut rng, pairs.len(), opts.delay_range);
         let priorities: Vec<u64> = pairs.iter().map(|_| rng.gen()).collect();
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
-            ..cfg.sim
+            ..sim
         };
-        let sim = Simulator::new(g, sim_cfg);
-        let run = sim.run(|v, _| RouterProgram {
+        let simulator = Simulator::new(g, sim_cfg);
+        let run = simulator.run(|v, _| RouterProgram {
             forward: rows_of(&forward, v),
             inject: (rows_of(&sources, v).iter())
                 .map(|&(_, id)| (id, delays[id as usize]))
@@ -316,7 +280,12 @@ mod tests {
         let g = gen::grid(8, 8);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (NodeId(i), NodeId(63 - i))).collect();
-        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(
+            &g,
+            &t,
+            &UnicastOpts::default(),
+            SimConfig::default(),
+        );
         assert!(out.metrics.terminated);
         assert_eq!(out.delivered, 16);
         assert!(out.congestion >= 1 && out.dilation >= 1);
@@ -335,7 +304,12 @@ mod tests {
         let g = gen::star(12);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (1..7).map(|i| (NodeId(i), NodeId(i + 5))).collect();
-        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(
+            &g,
+            &t,
+            &UnicastOpts::default(),
+            SimConfig::default(),
+        );
         assert_eq!(out.delivered, 6);
         assert_eq!(out.dilation, 2);
         // All six packets enter distinct hub edges but leave over distinct
@@ -348,11 +322,11 @@ mod tests {
         let g = gen::torus(6, 6);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..12).map(|i| (NodeId(i), NodeId(35 - i))).collect();
-        let cfg = UnicastConfig {
+        let opts = UnicastOpts {
             delay_range: 8,
-            ..UnicastConfig::default()
+            ..UnicastOpts::default()
         };
-        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &cfg);
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &opts, SimConfig::default());
         assert_eq!(out.delivered, 12);
     }
 
@@ -364,7 +338,7 @@ mod tests {
         UnicastOp {
             demands: &[(NodeId(1), NodeId(1))],
         }
-        .run_on(&g, &t, &UnicastConfig::default());
+        .run_on(&g, &t, &UnicastOpts::default(), SimConfig::default());
     }
 
     use lcs_graph::Graph;

@@ -156,15 +156,6 @@ impl SeparatorTree {
             .collect()
     }
 
-    /// The finest partition: the leaf regions.
-    pub fn leaf_partition(&self) -> Vec<Vec<NodeId>> {
-        self.nodes
-            .iter()
-            .filter(|r| r.is_leaf())
-            .map(|r| r.region.clone())
-            .collect()
-    }
-
     /// Number of parts [`partition_at_level`](Self::partition_at_level)
     /// would produce, without materializing them.
     pub fn parts_at_level(&self, level: u32) -> usize {
@@ -182,12 +173,6 @@ impl SeparatorTree {
         (0..=deepest)
             .find(|&l| self.parts_at_level(l) >= target)
             .unwrap_or(deepest)
-    }
-
-    /// Total separator nodes over the whole recursion (each region's cut,
-    /// summed) — the `O(√n · log n)`-ish quantity on planar-like inputs.
-    pub fn total_separator_nodes(&self) -> usize {
-        self.nodes.iter().map(|r| r.separator.len()).sum()
     }
 }
 

@@ -13,7 +13,7 @@
 //! | 409    | `invalid_mutation` | a mutation failed validation; session unchanged |
 //! | 413    | `body_too_large` | request body exceeds the configured cap   |
 //! | 422    | `bad_args`       | well-formed body with invalid op arguments |
-//! | 422    | `partition_*`    | a session-spec partition failed validation — the code is [`PartitionError::code`] (`partition_disconnected`, `partition_uncovered`, `partition_overlap`, `partition_empty_part`, `partition_out_of_range`) |
+//! | 422    | `partition_*`    | a session-spec partition failed validation — the code is [`PartitionError::code`] (`partition_disconnected`, `partition_uncovered`, `partition_overlap`, `partition_empty_part`, `partition_out_of_range`, `partition_off_tree`) |
 //! | 422    | `graph_*`        | a session-spec graph source failed to resolve — the code is [`GraphSourceError::code`] (`graph_invalid_spec`, `graph_json_malformed`, `graph_invalid_edge`, `graph_too_large`, `graph_io`, and the flat-binary loader codes `graph_bad_magic`, `graph_unsupported_version`, `graph_unknown_flags`, `graph_truncated`, `graph_trailing_bytes`, `graph_checksum_mismatch`, `graph_inconsistent`) |
 //! | 500    | `internal_panic` | a handler panicked (counted, worker survives) |
 

@@ -35,7 +35,7 @@ use crate::error::ApiError;
 use crate::json;
 use crate::metrics::Metrics;
 use lcs_core::dist::{DistConfig, DistMode};
-use lcs_core::session::{Backend, Session, SessionConfig, ShortcutSession};
+use lcs_core::session::{Backend, Session, SessionConfig, ShortcutSession, TreeSource};
 use lcs_core::{GeneratorSpec, GraphSource, Partition, PartitionSource};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
@@ -400,6 +400,9 @@ impl Registry {
     }
 }
 
+/// Root of every served session's BFS tree.
+const ROOT: NodeId = NodeId(0);
+
 /// Node-count cap on served graphs (generator families are rejected at
 /// parse time; file-backed graphs after loading).
 const MAX_SERVED_NODES: u64 = 40_000_000;
@@ -583,8 +586,9 @@ impl SessionSpec {
     }
 
     /// Resolves every part of the spec a create can be refused for — the
-    /// empty-graph check, the partition, the weight count — against
-    /// `graph`, which need not be leaked yet. `file_weights` are the
+    /// empty-graph check, the partition (valid, and inside the component
+    /// the session tree spans), the weight count — against `graph`, which
+    /// need not be leaked yet. `file_weights` are the
     /// weights the graph's source file carried, if any; an explicit
     /// `weights` field in the spec wins over them.
     pub fn resolve_inputs(
@@ -632,6 +636,10 @@ impl SessionSpec {
         let partition = partition
             .or_else(|| config_source.map(from_source))
             .transpose()?;
+        if let Some(p) = &partition {
+            p.check_reachable_from(graph, ROOT)
+                .map_err(|e| ApiError::unprocessable_partition(&e))?;
+        }
 
         let weights = match &self.weights {
             Some(w) => Some(edge_weights(graph, w.clone())?),
@@ -648,7 +656,7 @@ impl SessionSpec {
         partition: Option<Partition>,
         weights: Option<EdgeWeights>,
     ) -> ShortcutSession<'static> {
-        let mut builder = Session::on(graph);
+        let mut builder = Session::on(graph).tree(TreeSource::Bfs(ROOT));
         if let Some(p) = partition {
             builder = builder.partition_object(p);
         }
@@ -739,8 +747,17 @@ mod tests {
             ])
         };
         let u64s = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| Value::U64(x)).collect());
+        let path = TempPath::new("two_components.json");
+        std::fs::write(&path.0, r#"{"n":6,"edges":[[0,1],[1,2],[3,4],[4,5]]}"#).unwrap();
+        let two_components = || {
+            Value::object([
+                ("kind", Value::Str("edge_list_json".to_string())),
+                ("path", Value::Str(path.as_str().to_string())),
+            ])
+        };
         let refused = [
-            // Out-of-range node, disconnected part, wrong weight count.
+            // Out-of-range node, disconnected part, wrong weight count, and
+            // parts the tree of node 0 cannot reach (`partition_off_tree`).
             Value::object([
                 ("graph", grid(3)),
                 ("partition", Value::Arr(vec![u64s(&[0, 99])])),
@@ -750,6 +767,14 @@ mod tests {
                 ("partition", Value::Arr(vec![u64s(&[0, 15])])),
             ]),
             Value::object([("graph", grid(5)), ("weights", u64s(&[1, 2, 3]))]),
+            Value::object([
+                ("graph", two_components()),
+                ("partition", Value::Arr(vec![u64s(&[3, 4, 5])])),
+            ]),
+            Value::object([
+                ("graph", two_components()),
+                ("partition", Value::Str("singletons".to_string())),
+            ]),
         ];
         for body in &refused {
             let spec = SessionSpec::from_value(body).expect("parses");
@@ -762,6 +787,9 @@ mod tests {
             );
         }
         assert_eq!(reg.stats().graphs, 0, "refused creates leak nothing");
+        let off_tree = SessionSpec::from_value(&refused[4]).expect("parses");
+        let err = reg.get_or_create(&off_tree).map(|_| ()).unwrap_err();
+        assert_eq!(err.code, "partition_off_tree", "{}", err.message);
         reg.get_or_create(&grid_spec(3, 3)).unwrap();
         reg.get_or_create(&grid_spec(4, 4)).unwrap();
         assert_eq!(reg.stats().graphs, 2);

@@ -1,10 +1,11 @@
 //! The certifying side of Theorem 3.1: on an instance where the sweep fails
 //! (Case II), extract a dense-minor witness that *proves* the graph has
-//! minor density above the guess, and verify it. The per-`δ̂` sweeps are
-//! served (and cached) by a `ShortcutSession`.
+//! minor density above the guess, and verify it. The per-`δ̂` sweeps run
+//! over a `ShortcutSession`'s tree and partition.
 //!
 //! Run with: `cargo run --release --example certify_dense_minor`
 
+use low_congestion_shortcuts::core::SweepOutcome;
 use low_congestion_shortcuts::prelude::*;
 
 fn main() {
@@ -18,33 +19,31 @@ fn main() {
         .expect("comb chains are disjoint connected parts");
     let k = session.partition().num_parts();
 
+    let tree = session.tree().clone();
+    let config = session.config().shortcut;
     for delta_hat in [1u32, 2] {
-        let sweep = session.partial(delta_hat);
-        if sweep.case_one {
-            println!(
+        let (g, partition) = (session.graph(), session.partition());
+        match partial_shortcut_or_witness(g, &tree, partition, delta_hat, &config) {
+            SweepOutcome::Shortcut(ps) => println!(
                 "δ̂ = {delta_hat}: Case (I) — {} of {k} parts served, {} overcongested edges",
-                sweep.served.len(),
-                sweep.data.over_edges.len()
-            );
-        } else {
-            let w = sweep
-                .witness
-                .as_ref()
-                .expect("derandomized extraction always succeeds here");
-            minor::verify_minor(&comb.graph, w).expect("witness must verify");
-            println!(
-                "δ̂ = {delta_hat}: Case (II) — {} overcongested edges; certified minor \
-                 with {} branch sets, {} edges, density {:.3} > {delta_hat}",
-                sweep.data.over_edges.len(),
-                w.num_nodes(),
-                w.num_edges(),
-                w.density()
-            );
-            assert!(w.density() > f64::from(delta_hat));
+                ps.served.len(),
+                ps.data.over_edges.len()
+            ),
+            SweepOutcome::DenseMinor { witness, data } => {
+                let w = witness.expect("derandomized extraction always succeeds here");
+                minor::verify_minor(&comb.graph, &w).expect("witness must verify");
+                println!(
+                    "δ̂ = {delta_hat}: Case (II) — {} overcongested edges; certified minor \
+                     with {} branch sets, {} edges, density {:.3} > {delta_hat}",
+                    data.over_edges.len(),
+                    w.num_nodes(),
+                    w.num_edges(),
+                    w.density()
+                );
+                assert!(w.density() > f64::from(delta_hat));
+            }
         }
     }
-    // Each δ̂ was swept exactly once; repeated queries would be cache hits.
-    assert_eq!(session.cache_stats().partials.builds, 2);
 
     // The full construction's doubling search collects the densest
     // certificate as a by-product (the remark after Theorem 3.1).

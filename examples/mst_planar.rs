@@ -5,9 +5,7 @@
 //! Run with: `cargo run --release --example mst_planar`
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{
-    distributed_mst, kruskal, BoruvkaConfig, ShortcutProvider,
-};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,16 +43,13 @@ fn main() {
         "minor-sweep (session)", report.result.phases, report.rounds, "yes"
     );
 
-    // The strawmen keep the legacy free-function surface.
+    // The strawmen are providers no backend stands for: the same
+    // algorithm, called directly with the session's configuration.
     for (name, provider) in [
         ("baseline D+sqrt(n)", ShortcutProvider::Baseline),
         ("no shortcuts", ShortcutProvider::None),
     ] {
-        let cfg = BoruvkaConfig {
-            provider,
-            ..BoruvkaConfig::default()
-        };
-        let report = distributed_mst(&g, &weights, NodeId(0), &cfg);
+        let report = distributed_mst(&g, &weights, NodeId(0), provider, session.config());
         assert_eq!(report.edges, reference, "{name} must produce the exact MST");
         println!(
             "{:<22} {:>8} {:>10} {:>8}",

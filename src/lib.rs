@@ -76,18 +76,26 @@ pub use lcs_separator as separator;
 ///
 /// | Explicit-artifact call | Session method |
 /// |---|---|
-/// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, cfg)` | `session.aggregate(values, op)` |
+/// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, &config.aggregate, config.sim)` | `session.aggregate(values, op)` |
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
-/// | `GossipOp { values, op }.run_on(g, parts, shortcut, sim)` | `session.gossip(values, op)` |
-/// | `UnicastOp { demands }.run_on(g, tree, cfg)` | `session.unicast(demands)` |
-/// | `distributed_mst(g, weights, root, cfg)` | `session.mst(weights)` |
-/// | `distributed_components(g, root, cfg)` | `session.components()` |
-/// | `approx_mincut_distributed(g, root, cfg)` | `session.mincut()` |
-/// | `full_shortcut(g, tree, parts, cfg)` | `session.shortcut()` / `session.full_artifact()` |
-/// | `distributed_full_shortcut(g, root, parts, cfg, dist)` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()` |
-/// | `partial_shortcut_or_witness(g, tree, parts, δ̂, cfg)` | `session.partial(δ̂)` |
+/// | `GossipOp { values, op }.run_on(g, parts, shortcut, config.sim)` | `session.gossip(values, op)` |
+/// | `UnicastOp { demands }.run_on(g, tree, &config.unicast, config.sim)` | `session.unicast(demands)` |
+/// | `distributed_mst(g, weights, root, provider, &config)` | `session.mst(weights)` |
+/// | `distributed_components(g, root, provider, &config)` | `session.components()` |
+/// | `approx_mincut_distributed(g, root, provider, &config)` | `session.mincut()` |
+/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.full_artifact()` |
+/// | `distributed_full_shortcut(g, root, parts, &config.shortcut, dist)` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()` |
 /// | `bfs::bfs_tree(g, root)` | `session.tree()` |
 /// | `measure_quality(g, parts, tree, shortcut)` | `session.quality()` |
+///
+/// `config` is a [`SessionConfig`](lcs_core::session::SessionConfig) on
+/// both sides — the only place an op knob is declared; the explicit calls
+/// read the same blocks a session passes. `provider` is a
+/// [`ShortcutProvider`](lcs_algos::mst::ShortcutProvider), which a session
+/// derives from its backend. One Theorem 3.1 sweep at a fixed `δ̂` is no
+/// session artifact:
+/// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), δ̂, &config.shortcut)`
+/// over a clone of `session.tree()` is the call.
 ///
 /// Simulator knobs ride [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim),
 /// so every backend and op picks them up from the one config surface:
@@ -110,7 +118,7 @@ pub use lcs_separator as separator;
 /// a declared input's epoch bumps:
 ///
 /// * [`set_partition`](lcs_core::session::ShortcutSession::set_partition)
-///   replaces the partition wholesale — shortcut, quality, partials, and
+///   replaces the partition wholesale — shortcut, quality and
 ///   partition-scoped op artifacts rebuild on next access; the tree
 ///   survives.
 /// * [`reassign_parts`](lcs_core::session::ShortcutSession::reassign_parts)
@@ -130,8 +138,8 @@ pub use lcs_separator as separator;
 /// counts builds/hits/invalidations per artifact class plus the
 /// incremental-recustomization tallies.
 ///
-/// **Migration note:** code that held a `&PartialArtifact` (or
-/// `&Shortcut` from `shortcut_ref()`) across a mutation must re-fetch it
+/// **Migration note:** code that held a `&Shortcut` from `shortcut_ref()`
+/// across a mutation must re-fetch it
 /// afterwards: references returned by the accessors are tied to the epoch
 /// they were read at, and `shortcut_ref()` — the one shared-reference
 /// accessor; `tree_ref()` is gone, read the tree through `tree()` —
@@ -144,15 +152,10 @@ pub use lcs_separator as separator;
 /// is the one call it was.
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
-    pub use lcs_algos::{
-        connectivity::ComponentsOp,
-        mincut::MincutOp,
-        mst::{boruvka_config_of, MstOp},
-    };
     pub use lcs_core::session::{
         deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, Epochs,
-        FullArtifact, Input, MincutOpts, MstOpts, OpReport, PartialArtifact, PartwiseOp, Session,
-        SessionBuilder, SessionConfig, SessionError, ShortcutSession, TreeSource, UnicastOpts,
+        FullArtifact, Input, MincutOpts, MstOpts, OpReport, Session, SessionBuilder, SessionConfig,
+        SessionError, ShortcutSession, TreeSource, UnicastOpts,
     };
     pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};

@@ -2,11 +2,12 @@
 //! is what makes every number in EXPERIMENTS.md exactly reproducible.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, BoruvkaConfig};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
 use low_congestion_shortcuts::core::WitnessMode;
-use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
+use low_congestion_shortcuts::facade::AggregateOpts;
+use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -18,17 +19,18 @@ fn partwise_runs_are_replayable() {
     let tree = bfs::bfs_tree(&g, NodeId(0));
     let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
     let values: Vec<u64> = (0..64).collect();
-    let cfg = PartwiseConfig {
+    let opts = AggregateOpts {
         delay_range: 16,
-        ..PartwiseConfig::default()
+        ..AggregateOpts::default()
     };
+    let sim = SessionConfig::default().sim;
     let op = AggregateOp {
         values: &values,
         op: AggOp::Sum,
         leaders: None,
     };
-    let a = op.run_on(&g, &partition, &built.shortcut, &cfg);
-    let b = op.run_on(&g, &partition, &built.shortcut, &cfg);
+    let a = op.run_on(&g, &partition, &built.shortcut, &opts, sim);
+    let b = op.run_on(&g, &partition, &built.shortcut, &opts, sim);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.results, b.results);
 }
@@ -38,9 +40,9 @@ fn mst_runs_are_replayable() {
     let g = gen::torus(6, 6);
     let mut rng = SmallRng::seed_from_u64(9);
     let w = EdgeWeights::random_unique(&g, &mut rng);
-    let cfg = BoruvkaConfig::default();
-    let a = distributed_mst(&g, &w, NodeId(0), &cfg);
-    let b = distributed_mst(&g, &w, NodeId(0), &cfg);
+    let config = SessionConfig::default();
+    let a = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
+    let b = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
     assert_eq!(a.edges, b.edges);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.messages, b.messages);

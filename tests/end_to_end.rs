@@ -3,15 +3,13 @@
 //! the distributed algorithms.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{
-    distributed_mst, kruskal, BoruvkaConfig, ShortcutProvider,
-};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{
     distributed_full_shortcut, distributed_partial_shortcut, DistConfig,
 };
 use low_congestion_shortcuts::core::{SweepOutcome, WitnessMode};
-use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -22,7 +20,8 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
     let d = tree.depth_of_tree();
 
     // 1. Full shortcut respects every Theorem 1.2 bound.
-    let built = full_shortcut(g, &tree, &partition, &ShortcutConfig::default());
+    let config = SessionConfig::default();
+    let built = full_shortcut(g, &tree, &partition, &config.shortcut);
     let q = measure_quality(g, &partition, &tree, &built.shortcut);
     assert!(q.tree_restricted);
     assert!(q.all_connected());
@@ -48,7 +47,13 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
             op,
             leaders: None,
         }
-        .run_on(g, &partition, &built.shortcut, &PartwiseConfig::default());
+        .run_on(
+            g,
+            &partition,
+            &built.shortcut,
+            &config.aggregate,
+            config.sim,
+        );
         assert!(
             out.all_members_informed,
             "all members must learn the result"
@@ -200,15 +205,11 @@ fn mst_exact_across_providers_and_families() {
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
         for provider in [
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
+            ShortcutProvider::Oracle,
             ShortcutProvider::Baseline,
             ShortcutProvider::None,
         ] {
-            let cfg = BoruvkaConfig {
-                provider,
-                ..BoruvkaConfig::default()
-            };
-            let rep = distributed_mst(g, &w, NodeId(0), &cfg);
+            let rep = distributed_mst(g, &w, NodeId(0), provider, &SessionConfig::default());
             assert_eq!(rep.edges, reference, "family {i} provider mismatch");
         }
     }

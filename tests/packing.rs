@@ -25,7 +25,8 @@ use low_congestion_shortcuts::core::dist::{
     distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
 };
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
-use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
+use low_congestion_shortcuts::facade::AggregateOpts;
+use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -194,14 +195,14 @@ fn partwise_aggregates_are_packing_invariant() {
                     &g,
                     &partition,
                     &built.shortcut,
-                    &PartwiseConfig {
+                    &AggregateOpts {
                         delay_range,
-                        sim: SimConfig {
-                            threads,
-                            message_packing: packing,
-                            ..SimConfig::default()
-                        },
-                        ..PartwiseConfig::default()
+                        ..AggregateOpts::default()
+                    },
+                    SimConfig {
+                        threads,
+                        message_packing: packing,
+                        ..SimConfig::default()
                     },
                 );
                 assert!(out.all_members_informed, "t{threads}/p{packing}");

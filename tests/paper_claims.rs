@@ -3,7 +3,7 @@
 
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::{partial_shortcut_or_witness, SweepOutcome};
-use low_congestion_shortcuts::partwise::{AggregateOp, PartwiseConfig};
+use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -158,7 +158,8 @@ fn section_2_aggregation_within_quality_budget() {
     let g = gen::grid(12, 12);
     let partition = Partition::from_parts(&g, gen::rows_of_grid(12, 12)).unwrap();
     let tree = bfs::bfs_tree(&g, NodeId(0));
-    let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+    let config = SessionConfig::default();
+    let built = full_shortcut(&g, &tree, &partition, &config.shortcut);
     let q = measure_quality(&g, &partition, &tree, &built.shortcut);
     let values = vec![1u64; g.num_nodes()];
     let out = AggregateOp {
@@ -166,7 +167,13 @@ fn section_2_aggregation_within_quality_budget() {
         op: AggOp::Sum,
         leaders: None,
     }
-    .run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+    .run_on(
+        &g,
+        &partition,
+        &built.shortcut,
+        &config.aggregate,
+        config.sim,
+    );
     assert!(out.all_members_informed);
     let budget = f64::from(q.max_congestion)
         + f64::from(q.max_dilation_upper) * (g.num_nodes() as f64).log2();

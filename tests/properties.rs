@@ -1,10 +1,10 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, BoruvkaConfig};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::KmvSketch;
-use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -59,10 +59,11 @@ proptest! {
     fn aggregation_matches_reference((g, parts) in arb_instance(), op_idx in 0usize..3) {
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let config = SessionConfig::default();
+        let built = full_shortcut(&g, &tree, &partition, &config.shortcut);
         let op = [AggOp::Min, AggOp::Max, AggOp::Sum][op_idx];
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x.wrapping_mul(2654435761) % 10_000).collect();
-        let out = AggregateOp { values: &values, op, leaders: None }.run_on(&g, &partition, &built.shortcut, &PartwiseConfig::default());
+        let out = AggregateOp { values: &values, op, leaders: None }.run_on(&g, &partition, &built.shortcut, &config.aggregate, config.sim);
         prop_assert!(out.all_members_informed);
         let expect = centralized_aggregate(&partition, &values, op);
         for (i, r) in out.results.iter().enumerate() {
@@ -76,7 +77,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(wseed);
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
-        let rep = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+        let rep = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &SessionConfig::default());
         prop_assert_eq!(rep.edges, reference);
     }
 

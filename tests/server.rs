@@ -460,6 +460,120 @@ fn overflowing_graph_sizes_are_refused_not_panicked_on() {
     handle.shutdown();
 }
 
+/// A disconnected graph never reaches an assert. On two paths `0-1-2` and
+/// `3-4-5` (the session tree spans node 0's) every op endpoint answers 200
+/// or a structured 4xx: a partition with a part in the other component is
+/// refused where it is installed — create (422, before the graph takes a
+/// registry slot) and `set_partition` (409) — and a unicast endpoint there
+/// is a 422, instead of the sweep's and the router's asserts behind the
+/// panic fence (500 + `worker_panics`).
+#[test]
+fn disconnected_graphs_never_reach_an_assert() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("lcs_server_two_paths_{}.json", std::process::id()));
+    std::fs::write(&path, r#"{"n":6,"edges":[[0,1],[1,2],[3,4],[4,5]]}"#).unwrap();
+    let spec = |partition: &str| {
+        let path = path.to_str().expect("utf-8 temp path");
+        format!(
+            r#"{{"graph":{{"kind":"edge_list_json","path":"{path}"}},"partition":{partition}}}"#
+        )
+    };
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    let graphs = |client: &mut Client| {
+        let metrics = client.get("/metrics").unwrap();
+        let server = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
+        assert_eq!(get_u64(server, "worker_panics"), 0);
+        let registry = lcs_server::json::lookup(&metrics.body, "registry").expect("registry");
+        get_u64(registry, "graphs")
+    };
+
+    for partition in ["[[3,4,5]]", r#""singletons""#, r#"{"kind":"singletons"}"#] {
+        let r = client.post_raw("/sessions", spec(partition).as_bytes());
+        let r = r.unwrap();
+        assert_eq!(
+            (r.status, r.field("error")),
+            (422, Some(&Value::Str("partition_off_tree".to_string()))),
+            "{partition}: {}",
+            lcs_server::json::render(&r.body)
+        );
+    }
+    assert_eq!(graphs(&mut client), 0, "a refused create leaks no graph");
+
+    let mut expect = |path: &str, body: &str, status: u16, error: Option<&str>| {
+        let r = client.post_raw(path, body.as_bytes()).unwrap();
+        let code = error.map(|code| Value::Str(code.to_string()));
+        assert_eq!(
+            (r.status, r.field("error")),
+            (status, code.as_ref()),
+            "POST {path} {body}: {}",
+            lcs_server::json::render(&r.body)
+        );
+        r
+    };
+
+    // `s0` has no partition, `s1` two parts on node 0's side.
+    let none = expect("/sessions", &spec(r#""none""#), 200, None);
+    assert_eq!(none.field("id"), Some(&Value::Str("s0".to_string())));
+    expect("/sessions", &spec("[[0,1],[2]]"), 200, None);
+    let values = r#"{"values":[1,2,3,4,5,6],"op":"max"}"#;
+    let (bad_args, invalid) = (Some("bad_args"), Some("invalid_mutation"));
+    for (op, body, status, error) in [
+        ("s0/prepare", "{}", 422, bad_args),
+        ("s0/quality", "{}", 422, bad_args),
+        ("s0/aggregate", values, 422, bad_args),
+        ("s0/gossip", values, 422, bad_args),
+        ("s0/unicast", r#"{"demands":[[0,2]]}"#, 200, None),
+        ("s0/unicast", r#"{"demands":[[0,4]]}"#, 422, bad_args),
+        ("s0/unicast", r#"{"demands":[[3,5]]}"#, 422, bad_args),
+        ("s0/mst", r#"{"weights":[4,3,2,1]}"#, 200, None),
+        ("s0/components", "{}", 200, None),
+        ("s0/mincut", "{}", 422, bad_args),
+        (
+            "s0/set_partition",
+            r#"{"partition":[[3,4,5]]}"#,
+            409,
+            invalid,
+        ),
+        ("s0/reassign_parts", r#"{"moves":[[3,0]]}"#, 409, invalid),
+        ("s1/prepare", "{}", 200, None),
+        ("s1/quality", "{}", 200, None),
+        ("s1/aggregate", values, 200, None),
+        ("s1/gossip", values, 200, None),
+        ("s1/unicast", r#"{"demands":[[2,0],[1,4]]}"#, 422, bad_args),
+        (
+            "s1/set_partition",
+            r#"{"partition":[[0,1],[4,5]]}"#,
+            409,
+            invalid,
+        ),
+        ("s1/reassign_parts", r#"{"moves":[[3,0]]}"#, 409, invalid),
+        ("s1/reassign_parts", r#"{"moves":[[1,1]]}"#, 200, None),
+        (
+            "s1/set_partition",
+            r#"{"partition":[[0],[1,2]]}"#,
+            200,
+            None,
+        ),
+        ("s1/mst", r#"{"weights":[1,2,3,4]}"#, 200, None),
+        ("s1/components", "{}", 200, None),
+        ("s1/mincut", "{}", 422, bad_args),
+    ] {
+        expect(&format!("/sessions/{op}"), body, status, error);
+    }
+
+    // Both sessions still serve, on the same connection.
+    let components = expect("/sessions/s0/components", "{}", 200, None);
+    let result = components.field("result").expect("op result");
+    assert_eq!(get_u64(result, "count"), 2);
+    let served = expect("/sessions/s1/aggregate", values, 200, None);
+    assert_eq!(result_values(&served), vec![Some(1), Some(3)]);
+
+    assert_eq!(graphs(&mut client), 1, "one graph, leaked once");
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// One notation end to end: a `config.partition_source` written in the
 /// `kind` form (and no `partition`) builds the session, and the spec echo
 /// spells `graph` and `config.partition_source` the way the sources

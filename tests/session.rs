@@ -9,9 +9,8 @@
 //! on **all three backends**, (c) the **churn differential**: after every
 //! mutation (`reassign_parts`, `set_partition`, `update_weights`) each
 //! op's result is bit-identical to a fresh-built session on the mutated
-//! inputs, and (d) that `SessionConfig` and the legacy config structs it
-//! absorbs survive serde round trips, with a pinned JSON snapshot of the
-//! defaults.
+//! inputs, and (d) that `SessionConfig` survives serde round trips, with a
+//! pinned JSON snapshot of the defaults.
 
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::kruskal;
@@ -454,7 +453,7 @@ fn all_ops_stay_differential_under_churn() {
         let mut bumped = weights.clone();
         bumped.update(&[(EdgeId(0), 1_000_000), (EdgeId(7), 2)]);
         session.update_weights(&[(EdgeId(0), 1_000_000), (EdgeId(7), 2)]);
-        let mst_after = session.run(low_congestion_shortcuts::facade::MstOp);
+        let mst_after = session.mst(&bumped);
         assert_eq!(
             mst_after.result.edges,
             kruskal(&g, &bumped),
@@ -663,61 +662,4 @@ fn packing_zero_roundtrips_and_normalizes_at_construction() {
     assert_eq!(zero_run.rounds, one_run.rounds);
     assert_eq!(zero_run.messages, one_run.messages);
     assert_eq!(zero_run.bits, one_run.bits);
-}
-
-#[test]
-fn legacy_configs_roundtrip() {
-    use low_congestion_shortcuts::algos::mincut::MincutConfig;
-    use low_congestion_shortcuts::algos::mst::{BoruvkaConfig, ShortcutProvider};
-    use low_congestion_shortcuts::partwise::{PartwiseConfig, UnicastConfig};
-
-    let pw = PartwiseConfig {
-        delay_range: 7,
-        seed: 123,
-        sim: SimConfig {
-            mode: SimMode::Queued,
-            threads: 3,
-            ..SimConfig::default()
-        },
-    };
-    assert_eq!(roundtrip(&pw), pw);
-
-    let uc = UnicastConfig {
-        delay_range: 4,
-        seed: 99,
-        sim: SimConfig::default(),
-    };
-    assert_eq!(roundtrip(&uc), uc);
-
-    for provider in [
-        ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-        ShortcutProvider::MinorSweepDistributed(
-            ShortcutConfig::default(),
-            DistConfig {
-                mode: DistMode::Sketch {
-                    t: 16,
-                    hash_seed: 1,
-                    cut_factor: 1.25,
-                },
-                sim: SimConfig::default(),
-            },
-        ),
-        ShortcutProvider::Baseline,
-        ShortcutProvider::None,
-    ] {
-        let bc = BoruvkaConfig {
-            provider,
-            partwise: pw,
-            seed: 5,
-            max_phases: Some(40),
-            skip_small_fragments: false,
-        };
-        assert_eq!(roundtrip(&bc), bc);
-
-        let mc = MincutConfig {
-            trees: Some(6),
-            boruvka: bc.clone(),
-        };
-        assert_eq!(roundtrip(&mc), mc);
-    }
 }

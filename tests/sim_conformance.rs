@@ -407,10 +407,10 @@ const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
 /// road-like graph with voronoi parts, grid rows and the wheel rim.
 /// Fingerprints are the protocol results.
 fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
-    use low_congestion_shortcuts::facade::{AggregateOp, GossipOp, UnicastOp};
-    use low_congestion_shortcuts::partwise::{
-        AggForest, IdempotentOp, ParticipationMap, PartwiseConfig, UnicastConfig,
+    use low_congestion_shortcuts::facade::{
+        AggregateOp, AggregateOpts, GossipOp, UnicastOp, UnicastOpts,
     };
+    use low_congestion_shortcuts::partwise::{AggForest, IdempotentOp, ParticipationMap};
     use rand::Rng;
 
     let sim = SimConfig {
@@ -439,12 +439,11 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             leaders: None,
         };
         for (case, delay_range) in [("aggregate_sum", 0), ("aggregate_sum_delayed", 16)] {
-            let cfg = PartwiseConfig {
+            let opts = AggregateOpts {
                 delay_range,
-                sim,
-                ..PartwiseConfig::default()
+                ..AggregateOpts::default()
             };
-            let out = aggregate.run_on(&g, &partition, &shortcut, &cfg);
+            let out = aggregate.run_on(&g, &partition, &shortcut, &opts, sim);
             assert!(out.all_members_informed, "{name}/{case}");
             rows.push(row(
                 &format!("{name}/{case}"),
@@ -453,14 +452,11 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             ));
         }
         // The second of two runs over one forest: `Up`/`Down` only.
-        let cfg = PartwiseConfig {
-            sim,
-            ..PartwiseConfig::default()
-        };
+        let opts = AggregateOpts::default();
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let mut forest = AggForest::unrooted(&partition, &map);
-        aggregate.run_with(&g, &partition, &cfg, &map, &mut forest);
-        let out = aggregate.run_with(&g, &partition, &cfg, &map, &mut forest);
+        aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let out = aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert!(
             out.all_members_informed && out.rooted_parts == partition.num_parts(),
             "{name}/aggregate_sum_warm"
@@ -491,12 +487,11 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
                 )
             })
             .collect();
-        let cfg = UnicastConfig {
+        let opts = UnicastOpts {
             delay_range: 4,
-            sim,
-            ..UnicastConfig::default()
+            ..UnicastOpts::default()
         };
-        let out = UnicastOp { demands: &demands }.run_on(&g, &tree, &cfg);
+        let out = UnicastOp { demands: &demands }.run_on(&g, &tree, &opts, sim);
         assert_eq!(out.delivered, demands.len(), "{name}/unicast");
         rows.push(row(
             &format!("{name}/unicast"),
