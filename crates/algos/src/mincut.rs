@@ -92,7 +92,8 @@ pub fn stoer_wagner_weighted(g: &Graph, weights: &EdgeWeights) -> u64 {
 /// Result of [`approx_mincut_distributed`].
 #[derive(Clone, Debug)]
 pub struct MincutReport {
-    /// The best (smallest) 1-respecting cut found — an upper bound on `λ`.
+    /// The best (smallest) 1-respecting cut found — an upper bound on `λ`
+    /// (`u64::MAX` if the run was cut short before the first tree).
     pub estimate: u64,
     /// Trees packed.
     pub trees: usize,
@@ -138,6 +139,7 @@ pub fn approx_mincut_distributed(
     let mut bits = 0u64;
     let mut truncated = false;
     let mut best = u64::MAX;
+    let mut trees = 0;
 
     for _ in 0..q {
         let report = distributed_mst(g, &loads, root, provider, config);
@@ -148,6 +150,11 @@ pub fn approx_mincut_distributed(
         messages += report.messages;
         bits += report.bits;
         truncated |= report.truncated;
+        if report.truncated {
+            // A forest cut short spans nothing to evaluate or pack.
+            break;
+        }
+        trees += 1;
 
         // Orient the packed tree and evaluate its 1-respecting cuts.
         let tree = tree_from_edges(g, &report.edges, root);
@@ -171,7 +178,7 @@ pub fn approx_mincut_distributed(
 
     MincutReport {
         estimate: best,
-        trees: q,
+        trees,
         rounds,
         eval_rounds,
         messages,

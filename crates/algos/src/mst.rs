@@ -12,11 +12,11 @@
 
 use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
-use lcs_core::dist::{distributed_full_shortcut, DistConfig};
+use lcs_core::dist::{DistConfig, Truncated};
 use lcs_core::session::SessionConfig;
-use lcs_core::{baseline, full_shortcut, Partition, Shortcut};
+use lcs_core::{baseline, construct, construction_tree, ConstructionStats, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
+use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
 use lcs_partwise::{AggForest, AggregateOp, ParticipationMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,14 +50,24 @@ pub enum ShortcutProvider {
     /// Centralized Theorem 1.2 construction ("oracle" — construction rounds
     /// are not charged; use to isolate aggregation cost).
     Oracle,
-    /// The real distributed Theorem 1.5 construction; its simulated rounds
-    /// are charged per phase.
+    /// The real distributed Theorem 1.5 construction: the BFS flood is
+    /// simulated and charged once per run, the detection sweeps per phase.
     Distributed(DistConfig),
     /// The folklore `D + √n` shortcut (parts bigger than `√n` get the whole
     /// BFS tree). Constructible in `O(D)` rounds, charged as zero.
     Baseline,
     /// No shortcuts: fragments communicate inside `G[P_i]` only.
     None,
+}
+
+impl ShortcutProvider {
+    /// The simulated construction this provider runs and charges, if any.
+    fn dist_config(&self) -> Option<DistConfig> {
+        match *self {
+            ShortcutProvider::Distributed(dist) => Some(dist),
+            _ => None,
+        }
+    }
 }
 
 /// Round breakdown of one run.
@@ -96,8 +106,19 @@ pub struct MstReport {
     /// Total simulated bits (id-aware accounting; id exchanges are billed
     /// at `id_bits(n)` per message).
     pub bits: u64,
-    /// Whether an aggregation run hit the simulator's round cap.
+    /// Whether the run was cut short — a simulator run (construction or
+    /// aggregation) hit the round cap, or the phase cap was reached:
+    /// `edges` is then the forest found so far, not a finished answer.
     pub truncated: bool,
+}
+
+impl MstReport {
+    /// Adds a construction's simulated cost to the totals.
+    fn charge(&mut self, cost: ConstructionStats) {
+        self.rounds.construction += cost.rounds;
+        self.messages += cost.messages;
+        self.bits += cost.bits;
+    }
 }
 
 /// Builds shortcuts for the parts living inside the BFS tree's component;
@@ -105,52 +126,34 @@ pub struct MstReport {
 /// graphs) get `H_i = ∅`. Construction cost is added to `report`.
 fn provide_shortcuts(
     g: &Graph,
-    tree: &lcs_graph::RootedTree,
+    tree: &RootedTree,
     partition: &Partition,
     provider: ShortcutProvider,
     config: &SessionConfig,
     report: &mut MstReport,
-) -> Shortcut {
-    let k = partition.num_parts();
-    let dist = match provider {
-        ShortcutProvider::None => return Shortcut::empty(k),
-        ShortcutProvider::Baseline => return baseline::general_graph_shortcut(g, tree, partition),
-        ShortcutProvider::Oracle => None,
-        ShortcutProvider::Distributed(dist) => Some(dist),
-    };
-    // Restrict to in-tree parts that actually profit from shortcuts (a part
-    // with at most 2D+1 nodes already meets the dilation bound on its own),
-    // construct, and map back.
+) -> Result<Shortcut, Truncated> {
+    match provider {
+        ShortcutProvider::None => return Ok(Shortcut::empty(partition.num_parts())),
+        ShortcutProvider::Baseline => {
+            return Ok(baseline::general_graph_shortcut(g, tree, partition))
+        }
+        ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {}
+    }
+    // Construct only for in-tree parts that actually profit from shortcuts
+    // (a part with at most 2D+1 nodes already meets the dilation bound on
+    // its own).
     let skip_small = config.mst.skip_small_fragments;
     let small_cap = (2 * tree.depth_of_tree() + 1) as usize;
-    let in_tree: Vec<PartId> = partition
+    let parts: Vec<PartId> = partition
         .iter()
         .filter(|(_, nodes)| tree.contains(nodes[0]) && (!skip_small || nodes.len() > small_cap))
         .map(|(p, _)| p)
         .collect();
-    if in_tree.is_empty() {
-        return Shortcut::empty(k);
-    }
-    let sub_parts: Vec<Vec<NodeId>> = in_tree
-        .iter()
-        .map(|&p| partition.part(p).to_vec())
-        .collect();
-    let sub = Partition::from_parts(g, sub_parts).expect("sub-partition stays valid");
-    let sub_shortcut = match dist {
-        None => full_shortcut(g, tree, &sub, &config.shortcut).shortcut,
-        Some(dist) => {
-            let res = distributed_full_shortcut(g, tree.root(), &sub, &config.shortcut, &dist);
-            report.rounds.construction += res.rounds;
-            report.messages += res.messages;
-            report.bits += res.bits;
-            res.shortcut
-        }
-    };
-    let mut shortcut = Shortcut::empty(k);
-    for (si, &orig) in in_tree.iter().enumerate() {
-        shortcut.set_edges(orig, sub_shortcut.edges_for(PartId(si as u32)).to_vec());
-    }
-    shortcut
+    let (cfg, dist) = (&config.shortcut, provider.dist_config());
+    let start = cfg.initial_delta_hat;
+    let res = construct(g, tree, partition, &parts, start, cfg, dist.as_ref())?;
+    report.charge(res.cost);
+    Ok(res.shortcut)
 }
 
 /// Packs `(weight, edge)` so that `min` over `u64` picks the lightest edge
@@ -175,10 +178,15 @@ fn unpack(p: u64) -> EdgeId {
 /// and [`shortcut`](SessionConfig::shortcut) for the constructing
 /// providers — the blocks `session.mst(..)` passes.
 ///
+/// A run that cannot finish — a simulator run hits
+/// [`sim.max_rounds`](lcs_congest::SimConfig::max_rounds) (the provider's
+/// own cap for its construction phases), or the next phase would exceed
+/// the phase cap — stops there and reports the forest found so far with
+/// [`truncated`](MstReport::truncated) set.
+///
 /// # Panics
 ///
-/// Panics if `g` is empty, a weight exceeds `2³¹ - 1`, or the phase cap is
-/// hit (indicates a bug — expected phases are `O(log n)`).
+/// Panics if `g` is empty or a weight exceeds `2³¹ - 1`.
 pub fn distributed_mst(
     g: &Graph,
     weights: &EdgeWeights,
@@ -193,13 +201,18 @@ pub fn distributed_mst(
     }
     let max_phases =
         (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
-    let tree = lcs_graph::bfs::bfs_tree(g, root);
+    let mut report = MstReport::default();
+    let dist = provider.dist_config();
+    let Ok((tree, flood)) = construction_tree(g, root, dist.as_ref()) else {
+        report.truncated = true;
+        return report;
+    };
+    report.charge(flood);
     let mut rng = SmallRng::seed_from_u64(config.mst.seed);
 
     // Fragment state (centralized bookkeeping of the distributed state).
     let mut fragment_of: Vec<u32> = (0..n as u32).collect();
     let mut in_mst = vec![false; g.num_edges()];
-    let mut report = MstReport::default();
 
     loop {
         // Build the current fragment partition.
@@ -235,12 +248,19 @@ pub fn distributed_mst(
         if !any_outgoing || k <= 1 {
             break;
         }
+        if report.phases == max_phases {
+            report.truncated = true;
+            break;
+        }
         report.phases += 1;
-        assert!(report.phases <= max_phases, "Boruvka phase cap hit");
 
         // Shortcuts for the fragments (only parts inside the BFS tree's
         // component can be served; on connected graphs that is everything).
-        let shortcut = provide_shortcuts(g, &tree, &partition, provider, config, &mut report);
+        let Ok(shortcut) = provide_shortcuts(g, &tree, &partition, provider, config, &mut report)
+        else {
+            report.truncated = true;
+            break;
+        };
 
         // Both aggregations of the phase run over the same `G[P_i] + H_i`:
         // the first roots every fragment, the second only converge- and
@@ -264,6 +284,9 @@ pub fn distributed_mst(
         // MWOE aggregation per fragment.
         let agg = aggregate(&local, AggOp::Min);
         report.rounds.aggregation += agg.metrics.rounds;
+        if agg.metrics.truncated {
+            break; // a partial minimum is no MWOE
+        }
         debug_assert!(agg.all_members_informed);
 
         // Coin flips and merge decisions (tail -> head).
@@ -307,6 +330,9 @@ pub fn distributed_mst(
         }
         let note = aggregate(&notify, AggOp::Max);
         report.rounds.notification += note.metrics.rounds;
+        if note.metrics.truncated {
+            break; // a partial broadcast would relabel half a fragment
+        }
 
         // Apply merges. One pass suffices: tails merge into heads, and a
         // head stays put, so no relabeled node is relabeled again.
@@ -384,7 +410,8 @@ mod tests {
             ShortcutProvider::Baseline,
             &SessionConfig::default(),
             &mut report,
-        );
+        )
+        .expect("the baseline runs no simulation");
         assert_eq!(
             provided,
             baseline::general_graph_shortcut(&g, &tree, &partition)
@@ -410,6 +437,33 @@ mod tests {
         let report = mst_of(&g, &w, provider);
         assert_eq!(report.edges, reference);
         assert!(report.rounds.construction > 0);
+    }
+
+    /// The phase cap is a flag: the run stops before the phase that would
+    /// exceed it and reports the (safe) edges found so far. At cap 0 the
+    /// distributed provider has paid for exactly its one BFS flood.
+    #[test]
+    fn phase_cap_truncates_instead_of_panicking() {
+        let g = gen::grid(6, 6);
+        let mut rng = SmallRng::seed_from_u64(16);
+        let w = EdgeWeights::random_unique(&g, &mut rng);
+        let capped = |max_phases, provider| {
+            let mut config = SessionConfig::default();
+            config.mst.max_phases = Some(max_phases);
+            distributed_mst(&g, &w, NodeId(0), provider, &config)
+        };
+        let one = capped(1, ShortcutProvider::Oracle);
+        assert!(one.truncated && one.phases == 1);
+        let reference = kruskal(&g, &w);
+        assert!(!one.edges.is_empty() && one.edges.len() < reference.len());
+        assert!(one.edges.iter().all(|e| reference.contains(e)));
+
+        let dist = DistConfig::default();
+        let none = capped(0, ShortcutProvider::Distributed(dist));
+        assert!(none.truncated && none.phases == 0 && none.edges.is_empty());
+        let (_, flood) = lcs_core::dist::distributed_bfs(&g, NodeId(0), dist.sim).unwrap();
+        assert_eq!(none.rounds.construction, flood.rounds);
+        assert_eq!(none.messages, flood.messages + 2 * g.num_edges() as u64);
     }
 
     #[test]

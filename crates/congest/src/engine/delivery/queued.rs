@@ -2,9 +2,7 @@
 //! shard).
 //!
 //! Queued mode delivers, per round, the `(priority, seq)`-minimum pending
-//! message of every non-empty directed edge. The seed engine realized this
-//! with per-edge `BinaryHeap`s scanned over an active-dir list; this
-//! backend replaces both with a calendar:
+//! message of every non-empty directed edge, off a calendar:
 //!
 //! - **Per-dir queues** hold each directed edge's pending messages sorted
 //!   ascending by `(priority, seq)` in a `VecDeque` ring, indexed by the
@@ -46,17 +44,9 @@
 //! each; a firing token removes one token and ≥ 1 message unless the dir
 //! is already empty), so no message is ever stranded.
 //!
-//! ## Why this is metric-identical to the seed engine at `packing = 1`
-//!
-//! Without merging there are no stale tokens, and the clock reduces to the
-//! seed schedule: a dir's tokens occupy consecutive rounds starting no
-//! later than the round after its first pending send (a push onto a
-//! non-empty dir extends the token run by one; a push onto an empty dir
-//! has `next_slot <= round + 1` and starts a new run next round). Hence
-//! every non-empty dir fires exactly one token per round — the same "each
-//! active dir delivers its minimum once per round" schedule the seed
-//! engine's active-list scan produced, with `max_queue` measured at the
-//! same instant (delivery time).
+//! Without merging (`k = 1`) there are no stale tokens and a dir's tokens
+//! occupy consecutive rounds from the round after its first pending send,
+//! so every non-empty dir fires exactly one token per round.
 
 use super::{Delivery, ShardAccount, Topology};
 use crate::message::Mergeable;

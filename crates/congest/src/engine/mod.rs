@@ -108,16 +108,7 @@ pub struct SimConfig {
     /// order), so protocol *results* never depend on this knob. `0` is
     /// treated as `1`.
     ///
-    /// Schema note: like `threads`/`bandwidth_bits` before it (see
-    /// [`RunMetrics::threads`]), adding this field is a deliberate
-    /// config-schema break — the vendored serde shim has no
-    /// `#[serde(default)]`, so `SimConfig`/`SessionConfig` payloads
-    /// serialized before this field existed no longer deserialize. No such
-    /// payloads are persisted in this repository; the pinned default-JSON
-    /// snapshot in `tests/session.rs` records the break.
-    ///
     /// [`PackedMsg`]: crate::PackedMsg
-    /// [`RunMetrics::threads`]: crate::RunMetrics::threads
     pub message_packing: usize,
 }
 

@@ -32,11 +32,6 @@ pub struct RunMetrics {
     /// [`SimConfig::threads`]). Execution configuration, not a measurement:
     /// every counter above is identical at any thread count.
     ///
-    /// Schema note: `threads` and `bandwidth_bits` were added to the serde
-    /// surface in the facade PR; payloads serialized before then no longer
-    /// deserialize (the vendored serde shim has no `#[serde(default)]`).
-    /// No such payloads are persisted in this repository.
-    ///
     /// [`SimConfig::threads`]: crate::SimConfig::threads
     pub threads: usize,
     /// The per-message bandwidth limit (bits) the run enforced — the
@@ -93,15 +88,6 @@ pub struct PhaseTimings {
 }
 
 impl RunMetrics {
-    /// Average messages per round (0 for empty runs).
-    pub fn messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.rounds as f64
-        }
-    }
-
     /// The measurement counters alone, without the execution configuration
     /// (`threads`, `bandwidth_bits`, `packing`): `(rounds, messages, bits, max_queue,
     /// terminated, truncated)`. This is the tuple that must be identical
@@ -122,18 +108,6 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn messages_per_round_handles_zero() {
-        let m = RunMetrics::default();
-        assert_eq!(m.messages_per_round(), 0.0);
-        let m = RunMetrics {
-            rounds: 4,
-            messages: 10,
-            ..RunMetrics::default()
-        };
-        assert_eq!(m.messages_per_round(), 2.5);
-    }
 
     #[test]
     fn counts_drops_the_execution_configuration() {

@@ -1,38 +1,74 @@
 //! The distributed `Õ(δ̂D)`-round construction of Theorem 1.5 on the CONGEST
 //! simulator.
 //!
-//! The construction simulates two phases per sweep:
+//! The construction simulates two kinds of phases:
 //!
-//! 1. **BFS**: the standard distributed BFS-tree protocol
+//! 1. **BFS** ([`distributed_bfs`], once per tree): the standard
+//!    distributed BFS-tree protocol
 //!    ([`lcs_congest::protocols::BfsTreeProgram`]) builds the tree `T` in
 //!    `ecc(root) + O(1)` rounds. Its parent rule (minimum-id neighbor one
 //!    level closer to the root) matches [`lcs_graph::bfs::bfs_tree`], so the
 //!    simulated and centralized constructions operate on the identical tree.
-//! 2. **Detection**: a bottom-up convergecast over `T`. Every node merges
-//!    the part sets reported by its children (below any already-cut edge),
-//!    adds its own part, and cuts its parent edge when the set size reaches
-//!    the congestion threshold `c = 8δ̂D`. In [`DistMode::Exact`] the sets
-//!    are streamed verbatim (one part id per `O(log n)`-bit message), which
-//!    reproduces the centralized Theorem 3.1 cut set edge-for-edge; in
-//!    [`DistMode::Sketch`] each node forwards only a `t`-value KMV sketch
-//!    ([`KmvSketch`]), trading exactness for `O(t)` messages per edge.
+//! 2. **Detection** (once per sweep): a bottom-up convergecast over `T`.
+//!    Every node merges the part sets reported by its children (below any
+//!    already-cut edge), adds its own part, and cuts its parent edge when
+//!    the set size reaches the congestion threshold `c = 8δ̂D`. In
+//!    [`DistMode::Exact`] the sets are streamed verbatim (one part id per
+//!    `O(log n)`-bit message), which reproduces the centralized Theorem 3.1
+//!    cut set edge-for-edge; in [`DistMode::Sketch`] each node forwards
+//!    only a `t`-value KMV sketch ([`KmvSketch`]), trading exactness for
+//!    `O(t)` messages per edge.
 //!
 //! Shortcut assembly, the Case (I)/(II) split, and witness extraction reuse
 //! the centralized code on the protocol's cut set (the dissemination phase
 //! of the paper is bookkeeping the nodes could do locally from what the
-//! convergecast already told them).
+//! convergecast already told them): the Observation 2.7 loop around the
+//! sweeps is [`construct`](crate::construct), which takes the detected cut
+//! set where the centralized construction applies the threshold rule.
 
-use crate::full::run_doubling_search;
-use crate::sweep::{build_shortcut, case_one_accepts, finish_sweep, sweep_core, CutRule};
+use crate::sweep::{build_shortcut, case_one_accepts, sweep_core, CutRule};
 use crate::{Partition, Shortcut, ShortcutConfig, SweepData};
 use lcs_congest::protocols::{extract_tree, BfsTreeProgram};
 use lcs_congest::{
     id_bits, splitmix, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode,
     Simulator,
 };
-use lcs_graph::minor::MinorWitness;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// A simulated phase hit [`SimConfig::max_rounds`] before quiescence: what
+/// it computed so far (part of a tree, part of a cut set) is not a result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Truncated {
+    /// The phase that was cut short: `"bfs"` or `"detection"`.
+    pub phase: &'static str,
+    /// The round cap it ran under.
+    pub max_rounds: u64,
+}
+
+impl fmt::Display for Truncated {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} phase hit SimConfig::max_rounds ({}) before quiescence — raise the cap",
+            self.phase, self.max_rounds
+        )
+    }
+}
+
+impl std::error::Error for Truncated {}
+
+/// Whether a phase run under `sim` reached quiescence.
+fn quiesced(metrics: &RunMetrics, phase: &'static str, sim: &SimConfig) -> Result<(), Truncated> {
+    if metrics.truncated || !metrics.terminated {
+        return Err(Truncated {
+            phase,
+            max_rounds: sim.max_rounds,
+        });
+    }
+    Ok(())
+}
 
 /// How the detection phase represents the part sets it convergecasts.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -104,11 +140,6 @@ impl KmvSketch {
         }
     }
 
-    /// The sketch capacity.
-    pub fn capacity(&self) -> usize {
-        self.t
-    }
-
     /// Inserts one hashed item.
     pub fn insert(&mut self, hash: u64) {
         match self.values.binary_search(&hash) {
@@ -166,27 +197,6 @@ pub struct DistPartialShortcut {
     pub metrics_bfs: RunMetrics,
     /// Simulation metrics of the detection phase.
     pub metrics_shortcut: RunMetrics,
-}
-
-/// Result of [`distributed_full_shortcut`].
-#[derive(Clone, Debug)]
-pub struct DistFullShortcut {
-    /// The union shortcut over all successful sweeps.
-    pub shortcut: Shortcut,
-    /// The final `δ̂` of the doubling search.
-    pub delta_hat: u32,
-    /// Successful (Case (I)) sweeps executed.
-    pub successful_rounds: usize,
-    /// Densest certificate from failed sweeps, if extraction was enabled.
-    pub best_witness: Option<MinorWitness>,
-    /// Total simulated rounds (BFS + every detection sweep).
-    pub rounds: u64,
-    /// Total simulated messages.
-    pub messages: u64,
-    /// Total simulated bits (id-aware [`MessageSize`] accounting).
-    pub bits: u64,
-    /// Metrics of the (single) BFS phase.
-    pub metrics_bfs: RunMetrics,
 }
 
 /// Messages of the detection convergecast.
@@ -369,34 +379,30 @@ impl NodeProgram for DetectProgram {
     }
 }
 
-/// Runs the simulated BFS phase and reconstructs the tree it built.
-fn run_bfs(g: &Graph, root: NodeId, cfg: &DistConfig) -> (RootedTree, RunMetrics) {
-    let sim = Simulator::new(g, cfg.sim);
-    let run = sim.run(|v, _| BfsTreeProgram::new(v == root));
-    assert!(
-        !run.metrics.truncated && run.metrics.terminated,
-        "BFS phase hit SimConfig::max_rounds ({}) before quiescence — raise the cap",
-        cfg.sim.max_rounds
-    );
-    let tree = extract_tree(g, &run).to_rooted_tree(g);
-    (tree, run.metrics)
+/// The BFS phase: builds the tree from `root` on the simulator and returns
+/// it with the metrics of the run.
+///
+/// # Errors
+///
+/// [`Truncated`] (`phase: "bfs"`) if the flood hit `sim.max_rounds`.
+pub fn distributed_bfs(
+    g: &Graph,
+    root: NodeId,
+    sim: SimConfig,
+) -> Result<(RootedTree, RunMetrics), Truncated> {
+    let run = Simulator::new(g, sim).run(|v, _| BfsTreeProgram::new(v == root));
+    quiesced(&run.metrics, "bfs", &sim)?;
+    Ok((extract_tree(g, &run).to_rooted_tree(g), run.metrics))
 }
 
-/// Enforces the documented contract that every part lives inside the tree's
-/// component (mirrors the validation of [`crate::sweep::sweep_active`]).
-fn assert_parts_in_tree(tree: &RootedTree, partition: &Partition) {
-    for (pid, nodes) in partition.iter() {
-        for &v in nodes {
-            assert!(
-                tree.contains(v),
-                "part {pid:?} node {v:?} outside the tree's component"
-            );
-        }
-    }
-}
-
-/// Runs one detection sweep; returns the cut-edge marks and the metrics.
-fn run_detection(
+/// One detection sweep over `tree` for the `active` parts at guess `δ̂`:
+/// the cut-edge marks the convergecast left and the metrics of the run.
+///
+/// # Errors
+///
+/// [`Truncated`] (`phase: "detection"`) if the convergecast hit
+/// `dist.sim.max_rounds` — the cut set would be incomplete.
+pub(crate) fn detect_cuts(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
@@ -404,7 +410,7 @@ fn run_detection(
     delta_hat: u32,
     config: &ShortcutConfig,
     dist: &DistConfig,
-) -> (Vec<bool>, RunMetrics) {
+) -> Result<(Vec<bool>, RunMetrics), Truncated> {
     let mut is_active = vec![false; partition.num_parts()];
     for &p in active {
         is_active[p.index()] = true;
@@ -455,12 +461,7 @@ fn run_detection(
             in_tree,
         }
     });
-    assert!(
-        !run.metrics.truncated && run.metrics.terminated,
-        "detection phase hit SimConfig::max_rounds ({}) before quiescence — \
-         the cut set would be truncated; raise the cap",
-        dist.sim.max_rounds
-    );
+    quiesced(&run.metrics, "detection", &dist.sim)?;
     let mut fixed_o = vec![false; g.num_edges()];
     for v in g.nodes() {
         if run.programs[v.index()].cut {
@@ -468,36 +469,15 @@ fn run_detection(
             fixed_o[e.index()] = true;
         }
     }
-    (fixed_o, run.metrics)
-}
-
-/// One detection sweep on the simulator plus the centralized re-derivation
-/// of its bookkeeping — the handoff shared by the partial and full
-/// constructions. Returns `(data, o_mark, served, metrics)`.
-fn detect_and_sweep(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    active: &[PartId],
-    delta_hat: u32,
-    config: &ShortcutConfig,
-    dist: &DistConfig,
-) -> (SweepData, Vec<bool>, Vec<PartId>, RunMetrics) {
-    let (fixed_o, metrics) = run_detection(g, tree, partition, active, delta_hat, config, dist);
-    let (data, o_mark, served) = sweep_core(
-        g,
-        tree,
-        partition,
-        active,
-        delta_hat,
-        config,
-        CutRule::Fixed(&fixed_o),
-    );
-    (data, o_mark, served, metrics)
+    Ok((fixed_o, run.metrics))
 }
 
 /// One distributed Theorem 3.1 sweep over all parts of `partition` with
-/// guess `δ̂` (Theorem 1.5, single level of the doubling search).
+/// guess `δ̂` (Theorem 1.5, single level of the doubling search): a
+/// simulated BFS from `root`, one detection convergecast, and the
+/// centralized re-derivation of the sweep bookkeeping under the detected
+/// cut set. The full construction is [`construct`](crate::construct) over
+/// a [`distributed_bfs`] tree.
 ///
 /// In [`DistMode::Exact`] the returned cut set equals the centralized
 /// [`crate::partial_shortcut_or_witness`] cut set on the same root
@@ -505,8 +485,9 @@ fn detect_and_sweep(
 ///
 /// # Panics
 ///
-/// Panics if `δ̂ = 0` or some part node lies outside the component of
-/// `root`.
+/// Panics if `δ̂ = 0`, some part node lies outside the component of
+/// `root`, or a phase hits `dist.sim.max_rounds` (with [`Truncated`]'s
+/// message).
 pub fn distributed_partial_shortcut(
     g: &Graph,
     root: NodeId,
@@ -515,15 +496,16 @@ pub fn distributed_partial_shortcut(
     config: &ShortcutConfig,
     dist: &DistConfig,
 ) -> DistPartialShortcut {
-    assert!(delta_hat >= 1, "δ̂ must be at least 1");
-    let (tree, metrics_bfs) = run_bfs(g, root, dist);
-    assert_parts_in_tree(&tree, partition);
+    let (tree, metrics_bfs) = distributed_bfs(g, root, dist.sim).unwrap_or_else(|t| panic!("{t}"));
     let active: Vec<PartId> = partition.part_ids().collect();
-    let (data, o_mark, served, metrics_shortcut) =
-        detect_and_sweep(g, &tree, partition, &active, delta_hat, config, dist);
+    let (fixed_o, metrics_shortcut) =
+        detect_cuts(g, &tree, partition, &active, delta_hat, config, dist)
+            .unwrap_or_else(|t| panic!("{t}"));
+    let rule = CutRule::Fixed(&fixed_o);
+    let (data, o_mark, served) = sweep_core(g, &tree, partition, &active, delta_hat, config, rule);
     // Unlike the full loop, the partial result reports the assembled
     // shortcut in both cases, so it is built unconditionally.
-    let shortcut = build_shortcut(g, &tree, partition, &served, &o_mark, partition.num_parts());
+    let shortcut = build_shortcut(g, &tree, partition, &served, &o_mark);
     let case_one = case_one_accepts(served.len(), active.len());
     let over_edges = data.over_edges.iter().map(|oe| oe.edge).collect();
     DistPartialShortcut {
@@ -534,65 +516,6 @@ pub fn distributed_partial_shortcut(
         data,
         metrics_bfs,
         metrics_shortcut,
-    }
-}
-
-/// The full distributed construction: one simulated BFS, then the
-/// Observation 2.7 loop with doubling search, each sweep running the
-/// detection convergecast on the simulator (Theorem 1.5).
-///
-/// # Panics
-///
-/// Panics if some part node lies outside the component of `root`, or if the
-/// doubling search exceeds `4n` (impossible in exact mode; in sketch mode it
-/// would indicate a pathologically biased hash seed).
-pub fn distributed_full_shortcut(
-    g: &Graph,
-    root: NodeId,
-    partition: &Partition,
-    config: &ShortcutConfig,
-    dist: &DistConfig,
-) -> DistFullShortcut {
-    let (tree, metrics_bfs) = run_bfs(g, root, dist);
-    assert_parts_in_tree(&tree, partition);
-    let mut rounds = metrics_bfs.rounds;
-    let mut messages = metrics_bfs.messages;
-    let mut bits = metrics_bfs.bits;
-
-    let res = run_doubling_search(
-        g.num_nodes(),
-        partition.num_parts(),
-        partition.part_ids().collect(),
-        config.initial_delta_hat,
-        |active, delta_hat| {
-            let (data, o_mark, served, metrics) =
-                detect_and_sweep(g, &tree, partition, active, delta_hat, config, dist);
-            rounds += metrics.rounds;
-            messages += metrics.messages;
-            bits += metrics.bits;
-            finish_sweep(
-                g,
-                &tree,
-                partition,
-                data,
-                |served| {
-                    build_shortcut(g, &tree, partition, served, &o_mark, partition.num_parts())
-                },
-                served,
-                config,
-            )
-        },
-    );
-
-    DistFullShortcut {
-        shortcut: res.shortcut,
-        delta_hat: res.delta_hat,
-        successful_rounds: res.successful_rounds,
-        best_witness: res.best_witness,
-        rounds,
-        messages,
-        bits,
-        metrics_bfs,
     }
 }
 
@@ -666,18 +589,16 @@ mod tests {
     fn full_construction_satisfies_bounds_on_rows() {
         let g = gen::grid(8, 8);
         let partition = Partition::from_parts(&g, gen::rows_of_grid(8, 8)).unwrap();
-        let res = distributed_full_shortcut(
-            &g,
-            NodeId(0),
-            &partition,
-            &ShortcutConfig::default(),
-            &DistConfig::default(),
-        );
-        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let (cfg, dist) = (ShortcutConfig::default(), DistConfig::default());
+        let (tree, flood) = distributed_bfs(&g, NodeId(0), dist.sim).unwrap();
+        let central = bfs::bfs_tree(&g, NodeId(0));
+        assert!(g.nodes().all(|v| tree.parent(v) == central.parent(v)));
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let res = crate::construct(&g, &tree, &partition, &all, 1, &cfg, Some(&dist)).unwrap();
         let q = measure_quality(&g, &partition, &tree, &res.shortcut);
         assert!(q.tree_restricted && q.all_connected());
         assert!(q.max_blocks <= 8 * res.delta_hat + 1);
-        assert!(res.rounds > 0 && res.messages > 0);
+        assert!(flood.rounds > 0 && res.cost.rounds > 0 && res.cost.messages > 0);
     }
 
     #[test]

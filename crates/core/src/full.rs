@@ -1,12 +1,47 @@
 //! Full shortcuts from partial shortcuts: the Observation 2.7 loop with a
 //! doubling search over `δ̂`, plus the certifying output of the remark after
-//! Theorem 3.1.
+//! Theorem 3.1. One routine, [`construct`], is both the centralized
+//! construction (Theorem 1.2) and the distributed one (Theorem 1.5): they
+//! differ only in where a sweep's cut set comes from and what it costs.
 
-use crate::sweep::{sweep_active, SweepOutcome};
+use crate::dist::{detect_cuts, distributed_bfs, DistConfig, Truncated};
+use crate::sweep::{sweep_active, CutRule, SweepOutcome};
 use crate::{Partition, Shortcut, ShortcutConfig};
+use lcs_congest::RunMetrics;
 use lcs_graph::minor::MinorWitness;
-use lcs_graph::{Graph, PartId, RootedTree};
+use lcs_graph::{bfs, Graph, NodeId, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
+use std::ops::AddAssign;
+
+/// Simulated cost of a construction: what its BFS and detection phases
+/// spent on the CONGEST simulator (zero centrally, where none runs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ConstructionStats {
+    /// Total simulated rounds.
+    pub rounds: u64,
+    /// Total simulated messages.
+    pub messages: u64,
+    /// Total simulated bits.
+    pub bits: u64,
+}
+
+impl From<&RunMetrics> for ConstructionStats {
+    fn from(run: &RunMetrics) -> Self {
+        ConstructionStats {
+            rounds: run.rounds,
+            messages: run.messages,
+            bits: run.bits,
+        }
+    }
+}
+
+impl AddAssign for ConstructionStats {
+    fn add_assign(&mut self, other: Self) {
+        self.rounds += other.rounds;
+        self.messages += other.messages;
+        self.bits += other.bits;
+    }
+}
 
 /// One iteration of the Observation 2.7 loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -22,11 +57,11 @@ pub struct RoundLog {
     pub over_edges: usize,
 }
 
-/// Result of [`full_shortcut`].
+/// Result of [`construct`].
 #[derive(Clone, Debug)]
 pub struct FullShortcutResult {
-    /// The union shortcut: every part received `H_i` from the round that
-    /// served it.
+    /// The union shortcut: every constructed part received `H_i` from the
+    /// round that served it (the other parts of the partition stay empty).
     pub shortcut: Shortcut,
     /// The final (successful) `δ̂` of the doubling search.
     pub delta_hat: u32,
@@ -39,11 +74,67 @@ pub struct FullShortcutResult {
     pub best_witness: Option<MinorWitness>,
     /// Full round-by-round log.
     pub round_log: Vec<RoundLog>,
+    /// Simulated cost of the sweeps (zero when they ran centrally).
+    pub cost: ConstructionStats,
 }
 
-/// Builds a full tree-restricted shortcut for every part (Theorem 1.2
-/// machinery): doubling search over `δ̂`, and per Observation 2.7 repeated
-/// partial-shortcut rounds over the still-unserved parts.
+/// Keeps the denser of two dense-minor certificates in `best`.
+pub(crate) fn keep_denser(best: &mut Option<MinorWitness>, other: Option<MinorWitness>) {
+    if let Some(w) = other {
+        if best.as_ref().is_none_or(|b| w.density() > b.density()) {
+            *best = Some(w);
+        }
+    }
+}
+
+/// [`construct`] over every part, centrally, from `config.initial_delta_hat`.
+///
+/// # Panics
+///
+/// Panics like [`construct`].
+pub fn full_shortcut(
+    g: &Graph,
+    tree: &RootedTree,
+    partition: &Partition,
+    config: &ShortcutConfig,
+) -> FullShortcutResult {
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let start = config.initial_delta_hat;
+    construct(g, tree, partition, &all, start, config, None)
+        .unwrap_or_else(|t| unreachable!("no simulated phase ran, yet: {t}"))
+}
+
+/// The BFS tree of `root` a construction on `dist` runs over, with its
+/// cost: computed centrally free of charge (`None`), or by the simulated
+/// flood of [`distributed_bfs`] — the same tree either way.
+///
+/// # Errors
+///
+/// [`Truncated`] (`phase: "bfs"`) if the flood hit `dist.sim.max_rounds`.
+pub fn construction_tree(
+    g: &Graph,
+    root: NodeId,
+    dist: Option<&DistConfig>,
+) -> Result<(RootedTree, ConstructionStats), Truncated> {
+    let Some(dist) = dist else {
+        return Ok((bfs::bfs_tree(g, root), ConstructionStats::default()));
+    };
+    let (tree, flood) = distributed_bfs(g, root, dist.sim)?;
+    Ok((tree, ConstructionStats::from(&flood)))
+}
+
+/// Builds tree-restricted shortcuts for `parts` — any duplicate-free subset
+/// of the part ids: all of them from scratch, the touched ones for an
+/// incremental re-customization. Per Observation 2.7, repeated
+/// partial-shortcut sweeps over the still-unserved parts, with a doubling
+/// search over `δ̂` from `start_delta_hat` (clamped to `>= 1`).
+///
+/// `dist` is the whole backend decision. `None`: every sweep cuts by the
+/// Theorem 3.1 threshold rule, centrally, at no simulated cost (Theorem
+/// 1.2). `Some`: every sweep cuts what one detection convergecast over
+/// `tree` found on the simulator — the same edges in exact mode, an
+/// estimate in sketch mode — and is charged to
+/// [`cost`](FullShortcutResult::cost) (Theorem 1.5).
 ///
 /// Guarantees on the output (for the default paper constants):
 ///
@@ -54,105 +145,82 @@ pub struct FullShortcutResult {
 /// * `δ̂ < 2δ(G)` — with a dense-minor certificate in
 ///   [`best_witness`](FullShortcutResult::best_witness) whenever `δ̂ > 1`.
 ///
+/// # Errors
+///
+/// [`Truncated`] (`phase: "detection"`) if a convergecast hit
+/// `dist.sim.max_rounds`; never with `dist = None`.
+///
 /// # Panics
 ///
-/// Panics if some part node lies outside `tree`'s component (parts must live
-/// in the tree's — usually the whole — component), or if the internal
-/// doubling search exceeds `4n` (impossible for valid inputs: a sweep at
-/// `δ̂ >= δ(G)` always succeeds).
-pub fn full_shortcut(
+/// Panics if a node of `parts` lies outside `tree`'s component, or if the
+/// doubling search exceeds `4n` (a sweep at `δ̂ >= δ(G)` always succeeds,
+/// so this indicates a broken sweep — or, in sketch mode, a pathologically
+/// biased hash seed).
+pub fn construct(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
+    parts: &[PartId],
+    start_delta_hat: u32,
     config: &ShortcutConfig,
-) -> FullShortcutResult {
-    run_doubling_search(
-        g.num_nodes(),
-        partition.num_parts(),
-        partition.part_ids().collect(),
-        config.initial_delta_hat,
-        |active, delta_hat| sweep_active(g, tree, partition, active, delta_hat, config),
-    )
-}
-
-/// The Observation 2.7 driver shared by the centralized and distributed
-/// constructions: repeated sweeps over the still-unserved parts with a
-/// doubling search over `δ̂`. `sweep` runs one Theorem 3.1 sweep over the
-/// given active parts at the given `δ̂` — centrally ([`full_shortcut`]) or
-/// on the CONGEST simulator ([`crate::dist::distributed_full_shortcut`]).
-///
-/// The search runs over `remaining` (any subset of the `num_parts` part
-/// ids — the full set for a from-scratch construction, just the touched
-/// parts for the session's incremental re-customization) and starts at
-/// `initial_delta_hat` (clamped to `>= 1`).
-///
-/// # Panics
-///
-/// Panics if the doubling search exceeds `4·num_nodes` (a sweep at
-/// `δ̂ >= δ(G)` always succeeds, so this indicates a broken sweep).
-pub(crate) fn run_doubling_search(
-    num_nodes: usize,
-    num_parts: usize,
-    remaining: Vec<PartId>,
-    initial_delta_hat: u32,
-    mut sweep: impl FnMut(&[PartId], u32) -> SweepOutcome,
-) -> FullShortcutResult {
-    let mut shortcut = Shortcut::empty(num_parts);
-    let mut remaining = remaining;
-    let mut delta_hat = initial_delta_hat.max(1);
-    let mut best_witness: Option<MinorWitness> = None;
-    let mut round_log = Vec::new();
-    let mut successful_rounds = 0usize;
-    let cap = 4 * (num_nodes as u64).max(1);
+    dist: Option<&DistConfig>,
+) -> Result<FullShortcutResult, Truncated> {
+    let mut res = FullShortcutResult {
+        shortcut: Shortcut::empty(partition.num_parts()),
+        delta_hat: start_delta_hat.max(1),
+        successful_rounds: 0,
+        best_witness: None,
+        round_log: Vec::new(),
+        cost: ConstructionStats::default(),
+    };
+    let mut remaining = parts.to_vec();
+    let cap = 4 * (g.num_nodes() as u64).max(1);
 
     while !remaining.is_empty() {
-        match sweep(&remaining, delta_hat) {
+        let delta_hat = res.delta_hat;
+        let cuts;
+        let rule = match dist {
+            None => CutRule::Threshold,
+            Some(dist) => {
+                let (marks, run) =
+                    detect_cuts(g, tree, partition, &remaining, delta_hat, config, dist)?;
+                res.cost += ConstructionStats::from(&run);
+                cuts = marks;
+                CutRule::Fixed(&cuts)
+            }
+        };
+        match sweep_active(g, tree, partition, &remaining, delta_hat, config, rule) {
             SweepOutcome::Shortcut(ps) => {
-                round_log.push(RoundLog {
+                res.round_log.push(RoundLog {
                     delta_hat,
                     remaining: remaining.len(),
                     served: ps.served.len(),
                     over_edges: ps.data.over_edges.len(),
                 });
-                successful_rounds += 1;
+                res.successful_rounds += 1;
                 for &p in &ps.served {
-                    shortcut.set_edges(p, ps.shortcut.edges_for(p).to_vec());
+                    res.shortcut.set_edges(p, ps.shortcut.edges_for(p).to_vec());
                 }
                 let served: std::collections::HashSet<PartId> = ps.served.iter().copied().collect();
                 remaining.retain(|p| !served.contains(p));
             }
             SweepOutcome::DenseMinor { witness, data } => {
-                round_log.push(RoundLog {
+                res.round_log.push(RoundLog {
                     delta_hat,
                     remaining: remaining.len(),
                     served: 0,
                     over_edges: data.over_edges.len(),
                 });
-                if let Some(w) = witness {
-                    let better = best_witness
-                        .as_ref()
-                        .map(|b| w.density() > b.density())
-                        .unwrap_or(true);
-                    if better {
-                        best_witness = Some(w);
-                    }
-                }
-                delta_hat = delta_hat.saturating_mul(2);
+                keep_denser(&mut res.best_witness, witness);
+                res.delta_hat = delta_hat.saturating_mul(2);
                 assert!(
-                    u64::from(delta_hat) <= cap,
+                    u64::from(res.delta_hat) <= cap,
                     "doubling search exceeded 4n — sweep invariant broken"
                 );
             }
         }
     }
-
-    FullShortcutResult {
-        shortcut,
-        delta_hat,
-        successful_rounds,
-        best_witness,
-        round_log,
-    }
+    Ok(res)
 }
 
 #[cfg(test)]

@@ -51,14 +51,17 @@
 //!   least half the parts, or a certified minor of density `> δ̂`
 //!   (Case (II), extracted by sampling or derandomized via conditional
 //!   expectations),
-//! * [`full_shortcut`]: the Observation 2.7 loop plus doubling search over
+//! * [`construct`]: the Observation 2.7 loop plus doubling search over
 //!   `δ̂`, yielding the full shortcuts of Theorem 1.2 together with a
-//!   dense-minor certificate for near-optimality,
+//!   dense-minor certificate for near-optimality — centrally
+//!   ([`full_shortcut`] is that form over every part), or as Theorem 1.5
+//!   with each sweep's cut set detected on the simulator,
 //! * [`measure_quality`]: congestion / dilation / block-number measurement
 //!   (Definition 2.2/2.3, Observation 2.6),
 //! * [`baseline`]: the folklore `D + √n` shortcut for general graphs,
-//! * [`dist`]: the distributed `Õ(δD)`-round construction of Theorem 1.5 on
-//!   the CONGEST simulator.
+//! * [`dist`]: the simulated phases of the distributed `Õ(δD)`-round
+//!   construction of Theorem 1.5 — the BFS flood and the detection
+//!   convergecast.
 //!
 //! These free functions remain the explicit-artifact surface (and what the
 //! session drives internally); prefer the session for anything that
@@ -81,7 +84,9 @@ pub mod dist;
 pub mod session;
 
 pub use config::{ShortcutConfig, WitnessMode};
-pub use full::{full_shortcut, FullShortcutResult, RoundLog};
+pub use full::{
+    construct, construction_tree, full_shortcut, ConstructionStats, FullShortcutResult, RoundLog,
+};
 pub use partition::{Partition, PartitionError};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{

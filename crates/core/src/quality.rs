@@ -54,6 +54,39 @@ impl QualityReport {
     pub fn all_connected(&self) -> bool {
         self.per_part.iter().all(|p| p.connected)
     }
+
+    /// The report over measured rows: their maxima, plus the congestion
+    /// and tree-restriction of the whole `shortcut`.
+    fn over(per_part: Vec<PartQuality>, g: &Graph, tree: &RootedTree, shortcut: &Shortcut) -> Self {
+        QualityReport {
+            max_congestion: shortcut.max_congestion(g),
+            max_blocks: per_part.iter().map(|p| p.blocks).max().unwrap_or(0),
+            max_dilation_lower: per_part.iter().map(|p| p.dilation_lower).max().unwrap_or(0),
+            max_dilation_upper: per_part.iter().map(|p| p.dilation_upper).max().unwrap_or(0),
+            tree_restricted: shortcut.is_tree_restricted(tree),
+            per_part,
+        }
+    }
+
+    /// The incremental counterpart of [`measure_quality`]: re-measures the
+    /// rows of `parts` — the only parts whose membership or `H_i` changed
+    /// since this report was taken — and leaves it equal to a fresh
+    /// measurement of `shortcut`.
+    pub(crate) fn remeasure(
+        &mut self,
+        g: &Graph,
+        partition: &Partition,
+        tree: &RootedTree,
+        shortcut: &Shortcut,
+        parts: &[PartId],
+    ) {
+        let mut per_part = std::mem::take(&mut self.per_part);
+        let rows = measure_parts(g, partition, shortcut, parts);
+        for (&p, row) in parts.iter().zip(rows) {
+            per_part[p.index()] = row;
+        }
+        *self = QualityReport::over(per_part, g, tree, shortcut);
+    }
 }
 
 /// Measures congestion, dilation and block number of `shortcut` for
@@ -70,22 +103,12 @@ pub fn measure_quality(
 ) -> QualityReport {
     let all: Vec<PartId> = partition.part_ids().collect();
     let per_part = measure_parts(g, partition, shortcut, &all);
-
-    QualityReport {
-        max_congestion: shortcut.max_congestion(g),
-        max_blocks: per_part.iter().map(|p| p.blocks).max().unwrap_or(0),
-        max_dilation_lower: per_part.iter().map(|p| p.dilation_lower).max().unwrap_or(0),
-        max_dilation_upper: per_part.iter().map(|p| p.dilation_upper).max().unwrap_or(0),
-        tree_restricted: shortcut.is_tree_restricted(tree),
-        per_part,
-    }
+    QualityReport::over(per_part, g, tree, shortcut)
 }
 
-/// Measures [`PartQuality`] rows for a subset of parts — the incremental
-/// counterpart of [`measure_quality`], used to patch only the touched rows
-/// of a cached report after partition churn. The returned rows are in the
-/// order of `parts`.
-pub(crate) fn measure_parts(
+/// Measures [`PartQuality`] rows for a subset of parts, in the order of
+/// `parts`.
+fn measure_parts(
     g: &Graph,
     partition: &Partition,
     shortcut: &Shortcut,

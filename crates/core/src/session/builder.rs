@@ -3,7 +3,7 @@
 use super::cache::{deps, CacheStats, Epochs, Slot};
 use super::{Backend, FullArtifact, SessionConfig, ShortcutSession, TreeSource};
 use crate::source::{GraphSource, PartitionSource};
-use crate::{Partition, PartitionError, Shortcut};
+use crate::{ConstructionStats, Partition, PartitionError, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId};
 use std::collections::{HashMap, VecDeque};
@@ -143,7 +143,6 @@ impl<'g> SessionBuilder<'g> {
             TreeSource::Bfs(r) => (r, None),
             TreeSource::Provided(t) => (t.root(), Some(t)),
         };
-        let tree_provided = tree.is_some();
         let stamp = Epochs::default();
         let session = ShortcutSession {
             g: self.g,
@@ -154,13 +153,13 @@ impl<'g> SessionBuilder<'g> {
             config: self.config,
             epochs: stamp,
             tree: tree.map(|t| Slot::new(t, stamp, deps::TOPOLOGY_ONLY)),
-            tree_provided,
             full: self
                 .provided_shortcut
                 .map(|s| Slot::new(FullArtifact::provided(s), stamp, deps::SHORTCUT)),
             op_artifacts: HashMap::new(),
             partition_log: VecDeque::new(),
             stats: CacheStats::default(),
+            construction: ConstructionStats::default(),
         };
         if let Some(partition) = &session.partition {
             session.check_parts_on_tree(partition)?;

@@ -10,6 +10,7 @@ use lcs_graph::{EdgeId, NodeId, PartId};
 use serde::{Deserialize, Serialize};
 use std::any::{Any, TypeId};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// The two inputs of a session that can change under it. The graph, the
@@ -136,32 +137,33 @@ impl<T> Slot<T> {
     /// The cache routine of every artifact class: a fresh `cell` is a hit
     /// and comes back as it is; a stale one is invalidated (dropped before
     /// its replacement is built); a missing or dropped one is built and
-    /// stamped with the current epochs. `class` picks the counters to
-    /// tick. The caller takes `cell` out of the session and stores the
-    /// returned slot back, so `build` may drive the whole session — but
-    /// must not mutate its inputs.
-    pub(super) fn ensure<'g>(
+    /// stamped with the current epochs. A `build` that fails stamps
+    /// nothing and counts no build. `class` picks the counters to tick.
+    /// The caller takes `cell` out of the session and stores the returned
+    /// slot back, so `build` may drive the whole session — but must not
+    /// mutate its inputs.
+    pub(super) fn ensure<'g, E>(
         cell: Option<Self>,
         session: &mut ShortcutSession<'g>,
         deps: &'static [Input],
         class: fn(&mut CacheStats) -> &mut ArtifactStats,
-        build: impl FnOnce(&mut ShortcutSession<'g>) -> T,
-    ) -> Self {
+        build: impl FnOnce(&mut ShortcutSession<'g>) -> Result<T, E>,
+    ) -> Result<Self, E> {
         let now = session.epochs;
         if let Some(slot) = cell {
             if slot.fresh(&now) {
                 class(&mut session.stats).hits += 1;
-                return slot;
+                return Ok(slot);
             }
             class(&mut session.stats).invalidations += 1;
         }
-        let value = build(session);
+        let value = build(session)?;
         debug_assert_eq!(
             session.epochs, now,
             "artifact builders must not mutate session inputs"
         );
         class(&mut session.stats).builds += 1;
-        Slot::new(value, now, deps)
+        Ok(Slot::new(value, now, deps))
     }
 }
 
@@ -234,14 +236,11 @@ impl<'g> ShortcutSession<'g> {
     /// every moved node); an effect-free move list returns an empty vector
     /// without bumping any epoch.
     ///
-    /// The re-customization sweep always runs the centralized Theorem 3.1
-    /// sweep over the session tree (a local patch with zero simulated
-    /// rounds charged, like a provided shortcut). For
-    /// [`Backend::Distributed`](super::Backend::Distributed) this is
-    /// cut-identical to what the protocol would build; for
-    /// [`Backend::Sketch`](super::Backend::Sketch) the touched parts get
-    /// the exact rather than the sketched cut — still a valid
-    /// tree-restricted shortcut for the new partition.
+    /// The re-customization runs on the session backend like the
+    /// construction it patches: the distributed backends detect the
+    /// touched parts' cut sets on the simulator (sketched on
+    /// [`Backend::Sketch`](super::Backend::Sketch)) and charge the rounds
+    /// to [`construction_stats`](Self::construction_stats).
     ///
     /// # Errors
     ///
@@ -374,8 +373,9 @@ impl<'g> ShortcutSession<'g> {
             self,
             deps,
             |c| &mut c.op_artifacts,
-            |s| Arc::new(build(s)) as OpValue,
-        );
+            |s| Ok::<_, Infallible>(Arc::new(build(s)) as OpValue),
+        )
+        .unwrap_or_else(|never| match never {});
         let value = slot.value.clone();
         self.op_artifacts.insert(key, slot);
         downcast(value)

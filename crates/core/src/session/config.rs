@@ -12,15 +12,13 @@ use serde::{Deserialize, Serialize};
 /// Where the session's spanning tree comes from.
 #[derive(Clone, Debug)]
 pub enum TreeSource {
-    /// Run BFS from this root (the canonical min-id-parent rule, identical
-    /// to what the distributed BFS protocol builds).
+    /// BFS from this root on the session backend: computed centrally, or by
+    /// the simulated flood of the distributed backends (the same
+    /// min-id-parent tree either way; the flood's rounds are charged).
     Bfs(NodeId),
     /// Use a caller-provided rooted tree (e.g. deserialized from a prior
-    /// run, or a non-BFS tree for experiments). Note: the distributed
-    /// backends run the Theorem 1.5 protocol, which builds its own BFS
-    /// tree — they accept a provided tree only if it equals that canonical
-    /// tree (asserted at construction time); arbitrary trees require
-    /// [`Backend::Centralized`].
+    /// run, or a non-BFS tree for experiments). Every backend constructs
+    /// over it; no BFS is run or charged.
     Provided(RootedTree),
 }
 
@@ -30,8 +28,10 @@ pub enum Backend {
     /// Centralized Theorem 1.2 construction (no simulated rounds charged).
     Centralized,
     /// Distributed Theorem 1.5 construction with exact set streaming on the
-    /// CONGEST simulator, using this simulator configuration. Reproduces
-    /// the centralized cut set edge-for-edge.
+    /// CONGEST simulator, using this simulator configuration: the BFS
+    /// flood and every detection sweep — of the first construction and of
+    /// each re-customization — are simulated and charged. Reproduces the
+    /// centralized cut set edge-for-edge.
     Distributed(SimConfig),
     /// Distributed Theorem 1.5 construction with the given detection
     /// configuration — typically [`DistMode::Sketch`], which caps per-edge

@@ -4,27 +4,14 @@
 
 use super::cache::{deps, Slot};
 use super::{SessionError, ShortcutSession};
-use crate::dist::distributed_full_shortcut;
-use crate::full::run_doubling_search;
-use crate::quality::measure_parts;
-use crate::sweep::sweep_active;
-use crate::{full_shortcut, measure_quality, QualityReport, Shortcut};
+use crate::full::keep_denser;
+use crate::{
+    construct, construction_tree, measure_quality, ConstructionStats, FullShortcutResult,
+    QualityReport, Shortcut,
+};
 use lcs_graph::minor::MinorWitness;
-use lcs_graph::{bfs, PartId, RootedTree};
-use serde::{Deserialize, Serialize};
+use lcs_graph::{PartId, RootedTree};
 use std::sync::Arc;
-
-/// Simulated cost of constructing the session's cached artifacts (zero for
-/// the centralized backend, which charges no simulated rounds).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConstructionStats {
-    /// Total simulated rounds.
-    pub rounds: u64,
-    /// Total simulated messages.
-    pub messages: u64,
-    /// Total simulated bits.
-    pub bits: u64,
-}
 
 /// The cached full-shortcut artifact (Theorem 1.2 / 1.5 output).
 #[derive(Clone, Debug)]
@@ -36,8 +23,6 @@ pub struct FullArtifact {
     pub delta_hat: u32,
     /// Densest dense-minor certificate from failed sweeps, if any.
     pub witness: Option<MinorWitness>,
-    /// Simulated construction cost (zero for centralized / provided).
-    pub construction: ConstructionStats,
     /// The quality report of `shortcut`, measured on first demand (read it
     /// through [`ShortcutSession::quality`]). It lives in the artifact it
     /// measures: re-customization patches both together, invalidation
@@ -46,23 +31,34 @@ pub struct FullArtifact {
 }
 
 impl FullArtifact {
-    /// A caller-provided shortcut: unknown `δ̂`, no construction charged.
+    /// A caller-provided shortcut: unknown `δ̂`, no certificate.
     pub(super) fn provided(shortcut: Shortcut) -> Self {
         FullArtifact {
             shortcut,
             delta_hat: 0,
             witness: None,
-            construction: ConstructionStats::default(),
             quality: None,
         }
     }
 }
 
 impl ShortcutSession<'_> {
-    /// The session's spanning tree (computed on first access).
+    /// The session's spanning tree, built on first access by the session
+    /// backend (a simulated flood is charged to
+    /// [`construction_stats`](Self::construction_stats)).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_tree`](Self::try_tree) fails.
     pub fn tree(&mut self) -> &RootedTree {
-        self.ensure_tree();
-        self.cached_tree()
+        self.try_tree().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`tree`](Self::tree), with a flood cut short by the backend's
+    /// `max_rounds` reported as [`SessionError::Truncated`].
+    pub fn try_tree(&mut self) -> Result<&RootedTree, SessionError> {
+        self.ensure_tree()?;
+        Ok(self.cached_tree())
     }
 
     /// The full-shortcut artifact (constructed on first access via the
@@ -70,23 +66,22 @@ impl ShortcutSession<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the session has no partition and no fresh provided
-    /// shortcut. Use [`try_full_artifact`](Self::try_full_artifact) for
-    /// the fallible form.
+    /// Panics where [`try_full_artifact`](Self::try_full_artifact) fails.
     pub fn full_artifact(&mut self) -> &FullArtifact {
         self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`full_artifact`](Self::full_artifact) with the missing partition
-    /// reported as [`SessionError::NoPartition`] instead of a panic. A
-    /// caller-provided shortcut whose cached slot is still fresh is served
-    /// without requiring a partition, exactly like the panicking path.
+    /// reported as [`SessionError::NoPartition`] and a construction phase
+    /// cut short by the backend's `max_rounds` as
+    /// [`SessionError::Truncated`] (nothing is cached then). A fresh
+    /// caller-provided shortcut is served without requiring a partition.
     pub fn try_full_artifact(&mut self) -> Result<&FullArtifact, SessionError> {
         let fresh = self.full.as_ref().is_some_and(|s| s.fresh(&self.epochs));
         if !fresh && self.partition.is_none() {
             return Err(SessionError::NoPartition);
         }
-        self.ensure_full();
+        self.ensure_full()?;
         Ok(self.cached_full())
     }
 
@@ -105,9 +100,13 @@ impl ShortcutSession<'_> {
         self.full_artifact().witness.as_ref()
     }
 
-    /// Simulated cost of constructing the cached full shortcut.
+    /// Simulated cost of everything constructed since
+    /// [`build`](super::SessionBuilder::build), the full shortcut brought up
+    /// to date first: the tree's flood plus every detection sweep,
+    /// re-customizations included (zero on the centralized backend).
     pub fn construction_stats(&mut self) -> ConstructionStats {
-        self.full_artifact().construction
+        self.full_artifact();
+        self.construction
     }
 
     /// Quality report of the full shortcut against the session tree and
@@ -117,17 +116,17 @@ impl ShortcutSession<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the session has no partition. Use
-    /// [`try_quality`](Self::try_quality) for the fallible form.
+    /// Panics where [`try_quality`](Self::try_quality) fails.
     pub fn quality(&mut self) -> &QualityReport {
         self.try_quality().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`quality`](Self::quality) with the missing partition reported as
-    /// [`SessionError::NoPartition`] instead of a panic.
+    /// [`SessionError::NoPartition`] and a truncated construction as
+    /// [`SessionError::Truncated`] instead of a panic.
     pub fn try_quality(&mut self) -> Result<&QualityReport, SessionError> {
         self.try_partition()?;
-        self.ensure_quality();
+        self.ensure_quality()?;
         Ok(self.cached_full().quality.as_deref().expect("just ensured"))
     }
 
@@ -136,21 +135,34 @@ impl ShortcutSession<'_> {
     /// this to their [`OpReport`](super::OpReport)s — every report shares
     /// one allocation instead of deep-cloning the O(k) per-part vectors
     /// per call.
-    pub fn quality_shared(&mut self) -> Option<Arc<QualityReport>> {
-        self.partition.as_ref()?;
-        self.ensure_quality();
-        self.cached_full().quality.clone()
+    pub fn quality_shared(&mut self) -> Result<Option<Arc<QualityReport>>, SessionError> {
+        if self.partition.is_none() {
+            return Ok(None);
+        }
+        self.ensure_quality()?;
+        Ok(self.cached_full().quality.clone())
     }
 
     /// Ensures tree and full shortcut (and quality, when a partition
     /// exists) are built and fresh — the preparation step ops call once
     /// before taking shared references.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_prepare`](Self::try_prepare) fails.
     pub fn prepare(&mut self) {
-        self.ensure_tree();
+        self.try_prepare().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`prepare`](Self::prepare) with a construction phase cut short by
+    /// the backend's `max_rounds` reported as [`SessionError::Truncated`].
+    pub fn try_prepare(&mut self) -> Result<(), SessionError> {
+        self.ensure_tree()?;
         if self.partition.is_some() {
-            self.ensure_full();
-            self.ensure_quality();
+            self.ensure_full()?;
+            self.ensure_quality()?;
         }
+        Ok(())
     }
 
     /// Shared reference to the cached shortcut — the one accessor that
@@ -181,18 +193,24 @@ impl ShortcutSession<'_> {
         &self.full.as_ref().expect("full artifact ensured").value
     }
 
-    fn ensure_tree(&mut self) {
+    fn ensure_tree(&mut self) -> Result<(), SessionError> {
         let slot = Slot::ensure(
             self.tree.take(),
             self,
             deps::TOPOLOGY_ONLY,
             |c| &mut c.tree,
-            |s| bfs::bfs_tree(s.g, s.root),
-        );
+            |s| {
+                let dist = s.backend.dist_config();
+                let (tree, cost) = construction_tree(s.g, s.root, dist.as_ref())?;
+                s.construction += cost;
+                Ok::<_, SessionError>(tree)
+            },
+        )?;
         self.tree = Some(slot);
+        Ok(())
     }
 
-    fn ensure_full(&mut self) {
+    fn ensure_full(&mut self) -> Result<(), SessionError> {
         if let Some(slot) = &self.full {
             // Stale by tracked reassignments only: patch, do not rebuild.
             if let Some(touched) = self.patchable_parts(slot) {
@@ -208,14 +226,15 @@ impl ShortcutSession<'_> {
             deps::SHORTCUT,
             |c| &mut c.full,
             Self::build_full,
-        );
+        )?;
         self.full = Some(slot);
+        Ok(())
     }
 
-    fn ensure_quality(&mut self) {
+    fn ensure_quality(&mut self) -> Result<(), SessionError> {
         // Patches the report in place (re-customization) or drops it with
         // the shortcut it measured.
-        self.ensure_full();
+        self.ensure_full()?;
         // The report has no stamp of its own: it goes through the cache
         // routine under its shortcut's, which was just made fresh.
         let full = self.full.as_mut().expect("just ensured");
@@ -227,135 +246,80 @@ impl ShortcutSession<'_> {
             deps::SHORTCUT,
             |c| &mut c.quality,
             |s| {
-                s.ensure_tree();
+                s.ensure_tree()?;
                 let (tree, shortcut) = (s.cached_tree(), &s.cached_full().shortcut);
-                Arc::new(measure_quality(s.g, s.partition(), tree, shortcut))
+                let report = measure_quality(s.g, s.partition(), tree, shortcut);
+                Ok::<_, SessionError>(Arc::new(report))
             },
-        );
+        )?;
         self.full.as_mut().expect("just ensured").value.quality = Some(slot.value);
+        Ok(())
     }
 
-    fn build_full(&mut self) -> FullArtifact {
-        let Some(dist) = self.backend.dist_config() else {
-            self.ensure_tree();
-            let res = full_shortcut(
-                self.g,
-                self.cached_tree(),
-                self.partition(),
-                &self.config.shortcut,
-            );
-            return FullArtifact {
-                delta_hat: res.delta_hat,
-                witness: res.best_witness,
-                ..FullArtifact::provided(res.shortcut)
-            };
-        };
-        self.assert_provided_tree_is_canonical();
-        let res = distributed_full_shortcut(
+    /// The one construction behind every build and patch: [`construct`]
+    /// over `parts` of the current partition on the session tree, from
+    /// `start`, on the session backend — charged to the session's tally.
+    fn construct_parts(
+        &mut self,
+        parts: &[PartId],
+        start: u32,
+    ) -> Result<FullShortcutResult, SessionError> {
+        self.ensure_tree()?;
+        let dist = self.backend.dist_config();
+        let res = construct(
             self.g,
-            self.root,
+            self.cached_tree(),
             self.partition(),
+            parts,
+            start,
             &self.config.shortcut,
-            &dist,
-        );
-        FullArtifact {
+            dist.as_ref(),
+        )?;
+        self.construction += res.cost;
+        Ok(res)
+    }
+
+    fn build_full(&mut self) -> Result<FullArtifact, SessionError> {
+        let all: Vec<PartId> = self.partition().part_ids().collect();
+        let res = self.construct_parts(&all, self.config.shortcut.initial_delta_hat)?;
+        Ok(FullArtifact {
             delta_hat: res.delta_hat,
             witness: res.best_witness,
-            construction: ConstructionStats {
-                rounds: res.rounds,
-                messages: res.messages,
-                bits: res.bits,
-            },
             ..FullArtifact::provided(res.shortcut)
-        }
+        })
     }
 
     /// Incremental re-customization: one mini doubling search over just
     /// the `touched` parts, splicing their `H_i` into the cached full
-    /// shortcut and patching the touched rows of its quality report, if
-    /// measured. Runs the centralized sweep over the session tree
-    /// regardless of backend (zero simulated rounds charged — see
-    /// [`reassign_parts`](Self::reassign_parts)).
-    fn recustomize(&mut self, touched: &[PartId]) {
-        self.ensure_tree();
+    /// shortcut and re-measuring their rows of its quality report, if
+    /// measured. A truncated search leaves the artifact stale, as it was.
+    fn recustomize(&mut self, touched: &[PartId]) -> Result<(), SessionError> {
+        // Start where the cached construction ended: parts that were
+        // servable at the final δ̂ before the move usually still are.
+        let cached = self.cached_full().delta_hat;
+        let start = cached.max(self.config.shortcut.initial_delta_hat);
+        let res = self.construct_parts(touched, start)?;
         let mut slot = self
             .full
             .take()
             .expect("recustomize requires a cached full artifact");
         let (g, tree, partition) = (self.g, self.cached_tree(), self.partition());
-        let config = &self.config.shortcut;
         let full = &mut slot.value;
         debug_assert_eq!(full.shortcut.num_parts(), partition.num_parts());
-        // Start where the cached construction ended: parts that were
-        // servable at the final δ̂ before the move usually still are.
-        let start = full.delta_hat.max(config.initial_delta_hat).max(1);
-        let res = run_doubling_search(
-            g.num_nodes(),
-            partition.num_parts(),
-            touched.to_vec(),
-            start,
-            |active, delta_hat| sweep_active(g, tree, partition, active, delta_hat, config),
-        );
         for &p in touched {
             full.shortcut
                 .set_edges(p, res.shortcut.edges_for(p).to_vec());
         }
         full.delta_hat = full.delta_hat.max(res.delta_hat);
-        if let Some(w) = res.best_witness {
-            let densest = &mut full.witness;
-            if densest.as_ref().is_none_or(|b| w.density() > b.density()) {
-                *densest = Some(w);
-            }
-        }
+        keep_denser(&mut full.witness, res.best_witness);
         if let Some(report) = &mut full.quality {
             // Copy-on-write: op reports may still hold the old allocation.
-            let q = Arc::make_mut(report);
-            let rows = measure_parts(g, partition, &full.shortcut, touched);
-            for (&p, row) in touched.iter().zip(rows) {
-                q.per_part[p.index()] = row;
-            }
-            q.max_blocks = q.per_part.iter().map(|p| p.blocks).max().unwrap_or(0);
-            q.max_dilation_lower = q
-                .per_part
-                .iter()
-                .map(|p| p.dilation_lower)
-                .max()
-                .unwrap_or(0);
-            q.max_dilation_upper = q
-                .per_part
-                .iter()
-                .map(|p| p.dilation_upper)
-                .max()
-                .unwrap_or(0);
-            q.max_congestion = full.shortcut.max_congestion(g);
-            q.tree_restricted = full.shortcut.is_tree_restricted(tree);
+            Arc::make_mut(report).remeasure(g, partition, tree, &full.shortcut, touched);
         }
         slot.stamp = self.epochs;
         self.stats.recustomizations += 1;
         self.stats.recustomized_parts += touched.len() as u64;
         self.full = Some(slot);
-    }
-
-    /// The distributed backends run the Theorem 1.5 protocol, whose first
-    /// phase builds its *own* BFS tree from the root (the canonical
-    /// min-id-parent rule). A provided tree is honored only if it IS that
-    /// tree — otherwise the shortcut would be restricted to one tree while
-    /// quality measurement and unicast routing use another, silently. Fail
-    /// loudly instead.
-    fn assert_provided_tree_is_canonical(&self) {
-        if !self.tree_provided {
-            return;
-        }
-        let provided = self.cached_tree();
-        let canonical = bfs::bfs_tree(self.g, self.root);
-        for v in self.g.nodes() {
-            assert!(
-                provided.parent(v) == canonical.parent(v),
-                "Backend::Distributed/Sketch construct over the canonical BFS tree of root \
-                 {:?} (the simulated protocol builds it itself), but the provided tree \
-                 differs at node {v:?} — use Backend::Centralized for non-BFS trees",
-                self.root
-            );
-        }
+        Ok(())
     }
 }

@@ -1,5 +1,6 @@
 //! [`SessionError`]: every misuse of a session as a typed value.
 
+use crate::dist::Truncated;
 use crate::PartitionError;
 use lcs_graph::{EdgeId, NodeId, PartId};
 use std::fmt;
@@ -105,6 +106,11 @@ pub enum SessionError {
     },
     /// The operation requires a connected graph.
     GraphDisconnected,
+    /// A simulated construction phase (`"bfs"` or `"detection"`) hit the
+    /// backend's
+    /// [`SimConfig::max_rounds`](lcs_congest::SimConfig::max_rounds)
+    /// before quiescence; nothing was cached.
+    Truncated(Truncated),
 }
 
 impl fmt::Display for SessionError {
@@ -163,11 +169,18 @@ impl fmt::Display for SessionError {
                 "operation needs at least {need} nodes — the graph has {have}"
             ),
             Self::GraphDisconnected => f.write_str("graph must be connected"),
+            Self::Truncated(t) => write!(f, "{t}"),
         }
     }
 }
 
 impl std::error::Error for SessionError {}
+
+impl From<Truncated> for SessionError {
+    fn from(t: Truncated) -> Self {
+        SessionError::Truncated(t)
+    }
+}
 
 impl From<PartitionError> for SessionError {
     fn from(e: PartitionError) -> Self {

@@ -87,12 +87,13 @@ mod config;
 mod construct;
 mod error;
 
+pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
 pub use cache::{deps, ArtifactStats, CacheStats, Epochs, Input};
 pub use config::{
     AggregateOpts, Backend, MincutOpts, MstOpts, SessionConfig, TreeSource, UnicastOpts,
 };
-pub use construct::{ConstructionStats, FullArtifact};
+pub use construct::FullArtifact;
 pub use error::SessionError;
 
 use crate::{Partition, QualityReport};
@@ -173,9 +174,6 @@ pub struct ShortcutSession<'g> {
     /// Current epoch of each [`Input`].
     epochs: Epochs,
     tree: Option<Slot<RootedTree>>,
-    /// Whether `tree` came from [`TreeSource::Provided`] (the distributed
-    /// backends must verify it matches the protocol's own BFS tree).
-    tree_provided: bool,
     /// The full shortcut; its quality report rides inside.
     full: Option<Slot<FullArtifact>>,
     /// Per-op-type derived artifacts (e.g. the partwise participation
@@ -186,6 +184,8 @@ pub struct ShortcutSession<'g> {
     /// last (bounded; older changes cannot be patched across).
     partition_log: VecDeque<PartitionDelta>,
     stats: CacheStats,
+    /// Simulated cost of everything constructed since `build()`.
+    construction: ConstructionStats,
 }
 
 impl<'g> ShortcutSession<'g> {
@@ -349,9 +349,10 @@ mod tests {
         assert_eq!(constructed(&s), 1);
     }
 
+    /// A provided spanning tree serves every backend: the distributed one
+    /// runs its detection sweeps over it and floods no BFS.
     #[test]
-    #[should_panic(expected = "differs at node")]
-    fn distributed_backend_rejects_non_canonical_trees() {
+    fn distributed_backend_constructs_over_any_provided_tree() {
         // On a cycle, the path tree (parent(i) = i-1) is a valid spanning
         // tree rooted at 0 but NOT the BFS tree (BFS splits both ways).
         let g = gen::cycle(6);
@@ -368,13 +369,66 @@ mod tests {
         let dist: Vec<u32> = (0..n).collect();
         let order: Vec<NodeId> = (0..n).map(NodeId).collect();
         let path_tree = lcs_graph::RootedTree::from_parents(&g, NodeId(0), &parent, &dist, &order);
-        let mut sess = Session::on(&g)
-            .tree(TreeSource::Provided(path_tree))
-            .partition(vec![vec![NodeId(0), NodeId(1)]])
-            .backend(Backend::Distributed(SimConfig::default()))
-            .build()
-            .unwrap();
-        let _ = sess.shortcut();
+        let parts = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(3), NodeId(4)]];
+        let on = |backend| {
+            Session::on(&g)
+                .tree(TreeSource::Provided(path_tree.clone()))
+                .partition(parts.clone())
+                .backend(backend)
+                .build()
+                .unwrap()
+        };
+        let mut central = on(Backend::Centralized);
+        let mut dist = on(Backend::Distributed(SimConfig::default()));
+        assert_eq!(dist.shortcut(), central.shortcut());
+        // Part 1 reaches the root along the path, not around the cycle.
+        assert_eq!(dist.shortcut().edges_for(PartId(1)).len(), 4);
+        assert!(dist.shortcut().is_tree_restricted(&path_tree));
+        // Charged: exactly the detection sweeps, no flood.
+        let partition = crate::Partition::from_parts(&g, parts.clone()).unwrap();
+        let sweeps = crate::construct(
+            &g,
+            &path_tree,
+            &partition,
+            &[PartId(0), PartId(1)],
+            1,
+            &crate::ShortcutConfig::default(),
+            Some(&crate::dist::DistConfig::default()),
+        )
+        .expect("default round cap");
+        assert!(sweeps.cost.rounds > 0 && sweeps.cost.messages > 0);
+        assert_eq!(dist.construction_stats(), sweeps.cost);
+        assert_eq!(dist.cache_stats().tree.builds, 0);
+        assert_eq!(central.construction_stats(), ConstructionStats::default());
+    }
+
+    /// Re-customization runs on the session backend: exact detection is
+    /// the threshold rule, so both sessions hold the same shortcut after
+    /// the same moves — and only the distributed one paid for it.
+    #[test]
+    fn reassign_recustomizes_on_the_session_backend() {
+        let g = gen::grid(8, 8);
+        let on = |backend| {
+            Session::on(&g)
+                .partition(gen::rows_of_grid(8, 8))
+                .backend(backend)
+                .build()
+                .unwrap()
+        };
+        let mut central = on(Backend::Centralized);
+        let mut dist = on(Backend::Distributed(SimConfig::default()));
+        let built = dist.construction_stats();
+        for mv in [(NodeId(8), PartId(0)), (NodeId(63), PartId(6))] {
+            central.reassign_parts(&[mv]).unwrap();
+            dist.reassign_parts(&[mv]).unwrap();
+            assert_eq!(dist.shortcut(), central.shortcut(), "after {mv:?}");
+            assert_eq!(dist.delta_hat(), central.delta_hat());
+        }
+        let patched = dist.construction_stats();
+        assert!(patched.rounds > built.rounds && patched.messages > built.messages);
+        assert_eq!(dist.cache_stats().full.builds, 1);
+        assert_eq!(dist.cache_stats().recustomizations, 2);
+        assert_eq!(central.construction_stats(), ConstructionStats::default());
     }
 
     #[test]
@@ -627,8 +681,14 @@ mod tests {
     #[test]
     fn quality_is_shared_not_cloned() {
         let mut s = grid_session(6);
-        let a = s.quality_shared().expect("session has a partition");
-        let b = s.quality_shared().expect("session has a partition");
+        let a = s
+            .quality_shared()
+            .unwrap()
+            .expect("session has a partition");
+        let b = s
+            .quality_shared()
+            .unwrap()
+            .expect("session has a partition");
         assert!(Arc::ptr_eq(&a, &b), "reports share the cached allocation");
         assert_eq!(constructed(&s), 1);
     }

@@ -88,26 +88,6 @@ impl Shortcut {
             .iter()
             .all(|list| list.iter().all(|&e| tree.is_tree_edge(e)))
     }
-
-    /// Merges another shortcut into this one part-by-part (used by the
-    /// Observation 2.7 loop: congestions add up, block structure per part
-    /// comes from whichever round served it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the part counts differ.
-    pub fn union_in_place(&mut self, other: &Shortcut) {
-        assert_eq!(
-            self.per_part.len(),
-            other.per_part.len(),
-            "shortcut part counts differ"
-        );
-        for (mine, theirs) in self.per_part.iter_mut().zip(&other.per_part) {
-            mine.extend(theirs.iter().copied());
-            mine.sort_unstable();
-            mine.dedup();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,22 +131,5 @@ mod tests {
         assert!(ok.is_tree_restricted(&t));
         let bad = Shortcut::from_edge_lists(vec![non_tree]);
         assert!(!bad.is_tree_restricted(&t));
-    }
-
-    #[test]
-    fn union_accumulates() {
-        let mut a = Shortcut::from_edge_lists(vec![vec![EdgeId(0)], vec![]]);
-        let b = Shortcut::from_edge_lists(vec![vec![EdgeId(1)], vec![EdgeId(2)]]);
-        a.union_in_place(&b);
-        assert_eq!(a.edges_for(PartId(0)), &[EdgeId(0), EdgeId(1)]);
-        assert_eq!(a.edges_for(PartId(1)), &[EdgeId(2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "part counts differ")]
-    fn union_requires_same_shape() {
-        let mut a = Shortcut::empty(1);
-        let b = Shortcut::empty(2);
-        a.union_in_place(&b);
     }
 }

@@ -87,12 +87,9 @@ pub enum SweepOutcome {
 
 /// Runs one Theorem 3.1 sweep on all parts of `partition` with guess `δ̂`.
 ///
-/// See `sweep_active` for the variant restricted to a sub-collection of
-/// parts (used by the Observation 2.7 loop).
-///
 /// # Panics
 ///
-/// Panics if some part node lies outside `tree`'s component.
+/// Panics if `δ̂ = 0` or some part node lies outside `tree`'s component.
 pub fn partial_shortcut_or_witness(
     g: &Graph,
     tree: &RootedTree,
@@ -101,56 +98,46 @@ pub fn partial_shortcut_or_witness(
     config: &ShortcutConfig,
 ) -> SweepOutcome {
     let all: Vec<PartId> = partition.part_ids().collect();
-    sweep_active(g, tree, partition, &all, delta_hat, config)
+    sweep_active(
+        g,
+        tree,
+        partition,
+        &all,
+        delta_hat,
+        config,
+        CutRule::Threshold,
+    )
 }
 
-/// Runs one sweep considering only the parts in `active`.
+/// Runs one sweep considering only the parts in `active` (the unit of the
+/// Observation 2.7 loop), cutting by `rule`: a partial shortcut when at
+/// least half of `active` is served, the Case (II) certificate per the
+/// configured witness mode otherwise.
 ///
 /// # Panics
 ///
-/// Panics if some active part's node lies outside `tree`'s component, or if
-/// `active` contains duplicates or out-of-range part ids.
-pub fn sweep_active(
+/// Panics like [`sweep_core`].
+pub(crate) fn sweep_active(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
     active: &[PartId],
     delta_hat: u32,
     config: &ShortcutConfig,
+    rule: CutRule<'_>,
 ) -> SweepOutcome {
-    assert!(delta_hat >= 1, "δ̂ must be at least 1");
-    let num_parts = partition.num_parts();
-    let mut seen = vec![false; num_parts];
-    for &p in active {
-        assert!(p.index() < num_parts, "active part {p:?} out of range");
-        assert!(!seen[p.index()], "duplicate active part {p:?}");
-        seen[p.index()] = true;
-        for &v in partition.part(p) {
-            assert!(
-                tree.contains(v),
-                "part node {v:?} outside the tree's component"
-            );
-        }
+    let (data, o_mark, served) = sweep_core(g, tree, partition, active, delta_hat, config, rule);
+    if case_one_accepts(served.len(), active.len()) {
+        let shortcut = build_shortcut(g, tree, partition, &served, &o_mark);
+        SweepOutcome::Shortcut(PartialShortcut {
+            served,
+            shortcut,
+            data,
+        })
+    } else {
+        let witness = witness::extract_per_mode(g, tree, partition, &data, config);
+        SweepOutcome::DenseMinor { witness, data }
     }
-
-    let (data, o_mark, served) = sweep_core(
-        g,
-        tree,
-        partition,
-        active,
-        delta_hat,
-        config,
-        CutRule::Threshold,
-    );
-    finish_sweep(
-        g,
-        tree,
-        partition,
-        data,
-        |served| build_shortcut(g, tree, partition, served, &o_mark, num_parts),
-        served,
-        config,
-    )
 }
 
 /// How one sweep decides which tree edges to cut.
@@ -163,9 +150,15 @@ pub(crate) enum CutRule<'a> {
     Fixed(&'a [bool]),
 }
 
-/// The bookkeeping every sweep shares: threshold computation, the bottom-up
-/// merge under the given cut rule, [`SweepData`] assembly, and the served
-/// filter (`deg_B <= block threshold`). Returns `(data, o_mark, served)`.
+/// The bookkeeping every sweep shares: input validation, threshold
+/// computation, the bottom-up merge under the given cut rule,
+/// [`SweepData`] assembly, and the served filter (`deg_B <= block
+/// threshold`). Returns `(data, o_mark, served)`.
+///
+/// # Panics
+///
+/// Panics if `δ̂ = 0`, some active part's node lies outside `tree`'s
+/// component, or `active` contains duplicates or out-of-range part ids.
 pub(crate) fn sweep_core(
     g: &Graph,
     tree: &RootedTree,
@@ -175,9 +168,19 @@ pub(crate) fn sweep_core(
     config: &ShortcutConfig,
     rule: CutRule<'_>,
 ) -> (SweepData, Vec<bool>, Vec<PartId>) {
-    let mut is_active = vec![false; partition.num_parts()];
+    assert!(delta_hat >= 1, "δ̂ must be at least 1");
+    let num_parts = partition.num_parts();
+    let mut is_active = vec![false; num_parts];
     for &p in active {
+        assert!(p.index() < num_parts, "active part {p:?} out of range");
+        assert!(!is_active[p.index()], "duplicate active part {p:?}");
         is_active[p.index()] = true;
+        for &v in partition.part(p) {
+            assert!(
+                tree.contains(v),
+                "part node {v:?} outside the tree's component"
+            );
+        }
     }
     let d_t = tree.depth_of_tree();
     let c = config.congestion_threshold(delta_hat, d_t);
@@ -213,33 +216,6 @@ pub(crate) fn sweep_core(
 /// least half its active parts were served.
 pub(crate) fn case_one_accepts(served: usize, active: usize) -> bool {
     2 * served >= active
-}
-
-/// Completes a sweep from its bookkeeping: applies [`case_one_accepts`] and
-/// assembles the [`SweepOutcome`] — building the shortcut (via `build`) only
-/// on success, extracting the Case (II) certificate per the configured
-/// witness mode on failure. The single decision point shared by the
-/// centralized sweep and the distributed construction.
-pub(crate) fn finish_sweep(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    data: SweepData,
-    build: impl FnOnce(&[PartId]) -> Shortcut,
-    served: Vec<PartId>,
-    config: &ShortcutConfig,
-) -> SweepOutcome {
-    if case_one_accepts(served.len(), data.active.len()) {
-        let shortcut = build(&served);
-        SweepOutcome::Shortcut(PartialShortcut {
-            served,
-            shortcut,
-            data,
-        })
-    } else {
-        let witness = witness::extract_per_mode(g, tree, partition, &data, config);
-        SweepOutcome::DenseMinor { witness, data }
-    }
 }
 
 /// The bottom-up small-to-large merge of (part -> min-depth representative)
@@ -327,9 +303,8 @@ pub(crate) fn build_shortcut(
     partition: &Partition,
     served: &[PartId],
     o_mark: &[bool],
-    num_parts: usize,
 ) -> Shortcut {
-    let mut lists: Vec<Vec<EdgeId>> = vec![Vec::new(); num_parts];
+    let mut lists: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.num_parts()];
     // Stamp = part id + 1; an edge already stamped for this part ends the
     // upward walk (everything above was added by an earlier member).
     let mut stamp = vec![0u32; g.num_edges()];
@@ -492,6 +467,7 @@ pub(crate) mod tests {
             &active,
             1,
             &ShortcutConfig::default(),
+            CutRule::Threshold,
         );
         let SweepOutcome::Shortcut(ps) = out else {
             panic!("expected Case (I)");

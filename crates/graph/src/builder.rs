@@ -14,8 +14,8 @@ pub const MAX_NODES: u64 = u32::MAX as u64;
 pub const MAX_EDGES: u64 = (u32::MAX / 2) as u64;
 
 /// The requested graph exceeds what the `u32`-based CSR index arithmetic
-/// can represent. Returned by [`check_csr_capacity`],
-/// [`GraphBuilder::try_build`] and [`Graph::try_from_edges`] **before** any
+/// can represent. Returned by [`check_csr_capacity`]
+/// and [`GraphBuilder::try_build`] **before** any
 /// proportional allocation happens, so million-node (and beyond) inputs
 /// fail with a typed error instead of a silent `u32` wrap in release
 /// builds.
@@ -125,18 +125,6 @@ impl GraphBuilder {
         e
     }
 
-    /// Adds `{u, v}` unless it already exists; returns the edge id either way.
-    ///
-    /// Linear scan free: uses a sort at build time for duplicate detection,
-    /// so this method keeps its own hash set only when first called.
-    pub fn add_edge_dedup(&mut self, u: NodeId, v: NodeId) -> EdgeId {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        if let Some(pos) = self.edges.iter().position(|&(x, y)| (x, y) == (a, b)) {
-            return EdgeId::from_index(pos);
-        }
-        self.add_edge(u, v)
-    }
-
     /// Whether `{u, v}` has been added already.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let (a, b) = if u < v { (u, v) } else { (v, u) };
@@ -147,9 +135,9 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if duplicate edges were added (use
-    /// [`add_edge_dedup`](Self::add_edge_dedup) to silently ignore them) or
-    /// if the graph exceeds the CSR capacity limits (see
+    /// Panics if duplicate edges were added (check
+    /// [`has_edge`](Self::has_edge) first to skip them) or if the graph
+    /// exceeds the CSR capacity limits (see
     /// [`try_build`](Self::try_build) for the fallible form).
     pub fn build(self) -> Graph {
         match self.try_build() {
@@ -290,15 +278,5 @@ mod tests {
         assert!(e.to_string().contains("2m must fit in u32"));
         let e = CapacityError::TooManyNodes { n: MAX_NODES + 7 };
         assert!(e.to_string().contains("CSR limit"));
-    }
-
-    #[test]
-    fn dedup_returns_existing_id() {
-        let mut b = GraphBuilder::new(3);
-        let e0 = b.add_edge_dedup(NodeId(0), NodeId(1));
-        let e1 = b.add_edge_dedup(NodeId(1), NodeId(0));
-        assert_eq!(e0, e1);
-        assert_eq!(b.num_edges(), 1);
-        assert!(b.has_edge(NodeId(1), NodeId(0)));
     }
 }

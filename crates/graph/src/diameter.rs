@@ -15,13 +15,6 @@ pub struct DiameterBounds {
     pub upper: u32,
 }
 
-impl DiameterBounds {
-    /// Whether the bounds pin the diameter exactly.
-    pub fn is_exact(&self) -> bool {
-        self.lower == self.upper
-    }
-}
-
 /// Exact diameter of the component containing `start` via BFS from every node
 /// of that component. `O(n·m)` — intended for verification and small graphs.
 ///
@@ -106,8 +99,7 @@ mod tests {
         let g = Graph::from_edges(1, []);
         assert_eq!(exact_diameter(&g), 0);
         let b = diameter_bounds(&g, NodeId(0));
-        assert!(b.is_exact());
-        assert_eq!(b.lower, 0);
+        assert_eq!((b.lower, b.upper), (0, 0));
     }
 
     #[test]

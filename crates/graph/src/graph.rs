@@ -43,24 +43,6 @@ pub struct EdgeRef {
     pub v: NodeId,
 }
 
-impl EdgeRef {
-    /// Returns the endpoint opposite to `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not an endpoint of this edge.
-    #[inline]
-    pub fn other(&self, x: NodeId) -> NodeId {
-        if x == self.u {
-            self.v
-        } else if x == self.v {
-            self.u
-        } else {
-            panic!("{x:?} is not an endpoint of edge {:?}", self.id)
-        }
-    }
-}
-
 /// An immutable, undirected, simple graph in compressed-sparse-row form.
 ///
 /// Construct via [`GraphBuilder`]. Nodes are `0..n`, edges are `0..m`;
@@ -148,28 +130,6 @@ impl Graph {
         b.build()
     }
 
-    /// [`from_edges`](Self::from_edges) with the CSR capacity limits checked
-    /// up front instead of panicking: `n` and `m` beyond what the `u32`
-    /// index arithmetic can represent produce a typed
-    /// [`CapacityError`](crate::CapacityError) before anything proportional
-    /// to the input is allocated.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on malformed edges (self-loop, endpoint `>= n`,
-    /// duplicates) — those are logic errors, not size limits.
-    pub fn try_from_edges(
-        n: usize,
-        edges: impl IntoIterator<Item = (u32, u32)>,
-    ) -> Result<Self, crate::CapacityError> {
-        crate::check_csr_capacity(n as u64, 0)?;
-        let mut b = GraphBuilder::new(n);
-        for (u, v) in edges {
-            b.add_edge(NodeId(u), NodeId(v));
-        }
-        b.try_build()
-    }
-
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -217,23 +177,6 @@ impl Graph {
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
         self.endpoints[e.index()]
-    }
-
-    /// The resolved [`EdgeRef`] for `e`.
-    #[inline]
-    pub fn edge_ref(&self, e: EdgeId) -> EdgeRef {
-        let (u, v) = self.endpoints(e);
-        EdgeRef { id: e, u, v }
-    }
-
-    /// The endpoint of `e` opposite to `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not an endpoint of `e`.
-    #[inline]
-    pub fn opposite(&self, e: EdgeId, x: NodeId) -> NodeId {
-        self.edge_ref(e).other(x)
     }
 
     /// The raw CSR offset array, length `n + 1`.
@@ -319,50 +262,6 @@ impl Graph {
     pub fn min_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).min().unwrap_or(0)
     }
-
-    /// Returns the subgraph induced by `keep_nodes` together with the mapping
-    /// from old node ids to new ones (dense renumbering) and from new edge
-    /// ids to old ones.
-    ///
-    /// Nodes absent from `keep_nodes` and all their incident edges are
-    /// dropped. Duplicate entries in `keep_nodes` are ignored.
-    pub fn induced_subgraph(&self, keep_nodes: &[NodeId]) -> InducedSubgraph {
-        let mut old_to_new = vec![None; self.num_nodes];
-        let mut new_to_old = Vec::new();
-        for &v in keep_nodes {
-            if old_to_new[v.index()].is_none() {
-                old_to_new[v.index()] = Some(NodeId::from_index(new_to_old.len()));
-                new_to_old.push(v);
-            }
-        }
-        let mut b = GraphBuilder::new(new_to_old.len());
-        let mut edge_to_old = Vec::new();
-        for er in self.edges() {
-            if let (Some(nu), Some(nv)) = (old_to_new[er.u.index()], old_to_new[er.v.index()]) {
-                b.add_edge(nu, nv);
-                edge_to_old.push(er.id);
-            }
-        }
-        InducedSubgraph {
-            graph: b.build(),
-            node_to_old: new_to_old,
-            node_from_old: old_to_new,
-            edge_to_old,
-        }
-    }
-}
-
-/// Result of [`Graph::induced_subgraph`]: the subgraph plus id mappings.
-#[derive(Clone, Debug)]
-pub struct InducedSubgraph {
-    /// The induced subgraph with densely renumbered ids.
-    pub graph: Graph,
-    /// Maps new node ids (by index) to original node ids.
-    pub node_to_old: Vec<NodeId>,
-    /// Maps original node ids (by index) to new node ids, `None` if dropped.
-    pub node_from_old: Vec<Option<NodeId>>,
-    /// Maps new edge ids (by index) to original edge ids.
-    pub edge_to_old: Vec<EdgeId>,
 }
 
 impl fmt::Debug for Graph {
@@ -426,8 +325,7 @@ mod tests {
         let g = triangle();
         let e = g.find_edge(NodeId(0), NodeId(2)).unwrap();
         assert_eq!(g.find_edge(NodeId(2), NodeId(0)), Some(e));
-        assert_eq!(g.opposite(e, NodeId(0)), NodeId(2));
-        assert_eq!(g.opposite(e, NodeId(2)), NodeId(0));
+        assert_eq!(g.endpoints(e), (NodeId(0), NodeId(2)));
         assert_eq!(g.find_edge(NodeId(0), NodeId(0)), None);
     }
 
@@ -435,31 +333,6 @@ mod tests {
     fn endpoints_are_canonical() {
         let g = Graph::from_edges(3, [(2, 1)]);
         assert_eq!(g.endpoints(EdgeId(0)), (NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn opposite_panics_for_non_endpoint() {
-        let g = triangle();
-        let e = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        g.opposite(e, NodeId(2));
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let sub = g.induced_subgraph(&[NodeId(0), NodeId(1), NodeId(4)]);
-        assert_eq!(sub.graph.num_nodes(), 3);
-        // edges kept: (0,1) and (0,4)
-        assert_eq!(sub.graph.num_edges(), 2);
-        assert_eq!(sub.node_to_old.len(), 3);
-        assert_eq!(sub.node_from_old[2], None);
-        for (new_e, old_e) in sub.edge_to_old.iter().enumerate() {
-            let (u, v) = sub.graph.endpoints(EdgeId(new_e as u32));
-            let (ou, ov) = g.endpoints(*old_e);
-            let mapped = (sub.node_to_old[u.index()], sub.node_to_old[v.index()]);
-            assert!(mapped == (ou, ov) || mapped == (ov, ou));
-        }
     }
 
     #[test]

@@ -196,13 +196,6 @@ fn snapshot(alive: &[bool], members: &[Vec<NodeId>], adj: &[HashSet<u32>]) -> Mi
     MinorWitness { branch_sets, edges }
 }
 
-/// The best certified minor-density lower bound available cheaply:
-/// `max(greedy contraction, degeneracy/2)`.
-pub fn density_lower_bound(g: &Graph) -> f64 {
-    let greedy = greedy_contraction_density(g, None).density;
-    greedy.max(degeneracy(g) as f64 / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,13 +235,6 @@ mod tests {
         let g = gen::grid_of_cliques(3, 3, 6);
         let est = greedy_contraction_density(&g, None);
         assert!(est.density >= 2.5); // K_6 density (6-1)/2
-    }
-
-    #[test]
-    fn lower_bound_on_planar_graph_respects_three() {
-        // Planar graphs have δ < 3, so certified lower bounds must too.
-        let g = gen::grid(8, 8);
-        assert!(density_lower_bound(&g) < 3.0);
     }
 
     #[test]

@@ -177,23 +177,11 @@ impl RootedTree {
         self.edge_child[e.index()].is_some()
     }
 
-    /// The deeper endpoint `v_e` of tree edge `e`, or `None` if `e` is not a
-    /// tree edge.
-    #[inline]
-    pub fn deeper_endpoint(&self, e: EdgeId) -> Option<NodeId> {
-        self.edge_child[e.index()]
-    }
-
     /// Iterator over `(edge, v_e)` for all tree edges.
     pub fn tree_edges(&self) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
         self.order
             .iter()
             .filter_map(move |&v| self.parent[v.index()].map(|(_, e)| (e, v)))
-    }
-
-    /// Number of tree edges (`num_tree_nodes() - 1` for non-empty trees).
-    pub fn num_tree_edges(&self) -> usize {
-        self.order.len().saturating_sub(1)
     }
 
     /// Walks from `v` to the root, yielding `(node, parent_edge)` pairs —
@@ -203,33 +191,6 @@ impl RootedTree {
             tree: self,
             cur: Some(v),
         }
-    }
-
-    /// The ancestor of `v` at depth `target_depth`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not in the tree or `target_depth > depth(v)`.
-    pub fn ancestor_at_depth(&self, v: NodeId, target_depth: u32) -> NodeId {
-        let mut cur = v;
-        assert!(self.depth(v) >= target_depth, "target depth above node");
-        while self.depth(cur) > target_depth {
-            cur = self.parent(cur).expect("non-root node must have parent").0;
-        }
-        cur
-    }
-
-    /// Subtree sizes for every tree node (1 for leaves). Non-tree nodes get 0.
-    pub fn subtree_sizes(&self) -> Vec<u32> {
-        let mut size = vec![0u32; self.parent.len()];
-        for &v in self.order.iter().rev() {
-            size[v.index()] += 1;
-            if let Some((p, _)) = self.parent[v.index()] {
-                let s = size[v.index()];
-                size[p.index()] += s;
-            }
-        }
-        size
     }
 }
 
@@ -273,7 +234,6 @@ mod tests {
         assert_eq!(t.depth(NodeId(3)), 2);
         assert_eq!(t.depth_of_tree(), 2);
         assert_eq!(t.children(NodeId(1)).len(), 2);
-        assert_eq!(t.num_tree_edges(), 3);
     }
 
     #[test]
@@ -284,7 +244,6 @@ mod tests {
             let (p, pe) = t.parent(ve).unwrap();
             assert_eq!(pe, e);
             assert_eq!(t.depth(ve), t.depth(p) + 1);
-            assert_eq!(t.deeper_endpoint(e), Some(ve));
         }
         let tree_edge_count = g.edges().filter(|er| t.is_tree_edge(er.id)).count();
         assert_eq!(tree_edge_count, 8);
@@ -297,26 +256,6 @@ mod tests {
         let path: Vec<_> = t.path_to_root(NodeId(4)).map(|(v, _)| v).collect();
         assert_eq!(path, vec![NodeId(4), NodeId(3), NodeId(2), NodeId(1)]);
         assert_eq!(t.path_to_root(NodeId(0)).count(), 0);
-    }
-
-    #[test]
-    fn ancestor_at_depth() {
-        let g = gen::path(6);
-        let t = bfs::bfs_tree(&g, NodeId(0));
-        assert_eq!(t.ancestor_at_depth(NodeId(5), 2), NodeId(2));
-        assert_eq!(t.ancestor_at_depth(NodeId(5), 5), NodeId(5));
-    }
-
-    #[test]
-    fn subtree_sizes_sum_up() {
-        let g = gen::grid(3, 3);
-        let t = bfs::bfs_tree(&g, NodeId(0));
-        let sizes = t.subtree_sizes();
-        assert_eq!(sizes[0], 9);
-        for &v in t.order() {
-            let expect: u32 = 1 + t.children(v).iter().map(|&c| sizes[c.index()]).sum::<u32>();
-            assert_eq!(sizes[v.index()], expect);
-        }
     }
 
     #[test]

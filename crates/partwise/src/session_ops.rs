@@ -64,6 +64,9 @@ pub trait SessionPartwiseOps {
     /// missing partition or a value vector whose length differs from the
     /// node count comes back as a [`SessionError`] instead of a panic —
     /// the entry point a serving process maps to structured 4xx responses.
+    /// So does, here and in the other `try_` forms, a construction phase
+    /// cut short by the backend's round cap
+    /// ([`SessionError::Truncated`]).
     fn try_aggregate(
         &mut self,
         values: &[u64],
@@ -110,17 +113,18 @@ fn check_values(s: &ShortcutSession<'_>, values: &[u64]) -> Result<(), SessionEr
     Ok(())
 }
 
-/// The body of both aggregate forms: runs the protocol over the cached
+/// The body of every aggregate form: runs the protocol over the cached
 /// tables, seeded from the cached forest, and stores the forest the run
-/// leaves behind.
+/// leaves behind. Fails only when preparing the session does — a
+/// construction phase cut short by the backend's round cap.
 fn aggregate_on(
     session: &mut ShortcutSession<'_>,
     values: &[u64],
     op: AggOp,
     leaders: Option<&[NodeId]>,
-) -> OpReport<PartwiseOutcome> {
-    session.prepare();
-    let quality = session.quality_shared();
+) -> Result<OpReport<PartwiseOutcome>, SessionError> {
+    session.try_prepare()?;
+    let quality = session.quality_shared()?;
     let tables = SessionTables::of_session(session);
     let mut forest = tables.forest.clone();
     let (g, partition, config) = (session.graph(), session.partition(), session.config());
@@ -136,12 +140,27 @@ fn aggregate_on(
         forest,
     });
     let metrics = out.metrics.clone();
-    OpReport::from_metrics(out, &metrics, quality)
+    Ok(OpReport::from_metrics(out, &metrics, quality))
+}
+
+/// The body of both gossip forms; fails like [`aggregate_on`].
+fn gossip_on(
+    session: &mut ShortcutSession<'_>,
+    values: &[u64],
+    op: IdempotentOp,
+) -> Result<OpReport<GossipOutcome>, SessionError> {
+    session.try_prepare()?;
+    let quality = session.quality_shared()?;
+    let tables = SessionTables::of_session(session);
+    let (g, partition, sim) = (session.graph(), session.partition(), session.config().sim);
+    let out = GossipOp { values, op }.run_with(g, partition, sim, &tables.participation);
+    let metrics = out.metrics.clone();
+    Ok(OpReport::from_metrics(out, &metrics, quality))
 }
 
 impl SessionPartwiseOps for ShortcutSession<'_> {
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome> {
-        aggregate_on(self, values, op, None)
+        aggregate_on(self, values, op, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn aggregate_with_leaders(
@@ -150,17 +169,11 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         op: AggOp,
         leaders: &[NodeId],
     ) -> OpReport<PartwiseOutcome> {
-        aggregate_on(self, values, op, Some(leaders))
+        aggregate_on(self, values, op, Some(leaders)).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome> {
-        self.prepare();
-        let quality = self.quality_shared();
-        let tables = SessionTables::of_session(self);
-        let (g, partition, sim) = (self.graph(), self.partition(), self.config().sim);
-        let out = GossipOp { values, op }.run_with(g, partition, sim, &tables.participation);
-        let metrics = out.metrics.clone();
-        OpReport::from_metrics(out, &metrics, quality)
+        gossip_on(self, values, op).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn unicast(&mut self, demands: &[(NodeId, NodeId)]) -> OpReport<UnicastOutcome> {
@@ -173,7 +186,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         op: AggOp,
     ) -> Result<OpReport<PartwiseOutcome>, SessionError> {
         check_values(self, values)?;
-        Ok(self.aggregate(values, op))
+        aggregate_on(self, values, op, None)
     }
 
     fn try_aggregate_with_leaders(
@@ -201,7 +214,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
                 return Err(SessionError::LeaderNotInPart { leader: l, part: i });
             }
         }
-        Ok(self.aggregate_with_leaders(values, op, leaders))
+        aggregate_on(self, values, op, Some(leaders))
     }
 
     fn try_gossip(
@@ -210,7 +223,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         op: IdempotentOp,
     ) -> Result<OpReport<GossipOutcome>, SessionError> {
         check_values(self, values)?;
-        Ok(self.gossip(values, op))
+        gossip_on(self, values, op)
     }
 
     /// Holds the unicast body: the membership check needs the very tree
@@ -234,7 +247,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         let (g, opts, sim) = (self.graph(), self.config().unicast, self.config().sim);
         // Routing needs only the tree — it must not force a shortcut
         // construction on sessions used purely for unicast serving.
-        let tree = self.tree();
+        let tree = self.try_tree()?;
         let mut endpoints = demands.iter().flat_map(|&(s, t)| [s, t]);
         if let Some(node) = endpoints.find(|&v| !tree.contains(v)) {
             return Err(SessionError::NodeOffTree { node });

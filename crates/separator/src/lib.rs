@@ -155,25 +155,6 @@ impl SeparatorTree {
             .map(|r| r.region.clone())
             .collect()
     }
-
-    /// Number of parts [`partition_at_level`](Self::partition_at_level)
-    /// would produce, without materializing them.
-    pub fn parts_at_level(&self, level: u32) -> usize {
-        self.nodes
-            .iter()
-            .filter(|r| r.depth == level || (r.is_leaf() && r.depth < level))
-            .count()
-    }
-
-    /// The smallest level whose partition has at least `target` parts, or
-    /// the deepest level if none does — how benches pick a dissection
-    /// level comparable to a `k`-part synthetic partition.
-    pub fn level_for_parts(&self, target: usize) -> u32 {
-        let deepest = self.depth();
-        (0..=deepest)
-            .find(|&l| self.parts_at_level(l) >= target)
-            .unwrap_or(deepest)
-    }
 }
 
 /// Scratch buffers shared across the whole recursion so each region costs
@@ -612,18 +593,6 @@ mod tests {
         let a = nested_dissection(&g, &SeparatorConfig::default());
         let b = nested_dissection(&g, &SeparatorConfig::default());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn level_for_parts_finds_the_coarsest_sufficient_level() {
-        let g = gen::grid(16, 16);
-        let tree = nested_dissection(&g, &deep_cfg());
-        let level = tree.level_for_parts(8);
-        assert!(tree.parts_at_level(level) >= 8);
-        assert!(level == 0 || tree.parts_at_level(level - 1) < 8);
-        // Saturates instead of failing when the target is unreachable.
-        let deepest = tree.level_for_parts(usize::MAX);
-        assert_eq!(deepest, tree.depth());
     }
 
     #[test]

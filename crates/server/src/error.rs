@@ -15,6 +15,7 @@
 //! | 422    | `bad_args`       | well-formed body with invalid op arguments |
 //! | 422    | `partition_*`    | a session-spec partition failed validation — the code is [`PartitionError::code`] (`partition_disconnected`, `partition_uncovered`, `partition_overlap`, `partition_empty_part`, `partition_out_of_range`, `partition_off_tree`) |
 //! | 422    | `graph_*`        | a session-spec graph source failed to resolve — the code is [`GraphSourceError::code`] (`graph_invalid_spec`, `graph_json_malformed`, `graph_invalid_edge`, `graph_too_large`, `graph_io`, and the flat-binary loader codes `graph_bad_magic`, `graph_unsupported_version`, `graph_unknown_flags`, `graph_truncated`, `graph_trailing_bytes`, `graph_checksum_mismatch`, `graph_inconsistent`) |
+//! | 422    | `truncated`      | a simulated construction phase (`bfs`, `detection`) hit the backend's `max_rounds` before it finished; nothing was cached |
 //! | 500    | `internal_panic` | a handler panicked (counted, worker survives) |
 
 use lcs_core::session::SessionError;
@@ -152,6 +153,11 @@ impl From<SessionError> for ApiError {
             // Mutations that failed validation leave the session unchanged
             // — the 409 class the mutation API promises.
             SessionError::Partition(_) => ApiError::conflict(e.to_string()),
+            SessionError::Truncated(_) => ApiError {
+                status: 422,
+                code: "truncated",
+                message: e.to_string(),
+            },
             _ => ApiError::bad_args(e.to_string()),
         }
     }

@@ -84,8 +84,8 @@ pub use lcs_separator as separator;
 /// | `distributed_components(g, root, provider, &config)` | `session.components()` |
 /// | `approx_mincut_distributed(g, root, provider, &config)` | `session.mincut()` |
 /// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.full_artifact()` |
-/// | `distributed_full_shortcut(g, root, parts, &config.shortcut, dist)` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()` |
-/// | `bfs::bfs_tree(g, root)` | `session.tree()` |
+/// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()`; both costs in `session.construction_stats()` |
+/// | `bfs::bfs_tree(g, root)` | `session.tree()` on `Backend::Centralized` |
 /// | `measure_quality(g, parts, tree, shortcut)` | `session.quality()` |
 ///
 /// `config` is a [`SessionConfig`](lcs_core::session::SessionConfig) on
@@ -124,7 +124,8 @@ pub use lcs_separator as separator;
 /// * [`reassign_parts`](lcs_core::session::ShortcutSession::reassign_parts)
 ///   moves nodes between existing parts and **re-customizes
 ///   incrementally**: a mini doubling search over only the touched parts
-///   splices their `H_i` into the cached shortcut, quality rows are
+///   — on the session backend, charged like the construction it patches
+///   — splices their `H_i` into the cached shortcut, quality rows are
 ///   re-measured for touched parts only, and ops refresh their cached
 ///   participation maps part-locally. Everything else survives
 ///   byte-for-byte — the CCH-style customization step.
@@ -137,19 +138,6 @@ pub use lcs_separator as separator;
 /// [`cache_stats`](lcs_core::session::ShortcutSession::cache_stats))
 /// counts builds/hits/invalidations per artifact class plus the
 /// incremental-recustomization tallies.
-///
-/// **Migration note:** code that held a `&Shortcut` from `shortcut_ref()`
-/// across a mutation must re-fetch it
-/// afterwards: references returned by the accessors are tied to the epoch
-/// they were read at, and `shortcut_ref()` — the one shared-reference
-/// accessor; `tree_ref()` is gone, read the tree through `tree()` —
-/// panics if called on a stale cache: call `prepare()` (or any owning
-/// accessor) after a mutation to refresh. The borrow checker already
-/// prevents holding a shared borrow across the `&mut self` mutation
-/// calls; the panic guards the remaining raw-handle patterns. Diameter
-/// bounds are no session artifact:
-/// `lcs_graph::diameter::diameter_bounds(session.graph(), session.root())`
-/// is the one call it was.
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{

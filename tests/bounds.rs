@@ -211,7 +211,8 @@ proptest! {
         (g, parts, family) in arb_minor_free(),
     ) {
         use low_congestion_shortcuts::congest::SimConfig;
-        use low_congestion_shortcuts::core::dist::{distributed_full_shortcut, DistConfig};
+        use low_congestion_shortcuts::core::construct;
+        use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
 
         let partition = Partition::from_parts(&g, parts).unwrap();
         let dist = DistConfig {
@@ -222,14 +223,11 @@ proptest! {
             },
             ..DistConfig::default()
         };
-        let res = distributed_full_shortcut(
-            &g,
-            NodeId(0),
-            &partition,
-            &ShortcutConfig::default(),
-            &dist,
-        );
-        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let (tree, _) = distributed_bfs(&g, NodeId(0), dist.sim).expect("default round cap");
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let config = ShortcutConfig::default();
+        let res = construct(&g, &tree, &partition, &all, config.initial_delta_hat, &config, Some(&dist))
+            .expect("default round cap");
         let d = f64::from(tree.depth_of_tree().max(1));
         let q = measure_quality(&g, &partition, &tree, &res.shortcut);
         prop_assert!(q.tree_restricted && q.all_connected());

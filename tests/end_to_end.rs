@@ -6,9 +6,9 @@ use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{
-    distributed_full_shortcut, distributed_partial_shortcut, DistConfig,
+    distributed_bfs, distributed_partial_shortcut, DistConfig,
 };
-use low_congestion_shortcuts::core::{SweepOutcome, WitnessMode};
+use low_congestion_shortcuts::core::{construct, SweepOutcome, WitnessMode};
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -178,17 +178,22 @@ fn distributed_construction_agrees_with_centralized_on_ktrees() {
 }
 
 #[test]
-fn distributed_full_shortcut_passes_quality_bounds() {
+fn distributed_construction_passes_quality_bounds() {
     let g = gen::grid(10, 10);
     let partition = Partition::from_parts(&g, gen::rows_of_grid(10, 10)).unwrap();
-    let res = distributed_full_shortcut(
+    let (config, dist) = (ShortcutConfig::default(), DistConfig::default());
+    let (tree, _) = distributed_bfs(&g, NodeId(0), dist.sim).expect("default round cap");
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let res = construct(
         &g,
-        NodeId(0),
+        &tree,
         &partition,
-        &ShortcutConfig::default(),
-        &DistConfig::default(),
-    );
-    let tree = bfs::bfs_tree(&g, NodeId(0));
+        &all,
+        config.initial_delta_hat,
+        &config,
+        Some(&dist),
+    )
+    .expect("default round cap");
     let q = measure_quality(&g, &partition, &tree, &res.shortcut);
     assert!(q.tree_restricted && q.all_connected());
     assert!(q.max_blocks <= 8 * res.delta_hat + 1);

@@ -74,9 +74,12 @@ fn result_values(r: &lcs_server::client::Response) -> Vec<Option<u64>> {
         .collect()
 }
 
-/// Op responses carry `truncated`: `true` when the session's round cap
-/// cut the run short (still a 200 — the typed error is a later step),
-/// `false` on a finished run.
+/// The round cap over the socket. An *op* run cut short is a 200 whose
+/// report says `"truncated": true` (aggregate, and the Boruvka family,
+/// which stops at its first truncated run); a *construction* cut short on
+/// a simulating backend is a structured 422 `truncated` that caches
+/// nothing. Neither reaches the panic fence, and the session keeps
+/// serving.
 #[test]
 fn op_responses_report_truncated_runs() {
     let handle = start();
@@ -85,29 +88,80 @@ fn op_responses_report_truncated_runs() {
         ("values", Value::Arr(vec![Value::U64(1); 36])),
         ("op", Value::Str("sum".to_string())),
     ]);
-    for (max_rounds, expected) in [(2, true), (1_000_000, false)] {
+    let capped = |max_rounds| SimConfig {
+        max_rounds,
+        ..SimConfig::default()
+    };
+    let spec_with = |max_rounds, backend: Option<Backend>| {
         let config = SessionConfig {
-            sim: SimConfig {
-                max_rounds,
-                ..SimConfig::default()
-            },
+            sim: capped(max_rounds),
             ..SessionConfig::default()
         };
         let mut spec = grid_spec(6, 6);
         if let Value::Obj(fields) = &mut spec {
             fields.push(("config".to_string(), config.to_value()));
+            fields.extend(backend.map(|b| ("backend".to_string(), b.to_value())));
         }
-        let id = create(&mut client, &spec);
-        let agg = client
-            .post(&format!("/sessions/{id}/aggregate"), &body)
-            .expect("aggregate");
+        spec
+    };
+    let post = |client: &mut Client, id: &str, op: &str, body: &Value| {
+        let r = client.post(&format!("/sessions/{id}/{op}"), body);
+        r.unwrap_or_else(|e| panic!("{op}: {e}"))
+    };
+    let mut ids = Vec::new();
+    for (max_rounds, expected) in [(2, true), (1_000_000, false)] {
+        let id = create(&mut client, &spec_with(max_rounds, None));
+        let agg = post(&mut client, &id, "aggregate", &body);
         assert_eq!(agg.status, 200);
         assert_eq!(
             agg.field("truncated"),
             Some(&Value::Bool(expected)),
             "max_rounds = {max_rounds}"
         );
+        let weights = Value::object([("weights", Value::Arr(vec![Value::U64(1); 60]))]);
+        for (op, args) in [("mst", &weights), ("mincut", &Value::object([]))] {
+            let r = post(&mut client, &id, op, args);
+            assert_eq!(
+                (r.status, r.field("truncated")),
+                (200, Some(&Value::Bool(expected))),
+                "{op} at max_rounds = {max_rounds}"
+            );
+        }
+        ids.push(id);
     }
+
+    let id = create(
+        &mut client,
+        &spec_with(2, Some(Backend::Distributed(capped(2)))),
+    );
+    for (op, args) in [
+        ("prepare", &Value::object([])),
+        ("quality", &Value::object([])),
+        ("aggregate", &body),
+    ] {
+        let r = post(&mut client, &id, op, args);
+        assert_eq!(
+            (r.status, r.field("error")),
+            (422, Some(&Value::Str("truncated".to_string()))),
+            "{op}: {}",
+            lcs_server::json::render(&r.body)
+        );
+    }
+    ids.push(id);
+
+    for id in &ids {
+        let stats = post(&mut client, id, "cache_stats", &Value::object([]));
+        assert_eq!(stats.status, 200, "{id} keeps serving");
+        let full = stats.field("full").expect("full-artifact counters");
+        // The refused construction was not counted as a build.
+        assert_eq!(
+            get_u64(full, "builds"),
+            u64::from(id != ids.last().unwrap())
+        );
+    }
+    let metrics = client.get("/metrics").unwrap();
+    let server_stats = lcs_server::json::lookup(&metrics.body, "server").expect("server stats");
+    assert_eq!(get_u64(server_stats, "worker_panics"), 0);
     handle.shutdown();
 }
 

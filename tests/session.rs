@@ -91,15 +91,103 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
     assert!(capped.gossip(&values, IdempotentOp::Max).truncated);
     let routed = capped.unicast(&demands);
     assert!(routed.truncated && routed.result.delivered == 0);
+    // Boruvka stops at its first truncated aggregation.
+    let unit = EdgeWeights::unit(&g);
+    assert!(
+        capped
+            .try_mst(&unit)
+            .expect("flagged, not refused")
+            .truncated
+    );
+    assert!(capped.try_components().expect("flagged").truncated);
+    let cut = capped.try_mincut().expect("flagged");
+    assert!(cut.truncated && cut.result.trees == 0);
 
     let mut free = session_with(SimConfig::default().max_rounds);
     let agg = free.aggregate(&values, AggOp::Sum);
     assert!(!agg.truncated && agg.result.all_members_informed);
     assert!(!free.gossip(&values, IdempotentOp::Max).truncated);
     assert!(!free.unicast(&demands).truncated);
-    assert!(!free.mst(&EdgeWeights::unit(&g)).truncated);
+    assert!(!free.mst(&unit).truncated);
     assert!(!free.components().truncated);
     assert!(!free.mincut().truncated);
+
+    let mut one_phase = Session::on(&g)
+        .config(SessionConfig {
+            mst: MstOpts {
+                max_phases: Some(1),
+                ..MstOpts::default()
+            },
+            ..fast_config()
+        })
+        .build()
+        .unwrap();
+    let mst = one_phase.try_mst(&unit).expect("flagged, not refused");
+    assert!(mst.truncated && mst.result.phases == 1);
+}
+
+/// The same cap under a *construction*: on the simulating backends a
+/// phase that cannot finish is a typed error from every entry point that
+/// needs the artifact — the BFS flood first, the detection convergecast
+/// when a provided tree spares the flood — and nothing is cached. The
+/// Boruvka family, whose providers construct per phase, flags its report
+/// instead.
+#[test]
+fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
+    use low_congestion_shortcuts::core::dist::Truncated;
+    let g = gen::grid(8, 8);
+    let values: Vec<u64> = (0..64).collect();
+    let capped = SimConfig {
+        max_rounds: 2,
+        ..env_sim()
+    };
+    let sketch = DistConfig {
+        mode: DistMode::Sketch {
+            t: 8,
+            hash_seed: 0xbeef,
+            cut_factor: 1.0,
+        },
+        sim: capped,
+    };
+    for backend in [Backend::Distributed(capped), Backend::Sketch(sketch)] {
+        for (tree, phase) in [
+            (TreeSource::Bfs(NodeId(0)), "bfs"),
+            (
+                TreeSource::Provided(bfs::bfs_tree(&g, NodeId(0))),
+                "detection",
+            ),
+        ] {
+            let mut s = Session::on(&g)
+                .tree(tree)
+                .partition(gen::rows_of_grid(8, 8))
+                .backend(backend.clone())
+                .config(fast_config())
+                .build()
+                .unwrap();
+            let expected = SessionError::Truncated(Truncated {
+                phase,
+                max_rounds: 2,
+            });
+            assert_eq!(s.try_full_artifact().err(), Some(expected.clone()));
+            assert_eq!(s.try_quality().err(), Some(expected.clone()));
+            let agg = s.try_aggregate(&values, AggOp::Sum);
+            assert_eq!(agg.err(), Some(expected.clone()));
+            let gossip = s.try_gossip(&values, IdempotentOp::Max);
+            assert_eq!(gossip.err(), Some(expected.clone()));
+            let routed = s.try_unicast(&[(NodeId(0), NodeId(63))]);
+            // Routing needs the tree alone: a provided one serves it.
+            assert_eq!(routed.err(), (phase == "bfs").then_some(expected));
+            let stats = s.cache_stats();
+            assert_eq!((stats.full.builds, stats.quality.builds), (0, 0));
+            assert_eq!(stats.tree.builds, 0, "{phase}: no tree was stamped");
+            // The cap is the backend's: ops run on `config.sim` (uncapped
+            // here), and each Boruvka phase constructs on the backend.
+            let mst = s.try_mst(&EdgeWeights::unit(&g)).expect("flagged");
+            assert!(mst.truncated && mst.result.edges.len() < 63);
+            assert!(s.try_components().expect("flagged").truncated);
+            assert!(s.try_mincut().expect("flagged").truncated);
+        }
+    }
 }
 
 /// Acceptance bar of the facade: the second aggregate call on the
