@@ -12,7 +12,8 @@
 //! measured in experiment E7. The full 2-respecting evaluation is provided
 //! centrally ([`min_two_respecting_cut`], [`exact_mincut_via_packing`]) for
 //! exactness verification; only its *distributed* dynamic program is out of
-//! scope (DESIGN.md §3.5).
+//! scope: Corollary 1.7 takes it as a black box from the tree-packing
+//! literature, and it adds no new use of shortcuts to measure.
 //!
 //! Round accounting: tree construction rounds are fully simulated; the
 //! 1-respecting evaluation is the classic subtree-sum convergecast whose
@@ -232,7 +233,7 @@ fn min_one_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
 ///
 /// `O(n²·m)` pair enumeration with interval labels; intended for
 /// verification on moderate instances (the distributed dynamic program is
-/// out of scope, see DESIGN.md §3.5).
+/// out of scope, see the module docs).
 pub fn min_two_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
     let n = g.num_nodes();
     // DFS interval labels over the tree.

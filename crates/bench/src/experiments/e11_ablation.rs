@@ -3,148 +3,94 @@
 //! (a) Sketch size `t`: how closely the randomized detector reproduces the
 //!     exact cut set, and the congestion of the resulting shortcut.
 //! (b) Congestion factor (the paper's constant 8): smaller thresholds cut
-//!     more edges — fewer blocks but more congested rounds, and below the
-//!     paper's constant the witness extraction loses its guarantee.
+//!     more edges and tip the sweep into Case (II). The Theorem 3.1
+//!     dichotomy must hold at every factor: a row is either Case (I) inside
+//!     the envelope of its own thresholds, or Case (II) with a verified
+//!     witness denser than `δ̂`.
 
-use crate::table::{f2, Table};
-use lcs_core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
-use lcs_core::{
-    measure_quality, partial_shortcut_or_witness, Partition, ShortcutConfig, SweepOutcome,
-    WitnessMode,
-};
-use lcs_graph::{bfs, gen, EdgeId, NodeId};
+use crate::experiments::{cut_set_difference, instance};
+use crate::{f2, Relation::*, Report};
+use lcs_core::dist::DistMode;
+use lcs_core::{ShortcutConfig, SweepOutcome};
+use lcs_graph::{gen, minor};
 
-/// Runs E11 and renders both ablation tables.
-pub fn run(fast: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&sketch_ablation(fast));
-    out.push('\n');
-    out.push_str(&constant_ablation(fast));
+const CONGESTION: &str = "Thm 3.1 case (I) congestion ≤ own threshold";
+const BLOCKS: &str = "Thm 3.1 case (I) blocks ≤ own threshold + 1";
+const WITNESS: &str = "Thm 3.1 case (II) verified witness density > δ̂";
+
+/// Runs E11: both ablation tables.
+pub fn run() -> Report {
+    let mut out = Report::default();
+    sketch_ablation(&mut out);
+    constant_ablation(&mut out);
     out
 }
 
-fn sketch_ablation(fast: bool) -> String {
+fn sketch_ablation(out: &mut Report) {
     // Singleton parts: k = n exceeds c = 8D, so the detector has real
     // overcongested edges to find.
-    let side = if fast { 12 } else { 24 };
-    let g = gen::grid(side, side);
+    let g = gen::grid(24, 24);
     let parts = gen::singleton_parts(&g);
-    let partition = Partition::from_parts(&g, parts).expect("valid parts");
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
-    let tree = bfs::bfs_tree(&g, NodeId(0));
-
-    // Exact reference cut set.
-    let exact =
-        distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &DistConfig::default());
-    let mut exact_cuts: Vec<EdgeId> = exact.over_edges.clone();
-    exact_cuts.sort_unstable();
-
-    let mut t = Table::new(
+    let inst = instance("grid singletons", g, parts);
+    let exact = inst.detect(DistMode::Exact);
+    out.table(
         "E11a: sketch size t vs detection accuracy (grid, δ̂ = 1)",
-        &[
-            "t",
-            "|O| sketch",
-            "|O| exact",
-            "sym diff",
-            "cong",
-            "detect rounds",
-            "served",
-        ],
+        "t, |O| sketch, |O| exact, sym diff, cong, detect rounds, served",
     );
-    let ts: &[usize] = if fast { &[4, 16] } else { &[4, 8, 16, 32, 64] };
-    for &tt in ts {
-        let dist = DistConfig {
-            mode: DistMode::Sketch {
-                t: tt,
-                hash_seed: 0x5eed,
-                cut_factor: 1.0,
-            },
-            ..DistConfig::default()
-        };
-        let res = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
-        let mut cuts = res.over_edges.clone();
-        cuts.sort_unstable();
-        let sym = cuts.iter().filter(|e| !exact_cuts.contains(e)).count()
-            + exact_cuts.iter().filter(|e| !cuts.contains(e)).count();
-        let q = measure_quality(&g, &partition, &tree, &res.shortcut);
-        t.row(vec![
-            tt.to_string(),
-            cuts.len().to_string(),
-            exact_cuts.len().to_string(),
-            sym.to_string(),
-            q.max_congestion.to_string(),
-            res.metrics_shortcut.rounds.to_string(),
-            res.served.len().to_string(),
-        ]);
+    for tt in [4, 8, 16, 32, 64] {
+        let res = inst.detect(DistMode::Sketch {
+            t: tt,
+            hash_seed: 0x5eed,
+            cut_factor: 1.0,
+        });
+        let (cuts, exact_cuts) = (res.over_edges.len(), exact.over_edges.len());
+        let sym_diff = cut_set_difference(&res.data, &exact.data);
+        let cong = inst.quality(&res.shortcut).max_congestion;
+        let (rounds, served) = (res.metrics_shortcut.rounds, res.served.len());
+        out.row(&[&tt, &cuts, &exact_cuts, &sym_diff, &cong, &rounds, &served]);
     }
-    t.render()
 }
 
-fn constant_ablation(fast: bool) -> String {
-    let comb = gen::comb(10, if fast { 20 } else { 28 });
-    let partition = Partition::from_parts(&comb.graph, comb.parts.clone()).expect("valid parts");
-    let tree = bfs::bfs_tree(&comb.graph, NodeId(0));
-
-    let mut t = Table::new(
+fn constant_ablation(out: &mut Report) {
+    let comb = gen::comb(10, 28);
+    let inst = instance("comb(10,28)", comb.graph, comb.parts);
+    out.table(
         "E11b: congestion factor (paper constant 8) on the comb at δ̂ = 1",
-        &[
-            "factor",
-            "c",
-            "case",
-            "|O|",
-            "served",
-            "cong",
-            "blocks",
-            "witness density",
-        ],
+        "factor, c, case, |O|, served, cong, blocks, witness density",
     );
-    for factor in [1u32, 2, 4, 8, 16] {
+    for factor in [1, 2, 4, 8, 16] {
         let cfg = ShortcutConfig {
             congestion_factor: factor,
             ..ShortcutConfig::default()
         };
-        match partial_shortcut_or_witness(&comb.graph, &tree, &partition, 1, &cfg) {
+        let row = format!("{} factor {factor}", inst.name);
+        match inst.sweep(1, &cfg) {
             SweepOutcome::Shortcut(ps) => {
-                let q = measure_quality(&comb.graph, &partition, &tree, &ps.shortcut);
-                t.row(vec![
-                    factor.to_string(),
-                    ps.data.congestion_threshold.to_string(),
-                    "I".into(),
-                    ps.data.over_edges.len().to_string(),
-                    ps.served.len().to_string(),
-                    q.max_congestion.to_string(),
-                    q.max_blocks.to_string(),
-                    "-".into(),
-                ]);
+                let q = inst.quality(&ps.shortcut);
+                let (c, cuts) = (ps.data.congestion_threshold, ps.data.over_edges.len());
+                let (served, cong, blocks) = (ps.served.len(), q.max_congestion, q.max_blocks);
+                let own = cfg.envelope(1, inst.d, 1);
+                out.claim(&row, CONGESTION, cong, AtMost, own.congestion);
+                out.claim(&row, BLOCKS, blocks, AtMost, own.blocks);
+                out.row(&[&factor, &c, &"I", &cuts, &served, &cong, &blocks, &"-"]);
             }
             SweepOutcome::DenseMinor { witness, data } => {
-                t.row(vec![
-                    factor.to_string(),
-                    data.congestion_threshold.to_string(),
-                    "II".into(),
-                    data.over_edges.len().to_string(),
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    witness
-                        .map(|w| f2(w.density()))
-                        .unwrap_or_else(|| "none".into()),
-                ]);
+                // An absent or unverifiable witness certifies nothing.
+                let verified = witness.filter(|w| minor::verify_minor(&inst.graph, w).is_ok());
+                let density = verified.map(|w| w.density());
+                out.claim(&row, WITNESS, density.unwrap_or(0.0), MoreThan, 1);
+                let (c, cuts) = (data.congestion_threshold, data.over_edges.len());
+                let density = density.map_or("none".to_string(), f2);
+                out.row(&[&factor, &c, &"II", &cuts, &0, &"-", &"-", &density]);
             }
         }
     }
-    t.render()
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn smoke() {
-        let out = super::run(true);
-        assert!(out.contains("E11a"));
-        assert!(out.contains("E11b"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

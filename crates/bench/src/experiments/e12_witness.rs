@@ -3,91 +3,66 @@
 //!
 //! On Case (II) instances: how often the paper's `1/4D` sampling succeeds
 //! per attempt, what density the derandomized extraction certifies, and that
-//! every produced witness verifies as a minor.
+//! every produced witness verifies as a minor denser than `δ̂`.
 
-use crate::table::{f2, Table};
-use lcs_core::{
-    extract_witness_derandomized, extract_witness_sampled, partial_shortcut_or_witness, Partition,
-    ShortcutConfig, SweepOutcome, WitnessMode,
-};
-use lcs_graph::{bfs, gen, minor, NodeId};
+use crate::experiments::{instance, skip_witness};
+use crate::{f2, Relation::*, Report};
+use lcs_core::{extract_witness_derandomized, extract_witness_sampled, SweepOutcome};
+use lcs_graph::{gen, minor};
 
-/// Runs E12 and renders the table.
-pub fn run(fast: bool) -> String {
-    let mut t = Table::new(
+const SAMPLED: &str = "Thm 3.1 every sampled witness verifies, density > δ̂";
+const DERANDOMIZED: &str = "Thm 3.1 derandomized witness verifies, density > δ̂";
+
+/// Runs E12.
+pub fn run() -> Report {
+    let mut out = Report::default();
+    out.table(
         "E12 (certifying Theorem 3.1): dense-minor extraction on Case (II) instances",
-        &[
-            "instance",
-            "δ̂",
-            "D",
-            "|B| edges",
-            "sample hit %",
-            "derand density",
-            "derand verified",
-        ],
+        "instance, δ̂, D, |B| edges, sample hit %, derand density, derand verified",
     );
-    let combs: &[(usize, usize)] = if fast {
-        &[(10, 20), (12, 24)]
-    } else {
-        &[(10, 20), (12, 24), (16, 40), (24, 64), (10, 128)]
-    };
-    let skip = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
-    for &(tt, k) in combs {
+    for (tt, k) in [(10, 20), (12, 24), (16, 40), (24, 64), (10, 128)] {
         let comb = gen::comb(tt, k);
-        let partition =
-            Partition::from_parts(&comb.graph, comb.parts.clone()).expect("valid parts");
-        let tree = bfs::bfs_tree(&comb.graph, NodeId(0));
-        let SweepOutcome::DenseMinor { data, .. } =
-            partial_shortcut_or_witness(&comb.graph, &tree, &partition, 1, &skip)
-        else {
+        let inst = instance(format!("comb({tt},{k})"), comb.graph, comb.parts);
+        let (g, tree, partition) = (&inst.graph, &inst.tree, &inst.partition);
+        let SweepOutcome::DenseMinor { data, .. } = inst.sweep(1, &skip_witness()) else {
             // Not a Case (II) instance at this size; skip the row.
             continue;
         };
         let b_edges: usize = data.over_edges.iter().map(|oe| oe.parts.len()).sum();
+        // The density a witness certifies: none unless it verifies.
+        let certified = |w: &minor::MinorWitness| match minor::verify_minor(g, w) {
+            Ok(_) => w.density(),
+            Err(_) => 0.0,
+        };
 
         // Sampling hit rate over independent single attempts.
-        let trials: u64 = if fast { 40 } else { 200 };
-        let mut hits = 0u64;
-        for i in 0..trials {
-            if let Some(w) =
-                extract_witness_sampled(&comb.graph, &tree, &partition, &data, 1, 0x1000 + i)
-            {
-                assert!(minor::verify_minor(&comb.graph, &w).is_ok());
-                assert!(w.density() > 1.0);
-                hits += 1;
-            }
-        }
+        let trials = 200;
+        let sampled: Vec<f64> = (0..trials)
+            .filter_map(|i| extract_witness_sampled(g, tree, partition, &data, 1, 0x1000 + i))
+            .map(|w| certified(&w))
+            .collect();
+        let weakest = sampled.iter().copied().fold(f64::INFINITY, f64::min);
+        let hit_rate = f2(100.0 * sampled.len() as f64 / trials as f64);
 
-        let derand = extract_witness_derandomized(&comb.graph, &tree, &partition, &data);
-        let (density, verified) = match derand {
-            Some(w) => {
-                let ok = minor::verify_minor(&comb.graph, &w).is_ok() && w.density() > 1.0;
-                (f2(w.density()), if ok { "yes" } else { "NO" })
-            }
-            None => ("none".into(), "NO"),
-        };
-        t.row(vec![
-            format!("comb({tt},{k})"),
-            "1".into(),
-            data.tree_depth.to_string(),
-            b_edges.to_string(),
-            f2(100.0 * hits as f64 / trials as f64),
-            density,
-            verified.into(),
+        let derand = extract_witness_derandomized(g, tree, partition, &data);
+        let density = derand
+            .as_ref()
+            .map_or("none".to_string(), |w| f2(w.density()));
+        let certified = derand.as_ref().map_or(0.0, certified);
+        out.claim(&inst.name, DERANDOMIZED, certified, MoreThan, 1);
+        let verified = out.cell(&inst.name);
+        out.claim(&inst.name, SAMPLED, weakest, MoreThan, 1);
+        out.row(&[
+            &inst.name, &1, &inst.d, &b_edges, &hit_rate, &density, &verified,
         ]);
     }
-    t.render()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn derandomized_always_verifies() {
-        let out = super::run(true);
-        assert!(!out.contains("NO"));
-        assert!(!out.contains("none"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

@@ -3,83 +3,56 @@
 //!
 //! For each family instance, run the sweep at the smallest `δ̂` that lands
 //! in Case (I) and check the measured congestion / block number against the
-//! theorem's thresholds. The `bounds ok` column is the reproduction claim:
-//! it must read `yes` everywhere.
+//! theorem's thresholds. The `bounds ok` column is the reproduction claim.
 
 use crate::experiments::family_zoo;
-use crate::table::Table;
-use lcs_core::{measure_quality, partial_shortcut_or_witness, ShortcutConfig, SweepOutcome};
+use crate::{Relation::*, Report};
+use lcs_core::{ShortcutConfig, SweepOutcome};
 
-/// Runs E1 and renders the table.
-pub fn run(fast: bool) -> String {
-    let mut t = Table::new(
+const VALID: &str = "Thm 3.1 tree-restricted, served parts connected";
+const CONGESTION: &str = "Thm 3.1 congestion ≤ 8δ̂D";
+const BLOCKS: &str = "Thm 3.1 served blocks ≤ 8δ̂+1";
+
+/// Runs E1.
+pub fn run() -> Report {
+    let mut out = Report::default();
+    out.table(
         "E1 (Theorem 3.1): partial shortcuts — measured vs 8δ̂D congestion, 8δ̂ blocks",
-        &[
-            "family",
-            "n",
-            "D",
-            "k",
-            "δ̂",
-            "served",
-            "|O|",
-            "cong",
-            "c=8δ̂D",
-            "blocks",
-            "8δ̂+1",
-            "bounds ok",
-        ],
+        "family, n, D, k, δ̂, served, |O|, cong, c=8δ̂D, blocks, 8δ̂+1, bounds ok",
     );
     let cfg = ShortcutConfig::default();
-    for inst in family_zoo(fast) {
+    for inst in family_zoo() {
         let mut delta_hat = 1;
         let ps = loop {
-            match partial_shortcut_or_witness(
-                &inst.graph,
-                &inst.tree,
-                &inst.partition,
-                delta_hat,
-                &cfg,
-            ) {
+            match inst.sweep(delta_hat, &cfg) {
                 SweepOutcome::Shortcut(ps) => break ps,
                 SweepOutcome::DenseMinor { .. } => delta_hat *= 2,
             }
         };
-        let q = measure_quality(&inst.graph, &inst.partition, &inst.tree, &ps.shortcut);
-        let served_blocks = ps
-            .served
-            .iter()
-            .map(|&p| q.per_part[p.index()].blocks)
-            .max()
-            .unwrap_or(0);
-        let c = ps.data.congestion_threshold;
-        let ok = q.max_congestion <= c
-            && served_blocks <= 8 * delta_hat + 1
-            && q.tree_restricted
-            && ps.served.iter().all(|&p| q.per_part[p.index()].connected);
-        t.row(vec![
-            inst.name.into(),
-            inst.graph.num_nodes().to_string(),
-            inst.tree.depth_of_tree().to_string(),
-            inst.partition.num_parts().to_string(),
-            delta_hat.to_string(),
-            ps.served.len().to_string(),
-            ps.data.over_edges.len().to_string(),
-            q.max_congestion.to_string(),
-            c.to_string(),
-            served_blocks.to_string(),
-            (8 * delta_hat + 1).to_string(),
-            if ok { "yes".into() } else { "NO".into() },
+        let q = inst.quality(&ps.shortcut);
+        let served = || ps.served.iter().map(|&p| q.per_part[p.index()]);
+        let blocks = served().map(|part| part.blocks).max().unwrap_or(0);
+        let valid = q.tree_restricted && served().all(|part| part.connected);
+        // One sweep's share of the Theorem 1.2 envelope.
+        let bound = cfg.envelope(delta_hat, inst.d, 1);
+        let (c_max, b_max, cong) = (bound.congestion, bound.blocks, q.max_congestion);
+        let (name, n, d, k) = (&inst.name, inst.n, inst.d, inst.k);
+        out.claim(name, VALID, valid, Exactly, true);
+        out.claim(name, CONGESTION, cong, AtMost, c_max);
+        out.claim(name, BLOCKS, blocks, AtMost, b_max);
+        let ok = out.cell(name);
+        let (served, cuts) = (ps.served.len(), ps.data.over_edges.len());
+        out.row(&[
+            name, &n, &d, &k, &delta_hat, &served, &cuts, &cong, &c_max, &blocks, &b_max, &ok,
         ]);
     }
-    t.render()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn bounds_hold_everywhere() {
-        let out = super::run(true);
-        assert!(out.contains("yes"));
-        assert!(!out.contains("NO"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

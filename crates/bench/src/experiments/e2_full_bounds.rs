@@ -4,63 +4,35 @@
 //! The congestion bound per the construction is `8δ̂D · rounds` with
 //! `rounds <= log₂ k`, and the dilation bound is `(8δ̂+1)(2D+1)`.
 
-use crate::experiments::family_zoo;
-use crate::table::Table;
-use lcs_core::{full_shortcut, measure_quality, ShortcutConfig};
+use crate::experiments::{claim_envelope, family_zoo};
+use crate::Report;
 
-/// Runs E2 and renders the table.
-pub fn run(fast: bool) -> String {
-    let mut t = Table::new(
+/// Runs E2.
+pub fn run() -> Report {
+    let mut out = Report::default();
+    out.table(
         "E2 (Theorem 1.2): full shortcuts — congestion vs 8δ̂D·rounds, dilation vs (8δ̂+1)(2D+1)",
-        &[
-            "family",
-            "n",
-            "D",
-            "k",
-            "δ̂",
-            "rounds",
-            "cong",
-            "cong bound",
-            "dil",
-            "dil bound",
-            "quality",
-            "bounds ok",
-        ],
+        "family, n, D, k, δ̂, rounds, cong, cong bound, dil, dil bound, quality, bounds ok",
     );
-    let cfg = ShortcutConfig::default();
-    for inst in family_zoo(fast) {
-        let res = full_shortcut(&inst.graph, &inst.tree, &inst.partition, &cfg);
-        let q = measure_quality(&inst.graph, &inst.partition, &inst.tree, &res.shortcut);
-        let d = inst.tree.depth_of_tree();
-        let cong_bound = 8 * res.delta_hat * d * res.successful_rounds.max(1) as u32;
-        let dil_bound = (8 * res.delta_hat + 1) * (2 * d + 1);
-        let ok = q.max_congestion <= cong_bound
-            && q.max_dilation_upper <= dil_bound
-            && q.tree_restricted
-            && q.all_connected();
-        t.row(vec![
-            inst.name.into(),
-            inst.graph.num_nodes().to_string(),
-            d.to_string(),
-            inst.partition.num_parts().to_string(),
-            res.delta_hat.to_string(),
-            res.successful_rounds.to_string(),
-            q.max_congestion.to_string(),
-            cong_bound.to_string(),
-            q.max_dilation_upper.to_string(),
-            dil_bound.to_string(),
-            q.quality().to_string(),
-            if ok { "yes".into() } else { "NO".into() },
+    for inst in family_zoo() {
+        let (res, q, bound) = inst.full_shortcut();
+        let (name, n, d, k) = (&inst.name, inst.n, inst.d, inst.k);
+        claim_envelope(&mut out, name, &q, &bound);
+        let ok = out.cell(name);
+        let (delta_hat, rounds) = (res.delta_hat, res.successful_rounds);
+        let (cong, dil, quality) = (q.max_congestion, q.max_dilation_upper, q.quality());
+        let (c_max, d_max) = (bound.congestion, bound.dilation);
+        out.row(&[
+            name, &n, &d, &k, &delta_hat, &rounds, &cong, &c_max, &dil, &d_max, &quality, &ok,
         ]);
     }
-    t.render()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn bounds_hold_everywhere() {
-        let out = super::run(true);
-        assert!(!out.contains("NO"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

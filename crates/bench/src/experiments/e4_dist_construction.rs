@@ -1,101 +1,71 @@
 //! E4 — Theorem 1.5: distributed construction cost.
 //!
 //! Rounds of the simulated construction (BFS + detection + dissemination)
-//! against the `Õ(δ̂D)` target, and messages against `Õ(m)`; the exact mode
-//! must reproduce the centralized cut set (checked in unit tests), the
-//! sketch mode trades accuracy for `O(D·t)` detection.
+//! against the `Õ(δ̂D)` target, and messages against `Õ(m)`. Checked per
+//! row: the sweep lands in Case (I), and the exact mode reproduces the
+//! centralized cut set edge for edge; the sketch mode trades that accuracy
+//! for `O(D·t)` detection.
 
-use crate::experiments::random_parts;
-use crate::table::{f2, Table};
-use lcs_core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
-use lcs_core::{Partition, ShortcutConfig, WitnessMode};
-use lcs_graph::{bfs, gen, NodeId};
+use crate::experiments::{cut_set_difference, instance, random_parts, skip_witness};
+use crate::{f2, Relation::*, Report};
+use lcs_core::dist::DistMode;
+use lcs_core::SweepOutcome;
+use lcs_graph::gen;
 
-/// Runs E4 and renders the table.
-pub fn run(fast: bool) -> String {
-    let mut t = Table::new(
+const CASE_ONE: &str = "Thm 3.1 case (I) at δ̂ = 1";
+const SAME_CUTS: &str = "Thm 1.5 exact cut set ≡ centralized";
+
+/// Runs E4.
+pub fn run() -> Report {
+    let mut out = Report::default();
+    out.table(
         "E4 (Theorem 1.5): distributed construction — rounds vs δ̂D, messages vs m",
-        &[
-            "graph",
-            "n",
-            "m",
-            "D",
-            "k",
-            "mode",
-            "rounds",
-            "rounds/(δ̂D)",
-            "msgs",
-            "msgs/m",
-            "|O|",
-            "case I",
-        ],
+        "graph, n, m, D, k, mode, rounds, rounds/(δ̂D), msgs, msgs/m, |O|, case I",
     );
-    let sides: &[usize] = if fast { &[12] } else { &[12, 16, 24, 32] };
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
+    let sketch = |t| DistMode::Sketch {
+        t,
+        hash_seed: 0xabcd,
+        cut_factor: 1.0,
     };
-    for &s in sides {
+    let modes = [
+        ("exact", DistMode::Exact),
+        ("sketch t=16", sketch(16)),
+        ("sketch t=32", sketch(32)),
+    ];
+    for s in [12, 16, 24, 32] {
         let g = gen::grid(s, s);
         let parts = random_parts(&g, s * s / 4, 42);
-        let partition = Partition::from_parts(&g, parts).expect("valid parts");
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let d = tree.depth_of_tree();
-        for (mode_name, mode) in [
-            ("exact", DistMode::Exact),
-            (
-                "sketch t=16",
-                DistMode::Sketch {
-                    t: 16,
-                    hash_seed: 0xabcd,
-                    cut_factor: 1.0,
-                },
-            ),
-            (
-                "sketch t=32",
-                DistMode::Sketch {
-                    t: 32,
-                    hash_seed: 0xabcd,
-                    cut_factor: 1.0,
-                },
-            ),
-        ] {
-            let dist = DistConfig {
-                mode,
-                ..DistConfig::default()
-            };
-            let res = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
+        let inst = instance(format!("grid {s}x{s}"), g, parts);
+        let (name, n, m, d, k) = (&inst.name, inst.n, inst.graph.num_edges(), inst.d, inst.k);
+        let central = match inst.sweep(1, &skip_witness()) {
+            SweepOutcome::Shortcut(ps) => ps.data,
+            SweepOutcome::DenseMinor { data, .. } => data,
+        };
+        for (mode_name, mode) in modes {
+            let res = inst.detect(mode);
             let rounds = res.metrics_bfs.rounds + res.metrics_shortcut.rounds;
             let msgs = res.metrics_bfs.messages + res.metrics_shortcut.messages;
-            t.row(vec![
-                format!("grid {s}x{s}"),
-                g.num_nodes().to_string(),
-                g.num_edges().to_string(),
-                d.to_string(),
-                partition.num_parts().to_string(),
-                mode_name.into(),
-                rounds.to_string(),
-                f2(rounds as f64 / f64::from(d.max(1))),
-                msgs.to_string(),
-                f2(msgs as f64 / g.num_edges() as f64),
-                res.over_edges.len().to_string(),
-                if res.case_one {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
+            let row = format!("{name} {mode_name}");
+            out.claim(&row, CASE_ONE, res.case_one, Exactly, true);
+            let case_one = out.cell(&row);
+            if mode == DistMode::Exact {
+                let diff = cut_set_difference(&res.data, &central) as f64;
+                out.claim(&row, SAME_CUTS, diff, Exactly, 0);
+            }
+            let per_d = f2(rounds as f64 / f64::from(d.max(1)));
+            let (per_m, cuts) = (f2(msgs as f64 / m as f64), res.over_edges.len());
+            out.row(&[
+                name, &n, &m, &d, &k, &mode_name, &rounds, &per_d, &msgs, &per_m, &cuts, &case_one,
             ]);
         }
     }
-    t.render()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn smoke() {
-        let out = super::run(true);
-        assert!(out.contains("exact"));
-        assert!(out.contains("sketch t=16"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

@@ -3,135 +3,87 @@
 //!
 //! For each instance we solve part-wise aggregation over `G[P_i] + H_i` and
 //! report measured rounds next to the shortcut's measured congestion `c` and
-//! dilation `d`; the ratio `rounds / (c + d·log₂ n)` should be a small
-//! constant.
+//! dilation `d`; the ratio `rounds / (c + d·log₂ n)` is a small constant,
+//! pinned below at its observed maximum (1.18; 0.90 for the unicasts) plus
+//! headroom.
 
-use crate::experiments::family_zoo;
-use crate::table::{f2, Table};
+use crate::experiments::{family_zoo, rng};
+use crate::{f2, Relation::*, Report};
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::SessionConfig;
-use lcs_core::{full_shortcut, measure_quality};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{AggregateOp, UnicastOp};
-use rand::rngs::SmallRng;
+use lcs_partwise::{centralized_aggregate, UnicastOp};
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-/// Runs E5 and renders both tables (aggregation + multiple unicasts).
-pub fn run(fast: bool) -> String {
-    let mut out = aggregation_table(fast);
-    out.push('\n');
-    out.push_str(&unicast_table(fast));
+const CORRECT: &str = "Lemma 2.8 every member learns its part's aggregate";
+const ROUNDS: &str = "Lemma 2.8 rounds ≤ 1.5·(c + d·log₂n) (pinned)";
+const DELIVERED: &str = "LMR every packet delivered";
+const UNICAST_ROUNDS: &str = "LMR rounds ≤ c + d (pinned)";
+
+/// Runs E5: both tables (aggregation + multiple unicasts).
+pub fn run() -> Report {
+    let mut out = Report::default();
+    aggregation_table(&mut out);
+    unicast_table(&mut out);
     out
 }
 
-fn aggregation_table(fast: bool) -> String {
-    let mut t = Table::new(
+fn aggregation_table(out: &mut Report) {
+    out.table(
         "E5a (Lemma 2.8): part-wise aggregation rounds vs c + d·log₂n",
-        &[
-            "family",
-            "n",
-            "k",
-            "c",
-            "d",
-            "rounds",
-            "c+d·log₂n",
-            "ratio",
-            "correct",
-        ],
+        "family, n, k, c, d, rounds, c+d·log₂n, ratio, correct",
     );
-    let config = SessionConfig::default();
-    for inst in family_zoo(fast) {
-        let built = full_shortcut(&inst.graph, &inst.tree, &inst.partition, &config.shortcut);
-        let q = measure_quality(&inst.graph, &inst.partition, &inst.tree, &built.shortcut);
-        let values: Vec<u64> = (0..inst.graph.num_nodes() as u64)
-            .map(|x| (x * 131) % 997)
-            .collect();
-        let out = AggregateOp {
-            values: &values,
-            op: AggOp::Min,
-            leaders: None,
-        }
-        .run_on(
-            &inst.graph,
-            &inst.partition,
-            &built.shortcut,
-            &config.aggregate,
-            config.sim,
-        );
-        let expect = lcs_partwise::centralized_aggregate(&inst.partition, &values, AggOp::Min);
-        let got: Vec<u64> = out.results.iter().map(|r| r.unwrap_or(u64::MAX)).collect();
-        let correct = got == expect && out.all_members_informed;
-        let c = q.max_congestion;
-        let d = q.max_dilation_upper;
-        let budget = f64::from(c) + f64::from(d) * (inst.graph.num_nodes() as f64).log2().max(1.0);
-        t.row(vec![
-            inst.name.into(),
-            inst.graph.num_nodes().to_string(),
-            inst.partition.num_parts().to_string(),
-            c.to_string(),
-            d.to_string(),
-            out.metrics.rounds.to_string(),
-            f2(budget),
-            f2(out.metrics.rounds as f64 / budget),
-            if correct { "yes".into() } else { "NO".into() },
-        ]);
+    for inst in family_zoo() {
+        let (res, q, _) = inst.full_shortcut();
+        let values: Vec<u64> = (0..inst.n as u64).map(|x| (x * 131) % 997).collect();
+        let agg = inst.aggregate(&res.shortcut, &values, AggOp::Min);
+        let expect = centralized_aggregate(&inst.partition, &values, AggOp::Min);
+        let got: Vec<u64> = agg.results.iter().map(|r| r.unwrap_or(u64::MAX)).collect();
+        let correct = got == expect && agg.all_members_informed;
+        let (c, d, rounds) = (q.max_congestion, q.max_dilation_upper, agg.metrics.rounds);
+        let budget = f64::from(c) + f64::from(d) * (inst.n as f64).log2().max(1.0);
+        let (name, n, k, ratio) = (&inst.name, inst.n, inst.k, f2(rounds as f64 / budget));
+        out.claim(name, CORRECT, correct, Exactly, true);
+        let correct = out.cell(name);
+        out.claim(name, ROUNDS, rounds as f64, AtMost, 1.5 * budget);
+        out.row(&[name, &n, &k, &c, &d, &rounds, &f2(budget), &ratio, &correct]);
     }
-    t.render()
 }
 
 /// Multiple unicasts (the paper's other §1.2 primitive): measured delivery
 /// rounds against the LMR `O(c + d)` target.
-fn unicast_table(fast: bool) -> String {
-    let mut t = Table::new(
+fn unicast_table(out: &mut Report) {
+    out.table(
         "E5b (LMR scheduling): multiple unicasts along tree paths, rounds vs c + d",
-        &[
-            "graph",
-            "packets",
-            "c",
-            "d",
-            "rounds",
-            "rounds/(c+d)",
-            "delivered",
-        ],
+        "graph, packets, c, d, rounds, rounds/(c+d), delivered",
     );
     let config = SessionConfig::default();
-    let sides: &[usize] = if fast { &[8] } else { &[8, 16, 24] };
-    for &s in sides {
-        let g = gen::grid(s, s);
+    for s in [8, 16, 24] {
+        let (name, g) = (format!("grid {s}x{s}"), gen::grid(s, s));
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        for &k in if fast {
-            &[8usize, 32][..]
-        } else {
-            &[8usize, 32, 128][..]
-        } {
-            let mut rng = SmallRng::seed_from_u64(500 + k as u64);
+        // Each packet needs two endpoints of its own: skip the demand
+        // counts the grid cannot host.
+        for k in [8, 32, 128].into_iter().filter(|k| 2 * k <= g.num_nodes()) {
             let mut nodes: Vec<NodeId> = g.nodes().collect();
-            nodes.shuffle(&mut rng);
-            let pairs: Vec<(NodeId, NodeId)> = (0..k.min(nodes.len() / 2))
-                .map(|i| (nodes[2 * i], nodes[2 * i + 1]))
-                .collect();
-            let out = UnicastOp { demands: &pairs }.run_on(&g, &tree, &config.unicast, config.sim);
-            let budget = u64::from(out.congestion + out.dilation).max(1);
-            t.row(vec![
-                format!("grid {s}x{s}"),
-                pairs.len().to_string(),
-                out.congestion.to_string(),
-                out.dilation.to_string(),
-                out.metrics.rounds.to_string(),
-                f2(out.metrics.rounds as f64 / budget as f64),
-                format!("{}/{}", out.delivered, pairs.len()),
-            ]);
+            nodes.shuffle(&mut rng(500 + k as u64));
+            let pairs: Vec<(NodeId, NodeId)> =
+                (0..k).map(|i| (nodes[2 * i], nodes[2 * i + 1])).collect();
+            let uni = UnicastOp { demands: &pairs }.run_on(&g, &tree, &config.unicast, config.sim);
+            let (c, d, rounds) = (uni.congestion, uni.dilation, uni.metrics.rounds);
+            let row = format!("{name} × {k}");
+            out.claim(&row, DELIVERED, uni.delivered as f64, Exactly, k as f64);
+            out.claim(&row, UNICAST_ROUNDS, rounds as f64, AtMost, c + d);
+            let ratio = f2(rounds as f64 / f64::from((c + d).max(1)));
+            let delivered = format!("{}/{k}", uni.delivered);
+            out.row(&[&name, &k, &c, &d, &rounds, &ratio, &delivered]);
         }
     }
-    t.render()
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn aggregation_is_always_correct() {
-        let out = super::run(true);
-        assert!(!out.contains("NO"));
+        crate::experiments::assert_claims_hold(super::run());
     }
 }

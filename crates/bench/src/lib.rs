@@ -1,40 +1,38 @@
-//! Experiment harness regenerating every table/figure analogue of the
-//! paper (see DESIGN.md §6 for the experiment index E1–E12).
-//!
-//! Each experiment module exposes `run(fast: bool) -> String` producing a
-//! markdown table; the `experiments` binary prints them, and EXPERIMENTS.md
-//! records the outputs. `fast = true` shrinks the sweeps for smoke tests.
+//! The reproduction as a gate: experiments E1–E12 regenerate the analogue
+//! of every table and figure of the paper, and each returns, next to its
+//! tables, the typed [`Claim`] rows it makes about them — the paper's
+//! statement, the instance, the measured value and the analytic (or
+//! pinned) bound. The `experiments` binary prints the tables and fails,
+//! naming every violated row; the README's "Experiments" section is the
+//! index of claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claim;
 pub mod experiments;
 pub mod table;
 
-/// All experiment ids in order.
-pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-];
+pub use claim::{Claim, Relation, Report};
+pub use table::{f2, Table};
 
-/// Runs one experiment by id.
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-pub fn run_experiment(id: &str, fast: bool) -> String {
-    match id {
-        "e1" => experiments::e1_partial_bounds::run(fast),
-        "e2" => experiments::e2_full_bounds::run(fast),
-        "e3" => experiments::e3_lower_bound::run(fast),
-        "e4" => experiments::e4_dist_construction::run(fast),
-        "e5" => experiments::e5_partwise::run(fast),
-        "e6" => experiments::e6_mst::run(fast),
-        "e7" => experiments::e7_mincut::run(fast),
-        "e8" => experiments::e8_genus::run(fast),
-        "e9" => experiments::e9_treewidth::run(fast),
-        "e10" => experiments::e10_wheel::run(fast),
-        "e11" => experiments::e11_ablation::run(fast),
-        "e12" => experiments::e12_witness::run(fast),
-        other => panic!("unknown experiment id {other:?} (expected e1..e12)"),
-    }
-}
+use experiments::*;
+
+/// Runs one experiment: its tables and the claims made on them.
+pub type Experiment = fn() -> Report;
+
+/// Every experiment in order: its CLI id and the function that runs it.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("e1", e1_partial_bounds::run),
+    ("e2", e2_full_bounds::run),
+    ("e3", e3_lower_bound::run),
+    ("e4", e4_dist_construction::run),
+    ("e5", e5_partwise::run),
+    ("e6", e6_mst::run),
+    ("e7", e7_mincut::run),
+    ("e8", e8_genus::run),
+    ("e9", e9_treewidth::run),
+    ("e10", e10_wheel::run),
+    ("e11", e11_ablation::run),
+    ("e12", e12_witness::run),
+];

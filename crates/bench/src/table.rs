@@ -1,5 +1,7 @@
 //! Minimal markdown table builder for experiment outputs.
 
+use std::fmt::Display;
+
 /// A markdown table accumulated row by row.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -8,12 +10,20 @@ pub struct Table {
     rows: Vec<Vec<String>>,
 }
 
+/// Columns `s` occupies on screen: its characters, minus combining marks
+/// (U+0300–U+036F — the hat of `δ̂`), which draw over the one before.
+fn display_width(s: &str) -> usize {
+    let combining = |c: &char| ('\u{300}'..='\u{36f}').contains(c);
+    s.chars().filter(|c| !combining(c)).count()
+}
+
 impl Table {
-    /// Creates a table with a title line and column names.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    /// Creates a table with a title line and its column names, written as
+    /// one `", "`-separated list.
+    pub fn new(title: &str, header: &str) -> Self {
         Table {
             title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.split(", ").map(str::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -23,17 +33,18 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the header.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub fn row(&mut self, cells: &[&dyn Display]) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Renders the table as aligned markdown.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        let mut widths: Vec<usize> = self.header.iter().map(|h| display_width(h)).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+                widths[i] = widths[i].max(display_width(c));
             }
         }
         let mut out = String::new();
@@ -41,7 +52,7 @@ impl Table {
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::from("|");
             for (c, w) in cells.iter().zip(widths) {
-                line.push_str(&format!(" {c:>w$} |"));
+                line.push_str(&format!(" {}{c} |", " ".repeat(w - display_width(c))));
             }
             line.push('\n');
             line
@@ -71,19 +82,24 @@ mod tests {
 
     #[test]
     fn renders_aligned_markdown() {
-        let mut t = Table::new("demo", &["a", "bbbb"]);
-        t.row(vec!["1".into(), "2".into()]);
+        // `δ̂` is two chars and four bytes in one column; `√g` two columns
+        // in four bytes. Every line must come out equally wide.
+        let mut t = Table::new("demo", "a, bbbb, δ̂, √g");
+        t.row(&[&1, &2, &16, &f2(1.5)]);
         let s = t.render();
-        assert!(s.contains("### demo"));
-        assert!(s.contains("| 1 |"));
-        assert!(s.contains("|    2 |"));
-        assert!(s.starts_with("### "));
+        assert_eq!(
+            s,
+            "### demo\n\n\
+             | a | bbbb |  δ̂ |   √g |\n\
+             |---|------|----|------|\n\
+             | 1 |    2 | 16 | 1.50 |\n"
+        );
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn rejects_wrong_width() {
-        let mut t = Table::new("demo", &["a"]);
-        t.row(vec!["1".into(), "2".into()]);
+        let mut t = Table::new("demo", "a");
+        t.row(&[&1, &2]);
     }
 }

@@ -16,8 +16,8 @@
 //!   convergecast) the distributed algorithms in the workspace reuse.
 //!
 //! Determinism: node programs receive seeded per-node RNG streams; identical
-//! seeds yield identical executions, so all measured round counts in
-//! EXPERIMENTS.md are exactly reproducible.
+//! seeds yield identical executions, so every round count the `experiments`
+//! binary prints (and pins claims on) is exactly reproducible.
 //!
 //! # Example
 //!

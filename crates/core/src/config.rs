@@ -1,5 +1,6 @@
 //! Configuration of the shortcut construction.
 
+use crate::QualityReport;
 use serde::{Deserialize, Serialize};
 
 /// How to produce the dense-minor certificate in Case (II) of Theorem 3.1.
@@ -65,6 +66,54 @@ impl ShortcutConfig {
     pub fn block_threshold(&self, delta_hat: u32) -> u32 {
         self.block_factor.saturating_mul(delta_hat)
     }
+
+    /// What Theorem 1.2 promises a shortcut built at `delta_hat` over a
+    /// tree of depth `tree_depth` in `sweeps` successful Case (I) sweeps
+    /// (Observation 2.7; at most `log₂ k + 1` of them for `k` parts).
+    pub fn envelope(&self, delta_hat: u32, tree_depth: u32, sweeps: usize) -> Envelope {
+        let blocks = self.block_threshold(delta_hat).saturating_add(1);
+        Envelope {
+            congestion: self
+                .congestion_threshold(delta_hat, tree_depth)
+                .saturating_mul(u32::try_from(sweeps).unwrap_or(u32::MAX)),
+            dilation: blocks.saturating_mul(tree_depth.saturating_mul(2).saturating_add(1)),
+            blocks,
+        }
+    }
+}
+
+/// The bounds of Theorem 1.1 / 1.2 on one construction, from
+/// [`ShortcutConfig::envelope`]: with the paper's constants, congestion
+/// `8δ̂D · sweeps`, dilation `(8δ̂+1)(2D+1)` and `8δ̂+1` blocks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Envelope {
+    /// Each sweep stays under the congestion threshold, so the union of
+    /// `sweeps` of them loads no edge with more parts than this.
+    pub congestion: u32,
+    /// Observation 2.6: `blocks · (2D + 1)`.
+    pub dilation: u32,
+    /// A served part has block degree at most the block threshold, hence
+    /// one block more than that.
+    pub blocks: u32,
+}
+
+impl Envelope {
+    /// How deep `q` sits in the envelope: the largest of the three
+    /// measured / bound ratios, so `<= 1` means inside. A shortcut that is
+    /// not tree-restricted, or leaves a part disconnected, is outside.
+    pub fn occupancy(&self, q: &QualityReport) -> f64 {
+        if !(q.tree_restricted && q.all_connected()) {
+            return f64::INFINITY;
+        }
+        // 0 / 0 is inside: an empty partition is built in zero sweeps.
+        let ratio = |measured: u32, bound: u32| match measured {
+            0 => 0.0,
+            _ => f64::from(measured) / f64::from(bound),
+        };
+        ratio(q.max_congestion, self.congestion)
+            .max(ratio(q.max_dilation_upper, self.dilation))
+            .max(ratio(q.max_blocks, self.blocks))
+    }
 }
 
 #[cfg(test)]
@@ -78,6 +127,75 @@ mod tests {
         assert_eq!(c.block_factor, 8);
         assert_eq!(c.congestion_threshold(2, 10), 160);
         assert_eq!(c.block_threshold(2), 16);
+    }
+
+    #[test]
+    fn envelope_is_built_from_the_thresholds() {
+        let c = ShortcutConfig::default();
+        // δ̂ = 3, D = 10, two sweeps: 8·3·10·2, (8·3+1)(2·10+1), 8·3+1.
+        let e = c.envelope(3, 10, 2);
+        assert_eq!((e.congestion, e.dilation, e.blocks), (480, 525, 25));
+        let halved = ShortcutConfig {
+            congestion_factor: 4,
+            ..c
+        };
+        assert_eq!(halved.envelope(3, 10, 2).congestion, 240);
+        assert_eq!(halved.envelope(3, 10, 2).dilation, e.dilation);
+        let tight = ShortcutConfig {
+            block_factor: 2,
+            ..c
+        };
+        assert_eq!(tight.envelope(3, 10, 2).blocks, 7);
+        assert_eq!(tight.envelope(3, 10, 2).dilation, 7 * 21);
+    }
+
+    #[test]
+    fn occupancy_is_the_binding_ratio_and_invalid_reports_are_outside() {
+        let e = ShortcutConfig::default().envelope(3, 10, 2);
+        let part = crate::PartQuality {
+            blocks: 5,
+            dilation_lower: 100,
+            dilation_upper: 105,
+            connected: true,
+        };
+        let inside = QualityReport {
+            per_part: vec![part],
+            max_congestion: 120,
+            max_blocks: 5,
+            max_dilation_lower: 100,
+            max_dilation_upper: 105,
+            tree_restricted: true,
+        };
+        assert_eq!(e.occupancy(&inside), 120.0 / 480.0);
+        let over = QualityReport {
+            max_congestion: 481,
+            ..inside.clone()
+        };
+        assert!(e.occupancy(&over) > 1.0);
+        let off_tree = QualityReport {
+            tree_restricted: false,
+            ..inside.clone()
+        };
+        assert!(e.occupancy(&off_tree) > 1.0);
+        let disconnected = QualityReport {
+            per_part: vec![crate::PartQuality {
+                connected: false,
+                ..part
+            }],
+            ..inside
+        };
+        assert!(e.occupancy(&disconnected) > 1.0);
+        // Zero parts, zero sweeps: 0 / 0 counts as inside.
+        let empty = QualityReport {
+            per_part: vec![],
+            max_congestion: 0,
+            max_blocks: 0,
+            max_dilation_lower: 0,
+            max_dilation_upper: 0,
+            tree_restricted: true,
+        };
+        let none = ShortcutConfig::default().envelope(1, 0, 0);
+        assert_eq!((none.congestion, none.occupancy(&empty)), (0, 0.0));
     }
 
     #[test]

@@ -597,7 +597,8 @@ mod tests {
         let res = crate::construct(&g, &tree, &partition, &all, 1, &cfg, Some(&dist)).unwrap();
         let q = measure_quality(&g, &partition, &tree, &res.shortcut);
         assert!(q.tree_restricted && q.all_connected());
-        assert!(q.max_blocks <= 8 * res.delta_hat + 1);
+        let bound = cfg.envelope(res.delta_hat, tree.depth_of_tree(), res.successful_rounds);
+        assert!(q.max_blocks <= bound.blocks);
         assert!(flood.rounds > 0 && res.cost.rounds > 0 && res.cost.messages > 0);
     }
 

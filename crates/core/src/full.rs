@@ -236,7 +236,8 @@ mod tests {
         let g = gen::grid(12, 12);
         let partition = Partition::from_parts(&g, gen::rows_of_grid(12, 12)).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let res = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let config = ShortcutConfig::default();
+        let res = full_shortcut(&g, &tree, &partition, &config);
         assert_eq!(res.delta_hat, 1);
         assert_eq!(res.successful_rounds, 1);
         assert!(res.best_witness.is_none());
@@ -244,8 +245,9 @@ mod tests {
         assert!(q.tree_restricted);
         assert!(q.all_connected());
         let d_t = tree.depth_of_tree();
-        assert!(q.max_congestion <= 8 * res.delta_hat * d_t * res.successful_rounds as u32);
-        assert!(q.max_blocks <= 8 * res.delta_hat + 1);
+        let bound = config.envelope(res.delta_hat, d_t, res.successful_rounds);
+        assert!(q.max_congestion <= bound.congestion);
+        assert!(q.max_blocks <= bound.blocks);
         assert!(
             u64::from(q.max_dilation_upper) <= u64::from(q.max_blocks) * u64::from(2 * d_t + 1)
         );

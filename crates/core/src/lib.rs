@@ -28,7 +28,9 @@
 //!     .backend(Backend::Centralized)
 //!     .build()?;
 //! let q = session.quality().clone();                 // constructs + caches
-//! assert!(q.max_blocks <= 8 * session.delta_hat() + 1);
+//! let (delta_hat, depth) = (session.delta_hat(), session.tree().depth_of_tree());
+//! let bound = session.config().shortcut.envelope(delta_hat, depth, 1);
+//! assert!(q.max_blocks <= bound.blocks && q.max_dilation_upper <= bound.dilation);
 //! assert_eq!(session.cache_stats().full.builds, 1);  // …and stays cached
 //! # Ok::<(), lcs_core::PartitionError>(())
 //! ```
@@ -83,7 +85,7 @@ mod witness;
 pub mod dist;
 pub mod session;
 
-pub use config::{ShortcutConfig, WitnessMode};
+pub use config::{Envelope, ShortcutConfig, WitnessMode};
 pub use full::{
     construct, construction_tree, full_shortcut, ConstructionStats, FullShortcutResult, RoundLog,
 };

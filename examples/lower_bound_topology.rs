@@ -25,9 +25,10 @@ fn main() {
         let q = session.quality().clone();
 
         let n = lb.graph.num_nodes() as f64;
-        // Theorem 1.2: congestion O(δD log n) + dilation O(δD).
-        let upper =
-            f64::from(8 * delta_hat * d) * n.log2() + f64::from((8 * delta_hat + 1) * (2 * d + 1));
+        // Theorem 1.2: congestion O(δD log n) — one sweep's bound, at most
+        // log₂ n sweeps — plus dilation O(δD).
+        let bound = session.config().shortcut.envelope(delta_hat, d, 1);
+        let upper = f64::from(bound.congestion) * n.log2() + f64::from(bound.dilation);
         println!(
             "{:>4} {:>5} {:>7} {:>7} {:>10} {:>12.1} {:>12.0}",
             dp,

@@ -36,14 +36,14 @@ fn main() {
         "measured:  congestion = {:>4}   dilation <= {:>4}   blocks = {}",
         q.max_congestion, q.max_dilation_upper, q.max_blocks
     );
+    // Theorem 1.2's envelope, per successful sweep ("round") of the search.
+    let bound = session.config().shortcut.envelope(delta_hat, d, 1);
     println!(
         "bounds:    congestion <= {:>3}·rounds   dilation <= {:>4}   blocks <= {}",
-        8 * delta_hat * d,
-        (8 * delta_hat + 1) * (2 * d + 1),
-        8 * delta_hat + 1
+        bound.congestion, bound.dilation, bound.blocks
     );
     assert!(q.tree_restricted && q.all_connected());
-    assert!(q.max_blocks <= 8 * delta_hat + 1);
+    assert!(q.max_blocks <= bound.blocks);
 
     // The quality governs part-wise aggregation: Q = c + d.
     println!("shortcut quality Q = c + d = {}", q.quality());

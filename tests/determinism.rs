@@ -1,5 +1,6 @@
 //! Determinism guarantees: identical seeds give identical executions, which
-//! is what makes every number in EXPERIMENTS.md exactly reproducible.
+//! is what makes every number the `experiments` binary prints — and every
+//! claim it pins on them — exactly reproducible.
 
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, ShortcutProvider};

@@ -14,6 +14,9 @@ use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+mod common;
+use common::env_packing;
+
 fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
     let partition = Partition::from_parts(g, parts).expect("valid partition");
     let tree = bfs::bfs_tree(g, NodeId(0));
@@ -25,9 +28,12 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
     let q = measure_quality(g, &partition, &tree, &built.shortcut);
     assert!(q.tree_restricted);
     assert!(q.all_connected());
-    assert!(q.max_blocks <= 8 * built.delta_hat + 1);
-    assert!(q.max_congestion <= 8 * built.delta_hat * d * built.successful_rounds.max(1) as u32);
-    assert!(q.max_dilation_upper <= (8 * built.delta_hat + 1) * (2 * d + 1));
+    let bound = config
+        .shortcut
+        .envelope(built.delta_hat, d, built.successful_rounds);
+    assert!(q.max_blocks <= bound.blocks);
+    assert!(q.max_congestion <= bound.congestion);
+    assert!(q.max_dilation_upper <= bound.dilation);
 
     // 2. Any certificate produced along the way is a real dense minor.
     if let Some(w) = &built.best_witness {
@@ -97,17 +103,6 @@ fn pipeline_on_lower_bound_topology() {
     let lb = gen::lower_bound_topology(5, 24);
     // Root the partition pipeline at node 0 (a top-path node).
     pipeline(&lb.graph, lb.rows, 5);
-}
-
-/// Simulator packing factor for the differential corpus. CI also runs the
-/// 50-seed suites under `LCS_SIM_PACKING=8`: the multi-value packed
-/// construction must reproduce the centralized cut set exactly like the
-/// unpacked one.
-fn env_packing() -> usize {
-    std::env::var("LCS_SIM_PACKING")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 /// Differential check: `DistMode::Exact` must reproduce the centralized
@@ -196,7 +191,8 @@ fn distributed_construction_passes_quality_bounds() {
     .expect("default round cap");
     let q = measure_quality(&g, &partition, &tree, &res.shortcut);
     assert!(q.tree_restricted && q.all_connected());
-    assert!(q.max_blocks <= 8 * res.delta_hat + 1);
+    let bound = config.envelope(res.delta_hat, tree.depth_of_tree(), res.successful_rounds);
+    assert!(q.max_blocks <= bound.blocks);
 }
 
 #[test]

@@ -33,16 +33,15 @@ proptest! {
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let d = tree.depth_of_tree();
-        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let config = ShortcutConfig::default();
+        let built = full_shortcut(&g, &tree, &partition, &config);
         let q = measure_quality(&g, &partition, &tree, &built.shortcut);
         prop_assert!(q.tree_restricted);
         prop_assert!(q.all_connected());
-        prop_assert!(q.max_blocks <= 8 * built.delta_hat + 1);
-        prop_assert!(
-            q.max_congestion
-                <= 8 * built.delta_hat * d.max(1) * built.successful_rounds.max(1) as u32
-        );
-        prop_assert!(q.max_dilation_upper <= (8 * built.delta_hat + 1) * (2 * d + 1));
+        let bound = config.envelope(built.delta_hat, d, built.successful_rounds);
+        prop_assert!(q.max_blocks <= bound.blocks);
+        prop_assert!(q.max_congestion <= bound.congestion);
+        prop_assert!(q.max_dilation_upper <= bound.dilation);
         // Observation 2.6 per part: dilation <= blocks·(2D+1).
         for pq in &q.per_part {
             prop_assert!(u64::from(pq.dilation_upper)

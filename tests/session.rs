@@ -23,23 +23,8 @@ use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Simulator packing factor for the differential corpus (CI also runs it
-/// at `LCS_SIM_PACKING=8`; results must be identical).
-fn env_packing() -> usize {
-    std::env::var("LCS_SIM_PACKING")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Simulator lane count for the differential corpus (CI also runs it at
-/// `LCS_SIM_THREADS` ∈ {2, 8}; results must be identical).
-fn env_threads() -> usize {
-    std::env::var("LCS_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+mod common;
+use common::{env_packing, env_threads};
 
 fn env_sim() -> SimConfig {
     SimConfig {

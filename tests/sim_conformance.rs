@@ -47,6 +47,9 @@ use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+mod common;
+use common::{env_packing, env_threads};
+
 /// `(case, rounds, messages, bits, max_queue)`: rounds/messages/max_queue
 /// pinned on the seed engine; bits pinned under the id-aware sizing (see
 /// module docs). Spot-check of `bfs/grid8x8`: 224 messages = 161 `Dist`
@@ -89,22 +92,6 @@ fn row(case: &str, m: &RunMetrics, fingerprint: String) -> Row {
         max_queue: m.max_queue,
         fingerprint,
     }
-}
-
-/// Thread-count override for the env-driven conformance run (CI sets it).
-fn env_threads() -> usize {
-    std::env::var("LCS_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Packing override for the env-driven conformance run (CI sets it to 8).
-fn env_packing() -> usize {
-    std::env::var("LCS_SIM_PACKING")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 fn bfs_metrics(case: &str, g: &Graph, mode: SimMode, threads: usize, packing: usize) -> Row {

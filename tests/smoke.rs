@@ -14,7 +14,8 @@ fn grid_pipeline_produces_finite_quality() {
     let tree = bfs::bfs_tree(&g, NodeId(0));
     assert_eq!(tree.depth_of_tree(), 14); // corner-rooted 8x8 grid
 
-    let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+    let config = ShortcutConfig::default();
+    let built = full_shortcut(&g, &tree, &partition, &config);
     let q = measure_quality(&g, &partition, &tree, &built.shortcut);
 
     // Finite, structurally sane quality numbers.
@@ -27,7 +28,11 @@ fn grid_pipeline_produces_finite_quality() {
     assert!(q.quality() < u32::MAX);
 
     // And within the Theorem 1.2 bounds for the achieved δ̂.
-    let d = tree.depth_of_tree();
-    assert!(q.max_blocks <= 8 * built.delta_hat + 1);
-    assert!(q.max_dilation_upper <= (8 * built.delta_hat + 1) * (2 * d + 1));
+    let bound = config.envelope(
+        built.delta_hat,
+        tree.depth_of_tree(),
+        built.successful_rounds,
+    );
+    assert!(q.max_blocks <= bound.blocks);
+    assert!(q.max_dilation_upper <= bound.dilation);
 }
