@@ -32,7 +32,7 @@ use lcs_graph::weights::EdgeWeights;
 /// assert_eq!(mst.result.edges.len(), 24);
 /// let comps = session.components();
 /// assert_eq!(comps.result.count, 1);
-/// # Ok::<(), lcs_core::PartitionError>(())
+/// # Ok::<(), lcs_core::session::SessionError>(())
 /// ```
 pub trait SessionAlgoOps {
     /// Exact minimum spanning forest by shortcut-based Boruvka
@@ -61,8 +61,8 @@ pub trait SessionAlgoOps {
     fn try_mst(&mut self, weights: &EdgeWeights) -> Result<OpReport<MstReport>, SessionError>;
 
     /// [`components`](Self::components) behind the same fallible signature
-    /// as the other `try_` entry points (connectivity itself accepts any
-    /// graph, so this only fails on an empty graph).
+    /// as the other `try_` entry points (connectivity accepts any graph a
+    /// session can be built over, so this does not fail).
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError>;
 
     /// [`mincut`](Self::mincut) with the preconditions checked up front:
@@ -130,9 +130,6 @@ impl SessionAlgoOps for ShortcutSession<'_> {
     }
 
     fn try_mst(&mut self, weights: &EdgeWeights) -> Result<OpReport<MstReport>, SessionError> {
-        if self.graph().num_nodes() == 0 {
-            return Err(SessionError::GraphTooSmall { need: 1, have: 0 });
-        }
         if weights.len() != self.graph().num_edges() {
             return Err(SessionError::WeightCountMismatch {
                 got: weights.len(),
@@ -146,9 +143,6 @@ impl SessionAlgoOps for ShortcutSession<'_> {
     }
 
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError> {
-        if self.graph().num_nodes() == 0 {
-            return Err(SessionError::GraphTooSmall { need: 1, have: 0 });
-        }
         Ok(self.components())
     }
 

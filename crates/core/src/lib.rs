@@ -32,7 +32,7 @@
 //! let bound = session.config().shortcut.envelope(delta_hat, depth, 1);
 //! assert!(q.max_blocks <= bound.blocks && q.max_dilation_upper <= bound.dilation);
 //! assert_eq!(session.cache_stats().full.builds, 1);  // …and stays cached
-//! # Ok::<(), lcs_core::PartitionError>(())
+//! # Ok::<(), lcs_core::session::SessionError>(())
 //! ```
 //!
 //! Sessions are mutable: [`ShortcutSession::set_partition`] swaps the

@@ -1,19 +1,33 @@
 //! The typed builder: `Session::on(&graph)` … `.build()`.
 
 use super::cache::{deps, CacheStats, Epochs, Slot};
-use super::{Backend, FullArtifact, SessionConfig, ShortcutSession, TreeSource};
+use super::{
+    Backend, FullArtifact, GraphHandle, SessionConfig, SessionError, ShortcutSession, TreeSource,
+};
+use crate::dist::{DistConfig, DistMode};
 use crate::source::{GraphSource, PartitionSource};
-use crate::{ConstructionStats, Partition, PartitionError, Shortcut};
+use crate::{ConstructionStats, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Entry point of the builder: `Session::on(&graph)`.
 pub struct Session;
 
 impl Session {
-    /// Starts building a session over `g`.
+    /// Starts building a session that borrows `g`.
     pub fn on(g: &Graph) -> SessionBuilder<'_> {
+        Self::over(GraphHandle::Borrowed(g))
+    }
+
+    /// Starts building a session that co-owns `g`, so it can outlive the
+    /// scope that built it; the graph is freed with its last holder.
+    pub fn shared(g: Arc<Graph>) -> SessionBuilder<'static> {
+        Self::over(GraphHandle::Shared(g))
+    }
+
+    fn over(g: GraphHandle<'_>) -> SessionBuilder<'_> {
         SessionBuilder {
             g,
             tree: None,
@@ -30,7 +44,7 @@ impl Session {
 /// Builder for [`ShortcutSession`]. Construction is free: no tree and no
 /// shortcut is computed until an accessor or operation first needs it.
 pub struct SessionBuilder<'g> {
-    g: &'g Graph,
+    g: GraphHandle<'g>,
     tree: Option<TreeSource>,
     parts: Option<Vec<Vec<NodeId>>>,
     partition: Option<Partition>,
@@ -68,8 +82,8 @@ impl<'g> SessionBuilder<'g> {
     /// the one serde-able config). An explicit `.partition(..)` /
     /// `.partition_object(..)` takes precedence. The resolved parts must
     /// cover every node — [`build`](Self::build) returns
-    /// [`PartitionError::Uncovered`] otherwise (e.g. a Voronoi source on
-    /// a disconnected graph).
+    /// [`PartitionError::Uncovered`](crate::PartitionError::Uncovered)
+    /// otherwise (e.g. a Voronoi source on a disconnected graph).
     pub fn partition_source(mut self, source: PartitionSource) -> Self {
         self.config.partition_source = Some(source);
         self
@@ -91,12 +105,8 @@ impl<'g> SessionBuilder<'g> {
     /// Sets the initial edge weights (the `Weights` input read by weighted
     /// ops like MST; mutable later via
     /// [`set_weights`](ShortcutSession::set_weights) /
-    /// [`update_weights`](ShortcutSession::update_weights)).
-    ///
-    /// # Panics
-    ///
-    /// [`build`](Self::build) panics if the length differs from the
-    /// graph's edge count.
+    /// [`update_weights`](ShortcutSession::update_weights)); one per edge,
+    /// checked at [`build`](Self::build).
     pub fn weights(mut self, weights: EdgeWeights) -> Self {
         self.weights = Some(weights);
         self
@@ -122,27 +132,52 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// Finishes the builder. Validates the partition (if given as raw node
-    /// lists) and requires every part to lie in the component the tree
-    /// spans ([`PartitionError::OffTree`] otherwise); everything else stays
-    /// lazy.
-    pub fn build(self) -> Result<ShortcutSession<'g>, PartitionError> {
-        let partition = match (self.partition, self.parts) {
-            (Some(p), _) => Some(p),
-            (None, Some(lists)) => Some(Partition::from_parts(self.g, lists)?),
-            (None, None) => match &self.config.partition_source {
-                Some(src) => Some(Partition::from_parts_covering(self.g, src.resolve(self.g))?),
-                None => None,
-            },
-        };
-        if let Some(w) = &self.weights {
-            assert_eq!(w.len(), self.g.num_edges(), "one weight per edge required");
-        }
+    /// Finishes the builder: the one place a session's inputs are checked,
+    /// before anything is computed or cached.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NodeOutOfRange`] for a tree root the graph does not
+    /// have; [`SessionError::SketchCapacityTooSmall`];
+    /// [`SessionError::Partition`] for node lists or a source that fail
+    /// validation (a source must also cover every node) or reach outside
+    /// the component the tree spans
+    /// ([`PartitionError::OffTree`](crate::PartitionError::OffTree));
+    /// [`SessionError::WeightCountMismatch`].
+    pub fn build(self) -> Result<ShortcutSession<'g>, SessionError> {
+        let g: &Graph = &self.g;
         let source = self.tree.unwrap_or(TreeSource::Bfs(NodeId(0)));
         let (root, tree) = match source {
             TreeSource::Bfs(r) => (r, None),
             TreeSource::Provided(t) => (t.root(), Some(t)),
         };
+        if root.index() >= g.num_nodes() {
+            return Err(SessionError::NodeOutOfRange {
+                node: root,
+                num_nodes: g.num_nodes(),
+            });
+        }
+        if let Some(DistConfig {
+            mode: DistMode::Sketch { t: 0 | 1, .. },
+            ..
+        }) = self.backend.dist_config()
+        {
+            return Err(SessionError::SketchCapacityTooSmall);
+        }
+        let partition = match (self.partition, self.parts) {
+            (Some(p), _) => Some(p),
+            (None, Some(lists)) => Some(Partition::from_parts(g, lists)?),
+            (None, None) => match &self.config.partition_source {
+                Some(src) => Some(Partition::from_parts_covering(g, src.resolve(g))?),
+                None => None,
+            },
+        };
+        if let Some(w) = self.weights.as_ref().filter(|w| w.len() != g.num_edges()) {
+            return Err(SessionError::WeightCountMismatch {
+                got: w.len(),
+                expected: g.num_edges(),
+            });
+        }
         let stamp = Epochs::default();
         let session = ShortcutSession {
             g: self.g,

@@ -204,7 +204,7 @@ impl<'g> ShortcutSession<'g> {
     /// [`PartitionError::OffTree`] for a part the session tree cannot
     /// reach — without changing the session.
     pub fn set_partition(&mut self, parts: Vec<Vec<NodeId>>) -> Result<(), PartitionError> {
-        let partition = Partition::from_parts(self.g, parts)?;
+        let partition = Partition::from_parts(&self.g, parts)?;
         self.check_parts_on_tree(&partition)?;
         self.install_partition(partition, PartitionDelta::Wholesale);
         Ok(())
@@ -218,7 +218,7 @@ impl<'g> ShortcutSession<'g> {
     pub(super) fn check_parts_on_tree(&self, partition: &Partition) -> Result<(), PartitionError> {
         match &self.tree {
             Some(tree) => partition.check_within(|v| tree.value.contains(v)),
-            None => partition.check_reachable_from(self.g, self.root),
+            None => partition.check_reachable_from(&self.g, self.root),
         }
     }
 
@@ -277,7 +277,7 @@ impl<'g> ShortcutSession<'g> {
         if let Some(&(_, part)) = moves.iter().find(|(_, p)| p.index() >= num_parts) {
             return Err(SessionError::PartOutOfRange { part, num_parts });
         }
-        let (next, touched) = current.reassign(self.g, moves)?;
+        let (next, touched) = current.reassign(&self.g, moves)?;
         if !touched.is_empty() {
             self.install_partition(next, PartitionDelta::Reassigned(touched.clone()));
         }

@@ -201,7 +201,7 @@ impl ShortcutSession<'_> {
             |c| &mut c.tree,
             |s| {
                 let dist = s.backend.dist_config();
-                let (tree, cost) = construction_tree(s.g, s.root, dist.as_ref())?;
+                let (tree, cost) = construction_tree(&s.g, s.root, dist.as_ref())?;
                 s.construction += cost;
                 Ok::<_, SessionError>(tree)
             },
@@ -248,7 +248,7 @@ impl ShortcutSession<'_> {
             |s| {
                 s.ensure_tree()?;
                 let (tree, shortcut) = (s.cached_tree(), &s.cached_full().shortcut);
-                let report = measure_quality(s.g, s.partition(), tree, shortcut);
+                let report = measure_quality(&s.g, s.partition(), tree, shortcut);
                 Ok::<_, SessionError>(Arc::new(report))
             },
         )?;
@@ -267,7 +267,7 @@ impl ShortcutSession<'_> {
         self.ensure_tree()?;
         let dist = self.backend.dist_config();
         let res = construct(
-            self.g,
+            &self.g,
             self.cached_tree(),
             self.partition(),
             parts,
@@ -303,7 +303,7 @@ impl ShortcutSession<'_> {
             .full
             .take()
             .expect("recustomize requires a cached full artifact");
-        let (g, tree, partition) = (self.g, self.cached_tree(), self.partition());
+        let (g, tree, partition) = (&self.g, self.cached_tree(), self.partition());
         let full = &mut slot.value;
         debug_assert_eq!(full.shortcut.num_parts(), partition.num_parts());
         for &p in touched {

@@ -10,10 +10,11 @@ pub(super) const NO_PARTITION: &str =
 pub(super) const NO_WEIGHTS: &str =
     "this session has no weights — pass .weights(..) to the builder or call set_weights(..)";
 
-/// Everything that can go wrong when driving a
+/// Everything that can go wrong when building or driving a
 /// [`ShortcutSession`](super::ShortcutSession) — the typed form of what
-/// the panicking accessors report. The `try_*` methods (and the `try_*`
-/// operation entry points in `lcs_partwise` / `lcs_algos`) return this,
+/// the panicking accessors report. [`build`](super::SessionBuilder::build),
+/// the `try_*` methods (and the `try_*` operation entry points in
+/// `lcs_partwise` / `lcs_algos`) return this,
 /// so a long-lived serving process can turn every misuse into a
 /// structured error response instead of a dead worker thread. The
 /// panicking accessors are thin wrappers that `panic!` with this error's
@@ -27,7 +28,8 @@ pub enum SessionError {
     /// The session has no weights — pass `.weights(..)` to the builder or
     /// call [`set_weights`](super::ShortcutSession::set_weights).
     NoWeights,
-    /// A partition mutation failed validation; the session is unchanged.
+    /// A partition failed validation, at `build()` or in a mutation (which
+    /// leaves the session unchanged).
     Partition(PartitionError),
     /// A node id exceeds the graph's node count.
     NodeOutOfRange {
@@ -106,6 +108,9 @@ pub enum SessionError {
     },
     /// The operation requires a connected graph.
     GraphDisconnected,
+    /// A [`Backend::Sketch`](super::Backend::Sketch) of capacity `t < 2`
+    /// estimates every full set as empty, so it would never cut an edge.
+    SketchCapacityTooSmall,
     /// A simulated construction phase (`"bfs"` or `"detection"`) hit the
     /// backend's
     /// [`SimConfig::max_rounds`](lcs_congest::SimConfig::max_rounds)
@@ -169,6 +174,7 @@ impl fmt::Display for SessionError {
                 "operation needs at least {need} nodes — the graph has {have}"
             ),
             Self::GraphDisconnected => f.write_str("graph must be connected"),
+            Self::SketchCapacityTooSmall => f.write_str("sketch detection needs capacity t >= 2"),
             Self::Truncated(t) => write!(f, "{t}"),
         }
     }

@@ -23,7 +23,7 @@
 //! assert_eq!(session.cache_stats().full.builds, 1);
 //! let _ = session.shortcut(); // cached — no second construction
 //! assert_eq!(session.cache_stats().full.builds, 1);
-//! # Ok::<(), lcs_core::PartitionError>(())
+//! # Ok::<(), lcs_core::session::SessionError>(())
 //! ```
 //!
 //! # The artifact graph
@@ -104,6 +104,7 @@ use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, RootedTree};
 use std::any::TypeId;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The uniform result wrapper every session operation returns: the op's
@@ -158,6 +159,28 @@ impl<T> OpReport<T> {
     }
 }
 
+/// How a session holds its graph: borrowed ([`Session::on`]) or co-owned
+/// ([`Session::shared`], for a `ShortcutSession<'static>`). A clone copies
+/// the reference or bumps the count, never the graph.
+#[derive(Clone, Debug)]
+pub enum GraphHandle<'g> {
+    /// The caller keeps the graph alive for `'g`.
+    Borrowed(&'g Graph),
+    /// The graph lives as long as its last holder.
+    Shared(Arc<Graph>),
+}
+
+impl Deref for GraphHandle<'_> {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            GraphHandle::Borrowed(g) => g,
+            GraphHandle::Shared(g) => g,
+        }
+    }
+}
+
 /// A prepared-topology session: one graph, one tree, one backend, one
 /// configuration — with a mutable partition and mutable weights.
 /// Artifacts are computed lazily, cached under per-input epoch stamps,
@@ -165,7 +188,7 @@ impl<T> OpReport<T> {
 /// any number of operations. See the [module docs](self) for the full
 /// story.
 pub struct ShortcutSession<'g> {
-    g: &'g Graph,
+    g: GraphHandle<'g>,
     root: NodeId,
     partition: Option<Partition>,
     weights: Option<EdgeWeights>,
@@ -190,8 +213,14 @@ pub struct ShortcutSession<'g> {
 
 impl<'g> ShortcutSession<'g> {
     /// The graph this session serves.
-    pub fn graph(&self) -> &'g Graph {
-        self.g
+    pub fn graph(&self) -> &Graph {
+        &self.g
+    }
+
+    /// The session's own handle on its graph, for a caller that reads the
+    /// graph while it drives the session through `&mut self`.
+    pub fn graph_handle(&self) -> GraphHandle<'g> {
+        self.g.clone()
     }
 
     /// The tree root.
@@ -257,9 +286,7 @@ mod tests {
     }
 
     fn grid_session(side: usize) -> ShortcutSession<'static> {
-        // Leak the graph for 'static test sessions (tests only).
-        let g = Box::leak(Box::new(gen::grid(side, side)));
-        Session::on(g)
+        Session::shared(Arc::new(gen::grid(side, side)))
             .tree(TreeSource::Bfs(NodeId(0)))
             .partition(gen::rows_of_grid(side, side))
             .build()
@@ -475,38 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn op_artifacts_are_invalidated_by_partition_changes() {
-        // The pre-epoch cache served stale op artifacts across partition
-        // changes; pin the fix.
-        struct PartCount(usize);
-        let mut s = grid_session(4);
-        let count = |s: &mut ShortcutSession<'_>| PartCount(s.partition().num_parts());
-        let a = s.op_artifact_with(deps::SHORTCUT, count);
-        assert_eq!(a.0, 4);
-        let two_rows: Vec<Vec<NodeId>> =
-            vec![(0..8).map(NodeId).collect(), (8..16).map(NodeId).collect()];
-        s.set_partition(two_rows).unwrap();
-        let b = s.op_artifact_with(deps::SHORTCUT, count);
-        assert_eq!(b.0, 2, "artifact must rebuild against the new partition");
-        assert_eq!(s.cache_stats().op_artifacts.builds, 2);
-        assert_eq!(s.cache_stats().op_artifacts.invalidations, 1);
-    }
-
-    #[test]
-    fn op_artifacts_respect_declared_dependency_sets() {
-        struct TreeScoped(#[allow(dead_code)] u32);
-        let mut s = grid_session(4);
-        let a = s.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            TreeScoped(s.tree().depth_of_tree())
-        });
-        s.set_partition(gen::rows_of_grid(4, 4)).unwrap();
-        let b = s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| -> TreeScoped {
-            unreachable!("tree-scoped artifacts survive partition churn")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
     fn reassign_recustomizes_incrementally() {
         let mut s = grid_session(8);
         let _ = s.quality();
@@ -547,74 +542,6 @@ mod tests {
         let tree = s.tree().clone();
         let fresh = measure_quality(s.graph(), s.partition(), &tree, s.shortcut_ref());
         assert_eq!(s.quality(), &fresh);
-    }
-
-    #[test]
-    fn reassign_error_leaves_the_session_untouched() {
-        let mut s = grid_session(6);
-        let _ = s.shortcut();
-        let before = s.epochs;
-        // Moving an interior row node away would disconnect its row.
-        let err = s.reassign_parts(&[(NodeId(9), PartId(0))]).unwrap_err();
-        assert!(matches!(err, PartitionError::Disconnected(1)));
-        assert_eq!(s.epochs, before, "failed mutations must not bump epochs");
-        assert_eq!(s.partition().part_of(NodeId(9)), Some(PartId(1)));
-        let _ = s.shortcut();
-        assert_eq!(s.cache_stats().full.builds, 1);
-    }
-
-    #[test]
-    fn noop_reassignment_is_free() {
-        let mut s = grid_session(6);
-        let _ = s.shortcut();
-        let before = s.epochs;
-        let touched = s.reassign_parts(&[(NodeId(7), PartId(1))]).unwrap();
-        assert!(touched.is_empty(), "node already in its target part");
-        assert_eq!(s.epochs, before);
-    }
-
-    #[test]
-    fn set_partition_invalidates_wholesale() {
-        let mut s = grid_session(6);
-        let _ = s.quality();
-        assert_eq!(s.cache_stats().full.builds, 1);
-        s.set_partition(gen::rows_of_grid(6, 6)).unwrap();
-        let _ = s.quality();
-        assert_eq!(s.cache_stats().full.builds, 2);
-        assert_eq!(s.cache_stats().full.invalidations, 1);
-        assert_eq!(s.cache_stats().quality.builds, 2);
-        assert_eq!(s.cache_stats().recustomizations, 0);
-    }
-
-    #[test]
-    fn weights_input_is_epoch_tracked() {
-        struct TotalWeight(u64);
-        let g = gen::grid(4, 4);
-        let mut s = Session::on(&g)
-            .partition(gen::rows_of_grid(4, 4))
-            .weights(EdgeWeights::unit(&g))
-            .build()
-            .unwrap();
-        let before = s.epochs;
-        // Re-setting equal weights is a no-op.
-        s.set_weights(EdgeWeights::unit(&g));
-        assert_eq!(s.epochs, before);
-        let a = s.op_artifact_with(deps::WEIGHTED, |s| {
-            TotalWeight(s.weights().total(s.graph().edges().map(|e| e.id)))
-        });
-        assert_eq!(a.0, g.num_edges() as u64);
-        // Weight-scoped artifacts survive partition churn...
-        s.set_partition(gen::rows_of_grid(4, 4)).unwrap();
-        let b = s.op_artifact_with(deps::WEIGHTED, |_| -> TotalWeight {
-            unreachable!("weight-scoped artifacts ignore the partition epoch")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        // ...but not weight updates.
-        s.update_weights(&[(EdgeId(0), 11)]);
-        let c = s.op_artifact_with(deps::WEIGHTED, |s| {
-            TotalWeight(s.weights().total(s.graph().edges().map(|e| e.id)))
-        });
-        assert_eq!(c.0, g.num_edges() as u64 + 10);
     }
 
     #[test]
@@ -819,6 +746,65 @@ mod tests {
         assert_eq!(touched.len(), 2);
     }
 
+    // What `build()` refuses, it refuses typed: each of the next three
+    // inputs used to reach an `assert!` — in the BFS, in the detection
+    // program, in the builder itself.
+
+    #[test]
+    fn build_refuses_a_root_the_graph_does_not_have() {
+        let g = gen::grid(3, 3);
+        let out_of_range = SessionError::NodeOutOfRange {
+            node: NodeId(99),
+            num_nodes: 9,
+        };
+        let rooted = Session::on(&g).tree(TreeSource::Bfs(NodeId(99)));
+        assert_eq!(rooted.build().err(), Some(out_of_range.clone()));
+        let partitioned = Session::on(&g)
+            .tree(TreeSource::Bfs(NodeId(99)))
+            .partition(gen::rows_of_grid(3, 3));
+        assert_eq!(partitioned.build().err(), Some(out_of_range));
+    }
+
+    #[test]
+    fn build_refuses_a_sketch_that_cannot_detect() {
+        use crate::dist::{DistConfig, DistMode};
+        let g = gen::grid(3, 3);
+        let sketch = |t| {
+            let mode = DistMode::Sketch {
+                t,
+                hash_seed: 7,
+                cut_factor: 1.0,
+            };
+            Session::on(&g)
+                .partition(gen::rows_of_grid(3, 3))
+                .backend(Backend::Sketch(DistConfig {
+                    mode,
+                    sim: SimConfig::default(),
+                }))
+                .build()
+        };
+        for t in [0, 1] {
+            assert_eq!(sketch(t).err(), Some(SessionError::SketchCapacityTooSmall));
+        }
+        sketch(2)
+            .expect("capacity 2 detects")
+            .try_prepare()
+            .expect("default round cap");
+    }
+
+    #[test]
+    fn build_refuses_weights_that_are_not_one_per_edge() {
+        let g = gen::grid(3, 3);
+        let short = EdgeWeights::unit(&gen::path(3));
+        assert_eq!(
+            Session::on(&g).weights(short).build().err(),
+            Some(SessionError::WeightCountMismatch {
+                got: 2,
+                expected: g.num_edges()
+            })
+        );
+    }
+
     #[test]
     fn session_error_display_matches_legacy_messages() {
         assert_eq!(SessionError::NoPartition.to_string(), NO_PARTITION);
@@ -842,7 +828,10 @@ mod tests {
                     None => builder.build(),
                 }
             };
-            assert_eq!(on(far.clone()).err(), Some(off_tree.clone()));
+            assert_eq!(
+                on(far.clone()).err(),
+                Some(SessionError::Partition(off_tree.clone()))
+            );
             let mut s = on(near.clone()).expect("both parts hang off node 0");
             let _ = s.quality();
             let (epochs, stats) = (s.epochs, *s.cache_stats());

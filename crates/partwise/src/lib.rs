@@ -48,7 +48,7 @@
 //!     .run_on(&g, &partition, &built.shortcut, &AggregateOpts::default(), SimConfig::default());
 //! assert!(out.all_members_informed);
 //! assert_eq!(out.results[0], Some(5)); // max of row 0's values 0..=5
-//! # Ok::<(), lcs_core::PartitionError>(())
+//! # Ok::<(), lcs_core::session::SessionError>(())
 //! ```
 
 #![forbid(unsafe_code)]

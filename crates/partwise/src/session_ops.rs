@@ -37,7 +37,7 @@ use lcs_graph::{NodeId, PartId};
 /// let again = session.aggregate(&values, AggOp::Sum);
 /// assert!(again.result.all_members_informed);
 /// assert_eq!(session.cache_stats().full.builds, 1);
-/// # Ok::<(), lcs_core::PartitionError>(())
+/// # Ok::<(), lcs_core::session::SessionError>(())
 /// ```
 pub trait SessionPartwiseOps {
     /// Leader-based part-wise aggregation over the cached shortcut
@@ -244,7 +244,8 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
                 return Err(SessionError::UnicastSelfLoop { packet: i });
             }
         }
-        let (g, opts, sim) = (self.graph(), self.config().unicast, self.config().sim);
+        let g = self.graph_handle();
+        let (opts, sim) = (self.config().unicast, self.config().sim);
         // Routing needs only the tree — it must not force a shortcut
         // construction on sessions used purely for unicast serving.
         let tree = self.try_tree()?;
@@ -252,7 +253,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         if let Some(node) = endpoints.find(|&v| !tree.contains(v)) {
             return Err(SessionError::NodeOffTree { node });
         }
-        let out = UnicastOp { demands }.run_on(g, tree, &opts, sim);
+        let out = UnicastOp { demands }.run_on(&g, tree, &opts, sim);
         let metrics = out.metrics.clone();
         Ok(OpReport::from_metrics(out, &metrics, None))
     }

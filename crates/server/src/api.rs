@@ -20,7 +20,7 @@
 
 use crate::error::ApiError;
 use crate::json;
-use crate::state::{edge_weights, AppState, SessionEntry, SessionSpec};
+use crate::state::{edge_weights, node_lists, AppState, SessionEntry, SessionSpec};
 use lcs_algos::SessionAlgoOps;
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::{OpReport, SessionConfig};
@@ -282,7 +282,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             Ok(report_value(&report, result))
         }
         "mst" => {
-            let weights = edge_weights(entry.graph, json::require(args, "weights")?)?;
+            let weights = edge_weights(&entry.graph, json::require(args, "weights")?)?;
             let report = s.try_mst(&weights)?;
             let result = Value::object([
                 (
@@ -358,7 +358,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             )]))
         }
         "set_weights" => {
-            s.try_set_weights(edge_weights(entry.graph, json::require(args, "weights")?)?)?;
+            s.try_set_weights(edge_weights(&entry.graph, json::require(args, "weights")?)?)?;
             Ok(Value::object([(
                 "updated",
                 Value::U64(entry.graph.num_edges() as u64),
@@ -366,17 +366,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
         }
         "set_partition" => {
             let parts: Vec<Vec<u32>> = json::require(args, "partition")?;
-            let n = entry.graph.num_nodes();
-            if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
-                return Err(ApiError::conflict(format!(
-                    "partition node {bad} out of range — the graph has {n} nodes"
-                )));
-            }
-            let parts: Vec<Vec<NodeId>> = parts
-                .iter()
-                .map(|p| p.iter().map(|&v| NodeId(v)).collect())
-                .collect();
-            s.set_partition(parts)?;
+            s.set_partition(node_lists(&parts))?;
             Ok(Value::object([(
                 "parts",
                 Value::U64(s.partition().num_parts() as u64),

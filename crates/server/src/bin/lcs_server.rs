@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lcs_server [--addr 127.0.0.1:7420] [--workers 4] [--max-body BYTES]
-//!            [--timeout-secs 10] [--sessions 16] [--graphs 32]
+//!            [--timeout-secs 10] [--sessions 16]
 //! ```
 
 use lcs_server::{Server, ServerConfig};
@@ -28,11 +28,10 @@ fn main() {
                     Duration::from_secs(parse(&value("--timeout-secs"), "--timeout-secs"))
             }
             "--sessions" => config.session_capacity = parse(&value("--sessions"), "--sessions"),
-            "--graphs" => config.graph_capacity = parse(&value("--graphs"), "--graphs"),
             "--help" | "-h" => {
                 println!(
                     "usage: lcs_server [--addr HOST:PORT] [--workers N] [--max-body BYTES] \
-                     [--timeout-secs S] [--sessions N] [--graphs N]"
+                     [--timeout-secs S] [--sessions N]"
                 );
                 return;
             }

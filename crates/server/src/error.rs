@@ -10,7 +10,7 @@
 //! | 404    | `not_found`      | unknown session id or endpoint            |
 //! | 404    | `graph_file_not_found` | a graph spec names a file that does not exist |
 //! | 405    | `method_not_allowed` | known path, wrong HTTP method         |
-//! | 409    | `invalid_mutation` | a mutation failed validation; session unchanged |
+//! | 409    | `invalid_mutation` | a mutation (`reassign_parts`, `set_partition`) failed validation; session unchanged — the only 409: no create is refused for what the server already holds |
 //! | 413    | `body_too_large` | request body exceeds the configured cap   |
 //! | 422    | `bad_args`       | well-formed body with invalid op arguments |
 //! | 422    | `partition_*`    | a session-spec partition failed validation — the code is [`PartitionError::code`] (`partition_disconnected`, `partition_uncovered`, `partition_overlap`, `partition_empty_part`, `partition_out_of_range`, `partition_off_tree`) |

@@ -4,10 +4,11 @@
 //! The serve-many economics of [`ShortcutSession`] — prepare a shortcut
 //! once, answer many ops against it — only pay off if the session outlives
 //! a single process invocation of a CLI. This daemon keeps sessions warm:
-//! graphs are preloaded into a deduplicated registry, and each
-//! `(graph, partition, backend, config)` spec maps to one long-lived
-//! session behind a capacity-bounded LRU. Re-POSTing a spec hits the warm
-//! session; ops reuse its cached artifacts and bill only the op rounds.
+//! each `(graph, partition, backend, config)` spec maps to one long-lived
+//! session behind a capacity-bounded LRU, and live sessions over one
+//! graph source share one graph, freed with the last of them. Re-POSTing
+//! a spec hits the warm session; ops reuse its cached artifacts and bill
+//! only the op rounds.
 //!
 //! # Architecture
 //!
@@ -17,9 +18,11 @@
 //! * **Framing** — [`http`] implements just enough HTTP/1.1 for a JSON
 //!   API: `Content-Length` bodies, keep-alive, capped heads and bodies,
 //!   per-connection read/write timeouts.
-//! * **State** — [`state`] holds the graph registry and the warm-session
-//!   LRU; see its module docs for the ownership and locking model (leaked
-//!   graphs, two-level mutexes, poison-tolerant locking).
+//! * **State** — [`state`] holds the warm-session LRU; see its module
+//!   docs for the ownership and locking model (graphs shared by `Arc`
+//!   between the sessions over them, two-level mutexes, poison-tolerant
+//!   locking) and for where a session spec is checked (the session
+//!   builder, once).
 //! * **Dispatch** — [`api`] routes requests and hand-renders the op
 //!   reports to JSON over the vendored [`serde`] `Value` tree.
 //! * **Errors** — [`error::ApiError`] maps every handler failure to a

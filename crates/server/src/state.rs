@@ -1,18 +1,21 @@
-//! Shared server state: the graph registry and the warm-session LRU.
+//! Shared server state: the warm-session LRU and the graphs it keeps alive.
 //!
 //! # Ownership and locking model
 //!
-//! `ShortcutSession<'g>` borrows its graph, so the daemon gives every
-//! served graph a `'static` lifetime by leaking it ([`Box::leak`]) into a
-//! **deduplicated, capacity-bounded registry** keyed by the serialized
-//! [`GraphSource`] — the leak is deliberate and bounded: a graph is a few MB,
-//! the registry refuses new graphs past its cap (409), and identical
-//! specs share one allocation across all sessions.
+//! A served graph is an [`Arc<Graph>`] held by the sessions built over it
+//! ([`Session::shared`]) and by their [`SessionEntry`]s — nothing else. A
+//! create whose [`GraphSource`] equals that of a live session borrows
+//! that session's `Arc` instead of building the graph again, so identical
+//! sources share one allocation; when the LRU drops the last session over
+//! a graph (and in-flight requests let go of it), the graph is freed.
+//! There is no graph table and no cap on distinct graphs: the session
+//! capacity bounds both.
 //!
 //! Sessions live behind a two-level locking scheme:
 //!
-//! 1. the registry's own [`Mutex`] guards the id → entry map and the LRU
-//!    order, and is held only for lookups/insertions (microseconds);
+//! 1. the registry's own [`Mutex`] guards the LRU-ordered session list
+//!    and the counters, and is held only for lookups/insertions
+//!    (microseconds);
 //! 2. each [`SessionEntry`] wraps its `ShortcutSession` in a per-session
 //!    [`Mutex`] held for the duration of one op — concurrent clients on
 //!    *one* session serialize (the artifact cache is single-writer by
@@ -30,18 +33,24 @@
 //! which is where the serve-many economics of the shortcut session come
 //! from. When the capacity is exceeded the least-recently-used session is
 //! dropped; in-flight requests holding its `Arc` finish undisturbed.
+//!
+//! A session spec is checked in one place, [`SessionBuilder::build`]
+//! (reached through [`SessionSpec::build_session`]): partition, tree
+//! root, backend and weight count. What is checked here is the server's
+//! own policy — the node cap, and the shape of the JSON.
+//!
+//! [`SessionBuilder::build`]: lcs_core::session::SessionBuilder::build
 
 use crate::error::ApiError;
 use crate::json;
 use crate::metrics::Metrics;
-use lcs_core::dist::{DistConfig, DistMode};
-use lcs_core::session::{Backend, Session, SessionConfig, ShortcutSession, TreeSource};
-use lcs_core::{GeneratorSpec, GraphSource, Partition, PartitionSource};
+use lcs_core::session::{
+    Backend, Session, SessionConfig, SessionError, ShortcutSession, TreeSource,
+};
+use lcs_core::{GeneratorSpec, GraphSource, PartitionSource};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -58,10 +67,8 @@ pub struct ServerConfig {
     pub max_body: usize,
     /// Per-connection read/write timeout.
     pub io_timeout: Duration,
-    /// Warm-session LRU capacity.
+    /// Warm-session LRU capacity (which bounds the live graphs too).
     pub session_capacity: usize,
-    /// Distinct-graph cap (graphs are leaked; this bounds the leak).
-    pub graph_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -72,7 +79,6 @@ impl Default for ServerConfig {
             max_body: 1 << 20,
             io_timeout: Duration::from_secs(10),
             session_capacity: 16,
-            graph_capacity: 32,
         }
     }
 }
@@ -81,7 +87,7 @@ impl Default for ServerConfig {
 pub struct AppState {
     /// Server tunables.
     pub config: ServerConfig,
-    /// Graph registry + session LRU.
+    /// The warm-session LRU.
     pub registry: Registry,
     /// Serving counters and latency histogram.
     pub metrics: Metrics,
@@ -99,7 +105,7 @@ pub struct AppState {
 impl AppState {
     /// Fresh state for one server instance.
     pub fn new(config: ServerConfig) -> Self {
-        let registry = Registry::new(config.graph_capacity, config.session_capacity);
+        let registry = Registry::new(config.session_capacity);
         AppState {
             config,
             registry,
@@ -151,17 +157,23 @@ impl AppState {
     }
 }
 
-/// One warm session: the leaked graph it borrows, the canonical spec it
-/// was created from, and the session behind its per-session lock.
+/// One warm session: the graph it shares, the canonical spec it was
+/// created from, and the session behind its per-session lock.
 pub struct SessionEntry {
     /// Registry-assigned id (`s0`, `s1`, …).
     pub id: String,
-    /// Canonical spec key (doubles as the LRU key).
-    pub spec_key: String,
-    /// The normalized spec, echoed by `GET /sessions`.
+    /// The normalized spec: the LRU key, echoed by `GET /sessions`.
     pub spec: Value,
-    /// The graph this session serves (leaked, shared, never freed).
-    pub graph: &'static Graph,
+    /// The spec's graph source: what a later create compares its own
+    /// against to share [`graph`](Self::graph).
+    source: GraphSource,
+    /// The graph this session serves: the allocation the session itself
+    /// holds, shared with every live session created from the same source.
+    pub graph: Arc<Graph>,
+    /// Weights the graph's source file carried (flat-binary files can
+    /// embed them; generators and edge lists never do) — kept next to the
+    /// graph so a create that shares the one also gets the other.
+    file_weights: Option<Arc<EdgeWeights>>,
     /// The warm session; see the module docs for the locking model.
     pub session: Mutex<ShortcutSession<'static>>,
 }
@@ -182,6 +194,14 @@ impl SessionEntry {
             Err(TryLockError::WouldBlock) => None,
         }
     }
+}
+
+/// Client-supplied parts as the node lists the session validates.
+pub fn node_lists(parts: &[Vec<u32>]) -> Vec<Vec<NodeId>> {
+    parts
+        .iter()
+        .map(|p| p.iter().map(|&v| NodeId(v)).collect())
+        .collect()
 }
 
 /// Client-supplied weights as [`EdgeWeights`] of `graph`: one per edge, or
@@ -208,47 +228,43 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Live sessions.
     pub sessions: usize,
-    /// Distinct leaked graphs.
+    /// Distinct live graphs (each freed with its last session).
     pub graphs: usize,
 }
 
+#[derive(Default)]
 struct RegistryInner {
-    /// Leaked graph plus the weights its source carried (flat-binary
-    /// files can embed weights; generators and edge lists never do).
-    graphs: HashMap<String, (&'static Graph, Option<EdgeWeights>)>,
-    sessions: HashMap<String, Arc<SessionEntry>>,
-    by_spec: HashMap<String, String>,
-    /// LRU order of session ids, most recently used at the back.
-    order: VecDeque<String>,
+    /// Live sessions, least recently used first.
+    sessions: Vec<Arc<SessionEntry>>,
     next_id: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// The graph registry and warm-session LRU (see module docs).
+impl RegistryInner {
+    /// The first session `wanted` accepts, moved to the most-recently-used
+    /// end.
+    fn touch(&mut self, wanted: impl Fn(&SessionEntry) -> bool) -> Option<Arc<SessionEntry>> {
+        let at = self.sessions.iter().position(|e| wanted(e))?;
+        let entry = self.sessions.remove(at);
+        self.sessions.push(entry.clone());
+        Some(entry)
+    }
+}
+
+/// The warm-session LRU (see module docs).
 pub struct Registry {
-    graph_capacity: usize,
     session_capacity: usize,
     inner: Mutex<RegistryInner>,
 }
 
 impl Registry {
-    /// An empty registry with the given bounds.
-    pub fn new(graph_capacity: usize, session_capacity: usize) -> Self {
+    /// An empty registry holding at most `session_capacity` sessions.
+    pub fn new(session_capacity: usize) -> Self {
         Registry {
-            graph_capacity,
             session_capacity: session_capacity.max(1),
-            inner: Mutex::new(RegistryInner {
-                graphs: HashMap::new(),
-                sessions: HashMap::new(),
-                by_spec: HashMap::new(),
-                order: VecDeque::new(),
-                next_id: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -258,17 +274,12 @@ impl Registry {
 
     /// Resolves a session by id, refreshing its LRU position.
     pub fn get(&self, id: &str) -> Option<Arc<SessionEntry>> {
-        let mut inner = self.locked();
-        let entry = inner.sessions.get(id).cloned()?;
-        inner.order.retain(|x| x != id);
-        inner.order.push_back(id.to_string());
-        Some(entry)
+        self.locked().touch(|e| e.id == id)
     }
 
     /// All live sessions, without touching the LRU order.
     pub fn snapshot(&self) -> Vec<Arc<SessionEntry>> {
-        let inner = self.locked();
-        let mut all: Vec<_> = inner.sessions.values().cloned().collect();
+        let mut all = self.locked().sessions.clone();
         all.sort_by(|a, b| a.id.cmp(&b.id));
         all
     }
@@ -276,12 +287,19 @@ impl Registry {
     /// Current counters.
     pub fn stats(&self) -> RegistryStats {
         let inner = self.locked();
+        let mut graphs: Vec<_> = inner
+            .sessions
+            .iter()
+            .map(|e| Arc::as_ptr(&e.graph))
+            .collect();
+        graphs.sort_unstable();
+        graphs.dedup();
         RegistryStats {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
             sessions: inner.sessions.len(),
-            graphs: inner.graphs.len(),
+            graphs: graphs.len(),
         }
     }
 
@@ -289,114 +307,53 @@ impl Registry {
     /// one. The boolean is `true` when a session was built.
     pub fn get_or_create(&self, spec: &SessionSpec) -> Result<(Arc<SessionEntry>, bool), ApiError> {
         let spec_value = spec.canonical_value();
-        let spec_key = json::render(&spec_value);
-
-        // Fast path under the registry lock: an identical spec is warm.
-        {
-            let mut inner = self.locked();
-            if let Some(id) = inner.by_spec.get(&spec_key).cloned() {
-                if let Some(entry) = inner.sessions.get(&id).cloned() {
-                    inner.hits += 1;
-                    inner.order.retain(|x| x != &id);
-                    inner.order.push_back(id);
-                    return Ok((entry, false));
-                }
-            }
+        let warm = |inner: &mut RegistryInner| {
+            let entry = inner.touch(|e| e.spec == spec_value)?;
+            inner.hits += 1;
+            Some((entry, false))
+        };
+        if let Some(hit) = warm(&mut self.locked()) {
+            return Ok(hit);
         }
 
         // Build outside the registry lock (graph generation and session
         // construction can take milliseconds); a concurrent identical
-        // create is resolved at insertion time below. Everything the spec
-        // can be rejected for is checked before its graph is leaked, so a
-        // refused create never costs a registry slot.
-        let graph_key = json::render(&spec.graph.to_value());
-        let (graph, partition, weights) = match self.known_graph(&graph_key)? {
-            Some((graph, file_weights)) => {
-                let (partition, weights) = spec.resolve_inputs(graph, file_weights)?;
-                (graph, partition, weights)
-            }
+        // create is resolved at insertion time below. A refused create
+        // drops what it built; two creates racing on a source no live
+        // session holds each build it, and each copy goes with its session.
+        let live = self.locked().sessions.iter().find_map(|e| {
+            (e.source == spec.graph).then(|| (e.graph.clone(), e.file_weights.clone()))
+        });
+        let (graph, file_weights) = match live {
+            Some(shared) => shared,
             None => {
-                let (built, file_weights) = build_graph(&spec.graph)?;
-                let (partition, weights) = spec.resolve_inputs(&built, file_weights.clone())?;
-                let graph = self.leak_graph(graph_key, built, file_weights)?;
-                (graph, partition, weights)
+                let (graph, weights) = build_graph(&spec.graph)?;
+                (Arc::new(graph), weights.map(Arc::new))
             }
         };
-        let session = spec.build_session(graph, partition, weights);
+        let session = spec.build_session(&graph, file_weights.as_deref())?;
 
         let mut inner = self.locked();
-        if let Some(id) = inner.by_spec.get(&spec_key).cloned() {
-            // Lost the race: serve the winner's session.
-            if let Some(entry) = inner.sessions.get(&id).cloned() {
-                inner.hits += 1;
-                return Ok((entry, false));
-            }
+        // Lost the race: serve the winner's session.
+        if let Some(hit) = warm(&mut inner) {
+            return Ok(hit);
         }
         inner.misses += 1;
-        let id = format!("s{}", inner.next_id);
-        inner.next_id += 1;
         let entry = Arc::new(SessionEntry {
-            id: id.clone(),
-            spec_key: spec_key.clone(),
+            id: format!("s{}", inner.next_id),
             spec: spec_value,
+            source: spec.graph.clone(),
             graph,
+            file_weights,
             session: Mutex::new(session),
         });
-        inner.sessions.insert(id.clone(), entry.clone());
-        inner.by_spec.insert(spec_key, id.clone());
-        inner.order.push_back(id);
+        inner.next_id += 1;
+        inner.sessions.push(entry.clone());
         while inner.sessions.len() > self.session_capacity {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            if let Some(old) = inner.sessions.remove(&victim) {
-                inner.by_spec.remove(&old.spec_key);
-                inner.evictions += 1;
-            }
+            inner.sessions.remove(0);
+            inner.evictions += 1;
         }
         Ok((entry, true))
-    }
-
-    /// The already-leaked graph under `key` (plus any weights its source
-    /// file carried); 409 when it is unknown and the registry is full.
-    fn known_graph(
-        &self,
-        key: &str,
-    ) -> Result<Option<(&'static Graph, Option<EdgeWeights>)>, ApiError> {
-        let inner = self.locked();
-        match inner.graphs.get(key) {
-            Some((g, w)) => Ok(Some((g, w.clone()))),
-            None => self.check_graph_room(&inner).map(|()| None),
-        }
-    }
-
-    /// Leaks `built` into the registry under `key`, deduplicated by that
-    /// canonical graph key: a create that lost a concurrent race drops its
-    /// copy and serves the winner's. Refuses to leak past the graph cap.
-    fn leak_graph(
-        &self,
-        key: String,
-        built: Graph,
-        weights: Option<EdgeWeights>,
-    ) -> Result<&'static Graph, ApiError> {
-        let mut inner = self.locked();
-        if let Some((g, _)) = inner.graphs.get(&key) {
-            return Ok(g);
-        }
-        self.check_graph_room(&inner)?;
-        let leaked: &'static Graph = Box::leak(Box::new(built));
-        inner.graphs.insert(key, (leaked, weights));
-        Ok(leaked)
-    }
-
-    fn check_graph_room(&self, inner: &RegistryInner) -> Result<(), ApiError> {
-        if inner.graphs.len() < self.graph_capacity {
-            return Ok(());
-        }
-        Err(ApiError::conflict(format!(
-            "graph registry full ({} distinct graphs) — reuse an existing graph spec",
-            self.graph_capacity
-        )))
     }
 }
 
@@ -434,6 +391,9 @@ fn build_graph(source: &GraphSource) -> Result<(Graph, Option<EdgeWeights>), Api
     let resolved = source
         .resolve()
         .map_err(|e| ApiError::unprocessable_graph(&e))?;
+    if resolved.graph.num_nodes() == 0 {
+        return Err(ApiError::bad_args("cannot serve an empty graph"));
+    }
     check_served_size(resolved.graph.num_nodes() as u64)?;
     Ok((resolved.graph, resolved.weights))
 }
@@ -497,7 +457,7 @@ impl PartitionSpec {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionSpec {
     /// The graph to serve (`{"kind": "grid", "rows": 8, "cols": 8}`, …);
-    /// its serialized form keys the graph registry.
+    /// live sessions with an equal source share one graph.
     pub graph: GraphSource,
     /// How to partition it.
     pub partition: PartitionSpec,
@@ -540,17 +500,6 @@ impl SessionSpec {
         check_graph(&graph)?;
         let partition = PartitionSpec::from_value(v)?;
         let backend: Option<Backend> = json::optional(v, "backend")?;
-        // A sketch of capacity below 2 deserializes but cannot detect
-        // anything: the construction asserts on it mid-run.
-        if let Some(Backend::Sketch(DistConfig {
-            mode: DistMode::Sketch { t: 0 | 1, .. },
-            ..
-        })) = backend
-        {
-            return Err(ApiError::bad_args(
-                "field `backend.Sketch.mode.Sketch.t`: sketch detection needs capacity t >= 2",
-            ));
-        }
         let mut config: Option<SessionConfig> = json::optional(v, "config")?;
         // The session records `graph` as its provenance, so a config may
         // only repeat it; what is left is dropped when it is all defaults,
@@ -585,81 +534,18 @@ impl SessionSpec {
         ])
     }
 
-    /// Resolves every part of the spec a create can be refused for — the
-    /// empty-graph check, the partition (valid, and inside the component
-    /// the session tree spans), the weight count — against `graph`, which
-    /// need not be leaked yet. `file_weights` are the
-    /// weights the graph's source file carried, if any; an explicit
-    /// `weights` field in the spec wins over them.
-    pub fn resolve_inputs(
-        &self,
-        graph: &Graph,
-        file_weights: Option<EdgeWeights>,
-    ) -> Result<(Option<Partition>, Option<EdgeWeights>), ApiError> {
-        if graph.num_nodes() == 0 {
-            return Err(ApiError::bad_args("cannot serve an empty graph"));
-        }
-        let from_parts = |parts| {
-            Partition::from_parts(graph, parts).map_err(|e| ApiError::unprocessable_partition(&e))
-        };
-        // Sources promise covering partitions, so an unassigned node is a
-        // structured 422 (`partition_uncovered`) rather than a generic
-        // failure.
-        let from_source = |src: &PartitionSource| {
-            Partition::from_parts_covering(graph, src.resolve(graph))
-                .map_err(|e| ApiError::unprocessable_partition(&e))
-        };
-        let partition = match &self.partition {
-            PartitionSpec::Default => default_partition(&self.graph).map(from_parts),
-            PartitionSpec::None => None,
-            PartitionSpec::Explicit(parts) => {
-                let n = graph.num_nodes();
-                if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
-                    return Err(ApiError::bad_args(format!(
-                        "partition node {bad} out of range — the graph has {n} nodes"
-                    )));
-                }
-                let parts = parts
-                    .iter()
-                    .map(|p| p.iter().map(|&v| NodeId(v)).collect())
-                    .collect();
-                Some(from_parts(parts))
-            }
-            PartitionSpec::Source(src) => Some(from_source(src)),
-        };
-        // A spec without a partition falls back to the config's source, as
-        // the session builder would.
-        let config_source = self
-            .config
-            .as_ref()
-            .and_then(|c| c.partition_source.as_ref());
-        let partition = partition
-            .or_else(|| config_source.map(from_source))
-            .transpose()?;
-        if let Some(p) = &partition {
-            p.check_reachable_from(graph, ROOT)
-                .map_err(|e| ApiError::unprocessable_partition(&e))?;
-        }
-
-        let weights = match &self.weights {
-            Some(w) => Some(edge_weights(graph, w.clone())?),
-            None => file_weights,
-        };
-        Ok((partition, weights))
-    }
-
-    /// Builds the session on the leaked graph from the inputs
-    /// [`resolve_inputs`](Self::resolve_inputs) validated against it.
+    /// Builds the session over `graph` through the session builder, which
+    /// checks everything the spec can be refused for (see the module
+    /// docs). `file_weights` are the weights the graph's source file
+    /// carried, if any; an explicit `weights` field in the spec wins over
+    /// them. A spec without a partition falls back to the config's source,
+    /// as the builder does.
     pub fn build_session(
         &self,
-        graph: &'static Graph,
-        partition: Option<Partition>,
-        weights: Option<EdgeWeights>,
-    ) -> ShortcutSession<'static> {
-        let mut builder = Session::on(graph).tree(TreeSource::Bfs(ROOT));
-        if let Some(p) = partition {
-            builder = builder.partition_object(p);
-        }
+        graph: &Arc<Graph>,
+        file_weights: Option<&EdgeWeights>,
+    ) -> Result<ShortcutSession<'static>, ApiError> {
+        let mut builder = Session::shared(graph.clone()).tree(TreeSource::Bfs(ROOT));
         if let Some(backend) = &self.backend {
             builder = builder.backend(backend.clone());
         }
@@ -669,15 +555,29 @@ impl SessionSpec {
         // Provenance: record which source produced the graph. Applied
         // after `.config(..)` so an explicit config does not erase it.
         builder = builder.graph_source(self.graph.clone());
-        let mut session = builder
-            .build()
-            .expect("resolve_inputs validated the partition");
+        builder = match &self.partition {
+            PartitionSpec::Default => match default_partition(&self.graph) {
+                Some(rows) => builder.partition(rows),
+                None => builder,
+            },
+            PartitionSpec::None => builder,
+            PartitionSpec::Explicit(parts) => builder.partition(node_lists(parts)),
+            PartitionSpec::Source(src) => builder.partition_source(src.clone()),
+        };
+        let weights = match &self.weights {
+            Some(w) => Some(edge_weights(graph, w.clone())?),
+            None => file_weights.cloned(),
+        };
         if let Some(w) = weights {
-            session
-                .try_set_weights(w)
-                .expect("resolve_inputs checked the weight count");
+            builder = builder.weights(w);
         }
-        session
+        builder.build().map_err(|e| match e {
+            SessionError::Partition(e) => ApiError::unprocessable_partition(&e),
+            SessionError::SketchCapacityTooSmall => {
+                ApiError::bad_args(format!("field `backend.Sketch.mode.Sketch.t`: {e}"))
+            }
+            e => e.into(),
+        })
     }
 }
 
@@ -699,7 +599,7 @@ mod tests {
 
     #[test]
     fn identical_specs_share_one_warm_session() {
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         let (a, created_a) = reg.get_or_create(&grid_spec(4, 4)).unwrap();
         let (b, created_b) = reg.get_or_create(&grid_spec(4, 4)).unwrap();
         assert!(created_a && !created_b);
@@ -711,7 +611,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        let reg = Registry::new(8, 2);
+        let reg = Registry::new(2);
         let (a, _) = reg.get_or_create(&grid_spec(3, 3)).unwrap();
         let (_b, _) = reg.get_or_create(&grid_spec(4, 4)).unwrap();
         // Touch a so the 3×3 session is the most recently used.
@@ -724,21 +624,48 @@ mod tests {
     }
 
     #[test]
-    fn graph_cap_is_enforced() {
-        let reg = Registry::new(1, 8);
+    fn eviction_frees_the_graph() {
+        let reg = Registry::new(1);
+        let (first, _) = reg.get_or_create(&grid_spec(3, 3)).unwrap();
+        let graph = Arc::downgrade(&first.graph);
+        drop(first);
+        assert!(graph.upgrade().is_some(), "alive while its session is");
+        reg.get_or_create(&grid_spec(4, 4)).unwrap();
+        assert!(graph.upgrade().is_none(), "freed with its last session");
+        let stats = reg.stats();
+        assert_eq!((stats.sessions, stats.evictions, stats.graphs), (1, 1, 1));
+    }
+
+    #[test]
+    fn live_sessions_over_one_source_share_its_graph() {
+        let reg = Registry::new(2);
+        let on_the_grid = |partition: &str| spec_with_partition(Value::Str(partition.to_string()));
+        let (a, _) = reg.get_or_create(&on_the_grid("none")).unwrap();
+        let (b, created) = reg.get_or_create(&on_the_grid("singletons")).unwrap();
+        assert!(created, "another spec is another session");
+        assert!(Arc::ptr_eq(&a.graph, &b.graph), "over the same allocation");
+        assert!(
+            std::ptr::eq(b.lock().graph(), &*b.graph),
+            "which the session holds too"
+        );
+        assert_eq!(reg.stats().graphs, 1);
+        // Once both are evicted the source is built again.
+        let evicted = Arc::downgrade(&a.graph);
+        drop((a, b));
         reg.get_or_create(&grid_spec(3, 3)).unwrap();
-        let err = reg.get_or_create(&grid_spec(4, 4)).map(|_| ()).unwrap_err();
-        assert_eq!(err.status, 409);
-        // Same graph again is fine (deduplicated, not a new leak).
-        reg.get_or_create(&grid_spec(3, 3)).unwrap();
+        reg.get_or_create(&grid_spec(4, 4)).unwrap();
+        assert!(evicted.upgrade().is_none());
+        let (again, created) = reg.get_or_create(&on_the_grid("none")).unwrap();
+        assert!(created);
+        assert_eq!(again.graph.num_nodes(), 36);
+        assert_eq!(reg.stats().graphs, 2);
     }
 
     /// A create whose graph resolves but whose session inputs are refused
-    /// must not take a registry slot: the graph is leaked only after the
-    /// partition and weights were validated against it.
+    /// keeps nothing alive: the graph it built is dropped with it.
     #[test]
     fn refused_creates_do_not_fill_the_graph_registry() {
-        let reg = Registry::new(2, 8);
+        let reg = Registry::new(8);
         let grid = |side: u64| {
             Value::object([
                 ("kind", Value::Str("grid".to_string())),
@@ -780,13 +707,8 @@ mod tests {
             let spec = SessionSpec::from_value(body).expect("parses");
             let err = reg.get_or_create(&spec).map(|_| ()).unwrap_err();
             assert_eq!(err.status, 422, "{}", err.message);
-            assert!(
-                !err.message.contains("graph registry full"),
-                "{}",
-                err.message
-            );
         }
-        assert_eq!(reg.stats().graphs, 0, "refused creates leak nothing");
+        assert_eq!(reg.stats().graphs, 0, "refused creates keep no graph");
         let off_tree = SessionSpec::from_value(&refused[4]).expect("parses");
         let err = reg.get_or_create(&off_tree).map(|_| ()).unwrap_err();
         assert_eq!(err.code, "partition_off_tree", "{}", err.message);
@@ -811,7 +733,7 @@ mod tests {
             ),
         ]);
         let spec = SessionSpec::from_value(&v).expect("parses");
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         let err = reg.get_or_create(&spec).map(|_| ()).unwrap_err();
         assert_eq!(err.status, 422);
     }
@@ -833,7 +755,7 @@ mod tests {
 
     #[test]
     fn source_partitions_build_and_share_the_warm_lru() {
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         for partition in [
             Value::object([
                 ("kind", Value::Str("voronoi".to_string())),
@@ -868,7 +790,7 @@ mod tests {
 
     #[test]
     fn partition_error_codes_are_distinct_422s() {
-        let reg = Registry::new(8, 8);
+        let reg = Registry::new(8);
         // A disconnected part: {corner, opposite corner} of the grid.
         let disconnected = spec_with_partition(Value::Arr(vec![Value::Arr(vec![
             Value::U64(0),
@@ -983,7 +905,7 @@ mod tests {
                 seed: 11,
             },
         ];
-        let reg = Registry::new(8, 8);
+        let reg = Registry::new(8);
         for (i, family) in families.into_iter().enumerate() {
             let unified = graph_only_spec(family.to_value());
             let legacy = graph_only_spec(legacy_spelling(&family.to_value()));
@@ -1020,7 +942,7 @@ mod tests {
             json::render(&legacy.canonical_value()),
             json::render(&unified.canonical_value()),
         );
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         let (a, _) = reg.get_or_create(&legacy).unwrap();
         let (b, created_b) = reg.get_or_create(&unified).unwrap();
         assert!(!created_b, "alias and unified form share the warm session");
@@ -1044,7 +966,7 @@ mod tests {
         ]))
         .expect("an equal graph_source is accepted");
         assert_eq!(repeated, plain);
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         let (a, created_a) = reg.get_or_create(&plain).unwrap();
         let (b, created_b) = reg.get_or_create(&repeated).unwrap();
         assert!(created_a && !created_b, "one session for both bodies");
@@ -1092,7 +1014,7 @@ mod tests {
             ("kind", Value::Str("flat_binary".to_string())),
             ("path", Value::Str(path.as_str().to_string())),
         ]));
-        let reg = Registry::new(4, 4);
+        let reg = Registry::new(4);
         let (entry, created) = reg.get_or_create(&spec).unwrap();
         assert!(created);
         assert_eq!(entry.graph.num_nodes(), 9);
@@ -1107,7 +1029,7 @@ mod tests {
 
     #[test]
     fn graph_error_codes_are_distinct() {
-        let reg = Registry::new(8, 8);
+        let reg = Registry::new(8);
 
         // Missing file → 404 with the dedicated code.
         let missing = graph_only_spec(Value::object([

@@ -142,8 +142,8 @@ pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
         deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, Epochs,
-        FullArtifact, Input, MincutOpts, MstOpts, OpReport, Session, SessionBuilder, SessionConfig,
-        SessionError, ShortcutSession, TreeSource, UnicastOpts,
+        FullArtifact, GraphHandle, Input, MincutOpts, MstOpts, OpReport, Session, SessionBuilder,
+        SessionConfig, SessionError, ShortcutSession, TreeSource, UnicastOpts,
     };
     pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};

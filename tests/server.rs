@@ -423,6 +423,23 @@ fn structured_errors_do_not_kill_the_worker() {
     let r = client.post("/sessions", &uncovered).unwrap();
     expect(&r, 422, "partition_uncovered");
 
+    // A node the graph does not have is the partition's fault under its
+    // own code at create, and an invalid mutation on a live session.
+    let r = client
+        .post_raw(
+            "/sessions",
+            br#"{"graph":{"kind":"grid","rows":4,"cols":4},"partition":[[0,99]]}"#,
+        )
+        .unwrap();
+    expect(&r, 422, "partition_out_of_range");
+    let r = client
+        .post_raw(
+            &format!("/sessions/{id}/set_partition"),
+            b"{\"partition\": [[0, 99]]}",
+        )
+        .unwrap();
+    expect(&r, 409, "invalid_mutation");
+
     // The same connection (reconnected after the 413 close) still serves.
     let r = client.get("/health").unwrap();
     assert_eq!(r.status, 200);
@@ -811,6 +828,33 @@ fn identical_specs_hit_the_warm_session() {
     assert_eq!(get_u64(registry, "hits"), 1);
     assert_eq!(get_u64(registry, "misses"), 2);
 
+    handle.shutdown();
+}
+
+/// No sequence of creates wedges the server: graphs live and die with
+/// their sessions, so the 40th distinct graph is served like the first
+/// (a capped graph table used to answer 409 from the 33rd on).
+#[test]
+fn distinct_graphs_never_fill_the_server() {
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    for n in 2..42 {
+        let spec = Value::object([(
+            "graph",
+            Value::object([
+                ("kind", Value::Str("path".to_string())),
+                ("n", Value::U64(n)),
+            ]),
+        )]);
+        create(&mut client, &spec);
+    }
+    let metrics = client.get("/metrics").unwrap();
+    let registry = lcs_server::json::lookup(&metrics.body, "registry").expect("registry");
+    let sessions = ServerConfig::default().session_capacity as u64;
+    assert_eq!(get_u64(registry, "misses"), 40);
+    assert_eq!(get_u64(registry, "sessions"), sessions);
+    assert_eq!(get_u64(registry, "graphs"), sessions);
+    assert_eq!(get_u64(registry, "evictions"), 40 - sessions);
     handle.shutdown();
 }
 

@@ -222,6 +222,32 @@ fn second_aggregate_reuses_cached_shortcut() {
     assert!(q.tree_restricted);
 }
 
+/// How a session holds its graph changes nothing it computes: one that
+/// co-owns the graph and one that borrows it report the same quality and
+/// the same aggregate, message for message.
+#[test]
+fn shared_and_borrowed_sessions_agree() {
+    let g = std::sync::Arc::new(gen::grid(8, 8));
+    let values: Vec<u64> = (0..64).collect();
+    let on = |builder: SessionBuilder<'_>| {
+        let mut session = builder
+            .partition(gen::rows_of_grid(8, 8))
+            .config(fast_config())
+            .build()
+            .unwrap();
+        let quality = session.quality().clone();
+        let agg = session.aggregate(&values, AggOp::Sum);
+        let counts = (agg.rounds, agg.messages, agg.bits, agg.truncated);
+        (quality, agg.result.results, counts)
+    };
+    assert_eq!(on(Session::shared(g.clone())), on(Session::on(&g)));
+    assert_eq!(
+        std::sync::Arc::strong_count(&g),
+        1,
+        "a dropped session lets go"
+    );
+}
+
 fn backends() -> Vec<(&'static str, Backend)> {
     vec![
         ("centralized", Backend::Centralized),
@@ -390,8 +416,8 @@ fn assert_ops_match_fresh(
     values: &[u64],
     label: &str,
 ) {
-    let g = session.graph();
-    let mut fresh = Session::on(g)
+    let g = session.graph_handle();
+    let mut fresh = Session::on(&g)
         .partition_object(session.partition().clone())
         .backend(backend.clone())
         .config(fast_config())
