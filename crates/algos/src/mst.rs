@@ -220,8 +220,7 @@ pub fn distributed_mst(
         for v in g.nodes() {
             members.entry(fragment_of[v.index()]).or_default().push(v);
         }
-        let frag_ids: Vec<u32> = members.keys().copied().collect();
-        let parts: Vec<Vec<NodeId>> = members.values().cloned().collect();
+        let (frag_ids, parts): (Vec<u32>, Vec<Vec<NodeId>>) = members.into_iter().unzip();
         let k = parts.len();
         let partition = Partition::from_parts(g, parts).expect("fragments stay connected");
         let frag_index = |fid: u32| frag_ids.binary_search(&fid).expect("known fragment");

@@ -1,6 +1,7 @@
 //! Partitions of the vertex set into connected parts (Definition 2.1).
 
-use lcs_graph::{bfs, components, Graph, NodeId, PartId};
+use lcs_graph::components::SubsetSearch;
+use lcs_graph::{bfs, Graph, NodeId, PartId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -75,7 +76,9 @@ impl fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 impl Partition {
-    /// Validates and wraps a part collection.
+    /// Validates and wraps a part collection in `O(n + Σ_i (|P_i| +
+    /// deg(P_i)))`: one search state serves every part's connectivity
+    /// check.
     ///
     /// # Errors
     ///
@@ -98,12 +101,11 @@ impl Partition {
                 part_of[v.index()] = Some(PartId(i as u32));
             }
         }
-        for (i, part) in parts.iter().enumerate() {
-            if !components::induces_connected(g, part) {
-                return Err(PartitionError::Disconnected(i));
-            }
+        let mut search = SubsetSearch::new(n);
+        match parts.iter().position(|p| !search.induces_connected(g, p)) {
+            Some(i) => Err(PartitionError::Disconnected(i)),
+            None => Ok(Partition { part_of, parts }),
         }
-        Ok(Partition { part_of, parts })
     }
 
     /// [`from_parts`](Self::from_parts), additionally requiring every node
@@ -221,7 +223,8 @@ impl Partition {
     ///
     /// Only the touched parts are re-validated (they must stay non-empty
     /// and induce connected subgraphs); untouched parts are valid by
-    /// construction.
+    /// construction. Beyond the `O(n)` copy of `self`, the cost is the
+    /// touched parts' nodes and incident edges.
     ///
     /// # Errors
     ///
@@ -264,11 +267,12 @@ impl Partition {
             next.part_of[v.index()] = Some(target);
             touched.insert(target);
         }
+        let mut search = SubsetSearch::new(g.num_nodes());
         for &p in &touched {
             if next.parts[p.index()].is_empty() {
                 return Err(PartitionError::EmptyPart(p.index()));
             }
-            if !components::induces_connected(g, &next.parts[p.index()]) {
+            if !search.induces_connected(g, &next.parts[p.index()]) {
                 return Err(PartitionError::Disconnected(p.index()));
             }
         }
@@ -279,7 +283,8 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_graph::gen;
+    use lcs_graph::{components, gen};
+    use proptest::prelude::*;
 
     #[test]
     fn valid_partition() {
@@ -412,4 +417,138 @@ mod tests {
     }
 
     use lcs_graph::{NodeId, PartId};
+    /// `from_parts` as it was: the same first pass, then one one-shot
+    /// `induces_connected` (fresh marks, fresh queue) per part.
+    fn reference_from_parts(g: &Graph, parts: &[Vec<NodeId>]) -> Result<(), PartitionError> {
+        let mut seen = std::collections::HashSet::new();
+        for (i, part) in parts.iter().enumerate() {
+            if part.is_empty() {
+                return Err(PartitionError::EmptyPart(i));
+            }
+            for &v in part {
+                if v.index() >= g.num_nodes() {
+                    return Err(PartitionError::OutOfRange(v));
+                }
+                if !seen.insert(v) {
+                    return Err(PartitionError::Overlap(v));
+                }
+            }
+        }
+        match parts
+            .iter()
+            .position(|p| !components::induces_connected(g, p))
+        {
+            Some(i) => Err(PartitionError::Disconnected(i)),
+            None => Ok(()),
+        }
+    }
+
+    /// `reassign`'s verdict from the assignment vector alone: the touched
+    /// parts in id order, each re-listed and checked one-shot.
+    fn reference_reassign(
+        g: &Graph,
+        p: &Partition,
+        moves: &[(NodeId, PartId)],
+    ) -> Result<Vec<Option<PartId>>, PartitionError> {
+        let mut assign = p.assignment().to_vec();
+        let mut touched = std::collections::BTreeSet::new();
+        for &(v, target) in moves {
+            if assign[v.index()] != Some(target) {
+                touched.extend(assign[v.index()]);
+                touched.insert(target);
+                assign[v.index()] = Some(target);
+            }
+        }
+        for t in touched {
+            let members: Vec<NodeId> = g.nodes().filter(|v| assign[v.index()] == Some(t)).collect();
+            if members.is_empty() {
+                return Err(PartitionError::EmptyPart(t.index()));
+            }
+            if !components::induces_connected(g, &members) {
+                return Err(PartitionError::Disconnected(t.index()));
+            }
+        }
+        Ok(assign)
+    }
+
+    /// A connected graph and connected, partially covering parts.
+    fn arb_parts() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>, u64)> {
+        (0usize..3, 3usize..9, 1usize..8, 0u64..1000).prop_map(|(family, side, k, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = match family {
+                0 => gen::grid(side, side + 1),
+                1 => gen::torus(side, side),
+                _ => gen::road_like(side, side, seed),
+            };
+            let parts = gen::random_partial_parts(&g, k, 0.8, &mut rng);
+            (g, parts, seed)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Valid part lists with random damage — a node moved between
+        /// parts or dropped (disconnections), duplicated (overlaps), a part
+        /// emptied — are accepted or rejected exactly as by the per-part
+        /// one-shot check: same variant, same index.
+        #[test]
+        fn from_parts_matches_one_shot_checks((g, mut parts, seed) in arb_parts()) {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1CE);
+            for _ in 0..rng.gen_range(0..4) {
+                let (a, b) = (rng.gen_range(0..parts.len()), rng.gen_range(0..parts.len()));
+                if parts[a].is_empty() {
+                    continue;
+                }
+                let v = parts[a][rng.gen_range(0..parts[a].len())];
+                match rng.gen_range(0..8) {
+                    0 => parts[a].clear(),
+                    1 => parts[b].push(v),
+                    _ => {
+                        parts[a].retain(|&u| u != v);
+                        if rng.gen_bool(0.5) {
+                            parts[b].push(v);
+                        }
+                    }
+                }
+            }
+            let expect = reference_from_parts(&g, &parts);
+            prop_assert_eq!(Partition::from_parts(&g, parts).map(|_| ()), expect);
+        }
+
+        /// Random move lists: `reassign` accepts exactly the ticks that
+        /// leave every touched part non-empty and connected, with the same
+        /// first failing part, and an accepted tick is a valid partition.
+        #[test]
+        fn reassign_matches_one_shot_checks((g, parts, seed) in arb_parts()) {
+            let p = Partition::from_parts(&g, parts).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xFACE);
+            let moves: Vec<(NodeId, PartId)> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    // Mostly boundary hops (often accepted), sometimes a
+                    // jump to an arbitrary part (mostly disconnecting).
+                    let v = NodeId(rng.gen_range(0..g.num_nodes() as u32));
+                    let nb = g.heads(v)[rng.gen_range(0..g.degree(v))];
+                    let far = PartId(rng.gen_range(0..p.num_parts() as u32));
+                    (v, p.part_of(nb).filter(|_| rng.gen_bool(0.8)).unwrap_or(far))
+                })
+                .collect();
+            let expect = reference_reassign(&g, &p, &moves);
+            let got = p.reassign(&g, &moves);
+            prop_assert_eq!(got.clone().map(|(next, _)| next.assignment().to_vec()), expect);
+            if let Ok((next, _)) = got {
+                let again = Partition::from_parts(&g, next.iter().map(|(_, m)| m.to_vec()).collect());
+                prop_assert_eq!(again, Ok(next));
+            }
+        }
+    }
+
+    /// Validation costs the parts, not `k · n`: 200 000 singleton parts
+    /// (4·10¹⁰ mark writes when every part's check cleared all of them).
+    #[test]
+    fn from_parts_on_many_singletons() {
+        let g = gen::path(200_000);
+        let p = Partition::from_parts(&g, gen::singleton_parts(&g)).unwrap();
+        assert_eq!(p.num_parts(), 200_000);
+    }
 }

@@ -1,7 +1,8 @@
 //! Helpers that produce part collections (disjoint connected node sets) for
 //! part-wise aggregation instances.
 
-use crate::{bfs, Graph, NodeId};
+use crate::components::SubsetSearch;
+use crate::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -121,16 +122,12 @@ pub fn random_partial_parts(
 ) -> Vec<Vec<NodeId>> {
     assert!(coverage > 0.0 && coverage <= 1.0, "bad coverage");
     let full = random_connected_parts(g, target_parts, rng);
+    let mut search = SubsetSearch::new(g.num_nodes());
     full.into_iter()
         .map(|cell| {
             let keep = ((cell.len() as f64 * coverage).ceil() as usize).max(1);
             // Keep a connected prefix: BFS inside the cell from its seed.
-            let mut inside = vec![false; g.num_nodes()];
-            for &v in &cell {
-                inside[v.index()] = true;
-            }
-            let res = bfs::bfs_filtered(g, &cell[..1], |_, nxt| inside[nxt.index()]);
-            res.order.into_iter().take(keep).collect()
+            search.reach(g, &cell).iter().copied().take(keep).collect()
         })
         .collect()
 }

@@ -1,6 +1,7 @@
 //! Minor witnesses (branch-set embeddings) and their verification.
 
-use crate::{components, Graph, NodeId};
+use crate::components::SubsetSearch;
+use crate::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -95,6 +96,7 @@ impl std::error::Error for MinorVerifyError {}
 pub fn verify_minor(g: &Graph, w: &MinorWitness) -> Result<(), MinorVerifyError> {
     let n = g.num_nodes();
     let mut owner: Vec<Option<u32>> = vec![None; n];
+    let mut search = SubsetSearch::new(n);
     for (i, set) in w.branch_sets.iter().enumerate() {
         if set.is_empty() {
             return Err(MinorVerifyError::EmptyBranchSet(i));
@@ -108,7 +110,7 @@ pub fn verify_minor(g: &Graph, w: &MinorWitness) -> Result<(), MinorVerifyError>
             }
             owner[v.index()] = Some(i as u32);
         }
-        if !components::induces_connected(g, set) {
+        if !search.induces_connected(g, set) {
             return Err(MinorVerifyError::Disconnected(i));
         }
     }

@@ -62,8 +62,10 @@ const NO_PORT: u32 = u32::MAX;
 /// for a run (`NodeSlots`) and index their state by local slot.
 ///
 /// With `T = Σ_i (|P_i| + deg(P_i) + 2·|H_i|)` entries, [`build`](Self::build)
-/// is one `O(T log T)` sort and [`refreshed`](Self::refreshed) one
-/// `O(n + T)` merge plus the sort of the touched parts' entries. The
+/// is one `O(n + T)` counting sort on the node plus a sort of each node's
+/// short run (a node sits in few parts), and [`refreshed`](Self::refreshed)
+/// one `O(n + T)` merge plus the same sort of the touched parts' entries;
+/// both lay the sorted entries out through one routine. The
 /// session ops cache one instance — with the [`AggForest`] over it — as a
 /// derived artifact ([`ShortcutSession::op_artifact_patched`]): reused
 /// while partition and shortcut are unchanged, `refreshed` under tracked
@@ -153,9 +155,27 @@ impl ParticipationMap {
                 }
             }
         }
-        entries.sort_unstable();
-        entries.dedup();
-        entries
+        // Counting sort on the node (counts two places up, so that after
+        // the prefix sum `first[v + 1]` is the cursor of `v` and, once all
+        // are placed, the end of its run), then each node's short run.
+        let mut first = vec![0usize; g.num_nodes() + 2];
+        for &(v, ..) in &entries {
+            first[v as usize + 2] += 1;
+        }
+        for v in 2..first.len() {
+            first[v] += first[v - 1];
+        }
+        let mut sorted = vec![(0, 0, 0); entries.len()];
+        for &entry in &entries {
+            let at = &mut first[entry.0 as usize + 1];
+            sorted[*at] = entry;
+            *at += 1;
+        }
+        for run in first.windows(2) {
+            sorted[run[0]..run[1]].sort_unstable();
+        }
+        sorted.dedup();
+        sorted
     }
 
     /// The table's entries in sorted order, every slot closed by a
@@ -1009,6 +1029,31 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The table is Definition 2.1 read off edge by edge: every
+        /// `(node, part, port)` whose edge is in `H_i` or inside `P_i`, a
+        /// `NO_PORT` entry per member, sorted as a whole and laid out.
+        #[test]
+        fn build_matches_globally_sorted_definition((g, parts) in arb_instance()) {
+            let partition = Partition::from_parts(&g, parts).unwrap();
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+            let mut triples = Vec::new();
+            for (pid, members) in partition.iter() {
+                triples.extend(members.iter().map(|v| (v.0, pid.0, NO_PORT)));
+                for v in g.nodes() {
+                    for (port, nb) in g.neighbors(v).enumerate() {
+                        let inside = |u| partition.part_of(u) == Some(pid);
+                        if shortcut.contains(pid, nb.edge) || (inside(v) && inside(nb.node)) {
+                            triples.push((v.0, pid.0, port as u32));
+                        }
+                    }
+                }
+            }
+            triples.sort_unstable();
+            let expect = ParticipationMap::from_sorted(g.num_nodes(), triples.into_iter());
+            prop_assert_eq!(ParticipationMap::build(&g, &partition, &shortcut), expect);
+        }
 
         /// Random `reassign_parts` sequences through the real churn path
         /// (the session's incremental shortcut keeps untouched parts' `H_i`

@@ -109,6 +109,21 @@ fn separator_occupancy_no_worse_than_best_synthetic_on_grid() {
     );
 }
 
+/// Theorem 1.1 at the scale we benchmark, not only at n ≤ 1e4: n = 262 144
+/// with one part per 100 nodes — the envelope, tree-restriction,
+/// connectivity and the `log₂ n + 1` sweep count, all through
+/// [`centralized_occupancy`]. Release mode only: CI runs it with
+/// `cargo test --release --test bounds -- --ignored scale_`.
+#[test]
+#[ignore = "release-mode scale test"]
+fn scale_envelope_on_road_like_512() {
+    let g = gen::road_like(512, 512, 7);
+    let partition = Partition::from_parts(&g, gen::voronoi_parts_seeded(&g, 2621, 7)).unwrap();
+    assert_eq!(partition.num_parts(), 2621);
+    let occupancy = centralized_occupancy(&g, &partition).unwrap_or_else(|e| panic!("{e}"));
+    assert!(occupancy > 0.0, "an occupancy of 0 measured nothing");
+}
+
 /// A random minor-free instance: planar / bounded-genus / bounded-treewidth
 /// graph plus a random connected (Voronoi) partition.
 fn arb_minor_free() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>, &'static str)> {
