@@ -36,21 +36,27 @@ use lcs_graph::weights::EdgeWeights;
 /// ```
 pub trait SessionAlgoOps {
     /// Exact minimum spanning forest by shortcut-based Boruvka
-    /// (Corollary 1.6; [`distributed_mst`] semantics). Stores `weights` as
-    /// the session's `Weights` input (a no-op when unchanged) and caches
-    /// the report as a weight-scoped artifact (`deps::WEIGHTED`): repeated
-    /// calls reuse it until the weights change — partition churn does not
-    /// evict it.
+    /// (Corollary 1.6; [`distributed_mst`] semantics). The report is
+    /// memoized on `weights`: a repeated call with equal weights reuses
+    /// it, other weights replace it — partition churn does not evict it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_mst`](Self::try_mst) fails.
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport>;
 
     /// Connected components by unit-weight Boruvka
     /// ([`distributed_components`] semantics). The report is
-    /// topology-scoped: partition and weight churn keep it cached.
+    /// topology-scoped: partition churn keeps it cached.
     fn components(&mut self) -> OpReport<ComponentsReport>;
 
     /// Min-cut upper bound by greedy tree packing + 1-respecting cuts
     /// (Corollary 1.7; [`approx_mincut_distributed`] semantics).
     /// Topology-scoped like [`components`](Self::components).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_mincut`](Self::try_mincut) fails.
     fn mincut(&mut self) -> OpReport<MincutReport>;
 
     /// [`mst`](Self::mst) with the weight vector validated up front: a
@@ -103,30 +109,23 @@ fn op_report<T>(
     }
 }
 
+/// The memoized MST: the report and the weights it answers for.
+struct MstMemo {
+    weights: EdgeWeights,
+    report: MstReport,
+}
+
 impl SessionAlgoOps for ShortcutSession<'_> {
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport> {
-        self.set_weights(weights.clone());
-        let r = self.op_artifact_with(deps::WEIGHTED, |s| {
-            distributed_mst(s.graph(), s.weights(), s.root(), provider_of(s), s.config())
-        });
-        let rounds = r.rounds.total();
-        op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone())
+        self.try_mst(weights).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn components(&mut self) -> OpReport<ComponentsReport> {
-        let r = self.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            distributed_components(s.graph(), s.root(), provider_of(s), s.config())
-        });
-        let (m, rounds) = (&r.mst, r.mst.rounds.total());
-        op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone())
+        self.try_components().unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn mincut(&mut self) -> OpReport<MincutReport> {
-        let r = self.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            approx_mincut_distributed(s.graph(), s.root(), provider_of(s), s.config())
-        });
-        let rounds = r.rounds.total() + r.eval_rounds;
-        op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone())
+        self.try_mincut().unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_mst(&mut self, weights: &EdgeWeights) -> Result<OpReport<MstReport>, SessionError> {
@@ -139,11 +138,29 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         if let Some((edge, weight)) = weights.iter().find(|&(_, w)| w >= (1 << 31)) {
             return Err(SessionError::WeightTooLarge { edge, weight });
         }
-        Ok(self.mst(weights))
+        let memo = self.op_artifact_with(
+            deps::TOPOLOGY_ONLY,
+            |memo: &MstMemo| memo.weights == *weights,
+            |s| MstMemo {
+                report: distributed_mst(s.graph(), weights, s.root(), provider_of(s), s.config()),
+                weights: weights.clone(),
+            },
+        );
+        let r = &memo.report;
+        let rounds = r.rounds.total();
+        let report = op_report(self, rounds, r.messages, r.bits, r.truncated, r.clone());
+        Ok(report)
     }
 
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError> {
-        Ok(self.components())
+        let r = self.op_artifact_with(
+            deps::TOPOLOGY_ONLY,
+            |_| true,
+            |s| distributed_components(s.graph(), s.root(), provider_of(s), s.config()),
+        );
+        let (m, rounds) = (&r.mst, r.mst.rounds.total());
+        let report = op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone());
+        Ok(report)
     }
 
     fn try_mincut(&mut self) -> Result<OpReport<MincutReport>, SessionError> {
@@ -156,15 +173,24 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         if !components::is_connected(self.graph()) {
             return Err(SessionError::GraphDisconnected);
         }
-        Ok(self.mincut())
+        let r = self.op_artifact_with(
+            deps::TOPOLOGY_ONLY,
+            |_| true,
+            |s| approx_mincut_distributed(s.graph(), s.root(), provider_of(s), s.config()),
+        );
+        let rounds = r.rounds.total() + r.eval_rounds;
+        let report = op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone());
+        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::session::Session;
-    use lcs_graph::{gen, EdgeId, Graph};
+    use crate::mst::kruskal;
+    use lcs_core::session::{CacheStats, Session};
+    use lcs_graph::{gen, EdgeId, Graph, NodeId, PartId};
+    use std::sync::Arc;
 
     #[test]
     fn try_mst_validates_weights() {
@@ -189,6 +215,51 @@ mod tests {
         );
         let ok = s.try_mst(&EdgeWeights::unit(&g)).expect("valid weights");
         assert_eq!(ok.result.edges.len(), 15);
+    }
+
+    /// The MST memo's cells (the other artifact classes' are the
+    /// invalidation matrix in `lcs_core::session`): equal weights are a
+    /// hit on one allocation, partition churn keeps it, other weights are
+    /// one invalidation + one build.
+    #[test]
+    fn mst_is_memoized_on_the_weights_it_is_given() {
+        let g = gen::grid(4, 4);
+        let unit = EdgeWeights::unit(&g);
+        let mut skewed = unit.clone();
+        *skewed.weight_mut(EdgeId(0)) = 9;
+        let mut s = Session::on(&g)
+            .partition(gen::rows_of_grid(4, 4))
+            .build()
+            .unwrap();
+        let memo = |s: &mut ShortcutSession<'_>| {
+            let cached = |_: &mut ShortcutSession<'_>| -> MstMemo { unreachable!("memoized") };
+            s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| true, cached)
+        };
+        // (builds, hits, invalidations) of the op artifacts since `before`.
+        let moved = |s: &ShortcutSession<'_>, before: &CacheStats| {
+            let (now, was) = (s.cache_stats().op_artifacts, before.op_artifacts);
+            let invalidations = now.invalidations - was.invalidations;
+            (now.builds - was.builds, now.hits - was.hits, invalidations)
+        };
+
+        let before = *s.cache_stats();
+        for _ in 0..2 {
+            assert_eq!(s.mst(&unit.clone()).result.edges, kruskal(&g, &unit));
+        }
+        assert_eq!(moved(&s, &before), (1, 1, 0), "Boruvka ran once");
+        let served = memo(&mut s);
+
+        s.reassign_parts(&[(NodeId(4), PartId(0))]).unwrap();
+        s.set_partition(gen::rows_of_grid(4, 4)).unwrap();
+        let before = *s.cache_stats();
+        s.mst(&unit);
+        assert_eq!(moved(&s, &before), (0, 1, 0), "partition churn keeps it");
+        assert!(Arc::ptr_eq(&served, &memo(&mut s)));
+
+        let before = *s.cache_stats();
+        assert_eq!(s.mst(&skewed).result.edges, kruskal(&g, &skewed));
+        assert_eq!(moved(&s, &before), (1, 0, 1), "other weights replace it");
+        assert!(!Arc::ptr_eq(&served, &memo(&mut s)));
     }
 
     #[test]

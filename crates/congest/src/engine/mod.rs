@@ -577,7 +577,7 @@ mod tests {
         #[derive(Clone)]
         struct Huge;
         impl MessageSize for Huge {
-            fn size_bits(&self) -> usize {
+            fn size_bits_in(&self, _n: usize) -> usize {
                 1 << 20
             }
         }

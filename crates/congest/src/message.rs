@@ -24,16 +24,11 @@ pub fn id_bits(n: usize) -> usize {
 /// correctly: a message carrying two node ids must report roughly
 /// `2·log n`, not a constant.
 ///
-/// Sizing comes in two flavors:
-///
-/// * [`size_bits`](MessageSize::size_bits) — the network-size-independent
-///   estimate, used when `n` is unknown (raw payloads such as `u64`
-///   aggregates are billed at their full width).
-/// * [`size_bits_in`](MessageSize::size_bits_in) — the `n`-aware size the
-///   **simulator actually bills**: id payloads (node / part / fragment ids)
-///   should report [`id_bits`]`(n)` here so bits-metrics scale as
-///   `O(log n)` like the model assumes. The default forwards to
-///   `size_bits`, which is correct for value payloads.
+/// There is one way to size a message,
+/// [`size_bits_in`](MessageSize::size_bits_in): id payloads (node / part /
+/// fragment ids) report [`id_bits`]`(n)` so bits-metrics scale as
+/// `O(log n)` like the model assumes; value payloads (raw `u64`
+/// aggregates, hashes) ignore `n` and bill their full width.
 ///
 /// For protocols whose whole message is one bare id, use the ready-made
 /// [`NodeIdMsg`] wrapper instead of `u32` (which bills a fixed 32 bits
@@ -41,15 +36,9 @@ pub fn id_bits(n: usize) -> usize {
 ///
 /// [`RunMetrics::bits`]: crate::RunMetrics::bits
 pub trait MessageSize {
-    /// Size of this message in bits, when the network size is unknown.
-    fn size_bits(&self) -> usize;
-
     /// Size of this message in bits in an `n`-node network. Id payloads
     /// scale as [`id_bits`]`(n)`; value payloads keep their fixed width.
-    fn size_bits_in(&self, n: usize) -> usize {
-        let _ = n;
-        self.size_bits()
-    }
+    fn size_bits_in(&self, n: usize) -> usize;
 
     /// The *marginal* cost in bits of appending this message to a
     /// [`PackedMsg`] batch whose previous element is `prev` — the
@@ -138,13 +127,6 @@ impl<M> PackedMsg<M> {
 }
 
 impl<M: MessageSize> MessageSize for PackedMsg<M> {
-    fn size_bits(&self) -> usize {
-        match self {
-            PackedMsg::One(m) => m.size_bits(),
-            PackedMsg::Batch(vs) => vs.iter().map(MessageSize::size_bits).sum(),
-        }
-    }
-
     /// The true packed width: first value at full size, every later value
     /// at its marginal [`size_bits_packed_in`](MessageSize::size_bits_packed_in)
     /// cost (shared framing billed once per run).
@@ -252,30 +234,25 @@ impl<M: MessageSize> Mergeable for PackedMsg<M> {
 /// ```
 /// use lcs_congest::{id_bits, MessageSize, NodeIdMsg};
 /// let m = NodeIdMsg(17);
-/// assert_eq!(m.size_bits(), 32);            // n unknown: full width
-/// assert_eq!(m.size_bits_in(100), id_bits(100)); // n known: 7 bits
+/// assert_eq!(m.size_bits_in(100), id_bits(100)); // 7 bits, not 32
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct NodeIdMsg(pub u32);
 
 impl MessageSize for NodeIdMsg {
-    fn size_bits(&self) -> usize {
-        32
-    }
-
     fn size_bits_in(&self, n: usize) -> usize {
         id_bits(n)
     }
 }
 
 impl MessageSize for () {
-    fn size_bits(&self) -> usize {
+    fn size_bits_in(&self, _n: usize) -> usize {
         1
     }
 }
 
 impl MessageSize for bool {
-    fn size_bits(&self) -> usize {
+    fn size_bits_in(&self, _n: usize) -> usize {
         1
     }
 }
@@ -284,33 +261,25 @@ impl MessageSize for bool {
 /// payloads use [`NodeIdMsg`] (or an `n`-aware [`MessageSize::size_bits_in`]
 /// impl) so the bits-metric scales as `O(log n)`.
 impl MessageSize for u32 {
-    fn size_bits(&self) -> usize {
+    fn size_bits_in(&self, _n: usize) -> usize {
         32
     }
 }
 
 /// Raw 64-bit payload (aggregate values, hashes): billed at full width.
 impl MessageSize for u64 {
-    fn size_bits(&self) -> usize {
+    fn size_bits_in(&self, _n: usize) -> usize {
         64
     }
 }
 
 impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
-    fn size_bits(&self) -> usize {
-        self.0.size_bits() + self.1.size_bits()
-    }
-
     fn size_bits_in(&self, n: usize) -> usize {
         self.0.size_bits_in(n) + self.1.size_bits_in(n)
     }
 }
 
 impl<T: MessageSize> MessageSize for Option<T> {
-    fn size_bits(&self) -> usize {
-        1 + self.as_ref().map_or(0, MessageSize::size_bits)
-    }
-
     fn size_bits_in(&self, n: usize) -> usize {
         1 + self.as_ref().map_or(0, |m| m.size_bits_in(n))
     }
@@ -322,20 +291,20 @@ mod tests {
 
     #[test]
     fn primitive_sizes() {
-        assert_eq!(().size_bits(), 1);
-        assert_eq!(true.size_bits(), 1);
-        assert_eq!(7u32.size_bits(), 32);
-        assert_eq!(7u64.size_bits(), 64);
         // Raw payloads are n-independent.
-        assert_eq!(7u32.size_bits_in(1000), 32);
-        assert_eq!(7u64.size_bits_in(1000), 64);
+        for n in [2, 1000] {
+            assert_eq!(().size_bits_in(n), 1);
+            assert_eq!(true.size_bits_in(n), 1);
+            assert_eq!(7u32.size_bits_in(n), 32);
+            assert_eq!(7u64.size_bits_in(n), 64);
+        }
     }
 
     #[test]
     fn composite_sizes() {
-        assert_eq!((1u32, 2u32).size_bits(), 64);
-        assert_eq!(Some(1u32).size_bits(), 33);
-        assert_eq!(None::<u32>.size_bits(), 1);
+        assert_eq!((1u32, 2u32).size_bits_in(64), 64);
+        assert_eq!(Some(1u32).size_bits_in(64), 33);
+        assert_eq!(None::<u32>.size_bits_in(64), 1);
         // Composites forward the n-aware sizing to their components.
         assert_eq!((NodeIdMsg(1), 2u64).size_bits_in(64), 7 + 64);
         assert_eq!(Some(NodeIdMsg(1)).size_bits_in(64), 1 + 7);
@@ -355,7 +324,6 @@ mod tests {
 
     #[test]
     fn node_id_msg_scales_with_n() {
-        assert_eq!(NodeIdMsg(5).size_bits(), 32);
         assert_eq!(NodeIdMsg(5).size_bits_in(2), 2);
         assert_eq!(NodeIdMsg(5).size_bits_in(1024), 11);
     }
@@ -369,13 +337,6 @@ mod tests {
     }
 
     impl MessageSize for Tagged {
-        fn size_bits(&self) -> usize {
-            match self {
-                Tagged::Id(_) => 3 + 32,
-                Tagged::Val(_) => 3 + 64,
-            }
-        }
-
         fn size_bits_in(&self, n: usize) -> usize {
             match self {
                 Tagged::Id(_) => 3 + id_bits(n),
@@ -395,7 +356,6 @@ mod tests {
     #[test]
     fn packed_one_bills_exactly_the_inner_message() {
         let one = PackedMsg::One(NodeIdMsg(9));
-        assert_eq!(one.size_bits(), NodeIdMsg(9).size_bits());
         assert_eq!(one.size_bits_in(100), NodeIdMsg(9).size_bits_in(100));
         assert_eq!(one.len(), 1);
         assert!(!one.is_empty());
@@ -412,7 +372,6 @@ mod tests {
         // Default marginal (no compression): batch = sum of parts.
         let plain = PackedMsg::Batch(vec![7u32, 8, 9]);
         assert_eq!(plain.size_bits_in(1000), 96);
-        assert_eq!(plain.size_bits(), 96);
     }
 
     #[test]

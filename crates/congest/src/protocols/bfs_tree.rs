@@ -14,13 +14,6 @@ pub enum BfsMsg {
 }
 
 impl MessageSize for BfsMsg {
-    fn size_bits(&self) -> usize {
-        match self {
-            BfsMsg::Dist(_) => 1 + 32,
-            BfsMsg::Adopt => 1,
-        }
-    }
-
     /// BFS distances are bounded by `n`, so they are id-sized payloads:
     /// `O(log n)` bits, as the CONGEST model assumes.
     fn size_bits_in(&self, n: usize) -> usize {

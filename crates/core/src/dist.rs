@@ -211,14 +211,6 @@ enum DetectMsg {
 }
 
 impl MessageSize for DetectMsg {
-    fn size_bits(&self) -> usize {
-        match self {
-            DetectMsg::Part(_) => 2 + 32,
-            DetectMsg::SketchVal(_) => 2 + 64,
-            DetectMsg::Done => 2,
-        }
-    }
-
     /// Part ids are id payloads (`O(log n)` bits); sketch hash values are
     /// genuine 64-bit payloads and keep their full width.
     fn size_bits_in(&self, n: usize) -> usize {

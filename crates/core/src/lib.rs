@@ -36,12 +36,11 @@
 //! ```
 //!
 //! Sessions are mutable: [`ShortcutSession::set_partition`] swaps the
-//! partition wholesale, [`ShortcutSession::reassign_parts`] moves nodes
-//! between parts and re-customizes only the touched parts, and
-//! [`ShortcutSession::update_weights`] mutates the weight input of MST.
-//! Each cached artifact declares which of the two mutable inputs
-//! (partition, weights) it depends on and is invalidated precisely when
-//! one changes — see the [`session`] module docs for the epoch model.
+//! partition wholesale and [`ShortcutSession::reassign_parts`] moves nodes
+//! between parts and re-customizes only the touched parts. Each cached
+//! artifact declares whether it reads the partition — the one mutable
+//! input — and is invalidated precisely when it changes; see the
+//! [`session`] module docs for the epoch model.
 //!
 //! # The underlying machinery
 //!
@@ -92,8 +91,8 @@ pub use full::{
 pub use partition::{Partition, PartitionError};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{
-    ArtifactStats, Backend, CacheStats, Epochs, Input, OpReport, Session, SessionBuilder,
-    SessionConfig, ShortcutSession, TreeSource,
+    ArtifactStats, Backend, CacheStats, OpReport, Session, SessionBuilder, SessionConfig,
+    ShortcutSession, TreeSource,
 };
 pub use shortcut::Shortcut;
 pub use source::{GeneratorSpec, GraphSource, GraphSourceError, PartitionSource, ResolvedGraph};

@@ -1,13 +1,12 @@
 //! The typed builder: `Session::on(&graph)` … `.build()`.
 
-use super::cache::{deps, CacheStats, Epochs, Slot};
+use super::cache::{deps, CacheStats, Slot};
 use super::{
     Backend, FullArtifact, GraphHandle, SessionConfig, SessionError, ShortcutSession, TreeSource,
 };
 use crate::dist::{DistConfig, DistMode};
 use crate::source::{GraphSource, PartitionSource};
 use crate::{ConstructionStats, Partition, Shortcut};
-use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -33,7 +32,6 @@ impl Session {
             tree: None,
             parts: None,
             partition: None,
-            weights: None,
             backend: Backend::Centralized,
             config: SessionConfig::default(),
             provided_shortcut: None,
@@ -48,7 +46,6 @@ pub struct SessionBuilder<'g> {
     tree: Option<TreeSource>,
     parts: Option<Vec<Vec<NodeId>>>,
     partition: Option<Partition>,
-    weights: Option<EdgeWeights>,
     backend: Backend,
     config: SessionConfig,
     provided_shortcut: Option<Shortcut>,
@@ -102,16 +99,6 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// Sets the initial edge weights (the `Weights` input read by weighted
-    /// ops like MST; mutable later via
-    /// [`set_weights`](ShortcutSession::set_weights) /
-    /// [`update_weights`](ShortcutSession::update_weights)); one per edge,
-    /// checked at [`build`](Self::build).
-    pub fn weights(mut self, weights: EdgeWeights) -> Self {
-        self.weights = Some(weights);
-        self
-    }
-
     /// Sets the construction backend (default: [`Backend::Centralized`]).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -142,8 +129,7 @@ impl<'g> SessionBuilder<'g> {
     /// [`SessionError::Partition`] for node lists or a source that fail
     /// validation (a source must also cover every node) or reach outside
     /// the component the tree spans
-    /// ([`PartitionError::OffTree`](crate::PartitionError::OffTree));
-    /// [`SessionError::WeightCountMismatch`].
+    /// ([`PartitionError::OffTree`](crate::PartitionError::OffTree)).
     pub fn build(self) -> Result<ShortcutSession<'g>, SessionError> {
         let g: &Graph = &self.g;
         let source = self.tree.unwrap_or(TreeSource::Bfs(NodeId(0)));
@@ -172,25 +158,17 @@ impl<'g> SessionBuilder<'g> {
                 None => None,
             },
         };
-        if let Some(w) = self.weights.as_ref().filter(|w| w.len() != g.num_edges()) {
-            return Err(SessionError::WeightCountMismatch {
-                got: w.len(),
-                expected: g.num_edges(),
-            });
-        }
-        let stamp = Epochs::default();
         let session = ShortcutSession {
             g: self.g,
             root,
             partition,
-            weights: self.weights,
             backend: self.backend,
             config: self.config,
-            epochs: stamp,
-            tree: tree.map(|t| Slot::new(t, stamp, deps::TOPOLOGY_ONLY)),
+            epoch: 0,
+            tree: tree.map(|t| Slot::new(t, 0, deps::TOPOLOGY_ONLY)),
             full: self
                 .provided_shortcut
-                .map(|s| Slot::new(FullArtifact::provided(s), stamp, deps::SHORTCUT)),
+                .map(|s| Slot::new(FullArtifact::provided(s), 0, deps::SHORTCUT)),
             op_artifacts: HashMap::new(),
             partition_log: VecDeque::new(),
             stats: CacheStats::default(),

@@ -1,79 +1,33 @@
-//! The artifact model: two mutable inputs with epoch counters, dependency
-//! sets as data, one cache routine ([`Slot::ensure`]) every artifact class
-//! goes through, the mutation API that moves the epochs, and the typed
-//! per-op artifact table.
+//! The artifact model: one mutable input with an epoch counter, the
+//! dependency each artifact declares, one cache routine ([`Slot::ensure`])
+//! every artifact class goes through, the mutation API that moves the
+//! epoch, and the typed per-op artifact table.
 
 use super::{SessionError, ShortcutSession};
 use crate::{Partition, PartitionError};
-use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{EdgeId, NodeId, PartId};
+use lcs_graph::{NodeId, PartId};
 use serde::{Deserialize, Serialize};
 use std::any::{Any, TypeId};
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
 
-/// The two inputs of a session that can change under it. The graph, the
+/// What a cached artifact declares about the one input that can change
+/// under a session, the partition: whether it reads it. The graph, the
 /// tree and the configuration are fixed at
-/// [`build`](super::SessionBuilder::build) — artifacts that read only
-/// those never go stale. Every cached artifact declares the subset it
-/// depends on (see [`deps`]); mutating an input bumps its epoch in
-/// [`Epochs`] and thereby invalidates exactly the artifacts that declared
-/// it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Input {
-    /// The partition, mutated by
-    /// [`set_partition`](ShortcutSession::set_partition) and
-    /// [`reassign_parts`](ShortcutSession::reassign_parts).
-    Partition,
-    /// The edge weights, mutated by
-    /// [`set_weights`](ShortcutSession::set_weights) and
-    /// [`update_weights`](ShortcutSession::update_weights).
-    Weights,
-}
-
-/// Per-input epoch counters. A cached artifact records the epochs at build
-/// time; it is fresh while that stamp [`agrees_on`](Epochs::agrees_on) the
-/// artifact's declared dependencies with the session's current epochs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Epochs {
-    /// Epoch of the partition input.
-    pub partition: u64,
-    /// Epoch of the edge-weights input.
-    pub weights: u64,
-}
-
-impl Epochs {
-    /// The counter of one input.
-    pub fn of(&self, input: Input) -> u64 {
-        match input {
-            Input::Partition => self.partition,
-            Input::Weights => self.weights,
-        }
-    }
-
-    /// Whether `self` and `other` agree on every input in `deps`.
-    pub fn agrees_on(&self, other: &Epochs, deps: &[Input]) -> bool {
-        deps.iter().all(|&d| self.of(d) == other.of(d))
-    }
-}
-
-/// Declared dependency sets of the session's artifact classes. Custom op
-/// artifacts pick one of these (or any `&'static [Input]`) when calling
-/// [`op_artifact_with`](ShortcutSession::op_artifact_with).
+/// [`build`](super::SessionBuilder::build), so an artifact that does not
+/// read the partition never goes stale; one that does is invalidated by
+/// every move of the partition epoch. Op artifacts pass one of the two
+/// constants to [`op_artifact_with`](ShortcutSession::op_artifact_with).
 pub mod deps {
-    use super::Input;
-
     /// Shortcut-scoped artifacts — the full shortcut (with its quality
     /// report) and partition-derived op artifacts (e.g. the partwise
     /// participation tables).
-    pub const SHORTCUT: &[Input] = &[Input::Partition];
-    /// Weighted whole-graph algorithms (MST): weights but no partition.
-    pub const WEIGHTED: &[Input] = &[Input::Weights];
+    pub const SHORTCUT: bool = true;
     /// What reads only the graph, the tree and the configuration — the
-    /// spanning tree itself, unweighted whole-graph algorithms
-    /// (connectivity, min-cut). Never stale.
-    pub const TOPOLOGY_ONLY: &[Input] = &[];
+    /// spanning tree itself, whole-graph algorithms (MST, connectivity,
+    /// min-cut). Never stale.
+    pub const TOPOLOGY_ONLY: bool = false;
 }
 
 /// Build/hit/invalidation counters of one artifact class.
@@ -115,43 +69,48 @@ pub struct CacheStats {
     pub op_artifact_patches: u64,
 }
 
-/// A cached artifact: the value, the input epochs it was built under, and
-/// the inputs it depends on.
+/// A cached artifact: the value, the partition epoch it was built under,
+/// and whether it reads the partition (see [`deps`]).
 #[derive(Clone, Debug)]
 pub(super) struct Slot<T> {
     pub(super) value: T,
-    pub(super) stamp: Epochs,
-    deps: &'static [Input],
+    pub(super) stamp: u64,
+    reads_partition: bool,
 }
 
 impl<T> Slot<T> {
-    pub(super) fn new(value: T, stamp: Epochs, deps: &'static [Input]) -> Self {
-        Slot { value, stamp, deps }
+    pub(super) fn new(value: T, stamp: u64, reads_partition: bool) -> Self {
+        Slot {
+            value,
+            stamp,
+            reads_partition,
+        }
     }
 
-    /// Whether no declared dependency moved since the stamp.
-    pub(super) fn fresh(&self, now: &Epochs) -> bool {
-        self.stamp.agrees_on(now, self.deps)
+    /// Whether the partition, if read, has not moved since the stamp.
+    pub(super) fn fresh(&self, now: u64) -> bool {
+        !self.reads_partition || self.stamp == now
     }
 
-    /// The cache routine of every artifact class: a fresh `cell` is a hit
-    /// and comes back as it is; a stale one is invalidated (dropped before
-    /// its replacement is built); a missing or dropped one is built and
-    /// stamped with the current epochs. A `build` that fails stamps
-    /// nothing and counts no build. `class` picks the counters to tick.
-    /// The caller takes `cell` out of the session and stores the returned
-    /// slot back, so `build` may drive the whole session — but must not
-    /// mutate its inputs.
+    /// The cache routine of every artifact class: a fresh `cell` whose
+    /// value `answers` the caller is a hit and comes back as it is; any
+    /// other is invalidated (dropped before its replacement is built); a
+    /// missing or dropped one is built and stamped with the current epoch.
+    /// A `build` that fails stamps nothing and counts no build. `class`
+    /// picks the counters to tick. The caller takes `cell` out of the
+    /// session and stores the returned slot back, so `build` may drive the
+    /// whole session — but must not mutate its partition.
     pub(super) fn ensure<'g, E>(
         cell: Option<Self>,
         session: &mut ShortcutSession<'g>,
-        deps: &'static [Input],
+        reads_partition: bool,
         class: fn(&mut CacheStats) -> &mut ArtifactStats,
+        answers: impl FnOnce(&T) -> bool,
         build: impl FnOnce(&mut ShortcutSession<'g>) -> Result<T, E>,
     ) -> Result<Self, E> {
-        let now = session.epochs;
+        let now = session.epoch;
         if let Some(slot) = cell {
-            if slot.fresh(&now) {
+            if slot.fresh(now) && answers(&slot.value) {
                 class(&mut session.stats).hits += 1;
                 return Ok(slot);
             }
@@ -159,11 +118,11 @@ impl<T> Slot<T> {
         }
         let value = build(session)?;
         debug_assert_eq!(
-            session.epochs, now,
-            "artifact builders must not mutate session inputs"
+            session.epoch, now,
+            "artifact builders must not mutate the partition"
         );
         class(&mut session.stats).builds += 1;
-        Ok(Slot::new(value, now, deps))
+        Ok(Slot::new(value, now, reads_partition))
     }
 }
 
@@ -191,8 +150,8 @@ const PARTITION_LOG_CAP: usize = 64;
 
 impl<'g> ShortcutSession<'g> {
     /// Replaces the partition wholesale, validating the raw node lists,
-    /// and bumps the [`Input::Partition`] epoch: every partition-scoped
-    /// artifact is invalidated (lazily) and rebuilt on next access.
+    /// and bumps the partition epoch: every partition-scoped artifact is
+    /// invalidated (lazily) and rebuilt on next access.
     ///
     /// For small membership changes prefer
     /// [`reassign_parts`](Self::reassign_parts), which re-customizes
@@ -225,16 +184,15 @@ impl<'g> ShortcutSession<'g> {
     /// Moves nodes between existing parts and re-customizes incrementally.
     ///
     /// Validation is atomic (see [`Partition::reassign`]): on error the
-    /// session is unchanged. On success the [`Input::Partition`] epoch
-    /// bumps, but the touched parts are remembered — when the full
-    /// shortcut (or quality report) is next needed and is stale *only*
-    /// because of such tracked reassignments, the session runs a mini
-    /// doubling search over just the touched parts and splices their
+    /// session is unchanged. On success the partition epoch bumps, but
+    /// the touched parts are remembered — when the full shortcut (or
+    /// quality report) is next needed and is stale *only* because of such
+    /// tracked reassignments, the session runs a mini doubling search over just the touched parts and splices their
     /// `H_i` into the cached shortcut instead of rebuilding everything.
     /// Per-part quality rows are re-measured for the touched parts only.
     /// Returns the sorted ids of the touched parts (old and new part of
     /// every moved node); an effect-free move list returns an empty vector
-    /// without bumping any epoch.
+    /// without bumping the epoch.
     ///
     /// The re-customization runs on the session backend like the
     /// construction it patches: the distributed backends detect the
@@ -284,85 +242,29 @@ impl<'g> ShortcutSession<'g> {
         Ok(touched)
     }
 
-    /// Replaces the edge weights, bumping the [`Input::Weights`] epoch —
-    /// unless the new weights equal the current ones, in which case this
-    /// is a no-op (so repeated calls with the same metric keep weight-
-    /// scoped artifacts cached).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the graph's edge count. Use
-    /// [`try_set_weights`](Self::try_set_weights) for the fallible form.
-    pub fn set_weights(&mut self, weights: EdgeWeights) {
-        self.try_set_weights(weights)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`set_weights`](Self::set_weights) with the length mismatch
-    /// reported as [`SessionError::WeightCountMismatch`] instead of a
-    /// panic. On `Err` the session is unchanged.
-    pub fn try_set_weights(&mut self, weights: EdgeWeights) -> Result<(), SessionError> {
-        if weights.len() != self.g.num_edges() {
-            return Err(SessionError::WeightCountMismatch {
-                got: weights.len(),
-                expected: self.g.num_edges(),
-            });
-        }
-        if self.weights.as_ref() != Some(&weights) {
-            self.weights = Some(weights);
-            self.epochs.weights += 1;
-        }
-        Ok(())
-    }
-
-    /// Applies sparse `(edge, new_weight)` updates to the session weights
-    /// and bumps the [`Input::Weights`] epoch (no-op for an empty list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no weights, or an edge id is out of
-    /// range. Use [`try_update_weights`](Self::try_update_weights) for the
-    /// fallible form.
-    pub fn update_weights(&mut self, changes: &[(EdgeId, u64)]) {
-        self.try_update_weights(changes)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`update_weights`](Self::update_weights) with typed errors: a
-    /// missing weight vector is [`SessionError::NoWeights`], an
-    /// out-of-range edge id [`SessionError::EdgeOutOfRange`]. Validation
-    /// is atomic (via [`EdgeWeights::try_update`]): on `Err` no weight was
-    /// written and no epoch bumped, so the serving state stays consistent.
-    pub fn try_update_weights(&mut self, changes: &[(EdgeId, u64)]) -> Result<(), SessionError> {
-        let w = self.weights.as_mut().ok_or(SessionError::NoWeights)?;
-        if changes.is_empty() {
-            return Ok(());
-        }
-        w.try_update(changes)
-            .map_err(|e| SessionError::EdgeOutOfRange {
-                edge: e.edge,
-                num_edges: e.num_edges,
-            })?;
-        self.epochs.weights += 1;
-        Ok(())
-    }
-
     /// The per-op-type derived-artifact cache: returns the artifact of
     /// type `T`, building it with `build` on first access and serving the
-    /// same [`Arc`] while every input in `deps` is unchanged; when one
-    /// bumps, the slot is invalidated and `build` runs again.
+    /// same [`Arc`] while the partition has not moved (if the artifact
+    /// [reads it](deps)) and `answers` accepts the cached value;
+    /// otherwise the slot is invalidated and `build` runs again.
     ///
     /// This is where ops park preprocessing — e.g. the partwise
-    /// O(n + m) participation tables ([`deps::SHORTCUT`]) or a cached MST
-    /// report ([`deps::WEIGHTED`]). Keyed by [`TypeId`], so each artifact
-    /// type has exactly one slot per session. Use
+    /// O(n + m) participation tables ([`deps::SHORTCUT`]) — and memoize
+    /// reports: `answers` is the test of an op keyed by its arguments (the
+    /// cached MST report remembers the weights it answers for); an op
+    /// without arguments passes `|_| true`. Keyed by [`TypeId`], so each
+    /// artifact type has exactly one slot per session. Use
     /// [`op_artifact_patched`](Self::op_artifact_patched) to refresh
     /// incrementally under part churn.
     ///
     /// `build` may drive the session (e.g. call
-    /// [`prepare`](Self::prepare) or read [`weights`](Self::weights)) but
-    /// must not mutate inputs.
-    pub fn op_artifact_with<T, F>(&mut self, deps: &'static [Input], build: F) -> Arc<T>
+    /// [`prepare`](Self::prepare)) but must not mutate the partition.
+    pub fn op_artifact_with<T, F>(
+        &mut self,
+        reads_partition: bool,
+        answers: impl FnOnce(&T) -> bool,
+        build: F,
+    ) -> Arc<T>
     where
         T: Any + Send + Sync,
         F: FnOnce(&mut ShortcutSession<'g>) -> T,
@@ -371,8 +273,9 @@ impl<'g> ShortcutSession<'g> {
         let slot = Slot::ensure(
             self.op_artifacts.remove(&key),
             self,
-            deps,
+            reads_partition,
             |c| &mut c.op_artifacts,
+            |cached| cached.downcast_ref().is_some_and(answers),
             |s| Ok::<_, Infallible>(Arc::new(build(s)) as OpValue),
         )
         .unwrap_or_else(|never| match never {});
@@ -392,11 +295,10 @@ impl<'g> ShortcutSession<'g> {
     /// for the same churn (so [`shortcut_ref`](Self::shortcut_ref) inside
     /// `patch` sees the incrementally re-customized shortcut, in which
     /// untouched parts' edge lists are unchanged). A wholesale partition
-    /// replacement, a pruned mutation log, or staleness in any other
-    /// declared dependency falls back to `build`.
+    /// replacement or a pruned mutation log falls back to `build`.
     pub fn op_artifact_patched<T, F, P>(
         &mut self,
-        deps: &'static [Input],
+        reads_partition: bool,
         build: F,
         patch: P,
     ) -> Arc<T>
@@ -408,36 +310,36 @@ impl<'g> ShortcutSession<'g> {
         let key = TypeId::of::<T>();
         let slot = self.op_artifacts.get(&key);
         let Some(touched) = slot.and_then(|slot| self.patchable_parts(slot)) else {
-            return self.op_artifact_with(deps, build);
+            return self.op_artifact_with(reads_partition, |_| true, build);
         };
         let old = downcast::<T>(self.op_artifacts.remove(&key).expect("looked up").value);
         let patched = Arc::new(patch(self, &old, &touched));
         self.stats.op_artifact_patches += 1;
         self.op_artifacts
-            .insert(key, Slot::new(patched.clone(), self.epochs, deps));
+            .insert(key, Slot::new(patched.clone(), self.epoch, reads_partition));
         patched
     }
 
     /// Replaces the value in the fresh op-artifact slot of type `T`,
-    /// keeping its stamp and dependency set — for an artifact that learns
+    /// keeping its stamp and dependency — for an artifact that learns
     /// from the runs it serves (the partwise aggregation forest, harvested
     /// from each aggregate's final states). A stale or missing slot is
     /// left alone: what `value` was derived from is gone. Counts as neither
     /// build, hit nor patch.
     pub fn op_artifact_swap<T: Any + Send + Sync>(&mut self, value: T) {
-        let now = self.epochs;
+        let now = self.epoch;
         if let Some(slot) = self.op_artifacts.get_mut(&TypeId::of::<T>()) {
-            if slot.fresh(&now) {
+            if slot.fresh(now) {
                 slot.value = Arc::new(value);
             }
         }
     }
 
-    /// Installs `partition` as the session's, bumping the
-    /// [`Input::Partition`] epoch and logging what changed.
+    /// Installs `partition` as the session's, bumping the partition epoch
+    /// and logging what changed.
     fn install_partition(&mut self, partition: Partition, delta: PartitionDelta) {
         self.partition = Some(partition);
-        self.epochs.partition += 1;
+        self.epoch += 1;
         self.partition_log.push_back(delta);
         if self.partition_log.len() > PARTITION_LOG_CAP {
             self.partition_log.pop_front();
@@ -445,22 +347,16 @@ impl<'g> ShortcutSession<'g> {
     }
 
     /// The parts to refresh when `slot` can be patched instead of rebuilt:
-    /// it is stale, catching its stamp up on the partition alone would
-    /// make it fresh, and every partition change since the stamp is still
-    /// in the log as a tracked reassignment. `None` otherwise — the slot
-    /// is fresh, another dependency moved, or the span contains a
-    /// wholesale replacement or reaches past the bounded log.
+    /// it is stale and every partition change since its stamp is still in
+    /// the log as a tracked reassignment. `None` otherwise — the slot is
+    /// fresh, or the span contains a wholesale replacement or reaches past
+    /// the bounded log.
     pub(super) fn patchable_parts<T>(&self, slot: &Slot<T>) -> Option<Vec<PartId>> {
-        let now = self.epochs;
-        let caught_up = Epochs {
-            partition: now.partition,
-            ..slot.stamp
-        };
-        if slot.fresh(&now) || !caught_up.agrees_on(&now, slot.deps) {
+        if slot.fresh(self.epoch) {
             return None;
         }
         // One log entry per partition epoch, newest last.
-        let changes = usize::try_from(now.partition - slot.stamp.partition).ok()?;
+        let changes = usize::try_from(self.epoch - slot.stamp).ok()?;
         let first = self.partition_log.len().checked_sub(changes)?;
         let mut touched = BTreeSet::new();
         for delta in self.partition_log.range(first..) {
@@ -499,10 +395,6 @@ mod tests {
         Reassign,
         ReassignNoop,
         ReassignFailing,
-        SetWeightsEqual,
-        SetWeights,
-        UpdateWeights,
-        UpdateWeightsEmpty,
     }
     use Mutator::*;
 
@@ -512,40 +404,33 @@ mod tests {
         Full,
         Quality,
         ShortcutOp,
-        WeightedOp,
         TopologyOp,
     }
-    const COLUMNS: [Column; 6] = [
+    const COLUMNS: [Column; 5] = [
         Column::Tree,
         Column::Full,
         Column::Quality,
         Column::ShortcutOp,
-        Column::WeightedOp,
         Column::TopologyOp,
     ];
 
     /// Rows: every mutator. Cells: what it does to each artifact class, in
-    /// [`COLUMNS`] order. Last: how far it moves the (partition, weights)
-    /// epochs. Widening or narrowing any set in [`deps`] flips a cell.
+    /// [`COLUMNS`] order. Last: how far it moves the partition epoch.
+    /// Swapping the [`deps`] an artifact declares flips a cell.
     #[rustfmt::skip]
-    const MATRIX: [(Mutator, [Cell; 6], (u64, u64)); 8] = [
-        //                    tree full qual  S  W  T
-        (SetPartition,       [K,   R,   R,    R, K, K], (1, 0)),
-        (Reassign,           [K,   P,   P,    P, K, K], (1, 0)),
-        (ReassignNoop,       [K,   K,   K,    K, K, K], (0, 0)),
-        (ReassignFailing,    [K,   K,   K,    K, K, K], (0, 0)),
-        (SetWeightsEqual,    [K,   K,   K,    K, K, K], (0, 0)),
-        (SetWeights,         [K,   K,   K,    K, R, K], (0, 1)),
-        (UpdateWeights,      [K,   K,   K,    K, R, K], (0, 1)),
-        (UpdateWeightsEmpty, [K,   K,   K,    K, K, K], (0, 0)),
+    const MATRIX: [(Mutator, [Cell; 5], u64); 4] = [
+        //                 tree full qual  S  T
+        (SetPartition,    [K,   R,   R,    R, K], 1),
+        (Reassign,        [K,   P,   P,    P, K], 1),
+        (ReassignNoop,    [K,   K,   K,    K, K], 0),
+        (ReassignFailing, [K,   K,   K,    K, K], 0),
     ];
 
     const SIDE: usize = 6;
 
-    /// The three op artifacts, one per dependency set; each records what
-    /// it was derived from so a rebuilt value can be told from a stale one.
+    /// The two op artifacts, one per dependency; each records what it was
+    /// derived from so a rebuilt value can be told from a stale one.
     struct PartCount(usize);
-    struct TotalWeight(u64);
     struct TreeDepth(u32);
 
     fn part_count(s: &mut ShortcutSession<'_>) -> Arc<PartCount> {
@@ -560,19 +445,13 @@ mod tests {
         )
     }
 
-    fn total_weight(s: &mut ShortcutSession<'_>) -> Arc<TotalWeight> {
-        s.op_artifact_with(deps::WEIGHTED, |s| {
-            TotalWeight(s.weights().total(s.graph().edges().map(|e| e.id)))
-        })
-    }
-
     fn tree_depth(s: &mut ShortcutSession<'_>) -> Arc<TreeDepth> {
-        s.op_artifact_with(deps::TOPOLOGY_ONLY, |s| TreeDepth(s.tree().depth_of_tree()))
+        let build = |s: &mut ShortcutSession<'_>| TreeDepth(s.tree().depth_of_tree());
+        s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| true, build)
     }
 
     impl Mutator {
         fn apply(self, s: &mut ShortcutSession<'_>) {
-            let g = s.graph();
             match self {
                 SetPartition => {
                     let half = (SIDE * SIDE / 2) as u32;
@@ -598,14 +477,6 @@ mod tests {
                     assert_eq!(err, PartitionError::Disconnected(1));
                     assert_eq!(s.partition().part_of(interior), Some(PartId(1)));
                 }
-                SetWeightsEqual => s.set_weights(EdgeWeights::unit(g)),
-                SetWeights => {
-                    let mut w = EdgeWeights::unit(g);
-                    w.try_update(&[(EdgeId(0), 11)]).expect("edge 0 exists");
-                    s.set_weights(w);
-                }
-                UpdateWeights => s.update_weights(&[(EdgeId(0), 11)]),
-                UpdateWeightsEmpty => s.update_weights(&[]),
             }
         }
     }
@@ -624,10 +495,6 @@ mod tests {
                     assert_eq!(served, fresh, "a served report is the current shortcut's");
                 }
                 Column::ShortcutOp => assert_eq!(part_count(s).0, s.partition().num_parts()),
-                Column::WeightedOp => {
-                    let total = s.weights().total(s.graph().edges().map(|e| e.id));
-                    assert_eq!(total_weight(s).0, total);
-                }
                 Column::TopologyOp => assert_eq!(tree_depth(s).0, 2 * (SIDE as u32 - 1)),
             }
         }
@@ -641,7 +508,7 @@ mod tests {
                 Column::Full => (before.full, after.full, recustomized),
                 // The report is patched with the shortcut it rides in.
                 Column::Quality => (before.quality, after.quality, recustomized),
-                Column::ShortcutOp | Column::WeightedOp | Column::TopologyOp => (
+                Column::ShortcutOp | Column::TopologyOp => (
                     before.op_artifacts,
                     after.op_artifacts,
                     after.op_artifact_patches - before.op_artifact_patches,
@@ -661,15 +528,11 @@ mod tests {
     /// A session with every artifact class built and fresh, plus the op
     /// artifacts it serves (a kept cell must keep serving these very
     /// allocations).
-    type Warm<'g> = (
-        ShortcutSession<'g>,
-        (Arc<PartCount>, Arc<TotalWeight>, Arc<TreeDepth>),
-    );
+    type Warm<'g> = (ShortcutSession<'g>, (Arc<PartCount>, Arc<TreeDepth>));
 
     fn warm(g: &Graph) -> Warm<'_> {
         let mut s = Session::on(g)
             .partition(gen::rows_of_grid(SIDE, SIDE))
-            .weights(EdgeWeights::unit(g))
             .build()
             .expect("grid rows are valid parts");
         for column in COLUMNS {
@@ -684,27 +547,20 @@ mod tests {
         assert_eq!(stats.tree, built_once);
         assert_eq!((stats.full.builds, stats.full.invalidations), (1, 0));
         assert_eq!((stats.quality.builds, stats.quality.invalidations), (1, 0));
-        assert_eq!(stats.op_artifacts.builds, 3);
-        let served = (part_count(&mut s), total_weight(&mut s), tree_depth(&mut s));
+        assert_eq!(stats.op_artifacts.builds, 2);
+        let served = (part_count(&mut s), tree_depth(&mut s));
         (s, served)
     }
 
     #[test]
     fn invalidation_matrix() {
         let g = gen::grid(SIDE, SIDE);
-        for (mutator, row, (partition_moves, weights_moves)) in MATRIX {
+        for (mutator, row, partition_moves) in MATRIX {
             for (column, expected) in COLUMNS.into_iter().zip(row) {
                 let (mut s, served) = warm(&g);
-                let epochs = s.epochs;
+                let epoch = s.epoch;
                 mutator.apply(&mut s);
-                assert_eq!(
-                    (
-                        s.epochs.partition - epochs.partition,
-                        s.epochs.weights - epochs.weights
-                    ),
-                    (partition_moves, weights_moves),
-                    "{mutator:?}: epochs"
-                );
+                assert_eq!(s.epoch - epoch, partition_moves, "{mutator:?}: epoch");
                 let before = *s.cache_stats();
                 column.touch(&mut s);
                 let cell = column.cell(&before, s.cache_stats());
@@ -713,8 +569,7 @@ mod tests {
                 // patched or rebuilt one is a new value.
                 let same_allocation = match column {
                     Column::ShortcutOp => Arc::ptr_eq(&served.0, &part_count(&mut s)),
-                    Column::WeightedOp => Arc::ptr_eq(&served.1, &total_weight(&mut s)),
-                    Column::TopologyOp => Arc::ptr_eq(&served.2, &tree_depth(&mut s)),
+                    Column::TopologyOp => Arc::ptr_eq(&served.1, &tree_depth(&mut s)),
                     _ => continue,
                 };
                 assert_eq!(same_allocation, cell == K, "{mutator:?} × {column:?}");

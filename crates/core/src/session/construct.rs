@@ -77,7 +77,7 @@ impl ShortcutSession<'_> {
     /// [`SessionError::Truncated`] (nothing is cached then). A fresh
     /// caller-provided shortcut is served without requiring a partition.
     pub fn try_full_artifact(&mut self) -> Result<&FullArtifact, SessionError> {
-        let fresh = self.full.as_ref().is_some_and(|s| s.fresh(&self.epochs));
+        let fresh = self.full.as_ref().is_some_and(|s| s.fresh(self.epoch));
         if !fresh && self.partition.is_none() {
             return Err(SessionError::NoPartition);
         }
@@ -178,7 +178,7 @@ impl ShortcutSession<'_> {
     pub fn shortcut_ref(&self) -> &Shortcut {
         match &self.full {
             None => panic!("shortcut not prepared — call prepare() first"),
-            Some(slot) if !slot.fresh(&self.epochs) => {
+            Some(slot) if !slot.fresh(self.epoch) => {
                 panic!("shortcut stale — an input changed since prepare(); call prepare() again")
             }
             Some(slot) => &slot.value.shortcut,
@@ -199,6 +199,7 @@ impl ShortcutSession<'_> {
             self,
             deps::TOPOLOGY_ONLY,
             |c| &mut c.tree,
+            |_| true,
             |s| {
                 let dist = s.backend.dist_config();
                 let (tree, cost) = construction_tree(&s.g, s.root, dist.as_ref())?;
@@ -217,7 +218,7 @@ impl ShortcutSession<'_> {
                 return self.recustomize(&touched);
             }
             // A stale shortcut takes the report that measured it with it.
-            let stale_report = !slot.fresh(&self.epochs) && slot.value.quality.is_some();
+            let stale_report = !slot.fresh(self.epoch) && slot.value.quality.is_some();
             self.stats.quality.invalidations += u64::from(stale_report);
         }
         let slot = Slot::ensure(
@@ -225,6 +226,7 @@ impl ShortcutSession<'_> {
             self,
             deps::SHORTCUT,
             |c| &mut c.full,
+            |_| true,
             Self::build_full,
         )?;
         self.full = Some(slot);
@@ -245,6 +247,7 @@ impl ShortcutSession<'_> {
             self,
             deps::SHORTCUT,
             |c| &mut c.quality,
+            |_| true,
             |s| {
                 s.ensure_tree()?;
                 let (tree, shortcut) = (s.cached_tree(), &s.cached_full().shortcut);
@@ -316,7 +319,7 @@ impl ShortcutSession<'_> {
             // Copy-on-write: op reports may still hold the old allocation.
             Arc::make_mut(report).remeasure(g, partition, tree, &full.shortcut, touched);
         }
-        slot.stamp = self.epochs;
+        slot.stamp = self.epoch;
         self.stats.recustomizations += 1;
         self.stats.recustomized_parts += touched.len() as u64;
         self.full = Some(slot);

@@ -7,8 +7,6 @@ use std::fmt;
 
 pub(super) const NO_PARTITION: &str =
     "this session has no partition — pass .partition(..) to the builder";
-pub(super) const NO_WEIGHTS: &str =
-    "this session has no weights — pass .weights(..) to the builder or call set_weights(..)";
 
 /// Everything that can go wrong when building or driving a
 /// [`ShortcutSession`](super::ShortcutSession) — the typed form of what
@@ -25,9 +23,6 @@ pub enum SessionError {
     /// The session was built without a partition (partition-based ops
     /// require `.partition(..)` on the builder).
     NoPartition,
-    /// The session has no weights — pass `.weights(..)` to the builder or
-    /// call [`set_weights`](super::ShortcutSession::set_weights).
-    NoWeights,
     /// A partition failed validation, at `build()` or in a mutation (which
     /// leaves the session unchanged).
     Partition(PartitionError),
@@ -50,13 +45,6 @@ pub enum SessionError {
         part: PartId,
         /// Number of parts in the session partition.
         num_parts: usize,
-    },
-    /// An edge id exceeds the graph's edge count.
-    EdgeOutOfRange {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Number of edges in the session graph.
-        num_edges: usize,
     },
     /// A weight vector's length differs from the graph's edge count.
     WeightCountMismatch {
@@ -122,7 +110,6 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NoPartition => f.write_str(NO_PARTITION),
-            Self::NoWeights => f.write_str(NO_WEIGHTS),
             Self::Partition(e) => write!(f, "{e}"),
             Self::NodeOutOfRange { node, num_nodes } => {
                 write!(
@@ -139,12 +126,6 @@ impl fmt::Display for SessionError {
                 write!(
                     f,
                     "part {part:?} out of range — the partition has {num_parts} parts"
-                )
-            }
-            Self::EdgeOutOfRange { edge, num_edges } => {
-                write!(
-                    f,
-                    "edge {edge:?} out of range — the graph has {num_edges} edges"
                 )
             }
             Self::WeightCountMismatch { got, expected } => write!(

@@ -29,21 +29,22 @@
 //! # The artifact graph
 //!
 //! The graph, the tree, the backend and the configuration are fixed when
-//! the session is built; exactly two [`Input`]s can change under it — the
-//! partition and the edge weights — and each carries an epoch counter
-//! ([`Epochs`]). The session caches the BFS tree, the full shortcut (with
-//! its quality report and dense-minor certificate), and typed per-op
-//! artifacts. Each cached artifact declares
-//! which inputs it depends on (the constants in [`deps`]): a cached value
-//! is served only while its recorded epochs agree with the current ones
-//! on every declared dependency, and is invalidated — precisely, lazily —
-//! when one of them bumps. One routine does the hit / invalidate / build /
-//! stamp sequence for every artifact class.
+//! the session is built; exactly one input can change under it — the
+//! partition — and it carries an epoch counter. (Edge weights are not an
+//! input: a shortcut is a function of the graph, the tree and the parts,
+//! and the one op that reads weights, MST, takes them as an argument.)
+//! The session caches the BFS tree, the full shortcut (with its quality
+//! report and dense-minor certificate), and typed per-op artifacts. Each
+//! cached artifact declares whether it reads the partition (the constants
+//! in [`deps`]): one that does is served only while the epoch it recorded
+//! is the current one, and is invalidated — precisely, lazily — when the
+//! partition moves; one that does not never goes stale. One routine does
+//! the hit / invalidate / build / stamp sequence for every artifact class.
 //!
 //! # Mutating a live session
 //!
-//! Sessions are not frozen after the first construction; the mutation API
-//! bumps input epochs instead of requiring a rebuild-from-scratch:
+//! Sessions are not frozen after the first construction; the two mutators
+//! bump the partition epoch instead of requiring a rebuild-from-scratch:
 //!
 //! * [`set_partition`](ShortcutSession::set_partition) replaces the
 //!   partition wholesale — every partition-scoped artifact is invalidated
@@ -52,15 +53,12 @@
 //!   nodes between existing parts and *re-customizes incrementally*: only
 //!   the touched parts' shortcut edges and quality rows are recomputed
 //!   (a mini doubling search over just those parts), everything else
-//!   survives byte-for-byte;
-//! * [`set_weights`](ShortcutSession::set_weights) /
-//!   [`update_weights`](ShortcutSession::update_weights) mutate the
-//!   `Weights` input read by weighted algorithms (MST) — the shortcut and
-//!   partition artifacts are weight-independent and survive.
+//!   survives byte-for-byte.
 //!
 //! The preparation/customization split mirrors customizable contraction
-//! hierarchies: the metric- and partition-independent work (the tree) is
-//! never repeated, and partition churn pays only for what it touched.
+//! hierarchies: the partition-independent work (the tree, the reports of
+//! whole-graph algorithms) is never repeated, and partition churn pays
+//! only for what it touched.
 //! [`CacheStats`] reports builds/hits/invalidations per artifact class so a
 //! serving process can watch the cache behave.
 //!
@@ -76,9 +74,9 @@
 //!
 //! `error` (the typed [`SessionError`]), `config` ([`TreeSource`],
 //! [`Backend`], [`SessionConfig`] and its option blocks), `builder`
-//! ([`Session`] / [`SessionBuilder`]), `cache` (inputs, epochs, dependency
-//! sets, stats, the cache routine, the mutation API and the op-artifact
-//! table) and `construct` (the artifacts and how each is produced); this
+//! ([`Session`] / [`SessionBuilder`]), `cache` (the partition epoch, the
+//! dependency declarations, stats, the cache routine, the mutation API and
+//! the op-artifact table) and `construct` (the artifacts and how each is produced); this
 //! file holds the session itself and [`OpReport`].
 
 mod builder;
@@ -89,7 +87,7 @@ mod error;
 
 pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
-pub use cache::{deps, ArtifactStats, CacheStats, Epochs, Input};
+pub use cache::{deps, ArtifactStats, CacheStats};
 pub use config::{
     AggregateOpts, Backend, MincutOpts, MstOpts, SessionConfig, TreeSource, UnicastOpts,
 };
@@ -98,9 +96,8 @@ pub use error::SessionError;
 
 use crate::{Partition, QualityReport};
 use cache::{OpValue, PartitionDelta, Slot};
-use error::{NO_PARTITION, NO_WEIGHTS};
+use error::NO_PARTITION;
 use lcs_congest::RunMetrics;
-use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, RootedTree};
 use std::any::TypeId;
 use std::collections::{HashMap, VecDeque};
@@ -182,20 +179,19 @@ impl Deref for GraphHandle<'_> {
 }
 
 /// A prepared-topology session: one graph, one tree, one backend, one
-/// configuration — with a mutable partition and mutable weights.
-/// Artifacts are computed lazily, cached under per-input epoch stamps,
-/// invalidated precisely when a declared dependency changes, and served to
-/// any number of operations. See the [module docs](self) for the full
+/// configuration — with a mutable partition. Artifacts are computed
+/// lazily, cached under the partition epoch, invalidated precisely when
+/// the partition they read changes, and served to any number of
+/// operations. See the [module docs](self) for the full
 /// story.
 pub struct ShortcutSession<'g> {
     g: GraphHandle<'g>,
     root: NodeId,
     partition: Option<Partition>,
-    weights: Option<EdgeWeights>,
     backend: Backend,
     config: SessionConfig,
-    /// Current epoch of each [`Input`].
-    epochs: Epochs,
+    /// Bumped by every change of the partition.
+    epoch: u64,
     tree: Option<Slot<RootedTree>>,
     /// The full shortcut; its quality report rides inside.
     full: Option<Slot<FullArtifact>>,
@@ -255,16 +251,6 @@ impl<'g> ShortcutSession<'g> {
         self.partition.as_ref().ok_or(SessionError::NoPartition)
     }
 
-    /// The session's edge weights (the `Weights` input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no weights — pass `.weights(..)` to the
-    /// builder or call [`set_weights`](Self::set_weights).
-    pub fn weights(&self) -> &EdgeWeights {
-        self.weights.as_ref().expect(NO_WEIGHTS)
-    }
-
     /// Per-artifact cache counters: builds, hits, invalidations, and the
     /// incremental-recustomization tallies.
     pub fn cache_stats(&self) -> &CacheStats {
@@ -277,7 +263,7 @@ mod tests {
     use super::*;
     use crate::{measure_quality, PartitionError};
     use lcs_congest::SimConfig;
-    use lcs_graph::{bfs, gen, EdgeId, PartId};
+    use lcs_graph::{bfs, gen, PartId};
 
     /// Shortcut constructions performed (incremental re-customizations do
     /// not count).
@@ -483,15 +469,21 @@ mod tests {
         struct Expensive(usize);
         let mut s = grid_session(6);
         let mut builds = 0;
-        let a = s.op_artifact_with(deps::SHORTCUT, |s| {
-            builds += 1;
-            s.prepare();
-            let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
-            Expensive(g.num_nodes() + partition.num_parts() + shortcut.num_parts())
-        });
-        let b = s.op_artifact_with(deps::SHORTCUT, |_| -> Expensive {
-            unreachable!("cached after first build")
-        });
+        let a = s.op_artifact_with(
+            deps::SHORTCUT,
+            |_| true,
+            |s| {
+                builds += 1;
+                s.prepare();
+                let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
+                Expensive(g.num_nodes() + partition.num_parts() + shortcut.num_parts())
+            },
+        );
+        let b = s.op_artifact_with(
+            deps::SHORTCUT,
+            |_| true,
+            |_| -> Expensive { unreachable!("cached after first build") },
+        );
         assert_eq!(builds, 1);
         assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
         assert_eq!(a.0, 36 + 6 + 6);
@@ -593,16 +585,26 @@ mod tests {
         let mut s = grid_session(8);
         s.op_artifact_swap(Learned(7)); // no slot yet: nothing to replace
         let zero = |_: &mut ShortcutSession<'_>| Learned(0);
-        assert_eq!(*s.op_artifact_with(deps::SHORTCUT, zero), Learned(0));
+        assert_eq!(
+            *s.op_artifact_with(deps::SHORTCUT, |_| true, zero),
+            Learned(0)
+        );
         let before = *s.cache_stats();
         s.op_artifact_swap(Learned(1));
         assert_eq!(*s.cache_stats(), before, "a swap is no build, hit or patch");
-        let cached = s.op_artifact_with(deps::SHORTCUT, |_| -> Learned { unreachable!("cached") });
+        let cached = s.op_artifact_with(
+            deps::SHORTCUT,
+            |_| true,
+            |_| -> Learned { unreachable!("cached") },
+        );
         assert_eq!(*cached, Learned(1));
         // A value learned under an older partition must not resurface.
         s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
         s.op_artifact_swap(Learned(2));
-        assert_eq!(*s.op_artifact_with(deps::SHORTCUT, zero), Learned(0));
+        assert_eq!(
+            *s.op_artifact_with(deps::SHORTCUT, |_| true, zero),
+            Learned(0)
+        );
     }
 
     #[test]
@@ -666,52 +668,6 @@ mod tests {
             s.try_full_artifact().unwrap_err(),
             SessionError::NoPartition
         );
-        assert_eq!(
-            s.try_update_weights(&[(EdgeId(0), 2)]).unwrap_err(),
-            SessionError::NoWeights
-        );
-    }
-
-    #[test]
-    fn try_update_weights_validates_edges_atomically() {
-        let mut s = grid_session(4);
-        let m = s.graph().num_edges();
-        s.set_weights(EdgeWeights::unit(s.graph()));
-        let before = s.epochs;
-        let err = s
-            .try_update_weights(&[(EdgeId(0), 7), (EdgeId(m as u32), 9)])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SessionError::EdgeOutOfRange {
-                edge: EdgeId(m as u32),
-                num_edges: m
-            }
-        );
-        // Rejected updates leave weights and epochs untouched.
-        assert_eq!(s.epochs, before);
-        assert_eq!(s.weights().weight(EdgeId(0)), 1);
-        s.try_update_weights(&[(EdgeId(0), 7)]).expect("in range");
-        assert_eq!(s.weights().weight(EdgeId(0)), 7);
-    }
-
-    #[test]
-    fn try_set_weights_validates_length() {
-        let mut s = grid_session(4);
-        let g2 = gen::path(3);
-        let err = s.try_set_weights(EdgeWeights::unit(&g2)).unwrap_err();
-        assert_eq!(
-            err,
-            SessionError::WeightCountMismatch {
-                got: 2,
-                expected: s.graph().num_edges()
-            }
-        );
-        assert_eq!(
-            s.try_update_weights(&[]).unwrap_err(),
-            SessionError::NoWeights,
-            "rejected weights are not installed"
-        );
     }
 
     #[test]
@@ -746,9 +702,9 @@ mod tests {
         assert_eq!(touched.len(), 2);
     }
 
-    // What `build()` refuses, it refuses typed: each of the next three
+    // What `build()` refuses, it refuses typed: each of the next two
     // inputs used to reach an `assert!` — in the BFS, in the detection
-    // program, in the builder itself.
+    // program.
 
     #[test]
     fn build_refuses_a_root_the_graph_does_not_have() {
@@ -793,22 +749,8 @@ mod tests {
     }
 
     #[test]
-    fn build_refuses_weights_that_are_not_one_per_edge() {
-        let g = gen::grid(3, 3);
-        let short = EdgeWeights::unit(&gen::path(3));
-        assert_eq!(
-            Session::on(&g).weights(short).build().err(),
-            Some(SessionError::WeightCountMismatch {
-                got: 2,
-                expected: g.num_edges()
-            })
-        );
-    }
-
-    #[test]
     fn session_error_display_matches_legacy_messages() {
         assert_eq!(SessionError::NoPartition.to_string(), NO_PARTITION);
-        assert_eq!(SessionError::NoWeights.to_string(), NO_WEIGHTS);
     }
 
     /// A part outside the tree's component is refused where a partition
@@ -834,9 +776,9 @@ mod tests {
             );
             let mut s = on(near.clone()).expect("both parts hang off node 0");
             let _ = s.quality();
-            let (epochs, stats) = (s.epochs, *s.cache_stats());
+            let (epoch, stats) = (s.epoch, *s.cache_stats());
             assert_eq!(s.set_partition(far.clone()), Err(off_tree.clone()));
-            assert_eq!((s.epochs, *s.cache_stats()), (epochs, stats));
+            assert_eq!((s.epoch, *s.cache_stats()), (epoch, stats));
             assert_eq!(s.partition().num_parts(), 2);
             assert_eq!(s.partition().part_of(NodeId(4)), None);
             assert!(s.quality().all_connected(), "still serving");

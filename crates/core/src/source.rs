@@ -678,7 +678,8 @@ impl<'de> Deserialize<'de> for GraphSource {
 }
 
 /// The output of [`GraphSource::resolve`]: the graph, its weights when the
-/// source carried any, and the source itself (for provenance — the
+/// source carried any (for the caller to hand to a weighted op such as
+/// `session.mst(&weights)`), and the source itself (for provenance — the
 /// [`session`](Self::session) shortcut records it in the session config).
 #[derive(Clone, Debug)]
 pub struct ResolvedGraph {
@@ -691,17 +692,12 @@ pub struct ResolvedGraph {
 }
 
 impl ResolvedGraph {
-    /// Starts a session builder over the resolved graph: weights (if the
-    /// file carried them) are pre-seeded and
-    /// [`SessionConfig::graph_source`](crate::SessionConfig) records the
+    /// Starts a session builder over the resolved graph, with
+    /// [`SessionConfig::graph_source`](crate::SessionConfig) recording the
     /// provenance. A later `.config(..)` replaces the whole config,
     /// including that record.
     pub fn session(&self) -> SessionBuilder<'_> {
-        let mut b = Session::on(&self.graph).graph_source(self.source.clone());
-        if let Some(w) = &self.weights {
-            b = b.weights(w.clone());
-        }
-        b
+        Session::on(&self.graph).graph_source(self.source.clone())
     }
 }
 

@@ -7,30 +7,6 @@
 use crate::{EdgeId, Graph};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A sparse weight update referenced an edge the weight vector does not
-/// have. Returned by [`EdgeWeights::try_update`]; the vector is unchanged
-/// when this is produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightUpdateError {
-    /// The offending edge id.
-    pub edge: EdgeId,
-    /// Number of weighted edges (valid ids are `0..num_edges`).
-    pub num_edges: usize,
-}
-
-impl fmt::Display for WeightUpdateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "edge {:?} out of range — {} weighted edges",
-            self.edge, self.num_edges
-        )
-    }
-}
-
-impl std::error::Error for WeightUpdateError {}
 
 /// Integer weights indexed by [`EdgeId`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,30 +77,20 @@ impl EdgeWeights {
         self.0.is_empty()
     }
 
-    /// Applies sparse `(edge, new_weight)` updates — the churn primitive
-    /// behind `ShortcutSession::update_weights`.
+    /// Applies sparse `(edge, new_weight)` updates.
     ///
     /// # Panics
     ///
-    /// Panics if an edge id is out of range. Use
-    /// [`try_update`](Self::try_update) for the fallible form.
+    /// Panics if an edge id is out of range.
     pub fn update(&mut self, changes: &[(EdgeId, u64)]) {
-        self.try_update(changes).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`update`](Self::update) with validation instead of a panic: every
-    /// edge id is checked **before** anything is written, so on `Err` the
-    /// weights are exactly as they were (a failed update can be reported —
-    /// e.g. as an HTTP 422 — and the serving state stays consistent).
-    pub fn try_update(&mut self, changes: &[(EdgeId, u64)]) -> Result<(), WeightUpdateError> {
         let n = self.0.len();
-        if let Some(&(edge, _)) = changes.iter().find(|(e, _)| e.index() >= n) {
-            return Err(WeightUpdateError { edge, num_edges: n });
-        }
         for &(e, w) in changes {
+            assert!(
+                e.index() < n,
+                "edge {e:?} out of range — {n} weighted edges"
+            );
             self.0[e.index()] = w;
         }
-        Ok(())
     }
 
     /// Total weight of an edge set.
@@ -191,26 +157,6 @@ mod tests {
     fn from_vec_length_checked() {
         let g = gen::path(3);
         EdgeWeights::from_vec(&g, vec![1]);
-    }
-
-    #[test]
-    fn try_update_rejects_out_of_range_atomically() {
-        let g = gen::path(4); // 3 edges
-        let mut w = EdgeWeights::unit(&g);
-        let err = w
-            .try_update(&[(EdgeId(0), 9), (EdgeId(3), 5)])
-            .expect_err("edge 3 does not exist");
-        assert_eq!(
-            err,
-            WeightUpdateError {
-                edge: EdgeId(3),
-                num_edges: 3
-            }
-        );
-        // Validation happens before any write: edge 0 kept its old weight.
-        assert_eq!(w.weight(EdgeId(0)), 1, "failed updates must be atomic");
-        w.try_update(&[(EdgeId(0), 9)]).expect("in range");
-        assert_eq!(w.weight(EdgeId(0)), 9);
     }
 
     #[test]

@@ -433,13 +433,6 @@ enum PaMsg {
 }
 
 impl MessageSize for PaMsg {
-    fn size_bits(&self) -> usize {
-        match self {
-            PaMsg::Offer(_) | PaMsg::Adopt(_) | PaMsg::Decline(_) => 3 + 32,
-            PaMsg::Up(..) | PaMsg::Down(..) => 3 + 32 + 64,
-        }
-    }
-
     /// Part ids are id payloads (`O(log n)` bits); aggregate values keep
     /// their full 64-bit width.
     fn size_bits_in(&self, n: usize) -> usize {

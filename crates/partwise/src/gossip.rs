@@ -63,10 +63,6 @@ struct GossipMsg {
 }
 
 impl MessageSize for GossipMsg {
-    fn size_bits(&self) -> usize {
-        32 + 64
-    }
-
     /// The part id scales as `O(log n)`; the gossiped value keeps its full
     /// 64-bit width.
     fn size_bits_in(&self, n: usize) -> usize {

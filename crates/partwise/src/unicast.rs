@@ -36,7 +36,7 @@ pub struct UnicastOutcome {
 struct Packet(u32);
 
 impl MessageSize for Packet {
-    fn size_bits(&self) -> usize {
+    fn size_bits_in(&self, _n: usize) -> usize {
         32
     }
 }

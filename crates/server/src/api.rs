@@ -13,9 +13,9 @@
 //! | POST | `/sessions/{id}/{op}` | op arguments |
 //! | POST | `/shutdown` | — |
 //!
-//! Ops: `prepare`, `quality`, `aggregate`, `gossip`, `unicast`, `mst`,
-//! `components`, `mincut`, plus the mutations `reassign_parts`,
-//! `update_weights`, `set_weights`, `set_partition`. Every handler returns
+//! Ops: `prepare`, `quality`, `cache_stats`, `aggregate`, `gossip`,
+//! `unicast`, `mst`, `components`, `mincut`, plus the mutations
+//! `reassign_parts` and `set_partition`. Every handler returns
 //! `Result<Value, ApiError>`; the worker renders either side as JSON.
 
 use crate::error::ApiError;
@@ -24,7 +24,7 @@ use crate::state::{edge_weights, node_lists, AppState, SessionEntry, SessionSpec
 use lcs_algos::SessionAlgoOps;
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::{OpReport, SessionConfig};
-use lcs_graph::{EdgeId, NodeId, PartId};
+use lcs_graph::{NodeId, PartId};
 use lcs_partwise::{IdempotentOp, SessionPartwiseOps};
 use serde::{Serialize, Value};
 use std::sync::atomic::Ordering;
@@ -347,23 +347,6 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
                 ("cache_stats", s.cache_stats().to_value()),
             ]))
         }
-        "update_weights" => {
-            let changes: Vec<(u32, u64)> = json::require(args, "changes")?;
-            let changes: Vec<(EdgeId, u64)> =
-                changes.into_iter().map(|(e, w)| (EdgeId(e), w)).collect();
-            s.try_update_weights(&changes)?;
-            Ok(Value::object([(
-                "updated",
-                Value::U64(changes.len() as u64),
-            )]))
-        }
-        "set_weights" => {
-            s.try_set_weights(edge_weights(&entry.graph, json::require(args, "weights")?)?)?;
-            Ok(Value::object([(
-                "updated",
-                Value::U64(entry.graph.num_edges() as u64),
-            )]))
-        }
         "set_partition" => {
             let parts: Vec<Vec<u32>> = json::require(args, "partition")?;
             s.set_partition(node_lists(&parts))?;
@@ -374,8 +357,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
         }
         other => Err(ApiError::not_found(format!(
             "no op `{other}` — one of prepare, quality, cache_stats, aggregate, gossip, \
-             unicast, mst, components, mincut, reassign_parts, update_weights, set_weights, \
-             set_partition"
+             unicast, mst, components, mincut, reassign_parts, set_partition"
         ))),
     }
 }

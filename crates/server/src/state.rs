@@ -36,8 +36,8 @@
 //!
 //! A session spec is checked in one place, [`SessionBuilder::build`]
 //! (reached through [`SessionSpec::build_session`]): partition, tree
-//! root, backend and weight count. What is checked here is the server's
-//! own policy — the node cap, and the shape of the JSON.
+//! root and backend. What is checked here is the server's own policy —
+//! the node cap, and the shape of the JSON.
 //!
 //! [`SessionBuilder::build`]: lcs_core::session::SessionBuilder::build
 
@@ -170,10 +170,6 @@ pub struct SessionEntry {
     /// The graph this session serves: the allocation the session itself
     /// holds, shared with every live session created from the same source.
     pub graph: Arc<Graph>,
-    /// Weights the graph's source file carried (flat-binary files can
-    /// embed them; generators and edge lists never do) — kept next to the
-    /// graph so a create that shares the one also gets the other.
-    file_weights: Option<Arc<EdgeWeights>>,
     /// The warm session; see the module docs for the locking model.
     pub session: Mutex<ShortcutSession<'static>>,
 }
@@ -321,17 +317,16 @@ impl Registry {
         // create is resolved at insertion time below. A refused create
         // drops what it built; two creates racing on a source no live
         // session holds each build it, and each copy goes with its session.
-        let live = self.locked().sessions.iter().find_map(|e| {
-            (e.source == spec.graph).then(|| (e.graph.clone(), e.file_weights.clone()))
-        });
-        let (graph, file_weights) = match live {
+        let live = self
+            .locked()
+            .sessions
+            .iter()
+            .find_map(|e| (e.source == spec.graph).then(|| e.graph.clone()));
+        let graph = match live {
             Some(shared) => shared,
-            None => {
-                let (graph, weights) = build_graph(&spec.graph)?;
-                (Arc::new(graph), weights.map(Arc::new))
-            }
+            None => Arc::new(build_graph(&spec.graph)?),
         };
-        let session = spec.build_session(&graph, file_weights.as_deref())?;
+        let session = spec.build_session(&graph)?;
 
         let mut inner = self.locked();
         // Lost the race: serve the winner's session.
@@ -344,7 +339,6 @@ impl Registry {
             spec: spec_value,
             source: spec.graph.clone(),
             graph,
-            file_weights,
             session: Mutex::new(session),
         });
         inner.next_id += 1;
@@ -384,10 +378,9 @@ fn check_graph(source: &GraphSource) -> Result<(), ApiError> {
     check_served_size(spec.num_nodes())
 }
 
-/// Resolves the source into a graph (plus weights when the backing
-/// `.lcsg` file carries them), mapping every
+/// Resolves the source into a graph, mapping every
 /// [`lcs_core::GraphSourceError`] onto its structured 422/404.
-fn build_graph(source: &GraphSource) -> Result<(Graph, Option<EdgeWeights>), ApiError> {
+fn build_graph(source: &GraphSource) -> Result<Graph, ApiError> {
     let resolved = source
         .resolve()
         .map_err(|e| ApiError::unprocessable_graph(&e))?;
@@ -395,7 +388,7 @@ fn build_graph(source: &GraphSource) -> Result<(Graph, Option<EdgeWeights>), Api
         return Err(ApiError::bad_args("cannot serve an empty graph"));
     }
     check_served_size(resolved.graph.num_nodes() as u64)?;
-    Ok((resolved.graph, resolved.weights))
+    Ok(resolved.graph)
 }
 
 /// The default partition for a source (`rows` for grids/tori, `None`
@@ -466,9 +459,10 @@ pub struct SessionSpec {
     /// Full session configuration (default [`SessionConfig::default`]);
     /// `None` when it says nothing the default does not.
     pub config: Option<SessionConfig>,
-    /// Initial edge weights (default none; `set_weights` can add them).
-    pub weights: Option<Vec<u64>>,
 }
+
+/// The keys of a `POST /sessions` body, one per [`SessionSpec`] field.
+const SPEC_KEYS: [&str; 4] = ["graph", "partition", "backend", "config"];
 
 /// LEGACY ALIAS SHIM — delete once `benchmark/` POSTs `kind` (it is frozen
 /// for every PR but a `[benchmark]` one, and the last client that spells
@@ -493,6 +487,17 @@ fn legacy_family_alias(graph: &Value) -> Value {
 impl SessionSpec {
     /// Parses and validates a `POST /sessions` body.
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
+        // A key the spec does not have would be a silently different
+        // session than the one the client described.
+        if let Some((key, _)) = json::object(v)?
+            .iter()
+            .find(|(key, _)| !SPEC_KEYS.contains(&key.as_str()))
+        {
+            return Err(ApiError::bad_args(format!(
+                "unknown field `{key}` — a session spec has {}",
+                SPEC_KEYS.map(|k| format!("`{k}`")).join(", ")
+            )));
+        }
         let graph = json::lookup(v, "graph")
             .ok_or_else(|| ApiError::bad_args("missing required field `graph`"))?;
         let graph = GraphSource::from_value(&legacy_family_alias(graph))
@@ -513,13 +518,11 @@ impl SessionSpec {
             }
         }
         let config = config.filter(|c| *c != SessionConfig::default());
-        let weights: Option<Vec<u64>> = json::optional(v, "weights")?;
         Ok(SessionSpec {
             graph,
             partition,
             backend,
             config,
-            weights,
         })
     }
 
@@ -530,21 +533,14 @@ impl SessionSpec {
             ("partition", self.partition.canonical_value()),
             ("backend", self.backend.to_value()),
             ("config", self.config.to_value()),
-            ("weights", self.weights.to_value()),
         ])
     }
 
     /// Builds the session over `graph` through the session builder, which
     /// checks everything the spec can be refused for (see the module
-    /// docs). `file_weights` are the weights the graph's source file
-    /// carried, if any; an explicit `weights` field in the spec wins over
-    /// them. A spec without a partition falls back to the config's source,
-    /// as the builder does.
-    pub fn build_session(
-        &self,
-        graph: &Arc<Graph>,
-        file_weights: Option<&EdgeWeights>,
-    ) -> Result<ShortcutSession<'static>, ApiError> {
+    /// docs). A spec without a partition falls back to the config's
+    /// source, as the builder does.
+    pub fn build_session(&self, graph: &Arc<Graph>) -> Result<ShortcutSession<'static>, ApiError> {
         let mut builder = Session::shared(graph.clone()).tree(TreeSource::Bfs(ROOT));
         if let Some(backend) = &self.backend {
             builder = builder.backend(backend.clone());
@@ -564,13 +560,6 @@ impl SessionSpec {
             PartitionSpec::Explicit(parts) => builder.partition(node_lists(parts)),
             PartitionSpec::Source(src) => builder.partition_source(src.clone()),
         };
-        let weights = match &self.weights {
-            Some(w) => Some(edge_weights(graph, w.clone())?),
-            None => file_weights.cloned(),
-        };
-        if let Some(w) = weights {
-            builder = builder.weights(w);
-        }
         builder.build().map_err(|e| match e {
             SessionError::Partition(e) => ApiError::unprocessable_partition(&e),
             SessionError::SketchCapacityTooSmall => {
@@ -683,8 +672,8 @@ mod tests {
             ])
         };
         let refused = [
-            // Out-of-range node, disconnected part, wrong weight count, and
-            // parts the tree of node 0 cannot reach (`partition_off_tree`).
+            // Out-of-range node, disconnected part, and parts the tree of
+            // node 0 cannot reach (`partition_off_tree`).
             Value::object([
                 ("graph", grid(3)),
                 ("partition", Value::Arr(vec![u64s(&[0, 99])])),
@@ -693,7 +682,6 @@ mod tests {
                 ("graph", grid(4)),
                 ("partition", Value::Arr(vec![u64s(&[0, 15])])),
             ]),
-            Value::object([("graph", grid(5)), ("weights", u64s(&[1, 2, 3]))]),
             Value::object([
                 ("graph", two_components()),
                 ("partition", Value::Arr(vec![u64s(&[3, 4, 5])])),
@@ -709,7 +697,7 @@ mod tests {
             assert_eq!(err.status, 422, "{}", err.message);
         }
         assert_eq!(reg.stats().graphs, 0, "refused creates keep no graph");
-        let off_tree = SessionSpec::from_value(&refused[4]).expect("parses");
+        let off_tree = SessionSpec::from_value(&refused[3]).expect("parses");
         let err = reg.get_or_create(&off_tree).map(|_| ()).unwrap_err();
         assert_eq!(err.code, "partition_off_tree", "{}", err.message);
         reg.get_or_create(&grid_spec(3, 3)).unwrap();
@@ -865,9 +853,8 @@ mod tests {
             ),
         ] {
             let spec = graph_only_spec(graph);
-            let (g, w) = build_graph(&spec.graph).expect("builds");
+            let g = build_graph(&spec.graph).expect("builds");
             assert_eq!(g.num_nodes(), nodes);
-            assert!(w.is_none(), "generators never carry weights");
         }
     }
 
@@ -1004,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_binary_specs_serve_the_file_graph_and_its_weights() {
+    fn flat_binary_specs_serve_the_file_graph() {
         let path = TempPath::new("weighted.lcsg");
         let g = gen::grid(3, 3);
         let w = EdgeWeights::from_vec(&g, (0..g.num_edges() as u64).map(|i| i + 10).collect());
@@ -1018,10 +1005,8 @@ mod tests {
         let (entry, created) = reg.get_or_create(&spec).unwrap();
         assert!(created);
         assert_eq!(entry.graph.num_nodes(), 9);
-        let session = entry.lock();
-        assert_eq!(session.weights(), &w, "file weights reach the session");
         assert_eq!(
-            session.config().graph_source,
+            entry.lock().config().graph_source,
             Some(spec.graph.clone()),
             "provenance survives into the session config"
         );

@@ -109,13 +109,12 @@ pub use lcs_separator as separator;
 /// # Mutating a live session
 ///
 /// Sessions are not frozen after the first construction. Graph, tree,
-/// backend and configuration are fixed at `build()`; the two inputs that
-/// can change — `Partition` and `Weights`
-/// ([`Input`](lcs_core::session::Input)) — each carry an epoch counter
-/// ([`Epochs`](lcs_core::session::Epochs)); every cached artifact records
-/// the epochs it was built under plus a declared dependency set
-/// ([`deps`](lcs_core::session::deps)), and is invalidated precisely when
-/// a declared input's epoch bumps:
+/// backend and configuration are fixed at `build()`; the one input that
+/// can change — the partition — carries an epoch counter; every cached
+/// artifact declares whether it reads the partition
+/// ([`deps`](lcs_core::session::deps)) and, if so, records the epoch it
+/// was built under and is invalidated precisely when that epoch bumps.
+/// There are two mutators:
 ///
 /// * [`set_partition`](lcs_core::session::ShortcutSession::set_partition)
 ///   replaces the partition wholesale — shortcut, quality and
@@ -129,10 +128,11 @@ pub use lcs_separator as separator;
 ///   re-measured for touched parts only, and ops refresh their cached
 ///   participation maps part-locally. Everything else survives
 ///   byte-for-byte — the CCH-style customization step.
-/// * [`set_weights`](lcs_core::session::ShortcutSession::set_weights) /
-///   [`update_weights`](lcs_core::session::ShortcutSession::update_weights)
-///   mutate the weight input read by `session.mst(..)`; the shortcut and
-///   partition artifacts are weight-independent and survive.
+///
+/// Edge weights are not a session input: `session.mst(&weights)` takes
+/// them as an argument and memoizes its report on them — equal weights
+/// are a cache hit, other weights replace the report, partition churn
+/// keeps it.
 ///
 /// [`CacheStats`](lcs_core::session::CacheStats) (serde-able, via
 /// [`cache_stats`](lcs_core::session::ShortcutSession::cache_stats))
@@ -141,9 +141,9 @@ pub use lcs_separator as separator;
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
-        deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, Epochs,
-        FullArtifact, GraphHandle, Input, MincutOpts, MstOpts, OpReport, Session, SessionBuilder,
-        SessionConfig, SessionError, ShortcutSession, TreeSource, UnicastOpts,
+        deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
+        GraphHandle, MincutOpts, MstOpts, OpReport, Session, SessionBuilder, SessionConfig,
+        SessionError, ShortcutSession, TreeSource, UnicastOpts,
     };
     pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};

@@ -367,15 +367,44 @@ fn structured_errors_do_not_kill_the_worker() {
         .unwrap();
     expect(&r, 409, "invalid_mutation");
 
-    // Weight updates out of range are 422s (satellite contract of the
-    // typed `EdgeWeights::update` error).
-    let r = client
-        .post_raw(
-            &format!("/sessions/{id}/update_weights"),
-            b"{\"changes\": [[999, 1]]}",
-        )
-        .unwrap();
-    expect(&r, 422, "bad_args");
+    // Weights are an argument of `mst`, not session state: the retired
+    // weight mutations are unknown ops, answered with the op list.
+    for (op, body) in [
+        ("update_weights", &b"{\"changes\": [[0, 1]]}"[..]),
+        ("set_weights", b"{\"weights\": [1]}"),
+    ] {
+        let r = client
+            .post_raw(&format!("/sessions/{id}/{op}"), body)
+            .unwrap();
+        expect(&r, 404, "not_found");
+        let message = r.field("message").expect("a message");
+        assert!(
+            matches!(message, Value::Str(m) if m.contains("mst") && m.contains("set_partition")),
+            "{message:?}"
+        );
+    }
+
+    // A spec key the server does not have is refused by name, not built
+    // into a session other than the one described.
+    for (key, body) in [
+        (
+            "weights",
+            &br#"{"graph":{"kind":"grid","rows":4,"cols":4},"weights":[1,2,3]}"#[..],
+        ),
+        (
+            "partiton",
+            br#"{"graph":{"kind":"grid","rows":4,"cols":4},"partiton":"none"}"#,
+        ),
+    ] {
+        let r = client.post_raw("/sessions", body).unwrap();
+        expect(&r, 422, "bad_args");
+        let message = r.field("message").expect("a message");
+        let names = [key, "graph", "partition", "backend", "config"];
+        assert!(
+            matches!(message, Value::Str(m) if names.iter().all(|n| m.contains(&format!("`{n}`")))),
+            "{message:?}"
+        );
+    }
 
     let r = client
         .post_raw(
