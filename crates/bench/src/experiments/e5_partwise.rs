@@ -4,7 +4,7 @@
 //! For each instance we solve part-wise aggregation over `G[P_i] + H_i` and
 //! report measured rounds next to the shortcut's measured congestion `c` and
 //! dilation `d`; the ratio `rounds / (c + d·log₂ n)` is a small constant,
-//! pinned below at its observed maximum (1.18; 0.90 for the unicasts) plus
+//! pinned below at its observed maximum (1.12; 0.90 for the unicasts) plus
 //! headroom.
 
 use crate::experiments::{family_zoo, rng};

@@ -262,7 +262,7 @@ impl<'a> NodeSlots<'a> {
 
     /// Where `slot`'s ports sit in a node-local array with one entry per
     /// `(slot, port)` pair.
-    fn port_range(&self, slot: usize) -> Range<usize> {
+    pub(crate) fn port_range(&self, slot: usize) -> Range<usize> {
         let base = self.first_port[0];
         (self.first_port[slot] - base) as usize..(self.first_port[slot + 1] - base) as usize
     }
@@ -274,7 +274,7 @@ impl<'a> NodeSlots<'a> {
     }
 
     /// This node's `(slot, port)` pairs in the table-wide port array.
-    fn entries(&self) -> Range<usize> {
+    pub(crate) fn entries(&self) -> Range<usize> {
         self.first_port[0] as usize..self.first_port[self.parts.len()] as usize
     }
 }
@@ -283,9 +283,10 @@ impl<'a> NodeSlots<'a> {
 const NO_ROOT: u32 = u32::MAX;
 
 /// The aggregation forest — "root once, aggregate many". The echo protocol
-/// of an [`AggregateOp`] spends its offer/adopt/decline wave finding one
-/// spanning tree per `G[P_i] + H_i`; the forest keeps those trees between
-/// runs so the next aggregation over the same tables starts at the
+/// of an [`AggregateOp`] spends its offer / adopt wave finding one spanning
+/// tree per `G[P_i] + H_i` (a cold run sends `ports + 2·(slots − parts)`
+/// messages, the wave `ports` of them); the forest keeps those trees
+/// between runs so the next aggregation over the same tables starts at the
 /// convergecast and sends only `Up`/`Down`: `2·(slots − parts)` messages.
 ///
 /// Laid out flat and parallel to a [`ParticipationMap`]: per slot the port
@@ -420,12 +421,12 @@ impl SessionTables {
 
 #[derive(Clone, Copy, Debug)]
 enum PaMsg {
-    /// BFS-offer wave for a part.
+    /// BFS-offer wave for a part. At a slot that already started it is
+    /// the reply to the slot's own `Offer` over the same edge, which it
+    /// crossed: both ends offered, so neither adopts the other.
     Offer(u32),
     /// "You are my parent for this part."
     Adopt(u32),
-    /// "I already have a parent for this part."
-    Decline(u32),
     /// Convergecast: aggregate of the sender's subtree.
     Up(u32, u64),
     /// Result broadcast.
@@ -437,7 +438,7 @@ impl MessageSize for PaMsg {
     /// their full 64-bit width.
     fn size_bits_in(&self, n: usize) -> usize {
         match self {
-            PaMsg::Offer(_) | PaMsg::Adopt(_) | PaMsg::Decline(_) => 3 + id_bits(n),
+            PaMsg::Offer(_) | PaMsg::Adopt(_) => 3 + id_bits(n),
             PaMsg::Up(..) | PaMsg::Down(..) => 3 + id_bits(n) + 64,
         }
     }
@@ -574,9 +575,14 @@ impl NodeProgram for PaProgram<'_> {
             match m.msg {
                 PaMsg::Offer(part) => {
                     let slot = self.slots.slot_of(part);
-                    if self.states[slot].started {
-                        let prio = self.states[slot].priority;
-                        self.pending.push((port, prio, PaMsg::Decline(part)));
+                    let st = &mut self.states[slot];
+                    if st.started {
+                        // A started slot offered over every port but its
+                        // parent's, so this offer crossed its own.
+                        assert_ne!(port, st.parent, "a parent offers once");
+                        st.awaiting_replies = (st.awaiting_replies.checked_sub(1))
+                            .expect("an offer to a started slot crosses its own");
+                        self.maybe_up(slot);
                     } else {
                         self.start_part(slot, port);
                     }
@@ -589,11 +595,6 @@ impl NodeProgram for PaProgram<'_> {
                     let st = &mut self.states[slot];
                     st.pending_up += 1;
                     st.awaiting_replies -= 1;
-                    self.maybe_up(slot);
-                }
-                PaMsg::Decline(part) => {
-                    let slot = self.slots.slot_of(part);
-                    self.states[slot].awaiting_replies -= 1;
                     self.maybe_up(slot);
                 }
                 PaMsg::Up(part, val) => {
@@ -1001,21 +1002,29 @@ mod tests {
         }
     }
 
-    /// A connected graph with connected parts from one of three generator
-    /// families: grid rows, torus cells, road-like voronoi cells.
-    fn arb_instance() -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>)> {
-        (0usize..3, 4usize..9, 0u64..1000).prop_map(|(family, side, seed)| match family {
-            0 => (gen::grid(side, side), gen::rows_of_grid(side, side)),
-            1 => {
-                let g = gen::torus(side, side);
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let parts = gen::random_connected_parts(&g, side, &mut rng);
+    /// A connected graph with connected parts from one of the generator
+    /// `families`: 0 torus cells, 1 grid rows, 2 road-like voronoi cells,
+    /// 3 the wheel rim (one part), 4 random parts of a 3-tree.
+    fn arb_instance(families: Range<usize>) -> impl Strategy<Value = (Graph, Vec<Vec<NodeId>>)> {
+        (families, 4usize..9, 0u64..1000).prop_map(|(family, side, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let random_parts = |g: Graph, rng: &mut SmallRng| {
+                let parts = gen::random_connected_parts(&g, side, rng);
                 (g, parts)
-            }
-            _ => {
-                let g = gen::road_like(side, side, seed);
-                let parts = gen::voronoi_parts_seeded(&g, side, seed);
-                (g, parts)
+            };
+            match family {
+                0 => random_parts(gen::torus(side, side), &mut rng),
+                1 => (gen::grid(side, side), gen::rows_of_grid(side, side)),
+                2 => {
+                    let g = gen::road_like(side, side, seed);
+                    let parts = gen::voronoi_parts_seeded(&g, side, seed);
+                    (g, parts)
+                }
+                3 => {
+                    let n = side * side;
+                    (gen::wheel(n), vec![(1..n as u32).map(NodeId).collect()])
+                }
+                _ => random_parts(gen::ktree(side * side, 3, &mut rng), &mut rng),
             }
         })
     }
@@ -1027,7 +1036,7 @@ mod tests {
         /// `(node, part, port)` whose edge is in `H_i` or inside `P_i`, a
         /// `NO_PORT` entry per member, sorted as a whole and laid out.
         #[test]
-        fn build_matches_globally_sorted_definition((g, parts) in arb_instance()) {
+        fn build_matches_globally_sorted_definition((g, parts) in arb_instance(0..3)) {
             let partition = Partition::from_parts(&g, parts).unwrap();
             let tree = bfs::bfs_tree(&g, NodeId(0));
             let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
@@ -1057,7 +1066,7 @@ mod tests {
         /// convergecast — answers like a cold run on a fresh build.
         #[test]
         fn refreshed_participation_matches_fresh_build(
-            (g, parts) in arb_instance(),
+            (g, parts) in arb_instance(0..3),
             seed in 0u64..1000,
         ) {
             use lcs_core::session::Session;
@@ -1111,6 +1120,67 @@ mod tests {
                 ticks += 1;
             }
             prop_assert!(ticks > 0, "no tick was accepted");
+        }
+
+        /// The echo is a formula at `message_packing = 1`, whatever the
+        /// delays and leaders: a cold run sends an `Offer` over every
+        /// participating `(slot, port)` pair but each non-root slot's
+        /// parent port, and one `Adopt`, `Up` and `Down` per non-root
+        /// slot — `ports + 2·(slots − parts)`; a warm run only the last two.
+        #[test]
+        fn echo_sends_ports_plus_twice_the_non_roots(
+            (g, parts) in arb_instance(1..5),
+            delay_range in 0u32..2,
+            explicit_leaders in 0u32..2,
+        ) {
+            let partition = Partition::from_parts(&g, parts).unwrap();
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+            let map = ParticipationMap::build(&g, &partition, &shortcut);
+            let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
+            let last: Vec<NodeId> = partition.iter().map(|(_, nodes)| *nodes.last().unwrap()).collect();
+            let op = AggregateOp {
+                leaders: (explicit_leaders == 1).then_some(&last[..]),
+                ..sum_of(&values)
+            };
+            let opts = AggregateOpts { delay_range: 16 * delay_range, ..AggregateOpts::default() };
+            let sim = SimConfig::default();
+            let mut forest = AggForest::unrooted(&partition, &map);
+            let cold = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            prop_assert!(cold.metrics.terminated && warm.metrics.terminated);
+            prop_assert_eq!(warm.rooted_parts, partition.num_parts());
+            let non_roots = (map.slot_part.len() - partition.num_parts()) as u64;
+            prop_assert_eq!(cold.metrics.messages, map.ports.len() as u64 + 2 * non_roots);
+            prop_assert_eq!(warm.metrics.messages, 2 * non_roots);
+        }
+    }
+
+    /// Offers that cross answer each other. `n = 9`: nodes 4 and 5 start
+    /// in the same round and offer the edge between them to each other;
+    /// `n = 8`: node 4 hears both offers at once, adopts one and offers
+    /// back over the other. Either way the run sends exactly
+    /// `ports + 2·(slots − parts)` = `2n + 2(n − 1)` messages, with no reply
+    /// for the crossing.
+    #[test]
+    fn crossing_offers_answer_each_other() {
+        for n in [8, 9] {
+            let g = gen::cycle(n);
+            let partition = Partition::from_parts(&g, vec![g.nodes().collect()]).unwrap();
+            let values = vec![1; n];
+            let out = run_cold(
+                sum_of(&values),
+                &g,
+                &partition,
+                &baseline::no_shortcut(&partition),
+            );
+            assert!(out.metrics.terminated && out.all_members_informed);
+            assert_eq!(out.results, vec![Some(n as u64)]);
+            assert_eq!(
+                out.metrics.messages,
+                (2 * n + 2 * (n - 1)) as u64,
+                "n = {n}"
+            );
         }
     }
 

@@ -4,10 +4,16 @@
 //! Given a partition into connected parts and a value per node, every node
 //! of part `P_i` must learn an aggregate (min / max / sum) of its part's
 //! values. Shortcuts exist precisely to make this fast: the distributed
-//! solver runs one echo protocol per part over `G[P_i] + H_i` — offer wave
-//! from the leader, adopt/decline replies, convergecast, result broadcast —
-//! multiplexed with the random-delays technique [LMR94, Gha15] on the queued
-//! CONGEST simulator, completing in `Õ(congestion + dilation)` rounds.
+//! solver runs one echo protocol per part over `G[P_i] + H_i` — an offer
+//! wave from the leader (a node adopts the sender of the first offer it
+//! hears; two offers that cross on an edge answer each other), then
+//! convergecast and result broadcast over the adopted tree — multiplexed
+//! with the random-delays technique [LMR94, Gha15] on the queued CONGEST
+//! simulator, completing in `Õ(congestion + dilation)` rounds. Read off the
+//! [`ParticipationMap`], a cold run sends exactly `ports + 2·(slots −
+//! parts)` messages at `message_packing = 1`: an offer over every
+//! participating `(slot, port)` pair but a non-root slot's parent port,
+//! and one adopt, `Up` and `Down` per non-root slot.
 //!
 //! # Root once, aggregate many
 //!

@@ -6,8 +6,8 @@
 //! queued) and thread counts {1, 4}:
 //!
 //! * **Result identity** — BFS trees, detection cut sets, assembled
-//!   shortcuts, and part-wise aggregates are bit-identical at every
-//!   packing level.
+//!   shortcuts, part-wise aggregates and gossip results are
+//!   bit-identical at every packing level.
 //! * **Monotone cost** — rounds, messages, and bits never increase as
 //!   `message_packing` grows (batches only merge, and the packed width
 //!   never exceeds the sum of the parts).
@@ -26,7 +26,7 @@ use low_congestion_shortcuts::core::dist::{
 };
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
 use low_congestion_shortcuts::facade::AggregateOpts;
-use low_congestion_shortcuts::partwise::AggregateOp;
+use low_congestion_shortcuts::partwise::{AggregateOp, GossipOp, IdempotentOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -212,6 +212,46 @@ fn partwise_aggregates_are_packing_invariant() {
                         &out.results, r,
                         "t{threads}/d{delay_range}/p{packing}: aggregate drifted"
                     ),
+                }
+            }
+        }
+    }
+}
+
+/// Gossip (Min and Max, on grid rows and road-like voronoi cells) converges
+/// to identical results at every packing level, sending no more messages
+/// as packing grows: its sends are grouped by port so that relayed parts
+/// pack, and the echo-skip rule must not depend on how they were packed.
+#[test]
+fn gossip_is_packing_invariant() {
+    let road = gen::road_like(16, 16, 3);
+    let road_parts = gen::voronoi_parts_seeded(&road, 12, 3);
+    let instances = [
+        (gen::grid(10, 10), gen::rows_of_grid(10, 10)),
+        (road, road_parts),
+    ];
+    for (g, parts) in instances {
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+        for op in [IdempotentOp::Min, IdempotentOp::Max] {
+            let gossip = GossipOp {
+                values: &values,
+                op,
+            };
+            for threads in THREADS {
+                let mut reference: Option<(Vec<Option<u64>>, u64)> = None;
+                for packing in [1, 2, 8] {
+                    let sim = sim(SimMode::Queued, threads, packing);
+                    let out = gossip.run_on(&g, &partition, &built.shortcut, sim);
+                    let label = format!("{op:?}/n{}/t{threads}/p{packing}", g.num_nodes());
+                    assert!(out.converged, "{label}: did not converge");
+                    if let Some((results, messages)) = &reference {
+                        assert_eq!(&out.results, results, "{label}: results drifted");
+                        assert!(out.metrics.messages <= *messages, "{label}: messages grew");
+                    }
+                    reference = Some((out.results, out.metrics.messages));
                 }
             }
         }

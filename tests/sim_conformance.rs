@@ -281,60 +281,85 @@ fn run_corpus(threads: usize, packing: usize) -> Vec<Row> {
     rows
 }
 
+/// Fails once, unless `actual` is `pinned` row for row: `(case, rendered
+/// columns)` pairs in corpus order. First it prints every actual row in
+/// the pin table's paste-ready form — a moved row followed by `// was
+/// <old columns>`, a row without a pin by `// new` — so a drift shows its
+/// whole extent and a deliberate re-capture is a copy.
+fn assert_pinned(what: &str, actual: &[(String, String)], pinned: &[(&str, String)]) {
+    let same =
+        |(case, cols): &(String, String), (pc, pcols): &(&str, String)| case == pc && cols == pcols;
+    if actual.len() == pinned.len() && actual.iter().zip(pinned).all(|(a, p)| same(a, p)) {
+        return;
+    }
+    let mut moved = 0;
+    println!("{what}: the actual rows");
+    for (case, cols) in actual {
+        let mark = match pinned.iter().find(|(pc, _)| pc == case) {
+            Some((_, old)) if old == cols => String::new(),
+            Some((_, old)) => format!(" // was {old}"),
+            None => " // new".to_string(),
+        };
+        moved += usize::from(!mark.is_empty());
+        println!("    (\"{case}\", {cols}),{mark}");
+    }
+    let dropped: Vec<&str> = (pinned.iter().map(|(pc, _)| *pc))
+        .filter(|pc| !actual.iter().any(|(case, _)| case == pc))
+        .collect();
+    panic!(
+        "{what}: {moved} of {} rows moved or new, dropped {dropped:?} (or the order \
+         changed) — paste the rows printed above",
+        actual.len()
+    );
+}
+
 fn assert_corpus_matches(threads: usize, packing: usize) {
     let actual = run_corpus(threads, packing);
-    if PINNED.is_empty() {
-        for r in &actual {
-            println!(
-                "    (\"{}\", {}, {}, {}, {}),",
-                r.case, r.rounds, r.messages, r.bits, r.max_queue
-            );
-        }
-        panic!("PINNED corpus is empty — paste the rows printed above");
+    if packing <= 1 {
+        let render = |r: &Row| {
+            let cols = format!("{}, {}, {}, {}", r.rounds, r.messages, r.bits, r.max_queue);
+            (r.case.clone(), cols)
+        };
+        let pinned: Vec<(&str, String)> = (PINNED.iter())
+            .map(|&(case, r, m, b, q)| (case, format!("{r}, {m}, {b}, {q}")))
+            .collect();
+        let actual: Vec<_> = actual.iter().map(render).collect();
+        assert_pinned(&format!("PINNED (threads={threads})"), &actual, &pinned);
+        return;
     }
     assert_eq!(actual.len(), PINNED.len(), "corpus size changed");
     for (r, &(pc, pr, pm, pb, pq)) in actual.iter().zip(PINNED) {
         let case = &r.case;
         assert_eq!(case, pc, "corpus order changed");
-        if packing <= 1 {
-            assert_eq!(
-                (r.rounds, r.messages, r.bits, r.max_queue),
-                (pr, pm, pb, pq),
-                "{case} (threads={threads}): metrics drifted from the pinned seed-engine corpus"
-            );
-        } else {
-            // Packed contract: every column at or below its unpacked pin.
-            assert!(
-                r.rounds <= pr && r.messages <= pm && r.bits <= pb && r.max_queue <= pq,
-                "{case} (threads={threads}, packing={packing}): packed metrics \
-                 ({}, {}, {}, {}) exceed the unpacked pins ({pr}, {pm}, {pb}, {pq})",
-                r.rounds,
-                r.messages,
-                r.bits,
-                r.max_queue
-            );
-        }
-    }
-    if packing > 1 {
-        // Result identity: the packed corpus must reproduce the unpacked
-        // protocol outcomes bit for bit.
-        let unpacked = run_corpus(threads, 1);
-        let mut detect_rounds_dropped = false;
-        for (p, u) in actual.iter().zip(&unpacked) {
-            assert_eq!(
-                p.fingerprint, u.fingerprint,
-                "{} (threads={threads}, packing={packing}): packed result drifted",
-                p.case
-            );
-            if p.case.ends_with("/detect") && p.rounds < u.rounds {
-                detect_rounds_dropped = true;
-            }
-        }
+        // Packed contract: every column at or below its unpacked pin.
         assert!(
-            detect_rounds_dropped,
-            "packing={packing} should cut rounds on at least one detection stream"
+            r.rounds <= pr && r.messages <= pm && r.bits <= pb && r.max_queue <= pq,
+            "{case} (threads={threads}, packing={packing}): packed metrics \
+             ({}, {}, {}, {}) exceed the unpacked pins ({pr}, {pm}, {pb}, {pq})",
+            r.rounds,
+            r.messages,
+            r.bits,
+            r.max_queue
         );
     }
+    // Result identity: the packed corpus must reproduce the unpacked
+    // protocol outcomes bit for bit.
+    let unpacked = run_corpus(threads, 1);
+    let mut detect_rounds_dropped = false;
+    for (p, u) in actual.iter().zip(&unpacked) {
+        assert_eq!(
+            p.fingerprint, u.fingerprint,
+            "{} (threads={threads}, packing={packing}): packed result drifted",
+            p.case
+        );
+        if p.case.ends_with("/detect") && p.rounds < u.rounds {
+            detect_rounds_dropped = true;
+        }
+    }
+    assert!(
+        detect_rounds_dropped,
+        "packing={packing} should cut rounds on at least one detection stream"
+    );
 }
 
 #[test]
@@ -363,29 +388,41 @@ fn metrics_match_pinned_seed_corpus_threads8() {
 }
 
 /// `(case, unpacked, message_packing = 8)`, each column set
-/// `[rounds, messages, bits, max_queue]`, of the part-wise programs —
-/// captured on the hash-map participation layer (commit `12bee48`) by
-/// printing the actual rows, like [`PINNED`]. A rewrite of `lcs_partwise`
-/// is a host-only change and must leave the wire stream, packed and
-/// unpacked, exactly as it was. The `aggregate_sum_warm` rows (the second
-/// of two runs over one `AggForest`: `2·(slots − parts)` messages) were
-/// captured on the change that introduced the forest.
+/// `[rounds, messages, bits, max_queue]`, of the part-wise programs. A
+/// host-only rewrite of `lcs_partwise` must leave this wire stream, packed
+/// and unpacked, exactly as it is; a deliberate model change re-captures
+/// it by copying the rows a drifted run prints.
+///
+/// First captured on the hash-map participation layer; the
+/// `aggregate_sum_warm` rows (the second of two runs over one `AggForest`:
+/// `2·(slots − parts)` messages) on the change that introduced the forest.
+/// Every other row (and the `gossip_min` rows, new then) was re-captured
+/// when the programs stopped sending what the receiver already holds: the
+/// echo lost its `Decline` (crossing `Offer`s answer each other, so a cold
+/// run sends `ports + 2·(slots − parts)`), and gossip lost its identity
+/// sends at start and its sends back over the port that delivered the new
+/// best. No row grew in rounds, messages or bits; the unicast rows and the
+/// warm message and bit counts did not move (warm rounds did: the echo
+/// finds other trees).
 #[rustfmt::skip]
 const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
-    ("road48_voronoi24/aggregate_sum", [239, 23324, 962468, 3], [236, 22084, 962468, 2]),
-    ("road48_voronoi24/aggregate_sum_delayed", [247, 23324, 962468, 3], [247, 22527, 962468, 4]),
-    ("road48_voronoi24/aggregate_sum_warm", [163, 9572, 756188, 12], [156, 9296, 756188, 6]),
-    ("road48_voronoi24/gossip_max", [84, 47770, 3630520, 16], [79, 40112, 3520092, 8]),
+    ("road48_voronoi24/aggregate_sum", [236, 21234, 931118, 3], [235, 20562, 931118, 2]),
+    ("road48_voronoi24/aggregate_sum_delayed", [246, 21234, 931118, 4], [245, 20955, 931118, 3]),
+    ("road48_voronoi24/aggregate_sum_warm", [159, 9572, 756188, 12], [156, 9296, 756188, 6]),
+    ("road48_voronoi24/gossip_max", [79, 25468, 1935568, 8], [79, 24297, 1913908, 3]),
+    ("road48_voronoi24/gossip_min", [82, 25697, 1952972, 8], [82, 24396, 1939444, 3]),
     ("road48_voronoi24/unicast", [127, 2375, 76000, 2], [127, 2375, 76000, 2]),
-    ("grid12_rows/aggregate_sum", [78, 4180, 164252, 9], [68, 3764, 164252, 1]),
-    ("grid12_rows/aggregate_sum_delayed", [83, 4180, 164252, 5], [82, 4021, 164252, 5]),
+    ("grid12_rows/aggregate_sum", [78, 3938, 161590, 13], [66, 3731, 161590, 1]),
+    ("grid12_rows/aggregate_sum_delayed", [82, 3938, 161590, 6], [80, 3883, 161590, 5]),
     ("grid12_rows/aggregate_sum_warm", [55, 1848, 138600, 12], [49, 1477, 138600, 6]),
-    ("grid12_rows/gossip_max", [49, 7357, 529704, 13], [24, 4440, 514152, 6]),
+    ("grid12_rows/gossip_max", [33, 3213, 231336, 5], [21, 2246, 226296, 3]),
+    ("grid12_rows/gossip_min", [32, 3192, 229824, 4], [21, 2147, 223776, 3]),
     ("grid12_rows/unicast", [28, 461, 14752, 3], [28, 461, 14752, 3]),
-    ("wheel64_rim/aggregate_sum", [8, 504, 13104, 2], [8, 502, 13104, 1]),
-    ("wheel64_rim/aggregate_sum_delayed", [20, 504, 13104, 2], [20, 502, 13104, 1]),
+    ("wheel64_rim/aggregate_sum", [7, 378, 11844, 1], [7, 378, 11844, 1]),
+    ("wheel64_rim/aggregate_sum_delayed", [19, 378, 11844, 1], [19, 378, 11844, 1]),
     ("wheel64_rim/aggregate_sum_warm", [4, 126, 9324, 1], [4, 126, 9324, 1]),
-    ("wheel64_rim/gossip_max", [3, 615, 43665, 1], [3, 615, 43665, 1]),
+    ("wheel64_rim/gossip_max", [3, 449, 31879, 1], [3, 449, 31879, 1]),
+    ("wheel64_rim/gossip_min", [3, 449, 31879, 1], [3, 449, 31879, 1]),
     ("wheel64_rim/unicast", [6, 62, 1984, 2], [6, 62, 1984, 2]),
 ];
 
@@ -397,7 +434,9 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
     use low_congestion_shortcuts::facade::{
         AggregateOp, AggregateOpts, GossipOp, UnicastOp, UnicastOpts,
     };
-    use low_congestion_shortcuts::partwise::{AggForest, IdempotentOp, ParticipationMap};
+    use low_congestion_shortcuts::partwise::{
+        centralized_aggregate, AggForest, IdempotentOp, ParticipationMap,
+    };
     use rand::Rng;
 
     let sim = SimConfig {
@@ -453,17 +492,27 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             &out.metrics,
             format!("{:?}", out.results),
         ));
-        let gossip = GossipOp {
-            values: &values,
-            op: IdempotentOp::Max,
-        };
-        let out = gossip.run_on(&g, &partition, &shortcut, sim);
-        assert!(out.converged, "{name}/gossip_max");
-        rows.push(row(
-            &format!("{name}/gossip_max"),
-            &out.metrics,
-            format!("{:?}", out.results),
-        ));
+        for (case, op, agg) in [
+            ("gossip_max", IdempotentOp::Max, AggOp::Max),
+            ("gossip_min", IdempotentOp::Min, AggOp::Min),
+        ] {
+            let out = GossipOp {
+                values: &values,
+                op,
+            }
+            .run_on(&g, &partition, &shortcut, sim);
+            let expect = centralized_aggregate(&partition, &values, agg);
+            assert!(out.converged, "{name}/{case}");
+            assert!(
+                out.results.iter().copied().eq(expect.into_iter().map(Some)),
+                "{name}/{case}: not the centralized aggregate"
+            );
+            rows.push(row(
+                &format!("{name}/{case}"),
+                &out.metrics,
+                format!("{:?}", out.results),
+            ));
+        }
         let mut rng = SmallRng::seed_from_u64(5);
         let demands: Vec<(NodeId, NodeId)> = (0..32)
             .map(|_| {
@@ -499,24 +548,31 @@ fn partwise_metrics_match_pinned_corpus() {
     let mut lanes = vec![1, 4, env_threads()];
     lanes.sort_unstable();
     lanes.dedup();
+    let columns = |r: &Row| [r.rounds, r.messages, r.bits, r.max_queue];
+    let pinned: Vec<(&str, String)> = (PARTWISE_PINNED.iter())
+        .map(|&(case, unpacked, packed)| (case, format!("{unpacked:?}, {packed:?}")))
+        .collect();
     for threads in lanes {
-        for packing in [1, 8] {
-            let actual = partwise_corpus(threads, packing);
-            assert_eq!(actual.len(), PARTWISE_PINNED.len(), "corpus size changed");
-            for ((r, &(case, unpacked, packed)), base) in
-                actual.iter().zip(PARTWISE_PINNED).zip(&reference)
-            {
-                assert_eq!(r.case, case, "part-wise corpus order changed");
-                assert_eq!(
-                    [r.rounds, r.messages, r.bits, r.max_queue],
-                    if packing == 1 { unpacked } else { packed },
-                    "{case} (threads={threads}, packing={packing}): wire stream drifted"
-                );
-                assert_eq!(
-                    r.fingerprint, base.fingerprint,
-                    "{case} (threads={threads}, packing={packing}): result drifted"
-                );
-            }
+        let (unpacked, packed) = (partwise_corpus(threads, 1), partwise_corpus(threads, 8));
+        let actual: Vec<(String, String)> = (unpacked.iter().zip(&packed))
+            .map(|(u, p)| {
+                (
+                    u.case.clone(),
+                    format!("{:?}, {:?}", columns(u), columns(p)),
+                )
+            })
+            .collect();
+        assert_pinned(
+            &format!("PARTWISE_PINNED (threads={threads})"),
+            &actual,
+            &pinned,
+        );
+        for (r, base) in unpacked.iter().chain(&packed).zip(reference.iter().cycle()) {
+            assert_eq!(
+                r.fingerprint, base.fingerprint,
+                "{} (threads={threads}): result drifted",
+                r.case
+            );
         }
     }
 }
