@@ -263,14 +263,18 @@ pub fn distributed_mst(
 
         // Both aggregations of the phase run over the same `G[P_i] + H_i`:
         // the first roots every fragment, the second only converge- and
-        // broadcasts over those trees.
+        // broadcasts over those trees. A fragment is led from its id, which
+        // is one of its members (a singleton's own id, a head's, or the
+        // head's a tail adopted) and which every member learned from the
+        // previous phase's notify wave: no election needed.
         let participation = ParticipationMap::build(g, &partition, &shortcut);
         let mut forest = AggForest::unrooted(&partition, &participation);
+        let leaders: Vec<NodeId> = frag_ids.iter().map(|&fid| NodeId(fid)).collect();
         let mut aggregate = |values: &[u64], op: AggOp| {
             let op = AggregateOp {
                 values,
                 op,
-                leaders: None,
+                leaders: Some(&leaders),
             };
             let (opts, sim) = (&config.aggregate, config.sim);
             let out = op.run_with(g, &partition, opts, sim, &participation, &mut forest);
@@ -418,6 +422,32 @@ mod tests {
         assert_eq!(provided.edges_for(PartId(0)).len(), 99);
         assert!(provided.edges_for(PartId(1)).is_empty());
         assert_eq!(report.rounds.total() + report.messages + report.bits, 0);
+    }
+
+    /// Every phase leads each fragment from its id. `run_with` asserts that
+    /// a leader is a member of its part, so a finished run is the proof
+    /// that fragment ids stay members through every merge pattern the coin
+    /// and weight seeds produce; the forest must still be Kruskal's.
+    #[test]
+    fn fragments_are_led_from_their_ids() {
+        let cases = [
+            (gen::grid(7, 7), ShortcutProvider::Oracle),
+            (gen::torus(6, 6), ShortcutProvider::Oracle),
+            (gen::grid(8, 8), ShortcutProvider::Baseline),
+        ];
+        for (g, provider) in cases {
+            for seed in 0..8 {
+                let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
+                let mut config = SessionConfig::default();
+                config.mst.seed = 100 + seed;
+                let report = distributed_mst(&g, &w, NodeId(0), provider, &config);
+                assert!(
+                    !report.truncated && report.phases >= 2,
+                    "{provider:?} {seed}"
+                );
+                assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
+            }
+        }
     }
 
     #[test]

@@ -385,8 +385,8 @@ impl AggForest {
 }
 
 /// What a session caches for the part-wise ops, in one op-artifact slot:
-/// the participation tables (shared by aggregate and gossip) and the
-/// aggregation forest over them. Built on first use, refreshed for the
+/// the participation tables and the aggregation forest over them, which
+/// aggregate and gossip share. Built on first use, refreshed for the
 /// touched parts only under `reassign_parts` churn — untouched parts keep
 /// their trees — and dropped with the shortcut (`deps::SHORTCUT`).
 pub(crate) struct SessionTables {
@@ -625,7 +625,8 @@ impl NodeProgram for PaProgram<'_> {
 /// `G[P_i] + H_i`.
 ///
 /// `session.aggregate(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
-/// serves it from the session's cached shortcut, tables and forest;
+/// serves it from the session's cached shortcut, tables and forest, and so
+/// does `session.gossip(..)` for min / max;
 /// [`run_on`](Self::run_on) runs it over explicitly supplied artifacts.
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateOp<'a> {
@@ -633,7 +634,10 @@ pub struct AggregateOp<'a> {
     pub values: &'a [u64],
     /// The aggregation operator.
     pub op: AggOp,
-    /// Explicit per-part leaders; `None` elects the minimum-id member.
+    /// Explicit per-part leaders. `None` is "any leader": a part the run's
+    /// [`AggForest`] holds a tree for is led from that tree's root, and
+    /// only an unrooted part from its minimum-id member — a host pick,
+    /// charged nothing.
     pub leaders: Option<&'a [NodeId]>,
 }
 
@@ -668,9 +672,10 @@ impl AggregateOp<'_> {
     /// path the session ops take with the cached tables, and callers
     /// running several aggregations over one `G[P_i] + H_i` (a Boruvka
     /// phase). A part `forest` holds a tree for, rooted at this run's
-    /// leader, starts at the convergecast; every other part runs the full
-    /// echo. Afterwards `forest` holds the trees of the parts this run
-    /// finished, and no other.
+    /// leader — with `leaders: None`, every rooted part — starts at the
+    /// convergecast; every other part runs the full echo. Afterwards
+    /// `forest` holds the trees of the parts this run finished, and no
+    /// other.
     ///
     /// # Panics
     ///
@@ -686,14 +691,22 @@ impl AggregateOp<'_> {
         participation: &ParticipationMap,
         forest: &mut AggForest,
     ) -> PartwiseOutcome {
-        let (values, op, leaders) = (self.values, self.op, self.leaders);
+        let (values, op) = (self.values, self.op);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
         let k = partition.num_parts();
-        let default_leaders: Vec<NodeId> = partition
-            .iter()
-            .map(|(_, nodes)| *nodes.iter().min().expect("parts are non-empty"))
+        assert!(
+            forest.root.len() == k
+                && forest.parent.len() == participation.slot_part.len()
+                && forest.child.len() == participation.ports.len(),
+            "forest is not laid out over this participation map"
+        );
+        let any_leaders: Vec<NodeId> = (partition.iter().zip(&forest.root))
+            .map(|((_, nodes), &root)| match root {
+                NO_ROOT => *nodes.iter().min().expect("parts are non-empty"),
+                root => NodeId(root),
+            })
             .collect();
-        let leaders = leaders.unwrap_or(&default_leaders);
+        let leaders = self.leaders.unwrap_or(&any_leaders);
         assert_eq!(leaders.len(), k, "one leader per part");
         for (i, &l) in leaders.iter().enumerate() {
             assert_eq!(
@@ -703,12 +716,6 @@ impl AggregateOp<'_> {
             );
         }
 
-        assert!(
-            forest.root.len() == k
-                && forest.parent.len() == participation.slot_part.len()
-                && forest.child.len() == participation.ports.len(),
-            "forest is not laid out over this participation map"
-        );
         // Seed only from a tree rooted where this run's leader sits.
         let rooted: Vec<bool> = (forest.root.iter().zip(leaders))
             .map(|(&root, leader)| root == leader.0)
@@ -1293,7 +1300,9 @@ mod tests {
 
     /// A tree is only good for the leader it is rooted at: explicit leaders
     /// elsewhere (`aggregate_with_leaders`) run the cold echo, which
-    /// re-roots the parts at the new leaders.
+    /// re-roots the parts at the new leaders. `leaders: None` asks for any
+    /// leader, so the run after that rides the new roots in every part
+    /// instead of re-rooting at the minimum members.
     #[test]
     fn foreign_leader_reroots_the_part() {
         let (g, partition, shortcut) = grid_setup(6);
@@ -1322,7 +1331,8 @@ mod tests {
         let warm = elsewhere.run_with(&g, &partition, &opts, sim, &map, &mut forest);
         assert_eq!((warm.rooted_parts, &warm.results), (k, &cold.results));
         let back = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
-        assert_eq!((back.rooted_parts, &back.results), (1, &cold.results));
+        assert_eq!((back.rooted_parts, &back.results), (k, &cold.results));
+        assert_eq!(back.metrics.messages, warm.metrics.messages);
     }
 
     #[test]

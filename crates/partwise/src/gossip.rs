@@ -16,8 +16,14 @@
 //! Non-idempotent aggregates (sum) need the tree discipline of
 //! [`AggregateOp`](crate::AggregateOp); the type system enforces the
 //! distinction via [`IdempotentOp`].
+//!
+//! [`GossipOp`] is the leaderless primitive over explicit artifacts. The
+//! session's `gossip` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
+//! returns the same results by another protocol: the aggregate of the same
+//! operator over the session's forest, only `Up` / `Down` once rooted.
 
 use crate::dist::{NodeSlots, ParticipationMap};
+use lcs_congest::protocols::AggOp;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
@@ -49,16 +55,31 @@ impl IdempotentOp {
     }
 }
 
-/// Result of a [`GossipOp`].
+impl From<IdempotentOp> for AggOp {
+    fn from(op: IdempotentOp) -> AggOp {
+        match op {
+            IdempotentOp::Min => AggOp::Min,
+            IdempotentOp::Max => AggOp::Max,
+        }
+    }
+}
+
+/// Result of a [`GossipOp`] or of a session gossip.
 #[derive(Clone, Debug)]
 pub struct GossipOutcome {
-    /// Converged aggregate per part (value held by every member).
+    /// Aggregate per part, held by every member once `converged` (the
+    /// session path reads it at the leader: `None` if that never finished).
     pub results: Vec<Option<u64>>,
-    /// Whether every member of every part converged to its part's true
-    /// aggregate (verified post-hoc).
+    /// Whether every member of every part holds its part's true aggregate
+    /// (verified post-hoc; on the session path, every member informed by
+    /// an untruncated run).
     pub converged: bool,
-    /// Simulation metrics; rounds ≈ dilation of the worst part.
+    /// Simulation metrics; flooding takes rounds ≈ dilation of the worst
+    /// part.
     pub metrics: RunMetrics,
+    /// Parts served from the session's aggregation forest; `0` for
+    /// [`GossipOp`], which keeps none.
+    pub rooted_parts: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -166,8 +187,8 @@ impl NodeProgram for GossipProgram<'_> {
 /// converging in `O(dilation)` rounds.
 ///
 /// `session.gossip(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
-/// serves it from the cached shortcut; [`run_on`](Self::run_on) runs it
-/// over explicit artifacts.
+/// returns the same results from the session's aggregation forest instead
+/// (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct GossipOp<'a> {
     /// One value per node.
@@ -177,8 +198,7 @@ pub struct GossipOp<'a> {
 }
 
 impl GossipOp<'_> {
-    /// Runs the flooding protocol over explicit artifacts (the non-session
-    /// path).
+    /// Runs the flooding protocol over explicit artifacts.
     ///
     /// # Panics
     ///
@@ -191,21 +211,9 @@ impl GossipOp<'_> {
         shortcut: &Shortcut,
         sim: SimConfig,
     ) -> GossipOutcome {
-        let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, sim, &participation)
-    }
-
-    /// Runs the flooding protocol over a prebuilt [`ParticipationMap`] —
-    /// the path the session ops take with the cached map.
-    pub(crate) fn run_with(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        sim: SimConfig,
-        participation: &ParticipationMap,
-    ) -> GossipOutcome {
         let (values, op) = (self.values, self.op);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
+        let participation = ParticipationMap::build(g, partition, shortcut);
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
@@ -262,6 +270,7 @@ impl GossipOp<'_> {
             results,
             converged,
             metrics: run.metrics,
+            rooted_parts: 0,
         }
     }
 }

@@ -28,7 +28,10 @@
 //! of one program, and [`PartwiseOutcome::rooted_parts`] reports how many
 //! were served from the forest. A part is rooted only by a run that was not
 //! truncated and finished it on every participating node; a part led from
-//! elsewhere is re-rooted by the echo. A session keeps the forest in the
+//! elsewhere is re-rooted by the echo. `leaders: None` asks for any
+//! leader: a rooted part keeps its root, an unrooted one starts at its
+//! minimum member. The session's gossip is this aggregate for min / max,
+//! so it is warm whenever the forest is. A session keeps the forest in the
 //! participation tables' artifact slot: `reassign_parts` churn unroots
 //! exactly the touched parts, and whatever drops the tables drops the
 //! forest. This is a model choice, not a host optimisation: nodes keep

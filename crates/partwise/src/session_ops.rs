@@ -1,15 +1,14 @@
 //! The part-wise half of the [`ShortcutSession`] operation surface:
 //! aggregation, gossip, and unicast routing over the session's cached
 //! artifacts. Each method reads what it needs from the session — tree,
-//! shortcut, participation tables, the [`SessionConfig`] block of its op —
-//! and calls the protocol in [`AggregateOp`] / [`GossipOp`] / [`UnicastOp`].
+//! shortcut, participation tables and forest, the [`SessionConfig`] block
+//! of its op — and calls the protocol in [`AggregateOp`] (aggregate and
+//! gossip) or [`UnicastOp`].
 //!
 //! [`SessionConfig`]: lcs_core::session::SessionConfig
 
 use crate::dist::SessionTables;
-use crate::{
-    AggregateOp, GossipOp, GossipOutcome, IdempotentOp, PartwiseOutcome, UnicastOp, UnicastOutcome,
-};
+use crate::{AggregateOp, GossipOutcome, IdempotentOp, PartwiseOutcome, UnicastOp, UnicastOutcome};
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::{OpReport, SessionError, ShortcutSession};
 use lcs_graph::{NodeId, PartId};
@@ -41,7 +40,8 @@ use lcs_graph::{NodeId, PartId};
 /// ```
 pub trait SessionPartwiseOps {
     /// Leader-based part-wise aggregation over the cached shortcut
-    /// ([`AggregateOp`] semantics).
+    /// ([`AggregateOp`] semantics, any leaders: rooted parts keep the root
+    /// of their cached tree).
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome>;
 
     /// Aggregation with explicit per-part leaders.
@@ -52,8 +52,12 @@ pub trait SessionPartwiseOps {
         leaders: &[NodeId],
     ) -> OpReport<PartwiseOutcome>;
 
-    /// Leaderless idempotent aggregation by flooding
-    /// ([`GossipOp`] semantics).
+    /// Idempotent aggregation with no leaders asked for: the results of
+    /// [`GossipOp`](crate::GossipOp), computed by the [`AggregateOp`] of
+    /// the same operator over the session's aggregation forest. A rooted
+    /// part runs from its tree's root and sends only `Up` / `Down`; an
+    /// unrooted part runs the echo from its minimum member (a host pick,
+    /// charged nothing) and is rooted for the next op.
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome>;
 
     /// Multi-unicast routing along the cached tree
@@ -143,19 +147,23 @@ fn aggregate_on(
     Ok(OpReport::from_metrics(out, &metrics, quality))
 }
 
-/// The body of both gossip forms; fails like [`aggregate_on`].
+/// The body of both gossip forms: the aggregate of the same operator with
+/// any leaders, so a rooted forest serves it with `Up` / `Down` alone and
+/// keeps its roots. Fails like [`aggregate_on`].
 fn gossip_on(
     session: &mut ShortcutSession<'_>,
     values: &[u64],
     op: IdempotentOp,
 ) -> Result<OpReport<GossipOutcome>, SessionError> {
-    session.try_prepare()?;
-    let quality = session.quality_shared()?;
-    let tables = SessionTables::of_session(session);
-    let (g, partition, sim) = (session.graph(), session.partition(), session.config().sim);
-    let out = GossipOp { values, op }.run_with(g, partition, sim, &tables.participation);
-    let metrics = out.metrics.clone();
-    Ok(OpReport::from_metrics(out, &metrics, quality))
+    let report = aggregate_on(session, values, op.into(), None)?;
+    let (out, quality) = (report.result, report.quality);
+    let result = GossipOutcome {
+        converged: out.all_members_informed && !out.metrics.truncated,
+        results: out.results,
+        metrics: out.metrics.clone(),
+        rooted_parts: out.rooted_parts,
+    };
+    Ok(OpReport::from_metrics(result, &out.metrics, quality))
 }
 
 impl SessionPartwiseOps for ShortcutSession<'_> {
@@ -335,6 +343,57 @@ mod tests {
             .try_aggregate_with_leaders(&values, AggOp::Sum, &good)
             .expect("row-leading leaders");
         assert!(ok.result.all_members_informed);
+    }
+
+    fn rows_session(g: &lcs_graph::Graph) -> ShortcutSession<'_> {
+        Session::on(g)
+            .partition(gen::rows_of_grid(6, 6))
+            .build()
+            .unwrap()
+    }
+
+    /// A gossip asks for no leaders, so it rides whatever roots the forest
+    /// holds: after `aggregate_with_leaders` it is warm from those leaders
+    /// and leaves them in place — the next aggregate with the same leaders
+    /// is warm too, and sends what the gossip sent.
+    #[test]
+    fn gossip_after_explicit_leaders_keeps_their_roots() {
+        let g = gen::grid(6, 6);
+        let mut s = rows_session(&g);
+        let values: Vec<u64> = (0..36).map(|x| x * 7 % 23).collect();
+        let last: Vec<NodeId> = (0..6).map(|r| NodeId(6 * r + 5)).collect();
+        let cold = s.aggregate_with_leaders(&values, AggOp::Sum, &last);
+        assert_eq!(cold.result.rooted_parts, 0);
+        let gossip = s.gossip(&values, IdempotentOp::Max);
+        assert_eq!(gossip.result.rooted_parts, 6);
+        assert!(gossip.result.converged && !gossip.truncated);
+        let expect = crate::centralized_aggregate(s.partition(), &values, AggOp::Max);
+        assert_eq!(
+            gossip.result.results,
+            expect.into_iter().map(Some).collect::<Vec<_>>()
+        );
+        let again = s.aggregate_with_leaders(&values, AggOp::Sum, &last);
+        assert_eq!(again.result.rooted_parts, 6);
+        assert_eq!(again.result.results, cold.result.results);
+        assert_eq!(gossip.messages, again.messages);
+    }
+
+    /// On a fresh session the gossip finds no tree: it runs the echo from
+    /// each part's minimum member and roots the forest there, so the
+    /// aggregate after it is warm in every part.
+    #[test]
+    fn gossip_on_a_fresh_session_roots_the_forest() {
+        let g = gen::grid(6, 6);
+        let mut s = rows_session(&g);
+        let values: Vec<u64> = (0..36).collect();
+        let gossip = s.gossip(&values, IdempotentOp::Min);
+        assert_eq!(gossip.result.rooted_parts, 0);
+        assert!(gossip.result.converged);
+        let expect: Vec<Option<u64>> = (0..6).map(|r| Some(6 * r)).collect();
+        assert_eq!(gossip.result.results, expect);
+        let warm = s.aggregate(&values, AggOp::Sum);
+        assert_eq!(warm.result.rooted_parts, 6);
+        assert!(warm.messages < gossip.messages);
     }
 
     #[test]

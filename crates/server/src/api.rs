@@ -261,6 +261,10 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             let result = Value::object([
                 ("results", opt_u64_array(&report.result.results)),
                 ("converged", Value::Bool(report.result.converged)),
+                (
+                    "rooted_parts",
+                    Value::U64(report.result.rooted_parts as u64),
+                ),
             ]);
             Ok(report_value(&report, result))
         }

@@ -90,7 +90,10 @@ pub use lcs_separator as separator;
 ///
 /// `config` is a [`SessionConfig`](lcs_core::session::SessionConfig) on
 /// both sides — the only place an op knob is declared; the explicit calls
-/// read the same blocks a session passes. `provider` is a
+/// read the same blocks a session passes. `session.gossip` equals
+/// `GossipOp` in its results, not in its protocol: it runs the
+/// `AggregateOp` of the same operator over the session's cached
+/// aggregation forest, while `GossipOp` floods without leaders. `provider` is a
 /// [`ShortcutProvider`](lcs_algos::mst::ShortcutProvider), which a session
 /// derives from its backend. One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:

@@ -223,6 +223,13 @@ fn happy_path_ops_over_loopback() {
     let served = result_values(&gossip);
     let expected: Vec<Option<u64>> = (0..rows).map(|r| Some(r * cols)).collect();
     assert_eq!(served, expected, "row minima of the 6×6 grid");
+    // Gossip rides the trees the aggregates rooted: the warm aggregate's
+    // `Up` / `Down` and nothing else.
+    assert_eq!(rooted(&gossip), rows);
+    assert_eq!(
+        get_u64(&gossip.body, "messages"),
+        get_u64(&again.body, "messages")
+    );
 
     // Unicast corner to corner.
     let body = Value::object([(

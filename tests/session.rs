@@ -4,9 +4,9 @@
 //! The serving scenario the facade exists for: prepare one topology, then
 //! answer many queries — and now mutate the inputs between queries. These
 //! tests pin (a) that repeated operations reuse the cached shortcut
-//! (counted builds in `CacheStats`), (b) that `session.aggregate` matches
-//! `centralized_aggregate` on the 50-seed × 3-family differential corpus
-//! on **all three backends**, (c) the **churn differential**: after every
+//! (counted builds in `CacheStats`), (b) that `session.aggregate` and the
+//! warm `session.gossip` after it match `centralized_aggregate` on the
+//! 50-seed × 3-family differential corpus on **all three backends**, (c) the **churn differential**: after every
 //! mutation (`reassign_parts`, `set_partition`) each op's result is bit-identical to a fresh-built session on the mutated
 //! inputs, and (d) that `SessionConfig` survives serde round trips, with a
 //! pinned JSON snapshot of the defaults.
@@ -265,10 +265,29 @@ fn backends() -> Vec<(&'static str, Backend)> {
     ]
 }
 
+/// `slots − parts` of the participation tables, read off Definition 2.1:
+/// part `i` has a slot at each member and each endpoint of an `H_i` edge,
+/// and one of them is its root. A warm aggregate sends twice this.
+fn non_root_slots(g: &Graph, partition: &Partition, shortcut: &Shortcut) -> u64 {
+    let slots_of = |(pid, members): (PartId, &[NodeId])| {
+        let ends = shortcut.edges_for(pid).iter().map(|&e| g.endpoints(e));
+        let mut nodes: Vec<NodeId> = ends.flat_map(|(u, v)| [u, v]).collect();
+        nodes.extend_from_slice(members);
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len() as u64 - 1
+    };
+    partition.iter().map(slots_of).sum()
+}
+
+/// After the aggregate, `session.gossip` for Min and Max rides the forest
+/// the aggregate rooted: the results of the flooding `GossipOp` and of
+/// `centralized_aggregate`, for the warm aggregate's message count.
 fn assert_session_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label: &str) {
     let partition = Partition::from_parts(g, parts).unwrap();
     let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 131) % 997).collect();
     let expect = centralized_aggregate(&partition, &values, AggOp::Sum);
+    let k = partition.num_parts();
     for (name, backend) in backends() {
         let mut session = Session::on(g)
             .partition_object(partition.clone())
@@ -283,6 +302,37 @@ fn assert_session_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label:
         );
         let got: Vec<u64> = out.result.results.iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, expect, "{label}/{name}: aggregate differs");
+
+        let shortcut = session.shortcut().clone();
+        let gossips = [
+            (IdempotentOp::Min, AggOp::Min),
+            (IdempotentOp::Max, AggOp::Max),
+        ]
+        .map(|(op, agg)| {
+            let gossip = session.gossip(&values, op);
+            let flooded = GossipOp {
+                values: &values,
+                op,
+            }
+            .run_on(g, &partition, &shortcut, env_sim());
+            let expect = centralized_aggregate(&partition, &values, agg);
+            let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+            assert!(gossip.result.converged, "{label}/{name}/{op:?}");
+            assert_eq!(gossip.result.results, expect, "{label}/{name}/{op:?}");
+            assert_eq!(flooded.results, expect, "{label}/{name}/{op:?}");
+            assert_eq!(gossip.result.rooted_parts, k, "{label}/{name}/{op:?}");
+            gossip.messages
+        });
+        let warm = session.aggregate(&values, AggOp::Sum);
+        assert_eq!(warm.result.rooted_parts, k, "{label}/{name}");
+        assert_eq!(
+            gossips, [warm.messages; 2],
+            "{label}/{name}: gossip is warm"
+        );
+        if env_packing() == 1 {
+            let non_roots = non_root_slots(g, &partition, &shortcut);
+            assert_eq!(warm.messages, 2 * non_roots, "{label}/{name}");
+        }
         assert_eq!(session.cache_stats().full.builds, 1, "{label}/{name}");
     }
 }
@@ -326,9 +376,10 @@ fn session_aggregate_matches_centralized_on_ktrees_all_backends() {
 
 /// Root once, aggregate many: the aggregation forest rides the
 /// participation tables' artifact slot. A warm aggregate is served from it
-/// (`rooted_parts`), gossip leaves it alone, `reassign_parts` churn unroots
-/// exactly the touched parts in the one patch per tick, foreign leaders
-/// re-root, and a wholesale partition change drops it with the tables.
+/// (`rooted_parts`), and so is a gossip, which keeps its roots;
+/// `reassign_parts` churn unroots exactly the touched parts in the one
+/// patch per tick, foreign leaders re-root, and a wholesale partition
+/// change drops it with the tables.
 #[test]
 fn aggregation_forest_follows_the_participation_tables() {
     let g = gen::grid(8, 8);
@@ -339,9 +390,11 @@ fn aggregation_forest_follows_the_participation_tables() {
         .unwrap();
     let values: Vec<u64> = (0..64).collect();
     let cold = session.aggregate(&values, AggOp::Sum);
-    let _ = session.gossip(&values, IdempotentOp::Max);
+    let gossip = session.gossip(&values, IdempotentOp::Max);
     let warm = session.aggregate(&values, AggOp::Sum);
     assert_eq!((cold.result.rooted_parts, warm.result.rooted_parts), (0, 8));
+    assert_eq!(gossip.result.rooted_parts, 8);
+    assert_eq!(gossip.messages, warm.messages);
     assert_eq!(warm.result.results, cold.result.results);
     assert!(warm.result.all_members_informed && !warm.truncated);
     assert!(warm.messages < cold.messages && warm.rounds <= cold.rounds);
