@@ -50,8 +50,9 @@ const NO_PORT: u32 = u32::MAX;
 /// Per node, per part, the participating ports — the subgraph
 /// `G[P_i] + H_i` every part-wise protocol runs over. An edge participates
 /// in part `i` iff it is in `H_i` or both endpoints lie in `P_i`
-/// (Definition 2.1); this rule is shared by the leader-based solver and
-/// the gossip solver, so it lives in exactly one place.
+/// (Definition 2.1); this rule is read by every run of the one part-wise
+/// protocol, cold or warm, and by the [`AggForest`] laid out over it, so it
+/// lives in exactly one place.
 ///
 /// Four flat arrays in the graph core's `first_out` idiom:
 /// `first_slot[v]..first_slot[v + 1]` are node `v`'s *slots*, one per part
@@ -1394,6 +1395,55 @@ mod tests {
         assert!(out.metrics.terminated && out.all_members_informed);
         let expect: Vec<Option<u64>> = (0..11).map(|i| Some(2 * i + 1)).collect();
         assert_eq!(out.results, expect);
+    }
+
+    /// A hub relaying 100 000 parts — adjacent pairs of a wheel's rim, each
+    /// with its two spokes as `H_i` — receives 100 000 messages in one
+    /// inbox. Resolving a message's slot is a binary search of the hub's
+    /// slots, so that callback costs its inbox, not `O(inbox · slots)`.
+    /// Cold and warm runs keep the echo's formula at this scale.
+    #[test]
+    #[ignore = "release-mode scale test"]
+    fn scale_aggregate_across_a_hub_relaying_100k_parts() {
+        let parts = 100_000u32;
+        let g = gen::wheel(2 * parts as usize + 1);
+        let pair = |i: u32| [NodeId(2 * i + 1), NodeId(2 * i + 2)];
+        let pairs = (0..parts).map(|i| pair(i).to_vec()).collect();
+        let partition = Partition::from_parts(&g, pairs).unwrap();
+        let spokes = |i: u32| pair(i).map(|v| g.find_edge(v, NodeId(0)).unwrap()).to_vec();
+        let shortcut = Shortcut::from_edge_lists((0..parts).map(spokes).collect());
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let ports = map.ports.len() as u64;
+        let non_roots = (map.slot_part.len() - partition.num_parts()) as u64;
+        let values: Vec<u64> = (0..g.num_nodes() as u64)
+            .map(|x| x * 7919 % 100_003)
+            .collect();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        for op in [AggOp::Min, AggOp::Max] {
+            let op = AggregateOp {
+                op,
+                ..sum_of(&values)
+            };
+            let expect = crate::centralized_aggregate(&partition, &values, op.op);
+            let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+            let mut forest = AggForest::unrooted(&partition, &map);
+            let cold = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            for (run, out) in [("cold", &cold), ("warm", &warm)] {
+                assert!(out.all_members_informed, "{:?} {run}", op.op);
+                assert_eq!(out.results, expect, "{:?} {run}", op.op);
+            }
+            assert_eq!(warm.rooted_parts, partition.num_parts());
+            assert_eq!(cold.metrics.messages, ports + 2 * non_roots);
+            assert_eq!(warm.metrics.messages, 2 * non_roots);
+            // Cold: offer, crossing offers, `Up`, `Down`; warm: the last two.
+            assert_eq!(
+                (cold.metrics.rounds, warm.metrics.rounds),
+                (4, 2),
+                "{:?}",
+                op.op
+            );
+        }
     }
 
     #[test]

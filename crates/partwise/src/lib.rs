@@ -15,6 +15,12 @@
 //! participating `(slot, port)` pair but a non-root slot's parent port,
 //! and one adopt, `Up` and `Down` per non-root slot.
 //!
+//! That echo is the crate's one part-wise protocol: the session's gossip
+//! (min / max, no leaders asked for) is the same [`AggregateOp`], and no
+//! leaderless protocol remains. Every part runs from one leader — the
+//! caller's, the root of its cached tree, or, for an unrooted part, its
+//! minimum member, picked on the host at zero charge.
+//!
 //! # Root once, aggregate many
 //!
 //! The wave's spanning trees depend only on `G[P_i] + H_i` and the leaders,
@@ -65,12 +71,10 @@
 
 mod centralized;
 mod dist;
-pub mod gossip;
 pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
 pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseOutcome};
-pub use gossip::{GossipOp, GossipOutcome, IdempotentOp};
-pub use session_ops::SessionPartwiseOps;
+pub use session_ops::{GossipOutcome, IdempotentOp, SessionPartwiseOps};
 pub use unicast::{UnicastOp, UnicastOutcome};

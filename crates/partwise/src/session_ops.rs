@@ -8,10 +8,46 @@
 //! [`SessionConfig`]: lcs_core::session::SessionConfig
 
 use crate::dist::SessionTables;
-use crate::{AggregateOp, GossipOutcome, IdempotentOp, PartwiseOutcome, UnicastOp, UnicastOutcome};
+use crate::{AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome};
 use lcs_congest::protocols::AggOp;
+use lcs_congest::RunMetrics;
 use lcs_core::session::{OpReport, SessionError, ShortcutSession};
 use lcs_graph::{NodeId, PartId};
+
+/// The operators of [`SessionPartwiseOps::gossip`]: the idempotent ones of
+/// [`AggOp`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IdempotentOp {
+    /// Minimum.
+    Min,
+    /// Maximum.
+    Max,
+}
+
+impl From<IdempotentOp> for AggOp {
+    fn from(op: IdempotentOp) -> AggOp {
+        match op {
+            IdempotentOp::Min => AggOp::Min,
+            IdempotentOp::Max => AggOp::Max,
+        }
+    }
+}
+
+/// Result of a session gossip.
+#[derive(Clone, Debug)]
+pub struct GossipOutcome {
+    /// Aggregate per part as known by its leader (`None` if the leader
+    /// never finished).
+    pub results: Vec<Option<u64>>,
+    /// Whether every member of every part learned its part's aggregate in
+    /// a run that was not truncated.
+    pub converged: bool,
+    /// Simulation metrics of the aggregate that served the gossip.
+    pub metrics: RunMetrics,
+    /// Parts served from the session's aggregation forest: they sent only
+    /// `Up` / `Down`.
+    pub rooted_parts: usize,
+}
 
 /// Part-wise communication primitives served by a [`ShortcutSession`].
 ///
@@ -52,12 +88,11 @@ pub trait SessionPartwiseOps {
         leaders: &[NodeId],
     ) -> OpReport<PartwiseOutcome>;
 
-    /// Idempotent aggregation with no leaders asked for: the results of
-    /// [`GossipOp`](crate::GossipOp), computed by the [`AggregateOp`] of
-    /// the same operator over the session's aggregation forest. A rooted
-    /// part runs from its tree's root and sends only `Up` / `Down`; an
-    /// unrooted part runs the echo from its minimum member (a host pick,
-    /// charged nothing) and is rooted for the next op.
+    /// Idempotent aggregation with no leaders asked for: the
+    /// [`AggregateOp`] of the same operator over the session's aggregation
+    /// forest. A rooted part runs from its tree's root and sends only
+    /// `Up` / `Down`; an unrooted part runs the echo from its minimum
+    /// member (a host pick, charged nothing) and is rooted for the next op.
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome>;
 
     /// Multi-unicast routing along the cached tree
@@ -147,28 +182,10 @@ fn aggregate_on(
     Ok(OpReport::from_metrics(out, &metrics, quality))
 }
 
-/// The body of both gossip forms: the aggregate of the same operator with
-/// any leaders, so a rooted forest serves it with `Up` / `Down` alone and
-/// keeps its roots. Fails like [`aggregate_on`].
-fn gossip_on(
-    session: &mut ShortcutSession<'_>,
-    values: &[u64],
-    op: IdempotentOp,
-) -> Result<OpReport<GossipOutcome>, SessionError> {
-    let report = aggregate_on(session, values, op.into(), None)?;
-    let (out, quality) = (report.result, report.quality);
-    let result = GossipOutcome {
-        converged: out.all_members_informed && !out.metrics.truncated,
-        results: out.results,
-        metrics: out.metrics.clone(),
-        rooted_parts: out.rooted_parts,
-    };
-    Ok(OpReport::from_metrics(result, &out.metrics, quality))
-}
-
 impl SessionPartwiseOps for ShortcutSession<'_> {
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome> {
-        aggregate_on(self, values, op, None).unwrap_or_else(|e| panic!("{e}"))
+        self.try_aggregate(values, op)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn aggregate_with_leaders(
@@ -177,11 +194,13 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         op: AggOp,
         leaders: &[NodeId],
     ) -> OpReport<PartwiseOutcome> {
-        aggregate_on(self, values, op, Some(leaders)).unwrap_or_else(|e| panic!("{e}"))
+        self.try_aggregate_with_leaders(values, op, leaders)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn gossip(&mut self, values: &[u64], op: IdempotentOp) -> OpReport<GossipOutcome> {
-        gossip_on(self, values, op).unwrap_or_else(|e| panic!("{e}"))
+        self.try_gossip(values, op)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn unicast(&mut self, demands: &[(NodeId, NodeId)]) -> OpReport<UnicastOutcome> {
@@ -225,13 +244,23 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         aggregate_on(self, values, op, Some(leaders))
     }
 
+    /// The aggregate of the same operator with any leaders, so a rooted
+    /// forest serves it with `Up` / `Down` alone and keeps its roots.
     fn try_gossip(
         &mut self,
         values: &[u64],
         op: IdempotentOp,
     ) -> Result<OpReport<GossipOutcome>, SessionError> {
         check_values(self, values)?;
-        gossip_on(self, values, op)
+        let report = aggregate_on(self, values, op.into(), None)?;
+        let (out, quality) = (report.result, report.quality);
+        let result = GossipOutcome {
+            converged: out.all_members_informed && !out.metrics.truncated,
+            results: out.results,
+            metrics: out.metrics.clone(),
+            rooted_parts: out.rooted_parts,
+        };
+        Ok(OpReport::from_metrics(result, &out.metrics, quality))
     }
 
     /// Holds the unicast body: the membership check needs the very tree
@@ -418,6 +447,53 @@ mod tests {
         assert_eq!(ok.result.delivered, 1);
     }
 
+    /// The text `op` panics with.
+    fn panic_text(op: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
+        *panic.unwrap_err().downcast::<String>().expect("a message")
+    }
+
+    /// The panicking part-wise forms validate like their `try_` forms and
+    /// panic with the typed error's text — not with an assert inside the
+    /// protocol or an index out of bounds.
+    #[test]
+    fn panicking_forms_panic_with_the_typed_error() {
+        let g = gen::grid(4, 4);
+        let mut s = Session::on(&g)
+            .partition(gen::rows_of_grid(4, 4))
+            .build()
+            .unwrap();
+        let short = [1, 2];
+        let err = s.try_aggregate(&short, AggOp::Sum).unwrap_err();
+        let expected = SessionError::ValueCountMismatch {
+            got: 2,
+            expected: 16,
+        };
+        assert_eq!(err, expected);
+        let text = panic_text(|| drop(s.aggregate(&short, AggOp::Sum)));
+        assert_eq!(text, err.to_string());
+
+        let err = s.try_gossip(&short, IdempotentOp::Min).unwrap_err();
+        assert_eq!(err, expected);
+        let text = panic_text(|| drop(s.gossip(&short, IdempotentOp::Min)));
+        assert_eq!(text, err.to_string());
+
+        let values: Vec<u64> = (0..16).collect();
+        let oor = [NodeId(0), NodeId(4), NodeId(8), NodeId(99)];
+        let err = s
+            .try_aggregate_with_leaders(&values, AggOp::Sum, &oor)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::NodeOutOfRange {
+                node: NodeId(99),
+                num_nodes: 16
+            }
+        );
+        let text = panic_text(|| drop(s.aggregate_with_leaders(&values, AggOp::Sum, &oor)));
+        assert_eq!(text, err.to_string());
+    }
+
     /// Unicast packets travel tree paths: an endpoint in another component
     /// than the root is a typed refusal, not the router's assert — and the
     /// panicking form panics with that error's text.
@@ -432,10 +508,7 @@ mod tests {
         ] {
             let err = s.try_unicast(&[demand]).unwrap_err();
             assert_eq!(err, SessionError::NodeOffTree { node });
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.unicast(&[demand]);
-            }));
-            let text = *panic.unwrap_err().downcast::<String>().expect("a message");
+            let text = panic_text(|| drop(s.unicast(&[demand])));
             assert_eq!(text, err.to_string());
         }
         let ok = s.try_unicast(&[(NodeId(0), NodeId(2))]).expect("same side");

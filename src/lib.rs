@@ -78,7 +78,7 @@ pub use lcs_separator as separator;
 /// |---|---|
 /// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, &config.aggregate, config.sim)` | `session.aggregate(values, op)` |
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
-/// | `GossipOp { values, op }.run_on(g, parts, shortcut, config.sim)` | `session.gossip(values, op)` |
+/// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
 /// | `UnicastOp { demands }.run_on(g, tree, &config.unicast, config.sim)` | `session.unicast(demands)` |
 /// | `distributed_mst(g, weights, root, provider, &config)` | `session.mst(weights)` |
 /// | `distributed_components(g, root, provider, &config)` | `session.components()` |
@@ -90,10 +90,12 @@ pub use lcs_separator as separator;
 ///
 /// `config` is a [`SessionConfig`](lcs_core::session::SessionConfig) on
 /// both sides — the only place an op knob is declared; the explicit calls
-/// read the same blocks a session passes. `session.gossip` equals
-/// `GossipOp` in its results, not in its protocol: it runs the
-/// `AggregateOp` of the same operator over the session's cached
-/// aggregation forest, while `GossipOp` floods without leaders. `provider` is a
+/// read the same blocks a session passes. A session runs its aggregates
+/// and its gossip (the `AggregateOp` of the same min / max) over its cached
+/// aggregation forest, so the gossip is warm after any aggregate. There is
+/// one part-wise protocol and no leaderless one: every part runs from the
+/// caller's leader, its cached root, or its minimum member, picked on the
+/// host at zero charge. `provider` is a
 /// [`ShortcutProvider`](lcs_algos::mst::ShortcutProvider), which a session
 /// derives from its backend. One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:
@@ -149,7 +151,7 @@ pub mod facade {
         SessionError, ShortcutSession, TreeSource, UnicastOpts,
     };
     pub use lcs_core::PartitionSource;
-    pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};
+    pub use lcs_partwise::{AggregateOp, SessionPartwiseOps, UnicastOp};
     pub use lcs_separator::{nested_dissection, SeparatorConfig, SeparatorTree};
 }
 

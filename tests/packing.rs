@@ -6,8 +6,8 @@
 //! queued) and thread counts {1, 4}:
 //!
 //! * **Result identity** — BFS trees, detection cut sets, assembled
-//!   shortcuts, part-wise aggregates and gossip results are
-//!   bit-identical at every packing level.
+//!   shortcuts, part-wise aggregates and session gossip, cold and warm,
+//!   are bit-identical at every packing level.
 //! * **Monotone cost** — rounds, messages, and bits never increase as
 //!   `message_packing` grows (batches only merge, and the packed width
 //!   never exceeds the sum of the parts).
@@ -26,7 +26,9 @@ use low_congestion_shortcuts::core::dist::{
 };
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
 use low_congestion_shortcuts::facade::AggregateOpts;
-use low_congestion_shortcuts::partwise::{AggregateOp, GossipOp, IdempotentOp};
+use low_congestion_shortcuts::partwise::{
+    centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap,
+};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -174,56 +176,13 @@ fn detection_cut_sets_are_packing_invariant() {
 }
 
 /// Part-wise aggregation (the queued, multi-instance, random-delay
-/// workload) returns identical aggregates at every packing level.
+/// workload) on grid rows and road-like voronoi cells, for Min, Max and
+/// Sum: the cold echo, and the warm second run over one `AggForest` that
+/// serves a session's aggregates and gossip, return identical results at
+/// every packing level and thread count and send no more messages as
+/// packing grows — sends are grouped by port so that relayed parts pack.
 #[test]
 fn partwise_aggregates_are_packing_invariant() {
-    let g = gen::grid(8, 8);
-    let partition = Partition::from_parts(&g, gen::rows_of_grid(8, 8)).unwrap();
-    let tree = bfs::bfs_tree(&g, NodeId(0));
-    let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
-    let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-    for threads in THREADS {
-        for delay_range in [0, 8] {
-            let mut reference: Option<Vec<Option<u64>>> = None;
-            for packing in PACKING_LEVELS {
-                let out = AggregateOp {
-                    values: &values,
-                    op: AggOp::Sum,
-                    leaders: None,
-                }
-                .run_on(
-                    &g,
-                    &partition,
-                    &built.shortcut,
-                    &AggregateOpts {
-                        delay_range,
-                        ..AggregateOpts::default()
-                    },
-                    SimConfig {
-                        threads,
-                        message_packing: packing,
-                        ..SimConfig::default()
-                    },
-                );
-                assert!(out.all_members_informed, "t{threads}/p{packing}");
-                match &reference {
-                    None => reference = Some(out.results),
-                    Some(r) => assert_eq!(
-                        &out.results, r,
-                        "t{threads}/d{delay_range}/p{packing}: aggregate drifted"
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// Gossip (Min and Max, on grid rows and road-like voronoi cells) converges
-/// to identical results at every packing level, sending no more messages
-/// as packing grows: its sends are grouped by port so that relayed parts
-/// pack, and the echo-skip rule must not depend on how they were packed.
-#[test]
-fn gossip_is_packing_invariant() {
     let road = gen::road_like(16, 16, 3);
     let road_parts = gen::voronoi_parts_seeded(&road, 12, 3);
     let instances = [
@@ -234,24 +193,97 @@ fn gossip_is_packing_invariant() {
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let map = ParticipationMap::build(&g, &partition, &built.shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-        for op in [IdempotentOp::Min, IdempotentOp::Max] {
-            let gossip = GossipOp {
+        for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
+            let aggregate = AggregateOp {
                 values: &values,
                 op,
+                leaders: None,
             };
+            let expect = centralized_aggregate(&partition, &values, op);
+            let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
             for threads in THREADS {
-                let mut reference: Option<(Vec<Option<u64>>, u64)> = None;
-                for packing in [1, 2, 8] {
-                    let sim = sim(SimMode::Queued, threads, packing);
-                    let out = gossip.run_on(&g, &partition, &built.shortcut, sim);
-                    let label = format!("{op:?}/n{}/t{threads}/p{packing}", g.num_nodes());
-                    assert!(out.converged, "{label}: did not converge");
-                    if let Some((results, messages)) = &reference {
-                        assert_eq!(&out.results, results, "{label}: results drifted");
-                        assert!(out.metrics.messages <= *messages, "{label}: messages grew");
+                for delay_range in [0, 8] {
+                    let opts = AggregateOpts {
+                        delay_range,
+                        ..AggregateOpts::default()
+                    };
+                    let mut previous: Option<[u64; 2]> = None;
+                    for packing in PACKING_LEVELS {
+                        let n = g.num_nodes();
+                        let label = format!("{op:?}/n{n}/t{threads}/d{delay_range}/p{packing}");
+                        let sim = sim(SimMode::Queued, threads, packing);
+                        let mut forest = AggForest::unrooted(&partition, &map);
+                        // Cold, then warm over the forest the cold run left.
+                        let messages = [(); 2].map(|()| {
+                            let out =
+                                aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+                            assert!(out.all_members_informed, "{label}: not all informed");
+                            assert_eq!(out.results, expect, "{label}: results drifted");
+                            out.metrics.messages
+                        });
+                        if let Some(prev) = previous {
+                            assert!(
+                                messages[0] <= prev[0] && messages[1] <= prev[1],
+                                "{label}: (cold, warm) messages grew from {prev:?} to {messages:?}"
+                            );
+                        }
+                        previous = Some(messages);
                     }
-                    reference = Some((out.results, out.metrics.messages));
+                }
+            }
+        }
+    }
+}
+
+/// Session gossip (Min and Max, on grid rows and road-like voronoi cells)
+/// converges to the centralized results at every packing level and thread
+/// count, cold on a fresh session and warm over the forest the cold run
+/// rooted, sending no more messages as packing grows.
+#[test]
+fn gossip_is_packing_invariant() {
+    let road = gen::road_like(16, 16, 3);
+    let road_parts = gen::voronoi_parts_seeded(&road, 12, 3);
+    let instances = [
+        (gen::grid(10, 10), gen::rows_of_grid(10, 10)),
+        (road, road_parts),
+    ];
+    for (g, parts) in instances {
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+        for (op, agg) in [
+            (IdempotentOp::Min, AggOp::Min),
+            (IdempotentOp::Max, AggOp::Max),
+        ] {
+            let expect = centralized_aggregate(&partition, &values, agg);
+            let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+            for threads in THREADS {
+                let mut previous: Option<[u64; 2]> = None;
+                for packing in PACKING_LEVELS {
+                    let label = format!("{op:?}/n{}/t{threads}/p{packing}", g.num_nodes());
+                    let mut session = Session::on(&g)
+                        .partition_object(partition.clone())
+                        .config(SessionConfig {
+                            sim: sim(SimMode::Queued, threads, packing),
+                            ..SessionConfig::default()
+                        })
+                        .build()
+                        .unwrap();
+                    // Cold on the fresh session, then warm over its forest.
+                    let messages = [(); 2].map(|()| {
+                        let out = session.gossip(&values, op);
+                        assert!(out.result.converged, "{label}: did not converge");
+                        assert_eq!(out.result.results, expect, "{label}: results drifted");
+                        out.messages
+                    });
+                    if let Some(prev) = previous {
+                        assert!(
+                            messages[0] <= prev[0] && messages[1] <= prev[1],
+                            "{label}: (cold, warm) messages grew from {prev:?} to {messages:?}"
+                        );
+                    }
+                    previous = Some(messages);
                 }
             }
         }
