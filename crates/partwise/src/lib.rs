@@ -9,11 +9,14 @@
 //! hears; two offers that cross on an edge answer each other), then
 //! convergecast and result broadcast over the adopted tree — multiplexed
 //! with the random-delays technique [LMR94, Gha15] on the queued CONGEST
-//! simulator, completing in `Õ(congestion + dilation)` rounds. Read off the
+//! simulator, completing in `Õ(congestion + dilation)` rounds. A slot with
+//! no member of its part below it reports `Empty` instead of a value and
+//! is *pruned*: its parent drops it and sends it no `Down`. Read off the
 //! [`ParticipationMap`], a cold run sends exactly `ports + 2·(slots −
-//! parts)` messages at `message_packing = 1`: an offer over every
+//! parts) − pruned` messages at `message_packing = 1`: an offer over every
 //! participating `(slot, port)` pair but a non-root slot's parent port,
-//! and one adopt, `Up` and `Down` per non-root slot.
+//! one adopt and one `Up` or `Empty` per non-root slot, and one `Down` per
+//! kept non-root slot.
 //!
 //! That echo is the crate's one part-wise protocol: the session's gossip
 //! (min / max, no leaders asked for) is the same [`AggregateOp`], and no
@@ -29,11 +32,14 @@
 //! part the leader it is rooted at. [`AggregateOp::run_with`] takes the
 //! forest in/out. A *cold* run (nothing rooted; every
 //! [`AggregateOp::run_on`]) is the echo above, bit for bit. A *warm* run
-//! sends only the convergecast and the broadcast — exactly
-//! `2·(slots − parts)` messages. Rooted and unrooted parts mix in one run
-//! of one program, and [`PartwiseOutcome::rooted_parts`] reports how many
-//! were served from the forest. A part is rooted only by a run that was not
-//! truncated and finished it on every participating node; a part led from
+//! sends only the convergecast and the broadcast over the kept slots —
+//! exactly `2·(slots − parts − pruned)` messages, at least `2·(members −
+//! parts)`; the relays no member sits under, such as the chain between a
+//! part and the BFS root, hear nothing. Rooted and unrooted parts mix in
+//! one run of one program, and [`PartwiseOutcome::rooted_parts`] reports
+//! how many were served from the forest. A part is rooted only by a run
+//! that was not truncated and finished it on every participating node
+//! (each holds the result or was pruned); a part led from
 //! elsewhere is re-rooted by the echo. `leaders: None` asks for any
 //! leader: a rooted part keeps its root, an unrooted one starts at its
 //! minimum member. The session's gossip is this aggregate for min / max,
