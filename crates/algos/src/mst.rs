@@ -3,12 +3,19 @@
 //!
 //! The distributed algorithm follows the paper's recipe: fragments are the
 //! parts of a part-wise aggregation instance; each phase (1) exchanges
-//! fragment ids with neighbors (one round), (2) constructs shortcuts for the
-//! fragments, (3) aggregates the minimum-weight outgoing edge per fragment,
-//! and (4) merges fragments tail→head after leader coin flips (the standard
-//! symmetry breaker keeping relabeling one hop), notifying members through a
-//! second aggregation wave. All MWOEs are safe by the cut property under
-//! the (weight, edge-id) tie-break, so the edge set is exact.
+//! fragment ids with neighbors (one round) — every node keeps the id it
+//! last heard per port, so after the first exchange only a node relabeled
+//! by the previous merge sends, and only over ports leaving its old
+//! fragment, (2) constructs shortcuts for the fragments, (3) aggregates the
+//! minimum-weight outgoing edge per fragment, and (4) merges fragments
+//! after leader coin flips: each fragment asks across its MWOE for the far
+//! fragment's coin and whether that edge is its MWOE too (two rounds, two
+//! messages), a tail merges into a head, and of a mutual-MWOE pair of tails
+//! the smaller id merges into the larger — no merge targets a fragment that
+//! merges itself, so relabeling stays one hop. Members learn the new id
+//! through a second aggregation wave. All MWOEs are safe by the cut
+//! property under the (weight, edge-id) tie-break, so the edge set is
+//! exact.
 
 use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
@@ -73,7 +80,9 @@ impl ShortcutProvider {
 /// Round breakdown of one run.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MstRounds {
-    /// Neighbor fragment-id exchanges (one per phase).
+    /// Neighbor fragment-id exchanges (one round each: one per phase, plus
+    /// the one that finds nothing left to merge) and the two merge-query
+    /// rounds of every phase.
     pub exchange: u64,
     /// Shortcut construction (only for the distributed provider).
     pub construction: u64,
@@ -101,10 +110,14 @@ pub struct MstReport {
     pub phases: usize,
     /// Simulated round counts.
     pub rounds: MstRounds,
-    /// Total simulated messages.
+    /// Total simulated messages: construction, aggregations, the id
+    /// exchanges (`2m` the first time, then one per port a relabeled node
+    /// has out of its old fragment) and two merge-query messages per
+    /// fragment with an outgoing MWOE per phase.
     pub messages: u64,
     /// Total simulated bits (id-aware accounting; id exchanges are billed
-    /// at `id_bits(n)` per message).
+    /// at `id_bits(n)` per message; a merge query is a 1-bit request and a
+    /// 2-bit `(coin, mutual)` reply).
     pub bits: u64,
     /// Whether the run was cut short — a simulator run (construction or
     /// aggregation) hit the round cap, or the phase cap was reached:
@@ -210,8 +223,14 @@ pub fn distributed_mst(
     report.charge(flood);
     let mut rng = SmallRng::seed_from_u64(config.mst.seed);
 
-    // Fragment state (centralized bookkeeping of the distributed state).
+    // Node-local state: each node's fragment id (learned from the notify
+    // waves) and `known[first_out[v] + port]`, the id it last heard over
+    // that port. The first exchange sends every id.
+    let first_out = g.first_out();
+    let port_base = |v: NodeId| first_out[v.index()] as usize;
     let mut fragment_of: Vec<u32> = (0..n as u32).collect();
+    let mut known: Vec<u32> = g.nodes().flat_map(|v| g.heads(v)).map(|w| w.0).collect();
+    let mut sends = 2 * g.num_edges() as u64;
     let mut in_mst = vec![false; g.num_edges()];
 
     loop {
@@ -225,17 +244,26 @@ pub fn distributed_mst(
         let partition = Partition::from_parts(g, parts).expect("fragments stay connected");
         let frag_index = |fid: u32| frag_ids.binary_search(&fid).expect("known fragment");
 
-        // Local MWOE per node: lightest incident edge leaving the fragment.
-        // Distributedly this needs one round of neighbor id exchange.
+        // One round of neighbor id exchange (fragment ids are id payloads),
+        // after which every node's table reads its neighbors' ids.
         report.rounds.exchange += 1;
-        report.messages += 2 * g.num_edges() as u64;
-        // Fragment ids are id payloads: one id per directed edge.
-        report.bits += 2 * g.num_edges() as u64 * id_bits(n) as u64;
+        report.messages += sends;
+        report.bits += sends * id_bits(n) as u64;
+        debug_assert!(
+            g.nodes().all(|v| g
+                .heads(v)
+                .iter()
+                .enumerate()
+                .all(|(port, w)| known[port_base(v) + port] == fragment_of[w.index()])),
+            "an id table went stale"
+        );
+
+        // Local MWOE per node: lightest incident edge leaving the fragment.
         let mut local: Vec<u64> = vec![u64::MAX; n];
         let mut any_outgoing = false;
         for v in g.nodes() {
-            for nb in g.neighbors(v) {
-                if fragment_of[v.index()] != fragment_of[nb.node.index()] {
+            for (port, nb) in g.neighbors(v).enumerate() {
+                if known[port_base(v) + port] != fragment_of[v.index()] {
                     let p = pack(weights.weight(nb.edge), nb.edge);
                     if p < local[v.index()] {
                         local[v.index()] = p;
@@ -264,9 +292,10 @@ pub fn distributed_mst(
         // Both aggregations of the phase run over the same `G[P_i] + H_i`:
         // the first roots every fragment, the second only converge- and
         // broadcasts over those trees. A fragment is led from its id, which
-        // is one of its members (a singleton's own id, a head's, or the
-        // head's a tail adopted) and which every member learned from the
-        // previous phase's notify wave: no election needed.
+        // is one of its members (a singleton's own id, or the id of the
+        // fragment that stayed put while others merged into it) and which
+        // every member learned from the previous phase's notify wave: no
+        // election needed.
         let participation = ParticipationMap::build(g, &partition, &shortcut);
         let mut forest = AggForest::unrooted(&partition, &participation);
         let leaders: Vec<NodeId> = frag_ids.iter().map(|&fid| NodeId(fid)).collect();
@@ -292,9 +321,18 @@ pub fn distributed_mst(
         }
         debug_assert!(agg.all_members_informed);
 
-        // Coin flips and merge decisions (tail -> head).
+        // Coin flips and merge decisions. The member inside each MWOE asks
+        // across it (a 1-bit request); the far endpoint answers from its own
+        // fragment's state with its coin and whether the edge is that
+        // fragment's MWOE too (a 2-bit reply). A tail merges into a head; of
+        // a mutual pair of tails the smaller id merges into the larger.
+        // Nothing targets a fragment that merges itself: a head never
+        // merges, and the larger of a tail pair stays put (its MWOE leads
+        // to a tail, its one mutual partner).
         let coins: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.5)).collect();
-        let mut new_id: Vec<Option<u32>> = vec![None; k];
+        report.rounds.exchange += 2;
+        let mut notify: Vec<u64> = vec![0; n];
+        let mut queries = 0;
         for i in 0..k {
             let Some(p) = agg.results[i] else { continue };
             if p == u64::MAX {
@@ -304,44 +342,55 @@ pub fn distributed_mst(
             if !std::mem::replace(&mut in_mst[e.index()], true) {
                 report.edges.push(e); // every MWOE is safe by the cut property
             }
+            queries += 1;
             let (u, v) = g.endpoints(e);
-            let (fu, fv) = (fragment_of[u.index()], fragment_of[v.index()]);
-            let my = frag_ids[i];
-            let target = if fu == my { fv } else { fu };
-            let ti = frag_index(target);
-            // Tail merges into head.
-            if !coins[i] && coins[ti] {
-                new_id[i] = Some(target);
+            let (inside, far) = if fragment_of[u.index()] == frag_ids[i] {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            let port = g.port_to(inside, far).expect("MWOE endpoints are adjacent");
+            let target = known[port_base(inside) + port];
+            let ti = frag_index(fragment_of[far.index()]);
+            let (head, mutual) = (coins[ti], agg.results[ti] == Some(p));
+            if !coins[i] && (head || (mutual && frag_ids[i] < target)) {
+                notify[inside.index()] = u64::from(target) + 1;
             }
         }
-
-        // Merge-notification broadcast: the member adjacent to the MWOE
-        // knows the target id; a Max aggregation delivers it to the whole
-        // fragment. Fragments that stay put broadcast 0.
-        let mut notify: Vec<u64> = vec![0; n];
-        for (i, nid) in new_id.iter().enumerate() {
-            if let Some(target) = nid {
-                let e = unpack(agg.results[i].expect("merging fragment has MWOE"));
-                let (u, v) = g.endpoints(e);
-                let inside = if fragment_of[u.index()] == frag_ids[i] {
-                    u
-                } else {
-                    v
-                };
-                notify[inside.index()] = u64::from(*target) + 1;
-            }
-        }
+        // Merge-notification broadcast: the inside member knows the target
+        // id; a Max aggregation delivers it to the whole fragment.
+        // Fragments that stay put broadcast 0.
         let note = aggregate(&notify, AggOp::Max);
+        report.messages += 2 * queries;
+        report.bits += 3 * queries;
         report.rounds.notification += note.metrics.rounds;
         if note.metrics.truncated {
             break; // a partial broadcast would relabel half a fragment
         }
 
-        // Apply merges. One pass suffices: tails merge into heads, and a
-        // head stays put, so no relabeled node is relabeled again.
-        for fid in &mut fragment_of {
-            if let Some(res @ 1..) = note.results[frag_index(*fid)] {
-                *fid = (res - 1) as u32;
+        // Apply merges. One pass suffices: no relabeled node is relabeled
+        // again. A relabeled node rewrites its ports that read its old id
+        // (its whole old fragment relabels with it) and sends the new id
+        // over the others, for the next exchange. A delivered id never
+        // equals its receiver's old id (a merge target does not relabel),
+        // so delivering at once leaves every later check intact.
+        sends = 0;
+        for v in g.nodes() {
+            let old = fragment_of[v.index()];
+            let Some(res @ 1..) = note.results[frag_index(old)] else {
+                continue;
+            };
+            let new = (res - 1) as u32;
+            fragment_of[v.index()] = new;
+            for (port, &w) in g.heads(v).iter().enumerate() {
+                let slot = &mut known[port_base(v) + port];
+                if *slot == old {
+                    *slot = new;
+                } else {
+                    let back = g.port_to(w, v).expect("adjacency is symmetric");
+                    known[port_base(w) + back] = new;
+                    sends += 1;
+                }
             }
         }
     }
@@ -355,10 +404,80 @@ pub fn distributed_mst(
 mod tests {
     use super::*;
     use lcs_graph::gen;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Boruvka from node 0 on the default knobs.
     fn mst_of(g: &Graph, w: &EdgeWeights, provider: ShortcutProvider) -> MstReport {
         distributed_mst(g, w, NodeId(0), provider, &SessionConfig::default())
+    }
+
+    /// One Boruvka phase replayed on the host: the fragment map it starts
+    /// from, how many fragments have an MWOE, and how many merge into a
+    /// head or as the smaller of a mutual pair of tails.
+    struct Phase {
+        fragment_of: Vec<u32>,
+        with_mwoe: usize,
+        into_heads: usize,
+        tail_pairs: usize,
+    }
+
+    /// Replays the merge rule from the true fragment map and the run's
+    /// coins (one per fragment per phase, in id order): every phase, then
+    /// the map the run ends on.
+    fn replay(g: &Graph, w: &EdgeWeights, coin_seed: u64) -> (Vec<Phase>, Vec<u32>) {
+        let mut rng = SmallRng::seed_from_u64(coin_seed);
+        let mut fragment_of: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let mut phases = Vec::new();
+        loop {
+            let mut mwoe: BTreeMap<u32, u64> = BTreeMap::new();
+            for er in g.edges() {
+                let (a, b) = (fragment_of[er.u.index()], fragment_of[er.v.index()]);
+                if a != b {
+                    for f in [a, b] {
+                        let best = mwoe.entry(f).or_insert(u64::MAX);
+                        *best = (*best).min(pack(w.weight(er.id), er.id));
+                    }
+                }
+            }
+            if mwoe.is_empty() {
+                return (phases, fragment_of);
+            }
+            let ids: BTreeSet<u32> = fragment_of.iter().copied().collect();
+            let coin: BTreeMap<u32, bool> = ids.iter().map(|&f| (f, rng.gen_bool(0.5))).collect();
+            let mut phase = Phase {
+                fragment_of: fragment_of.clone(),
+                with_mwoe: mwoe.len(),
+                into_heads: 0,
+                tail_pairs: 0,
+            };
+            let mut target = BTreeMap::new();
+            for (&f, &p) in &mwoe {
+                let (u, v) = g.endpoints(unpack(p));
+                let (fu, fv) = (fragment_of[u.index()], fragment_of[v.index()]);
+                let t = if fu == f { fv } else { fu };
+                if coin[&f] {
+                    continue;
+                }
+                if coin[&t] {
+                    phase.into_heads += 1;
+                } else if mwoe[&t] == p && f < t {
+                    phase.tail_pairs += 1;
+                } else {
+                    continue;
+                }
+                target.insert(f, t);
+            }
+            for f in &mut fragment_of {
+                if let Some(&t) = target.get(f) {
+                    assert!(
+                        !target.contains_key(&t),
+                        "a merge targets a merging fragment"
+                    );
+                    *f = t;
+                }
+            }
+            phases.push(phase);
+        }
     }
 
     fn check_matches_kruskal(g: &Graph, seed: u64, provider: ShortcutProvider) {
@@ -427,25 +546,142 @@ mod tests {
     /// Every phase leads each fragment from its id. `run_with` asserts that
     /// a leader is a member of its part, so a finished run is the proof
     /// that fragment ids stay members through every merge pattern the coin
-    /// and weight seeds produce; the forest must still be Kruskal's.
+    /// and weight seeds produce; the forest must still be Kruskal's. Every
+    /// case includes a phase where a tail pair and a tail → head merge
+    /// land together (the path's two mutual pairs under coins tail, tail /
+    /// tail, head are the smallest such phase).
     #[test]
     fn fragments_are_led_from_their_ids() {
         let cases = [
+            (gen::path(4), ShortcutProvider::Oracle),
             (gen::grid(7, 7), ShortcutProvider::Oracle),
             (gen::torus(6, 6), ShortcutProvider::Oracle),
             (gen::grid(8, 8), ShortcutProvider::Baseline),
         ];
         for (g, provider) in cases {
-            for seed in 0..8 {
+            let mut mixed_phases = 0;
+            for seed in 0..32 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
                 let mut config = SessionConfig::default();
                 config.mst.seed = 100 + seed;
                 let report = distributed_mst(&g, &w, NodeId(0), provider, &config);
-                assert!(
-                    !report.truncated && report.phases >= 2,
-                    "{provider:?} {seed}"
-                );
+                assert!(!report.truncated, "{provider:?} {seed}");
                 assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
+                let (phases, _) = replay(&g, &w, config.mst.seed);
+                assert_eq!(report.phases, phases.len(), "{provider:?} {seed}");
+                mixed_phases += phases
+                    .iter()
+                    .filter(|p| p.tail_pairs > 0 && p.into_heads > 0)
+                    .count();
+            }
+            assert!(mixed_phases > 0, "{g:?}: no phase mixes both merges");
+        }
+    }
+
+    /// Two fragments joined by one edge are a mutual pair: every phase
+    /// merges them unless both flip head, so the run takes one phase per
+    /// leading head / head draw plus one.
+    #[test]
+    fn mutual_tail_pair_merges() {
+        let g = gen::path(2);
+        let w = EdgeWeights::unit(&g);
+        let mut tail_pairs = 0;
+        for seed in 0..32 {
+            let mut config = SessionConfig::default();
+            config.mst.seed = seed;
+            let report = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
+            let mut coins = SmallRng::seed_from_u64(seed);
+            let mut phases = 1;
+            loop {
+                let (a, b) = (coins.gen_bool(0.5), coins.gen_bool(0.5));
+                tail_pairs += usize::from(!a && !b);
+                if !(a && b) {
+                    break;
+                }
+                phases += 1;
+            }
+            assert_eq!(report.phases, phases, "coin seed {seed}");
+            assert_eq!(report.edges, vec![EdgeId(0)]);
+        }
+        assert!(tail_pairs > 0, "no seed flipped tail / tail");
+    }
+
+    /// Every message is accounted for: the first exchange's `2m`, each
+    /// later exchange's sends (a relabeled node's ports out of its old
+    /// fragment), two query messages per fragment with an MWOE, and the
+    /// construction and both aggregates of every phase, re-run here on the
+    /// replayed fragments (an echo's count does not depend on the values).
+    #[test]
+    fn messages_are_exchanges_queries_and_phase_runs() {
+        let dist = ShortcutProvider::Distributed(DistConfig::default());
+        let cases = [
+            (gen::grid(7, 7), ShortcutProvider::Oracle),
+            (gen::torus(6, 6), ShortcutProvider::Oracle),
+            (gen::grid(8, 8), ShortcutProvider::Baseline),
+            (gen::wheel(20), ShortcutProvider::None),
+            (gen::grid(6, 6), dist),
+        ];
+        for (g, provider) in cases {
+            for seed in 0..4 {
+                let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
+                let mut config = SessionConfig::default();
+                config.mst.seed = seed;
+                let report = distributed_mst(&g, &w, NodeId(0), provider, &config);
+                let (phases, last) = replay(&g, &w, seed);
+                assert_eq!(report.phases, phases.len(), "{provider:?} {seed}");
+                let rounds = phases.len() as u64 + 1 + 2 * phases.len() as u64;
+                assert_eq!(report.rounds.exchange, rounds, "{provider:?} {seed}");
+
+                let (tree, flood) =
+                    construction_tree(&g, NodeId(0), provider.dist_config().as_ref())
+                        .expect("uncapped");
+                let mut constructions = MstReport::default();
+                let mut expected = flood.messages + 2 * g.num_edges() as u64;
+                for (i, phase) in phases.iter().enumerate() {
+                    let before = &phase.fragment_of;
+                    let mut members: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+                    for v in g.nodes() {
+                        members.entry(before[v.index()]).or_default().push(v);
+                    }
+                    let leaders: Vec<NodeId> = members.keys().map(|&f| NodeId(f)).collect();
+                    let partition = Partition::from_parts(&g, members.into_values().collect())
+                        .expect("fragments are connected");
+                    let shortcut = provide_shortcuts(
+                        &g,
+                        &tree,
+                        &partition,
+                        provider,
+                        &config,
+                        &mut constructions,
+                    )
+                    .expect("uncapped");
+                    let participation = ParticipationMap::build(&g, &partition, &shortcut);
+                    let mut forest = AggForest::unrooted(&partition, &participation);
+                    let zeros = vec![0; g.num_nodes()];
+                    for op in [AggOp::Min, AggOp::Max] {
+                        let run = AggregateOp {
+                            values: &zeros,
+                            op,
+                            leaders: Some(&leaders),
+                        };
+                        let (opts, sim) = (&config.aggregate, config.sim);
+                        let out =
+                            run.run_with(&g, &partition, opts, sim, &participation, &mut forest);
+                        expected += out.metrics.messages;
+                    }
+                    expected += 2 * phase.with_mwoe as u64;
+
+                    let after = phases.get(i + 1).map_or(&last, |p| &p.fragment_of);
+                    for v in g.nodes().filter(|v| before[v.index()] != after[v.index()]) {
+                        let outside = g
+                            .heads(v)
+                            .iter()
+                            .filter(|u| before[u.index()] != before[v.index()]);
+                        expected += outside.count() as u64;
+                    }
+                }
+                expected += constructions.messages;
+                assert_eq!(report.messages, expected, "{provider:?} {seed}");
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::experiments::rng;
 use crate::{Relation::*, Report};
-use lcs_algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+use lcs_algos::mst::{distributed_mst, kruskal, MstReport, ShortcutProvider};
 use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
@@ -17,51 +17,67 @@ use lcs_graph::{gen, Graph, NodeId};
 const EXACT: &str = "Cor 1.6 every provider's MST ≡ Kruskal";
 const SEPARATION: &str = "Cor 1.6 wheel rounds: minor-sweep ≤ D+√n baseline";
 
-/// Rounds per provider (minor-sweep, baseline, none) on one weighting of
-/// `g`, and whether all three returned Kruskal's tree.
-fn run_all(g: &Graph, seed: u64) -> ([u64; 3], bool) {
+/// One weighting of `g` under each provider (minor-sweep, baseline, none),
+/// and whether all three returned Kruskal's tree.
+fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
     let weights = EdgeWeights::random_unique(g, &mut rng(seed));
     let reference = kruskal(g, &weights);
     let config = SessionConfig::default();
-    let mut exact = true;
     let providers = [
         ShortcutProvider::Oracle,
         ShortcutProvider::Baseline,
         ShortcutProvider::None,
     ];
-    let rounds = providers.map(|provider| {
-        let report = distributed_mst(g, &weights, NodeId(0), provider, &config);
-        exact &= report.edges == reference;
-        report.rounds.total()
-    });
-    (rounds, exact)
+    let reports =
+        providers.map(|provider| distributed_mst(g, &weights, NodeId(0), provider, &config));
+    let exact = reports.iter().all(|r| r.edges == reference);
+    (reports, exact)
 }
 
-/// Runs E6: the wheel and the grid sweep.
+/// Runs E6: the wheel and the grid sweep. Rounds are per provider;
+/// phases and messages are the minor-sweep run's.
 pub fn run() -> Report {
     let mut out = Report::default();
     // Wheel sweep: D = 2 fixed, n grows.
     out.table(
         "E6a (Corollary 1.6): MST rounds on wheels (D = 2, rim diameter Θ(n))",
-        "n, minor-sweep, baseline D+√n, no shortcuts, exact",
+        "n, minor-sweep, phases, messages, baseline D+√n, no shortcuts, exact",
     );
     for n in [64, 128, 256, 512, 1024] {
         let ([sweep, base, none], exact) = run_all(&gen::wheel(n), 7);
+        let (rounds, base_rounds) = (sweep.rounds.total(), base.rounds.total());
         let row = format!("wheel {n}");
         out.claim(&row, EXACT, exact, Exactly, true);
-        out.row(&[&n, &sweep, &base, &none, &out.cell(&row)]);
-        out.claim(&row, SEPARATION, sweep as f64, AtMost, base as f64);
+        out.row(&[
+            &n,
+            &rounds,
+            &sweep.phases,
+            &sweep.messages,
+            &base_rounds,
+            &none.rounds.total(),
+            &out.cell(&row),
+        ]);
+        out.claim(&row, SEPARATION, rounds as f64, AtMost, base_rounds as f64);
     }
     // Grid sweep: all providers comparable (easy instance).
     out.table(
         "E6b: MST rounds on planar grids (compact fragments — an easy case)",
-        "side, n, minor-sweep, baseline D+√n, no shortcuts, exact",
+        "side, n, minor-sweep, phases, messages, baseline D+√n, no shortcuts, exact",
     );
     for s in [8, 12, 16, 24] {
         let ([sweep, base, none], exact) = run_all(&gen::grid(s, s), 9);
         let row = format!("grid {s}x{s}");
         out.claim(&row, EXACT, exact, Exactly, true);
-        out.row(&[&s, &(s * s), &sweep, &base, &none, &out.cell(&row)]);
+        out.row(&[
+            &s,
+            &(s * s),
+            &sweep.rounds.total(),
+            &sweep.phases,
+            &sweep.messages,
+            &base.rounds.total(),
+            &none.rounds.total(),
+            &out.cell(&row),
+        ]);
     }
     out
 }
