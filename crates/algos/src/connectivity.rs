@@ -8,7 +8,7 @@
 use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
 use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{Graph, NodeId, UnionFind};
+use lcs_graph::{Graph, RootedTree, UnionFind};
 
 /// Result of [`distributed_components`].
 #[derive(Clone, Debug)]
@@ -22,19 +22,19 @@ pub struct ComponentsReport {
 }
 
 /// Computes connected components distributedly via unit-weight Boruvka
-/// (`provider` and `config` as for [`distributed_mst`]).
+/// (`tree`, `provider` and `config` as for [`distributed_mst`]).
 ///
 /// # Panics
 ///
 /// Panics like [`distributed_mst`].
 pub fn distributed_components(
     g: &Graph,
-    root: NodeId,
+    tree: &RootedTree,
     provider: ShortcutProvider,
     config: &SessionConfig,
 ) -> ComponentsReport {
     let weights = EdgeWeights::unit(g);
-    let mst = distributed_mst(g, &weights, root, provider, config);
+    let mst = distributed_mst(g, &weights, tree, provider, config);
     let mut uf = UnionFind::new(g.num_nodes());
     for &e in &mst.edges {
         let (u, v) = g.endpoints(e);
@@ -60,12 +60,13 @@ pub fn distributed_components(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_graph::{components, gen};
+    use lcs_graph::{bfs, components, gen, NodeId};
 
     /// Components from node 0 with oracle shortcuts, default knobs.
     fn components_of(g: &Graph) -> ComponentsReport {
         let config = SessionConfig::default();
-        distributed_components(g, NodeId(0), ShortcutProvider::Oracle, &config)
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        distributed_components(g, &tree, ShortcutProvider::Oracle, &config)
     }
 
     #[test]

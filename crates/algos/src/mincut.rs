@@ -25,7 +25,7 @@ use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
 use lcs_congest::Simulator;
 use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{bfs, components, EdgeId, Graph, NodeId};
+use lcs_graph::{bfs, components, EdgeId, Graph, NodeId, RootedTree};
 
 /// Exact minimum cut by Stoer–Wagner (`O(n³)`); returns 0 for disconnected
 /// graphs. Unit edge weights (edge connectivity).
@@ -109,10 +109,15 @@ pub struct MincutReport {
     /// Whether a simulator run (tree construction or evaluation) hit the
     /// round cap.
     pub truncated: bool,
+    /// Fragment MWOE aggregates that ran the full echo, summed over the
+    /// tree constructions ([`MstReport::echoes`](crate::mst::MstReport::echoes)).
+    pub echoes: usize,
 }
 
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
-/// 1-respecting cuts. Of `config` it reads
+/// 1-respecting cuts. Every packed tree is built by [`distributed_mst`]
+/// over `tree`, the spanning tree its shortcuts are built on, and rooted
+/// at `tree`'s root for the evaluation. Of `config` it reads
 /// [`mincut.trees`](lcs_core::session::MincutOpts::trees) and, for every
 /// packed tree, what [`distributed_mst`] reads.
 ///
@@ -121,7 +126,7 @@ pub struct MincutReport {
 /// Panics if `g` is disconnected or has fewer than 2 nodes.
 pub fn approx_mincut_distributed(
     g: &Graph,
-    root: NodeId,
+    tree: &RootedTree,
     provider: ShortcutProvider,
     config: &SessionConfig,
 ) -> MincutReport {
@@ -139,11 +144,12 @@ pub fn approx_mincut_distributed(
     let mut messages = 0u64;
     let mut bits = 0u64;
     let mut truncated = false;
+    let mut echoes = 0;
     let mut best = u64::MAX;
     let mut trees = 0;
 
     for _ in 0..q {
-        let report = distributed_mst(g, &loads, root, provider, config);
+        let report = distributed_mst(g, &loads, tree, provider, config);
         rounds.exchange += report.rounds.exchange;
         rounds.construction += report.rounds.construction;
         rounds.aggregation += report.rounds.aggregation;
@@ -151,6 +157,7 @@ pub fn approx_mincut_distributed(
         messages += report.messages;
         bits += report.bits;
         truncated |= report.truncated;
+        echoes += report.echoes;
         if report.truncated {
             // A forest cut short spans nothing to evaluate or pack.
             break;
@@ -158,12 +165,12 @@ pub fn approx_mincut_distributed(
         trees += 1;
 
         // Orient the packed tree and evaluate its 1-respecting cuts.
-        let tree = tree_from_edges(g, &report.edges, root);
-        best = best.min(min_one_respecting_cut(g, &tree));
+        let packed = tree_from_edges(g, &report.edges, tree.root());
+        best = best.min(min_one_respecting_cut(g, &packed));
 
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
-        let tk = TreeKnowledge::from_rooted_tree(g, &tree);
+        let tk = TreeKnowledge::from_rooted_tree(g, &packed);
         let sim = Simulator::new(g, config.sim);
         let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
         eval_rounds += run.metrics.rounds;
@@ -185,6 +192,7 @@ pub fn approx_mincut_distributed(
         messages,
         bits,
         truncated,
+        echoes,
     }
 }
 
@@ -368,7 +376,8 @@ mod tests {
     /// The approximation from node 0 with oracle shortcuts, default knobs.
     fn approx(g: &Graph) -> MincutReport {
         let config = SessionConfig::default();
-        approx_mincut_distributed(g, NodeId(0), ShortcutProvider::Oracle, &config)
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        approx_mincut_distributed(g, &tree, ShortcutProvider::Oracle, &config)
     }
 
     #[test]

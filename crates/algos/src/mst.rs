@@ -7,7 +7,11 @@
 //! last heard per port, so after the first exchange only a node relabeled
 //! by the previous merge sends, and only over ports leaving its old
 //! fragment, (2) constructs shortcuts for the fragments, (3) aggregates the
-//! minimum-weight outgoing edge per fragment, and (4) merges fragments
+//! minimum-weight outgoing edge per fragment — warm after the first phase:
+//! a fragment's spanning tree is carried over from the previous phase, a
+//! merged fragment's being its constituents' trees joined at the MWOE edges
+//! (at most `D` high; a fragment whose tree cannot be carried runs the full
+//! echo), and (4) merges fragments
 //! after leader coin flips: each fragment asks across its MWOE for the far
 //! fragment's coin and whether that edge is its MWOE too (two rounds, two
 //! messages), a tail merges into a head, and of a mutual-MWOE pair of tails
@@ -21,10 +25,10 @@ use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
 use lcs_core::dist::{DistConfig, Truncated};
 use lcs_core::session::SessionConfig;
-use lcs_core::{baseline, construct, construction_tree, ConstructionStats, Partition, Shortcut};
+use lcs_core::{baseline, construct, ConstructionStats, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
-use lcs_partwise::{AggForest, AggregateOp, ParticipationMap};
+use lcs_partwise::{AggForest, AggregateOp, Carry, ParticipationMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -57,8 +61,10 @@ pub enum ShortcutProvider {
     /// Centralized Theorem 1.2 construction ("oracle" — construction rounds
     /// are not charged; use to isolate aggregation cost).
     Oracle,
-    /// The real distributed Theorem 1.5 construction: the BFS flood is
-    /// simulated and charged once per run, the detection sweeps per phase.
+    /// The real distributed Theorem 1.5 construction: the detection sweeps
+    /// are simulated and charged per phase. The tree they run over is the
+    /// caller's — a session charges its flood once, to its
+    /// `construction_stats`.
     Distributed(DistConfig),
     /// The folklore `D + √n` shortcut (parts bigger than `√n` get the whole
     /// BFS tree). Constructible in `O(D)` rounds, charged as zero.
@@ -116,9 +122,13 @@ pub struct MstReport {
     /// fragment with an outgoing MWOE per phase.
     pub messages: u64,
     /// Total simulated bits (id-aware accounting; id exchanges are billed
-    /// at `id_bits(n)` per message; a merge query is a 1-bit request and a
-    /// 2-bit `(coin, mutual)` reply).
+    /// at `id_bits(n)` per message; a merge query is a 2-bit request — the
+    /// asking tail's coin — and a 2-bit `(coin, mutual)` reply).
     pub bits: u64,
+    /// Fragment MWOE aggregates that ran the full echo because no carried
+    /// tree served them (every fragment of the first phase); the others
+    /// started at the convergecast.
+    pub echoes: usize,
     /// Whether the run was cut short — a simulator run (construction or
     /// aggregation) hit the round cap, or the phase cap was reached:
     /// `edges` is then the forest found so far, not a finished answer.
@@ -183,8 +193,10 @@ fn unpack(p: u64) -> EdgeId {
 /// Distributed Boruvka over shortcuts.
 ///
 /// Returns the exact minimum spanning forest (per the `(weight, edge-id)`
-/// tie-break) together with simulated round counts. `root` is the BFS-tree
-/// root used for shortcut construction. Of `config` it reads
+/// tie-break) together with simulated round counts. `tree` is the spanning
+/// tree the shortcuts are built on (a session passes its own); its depth
+/// `D` caps the height of a carried fragment tree, so a warm aggregate
+/// stays within about `2D` rounds plus queueing. Of `config` it reads
 /// [`mst`](SessionConfig::mst) (coin-flip seed, phase cap, small-fragment
 /// skip), [`aggregate`](SessionConfig::aggregate) and
 /// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
@@ -203,7 +215,7 @@ fn unpack(p: u64) -> EdgeId {
 pub fn distributed_mst(
     g: &Graph,
     weights: &EdgeWeights,
-    root: NodeId,
+    tree: &RootedTree,
     provider: ShortcutProvider,
     config: &SessionConfig,
 ) -> MstReport {
@@ -214,13 +226,8 @@ pub fn distributed_mst(
     }
     let max_phases =
         (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
+    let max_height = tree.depth_of_tree() as usize;
     let mut report = MstReport::default();
-    let dist = provider.dist_config();
-    let Ok((tree, flood)) = construction_tree(g, root, dist.as_ref()) else {
-        report.truncated = true;
-        return report;
-    };
-    report.charge(flood);
     let mut rng = SmallRng::seed_from_u64(config.mst.seed);
 
     // Node-local state: each node's fragment id (learned from the notify
@@ -232,6 +239,10 @@ pub fn distributed_mst(
     let mut known: Vec<u32> = g.nodes().flat_map(|v| g.heads(v)).map(|w| w.0).collect();
     let mut sends = 2 * g.num_edges() as u64;
     let mut in_mst = vec![false; g.num_edges()];
+    // The previous phase's tables, forest and fragment ids, and its merges
+    // as `(tail, inside, far)` over each tail's MWOE.
+    let mut last: Option<(ParticipationMap, AggForest, Vec<u32>)> = None;
+    let mut joins: Vec<(PartId, NodeId, NodeId)> = Vec::new();
 
     loop {
         // Build the current fragment partition.
@@ -283,21 +294,43 @@ pub fn distributed_mst(
 
         // Shortcuts for the fragments (only parts inside the BFS tree's
         // component can be served; on connected graphs that is everything).
-        let Ok(shortcut) = provide_shortcuts(g, &tree, &partition, provider, config, &mut report)
+        let Ok(shortcut) = provide_shortcuts(g, tree, &partition, provider, config, &mut report)
         else {
             report.truncated = true;
             break;
         };
 
-        // Both aggregations of the phase run over the same `G[P_i] + H_i`:
-        // the first roots every fragment, the second only converge- and
-        // broadcasts over those trees. A fragment is led from its id, which
-        // is one of its members (a singleton's own id, or the id of the
-        // fragment that stayed put while others merged into it) and which
-        // every member learned from the previous phase's notify wave: no
-        // election needed.
+        // Both aggregations of the phase run over the same `G[P_i] + H_i`
+        // and the same trees: the previous phase's, carried over — a
+        // fragment that merged gets its constituents' trees, each tail's
+        // re-rooted at the inside end of its MWOE and hung from the far
+        // end — and echoed afresh by the MWOE aggregate where that failed
+        // (every fragment in the first phase). A fragment is led from its
+        // id, which is one of its members (a singleton's own id, or the id
+        // of the fragment that stayed put while others merged into it, and
+        // the root of its tree) and which every member learned from the
+        // previous phase's notify wave: no election needed.
         let participation = ParticipationMap::build(g, &partition, &shortcut);
-        let mut forest = AggForest::unrooted(&partition, &participation);
+        let mut forest = match last.take() {
+            None => AggForest::unrooted(&partition, &participation),
+            Some((map, forest, ids)) => {
+                // An old fragment lives on in the one its id node is in now.
+                let into: Vec<Option<PartId>> = ids
+                    .iter()
+                    .map(|&fid| Some(PartId(frag_index(fragment_of[fid as usize]) as u32)))
+                    .collect();
+                let carry = Carry {
+                    into: &into,
+                    joins: &joins,
+                    max_height,
+                };
+                forest.carried_over(g, &map, &partition, &participation, carry)
+            }
+        };
+        debug_assert!(
+            (forest.heights(g, &participation).into_iter().flatten()).all(|h| h <= max_height),
+            "a carried tree is higher than the construction tree"
+        );
         let leaders: Vec<NodeId> = frag_ids.iter().map(|&fid| NodeId(fid)).collect();
         let mut aggregate = |values: &[u64], op: AggOp| {
             let op = AggregateOp {
@@ -316,23 +349,26 @@ pub fn distributed_mst(
         // MWOE aggregation per fragment.
         let agg = aggregate(&local, AggOp::Min);
         report.rounds.aggregation += agg.metrics.rounds;
+        report.echoes += k - agg.rooted_parts;
         if agg.metrics.truncated {
             break; // a partial minimum is no MWOE
         }
         debug_assert!(agg.all_members_informed);
 
         // Coin flips and merge decisions. The member inside each MWOE asks
-        // across it (a 1-bit request); the far endpoint answers from its own
-        // fragment's state with its coin and whether the edge is that
-        // fragment's MWOE too (a 2-bit reply). A tail merges into a head; of
-        // a mutual pair of tails the smaller id merges into the larger.
-        // Nothing targets a fragment that merges itself: a head never
-        // merges, and the larger of a tail pair stays put (its MWOE leads
-        // to a tail, its one mutual partner).
+        // across it, sending its fragment's coin (a 2-bit request); the far
+        // endpoint answers from its own fragment's state with its coin and
+        // whether the edge is that fragment's MWOE too (a 2-bit reply). A
+        // tail merges into a head; of a mutual pair of tails the smaller id
+        // merges into the larger. Nothing targets a fragment that merges
+        // itself: a head never merges, and the larger of a tail pair stays
+        // put (its MWOE leads to a tail, its one mutual partner). Both ends
+        // of a merging MWOE thus know it joins their trees.
         let coins: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.5)).collect();
         report.rounds.exchange += 2;
         let mut notify: Vec<u64> = vec![0; n];
         let mut queries = 0;
+        joins.clear();
         for i in 0..k {
             let Some(p) = agg.results[i] else { continue };
             if p == u64::MAX {
@@ -355,14 +391,17 @@ pub fn distributed_mst(
             let (head, mutual) = (coins[ti], agg.results[ti] == Some(p));
             if !coins[i] && (head || (mutual && frag_ids[i] < target)) {
                 notify[inside.index()] = u64::from(target) + 1;
+                joins.push((PartId(i as u32), inside, far));
             }
         }
         // Merge-notification broadcast: the inside member knows the target
-        // id; a Max aggregation delivers it to the whole fragment.
-        // Fragments that stay put broadcast 0.
+        // id; a Max aggregation delivers it to the whole fragment. Fragments
+        // that stay put broadcast 0, so in a merging one the non-zero value
+        // climbs exactly the path from the inside member to the root — the
+        // path whose parent pointers the next phase's tree flips.
         let note = aggregate(&notify, AggOp::Max);
         report.messages += 2 * queries;
-        report.bits += 3 * queries;
+        report.bits += 4 * queries;
         report.rounds.notification += note.metrics.rounds;
         if note.metrics.truncated {
             break; // a partial broadcast would relabel half a fragment
@@ -393,6 +432,7 @@ pub fn distributed_mst(
                 }
             }
         }
+        last = Some((participation, forest, frag_ids));
     }
 
     report.edges.sort_unstable();
@@ -403,22 +443,25 @@ pub fn distributed_mst(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_graph::gen;
+    use lcs_graph::{bfs, gen};
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// Boruvka from node 0 on the default knobs.
+    /// Boruvka over the BFS tree of node 0 on the default knobs.
     fn mst_of(g: &Graph, w: &EdgeWeights, provider: ShortcutProvider) -> MstReport {
-        distributed_mst(g, w, NodeId(0), provider, &SessionConfig::default())
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        distributed_mst(g, w, &tree, provider, &SessionConfig::default())
     }
 
     /// One Boruvka phase replayed on the host: the fragment map it starts
-    /// from, how many fragments have an MWOE, and how many merge into a
-    /// head or as the smaller of a mutual pair of tails.
+    /// from, how many fragments have an MWOE, how many merge into a head or
+    /// as the smaller of a mutual pair of tails, and each merging tail's
+    /// `(id, inside, far)` over its MWOE.
     struct Phase {
         fragment_of: Vec<u32>,
         with_mwoe: usize,
         into_heads: usize,
         tail_pairs: usize,
+        joins: Vec<(u32, NodeId, NodeId)>,
     }
 
     /// Replays the merge rule from the true fragment map and the run's
@@ -449,12 +492,17 @@ mod tests {
                 with_mwoe: mwoe.len(),
                 into_heads: 0,
                 tail_pairs: 0,
+                joins: Vec::new(),
             };
             let mut target = BTreeMap::new();
             for (&f, &p) in &mwoe {
                 let (u, v) = g.endpoints(unpack(p));
-                let (fu, fv) = (fragment_of[u.index()], fragment_of[v.index()]);
-                let t = if fu == f { fv } else { fu };
+                let (inside, far) = if fragment_of[u.index()] == f {
+                    (u, v)
+                } else {
+                    (v, u)
+                };
+                let t = fragment_of[far.index()];
                 if coin[&f] {
                     continue;
                 }
@@ -466,6 +514,7 @@ mod tests {
                     continue;
                 }
                 target.insert(f, t);
+                phase.joins.push((f, inside, far));
             }
             for f in &mut fragment_of {
                 if let Some(&t) = target.get(f) {
@@ -478,6 +527,128 @@ mod tests {
             }
             phases.push(phase);
         }
+    }
+
+    /// One phase's two aggregates, re-run over the replayed fragments and
+    /// the forest carried through [`AggForest::carried_over`]: the
+    /// fragments, the parts the MWOE run served warm, both runs' messages,
+    /// and the carried trees' heights.
+    struct PhaseRuns {
+        k: usize,
+        rooted: usize,
+        mwoe: u64,
+        notify: u64,
+        heights: Vec<Option<usize>>,
+    }
+
+    /// Re-runs every replayed phase: its construction (cost summed into the
+    /// returned report) and both aggregates (an echo's count does not
+    /// depend on the values, so they aggregate zeros).
+    fn rerun(
+        g: &Graph,
+        tree: &RootedTree,
+        phases: &[Phase],
+        provider: ShortcutProvider,
+        config: &SessionConfig,
+    ) -> (Vec<PhaseRuns>, MstReport) {
+        let mut constructions = MstReport::default();
+        let mut last: Option<(ParticipationMap, AggForest, Vec<u32>)> = None;
+        let mut runs = Vec::new();
+        for (i, phase) in phases.iter().enumerate() {
+            let before = &phase.fragment_of;
+            let mut members: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+            for v in g.nodes() {
+                members.entry(before[v.index()]).or_default().push(v);
+            }
+            let ids: Vec<u32> = members.keys().copied().collect();
+            let leaders: Vec<NodeId> = ids.iter().map(|&f| NodeId(f)).collect();
+            let partition = Partition::from_parts(g, members.into_values().collect())
+                .expect("fragments are connected");
+            let shortcut =
+                provide_shortcuts(g, tree, &partition, provider, config, &mut constructions)
+                    .expect("uncapped");
+            let participation = ParticipationMap::build(g, &partition, &shortcut);
+            let mut forest = match &last {
+                None => AggForest::unrooted(&partition, &participation),
+                Some((map, forest, old)) => {
+                    let part = |ids: &[u32], f| PartId(ids.binary_search(&f).unwrap() as u32);
+                    let into = old.iter().map(|&f| Some(part(&ids, before[f as usize])));
+                    let into: Vec<_> = into.collect();
+                    let joins = phases[i - 1].joins.iter();
+                    let joins: Vec<_> = joins.map(|&(f, u, w)| (part(old, f), u, w)).collect();
+                    let carry = Carry {
+                        into: &into,
+                        joins: &joins,
+                        max_height: tree.depth_of_tree() as usize,
+                    };
+                    forest.carried_over(g, map, &partition, &participation, carry)
+                }
+            };
+            let heights = forest.heights(g, &participation);
+            let zeros = vec![0; g.num_nodes()];
+            let [mwoe, notify] = [AggOp::Min, AggOp::Max].map(|op| {
+                let run = AggregateOp {
+                    values: &zeros,
+                    op,
+                    leaders: Some(&leaders),
+                };
+                let (opts, sim) = (&config.aggregate, config.sim);
+                run.run_with(g, &partition, opts, sim, &participation, &mut forest)
+            });
+            runs.push(PhaseRuns {
+                k: partition.num_parts(),
+                rooted: mwoe.rooted_parts,
+                mwoe: mwoe.metrics.messages,
+                notify: notify.metrics.messages,
+                heights,
+            });
+            last = Some((participation, forest, ids));
+        }
+        (runs, constructions)
+    }
+
+    /// Runs Boruvka over the BFS tree of node 0 and checks its bill against
+    /// the host replay: the first exchange's `2m`, each later exchange's
+    /// sends (a relabeled node's ports out of its old fragment), two query
+    /// messages per fragment with an MWOE, and each phase's construction
+    /// and two aggregates re-run over the carried forest; the MWOE echoes
+    /// are the fragments the carried forest did not serve, and a phase
+    /// whose MWOE run is warm throughout sends what its notify wave sends.
+    /// Returns the report and the re-run phases.
+    fn check_bill(
+        g: &Graph,
+        w: &EdgeWeights,
+        provider: ShortcutProvider,
+        config: &SessionConfig,
+    ) -> (MstReport, Vec<PhaseRuns>) {
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        let report = distributed_mst(g, w, &tree, provider, config);
+        let (phases, last) = replay(g, w, config.mst.seed);
+        assert_eq!(report.phases, phases.len(), "{provider:?}");
+        let rounds = phases.len() as u64 + 1 + 2 * phases.len() as u64;
+        assert_eq!(report.rounds.exchange, rounds, "{provider:?}");
+
+        let (runs, constructions) = rerun(g, &tree, &phases, provider, config);
+        let mut expected = constructions.messages + 2 * g.num_edges() as u64;
+        for (i, (phase, run)) in phases.iter().zip(&runs).enumerate() {
+            expected += run.mwoe + run.notify + 2 * phase.with_mwoe as u64;
+            if run.rooted == run.k {
+                assert_eq!(run.mwoe, run.notify, "{provider:?} phase {i}");
+            }
+            let before = &phase.fragment_of;
+            let after = phases.get(i + 1).map_or(&last, |p| &p.fragment_of);
+            for v in g.nodes().filter(|v| before[v.index()] != after[v.index()]) {
+                let outside = g
+                    .heads(v)
+                    .iter()
+                    .filter(|u| before[u.index()] != before[v.index()]);
+                expected += outside.count() as u64;
+            }
+        }
+        assert_eq!(report.messages, expected, "{provider:?}");
+        let echoes: usize = runs.iter().map(|r| r.k - r.rooted).sum();
+        assert_eq!(report.echoes, echoes, "{provider:?}");
+        (report, runs)
     }
 
     fn check_matches_kruskal(g: &Graph, seed: u64, provider: ShortcutProvider) {
@@ -523,7 +694,7 @@ mod tests {
         let rows = gen::rows_of_grid(10, 10);
         let big = rows[..2].concat();
         let partition = Partition::from_parts(&g, vec![big, rows[2].clone()]).unwrap();
-        let tree = lcs_graph::bfs::bfs_tree(&g, NodeId(0));
+        let tree = bfs::bfs_tree(&g, NodeId(0));
         let mut report = MstReport::default();
         let provided = provide_shortcuts(
             &g,
@@ -559,12 +730,13 @@ mod tests {
             (gen::grid(8, 8), ShortcutProvider::Baseline),
         ];
         for (g, provider) in cases {
+            let tree = bfs::bfs_tree(&g, NodeId(0));
             let mut mixed_phases = 0;
             for seed in 0..32 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
                 let mut config = SessionConfig::default();
                 config.mst.seed = 100 + seed;
-                let report = distributed_mst(&g, &w, NodeId(0), provider, &config);
+                let report = distributed_mst(&g, &w, &tree, provider, &config);
                 assert!(!report.truncated, "{provider:?} {seed}");
                 assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
                 let (phases, _) = replay(&g, &w, config.mst.seed);
@@ -585,11 +757,12 @@ mod tests {
     fn mutual_tail_pair_merges() {
         let g = gen::path(2);
         let w = EdgeWeights::unit(&g);
+        let tree = bfs::bfs_tree(&g, NodeId(0));
         let mut tail_pairs = 0;
         for seed in 0..32 {
             let mut config = SessionConfig::default();
             config.mst.seed = seed;
-            let report = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
+            let report = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
             let mut coins = SmallRng::seed_from_u64(seed);
             let mut phases = 1;
             loop {
@@ -606,11 +779,8 @@ mod tests {
         assert!(tail_pairs > 0, "no seed flipped tail / tail");
     }
 
-    /// Every message is accounted for: the first exchange's `2m`, each
-    /// later exchange's sends (a relabeled node's ports out of its old
-    /// fragment), two query messages per fragment with an MWOE, and the
-    /// construction and both aggregates of every phase, re-run here on the
-    /// replayed fragments (an echo's count does not depend on the values).
+    /// Every message is accounted for ([`check_bill`]) on every provider,
+    /// and some phases of each run find every fragment's tree carried.
     #[test]
     fn messages_are_exchanges_queries_and_phase_runs() {
         let dist = ShortcutProvider::Distributed(DistConfig::default());
@@ -622,67 +792,72 @@ mod tests {
             (gen::grid(6, 6), dist),
         ];
         for (g, provider) in cases {
+            let mut warm_phases = 0;
             for seed in 0..4 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
                 let mut config = SessionConfig::default();
                 config.mst.seed = seed;
-                let report = distributed_mst(&g, &w, NodeId(0), provider, &config);
-                let (phases, last) = replay(&g, &w, seed);
-                assert_eq!(report.phases, phases.len(), "{provider:?} {seed}");
-                let rounds = phases.len() as u64 + 1 + 2 * phases.len() as u64;
-                assert_eq!(report.rounds.exchange, rounds, "{provider:?} {seed}");
-
-                let (tree, flood) =
-                    construction_tree(&g, NodeId(0), provider.dist_config().as_ref())
-                        .expect("uncapped");
-                let mut constructions = MstReport::default();
-                let mut expected = flood.messages + 2 * g.num_edges() as u64;
-                for (i, phase) in phases.iter().enumerate() {
-                    let before = &phase.fragment_of;
-                    let mut members: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-                    for v in g.nodes() {
-                        members.entry(before[v.index()]).or_default().push(v);
-                    }
-                    let leaders: Vec<NodeId> = members.keys().map(|&f| NodeId(f)).collect();
-                    let partition = Partition::from_parts(&g, members.into_values().collect())
-                        .expect("fragments are connected");
-                    let shortcut = provide_shortcuts(
-                        &g,
-                        &tree,
-                        &partition,
-                        provider,
-                        &config,
-                        &mut constructions,
-                    )
-                    .expect("uncapped");
-                    let participation = ParticipationMap::build(&g, &partition, &shortcut);
-                    let mut forest = AggForest::unrooted(&partition, &participation);
-                    let zeros = vec![0; g.num_nodes()];
-                    for op in [AggOp::Min, AggOp::Max] {
-                        let run = AggregateOp {
-                            values: &zeros,
-                            op,
-                            leaders: Some(&leaders),
-                        };
-                        let (opts, sim) = (&config.aggregate, config.sim);
-                        let out =
-                            run.run_with(&g, &partition, opts, sim, &participation, &mut forest);
-                        expected += out.metrics.messages;
-                    }
-                    expected += 2 * phase.with_mwoe as u64;
-
-                    let after = phases.get(i + 1).map_or(&last, |p| &p.fragment_of);
-                    for v in g.nodes().filter(|v| before[v.index()] != after[v.index()]) {
-                        let outside = g
-                            .heads(v)
-                            .iter()
-                            .filter(|u| before[u.index()] != before[v.index()]);
-                        expected += outside.count() as u64;
-                    }
-                }
-                expected += constructions.messages;
-                assert_eq!(report.messages, expected, "{provider:?} {seed}");
+                let (_, runs) = check_bill(&g, &w, provider, &config);
+                warm_phases += runs.iter().filter(|r| r.rooted == r.k).count();
             }
+            assert!(
+                warm_phases > 0,
+                "{provider:?}: no phase ran warm throughout"
+            );
+        }
+    }
+
+    /// A carried tree is at most as high as the construction tree is deep:
+    /// on the wheel (`D = 1` from the hub) only stars carry, on the grid
+    /// stitched trees that would grow past `D` are re-echoed.
+    #[test]
+    fn carried_trees_stay_within_the_tree_depth() {
+        for (g, provider) in [
+            (gen::wheel(256), ShortcutProvider::Oracle),
+            (gen::grid(6, 6), ShortcutProvider::Oracle),
+            (gen::grid(6, 6), ShortcutProvider::None),
+        ] {
+            let depth = bfs::bfs_tree(&g, NodeId(0)).depth_of_tree() as usize;
+            for seed in 0..4 {
+                let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
+                let mut config = SessionConfig::default();
+                config.mst.seed = seed;
+                let (report, runs) = check_bill(&g, &w, provider, &config);
+                assert_eq!(report.edges, kruskal(&g, &w));
+                for (i, run) in runs.iter().enumerate() {
+                    let highest = run.heights.iter().flatten().max();
+                    assert!(
+                        highest.is_none_or(|&h| h <= depth),
+                        "phase {i}: {highest:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The benchmark instance (`road_like` 64², seed 7, oracle shortcuts)
+    /// under four weightings and unit loads: Kruskal's tree, no truncated
+    /// run, every message accounted for, every carried tree at most `D`
+    /// high.
+    #[test]
+    #[ignore = "release-mode scale test"]
+    fn scale_boruvka_carries_the_forest() {
+        let g = gen::road_like(64, 64, 7);
+        let depth = bfs::bfs_tree(&g, NodeId(0)).depth_of_tree() as usize;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut weightings: Vec<_> = (0..4)
+            .map(|_| EdgeWeights::random(&g, 1000, &mut rng))
+            .collect();
+        weightings.push(EdgeWeights::unit(&g));
+        for (i, w) in weightings.iter().enumerate() {
+            let (report, runs) =
+                check_bill(&g, w, ShortcutProvider::Oracle, &SessionConfig::default());
+            assert_eq!(report.edges, kruskal(&g, w), "weighting {i}");
+            assert!(!report.truncated, "weighting {i}");
+            let highest = runs.iter().flat_map(|r| r.heights.iter().flatten()).max();
+            assert!(highest.is_none_or(|&h| h <= depth), "weighting {i}");
+            let fragments: usize = runs.iter().map(|r| r.k).sum();
+            assert!(report.echoes < fragments, "weighting {i}: nothing carried");
         }
     }
 
@@ -706,7 +881,8 @@ mod tests {
 
     /// The phase cap is a flag: the run stops before the phase that would
     /// exceed it and reports the (safe) edges found so far. At cap 0 the
-    /// distributed provider has paid for exactly its one BFS flood.
+    /// distributed provider has paid for nothing but the first id exchange:
+    /// the tree's flood is its session's, billed once.
     #[test]
     fn phase_cap_truncates_instead_of_panicking() {
         let g = gen::grid(6, 6);
@@ -715,7 +891,8 @@ mod tests {
         let capped = |max_phases, provider| {
             let mut config = SessionConfig::default();
             config.mst.max_phases = Some(max_phases);
-            distributed_mst(&g, &w, NodeId(0), provider, &config)
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            distributed_mst(&g, &w, &tree, provider, &config)
         };
         let one = capped(1, ShortcutProvider::Oracle);
         assert!(one.truncated && one.phases == 1);
@@ -723,12 +900,10 @@ mod tests {
         assert!(!one.edges.is_empty() && one.edges.len() < reference.len());
         assert!(one.edges.iter().all(|e| reference.contains(e)));
 
-        let dist = DistConfig::default();
-        let none = capped(0, ShortcutProvider::Distributed(dist));
+        let none = capped(0, ShortcutProvider::Distributed(DistConfig::default()));
         assert!(none.truncated && none.phases == 0 && none.edges.is_empty());
-        let (_, flood) = lcs_core::dist::distributed_bfs(&g, NodeId(0), dist.sim).unwrap();
-        assert_eq!(none.rounds.construction, flood.rounds);
-        assert_eq!(none.messages, flood.messages + 2 * g.num_edges() as u64);
+        assert_eq!(none.rounds.construction, 0);
+        assert_eq!(none.messages, 2 * g.num_edges() as u64);
     }
 
     #[test]

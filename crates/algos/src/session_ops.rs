@@ -1,8 +1,9 @@
 //! The algorithms half of the [`ShortcutSession`] operation surface: MST,
 //! connectivity, and min-cut. Each method calls its algorithm with the
-//! session's graph, root, [`SessionConfig`](lcs_core::session::SessionConfig)
-//! and backend-derived [`ShortcutProvider`], and caches the report as a
-//! session artifact.
+//! session's graph, cached tree (the one its shortcut is built on — a
+//! provided tree, or the BFS tree whose flood the session charged once),
+//! [`SessionConfig`] and backend-derived [`ShortcutProvider`], and caches
+//! the report as a session artifact.
 //!
 //! [`ShortcutSession`]: lcs_core::session::ShortcutSession
 
@@ -10,9 +11,9 @@ use crate::connectivity::{distributed_components, ComponentsReport};
 use crate::mincut::{approx_mincut_distributed, MincutReport};
 use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
 use lcs_congest::Simulator;
-use lcs_core::session::{deps, OpReport, SessionError, ShortcutSession};
-use lcs_graph::components;
+use lcs_core::session::{deps, OpReport, SessionConfig, SessionError, ShortcutSession};
 use lcs_graph::weights::EdgeWeights;
+use lcs_graph::{components, Graph, RootedTree};
 
 /// Shortcut-based distributed algorithms served by a
 /// [`ShortcutSession`]. The shortcut provider of every Boruvka phase is
@@ -68,7 +69,9 @@ pub trait SessionAlgoOps {
 
     /// [`components`](Self::components) behind the same fallible signature
     /// as the other `try_` entry points (connectivity accepts any graph a
-    /// session can be built over, so this does not fail).
+    /// session can be built over, so this fails only where the session's
+    /// tree does: a flood cut short by the backend's `max_rounds`, as for
+    /// every op of this trait).
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError>;
 
     /// [`mincut`](Self::mincut) with the preconditions checked up front:
@@ -82,6 +85,17 @@ pub trait SessionAlgoOps {
 fn provider_of(session: &ShortcutSession<'_>) -> ShortcutProvider {
     let dist = session.backend().dist_config();
     dist.map_or(ShortcutProvider::Oracle, ShortcutProvider::Distributed)
+}
+
+/// Runs a Boruvka-family algorithm on the session's graph, cached tree
+/// (ensured by the caller, so this does not fail), provider and config.
+fn with_tree<T>(
+    session: &mut ShortcutSession<'_>,
+    run: impl FnOnce(&Graph, &RootedTree, ShortcutProvider, &SessionConfig) -> T,
+) -> T {
+    let (g, provider) = (session.graph_handle(), provider_of(session));
+    let tree = session.tree().clone();
+    run(&g, &tree, provider, session.config())
 }
 
 /// Wraps the (cached) report of a whole-graph op into the uniform
@@ -138,11 +152,14 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         if let Some((edge, weight)) = weights.iter().find(|&(_, w)| w >= (1 << 31)) {
             return Err(SessionError::WeightTooLarge { edge, weight });
         }
+        self.try_tree()?;
         let memo = self.op_artifact_with(
             deps::TOPOLOGY_ONLY,
             |memo: &MstMemo| memo.weights == *weights,
             |s| MstMemo {
-                report: distributed_mst(s.graph(), weights, s.root(), provider_of(s), s.config()),
+                report: with_tree(s, |g, tree, provider, config| {
+                    distributed_mst(g, weights, tree, provider, config)
+                }),
                 weights: weights.clone(),
             },
         );
@@ -153,10 +170,11 @@ impl SessionAlgoOps for ShortcutSession<'_> {
     }
 
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError> {
+        self.try_tree()?;
         let r = self.op_artifact_with(
             deps::TOPOLOGY_ONLY,
             |_| true,
-            |s| distributed_components(s.graph(), s.root(), provider_of(s), s.config()),
+            |s| with_tree(s, distributed_components),
         );
         let (m, rounds) = (&r.mst, r.mst.rounds.total());
         let report = op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone());
@@ -173,10 +191,11 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         if !components::is_connected(self.graph()) {
             return Err(SessionError::GraphDisconnected);
         }
+        self.try_tree()?;
         let r = self.op_artifact_with(
             deps::TOPOLOGY_ONLY,
             |_| true,
-            |s| approx_mincut_distributed(s.graph(), s.root(), provider_of(s), s.config()),
+            |s| with_tree(s, approx_mincut_distributed),
         );
         let rounds = r.rounds.total() + r.eval_rounds;
         let report = op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone());
@@ -260,6 +279,46 @@ mod tests {
         assert_eq!(s.mst(&skewed).result.edges, kruskal(&g, &skewed));
         assert_eq!(moved(&s, &before), (1, 0, 1), "other weights replace it");
         assert!(!Arc::ptr_eq(&served, &memo(&mut s)));
+    }
+
+    /// A session's Boruvka runs over the session's tree, the one its
+    /// shortcuts are built on. Provided a spanning tree that is not the BFS
+    /// tree of its root — a snake through the grid's rows — `session.mst`
+    /// sends exactly what `distributed_mst` sends over that tree, which is
+    /// not what it sends over the BFS tree.
+    #[test]
+    fn mst_runs_over_the_provided_tree() {
+        use crate::mst::distributed_mst;
+        use lcs_core::session::TreeSource;
+        use lcs_graph::{bfs, RootedTree};
+        use rand::SeedableRng;
+        let g = gen::grid(6, 6);
+        let in_snake = |u: u32, v: u32| {
+            let (row, col) = (u.min(v) / 6, u.min(v) % 6);
+            u / 6 == v / 6 || col == if row % 2 == 0 { 5 } else { 0 }
+        };
+        let res = bfs::bfs_filtered(&g, &[NodeId(0)], |e, _| {
+            let (u, v) = g.endpoints(e);
+            in_snake(u.0, v.0)
+        });
+        let snake = RootedTree::from_parents(&g, NodeId(0), &res.parent, &res.dist, &res.order);
+        assert_eq!(snake.depth_of_tree(), 35);
+        let w = EdgeWeights::random_unique(&g, &mut rand::rngs::SmallRng::seed_from_u64(3));
+        let mut s = Session::on(&g)
+            .tree(TreeSource::Provided(snake.clone()))
+            .build()
+            .unwrap();
+        let served = s.mst(&w);
+        assert_eq!(served.result.edges, kruskal(&g, &w));
+        let oracle = ShortcutProvider::Oracle;
+        let over = |tree: &RootedTree| distributed_mst(&g, &w, tree, oracle, s.config());
+        let (direct, bfs) = (over(&snake), over(&bfs::bfs_tree(&g, NodeId(0))));
+        let counts = |r: &MstReport| (r.rounds.total(), r.messages, r.bits);
+        assert_eq!(
+            (served.rounds, served.messages, served.bits),
+            counts(&direct)
+        );
+        assert_ne!(counts(&direct), counts(&bfs));
     }
 
     #[test]

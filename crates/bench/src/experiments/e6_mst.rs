@@ -12,7 +12,7 @@ use crate::{Relation::*, Report};
 use lcs_algos::mst::{distributed_mst, kruskal, MstReport, ShortcutProvider};
 use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{gen, Graph, NodeId};
+use lcs_graph::{bfs, gen, Graph, NodeId};
 
 const EXACT: &str = "Cor 1.6 every provider's MST ≡ Kruskal";
 const SEPARATION: &str = "Cor 1.6 wheel rounds: minor-sweep ≤ D+√n baseline";
@@ -28,20 +28,21 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
         ShortcutProvider::Baseline,
         ShortcutProvider::None,
     ];
-    let reports =
-        providers.map(|provider| distributed_mst(g, &weights, NodeId(0), provider, &config));
+    let tree = bfs::bfs_tree(g, NodeId(0));
+    let reports = providers.map(|provider| distributed_mst(g, &weights, &tree, provider, &config));
     let exact = reports.iter().all(|r| r.edges == reference);
     (reports, exact)
 }
 
 /// Runs E6: the wheel and the grid sweep. Rounds are per provider;
-/// phases and messages are the minor-sweep run's.
+/// phases, messages and echoes (MWOE aggregates no carried tree served)
+/// are the minor-sweep run's.
 pub fn run() -> Report {
     let mut out = Report::default();
     // Wheel sweep: D = 2 fixed, n grows.
     out.table(
         "E6a (Corollary 1.6): MST rounds on wheels (D = 2, rim diameter Θ(n))",
-        "n, minor-sweep, phases, messages, baseline D+√n, no shortcuts, exact",
+        "n, minor-sweep, phases, messages, echoes, baseline D+√n, no shortcuts, exact",
     );
     for n in [64, 128, 256, 512, 1024] {
         let ([sweep, base, none], exact) = run_all(&gen::wheel(n), 7);
@@ -53,6 +54,7 @@ pub fn run() -> Report {
             &rounds,
             &sweep.phases,
             &sweep.messages,
+            &sweep.echoes,
             &base_rounds,
             &none.rounds.total(),
             &out.cell(&row),
@@ -62,7 +64,7 @@ pub fn run() -> Report {
     // Grid sweep: all providers comparable (easy instance).
     out.table(
         "E6b: MST rounds on planar grids (compact fragments — an easy case)",
-        "side, n, minor-sweep, phases, messages, baseline D+√n, no shortcuts, exact",
+        "side, n, minor-sweep, phases, messages, echoes, baseline D+√n, no shortcuts, exact",
     );
     for s in [8, 12, 16, 24] {
         let ([sweep, base, none], exact) = run_all(&gen::grid(s, s), 9);
@@ -74,6 +76,7 @@ pub fn run() -> Report {
             &sweep.rounds.total(),
             &sweep.phases,
             &sweep.messages,
+            &sweep.echoes,
             &base.rounds.total(),
             &none.rounds.total(),
             &out.cell(&row),

@@ -10,7 +10,7 @@ use crate::{f2, Relation::*, Report};
 use lcs_algos::mincut::{approx_mincut_distributed, exact_mincut_via_packing, stoer_wagner};
 use lcs_algos::mst::ShortcutProvider;
 use lcs_core::session::SessionConfig;
-use lcs_graph::{gen, Graph, NodeId};
+use lcs_graph::{bfs, gen, Graph, NodeId};
 
 const UPPER_BOUND: &str = "Cor 1.7 1-respecting estimate ≥ λ";
 const EXACT: &str = "Cor 1.7 2-respecting cut = λ";
@@ -38,7 +38,8 @@ pub fn run() -> Report {
     let config = SessionConfig::default();
     for (name, g) in cases {
         let exact = stoer_wagner(&g);
-        let rep = approx_mincut_distributed(&g, NodeId(0), ShortcutProvider::Oracle, &config);
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let rep = approx_mincut_distributed(&g, &tree, ShortcutProvider::Oracle, &config);
         let (one, trees) = (rep.estimate, rep.trees);
         let two = exact_mincut_via_packing(&g, NodeId(0), trees.max(3));
         out.claim(name, UPPER_BOUND, one as f64, AtLeast, exact as f64);

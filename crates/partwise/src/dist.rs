@@ -225,6 +225,12 @@ impl ParticipationMap {
         self.first_slot[v.index()] as usize..self.first_slot[v.index() + 1] as usize
     }
 
+    /// Node `v`'s slot of `part` in the table-wide numbering, if it has one.
+    fn slot_of(&self, v: NodeId, part: u32) -> Option<usize> {
+        let local = self.node(v).parts.binary_search(&part).ok()?;
+        Some(self.slot_range(v).start + local)
+    }
+
     /// Node `v`'s slices of the table.
     pub(crate) fn node(&self, v: NodeId) -> NodeSlots<'_> {
         let Range { start: lo, end: hi } = self.slot_range(v);
@@ -299,9 +305,16 @@ const NO_ROOT: u32 = u32::MAX;
 /// `O(participation)` words between aggregations — harvesting the final
 /// program states costs no simulated round. A part is *rooted* once a run
 /// finished it on every participating node (each holds the result or was
-/// pruned), and stays rooted until its tables change; an unfinished,
-/// truncated or re-led part is unrooted and the next run re-roots it with
-/// the full echo.
+/// pruned); an unfinished, truncated or re-led part is unrooted and the
+/// next run re-roots it with the full echo.
+///
+/// When the tables change, [`carried_over`](Self::carried_over) lays the
+/// trees over the next table: a part whose slots kept their ports keeps
+/// its tree (the session's `reassign_parts` churn), and parts that merge
+/// become one tree — each joining part re-rooted at the member inside the
+/// joining edge and hung from the far end (Boruvka, whose MWOE aggregate
+/// then runs warm after the first phase). A part that cannot be carried
+/// comes out unrooted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggForest {
     /// Per part, the leader its tree is rooted at; `NO_ROOT` if none is.
@@ -312,6 +325,20 @@ pub struct AggForest {
     /// Per `(slot, port)` entry, whether the neighbor is a kept child of
     /// this slot; `false` throughout unrooted parts.
     child: Vec<bool>,
+}
+
+/// How the parts of one table become the parts of the next: what
+/// [`AggForest::carried_over`] reads besides the two tables.
+#[derive(Clone, Copy, Debug)]
+pub struct Carry<'a> {
+    /// Per old part, the new part its tree goes into; `None` drops it.
+    pub into: &'a [Option<PartId>],
+    /// `(old part, inside, far)`: that part's tree is re-rooted at `inside`,
+    /// one of its members, and hung from `far`, a neighbor of `inside` in
+    /// another constituent of the same new part.
+    pub joins: &'a [(PartId, NodeId, NodeId)],
+    /// A new tree higher than this comes out unrooted.
+    pub max_height: usize,
 }
 
 impl AggForest {
@@ -325,36 +352,210 @@ impl AggForest {
         }
     }
 
-    /// The forest over `new`, the [`refreshed`](ParticipationMap::refreshed)
-    /// successor of the table `old` this forest is laid out over: `touched`
-    /// parts are unrooted, every other part's tree is carried over — its
-    /// slots hold the same ports in both tables — in one linear pass.
-    fn carried(&self, old: &ParticipationMap, new: &ParticipationMap, touched: &[PartId]) -> Self {
-        let mut out = AggForest {
-            root: self.root.clone(),
-            parent: vec![NO_PORT; new.slot_part.len()],
-            child: vec![false; new.ports.len()],
-        };
-        for &p in touched {
-            out.root[p.index()] = NO_ROOT;
+    /// The forest over `new` (a table of `partition`), carried from this
+    /// forest over `old` as `carry` describes. Each kept slot (a root, or a
+    /// slot with a parent) of a rooted old part copies its parent port and
+    /// child ports into the slot of its new part at the same node; then
+    /// each join re-roots its part's tree at `inside` — flipping the parent
+    /// pointers on the path up to the old root — and hangs it from `far`.
+    /// A new part comes out rooted only if every constituent was rooted,
+    /// exactly one joins nothing (the new tree keeps that one's root), every
+    /// copied port still participates in `new`, no node holds kept slots of
+    /// two constituents, and the kept slots form one tree at most
+    /// `carry.max_height` high; every other part is unrooted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `carry.into` does not have one entry per old part or the
+    /// forest is not laid out over `old`.
+    pub fn carried_over(
+        &self,
+        g: &Graph,
+        old: &ParticipationMap,
+        partition: &Partition,
+        new: &ParticipationMap,
+        carry: Carry<'_>,
+    ) -> Self {
+        let Carry {
+            into,
+            joins,
+            max_height,
+        } = carry;
+        assert_eq!(into.len(), self.root.len(), "one entry per old part");
+        assert_eq!(
+            self.parent.len(),
+            old.slot_part.len(),
+            "forest is laid out over `old`"
+        );
+        let mut out = AggForest::unrooted(partition, new);
+        let mut joined = vec![false; into.len()];
+        for &(part, ..) in joins {
+            joined[part.index()] = true;
         }
-        for v in (0..new.first_slot.len() as u32 - 1).map(NodeId) {
+        let mut fits = vec![true; out.root.len()];
+        for (q, (&to, &root)) in into.iter().zip(&self.root).enumerate() {
+            let Some(p) = to else { continue };
+            if root == NO_ROOT || (!joined[q] && out.root[p.index()] != NO_ROOT) {
+                fits[p.index()] = false;
+            } else if !joined[q] {
+                out.root[p.index()] = root;
+            }
+        }
+
+        let mut claimed = vec![false; new.slot_part.len()];
+        for v in (0..old.first_slot.len() as u32 - 1).map(NodeId) {
             let (old_slots, new_slots) = (old.node(v), new.node(v));
             let (old_base, new_base) = (old.slot_range(v).start, new.slot_range(v).start);
-            let mut o = 0;
-            for (s, &part) in new_slots.parts.iter().enumerate() {
-                if out.root[part as usize] == NO_ROOT {
+            for (o, &q) in old_slots.parts.iter().enumerate() {
+                let Some(p) = into[q as usize] else { continue };
+                let parent = self.parent[old_base + o];
+                let kept = parent != NO_PORT || self.root[q as usize] == v.0;
+                if !fits[p.index()] || !kept {
                     continue;
                 }
-                while old_slots.parts[o] != part {
-                    o += 1;
-                }
-                out.parent[new_base + s] = self.parent[old_base + o];
-                out.child[new_slots.entry_range(s)]
-                    .copy_from_slice(&self.child[old_slots.entry_range(o)]);
+                let copied = new_slots.parts.binary_search(&p.0).ok().and_then(|s| {
+                    if std::mem::replace(&mut claimed[new_base + s], true) {
+                        return None; // a second constituent's slot
+                    }
+                    out.parent[new_base + s] = parent;
+                    let ports = new_slots.ports(s);
+                    if parent != NO_PORT {
+                        ports.binary_search(&parent).ok()?;
+                    }
+                    let children = old_slots
+                        .ports(o)
+                        .iter()
+                        .zip(&self.child[old_slots.entry_range(o)]);
+                    for (port, _) in children.filter(|(_, &c)| c) {
+                        let at = ports.binary_search(port).ok()?;
+                        out.child[new_slots.entry_range(s).start + at] = true;
+                    }
+                    Some(())
+                });
+                fits[p.index()] &= copied.is_some();
+            }
+        }
+
+        for &(q, inside, far) in joins {
+            if let Some(p) = into[q.index()].filter(|p| fits[p.index()]) {
+                fits[p.index()] = out.hang(g, new, p.0, inside, far).is_some();
+            }
+        }
+        for (root, fits) in out.root.iter_mut().zip(fits) {
+            if !fits {
+                *root = NO_ROOT;
+            }
+        }
+        let heights = out.heights(g, new);
+        for (root, height) in out.root.iter_mut().zip(heights) {
+            if height.is_none_or(|h| h > max_height) {
+                *root = NO_ROOT;
+            }
+        }
+        for (s, &part) in new.slot_part.iter().enumerate() {
+            if out.root[part as usize] == NO_ROOT {
+                out.parent[s] = NO_PORT;
+                out.child[new.first_port[s] as usize..new.first_port[s + 1] as usize].fill(false);
             }
         }
         out
+    }
+
+    /// Re-roots `part`'s tree through `inside` at `inside` and hangs it
+    /// from `far` over their edge: the parent pointers on the path from
+    /// `inside` up to the old root flip, `inside`'s parent becomes `far`,
+    /// and `far` gains `inside` as a child. `None` if a slot or port on the
+    /// way is missing from `map`.
+    fn hang(
+        &mut self,
+        g: &Graph,
+        map: &ParticipationMap,
+        part: u32,
+        inside: NodeId,
+        far: NodeId,
+    ) -> Option<()> {
+        let mut v = inside;
+        let mut parent = g.port_to(inside, far)? as u32;
+        loop {
+            let s = map.slot_of(v, part)?;
+            let up = std::mem::replace(&mut self.parent[s], parent);
+            if v != inside {
+                *self.child_at(map, v, s, parent)? = false; // the old child is the new parent
+            }
+            if up == NO_PORT {
+                break; // the old root
+            }
+            *self.child_at(map, v, s, up)? = true;
+            let next = g.heads(v)[up as usize];
+            parent = g.port_to(next, v)? as u32;
+            v = next;
+        }
+        let s = map.slot_of(far, part)?;
+        *self.child_at(map, far, s, g.port_to(far, inside)? as u32)? = true;
+        Some(())
+    }
+
+    /// The child flag of table-wide slot `s` (at node `v`) over `port`.
+    fn child_at(
+        &mut self,
+        map: &ParticipationMap,
+        v: NodeId,
+        s: usize,
+        port: u32,
+    ) -> Option<&mut bool> {
+        let slots = map.node(v);
+        let local = s - map.slot_range(v).start;
+        let at = slots.ports(local).binary_search(&port).ok()?;
+        Some(&mut self.child[slots.entry_range(local).start + at])
+    }
+
+    /// Per part, the height of its tree over `map` — the most edges from
+    /// its root down to a kept slot — or `None` if the part is unrooted or
+    /// its kept slots do not form one tree under its root (a child whose
+    /// parent port leads elsewhere, a slot reached twice, a kept slot not
+    /// reached).
+    pub fn heights(&self, g: &Graph, map: &ParticipationMap) -> Vec<Option<usize>> {
+        let mut kept = vec![1usize; self.root.len()]; // the root
+        for (&parent, &part) in self.parent.iter().zip(&map.slot_part) {
+            kept[part as usize] += usize::from(parent != NO_PORT);
+        }
+        let mut seen = vec![false; map.slot_part.len()];
+        let mut stack = Vec::new();
+        let mut height_of = |part: u32, root: NodeId| {
+            let r = map
+                .slot_of(root, part)
+                .filter(|&r| self.parent[r] == NO_PORT)?;
+            stack.clear();
+            stack.push((root, r, 0));
+            let (mut reached, mut height) = (0, 0);
+            while let Some((v, s, depth)) = stack.pop() {
+                if std::mem::replace(&mut seen[s], true) {
+                    return None;
+                }
+                (reached, height) = (reached + 1, height.max(depth));
+                let (slots, local) = (map.node(v), s - map.slot_range(v).start);
+                let children = slots
+                    .ports(local)
+                    .iter()
+                    .zip(&self.child[slots.entry_range(local)]);
+                for (&port, _) in children.filter(|(_, &c)| c) {
+                    let w = g.heads(v)[port as usize];
+                    let t = map.slot_of(w, part)?;
+                    let back = self.parent[t];
+                    if back == NO_PORT || g.heads(w)[back as usize] != v {
+                        return None;
+                    }
+                    stack.push((w, t, depth + 1));
+                }
+            }
+            (reached == kept[part as usize]).then_some(height)
+        };
+        (self.root.iter().enumerate())
+            .map(|(p, &root)| match root {
+                NO_ROOT => None,
+                root => height_of(p as u32, NodeId(root)),
+            })
+            .collect()
     }
 
     /// Records the trees a run left behind: a part is rooted at its leader
@@ -414,11 +615,22 @@ impl SessionTables {
                 }
             },
             |s, old: &Self, touched| {
-                let (partition, shortcut) = (s.partition(), s.shortcut_ref());
+                let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 let old_map = &old.participation;
-                let participation = old_map.refreshed(s.graph(), partition, shortcut, touched);
+                let participation = old_map.refreshed(g, partition, shortcut, touched);
+                let mut into: Vec<_> = partition.part_ids().map(Some).collect();
+                for p in touched {
+                    into[p.index()] = None;
+                }
+                let carry = Carry {
+                    into: &into,
+                    joins: &[],
+                    max_height: usize::MAX,
+                };
                 SessionTables {
-                    forest: old.forest.carried(old_map, &participation, touched),
+                    forest: old
+                        .forest
+                        .carried_over(g, old_map, partition, &participation, carry),
                     participation: Arc::new(participation),
                 }
             },
@@ -791,6 +1003,10 @@ impl AggregateOp<'_> {
                         children.fill(false);
                     }
                     let (member, is_leader) = (own == Some(part), leads == Some(part));
+                    debug_assert!(
+                        !seeded || !member || is_leader || parents[s] != NO_PORT,
+                        "a member of a rooted part hangs below its leader"
+                    );
                     SlotState {
                         priority: u64::from(delays[part as usize]),
                         acc: if member {
@@ -1203,10 +1419,13 @@ mod tests {
                 let (mut roots, mut slots) = facts(&forest, &map);
                 let is_touched = |part: u32| touched.contains(&PartId(part));
                 slots.retain(|&(_, part, ..)| !is_touched(part));
+                let mut into: Vec<_> = partition.part_ids().map(Some).collect();
                 for p in &touched {
                     roots[p.index()] = NO_ROOT;
+                    into[p.index()] = None;
                 }
-                forest = forest.carried(&map, &next, &touched);
+                let carry = Carry { into: &into, joins: &[], max_height: usize::MAX };
+                forest = forest.carried_over(&g, &map, partition, &next, carry);
                 map = next;
                 prop_assert_eq!(facts(&forest, &map), (roots, slots));
 
@@ -1537,6 +1756,136 @@ mod tests {
         });
         assert!(runs[0].0 < runs[1].0, "the cold echo walks the chain");
         assert_eq!(runs[0].1, runs[1].1, "the warm run does not");
+    }
+
+    /// Two rooted trees joined by an edge are one rooted tree: for every
+    /// pair of adjacent voronoi cells, the cell holding `inside` joins the
+    /// one holding `far` (`H` of the merged part the union of theirs, every
+    /// other part unchanged). Whenever the carried forest roots every part,
+    /// the next run is warm throughout — `Up` / `Down` over the kept slots
+    /// only — and answers like the centralized aggregate; the merged tree
+    /// keeps the far part's root.
+    #[test]
+    fn joined_trees_run_warm() {
+        let g = gen::road_like(12, 12, 3);
+        let cells = gen::voronoi_parts_seeded(&g, 9, 3);
+        let partition = Partition::from_parts(&g, cells.clone()).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+        let map = ParticipationMap::build(&g, &partition, &shortcut);
+        let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let mut forest = AggForest::unrooted(&partition, &map);
+        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        assert_eq!(rooted_parts(&forest), partition.num_parts());
+
+        let mut pairs = std::collections::BTreeSet::new();
+        let mut warm = 0;
+        for er in g.edges() {
+            let (a, b) = (
+                partition.part_of(er.u).unwrap(),
+                partition.part_of(er.v).unwrap(),
+            );
+            if a >= b || !pairs.insert((a, b)) {
+                continue;
+            }
+            // Part `b` joins part `a`; the parts after `b` move down by one.
+            let mut parts = cells.clone();
+            let joining = parts.remove(b.index());
+            parts[a.index()].extend(joining);
+            let merged = Partition::from_parts(&g, parts).unwrap();
+            let mut edges: Vec<Vec<_>> = (partition.part_ids())
+                .map(|p| shortcut.edges_for(p).to_vec())
+                .collect();
+            let joining = edges.remove(b.index());
+            edges[a.index()].extend(joining);
+            edges[a.index()].sort_unstable();
+            edges[a.index()].dedup();
+            let next = ParticipationMap::build(&g, &merged, &Shortcut::from_edge_lists(edges));
+            let into: Vec<_> = (partition.part_ids())
+                .map(|p| {
+                    Some(if p == b {
+                        a
+                    } else {
+                        PartId(p.0 - u32::from(p > b))
+                    })
+                })
+                .collect();
+            let carry = Carry {
+                into: &into,
+                joins: &[(b, er.v, er.u)],
+                max_height: usize::MAX,
+            };
+            let mut carried = forest.carried_over(&g, &map, &merged, &next, carry);
+            let k = merged.num_parts();
+            let out = sum_of(&values).run_with(&g, &merged, &opts, sim, &next, &mut carried);
+            assert!(out.metrics.terminated && out.all_members_informed);
+            let expect = crate::centralized_aggregate(&merged, &values, AggOp::Sum);
+            assert_eq!(
+                out.results,
+                expect.into_iter().map(Some).collect::<Vec<_>>()
+            );
+            if out.rooted_parts == k {
+                warm += 1;
+                assert_eq!(carried.root[a.index()], forest.root[a.index()]);
+                let non_roots = (next.slot_part.len() - k) as u64;
+                let pruned = pruned_slots(&g, &merged, &next, &carried);
+                assert_eq!(out.metrics.messages, 2 * (non_roots - pruned));
+            } else {
+                assert_eq!(out.rooted_parts, k - 1, "only the merged part echoes");
+            }
+        }
+        assert!(warm > 0, "no join carried every part");
+    }
+
+    /// A kept relay — the wheel's hub, under every rim node that adopted
+    /// it — loses one of its tree's spokes from `H`: the part comes out
+    /// unrooted, and the cold echo over the new table still answers. A
+    /// spoke the tree does not use may go without unrooting anything.
+    #[test]
+    fn a_vanished_relay_port_unroots_its_part() {
+        let g = gen::wheel(8);
+        let rim: Vec<NodeId> = (1..8).map(NodeId).collect();
+        let partition = Partition::from_parts(&g, vec![rim]).unwrap();
+        let spokes: Vec<_> = (1..8)
+            .map(|v| g.find_edge(NodeId(0), NodeId(v)).unwrap())
+            .collect();
+        let map = ParticipationMap::build(
+            &g,
+            &partition,
+            &Shortcut::from_edge_lists(vec![spokes.clone()]),
+        );
+        let values: Vec<u64> = (0..8).collect();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let mut forest = AggForest::unrooted(&partition, &map);
+        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let hub = map.slot_of(NodeId(0), 0).unwrap();
+        assert_ne!(forest.parent[hub], NO_PORT, "the hub is a kept relay");
+        let hub_ports = map.node(NodeId(0)).ports(0);
+        let used = |port: u32| {
+            let at = hub_ports.binary_search(&port).unwrap();
+            port == forest.parent[hub] || forest.child[map.first_port[hub] as usize + at]
+        };
+        let into = [Some(PartId(0))];
+        let carry = Carry {
+            into: &into,
+            joins: &[],
+            max_height: usize::MAX,
+        };
+        let mut unrooted = 0;
+        for (v, spoke) in (1..8).zip(&spokes) {
+            let port = g.port_to(NodeId(0), NodeId(v)).unwrap() as u32;
+            let kept: Vec<_> = spokes.iter().copied().filter(|e| e != spoke).collect();
+            let next =
+                ParticipationMap::build(&g, &partition, &Shortcut::from_edge_lists(vec![kept]));
+            let mut carried = forest.carried_over(&g, &map, &partition, &next, carry);
+            let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &next, &mut carried);
+            assert!(out.metrics.terminated && out.all_members_informed);
+            assert_eq!(out.results, [Some(28)]);
+            assert_eq!(out.rooted_parts, usize::from(!used(port)), "spoke {port}");
+            unrooted += usize::from(used(port));
+        }
+        assert!(unrooted > 0);
     }
 
     /// A hub relaying 100 000 parts — adjacent pairs of a wheel's rim, each

@@ -43,11 +43,14 @@
 //! elsewhere is re-rooted by the echo. `leaders: None` asks for any
 //! leader: a rooted part keeps its root, an unrooted one starts at its
 //! minimum member. The session's gossip is this aggregate for min / max,
-//! so it is warm whenever the forest is. A session keeps the forest in the
-//! participation tables' artifact slot: `reassign_parts` churn unroots
-//! exactly the touched parts, and whatever drops the tables drops the
-//! forest. This is a model choice, not a host optimisation: nodes keep
-//! `O(participation)` words of state between aggregations.
+//! so it is warm whenever the forest is. [`AggForest::carried_over`] lays
+//! a forest over the next table, with parts mapped or merged as a
+//! [`Carry`] says: a session keeps the forest in the participation tables'
+//! artifact slot, where `reassign_parts` churn unroots exactly the touched
+//! parts, and Boruvka joins its merging fragments' trees at their MWOE
+//! edges. Whatever drops the tables drops the forest. This is a model
+//! choice, not a host optimisation: nodes keep `O(participation)` words of
+//! state between aggregations.
 //!
 //! # Example
 //!
@@ -81,6 +84,6 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseOutcome};
+pub use dist::{AggForest, AggregateOp, Carry, ParticipationMap, PartwiseOutcome};
 pub use session_ops::{GossipOutcome, IdempotentOp, SessionPartwiseOps};
 pub use unicast::{UnicastOp, UnicastOutcome};

@@ -44,12 +44,13 @@ fn main() {
     );
 
     // The strawmen are providers no backend stands for: the same
-    // algorithm, called directly with the session's configuration.
+    // algorithm, called directly with the session's tree and configuration.
+    let tree = session.tree().clone();
     for (name, provider) in [
         ("baseline D+sqrt(n)", ShortcutProvider::Baseline),
         ("no shortcuts", ShortcutProvider::None),
     ] {
-        let report = distributed_mst(&g, &weights, NodeId(0), provider, session.config());
+        let report = distributed_mst(&g, &weights, &tree, provider, session.config());
         assert_eq!(report.edges, reference, "{name} must produce the exact MST");
         println!(
             "{:<22} {:>8} {:>10} {:>8}",

@@ -80,9 +80,9 @@ pub use lcs_separator as separator;
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
 /// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
 /// | `UnicastOp { demands }.run_on(g, tree, &config.unicast, config.sim)` | `session.unicast(demands)` |
-/// | `distributed_mst(g, weights, root, provider, &config)` | `session.mst(weights)` |
-/// | `distributed_components(g, root, provider, &config)` | `session.components()` |
-/// | `approx_mincut_distributed(g, root, provider, &config)` | `session.mincut()` |
+/// | `distributed_mst(g, weights, &tree, provider, &config)` | `session.mst(weights)` |
+/// | `distributed_components(g, &tree, provider, &config)` | `session.components()` |
+/// | `approx_mincut_distributed(g, &tree, provider, &config)` | `session.mincut()` |
 /// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.full_artifact()` |
 /// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()`; both costs in `session.construction_stats()` |
 /// | `bfs::bfs_tree(g, root)` | `session.tree()` on `Backend::Centralized` |
@@ -97,7 +97,8 @@ pub use lcs_separator as separator;
 /// caller's leader, its cached root, or its minimum member, picked on the
 /// host at zero charge. `provider` is a
 /// [`ShortcutProvider`](lcs_algos::mst::ShortcutProvider), which a session
-/// derives from its backend. One Theorem 3.1 sweep at a fixed `δ̂` is no
+/// derives from its backend, and `tree` is the session's own
+/// (`session.tree()`). One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:
 /// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), δ̂, &config.shortcut)`
 /// over a clone of `session.tree()` is the call.

@@ -42,8 +42,9 @@ fn mst_runs_are_replayable() {
     let mut rng = SmallRng::seed_from_u64(9);
     let w = EdgeWeights::random_unique(&g, &mut rng);
     let config = SessionConfig::default();
-    let a = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
-    let b = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &config);
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let a = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+    let b = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
     assert_eq!(a.edges, b.edges);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.messages, b.messages);

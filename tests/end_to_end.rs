@@ -205,12 +205,13 @@ fn mst_exact_across_providers_and_families() {
         let mut rng = SmallRng::seed_from_u64(100 + i as u64);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
+        let tree = bfs::bfs_tree(g, NodeId(0));
         for provider in [
             ShortcutProvider::Oracle,
             ShortcutProvider::Baseline,
             ShortcutProvider::None,
         ] {
-            let rep = distributed_mst(g, &w, NodeId(0), provider, &SessionConfig::default());
+            let rep = distributed_mst(g, &w, &tree, provider, &SessionConfig::default());
             assert_eq!(rep.edges, reference, "family {i} provider mismatch");
         }
     }

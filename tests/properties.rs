@@ -76,7 +76,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(wseed);
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
-        let rep = distributed_mst(&g, &w, NodeId(0), ShortcutProvider::Oracle, &SessionConfig::default());
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let rep = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &SessionConfig::default());
         prop_assert_eq!(rep.edges, reference);
     }
 

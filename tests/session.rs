@@ -114,8 +114,8 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
 /// phase that cannot finish is a typed error from every entry point that
 /// needs the artifact — the BFS flood first, the detection convergecast
 /// when a provided tree spares the flood — and nothing is cached. The
-/// Boruvka family, whose providers construct per phase, flags its report
-/// instead.
+/// Boruvka family needs the tree too, but its providers construct per
+/// phase, so a detection cut short flags its report instead.
 #[test]
 fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
     use low_congestion_shortcuts::core::dist::Truncated;
@@ -133,6 +133,9 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
         },
         sim: capped,
     };
+    // Every Boruvka phase constructs, small fragments included.
+    let mut config = fast_config();
+    config.mst.skip_small_fragments = false;
     for backend in [Backend::Distributed(capped), Backend::Sketch(sketch)] {
         for (tree, phase) in [
             (TreeSource::Bfs(NodeId(0)), "bfs"),
@@ -145,7 +148,7 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
                 .tree(tree)
                 .partition(gen::rows_of_grid(8, 8))
                 .backend(backend.clone())
-                .config(fast_config())
+                .config(config.clone())
                 .build()
                 .unwrap();
             let expected = SessionError::Truncated(Truncated {
@@ -160,13 +163,23 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
             assert_eq!(gossip.err(), Some(expected.clone()));
             let routed = s.try_unicast(&[(NodeId(0), NodeId(63))]);
             // Routing needs the tree alone: a provided one serves it.
-            assert_eq!(routed.err(), (phase == "bfs").then_some(expected));
+            assert_eq!(routed.err(), (phase == "bfs").then_some(expected.clone()));
             let stats = s.cache_stats();
             assert_eq!((stats.full.builds, stats.quality.builds), (0, 0));
             assert_eq!(stats.tree.builds, 0, "{phase}: no tree was stamped");
-            // The cap is the backend's: ops run on `config.sim` (uncapped
-            // here), and each Boruvka phase constructs on the backend.
-            let mst = s.try_mst(&EdgeWeights::unit(&g)).expect("flagged");
+            // The Boruvka family runs over the session tree: a flood that
+            // cannot finish refuses it like every other op. Over a provided
+            // tree the cap is the backend's: ops run on `config.sim`
+            // (uncapped here), and each Boruvka phase constructs on the
+            // backend, so the report is flagged.
+            let unit = EdgeWeights::unit(&g);
+            if phase == "bfs" {
+                assert_eq!(s.try_mst(&unit).err(), Some(expected.clone()));
+                assert_eq!(s.try_components().err(), Some(expected.clone()));
+                assert_eq!(s.try_mincut().err(), Some(expected));
+                continue;
+            }
+            let mst = s.try_mst(&unit).expect("flagged");
             assert!(mst.truncated && mst.result.edges.len() < 63);
             assert!(s.try_components().expect("flagged").truncated);
             assert!(s.try_mincut().expect("flagged").truncated);
