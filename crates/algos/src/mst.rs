@@ -305,11 +305,13 @@ pub fn distributed_mst(
         // fragment that merged gets its constituents' trees, each tail's
         // re-rooted at the inside end of its MWOE and hung from the far
         // end — and echoed afresh by the MWOE aggregate where that failed
-        // (every fragment in the first phase). A fragment is led from its
-        // id, which is one of its members (a singleton's own id, or the id
-        // of the fragment that stayed put while others merged into it, and
-        // the root of its tree) and which every member learned from the
-        // previous phase's notify wave: no election needed.
+        // (every fragment in the first phase). Fragments only grow, so the
+        // carry's churn repairs (departures, arrivals) never fire here. A
+        // fragment is led from its id, which is one of its members (a
+        // singleton's own id, or the id of the fragment that stayed put
+        // while others merged into it, and the root of its tree) and which
+        // every member learned from the previous phase's notify wave: no
+        // election needed.
         let participation = ParticipationMap::build(g, &partition, &shortcut);
         let mut forest = match last.take() {
             None => AggForest::unrooted(&partition, &participation),

@@ -231,6 +231,11 @@ impl ParticipationMap {
         Some(self.slot_range(v).start + local)
     }
 
+    /// Where table-wide slot `s`'s ports sit in the port array.
+    fn entry_range(&self, s: usize) -> Range<usize> {
+        self.first_port[s] as usize..self.first_port[s + 1] as usize
+    }
+
     /// Node `v`'s slices of the table.
     pub(crate) fn node(&self, v: NodeId) -> NodeSlots<'_> {
         let Range { start: lo, end: hi } = self.slot_range(v);
@@ -309,12 +314,15 @@ const NO_ROOT: u32 = u32::MAX;
 /// next run re-roots it with the full echo.
 ///
 /// When the tables change, [`carried_over`](Self::carried_over) lays the
-/// trees over the next table: a part whose slots kept their ports keeps
-/// its tree (the session's `reassign_parts` churn), and parts that merge
-/// become one tree — each joining part re-rooted at the member inside the
-/// joining edge and hung from the far end (Boruvka, whose MWOE aggregate
-/// then runs warm after the first phase). A part that cannot be carried
-/// comes out unrooted.
+/// trees over the next table. A part whose slots kept their ports keeps
+/// its tree; a part whose members changed is repaired — a member that left
+/// from a leaf is unhooked, a member that arrived is hung from a kept
+/// neighbour in the part (the session's `reassign_parts` churn, whose
+/// after-churn aggregate then runs warm); and parts that merge become one
+/// tree — each joining part re-rooted at the member inside the joining
+/// edge and hung from the far end (Boruvka, whose MWOE aggregate then runs
+/// warm after the first phase). A part that cannot be carried comes out
+/// unrooted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggForest {
     /// Per part, the leader its tree is rooted at; `NO_ROOT` if none is.
@@ -332,6 +340,9 @@ pub struct AggForest {
 #[derive(Clone, Copy, Debug)]
 pub struct Carry<'a> {
     /// Per old part, the new part its tree goes into; `None` drops it.
+    /// Members may differ on the two sides (the session's churn maps every
+    /// part to itself): the tree is repaired as
+    /// [`AggForest::carried_over`] describes.
     pub into: &'a [Option<PartId>],
     /// `(old part, inside, far)`: that part's tree is re-rooted at `inside`,
     /// one of its members, and hung from `far`, a neighbor of `inside` in
@@ -358,10 +369,29 @@ impl AggForest {
     /// child ports into the slot of its new part at the same node; then
     /// each join re-roots its part's tree at `inside` — flipping the parent
     /// pointers on the path up to the old root — and hangs it from `far`.
+    ///
+    /// Two repairs, read off this forest and `partition` alone, follow
+    /// membership changes:
+    /// - **(a) Departures.** A kept slot with no kept child at a node that
+    ///   is no longer a member of its part is not copied, nor is its
+    ///   parent's child flag over it: a harvested tree keeps no memberless
+    ///   leaf, so it is a member that left. (Its parent may be a relay left
+    ///   with no member below it; the next run prunes it with one `Empty`.)
+    ///   A node that left with kept children below it stays on as a relay
+    ///   under the copy rule. A part whose root left is unrooted.
+    /// - **(b) Arrivals.** After the joins, each member without a kept slot
+    ///   (in ascending order per part) is hung from a neighbour in its part
+    ///   whose slot is kept, over their edge inside the part; with no such
+    ///   neighbour its part is unrooted.
+    ///
+    /// Boruvka triggers neither: fragments only grow, and a rooted
+    /// constituent's members all have kept slots.
+    ///
     /// A new part comes out rooted only if every constituent was rooted,
-    /// exactly one joins nothing (the new tree keeps that one's root), every
-    /// copied port still participates in `new`, no node holds kept slots of
-    /// two constituents, and the kept slots form one tree at most
+    /// exactly one joins nothing (the new tree keeps that one's root, which
+    /// must still be a member), every copied port still participates in
+    /// `new`, no node holds kept slots of two constituents, every arrival
+    /// found a kept neighbour, and the kept slots form one tree at most
     /// `carry.max_height` high; every other part is unrooted.
     ///
     /// # Panics
@@ -395,12 +425,19 @@ impl AggForest {
         let mut fits = vec![true; out.root.len()];
         for (q, (&to, &root)) in into.iter().zip(&self.root).enumerate() {
             let Some(p) = to else { continue };
-            if root == NO_ROOT || (!joined[q] && out.root[p.index()] != NO_ROOT) {
+            let root_left = || partition.part_of(NodeId(root)) != to;
+            if root == NO_ROOT || (!joined[q] && (out.root[p.index()] != NO_ROOT || root_left())) {
                 fits[p.index()] = false;
             } else if !joined[q] {
                 out.root[p.index()] = root;
             }
         }
+        // Rule (a): a kept leaf at a node outside its new part left it.
+        let departs = |v: NodeId, q: u32| {
+            partition.part_of(v) != into[q as usize]
+                && (old.slot_of(v, q))
+                    .is_some_and(|s| !self.child[old.entry_range(s)].contains(&true))
+        };
 
         let mut claimed = vec![false; new.slot_part.len()];
         for v in (0..old.first_slot.len() as u32 - 1).map(NodeId) {
@@ -410,7 +447,7 @@ impl AggForest {
                 let Some(p) = into[q as usize] else { continue };
                 let parent = self.parent[old_base + o];
                 let kept = parent != NO_PORT || self.root[q as usize] == v.0;
-                if !fits[p.index()] || !kept {
+                if !fits[p.index()] || !kept || departs(v, q) {
                     continue;
                 }
                 let copied = new_slots.parts.binary_search(&p.0).ok().and_then(|s| {
@@ -426,7 +463,9 @@ impl AggForest {
                         .ports(o)
                         .iter()
                         .zip(&self.child[old_slots.entry_range(o)]);
-                    for (port, _) in children.filter(|(_, &c)| c) {
+                    let stays =
+                        |&(&port, &c): &(&u32, &bool)| c && !departs(g.heads(v)[port as usize], q);
+                    for (port, _) in children.filter(stays) {
                         let at = ports.binary_search(port).ok()?;
                         out.child[new_slots.entry_range(s).start + at] = true;
                     }
@@ -439,6 +478,34 @@ impl AggForest {
         for &(q, inside, far) in joins {
             if let Some(p) = into[q.index()].filter(|p| fits[p.index()]) {
                 fits[p.index()] = out.hang(g, new, p.0, inside, far).is_some();
+            }
+        }
+        // Rule (b): a member without a kept slot arrived.
+        for (p, members) in partition.iter() {
+            let root = out.root[p.index()];
+            for &v in members {
+                if !fits[p.index()] || root == NO_ROOT {
+                    break;
+                }
+                let kept = |v: NodeId, s: usize| out.parent[s] != NO_PORT || root == v.0;
+                let s = new.slot_of(v, p.0).expect("a member owns a slot");
+                if kept(v, s) {
+                    continue;
+                }
+                let ports = new.node(v).ports(s - new.slot_range(v).start);
+                let hook = ports.iter().find_map(|&port| {
+                    let w = g.heads(v)[port as usize];
+                    let t = new.slot_of(w, p.0)?;
+                    (partition.part_of(w) == Some(p) && kept(w, t)).then_some((port, w, t))
+                });
+                let Some((port, w, t)) = hook else {
+                    fits[p.index()] = false;
+                    break;
+                };
+                out.parent[s] = port;
+                let back = g.port_to(w, v).expect("adjacent") as u32;
+                *out.child_at(new, w, t, back)
+                    .expect("an edge inside a part participates") = true;
             }
         }
         for (root, fits) in out.root.iter_mut().zip(fits) {
@@ -455,7 +522,7 @@ impl AggForest {
         for (s, &part) in new.slot_part.iter().enumerate() {
             if out.root[part as usize] == NO_ROOT {
                 out.parent[s] = NO_PORT;
-                out.child[new.first_port[s] as usize..new.first_port[s + 1] as usize].fill(false);
+                out.child[new.entry_range(s)].fill(false);
             }
         }
         out
@@ -595,8 +662,11 @@ impl AggForest {
 /// What a session caches for the part-wise ops, in one op-artifact slot:
 /// the participation tables and the aggregation forest over them, which
 /// aggregate and gossip share. Built on first use, refreshed for the
-/// touched parts only under `reassign_parts` churn — untouched parts keep
-/// their trees — and dropped with the shortcut (`deps::SHORTCUT`).
+/// touched parts only under `reassign_parts` churn — one patch however
+/// many ticks it spans, carrying every part to itself, so untouched parts
+/// keep their trees and touched ones are repaired (see
+/// [`AggForest::carried_over`]) — and dropped with the shortcut
+/// (`deps::SHORTCUT`).
 pub(crate) struct SessionTables {
     pub(crate) participation: Arc<ParticipationMap>,
     pub(crate) forest: AggForest,
@@ -618,10 +688,7 @@ impl SessionTables {
                 let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 let old_map = &old.participation;
                 let participation = old_map.refreshed(g, partition, shortcut, touched);
-                let mut into: Vec<_> = partition.part_ids().map(Some).collect();
-                for p in touched {
-                    into[p.index()] = None;
-                }
+                let into: Vec<_> = partition.part_ids().map(Some).collect();
                 let carry = Carry {
                     into: &into,
                     joins: &[],
@@ -1128,20 +1195,10 @@ mod tests {
         map: &ParticipationMap,
         forest: &AggForest,
     ) -> u64 {
-        let mut kept = vec![false; map.slot_part.len()];
-        for (pid, members) in partition.iter() {
+        for pid in partition.part_ids() {
             assert_ne!(forest.root[pid.index()], NO_ROOT, "part {pid:?} is rooted");
-            for &member in members {
-                let mut v = member;
-                loop {
-                    let slot = map.slot_range(v).start + map.node(v).slot_of(pid.0);
-                    if std::mem::replace(&mut kept[slot], true) || forest.parent[slot] == NO_PORT {
-                        break;
-                    }
-                    v = g.heads(v)[forest.parent[slot] as usize];
-                }
-            }
         }
+        let kept = member_chains(g, partition, map, forest);
         let kept = kept.iter().filter(|&&k| k).count();
         let children = forest.child.iter().filter(|&&c| c).count();
         assert_eq!(
@@ -1150,6 +1207,126 @@ mod tests {
             "kept slots are the trees"
         );
         (map.slot_part.len() - kept) as u64
+    }
+
+    /// Per slot, whether it lies on a member's `parent` chain in `forest`.
+    fn member_chains(
+        g: &Graph,
+        partition: &Partition,
+        map: &ParticipationMap,
+        forest: &AggForest,
+    ) -> Vec<bool> {
+        let mut on_chain = vec![false; map.slot_part.len()];
+        for (pid, members) in partition.iter() {
+            for &member in members {
+                let mut v = member;
+                loop {
+                    let slot = map.slot_of(v, pid.0).expect("a member owns a slot");
+                    let seen = std::mem::replace(&mut on_chain[slot], true);
+                    if seen || forest.parent[slot] == NO_PORT {
+                        break;
+                    }
+                    v = g.heads(v)[forest.parent[slot] as usize];
+                }
+            }
+        }
+        on_chain
+    }
+
+    /// The kept non-root slots of `forest` on no member's `parent` chain:
+    /// relays a departed leaf left without a member below them. A warm run
+    /// sends one `Empty` from each and prunes it.
+    fn memberless_relays(
+        g: &Graph,
+        partition: &Partition,
+        map: &ParticipationMap,
+        forest: &AggForest,
+    ) -> u64 {
+        let on_chain = member_chains(g, partition, map, forest);
+        let kept = forest.parent.iter().map(|&p| p != NO_PORT);
+        kept.zip(on_chain).filter(|&(k, c)| k && !c).count() as u64
+    }
+
+    /// The tables of `partition` and `shortcut` and the forest a cold run
+    /// roots over them.
+    fn rooted(
+        g: &Graph,
+        partition: &Partition,
+        shortcut: &Shortcut,
+    ) -> (ParticipationMap, AggForest) {
+        let map = ParticipationMap::build(g, partition, shortcut);
+        let mut forest = AggForest::unrooted(partition, &map);
+        let values = vec![1; g.num_nodes()];
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        sum_of(&values).run_with(g, partition, &opts, sim, &map, &mut forest);
+        assert_eq!(rooted_parts(&forest), partition.num_parts());
+        (map, forest)
+    }
+
+    /// `v`'s parent in its slot of `part`, if it has one.
+    fn parent_of(
+        g: &Graph,
+        (map, forest): &(ParticipationMap, AggForest),
+        v: u32,
+        part: u32,
+    ) -> Option<u32> {
+        let port = forest.parent[map.slot_of(NodeId(v), part)?];
+        (port != NO_PORT).then(|| g.heads(NodeId(v))[port as usize].0)
+    }
+
+    /// What the session's churn patch does to `tables` (a table and the
+    /// forest over it, every part rooted): carries the forest through the
+    /// identity map onto the table of `partition` and `shortcut` (the same
+    /// part ids after the churn), then aggregates over the carried forest,
+    /// and leaves the new table and the forest that run harvested in
+    /// `tables`. The run answers like the centralized aggregate, and each
+    /// carried part's kept slots form one tree. When every part was carried
+    /// the run is warm throughout: one `Up` and one `Down` per kept
+    /// non-root slot of the forest it leaves, plus one `Empty` per
+    /// memberless relay, which it prunes. Returns the parts carried and the
+    /// memberless relays.
+    fn churn(
+        g: &Graph,
+        tables: &mut (ParticipationMap, AggForest),
+        partition: &Partition,
+        shortcut: &Shortcut,
+    ) -> (usize, u64) {
+        let map = ParticipationMap::build(g, partition, shortcut);
+        let into: Vec<_> = partition.part_ids().map(Some).collect();
+        let carry = Carry {
+            into: &into,
+            joins: &[],
+            max_height: usize::MAX,
+        };
+        let mut carried = tables.1.carried_over(g, &tables.0, partition, &map, carry);
+        let heights = carried.heights(g, &map);
+        for (root, height) in carried.root.iter().zip(&heights) {
+            assert_eq!(
+                *root != NO_ROOT,
+                height.is_some(),
+                "a carried part is one tree"
+            );
+        }
+        let rooted = rooted_parts(&carried);
+        let memberless = memberless_relays(g, partition, &map, &carried);
+        let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let out = sum_of(&values).run_with(g, partition, &opts, sim, &map, &mut carried);
+        assert!(out.metrics.terminated && out.all_members_informed);
+        assert_eq!(out.rooted_parts, rooted);
+        let expect = crate::centralized_aggregate(partition, &values, AggOp::Sum);
+        assert_eq!(
+            out.results,
+            expect.into_iter().map(Some).collect::<Vec<_>>()
+        );
+        let k = partition.num_parts();
+        if rooted == k {
+            let non_roots = (map.slot_part.len() - k) as u64;
+            let pruned = pruned_slots(g, partition, &map, &carried);
+            assert_eq!(out.metrics.messages, 2 * (non_roots - pruned) + memberless);
+        }
+        *tables = (map, carried);
+        (rooted, memberless)
     }
 
     #[test]
@@ -1378,10 +1555,11 @@ mod tests {
         /// Random `reassign_parts` sequences through the real churn path
         /// (the session's incremental shortcut keeps untouched parts' `H_i`
         /// byte-identical, which is the contract `refreshed` relies on):
-        /// after every tick the refreshed table equals a fresh build, the
-        /// carried forest is the old one minus the touched parts, and the
-        /// mixed run over it — touched parts echo, the others start at the
-        /// convergecast — answers like a cold run on a fresh build.
+        /// after every tick the refreshed table equals a fresh build, and
+        /// the forest goes through `churn`, as the session's patch does —
+        /// untouched parts keep their trees slot for slot, touched ones are
+        /// repaired or echo, and the run answers like the centralized
+        /// aggregate, warm throughout whenever every part was carried.
         #[test]
         fn refreshed_participation_matches_fresh_build(
             (g, parts) in arb_instance(0..3),
@@ -1390,13 +1568,9 @@ mod tests {
             use lcs_core::session::Session;
             let mut session = Session::on(&g).partition(parts).build().unwrap();
             session.prepare();
-            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-            let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-            let mut map = ParticipationMap::build(&g, session.partition(), session.shortcut_ref());
-            let mut forest = AggForest::unrooted(session.partition(), &map);
-            sum_of(&values).run_with(&g, session.partition(), &opts, sim, &map, &mut forest);
+            let mut tables = rooted(&g, session.partition(), session.shortcut_ref());
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut ticks = 0;
+            let (mut ticks, mut repaired) = (0, 0);
             for _ in 0..24 {
                 // Up to three nodes hop into a neighbor's part; the session
                 // refuses ticks that would disconnect or empty a part.
@@ -1413,34 +1587,28 @@ mod tests {
                 }
                 session.prepare(); // re-customizes the touched parts in place
                 let (partition, shortcut) = (session.partition(), session.shortcut_ref());
-                let next = map.refreshed(&g, partition, shortcut, &touched);
+                let next = tables.0.refreshed(&g, partition, shortcut, &touched);
                 prop_assert_eq!(&next, &ParticipationMap::build(&g, partition, shortcut));
 
-                let (mut roots, mut slots) = facts(&forest, &map);
-                let is_touched = |part: u32| touched.contains(&PartId(part));
-                slots.retain(|&(_, part, ..)| !is_touched(part));
-                let mut into: Vec<_> = partition.part_ids().map(Some).collect();
-                for p in &touched {
-                    roots[p.index()] = NO_ROOT;
-                    into[p.index()] = None;
-                }
-                let carry = Carry { into: &into, joins: &[], max_height: usize::MAX };
-                forest = forest.carried_over(&g, &map, partition, &next, carry);
-                map = next;
-                prop_assert_eq!(facts(&forest, &map), (roots, slots));
-
-                let kept = partition.num_parts() - touched.len();
-                let mixed = sum_of(&values).run_with(&g, partition, &opts, sim, &map, &mut forest);
-                let fresh = sum_of(&values).run_on(&g, partition, shortcut, &opts, sim);
-                prop_assert_eq!(mixed.rooted_parts, kept);
-                prop_assert!(mixed.metrics.terminated && mixed.all_members_informed);
-                prop_assert_eq!(&mixed.results, &fresh.results);
-                let expect = crate::centralized_aggregate(partition, &values, AggOp::Sum);
-                prop_assert_eq!(mixed.results, expect.into_iter().map(Some).collect::<Vec<_>>());
-                prop_assert_eq!(rooted_parts(&forest), partition.num_parts());
+                let untouched = |(map, forest): &(ParticipationMap, AggForest)| {
+                    let (mut roots, mut slots) = facts(forest, map);
+                    slots.retain(|&(_, part, ..)| !touched.contains(&PartId(part)));
+                    for p in &touched {
+                        roots[p.index()] = NO_ROOT;
+                    }
+                    (roots, slots)
+                };
+                let before = untouched(&tables);
+                let (carried, _) = churn(&g, &mut tables, partition, shortcut);
+                prop_assert_eq!(untouched(&tables), before);
+                let k = partition.num_parts();
+                prop_assert!(carried >= k - touched.len());
+                repaired += carried + touched.len() - k;
+                prop_assert_eq!(rooted_parts(&tables.1), k);
                 ticks += 1;
             }
             prop_assert!(ticks > 0, "no tick was accepted");
+            prop_assert!(repaired > 0, "no touched part was carried");
         }
 
         /// The echo is a formula at `message_packing = 1`, whatever the
@@ -1886,6 +2054,100 @@ mod tests {
             unrooted += usize::from(used(port));
         }
         assert!(unrooted > 0);
+    }
+
+    /// Rows of a 6 × 6 grid without shortcut edges: each row's tree is the
+    /// path from its first node.
+    fn grid_rows() -> (Graph, Vec<Vec<NodeId>>) {
+        (gen::grid(6, 6), gen::rows_of_grid(6, 6))
+    }
+
+    fn edges(g: &Graph, pairs: &[(u32, u32)]) -> Vec<lcs_graph::EdgeId> {
+        let edge = |&(a, b)| g.find_edge(NodeId(a), NodeId(b)).unwrap();
+        pairs.iter().map(edge).collect()
+    }
+
+    /// A member that leaves its part from a leaf of the part's tree is
+    /// dropped from it, and so is its parent's child flag: the part stays
+    /// rooted and the next run is warm. On a grid row the parent is a
+    /// member. On a 5-cycle whose part `{0, 1, 2, 3}` has `H = {0–4, 4–3}`
+    /// the leaf 3 hangs below the relay 4, which the departure leaves with
+    /// no member below it: the warm run sends one `Empty` from it.
+    #[test]
+    fn a_departed_leaf_is_unhooked() {
+        let (g, mut rows) = grid_rows();
+        let partition = Partition::from_parts(&g, rows.clone()).unwrap();
+        let no_h = baseline::no_shortcut(&partition);
+        let mut before = rooted(&g, &partition, &no_h);
+        assert_eq!(parent_of(&g, &before, 5, 0), Some(4));
+        rows[0].pop(); // node 5 now belongs to no part
+        let after = Partition::from_parts(&g, rows).unwrap();
+        assert_eq!(churn(&g, &mut before, &after, &no_h), (6, 0));
+
+        let g = gen::cycle(5);
+        let partition = Partition::from_parts(&g, vec![(0..4).map(NodeId).collect()]).unwrap();
+        let h = Shortcut::from_edge_lists(vec![edges(&g, &[(0, 4), (4, 3)])]);
+        let mut before = rooted(&g, &partition, &h);
+        assert_eq!(parent_of(&g, &before, 3, 0), Some(4));
+        let after = Partition::from_parts(&g, vec![(0..3).map(NodeId).collect()]).unwrap();
+        assert_eq!(churn(&g, &mut before, &after, &h), (1, 1));
+    }
+
+    /// A member that joins a part hangs from a neighbour in it whose slot
+    /// is kept, over their edge: grid row 0 grows from `0..4` to `0..6`,
+    /// node 4 hangs from 3 and then node 5 from 4. Members are hung in
+    /// ascending order, so when row 0 grows from `2..6` to `0..6` node 0,
+    /// whose one neighbour in the row is the arrival 1, finds no kept
+    /// neighbour: that row echoes cold and the others stay warm.
+    #[test]
+    fn an_arrival_hangs_from_a_kept_neighbour() {
+        let (g, rows) = grid_rows();
+        let after = Partition::from_parts(&g, rows.clone()).unwrap();
+        let no_h = baseline::no_shortcut(&after);
+        for (row, carried) in [(0..4, 6), (2..6, 5)] {
+            let mut short = rows.clone();
+            short[0] = row.map(NodeId).collect();
+            let partition = Partition::from_parts(&g, short).unwrap();
+            let mut before = rooted(&g, &partition, &no_h);
+            assert_eq!(churn(&g, &mut before, &after, &no_h), (carried, 0));
+        }
+    }
+
+    /// Row 0's root, node 0, leaves the row but keeps its tree edge to
+    /// node 1 in `H_0`, so every copied port still participates: without
+    /// the rule the part would stay rooted at a node outside it. It comes
+    /// out unrooted and echoes; every other row stays warm.
+    #[test]
+    fn a_departed_root_unroots_its_part() {
+        let (g, mut rows) = grid_rows();
+        let partition = Partition::from_parts(&g, rows.clone()).unwrap();
+        let mut before = rooted(&g, &partition, &baseline::no_shortcut(&partition));
+        assert_eq!(before.1.root[0], 0);
+        rows[0].remove(0);
+        let after = Partition::from_parts(&g, rows).unwrap();
+        let mut h = vec![Vec::new(); 6];
+        h[0] = edges(&g, &[(0, 1)]);
+        assert_eq!(
+            churn(&g, &mut before, &after, &Shortcut::from_edge_lists(h)),
+            (5, 0)
+        );
+    }
+
+    /// On a 6-cycle rooted at node 0, node 1 leaves the part with its child
+    /// 2 below it. With `H = {0–1, 1–2}` its parent port still participates,
+    /// so it stays on as a relay and the part runs warm through it; with
+    /// `H = {1–2}` its parent port is gone and the part echoes cold.
+    #[test]
+    fn a_departed_inner_node_keeps_relaying_or_echoes() {
+        let g = gen::cycle(6);
+        let partition = Partition::from_parts(&g, vec![g.nodes().collect()]).unwrap();
+        let before = rooted(&g, &partition, &baseline::no_shortcut(&partition));
+        assert_eq!(parent_of(&g, &before, 2, 0), Some(1));
+        let after = Partition::from_parts(&g, vec![[0, 2, 3, 4, 5].map(NodeId).to_vec()]).unwrap();
+        for (h, carried) in [(&[(0, 1), (1, 2)][..], 1), (&[(1, 2)], 0)] {
+            let h = Shortcut::from_edge_lists(vec![edges(&g, h)]);
+            assert_eq!(churn(&g, &mut before.clone(), &after, &h), (carried, 0));
+        }
     }
 
     /// A hub relaying 100 000 parts — adjacent pairs of a wheel's rim, each

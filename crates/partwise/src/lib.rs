@@ -46,9 +46,12 @@
 //! so it is warm whenever the forest is. [`AggForest::carried_over`] lays
 //! a forest over the next table, with parts mapped or merged as a
 //! [`Carry`] says: a session keeps the forest in the participation tables'
-//! artifact slot, where `reassign_parts` churn unroots exactly the touched
-//! parts, and Boruvka joins its merging fragments' trees at their MWOE
-//! edges. Whatever drops the tables drops the forest. This is a model
+//! artifact slot, where `reassign_parts` churn repairs the touched parts'
+//! trees — a member that left from a leaf is unhooked, a member that
+//! arrived is hung from a kept neighbour in its part — so the after-churn
+//! aggregate runs warm (a part whose root left, or whose tree lost a port
+//! it used, echoes); Boruvka joins its merging fragments' trees at their
+//! MWOE edges. Whatever drops the tables drops the forest. This is a model
 //! choice, not a host optimisation: nodes keep `O(participation)` words of
 //! state between aggregations.
 //!

@@ -132,8 +132,9 @@ pub use lcs_separator as separator;
 ///   — on the session backend, charged like the construction it patches
 ///   — splices their `H_i` into the cached shortcut, quality rows are
 ///   re-measured for touched parts only, and ops refresh their cached
-///   participation maps part-locally. Everything else survives
-///   byte-for-byte — the CCH-style customization step.
+///   participation maps part-locally and repair the touched parts'
+///   aggregation trees, so the next aggregate runs warm. Everything else
+///   survives byte-for-byte — the CCH-style customization step.
 ///
 /// Edge weights are not a session input: `session.mst(&weights)` takes
 /// them as an argument and memoizes its report on them — equal weights

@@ -391,9 +391,11 @@ fn session_aggregate_matches_centralized_on_ktrees_all_backends() {
 /// Root once, aggregate many: the aggregation forest rides the
 /// participation tables' artifact slot. A warm aggregate is served from it
 /// (`rooted_parts`), and so is a gossip, which keeps its roots;
-/// `reassign_parts` churn unroots exactly the touched parts in the one
-/// patch per tick, foreign leaders re-root, and a wholesale partition
-/// change drops it with the tables.
+/// `reassign_parts` churn repairs the touched parts' trees in the one
+/// patch per tick — row 0's last node leaves it as a leaf and is
+/// unhooked, and hangs from its neighbour in row 1 — so the after-churn
+/// aggregate is warm in every part. Foreign leaders re-root, and a
+/// wholesale partition change drops the forest with the tables.
 #[test]
 fn aggregation_forest_follows_the_participation_tables() {
     let g = gen::grid(8, 8);
@@ -413,12 +415,18 @@ fn aggregation_forest_follows_the_participation_tables() {
     assert!(warm.result.all_members_informed && !warm.truncated);
     assert!(warm.messages < cold.messages && warm.rounds <= cold.rounds);
 
-    let touched = reassign_one_boundary_node(&mut session).expect("rows have boundary moves");
+    let touched = session.reassign_parts(&[(NodeId(7), PartId(1))]).unwrap();
+    assert_eq!(touched, [PartId(0), PartId(1)]);
     let after_churn = session.aggregate(&values, AggOp::Sum);
-    assert_eq!(after_churn.result.rooted_parts, 8 - touched.len());
+    assert_eq!(after_churn.result.rooted_parts, 8);
+    let expect = centralized_aggregate(session.partition(), &values, AggOp::Sum);
+    let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+    assert_eq!(after_churn.result.results, expect);
+    let again = session.aggregate(&values, AggOp::Sum);
+    assert_eq!(again.result.rooted_parts, 8);
     assert_eq!(
-        session.aggregate(&values, AggOp::Sum).result.rooted_parts,
-        8
+        again.messages, after_churn.messages,
+        "the after-churn aggregate is warm"
     );
     assert_eq!(session.cache_stats().op_artifact_patches, 1);
     assert_eq!(session.cache_stats().op_artifacts.builds, 1);
@@ -429,8 +437,6 @@ fn aggregation_forest_follows_the_participation_tables() {
     let moved = session.aggregate_with_leaders(&values, AggOp::Sum, &last);
     assert_eq!(moved.result.rooted_parts, 0);
     assert!(moved.result.all_members_informed);
-    let expect = centralized_aggregate(session.partition(), &values, AggOp::Sum);
-    let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
     assert_eq!(moved.result.results, expect);
 
     let columns = (0..8).map(|c| (0..8).map(|r| NodeId(r * 8 + c)).collect());
@@ -438,6 +444,107 @@ fn aggregation_forest_follows_the_participation_tables() {
     let rebuilt = session.aggregate(&values, AggOp::Sum);
     assert_eq!(rebuilt.result.rooted_parts, 0);
     assert_eq!(session.cache_stats().op_artifacts.builds, 2);
+}
+
+/// Two `reassign_parts` ticks between aggregates are one patch over both
+/// log entries, and the repair reads nothing but the forest and the
+/// partition it ends at. Two leaves moved in two ticks (rows 0 → 1 and
+/// 2 → 3) are carried as if moved at once; moved back in two more ticks,
+/// they leave every tree as it was, so the aggregate after them sends
+/// exactly what the warm aggregate before the churn sent.
+#[test]
+fn two_ticks_between_aggregates_are_one_repair() {
+    let g = gen::grid(8, 8);
+    let mut session = Session::on(&g)
+        .partition(gen::rows_of_grid(8, 8))
+        .config(fast_config())
+        .build()
+        .unwrap();
+    let values: Vec<u64> = (0..64).map(|x| x * 37 % 101).collect();
+    session.aggregate(&values, AggOp::Sum);
+    let warm = session.aggregate(&values, AggOp::Sum);
+    assert_eq!(warm.result.rooted_parts, 8);
+    let away = [(NodeId(7), PartId(1)), (NodeId(23), PartId(3))];
+    let home = [(NodeId(7), PartId(0)), (NodeId(23), PartId(2))];
+    for (ticks, patches) in [(away, 1), (home, 2)] {
+        for mv in ticks {
+            session.reassign_parts(&[mv]).unwrap();
+        }
+        let out = session.aggregate(&values, AggOp::Sum);
+        assert_eq!(session.cache_stats().op_artifact_patches, patches);
+        assert_eq!(out.result.rooted_parts, 8, "after {ticks:?}");
+        let expect = centralized_aggregate(session.partition(), &values, AggOp::Sum);
+        let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+        assert_eq!(out.result.results, expect, "after {ticks:?}");
+        assert!(out.result.all_members_informed && !out.truncated);
+        if patches == 2 {
+            assert_eq!(out.messages, warm.messages, "every tree as it was");
+        }
+    }
+    assert_eq!(session.cache_stats().op_artifacts.builds, 1);
+}
+
+/// The churn workload's instance: `road_like` 200², 400 voronoi parts, and
+/// 32 boundary nodes over pairwise disjoint part pairs, each toggling
+/// between its two parts for 20 ticks of `reassign_parts`, `prepare` and
+/// an aggregate. The first tick moves the movers from wherever they sat in
+/// the trees; after it each mover has arrived as a leaf, so it leaves as
+/// one. From the second tick on every after-churn aggregate is served from
+/// the repaired forest in all 400 parts and sends exactly what the
+/// aggregate after it, with nothing to patch, sends.
+#[test]
+#[ignore = "release-mode scale test"]
+fn scale_churn_keeps_the_forest() {
+    let g = gen::road_like(200, 200, 7);
+    let parts = gen::voronoi_parts_seeded(&g, 400, 7);
+    let mut session = Session::on(&g)
+        .partition(parts)
+        .config(fast_config())
+        .build()
+        .unwrap();
+    let n = g.num_nodes() as u64;
+    let values: Vec<u64> = (0..n).map(|x| x * 7919 % 1_000_003).collect();
+    session.aggregate(&values, AggOp::Sum);
+
+    let mut movers = Vec::new();
+    let partition = session.partition().clone();
+    let mut used = vec![false; partition.num_parts()];
+    // 7919 is prime to n = 40 000, so this visits every node, spread out.
+    for v in (0..n).map(|i| NodeId((i * 7919 % n) as u32)) {
+        let home = partition.part_of(v).expect("voronoi cells cover the graph");
+        let away = (g.neighbors(v).filter_map(|nb| partition.part_of(nb.node)))
+            .find(|&p| p != home && !used[p.index()]);
+        let Some(away) = away.filter(|_| !used[home.index()]) else {
+            continue;
+        };
+        if partition.reassign(&g, &[(v, away)]).is_ok() {
+            (used[home.index()], used[away.index()]) = (true, true);
+            movers.push((v, home, away));
+        }
+        if movers.len() == 32 {
+            break;
+        }
+    }
+    assert_eq!(movers.len(), 32);
+
+    for tick in 0..20 {
+        let moves: Vec<(NodeId, PartId)> = (movers.iter())
+            .map(|&(v, home, away)| (v, if tick % 2 == 0 { away } else { home }))
+            .collect();
+        assert_eq!(session.reassign_parts(&moves).unwrap().len(), 64);
+        session.prepare();
+        let after = session.aggregate(&values, AggOp::Sum);
+        let expect = centralized_aggregate(session.partition(), &values, AggOp::Sum);
+        let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
+        assert_eq!(after.result.results, expect, "tick {tick}");
+        assert!(after.result.all_members_informed && !after.truncated);
+        if tick > 0 {
+            assert_eq!(after.result.rooted_parts, 400, "tick {tick}");
+            let warm = session.aggregate(&values, AggOp::Sum);
+            assert_eq!(after.messages, warm.messages, "tick {tick}");
+        }
+    }
+    assert_eq!(session.cache_stats().full.builds, 1);
 }
 
 /// Finds one boundary move the session accepts and applies it: candidates
