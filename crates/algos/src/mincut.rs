@@ -112,6 +112,8 @@ pub struct MincutReport {
     /// Fragment MWOE aggregates that ran the full echo, summed over the
     /// tree constructions ([`MstReport::echoes`](crate::mst::MstReport::echoes)).
     pub echoes: usize,
+    /// [`MstReport::notified`](crate::mst::MstReport::notified), summed.
+    pub notified: usize,
 }
 
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
@@ -144,7 +146,7 @@ pub fn approx_mincut_distributed(
     let mut messages = 0u64;
     let mut bits = 0u64;
     let mut truncated = false;
-    let mut echoes = 0;
+    let (mut echoes, mut notified) = (0, 0);
     let mut best = u64::MAX;
     let mut trees = 0;
 
@@ -158,6 +160,7 @@ pub fn approx_mincut_distributed(
         bits += report.bits;
         truncated |= report.truncated;
         echoes += report.echoes;
+        notified += report.notified;
         if report.truncated {
             // A forest cut short spans nothing to evaluate or pack.
             break;
@@ -193,6 +196,7 @@ pub fn approx_mincut_distributed(
         bits,
         truncated,
         echoes,
+        notified,
     }
 }
 

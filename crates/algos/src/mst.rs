@@ -11,26 +11,24 @@
 //! a fragment's spanning tree is carried over from the previous phase, a
 //! merged fragment's being its constituents' trees joined at the MWOE edges
 //! (at most `D` high; a fragment whose tree cannot be carried runs the full
-//! echo), and (4) merges fragments
-//! after leader coin flips: each fragment asks across its MWOE for the far
-//! fragment's coin and whether that edge is its MWOE too (two rounds, two
-//! messages), a tail merges into a head, and of a mutual-MWOE pair of tails
-//! the smaller id merges into the larger — no merge targets a fragment that
-//! merges itself, so relabeling stays one hop. Members learn the new id
-//! through a second aggregation wave. All MWOEs are safe by the cut
+//! echo), and (4) merges fragments after public coin flips (seed, phase
+//! and id fix a coin): each tail sends a 1-bit notice across its MWOE, a
+//! tail merges into a head, and of a mutual-MWOE pair of tails (notices
+//! crossing on one edge) the smaller id merges into the larger — no merge
+//! targets a fragment that merges itself, so relabeling stays one hop. A
+//! tail's members learn the new id through a second aggregation wave, which
+//! heads and finished fragments sit out. All MWOEs are safe by the cut
 //! property under the (weight, edge-id) tie-break, so the edge set is
 //! exact.
 
-use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
+use lcs_congest::{id_bits, splitmix};
 use lcs_core::dist::{DistConfig, Truncated};
 use lcs_core::session::SessionConfig;
 use lcs_core::{baseline, construct, ConstructionStats, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
 use lcs_partwise::{AggForest, AggregateOp, Carry, ParticipationMap};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Kruskal's algorithm — the centralized reference.
@@ -87,8 +85,8 @@ impl ShortcutProvider {
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MstRounds {
     /// Neighbor fragment-id exchanges (one round each: one per phase, plus
-    /// the one that finds nothing left to merge) and the two merge-query
-    /// rounds of every phase.
+    /// the one that finds nothing left to merge) and the merge-notice round
+    /// of every phase: `2·phases + 1`.
     pub exchange: u64,
     /// Shortcut construction (only for the distributed provider).
     pub construction: u64,
@@ -118,17 +116,18 @@ pub struct MstReport {
     pub rounds: MstRounds,
     /// Total simulated messages: construction, aggregations, the id
     /// exchanges (`2m` the first time, then one per port a relabeled node
-    /// has out of its old fragment) and two merge-query messages per
-    /// fragment with an outgoing MWOE per phase.
+    /// has out of its old fragment) and one merge notice per tail with an
+    /// outgoing MWOE per phase.
     pub messages: u64,
     /// Total simulated bits (id-aware accounting; id exchanges are billed
-    /// at `id_bits(n)` per message; a merge query is a 2-bit request — the
-    /// asking tail's coin — and a 2-bit `(coin, mutual)` reply).
+    /// at `id_bits(n)` per message; a merge notice is 1 bit).
     pub bits: u64,
     /// Fragment MWOE aggregates that ran the full echo because no carried
     /// tree served them (every fragment of the first phase); the others
     /// started at the convergecast.
     pub echoes: usize,
+    /// Fragments whose merge-notify wave ran: the tails with an MWOE.
+    pub notified: usize,
     /// Whether the run was cut short — a simulator run (construction or
     /// aggregation) hit the round cap, or the phase cap was reached:
     /// `edges` is then the forest found so far, not a finished answer.
@@ -190,6 +189,11 @@ fn unpack(p: u64) -> EdgeId {
     EdgeId((p & 0xffff_ffff) as u32)
 }
 
+/// Fragment `id`'s coin in `phase` (`true`: heads), which any node holding the id evaluates.
+fn coin(seed: u64, phase: usize, id: u32) -> bool {
+    splitmix(splitmix(seed, phase as u32), id) & 1 == 1
+}
+
 /// Distributed Boruvka over shortcuts.
 ///
 /// Returns the exact minimum spanning forest (per the `(weight, edge-id)`
@@ -228,7 +232,6 @@ pub fn distributed_mst(
         (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
     let max_height = tree.depth_of_tree() as usize;
     let mut report = MstReport::default();
-    let mut rng = SmallRng::seed_from_u64(config.mst.seed);
 
     // Node-local state: each node's fragment id (learned from the notify
     // waves) and `known[first_out[v] + port]`, the id it last heard over
@@ -290,6 +293,7 @@ pub fn distributed_mst(
             report.truncated = true;
             break;
         }
+        let phase = report.phases;
         report.phases += 1;
 
         // Shortcuts for the fragments (only parts inside the BFS tree's
@@ -334,14 +338,14 @@ pub fn distributed_mst(
             "a carried tree is higher than the construction tree"
         );
         let leaders: Vec<NodeId> = frag_ids.iter().map(|&fid| NodeId(fid)).collect();
-        let mut aggregate = |values: &[u64], op: AggOp| {
+        let mut aggregate = |values: &[u64], op: AggOp, sits_out: Option<&[bool]>| {
             let op = AggregateOp {
                 values,
                 op,
                 leaders: Some(&leaders),
             };
-            let (opts, sim) = (&config.aggregate, config.sim);
-            let out = op.run_with(g, &partition, opts, sim, &participation, &mut forest);
+            let blocks = (&config.aggregate, config.sim);
+            let out = op.run_masked(g, &partition, blocks, &participation, &mut forest, sits_out);
             report.messages += out.metrics.messages;
             report.bits += out.metrics.bits;
             report.truncated |= out.metrics.truncated;
@@ -349,7 +353,7 @@ pub fn distributed_mst(
         };
 
         // MWOE aggregation per fragment.
-        let agg = aggregate(&local, AggOp::Min);
+        let agg = aggregate(&local, AggOp::Min, None);
         report.rounds.aggregation += agg.metrics.rounds;
         report.echoes += k - agg.rooted_parts;
         if agg.metrics.truncated {
@@ -357,53 +361,53 @@ pub fn distributed_mst(
         }
         debug_assert!(agg.all_members_informed);
 
-        // Coin flips and merge decisions. The member inside each MWOE asks
-        // across it, sending its fragment's coin (a 2-bit request); the far
-        // endpoint answers from its own fragment's state with its coin and
-        // whether the edge is that fragment's MWOE too (a 2-bit reply). A
-        // tail merges into a head; of a mutual pair of tails the smaller id
-        // merges into the larger. Nothing targets a fragment that merges
+        // Merge decisions. Every node evaluates its fragment's coin, and
+        // each neighbour's from its id table; the member inside each tail's
+        // MWOE sends a 1-bit notice across it. A tail merges into a head; of
+        // a mutual pair of tails (notices crossing on one edge) the smaller
+        // id merges into the larger. Nothing targets a fragment that merges
         // itself: a head never merges, and the larger of a tail pair stays
-        // put (its MWOE leads to a tail, its one mutual partner). Both ends
-        // of a merging MWOE thus know it joins their trees.
-        let coins: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.5)).collect();
-        report.rounds.exchange += 2;
+        // put (its MWOE leads to a tail, its one mutual partner). The far
+        // end of a merging MWOE hears the notice, so both ends know it joins
+        // their trees.
+        report.rounds.exchange += 1;
         let mut notify: Vec<u64> = vec![0; n];
-        let mut queries = 0;
+        let mut sits_out = vec![true; k];
         joins.clear();
         for i in 0..k {
-            let Some(p) = agg.results[i] else { continue };
-            if p == u64::MAX {
+            let Some(p) = agg.results[i].filter(|&p| p != u64::MAX) else {
                 continue; // no outgoing edge: fragment is a finished component
-            }
+            };
             let e = unpack(p);
             if !std::mem::replace(&mut in_mst[e.index()], true) {
                 report.edges.push(e); // every MWOE is safe by the cut property
             }
-            queries += 1;
-            let (u, v) = g.endpoints(e);
-            let (inside, far) = if fragment_of[u.index()] == frag_ids[i] {
-                (u, v)
-            } else {
-                (v, u)
-            };
+            if coin(config.mst.seed, phase, frag_ids[i]) {
+                continue; // a head stays put
+            }
+            sits_out[i] = false;
+            let (mut inside, mut far) = g.endpoints(e);
+            if fragment_of[inside.index()] != frag_ids[i] {
+                std::mem::swap(&mut inside, &mut far);
+            }
             let port = g.port_to(inside, far).expect("MWOE endpoints are adjacent");
             let target = known[port_base(inside) + port];
-            let ti = frag_index(fragment_of[far.index()]);
-            let (head, mutual) = (coins[ti], agg.results[ti] == Some(p));
-            if !coins[i] && (head || (mutual && frag_ids[i] < target)) {
+            let mutual = agg.results[frag_index(target)] == Some(p);
+            if coin(config.mst.seed, phase, target) || (mutual && frag_ids[i] < target) {
                 notify[inside.index()] = u64::from(target) + 1;
                 joins.push((PartId(i as u32), inside, far));
             }
         }
-        // Merge-notification broadcast: the inside member knows the target
-        // id; a Max aggregation delivers it to the whole fragment. Fragments
-        // that stay put broadcast 0, so in a merging one the non-zero value
-        // climbs exactly the path from the inside member to the root — the
-        // path whose parent pointers the next phase's tree flips.
-        let note = aggregate(&notify, AggOp::Max);
-        report.messages += 2 * queries;
-        report.bits += 4 * queries;
+        // Merge notification over the tails (heads and finished fragments
+        // know they stay put): a Max aggregation delivers the inside member's
+        // target id to the whole fragment. A tail that stays put sends 0, so
+        // in a merging one the non-zero value climbs exactly the path from
+        // the inside member to the root, whose parent pointers flip next.
+        let note = aggregate(&notify, AggOp::Max, Some(&sits_out));
+        let notices = sits_out.iter().filter(|&&out| !out).count();
+        report.notified += notices;
+        report.messages += notices as u64;
+        report.bits += notices as u64;
         report.rounds.notification += note.metrics.rounds;
         if note.metrics.truncated {
             break; // a partial broadcast would relabel half a fragment
@@ -446,6 +450,8 @@ pub fn distributed_mst(
 mod tests {
     use super::*;
     use lcs_graph::{bfs, gen};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Boruvka over the BFS tree of node 0 on the default knobs.
@@ -455,22 +461,20 @@ mod tests {
     }
 
     /// One Boruvka phase replayed on the host: the fragment map it starts
-    /// from, how many fragments have an MWOE, how many merge into a head or
-    /// as the smaller of a mutual pair of tails, and each merging tail's
-    /// `(id, inside, far)` over its MWOE.
+    /// from, the tails with an MWOE (they notify), how many merge into a
+    /// head or as the smaller of a mutual pair of tails, and each merging
+    /// tail's `(id, inside, far)` over its MWOE.
     struct Phase {
         fragment_of: Vec<u32>,
-        with_mwoe: usize,
+        tails: BTreeSet<u32>,
         into_heads: usize,
         tail_pairs: usize,
         joins: Vec<(u32, NodeId, NodeId)>,
     }
 
     /// Replays the merge rule from the true fragment map and the run's
-    /// coins (one per fragment per phase, in id order): every phase, then
-    /// the map the run ends on.
+    /// [`coin`]s: every phase, then the map the run ends on.
     fn replay(g: &Graph, w: &EdgeWeights, coin_seed: u64) -> (Vec<Phase>, Vec<u32>) {
-        let mut rng = SmallRng::seed_from_u64(coin_seed);
         let mut fragment_of: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let mut phases = Vec::new();
         loop {
@@ -487,11 +491,10 @@ mod tests {
             if mwoe.is_empty() {
                 return (phases, fragment_of);
             }
-            let ids: BTreeSet<u32> = fragment_of.iter().copied().collect();
-            let coin: BTreeMap<u32, bool> = ids.iter().map(|&f| (f, rng.gen_bool(0.5))).collect();
+            let head = |f: u32| coin(coin_seed, phases.len(), f);
             let mut phase = Phase {
                 fragment_of: fragment_of.clone(),
-                with_mwoe: mwoe.len(),
+                tails: mwoe.keys().copied().filter(|&f| !head(f)).collect(),
                 into_heads: 0,
                 tail_pairs: 0,
                 joins: Vec::new(),
@@ -505,10 +508,10 @@ mod tests {
                     (v, u)
                 };
                 let t = fragment_of[far.index()];
-                if coin[&f] {
+                if head(f) {
                     continue;
                 }
-                if coin[&t] {
+                if head(t) {
                     phase.into_heads += 1;
                 } else if mwoe[&t] == p && f < t {
                     phase.tail_pairs += 1;
@@ -532,9 +535,9 @@ mod tests {
     }
 
     /// One phase's two aggregates, re-run over the replayed fragments and
-    /// the forest carried through [`AggForest::carried_over`]: the
-    /// fragments, the parts the MWOE run served warm, both runs' messages,
-    /// and the carried trees' heights.
+    /// the forest carried through [`AggForest::carried_over`] — the notify
+    /// wave over the tails only: the fragments, the parts the MWOE run
+    /// served warm, both runs' messages, and the carried trees' heights.
     struct PhaseRuns {
         k: usize,
         rooted: usize,
@@ -588,15 +591,17 @@ mod tests {
             };
             let heights = forest.heights(g, &participation);
             let zeros = vec![0; g.num_nodes()];
-            let [mwoe, notify] = [AggOp::Min, AggOp::Max].map(|op| {
-                let run = AggregateOp {
-                    values: &zeros,
-                    op,
-                    leaders: Some(&leaders),
-                };
-                let (opts, sim) = (&config.aggregate, config.sim);
-                run.run_with(g, &partition, opts, sim, &participation, &mut forest)
-            });
+            let not_tails: Vec<bool> = ids.iter().map(|f| !phase.tails.contains(f)).collect();
+            let [mwoe, notify] =
+                [(AggOp::Min, None), (AggOp::Max, Some(&not_tails[..]))].map(|(op, sits_out)| {
+                    let run = AggregateOp {
+                        values: &zeros,
+                        op,
+                        leaders: Some(&leaders),
+                    };
+                    let blocks = (&config.aggregate, config.sim);
+                    run.run_masked(g, &partition, blocks, &participation, &mut forest, sits_out)
+                });
             runs.push(PhaseRuns {
                 k: partition.num_parts(),
                 rooted: mwoe.rooted_parts,
@@ -611,12 +616,14 @@ mod tests {
 
     /// Runs Boruvka over the BFS tree of node 0 and checks its bill against
     /// the host replay: the first exchange's `2m`, each later exchange's
-    /// sends (a relabeled node's ports out of its old fragment), two query
-    /// messages per fragment with an MWOE, and each phase's construction
-    /// and two aggregates re-run over the carried forest; the MWOE echoes
-    /// are the fragments the carried forest did not serve, and a phase
-    /// whose MWOE run is warm throughout sends what its notify wave sends.
-    /// Returns the report and the re-run phases.
+    /// sends (a relabeled node's ports out of its old fragment), one notice
+    /// per tail with an MWOE, and each phase's construction and two
+    /// aggregates re-run over the carried forest, the notify wave over the
+    /// tails only; the MWOE echoes are the fragments the carried forest did
+    /// not serve, the notified fragments are the tails, and a phase whose
+    /// MWOE run is warm throughout sends at least what its notify wave
+    /// sends, exactly that if every fragment is a tail. Returns the report
+    /// and the re-run phases.
     fn check_bill(
         g: &Graph,
         w: &EdgeWeights,
@@ -627,15 +634,18 @@ mod tests {
         let report = distributed_mst(g, w, &tree, provider, config);
         let (phases, last) = replay(g, w, config.mst.seed);
         assert_eq!(report.phases, phases.len(), "{provider:?}");
-        let rounds = phases.len() as u64 + 1 + 2 * phases.len() as u64;
+        let rounds = 2 * phases.len() as u64 + 1;
         assert_eq!(report.rounds.exchange, rounds, "{provider:?}");
 
         let (runs, constructions) = rerun(g, &tree, &phases, provider, config);
         let mut expected = constructions.messages + 2 * g.num_edges() as u64;
         for (i, (phase, run)) in phases.iter().zip(&runs).enumerate() {
-            expected += run.mwoe + run.notify + 2 * phase.with_mwoe as u64;
+            expected += run.mwoe + run.notify + phase.tails.len() as u64;
             if run.rooted == run.k {
-                assert_eq!(run.mwoe, run.notify, "{provider:?} phase {i}");
+                assert!(run.notify <= run.mwoe, "{provider:?} phase {i}");
+                if phase.tails.len() == run.k {
+                    assert_eq!(run.mwoe, run.notify, "{provider:?} phase {i}");
+                }
             }
             let before = &phase.fragment_of;
             let after = phases.get(i + 1).map_or(&last, |p| &p.fragment_of);
@@ -650,6 +660,8 @@ mod tests {
         assert_eq!(report.messages, expected, "{provider:?}");
         let echoes: usize = runs.iter().map(|r| r.k - r.rooted).sum();
         assert_eq!(report.echoes, echoes, "{provider:?}");
+        let tails: usize = phases.iter().map(|p| p.tails.len()).sum();
+        assert_eq!(report.notified, tails, "{provider:?}");
         (report, runs)
     }
 
@@ -753,8 +765,8 @@ mod tests {
     }
 
     /// Two fragments joined by one edge are a mutual pair: every phase
-    /// merges them unless both flip head, so the run takes one phase per
-    /// leading head / head draw plus one.
+    /// merges them unless both [`coin`]s are heads, so the run takes one
+    /// phase per leading head / head draw plus one.
     #[test]
     fn mutual_tail_pair_merges() {
         let g = gen::path(2);
@@ -765,10 +777,9 @@ mod tests {
             let mut config = SessionConfig::default();
             config.mst.seed = seed;
             let report = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
-            let mut coins = SmallRng::seed_from_u64(seed);
             let mut phases = 1;
             loop {
-                let (a, b) = (coins.gen_bool(0.5), coins.gen_bool(0.5));
+                let (a, b) = (coin(seed, phases - 1, 0), coin(seed, phases - 1, 1));
                 tail_pairs += usize::from(!a && !b);
                 if !(a && b) {
                     break;
@@ -839,8 +850,8 @@ mod tests {
 
     /// The benchmark instance (`road_like` 64², seed 7, oracle shortcuts)
     /// under four weightings and unit loads: Kruskal's tree, no truncated
-    /// run, every message accounted for, every carried tree at most `D`
-    /// high.
+    /// run, every message accounted for, heads and finished fragments
+    /// sitting out the notify wave, every carried tree at most `D` high.
     #[test]
     #[ignore = "release-mode scale test"]
     fn scale_boruvka_carries_the_forest() {
@@ -860,6 +871,10 @@ mod tests {
             assert!(highest.is_none_or(|&h| h <= depth), "weighting {i}");
             let fragments: usize = runs.iter().map(|r| r.k).sum();
             assert!(report.echoes < fragments, "weighting {i}: nothing carried");
+            assert!(
+                report.notified < fragments,
+                "weighting {i}: no head sat out"
+            );
         }
     }
 

@@ -98,7 +98,7 @@ impl Default for UnicastOpts {
 /// derives the per-phase shortcut provider from its [`Backend`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MstOpts {
-    /// Seed for the merge coin flips.
+    /// Seed of the coin function every node evaluates.
     pub seed: u64,
     /// Safety cap on phases; `None` = `4·log₂ n + 16`.
     pub max_phases: Option<usize>,

@@ -625,12 +625,18 @@ impl AggForest {
             .collect()
     }
 
-    /// Records the trees a run left behind: a part is rooted at its leader
-    /// iff the run was not truncated and every slot of the part — relays
-    /// included — holds the result or reported `Empty`; every other part is
-    /// unrooted. A slot that reported `Empty` is kept pruned: its parent
-    /// dropped it as a child, and it keeps no parent.
-    fn harvest(&mut self, programs: &[PaProgram<'_>], leaders: &[NodeId], truncated: bool) {
+    /// Records the trees a run left behind: a part that ran is rooted at its
+    /// leader iff the run was not truncated and every slot of the part —
+    /// relays included — holds the result or reported `Empty`, else
+    /// unrooted; a part that sat out keeps its tree. A slot that reported
+    /// `Empty` is kept pruned: its parent dropped it, and it has no parent.
+    fn harvest(
+        &mut self,
+        programs: &[PaProgram<'_>],
+        leaders: &[NodeId],
+        runs: impl Fn(u32) -> bool,
+        truncated: bool,
+    ) {
         let mut finished = vec![!truncated; leaders.len()];
         for program in programs {
             for (&part, st) in program.slots.parts.iter().zip(&program.states) {
@@ -644,7 +650,9 @@ impl AggForest {
             for (s, (&part, st)) in slots.parts.iter().zip(&program.states).enumerate() {
                 let parent = parents.next().expect("one entry per slot");
                 let children = &mut self.child[slots.entry_range(s)];
-                if finished[part as usize] {
+                if !runs(part) {
+                    continue;
+                } else if finished[part as usize] {
                     *parent = if st.pruned() { NO_PORT } else { st.parent };
                     children.copy_from_slice(&program.is_child[slots.port_range(s)]);
                 } else {
@@ -653,8 +661,8 @@ impl AggForest {
                 }
             }
         }
-        for ((root, &leader), done) in self.root.iter_mut().zip(leaders).zip(finished) {
-            *root = if done { leader.0 } else { NO_ROOT };
+        for (p, &leader) in leaders.iter().enumerate().filter(|&(p, _)| runs(p as u32)) {
+            self.root[p] = if finished[p] { leader.0 } else { NO_ROOT };
         }
     }
 }
@@ -993,21 +1001,7 @@ impl AggregateOp<'_> {
         self.run_with(g, partition, opts, sim, &participation, &mut forest)
     }
 
-    /// Runs the protocol over a prebuilt [`ParticipationMap`] of
-    /// `partition` and its shortcut and the [`AggForest`] over it — the
-    /// path the session ops take with the cached tables, and callers
-    /// running several aggregations over one `G[P_i] + H_i` (a Boruvka
-    /// phase). A part `forest` holds a tree for, rooted at this run's
-    /// leader — with `leaders: None`, every rooted part — starts at the
-    /// convergecast; every other part runs the full echo. Afterwards
-    /// `forest` holds the trees of the parts this run finished, and no
-    /// other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.values.len() != g.num_nodes()`, a leader is not a
-    /// member of its part, or `forest` is not laid out over
-    /// `participation`.
+    /// [`run_masked`](Self::run_masked) with every part running.
     pub fn run_with(
         &self,
         g: &Graph,
@@ -1016,6 +1010,33 @@ impl AggregateOp<'_> {
         sim: SimConfig,
         participation: &ParticipationMap,
         forest: &mut AggForest,
+    ) -> PartwiseOutcome {
+        self.run_masked(g, partition, (opts, sim), participation, forest, None)
+    }
+
+    /// Runs the protocol over a prebuilt [`ParticipationMap`] of
+    /// `partition` and its shortcut and the [`AggForest`] over it — the
+    /// session ops' path, and Boruvka's, which runs several aggregations
+    /// over one `G[P_i] + H_i`. A part `forest` holds a tree for, rooted at
+    /// this run's leader — with `leaders: None`, every rooted part — starts
+    /// at the convergecast; a part with `sits_out[i]` set does not run (it
+    /// sends nothing and has no result); every other part runs the full
+    /// echo. Afterwards `forest` holds the trees of the parts this run
+    /// finished or that sat out, and no other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.values.len() != g.num_nodes()`, a leader is not a
+    /// member of its part, `forest` is not laid out over `participation`,
+    /// or `sits_out` does not have one entry per part.
+    pub fn run_masked(
+        &self,
+        g: &Graph,
+        partition: &Partition,
+        (opts, sim): (&AggregateOpts, SimConfig),
+        participation: &ParticipationMap,
+        forest: &mut AggForest,
+        sits_out: Option<&[bool]>,
     ) -> PartwiseOutcome {
         let (values, op) = (self.values, self.op);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
@@ -1042,9 +1063,11 @@ impl AggregateOp<'_> {
             );
         }
 
+        assert!(sits_out.is_none_or(|o| o.len() == k), "a mask per part");
+        let runs = |part: u32| !sits_out.is_some_and(|out| out[part as usize]);
         // Seed only from a tree rooted where this run's leader sits.
-        let rooted: Vec<bool> = (forest.root.iter().zip(leaders))
-            .map(|(&root, leader)| root == leader.0)
+        let rooted: Vec<bool> = (forest.root.iter().zip(leaders).enumerate())
+            .map(|(p, (&root, leader))| root == leader.0 && runs(p as u32))
             .collect();
 
         let mut rng = SmallRng::seed_from_u64(opts.seed);
@@ -1065,7 +1088,7 @@ impl AggregateOp<'_> {
             let states = (slots.parts.iter().enumerate())
                 .map(|(s, &part)| {
                     let children = &mut is_child[slots.port_range(s)];
-                    let seeded = rooted[part as usize];
+                    let (seeded, runs) = (rooted[part as usize], runs(part));
                     if !seeded {
                         children.fill(false);
                     }
@@ -1085,16 +1108,16 @@ impl AggregateOp<'_> {
                         pending_up: children.iter().filter(|&&c| c).count() as u32,
                         started: seeded,
                         is_leader,
-                        member_below: member,
-                        // A pruned slot of a seeded tree is done before
-                        // the run starts.
-                        up_sent: seeded && parents[s] == NO_PORT && !is_leader,
+                        member_below: member && runs,
+                        // Done before the run starts: a pruned slot of a
+                        // seeded tree, every slot of a part that sits out.
+                        up_sent: !runs || (seeded && parents[s] == NO_PORT && !is_leader),
                         ..SlotState::default()
                     }
                 })
                 .collect();
             // A seeded leader has no wave to start.
-            let starts = leads.filter(|&p| !rooted[p as usize]);
+            let starts = leads.filter(|&p| runs(p) && !rooted[p as usize]);
             PaProgram {
                 op,
                 slots,
@@ -1113,11 +1136,10 @@ impl AggregateOp<'_> {
         let results = (leaders.iter().enumerate())
             .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
             .collect();
-        let all_informed = partition
-            .iter()
+        let all_informed = (partition.iter().filter(|(pid, _)| runs(pid.0)))
             .all(|(pid, members)| members.iter().all(|&v| result_at(v, pid).is_some()));
 
-        forest.harvest(&run.programs, leaders, run.metrics.truncated);
+        forest.harvest(&run.programs, leaders, runs, run.metrics.truncated);
 
         PartwiseOutcome {
             results,
@@ -1727,6 +1749,60 @@ mod tests {
                 assert_eq!(forest, rooted, "a warm run keeps the trees it ran over");
             }
         }
+    }
+
+    /// A warm run with one part masked out: that part gets no result and
+    /// keeps its tree, every other part answers and keeps its tree as the
+    /// unmasked run does, and the run sends the unmasked run's messages
+    /// minus the masked part's `Up` and `Down` per kept non-root slot.
+    #[test]
+    fn a_part_that_sits_out_sends_nothing_and_keeps_its_tree() {
+        let g = gen::road_like(12, 12, 3);
+        let parts = gen::voronoi_parts_seeded(&g, 9, 3);
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+        let (map, rooted) = rooted(&g, &partition, &shortcut);
+        let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let (k, masked) = (partition.num_parts(), 4);
+        let kept = (map.slot_part.iter().zip(&rooted.parent))
+            .filter(|&(&part, &parent)| part == masked && parent != NO_PORT)
+            .count() as u64;
+        assert!(kept > 0, "the masked part has a tree to keep");
+
+        let mut full = rooted.clone();
+        let all = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut full);
+        let mut sits_out = vec![false; k];
+        sits_out[masked as usize] = true;
+        let mut forest = rooted.clone();
+        let out = sum_of(&values).run_masked(
+            &g,
+            &partition,
+            (&opts, sim),
+            &map,
+            &mut forest,
+            Some(&sits_out),
+        );
+        assert!(out.metrics.terminated && out.all_members_informed);
+        assert_eq!(out.rooted_parts, k - 1);
+        assert_eq!(out.metrics.messages, all.metrics.messages - 2 * kept);
+        // A forest's facts split into the masked part's and the others'.
+        let split = |forest: &AggForest| {
+            let (mut roots, slots) = facts(forest, &map);
+            let root = std::mem::replace(&mut roots[masked as usize], NO_ROOT);
+            let (mine, others): (Vec<_>, Vec<_>) = slots.into_iter().partition(|s| s.1 == masked);
+            ((root, mine), (roots, others))
+        };
+        assert_eq!(
+            split(&forest).0,
+            split(&rooted).0,
+            "the masked tree is kept"
+        );
+        assert_eq!(split(&forest).1, split(&full).1, "the others as unmasked");
+        let mut expect = all.results.clone();
+        expect[masked as usize] = None;
+        assert_eq!(out.results, expect);
     }
 
     /// A run cut short by the round cap roots nothing — not even the parts
