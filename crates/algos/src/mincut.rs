@@ -20,7 +20,7 @@
 //! deg-sum half is simulated and whose LCA-token half is computed centrally
 //! (charged as zero; `O(D + load)` rounds in theory).
 
-use crate::mst::{distributed_mst, MstRounds, ShortcutProvider};
+use crate::mst::{distributed_mst, MstReport, MstSteps, ShortcutProvider};
 use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
 use lcs_congest::Simulator;
 use lcs_core::session::SessionConfig;
@@ -91,7 +91,7 @@ pub fn stoer_wagner_weighted(g: &Graph, weights: &EdgeWeights) -> u64 {
 }
 
 /// Result of [`approx_mincut_distributed`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MincutReport {
     /// The best (smallest) 1-respecting cut found — an upper bound on `λ`
     /// (`u64::MAX` if the run was cut short before the first tree).
@@ -99,11 +99,16 @@ pub struct MincutReport {
     /// Trees packed.
     pub trees: usize,
     /// Simulated rounds of the tree constructions.
-    pub rounds: MstRounds,
+    pub rounds: MstSteps,
     /// Additional simulated rounds of the evaluation convergecasts.
     pub eval_rounds: u64,
-    /// Total simulated messages (tree constructions + evaluations).
+    /// Total simulated messages: `message_split`'s sum plus
+    /// `eval_messages`.
     pub messages: u64,
+    /// Simulated messages of the tree constructions, per step.
+    pub message_split: MstSteps,
+    /// Simulated messages of the evaluation convergecasts.
+    pub eval_messages: u64,
     /// Total simulated bits.
     pub bits: u64,
     /// Whether a simulator run (tree construction or evaluation) hit the
@@ -114,6 +119,19 @@ pub struct MincutReport {
     pub echoes: usize,
     /// [`MstReport::notified`](crate::mst::MstReport::notified), summed.
     pub notified: usize,
+}
+
+impl std::ops::AddAssign<&MstReport> for MincutReport {
+    /// Adds one packed tree's construction.
+    fn add_assign(&mut self, tree: &MstReport) {
+        self.rounds += &tree.rounds;
+        self.message_split += &tree.message_split;
+        self.messages += tree.messages;
+        self.bits += tree.bits;
+        self.truncated |= tree.truncated;
+        self.echoes += tree.echoes;
+        self.notified += tree.notified;
+    }
 }
 
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
@@ -141,45 +159,34 @@ pub fn approx_mincut_distributed(
     });
 
     let mut loads = EdgeWeights::from_vec(g, vec![1; g.num_edges()]);
-    let mut rounds = MstRounds::default();
-    let mut eval_rounds = 0u64;
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-    let mut truncated = false;
-    let (mut echoes, mut notified) = (0, 0);
-    let mut best = u64::MAX;
-    let mut trees = 0;
+    let mut out = MincutReport {
+        estimate: u64::MAX,
+        ..MincutReport::default()
+    };
 
     for _ in 0..q {
         let report = distributed_mst(g, &loads, tree, provider, config);
-        rounds.exchange += report.rounds.exchange;
-        rounds.construction += report.rounds.construction;
-        rounds.aggregation += report.rounds.aggregation;
-        rounds.notification += report.rounds.notification;
-        messages += report.messages;
-        bits += report.bits;
-        truncated |= report.truncated;
-        echoes += report.echoes;
-        notified += report.notified;
+        out += &report;
         if report.truncated {
             // A forest cut short spans nothing to evaluate or pack.
             break;
         }
-        trees += 1;
+        out.trees += 1;
 
         // Orient the packed tree and evaluate its 1-respecting cuts.
         let packed = tree_from_edges(g, &report.edges, tree.root());
-        best = best.min(min_one_respecting_cut(g, &packed));
+        out.estimate = out.estimate.min(min_one_respecting_cut(g, &packed));
 
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
         let tk = TreeKnowledge::from_rooted_tree(g, &packed);
         let sim = Simulator::new(g, config.sim);
         let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
-        eval_rounds += run.metrics.rounds;
-        messages += run.metrics.messages;
-        bits += run.metrics.bits;
-        truncated |= run.metrics.truncated;
+        out.eval_rounds += run.metrics.rounds;
+        out.eval_messages += run.metrics.messages;
+        out.messages += run.metrics.messages;
+        out.bits += run.metrics.bits;
+        out.truncated |= run.metrics.truncated;
 
         // Increase loads along the tree.
         for &e in &report.edges {
@@ -187,17 +194,7 @@ pub fn approx_mincut_distributed(
         }
     }
 
-    MincutReport {
-        estimate: best,
-        trees,
-        rounds,
-        eval_rounds,
-        messages,
-        bits,
-        truncated,
-        echoes,
-        notified,
-    }
+    out
 }
 
 /// Builds a [`lcs_graph::RootedTree`] from a spanning-tree edge set.
@@ -496,6 +493,11 @@ mod tests {
         let g = gen::gnm_connected(30, 60, &mut rng);
         let rep = approx(&g);
         assert!(rep.estimate >= stoer_wagner(&g));
+        // The message split covers every tree's steps, and the evaluations
+        // make up the rest.
+        let split = &rep.message_split;
+        assert_eq!(rep.messages, split.total() + rep.eval_messages);
+        assert!(split.exchange > 0 && split.aggregation > 0 && split.notification > 0);
     }
 
     use lcs_graph::Graph;

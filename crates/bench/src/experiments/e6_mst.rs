@@ -35,15 +35,16 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
 }
 
 /// Runs E6: the wheel and the grid sweep. Rounds are per provider;
-/// phases, messages, echoes (MWOE aggregates no carried tree served) and
-/// notified (fragments whose merge-notify wave ran: the tails) are the
-/// minor-sweep run's.
+/// phases, messages, the MWOE and notify waves' share of them, echoes
+/// (MWOE aggregates no carried tree served) and notified (fragments whose
+/// merge-notify broadcast ran: the merging tails) are the minor-sweep
+/// run's.
 pub fn run() -> Report {
     let mut out = Report::default();
     // Wheel sweep: D = 2 fixed, n grows.
     out.table(
         "E6a (Corollary 1.6): MST rounds on wheels (D = 2, rim diameter Θ(n))",
-        "n, minor-sweep, phases, messages, echoes, notified, baseline D+√n, no shortcuts, exact",
+        "n, minor-sweep, phases, messages, mwoe msgs, notify msgs, echoes, notified, baseline D+√n, no shortcuts, exact",
     );
     for n in [64, 128, 256, 512, 1024] {
         let ([sweep, base, none], exact) = run_all(&gen::wheel(n), 7);
@@ -55,6 +56,8 @@ pub fn run() -> Report {
             &rounds,
             &sweep.phases,
             &sweep.messages,
+            &sweep.message_split.aggregation,
+            &sweep.message_split.notification,
             &sweep.echoes,
             &sweep.notified,
             &base_rounds,
@@ -66,7 +69,7 @@ pub fn run() -> Report {
     // Grid sweep: all providers comparable (easy instance).
     out.table(
         "E6b: MST rounds on planar grids (compact fragments — an easy case)",
-        "side, n, minor-sweep, phases, messages, echoes, notified, baseline D+√n, no shortcuts, exact",
+        "side, n, minor-sweep, phases, messages, mwoe msgs, notify msgs, echoes, notified, baseline D+√n, no shortcuts, exact",
     );
     for s in [8, 12, 16, 24] {
         let ([sweep, base, none], exact) = run_all(&gen::grid(s, s), 9);
@@ -78,6 +81,8 @@ pub fn run() -> Report {
             &sweep.rounds.total(),
             &sweep.phases,
             &sweep.messages,
+            &sweep.message_split.aggregation,
+            &sweep.message_split.notification,
             &sweep.echoes,
             &sweep.notified,
             &base.rounds.total(),

@@ -47,6 +47,22 @@ pub(crate) fn random_delays(rng: &mut SmallRng, count: usize, range: u32) -> Vec
 /// slot and the protocol's "no parent yet". Real ports are `< degree`.
 const NO_PORT: u32 = u32::MAX;
 
+/// Where an [`AggregateOp::run_masked`] run sends each part's result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wave {
+    /// The echo: `Down` to every kept slot, so every member learns it.
+    Echo,
+    /// For `Min` / `Max`: a slot sends `Down` only to the child whose `Up`
+    /// last strictly changed its value, so the leader and the member
+    /// holding the extreme learn it.
+    ToExtreme,
+    /// The leader's own value goes `Down` over its part's tree, rooted
+    /// anywhere, each slot passing it to every kept tree neighbour but the
+    /// sender; the tree stays as it was. An unrooted part runs the echo
+    /// from the leader, the other members contributing the identity.
+    Broadcast,
+}
+
 /// Per node, per part, the participating ports — the subgraph
 /// `G[P_i] + H_i` every part-wise protocol runs over. An edge participates
 /// in part `i` iff it is in `H_i` or both endpoints lie in `P_i`
@@ -302,15 +318,17 @@ const NO_ROOT: u32 = u32::MAX;
 /// `ports` of them. The forest keeps the pruned trees — each spans its
 /// part's members — between runs, so the next aggregation over the same
 /// tables starts at the convergecast and sends only `Up`/`Down` between
-/// the kept slots: `2·(slots − parts − pruned)` messages.
+/// the kept slots: `2·(slots − parts − pruned)` messages (fewer in the
+/// other [`Wave`]s).
 ///
 /// Laid out flat and parallel to a [`ParticipationMap`]: per slot the port
 /// towards the parent, per `(slot, port)` entry whether that neighbor is a
 /// child, per part the leader the tree is rooted at. Nodes keep
 /// `O(participation)` words between aggregations — harvesting the final
 /// program states costs no simulated round. A part is *rooted* once a run
-/// finished it on every participating node (each holds the result or was
-/// pruned); an unfinished, truncated or re-led part is unrooted and the
+/// finished it on every participating node (each holds the result, was
+/// pruned, or in a [`Wave::ToExtreme`] run reported); an unfinished,
+/// truncated or re-led part is unrooted and the
 /// next run re-roots it with the full echo.
 ///
 /// When the tables change, [`carried_over`](Self::carried_over) lays the
@@ -346,7 +364,9 @@ pub struct Carry<'a> {
     pub into: &'a [Option<PartId>],
     /// `(old part, inside, far)`: that part's tree is re-rooted at `inside`,
     /// one of its members, and hung from `far`, a neighbor of `inside` in
-    /// another constituent of the same new part.
+    /// another constituent of the same new part. In Boruvka `inside` led
+    /// its tail's notify [`Wave::Broadcast`], so each slot on its path to
+    /// the old root heard it from a child: the pointers that flip.
     pub joins: &'a [(PartId, NodeId, NodeId)],
     /// A new tree higher than this comes out unrooted.
     pub max_height: usize,
@@ -576,16 +596,22 @@ impl AggForest {
         Some(&mut self.child[slots.entry_range(local).start + at])
     }
 
+    /// Per part, the edges of its tree over `map`: its kept non-root slots.
+    pub fn tree_edges(&self, map: &ParticipationMap) -> Vec<usize> {
+        let mut edges = vec![0; self.root.len()];
+        for (&parent, &part) in self.parent.iter().zip(&map.slot_part) {
+            edges[part as usize] += usize::from(parent != NO_PORT);
+        }
+        edges
+    }
+
     /// Per part, the height of its tree over `map` — the most edges from
     /// its root down to a kept slot — or `None` if the part is unrooted or
     /// its kept slots do not form one tree under its root (a child whose
     /// parent port leads elsewhere, a slot reached twice, a kept slot not
     /// reached).
     pub fn heights(&self, g: &Graph, map: &ParticipationMap) -> Vec<Option<usize>> {
-        let mut kept = vec![1usize; self.root.len()]; // the root
-        for (&parent, &part) in self.parent.iter().zip(&map.slot_part) {
-            kept[part as usize] += usize::from(parent != NO_PORT);
-        }
+        let edges = self.tree_edges(map);
         let mut seen = vec![false; map.slot_part.len()];
         let mut stack = Vec::new();
         let mut height_of = |part: u32, root: NodeId| {
@@ -615,7 +641,7 @@ impl AggForest {
                     stack.push((w, t, depth + 1));
                 }
             }
-            (reached == kept[part as usize]).then_some(height)
+            (reached == edges[part as usize] + 1).then_some(height)
         };
         (self.root.iter().enumerate())
             .map(|(p, &root)| match root {
@@ -640,7 +666,7 @@ impl AggForest {
         let mut finished = vec![!truncated; leaders.len()];
         for program in programs {
             for (&part, st) in program.slots.parts.iter().zip(&program.states) {
-                finished[part as usize] &= st.done();
+                finished[part as usize] &= st.done(program.wave);
             }
         }
         // Programs come in node order, so their slots tile `parent`.
@@ -748,8 +774,11 @@ impl MessageSize for PaMsg {
 struct SlotState {
     /// The part's scheduling priority (its random delay, reused as a queue
     /// priority so late-starting parts also yield edge access).
-    priority: u64,
+    priority: u32,
     acc: u64,
+    /// The port of the child whose `Up` last strictly changed `acc`;
+    /// `NO_PORT` while `acc` is the slot's own value.
+    from: u32,
     result: Option<u64>,
     /// Port towards the parent; `NO_PORT` until adopted.
     parent: u32,
@@ -770,14 +799,15 @@ impl SlotState {
         self.up_sent && !self.member_below
     }
 
-    /// Holds the result or is pruned.
-    fn done(&self) -> bool {
-        self.result.is_some() || self.pruned()
+    /// Holds the result, is pruned, or (to the extreme) has reported.
+    fn done(&self, wave: Wave) -> bool {
+        self.result.is_some() || self.pruned() || (wave == Wave::ToExtreme && self.up_sent)
     }
 }
 
 struct PaProgram<'a> {
     op: AggOp,
+    wave: Wave,
     slots: NodeSlots<'a>,
     /// Indexed by slot.
     states: Vec<SlotState>,
@@ -792,7 +822,7 @@ struct PaProgram<'a> {
     /// `(port, priority)` at the callback's end so same-edge traffic of
     /// different parts is issued consecutively — the shape
     /// [`SimConfig::message_packing`] coalesces into multi-value messages.
-    pending: Vec<(u32, u64, PaMsg)>,
+    pending: Vec<(u32, u32, PaMsg)>,
 }
 
 impl PaProgram<'_> {
@@ -803,7 +833,7 @@ impl PaProgram<'_> {
     fn flush_pending(&mut self, ctx: &mut Ctx<'_, PaMsg>) {
         self.pending.sort_by_key(|&(port, prio, _)| (port, prio));
         for (port, prio, msg) in self.pending.drain(..) {
-            ctx.send_with_priority(port as usize, msg, prio);
+            ctx.send_with_priority(port as usize, msg, u64::from(prio));
         }
     }
 
@@ -848,7 +878,7 @@ impl PaProgram<'_> {
         st.up_sent = true;
         let acc = st.acc;
         if st.is_leader {
-            self.deliver(slot, acc);
+            self.deliver(slot, acc, NO_PORT);
         } else {
             assert_ne!(st.parent, NO_PORT, "non-leader has a parent once started");
             let part = self.slots.parts[slot];
@@ -868,14 +898,20 @@ impl PaProgram<'_> {
         &mut self.is_child[self.slots.port_range(slot).start + at]
     }
 
-    /// Records the part's result and passes it down to the slot's children.
-    fn deliver(&mut self, slot: usize, val: u64) {
+    /// Records the part's result and passes it to every kept tree neighbour
+    /// but `sender` (the echo's parent), or only towards the extreme.
+    fn deliver(&mut self, slot: usize, val: u64, sender: u32) {
         let st = &mut self.states[slot];
         st.result = Some(val);
+        let (from, parent, prio) = (st.from, st.parent, st.priority);
         let down = PaMsg::Down(self.slots.parts[slot], val);
         let children = &self.is_child[self.slots.port_range(slot)];
-        for (&p, _) in (self.slots.ports(slot).iter().zip(children)).filter(|(_, &c)| c) {
-            self.pending.push((p, st.priority, down));
+        let to = |&(&p, &child): &(&u32, &bool)| match self.wave {
+            Wave::ToExtreme => p == from,
+            _ => (child || p == parent) && p != sender,
+        };
+        for (&p, _) in self.slots.ports(slot).iter().zip(children).filter(to) {
+            self.pending.push((p, prio, down));
         }
     }
 }
@@ -927,7 +963,10 @@ impl NodeProgram for PaProgram<'_> {
                 PaMsg::Up(part, val) => {
                     let slot = self.slots.slot_of(part);
                     let st = &mut self.states[slot];
-                    st.acc = self.op.apply(st.acc, val);
+                    let acc = self.op.apply(st.acc, val);
+                    if acc != st.acc {
+                        (st.acc, st.from) = (acc, port);
+                    }
                     st.member_below = true;
                     st.pending_up -= 1;
                     self.maybe_up(slot);
@@ -941,7 +980,7 @@ impl NodeProgram for PaProgram<'_> {
                 PaMsg::Down(part, val) => {
                     let slot = self.slots.slot_of(part);
                     if self.states[slot].result.is_none() {
-                        self.deliver(slot, val);
+                        self.deliver(slot, val, port);
                     }
                 }
             }
@@ -950,7 +989,7 @@ impl NodeProgram for PaProgram<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.states.iter().all(SlotState::done)
+        self.states.iter().all(|st| st.done(self.wave))
     }
 }
 
@@ -1011,18 +1050,22 @@ impl AggregateOp<'_> {
         participation: &ParticipationMap,
         forest: &mut AggForest,
     ) -> PartwiseOutcome {
-        self.run_masked(g, partition, (opts, sim), participation, forest, None)
+        let shape = (Wave::Echo, None);
+        self.run_masked(g, partition, (opts, sim), participation, forest, shape)
     }
 
     /// Runs the protocol over a prebuilt [`ParticipationMap`] of
     /// `partition` and its shortcut and the [`AggForest`] over it — the
     /// session ops' path, and Boruvka's, which runs several aggregations
     /// over one `G[P_i] + H_i`. A part `forest` holds a tree for, rooted at
-    /// this run's leader — with `leaders: None`, every rooted part — starts
-    /// at the convergecast; a part with `sits_out[i]` set does not run (it
-    /// sends nothing and has no result); every other part runs the full
-    /// echo. Afterwards `forest` holds the trees of the parts this run
-    /// finished or that sat out, and no other.
+    /// this run's leader (any rooted part with `leaders: None` or in a
+    /// [`Wave::Broadcast`]), starts at the convergecast; a part with
+    /// `sits_out[i]` set does not run (it sends nothing and has no result);
+    /// every other part runs the full echo. `all_members_informed` asks the
+    /// [`Wave`]'s learners: in a [`Wave::ToExtreme`] run the members holding
+    /// a non-identity result, else every member. Afterwards `forest` holds
+    /// the trees of the parts this run finished, that sat out or that it
+    /// broadcast over, and no other.
     ///
     /// # Panics
     ///
@@ -1036,7 +1079,7 @@ impl AggregateOp<'_> {
         (opts, sim): (&AggregateOpts, SimConfig),
         participation: &ParticipationMap,
         forest: &mut AggForest,
-        sits_out: Option<&[bool]>,
+        (wave, sits_out): (Wave, Option<&[bool]>),
     ) -> PartwiseOutcome {
         let (values, op) = (self.values, self.op);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
@@ -1065,9 +1108,12 @@ impl AggregateOp<'_> {
 
         assert!(sits_out.is_none_or(|o| o.len() == k), "a mask per part");
         let runs = |part: u32| !sits_out.is_some_and(|out| out[part as usize]);
-        // Seed only from a tree rooted where this run's leader sits.
+        // Seed from a tree rooted where this run's leader sits (any, to broadcast).
+        let broadcast = wave == Wave::Broadcast;
         let rooted: Vec<bool> = (forest.root.iter().zip(leaders).enumerate())
-            .map(|(p, (&root, leader))| root == leader.0 && runs(p as u32))
+            .map(|(p, (&root, leader))| {
+                (root == leader.0 || (broadcast && root != NO_ROOT)) && runs(p as u32)
+            })
             .collect();
 
         let mut rng = SmallRng::seed_from_u64(opts.seed);
@@ -1093,25 +1139,31 @@ impl AggregateOp<'_> {
                         children.fill(false);
                     }
                     let (member, is_leader) = (own == Some(part), leads == Some(part));
+                    let root = seed.root[part as usize] == v.0;
                     debug_assert!(
-                        !seeded || !member || is_leader || parents[s] != NO_PORT,
-                        "a member of a rooted part hangs below its leader"
+                        !seeded || !member || root || parents[s] != NO_PORT,
+                        "a member of a rooted part hangs below its root"
                     );
+                    // A seeded broadcast sends no `Up`: its leader starts
+                    // the `Down`s with its own value.
+                    let down_only = seeded && broadcast;
                     SlotState {
-                        priority: u64::from(delays[part as usize]),
-                        acc: if member {
+                        priority: delays[part as usize],
+                        acc: if member && (is_leader || !broadcast) {
                             values[v.index()]
                         } else {
                             identity(op)
                         },
+                        from: NO_PORT,
                         parent: if seeded { parents[s] } else { NO_PORT },
-                        pending_up: children.iter().filter(|&&c| c).count() as u32,
+                        pending_up: children.iter().filter(|&&c| c && !down_only).count() as u32,
                         started: seeded,
                         is_leader,
                         member_below: member && runs,
                         // Done before the run starts: a pruned slot of a
                         // seeded tree, every slot of a part that sits out.
-                        up_sent: !runs || (seeded && parents[s] == NO_PORT && !is_leader),
+                        up_sent: !runs
+                            || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
                         ..SlotState::default()
                     }
                 })
@@ -1120,6 +1172,7 @@ impl AggregateOp<'_> {
             let starts = leads.filter(|&p| runs(p) && !rooted[p as usize]);
             PaProgram {
                 op,
+                wave,
                 slots,
                 states,
                 is_child,
@@ -1133,13 +1186,21 @@ impl AggregateOp<'_> {
             let program = &run.programs[v.index()];
             program.states[program.slots.slot_of(part.0)].result
         };
-        let results = (leaders.iter().enumerate())
+        let results: Vec<_> = (leaders.iter().enumerate())
             .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
             .collect();
-        let all_informed = (partition.iter().filter(|(pid, _)| runs(pid.0)))
-            .all(|(pid, members)| members.iter().all(|&v| result_at(v, pid).is_some()));
+        // A run to the extreme owes its result only to the members holding it.
+        let owes =
+            |v: NodeId, r| wave != Wave::ToExtreme || (r != identity(op) && values[v.index()] == r);
+        let informed = |(pid, members): (PartId, &[NodeId])| {
+            let knows = |&v: &NodeId| result_at(v, pid).is_some();
+            results[pid.index()].is_some_and(|r| members.iter().filter(|&&v| owes(v, r)).all(knows))
+        };
+        let all_informed = (partition.iter().filter(|(pid, _)| runs(pid.0))).all(informed);
 
-        forest.harvest(&run.programs, leaders, runs, run.metrics.truncated);
+        // A broadcast over a tree leaves it as it was.
+        let reroots = |p: u32| runs(p) && !(broadcast && rooted[p as usize]);
+        forest.harvest(&run.programs, leaders, reroots, run.metrics.truncated);
 
         PartwiseOutcome {
             results,
@@ -1782,7 +1843,7 @@ mod tests {
             (&opts, sim),
             &map,
             &mut forest,
-            Some(&sits_out),
+            (Wave::Echo, Some(&sits_out)),
         );
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!(out.rooted_parts, k - 1);
@@ -1803,6 +1864,120 @@ mod tests {
         let mut expect = all.results.clone();
         expect[masked as usize] = None;
         assert_eq!(out.results, expect);
+    }
+
+    /// The road-like voronoi instance of the masked-run test, rooted by a
+    /// cold sum, and distinct values `0..n`.
+    fn voronoi_rooted() -> (Graph, Partition, ParticipationMap, AggForest, Vec<u64>) {
+        let g = gen::road_like(12, 12, 3);
+        let parts = gen::voronoi_parts_seeded(&g, 9, 3);
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+        let (map, forest) = rooted(&g, &partition, &shortcut);
+        let n = g.num_nodes() as u64;
+        let values = (0..n).map(|x| x * 89 % n).collect();
+        (g, partition, map, forest, values)
+    }
+
+    /// The edges from `v`'s slot of `part` up to its tree's root.
+    fn depth(g: &Graph, map: &ParticipationMap, forest: &AggForest, v: NodeId, part: u32) -> u64 {
+        let (mut v, mut depth) = (v, 0);
+        loop {
+            let port = forest.parent[map.slot_of(v, part).expect("a kept slot")];
+            if port == NO_PORT {
+                return depth;
+            }
+            (v, depth) = (g.heads(v)[port as usize], depth + 1);
+        }
+    }
+
+    /// A warm `Min` or `Max` to the extreme over distinct values sends one
+    /// `Up` per kept non-root slot and one `Down` per edge from the root to
+    /// the extreme's holder. The leader and the holder learn the result,
+    /// the forest is unchanged, and the echo after it is warm.
+    #[test]
+    fn a_wave_to_the_extreme_goes_down_one_path() {
+        let (g, partition, map, rooted, values) = voronoi_rooted();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let edges: usize = rooted.tree_edges(&map).iter().sum();
+        let k = partition.num_parts();
+        for op in [AggOp::Min, AggOp::Max] {
+            let op = AggregateOp {
+                op,
+                ..sum_of(&values)
+            };
+            let expect = crate::centralized_aggregate(&partition, &values, op.op);
+            let mut forest = rooted.clone();
+            let shape = (Wave::ToExtreme, None);
+            let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            assert!(
+                out.metrics.terminated && out.all_members_informed,
+                "{:?}",
+                op.op
+            );
+            assert_eq!(out.rooted_parts, k);
+            assert_eq!(
+                out.results,
+                expect.iter().copied().map(Some).collect::<Vec<_>>()
+            );
+            let holders = (partition.iter().zip(&expect)).map(|((pid, members), &x)| {
+                let holder = members.iter().find(|v| values[v.index()] == x).unwrap();
+                depth(&g, &map, &forest, *holder, pid.0)
+            });
+            let path: u64 = holders.sum();
+            assert!(path > 0, "{:?}: some extreme sits below its root", op.op);
+            assert_eq!(out.metrics.messages, edges as u64 + path, "{:?}", op.op);
+            assert_eq!(facts(&forest, &map), facts(&rooted, &map), "{:?}", op.op);
+            let echo = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            assert_eq!(echo.rooted_parts, k);
+            assert_eq!(echo.metrics.messages, 2 * edges as u64);
+        }
+    }
+
+    /// A broadcast led from a member that is not its part's root sends one
+    /// `Down` per kept non-root slot, and every member learns the leader's
+    /// value; the forest is unchanged, and a masked part sends nothing. An
+    /// unrooted part broadcasts through the echo led from that member,
+    /// which roots its tree there.
+    #[test]
+    fn a_broadcast_from_a_member_crosses_each_kept_edge_once() {
+        let (g, partition, map, rooted, values) = voronoi_rooted();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let leaders: Vec<NodeId> = (partition.iter().zip(&rooted.root))
+            .map(|((_, members), &root)| *members.iter().rfind(|v| v.0 != root).unwrap())
+            .collect();
+        let op = AggregateOp {
+            op: AggOp::Max,
+            leaders: Some(&leaders),
+            ..sum_of(&values)
+        };
+        let expect: Vec<_> = leaders.iter().map(|v| Some(values[v.index()])).collect();
+        let edges = rooted.tree_edges(&map);
+        let (k, masked) = (partition.num_parts(), 4);
+        let mut sits_out = vec![false; k];
+        sits_out[masked] = true;
+        for mask in [None, Some(&sits_out[..])] {
+            let mut forest = rooted.clone();
+            let shape = (Wave::Broadcast, mask);
+            let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            assert!(out.metrics.terminated && out.all_members_informed);
+            let mut expect = expect.clone();
+            let mut sent: usize = edges.iter().sum();
+            if mask.is_some() {
+                (expect[masked], sent) = (None, sent - edges[masked]);
+            }
+            assert_eq!(out.results, expect);
+            assert_eq!(out.metrics.messages, sent as u64);
+            assert_eq!(facts(&forest, &map), facts(&rooted, &map));
+        }
+
+        let mut forest = AggForest::unrooted(&partition, &map);
+        let shape = (Wave::Broadcast, None);
+        let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+        assert!(cold.metrics.terminated && cold.all_members_informed);
+        assert_eq!((cold.rooted_parts, cold.results), (0, expect));
+        assert_eq!(forest.root, leaders.iter().map(|v| v.0).collect::<Vec<_>>());
     }
 
     /// A run cut short by the round cap roots nothing — not even the parts

@@ -87,6 +87,6 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{AggForest, AggregateOp, Carry, ParticipationMap, PartwiseOutcome};
+pub use dist::{AggForest, AggregateOp, Carry, ParticipationMap, PartwiseOutcome, Wave};
 pub use session_ops::{GossipOutcome, IdempotentOp, SessionPartwiseOps};
 pub use unicast::{UnicastOp, UnicastOutcome};

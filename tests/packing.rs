@@ -27,7 +27,7 @@ use low_congestion_shortcuts::core::dist::{
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::{
-    centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap,
+    centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap, Wave,
 };
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -231,6 +231,89 @@ fn partwise_aggregates_are_packing_invariant() {
                         }
                         previous = Some(messages);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Boruvka's two wave shapes over one rooted forest (grid rows and
+/// road-like voronoi cells): a `Min` / `Max` to the extreme, and a
+/// broadcast from each part's last member, with one part masked out. Every
+/// packing level and thread count returns the same results and leaves the
+/// same forest, and cost never grows as packing does.
+#[test]
+fn wave_shapes_are_packing_invariant() {
+    let road = gen::road_like(16, 16, 3);
+    let road_parts = gen::voronoi_parts_seeded(&road, 12, 3);
+    let instances = [
+        (gen::grid(10, 10), gen::rows_of_grid(10, 10)),
+        (road, road_parts),
+    ];
+    for (g, parts) in instances {
+        let partition = Partition::from_parts(&g, parts).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
+        let map = ParticipationMap::build(&g, &partition, &built.shortcut);
+        let n = g.num_nodes() as u64;
+        let values: Vec<u64> = (0..n).map(|x| x * 37 % n).collect();
+        let opts = AggregateOpts {
+            delay_range: 8,
+            ..AggregateOpts::default()
+        };
+        let mut rooted = AggForest::unrooted(&partition, &map);
+        let sum = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        };
+        sum.run_with(
+            &g,
+            &partition,
+            &opts,
+            SimConfig::default(),
+            &map,
+            &mut rooted,
+        );
+        let last: Vec<NodeId> = partition.iter().map(|(_, m)| *m.last().unwrap()).collect();
+        let mut sits_out = vec![false; partition.num_parts()];
+        sits_out[1] = true;
+        let shapes = [
+            (AggOp::Min, None, (Wave::ToExtreme, None)),
+            (AggOp::Max, None, (Wave::ToExtreme, None)),
+            (
+                AggOp::Max,
+                Some(&last[..]),
+                (Wave::Broadcast, Some(&sits_out[..])),
+            ),
+        ];
+        for (op, leaders, shape) in shapes {
+            let aggregate = AggregateOp {
+                values: &values,
+                op,
+                leaders,
+            };
+            let mut reference = None;
+            for threads in THREADS {
+                let mut prev = None;
+                for packing in PACKING_LEVELS {
+                    let label = format!("{op:?}/{:?}/n{n}/t{threads}/p{packing}", shape.0);
+                    let blocks = (&opts, sim(SimMode::Queued, threads, packing));
+                    let mut forest = rooted.clone();
+                    let out =
+                        aggregate.run_masked(&g, &partition, blocks, &map, &mut forest, shape);
+                    assert!(out.all_members_informed, "{label}: not informed");
+                    let m = &out.metrics;
+                    let got = (out.results, forest);
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(r) => assert_eq!(&got, r, "{label}: results or forest drifted"),
+                    }
+                    let cost = (m.rounds, m.messages, m.bits);
+                    if let Some(p) = prev {
+                        assert_monotone(&label, p, cost);
+                    }
+                    prev = Some(cost);
                 }
             }
         }
