@@ -137,9 +137,9 @@ impl std::ops::AddAssign<&MstReport> for MincutReport {
 /// Distributed (simulated) min-cut approximation by greedy tree packing +
 /// 1-respecting cuts. Every packed tree is built by [`distributed_mst`]
 /// over `tree`, the spanning tree its shortcuts are built on, and rooted
-/// at `tree`'s root for the evaluation. Of `config` it reads
-/// [`mincut.trees`](lcs_core::session::MincutOpts::trees) and, for every
-/// packed tree, what [`distributed_mst`] reads.
+/// at `tree`'s root for the evaluation. It packs `min(min_degree, 2·⌈ln
+/// n⌉ + 4)` trees, and of `config` it reads, for every packed tree, what
+/// [`distributed_mst`] reads.
 ///
 /// # Panics
 ///
@@ -153,10 +153,8 @@ pub fn approx_mincut_distributed(
     assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
     assert!(components::is_connected(g), "graph must be connected");
     let n = g.num_nodes();
-    let q = config.mincut.trees.unwrap_or_else(|| {
-        let by_degree = g.min_degree().max(1);
-        by_degree.min(2 * (n as f64).ln().ceil() as usize + 4)
-    });
+    let max_trees = 2 * (n as f64).ln().ceil() as usize + 4;
+    let q = g.min_degree().clamp(1, max_trees);
 
     let mut loads = EdgeWeights::from_vec(g, vec![1; g.num_edges()]);
     let mut out = MincutReport {

@@ -180,12 +180,11 @@ fn provide_shortcuts(
     }
     // Construct only for in-tree parts that actually profit from shortcuts
     // (a part with at most 2D+1 nodes already meets the dilation bound on
-    // its own).
-    let skip_small = config.mst.skip_small_fragments;
+    // its own; constructing for them too only costs rounds and messages).
     let small_cap = (2 * tree.depth_of_tree() + 1) as usize;
     let parts: Vec<PartId> = partition
         .iter()
-        .filter(|(_, nodes)| tree.contains(nodes[0]) && (!skip_small || nodes.len() > small_cap))
+        .filter(|(_, nodes)| tree.contains(nodes[0]) && nodes.len() > small_cap)
         .map(|(p, _)| p)
         .collect();
     let (cfg, dist) = (&config.shortcut, provider.dist_config());
@@ -218,8 +217,8 @@ fn coin(seed: u64, phase: usize, id: u32) -> bool {
 /// tree the shortcuts are built on (a session passes its own); its depth
 /// `D` caps the height of a carried fragment tree, so a warm aggregate
 /// stays within about `2D` rounds plus queueing. Of `config` it reads
-/// [`mst`](SessionConfig::mst) (coin-flip seed, phase cap, small-fragment
-/// skip), [`aggregate`](SessionConfig::aggregate) and
+/// [`mst`](SessionConfig::mst) (coin-flip seed, phase cap),
+/// [`aggregate`](SessionConfig::aggregate) and
 /// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
 /// and [`shortcut`](SessionConfig::shortcut) for the constructing
 /// providers — the blocks `session.mst(..)` passes.

@@ -10,11 +10,16 @@
 //! broadcast, and only to the slots with a member of their part below
 //! them: between `2·(members − k)` and `2·(slots − k)` messages, in no more
 //! rounds.
+//!
+//! The random delays the `O(c + d·log n)` bound schedules with are the one
+//! aggregation knob ([`AggregateOpts::delay_range`]); E5c pins what they
+//! buy where parts contend — the Lemma 3.2 rows, which share their few
+//! vertical paths — and prints the messages they cost.
 
-use crate::experiments::{family_zoo, rng};
+use crate::experiments::{family_zoo, instance, rng};
 use crate::{f2, Relation::*, Report};
 use lcs_congest::protocols::AggOp;
-use lcs_core::session::SessionConfig;
+use lcs_core::session::{AggregateOpts, SessionConfig};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{bfs, gen, Graph, NodeId};
 use lcs_partwise::{centralized_aggregate, AggForest, AggregateOp, ParticipationMap, UnicastOp};
@@ -27,6 +32,9 @@ const WARM_SLOTS: &str = "HLZ root once: a second run sends ≤ 2·(slots − k)
 const WARM_ROUNDS: &str = "HLZ root once: a second run takes ≤ the cold rounds";
 const DELIVERED: &str = "LMR every packet delivered";
 const UNICAST_ROUNDS: &str = "LMR rounds ≤ c + d (pinned)";
+const DELAYED_CORRECT: &str = "Lemma 2.8 every member learns its sum, with and without delays";
+const DELAYED_COLD: &str = "Lemma 2.8 delays in [0, 2c): cold rounds ≤ undelayed / 1.3";
+const DELAYED_WARM: &str = "Lemma 2.8 delays in [0, 2c): warm rounds ≤ undelayed / 1.3";
 
 /// `slots − k`, read off Definition 2.1: part `i` has a slot at each member
 /// and each endpoint of an `H_i` edge, and one of them is its root.
@@ -42,11 +50,13 @@ fn non_root_slots(g: &Graph, partition: &Partition, shortcut: &Shortcut) -> u64 
     partition.iter().map(slots_of).sum()
 }
 
-/// Runs E5: both tables (aggregation + multiple unicasts).
+/// Runs E5: the three tables (aggregation, multiple unicasts, random
+/// delays).
 pub fn run() -> Report {
     let mut out = Report::default();
     aggregation_table(&mut out);
     unicast_table(&mut out);
+    delay_table(&mut out);
     out
 }
 
@@ -105,6 +115,68 @@ fn aggregation_table(out: &mut Report) {
     }
 }
 
+/// The sum aggregate over the Lemma 3.2 rows, cold then warm, with no
+/// start delays and with delays uniform in `[0, 2c)` (`c` the measured
+/// congestion): the delays must cut both runs' rounds by at least 1.3×.
+fn delay_table(out: &mut Report) {
+    out.table(
+        "E5c (Lemma 2.8 random delays): sum over the Lemma 3.2 rows, delays in [0, range)",
+        "instance, n, k, c, range, cold rounds, cold msgs, warm rounds, warm msgs, correct",
+    );
+    let lb = gen::lower_bound_topology(12, 180);
+    let inst = instance("Lemma 3.2 δ'=12 D'=180", lb.graph, lb.rows);
+    let (res, q, _) = inst.full_shortcut();
+    let (g, partition, shortcut) = (&inst.graph, &inst.partition, &res.shortcut);
+    let c = q.max_congestion;
+    let sim = SessionConfig::default().sim;
+    let values: Vec<u64> = (0..inst.n as u64).map(|x| (x * 131) % 997).collect();
+    let expect: Vec<Option<u64>> = centralized_aggregate(partition, &values, AggOp::Sum)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let op = AggregateOp {
+        values: &values,
+        op: AggOp::Sum,
+        leaders: None,
+    };
+    let map = ParticipationMap::build(g, partition, shortcut);
+    let mut correct = true;
+    // Per range: `[cold rounds, cold messages, warm rounds, warm messages]`.
+    let ranges = [0, 2 * c];
+    let runs = ranges.map(|delay_range| {
+        let opts = AggregateOpts { delay_range };
+        let mut forest = AggForest::unrooted(partition, &map);
+        let mut run = || op.run_with(g, partition, &opts, sim, &map, &mut forest);
+        let (cold, warm) = (run(), run());
+        for out in [&cold, &warm] {
+            correct &= out.all_members_informed && out.results == expect;
+        }
+        let (cold, warm) = (cold.metrics, warm.metrics);
+        [cold.rounds, cold.messages, warm.rounds, warm.messages]
+    });
+    let name = &inst.name;
+    out.claim(name, DELAYED_CORRECT, correct, Exactly, true);
+    let ([cold0, _, warm0, _], [cold, _, warm, _]) = (runs[0], runs[1]);
+    out.claim(name, DELAYED_COLD, cold as f64, AtMost, cold0 as f64 / 1.3);
+    out.claim(name, DELAYED_WARM, warm as f64, AtMost, warm0 as f64 / 1.3);
+    let correct = out.cell(name);
+    for (range, [cold_rounds, cold_msgs, warm_rounds, warm_msgs]) in ranges.into_iter().zip(runs) {
+        let (n, k) = (inst.n, inst.k);
+        out.row(&[
+            name,
+            &n,
+            &k,
+            &c,
+            &range,
+            &cold_rounds,
+            &cold_msgs,
+            &warm_rounds,
+            &warm_msgs,
+            &correct,
+        ]);
+    }
+}
+
 /// Multiple unicasts (the paper's other §1.2 primitive): measured delivery
 /// rounds against the LMR `O(c + d)` target.
 fn unicast_table(out: &mut Report) {
@@ -123,7 +195,7 @@ fn unicast_table(out: &mut Report) {
             nodes.shuffle(&mut rng(500 + k as u64));
             let pairs: Vec<(NodeId, NodeId)> =
                 (0..k).map(|i| (nodes[2 * i], nodes[2 * i + 1])).collect();
-            let uni = UnicastOp { demands: &pairs }.run_on(&g, &tree, &config.unicast, config.sim);
+            let uni = UnicastOp { demands: &pairs }.run_on(&g, &tree, config.sim);
             let (c, d, rounds) = (uni.congestion, uni.dilation, uni.metrics.rounds);
             let row = format!("{name} × {k}");
             out.claim(&row, DELIVERED, uni.delivered as f64, Exactly, k as f64);

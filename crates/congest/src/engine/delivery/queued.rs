@@ -11,7 +11,8 @@
 //!   monotone `push_back`s and pops are `pop_front`s — no heap traffic,
 //!   no comparisons beyond one against the back element. Preempting sends
 //!   (a lower priority arriving behind queued messages) binary-search
-//!   their slot; they only occur in multi-instance random-delay workloads.
+//!   their slot; they only occur in multi-instance workloads with random
+//!   priorities (multi-unicast routing).
 //! - **Delivery tokens** schedule *when* a dir drains. Each push claims
 //!   the dir's next free round via a per-dir clock:
 //!   `slot = max(round + 1, next_slot)`, then `next_slot = slot + 1`. The

@@ -44,7 +44,6 @@ mod topology;
 use crate::{MessageSize, PhaseTimings, RunMetrics};
 use delivery::{CalendarDelivery, StrictDelivery};
 use lcs_graph::{EdgeId, Graph, NodeId};
-use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use shard::Shard;
 use std::sync::OnceLock;
@@ -63,8 +62,9 @@ pub enum SimMode {
     Strict,
     /// Sends are queued per directed edge and drained one per round in
     /// priority order (ties: FIFO). This models running several protocol
-    /// instances side by side with a scheduler — the random-delay technique
-    /// of [LMR94, Gha15] assigns each instance a random priority.
+    /// instances side by side with a scheduler: part-wise aggregation
+    /// (optionally with random start delays, [LMR94, Gha15]) and
+    /// multi-unicast routing, which gives every packet a random priority.
     Queued,
 }
 
@@ -81,8 +81,6 @@ pub struct SimConfig {
     /// protocols). A run cut short by the cap reports
     /// [`RunMetrics::truncated`]` = true`.
     pub max_rounds: u64,
-    /// Seed for the per-node RNG streams.
-    pub seed: u64,
     /// Lanes of the round loop: the node-id space is split into this many
     /// contiguous shards, run by up to as many OS threads as the host has
     /// cores. `1` (the default) is one lane on the calling thread — nothing
@@ -118,7 +116,6 @@ impl Default for SimConfig {
             mode: SimMode::Strict,
             bandwidth_bits: None,
             max_rounds: 1_000_000,
-            seed: 0xc0ffee,
             threads: 1,
             message_packing: 1,
         }
@@ -176,7 +173,6 @@ pub struct Ctx<'a, M> {
     /// Sends issued by this node: `(port, priority, msg)`; the shard
     /// rewrites `port` to the global directed-edge id after the callback.
     pub(crate) outbox: &'a mut Vec<(u32, u64, M)>,
-    pub(crate) rng: &'a mut SmallRng,
     pub(crate) wake: &'a mut bool,
 }
 
@@ -247,11 +243,6 @@ impl<M> Ctx<'_, M> {
             let m = msg.clone();
             self.send(port, m);
         }
-    }
-
-    /// This node's deterministic RNG stream.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
     }
 
     /// Requests an `on_round` callback next round even without incoming
@@ -349,16 +340,7 @@ impl<'g> Simulator<'g> {
         let lanes = 0..topo.num_shards();
         let shards: Vec<Shard<P>> = lanes
             .clone()
-            .map(|s| {
-                Shard::new(
-                    g,
-                    topo.shard_range(s),
-                    self.config.seed,
-                    pack,
-                    budget,
-                    &mut init,
-                )
-            })
+            .map(|s| Shard::new(g, topo.shard_range(s), pack, budget, &mut init))
             .collect();
         // `parts[s]` is receiver shard `s`'s delivery partition.
         match self.config.mode {
@@ -401,9 +383,9 @@ fn host_parallelism() -> usize {
 }
 
 /// SplitMix64-style mixer: derives a well-mixed 64-bit value from a seed
-/// and a 32-bit salt. Used for the per-node RNG streams and exported for
-/// protocols needing a shared deterministic hash (e.g. the sketch detection
-/// of the distributed shortcut construction).
+/// and a 32-bit salt — the shared deterministic hash protocols draw their
+/// randomness from (the sketch detection of the distributed shortcut
+/// construction, Boruvka's public coins).
 pub fn splitmix(seed: u64, salt: u32) -> u64 {
     let mut z = seed ^ (u64::from(salt).wrapping_mul(0x9e3779b97f4a7c15));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

@@ -1,8 +1,8 @@
 //! A contiguous node shard: the unit of work of the parallel round
 //! executor.
 //!
-//! Each shard exclusively owns its nodes' programs, RNG streams, inboxes,
-//! and wake bookkeeping, plus two message buffers: `inbound` (staged
+//! Each shard exclusively owns its nodes' programs, inboxes, and wake
+//! bookkeeping, plus two message buffers: `inbound` (staged
 //! deliveries for the current round, filled in place by the shard's own
 //! delivery partition) and `outbox` (wire envelopes produced this round,
 //! validated and routed by the lane's flush step). A worker thread
@@ -33,14 +33,11 @@ use super::topology::Topology;
 use super::{Ctx, Incoming, NodeProgram};
 use crate::{MessageSize, PackedMsg};
 use lcs_graph::{Graph, NodeId};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 pub(crate) struct Shard<P: NodeProgram> {
     /// First node id owned by this shard.
     lo: u32,
     programs: Vec<P>,
-    rngs: Vec<SmallRng>,
     inboxes: Vec<Vec<Incoming<P::Msg>>>,
     wake_flag: Vec<bool>,
     /// Nodes (global ids) that requested a wake-up for the next round.
@@ -74,7 +71,6 @@ impl<P: NodeProgram> Shard<P> {
     pub fn new(
         g: &Graph,
         range: (u32, u32),
-        seed: u64,
         pack: usize,
         budget: usize,
         init: &mut impl FnMut(NodeId, &Graph) -> P,
@@ -84,9 +80,6 @@ impl<P: NodeProgram> Shard<P> {
         Shard {
             lo,
             programs: (lo..hi).map(|v| init(NodeId(v), g)).collect(),
-            rngs: (lo..hi)
-                .map(|v| SmallRng::seed_from_u64(super::splitmix(seed, v)))
-                .collect(),
             inboxes: (0..len).map(|_| Vec::new()).collect(),
             wake_flag: vec![false; len],
             wake_list: Vec::new(),
@@ -161,7 +154,6 @@ impl<P: NodeProgram> Shard<P> {
                 heads: g.heads(node),
                 edges: g.edge_ids(node),
                 outbox: &mut self.raw,
-                rng: &mut self.rngs[local],
                 wake: &mut wake,
             };
             if start {

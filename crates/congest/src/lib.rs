@@ -9,15 +9,17 @@
 //!
 //! * [`Simulator`] — a round-driven engine executing one [`NodeProgram`]
 //!   per node, enforcing per-edge bandwidth (strict mode) or queueing excess
-//!   messages with priorities (queued mode, used for random-delay
-//!   scheduling), and reporting exact round/message/bit counts
-//!   ([`RunMetrics`]),
+//!   messages with priorities (queued mode, used for random-delay and
+//!   random-priority scheduling), and reporting exact round/message/bit
+//!   counts ([`RunMetrics`]),
 //! * [`protocols`] — the standard building blocks (BFS tree,
 //!   convergecast) the distributed algorithms in the workspace reuse.
 //!
-//! Determinism: node programs receive seeded per-node RNG streams; identical
-//! seeds yield identical executions, so every round count the `experiments`
-//! binary prints (and pins claims on) is exactly reproducible.
+//! Determinism: the engine draws no randomness of its own — a protocol that
+//! needs random choices derives them from its own seed (e.g. with
+//! [`splitmix`]) — so identical inputs yield identical executions, and
+//! every round count the `experiments` binary prints (and pins claims on)
+//! is exactly reproducible.
 //!
 //! # Example
 //!

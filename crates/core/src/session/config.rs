@@ -58,40 +58,15 @@ impl Backend {
 
 /// Knobs of leader-based part-wise aggregation (`AggregateOp`, and the
 /// aggregations inside every Boruvka phase).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AggregateOpts {
-    /// Leaders delay their start uniformly in `[0, delay_range)` rounds;
-    /// `0` disables the random-delays smoothing.
+    /// Leaders delay their start uniformly in `[0, delay_range)` rounds,
+    /// drawn from a fixed seed — the random-delays scheduling of many parts
+    /// sharing edges (Lemma 2.8). `0` (the default) disables it. It pays
+    /// where parts contend: at `delay_range = 2c` on the Lemma 3.2
+    /// topology (`c` the shortcut congestion) the aggregate takes fewer
+    /// rounds for somewhat more messages (`experiments e5`).
     pub delay_range: u32,
-    /// Seed for the delays.
-    pub seed: u64,
-}
-
-impl Default for AggregateOpts {
-    fn default() -> Self {
-        AggregateOpts {
-            delay_range: 0,
-            seed: 0xde1af,
-        }
-    }
-}
-
-/// Knobs of multi-unicast routing (`UnicastOp`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct UnicastOpts {
-    /// Packets start after a uniform random delay in `[0, delay_range)`.
-    pub delay_range: u32,
-    /// Seed for delays and queue priorities.
-    pub seed: u64,
-}
-
-impl Default for UnicastOpts {
-    fn default() -> Self {
-        UnicastOpts {
-            delay_range: 0,
-            seed: 0x0417,
-        }
-    }
 }
 
 /// Knobs of Boruvka MST / connectivity (`distributed_mst`; a session
@@ -102,9 +77,6 @@ pub struct MstOpts {
     pub seed: u64,
     /// Safety cap on phases; `None` = `4·log₂ n + 16`.
     pub max_phases: Option<usize>,
-    /// Skip shortcutting fragments of at most `2D + 1` nodes (their own
-    /// diameter already meets the dilation bound).
-    pub skip_small_fragments: bool,
 }
 
 impl Default for MstOpts {
@@ -112,21 +84,14 @@ impl Default for MstOpts {
         MstOpts {
             seed: 0xb0_aa_12,
             max_phases: None,
-            skip_small_fragments: true,
         }
     }
 }
 
-/// Knobs of the min-cut approximation (`approx_mincut_distributed`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MincutOpts {
-    /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
-    pub trees: Option<usize>,
-}
-
 /// Every knob in one serde-able struct a service can load from disk:
 /// shortcut-construction parameters, the simulator configuration every op
-/// runs on, and one block per op. The explicit-artifact entry points
+/// runs on, and one block per op that has knobs (unicast routing and the
+/// min-cut approximation have none). The explicit-artifact entry points
 /// (`AggregateOp::run_on`, `distributed_mst`, …) read these same blocks.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
@@ -141,12 +106,8 @@ pub struct SessionConfig {
     pub sim: SimConfig,
     /// Aggregation knobs.
     pub aggregate: AggregateOpts,
-    /// Unicast knobs.
-    pub unicast: UnicastOpts,
-    /// MST / connectivity knobs.
+    /// MST / connectivity / min-cut knobs.
     pub mst: MstOpts,
-    /// Min-cut knobs.
-    pub mincut: MincutOpts,
     /// Declarative partition source, resolved at
     /// [`build`](super::SessionBuilder::build) time when the builder was
     /// given no explicit partition (an explicit `.partition(..)` /

@@ -88,9 +88,7 @@ mod error;
 pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
 pub use cache::{deps, ArtifactStats, CacheStats};
-pub use config::{
-    AggregateOpts, Backend, MincutOpts, MstOpts, SessionConfig, TreeSource, UnicastOpts,
-};
+pub use config::{AggregateOpts, Backend, MstOpts, SessionConfig, TreeSource};
 pub use construct::FullArtifact;
 pub use error::SessionError;
 

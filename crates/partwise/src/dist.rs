@@ -30,17 +30,17 @@ pub struct PartwiseOutcome {
     pub rooted_parts: usize,
 }
 
+/// Seed of the leaders' start delays ([`AggregateOpts::delay_range`]).
+const DELAY_SEED: u64 = 0xde1af;
+
 /// `count` start delays, uniform in `[0, range)`; `range == 0` disables
-/// delays without drawing from `rng`.
-pub(crate) fn random_delays(rng: &mut SmallRng, count: usize, range: u32) -> Vec<u32> {
-    let mut draw = |_| {
-        if range == 0 {
-            0
-        } else {
-            rng.gen_range(0..range)
-        }
-    };
-    (0..count).map(&mut draw).collect()
+/// delays without drawing any.
+fn random_delays(count: usize, range: u32) -> Vec<u32> {
+    if range == 0 {
+        return vec![0; count];
+    }
+    let mut rng = SmallRng::seed_from_u64(DELAY_SEED);
+    (0..count).map(|_| rng.gen_range(0..range)).collect()
 }
 
 /// "No port": the table's marker for a member's own (possibly edgeless)
@@ -1116,8 +1116,7 @@ impl AggregateOp<'_> {
             })
             .collect();
 
-        let mut rng = SmallRng::seed_from_u64(opts.seed);
-        let delays = random_delays(&mut rng, k, opts.delay_range);
+        let delays = random_delays(k, opts.delay_range);
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
@@ -1537,10 +1536,7 @@ mod tests {
             &g,
             &partition,
             &shortcut,
-            &AggregateOpts {
-                delay_range: 8,
-                ..AggregateOpts::default()
-            },
+            &AggregateOpts { delay_range: 8 },
             SimConfig::default(),
         );
         assert!(out.all_members_informed);
@@ -1557,10 +1553,7 @@ mod tests {
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
         let cold_then_warm = |threads| {
-            let opts = AggregateOpts {
-                delay_range: 12,
-                ..AggregateOpts::default()
-            };
+            let opts = AggregateOpts { delay_range: 12 };
             let sim = SimConfig {
                 threads,
                 ..SimConfig::default()
@@ -1718,7 +1711,7 @@ mod tests {
                 leaders: (explicit_leaders == 1).then_some(&last[..]),
                 ..sum_of(&values)
             };
-            let opts = AggregateOpts { delay_range: 16 * delay_range, ..AggregateOpts::default() };
+            let opts = AggregateOpts { delay_range: 16 * delay_range };
             let sim = SimConfig::default();
             let mut forest = AggForest::unrooted(&partition, &map);
             let cold = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);

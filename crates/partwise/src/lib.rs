@@ -7,9 +7,11 @@
 //! solver runs one echo protocol per part over `G[P_i] + H_i` — an offer
 //! wave from the leader (a node adopts the sender of the first offer it
 //! hears; two offers that cross on an edge answer each other), then
-//! convergecast and result broadcast over the adopted tree — multiplexed
-//! with the random-delays technique [LMR94, Gha15] on the queued CONGEST
-//! simulator, completing in `Õ(congestion + dilation)` rounds. A slot with
+//! convergecast and result broadcast over the adopted tree — multiplexed on
+//! the queued CONGEST simulator, optionally with the random start delays
+//! of [LMR94, Gha15] (`AggregateOpts::delay_range`, drawn from a fixed
+//! seed; they pay where parts contend, `experiments e5`), completing in
+//! `Õ(congestion + dilation)` rounds. A slot with
 //! no member of its part below it reports `Empty` instead of a value and
 //! is *pruned*: its parent drops it and sends it no `Down`. Read off the
 //! [`ParticipationMap`], a cold run sends exactly `ports + 2·(slots −
@@ -54,6 +56,13 @@
 //! MWOE edges. Whatever drops the tables drops the forest. This is a model
 //! choice, not a host optimisation: nodes keep `O(participation)` words of
 //! state between aggregations.
+//!
+//! # Multiple unicasts
+//!
+//! [`UnicastOp`] routes one packet per demand store-and-forward along its
+//! tree path. Every packet leaves its source in round 0 — there are no
+//! start delays — and carries a random priority, drawn from a fixed seed,
+//! that decides which queued packet an edge forwards first.
 //!
 //! # Example
 //!

@@ -282,7 +282,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
             }
         }
         let g = self.graph_handle();
-        let (opts, sim) = (self.config().unicast, self.config().sim);
+        let sim = self.config().sim;
         // Routing needs only the tree — it must not force a shortcut
         // construction on sessions used purely for unicast serving.
         let tree = self.try_tree()?;
@@ -290,7 +290,7 @@ impl SessionPartwiseOps for ShortcutSession<'_> {
         if let Some(node) = endpoints.find(|&v| !tree.contains(v)) {
             return Err(SessionError::NodeOffTree { node });
         }
-        let out = UnicastOp { demands }.run_on(&g, tree, &opts, sim);
+        let out = UnicastOp { demands }.run_on(&g, tree, sim);
         let metrics = out.metrics.clone();
         Ok(OpReport::from_metrics(out, &metrics, None))
     }

@@ -1,21 +1,25 @@
 //! Multiple unicasts along tree paths — the second communication primitive
 //! the paper lists next to part-wise aggregation (§1.2).
 //!
-//! Given packets `(s_i, t_i)` routed along their unique tree paths, the
-//! random-delays technique [LMR94, Gha15] delivers all of them in
-//! `O(congestion + dilation·log n)` rounds, where congestion is the maximum
-//! number of paths over an edge and dilation the maximum path length. This
-//! module implements the store-and-forward protocol on the queued simulator
-//! and reports measured rounds against those two quantities.
+//! Given packets `(s_i, t_i)` routed along their unique tree paths, random
+//! scheduling [LMR94, Gha15] delivers all of them in `O(congestion +
+//! dilation·log n)` rounds, where congestion is the maximum number of paths
+//! over an edge and dilation the maximum path length. This module
+//! implements the store-and-forward protocol on the queued simulator: every
+//! packet leaves its source in round 0 (no start delays — none made any
+//! measured instance faster) and carries a random priority, drawn once from
+//! a fixed seed, that decides which packet an edge forwards first. It
+//! reports measured rounds against those two quantities.
 
-use crate::dist::random_delays;
 use lcs_congest::{
     Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::UnicastOpts;
 use lcs_graph::{Graph, NodeId, RootedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// Seed of the packets' random priorities.
+const PRIORITY_SEED: u64 = 0x0417;
 
 /// Result of a routing run.
 #[derive(Clone, Debug)]
@@ -54,8 +58,8 @@ struct RouterProgram<'a> {
     /// `(this node, (packet id, outgoing port))` for the packets this node
     /// must send or forward, ascending by packet id.
     forward: &'a [(u32, (u32, u32))],
-    /// Packets originating here: (packet id, remaining delay).
-    inject: Vec<(u32, u32)>,
+    /// `(this node, packet id)` for the packets originating here.
+    sources: &'a [(u32, u32)],
     /// `(this node, packet id)` for the packets this node is the target of.
     expect: &'a [(u32, u32)],
     received: usize,
@@ -71,37 +75,18 @@ impl RouterProgram<'_> {
         let (_, (_, port)) = self.forward[row.expect("packets follow their tree path")];
         ctx.send_with_priority(port as usize, Packet(id), self.priority[id as usize]);
     }
-
-    /// Counts the injection delays down by `elapsed` rounds and sends the
-    /// packets that are due.
-    fn inject_due(&mut self, elapsed: u32, ctx: &mut Ctx<'_, Packet>) {
-        if self.inject.is_empty() {
-            return;
-        }
-        let mut inject = std::mem::take(&mut self.inject);
-        inject.retain_mut(|(id, delay)| {
-            *delay -= elapsed;
-            if *delay == 0 {
-                self.send_packet(*id, ctx);
-            }
-            *delay > 0
-        });
-        self.inject = inject;
-        if !self.inject.is_empty() {
-            ctx.wake_next_round();
-        }
-    }
 }
 
 impl NodeProgram for RouterProgram<'_> {
     type Msg = Packet;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.inject_due(0, ctx);
+        for &(_, id) in self.sources {
+            self.send_packet(id, ctx);
+        }
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &[Incoming<Packet>]) {
-        self.inject_due(1, ctx);
         for m in inbox {
             let id = m.msg.0;
             if self.expect.iter().any(|&(_, packet)| packet == id) {
@@ -113,13 +98,13 @@ impl NodeProgram for RouterProgram<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.inject.is_empty() && self.received == self.expect.len()
+        self.received == self.expect.len()
     }
 }
 
 /// Multi-unicast routing: one packet per `(source, target)` demand,
-/// store-and-forward along the unique tree paths under random-delay
-/// scheduling.
+/// store-and-forward along the unique tree paths, each edge forwarding its
+/// queued packets in random priority order.
 ///
 /// `session.unicast(..)` ([`SessionPartwiseOps`](crate::SessionPartwiseOps))
 /// routes over the session's cached tree; [`run_on`](Self::run_on) takes an
@@ -131,21 +116,15 @@ pub struct UnicastOp<'a> {
 }
 
 impl UnicastOp<'_> {
-    /// Routes over an explicit tree (the non-session path). `opts` and
-    /// `sim` are the [`SessionConfig`](lcs_core::session::SessionConfig)
-    /// blocks a session would pass; the simulator mode is forced to queued.
+    /// Routes over an explicit tree (the non-session path). `sim` is the
+    /// [`SessionConfig`](lcs_core::session::SessionConfig) block a session
+    /// would pass; the simulator mode is forced to queued.
     ///
     /// # Panics
     ///
     /// Panics if some endpoint lies outside the tree's component, or a
     /// source equals its target.
-    pub fn run_on(
-        &self,
-        g: &Graph,
-        tree: &RootedTree,
-        opts: &UnicastOpts,
-        sim: SimConfig,
-    ) -> UnicastOutcome {
+    pub fn run_on(&self, g: &Graph, tree: &RootedTree, sim: SimConfig) -> UnicastOutcome {
         let pairs = self.demands;
         // Tree paths (up to the LCA, then down) with per-edge load counting.
         let mut load = vec![0u32; g.num_edges()];
@@ -179,8 +158,7 @@ impl UnicastOp<'_> {
         targets.sort_unstable();
         let congestion = load.iter().copied().max().unwrap_or(0);
 
-        let mut rng = SmallRng::seed_from_u64(opts.seed);
-        let delays = random_delays(&mut rng, pairs.len(), opts.delay_range);
+        let mut rng = SmallRng::seed_from_u64(PRIORITY_SEED);
         let priorities: Vec<u64> = pairs.iter().map(|_| rng.gen()).collect();
 
         let sim_cfg = SimConfig {
@@ -190,9 +168,7 @@ impl UnicastOp<'_> {
         let simulator = Simulator::new(g, sim_cfg);
         let run = simulator.run(|v, _| RouterProgram {
             forward: rows_of(&forward, v),
-            inject: (rows_of(&sources, v).iter())
-                .map(|&(_, id)| (id, delays[id as usize]))
-                .collect(),
+            sources: rows_of(&sources, v),
             expect: rows_of(&targets, v),
             received: 0,
             priority: &priorities,
@@ -280,12 +256,7 @@ mod tests {
         let g = gen::grid(8, 8);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (NodeId(i), NodeId(63 - i))).collect();
-        let out = UnicastOp { demands: &pairs }.run_on(
-            &g,
-            &t,
-            &UnicastOpts::default(),
-            SimConfig::default(),
-        );
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, SimConfig::default());
         assert!(out.metrics.terminated);
         assert_eq!(out.delivered, 16);
         assert!(out.congestion >= 1 && out.dilation >= 1);
@@ -304,30 +275,12 @@ mod tests {
         let g = gen::star(12);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (1..7).map(|i| (NodeId(i), NodeId(i + 5))).collect();
-        let out = UnicastOp { demands: &pairs }.run_on(
-            &g,
-            &t,
-            &UnicastOpts::default(),
-            SimConfig::default(),
-        );
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, SimConfig::default());
         assert_eq!(out.delivered, 6);
         assert_eq!(out.dilation, 2);
         // All six packets enter distinct hub edges but leave over distinct
         // edges too; rounds stay near c + d.
         assert!(out.metrics.rounds <= u64::from(out.congestion + out.dilation) + 2);
-    }
-
-    #[test]
-    fn random_delays_do_not_lose_packets() {
-        let g = gen::torus(6, 6);
-        let t = tree_of(&g);
-        let pairs: Vec<(NodeId, NodeId)> = (0..12).map(|i| (NodeId(i), NodeId(35 - i))).collect();
-        let opts = UnicastOpts {
-            delay_range: 8,
-            ..UnicastOpts::default()
-        };
-        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &opts, SimConfig::default());
-        assert_eq!(out.delivered, 12);
     }
 
     #[test]
@@ -338,7 +291,7 @@ mod tests {
         UnicastOp {
             demands: &[(NodeId(1), NodeId(1))],
         }
-        .run_on(&g, &t, &UnicastOpts::default(), SimConfig::default());
+        .run_on(&g, &t, SimConfig::default());
     }
 
     use lcs_graph::Graph;

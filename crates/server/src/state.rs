@@ -484,6 +484,22 @@ fn legacy_family_alias(graph: &Value) -> Value {
     graph
 }
 
+/// The path (under `prefix`) of the first key of `posted` that `parsed` —
+/// the same value as it was understood, serialized back — lacks. Only
+/// objects on both sides are compared.
+fn unread_key(prefix: &str, posted: &Value, parsed: &Value) -> Option<String> {
+    let (Value::Obj(posted), Value::Obj(parsed)) = (posted, parsed) else {
+        return None;
+    };
+    posted.iter().find_map(|(key, value)| {
+        let path = format!("{prefix}.{key}");
+        match parsed.iter().find(|(k, _)| k == key) {
+            None => Some(path),
+            Some((_, known)) => unread_key(&path, value, known),
+        }
+    })
+}
+
 impl SessionSpec {
     /// Parses and validates a `POST /sessions` body.
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
@@ -506,6 +522,16 @@ impl SessionSpec {
         let partition = PartitionSpec::from_value(v)?;
         let backend: Option<Backend> = json::optional(v, "backend")?;
         let mut config: Option<SessionConfig> = json::optional(v, "config")?;
+        // The config parser skips keys it does not know, so any key the
+        // parsed config does not write back was dropped — a silently
+        // different session again (e.g. a knob that has been deleted).
+        if let (Some(posted), Some(c)) = (json::lookup(v, "config"), &config) {
+            if let Some(path) = unread_key("config", posted, &c.to_value()) {
+                return Err(ApiError::bad_args(format!(
+                    "unknown field `{path}` — `GET /defaults` lists every config key"
+                )));
+            }
+        }
         // The session records `graph` as its provenance, so a config may
         // only repeat it; what is left is dropped when it is all defaults,
         // so every spelling of one session shares one LRU key.

@@ -79,7 +79,7 @@ pub use lcs_separator as separator;
 /// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, &config.aggregate, config.sim)` | `session.aggregate(values, op)` |
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
 /// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
-/// | `UnicastOp { demands }.run_on(g, tree, &config.unicast, config.sim)` | `session.unicast(demands)` |
+/// | `UnicastOp { demands }.run_on(g, tree, config.sim)` | `session.unicast(demands)` |
 /// | `distributed_mst(g, weights, &tree, provider, &config)` | `session.mst(weights)` |
 /// | `distributed_components(g, &tree, provider, &config)` | `session.components()` |
 /// | `approx_mincut_distributed(g, &tree, provider, &config)` | `session.mincut()` |
@@ -149,8 +149,8 @@ pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
         deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
-        GraphHandle, MincutOpts, MstOpts, OpReport, Session, SessionBuilder, SessionConfig,
-        SessionError, ShortcutSession, TreeSource, UnicastOpts,
+        GraphHandle, MstOpts, OpReport, Session, SessionBuilder, SessionConfig, SessionError,
+        ShortcutSession, TreeSource,
     };
     pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, SessionPartwiseOps, UnicastOp};

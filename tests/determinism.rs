@@ -20,10 +20,7 @@ fn partwise_runs_are_replayable() {
     let tree = bfs::bfs_tree(&g, NodeId(0));
     let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
     let values: Vec<u64> = (0..64).collect();
-    let opts = AggregateOpts {
-        delay_range: 16,
-        ..AggregateOpts::default()
-    };
+    let opts = AggregateOpts { delay_range: 16 };
     let sim = SessionConfig::default().sim;
     let op = AggregateOp {
         values: &values,

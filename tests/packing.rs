@@ -205,10 +205,7 @@ fn partwise_aggregates_are_packing_invariant() {
             let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
             for threads in THREADS {
                 for delay_range in [0, 8] {
-                    let opts = AggregateOpts {
-                        delay_range,
-                        ..AggregateOpts::default()
-                    };
+                    let opts = AggregateOpts { delay_range };
                     let mut previous: Option<[u64; 2]> = None;
                     for packing in PACKING_LEVELS {
                         let n = g.num_nodes();
@@ -257,10 +254,7 @@ fn wave_shapes_are_packing_invariant() {
         let map = ParticipationMap::build(&g, &partition, &built.shortcut);
         let n = g.num_nodes() as u64;
         let values: Vec<u64> = (0..n).map(|x| x * 37 % n).collect();
-        let opts = AggregateOpts {
-            delay_range: 8,
-            ..AggregateOpts::default()
-        };
+        let opts = AggregateOpts { delay_range: 8 };
         let mut rooted = AggForest::unrooted(&partition, &map);
         let sum = AggregateOp {
             values: &values,

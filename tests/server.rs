@@ -724,6 +724,62 @@ fn config_partition_source_speaks_the_kind_notation() {
     handle.shutdown();
 }
 
+/// The config parser skips keys it does not know, so the server compares
+/// the posted `config` with what it understood: a deleted knob or a typo
+/// is a 422 `bad_args` naming the key's path, never a session built
+/// without it. The `/defaults` body itself is served.
+#[test]
+fn config_keys_the_server_does_not_have_are_refused() {
+    let handle = start();
+    let mut client = Client::new(handle.addr());
+    let defaults = client.get("/defaults").expect("defaults");
+    assert_eq!(defaults.status, 200);
+    let Some(Value::Obj(config)) = defaults.field("config") else {
+        panic!("configs serialize to objects");
+    };
+    let spec_with = |config: Vec<(String, Value)>| {
+        let mut spec = grid_spec(4, 4);
+        let Value::Obj(fields) = &mut spec else {
+            unreachable!("a spec is an object");
+        };
+        fields.push(("config".to_string(), Value::Obj(config)));
+        spec
+    };
+    create(&mut client, &spec_with(config.clone()));
+
+    // `(block, key)` spliced into the defaults (`""`: at the top).
+    for (block, key, path) in [
+        ("sim", "seed", "config.sim.seed"),
+        ("sim", "sed", "config.sim.sed"),
+        (
+            "mst",
+            "skip_small_fragments",
+            "config.mst.skip_small_fragments",
+        ),
+        ("aggregate", "seed", "config.aggregate.seed"),
+        ("", "mincut", "config.mincut"),
+        ("", "unicast", "config.unicast"),
+    ] {
+        let mut fields = config.clone();
+        let extra = (key.to_string(), Value::U64(1));
+        match fields.iter_mut().find(|(k, _)| k == block) {
+            Some((_, Value::Obj(inner))) => inner.push(extra),
+            _ => fields.push(extra),
+        }
+        let r = client.post("/sessions", &spec_with(fields)).unwrap();
+        let body = lcs_server::json::render(&r.body);
+        let code = Some(Value::Str("bad_args".to_string()));
+        assert_eq!((r.status, r.field("error").cloned()), (422, code), "{body}");
+        assert!(body.contains(&format!("`{path}`")), "{body}");
+    }
+    let listed = client.get("/sessions").unwrap();
+    let Some(Value::Arr(sessions)) = listed.field("sessions") else {
+        panic!("no session list");
+    };
+    assert_eq!(sessions.len(), 1, "no refused spec built a session");
+    handle.shutdown();
+}
+
 /// Writes `bytes` on a fresh connection, half-closes it, and returns
 /// everything the server wrote before it closed its side. A reset while
 /// the server still had unread input counts as its close.

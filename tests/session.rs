@@ -115,7 +115,9 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
 /// needs the artifact — the BFS flood first, the detection convergecast
 /// when a provided tree spares the flood — and nothing is cached. The
 /// Boruvka family needs the tree too, but its providers construct per
-/// phase, so a detection cut short flags its report instead.
+/// phase, so a detection cut short flags its report instead. Boruvka
+/// constructs only for fragments above `2D + 1` nodes, which grid 8² never
+/// grows, so the flagged half runs on grid 16².
 #[test]
 fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
     use low_congestion_shortcuts::core::dist::Truncated;
@@ -133,9 +135,6 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
         },
         sim: capped,
     };
-    // Every Boruvka phase constructs, small fragments included.
-    let mut config = fast_config();
-    config.mst.skip_small_fragments = false;
     for backend in [Backend::Distributed(capped), Backend::Sketch(sketch)] {
         for (tree, phase) in [
             (TreeSource::Bfs(NodeId(0)), "bfs"),
@@ -148,7 +147,7 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
                 .tree(tree)
                 .partition(gen::rows_of_grid(8, 8))
                 .backend(backend.clone())
-                .config(config.clone())
+                .config(fast_config())
                 .build()
                 .unwrap();
             let expected = SessionError::Truncated(Truncated {
@@ -168,22 +167,33 @@ fn truncated_constructions_are_typed_errors_on_the_simulating_backends() {
             assert_eq!((stats.full.builds, stats.quality.builds), (0, 0));
             assert_eq!(stats.tree.builds, 0, "{phase}: no tree was stamped");
             // The Boruvka family runs over the session tree: a flood that
-            // cannot finish refuses it like every other op. Over a provided
-            // tree the cap is the backend's: ops run on `config.sim`
-            // (uncapped here), and each Boruvka phase constructs on the
-            // backend, so the report is flagged.
-            let unit = EdgeWeights::unit(&g);
+            // cannot finish refuses it like every other op.
             if phase == "bfs" {
+                let unit = EdgeWeights::unit(&g);
                 assert_eq!(s.try_mst(&unit).err(), Some(expected.clone()));
                 assert_eq!(s.try_components().err(), Some(expected.clone()));
                 assert_eq!(s.try_mincut().err(), Some(expected));
-                continue;
             }
-            let mst = s.try_mst(&unit).expect("flagged");
-            assert!(mst.truncated && mst.result.edges.len() < 63);
-            assert!(s.try_components().expect("flagged").truncated);
-            assert!(s.try_mincut().expect("flagged").truncated);
         }
+        // Over a provided tree the cap is the backend's: ops run on
+        // `config.sim` (uncapped here), and the first Boruvka phase with a
+        // fragment above `2D + 1` nodes constructs on the backend, so the
+        // report is flagged. The forest found so far is part of the MST.
+        let big = gen::grid(16, 16);
+        let mut s = Session::on(&big)
+            .tree(TreeSource::Provided(bfs::bfs_tree(&big, NodeId(0))))
+            .partition(gen::rows_of_grid(16, 16))
+            .backend(backend)
+            .config(fast_config())
+            .build()
+            .unwrap();
+        let unit = EdgeWeights::unit(&big);
+        let mst = s.try_mst(&unit).expect("flagged");
+        let reference = kruskal(&big, &unit);
+        assert!(mst.truncated);
+        assert!(mst.result.edges.iter().all(|e| reference.contains(e)));
+        assert!(s.try_components().expect("flagged").truncated);
+        assert!(s.try_mincut().expect("flagged").truncated);
     }
 }
 
@@ -849,7 +859,6 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     cfg.sim.threads = 4;
     cfg.aggregate.delay_range = 9;
     cfg.mst.max_phases = Some(12);
-    cfg.mincut.trees = Some(5);
     assert_eq!(roundtrip(&cfg), cfg);
 
     // Pinned snapshot of the defaults: changing any default or renaming a
@@ -857,13 +866,17 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     let snapshot = serde_json::to_string(&SessionConfig::default()).unwrap();
     assert_eq!(snapshot, SNAPSHOT, "SessionConfig default schema drifted");
 
-    // A config persisted before the per-op `sim` overrides were removed
-    // spells `"sim": null` inside an op block; unknown keys are ignored, so
-    // it still loads.
-    let old = SNAPSHOT.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
-    assert_ne!(old, SNAPSHOT);
-    let loaded: SessionConfig = serde_json::from_str(&old).expect("old schema still loads");
-    assert_eq!(loaded, SessionConfig::default());
+    // A config persisted before the unused knobs were deleted still loads
+    // (unknown keys are ignored) to today's defaults, and so does one from
+    // before the per-op `sim` overrides were removed, which spells
+    // `"sim": null` inside an op block.
+    let older =
+        SNAPSHOT_WITH_DELETED_KNOBS.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
+    assert_ne!(older, SNAPSHOT_WITH_DELETED_KNOBS);
+    for old in [SNAPSHOT_WITH_DELETED_KNOBS, &older] {
+        let loaded: SessionConfig = serde_json::from_str(old).expect("old schema still loads");
+        assert_eq!(loaded, SessionConfig::default());
+    }
 }
 
 /// The serialized `SessionConfig::default()` — the on-disk schema a
@@ -871,7 +884,18 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
 const SNAPSHOT: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\"congestion_factor\":8,\
 \"block_factor\":8,\"witness_mode\":\"Derandomized\",\"seed\":1554098974},\
 \"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\"max_rounds\":1000000,\
-\"seed\":12648430,\"threads\":1,\"message_packing\":1},\
+\"threads\":1,\"message_packing\":1},\
+\"aggregate\":{\"delay_range\":0},\
+\"mst\":{\"seed\":11577874,\"max_phases\":null},\
+\"partition_source\":null,\"graph_source\":null}";
+
+/// The default schema as persisted before the simulator seed, the unicast
+/// and min-cut blocks, the aggregation delay seed and the small-fragment
+/// switch were deleted.
+const SNAPSHOT_WITH_DELETED_KNOBS: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\
+\"congestion_factor\":8,\"block_factor\":8,\"witness_mode\":\"Derandomized\",\
+\"seed\":1554098974},\"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\
+\"max_rounds\":1000000,\"seed\":12648430,\"threads\":1,\"message_packing\":1},\
 \"aggregate\":{\"delay_range\":0,\"seed\":909743},\
 \"unicast\":{\"delay_range\":0,\"seed\":1047},\
 \"mst\":{\"seed\":11577874,\"max_phases\":null,\"skip_small_fragments\":true},\

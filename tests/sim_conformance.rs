@@ -408,28 +408,32 @@ fn metrics_match_pinned_seed_corpus_threads8() {
 /// The session gossip is the aggregate over the session forest, so the
 /// `aggregate_sum` rows pin its protocol too: min / max and sum send the
 /// same messages.
+/// The `unicast` rows were re-captured when packets lost their random
+/// start delays (every packet leaves its source in round 0, keeping its
+/// random priority): messages and bits did not move, rounds dropped by 2.
 #[rustfmt::skip]
 const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
     ("road48_voronoi24/aggregate_sum", [174, 18802, 583342, 3], [174, 18160, 583342, 1]),
     ("road48_voronoi24/aggregate_sum_delayed", [184, 18792, 581912, 4], [183, 18514, 581912, 3]),
     ("road48_voronoi24/aggregate_sum_warm", [52, 4708, 371932, 1], [52, 4707, 371932, 1]),
-    ("road48_voronoi24/unicast", [127, 2375, 76000, 2], [127, 2375, 76000, 2]),
+    ("road48_voronoi24/unicast", [125, 2375, 76000, 2], [125, 2375, 76000, 2]),
     ("grid12_rows/aggregate_sum", [67, 3146, 51502, 13], [55, 2939, 51502, 1]),
     ("grid12_rows/aggregate_sum_delayed", [71, 3146, 51502, 6], [69, 3091, 51502, 5]),
     ("grid12_rows/aggregate_sum_warm", [22, 264, 19800, 1], [22, 264, 19800, 1]),
-    ("grid12_rows/unicast", [28, 461, 14752, 3], [28, 461, 14752, 3]),
+    ("grid12_rows/unicast", [26, 461, 14752, 2], [26, 461, 14752, 2]),
     ("wheel64_rim/aggregate_sum", [7, 378, 11844, 1], [7, 378, 11844, 1]),
     ("wheel64_rim/aggregate_sum_delayed", [19, 378, 11844, 1], [19, 378, 11844, 1]),
     ("wheel64_rim/aggregate_sum_warm", [4, 126, 9324, 1], [4, 126, 9324, 1]),
-    ("wheel64_rim/unicast", [6, 62, 1984, 2], [6, 62, 1984, 2]),
+    ("wheel64_rim/unicast", [4, 62, 1984, 3], [4, 62, 1984, 3]),
 ];
 
 /// The part-wise corpus: aggregate (cold with and without random delays,
-/// and warm over the forest a cold run left) and unicast on a road-like
+/// and warm over the forest a cold run left) and unicast (random
+/// priorities, no start delays) on a road-like
 /// graph with voronoi parts, grid rows and the wheel rim. Fingerprints are
 /// the protocol results.
 fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
-    use low_congestion_shortcuts::facade::{AggregateOp, AggregateOpts, UnicastOp, UnicastOpts};
+    use low_congestion_shortcuts::facade::{AggregateOp, AggregateOpts, UnicastOp};
     use low_congestion_shortcuts::partwise::{AggForest, ParticipationMap};
     use rand::Rng;
 
@@ -459,10 +463,7 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             leaders: None,
         };
         for (case, delay_range) in [("aggregate_sum", 0), ("aggregate_sum_delayed", 16)] {
-            let opts = AggregateOpts {
-                delay_range,
-                ..AggregateOpts::default()
-            };
+            let opts = AggregateOpts { delay_range };
             let out = aggregate.run_on(&g, &partition, &shortcut, &opts, sim);
             assert!(out.all_members_informed, "{name}/{case}");
             rows.push(row(
@@ -496,11 +497,7 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
                 )
             })
             .collect();
-        let opts = UnicastOpts {
-            delay_range: 4,
-            ..UnicastOpts::default()
-        };
-        let out = UnicastOp { demands: &demands }.run_on(&g, &tree, &opts, sim);
+        let out = UnicastOp { demands: &demands }.run_on(&g, &tree, sim);
         assert_eq!(out.delivered, demands.len(), "{name}/unicast");
         rows.push(row(
             &format!("{name}/unicast"),
