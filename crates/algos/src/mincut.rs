@@ -114,8 +114,9 @@ pub struct MincutReport {
     /// Whether a simulator run (tree construction or evaluation) hit the
     /// round cap.
     pub truncated: bool,
-    /// Fragment MWOE aggregates that ran the full echo, summed over the
-    /// tree constructions ([`MstReport::echoes`](crate::mst::MstReport::echoes)).
+    /// Fragment MWOE aggregates of at least 2 members that ran the full
+    /// echo, summed over the tree constructions
+    /// ([`MstReport::echoes`](crate::mst::MstReport::echoes)).
     pub echoes: usize,
     /// [`MstReport::notified`](crate::mst::MstReport::notified), summed.
     pub notified: usize,

@@ -6,7 +6,10 @@
 //! fragment ids with neighbors (one round) — every node keeps the id it
 //! last heard per port, so after the first exchange only a node relabeled
 //! by the previous merge sends, and only over ports leaving its old
-//! fragment, (2) constructs shortcuts for the fragments, (3) aggregates the
+//! fragment, (2) constructs shortcuts for the fragments the previous merge
+//! grew — a phase is a churn tick: the fragment partition, its shortcut,
+//! tables and trees follow the merge's [`Transition`], and an unchanged
+//! fragment keeps all of them — (3) aggregates the
 //! minimum-weight outgoing edge per fragment — warm after the first phase:
 //! a fragment's spanning tree is carried over from the previous phase, a
 //! merged fragment's being its constituents' trees joined at the MWOE edges
@@ -26,12 +29,12 @@
 
 use lcs_congest::protocols::AggOp;
 use lcs_congest::{id_bits, splitmix};
-use lcs_core::dist::{DistConfig, Truncated};
+use lcs_core::dist::DistConfig;
 use lcs_core::session::SessionConfig;
-use lcs_core::{baseline, construct, ConstructionStats, Partition, Shortcut};
+use lcs_core::{baseline, construct, Partition, Shortcut, Transition};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
-use lcs_partwise::{AggForest, AggregateOp, Carry, ParticipationMap, Wave};
+use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, Wave};
 use serde::{Deserialize, Serialize};
 
 /// Kruskal's algorithm — the centralized reference.
@@ -140,8 +143,9 @@ pub struct MstReport {
     /// at `id_bits(n)` per message; a merge notice is 1 bit).
     pub bits: u64,
     /// Fragment MWOE aggregates that ran the full echo because no carried
-    /// tree served them (every fragment of the first phase); the others
-    /// started at the convergecast.
+    /// tree served them, counting only fragments of at least 2 members (a
+    /// singleton's echo sends nothing); the others started at the
+    /// convergecast.
     pub echoes: usize,
     /// Fragments whose merge-notify broadcast ran: the merging tails.
     pub notified: usize,
@@ -149,49 +153,6 @@ pub struct MstReport {
     /// aggregation) hit the round cap, or the phase cap was reached:
     /// `edges` is then the forest found so far, not a finished answer.
     pub truncated: bool,
-}
-
-impl MstReport {
-    /// Adds a construction's simulated cost to the totals.
-    fn charge(&mut self, cost: ConstructionStats) {
-        self.rounds.construction += cost.rounds;
-        self.message_split.construction += cost.messages;
-        self.bits += cost.bits;
-    }
-}
-
-/// Builds shortcuts for the parts living inside the BFS tree's component;
-/// parts in other components (possible for spanning forests on disconnected
-/// graphs) get `H_i = ∅`. Construction cost is added to `report`.
-fn provide_shortcuts(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    provider: ShortcutProvider,
-    config: &SessionConfig,
-    report: &mut MstReport,
-) -> Result<Shortcut, Truncated> {
-    match provider {
-        ShortcutProvider::None => return Ok(Shortcut::empty(partition.num_parts())),
-        ShortcutProvider::Baseline => {
-            return Ok(baseline::general_graph_shortcut(g, tree, partition))
-        }
-        ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {}
-    }
-    // Construct only for in-tree parts that actually profit from shortcuts
-    // (a part with at most 2D+1 nodes already meets the dilation bound on
-    // its own; constructing for them too only costs rounds and messages).
-    let small_cap = (2 * tree.depth_of_tree() + 1) as usize;
-    let parts: Vec<PartId> = partition
-        .iter()
-        .filter(|(_, nodes)| tree.contains(nodes[0]) && nodes.len() > small_cap)
-        .map(|(p, _)| p)
-        .collect();
-    let (cfg, dist) = (&config.shortcut, provider.dist_config());
-    let start = cfg.initial_delta_hat;
-    let res = construct(g, tree, partition, &parts, start, cfg, dist.as_ref())?;
-    report.charge(res.cost);
-    Ok(res.shortcut)
 }
 
 /// Packs `(weight, edge)` so that `min` over `u64` picks the lightest edge
@@ -247,6 +208,11 @@ pub fn distributed_mst(
     let max_phases =
         (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
     let max_height = tree.depth_of_tree() as usize;
+    // Only in-tree fragments above 2D + 1 nodes get a construction: a
+    // smaller one meets the dilation bound on its own, and the tree cannot
+    // reach one outside its component (a spanning forest of a
+    // disconnected graph).
+    let constructs = |nodes: &[NodeId]| tree.contains(nodes[0]) && nodes.len() > 2 * max_height + 1;
     let mut report = MstReport::default();
 
     // Node-local state: each node's fragment id (learned from the notify
@@ -258,22 +224,17 @@ pub fn distributed_mst(
     let mut known: Vec<u32> = g.nodes().flat_map(|v| g.heads(v)).map(|w| w.0).collect();
     let mut sends = 2 * g.num_edges() as u64;
     let mut in_mst = vec![false; g.num_edges()];
-    // The previous phase's tables, forest and fragment ids, and its merges
-    // as `(tail, inside, far)` over each tail's MWOE.
-    let mut last: Option<(ParticipationMap, AggForest, Vec<u32>)> = None;
-    let mut joins: Vec<(PartId, NodeId, NodeId)> = Vec::new();
+    // The fragment partition, in fragment-id order, with its shortcut,
+    // tables and forest. A phase is a churn tick: its merges are one
+    // `Transition`, which the next phase carries everything across.
+    let mut partition = Partition::singletons(g);
+    let mut shortcut = Shortcut::empty(n);
+    let mut participation = ParticipationMap::build(g, &partition, &shortcut);
+    let mut forest = AggForest::unrooted(&partition, &participation);
+    let mut transition: Option<Transition> = None;
 
     loop {
-        // Build the current fragment partition.
-        let mut members: std::collections::BTreeMap<u32, Vec<NodeId>> = Default::default();
-        for v in g.nodes() {
-            members.entry(fragment_of[v.index()]).or_default().push(v);
-        }
-        let (frag_ids, parts): (Vec<u32>, Vec<Vec<NodeId>>) = members.into_iter().unzip();
-        let k = parts.len();
-        let partition = Partition::from_parts(g, parts).expect("fragments stay connected");
-        let frag_index = |fid: u32| frag_ids.binary_search(&fid).expect("known fragment");
-
+        let k = partition.num_parts();
         // One round of neighbor id exchange (fragment ids are id payloads),
         // after which every node's table reads its neighbors' ids.
         report.rounds.exchange += 1;
@@ -312,48 +273,57 @@ pub fn distributed_mst(
         let phase = report.phases;
         report.phases += 1;
 
-        // Shortcuts for the fragments (only parts inside the BFS tree's
-        // component can be served; on connected graphs that is everything).
-        let Ok(shortcut) = provide_shortcuts(g, tree, &partition, provider, config, &mut report)
-        else {
-            report.truncated = true;
-            break;
-        };
-
-        // Both aggregations of the phase run over the same `G[P_i] + H_i`
-        // and the same trees: the previous phase's, carried over — a
-        // fragment that merged gets its constituents' trees, each tail's
-        // re-rooted at the inside end of its MWOE and hung from the far
-        // end — and echoed afresh by the MWOE aggregate where that failed
-        // (every fragment in the first phase). Fragments only grow, so the
-        // carry's churn repairs (departures, arrivals) never fire here. A
-        // fragment is led from its id, which is one of its members (a
-        // singleton's own id, or the id of the fragment that stayed put
-        // while others merged into it, and the root of its tree) and which
-        // every member learned from the previous phase's notify wave: no
-        // election needed.
-        let participation = ParticipationMap::build(g, &partition, &shortcut);
-        let mut forest = match last.take() {
-            None => AggForest::unrooted(&partition, &participation),
-            Some((map, forest, ids)) => {
-                // An old fragment lives on in the one its id node is in now.
-                let into: Vec<Option<PartId>> = ids
-                    .iter()
-                    .map(|&fid| Some(PartId(frag_index(fragment_of[fid as usize]) as u32)))
-                    .collect();
-                let carry = Carry {
-                    into: &into,
-                    joins: &joins,
-                    max_height,
-                };
-                forest.carried_over(g, &map, &partition, &participation, carry)
-            }
-        };
+        // Only the fragments the last phase's merges touched changed. Every
+        // other fragment keeps its `H_i`, slots and tree; a touched one gets
+        // a construction and its constituents' trees, each tail's re-rooted
+        // at the inside end of its MWOE and hung from the far end, echoed
+        // afresh by the MWOE aggregate where that fails (every fragment in
+        // the first phase). Fragments only grow, so the carry's churn
+        // repairs (departures, arrivals) never fire here.
+        if let Some(t) = transition.take() {
+            let fresh = match provider {
+                ShortcutProvider::None => Shortcut::empty(k),
+                ShortcutProvider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
+                ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {
+                    let touched = t.touched().iter().copied();
+                    let search: Vec<PartId> =
+                        touched.filter(|&p| constructs(partition.part(p))).collect();
+                    let (cfg, dist) = (&config.shortcut, provider.dist_config());
+                    let start = cfg.initial_delta_hat;
+                    let built = construct(g, tree, &partition, &search, start, cfg, dist.as_ref());
+                    let Ok(built) = built else {
+                        report.truncated = true;
+                        break;
+                    };
+                    report.rounds.construction += built.cost.rounds;
+                    report.message_split.construction += built.cost.messages;
+                    report.bits += built.cost.bits;
+                    built.shortcut
+                }
+            };
+            shortcut = shortcut.carried_over(&t, fresh);
+            let next = participation.refreshed(g, &partition, &shortcut, &t);
+            forest = forest.carried_over(g, &participation, &partition, &next, &t, max_height);
+            participation = next;
+        }
         debug_assert!(
             (forest.heights(g, &participation).into_iter().flatten()).all(|h| h <= max_height),
             "a carried tree is higher than the construction tree"
         );
-        let mut leaders: Vec<NodeId> = frag_ids.iter().map(|&fid| NodeId(fid)).collect();
+        // A fragment is led from its id, which is one of its members (a
+        // singleton's own id, or the id of the fragment that stayed put
+        // while others merged into it, and the root of its tree) and which
+        // every member learned from the previous phase's notify wave: no
+        // election needed.
+        let ids = partition
+            .iter()
+            .map(|(_, nodes)| fragment_of[nodes[0].index()]);
+        let mut leaders: Vec<NodeId> = ids.map(NodeId).collect();
+        // A fragment of two or more members that no carried tree serves
+        // runs the echo; a singleton's sends nothing.
+        let cold = (partition.iter().zip(forest.tree_edges(&participation)))
+            .filter(|((_, nodes), edges)| nodes.len() > 1 && *edges == 0)
+            .count();
         let mut aggregate = |values: &[u64], op, leaders: &[NodeId], shape| {
             let op = AggregateOp {
                 values,
@@ -372,7 +342,7 @@ pub fn distributed_mst(
         let agg = aggregate(&local, AggOp::Min, &leaders, (Wave::ToExtreme, None));
         report.rounds.aggregation += agg.metrics.rounds;
         report.message_split.aggregation += agg.metrics.messages;
-        report.echoes += k - agg.rooted_parts;
+        report.echoes += cold;
         if agg.metrics.truncated {
             break; // a partial minimum is no MWOE
         }
@@ -390,8 +360,8 @@ pub fn distributed_mst(
         report.rounds.exchange += 1;
         let mut notify: Vec<u64> = vec![0; n];
         let (mut stays, mut notices) = (vec![true; k], 0);
-        joins.clear();
-        for i in 0..k {
+        let mut joins = Vec::new();
+        for (i, part) in partition.part_ids().enumerate() {
             let Some(p) = agg.results[i].filter(|&p| p != u64::MAX) else {
                 continue; // no outgoing edge: fragment is a finished component
             };
@@ -399,21 +369,25 @@ pub fn distributed_mst(
             if !std::mem::replace(&mut in_mst[e.index()], true) {
                 report.edges.push(e); // every MWOE is safe by the cut property
             }
-            if coin(config.mst.seed, phase, frag_ids[i]) {
+            let id = leaders[i].0;
+            if coin(config.mst.seed, phase, id) {
                 continue; // a head stays put
             }
             notices += 1;
             let (mut inside, mut far) = g.endpoints(e);
-            if fragment_of[inside.index()] != frag_ids[i] {
+            if partition.part_of(inside) != Some(part) {
                 std::mem::swap(&mut inside, &mut far);
             }
             let port = g.port_to(inside, far).expect("MWOE endpoints are adjacent");
             let target = known[port_base(inside) + port];
-            let mutual = agg.results[frag_index(target)] == Some(p);
-            if coin(config.mst.seed, phase, target) || (mutual && frag_ids[i] < target) {
+            let to = partition
+                .part_of(NodeId(target))
+                .expect("an id is a member");
+            let mutual = agg.results[to.index()] == Some(p);
+            if coin(config.mst.seed, phase, target) || (mutual && id < target) {
                 notify[inside.index()] = u64::from(target) + 1;
                 (stays[i], leaders[i]) = (false, inside);
-                joins.push((PartId(i as u32), inside, far));
+                joins.push((part, inside, far));
             }
         }
         // Merge notification: the member inside each merging tail's MWOE
@@ -441,11 +415,11 @@ pub fn distributed_mst(
         // so delivering at once leaves every later check intact.
         sends = 0;
         for v in g.nodes() {
-            let old = fragment_of[v.index()];
-            let Some(res @ 1..) = note.results[frag_index(old)] else {
+            let part = partition.part_of(v).expect("fragments cover every node");
+            let Some(res @ 1..) = note.results[part.index()] else {
                 continue;
             };
-            let new = (res - 1) as u32;
+            let (old, new) = (fragment_of[v.index()], (res - 1) as u32);
             fragment_of[v.index()] = new;
             for (port, &w) in g.heads(v).iter().enumerate() {
                 let slot = &mut known[port_base(v) + port];
@@ -458,7 +432,10 @@ pub fn distributed_mst(
                 }
             }
         }
-        last = Some((participation, forest, frag_ids));
+        let (next, t) = partition
+            .merge(g, joins)
+            .expect("merged fragments are connected");
+        (partition, transition) = (next, Some(t));
     }
 
     report.edges.sort_unstable();
@@ -470,6 +447,7 @@ pub fn distributed_mst(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_core::{measure_quality, ConstructionStats};
     use lcs_graph::{bfs, gen};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -555,25 +533,38 @@ mod tests {
         }
     }
 
-    /// One phase's two aggregates, re-run over the replayed fragments and
-    /// the forest carried through [`AggForest::carried_over`] — the notify
-    /// broadcast over the merging tails only: the fragments, the parts the
-    /// MWOE run served warm, both runs' messages, the merging tails' kept
-    /// non-root slots after the MWOE run, and the carried trees' heights.
+    /// One phase re-run from scratch: the fragments, the parts the MWOE
+    /// run served warm, the fragments of at least 2 members it echoed, both
+    /// runs' messages, the merging tails' kept non-root slots after the
+    /// MWOE run, the carried trees' heights, and whether a fresh
+    /// construction over every in-tree fragment above `2D + 1` nodes cut an
+    /// edge.
     struct PhaseRuns {
         k: usize,
         rooted: usize,
+        echoes: usize,
         mwoe: u64,
         notify: u64,
         merging_edges: usize,
         heights: Vec<Option<usize>>,
+        cut: bool,
     }
 
-    /// Re-runs every replayed phase: its construction (cost summed into the
-    /// returned report), the MWOE run to the extreme over the replayed
-    /// local minima (its `Down` path depends on them), and the notify
-    /// broadcast led from each merging tail's `inside` (a broadcast's count
-    /// does not depend on the values, so it sends zeros).
+    /// Re-runs every replayed phase from scratch — `Partition::from_parts`
+    /// and `ParticipationMap::build` every phase, the forest carried across
+    /// the [`Transition`] of `Partition::merge` on the last phase's
+    /// partition, whose result must be the regroup — with its construction
+    /// (costs summed and returned), the MWOE run to the extreme over
+    /// the replayed local minima (its `Down` path depends on them), and the
+    /// notify broadcast led from each merging tail's `inside` (a
+    /// broadcast's count does not depend on the values, so it sends zeros).
+    ///
+    /// A constructing provider's shortcut follows the kept rule: a
+    /// fragment whose members did not change keeps its `H_i`, a changed
+    /// in-tree one above `2D + 1` nodes gets a construction. Guarded every
+    /// phase against a fresh construction over every in-tree fragment above
+    /// `2D + 1` nodes: with no overcongested edge the kept shortcut equals
+    /// it, otherwise it sits inside the fresh one's Theorem 1.1 envelope.
     fn rerun(
         g: &Graph,
         w: &EdgeWeights,
@@ -581,9 +572,12 @@ mod tests {
         phases: &[Phase],
         provider: ShortcutProvider,
         config: &SessionConfig,
-    ) -> (Vec<PhaseRuns>, MstReport) {
-        let mut constructions = MstReport::default();
-        let mut last: Option<(ParticipationMap, AggForest, Vec<u32>)> = None;
+    ) -> (Vec<PhaseRuns>, ConstructionStats) {
+        let mut constructions = ConstructionStats::default();
+        let depth = tree.depth_of_tree();
+        let big =
+            |nodes: &[NodeId]| tree.contains(nodes[0]) && nodes.len() > 2 * depth as usize + 1;
+        let mut last: Option<(Partition, Shortcut, ParticipationMap, AggForest, Vec<u32>)> = None;
         let mut runs = Vec::new();
         for (i, phase) in phases.iter().enumerate() {
             let before = &phase.fragment_of;
@@ -595,27 +589,71 @@ mod tests {
             let leaders: Vec<NodeId> = ids.iter().map(|&f| NodeId(f)).collect();
             let partition = Partition::from_parts(g, members.into_values().collect())
                 .expect("fragments are connected");
-            let shortcut =
-                provide_shortcuts(g, tree, &partition, provider, config, &mut constructions)
-                    .expect("uncapped");
+            let k = partition.num_parts();
+            let mut cut = false;
+            let shortcut = match provider {
+                ShortcutProvider::None => Shortcut::empty(k),
+                ShortcutProvider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
+                ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {
+                    let (cfg, dist) = (&config.shortcut, provider.dist_config());
+                    let build = |parts: &[PartId]| {
+                        let start = cfg.initial_delta_hat;
+                        construct(g, tree, &partition, parts, start, cfg, dist.as_ref())
+                            .expect("uncapped")
+                    };
+                    let mut kept = Shortcut::empty(k);
+                    let mut search = Vec::new();
+                    for (p, nodes) in partition.iter() {
+                        let unchanged = last.as_ref().and_then(|(old, old_shortcut, ..)| {
+                            let q = old.part_of(nodes[0])?;
+                            (old.part(q) == nodes).then(|| old_shortcut.edges_for(q).to_vec())
+                        });
+                        match unchanged {
+                            Some(edges) => kept.set_edges(p, edges),
+                            None if big(nodes) => search.push(p),
+                            None => {}
+                        }
+                    }
+                    let built = build(&search);
+                    constructions += built.cost;
+                    for &p in &search {
+                        kept.set_edges(p, built.shortcut.edges_for(p).to_vec());
+                    }
+                    let all: Vec<PartId> = partition
+                        .iter()
+                        .filter(|(_, nodes)| big(nodes))
+                        .map(|(p, _)| p)
+                        .collect();
+                    let fresh = build(&all);
+                    cut = fresh.round_log.iter().any(|r| r.over_edges > 0);
+                    if cut {
+                        let q = measure_quality(g, &partition, tree, &kept);
+                        let sweeps = fresh.successful_rounds;
+                        let envelope = cfg.envelope(fresh.delta_hat, depth, sweeps);
+                        assert!(envelope.occupancy(&q) <= 1.0, "{provider:?} phase {i}");
+                    } else {
+                        assert_eq!(kept, fresh.shortcut, "{provider:?} phase {i}");
+                    }
+                    kept
+                }
+            };
             let participation = ParticipationMap::build(g, &partition, &shortcut);
             let mut forest = match &last {
                 None => AggForest::unrooted(&partition, &participation),
-                Some((map, forest, old)) => {
-                    let part = |ids: &[u32], f| PartId(ids.binary_search(&f).unwrap() as u32);
-                    let into = old.iter().map(|&f| Some(part(&ids, before[f as usize])));
-                    let into: Vec<_> = into.collect();
+                Some((old_partition, _, map, forest, old)) => {
+                    let part = |f| PartId(old.binary_search(&f).unwrap() as u32);
                     let joins = phases[i - 1].joins.iter();
-                    let joins: Vec<_> = joins.map(|&(f, u, w)| (part(old, f), u, w)).collect();
-                    let carry = Carry {
-                        into: &into,
-                        joins: &joins,
-                        max_height: tree.depth_of_tree() as usize,
-                    };
-                    forest.carried_over(g, map, &partition, &participation, carry)
+                    let joins = joins.map(|&(f, u, w)| (part(f), u, w)).collect();
+                    let (merged, transition) = old_partition.merge(g, joins).unwrap();
+                    assert_eq!(merged, partition, "phase {i}: the merge is the regroup");
+                    let depth = depth as usize;
+                    forest.carried_over(g, map, &partition, &participation, &transition, depth)
                 }
             };
             let heights = forest.heights(g, &participation);
+            let cold_singletons = (partition.iter().zip(&heights))
+                .filter(|((_, nodes), h)| nodes.len() == 1 && h.is_none())
+                .count();
             let mut local = vec![u64::MAX; g.num_nodes()];
             let leaving = g
                 .edges()
@@ -647,14 +685,16 @@ mod tests {
             let shape = (Wave::Broadcast, Some(&stays[..]));
             let notify = run(&mut forest, &zeros, AggOp::Max, &from, shape);
             runs.push(PhaseRuns {
-                k: partition.num_parts(),
+                k,
                 rooted: mwoe.rooted_parts,
+                echoes: k - mwoe.rooted_parts - cold_singletons,
                 mwoe: mwoe.metrics.messages,
                 notify: notify.metrics.messages,
                 merging_edges,
                 heights,
+                cut,
             });
-            last = Some((participation, forest, ids));
+            last = Some((partition, shortcut, participation, forest, ids));
         }
         (runs, constructions)
     }
@@ -665,7 +705,8 @@ mod tests {
     /// and one notice per tail with an MWOE; each phase's construction; its
     /// MWOE run to the extreme and its notify broadcast from the merging
     /// tails' `inside`, re-run over the carried forest. The MWOE echoes are
-    /// the fragments the carried forest did not serve, the notified
+    /// the fragments of at least 2 members the carried forest did not
+    /// serve, the notified
     /// fragments the merging tails; each notify broadcast sends one message
     /// per kept non-root slot of the merging tails, and a phase whose MWOE
     /// run is warm throughout sends at least that. Returns the report and
@@ -686,7 +727,7 @@ mod tests {
         let (runs, constructions) = rerun(g, w, &tree, &phases, provider, config);
         let mut expected = MstSteps {
             exchange: 2 * g.num_edges() as u64,
-            construction: constructions.message_split.construction,
+            construction: constructions.messages,
             ..MstSteps::default()
         };
         for (i, (phase, run)) in phases.iter().zip(&runs).enumerate() {
@@ -712,7 +753,7 @@ mod tests {
         }
         assert_eq!(report.message_split, expected, "{provider:?}");
         assert_eq!(report.messages, expected.total(), "{provider:?}");
-        let echoes: usize = runs.iter().map(|r| r.k - r.rooted).sum();
+        let echoes: usize = runs.iter().map(|r| r.echoes).sum();
         assert_eq!(report.echoes, echoes, "{provider:?}");
         let merging: usize = phases.iter().map(|p| p.into_heads + p.tail_pairs).sum();
         assert_eq!(report.notified, merging, "{provider:?}");
@@ -755,31 +796,60 @@ mod tests {
     }
 
     /// The `Baseline` provider is `lcs_core::baseline`'s function — big
-    /// parts get the tree, small ones nothing — at no charge.
+    /// fragments get the tree, small ones nothing — at no charge: on the
+    /// 10 × 10 grid (√n = 10) the replay, which serves every phase the core
+    /// baseline, bills what the run bills, and some phase has a fragment
+    /// above √n nodes.
     #[test]
     fn baseline_provider_is_the_core_baseline() {
-        let g = gen::grid(10, 10); // √n = 10
-        let rows = gen::rows_of_grid(10, 10);
-        let big = rows[..2].concat();
-        let partition = Partition::from_parts(&g, vec![big, rows[2].clone()]).unwrap();
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let mut report = MstReport::default();
-        let provided = provide_shortcuts(
-            &g,
-            &tree,
-            &partition,
-            ShortcutProvider::Baseline,
-            &SessionConfig::default(),
-            &mut report,
-        )
-        .expect("the baseline runs no simulation");
+        let g = gen::grid(10, 10);
+        let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(5));
+        let config = SessionConfig::default();
+        let (report, _) = check_bill(&g, &w, ShortcutProvider::Baseline, &config);
         assert_eq!(
-            provided,
-            baseline::general_graph_shortcut(&g, &tree, &partition)
+            report.rounds.construction + report.message_split.construction,
+            0
         );
-        assert_eq!(provided.edges_for(PartId(0)).len(), 99);
-        assert!(provided.edges_for(PartId(1)).is_empty());
-        assert_eq!(report.rounds.total() + report.messages + report.bits, 0);
+        let (phases, _) = replay(&g, &w, config.mst.seed);
+        let big = phases.iter().any(|phase| {
+            let mut sizes: BTreeMap<u32, usize> = BTreeMap::new();
+            for &f in &phase.fragment_of {
+                *sizes.entry(f).or_default() += 1;
+            }
+            sizes.values().any(|&size| size > 10)
+        });
+        assert!(big, "no fragment got the tree");
+    }
+
+    /// The kept shortcuts on the experiment families — E6's wheels and
+    /// grids, E7's graphs, under random and unit weights — are what a
+    /// fresh construction over every in-tree fragment above `2D + 1` nodes
+    /// builds ([`check_bill`]'s guard): none of those constructions cuts an
+    /// edge, since every subtree meets fewer than `8δ̂D` such fragments.
+    #[test]
+    fn kept_shortcuts_equal_a_fresh_construction_on_the_experiment_families() {
+        let mut rng = SmallRng::seed_from_u64(77);
+        let mut families: Vec<Graph> = [64, 128, 256, 512, 1024].map(gen::wheel).into();
+        families.extend([8, 12, 16, 24].map(|s| gen::grid(s, s)));
+        families.extend([
+            gen::cycle(32),
+            gen::torus(6, 6),
+            gen::ktree(60, 3, &mut rng),
+        ]);
+        families.push(gen::grid_plus_random_edges(8, 8, 8, &mut rng));
+        families.push(gen::gnm_connected(80, 200, &mut rng));
+        for g in &families {
+            let random = EdgeWeights::random_unique(g, &mut SmallRng::seed_from_u64(7));
+            for w in [random, EdgeWeights::unit(g)] {
+                let config = SessionConfig::default();
+                let (report, runs) = check_bill(g, &w, ShortcutProvider::Oracle, &config);
+                assert_eq!(report.edges, kruskal(g, &w), "{g:?}");
+                assert!(
+                    runs.iter().all(|r| !r.cut),
+                    "{g:?}: a construction cut an edge"
+                );
+            }
+        }
     }
 
     /// Every phase leads each fragment from its id. `run_with` asserts that
@@ -906,7 +976,8 @@ mod tests {
     /// under four weightings and unit loads: Kruskal's tree, no truncated
     /// run, every message accounted for, only the merging tails running the
     /// notify broadcast — fewer than the tails — every carried tree at most
-    /// `D` high.
+    /// `D` high, and every kept shortcut what a fresh construction builds
+    /// (no construction cuts an edge).
     #[test]
     #[ignore = "release-mode scale test"]
     fn scale_boruvka_carries_the_forest() {
@@ -929,6 +1000,10 @@ mod tests {
             let (phases, _) = replay(&g, w, SessionConfig::default().mst.seed);
             let tails: usize = phases.iter().map(|p| p.tails.len()).sum();
             assert!(report.notified < tails, "weighting {i}: no tail stayed put");
+            assert!(
+                runs.iter().all(|r| !r.cut),
+                "weighting {i}: a construction cut"
+            );
         }
     }
 

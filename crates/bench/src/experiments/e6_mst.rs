@@ -36,7 +36,8 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
 
 /// Runs E6: the wheel and the grid sweep. Rounds are per provider;
 /// phases, messages, the MWOE and notify waves' share of them, echoes
-/// (MWOE aggregates no carried tree served) and notified (fragments whose
+/// (MWOE aggregates no carried tree served, over fragments of at least 2
+/// members — a singleton's echo sends nothing) and notified (fragments whose
 /// merge-notify broadcast ran: the merging tails) are the minor-sweep
 /// run's.
 pub fn run() -> Report {

@@ -20,9 +20,10 @@
 //!    `O(t)` messages per edge.
 //!
 //! Shortcut assembly, the Case (I)/(II) split, and witness extraction reuse
-//! the centralized code on the protocol's cut set (the dissemination phase
-//! of the paper is bookkeeping the nodes could do locally from what the
-//! convergecast already told them): the Observation 2.7 loop around the
+//! the centralized code on the protocol's cut set. The paper's
+//! dissemination phase runs there, on the host, uncharged: it is not
+//! bookkeeping the nodes could do locally, since a part's `B`-degree sums
+//! over-edges scattered across `T`. The Observation 2.7 loop around the
 //! sweeps is [`construct`](crate::construct), which takes the detected cut
 //! set where the centralized construction applies the threshold rule.
 

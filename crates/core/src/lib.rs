@@ -46,7 +46,8 @@
 //!
 //! The construction itself is implemented, centrally and distributedly, by:
 //!
-//! * [`Partition`] / [`Shortcut`]: the objects of Definition 2.1/2.2,
+//! * [`Partition`] / [`Shortcut`]: the objects of Definition 2.1/2.2, and
+//!   the [`Transition`] both follow when a partition moves,
 //! * [`partial_shortcut_or_witness`]: the Theorem 3.1 sweep — either a
 //!   tree-restricted `8δ̂D`-congestion `8δ̂`-block *partial* shortcut for at
 //!   least half the parts, or a certified minor of density `> δ̂`
@@ -88,7 +89,7 @@ pub use config::{Envelope, ShortcutConfig, WitnessMode};
 pub use full::{
     construct, construction_tree, full_shortcut, ConstructionStats, FullShortcutResult, RoundLog,
 };
-pub use partition::{Partition, PartitionError};
+pub use partition::{Partition, PartitionError, Transition};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{
     ArtifactStats, Backend, CacheStats, OpReport, Session, SessionBuilder, SessionConfig,

@@ -101,11 +101,9 @@ impl Partition {
                 part_of[v.index()] = Some(PartId(i as u32));
             }
         }
-        let mut search = SubsetSearch::new(n);
-        match parts.iter().position(|p| !search.induces_connected(g, p)) {
-            Some(i) => Err(PartitionError::Disconnected(i)),
-            None => Ok(Partition { part_of, parts }),
-        }
+        let p = Partition { part_of, parts };
+        p.check_parts(g, &p.part_ids().collect::<Vec<_>>())?;
+        Ok(p)
     }
 
     /// [`from_parts`](Self::from_parts), additionally requiring every node
@@ -214,12 +212,12 @@ impl Partition {
     }
 
     /// Applies node-to-part `moves` and returns the resulting partition
-    /// together with the sorted ids of the touched parts (each moved
-    /// node's old part, if any, and its new part). Later moves see the
-    /// effect of earlier ones; moving a node to the part it is already in
-    /// is a no-op that touches nothing; uncovered nodes may be moved into
-    /// a part. `self` is untouched — validation failures cost nothing
-    /// (atomicity for callers).
+    /// together with its [`Transition`]: every part keeps its id, and the
+    /// touched parts are each moved node's old part, if any, and its new
+    /// part. Later moves see the effect of earlier ones; moving a node to
+    /// the part it is already in is a no-op that touches nothing; uncovered
+    /// nodes may be moved into a part. `self` is untouched — validation
+    /// failures cost nothing (atomicity for callers).
     ///
     /// Only the touched parts are re-validated (they must stay non-empty
     /// and induce connected subgraphs); untouched parts are valid by
@@ -241,7 +239,7 @@ impl Partition {
         &self,
         g: &Graph,
         moves: &[(NodeId, PartId)],
-    ) -> Result<(Partition, Vec<PartId>), PartitionError> {
+    ) -> Result<(Partition, Transition), PartitionError> {
         let k = self.parts.len();
         let mut next = self.clone();
         let mut touched = std::collections::BTreeSet::new();
@@ -258,25 +256,133 @@ impl Partition {
                 continue;
             }
             if let Some(old) = old {
-                let members = &mut next.parts[old.index()];
-                let pos = members.iter().position(|&u| u == v).expect("member list");
-                members.remove(pos);
+                next.parts[old.index()].retain(|&u| u != v);
                 touched.insert(old);
             }
             next.parts[target.index()].push(v);
             next.part_of[v.index()] = Some(target);
             touched.insert(target);
         }
+        let transition = Transition::identity(k, touched.into_iter().collect());
+        next.check_parts(g, &transition.touched)?;
+        Ok((next, transition))
+    }
+
+    /// Merges whole parts into neighbouring ones (a Boruvka phase): each
+    /// join `(q, inside, far)` merges part `q` into the part of `far`, a
+    /// neighbour of `q`'s member `inside`. The survivors keep their order;
+    /// a grown part lists its members ascending and is the only one
+    /// validated, as in [`reassign`](Self::reassign).
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::Disconnected`] for a grown part that is not
+    /// connected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inside` is not in `q`, `far` is uncovered or in `q`, or a
+    /// part merges into a part that merges itself.
+    pub fn merge(
+        &self,
+        g: &Graph,
+        joins: Vec<(PartId, NodeId, NodeId)>,
+    ) -> Result<(Partition, Transition), PartitionError> {
+        let mut target: Vec<Option<PartId>> = vec![None; self.parts.len()];
+        for &(q, inside, far) in &joins {
+            assert_eq!(self.part_of(inside), Some(q), "a join leaves from a member");
+            let to = self.part_of(far).filter(|&to| to != q);
+            target[q.index()] = Some(to.expect("a join lands in another part"));
+        }
+        let survivors = target.iter().scan(0, |next, to| {
+            let id = PartId(*next);
+            *next += u32::from(to.is_none());
+            Some(id)
+        });
+        let mut into: Vec<PartId> = survivors.collect();
+        let mut touched = Vec::new();
+        for (q, to) in target.iter().enumerate() {
+            if let Some(to) = *to {
+                assert!(target[to.index()].is_none(), "{to:?} merges itself");
+                into[q] = into[to.index()];
+                touched.push(into[q]);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut parts = vec![Vec::new(); target.iter().filter(|to| to.is_none()).count()];
+        for (members, p) in self.parts.iter().zip(&into) {
+            parts[p.index()].extend_from_slice(members);
+        }
+        for p in &touched {
+            parts[p.index()].sort_unstable();
+        }
+        let part_of = self.part_of.iter().map(|q| q.map(|q| into[q.index()]));
+        let next = Partition {
+            part_of: part_of.collect(),
+            parts,
+        };
+        let transition = Transition {
+            into,
+            touched,
+            joins,
+        };
+        next.check_parts(g, &transition.touched)?;
+        Ok((next, transition))
+    }
+
+    /// Checks that each of `parts` is non-empty and induces a connected
+    /// subgraph, with one search state for all of them.
+    fn check_parts(&self, g: &Graph, parts: &[PartId]) -> Result<(), PartitionError> {
         let mut search = SubsetSearch::new(g.num_nodes());
-        for &p in &touched {
-            if next.parts[p.index()].is_empty() {
+        for p in parts {
+            if self.parts[p.index()].is_empty() {
                 return Err(PartitionError::EmptyPart(p.index()));
             }
-            if !search.induces_connected(g, &next.parts[p.index()]) {
+            if !search.induces_connected(g, &self.parts[p.index()]) {
                 return Err(PartitionError::Disconnected(p.index()));
             }
         }
-        Ok((next, touched.into_iter().collect()))
+        Ok(())
+    }
+}
+
+/// How one partition becomes the next — what each artifact over the old
+/// one reads to follow it instead of being rebuilt. Only the two mutators
+/// produce it: [`Partition::reassign`] (every part keeps its id) and
+/// [`Partition::merge`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Transition {
+    pub(crate) into: Vec<PartId>,
+    pub(crate) touched: Vec<PartId>,
+    pub(crate) joins: Vec<(PartId, NodeId, NodeId)>,
+}
+
+impl Transition {
+    /// `k` parts that keep their ids, `touched` (ascending) changed.
+    pub(crate) fn identity(k: usize, touched: Vec<PartId>) -> Self {
+        Transition {
+            into: (0..k as u32).map(PartId).collect(),
+            touched,
+            joins: Vec::new(),
+        }
+    }
+
+    /// Per old part, its new part. Untouched parts map one-to-one and in
+    /// order, so what is sorted by part id stays sorted.
+    pub fn renaming(&self) -> &[PartId] {
+        &self.into
+    }
+
+    /// The new parts whose members changed, ascending.
+    pub fn touched(&self) -> &[PartId] {
+        &self.touched
+    }
+
+    /// `(old part, inside, far)`: that part merged into the part of `far`
+    /// over the edge from its member `inside`.
+    pub fn joins(&self) -> &[(PartId, NodeId, NodeId)] {
+        &self.joins
     }
 }
 
@@ -372,8 +478,9 @@ mod tests {
         let p = Partition::from_parts(&g, gen::rows_of_grid(3, 3)).unwrap();
         // Move the first node of row 1 into row 0 (stays connected via the
         // column edge).
-        let (next, touched) = p.reassign(&g, &[(NodeId(3), PartId(0))]).unwrap();
-        assert_eq!(touched, vec![PartId(0), PartId(1)]);
+        let (next, t) = p.reassign(&g, &[(NodeId(3), PartId(0))]).unwrap();
+        assert_eq!(t.touched, vec![PartId(0), PartId(1)]);
+        assert_eq!(t.into, vec![PartId(0), PartId(1), PartId(2)]);
         assert_eq!(next.part_of(NodeId(3)), Some(PartId(0)));
         assert_eq!(next.part(PartId(1)), &[NodeId(4), NodeId(5)]);
         // The original is untouched.
@@ -384,8 +491,8 @@ mod tests {
     fn reassign_noop_touches_nothing() {
         let g = gen::grid(3, 3);
         let p = Partition::from_parts(&g, gen::rows_of_grid(3, 3)).unwrap();
-        let (next, touched) = p.reassign(&g, &[(NodeId(4), PartId(1))]).unwrap();
-        assert!(touched.is_empty());
+        let (next, t) = p.reassign(&g, &[(NodeId(4), PartId(1))]).unwrap();
+        assert!(t.touched.is_empty());
         assert_eq!(next, p);
     }
 
@@ -411,9 +518,28 @@ mod tests {
     fn reassign_covers_uncovered_nodes() {
         let g = gen::path(4);
         let p = Partition::from_parts(&g, vec![vec![NodeId(0), NodeId(1)]]).unwrap();
-        let (next, touched) = p.reassign(&g, &[(NodeId(2), PartId(0))]).unwrap();
-        assert_eq!(touched, vec![PartId(0)]);
+        let (next, t) = p.reassign(&g, &[(NodeId(2), PartId(0))]).unwrap();
+        assert_eq!(t.touched, vec![PartId(0)]);
         assert_eq!(next.covered_nodes(), 3);
+    }
+
+    /// The path 0–5 in three pairs: the middle pair joins the first over
+    /// the edge 2–1 and the last pair survives as part 1. A join whose ends
+    /// are not adjacent leaves the merged part disconnected.
+    #[test]
+    fn merge_renames_the_survivors_in_order() {
+        let g = gen::path(6);
+        let pairs = (0..3).map(|i| vec![NodeId(2 * i), NodeId(2 * i + 1)]);
+        let p = Partition::from_parts(&g, pairs.collect()).unwrap();
+        let join = (PartId(1), NodeId(2), NodeId(1));
+        let (next, t) = p.merge(&g, vec![join]).unwrap();
+        assert_eq!(t.into, vec![PartId(0), PartId(0), PartId(1)]);
+        assert_eq!((t.touched, t.joins), (vec![PartId(0)], vec![join]));
+        assert_eq!(next.part(PartId(0)), (0..4).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(next.part_of(NodeId(5)), Some(PartId(1)));
+        let apart = (PartId(2), NodeId(4), NodeId(0));
+        let err = p.merge(&g, vec![apart]).unwrap_err();
+        assert_eq!(err, PartitionError::Disconnected(0));
     }
 
     use lcs_graph::{NodeId, PartId};
@@ -540,6 +666,49 @@ mod tests {
                 let again = Partition::from_parts(&g, next.iter().map(|(_, m)| m.to_vec()).collect());
                 prop_assert_eq!(again, Ok(next));
             }
+        }
+
+        /// Random one-hop merges over boundary edges: `merge` equals
+        /// `from_parts` on the merged member lists — the survivors in their
+        /// order, each with its joiners' members, ascending — and its
+        /// transition sends every node's old part to its new one and
+        /// touches exactly the parts that gained members.
+        #[test]
+        fn merge_matches_from_parts((g, mut parts, seed) in arb_parts()) {
+            for part in &mut parts {
+                part.sort_unstable();
+            }
+            let p = Partition::from_parts(&g, parts).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x3E6E);
+            let mut target: Vec<Option<PartId>> = vec![None; p.num_parts()];
+            let mut joins = Vec::new();
+            for er in g.edges() {
+                let (Some(a), Some(b)) = (p.part_of(er.u), p.part_of(er.v)) else { continue };
+                let busy = |q: PartId| target[q.index()].is_some() || target.contains(&Some(q));
+                if a != b && rng.gen_bool(0.3) && !busy(a) && target[b.index()].is_none() {
+                    target[a.index()] = Some(b);
+                    joins.push((a, er.u, er.v));
+                }
+            }
+            let survivors = p.part_ids().filter(|q| target[q.index()].is_none());
+            let lists: Vec<Vec<NodeId>> = survivors
+                .map(|q| {
+                    let mut list: Vec<NodeId> = (p.part_ids())
+                        .filter(|&r| r == q || target[r.index()] == Some(q))
+                        .flat_map(|r| p.part(r).to_vec())
+                        .collect();
+                    list.sort_unstable();
+                    list
+                })
+                .collect();
+            let (next, t) = p.merge(&g, joins.clone()).unwrap();
+            prop_assert_eq!(&next, &Partition::from_parts(&g, lists).unwrap());
+            for v in g.nodes() {
+                prop_assert_eq!(next.part_of(v), p.part_of(v).map(|q| t.into[q.index()]));
+            }
+            let gained = |q: &PartId| target.iter().flatten().any(|to| t.into[to.index()] == *q);
+            prop_assert_eq!(t.touched.clone(), next.part_ids().filter(gained).collect::<Vec<_>>());
+            prop_assert_eq!(t.joins, joins);
         }
     }
 

@@ -4,7 +4,7 @@
 //! epoch, and the typed per-op artifact table.
 
 use super::{SessionError, ShortcutSession};
-use crate::{Partition, PartitionError};
+use crate::{Partition, PartitionError, Transition};
 use lcs_graph::{NodeId, PartId};
 use serde::{Deserialize, Serialize};
 use std::any::{Any, TypeId};
@@ -183,16 +183,14 @@ impl<'g> ShortcutSession<'g> {
 
     /// Moves nodes between existing parts and re-customizes incrementally.
     ///
-    /// Validation is atomic (see [`Partition::reassign`]): on error the
-    /// session is unchanged. On success the partition epoch bumps, but
-    /// the touched parts are remembered — when the full shortcut (or
-    /// quality report) is next needed and is stale *only* because of such
-    /// tracked reassignments, the session runs a mini doubling search over just the touched parts and splices their
-    /// `H_i` into the cached shortcut instead of rebuilding everything.
-    /// Per-part quality rows are re-measured for the touched parts only.
-    /// Returns the sorted ids of the touched parts (old and new part of
-    /// every moved node); an effect-free move list returns an empty vector
-    /// without bumping the epoch.
+    /// Validation is atomic ([`Partition::reassign`]): on error the session
+    /// is unchanged. On success the partition epoch bumps and the touched
+    /// parts are logged: an artifact stale *only* through such logged
+    /// ticks follows their [`Transition`] instead of being rebuilt — the
+    /// full shortcut by one mini doubling search over the touched parts,
+    /// the quality report by re-measuring their rows. Returns the sorted
+    /// touched parts (old and new part of every moved node); an
+    /// effect-free move list returns none and does not bump the epoch.
     ///
     /// The re-customization runs on the session backend like the
     /// construction it patches: the distributed backends detect the
@@ -235,7 +233,7 @@ impl<'g> ShortcutSession<'g> {
         if let Some(&(_, part)) = moves.iter().find(|(_, p)| p.index() >= num_parts) {
             return Err(SessionError::PartOutOfRange { part, num_parts });
         }
-        let (next, touched) = current.reassign(&self.g, moves)?;
+        let (next, Transition { touched, .. }) = current.reassign(&self.g, moves)?;
         if !touched.is_empty() {
             self.install_partition(next, PartitionDelta::Reassigned(touched.clone()));
         }
@@ -287,9 +285,10 @@ impl<'g> ShortcutSession<'g> {
     /// [`op_artifact_with`](Self::op_artifact_with) plus an incremental
     /// refresh path: when the cached artifact is stale *only* because of
     /// tracked [`reassign_parts`](Self::reassign_parts) churn, the session
-    /// calls `patch(session, old, touched_parts)` instead of `build` —
-    /// letting the op recompute just the touched parts' contribution
-    /// (keyed off its cached value, e.g. the partwise participation map).
+    /// calls `patch(session, old, transition)` instead of `build`, with the
+    /// [`Transition`] of all that churn — letting the op recompute just the
+    /// touched parts' contribution (keyed off its cached value, e.g. the
+    /// partwise participation map).
     ///
     /// `patch` runs after the session's own artifacts have been refreshed
     /// for the same churn (so [`shortcut_ref`](Self::shortcut_ref) inside
@@ -305,15 +304,15 @@ impl<'g> ShortcutSession<'g> {
     where
         T: Any + Send + Sync,
         F: FnOnce(&mut ShortcutSession<'g>) -> T,
-        P: FnOnce(&mut ShortcutSession<'g>, &T, &[PartId]) -> T,
+        P: FnOnce(&mut ShortcutSession<'g>, &T, &Transition) -> T,
     {
         let key = TypeId::of::<T>();
         let slot = self.op_artifacts.get(&key);
-        let Some(touched) = slot.and_then(|slot| self.patchable_parts(slot)) else {
+        let Some(transition) = slot.and_then(|slot| self.pending_transition(slot)) else {
             return self.op_artifact_with(reads_partition, |_| true, build);
         };
         let old = downcast::<T>(self.op_artifacts.remove(&key).expect("looked up").value);
-        let patched = Arc::new(patch(self, &old, &touched));
+        let patched = Arc::new(patch(self, &old, &transition));
         self.stats.op_artifact_patches += 1;
         self.op_artifacts
             .insert(key, Slot::new(patched.clone(), self.epoch, reads_partition));
@@ -346,12 +345,13 @@ impl<'g> ShortcutSession<'g> {
         }
     }
 
-    /// The parts to refresh when `slot` can be patched instead of rebuilt:
-    /// it is stale and every partition change since its stamp is still in
-    /// the log as a tracked reassignment. `None` otherwise — the slot is
+    /// The transition to patch `slot` across instead of rebuilding it: it
+    /// is stale and every partition change since its stamp is still in the
+    /// log as a tracked reassignment (every part kept its id; the touched
+    /// parts are those of every tick). `None` otherwise — the slot is
     /// fresh, or the span contains a wholesale replacement or reaches past
     /// the bounded log.
-    pub(super) fn patchable_parts<T>(&self, slot: &Slot<T>) -> Option<Vec<PartId>> {
+    pub(super) fn pending_transition<T>(&self, slot: &Slot<T>) -> Option<Transition> {
         if slot.fresh(self.epoch) {
             return None;
         }
@@ -365,7 +365,8 @@ impl<'g> ShortcutSession<'g> {
                 PartitionDelta::Reassigned(parts) => touched.extend(parts),
             }
         }
-        Some(touched.into_iter().collect())
+        let k = self.partition.as_ref()?.num_parts();
+        Some(Transition::identity(k, touched.into_iter().collect()))
     }
 }
 
@@ -437,8 +438,11 @@ mod tests {
         s.op_artifact_patched(
             deps::SHORTCUT,
             |s| PartCount(s.partition().num_parts()),
-            |s, old, touched| {
-                assert!(!touched.is_empty(), "a patch follows a tracked move");
+            |s, old, transition| {
+                assert!(
+                    !transition.touched.is_empty(),
+                    "a patch follows a tracked move"
+                );
                 assert_eq!(old.0, s.partition().num_parts(), "moves keep the parts");
                 PartCount(old.0)
             },

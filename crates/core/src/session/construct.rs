@@ -7,7 +7,7 @@ use super::{SessionError, ShortcutSession};
 use crate::full::keep_denser;
 use crate::{
     construct, construction_tree, measure_quality, ConstructionStats, FullShortcutResult,
-    QualityReport, Shortcut,
+    QualityReport, Shortcut, Transition,
 };
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{PartId, RootedTree};
@@ -214,8 +214,8 @@ impl ShortcutSession<'_> {
     fn ensure_full(&mut self) -> Result<(), SessionError> {
         if let Some(slot) = &self.full {
             // Stale by tracked reassignments only: patch, do not rebuild.
-            if let Some(touched) = self.patchable_parts(slot) {
-                return self.recustomize(&touched);
+            if let Some(transition) = self.pending_transition(slot) {
+                return self.recustomize(&transition);
             }
             // A stale shortcut takes the report that measured it with it.
             let stale_report = !slot.fresh(self.epoch) && slot.value.quality.is_some();
@@ -292,15 +292,17 @@ impl ShortcutSession<'_> {
         })
     }
 
-    /// Incremental re-customization: one mini doubling search over just
-    /// the `touched` parts, splicing their `H_i` into the cached full
-    /// shortcut and re-measuring their rows of its quality report, if
-    /// measured. A truncated search leaves the artifact stale, as it was.
-    fn recustomize(&mut self, touched: &[PartId]) -> Result<(), SessionError> {
+    /// Incremental re-customization: the cached full shortcut follows
+    /// `transition` ([`Shortcut::carried_over`]) with one mini doubling
+    /// search over just the touched parts, whose rows of its quality
+    /// report, if measured, are re-measured. A truncated search leaves the
+    /// artifact stale, as it was.
+    fn recustomize(&mut self, transition: &Transition) -> Result<(), SessionError> {
         // Start where the cached construction ended: parts that were
         // servable at the final δ̂ before the move usually still are.
         let cached = self.cached_full().delta_hat;
         let start = cached.max(self.config.shortcut.initial_delta_hat);
+        let touched = &transition.touched;
         let res = self.construct_parts(touched, start)?;
         let mut slot = self
             .full
@@ -308,11 +310,8 @@ impl ShortcutSession<'_> {
             .expect("recustomize requires a cached full artifact");
         let (g, tree, partition) = (&self.g, self.cached_tree(), self.partition());
         let full = &mut slot.value;
-        debug_assert_eq!(full.shortcut.num_parts(), partition.num_parts());
-        for &p in touched {
-            full.shortcut
-                .set_edges(p, res.shortcut.edges_for(p).to_vec());
-        }
+        let kept = std::mem::replace(&mut full.shortcut, Shortcut::empty(0));
+        full.shortcut = kept.carried_over(transition, res.shortcut);
         full.delta_hat = full.delta_hat.max(res.delta_hat);
         keep_denser(&mut full.witness, res.best_witness);
         if let Some(report) = &mut full.quality {

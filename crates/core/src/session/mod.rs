@@ -555,11 +555,11 @@ mod tests {
         let b = s.op_artifact_patched(
             deps::SHORTCUT,
             |_| -> EdgesPerPart { unreachable!("tracked churn must patch, not rebuild") },
-            |s, old, touched| {
+            |s, old, transition| {
                 s.prepare();
                 let sc = s.shortcut_ref();
                 let mut v = old.0.clone();
-                for &p in touched {
+                for &p in &transition.touched {
                     v[p.index()] = sc.edges_for(p).len();
                 }
                 EdgesPerPart(v)

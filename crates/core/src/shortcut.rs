@@ -1,5 +1,6 @@
 //! The shortcut object: one edge set `H_i` per part (Definition 2.2).
 
+use crate::Transition;
 use lcs_graph::{EdgeId, Graph, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +58,28 @@ impl Shortcut {
         edges.sort_unstable();
         edges.dedup();
         self.per_part[p.index()] = edges;
+    }
+
+    /// This shortcut carried across `transition`: an untouched part keeps
+    /// its `H_i` under its new id, a touched one takes it from `fresh`, a
+    /// shortcut of the new partition's shape (say a
+    /// [`construct`](crate::construct) over some of the touched parts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Transition::renaming`] does not have one entry per part.
+    pub fn carried_over(self, transition: &Transition, mut fresh: Shortcut) -> Shortcut {
+        assert_eq!(
+            transition.into.len(),
+            self.num_parts(),
+            "one entry per old part"
+        );
+        for (list, p) in self.per_part.into_iter().zip(&transition.into) {
+            if transition.touched.binary_search(p).is_err() {
+                fresh.per_part[p.index()] = list;
+            }
+        }
+        fresh
     }
 
     /// Total size `Σ|H_i|`.

@@ -6,7 +6,7 @@ use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
 use lcs_core::session::{deps, AggregateOpts, ShortcutSession};
-use lcs_core::{Partition, Shortcut};
+use lcs_core::{Partition, Shortcut, Transition};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -107,21 +107,25 @@ impl ParticipationMap {
         Self::from_sorted(g.num_nodes(), entries.into_iter())
     }
 
-    /// An incrementally refreshed copy: the slots of the `touched` parts
-    /// are dropped everywhere and re-derived from the (new) partition and
-    /// shortcut; every other part's slots are carried over in one linear
-    /// merge. Equals [`ParticipationMap::build`] on the same inputs.
+    /// An incrementally refreshed copy, across `transition` to `partition`
+    /// and its `shortcut`: the slots of the touched parts are re-derived,
+    /// every other part's slots are renamed to its new id and kept, in one
+    /// linear merge — the renaming keeps the order of the untouched parts,
+    /// so the kept slots stay sorted. Equals [`ParticipationMap::build`] on
+    /// the same inputs when the untouched parts' `H_i` did not change.
     ///
     /// # Panics
     ///
-    /// Panics if the shortcut's shape differs from the partition's.
+    /// Panics if the shortcut's shape differs from the partition's, or
+    /// the renaming does not name a part for every part of the table.
     pub fn refreshed(
         &self,
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
-        touched: &[PartId],
+        transition: &Transition,
     ) -> Self {
+        let (into, touched) = (transition.renaming(), transition.touched());
         let mut is_touched = vec![false; partition.num_parts()];
         for &p in touched {
             is_touched[p.index()] = true;
@@ -129,6 +133,7 @@ impl ParticipationMap {
         let fresh = Self::entries_of(g, partition, shortcut, touched.iter().copied());
         let mut kept = self
             .entries()
+            .map(|(v, part, port)| (v, into[part as usize].0, port))
             .filter(|&(_, part, _)| !is_touched[part as usize])
             .peekable();
         let mut fresh = fresh.into_iter().peekable();
@@ -331,16 +336,8 @@ const NO_ROOT: u32 = u32::MAX;
 /// truncated or re-led part is unrooted and the
 /// next run re-roots it with the full echo.
 ///
-/// When the tables change, [`carried_over`](Self::carried_over) lays the
-/// trees over the next table. A part whose slots kept their ports keeps
-/// its tree; a part whose members changed is repaired — a member that left
-/// from a leaf is unhooked, a member that arrived is hung from a kept
-/// neighbour in the part (the session's `reassign_parts` churn, whose
-/// after-churn aggregate then runs warm); and parts that merge become one
-/// tree — each joining part re-rooted at the member inside the joining
-/// edge and hung from the far end (Boruvka, whose MWOE aggregate then runs
-/// warm after the first phase). A part that cannot be carried comes out
-/// unrooted.
+/// When the partition moves, [`carried_over`](Self::carried_over) lays the
+/// trees across its [`Transition`] onto the next table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggForest {
     /// Per part, the leader its tree is rooted at; `NO_ROOT` if none is.
@@ -351,25 +348,6 @@ pub struct AggForest {
     /// Per `(slot, port)` entry, whether the neighbor is a kept child of
     /// this slot; `false` throughout unrooted parts.
     child: Vec<bool>,
-}
-
-/// How the parts of one table become the parts of the next: what
-/// [`AggForest::carried_over`] reads besides the two tables.
-#[derive(Clone, Copy, Debug)]
-pub struct Carry<'a> {
-    /// Per old part, the new part its tree goes into; `None` drops it.
-    /// Members may differ on the two sides (the session's churn maps every
-    /// part to itself): the tree is repaired as
-    /// [`AggForest::carried_over`] describes.
-    pub into: &'a [Option<PartId>],
-    /// `(old part, inside, far)`: that part's tree is re-rooted at `inside`,
-    /// one of its members, and hung from `far`, a neighbor of `inside` in
-    /// another constituent of the same new part. In Boruvka `inside` led
-    /// its tail's notify [`Wave::Broadcast`], so each slot on its path to
-    /// the old root heard it from a child: the pointers that flip.
-    pub joins: &'a [(PartId, NodeId, NodeId)],
-    /// A new tree higher than this comes out unrooted.
-    pub max_height: usize,
 }
 
 impl AggForest {
@@ -384,11 +362,15 @@ impl AggForest {
     }
 
     /// The forest over `new` (a table of `partition`), carried from this
-    /// forest over `old` as `carry` describes. Each kept slot (a root, or a
+    /// forest over `old` across `transition`. Each kept slot (a root, or a
     /// slot with a parent) of a rooted old part copies its parent port and
-    /// child ports into the slot of its new part at the same node; then
-    /// each join re-roots its part's tree at `inside` — flipping the parent
-    /// pointers on the path up to the old root — and hangs it from `far`.
+    /// child ports into the slot of its new part
+    /// ([`Transition::renaming`]) at the same node; then each join `(part,
+    /// inside, far)` re-roots its part's tree at `inside` — flipping the
+    /// parent pointers on the path up to the old root — and hangs it from
+    /// `far`. In Boruvka `inside` led its tail's notify
+    /// [`Wave::Broadcast`], so each slot on that path heard it from a
+    /// child: the pointers that flip.
     ///
     /// Two repairs, read off this forest and `partition` alone, follow
     /// membership changes:
@@ -412,25 +394,22 @@ impl AggForest {
     /// must still be a member), every copied port still participates in
     /// `new`, no node holds kept slots of two constituents, every arrival
     /// found a kept neighbour, and the kept slots form one tree at most
-    /// `carry.max_height` high; every other part is unrooted.
+    /// `max_height` high; every other part is unrooted.
     ///
     /// # Panics
     ///
-    /// Panics if `carry.into` does not have one entry per old part or the
-    /// forest is not laid out over `old`.
+    /// Panics if the renaming does not have one entry per old part or
+    /// the forest is not laid out over `old`.
     pub fn carried_over(
         &self,
         g: &Graph,
         old: &ParticipationMap,
         partition: &Partition,
         new: &ParticipationMap,
-        carry: Carry<'_>,
+        transition: &Transition,
+        max_height: usize,
     ) -> Self {
-        let Carry {
-            into,
-            joins,
-            max_height,
-        } = carry;
+        let (into, joins) = (transition.renaming(), transition.joins());
         assert_eq!(into.len(), self.root.len(), "one entry per old part");
         assert_eq!(
             self.parent.len(),
@@ -443,9 +422,8 @@ impl AggForest {
             joined[part.index()] = true;
         }
         let mut fits = vec![true; out.root.len()];
-        for (q, (&to, &root)) in into.iter().zip(&self.root).enumerate() {
-            let Some(p) = to else { continue };
-            let root_left = || partition.part_of(NodeId(root)) != to;
+        for (q, (&p, &root)) in into.iter().zip(&self.root).enumerate() {
+            let root_left = || partition.part_of(NodeId(root)) != Some(p);
             if root == NO_ROOT || (!joined[q] && (out.root[p.index()] != NO_ROOT || root_left())) {
                 fits[p.index()] = false;
             } else if !joined[q] {
@@ -454,7 +432,7 @@ impl AggForest {
         }
         // Rule (a): a kept leaf at a node outside its new part left it.
         let departs = |v: NodeId, q: u32| {
-            partition.part_of(v) != into[q as usize]
+            partition.part_of(v) != Some(into[q as usize])
                 && (old.slot_of(v, q))
                     .is_some_and(|s| !self.child[old.entry_range(s)].contains(&true))
         };
@@ -464,7 +442,7 @@ impl AggForest {
             let (old_slots, new_slots) = (old.node(v), new.node(v));
             let (old_base, new_base) = (old.slot_range(v).start, new.slot_range(v).start);
             for (o, &q) in old_slots.parts.iter().enumerate() {
-                let Some(p) = into[q as usize] else { continue };
+                let p = into[q as usize];
                 let parent = self.parent[old_base + o];
                 let kept = parent != NO_PORT || self.root[q as usize] == v.0;
                 if !fits[p.index()] || !kept || departs(v, q) {
@@ -496,7 +474,8 @@ impl AggForest {
         }
 
         for &(q, inside, far) in joins {
-            if let Some(p) = into[q.index()].filter(|p| fits[p.index()]) {
+            let p = into[q.index()];
+            if fits[p.index()] {
                 fits[p.index()] = out.hang(g, new, p.0, inside, far).is_some();
             }
         }
@@ -696,9 +675,9 @@ impl AggForest {
 /// What a session caches for the part-wise ops, in one op-artifact slot:
 /// the participation tables and the aggregation forest over them, which
 /// aggregate and gossip share. Built on first use, refreshed for the
-/// touched parts only under `reassign_parts` churn — one patch however
-/// many ticks it spans, carrying every part to itself, so untouched parts
-/// keep their trees and touched ones are repaired (see
+/// touched parts only under `reassign_parts` churn — one patch across the
+/// [`Transition`] of however many ticks it spans, in which every part keeps
+/// its id, so untouched parts keep their trees and touched ones are repaired (see
 /// [`AggForest::carried_over`]) — and dropped with the shortcut
 /// (`deps::SHORTCUT`).
 pub(crate) struct SessionTables {
@@ -718,20 +697,20 @@ impl SessionTables {
                     participation: Arc::new(participation),
                 }
             },
-            |s, old: &Self, touched| {
+            |s, old: &Self, transition| {
                 let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 let old_map = &old.participation;
-                let participation = old_map.refreshed(g, partition, shortcut, touched);
-                let into: Vec<_> = partition.part_ids().map(Some).collect();
-                let carry = Carry {
-                    into: &into,
-                    joins: &[],
-                    max_height: usize::MAX,
-                };
+                let participation = old_map.refreshed(g, partition, shortcut, transition);
+                let forest = (old.forest).carried_over(
+                    g,
+                    old_map,
+                    partition,
+                    &participation,
+                    transition,
+                    usize::MAX,
+                );
                 SessionTables {
-                    forest: old
-                        .forest
-                        .carried_over(g, old_map, partition, &participation, carry),
+                    forest,
                     participation: Arc::new(participation),
                 }
             },
@@ -1374,13 +1353,9 @@ mod tests {
         shortcut: &Shortcut,
     ) -> (usize, u64) {
         let map = ParticipationMap::build(g, partition, shortcut);
-        let into: Vec<_> = partition.part_ids().map(Some).collect();
-        let carry = Carry {
-            into: &into,
-            joins: &[],
-            max_height: usize::MAX,
-        };
-        let mut carried = tables.1.carried_over(g, &tables.0, partition, &map, carry);
+        let (_, identity) = partition.reassign(g, &[]).expect("no move fails");
+        let mut carried =
+            (tables.1).carried_over(g, &tables.0, partition, &map, &identity, usize::MAX);
         let heights = carried.heights(g, &map);
         for (root, height) in carried.root.iter().zip(&heights) {
             assert_eq!(
@@ -1657,13 +1632,15 @@ mod tests {
                         Some((v, session.partition().part_of(nb)?))
                     })
                     .collect();
-                let Ok(touched) = session.reassign_parts(&moves) else { continue };
+                let Ok((_, transition)) = session.partition().reassign(&g, &moves) else { continue };
+                let touched = session.reassign_parts(&moves).unwrap();
+                prop_assert_eq!(transition.touched(), &touched[..]);
                 if touched.is_empty() {
                     continue;
                 }
                 session.prepare(); // re-customizes the touched parts in place
                 let (partition, shortcut) = (session.partition(), session.shortcut_ref());
-                let next = tables.0.refreshed(&g, partition, shortcut, &touched);
+                let next = tables.0.refreshed(&g, partition, shortcut, &transition);
                 prop_assert_eq!(&next, &ParticipationMap::build(&g, partition, shortcut));
 
                 let untouched = |(map, forest): &(ParticipationMap, AggForest)| {
@@ -1685,6 +1662,27 @@ mod tests {
             }
             prop_assert!(ticks > 0, "no tick was accepted");
             prop_assert!(repaired > 0, "no touched part was carried");
+
+            // Then a Boruvka phase: parts merge one hop into neighbours, the
+            // survivors are renamed in order, and only the grown parts get a
+            // fresh `H_i` and fresh slots.
+            let tree = session.tree().clone();
+            let (partition, shortcut) = (session.partition(), session.shortcut_ref());
+            let (mut merging, mut grows) = (vec![false; partition.num_parts()], vec![false; partition.num_parts()]);
+            let mut joins = Vec::new();
+            for er in g.edges() {
+                let (a, b) = (partition.part_of(er.u).unwrap(), partition.part_of(er.v).unwrap());
+                if a != b && !merging[a.index()] && !grows[a.index()] && !merging[b.index()] && rng.gen_bool(0.3) {
+                    (merging[a.index()], grows[b.index()]) = (true, true);
+                    joins.push((a, er.u, er.v));
+                }
+            }
+            let (merged, transition) = partition.merge(&g, joins).unwrap();
+            let cfg = ShortcutConfig::default();
+            let fresh = lcs_core::construct(&g, &tree, &merged, transition.touched(), 1, &cfg, None);
+            let merged_shortcut = shortcut.clone().carried_over(&transition, fresh.unwrap().shortcut);
+            let next = tables.0.refreshed(&g, &merged, &merged_shortcut, &transition);
+            prop_assert_eq!(next, ParticipationMap::build(&g, &merged, &merged_shortcut));
         }
 
         /// The echo is a formula at `message_packing = 1`, whatever the
@@ -2181,7 +2179,7 @@ mod tests {
     fn joined_trees_run_warm() {
         let g = gen::road_like(12, 12, 3);
         let cells = gen::voronoi_parts_seeded(&g, 9, 3);
-        let partition = Partition::from_parts(&g, cells.clone()).unwrap();
+        let partition = Partition::from_parts(&g, cells).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
         let map = ParticipationMap::build(&g, &partition, &shortcut);
@@ -2202,33 +2200,13 @@ mod tests {
                 continue;
             }
             // Part `b` joins part `a`; the parts after `b` move down by one.
-            let mut parts = cells.clone();
-            let joining = parts.remove(b.index());
-            parts[a.index()].extend(joining);
-            let merged = Partition::from_parts(&g, parts).unwrap();
-            let mut edges: Vec<Vec<_>> = (partition.part_ids())
-                .map(|p| shortcut.edges_for(p).to_vec())
-                .collect();
-            let joining = edges.remove(b.index());
-            edges[a.index()].extend(joining);
-            edges[a.index()].sort_unstable();
-            edges[a.index()].dedup();
-            let next = ParticipationMap::build(&g, &merged, &Shortcut::from_edge_lists(edges));
-            let into: Vec<_> = (partition.part_ids())
-                .map(|p| {
-                    Some(if p == b {
-                        a
-                    } else {
-                        PartId(p.0 - u32::from(p > b))
-                    })
-                })
-                .collect();
-            let carry = Carry {
-                into: &into,
-                joins: &[(b, er.v, er.u)],
-                max_height: usize::MAX,
-            };
-            let mut carried = forest.carried_over(&g, &map, &merged, &next, carry);
+            let (merged, transition) = partition.merge(&g, vec![(b, er.v, er.u)]).unwrap();
+            let mut fresh = Shortcut::empty(merged.num_parts());
+            fresh.set_edges(a, [shortcut.edges_for(a), shortcut.edges_for(b)].concat());
+            let merged_shortcut = shortcut.clone().carried_over(&transition, fresh);
+            let next = ParticipationMap::build(&g, &merged, &merged_shortcut);
+            let mut carried =
+                forest.carried_over(&g, &map, &merged, &next, &transition, usize::MAX);
             let k = merged.num_parts();
             let out = sum_of(&values).run_with(&g, &merged, &opts, sim, &next, &mut carried);
             assert!(out.metrics.terminated && out.all_members_informed);
@@ -2278,19 +2256,15 @@ mod tests {
             let at = hub_ports.binary_search(&port).unwrap();
             port == forest.parent[hub] || forest.child[map.first_port[hub] as usize + at]
         };
-        let into = [Some(PartId(0))];
-        let carry = Carry {
-            into: &into,
-            joins: &[],
-            max_height: usize::MAX,
-        };
+        let (_, identity) = partition.reassign(&g, &[]).unwrap();
         let mut unrooted = 0;
         for (v, spoke) in (1..8).zip(&spokes) {
             let port = g.port_to(NodeId(0), NodeId(v)).unwrap() as u32;
             let kept: Vec<_> = spokes.iter().copied().filter(|e| e != spoke).collect();
             let next =
                 ParticipationMap::build(&g, &partition, &Shortcut::from_edge_lists(vec![kept]));
-            let mut carried = forest.carried_over(&g, &map, &partition, &next, carry);
+            let mut carried =
+                forest.carried_over(&g, &map, &partition, &next, &identity, usize::MAX);
             let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &next, &mut carried);
             assert!(out.metrics.terminated && out.all_members_informed);
             assert_eq!(out.results, [Some(28)]);

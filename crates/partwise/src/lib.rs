@@ -29,33 +29,17 @@
 //! # Root once, aggregate many
 //!
 //! The wave's spanning trees depend only on `G[P_i] + H_i` and the leaders,
-//! so an [`AggForest`] keeps them between runs: per slot of the
-//! [`ParticipationMap`] the parent port, per `(slot, port)` a child flag, per
-//! part the leader it is rooted at. [`AggregateOp::run_with`] takes the
-//! forest in/out. A *cold* run (nothing rooted; every
-//! [`AggregateOp::run_on`]) is the echo above, bit for bit. A *warm* run
-//! sends only the convergecast and the broadcast over the kept slots —
-//! exactly `2·(slots − parts − pruned)` messages, at least `2·(members −
-//! parts)`; the relays no member sits under, such as the chain between a
-//! part and the BFS root, hear nothing. Rooted and unrooted parts mix in
-//! one run of one program, and [`PartwiseOutcome::rooted_parts`] reports
-//! how many were served from the forest. A part is rooted only by a run
-//! that was not truncated and finished it on every participating node
-//! (each holds the result or was pruned); a part led from
-//! elsewhere is re-rooted by the echo. `leaders: None` asks for any
-//! leader: a rooted part keeps its root, an unrooted one starts at its
-//! minimum member. The session's gossip is this aggregate for min / max,
-//! so it is warm whenever the forest is. [`AggForest::carried_over`] lays
-//! a forest over the next table, with parts mapped or merged as a
-//! [`Carry`] says: a session keeps the forest in the participation tables'
-//! artifact slot, where `reassign_parts` churn repairs the touched parts'
-//! trees — a member that left from a leaf is unhooked, a member that
-//! arrived is hung from a kept neighbour in its part — so the after-churn
-//! aggregate runs warm (a part whose root left, or whose tree lost a port
-//! it used, echoes); Boruvka joins its merging fragments' trees at their
-//! MWOE edges. Whatever drops the tables drops the forest. This is a model
-//! choice, not a host optimisation: nodes keep `O(participation)` words of
-//! state between aggregations.
+//! so an [`AggForest`] keeps them between runs ([`AggregateOp::run_with`]
+//! takes it in/out). A *cold* run (nothing rooted; every
+//! [`AggregateOp::run_on`]) is the echo above, bit for bit; a *warm* run
+//! sends only the convergecast and the broadcast over the kept slots, and
+//! [`PartwiseOutcome::rooted_parts`] reports how many parts the forest
+//! served. The tables and the forest follow a partition's
+//! [`Transition`](lcs_core::Transition) — the session's `reassign_parts`
+//! churn, every Boruvka phase — through [`ParticipationMap::refreshed`] and
+//! [`AggForest::carried_over`]. This is a model choice, not a host
+//! optimisation: nodes keep `O(participation)` words of state between
+//! aggregations.
 //!
 //! # Multiple unicasts
 //!
@@ -96,6 +80,6 @@ pub mod session_ops;
 pub mod unicast;
 
 pub use centralized::centralized_aggregate;
-pub use dist::{AggForest, AggregateOp, Carry, ParticipationMap, PartwiseOutcome, Wave};
+pub use dist::{AggForest, AggregateOp, ParticipationMap, PartwiseOutcome, Wave};
 pub use session_ops::{GossipOutcome, IdempotentOp, SessionPartwiseOps};
 pub use unicast::{UnicastOp, UnicastOutcome};
