@@ -285,25 +285,27 @@ mod tests {
     /// shortcuts are built on. Provided a spanning tree that is not the BFS
     /// tree of its root — a snake through the grid's rows — `session.mst`
     /// sends exactly what `distributed_mst` sends over that tree, which is
-    /// not what it sends over the BFS tree.
+    /// not what it sends over the BFS tree: on the 8 × 8 grid under these
+    /// weights a carried tree outgrows the BFS tree's one-block cap
+    /// (`2D + 1` = 29) and echoes, while the snake's cap (127) keeps it.
     #[test]
     fn mst_runs_over_the_provided_tree() {
         use crate::mst::distributed_mst;
         use lcs_core::session::TreeSource;
         use lcs_graph::{bfs, RootedTree};
         use rand::SeedableRng;
-        let g = gen::grid(6, 6);
+        let g = gen::grid(8, 8);
         let in_snake = |u: u32, v: u32| {
-            let (row, col) = (u.min(v) / 6, u.min(v) % 6);
-            u / 6 == v / 6 || col == if row % 2 == 0 { 5 } else { 0 }
+            let (row, col) = (u.min(v) / 8, u.min(v) % 8);
+            u / 8 == v / 8 || col == if row % 2 == 0 { 7 } else { 0 }
         };
         let res = bfs::bfs_filtered(&g, &[NodeId(0)], |e, _| {
             let (u, v) = g.endpoints(e);
             in_snake(u.0, v.0)
         });
         let snake = RootedTree::from_parents(&g, NodeId(0), &res.parent, &res.dist, &res.order);
-        assert_eq!(snake.depth_of_tree(), 35);
-        let w = EdgeWeights::random_unique(&g, &mut rand::rngs::SmallRng::seed_from_u64(3));
+        assert_eq!(snake.depth_of_tree(), 63);
+        let w = EdgeWeights::random_unique(&g, &mut rand::rngs::SmallRng::seed_from_u64(7));
         let mut s = Session::on(&g)
             .tree(TreeSource::Provided(snake.clone()))
             .build()
@@ -319,6 +321,7 @@ mod tests {
             counts(&direct)
         );
         assert_ne!(counts(&direct), counts(&bfs));
+        assert_eq!((direct.echoes, bfs.echoes), (0, 1));
     }
 
     #[test]

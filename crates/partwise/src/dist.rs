@@ -10,6 +10,7 @@ use lcs_core::{Partition, Shortcut, Transition};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -362,15 +363,23 @@ impl AggForest {
     }
 
     /// The forest over `new` (a table of `partition`), carried from this
-    /// forest over `old` across `transition`. Each kept slot (a root, or a
-    /// slot with a parent) of a rooted old part copies its parent port and
-    /// child ports into the slot of its new part
-    /// ([`Transition::renaming`]) at the same node; then each join `(part,
-    /// inside, far)` re-roots its part's tree at `inside` — flipping the
-    /// parent pointers on the path up to the old root — and hangs it from
-    /// `far`. In Boruvka `inside` led its tail's notify
-    /// [`Wave::Broadcast`], so each slot on that path heard it from a
-    /// child: the pointers that flip.
+    /// forest over `old` across `transition`, and the detaches it sends.
+    /// Each join `(part, inside, far)` first re-roots its part's tree at
+    /// `inside` in the old layout, with `far` as its parent, flipping the
+    /// parent pointers on the path up to the old root (in Boruvka `inside`
+    /// led its tail's notify [`Wave::Broadcast`], so each slot on that path
+    /// heard it from a child). Then each kept slot (a root, or a slot with
+    /// a parent) of a rooted old part copies its parent and child ports
+    /// into the slot of its new part ([`Transition::renaming`]) at the same
+    /// node, and `far` gains `inside` as a child. Where kept slots of
+    /// several constituents meet, the slot takes all their children and
+    /// the parent of the highest-ranked one: the constituent that joins
+    /// nothing, then the others by ascending old part id (Boruvka's
+    /// fragment ids, known from the notify wave). Each other parent port
+    /// gets a detach, one message naming the part, that clears its child
+    /// flag. Rank never decreases along parent pointers, and each
+    /// constituent's walk ends at its root or at the join into the one
+    /// that joins nothing, so the result is a tree.
     ///
     /// Two repairs, read off this forest and `partition` alone, follow
     /// membership changes:
@@ -392,9 +401,9 @@ impl AggForest {
     /// A new part comes out rooted only if every constituent was rooted,
     /// exactly one joins nothing (the new tree keeps that one's root, which
     /// must still be a member), every copied port still participates in
-    /// `new`, no node holds kept slots of two constituents, every arrival
-    /// found a kept neighbour, and the kept slots form one tree at most
-    /// `max_height` high; every other part is unrooted.
+    /// `new`, every arrival found a kept neighbour, and the kept slots form
+    /// one tree at most `max_height` high; every other part is unrooted and
+    /// sends no detach.
     ///
     /// # Panics
     ///
@@ -408,7 +417,7 @@ impl AggForest {
         new: &ParticipationMap,
         transition: &Transition,
         max_height: usize,
-    ) -> Self {
+    ) -> (Self, usize) {
         let (into, joins) = (transition.renaming(), transition.joins());
         assert_eq!(into.len(), self.root.len(), "one entry per old part");
         assert_eq!(
@@ -416,13 +425,18 @@ impl AggForest {
             old.slot_part.len(),
             "forest is laid out over `old`"
         );
-        let mut out = AggForest::unrooted(partition, new);
         let mut joined = vec![false; into.len()];
-        for &(part, ..) in joins {
-            joined[part.index()] = true;
+        let mut src = Cow::Borrowed(self);
+        for &(q, inside, far) in joins {
+            joined[q.index()] = true;
+            let src = src.to_mut();
+            if src.reroot(g, old, q.0, inside, far).is_none() {
+                src.root[q.index()] = NO_ROOT;
+            }
         }
+        let mut out = AggForest::unrooted(partition, new);
         let mut fits = vec![true; out.root.len()];
-        for (q, (&p, &root)) in into.iter().zip(&self.root).enumerate() {
+        for (q, (&p, &root)) in into.iter().zip(&src.root).enumerate() {
             let root_left = || partition.part_of(NodeId(root)) != Some(p);
             if root == NO_ROOT || (!joined[q] && (out.root[p.index()] != NO_ROOT || root_left())) {
                 fits[p.index()] = false;
@@ -434,33 +448,43 @@ impl AggForest {
         let departs = |v: NodeId, q: u32| {
             partition.part_of(v) != Some(into[q as usize])
                 && (old.slot_of(v, q))
-                    .is_some_and(|s| !self.child[old.entry_range(s)].contains(&true))
+                    .is_some_and(|s| !src.child[old.entry_range(s)].contains(&true))
         };
 
-        let mut claimed = vec![false; new.slot_part.len()];
+        // Per new slot, the rank of the constituent whose parent it keeps
+        // (lower is higher), and `(node, slot, port)` per dropped parent.
+        let mut kept_by = vec![None; new.slot_part.len()];
+        let mut dropped = Vec::new();
         for v in (0..old.first_slot.len() as u32 - 1).map(NodeId) {
             let (old_slots, new_slots) = (old.node(v), new.node(v));
             let (old_base, new_base) = (old.slot_range(v).start, new.slot_range(v).start);
             for (o, &q) in old_slots.parts.iter().enumerate() {
                 let p = into[q as usize];
-                let parent = self.parent[old_base + o];
-                let kept = parent != NO_PORT || self.root[q as usize] == v.0;
+                let parent = src.parent[old_base + o];
+                let kept = parent != NO_PORT || src.root[q as usize] == v.0;
                 if !fits[p.index()] || !kept || departs(v, q) {
                     continue;
                 }
                 let copied = new_slots.parts.binary_search(&p.0).ok().and_then(|s| {
-                    if std::mem::replace(&mut claimed[new_base + s], true) {
-                        return None; // a second constituent's slot
-                    }
-                    out.parent[new_base + s] = parent;
                     let ports = new_slots.ports(s);
                     if parent != NO_PORT {
                         ports.binary_search(&parent).ok()?;
                     }
+                    let (at, rank) = (new_base + s, (joined[q as usize], q));
+                    let drops = match kept_by[at] {
+                        Some(by) if by < rank => parent,
+                        _ => {
+                            kept_by[at] = Some(rank);
+                            std::mem::replace(&mut out.parent[at], parent)
+                        }
+                    };
+                    if drops != NO_PORT {
+                        dropped.push((v, at, drops));
+                    }
                     let children = old_slots
                         .ports(o)
                         .iter()
-                        .zip(&self.child[old_slots.entry_range(o)]);
+                        .zip(&src.child[old_slots.entry_range(o)]);
                     let stays =
                         |&(&port, &c): &(&u32, &bool)| c && !departs(g.heads(v)[port as usize], q);
                     for (port, _) in children.filter(stays) {
@@ -475,9 +499,16 @@ impl AggForest {
 
         for &(q, inside, far) in joins {
             let p = into[q.index()];
-            if fits[p.index()] {
-                fits[p.index()] = out.hang(g, new, p.0, inside, far).is_some();
-            }
+            let port = g.port_to(far, inside).expect("a join crosses an edge") as u32;
+            fits[p.index()] &= out.set_child(new, (far, p.0), port, true).is_some();
+        }
+        dropped.sort_unstable();
+        dropped.dedup();
+        dropped.retain(|&(_, s, port)| port != out.parent[s]);
+        for &(v, s, port) in &dropped {
+            let (p, w) = (new.slot_part[s], g.heads(v)[port as usize]);
+            let back = g.port_to(w, v).expect("adjacent") as u32;
+            fits[p as usize] &= out.set_child(new, (w, p), back, false).is_some();
         }
         // Rule (b): a member without a kept slot arrived.
         for (p, members) in partition.iter() {
@@ -495,16 +526,16 @@ impl AggForest {
                 let hook = ports.iter().find_map(|&port| {
                     let w = g.heads(v)[port as usize];
                     let t = new.slot_of(w, p.0)?;
-                    (partition.part_of(w) == Some(p) && kept(w, t)).then_some((port, w, t))
+                    (partition.part_of(w) == Some(p) && kept(w, t)).then_some((port, w))
                 });
-                let Some((port, w, t)) = hook else {
+                let Some((port, w)) = hook else {
                     fits[p.index()] = false;
                     break;
                 };
                 out.parent[s] = port;
                 let back = g.port_to(w, v).expect("adjacent") as u32;
-                *out.child_at(new, w, t, back)
-                    .expect("an edge inside a part participates") = true;
+                (out.set_child(new, (w, p.0), back, true))
+                    .expect("an edge inside a part participates");
             }
         }
         for (root, fits) in out.root.iter_mut().zip(fits) {
@@ -524,15 +555,16 @@ impl AggForest {
                 out.child[new.entry_range(s)].fill(false);
             }
         }
-        out
+        let rooted = |s: usize| out.root[new.slot_part[s] as usize] != NO_ROOT;
+        let detaches = dropped.iter().filter(|&&(_, s, _)| rooted(s)).count();
+        (out, detaches)
     }
 
-    /// Re-roots `part`'s tree through `inside` at `inside` and hangs it
-    /// from `far` over their edge: the parent pointers on the path from
-    /// `inside` up to the old root flip, `inside`'s parent becomes `far`,
-    /// and `far` gains `inside` as a child. `None` if a slot or port on the
-    /// way is missing from `map`.
-    fn hang(
+    /// Re-roots `part`'s tree at `inside`, with `far` (outside the part)
+    /// as its parent: the parent pointers on the path from `inside` up to
+    /// the old root flip. `None` if a slot or port on the way is missing
+    /// from `map`.
+    fn reroot(
         &mut self,
         g: &Graph,
         map: &ParticipationMap,
@@ -546,33 +578,32 @@ impl AggForest {
             let s = map.slot_of(v, part)?;
             let up = std::mem::replace(&mut self.parent[s], parent);
             if v != inside {
-                *self.child_at(map, v, s, parent)? = false; // the old child is the new parent
+                self.set_child(map, (v, part), parent, false)?; // the old child is the new parent
             }
             if up == NO_PORT {
-                break; // the old root
+                return Some(()); // the old root
             }
-            *self.child_at(map, v, s, up)? = true;
+            self.set_child(map, (v, part), up, true)?;
             let next = g.heads(v)[up as usize];
             parent = g.port_to(next, v)? as u32;
             v = next;
         }
-        let s = map.slot_of(far, part)?;
-        *self.child_at(map, far, s, g.port_to(far, inside)? as u32)? = true;
-        Some(())
     }
 
-    /// The child flag of table-wide slot `s` (at node `v`) over `port`.
-    fn child_at(
+    /// Sets whether the neighbour over `port` is a child of `v`'s slot of
+    /// `part`; `None` if `map` has no such slot or port.
+    fn set_child(
         &mut self,
         map: &ParticipationMap,
-        v: NodeId,
-        s: usize,
+        (v, part): (NodeId, u32),
         port: u32,
-    ) -> Option<&mut bool> {
+        child: bool,
+    ) -> Option<()> {
         let slots = map.node(v);
-        let local = s - map.slot_range(v).start;
+        let local = slots.parts.binary_search(&part).ok()?;
         let at = slots.ports(local).binary_search(&port).ok()?;
-        Some(&mut self.child[slots.entry_range(local).start + at])
+        self.child[slots.entry_range(local).start + at] = child;
+        Some(())
     }
 
     /// Per part, the edges of its tree over `map`: its kept non-root slots.
@@ -701,7 +732,7 @@ impl SessionTables {
                 let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 let old_map = &old.participation;
                 let participation = old_map.refreshed(g, partition, shortcut, transition);
-                let forest = (old.forest).carried_over(
+                let (forest, _) = (old.forest).carried_over(
                     g,
                     old_map,
                     partition,
@@ -1354,8 +1385,9 @@ mod tests {
     ) -> (usize, u64) {
         let map = ParticipationMap::build(g, partition, shortcut);
         let (_, identity) = partition.reassign(g, &[]).expect("no move fails");
-        let mut carried =
+        let (mut carried, detaches) =
             (tables.1).carried_over(g, &tables.0, partition, &map, &identity, usize::MAX);
+        assert_eq!(detaches, 0, "churn has no joins");
         let heights = carried.heights(g, &map);
         for (root, height) in carried.root.iter().zip(&heights) {
             assert_eq!(
@@ -1683,6 +1715,69 @@ mod tests {
             let merged_shortcut = shortcut.clone().carried_over(&transition, fresh.unwrap().shortcut);
             let next = tables.0.refreshed(&g, &merged, &merged_shortcut, &transition);
             prop_assert_eq!(next, ParticipationMap::build(&g, &merged, &merged_shortcut));
+        }
+
+        /// Boruvka-style merges with real shortcuts: every round coins make
+        /// heads and tails, each tail with a head neighbour joins one over
+        /// an edge, the grown parts get a construction, and the forest is
+        /// carried with the cap `2D + 1`. Every carried part is unrooted or
+        /// one tree at most that high holding a kept slot at each member;
+        /// the run to the extreme over it is warm in exactly the carried
+        /// parts and finds the minima a cold echo finds.
+        #[test]
+        fn boruvka_merges_carry_trees_within_the_cap(
+            (g, parts) in arb_instance(1..3),
+            seed in 0u64..1000,
+        ) {
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let cap = 2 * tree.depth_of_tree() as usize + 1;
+            let cfg = ShortcutConfig::default();
+            let mut partition = Partition::from_parts(&g, parts).unwrap();
+            let mut shortcut = full_shortcut(&g, &tree, &partition, &cfg).shortcut;
+            let (mut map, mut forest) = rooted(&g, &partition, &shortcut);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37 + seed) % 101).collect();
+            let min = AggregateOp { op: AggOp::Min, ..sum_of(&values) };
+            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+            for _ in 0..12 {
+                let heads: Vec<bool> = partition.part_ids().map(|_| rng.gen_bool(0.5)).collect();
+                let mut joins: Vec<(PartId, NodeId, NodeId)> = Vec::new();
+                for er in g.edges() {
+                    for (inside, far) in [(er.u, er.v), (er.v, er.u)] {
+                        let (q, to) = (partition.part_of(inside).unwrap(), partition.part_of(far).unwrap());
+                        if !heads[q.index()] && heads[to.index()] && joins.iter().all(|j| j.0 != q) {
+                            joins.push((q, inside, far));
+                        }
+                    }
+                }
+                if joins.is_empty() {
+                    continue;
+                }
+                let (merged, t) = partition.merge(&g, joins).unwrap();
+                let fresh = lcs_core::construct(&g, &tree, &merged, t.touched(), 1, &cfg, None);
+                let next_shortcut = shortcut.carried_over(&t, fresh.unwrap().shortcut);
+                let next = map.refreshed(&g, &merged, &next_shortcut, &t);
+                let (mut carried, _) = forest.carried_over(&g, &map, &merged, &next, &t, cap);
+                let heights = carried.heights(&g, &next);
+                for (p, members) in merged.iter() {
+                    let root = carried.root[p.index()];
+                    if root == NO_ROOT {
+                        continue;
+                    }
+                    prop_assert!(heights[p.index()].is_some_and(|h| h <= cap));
+                    for &v in members {
+                        let s = next.slot_of(v, p.0).unwrap();
+                        prop_assert!(carried.parent[s] != NO_PORT || root == v.0);
+                    }
+                }
+                let rooted = rooted_parts(&carried);
+                let shape = (Wave::ToExtreme, None);
+                let warm = min.run_masked(&g, &merged, (&opts, sim), &next, &mut carried, shape);
+                let cold = min.run_on(&g, &merged, &next_shortcut, &opts, sim);
+                prop_assert_eq!(warm.rooted_parts, rooted);
+                prop_assert_eq!(warm.results, cold.results);
+                (partition, shortcut, map, forest) = (merged, next_shortcut, next, carried);
+            }
         }
 
         /// The echo is a formula at `message_packing = 1`, whatever the
@@ -2205,7 +2300,7 @@ mod tests {
             fresh.set_edges(a, [shortcut.edges_for(a), shortcut.edges_for(b)].concat());
             let merged_shortcut = shortcut.clone().carried_over(&transition, fresh);
             let next = ParticipationMap::build(&g, &merged, &merged_shortcut);
-            let mut carried =
+            let (mut carried, _) =
                 forest.carried_over(&g, &map, &merged, &next, &transition, usize::MAX);
             let k = merged.num_parts();
             let out = sum_of(&values).run_with(&g, &merged, &opts, sim, &next, &mut carried);
@@ -2226,6 +2321,57 @@ mod tests {
             }
         }
         assert!(warm > 0, "no join carried every part");
+    }
+
+    /// Two rim arcs of a wheel, `A = 1..=5` and `B = 6..=10`, each with the
+    /// spokes of its two ends as `H`: the hub relays both trees, below
+    /// node 1 in `A` and node 6 in `B`. `A` joins `B` over the rim edge
+    /// 5–6, so re-rooted at 5 its tree hangs the hub from 5. In the merged
+    /// part the hub keeps `B`'s parent 6, takes both child sets and sends
+    /// its dropped parent 5 the one detach: the part comes out rooted at
+    /// 6 as one tree, and the next run to the extreme is warm.
+    #[test]
+    fn a_relay_shared_by_two_constituents_keeps_one_parent() {
+        let g = gen::wheel(11);
+        let arcs = vec![(1..6).map(NodeId).collect(), (6..11).map(NodeId).collect()];
+        let partition = Partition::from_parts(&g, arcs).unwrap();
+        let spokes = |ends: &[u32]| {
+            let spoke = |&v: &u32| g.find_edge(NodeId(0), NodeId(v)).unwrap();
+            ends.iter().map(spoke).collect::<Vec<_>>()
+        };
+        let h = Shortcut::from_edge_lists(vec![spokes(&[1, 5]), spokes(&[6, 10])]);
+        let before = rooted(&g, &partition, &h);
+        assert_eq!(parent_of(&g, &before, 0, 0), Some(1));
+        assert_eq!(parent_of(&g, &before, 0, 1), Some(6));
+
+        let join = vec![(PartId(0), NodeId(5), NodeId(6))];
+        let (merged, transition) = partition.merge(&g, join).unwrap();
+        let h = Shortcut::from_edge_lists(vec![spokes(&[1, 5, 6, 10])]);
+        let map = ParticipationMap::build(&g, &merged, &h);
+        let (carried, detaches) =
+            (before.1).carried_over(&g, &before.0, &merged, &map, &transition, usize::MAX);
+        assert_eq!(detaches, 1);
+        assert_eq!(carried.root, [6]);
+        assert!(carried.heights(&g, &map)[0].is_some());
+        let mut after = (map, carried);
+        assert_eq!(parent_of(&g, &after, 0, 0), Some(6));
+        assert_eq!(parent_of(&g, &after, 5, 0), Some(6));
+        assert_eq!(parent_of(&g, &after, 1, 0), Some(0));
+
+        let values: Vec<u64> = (0..11).map(|x| x * 7 % 11).collect();
+        let min = AggregateOp {
+            op: AggOp::Min,
+            ..sum_of(&values)
+        };
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let (map, forest) = &mut after;
+        let edges: usize = forest.tree_edges(map).iter().sum();
+        let path = depth(&g, map, forest, NodeId(8), 0); // 8 holds the minimum, 1
+        let shape = (Wave::ToExtreme, None);
+        let out = min.run_masked(&g, &merged, (&opts, sim), map, forest, shape);
+        assert!(out.metrics.terminated && out.all_members_informed);
+        assert_eq!((out.rooted_parts, out.results), (1, vec![Some(1)]));
+        assert_eq!(out.metrics.messages, edges as u64 + path);
     }
 
     /// A kept relay — the wheel's hub, under every rim node that adopted
@@ -2263,7 +2409,7 @@ mod tests {
             let kept: Vec<_> = spokes.iter().copied().filter(|e| e != spoke).collect();
             let next =
                 ParticipationMap::build(&g, &partition, &Shortcut::from_edge_lists(vec![kept]));
-            let mut carried =
+            let (mut carried, _) =
                 forest.carried_over(&g, &map, &partition, &next, &identity, usize::MAX);
             let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &next, &mut carried);
             assert!(out.metrics.terminated && out.all_members_informed);

@@ -1,7 +1,7 @@
 //! The CI matrix's two environment knobs, read in one place for the
 //! suites that re-run under them (`bounds`, `session`, `sim_conformance`,
-//! `end_to_end`): every result must be identical at any lane count and
-//! packing factor.
+//! `end_to_end`; `lcs_algos`'s Boruvka bill replay reads them itself):
+//! every result must be identical at any lane count and packing factor.
 
 // Each test binary compiles its own copy and `end_to_end` reads one knob.
 #![allow(dead_code)]
