@@ -174,7 +174,8 @@ pub fn approx_mincut_distributed(
 
         // Orient the packed tree and evaluate its 1-respecting cuts.
         let packed = tree_from_edges(g, &report.edges, tree.root());
-        out.estimate = out.estimate.min(min_one_respecting_cut(g, &packed));
+        let cuts = one_respecting_cuts(g, &packed);
+        out.estimate = out.estimate.min(min_one_respecting_cut(&packed, &cuts));
 
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
@@ -206,32 +207,31 @@ fn tree_from_edges(g: &Graph, edges: &[EdgeId], root: NodeId) -> lcs_graph::Root
     lcs_graph::RootedTree::from_parents(g, root, &res.parent, &res.dist, &res.order)
 }
 
-/// The minimum, over tree edges `e`, of the number of graph edges crossing
-/// the subtree below `v_e` (the 1-respecting cut values).
+/// The 1-respecting cut values: for every tree node `v`, the number of
+/// graph edges crossing the subtree below `v` (0 at the root).
 ///
-/// Uses the `+1, +1, -2·lca` contribution trick with subtree sums.
-fn min_one_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
-    let n = g.num_nodes();
-    let mut contrib = vec![0i64; n];
-    for v in g.nodes() {
-        contrib[v.index()] = g.degree(v) as i64;
-    }
+/// Uses the `+1, +1, -2·lca` contribution trick with subtree sums: a
+/// subtree's sum counts each crossing edge once and each internal edge zero
+/// times.
+fn one_respecting_cuts(g: &Graph, tree: &RootedTree) -> Vec<i64> {
+    let mut sum: Vec<i64> = g.nodes().map(|v| g.degree(v) as i64).collect();
     for er in g.edges() {
-        let l = lca(tree, er.u, er.v);
-        contrib[l.index()] -= 2;
+        sum[tree.lca(er.u, er.v).index()] -= 2;
     }
     // Subtree sums, deepest first.
-    let mut best = u64::MAX;
-    let mut sum = contrib;
     for v in tree.order_deepest_first() {
         if let Some((p, _)) = tree.parent(v) {
             sum[p.index()] += sum[v.index()];
-            // sum[v] counts each crossing edge once and each internal edge
-            // of the subtree zero times.
-            best = best.min(sum[v.index()] as u64);
         }
     }
-    best
+    sum
+}
+
+/// The minimum, over tree edges `e`, of the number of graph edges crossing
+/// the subtree below `v_e`.
+fn min_one_respecting_cut(tree: &RootedTree, cuts: &[i64]) -> u64 {
+    let below_edges = tree.tree_edges().map(|(_, v_e)| cuts[v_e.index()] as u64);
+    below_edges.min().unwrap_or(u64::MAX)
 }
 
 /// The minimum cut that *2-respects* the tree (cuts exactly one or two tree
@@ -266,22 +266,8 @@ pub fn min_two_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
     };
 
     // 1-respecting values C(e) for every tree edge (indexed by v_e).
-    let mut contrib = vec![0i64; n];
-    for v in g.nodes() {
-        contrib[v.index()] = g.degree(v) as i64;
-    }
-    for er in g.edges() {
-        let l = lca(tree, er.u, er.v);
-        contrib[l.index()] -= 2;
-    }
-    let mut c1 = contrib;
-    let mut best = u64::MAX;
-    for v in tree.order_deepest_first() {
-        if let Some((p, _)) = tree.parent(v) {
-            c1[p.index()] += c1[v.index()];
-            best = best.min(c1[v.index()] as u64);
-        }
-    }
+    let c1 = one_respecting_cuts(g, tree);
+    let mut best = min_one_respecting_cut(tree, &c1);
 
     // All pairs of tree edges, identified by their deeper endpoints.
     let edges: Vec<NodeId> = tree.tree_edges().map(|(_, ve)| ve).collect();
@@ -352,20 +338,6 @@ pub fn exact_mincut_via_packing(g: &Graph, root: NodeId, trees: usize) -> u64 {
         }
     }
     best
-}
-
-fn lca(tree: &lcs_graph::RootedTree, mut a: NodeId, mut b: NodeId) -> NodeId {
-    while tree.depth(a) > tree.depth(b) {
-        a = tree.parent(a).expect("deeper node has parent").0;
-    }
-    while tree.depth(b) > tree.depth(a) {
-        b = tree.parent(b).expect("deeper node has parent").0;
-    }
-    while a != b {
-        a = tree.parent(a).expect("non-root").0;
-        b = tree.parent(b).expect("non-root").0;
-    }
-    a
 }
 
 #[cfg(test)]

@@ -292,8 +292,7 @@ pub fn distributed_mst(
                     let search: Vec<PartId> =
                         touched.filter(|&p| constructs(partition.part(p))).collect();
                     let (cfg, dist) = (&config.shortcut, provider.dist_config());
-                    let start = cfg.initial_delta_hat;
-                    let built = construct(g, tree, &partition, &search, start, cfg, dist.as_ref());
+                    let built = construct(g, tree, &partition, &search, 1, cfg, dist.as_ref());
                     let Ok(built) = built else {
                         report.truncated = true;
                         break;
@@ -612,8 +611,7 @@ mod tests {
                 ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {
                     let (cfg, dist) = (&config.shortcut, provider.dist_config());
                     let build = |parts: &[PartId]| {
-                        let start = cfg.initial_delta_hat;
-                        construct(g, tree, &partition, parts, start, cfg, dist.as_ref())
+                        construct(g, tree, &partition, parts, 1, cfg, dist.as_ref())
                             .expect("uncapped")
                     };
                     let mut kept = Shortcut::empty(k);

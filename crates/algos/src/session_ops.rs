@@ -11,7 +11,7 @@ use crate::connectivity::{distributed_components, ComponentsReport};
 use crate::mincut::{approx_mincut_distributed, MincutReport};
 use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
 use lcs_congest::Simulator;
-use lcs_core::session::{deps, OpReport, SessionConfig, SessionError, ShortcutSession};
+use lcs_core::session::{OpReport, SessionConfig, SessionError, ShortcutSession};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{components, Graph, RootedTree};
 
@@ -154,7 +154,6 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         }
         self.try_tree()?;
         let memo = self.op_artifact_with(
-            deps::TOPOLOGY_ONLY,
             |memo: &MstMemo| memo.weights == *weights,
             |s| MstMemo {
                 report: with_tree(s, |g, tree, provider, config| {
@@ -171,11 +170,7 @@ impl SessionAlgoOps for ShortcutSession<'_> {
 
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError> {
         self.try_tree()?;
-        let r = self.op_artifact_with(
-            deps::TOPOLOGY_ONLY,
-            |_| true,
-            |s| with_tree(s, distributed_components),
-        );
+        let r = self.op_artifact_with(|_| true, |s| with_tree(s, distributed_components));
         let (m, rounds) = (&r.mst, r.mst.rounds.total());
         let report = op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone());
         Ok(report)
@@ -192,11 +187,7 @@ impl SessionAlgoOps for ShortcutSession<'_> {
             return Err(SessionError::GraphDisconnected);
         }
         self.try_tree()?;
-        let r = self.op_artifact_with(
-            deps::TOPOLOGY_ONLY,
-            |_| true,
-            |s| with_tree(s, approx_mincut_distributed),
-        );
+        let r = self.op_artifact_with(|_| true, |s| with_tree(s, approx_mincut_distributed));
         let rounds = r.rounds.total() + r.eval_rounds;
         let report = op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone());
         Ok(report)
@@ -252,7 +243,7 @@ mod tests {
             .unwrap();
         let memo = |s: &mut ShortcutSession<'_>| {
             let cached = |_: &mut ShortcutSession<'_>| -> MstMemo { unreachable!("memoized") };
-            s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| true, cached)
+            s.op_artifact_with(|_| true, cached)
         };
         // (builds, hits, invalidations) of the op artifacts since `before`.
         let moved = |s: &ShortcutSession<'_>, before: &CacheStats| {

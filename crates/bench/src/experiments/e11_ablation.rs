@@ -61,7 +61,6 @@ fn constant_ablation(out: &mut Report) {
     for factor in [1, 2, 4, 8, 16] {
         let cfg = ShortcutConfig {
             congestion_factor: factor,
-            ..ShortcutConfig::default()
         };
         let row = format!("{} factor {factor}", inst.name);
         match inst.sweep(1, &cfg) {

@@ -5,9 +5,9 @@
 //! per attempt, what density the derandomized extraction certifies, and that
 //! every produced witness verifies as a minor denser than `δ̂`.
 
-use crate::experiments::{instance, skip_witness};
+use crate::experiments::instance;
 use crate::{f2, Relation::*, Report};
-use lcs_core::{extract_witness_derandomized, extract_witness_sampled, SweepOutcome};
+use lcs_core::{extract_witness_sampled, ShortcutConfig, SweepOutcome};
 use lcs_graph::{gen, minor};
 
 const SAMPLED: &str = "Thm 3.1 every sampled witness verifies, density > δ̂";
@@ -24,7 +24,8 @@ pub fn run() -> Report {
         let comb = gen::comb(tt, k);
         let inst = instance(format!("comb({tt},{k})"), comb.graph, comb.parts);
         let (g, tree, partition) = (&inst.graph, &inst.tree, &inst.partition);
-        let SweepOutcome::DenseMinor { data, .. } = inst.sweep(1, &skip_witness()) else {
+        let cfg = ShortcutConfig::default();
+        let SweepOutcome::DenseMinor { witness, data } = inst.sweep(1, &cfg) else {
             // Not a Case (II) instance at this size; skip the row.
             continue;
         };
@@ -44,11 +45,11 @@ pub fn run() -> Report {
         let weakest = sampled.iter().copied().fold(f64::INFINITY, f64::min);
         let hit_rate = f2(100.0 * sampled.len() as f64 / trials as f64);
 
-        let derand = extract_witness_derandomized(g, tree, partition, &data);
-        let density = derand
+        // The sweep's own certificate: the derandomized extraction.
+        let density = witness
             .as_ref()
             .map_or("none".to_string(), |w| f2(w.density()));
-        let certified = derand.as_ref().map_or(0.0, certified);
+        let certified = witness.as_ref().map_or(0.0, certified);
         out.claim(&inst.name, DERANDOMIZED, certified, MoreThan, 1);
         let verified = out.cell(&inst.name);
         out.claim(&inst.name, SAMPLED, weakest, MoreThan, 1);

@@ -6,10 +6,10 @@
 //! centralized cut set edge for edge; the sketch mode trades that accuracy
 //! for `O(D·t)` detection.
 
-use crate::experiments::{cut_set_difference, instance, random_parts, skip_witness};
+use crate::experiments::{cut_set_difference, instance, random_parts};
 use crate::{f2, Relation::*, Report};
 use lcs_core::dist::DistMode;
-use lcs_core::SweepOutcome;
+use lcs_core::{ShortcutConfig, SweepOutcome};
 use lcs_graph::gen;
 
 const CASE_ONE: &str = "Thm 3.1 case (I) at δ̂ = 1";
@@ -37,7 +37,7 @@ pub fn run() -> Report {
         let parts = random_parts(&g, s * s / 4, 42);
         let inst = instance(format!("grid {s}x{s}"), g, parts);
         let (name, n, m, d, k) = (&inst.name, inst.n, inst.graph.num_edges(), inst.d, inst.k);
-        let central = match inst.sweep(1, &skip_witness()) {
+        let central = match inst.sweep(1, &ShortcutConfig::default()) {
             SweepOutcome::Shortcut(ps) => ps.data,
             SweepOutcome::DenseMinor { data, .. } => data,
         };

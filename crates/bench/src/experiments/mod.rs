@@ -20,7 +20,7 @@ use lcs_core::dist::{distributed_partial_shortcut, DistConfig, DistMode, DistPar
 use lcs_core::session::SessionConfig;
 use lcs_core::{
     full_shortcut, measure_quality, partial_shortcut_or_witness, Envelope, FullShortcutResult,
-    Partition, QualityReport, Shortcut, ShortcutConfig, SweepData, SweepOutcome, WitnessMode,
+    Partition, QualityReport, Shortcut, ShortcutConfig, SweepData, SweepOutcome,
 };
 use lcs_graph::{bfs, gen, EdgeId, Graph, NodeId, RootedTree};
 use lcs_partwise::{AggregateOp, PartwiseOutcome};
@@ -64,14 +64,15 @@ impl Instance {
         partial_shortcut_or_witness(&self.graph, &self.tree, &self.partition, delta_hat, cfg)
     }
 
-    /// One simulated Theorem 1.5 sweep at `δ̂ = 1`, no witness extraction.
+    /// One simulated Theorem 1.5 sweep at `δ̂ = 1` (it extracts no witness).
     pub(crate) fn detect(&self, mode: DistMode) -> DistPartialShortcut {
         let dist = DistConfig {
             mode,
             ..DistConfig::default()
         };
         let (g, partition) = (&self.graph, &self.partition);
-        distributed_partial_shortcut(g, NodeId(0), partition, 1, &skip_witness(), &dist)
+        let cfg = ShortcutConfig::default();
+        distributed_partial_shortcut(g, NodeId(0), partition, 1, &cfg, &dist)
     }
 
     /// The Theorem 1.2 construction, measured, and what the theorem
@@ -94,14 +95,6 @@ impl Instance {
             leaders,
         };
         op.run_on(g, partition, h, &config.aggregate, config.sim)
-    }
-}
-
-/// The paper's constants, Case (II) reporting only that the sweep failed.
-pub(crate) fn skip_witness() -> ShortcutConfig {
-    ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
     }
 }
 

@@ -3,51 +3,24 @@
 use crate::QualityReport;
 use serde::{Deserialize, Serialize};
 
-/// How to produce the dense-minor certificate in Case (II) of Theorem 3.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WitnessMode {
-    /// Derandomized extraction via the method of conditional expectations —
-    /// deterministic and guaranteed to return a minor of density `> δ̂`.
-    Derandomized,
-    /// The paper's random sampling (`P_i ∈ P'` with probability `1/4D`),
-    /// retried up to the given number of attempts. Falls back to the
-    /// derandomized extraction when all attempts fail.
-    Sampled {
-        /// Maximum sampling attempts before falling back.
-        attempts: u32,
-    },
-    /// Do not extract a witness (fastest; Case (II) reports only that the
-    /// congestion threshold failed).
-    Skip,
-}
-
 /// Parameters of the Theorem 3.1 construction.
 ///
-/// The defaults reproduce the paper's constants: congestion threshold
-/// `c = 8·δ̂·D` and block threshold `8·δ̂` (footnote 3 notes the constants
-/// were not optimized — they are exposed here for the E11 ablation).
+/// The default reproduces the paper's congestion threshold `c = 8·δ̂·D`;
+/// the block threshold is always the paper's `8·δ̂` (footnote 3 notes the
+/// constants were not optimized — the congestion factor is exposed for the
+/// E11b ablation). Every construction starts its doubling search at
+/// `δ̂ = 1`, and every failed sweep extracts its dense-minor certificate
+/// deterministically, so the final `δ̂` comes with proof.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShortcutConfig {
-    /// Initial guess `δ̂` for the doubling search (default 1).
-    pub initial_delta_hat: u32,
     /// The `8` in `c = 8δD`.
     pub congestion_factor: u32,
-    /// The `8` in the `8δ` block threshold.
-    pub block_factor: u32,
-    /// Witness extraction policy for failed rounds.
-    pub witness_mode: WitnessMode,
-    /// Seed for sampled witness extraction.
-    pub seed: u64,
 }
 
 impl Default for ShortcutConfig {
     fn default() -> Self {
         ShortcutConfig {
-            initial_delta_hat: 1,
             congestion_factor: 8,
-            block_factor: 8,
-            witness_mode: WitnessMode::Derandomized,
-            seed: 0x5ca1ab1e,
         }
     }
 }
@@ -62,9 +35,9 @@ impl ShortcutConfig {
             .saturating_mul(tree_depth.max(1))
     }
 
-    /// The block-degree threshold `block_factor · δ̂`.
+    /// The block-degree threshold `8 · δ̂`.
     pub fn block_threshold(&self, delta_hat: u32) -> u32 {
-        self.block_factor.saturating_mul(delta_hat)
+        delta_hat.saturating_mul(8)
     }
 
     /// What Theorem 1.2 promises a shortcut built at `delta_hat` over a
@@ -124,7 +97,6 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = ShortcutConfig::default();
         assert_eq!(c.congestion_factor, 8);
-        assert_eq!(c.block_factor, 8);
         assert_eq!(c.congestion_threshold(2, 10), 160);
         assert_eq!(c.block_threshold(2), 16);
     }
@@ -137,16 +109,10 @@ mod tests {
         assert_eq!((e.congestion, e.dilation, e.blocks), (480, 525, 25));
         let halved = ShortcutConfig {
             congestion_factor: 4,
-            ..c
         };
         assert_eq!(halved.envelope(3, 10, 2).congestion, 240);
         assert_eq!(halved.envelope(3, 10, 2).dilation, e.dilation);
-        let tight = ShortcutConfig {
-            block_factor: 2,
-            ..c
-        };
-        assert_eq!(tight.envelope(3, 10, 2).blocks, 7);
-        assert_eq!(tight.envelope(3, 10, 2).dilation, 7 * 21);
+        assert_eq!(halved.envelope(3, 10, 2).blocks, e.blocks);
     }
 
     #[test]

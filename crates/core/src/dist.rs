@@ -515,7 +515,7 @@ pub fn distributed_partial_shortcut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{measure_quality, partial_shortcut_or_witness, SweepOutcome, WitnessMode};
+    use crate::{measure_quality, partial_shortcut_or_witness, SweepOutcome};
     use lcs_graph::{bfs, gen};
 
     #[test]
@@ -550,10 +550,7 @@ mod tests {
         let g = gen::grid(8, 8);
         let parts = gen::singleton_parts(&g);
         let partition = Partition::from_parts(&g, parts).unwrap();
-        let cfg = ShortcutConfig {
-            witness_mode: WitnessMode::Skip,
-            ..ShortcutConfig::default()
-        };
+        let cfg = ShortcutConfig::default();
         let res = distributed_partial_shortcut(
             &g,
             NodeId(0),
@@ -615,10 +612,7 @@ mod tests {
         let g = gen::grid(6, 6);
         let parts = gen::singleton_parts(&g);
         let partition = Partition::from_parts(&g, parts).unwrap();
-        let cfg = ShortcutConfig {
-            witness_mode: WitnessMode::Skip,
-            ..ShortcutConfig::default()
-        };
+        let cfg = ShortcutConfig::default();
         let dist = DistConfig {
             mode: DistMode::Sketch {
                 t: 8,

@@ -38,8 +38,8 @@
 //! Sessions are mutable: [`ShortcutSession::set_partition`] swaps the
 //! partition wholesale and [`ShortcutSession::reassign_parts`] moves nodes
 //! between parts and re-customizes only the touched parts. Each cached
-//! artifact declares whether it reads the partition — the one mutable
-//! input — and is invalidated precisely when it changes; see the
+//! artifact that reads the partition — the one mutable input — is
+//! invalidated precisely when it changes; see the
 //! [`session`] module docs for the epoch model.
 //!
 //! # The underlying machinery
@@ -51,8 +51,8 @@
 //! * [`partial_shortcut_or_witness`]: the Theorem 3.1 sweep — either a
 //!   tree-restricted `8δ̂D`-congestion `8δ̂`-block *partial* shortcut for at
 //!   least half the parts, or a certified minor of density `> δ̂`
-//!   (Case (II), extracted by sampling or derandomized via conditional
-//!   expectations),
+//!   (Case (II), extracted derandomized via conditional expectations;
+//!   [`extract_witness_sampled`] is the paper's sampling, for comparison),
 //! * [`construct`]: the Observation 2.7 loop plus doubling search over
 //!   `δ̂`, yielding the full shortcuts of Theorem 1.2 together with a
 //!   dense-minor certificate for near-optimality — centrally
@@ -85,7 +85,7 @@ mod witness;
 pub mod dist;
 pub mod session;
 
-pub use config::{Envelope, ShortcutConfig, WitnessMode};
+pub use config::{Envelope, ShortcutConfig};
 pub use full::{
     construct, construction_tree, full_shortcut, ConstructionStats, FullShortcutResult, RoundLog,
 };

@@ -1,6 +1,6 @@
 //! The typed builder: `Session::on(&graph)` … `.build()`.
 
-use super::cache::{deps, CacheStats, Slot};
+use super::cache::{CacheStats, Slot, SHORTCUT_SCOPED, TOPOLOGY_ONLY};
 use super::{
     Backend, FullArtifact, GraphHandle, SessionConfig, SessionError, ShortcutSession, TreeSource,
 };
@@ -31,7 +31,6 @@ impl Session {
             g,
             tree: None,
             parts: None,
-            partition: None,
             backend: Backend::Centralized,
             config: SessionConfig::default(),
             provided_shortcut: None,
@@ -45,7 +44,6 @@ pub struct SessionBuilder<'g> {
     g: GraphHandle<'g>,
     tree: Option<TreeSource>,
     parts: Option<Vec<Vec<NodeId>>>,
-    partition: Option<Partition>,
     backend: Backend,
     config: SessionConfig,
     provided_shortcut: Option<Shortcut>,
@@ -62,23 +60,15 @@ impl<'g> SessionBuilder<'g> {
     /// [`build`](Self::build)).
     pub fn partition(mut self, parts: Vec<Vec<NodeId>>) -> Self {
         self.parts = Some(parts);
-        self.partition = None;
-        self
-    }
-
-    /// Sets an already-validated partition.
-    pub fn partition_object(mut self, partition: Partition) -> Self {
-        self.partition = Some(partition);
-        self.parts = None;
         self
     }
 
     /// Sets a declarative [`PartitionSource`], resolved against the graph
     /// at [`build`](Self::build) time (stored in
     /// [`SessionConfig::partition_source`], so the whole recipe stays in
-    /// the one serde-able config). An explicit `.partition(..)` /
-    /// `.partition_object(..)` takes precedence. The resolved parts must
-    /// cover every node — [`build`](Self::build) returns
+    /// the one serde-able config). An explicit `.partition(..)` takes
+    /// precedence. The resolved parts must cover every node —
+    /// [`build`](Self::build) returns
     /// [`PartitionError::Uncovered`](crate::PartitionError::Uncovered)
     /// otherwise (e.g. a Voronoi source on a disconnected graph).
     pub fn partition_source(mut self, source: PartitionSource) -> Self {
@@ -150,13 +140,10 @@ impl<'g> SessionBuilder<'g> {
         {
             return Err(SessionError::SketchCapacityTooSmall);
         }
-        let partition = match (self.partition, self.parts) {
-            (Some(p), _) => Some(p),
-            (None, Some(lists)) => Some(Partition::from_parts(g, lists)?),
-            (None, None) => match &self.config.partition_source {
-                Some(src) => Some(Partition::from_parts_covering(g, src.resolve(g))?),
-                None => None,
-            },
+        let partition = match (self.parts, &self.config.partition_source) {
+            (Some(lists), _) => Some(Partition::from_parts(g, lists)?),
+            (None, Some(src)) => Some(Partition::from_parts_covering(g, src.resolve(g))?),
+            (None, None) => None,
         };
         let session = ShortcutSession {
             g: self.g,
@@ -165,10 +152,10 @@ impl<'g> SessionBuilder<'g> {
             backend: self.backend,
             config: self.config,
             epoch: 0,
-            tree: tree.map(|t| Slot::new(t, 0, deps::TOPOLOGY_ONLY)),
+            tree: tree.map(|t| Slot::new(t, 0, TOPOLOGY_ONLY)),
             full: self
                 .provided_shortcut
-                .map(|s| Slot::new(FullArtifact::provided(s), 0, deps::SHORTCUT)),
+                .map(|s| Slot::new(FullArtifact::provided(s), 0, SHORTCUT_SCOPED)),
             op_artifacts: HashMap::new(),
             partition_log: VecDeque::new(),
             stats: CacheStats::default(),

@@ -1,7 +1,7 @@
-//! The artifact model: one mutable input with an epoch counter, the
-//! dependency each artifact declares, one cache routine ([`Slot::ensure`])
-//! every artifact class goes through, the mutation API that moves the
-//! epoch, and the typed per-op artifact table.
+//! The artifact model: one mutable input with an epoch counter, whether
+//! each artifact reads it, one cache routine ([`Slot::ensure`]) every
+//! artifact class goes through, the mutation API that moves the epoch, and
+//! the typed per-op artifact table.
 
 use super::{SessionError, ShortcutSession};
 use crate::{Partition, PartitionError, Transition};
@@ -12,23 +12,11 @@ use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
 
-/// What a cached artifact declares about the one input that can change
-/// under a session, the partition: whether it reads it. The graph, the
-/// tree and the configuration are fixed at
-/// [`build`](super::SessionBuilder::build), so an artifact that does not
-/// read the partition never goes stale; one that does is invalidated by
-/// every move of the partition epoch. Op artifacts pass one of the two
-/// constants to [`op_artifact_with`](ShortcutSession::op_artifact_with).
-pub mod deps {
-    /// Shortcut-scoped artifacts — the full shortcut (with its quality
-    /// report) and partition-derived op artifacts (e.g. the partwise
-    /// participation tables).
-    pub const SHORTCUT: bool = true;
-    /// What reads only the graph, the tree and the configuration — the
-    /// spanning tree itself, whole-graph algorithms (MST, connectivity,
-    /// min-cut). Never stale.
-    pub const TOPOLOGY_ONLY: bool = false;
-}
+// Whether an artifact reads the partition, the one input that can change
+// under a session (graph, tree and configuration are fixed at build): one
+// that does goes stale with every move of the partition epoch.
+pub(super) const SHORTCUT_SCOPED: bool = true;
+pub(super) const TOPOLOGY_ONLY: bool = false;
 
 /// Build/hit/invalidation counters of one artifact class.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,7 +58,7 @@ pub struct CacheStats {
 }
 
 /// A cached artifact: the value, the partition epoch it was built under,
-/// and whether it reads the partition (see [`deps`]).
+/// and whether it reads the partition.
 #[derive(Clone, Debug)]
 pub(super) struct Slot<T> {
     pub(super) value: T,
@@ -240,24 +228,69 @@ impl<'g> ShortcutSession<'g> {
         Ok(touched)
     }
 
-    /// The per-op-type derived-artifact cache: returns the artifact of
-    /// type `T`, building it with `build` on first access and serving the
-    /// same [`Arc`] while the partition has not moved (if the artifact
-    /// [reads it](deps)) and `answers` accepts the cached value;
-    /// otherwise the slot is invalidated and `build` runs again.
+    /// The per-op-type memo of what reads only the graph, the tree and the
+    /// configuration (whole-graph algorithms: the MST report, components,
+    /// the min-cut estimate): returns the artifact of type `T`, building it
+    /// with `build` on first access and serving the same [`Arc`] while
+    /// `answers` accepts the cached value; otherwise the slot is
+    /// invalidated and `build` runs again. Such a memo never goes stale —
+    /// an artifact that reads the partition goes through
+    /// [`op_artifact_patched`](Self::op_artifact_patched).
     ///
-    /// This is where ops park preprocessing — e.g. the partwise
-    /// O(n + m) participation tables ([`deps::SHORTCUT`]) — and memoize
-    /// reports: `answers` is the test of an op keyed by its arguments (the
-    /// cached MST report remembers the weights it answers for); an op
-    /// without arguments passes `|_| true`. Keyed by [`TypeId`], so each
-    /// artifact type has exactly one slot per session. Use
-    /// [`op_artifact_patched`](Self::op_artifact_patched) to refresh
-    /// incrementally under part churn.
+    /// `answers` is the test of an op keyed by its arguments (the cached
+    /// MST report remembers the weights it answers for); an op without
+    /// arguments passes `|_| true`. Keyed by [`TypeId`], so each artifact
+    /// type has exactly one slot per session.
     ///
     /// `build` may drive the session (e.g. call
     /// [`prepare`](Self::prepare)) but must not mutate the partition.
-    pub fn op_artifact_with<T, F>(
+    pub fn op_artifact_with<T, F>(&mut self, answers: impl FnOnce(&T) -> bool, build: F) -> Arc<T>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&mut ShortcutSession<'g>) -> T,
+    {
+        self.op_slot(TOPOLOGY_ONLY, answers, build)
+    }
+
+    /// The per-op-type cache of a partition-scoped artifact — where ops
+    /// park preprocessing such as the part-wise O(n + m) participation
+    /// tables: built with `build` on first access, served as the same
+    /// [`Arc`] while the partition has not moved, and dropped with the
+    /// shortcut. When the cached artifact is stale *only* because of
+    /// tracked [`reassign_parts`](Self::reassign_parts) churn, the session
+    /// calls `patch(session, old, transition)` instead of `build`, with the
+    /// [`Transition`] of all that churn — letting the op recompute just the
+    /// touched parts' contribution (keyed off its cached value, e.g. the
+    /// partwise participation map).
+    ///
+    /// `patch` runs after the session's own artifacts have been refreshed
+    /// for the same churn (so [`shortcut_ref`](Self::shortcut_ref) inside
+    /// `patch` sees the incrementally re-customized shortcut, in which
+    /// untouched parts' edge lists are unchanged). A wholesale partition
+    /// replacement or a pruned mutation log falls back to `build`, which
+    /// may drive the session but must not mutate the partition.
+    pub fn op_artifact_patched<T, F, P>(&mut self, build: F, patch: P) -> Arc<T>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&mut ShortcutSession<'g>) -> T,
+        P: FnOnce(&mut ShortcutSession<'g>, &T, &Transition) -> T,
+    {
+        let key = TypeId::of::<T>();
+        let slot = self.op_artifacts.get(&key);
+        let Some(transition) = slot.and_then(|slot| self.pending_transition(slot)) else {
+            return self.op_slot(SHORTCUT_SCOPED, |_| true, build);
+        };
+        let old = downcast::<T>(self.op_artifacts.remove(&key).expect("looked up").value);
+        let patched = Arc::new(patch(self, &old, &transition));
+        self.stats.op_artifact_patches += 1;
+        self.op_artifacts
+            .insert(key, Slot::new(patched.clone(), self.epoch, SHORTCUT_SCOPED));
+        patched
+    }
+
+    /// The op-artifact slot of type `T` through [`Slot::ensure`], declared
+    /// as reading the partition or not.
+    fn op_slot<T, F>(
         &mut self,
         reads_partition: bool,
         answers: impl FnOnce(&T) -> bool,
@@ -280,43 +313,6 @@ impl<'g> ShortcutSession<'g> {
         let value = slot.value.clone();
         self.op_artifacts.insert(key, slot);
         downcast(value)
-    }
-
-    /// [`op_artifact_with`](Self::op_artifact_with) plus an incremental
-    /// refresh path: when the cached artifact is stale *only* because of
-    /// tracked [`reassign_parts`](Self::reassign_parts) churn, the session
-    /// calls `patch(session, old, transition)` instead of `build`, with the
-    /// [`Transition`] of all that churn — letting the op recompute just the
-    /// touched parts' contribution (keyed off its cached value, e.g. the
-    /// partwise participation map).
-    ///
-    /// `patch` runs after the session's own artifacts have been refreshed
-    /// for the same churn (so [`shortcut_ref`](Self::shortcut_ref) inside
-    /// `patch` sees the incrementally re-customized shortcut, in which
-    /// untouched parts' edge lists are unchanged). A wholesale partition
-    /// replacement or a pruned mutation log falls back to `build`.
-    pub fn op_artifact_patched<T, F, P>(
-        &mut self,
-        reads_partition: bool,
-        build: F,
-        patch: P,
-    ) -> Arc<T>
-    where
-        T: Any + Send + Sync,
-        F: FnOnce(&mut ShortcutSession<'g>) -> T,
-        P: FnOnce(&mut ShortcutSession<'g>, &T, &Transition) -> T,
-    {
-        let key = TypeId::of::<T>();
-        let slot = self.op_artifacts.get(&key);
-        let Some(transition) = slot.and_then(|slot| self.pending_transition(slot)) else {
-            return self.op_artifact_with(reads_partition, |_| true, build);
-        };
-        let old = downcast::<T>(self.op_artifacts.remove(&key).expect("looked up").value);
-        let patched = Arc::new(patch(self, &old, &transition));
-        self.stats.op_artifact_patches += 1;
-        self.op_artifacts
-            .insert(key, Slot::new(patched.clone(), self.epoch, reads_partition));
-        patched
     }
 
     /// Replaces the value in the fresh op-artifact slot of type `T`,
@@ -417,7 +413,7 @@ mod tests {
 
     /// Rows: every mutator. Cells: what it does to each artifact class, in
     /// [`COLUMNS`] order. Last: how far it moves the partition epoch.
-    /// Swapping the [`deps`] an artifact declares flips a cell.
+    /// Flipping the flag an artifact declares flips a cell.
     #[rustfmt::skip]
     const MATRIX: [(Mutator, [Cell; 5], u64); 4] = [
         //                 tree full qual  S  T
@@ -429,14 +425,13 @@ mod tests {
 
     const SIDE: usize = 6;
 
-    /// The two op artifacts, one per dependency; each records what it was
+    /// The two op artifacts, one per method; each records what it was
     /// derived from so a rebuilt value can be told from a stale one.
     struct PartCount(usize);
     struct TreeDepth(u32);
 
     fn part_count(s: &mut ShortcutSession<'_>) -> Arc<PartCount> {
         s.op_artifact_patched(
-            deps::SHORTCUT,
             |s| PartCount(s.partition().num_parts()),
             |s, old, transition| {
                 assert!(
@@ -451,7 +446,7 @@ mod tests {
 
     fn tree_depth(s: &mut ShortcutSession<'_>) -> Arc<TreeDepth> {
         let build = |s: &mut ShortcutSession<'_>| TreeDepth(s.tree().depth_of_tree());
-        s.op_artifact_with(deps::TOPOLOGY_ONLY, |_| true, build)
+        s.op_artifact_with(|_| true, build)
     }
 
     impl Mutator {

@@ -95,7 +95,7 @@ impl Default for MstOpts {
 /// (`AggregateOp::run_on`, `distributed_mst`, …) read these same blocks.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
-    /// Theorem 3.1 construction constants and witness policy.
+    /// Theorem 3.1 construction constant (the congestion factor).
     pub shortcut: ShortcutConfig,
     /// Simulator settings every op inherits (ops force the queue mode they
     /// need; [`SimConfig::threads`] selects the sharded executor and
@@ -110,8 +110,8 @@ pub struct SessionConfig {
     pub mst: MstOpts,
     /// Declarative partition source, resolved at
     /// [`build`](super::SessionBuilder::build) time when the builder was
-    /// given no explicit partition (an explicit `.partition(..)` /
-    /// `.partition_object(..)` always wins). Lets one serde-able config
+    /// given no explicit partition (an explicit `.partition(..)` always
+    /// wins). Lets one serde-able config
     /// carry the whole session recipe — including *how* to partition —
     /// across processes. Sources must cover every node
     /// ([`Partition::from_parts_covering`](crate::Partition::from_parts_covering)).

@@ -2,7 +2,7 @@
 //! the full shortcut on the session backend (with its lazily measured
 //! quality report and incremental re-customization).
 
-use super::cache::{deps, Slot};
+use super::cache::{Slot, SHORTCUT_SCOPED, TOPOLOGY_ONLY};
 use super::{SessionError, ShortcutSession};
 use crate::full::keep_denser;
 use crate::{
@@ -197,7 +197,7 @@ impl ShortcutSession<'_> {
         let slot = Slot::ensure(
             self.tree.take(),
             self,
-            deps::TOPOLOGY_ONLY,
+            TOPOLOGY_ONLY,
             |c| &mut c.tree,
             |_| true,
             |s| {
@@ -224,7 +224,7 @@ impl ShortcutSession<'_> {
         let slot = Slot::ensure(
             self.full.take(),
             self,
-            deps::SHORTCUT,
+            SHORTCUT_SCOPED,
             |c| &mut c.full,
             |_| true,
             Self::build_full,
@@ -243,9 +243,9 @@ impl ShortcutSession<'_> {
         let stamp = full.stamp;
         let cell = full.value.quality.take();
         let slot = Slot::ensure(
-            cell.map(|q| Slot::new(q, stamp, deps::SHORTCUT)),
+            cell.map(|q| Slot::new(q, stamp, SHORTCUT_SCOPED)),
             self,
-            deps::SHORTCUT,
+            SHORTCUT_SCOPED,
             |c| &mut c.quality,
             |_| true,
             |s| {
@@ -284,7 +284,7 @@ impl ShortcutSession<'_> {
 
     fn build_full(&mut self) -> Result<FullArtifact, SessionError> {
         let all: Vec<PartId> = self.partition().part_ids().collect();
-        let res = self.construct_parts(&all, self.config.shortcut.initial_delta_hat)?;
+        let res = self.construct_parts(&all, 1)?;
         Ok(FullArtifact {
             delta_hat: res.delta_hat,
             witness: res.best_witness,
@@ -301,7 +301,7 @@ impl ShortcutSession<'_> {
         // Start where the cached construction ended: parts that were
         // servable at the final δ̂ before the move usually still are.
         let cached = self.cached_full().delta_hat;
-        let start = cached.max(self.config.shortcut.initial_delta_hat);
+        let start = cached.max(1);
         let touched = &transition.touched;
         let res = self.construct_parts(touched, start)?;
         let mut slot = self

@@ -34,12 +34,16 @@
 //! input: a shortcut is a function of the graph, the tree and the parts,
 //! and the one op that reads weights, MST, takes them as an argument.)
 //! The session caches the BFS tree, the full shortcut (with its quality
-//! report and dense-minor certificate), and typed per-op artifacts. Each
-//! cached artifact declares whether it reads the partition (the constants
-//! in [`deps`]): one that does is served only while the epoch it recorded
-//! is the current one, and is invalidated — precisely, lazily — when the
-//! partition moves; one that does not never goes stale. One routine does
-//! the hit / invalidate / build / stamp sequence for every artifact class.
+//! report and dense-minor certificate), and typed per-op artifacts. An
+//! artifact that reads the partition (the shortcut, its report, an op
+//! artifact cached through
+//! [`op_artifact_patched`](ShortcutSession::op_artifact_patched)) is
+//! served only while the epoch it recorded is the current one, and is
+//! invalidated — precisely, lazily — when the partition moves; one that
+//! does not (the tree, an
+//! [`op_artifact_with`](ShortcutSession::op_artifact_with) memo) never
+//! goes stale. One routine does the hit / invalidate / build / stamp
+//! sequence for every artifact class.
 //!
 //! # Mutating a live session
 //!
@@ -87,7 +91,7 @@ mod error;
 
 pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
-pub use cache::{deps, ArtifactStats, CacheStats};
+pub use cache::{ArtifactStats, CacheStats};
 pub use config::{AggregateOpts, Backend, MstOpts, SessionConfig, TreeSource};
 pub use construct::FullArtifact;
 pub use error::SessionError;
@@ -259,7 +263,7 @@ impl<'g> ShortcutSession<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{measure_quality, PartitionError};
+    use crate::{measure_quality, PartitionError, Transition};
     use lcs_congest::SimConfig;
     use lcs_graph::{bfs, gen, PartId};
 
@@ -467,20 +471,21 @@ mod tests {
         struct Expensive(usize);
         let mut s = grid_session(6);
         let mut builds = 0;
-        let a = s.op_artifact_with(
-            deps::SHORTCUT,
-            |_| true,
+        let unpatched = |_: &mut ShortcutSession<'_>, _: &Expensive, _: &Transition| {
+            unreachable!("the partition never moves")
+        };
+        let a = s.op_artifact_patched(
             |s| {
                 builds += 1;
                 s.prepare();
                 let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 Expensive(g.num_nodes() + partition.num_parts() + shortcut.num_parts())
             },
+            unpatched,
         );
-        let b = s.op_artifact_with(
-            deps::SHORTCUT,
-            |_| true,
+        let b = s.op_artifact_patched(
             |_| -> Expensive { unreachable!("cached after first build") },
+            unpatched,
         );
         assert_eq!(builds, 1);
         assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
@@ -548,12 +553,9 @@ mod tests {
             )
         }
         let mut s = grid_session(8);
-        let a = s.op_artifact_patched(deps::SHORTCUT, build, |_, _, _| {
-            unreachable!("first access builds")
-        });
+        let a = s.op_artifact_patched(build, |_, _, _| unreachable!("first access builds"));
         s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
         let b = s.op_artifact_patched(
-            deps::SHORTCUT,
             |_| -> EdgesPerPart { unreachable!("tracked churn must patch, not rebuild") },
             |s, old, transition| {
                 s.prepare();
@@ -569,7 +571,7 @@ mod tests {
         assert_eq!(s.cache_stats().op_artifact_patches, 1);
         // A wholesale replacement falls back to build.
         s.set_partition(gen::rows_of_grid(8, 8)).unwrap();
-        let c = s.op_artifact_patched(deps::SHORTCUT, build, |_, _, _| {
+        let c = s.op_artifact_patched(build, |_, _, _| {
             unreachable!("wholesale changes cannot be patched")
         });
         assert_eq!(c.0.len(), 8);
@@ -583,26 +585,18 @@ mod tests {
         let mut s = grid_session(8);
         s.op_artifact_swap(Learned(7)); // no slot yet: nothing to replace
         let zero = |_: &mut ShortcutSession<'_>| Learned(0);
-        assert_eq!(
-            *s.op_artifact_with(deps::SHORTCUT, |_| true, zero),
-            Learned(0)
-        );
+        // A rebuilding patch: what the churn left behind is learned anew.
+        let rebuild = |_: &mut ShortcutSession<'_>, _: &Learned, _: &Transition| Learned(0);
+        assert_eq!(*s.op_artifact_patched(zero, rebuild), Learned(0));
         let before = *s.cache_stats();
         s.op_artifact_swap(Learned(1));
         assert_eq!(*s.cache_stats(), before, "a swap is no build, hit or patch");
-        let cached = s.op_artifact_with(
-            deps::SHORTCUT,
-            |_| true,
-            |_| -> Learned { unreachable!("cached") },
-        );
+        let cached = s.op_artifact_patched(|_| -> Learned { unreachable!("cached") }, rebuild);
         assert_eq!(*cached, Learned(1));
         // A value learned under an older partition must not resurface.
         s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
         s.op_artifact_swap(Learned(2));
-        assert_eq!(
-            *s.op_artifact_with(deps::SHORTCUT, |_| true, zero),
-            Learned(0)
-        );
+        assert_eq!(*s.op_artifact_patched(zero, rebuild), Learned(0));
     }
 
     #[test]
@@ -744,6 +738,21 @@ mod tests {
             .expect("capacity 2 detects")
             .try_prepare()
             .expect("default round cap");
+    }
+
+    #[test]
+    fn build_refuses_node_lists_of_another_graph() {
+        // Rows of a 6×6 grid name nodes a 4×4 grid does not have.
+        let small = gen::grid(4, 4);
+        let big_rows = Session::on(&small).partition(gen::rows_of_grid(6, 6));
+        let out_of_range = PartitionError::OutOfRange(NodeId(16));
+        assert_eq!(big_rows.build().err(), Some(out_of_range.into()));
+        // Rows of a 4×4 grid are no rows of a 6×6 one: {4, 5, 6, 7}
+        // straddles two rows there.
+        let big = gen::grid(6, 6);
+        let small_rows = Session::on(&big).partition(gen::rows_of_grid(4, 4));
+        let disconnected = PartitionError::Disconnected(1);
+        assert_eq!(small_rows.build().err(), Some(disconnected.into()));
     }
 
     #[test]

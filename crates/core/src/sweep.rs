@@ -42,7 +42,7 @@ pub struct SweepData {
     pub delta_hat: u32,
     /// Congestion threshold `c = congestion_factor·δ̂·D`.
     pub congestion_threshold: u32,
-    /// Block-degree threshold `block_factor·δ̂`.
+    /// Block-degree threshold `8·δ̂`.
     pub block_threshold: u32,
     /// Depth of the tree the sweep used.
     pub tree_depth: u32,
@@ -75,10 +75,11 @@ pub enum SweepOutcome {
     /// Case (II): more than half the active parts have large `B`-degree,
     /// certifying a minor of density `> δ̂`.
     DenseMinor {
-        /// The extracted minor (present unless
-        /// [`WitnessMode::Skip`](crate::WitnessMode::Skip) was configured or
-        /// extraction failed, which cannot happen in `Derandomized` mode for
-        /// paper constants).
+        /// The minor of density `> δ̂` the derandomized extraction found.
+        /// With the paper's congestion factor `8` the counting argument
+        /// guarantees one on trees of depth at least 4, so the doubled `δ̂`
+        /// is certified; `None` only where that argument does not reach (a
+        /// shallower tree, a weaker ablation factor).
         witness: Option<MinorWitness>,
         /// The sweep's bookkeeping.
         data: SweepData,
@@ -111,8 +112,8 @@ pub fn partial_shortcut_or_witness(
 
 /// Runs one sweep considering only the parts in `active` (the unit of the
 /// Observation 2.7 loop), cutting by `rule`: a partial shortcut when at
-/// least half of `active` is served, the Case (II) certificate per the
-/// configured witness mode otherwise.
+/// least half of `active` is served, the derandomized Case (II) certificate
+/// otherwise.
 ///
 /// # Panics
 ///
@@ -135,7 +136,7 @@ pub(crate) fn sweep_active(
             data,
         })
     } else {
-        let witness = witness::extract_per_mode(g, tree, partition, &data, config);
+        let witness = witness::extract_witness_derandomized(g, tree, partition, &data);
         SweepOutcome::DenseMinor { witness, data }
     }
 }

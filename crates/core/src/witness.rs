@@ -8,7 +8,7 @@
 //! passes [`lcs_graph::minor::verify_minor`].
 
 use crate::sweep::SweepData;
-use crate::{Partition, ShortcutConfig, WitnessMode};
+use crate::Partition;
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{Graph, NodeId, PartId, RootedTree};
 use rand::rngs::SmallRng;
@@ -152,26 +152,6 @@ fn realize(
     let excess =
         edges.len() as i64 - i64::from(data.delta_hat) * (num_part_nodes + num_edge_nodes) as i64;
     (MinorWitness { branch_sets, edges }, excess)
-}
-
-/// Dispatches Case (II) extraction per the configured
-/// [`WitnessMode`] — the single policy point shared by the centralized
-/// sweep and the distributed construction.
-pub(crate) fn extract_per_mode(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    data: &SweepData,
-    config: &ShortcutConfig,
-) -> Option<MinorWitness> {
-    match config.witness_mode {
-        WitnessMode::Skip => None,
-        WitnessMode::Derandomized => extract_witness_derandomized(g, tree, partition, data),
-        WitnessMode::Sampled { attempts } => {
-            extract_witness_sampled(g, tree, partition, data, attempts, config.seed)
-                .or_else(|| extract_witness_derandomized(g, tree, partition, data))
-        }
-    }
 }
 
 /// The paper's sampling extraction: each active part joins `P'`
@@ -369,11 +349,7 @@ mod tests {
 
     fn failing_sweep_data(g: &Graph, partition: &Partition) -> (RootedTree, SweepData) {
         let tree = bfs::bfs_tree(g, NodeId(0));
-        let cfg = ShortcutConfig {
-            witness_mode: crate::WitnessMode::Skip,
-            ..ShortcutConfig::default()
-        };
-        match partial_shortcut_or_witness(g, &tree, partition, 1, &cfg) {
+        match partial_shortcut_or_witness(g, &tree, partition, 1, &ShortcutConfig::default()) {
             SweepOutcome::DenseMinor { data, .. } => (tree, data),
             SweepOutcome::Shortcut(_) => panic!("instance must fail at δ̂ = 1"),
         }
@@ -425,8 +401,6 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let cfg = ShortcutConfig {
             congestion_factor: 1,
-            witness_mode: crate::WitnessMode::Skip,
-            ..ShortcutConfig::default()
         };
         if let SweepOutcome::DenseMinor { data, .. } =
             partial_shortcut_or_witness(&g, &tree, &partition, 1, &cfg)

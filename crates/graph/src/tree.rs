@@ -184,6 +184,26 @@ impl RootedTree {
             .filter_map(move |&v| self.parent[v.index()].map(|(_, e)| (e, v)))
     }
 
+    /// The lowest common ancestor of `a` and `b`: the deeper one climbs to
+    /// the other's depth, then both climb together until they meet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not in the tree.
+    pub fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
+        let up = |v: NodeId| self.parent(v).expect("a node below the LCA has a parent").0;
+        while self.depth(a) > self.depth(b) {
+            a = up(a);
+        }
+        while self.depth(b) > self.depth(a) {
+            b = up(b);
+        }
+        while a != b {
+            (a, b) = (up(a), up(b));
+        }
+        a
+    }
+
     /// Walks from `v` to the root, yielding `(node, parent_edge)` pairs —
     /// `v` first, root's child last.
     pub fn path_to_root(&self, v: NodeId) -> PathToRoot<'_> {
@@ -256,6 +276,33 @@ mod tests {
         let path: Vec<_> = t.path_to_root(NodeId(4)).map(|(v, _)| v).collect();
         assert_eq!(path, vec![NodeId(4), NodeId(3), NodeId(2), NodeId(1)]);
         assert_eq!(t.path_to_root(NodeId(0)).count(), 0);
+    }
+
+    #[test]
+    fn lca_meets_where_the_root_paths_join() {
+        // 3×3 grid from its corner: 1 and 3 hang off 0, 2 off 1, 6 off 3.
+        let g = gen::grid(3, 3);
+        let t = bfs::bfs_tree(&g, NodeId(0));
+        assert_eq!(t.lca(NodeId(2), NodeId(6)), NodeId(0));
+        assert_eq!(
+            t.lca(NodeId(1), NodeId(2)),
+            NodeId(1),
+            "an ancestor is its own LCA"
+        );
+        assert_eq!(t.lca(NodeId(5), NodeId(5)), NodeId(5));
+        // Against a brute force: the deepest node on both root paths.
+        let ancestors = |v: NodeId| -> Vec<NodeId> {
+            let above = t.path_to_root(v).map(|(v, _)| t.parent(v).unwrap().0);
+            std::iter::once(v).chain(above).collect()
+        };
+        for a in g.nodes() {
+            for b in g.nodes() {
+                let (pa, pb) = (ancestors(a), ancestors(b));
+                let common = pa.iter().copied().filter(|v| pb.contains(v));
+                let deepest = common.max_by_key(|&v| t.depth(v)).unwrap();
+                assert_eq!(t.lca(a, b), deepest, "lca({a:?}, {b:?})");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use lcs_congest::protocols::AggOp;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, AggregateOpts, ShortcutSession};
+use lcs_core::session::{AggregateOpts, ShortcutSession};
 use lcs_core::{Partition, Shortcut, Transition};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
@@ -710,7 +710,7 @@ impl AggForest {
 /// [`Transition`] of however many ticks it spans, in which every part keeps
 /// its id, so untouched parts keep their trees and touched ones are repaired (see
 /// [`AggForest::carried_over`]) — and dropped with the shortcut
-/// (`deps::SHORTCUT`).
+/// ([`ShortcutSession::op_artifact_patched`]).
 pub(crate) struct SessionTables {
     pub(crate) participation: Arc<ParticipationMap>,
     pub(crate) forest: AggForest,
@@ -719,7 +719,6 @@ pub(crate) struct SessionTables {
 impl SessionTables {
     pub(crate) fn of_session(session: &mut ShortcutSession<'_>) -> Arc<Self> {
         session.op_artifact_patched(
-            deps::SHORTCUT,
             |s| {
                 let (partition, shortcut) = (s.partition(), s.shortcut_ref());
                 let participation = ParticipationMap::build(s.graph(), partition, shortcut);

@@ -187,26 +187,18 @@ impl UnicastOp<'_> {
 /// The node sequence from `s` to `t` along the tree (excluding `s`,
 /// including `t`): ascend to the LCA, then descend.
 fn tree_path(tree: &RootedTree, s: NodeId, t: NodeId) -> Vec<NodeId> {
-    let (mut a, mut b) = (s, t);
-    let mut up = Vec::new(); // nodes after s, ascending (ends at the LCA)
-    let mut down = Vec::new(); // nodes from t upward, excluding the LCA
-    while tree.depth(a) > tree.depth(b) {
-        a = tree.parent(a).expect("deeper node has parent").0;
-        up.push(a);
-    }
-    while tree.depth(b) > tree.depth(a) {
-        down.push(b);
-        b = tree.parent(b).expect("deeper node has parent").0;
-    }
-    while a != b {
-        a = tree.parent(a).expect("non-root").0;
-        up.push(a);
-        down.push(b);
-        b = tree.parent(b).expect("non-root").0;
-    }
-    // If s itself is the LCA, `up` is empty and the descent starts at s.
-    up.extend(down.into_iter().rev());
-    up
+    let lca = tree.lca(s, t);
+    let below = |v: NodeId| {
+        let to_root = tree.path_to_root(v).map(|(v, _)| v);
+        to_root.take_while(move |&v| v != lca)
+    };
+    // Ascend: the parent of every node on s's side below the LCA, ending at
+    // the LCA (none if s is the LCA); then descend to t.
+    let up = below(s).map(|v| tree.parent(v).expect("below the LCA").0);
+    let mut path: Vec<NodeId> = up.collect();
+    let down: Vec<NodeId> = below(t).collect();
+    path.extend(down.into_iter().rev());
+    path
 }
 
 #[cfg(test)]

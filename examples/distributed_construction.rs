@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example distributed_construction`
 
 use low_congestion_shortcuts::congest::SimConfig;
+use low_congestion_shortcuts::core::construct;
 use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig, DistMode};
-use low_congestion_shortcuts::core::{construct, WitnessMode};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -19,14 +19,7 @@ fn main() {
     let g = gen::grid(side, side);
     let mut rng = SmallRng::seed_from_u64(99);
     let parts = gen::random_connected_parts(&g, side * side / 4, &mut rng);
-    let partition = Partition::from_parts(&g, parts).expect("Voronoi parts are valid");
-    let config = SessionConfig {
-        shortcut: ShortcutConfig {
-            witness_mode: WitnessMode::Skip,
-            ..ShortcutConfig::default()
-        },
-        ..SessionConfig::default()
-    };
+    let partition = Partition::from_parts(&g, parts.clone()).expect("Voronoi parts are valid");
 
     let backends = [
         ("centralized", Backend::Centralized),
@@ -52,11 +45,10 @@ fn main() {
     for (name, backend) in backends {
         let mut session = Session::on(&g)
             .tree(TreeSource::Bfs(NodeId(0)))
-            .partition_object(partition.clone())
+            .partition(parts.clone())
             .backend(backend)
-            .config(config.clone())
             .build()
-            .expect("partition already validated");
+            .expect("Voronoi parts are valid");
         let delta_hat = session.delta_hat();
         let stats = session.construction_stats();
         let q = session.quality().clone();
@@ -88,8 +80,8 @@ fn main() {
         &tree,
         &partition,
         &all,
-        config.shortcut.initial_delta_hat,
-        &config.shortcut,
+        1,
+        &ShortcutConfig::default(),
         Some(&dist),
     )
     .expect("default round cap");

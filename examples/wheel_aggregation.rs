@@ -21,15 +21,15 @@ fn main() {
         let n = 1 << exp;
         let g = gen::wheel(n);
         let rim: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
-        let partition = Partition::from_parts(&g, vec![rim]).expect("rim is connected");
+        let partition = Partition::from_parts(&g, vec![rim.clone()]).expect("rim is connected");
         let values: Vec<u64> = (0..n as u64).collect();
 
         let mut with = Session::on(&g)
-            .partition_object(partition.clone())
+            .partition(vec![rim.clone()])
             .build()
             .expect("partition is valid");
         let mut without = Session::on(&g)
-            .partition_object(partition.clone())
+            .partition(vec![rim])
             .shortcut(baseline::no_shortcut(&partition))
             .build()
             .expect("partition is valid");

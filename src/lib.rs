@@ -116,10 +116,14 @@ pub use lcs_separator as separator;
 ///
 /// Sessions are not frozen after the first construction. Graph, tree,
 /// backend and configuration are fixed at `build()`; the one input that
-/// can change — the partition — carries an epoch counter; every cached
-/// artifact declares whether it reads the partition
-/// ([`deps`](lcs_core::session::deps)) and, if so, records the epoch it
-/// was built under and is invalidated precisely when that epoch bumps.
+/// can change — the partition — carries an epoch counter; a cached
+/// artifact that reads the partition (the shortcut, its quality report,
+/// an op artifact cached through
+/// [`op_artifact_patched`](lcs_core::session::ShortcutSession::op_artifact_patched))
+/// records the epoch it was built under and is invalidated precisely when
+/// that epoch bumps, while the tree and the
+/// [`op_artifact_with`](lcs_core::session::ShortcutSession::op_artifact_with)
+/// memos never go stale.
 /// There are two mutators:
 ///
 /// * [`set_partition`](lcs_core::session::ShortcutSession::set_partition)
@@ -148,7 +152,7 @@ pub use lcs_separator as separator;
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
-        deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
+        AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
         GraphHandle, MstOpts, OpReport, Session, SessionBuilder, SessionConfig, SessionError,
         ShortcutSession, TreeSource,
     };

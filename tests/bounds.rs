@@ -196,7 +196,7 @@ proptest! {
         let (tree, _) = distributed_bfs(&g, NodeId(0), dist.sim).expect("default round cap");
         let all: Vec<PartId> = partition.part_ids().collect();
         let config = ShortcutConfig::default();
-        let res = construct(&g, &tree, &partition, &all, config.initial_delta_hat, &config, Some(&dist))
+        let res = construct(&g, &tree, &partition, &all, 1, &config, Some(&dist))
             .expect("default round cap");
         let inside = envelope_occupancy(&g, &partition, &tree, &res);
         prop_assert!(inside.is_ok(), "{family} (distributed): {}", inside.unwrap_err());

@@ -6,7 +6,6 @@ use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
-use low_congestion_shortcuts::core::WitnessMode;
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
@@ -54,10 +53,7 @@ fn distributed_construction_is_replayable_per_seed() {
     let mut rng = SmallRng::seed_from_u64(5);
     let parts = gen::random_connected_parts(&g, 25, &mut rng);
     let partition = Partition::from_parts(&g, parts).unwrap();
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
+    let cfg = ShortcutConfig::default();
     let dist = DistConfig {
         mode: DistMode::Sketch {
             t: 16,

@@ -8,7 +8,7 @@ use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{
     distributed_bfs, distributed_partial_shortcut, DistConfig,
 };
-use low_congestion_shortcuts::core::{construct, SweepOutcome, WitnessMode};
+use low_congestion_shortcuts::core::{construct, SweepOutcome};
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -110,10 +110,7 @@ fn pipeline_on_lower_bound_topology() {
 fn assert_distributed_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label: &str) {
     use low_congestion_shortcuts::congest::SimConfig;
     let partition = Partition::from_parts(g, parts).unwrap();
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
+    let cfg = ShortcutConfig::default();
     let dist_cfg = DistConfig {
         sim: SimConfig {
             message_packing: env_packing(),
@@ -179,16 +176,8 @@ fn distributed_construction_passes_quality_bounds() {
     let (config, dist) = (ShortcutConfig::default(), DistConfig::default());
     let (tree, _) = distributed_bfs(&g, NodeId(0), dist.sim).expect("default round cap");
     let all: Vec<PartId> = partition.part_ids().collect();
-    let res = construct(
-        &g,
-        &tree,
-        &partition,
-        &all,
-        config.initial_delta_hat,
-        &config,
-        Some(&dist),
-    )
-    .expect("default round cap");
+    let res =
+        construct(&g, &tree, &partition, &all, 1, &config, Some(&dist)).expect("default round cap");
     let q = measure_quality(&g, &partition, &tree, &res.shortcut);
     assert!(q.tree_restricted && q.all_connected());
     let bound = config.envelope(res.delta_hat, tree.depth_of_tree(), res.successful_rounds);

@@ -24,7 +24,7 @@ use low_congestion_shortcuts::congest::{
 use low_congestion_shortcuts::core::dist::{
     distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
 };
-use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
+use low_congestion_shortcuts::core::{Partition, ShortcutConfig};
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::{
     centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap, Wave,
@@ -101,10 +101,7 @@ fn run_detection(
     threads: usize,
     packing: usize,
 ) -> DistPartialShortcut {
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
+    let cfg = ShortcutConfig::default();
     let dist = DistConfig {
         mode,
         sim: SimConfig {
@@ -327,7 +324,7 @@ fn gossip_is_packing_invariant() {
         (road, road_parts),
     ];
     for (g, parts) in instances {
-        let partition = Partition::from_parts(&g, parts).unwrap();
+        let partition = Partition::from_parts(&g, parts.clone()).unwrap();
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         for (op, agg) in [
             (IdempotentOp::Min, AggOp::Min),
@@ -340,7 +337,7 @@ fn gossip_is_packing_invariant() {
                 for packing in PACKING_LEVELS {
                     let label = format!("{op:?}/n{}/t{threads}/p{packing}", g.num_nodes());
                     let mut session = Session::on(&g)
-                        .partition_object(partition.clone())
+                        .partition(parts.clone())
                         .config(SessionConfig {
                             sim: sim(SimMode::Queued, threads, packing),
                             ..SessionConfig::default()

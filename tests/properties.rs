@@ -47,9 +47,14 @@ proptest! {
             prop_assert!(u64::from(pq.dilation_upper)
                 <= u64::from(pq.blocks) * u64::from(2 * d + 1));
         }
-        // Any witness from the doubling search certifies real density.
-        if let Some(w) = &built.best_witness {
+        // Every doubling is certified: the last failed sweep ran at δ̂/2
+        // and left a minor denser than that.
+        if built.delta_hat > 1 {
+            let w = built.best_witness.as_ref();
+            prop_assert!(w.is_some(), "δ̂ = {} without a certificate", built.delta_hat);
+            let w = w.unwrap();
             prop_assert!(minor::verify_minor(&g, w).is_ok());
+            prop_assert!(w.density() > f64::from(built.delta_hat / 2));
         }
     }
 

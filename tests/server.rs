@@ -759,6 +759,14 @@ fn config_keys_the_server_does_not_have_are_refused() {
         ("aggregate", "seed", "config.aggregate.seed"),
         ("", "mincut", "config.mincut"),
         ("", "unicast", "config.unicast"),
+        (
+            "shortcut",
+            "initial_delta_hat",
+            "config.shortcut.initial_delta_hat",
+        ),
+        ("shortcut", "block_factor", "config.shortcut.block_factor"),
+        ("shortcut", "seed", "config.shortcut.seed"),
+        ("shortcut", "witness_mode", "config.shortcut.witness_mode"),
     ] {
         let mut fields = config.clone();
         let extra = (key.to_string(), Value::U64(1));

@@ -11,11 +11,11 @@
 //! inputs, and (d) that `SessionConfig` survives serde round trips, with a
 //! pinned JSON snapshot of the defaults.
 
+use lcs_graph::minor;
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::kruskal;
 use low_congestion_shortcuts::congest::{SimConfig, SimMode};
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
-use low_congestion_shortcuts::core::WitnessMode;
 use low_congestion_shortcuts::facade::*;
 use low_congestion_shortcuts::partwise::{centralized_aggregate, IdempotentOp};
 use low_congestion_shortcuts::prelude::*;
@@ -35,10 +35,6 @@ fn env_sim() -> SimConfig {
 
 fn fast_config() -> SessionConfig {
     SessionConfig {
-        shortcut: ShortcutConfig {
-            witness_mode: WitnessMode::Skip,
-            ..ShortcutConfig::default()
-        },
         sim: env_sim(),
         ..SessionConfig::default()
     }
@@ -309,13 +305,13 @@ fn non_root_slots(g: &Graph, partition: &Partition, shortcut: &Shortcut) -> u64 
 /// warm aggregate's message count, which lies between `2·(members − k)`
 /// and `2·(slots − k)`.
 fn assert_session_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label: &str) {
-    let partition = Partition::from_parts(g, parts).unwrap();
+    let partition = Partition::from_parts(g, parts.clone()).unwrap();
     let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 131) % 997).collect();
     let expect = centralized_aggregate(&partition, &values, AggOp::Sum);
     let k = partition.num_parts();
     for (name, backend) in backends() {
         let mut session = Session::on(g)
-            .partition_object(partition.clone())
+            .partition(parts.clone())
             .backend(backend)
             .config(fast_config())
             .build()
@@ -396,6 +392,31 @@ fn session_aggregate_matches_centralized_on_ktrees_all_backends() {
         let parts = gen::random_connected_parts(&g, k, &mut rng);
         assert_session_matches_centralized(&g, parts, &format!("ktree seed {seed}"));
     }
+}
+
+/// Every doubling of `δ̂` is certified on the exact distributed backend
+/// too: the comb fails its `δ̂ = 1` sweep, and the session keeps that
+/// sweep's minor — the one the centralized construction extracts.
+#[test]
+fn the_distributed_session_certifies_its_doubling() {
+    let comb = gen::comb(10, 24);
+    let session = |backend| {
+        Session::on(&comb.graph)
+            .partition(comb.parts.clone())
+            .backend(backend)
+            .config(fast_config())
+            .build()
+            .unwrap()
+    };
+    let mut exact = session(Backend::Distributed(env_sim()));
+    assert_eq!(exact.delta_hat(), 2);
+    let w = exact
+        .witness()
+        .expect("the failed sweep's certificate")
+        .clone();
+    assert!(minor::verify_minor(&comb.graph, &w).is_ok());
+    assert!(w.density() > 1.0);
+    assert_eq!(session(Backend::Centralized).witness(), Some(&w));
 }
 
 /// Root once, aggregate many: the aggregation forest rides the
@@ -600,8 +621,9 @@ fn assert_ops_match_fresh(
     label: &str,
 ) {
     let g = session.graph_handle();
+    let lists = session.partition().iter().map(|(_, nodes)| nodes.to_vec());
     let mut fresh = Session::on(&g)
-        .partition_object(session.partition().clone())
+        .partition(lists.collect())
         .backend(backend.clone())
         .config(fast_config())
         .build()
@@ -644,13 +666,12 @@ fn assert_ops_match_fresh(
 /// CI repeats the sweep at `LCS_SIM_PACKING=8`.
 fn churn_differential(g: &Graph, parts: Vec<Vec<NodeId>>, rng: &mut SmallRng, label: &str) {
     use rand::Rng;
-    let partition = Partition::from_parts(g, parts).unwrap();
     let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 131) % 997).collect();
     let k2 = 1 + rng.gen_range(0..g.num_nodes() / 4);
     let wholesale = gen::random_connected_parts(g, k2, rng);
     for (name, backend) in backends() {
         let mut session = Session::on(g)
-            .partition_object(partition.clone())
+            .partition(parts.clone())
             .backend(backend.clone())
             .config(fast_config())
             .build()
@@ -854,7 +875,7 @@ where
 #[test]
 fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     let mut cfg = SessionConfig::default();
-    cfg.shortcut.witness_mode = WitnessMode::Sampled { attempts: 3 };
+    cfg.shortcut.congestion_factor = 4;
     cfg.sim.mode = SimMode::Queued;
     cfg.sim.threads = 4;
     cfg.aggregate.delay_range = 9;
@@ -869,11 +890,16 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     // A config persisted before the unused knobs were deleted still loads
     // (unknown keys are ignored) to today's defaults, and so does one from
     // before the per-op `sim` overrides were removed, which spells
-    // `"sim": null` inside an op block.
+    // `"sim": null` inside an op block, and one from before the
+    // construction settings were cut to the congestion factor.
     let older =
         SNAPSHOT_WITH_DELETED_KNOBS.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
     assert_ne!(older, SNAPSHOT_WITH_DELETED_KNOBS);
-    for old in [SNAPSHOT_WITH_DELETED_KNOBS, &older] {
+    for old in [
+        SNAPSHOT_WITH_DELETED_KNOBS,
+        &older,
+        SNAPSHOT_WITH_CONSTRUCTION_KNOBS,
+    ] {
         let loaded: SessionConfig = serde_json::from_str(old).expect("old schema still loads");
         assert_eq!(loaded, SessionConfig::default());
     }
@@ -881,10 +907,19 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
 
 /// The serialized `SessionConfig::default()` — the on-disk schema a
 /// serving deployment would persist.
-const SNAPSHOT: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\"congestion_factor\":8,\
-\"block_factor\":8,\"witness_mode\":\"Derandomized\",\"seed\":1554098974},\
+const SNAPSHOT: &str = "{\"shortcut\":{\"congestion_factor\":8},\
 \"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\"max_rounds\":1000000,\
 \"threads\":1,\"message_packing\":1},\
+\"aggregate\":{\"delay_range\":0},\
+\"mst\":{\"seed\":11577874,\"max_phases\":null},\
+\"partition_source\":null,\"graph_source\":null}";
+
+/// The default schema as persisted before the initial `δ̂`, the block
+/// factor, the witness mode and the sampling seed were deleted.
+const SNAPSHOT_WITH_CONSTRUCTION_KNOBS: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\
+\"congestion_factor\":8,\"block_factor\":8,\"witness_mode\":\"Derandomized\",\
+\"seed\":1554098974},\"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\
+\"max_rounds\":1000000,\"threads\":1,\"message_packing\":1},\
 \"aggregate\":{\"delay_range\":0},\
 \"mst\":{\"seed\":11577874,\"max_phases\":null},\
 \"partition_source\":null,\"graph_source\":null}";

@@ -42,7 +42,7 @@ use low_congestion_shortcuts::congest::{
     Ctx, Incoming, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
 use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig};
-use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
+use low_congestion_shortcuts::core::{Partition, ShortcutConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -124,10 +124,7 @@ fn partial_metrics(
     packing: usize,
 ) -> Vec<Row> {
     let partition = Partition::from_parts(g, parts).unwrap();
-    let cfg = ShortcutConfig {
-        witness_mode: WitnessMode::Skip,
-        ..ShortcutConfig::default()
-    };
+    let cfg = ShortcutConfig::default();
     let dist = DistConfig {
         sim: SimConfig {
             threads,
