@@ -4,7 +4,8 @@
 //! against the `Õ(δ̂D)` target, and messages against `Õ(m)`. Checked per
 //! row: the sweep lands in Case (I), and the exact mode reproduces the
 //! centralized cut set edge for edge; the sketch mode trades that accuracy
-//! for `O(D·t)` detection.
+//! for `O(D·t)` detection. The BFS flood that builds `T` is billed
+//! exactly: `2m − (n − 1)` messages, a tree edge carrying one.
 
 use crate::experiments::{cut_set_difference, instance, random_parts};
 use crate::{f2, Relation::*, Report};
@@ -14,6 +15,7 @@ use lcs_graph::gen;
 
 const CASE_ONE: &str = "Thm 3.1 case (I) at δ̂ = 1";
 const SAME_CUTS: &str = "Thm 1.5 exact cut set ≡ centralized";
+const FLOOD: &str = "Thm 1.5 BFS flood = 2m − (n − 1) messages";
 
 /// Runs E4.
 pub fn run() -> Report {
@@ -52,6 +54,8 @@ pub fn run() -> Report {
                 let diff = cut_set_difference(&res.data, &central) as f64;
                 out.claim(&row, SAME_CUTS, diff, Exactly, 0);
             }
+            let flood = res.metrics_bfs.messages as f64;
+            out.claim(&row, FLOOD, flood, Exactly, (2 * m - (n - 1)) as f64);
             let per_d = f2(rounds as f64 / f64::from(d.max(1)));
             let (per_m, cuts) = (f2(msgs as f64 / m as f64), res.over_edges.len());
             out.row(&[

@@ -5,12 +5,18 @@ use crate::{Ctx, Incoming, MessageSize, NodeProgram, RunOutcome};
 use lcs_graph::{Graph, NodeId};
 
 /// Messages of the BFS protocol.
+///
+/// A flood sends exactly `2m − (n − 1)` of them on a connected graph
+/// (counting the reached component otherwise): a tree edge carries one
+/// `Dist`, down; an edge between two nodes of one level carries a `Dist`
+/// each way; every other edge carries a `Dist` down and a `Decline` up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BfsMsg {
     /// "My BFS distance is `d`" — floods outward from the root.
     Dist(u32),
-    /// "I chose you as my parent" — lets parents learn their children.
-    Adopt,
+    /// "You sent me `Dist`, but I chose another parent" — the only answer
+    /// a lower neighbour gives; a child says nothing to its parent.
+    Decline,
 }
 
 impl MessageSize for BfsMsg {
@@ -19,13 +25,26 @@ impl MessageSize for BfsMsg {
     fn size_bits_in(&self, n: usize) -> usize {
         match self {
             BfsMsg::Dist(_) => 1 + crate::id_bits(n),
-            BfsMsg::Adopt => 1,
+            BfsMsg::Decline => 1,
         }
     }
 }
 
 /// Per-node BFS program: builds a BFS tree rooted at the initiator in
-/// `ecc(root) + O(1)` rounds with `O(m)` messages.
+/// `ecc(root) + O(1)` rounds with exactly `2m − (n − 1)` messages (see
+/// [`BfsMsg`]).
+///
+/// A node that first hears `Dist` in round `r` takes the minimum
+/// `(d, port)` as its parent and activates: it sends nothing to the
+/// parent, `Decline` to every other port it heard `Dist` on in `r`, and
+/// `Dist` on every remaining port. Children are learned by silence on a
+/// fixed local deadline. Every edge delivers in exactly one round — the
+/// same synchrony that makes the first `Dist` a node hears its shortest
+/// distance — so a neighbour that got our `Dist` answers in round `r + 1`
+/// (its own `Dist`: it is on our level) or `r + 2` (a `Decline`: it is one
+/// level lower under another parent), or never (it is our child). The
+/// children list is the `Dist` ports minus those that answered, final two
+/// rounds after activation, with no clock or wake-up.
 ///
 /// After the run, [`extract_tree`] recovers the tree knowledge.
 #[derive(Clone, Debug)]
@@ -57,9 +76,53 @@ impl BfsTreeProgram {
         self.parent_port
     }
 
-    /// Ports to the children.
+    /// Ports to the children, ascending.
     pub fn children_ports(&self) -> &[usize] {
         &self.children_ports
+    }
+
+    /// Activation in the round the first `Dist`s arrive (all of them
+    /// `Dist`, since only activated nodes answer). `children_ports` is the
+    /// one allocation: every port, the heard ones marked, then only the
+    /// ports `Dist` went out on.
+    fn activate(&mut self, ctx: &mut Ctx<'_, BfsMsg>, inbox: &[Incoming<BfsMsg>]) {
+        let mut best: Option<(u32, usize)> = None;
+        for m in inbox {
+            if let BfsMsg::Dist(d) = m.msg {
+                if best.map(|b| (d, m.port) < b).unwrap_or(true) {
+                    best = Some((d, m.port));
+                }
+            }
+        }
+        let Some((d, parent)) = best else { return };
+        self.dist = Some(d + 1);
+        self.parent_port = Some(parent);
+        let ports = &mut self.children_ports;
+        ports.extend(0..ctx.degree());
+        for m in inbox {
+            ports[m.port] |= HEARD;
+        }
+        for (p, &q) in ports.iter().enumerate() {
+            if q & HEARD == 0 {
+                ctx.send(p, BfsMsg::Dist(d + 1));
+            } else if p != parent {
+                ctx.send(p, BfsMsg::Decline);
+            }
+        }
+        keep_unmarked(ports);
+    }
+}
+
+/// Marks a port in `children_ports` for [`keep_unmarked`]; the marked
+/// list stays sorted by port.
+const HEARD: usize = 1 << (usize::BITS - 1);
+
+/// Drops the marked ports in one pass. A leaf keeps no allocation, so
+/// the finished programs of a flood hold lists only at inner nodes.
+fn keep_unmarked(ports: &mut Vec<usize>) {
+    ports.retain(|&q| q & HEARD == 0);
+    if ports.is_empty() {
+        *ports = Vec::new();
     }
 }
 
@@ -69,34 +132,24 @@ impl NodeProgram for BfsTreeProgram {
     fn on_start(&mut self, ctx: &mut Ctx<'_, BfsMsg>) {
         if self.is_root {
             ctx.broadcast(BfsMsg::Dist(0));
+            self.children_ports.extend(0..ctx.degree());
         }
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BfsMsg>, inbox: &[Incoming<BfsMsg>]) {
-        let mut best: Option<(u32, usize)> = None;
+        if self.dist.is_none() {
+            self.activate(ctx, inbox);
+            return;
+        }
+        // An answer — a same-level `Dist` in round `r + 1` or a `Decline`
+        // in `r + 2` — strikes the port it came on.
+        let ports = &mut self.children_ports;
         for m in inbox {
-            match m.msg {
-                BfsMsg::Dist(d) => {
-                    if best.map(|(bd, bp)| (d, m.port) < (bd, bp)).unwrap_or(true) {
-                        best = Some((d, m.port));
-                    }
-                }
-                BfsMsg::Adopt => self.children_ports.push(m.port),
+            if let Ok(i) = ports.binary_search_by_key(&m.port, |&q| q & !HEARD) {
+                ports[i] |= HEARD;
             }
         }
-        if let Some((d, port)) = best {
-            if self.dist.is_none() {
-                self.dist = Some(d + 1);
-                self.parent_port = Some(port);
-                ctx.send(port, BfsMsg::Adopt);
-                let my = d + 1;
-                for p in 0..ctx.degree() {
-                    if p != port {
-                        ctx.send(p, BfsMsg::Dist(my));
-                    }
-                }
-            }
-        }
+        keep_unmarked(ports);
     }
 
     fn is_done(&self) -> bool {
@@ -124,9 +177,7 @@ pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> TreeKnowledg
             depth[v] = d;
         }
         parent_port[v] = prog.parent_port;
-        let mut ports = prog.children_ports.clone();
-        ports.sort_unstable();
-        children_ports[v] = ports;
+        children_ports[v] = prog.children_ports.clone();
     }
     TreeKnowledge {
         parent_port,
@@ -139,8 +190,10 @@ pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> TreeKnowledg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimConfig, Simulator};
+    use crate::{RunMetrics, SimConfig, SimMode, Simulator};
     use lcs_graph::{bfs, gen};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn distances_match_centralized_bfs() {
@@ -155,33 +208,94 @@ mod tests {
                 Some(reference.dist[v.index()])
             );
         }
-        // Rounds: eccentricity + small constant for adoption/quiescence.
+        // Rounds: eccentricity + small constant for declines/quiescence.
         let ecc = reference.eccentricity() as u64;
         assert!(run.metrics.rounds >= ecc && run.metrics.rounds <= ecc + 3);
     }
 
+    /// Runs the flood from `root` and checks what every node learned
+    /// against the centralized BFS tree: depth, parent port and the sorted
+    /// children ports, exactly. Also checks the bill: `2m − (n − 1)`
+    /// messages over the reached component, one per directed edge and
+    /// round at most. Returns the run's metrics.
+    fn assert_flood_matches_centralized(g: &Graph, root: NodeId, sim: SimConfig) -> RunMetrics {
+        let run = Simulator::new(g, sim).run(|v, _| BfsTreeProgram::new(v == root));
+        assert!(run.metrics.terminated);
+        let tk = extract_tree(g, &run);
+        let want = TreeKnowledge::from_rooted_tree(g, &bfs::bfs_tree(g, root));
+        assert_eq!(tk.root, root);
+        assert_eq!(tk.depth, want.depth, "depths");
+        assert_eq!(tk.parent_port, want.parent_port, "parent ports");
+        for v in g.nodes() {
+            let mut children = want.children_ports[v.index()].clone();
+            children.sort_unstable();
+            assert_eq!(tk.children_ports[v.index()], children, "children of {v:?}");
+        }
+        let reached = |v: NodeId| want.depth[v.index()] != u32::MAX;
+        let n = g.nodes().filter(|&v| reached(v)).count() as u64;
+        let m = g.edges().filter(|e| reached(e.u)).count() as u64;
+        assert_eq!(run.metrics.messages, 2 * m - (n - 1), "2m − (n − 1)");
+        assert_eq!(run.metrics.max_queue, 1);
+        run.metrics
+    }
+
     #[test]
     fn tree_knowledge_is_consistent() {
-        let g = gen::torus(4, 5);
-        let sim = Simulator::new(&g, SimConfig::default());
-        let run = sim.run(|v, _| BfsTreeProgram::new(v == NodeId(7)));
-        let tk = extract_tree(&g, &run);
-        assert_eq!(tk.root, NodeId(7));
-        assert_eq!(tk.num_tree_nodes(), 20);
-        // Every non-root node's parent has it as a child.
-        for v in g.nodes() {
-            if v == tk.root {
-                assert!(tk.parent_port[v.index()].is_none());
-                continue;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let cases = [
+            // Same-level edges: both ends send `Dist`.
+            (gen::cycle(9), vec![0, 4]),
+            (gen::torus(4, 5), vec![7]),
+            // Several lower neighbours: `Decline`s.
+            (gen::gnm_connected(60, 150, &mut rng), vec![0, 31]),
+            (gen::grid_king(6, 7), vec![0, 20]),
+            // Hub and rim roots.
+            (gen::star(12), vec![0, 5]),
+            (gen::wheel(10), vec![0, 3]),
+            // Only the root's component answers.
+            (
+                Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]),
+                vec![1, 4],
+            ),
+        ];
+        for (g, roots) in &cases {
+            for &root in roots {
+                for mode in [SimMode::Strict, SimMode::Queued] {
+                    let sim = SimConfig {
+                        mode,
+                        ..SimConfig::default()
+                    };
+                    assert_flood_matches_centralized(g, NodeId(root), sim);
+                }
             }
-            let up = tk.parent_port[v.index()].unwrap();
-            let p = g.heads(v)[up];
-            assert_eq!(tk.depth[v.index()], tk.depth[p.index()] + 1);
-            let children: Vec<NodeId> = tk.children_ports[p.index()]
-                .iter()
-                .map(|&port| g.heads(p)[port])
-                .collect();
-            assert!(children.contains(&v));
+        }
+    }
+
+    /// The flood at the scale we benchmark (`road_like` 512², n = 262 144):
+    /// the exact tree and bill on one and two lanes and queued, with equal
+    /// counts. Release mode only: `cargo test --release -- --ignored
+    /// scale_`.
+    #[test]
+    #[ignore = "release-mode scale test"]
+    fn scale_bfs_flood_on_road_like_512() {
+        let g = gen::road_like(512, 512, 7);
+        let runs: Vec<RunMetrics> = [
+            (SimMode::Strict, 1),
+            (SimMode::Strict, 2),
+            (SimMode::Queued, 1),
+        ]
+        .into_iter()
+        .map(|(mode, threads)| {
+            let sim = SimConfig {
+                mode,
+                threads,
+                ..SimConfig::default()
+            };
+            assert_flood_matches_centralized(&g, NodeId(0), sim)
+        })
+        .collect();
+        for m in &runs[1..] {
+            assert_eq!(m.counts(), runs[0].counts());
         }
     }
 

@@ -6,9 +6,10 @@
 //! 1. **BFS** ([`distributed_bfs`], once per tree): the standard
 //!    distributed BFS-tree protocol
 //!    ([`lcs_congest::protocols::BfsTreeProgram`]) builds the tree `T` in
-//!    `ecc(root) + O(1)` rounds. Its parent rule (minimum-id neighbor one
-//!    level closer to the root) matches [`lcs_graph::bfs::bfs_tree`], so the
-//!    simulated and centralized constructions operate on the identical tree.
+//!    `ecc(root) + O(1)` rounds with exactly `2m − (n − 1)` messages. Its
+//!    parent rule (minimum-id neighbor one level closer to the root) matches
+//!    [`lcs_graph::bfs::bfs_tree`], so the simulated and centralized
+//!    constructions operate on the identical tree.
 //! 2. **Detection** (once per sweep): a bottom-up convergecast over `T`.
 //!    Every node merges the part sets reported by its children (below any
 //!    already-cut edge), adds its own part, and cuts its parent edge when
