@@ -52,8 +52,9 @@ pub trait SessionAlgoOps {
     fn components(&mut self) -> OpReport<ComponentsReport>;
 
     /// Min-cut upper bound by greedy tree packing + 1-respecting cuts
-    /// (Corollary 1.7; [`approx_mincut_distributed`] semantics).
-    /// Topology-scoped like [`components`](Self::components).
+    /// (Corollary 1.7; [`approx_mincut_distributed`] semantics), the first
+    /// packed tree being the session's own. Topology-scoped like
+    /// [`components`](Self::components).
     ///
     /// # Panics
     ///
