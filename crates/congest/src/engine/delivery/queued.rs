@@ -2,17 +2,20 @@
 //! shard).
 //!
 //! Queued mode delivers, per round, the `(priority, seq)`-minimum pending
-//! message of every non-empty directed edge, off a calendar:
+//! message of every non-empty directed edge, off a calendar. Its memory is
+//! 16 B per local directed edge plus its in-flight traffic, held in two
+//! pooled arenas that grow to the run's peak and are reused through free
+//! lists, so a run allocates a constant number of buffers:
 //!
-//! - **Per-dir queues** hold each directed edge's pending messages sorted
-//!   ascending by `(priority, seq)` in a `VecDeque` ring, indexed by the
-//!   partition-local dense dir index. The dominant workloads (detection
-//!   convergecasts) send everything at one priority, so inserts are
-//!   monotone `push_back`s and pops are `pop_front`s — no heap traffic,
-//!   no comparisons beyond one against the back element. Preempting sends
-//!   (a lower priority arriving behind queued messages) binary-search
-//!   their slot; they only occur in multi-instance workloads with random
-//!   priorities (multi-unicast routing).
+//! - **Per-dir lists** hold each directed edge's pending messages sorted
+//!   ascending by `(priority, seq)`: singly linked through the *entry
+//!   arena*, with a `head` and `tail` index per partition-local dir. The
+//!   head entry also carries the dir's queue length. The dominant
+//!   workloads (detection convergecasts, the part-wise echo) send
+//!   everything at one priority, so inserts append at the tail and pops
+//!   take the head, both `O(1)`. A preempting send (a lower priority
+//!   arriving behind queued messages, as in multi-unicast routing with
+//!   random priorities) walks its edge's list to its place.
 //! - **Delivery tokens** schedule *when* a dir drains. Each push claims
 //!   the dir's next free round via a per-dir clock:
 //!   `slot = max(round + 1, next_slot)`, then `next_slot = slot + 1`. The
@@ -21,13 +24,14 @@
 //!   per-round CONGEST discipline. Tokens are anonymous — a fired token
 //!   delivers whatever is minimal *at that round* — so preemption never
 //!   reschedules anything.
-//! - **Calendar buckets**: a token for round `r` lives in
-//!   `buckets[r % horizon]`; staging round `r` drains one bucket linearly,
-//!   like the strict arena. Tokens more than `horizon` rounds out (a dir
-//!   backlog deeper than the horizon) wait in an **overflow ring** that is
-//!   swept back into the buckets once per calendar wrap
-//!   (`round % horizon == 0`); a slot `s` token is always swept in by the
-//!   unique wrap in `[s - horizon + 1, s]`, i.e. before it is due.
+//! - **Calendar buckets**: a token for round `r` is appended to the FIFO
+//!   list of `bucket[r % horizon]`, linked through the *token arena*;
+//!   staging round `r` drains that one list in order. Tokens more than
+//!   `horizon` rounds out (a dir backlog deeper than the horizon) wait in
+//!   an **overflow ring** that is swept back into the buckets once per
+//!   calendar wrap (`round % horizon == 0`); a slot `s` token is always
+//!   swept in by the unique wrap in `[s - horizon + 1, s]`, i.e. before it
+//!   is due.
 //!
 //! ## Delivery-time merging
 //!
@@ -52,7 +56,6 @@
 use super::{Delivery, ShardAccount, Topology};
 use crate::message::Mergeable;
 use crate::MessageSize;
-use std::collections::VecDeque;
 
 /// Calendar width in rounds. Backlogs deeper than this spill to the
 /// overflow ring; 64 covers every corpus workload (detection backlogs track
@@ -60,39 +63,49 @@ use std::collections::VecDeque;
 /// bucket array cache-resident.
 pub(crate) const HORIZON: u64 = 64;
 
-/// One pending message on a directed edge.
-struct Pending<M> {
+/// "No entry": the end of a list, and an empty dir's `head`.
+const NIL: u32 = u32::MAX;
+
+/// One pending message on a directed edge, a node of its dir's list (or,
+/// released, of the free list).
+struct Entry<M> {
     priority: u64,
     seq: u64,
-    msg: M,
+    /// The next entry of the same list.
+    next: u32,
+    /// At a dir's head: the number of messages the dir holds.
+    len: u32,
+    /// `None` once delivered (the entry is then on the free list).
+    msg: Option<M>,
 }
 
-impl<M> Pending<M> {
+impl<M> Entry<M> {
     fn key(&self) -> (u64, u64) {
         (self.priority, self.seq)
     }
 }
 
 pub(crate) struct CalendarDelivery<M> {
-    /// The `(priority, seq)`-minimum pending message per local dir, inline
-    /// in a flat array: the common ≤1-message-per-dir case (every one-shot
-    /// protocol) never touches a heap allocation or a pointer chase.
-    slots: Vec<Option<Pending<M>>>,
-    /// Pending messages beyond the minimum, ascending by `(priority, seq)`.
-    /// A `VecDeque` ring per local dir, allocated only once a second
-    /// message queues; FIFO streams (equal priorities ⇒ monotone keys) are
-    /// pure `push_back`/`pop_front`, a displaced slot minimum re-enters at
-    /// the front, and only preempting mid-priority sends binary-search.
-    rest: Vec<VecDeque<Pending<M>>>,
-    /// Dense mirror of `rest[local].len()`, so the hot pop path skips the
-    /// ring headers entirely while any dir's backlog is ≤ 1.
-    rest_len: Vec<u32>,
+    /// Per local dir, its first (minimum) entry; `NIL` when empty.
+    head: Vec<u32>,
+    /// Per local dir, its last entry; meaningful only while `head` is not
+    /// `NIL`.
+    tail: Vec<u32>,
     /// Per-local-dir token clock: the earliest round this dir has not yet
     /// claimed a delivery token for.
     next_slot: Vec<u64>,
-    /// `buckets[r % horizon]` holds the (global) dirs delivering in round
-    /// `r`.
-    buckets: Vec<Vec<u32>>,
+    /// The entry arena: every pending message of the partition.
+    entries: Vec<Entry<M>>,
+    /// Head of the released entries' list.
+    free_entry: u32,
+    /// Per bucket, the `(first, last)` token of the (global) dirs
+    /// delivering in round `r` for `bucket[r % horizon]`; `first == NIL`
+    /// when empty.
+    buckets: Vec<(u32, u32)>,
+    /// The token arena: `(dir, next token of the same bucket)`; released
+    /// tokens are chained through `next` from `free_token`.
+    tokens: Vec<(u32, u32)>,
+    free_token: u32,
     /// Tokens scheduled beyond the calendar window: `(round, dir)`, swept
     /// into the buckets at each calendar wrap.
     overflow: Vec<(u64, u32)>,
@@ -116,11 +129,14 @@ impl<M> CalendarDelivery<M> {
     pub fn with_horizon(local_dirs: usize, horizon: u64, pack: usize, budget: usize) -> Self {
         assert!(horizon >= 1);
         CalendarDelivery {
-            slots: (0..local_dirs).map(|_| None).collect(),
-            rest: (0..local_dirs).map(|_| VecDeque::new()).collect(),
-            rest_len: vec![0; local_dirs],
+            head: vec![NIL; local_dirs],
+            tail: vec![NIL; local_dirs],
             next_slot: vec![0; local_dirs],
-            buckets: (0..horizon).map(|_| Vec::new()).collect(),
+            entries: Vec::new(),
+            free_entry: NIL,
+            buckets: vec![(NIL, NIL); horizon as usize],
+            tokens: Vec::new(),
+            free_token: NIL,
             overflow: Vec::new(),
             horizon,
             pending: 0,
@@ -128,55 +144,114 @@ impl<M> CalendarDelivery<M> {
             budget,
         }
     }
-}
 
-impl<M> CalendarDelivery<M> {
-    /// Inserts into the local dir's `(priority, seq)`-ordered pending
-    /// queue.
-    fn insert(&mut self, local: usize, item: Pending<M>) {
-        match &mut self.slots[local] {
-            empty @ None => *empty = Some(item),
-            Some(held) => {
-                if item.key() < held.key() {
-                    // New minimum: the displaced slot holder precedes
-                    // everything already in `rest`.
-                    let displaced = std::mem::replace(held, item);
-                    self.rest[local].push_front(displaced);
-                } else {
-                    let rest = &mut self.rest[local];
-                    match rest.back() {
-                        Some(back) if back.key() > item.key() => {
-                            // Preempting send: binary-search the slot.
-                            let at = rest.partition_point(|p| p.key() < item.key());
-                            rest.insert(at, item);
-                        }
-                        _ => rest.push_back(item),
-                    }
+    /// Inserts into the local dir's `(priority, seq)`-ordered list.
+    fn insert(&mut self, local: usize, priority: u64, seq: u64, msg: M) {
+        let item = Entry {
+            priority,
+            seq,
+            next: NIL,
+            len: 1,
+            msg: Some(msg),
+        };
+        let key = item.key();
+        let e = pool_insert(&mut self.entries, &mut self.free_entry, item, |e| e.next);
+        let (head, tail) = (self.head[local], self.tail[local]);
+        if head == NIL {
+            (self.head[local], self.tail[local]) = (e, e);
+            return;
+        }
+        let len = self.entries[head as usize].len + 1;
+        if self.entries[tail as usize].key() < key {
+            // The common case: a FIFO stream appends.
+            self.entries[tail as usize].next = e;
+            self.tail[local] = e;
+            self.entries[head as usize].len = len;
+        } else if key < self.entries[head as usize].key() {
+            // A new minimum becomes the head and carries the length.
+            let new = &mut self.entries[e as usize];
+            (new.next, new.len) = (head, len);
+            self.head[local] = e;
+        } else {
+            // A preempting send walks to its place (strictly inside the
+            // list: it is neither below the head nor above the tail).
+            let mut prev = head;
+            loop {
+                let next = self.entries[prev as usize].next;
+                if key < self.entries[next as usize].key() {
+                    self.entries[e as usize].next = next;
+                    break;
                 }
-                self.rest_len[local] += 1;
+                prev = next;
             }
+            self.entries[prev as usize].next = e;
+            self.entries[head as usize].len = len;
         }
     }
 
-    /// Removes and returns the local dir's minimum, refilling the slot
-    /// from the rest ring. `None` when the dir has nothing pending (a
-    /// stale token after delivery-time merging). On `Some`, the second
-    /// element is the queue length before the pop.
-    fn pop_min(&mut self, local: usize) -> Option<(Pending<M>, usize)> {
-        let item = self.slots[local].take()?;
-        let rest_len = self.rest_len[local];
-        if rest_len > 0 {
-            self.slots[local] = self.rest[local].pop_front();
-            self.rest_len[local] = rest_len - 1;
+    /// The local dir's minimum, if it has one.
+    fn peek(&self, local: usize) -> Option<&Entry<M>> {
+        let head = self.head[local];
+        (head != NIL).then(|| &self.entries[head as usize])
+    }
+
+    /// Removes the local dir's minimum and returns its priority, its
+    /// message and the dir's queue length before the pop; `None` when the
+    /// dir has nothing pending (a stale token after delivery-time
+    /// merging).
+    fn pop_min(&mut self, local: usize) -> Option<(u64, M, usize)> {
+        let head = self.head[local];
+        if head == NIL {
+            return None;
         }
-        Some((item, 1 + rest_len as usize))
+        let free = self.free_entry;
+        let entry = &mut self.entries[head as usize];
+        let (priority, len, next) = (entry.priority, entry.len, entry.next);
+        let msg = entry.msg.take().expect("a listed entry holds its message");
+        entry.next = free;
+        self.free_entry = head;
+        self.head[local] = next;
+        if next != NIL {
+            self.entries[next as usize].len = len - 1;
+        }
+        Some((priority, msg, len as usize))
+    }
+
+    /// Appends a token for `dir` to the bucket of round `slot`.
+    fn schedule(&mut self, slot: u64, dir: u32) {
+        let t = pool_insert(&mut self.tokens, &mut self.free_token, (dir, NIL), |t| t.1);
+        let bucket = &mut self.buckets[(slot % self.horizon) as usize];
+        match bucket.0 {
+            NIL => *bucket = (t, t),
+            _ => {
+                self.tokens[bucket.1 as usize].1 = t;
+                bucket.1 = t;
+            }
+        }
+    }
+}
+
+/// Stores `item` in a free-listed arena and returns its index: in the
+/// released slot at `free`, whose `next_of` continues the free list, or
+/// appended when none is left.
+fn pool_insert<T>(pool: &mut Vec<T>, free: &mut u32, item: T, next_of: impl Fn(&T) -> u32) -> u32 {
+    match *free {
+        NIL => {
+            pool.push(item);
+            (pool.len() - 1) as u32
+        }
+        at => {
+            *free = next_of(&pool[at as usize]);
+            pool[at as usize] = item;
+            at
+        }
     }
 }
 
 impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
     fn push(&mut self, dir: u32, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology) {
         let local = topo.dir_local(dir);
-        self.insert(local, Pending { priority, seq, msg });
+        self.insert(local, priority, seq, msg);
         // Claim the dir's next free delivery round. `round + 1 ..
         // round + horizon` are all in the calendar window at push time (the
         // round-`round` bucket was drained before any round-`round` send is
@@ -188,7 +263,7 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         let slot = (round + 1).max(self.next_slot[local]);
         self.next_slot[local] = slot + 1;
         if slot < round + self.horizon {
-            self.buckets[(slot % self.horizon) as usize].push(dir);
+            self.schedule(slot, dir);
         } else {
             self.overflow.push((slot, dir));
         }
@@ -211,55 +286,54 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         // `round + horizon` or later would collide with still-pending buckets
         // and wait for the next wrap.
         if round.is_multiple_of(self.horizon) && !self.overflow.is_empty() {
-            let (horizon, buckets) = (self.horizon, &mut self.buckets);
-            self.overflow.retain(|&(slot, dir)| {
+            let mut overflow = std::mem::take(&mut self.overflow);
+            overflow.retain(|&(slot, dir)| {
                 debug_assert!(slot >= round);
-                if slot < round + horizon {
-                    buckets[(slot % horizon) as usize].push(dir);
-                    false
-                } else {
-                    true
+                let due = slot < round + self.horizon;
+                if due {
+                    self.schedule(slot, dir);
                 }
+                !due
             });
+            self.overflow = overflow;
         }
 
         let n = topo.num_nodes();
         let idx = (round % self.horizon) as usize;
-        for k in 0..self.buckets[idx].len() {
-            let dir = self.buckets[idx][k];
+        let mut token = std::mem::replace(&mut self.buckets[idx], (NIL, NIL)).0;
+        while token != NIL {
+            let (dir, next) = self.tokens[token as usize];
+            self.tokens[token as usize].1 = self.free_token;
+            self.free_token = token;
+            token = next;
             let local = topo.dir_local(dir);
-            let Some((item, qlen)) = self.pop_min(local) else {
+            let Some((priority, mut msg, qlen)) = self.pop_min(local) else {
                 continue; // stale token: this dir's backlog merged away
             };
             acc.max_queue = acc.max_queue.max(qlen as u64);
-            let Pending {
-                priority, mut msg, ..
-            } = item;
             let mut removed = 1;
             if self.pack > 1 {
                 // Delivery-time merging: absorb queued same-priority
-                // follow-ups (FIFO: pop_min yields them in (priority, seq)
+                // follow-ups (FIFO: the list yields them in (priority, seq)
                 // order) while the envelope stays within the packing
                 // factor and the bandwidth budget.
                 let mut vals = msg.values();
                 let mut width = msg.size_bits_in(n);
                 while vals < self.pack {
-                    let Some(next) = self.slots[local].as_ref() else {
+                    let Some(next) = self.peek(local).filter(|e| e.priority == priority) else {
                         break;
                     };
-                    if next.priority != priority {
-                        break;
-                    }
-                    let nvals = next.msg.values();
+                    let next = next.msg.as_ref().expect("a listed entry holds its message");
+                    let nvals = next.values();
                     if vals + nvals > self.pack {
                         break;
                     }
-                    let cost = msg.merge_cost_in(&next.msg, n);
+                    let cost = msg.merge_cost_in(next, n);
                     if width.saturating_add(cost) > self.budget {
                         break;
                     }
-                    let (follow, _) = self.pop_min(local).expect("peeked above");
-                    msg.absorb(follow.msg);
+                    let (_, follow, _) = self.pop_min(local).expect("peeked above");
+                    msg.absorb(follow);
                     vals += nvals;
                     width += cost;
                     removed += 1;
@@ -269,7 +343,6 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
             acc.messages += 1;
             self.pending -= removed;
         }
-        self.buckets[idx].clear();
     }
 }
 
@@ -323,6 +396,32 @@ mod tests {
         cal.push(0, 5, 2, 51, 0, &topo);
         cal.push(0, 1, 3, 10, 0, &topo); // lower priority value drains first
         assert_eq!(drain_all(&mut cal, &topo, 0), vec![10, 50, 51]);
+    }
+
+    #[test]
+    fn a_preempting_send_walks_to_its_place() {
+        let g = gen::path(2);
+        let topo = Topology::build(&g, 1);
+        let mut cal: CalendarDelivery<u32> =
+            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+        let sends = [(1, 10), (9, 90), (5, 50), (5, 51), (7, 70), (0, 0), (9, 91)];
+        for (seq, &(priority, msg)) in (1..).zip(&sends) {
+            cal.push(0, priority, seq, msg, 0, &topo);
+        }
+        assert_eq!(
+            drain_all(&mut cal, &topo, 0),
+            vec![0, 10, 50, 51, 70, 90, 91]
+        );
+        // Delivered entries are reused: a second burst of the same size
+        // leaves the arena as large as the first made it.
+        for (seq, &(priority, msg)) in (8..).zip(&sends) {
+            cal.push(0, priority, seq, msg, 20, &topo);
+        }
+        assert_eq!(
+            drain_all(&mut cal, &topo, 20),
+            vec![0, 10, 50, 51, 70, 90, 91]
+        );
+        assert_eq!(cal.entries.len(), sends.len());
     }
 
     #[test]

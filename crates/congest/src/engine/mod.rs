@@ -13,10 +13,11 @@
 //!   flat send arena drained in one linear pass; queued mode is a
 //!   bucketed **calendar queue** (per-round buckets indexed by
 //!   `slot % horizon`, an overflow ring for deeper backlogs, per-edge
-//!   `VecDeque` rings, and delivery-time merging of queued same-priority
-//!   messages under `message_packing`).
-//! - [`shard`] — a contiguous node range owning its programs, RNGs,
-//!   inboxes, and wake bookkeeping; the unit of parallel work.
+//!   sorted lists in one pooled entry arena, and delivery-time merging of
+//!   queued same-priority messages under `message_packing`).
+//! - [`shard`] — a contiguous node range owning its programs, one flat
+//!   inbox (a round's envelopes counting-sorted by receiver) and wake
+//!   bookkeeping, and packing its nodes' sends; the unit of parallel work.
 //! - [`parallel`] — the round loop, the one executor every run goes
 //!   through: each *lane* (a shard plus its delivery partition) runs
 //!   `on_start` as round 0, then per round ingests routed envelopes,
@@ -54,8 +55,8 @@ use topology::Topology;
 pub enum SimMode {
     /// Pure CONGEST: a second message over the same directed edge in one
     /// round is a protocol bug and panics. With
-    /// [`SimConfig::message_packing`]` = k > 1`, up to `k` *consecutive*
-    /// same-port sends coalesce into one message first, so a short burst
+    /// [`SimConfig::message_packing`]` = k > 1`, up to `k` same-port sends
+    /// of one callback coalesce into one message first, so a short burst
     /// that fits one packed envelope is legal; only a second envelope on
     /// the same edge panics.
     #[default]
@@ -93,8 +94,9 @@ pub struct SimConfig {
     /// Multi-value message packing factor. `1` (the default) is the
     /// unpacked engine: every send is its own message, metrics are
     /// bit-identical to every prior engine version. At `k > 1` the engine
-    /// coalesces up to `k` **consecutive** same-port, same-priority sends
-    /// of one node-round into one [`PackedMsg`] batch, greedily while the
+    /// groups the sends of one node-round by `(port, priority)` — a stable
+    /// sort, so each group keeps its issue order — and coalesces up to `k`
+    /// sends of a group into one [`PackedMsg`] batch, greedily while the
     /// batch's true packed width (first value full-size, later values at
     /// their [`MessageSize::size_bits_packed_in`] marginal cost) fits the
     /// per-message bandwidth budget. A batch is one CONGEST message — one
@@ -214,11 +216,11 @@ impl<M> Ctx<'_, M> {
 
     /// Sends `msg` over `port` with default priority 0.
     ///
-    /// With [`SimConfig::message_packing`]` > 1`, consecutive sends to the
-    /// same port with the same priority within one callback are coalesced
-    /// into one multi-value message (up to the packing factor and the
-    /// bandwidth budget) — burst-style senders get this for free; keep a
-    /// stream's sends adjacent to maximize it.
+    /// With [`SimConfig::message_packing`]` > 1`, sends to the same port
+    /// with the same priority within one callback are coalesced into
+    /// multi-value messages (up to the packing factor and the bandwidth
+    /// budget), in issue order, wherever they sit among the callback's
+    /// other sends — burst-style senders get this for free.
     pub fn send(&mut self, port: usize, msg: M) {
         self.send_with_priority(port, msg, 0);
     }
@@ -309,6 +311,12 @@ impl<'g> Simulator<'g> {
 
     /// Runs one program per node (constructed by `init`) to quiescence or
     /// the round cap.
+    ///
+    /// `init` runs exactly once per node, in ascending id order, on the
+    /// calling thread, before round 0 (no `on_start` has run yet) — at
+    /// every [`SimConfig::threads`] setting. A caller may rely on it, e.g.
+    /// to hand each program the next sub-slice of one run-wide arena, as
+    /// the part-wise aggregation does.
     ///
     /// # Panics
     ///
@@ -775,6 +783,49 @@ mod tests {
         SimConfig {
             threads,
             ..SimConfig::default()
+        }
+    }
+
+    /// The `init` contract of [`Simulator::run`], with the lanes forced
+    /// onto as many OS threads as there are lanes.
+    #[test]
+    fn init_runs_once_per_node_in_order_on_the_calling_thread_before_round_0() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Probe<'a> {
+            built: &'a AtomicUsize,
+            n: usize,
+        }
+        impl NodeProgram for Probe<'_> {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                assert_eq!(
+                    self.built.load(Ordering::SeqCst),
+                    self.n,
+                    "built before round 0"
+                );
+                ctx.broadcast(ctx.node().0);
+            }
+            fn on_round(&mut self, _: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {}
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let g = gen::grid(5, 7);
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4, 8] {
+            let (built, mut order) = (AtomicUsize::new(0), Vec::new());
+            let sim = Simulator::new(&g, with_threads(threads));
+            let run = sim.run_on(Some(threads), |v, _| {
+                assert_eq!(std::thread::current().id(), caller, "threads={threads}");
+                order.push(v.0);
+                built.fetch_add(1, Ordering::SeqCst);
+                Probe {
+                    built: &built,
+                    n: g.num_nodes(),
+                }
+            });
+            assert_eq!(run.metrics.threads, threads);
+            assert_eq!(order, (0..35).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 

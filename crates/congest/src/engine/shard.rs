@@ -1,22 +1,31 @@
 //! A contiguous node shard: the unit of work of the parallel round
 //! executor.
 //!
-//! Each shard exclusively owns its nodes' programs, inboxes, and wake
-//! bookkeeping, plus two message buffers: `inbound` (staged
-//! deliveries for the current round, filled in place by the shard's own
-//! delivery partition) and `outbox` (wire envelopes produced this round,
-//! validated and routed by the lane's flush step). A worker thread
-//! touches nothing outside its lane during a round, which is why no
-//! per-message synchronization exists anywhere.
+//! Each shard exclusively owns its nodes' programs and wake bookkeeping,
+//! plus two message buffers: `inbound` (staged deliveries for the current
+//! round, filled in place by the shard's own delivery partition) and
+//! `outbox` (wire envelopes produced this round, validated and routed by
+//! the lane's flush step). A worker thread touches nothing outside its
+//! lane during a round, which is why no per-message synchronization
+//! exists anywhere.
+//!
+//! A round's `inbound` envelopes are counting-sorted by receiver (stably,
+//! so each receiver sees them in staging order) into one index array, and
+//! each receiver's envelopes are unpacked into one flat inbox just before
+//! its callback, which gets the inbox as a slice. The shard keeps 5 B per
+//! node (an envelope count and a wake flag) and buffers that grow to the
+//! round's traffic.
 //!
 //! The shard is also where **multi-value message packing** happens: a
 //! node's raw sends land in a scratch buffer during its callback, and
-//! [`Shard::exec_node`] coalesces consecutive same-port, same-priority
-//! runs into [`PackedMsg`] envelopes — up to [`SimConfig::message_packing`]
-//! values and the bandwidth budget per envelope. At packing 1 every send
-//! becomes a `PackedMsg::One` with the exact bit cost of the raw message,
-//! so the wire stream (and every metric) is identical to the unpacked
-//! engine. Packing on the shard keeps the coalescing work parallel.
+//! [`Shard::exec_node`] groups them by `(port, priority)` — a stable
+//! sort, so sends of one group keep their issue order — and coalesces
+//! each group into [`PackedMsg`] envelopes of up to
+//! [`SimConfig::message_packing`] values within the bandwidth budget. At
+//! packing 1 every send becomes a `PackedMsg::One` with the exact bit cost
+//! of the raw message, in issue order, so the wire stream (and every
+//! metric) is identical to the unpacked engine. Packing on the shard keeps
+//! the coalescing work parallel.
 //!
 //! Determinism: within a shard, nodes run in ascending id order and each
 //! node's envelopes are appended in issue order; the global send order is
@@ -38,7 +47,14 @@ pub(crate) struct Shard<P: NodeProgram> {
     /// First node id owned by this shard.
     lo: u32,
     programs: Vec<P>,
-    inboxes: Vec<Vec<Incoming<P::Msg>>>,
+    /// Per local node, zero between rounds. While a round's `inbound` is
+    /// sorted: the envelopes addressed to the node, then where its run in
+    /// `order` starts, then where it ends.
+    counts: Vec<u32>,
+    /// Indices into `inbound`, counting-sorted by receiver.
+    order: Vec<u32>,
+    /// The running node's messages, unpacked from its envelopes in order.
+    inbox: Vec<Incoming<P::Msg>>,
     wake_flag: Vec<bool>,
     /// Nodes (global ids) that requested a wake-up for the next round.
     wake_list: Vec<u32>,
@@ -80,7 +96,9 @@ impl<P: NodeProgram> Shard<P> {
         Shard {
             lo,
             programs: (lo..hi).map(|v| init(NodeId(v), g)).collect(),
-            inboxes: (0..len).map(|_| Vec::new()).collect(),
+            counts: vec![0; len],
+            order: Vec::new(),
+            inbox: Vec::new(),
             wake_flag: vec![false; len],
             wake_list: Vec::new(),
             inbound: Vec::new(),
@@ -101,46 +119,65 @@ impl<P: NodeProgram> Shard<P> {
         }
     }
 
-    /// One round: unpack the staged `inbound` envelopes into inboxes, pick
-    /// up pending wake-ups, and run the affected nodes in ascending order.
+    /// One round: counting-sort the staged `inbound` envelopes by
+    /// receiver, pick up pending wake-ups, and run the affected nodes in
+    /// ascending order, each on its own envelopes unpacked.
     pub fn run_round(&mut self, g: &Graph, topo: &Topology<'_>, round: u64) {
+        let lo = self.lo;
+        let local = |dir: u32| (topo.recv(dir).0 - lo) as usize;
         self.to_run.clear();
-        for (dir, env) in self.inbound.drain(..) {
-            let (recv, port) = topo.recv(dir);
-            let local = (recv - self.lo) as usize;
-            if self.inboxes[local].is_empty() {
-                self.to_run.push(recv);
+        for &(dir, _) in &self.inbound {
+            let count = &mut self.counts[local(dir)];
+            if *count == 0 {
+                self.to_run.push(topo.recv(dir).0);
             }
-            let inbox = &mut self.inboxes[local];
-            env.for_each(|msg| {
-                inbox.push(Incoming {
-                    port: port as usize,
-                    msg,
-                });
-            });
+            *count += 1;
         }
         // Wake-ups requested last round join the receivers.
-        let mut wakes = std::mem::take(&mut self.wake_list);
-        for v in wakes.drain(..) {
-            let local = (v - self.lo) as usize;
-            self.wake_flag[local] = false;
-            if self.inboxes[local].is_empty() {
+        for v in self.wake_list.drain(..) {
+            let at = (v - lo) as usize;
+            self.wake_flag[at] = false;
+            if self.counts[at] == 0 {
                 self.to_run.push(v);
             }
         }
-        self.wake_list = wakes;
         self.to_run.sort_unstable(); // deterministic execution order
 
+        // Counting sort: each receiver's run of `order` starts where the
+        // previous receiver's ends, and is filled in staging order.
+        let mut start = 0;
+        for &v in &self.to_run {
+            let count = &mut self.counts[(v - lo) as usize];
+            (start, *count) = (start + *count, start);
+        }
+        self.order.resize(self.inbound.len(), 0);
+        for (i, &(dir, _)) in self.inbound.iter().enumerate() {
+            let at = &mut self.counts[local(dir)];
+            self.order[*at as usize] = i as u32;
+            *at += 1;
+        }
+
         let to_run = std::mem::take(&mut self.to_run);
+        let mut start = 0;
         for &v in &to_run {
+            let end = std::mem::take(&mut self.counts[(v - lo) as usize]) as usize;
+            for &i in &self.order[start..end] {
+                let (dir, env) = &mut self.inbound[i as usize];
+                let port = topo.recv(*dir).1 as usize;
+                // An empty batch is a placeholder that allocates nothing.
+                let env = std::mem::replace(env, PackedMsg::Batch(Vec::new()));
+                env.for_each(|msg| self.inbox.push(Incoming { port, msg }));
+            }
+            start = end;
             self.exec_node(g, v, round, false);
         }
         self.to_run = to_run;
+        self.inbound.clear();
     }
 
     /// Runs one node's callback, coalesces its raw sends into wire
-    /// envelopes (consecutive same-port, same-priority runs of up to
-    /// `pack` values within the bit budget), and appends them — ports
+    /// envelopes (same-port, same-priority groups, split into runs of up
+    /// to `pack` values within the bit budget), and appends them — ports
     /// rewritten to directed-edge ids — to the shard outbox.
     fn exec_node(&mut self, g: &Graph, v: u32, round: u64, start: bool) {
         let local = (v - self.lo) as usize;
@@ -159,8 +196,8 @@ impl<P: NodeProgram> Shard<P> {
             if start {
                 self.programs[local].on_start(&mut ctx);
             } else {
-                self.programs[local].on_round(&mut ctx, &self.inboxes[local]);
-                self.inboxes[local].clear();
+                self.programs[local].on_round(&mut ctx, &self.inbox);
+                self.inbox.clear();
             }
         }
         if wake && !self.wake_flag[local] {
@@ -181,11 +218,20 @@ impl<P: NodeProgram> Shard<P> {
             return;
         }
 
-        // Pass 1 (by reference): split the raw sends into maximal packable
-        // runs. A run extends while the next send targets the same port
-        // with the same priority, the value count stays below `pack`, and
-        // the packed width (first value full-size, later values at their
-        // marginal cost) stays within the budget.
+        // Group the sends by `(port, priority)`. The sort is stable, so a
+        // group keeps its issue order; sends on different edges never meet
+        // in one queue, and one edge's queue orders by priority first, so
+        // the regrouping changes no delivery order.
+        let key = |&(port, priority, _): &(u32, u64, P::Msg)| (port, priority);
+        if !self.raw.is_sorted_by_key(key) {
+            self.raw.sort_by_key(key);
+        }
+
+        // Pass 1 (by reference): split the grouped sends into maximal
+        // packable runs. A run extends while the next send targets the same
+        // port with the same priority, the value count stays below `pack`,
+        // and the packed width (first value full-size, later values at
+        // their marginal cost) stays within the budget.
         self.batch_lens.clear();
         let raw = &self.raw;
         let mut i = 0;

@@ -66,10 +66,10 @@ pub trait MessageSize {
 /// unpacked fast path, billed exactly like the raw message) or a coalesced
 /// batch of values that one directed edge carries in one round.
 ///
-/// With [`SimConfig::message_packing`]` = k > 1` the engine coalesces up to
-/// `k` *consecutive* same-port, same-priority sends of one node-round into
-/// one `Batch`, greedily while the batch stays within the per-message
-/// bandwidth budget. A batch counts as **one** CONGEST message (one
+/// With [`SimConfig::message_packing`]` = k > 1` the engine groups the
+/// sends of one node-round by `(port, priority)` and coalesces up to `k`
+/// sends of a group into one `Batch`, greedily while the batch stays within
+/// the per-message bandwidth budget. A batch counts as **one** CONGEST message (one
 /// `messages` tick, one queue slot, one delivery round) and
 /// [`size_bits_in`](MessageSize::size_bits_in) bills its true packed width:
 /// the first value at full size plus each later value at its
@@ -88,7 +88,7 @@ pub enum PackedMsg<M> {
     One(M),
     /// Two or more values coalesced for one edge-round. Invariant
     /// (maintained by the engine's packer): `len >= 2`, all values were
-    /// issued consecutively to one port with one priority, and the packed
+    /// issued to one port with one priority in one callback, and the packed
     /// width fits the bandwidth budget.
     Batch(Vec<M>),
 }
@@ -152,7 +152,7 @@ impl<M: MessageSize> MessageSize for PackedMsg<M> {
 /// Envelope types the calendar queue can coalesce at *delivery* time.
 ///
 /// Send-side packing ([`SimConfig::message_packing`]) only merges sends
-/// issued consecutively within one node-round; a trickle sender that emits
+/// issued within one node-round; a trickle sender that emits
 /// one value per round never benefits. Delivery-time merging closes that
 /// gap: when a queued-mode token fires, the backend absorbs follow-up
 /// envelopes of the same (port, priority) — in FIFO order — into the firing

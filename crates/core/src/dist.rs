@@ -307,9 +307,9 @@ impl DetectProgram {
             // cut the parent edge or stream the set upward. Exact mode
             // normalizes (sort + dedup) here — once per node — and streams
             // the already-sorted result. The whole stream (values, then
-            // the closing Done) is issued consecutively on one port in one
-            // callback, which is exactly the shape the engine's
-            // message-packing coalesces into multi-value batches.
+            // the closing Done) is issued on one port in one callback, which
+            // is exactly the shape the engine's message-packing coalesces
+            // into multi-value batches.
             let estimate = match &mut self.acc {
                 SetAcc::Exact(set) => set.normalize().len() as f64,
                 SetAcc::Sketch(s) => s.estimate() * self.cut_factor,

@@ -33,6 +33,8 @@ impl Session {
             parts: None,
             backend: Backend::Centralized,
             config: SessionConfig::default(),
+            partition_source: None,
+            graph_source: None,
             provided_shortcut: None,
         }
     }
@@ -40,12 +42,16 @@ impl Session {
 
 /// Builder for [`ShortcutSession`]. Construction is free: no tree and no
 /// shortcut is computed until an accessor or operation first needs it.
+/// Setters may come in any order: each input has its own field, and the
+/// two sources are merged into the config at [`build`](Self::build).
 pub struct SessionBuilder<'g> {
     g: GraphHandle<'g>,
     tree: Option<TreeSource>,
     parts: Option<Vec<Vec<NodeId>>>,
     backend: Backend,
     config: SessionConfig,
+    partition_source: Option<PartitionSource>,
+    graph_source: Option<GraphSource>,
     provided_shortcut: Option<Shortcut>,
 }
 
@@ -66,26 +72,30 @@ impl<'g> SessionBuilder<'g> {
     /// Sets a declarative [`PartitionSource`], resolved against the graph
     /// at [`build`](Self::build) time (stored in
     /// [`SessionConfig::partition_source`], so the whole recipe stays in
-    /// the one serde-able config). An explicit `.partition(..)` takes
-    /// precedence. The resolved parts must cover every node —
+    /// the one serde-able config; a `.config(..)` carrying a different
+    /// source, before or after this call, fails the build with
+    /// [`SessionError::ConflictingSources`]). An explicit `.partition(..)`
+    /// takes precedence. The resolved parts must cover every node —
     /// [`build`](Self::build) returns
     /// [`PartitionError::Uncovered`](crate::PartitionError::Uncovered)
     /// otherwise (e.g. a Voronoi source on a disconnected graph).
     pub fn partition_source(mut self, source: PartitionSource) -> Self {
-        self.config.partition_source = Some(source);
+        self.partition_source = Some(source);
         self
     }
 
     /// Records the declarative [`GraphSource`] the session's graph came
     /// from (stored in [`SessionConfig::graph_source`], so the whole
-    /// recipe stays in the one serde-able config). The explicit graph
+    /// recipe stays in the one serde-able config; as with
+    /// [`partition_source`](Self::partition_source), a `.config(..)`
+    /// naming a different one fails the build). The explicit graph
     /// handed to [`Session::on`] always wins — the source is provenance,
     /// resolved (if at all) *before* the builder exists via
     /// [`GraphSource::resolve`](crate::GraphSource::resolve) /
     /// [`ResolvedGraph::session`](crate::ResolvedGraph::session), which
     /// calls this setter for you.
     pub fn graph_source(mut self, source: GraphSource) -> Self {
-        self.config.graph_source = Some(source);
+        self.graph_source = Some(source);
         self
     }
 
@@ -96,6 +106,7 @@ impl<'g> SessionBuilder<'g> {
     }
 
     /// Sets the session configuration (default: [`SessionConfig::default`]).
+    /// Sources set by their own setters are kept, whatever the order.
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;
         self
@@ -116,11 +127,24 @@ impl<'g> SessionBuilder<'g> {
     ///
     /// [`SessionError::NodeOutOfRange`] for a tree root the graph does not
     /// have; [`SessionError::SketchCapacityTooSmall`];
+    /// [`SessionError::ConflictingSources`] for a source setter and the
+    /// config naming two different sources;
     /// [`SessionError::Partition`] for node lists or a source that fail
     /// validation (a source must also cover every node) or reach outside
     /// the component the tree spans
     /// ([`PartitionError::OffTree`](crate::PartitionError::OffTree)).
-    pub fn build(self) -> Result<ShortcutSession<'g>, SessionError> {
+    pub fn build(mut self) -> Result<ShortcutSession<'g>, SessionError> {
+        let config = &mut self.config;
+        config.partition_source = merge(
+            self.partition_source,
+            config.partition_source.take(),
+            "partition_source",
+        )?;
+        config.graph_source = merge(
+            self.graph_source,
+            config.graph_source.take(),
+            "graph_source",
+        )?;
         let g: &Graph = &self.g;
         let source = self.tree.unwrap_or(TreeSource::Bfs(NodeId(0)));
         let (root, tree) = match source {
@@ -165,5 +189,18 @@ impl<'g> SessionBuilder<'g> {
             session.check_parts_on_tree(partition)?;
         }
         Ok(session)
+    }
+}
+
+/// A source from its own setter and the one in the config: whichever is
+/// set, or either when both are and they agree.
+fn merge<T: PartialEq>(
+    setter: Option<T>,
+    config: Option<T>,
+    field: &'static str,
+) -> Result<Option<T>, SessionError> {
+    match (setter, config) {
+        (Some(a), Some(b)) if a != b => Err(SessionError::ConflictingSources { field }),
+        (a, b) => Ok(a.or(b)),
     }
 }

@@ -99,6 +99,12 @@ pub enum SessionError {
     /// A [`Backend::Sketch`](super::Backend::Sketch) of capacity `t < 2`
     /// estimates every full set as empty, so it would never cut an edge.
     SketchCapacityTooSmall,
+    /// The builder was given one source by its own setter and a different
+    /// one in `.config(..)`.
+    ConflictingSources {
+        /// The [`SessionConfig`](super::SessionConfig) field both name.
+        field: &'static str,
+    },
     /// A simulated construction phase (`"bfs"` or `"detection"`) hit the
     /// backend's
     /// [`SimConfig::max_rounds`](lcs_congest::SimConfig::max_rounds)
@@ -156,6 +162,11 @@ impl fmt::Display for SessionError {
             ),
             Self::GraphDisconnected => f.write_str("graph must be connected"),
             Self::SketchCapacityTooSmall => f.write_str("sketch detection needs capacity t >= 2"),
+            Self::ConflictingSources { field } => write!(
+                f,
+                "`.{field}(..)` and `.config(..)` name two different sources — set one, or make \
+                 them equal"
+            ),
             Self::Truncated(t) => write!(f, "{t}"),
         }
     }

@@ -76,7 +76,7 @@ pub enum Wave {
 /// it participates in (as member or relay), ascending by `slot_part`;
 /// `first_port[s]..first_port[s + 1]` are slot `s`'s participating `ports`,
 /// ascending. A member always owns a slot for its own part, with no ports
-/// if none of its edges participate. Programs borrow their node's slices
+/// if none of its edges participate. Programs borrow their node's view
 /// for a run (`NodeSlots`) and index their state by local slot.
 ///
 /// With `T = Σ_i (|P_i| + deg(P_i) + 2·|H_i|)` entries, [`build`](Self::build)
@@ -206,9 +206,9 @@ impl ParticipationMap {
     fn entries(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
         (0..self.first_slot.len() as u32 - 1).flat_map(move |v| {
             let slots = self.node(NodeId(v));
-            (0..slots.parts.len()).flat_map(move |s| {
+            (0..slots.parts().len()).flat_map(move |s| {
                 let ports = slots.ports(s).iter().chain([&NO_PORT]);
-                ports.map(move |&port| (v, slots.parts[s], port))
+                ports.map(move |&port| (v, slots.parts()[s], port))
             })
         })
     }
@@ -249,7 +249,7 @@ impl ParticipationMap {
 
     /// Node `v`'s slot of `part` in the table-wide numbering, if it has one.
     fn slot_of(&self, v: NodeId, part: u32) -> Option<usize> {
-        let local = self.node(v).parts.binary_search(&part).ok()?;
+        let local = self.node(v).parts().binary_search(&part).ok()?;
         Some(self.slot_range(v).start + local)
     }
 
@@ -258,58 +258,59 @@ impl ParticipationMap {
         self.first_port[s] as usize..self.first_port[s + 1] as usize
     }
 
-    /// Node `v`'s slices of the table.
+    /// Node `v`'s view of the table.
     pub(crate) fn node(&self, v: NodeId) -> NodeSlots<'_> {
         let Range { start: lo, end: hi } = self.slot_range(v);
-        NodeSlots {
-            parts: &self.slot_part[lo..hi],
-            first_port: &self.first_port[lo..=hi],
-            ports: &self.ports,
-        }
+        let (lo, hi) = (lo as u32, hi as u32);
+        NodeSlots { map: self, lo, hi }
     }
 }
 
 /// One node's view of a [`ParticipationMap`], borrowed by the node's
-/// program for the run. Slots are local indices `0..len()`.
+/// program for the run: its slots `lo..hi` of the table, numbered locally
+/// `0..hi - lo`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct NodeSlots<'a> {
-    /// Part id per slot, ascending.
-    pub(crate) parts: &'a [u32],
-    /// Slot `s`'s ports are `ports[first_port[s]..first_port[s + 1]]`.
-    first_port: &'a [u32],
-    /// The whole table's port array.
-    ports: &'a [u32],
+    map: &'a ParticipationMap,
+    lo: u32,
+    hi: u32,
 }
 
 impl<'a> NodeSlots<'a> {
+    /// Part id per slot, ascending.
+    pub(crate) fn parts(&self) -> &'a [u32] {
+        &self.map.slot_part[self.lo as usize..self.hi as usize]
+    }
+
     /// The slot of a part this node participates in (any part a message
     /// arrives for, and a member's own part).
     pub(crate) fn slot_of(&self, part: u32) -> usize {
-        let slot = self.parts.binary_search(&part);
+        let slot = self.parts().binary_search(&part);
         slot.expect("part-wise messages travel participating edges only")
     }
 
     /// The participating ports of `slot`, ascending.
     pub(crate) fn ports(&self, slot: usize) -> &'a [u32] {
-        &self.ports[self.entry_range(slot)]
+        &self.map.ports[self.entry_range(slot)]
     }
 
     /// Where `slot`'s ports sit in a node-local array with one entry per
     /// `(slot, port)` pair.
     pub(crate) fn port_range(&self, slot: usize) -> Range<usize> {
-        let base = self.first_port[0];
-        (self.first_port[slot] - base) as usize..(self.first_port[slot + 1] - base) as usize
+        let (base, Range { start, end }) = (self.entries().start, self.entry_range(slot));
+        start - base..end - base
     }
 
     /// Where `slot`'s ports sit in the table-wide port array (and in
     /// [`AggForest::child`], which is parallel to it).
     fn entry_range(&self, slot: usize) -> Range<usize> {
-        self.first_port[slot] as usize..self.first_port[slot + 1] as usize
+        self.map.entry_range(self.lo as usize + slot)
     }
 
     /// This node's `(slot, port)` pairs in the table-wide port array.
     pub(crate) fn entries(&self) -> Range<usize> {
-        self.first_port[0] as usize..self.first_port[self.parts.len()] as usize
+        let first_port = &self.map.first_port;
+        first_port[self.lo as usize] as usize..first_port[self.hi as usize] as usize
     }
 }
 
@@ -458,14 +459,14 @@ impl AggForest {
         for v in (0..old.first_slot.len() as u32 - 1).map(NodeId) {
             let (old_slots, new_slots) = (old.node(v), new.node(v));
             let (old_base, new_base) = (old.slot_range(v).start, new.slot_range(v).start);
-            for (o, &q) in old_slots.parts.iter().enumerate() {
+            for (o, &q) in old_slots.parts().iter().enumerate() {
                 let p = into[q as usize];
                 let parent = src.parent[old_base + o];
                 let kept = parent != NO_PORT || src.root[q as usize] == v.0;
                 if !fits[p.index()] || !kept || departs(v, q) {
                     continue;
                 }
-                let copied = new_slots.parts.binary_search(&p.0).ok().and_then(|s| {
+                let copied = new_slots.parts().binary_search(&p.0).ok().and_then(|s| {
                     let ports = new_slots.ports(s);
                     if parent != NO_PORT {
                         ports.binary_search(&parent).ok()?;
@@ -600,7 +601,7 @@ impl AggForest {
         child: bool,
     ) -> Option<()> {
         let slots = map.node(v);
-        let local = slots.parts.binary_search(&part).ok()?;
+        let local = slots.parts().binary_search(&part).ok()?;
         let at = slots.ports(local).binary_search(&port).ok()?;
         self.child[slots.entry_range(local).start + at] = child;
         Some(())
@@ -661,40 +662,35 @@ impl AggForest {
             .collect()
     }
 
-    /// Records the trees a run left behind: a part that ran is rooted at its
+    /// Records the trees a run left behind, reading the run's slot states
+    /// (`states`, one per slot of `map`): a part that ran is rooted at its
     /// leader iff the run was not truncated and every slot of the part —
     /// relays included — holds the result or reported `Empty`, else
     /// unrooted; a part that sat out keeps its tree. A slot that reported
     /// `Empty` is kept pruned: its parent dropped it, and it has no parent.
+    /// The run kept the child flags in `self.child` itself; only an
+    /// unfinished part's are cleared here.
     fn harvest(
         &mut self,
-        programs: &[PaProgram<'_>],
+        map: &ParticipationMap,
+        states: &[SlotState],
+        wave: Wave,
         leaders: &[NodeId],
         runs: impl Fn(u32) -> bool,
         truncated: bool,
     ) {
         let mut finished = vec![!truncated; leaders.len()];
-        for program in programs {
-            for (&part, st) in program.slots.parts.iter().zip(&program.states) {
-                finished[part as usize] &= st.done(program.wave);
-            }
+        for (&part, st) in map.slot_part.iter().zip(states) {
+            finished[part as usize] &= st.done(wave);
         }
-        // Programs come in node order, so their slots tile `parent`.
-        let mut parents = self.parent.iter_mut();
-        for program in programs {
-            let slots = program.slots;
-            for (s, (&part, st)) in slots.parts.iter().zip(&program.states).enumerate() {
-                let parent = parents.next().expect("one entry per slot");
-                let children = &mut self.child[slots.entry_range(s)];
-                if !runs(part) {
-                    continue;
-                } else if finished[part as usize] {
-                    *parent = if st.pruned() { NO_PORT } else { st.parent };
-                    children.copy_from_slice(&program.is_child[slots.port_range(s)]);
-                } else {
-                    *parent = NO_PORT;
-                    children.fill(false);
-                }
+        for (s, (&part, st)) in map.slot_part.iter().zip(states).enumerate() {
+            if !runs(part) {
+                continue;
+            } else if finished[part as usize] {
+                self.parent[s] = if st.pruned() { NO_PORT } else { st.parent };
+            } else {
+                self.parent[s] = NO_PORT;
+                self.child[map.entry_range(s)].fill(false);
             }
         }
         for (p, &leader) in leaders.iter().enumerate().filter(|&(p, _)| runs(p as u32)) {
@@ -781,24 +777,25 @@ impl MessageSize for PaMsg {
 /// Per-(node, part) protocol state, one per slot.
 #[derive(Clone, Debug, Default)]
 struct SlotState {
+    /// The slot's aggregate so far, and the part's result once
+    /// `has_result` is set.
+    acc: u64,
     /// The part's scheduling priority (its random delay, reused as a queue
     /// priority so late-starting parts also yield edge access).
     priority: u32,
-    acc: u64,
     /// The port of the child whose `Up` last strictly changed `acc`;
     /// `NO_PORT` while `acc` is the slot's own value.
     from: u32,
-    result: Option<u64>,
     /// Port towards the parent; `NO_PORT` until adopted.
     parent: u32,
     awaiting_replies: u32,
     pending_up: u32,
     started: bool,
-    is_leader: bool,
     /// Whether a member of the part sits in this slot's subtree: the node
     /// itself, or a child that reported `Up`.
     member_below: bool,
     up_sent: bool,
+    has_result: bool,
 }
 
 impl SlotState {
@@ -810,93 +807,83 @@ impl SlotState {
 
     /// Holds the result, is pruned, or (to the extreme) has reported.
     fn done(&self, wave: Wave) -> bool {
-        self.result.is_some() || self.pruned() || (wave == Wave::ToExtreme && self.up_sent)
+        self.has_result || self.pruned() || (wave == Wave::ToExtreme && self.up_sent)
     }
 }
 
+/// One node's part of the echo, over its sub-slices of two run-wide arenas
+/// laid out like the [`ParticipationMap`]: the run's slot states and the
+/// forest's own [`AggForest::child`], which the run updates in place.
 struct PaProgram<'a> {
     op: AggOp,
     wave: Wave,
     slots: NodeSlots<'a>,
     /// Indexed by slot.
-    states: Vec<SlotState>,
+    states: &'a mut [SlotState],
     /// "Adopted me" per `(slot, port)` pair, cleared again by an `Empty`,
     /// laid out like the node's ports (see [`NodeSlots::port_range`]): a
     /// slot's children in port order.
-    is_child: Vec<bool>,
-    /// `(slot, remaining delay)` of the part this node leads and has not
-    /// started yet. One entry suffices: a leader is a member of its part.
-    leader_start: Option<(usize, u32)>,
-    /// Sends buffered during one callback, flushed grouped by
-    /// `(port, priority)` at the callback's end so same-edge traffic of
-    /// different parts is issued consecutively — the shape
-    /// [`SimConfig::message_packing`] coalesces into multi-value messages.
-    pending: Vec<(u32, u32, PaMsg)>,
+    is_child: &'a mut [bool],
+    /// The slot of the part this node leads; `NO_SLOT` if it leads none.
+    leads: u32,
+    /// The remaining start delay of the led part, until it starts.
+    start_in: Option<u32>,
 }
 
-impl PaProgram<'_> {
-    /// Flushes the callback's buffered sends, stable-sorted by
-    /// `(port, priority)`: per-edge order of equal-priority messages is
-    /// preserved (FIFO semantics unchanged), while runs on one shared edge
-    /// become adjacent and thus packable.
-    fn flush_pending(&mut self, ctx: &mut Ctx<'_, PaMsg>) {
-        self.pending.sort_by_key(|&(port, prio, _)| (port, prio));
-        for (port, prio, msg) in self.pending.drain(..) {
-            ctx.send_with_priority(port as usize, msg, u64::from(prio));
-        }
-    }
+/// "No slot": a [`PaProgram`] that leads no part.
+const NO_SLOT: u32 = u32::MAX;
 
+impl PaProgram<'_> {
     /// Counts down the led part's start delay; starts it at zero.
     fn tick_leader_start(&mut self, ctx: &mut Ctx<'_, PaMsg>, elapsed: u32) {
-        let Some((slot, delay)) = self.leader_start else {
+        let Some(delay) = self.start_in else {
             return;
         };
         if delay == elapsed {
-            self.leader_start = None;
-            self.start_part(slot, NO_PORT);
+            self.start_in = None;
+            self.start_part(ctx, self.leads as usize, NO_PORT);
         } else {
-            self.leader_start = Some((slot, delay - elapsed));
+            self.start_in = Some(delay - elapsed);
             ctx.wake_next_round();
         }
     }
 
     /// Joins the part's wave at `slot`: adopts over `parent` (`NO_PORT`
     /// when the leader starts its own part) and offers to every other port.
-    fn start_part(&mut self, slot: usize, parent: u32) {
-        let (part, ports) = (self.slots.parts[slot], self.slots.ports(slot));
+    fn start_part(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, parent: u32) {
+        let (part, ports) = (self.slots.parts()[slot], self.slots.ports(slot));
         let st = &mut self.states[slot];
         st.started = true;
         st.parent = parent;
-        let prio = st.priority;
+        let prio = u64::from(st.priority);
         if parent != NO_PORT {
-            self.pending.push((parent, prio, PaMsg::Adopt(part)));
+            ctx.send_with_priority(parent as usize, PaMsg::Adopt(part), prio);
         }
-        let others = ports.iter().filter(|&&p| p != parent);
-        let offers = others.map(|&p| (p, prio, PaMsg::Offer(part)));
-        let before = self.pending.len();
-        self.pending.extend(offers);
-        st.awaiting_replies = (self.pending.len() - before) as u32;
-        self.maybe_up(slot);
+        for &p in ports.iter().filter(|&&p| p != parent) {
+            ctx.send_with_priority(p as usize, PaMsg::Offer(part), prio);
+            st.awaiting_replies += 1;
+        }
+        self.maybe_up(ctx, slot);
     }
 
-    fn maybe_up(&mut self, slot: usize) {
+    fn maybe_up(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize) {
         let st = &mut self.states[slot];
         if st.up_sent || !st.started || st.awaiting_replies > 0 || st.pending_up > 0 {
             return;
         }
         st.up_sent = true;
         let acc = st.acc;
-        if st.is_leader {
-            self.deliver(slot, acc, NO_PORT);
+        if slot == self.leads as usize {
+            self.deliver(ctx, slot, acc, NO_PORT);
         } else {
             assert_ne!(st.parent, NO_PORT, "non-leader has a parent once started");
-            let part = self.slots.parts[slot];
+            let part = self.slots.parts()[slot];
             let up = if st.member_below {
                 PaMsg::Up(part, acc)
             } else {
                 PaMsg::Empty(part)
             };
-            self.pending.push((st.parent, st.priority, up));
+            ctx.send_with_priority(st.parent as usize, up, u64::from(st.priority));
         }
     }
 
@@ -909,18 +896,18 @@ impl PaProgram<'_> {
 
     /// Records the part's result and passes it to every kept tree neighbour
     /// but `sender` (the echo's parent), or only towards the extreme.
-    fn deliver(&mut self, slot: usize, val: u64, sender: u32) {
+    fn deliver(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, val: u64, sender: u32) {
         let st = &mut self.states[slot];
-        st.result = Some(val);
-        let (from, parent, prio) = (st.from, st.parent, st.priority);
-        let down = PaMsg::Down(self.slots.parts[slot], val);
+        (st.acc, st.has_result) = (val, true);
+        let (from, parent, prio) = (st.from, st.parent, u64::from(st.priority));
+        let down = PaMsg::Down(self.slots.parts()[slot], val);
         let children = &self.is_child[self.slots.port_range(slot)];
         let to = |&(&p, &child): &(&u32, &bool)| match self.wave {
             Wave::ToExtreme => p == from,
             _ => (child || p == parent) && p != sender,
         };
         for (&p, _) in self.slots.ports(slot).iter().zip(children).filter(to) {
-            self.pending.push((p, prio, down));
+            ctx.send_with_priority(p as usize, down, prio);
         }
     }
 }
@@ -934,11 +921,10 @@ impl NodeProgram for PaProgram<'_> {
         // slot is already done.
         for slot in 0..self.states.len() {
             if self.states[slot].started {
-                self.maybe_up(slot);
+                self.maybe_up(ctx, slot);
             }
         }
         self.tick_leader_start(ctx, 0);
-        self.flush_pending(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, PaMsg>, inbox: &[Incoming<PaMsg>]) {
@@ -956,9 +942,9 @@ impl NodeProgram for PaProgram<'_> {
                         assert_ne!(port, st.parent, "a parent offers once");
                         st.awaiting_replies = (st.awaiting_replies.checked_sub(1))
                             .expect("an offer to a started slot crosses its own");
-                        self.maybe_up(slot);
+                        self.maybe_up(ctx, slot);
                     } else {
-                        self.start_part(slot, port);
+                        self.start_part(ctx, slot, port);
                     }
                 }
                 PaMsg::Adopt(part) => {
@@ -967,7 +953,7 @@ impl NodeProgram for PaProgram<'_> {
                     let st = &mut self.states[slot];
                     st.pending_up += 1;
                     st.awaiting_replies -= 1;
-                    self.maybe_up(slot);
+                    self.maybe_up(ctx, slot);
                 }
                 PaMsg::Up(part, val) => {
                     let slot = self.slots.slot_of(part);
@@ -978,23 +964,22 @@ impl NodeProgram for PaProgram<'_> {
                     }
                     st.member_below = true;
                     st.pending_up -= 1;
-                    self.maybe_up(slot);
+                    self.maybe_up(ctx, slot);
                 }
                 PaMsg::Empty(part) => {
                     let slot = self.slots.slot_of(part);
                     *self.child_flag(slot, port) = false;
                     self.states[slot].pending_up -= 1;
-                    self.maybe_up(slot);
+                    self.maybe_up(ctx, slot);
                 }
                 PaMsg::Down(part, val) => {
                     let slot = self.slots.slot_of(part);
-                    if self.states[slot].result.is_none() {
-                        self.deliver(slot, val, port);
+                    if !self.states[slot].has_result {
+                        self.deliver(ctx, slot, val, port);
                     }
                 }
             }
         }
-        self.flush_pending(ctx);
     }
 
     fn is_done(&self) -> bool {
@@ -1127,55 +1112,62 @@ impl AggregateOp<'_> {
 
         let delays = random_delays(k, opts.delay_range);
 
+        // The run's slot states, one per slot of the table in node order,
+        // and the forest's child flags, which the run updates in place.
+        let mut states = vec![SlotState::default(); participation.slot_part.len()];
+        let (mut states_left, mut children_left) = (&mut states[..], &mut forest.child[..]);
+        let (parent, root) = (&forest.parent, &forest.root);
+        let mut next = 0;
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
             ..sim
         };
-        let simulator = Simulator::new(g, sim_cfg);
-        let seed = &*forest;
-        let run = simulator.run(|v, _| {
+        let run = Simulator::new(g, sim_cfg).run(|v, _| {
+            // The engine builds the programs once each, in node order,
+            // before round 0, so each takes the next run of both arenas.
+            assert_eq!(v.0, next, "programs are built in node order");
+            next += 1;
             let slots = participation.node(v);
+            let (states, rest) = std::mem::take(&mut states_left).split_at_mut(slots.parts().len());
+            let (is_child, more) =
+                std::mem::take(&mut children_left).split_at_mut(slots.entries().len());
+            (states_left, children_left) = (rest, more);
             let own = partition.part_of(v).map(|p| p.0);
             let leads = own.filter(|&p| leaders[p as usize] == v);
-            let parents = &seed.parent[participation.slot_range(v)];
-            let mut is_child = seed.child[slots.entries()].to_vec();
-            let states = (slots.parts.iter().enumerate())
-                .map(|(s, &part)| {
-                    let children = &mut is_child[slots.port_range(s)];
-                    let (seeded, runs) = (rooted[part as usize], runs(part));
-                    if !seeded {
-                        children.fill(false);
-                    }
-                    let (member, is_leader) = (own == Some(part), leads == Some(part));
-                    let root = seed.root[part as usize] == v.0;
-                    debug_assert!(
-                        !seeded || !member || root || parents[s] != NO_PORT,
-                        "a member of a rooted part hangs below its root"
-                    );
-                    // A seeded broadcast sends no `Up`: its leader starts
-                    // the `Down`s with its own value.
-                    let down_only = seeded && broadcast;
-                    SlotState {
-                        priority: delays[part as usize],
-                        acc: if member && (is_leader || !broadcast) {
-                            values[v.index()]
-                        } else {
-                            identity(op)
-                        },
-                        from: NO_PORT,
-                        parent: if seeded { parents[s] } else { NO_PORT },
-                        pending_up: children.iter().filter(|&&c| c && !down_only).count() as u32,
-                        started: seeded,
-                        is_leader,
-                        member_below: member && runs,
-                        // Done before the run starts: a pruned slot of a
-                        // seeded tree, every slot of a part that sits out.
-                        up_sent: !runs
-                            || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
-                        ..SlotState::default()
-                    }
-                })
-                .collect();
+            let parents = &parent[participation.slot_range(v)];
+            for (s, (&part, st)) in slots.parts().iter().zip(states.iter_mut()).enumerate() {
+                let children = &mut is_child[slots.port_range(s)];
+                let (seeded, runs) = (rooted[part as usize], runs(part));
+                if runs && !seeded {
+                    children.fill(false);
+                }
+                let (member, is_leader) = (own == Some(part), leads == Some(part));
+                debug_assert!(
+                    !seeded || !member || root[part as usize] == v.0 || parents[s] != NO_PORT,
+                    "a member of a rooted part hangs below its root"
+                );
+                // A seeded broadcast sends no `Up`: its leader starts the
+                // `Down`s with its own value.
+                let down_only = seeded && broadcast;
+                *st = SlotState {
+                    acc: if member && (is_leader || !broadcast) {
+                        values[v.index()]
+                    } else {
+                        identity(op)
+                    },
+                    priority: delays[part as usize],
+                    from: NO_PORT,
+                    parent: if seeded { parents[s] } else { NO_PORT },
+                    pending_up: children.iter().filter(|&&c| c && !down_only).count() as u32,
+                    started: seeded,
+                    member_below: member && runs,
+                    // Done before the run starts: a pruned slot of a
+                    // seeded tree, every slot of a part that sits out.
+                    up_sent: !runs
+                        || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
+                    ..SlotState::default()
+                };
+            }
             // A seeded leader has no wave to start.
             let starts = leads.filter(|&p| runs(p) && !rooted[p as usize]);
             PaProgram {
@@ -1184,15 +1176,19 @@ impl AggregateOp<'_> {
                 slots,
                 states,
                 is_child,
-                leader_start: starts.map(|p| (slots.slot_of(p), delays[p as usize])),
-                pending: Vec::new(),
+                leads: leads.map_or(NO_SLOT, |p| slots.slot_of(p) as u32),
+                start_in: starts.map(|p| delays[p as usize]),
             }
         });
+        let metrics = run.metrics;
+        drop(run.programs);
 
         // Collect results: a member always owns a slot for its part.
         let result_at = |v: NodeId, part: PartId| {
-            let program = &run.programs[v.index()];
-            program.states[program.slots.slot_of(part.0)].result
+            let slot = participation
+                .slot_of(v, part.0)
+                .expect("a member owns a slot");
+            states[slot].has_result.then_some(states[slot].acc)
         };
         let results: Vec<_> = (leaders.iter().enumerate())
             .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
@@ -1208,12 +1204,13 @@ impl AggregateOp<'_> {
 
         // A broadcast over a tree leaves it as it was.
         let reroots = |p: u32| runs(p) && !(broadcast && rooted[p as usize]);
-        forest.harvest(&run.programs, leaders, reroots, run.metrics.truncated);
+        let truncated = metrics.truncated;
+        forest.harvest(participation, &states, wave, leaders, reroots, truncated);
 
         PartwiseOutcome {
             results,
             all_members_informed: all_informed,
-            metrics: run.metrics,
+            metrics,
             rooted_parts: rooted.iter().filter(|&&r| r).count(),
         }
     }
@@ -1266,7 +1263,7 @@ mod tests {
         let mut slots = Vec::new();
         for v in (0..map.first_slot.len() as u32 - 1).map(NodeId) {
             let (node, base) = (map.node(v), map.slot_range(v).start);
-            for (s, &part) in node.parts.iter().enumerate() {
+            for (s, &part) in node.parts().iter().enumerate() {
                 let children = node.ports(s).iter().zip(&forest.child[node.entry_range(s)]);
                 let children = children.filter(|(_, &c)| c).map(|(&p, _)| p).collect();
                 if forest.root[part as usize] != NO_ROOT {
@@ -1415,6 +1412,12 @@ mod tests {
         }
         *tables = (map, carried);
         (rooted, memberless)
+    }
+
+    /// A run holds one state per slot, most of them pruned relays.
+    #[test]
+    fn a_slot_state_is_four_words() {
+        assert!(std::mem::size_of::<SlotState>() <= 32);
     }
 
     #[test]
@@ -2173,7 +2176,7 @@ mod tests {
         let shortcut = baseline::no_shortcut(&partition);
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let slots = map.node(NodeId(0));
-        assert_eq!(slots.parts, &[0]);
+        assert_eq!(slots.parts(), &[0]);
         assert!(slots.ports(0).is_empty());
         let out = run_cold(
             AggregateOp {
@@ -2203,7 +2206,7 @@ mod tests {
         let shortcut = Shortcut::from_edge_lists((0..11).map(|i| spokes(i).to_vec()).collect());
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let hub = map.node(NodeId(0));
-        assert_eq!(hub.parts, (0..11).collect::<Vec<u32>>());
+        assert_eq!(hub.parts(), (0..11).collect::<Vec<u32>>());
         for part in 0..11 {
             assert_eq!(hub.ports(hub.slot_of(part)), &[2 * part, 2 * part + 1]);
         }

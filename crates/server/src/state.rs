@@ -767,6 +767,23 @@ mod tests {
         SessionSpec::from_value(&v).expect("valid spec")
     }
 
+    /// A posted partition source and a `config.partition_source` naming
+    /// another are refused, not resolved by whichever setter ran last.
+    #[test]
+    fn a_partition_source_the_config_contradicts_is_refused() {
+        let mut spec = spec_with_partition(PartitionSource::Rows { rows: 6, cols: 6 }.to_value());
+        spec.config = Some(SessionConfig {
+            partition_source: Some(PartitionSource::Rows { rows: 3, cols: 12 }),
+            ..SessionConfig::default()
+        });
+        let err = Registry::new(4)
+            .get_or_create(&spec)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!((err.status, err.code), (422, "bad_args"));
+        assert!(err.message.contains("partition_source"), "{}", err.message);
+    }
+
     #[test]
     fn source_partitions_build_and_share_the_warm_lru() {
         let reg = Registry::new(4);

@@ -1,0 +1,193 @@
+//! What a part-wise run costs the host heap: a counting global allocator
+//! wrapping `System` checks that a warm aggregate makes the same small
+//! number of allocations whatever the graph's size, and that the first
+//! aggregate on the `partwise_warm` benchmark instance (`road_like` 200²,
+//! 400 Voronoi parts, seed 7) keeps the live heap within 32 MB.
+//!
+//! The counters are thread-local, so the tests of this binary do not see
+//! each other's allocations, and every run here is one lane
+//! (`SimConfig::threads = 1`, the default), so it allocates on the
+//! calling thread only.
+
+use low_congestion_shortcuts::congest::splitmix;
+use low_congestion_shortcuts::facade::*;
+use low_congestion_shortcuts::graph::bfs;
+use low_congestion_shortcuts::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread (growing a buffer in place or by
+    /// moving it is not a new allocation).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: allocated minus freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`reset_peak`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(grow: isize, new_allocation: bool) {
+    // `try_with`: a thread being torn down still frees memory.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grow);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+    if new_allocation {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as isize, true);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as isize, true);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) };
+        track(-(layout.size() as isize), false);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            track(new_size as isize - layout.size() as isize, false);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Restarts the peak at the current live heap.
+fn reset_peak() {
+    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
+}
+
+fn peak_mb() -> f64 {
+    PEAK.with(Cell::get) as f64 / (1 << 20) as f64
+}
+
+/// The benchmark's serving instance: a seeded `road_like` graph, a
+/// provided BFS tree and a seeded Voronoi partition, prepared on the
+/// centralized backend. The graph, tree and parts stay alive next to the
+/// session, as they do in the benchmark.
+fn with_road_session<T>(
+    side: usize,
+    parts: usize,
+    run: impl FnOnce(&mut ShortcutSession<'_>) -> T,
+) -> T {
+    let seed = 7;
+    let g = gen::road_like(side, side, seed);
+    let parts = gen::voronoi_parts_seeded(&g, parts, splitmix(seed, 0x5eed));
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let mut session = Session::on(&g)
+        .tree(TreeSource::Provided(tree.clone()))
+        .partition(parts.clone())
+        .backend(Backend::Centralized)
+        .build()
+        .expect("voronoi cells are connected parts");
+    session.prepare();
+    run(&mut session)
+}
+
+fn values(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|v| splitmix(v, 11) % 1_000_000).collect()
+}
+
+#[test]
+fn a_warm_aggregate_allocates_the_same_at_every_size() {
+    let counts: Vec<u64> = [64, 128]
+        .into_iter()
+        .map(|side| {
+            with_road_session(side, side * side / 100, |session| {
+                let values = values(side * side);
+                session.aggregate(&values, AggOp::Sum);
+                let before = allocations();
+                let warm = session.aggregate(&values, AggOp::Sum);
+                let made = allocations() - before;
+                assert_eq!(warm.result.rooted_parts, side * side / 100);
+                made
+            })
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "allocations per warm aggregate at 64² and 128²"
+    );
+    assert!(
+        counts[0] <= 100,
+        "{} allocations per warm aggregate",
+        counts[0]
+    );
+}
+
+#[test]
+fn the_first_aggregate_keeps_the_heap_within_32_mb() {
+    let peak = with_road_session(200, 400, |session| {
+        let values = values(200 * 200);
+        reset_peak();
+        let first = session.aggregate(&values, AggOp::Sum);
+        assert!(first.result.all_members_informed);
+        peak_mb()
+    });
+    assert!(
+        peak <= 32.0,
+        "the first aggregate's live heap peaked at {peak:.1} MB"
+    );
+}
+
+/// At n = 262 144 (`road_like` 512², 2 621 Voronoi parts) a cold and then
+/// a warm aggregate each add at most a fixed number of bytes per node and
+/// directed edge to the live heap: the run's memory is its tables and its
+/// traffic, with nothing quadratic and no per-node buffer. Release only
+/// (`cargo test --release -- --ignored scale_`).
+#[test]
+#[ignore]
+fn scale_aggregate_heap_on_road_like_512() {
+    let side = 512;
+    let (cold, warm, elements) = with_road_session(side, side * side / 100, |session| {
+        let g = session.graph();
+        let elements = (g.num_nodes() + 2 * g.num_edges()) as f64;
+        let values = values(side * side);
+        let mut added = || {
+            let before = LIVE.with(Cell::get);
+            reset_peak();
+            let out = session.aggregate(&values, AggOp::Sum);
+            assert!(out.result.all_members_informed && !out.truncated);
+            (PEAK.with(Cell::get) - before) as f64
+        };
+        let cold = added();
+        (cold, added(), elements)
+    });
+    // Measured: cold 194, warm 132 B per element, of which the warm run's
+    // slot states are 62 (about 8 slots per node here).
+    assert!(
+        cold <= 224.0 * elements,
+        "cold: {:.1} B per element",
+        cold / elements
+    );
+    assert!(
+        warm <= 160.0 * elements,
+        "warm: {:.1} B per element",
+        warm / elements
+    );
+}

@@ -266,6 +266,115 @@ fn shared_and_borrowed_sessions_agree() {
     );
 }
 
+/// The builder's setters commute: every order of the source setters,
+/// `.config(..)`, `.backend(..)` and `.tree(..)` builds the same session,
+/// and a source setter and the config naming two different sources are a
+/// typed error in either order, not a silently dropped source.
+#[test]
+fn every_setter_order_builds_the_same_session() {
+    use low_congestion_shortcuts::core::{GeneratorSpec, GraphSource};
+    let g = gen::grid(4, 4);
+    let graph = GraphSource::Generator(GeneratorSpec::Grid { rows: 4, cols: 4 });
+    let rows = PartitionSource::Rows { rows: 4, cols: 4 };
+    let config = SessionConfig {
+        aggregate: AggregateOpts { delay_range: 3 },
+        ..fast_config()
+    };
+    type Setter = fn(SessionBuilder<'_>) -> SessionBuilder<'_>;
+    let setters: [(&str, Setter); 5] = [
+        ("partition_source", |b| {
+            b.partition_source(PartitionSource::Rows { rows: 4, cols: 4 })
+        }),
+        ("graph_source", |b| {
+            b.graph_source(GraphSource::Generator(GeneratorSpec::Grid {
+                rows: 4,
+                cols: 4,
+            }))
+        }),
+        ("config", |b| {
+            b.config(SessionConfig {
+                aggregate: AggregateOpts { delay_range: 3 },
+                ..fast_config()
+            })
+        }),
+        ("backend", |b| {
+            b.backend(Backend::Distributed(SimConfig::default()))
+        }),
+        ("tree", |b| b.tree(TreeSource::Bfs(NodeId(5)))),
+    ];
+    let expected = SessionConfig {
+        partition_source: Some(rows.clone()),
+        graph_source: Some(graph.clone()),
+        ..config.clone()
+    };
+    let values: Vec<u64> = (0..16).collect();
+    // Every permutation of the five setters, by Heap's algorithm.
+    let mut order: Vec<usize> = (0..setters.len()).collect();
+    let mut c = vec![0; order.len()];
+    let mut builds = 0;
+    let mut check = |order: &[usize]| {
+        let builder = order
+            .iter()
+            .fold(Session::on(&g), |b, &i| (setters[i].1)(b));
+        let names: Vec<&str> = order.iter().map(|&i| setters[i].0).collect();
+        let mut session = builder.build().unwrap_or_else(|e| panic!("{names:?}: {e}"));
+        assert_eq!(session.config(), &expected, "{names:?}");
+        assert_eq!(session.root(), NodeId(5), "{names:?}");
+        assert_eq!(
+            session.backend(),
+            &Backend::Distributed(SimConfig::default())
+        );
+        let sums = session.aggregate(&values, AggOp::Sum).result.results;
+        assert_eq!(
+            sums,
+            vec![Some(6), Some(22), Some(38), Some(54)],
+            "{names:?}"
+        );
+        builds += 1;
+    };
+    check(&order);
+    let mut i = 1;
+    while i < order.len() {
+        if c[i] < i {
+            order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            check(&order);
+            c[i] += 1;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i += 1;
+        }
+    }
+    assert_eq!(builds, 120);
+
+    // Two different sources, in either order, and an agreeing pair.
+    let other = PartitionSource::Rows { rows: 2, cols: 8 };
+    let with_other = SessionConfig {
+        partition_source: Some(other),
+        ..config.clone()
+    };
+    let conflict = SessionError::ConflictingSources {
+        field: "partition_source",
+    };
+    let setter_first = Session::on(&g)
+        .partition_source(rows.clone())
+        .config(with_other.clone());
+    assert_eq!(setter_first.build().err(), Some(conflict.clone()));
+    let config_first = Session::on(&g)
+        .config(with_other)
+        .partition_source(rows.clone());
+    assert_eq!(config_first.build().err(), Some(conflict));
+    let agreeing = SessionConfig {
+        partition_source: Some(rows.clone()),
+        ..config
+    };
+    let session = Session::on(&g)
+        .config(agreeing)
+        .partition_source(rows)
+        .build();
+    assert_eq!(session.map(|s| s.partition().num_parts()).ok(), Some(4));
+}
+
 fn backends() -> Vec<(&'static str, Backend)> {
     vec![
         ("centralized", Backend::Centralized),
