@@ -22,7 +22,7 @@
 //! (charged as zero; `O(D + load)` rounds in theory).
 
 use crate::mst::{distributed_mst, kruskal, MstReport, MstSteps, ShortcutProvider};
-use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
+use lcs_congest::protocols::{AggOp, ConvergecastProgram};
 use lcs_congest::Simulator;
 use lcs_core::session::SessionConfig;
 use lcs_graph::weights::EdgeWeights;
@@ -179,9 +179,9 @@ pub fn approx_mincut_distributed(
 
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
-        let tk = TreeKnowledge::from_rooted_tree(g, &packed);
         let sim = Simulator::new(g, config.sim);
-        let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
+        let degree = |v| g.degree(v) as u64;
+        let run = sim.run(|v, _| ConvergecastProgram::new(g, &packed, v, AggOp::Sum, degree(v)));
         out.eval_rounds += run.metrics.rounds;
         out.eval_messages += run.metrics.messages;
         out.messages += run.metrics.messages;
@@ -270,47 +270,16 @@ pub fn min_two_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
     let c1 = one_respecting_cuts(g, tree);
     let mut best = min_one_respecting_cut(tree, &c1);
 
-    // All pairs of tree edges, identified by their deeper endpoints.
+    // All pairs of tree edges, identified by their deeper endpoints. The
+    // cut side is `X = S_a Δ S_b`: `S_a ∖ S_b` when one subtree holds the
+    // other, `S_a ∪ S_b` when they are disjoint.
     let edges: Vec<NodeId> = tree.tree_edges().map(|(_, ve)| ve).collect();
     for (i, &a) in edges.iter().enumerate() {
         for &b in edges.iter().skip(i + 1) {
-            let cut = if in_subtree(a, b) {
-                // S_b ⊂ S_a: crossing(S_a \ S_b) needs edges S_b ↔ V∖S_a.
-                let mut cross = 0i64;
-                for er in g.edges() {
-                    let (bu, bv) = (in_subtree(b, er.u), in_subtree(b, er.v));
-                    let (au, av) = (in_subtree(a, er.u), in_subtree(a, er.v));
-                    // one endpoint in S_b, the other outside S_a
-                    if (bu && !av) || (bv && !au) {
-                        cross += 1;
-                    }
-                }
-                c1[a.index()] + c1[b.index()] - 2 * cross
-            } else if in_subtree(b, a) {
-                let mut cross = 0i64;
-                for er in g.edges() {
-                    let (au, av) = (in_subtree(a, er.u), in_subtree(a, er.v));
-                    let (bu, bv) = (in_subtree(b, er.u), in_subtree(b, er.v));
-                    if (au && !bv) || (av && !bu) {
-                        cross += 1;
-                    }
-                }
-                c1[a.index()] + c1[b.index()] - 2 * cross
-            } else {
-                // Disjoint subtrees: X = S_a ∪ S_b.
-                let mut cross = 0i64;
-                for er in g.edges() {
-                    let (au, av) = (in_subtree(a, er.u), in_subtree(a, er.v));
-                    let (bu, bv) = (in_subtree(b, er.u), in_subtree(b, er.v));
-                    if (au && bv) || (av && bu) {
-                        cross += 1;
-                    }
-                }
-                c1[a.index()] + c1[b.index()] - 2 * cross
-            };
-            debug_assert!(cut >= 0, "cut values are non-negative");
+            let in_x = |v| in_subtree(a, v) != in_subtree(b, v);
+            let cut = g.edges().filter(|er| in_x(er.u) != in_x(er.v)).count() as u64;
             if cut > 0 {
-                best = best.min(cut as u64);
+                best = best.min(cut);
             }
         }
     }

@@ -168,6 +168,9 @@ fn unpack(p: u64) -> EdgeId {
     EdgeId((p & 0xffff_ffff) as u32)
 }
 
+/// Seed of the public coins every node evaluates.
+const COIN_SEED: u64 = 0xb0_aa_12;
+
 /// Fragment `id`'s coin in `phase` (`true`: heads), which any node holding the id evaluates.
 fn coin(seed: u64, phase: usize, id: u32) -> bool {
     splitmix(splitmix(seed, phase as u32), id) & 1 == 1
@@ -180,8 +183,8 @@ fn coin(seed: u64, phase: usize, id: u32) -> bool {
 /// tree the shortcuts are built on (a session passes its own); for its
 /// depth `D`, a carried fragment tree is kept up to one block's dilation,
 /// `2D + 1` high, so a warm aggregate stays within about `2(2D + 1)`
-/// rounds plus queueing. Of `config` it reads
-/// [`mst`](SessionConfig::mst) (coin-flip seed, phase cap),
+/// rounds plus queueing. The coins are public, drawn from one fixed seed,
+/// and the run stops after `4·bitlen(n) + 16` phases. Of `config` it reads
 /// [`aggregate`](SessionConfig::aggregate) and
 /// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
 /// and [`shortcut`](SessionConfig::shortcut) for the constructing
@@ -203,13 +206,25 @@ pub fn distributed_mst(
     provider: ShortcutProvider,
     config: &SessionConfig,
 ) -> MstReport {
+    let max_phases = 4 * (usize::BITS - g.num_nodes().leading_zeros()) as usize + 16;
+    boruvka(g, weights, tree, provider, config, COIN_SEED, max_phases)
+}
+
+/// [`distributed_mst`] on the coins of `coins` and a cap of `max_phases`.
+pub(crate) fn boruvka(
+    g: &Graph,
+    weights: &EdgeWeights,
+    tree: &RootedTree,
+    provider: ShortcutProvider,
+    config: &SessionConfig,
+    coins: u64,
+    max_phases: usize,
+) -> MstReport {
     let n = g.num_nodes();
     assert!(n > 0, "empty graph");
     for (_, w) in weights.iter() {
         assert!(w < (1 << 31), "weights must fit in 31 bits");
     }
-    let max_phases =
-        (config.mst.max_phases).unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
     // `2D + 1`, one block's dilation (Observation 2.6): the height a carried
     // fragment tree is kept up to, and the size above which an in-tree
     // fragment gets a construction (a smaller one meets the dilation bound
@@ -376,7 +391,7 @@ pub fn distributed_mst(
                 report.edges.push(e); // every MWOE is safe by the cut property
             }
             let id = leaders[i].0;
-            if coin(config.mst.seed, phase, id) {
+            if coin(coins, phase, id) {
                 continue; // a head stays put
             }
             notices += 1;
@@ -390,7 +405,7 @@ pub fn distributed_mst(
                 .part_of(NodeId(target))
                 .expect("an id is a member");
             let mutual = agg.results[to.index()] == Some(p);
-            if coin(config.mst.seed, phase, target) || (mutual && id < target) {
+            if coin(coins, phase, target) || (mutual && id < target) {
                 notify[inside.index()] = u64::from(target) + 1;
                 (stays[i], leaders[i]) = (false, inside);
                 joins.push((part, inside, far));
@@ -756,16 +771,16 @@ mod tests {
         g: &Graph,
         w: &EdgeWeights,
         provider: ShortcutProvider,
-        config: &SessionConfig,
+        coins: u64,
     ) -> (MstReport, Vec<PhaseRuns>) {
         let env = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
-        let mut config = config.clone();
+        let mut config = SessionConfig::default();
         config.sim.threads = env("LCS_SIM_THREADS").unwrap_or(1);
         config.sim.message_packing = env("LCS_SIM_PACKING").unwrap_or(1);
         let config = &config;
         let tree = bfs::bfs_tree(g, NodeId(0));
-        let report = distributed_mst(g, w, &tree, provider, config);
-        let (phases, last) = replay(g, w, config.mst.seed);
+        let report = boruvka(g, w, &tree, provider, config, coins, usize::MAX);
+        let (phases, last) = replay(g, w, coins);
         assert_eq!(report.phases, phases.len(), "{provider:?}");
         let rounds = 2 * phases.len() as u64 + 1;
         assert_eq!(report.rounds.exchange, rounds, "{provider:?}");
@@ -850,13 +865,12 @@ mod tests {
     fn baseline_provider_is_the_core_baseline() {
         let g = gen::grid(10, 10);
         let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(5));
-        let config = SessionConfig::default();
-        let (report, _) = check_bill(&g, &w, ShortcutProvider::Baseline, &config);
+        let (report, _) = check_bill(&g, &w, ShortcutProvider::Baseline, COIN_SEED);
         assert_eq!(
             report.rounds.construction + report.message_split.construction,
             0
         );
-        let (phases, _) = replay(&g, &w, config.mst.seed);
+        let (phases, _) = replay(&g, &w, COIN_SEED);
         let big = phases.iter().any(|phase| {
             let mut sizes: BTreeMap<u32, usize> = BTreeMap::new();
             for &f in &phase.fragment_of {
@@ -887,8 +901,7 @@ mod tests {
         for g in &families {
             let random = EdgeWeights::random_unique(g, &mut SmallRng::seed_from_u64(7));
             for w in [random, EdgeWeights::unit(g)] {
-                let config = SessionConfig::default();
-                let (report, runs) = check_bill(g, &w, ShortcutProvider::Oracle, &config);
+                let (report, runs) = check_bill(g, &w, ShortcutProvider::Oracle, COIN_SEED);
                 assert_eq!(report.edges, kruskal(g, &w), "{g:?}");
                 assert!(
                     runs.iter().all(|r| !r.cut),
@@ -918,12 +931,11 @@ mod tests {
             let mut mixed_phases = 0;
             for seed in 0..32 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
-                let mut config = SessionConfig::default();
-                config.mst.seed = 100 + seed;
-                let report = distributed_mst(&g, &w, &tree, provider, &config);
+                let config = SessionConfig::default();
+                let report = boruvka(&g, &w, &tree, provider, &config, 100 + seed, usize::MAX);
                 assert!(!report.truncated, "{provider:?} {seed}");
                 assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
-                let (phases, _) = replay(&g, &w, config.mst.seed);
+                let (phases, _) = replay(&g, &w, 100 + seed);
                 assert_eq!(report.phases, phases.len(), "{provider:?} {seed}");
                 mixed_phases += phases
                     .iter()
@@ -944,9 +956,9 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let mut tail_pairs = 0;
         for seed in 0..32 {
-            let mut config = SessionConfig::default();
-            config.mst.seed = seed;
-            let report = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+            let config = SessionConfig::default();
+            let oracle = ShortcutProvider::Oracle;
+            let report = boruvka(&g, &w, &tree, oracle, &config, seed, usize::MAX);
             let mut phases = 1;
             loop {
                 let (a, b) = (coin(seed, phases - 1, 0), coin(seed, phases - 1, 1));
@@ -978,9 +990,7 @@ mod tests {
             let mut warm_phases = 0;
             for seed in 0..4 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
-                let mut config = SessionConfig::default();
-                config.mst.seed = seed;
-                let (_, runs) = check_bill(&g, &w, provider, &config);
+                let (_, runs) = check_bill(&g, &w, provider, seed);
                 warm_phases += runs.iter().filter(|r| r.rooted == r.k).count();
             }
             assert!(
@@ -1005,9 +1015,7 @@ mod tests {
             let block = 2 * depth + 1;
             for seed in 0..4 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
-                let mut config = SessionConfig::default();
-                config.mst.seed = seed;
-                let (report, runs) = check_bill(&g, &w, provider, &config);
+                let (report, runs) = check_bill(&g, &w, provider, seed);
                 assert_eq!(report.edges, kruskal(&g, &w));
                 for (i, run) in runs.iter().enumerate() {
                     let highest = run.heights.iter().flatten().max();
@@ -1038,15 +1046,14 @@ mod tests {
             .collect();
         weightings.push(EdgeWeights::unit(&g));
         for (i, w) in weightings.iter().enumerate() {
-            let (report, runs) =
-                check_bill(&g, w, ShortcutProvider::Oracle, &SessionConfig::default());
+            let (report, runs) = check_bill(&g, w, ShortcutProvider::Oracle, COIN_SEED);
             assert_eq!(report.edges, kruskal(&g, w), "weighting {i}");
             assert!(!report.truncated, "weighting {i}");
             let highest = runs.iter().flat_map(|r| r.heights.iter().flatten()).max();
             assert!(highest.is_none_or(|&h| h <= block), "weighting {i}");
             let fragments: usize = runs.iter().map(|r| r.k).sum();
             assert!(report.echoes < fragments, "weighting {i}: nothing carried");
-            let (phases, _) = replay(&g, w, SessionConfig::default().mst.seed);
+            let (phases, _) = replay(&g, w, COIN_SEED);
             let tails: usize = phases.iter().map(|p| p.tails.len()).sum();
             assert!(report.notified < tails, "weighting {i}: no tail stayed put");
             assert!(
@@ -1085,10 +1092,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(16);
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let capped = |max_phases, provider| {
-            let mut config = SessionConfig::default();
-            config.mst.max_phases = Some(max_phases);
             let tree = bfs::bfs_tree(&g, NodeId(0));
-            distributed_mst(&g, &w, &tree, provider, &config)
+            let config = SessionConfig::default();
+            boruvka(&g, &w, &tree, provider, &config, COIN_SEED, max_phases)
         };
         let one = capped(1, ShortcutProvider::Oracle);
         assert!(one.truncated && one.phases == 1);

@@ -69,15 +69,14 @@ pub enum SimMode {
     Queued,
 }
 
-/// Simulator configuration.
+/// Simulator configuration. The per-message budget is not a setting: it is
+/// `4·⌈log₂(n+1)⌉ + 128` bits ([`Simulator::bandwidth_bits`]), the usual
+/// `O(log n)` CONGEST budget with constant headroom for a few ids plus one
+/// aggregate value per message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Send discipline.
     pub mode: SimMode,
-    /// Per-message size limit in bits; `None` = `4·⌈log₂(n+1)⌉ + 128`, the
-    /// usual `O(log n)` CONGEST budget with constant headroom for a few ids
-    /// plus one aggregate value per message.
-    pub bandwidth_bits: Option<usize>,
     /// Hard cap on simulated rounds (guards against non-terminating
     /// protocols). A run cut short by the cap reports
     /// [`RunMetrics::truncated`]` = true`.
@@ -116,7 +115,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             mode: SimMode::Strict,
-            bandwidth_bits: None,
             max_rounds: 1_000_000,
             threads: 1,
             message_packing: 1,
@@ -285,12 +283,10 @@ impl<'g> Simulator<'g> {
         Simulator { graph, config }
     }
 
-    /// The effective per-message bandwidth in bits.
+    /// The per-message bandwidth in bits, `4·⌈log₂(n+1)⌉ + 128`.
     pub fn bandwidth_bits(&self) -> usize {
-        self.config.bandwidth_bits.unwrap_or_else(|| {
-            let n = self.graph.num_nodes().max(1) as f64;
-            4 * (n + 1.0).log2().ceil() as usize + 128
-        })
+        let n = self.graph.num_nodes().max(1) as f64;
+        4 * (n + 1.0).log2().ceil() as usize + 128
     }
 
     /// The worker count [`SimConfig::threads`] resolves to on this host.
@@ -867,8 +863,17 @@ mod tests {
         }
     }
 
-    /// Node 0 bursts `count` u32 values at node 1 in one callback; node 1
-    /// records arrivals per round.
+    /// A `u32` value billed at `BITS` bits.
+    #[derive(Clone, Copy)]
+    struct Wide<const BITS: usize>(u32);
+    impl<const BITS: usize> MessageSize for Wide<BITS> {
+        fn size_bits_in(&self, _n: usize) -> usize {
+            BITS
+        }
+    }
+
+    /// Node 0 bursts `count` `BITS`-bit values at node 1 in one callback;
+    /// node 1 records arrivals per round.
     struct BurstSender {
         count: u32,
     }
@@ -876,23 +881,23 @@ mod tests {
         values: Vec<u32>,
         per_round: Vec<usize>,
     }
-    enum BurstP {
+    enum BurstP<const BITS: usize> {
         S(BurstSender),
         R(BurstRecorder),
     }
-    impl NodeProgram for BurstP {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+    impl<const BITS: usize> NodeProgram for BurstP<BITS> {
+        type Msg = Wide<BITS>;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wide<BITS>>) {
             if let BurstP::S(s) = self {
                 for k in 0..s.count {
-                    ctx.send(0, k);
+                    ctx.send(0, Wide(k));
                 }
             }
         }
-        fn on_round(&mut self, _: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
+        fn on_round(&mut self, _: &mut Ctx<'_, Wide<BITS>>, inbox: &[Incoming<Wide<BITS>>]) {
             if let BurstP::R(r) = self {
                 r.per_round.push(inbox.len());
-                r.values.extend(inbox.iter().map(|m| m.msg));
+                r.values.extend(inbox.iter().map(|m| m.msg.0));
             }
         }
         fn is_done(&self) -> bool {
@@ -900,7 +905,11 @@ mod tests {
         }
     }
 
-    fn run_burst(mode: SimMode, packing: usize, count: u32) -> (RunMetrics, Vec<u32>, Vec<usize>) {
+    fn run_burst<const BITS: usize>(
+        mode: SimMode,
+        packing: usize,
+        count: u32,
+    ) -> (RunMetrics, Vec<u32>, Vec<usize>) {
         let g = gen::path(2);
         let sim = Simulator::new(
             &g,
@@ -912,7 +921,7 @@ mod tests {
         );
         let run = sim.run(|v, _| {
             if v == NodeId(0) {
-                BurstP::S(BurstSender { count })
+                BurstP::<BITS>::S(BurstSender { count })
             } else {
                 BurstP::R(BurstRecorder {
                     values: Vec::new(),
@@ -928,10 +937,10 @@ mod tests {
 
     #[test]
     fn packing_coalesces_queued_bursts_and_cuts_rounds() {
-        let (unpacked, base_vals, _) = run_burst(SimMode::Queued, 1, 12);
+        let (unpacked, base_vals, _) = run_burst::<32>(SimMode::Queued, 1, 12);
         assert_eq!(unpacked.rounds, 12);
         assert_eq!(unpacked.messages, 12);
-        let (packed, vals, per_round) = run_burst(SimMode::Queued, 4, 12);
+        let (packed, vals, per_round) = run_burst::<32>(SimMode::Queued, 4, 12);
         // 12 values in envelopes of 4 → 3 messages, 3 rounds, same payload.
         assert_eq!(packed.rounds, 3);
         assert_eq!(packed.messages, 3);
@@ -948,47 +957,26 @@ mod tests {
     fn strict_mode_admits_bursts_within_one_packed_envelope() {
         // 3 consecutive sends at packing 4 fit one envelope: legal strict
         // traffic (one message on the edge), delivered in one round.
-        let (m, vals, _) = run_burst(SimMode::Strict, 4, 3);
+        let (m, vals, _) = run_burst::<32>(SimMode::Strict, 4, 3);
         assert_eq!(m.messages, 1);
         assert_eq!(m.rounds, 1);
         assert_eq!(vals, vec![0, 1, 2]);
         // 5 sends overflow into a second envelope → strict double-send.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_burst(SimMode::Strict, 4, 5)
+            run_burst::<32>(SimMode::Strict, 4, 5)
         }));
         assert!(result.is_err(), "a second envelope must still panic");
     }
 
     #[test]
     fn packing_respects_the_bandwidth_budget() {
-        // Budget 70 bits fits two 32-bit values but not three, whatever the
-        // packing factor says.
-        let g = gen::path(2);
-        let sim = Simulator::new(
-            &g,
-            SimConfig {
-                mode: SimMode::Queued,
-                bandwidth_bits: Some(70),
-                message_packing: 8,
-                ..SimConfig::default()
-            },
-        );
-        let run = sim.run(|v, _| {
-            if v == NodeId(0) {
-                BurstP::S(BurstSender { count: 6 })
-            } else {
-                BurstP::R(BurstRecorder {
-                    values: Vec::new(),
-                    per_round: Vec::new(),
-                })
-            }
-        });
-        assert_eq!(run.metrics.messages, 3, "6 values / 2 per 70-bit envelope");
-        let BurstP::R(r) = &run.programs[1] else {
-            panic!("node 1 records");
-        };
-        assert_eq!(r.per_round, vec![2, 2, 2]);
-        assert_eq!(r.values, vec![0, 1, 2, 3, 4, 5]);
+        // The 136-bit budget at n = 2 fits two 48-bit values but not three,
+        // whatever the packing factor says.
+        let (m, vals, per_round) = run_burst::<48>(SimMode::Queued, 8, 6);
+        assert_eq!(m.bandwidth_bits, 136);
+        assert_eq!(m.messages, 3, "6 values / 2 per 136-bit envelope");
+        assert_eq!(per_round, vec![2, 2, 2]);
+        assert_eq!(vals, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -34,10 +34,10 @@ pub struct RunMetrics {
     ///
     /// [`SimConfig::threads`]: crate::SimConfig::threads
     pub threads: usize,
-    /// The per-message bandwidth limit (bits) the run enforced — the
-    /// resolved [`SimConfig::bandwidth_bits`].
+    /// The per-message bandwidth limit (bits) the run enforced, computed
+    /// from `n` ([`Simulator::bandwidth_bits`]).
     ///
-    /// [`SimConfig::bandwidth_bits`]: crate::SimConfig::bandwidth_bits
+    /// [`Simulator::bandwidth_bits`]: crate::Simulator::bandwidth_bits
     pub bandwidth_bits: usize,
     /// The multi-value packing factor the run coalesced sends with — the
     /// resolved [`SimConfig::message_packing`] (1 = unpacked). Execution

@@ -1,8 +1,7 @@
 //! Distributed BFS-tree construction.
 
-use crate::protocols::TreeKnowledge;
 use crate::{Ctx, Incoming, MessageSize, NodeProgram, RunOutcome};
-use lcs_graph::{Graph, NodeId};
+use lcs_graph::{Graph, NodeId, RootedTree};
 
 /// Messages of the BFS protocol.
 ///
@@ -46,7 +45,7 @@ impl MessageSize for BfsMsg {
 /// children list is the `Dist` ports minus those that answered, final two
 /// rounds after activation, with no clock or wake-up.
 ///
-/// After the run, [`extract_tree`] recovers the tree knowledge.
+/// After the run, [`extract_tree`] recovers the tree.
 #[derive(Clone, Debug)]
 pub struct BfsTreeProgram {
     is_root: bool,
@@ -157,34 +156,35 @@ impl NodeProgram for BfsTreeProgram {
     }
 }
 
-/// Collects the per-node BFS states of a finished run into a
-/// [`TreeKnowledge`].
+/// Collects the per-node BFS states of a finished run into the
+/// [`RootedTree`] they describe, its nodes ordered by `(depth, id)`.
 ///
 /// # Panics
 ///
 /// Panics if no node was the root.
-pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> TreeKnowledge {
+pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> RootedTree {
     let n = g.num_nodes();
-    let mut parent_port = vec![None; n];
-    let mut children_ports = vec![Vec::new(); n];
+    let mut parent = vec![None; n];
     let mut depth = vec![u32::MAX; n];
+    let mut order: Vec<NodeId> = Vec::new();
     let mut root = None;
-    for (v, prog) in run.programs.iter().enumerate() {
+    for (v, prog) in g.nodes().zip(&run.programs) {
         if prog.is_root {
-            root = Some(NodeId(v as u32));
+            root = Some(v);
         }
-        if let Some(d) = prog.dist {
-            depth[v] = d;
+        let Some(d) = prog.dist else {
+            continue;
+        };
+        depth[v.index()] = d;
+        order.push(v);
+        if let Some(port) = prog.parent_port {
+            let nb = g.neighbor(v, port);
+            parent[v.index()] = Some((nb.node, nb.edge));
         }
-        parent_port[v] = prog.parent_port;
-        children_ports[v] = prog.children_ports.clone();
     }
-    TreeKnowledge {
-        parent_port,
-        children_ports,
-        depth,
-        root: root.expect("exactly one node must be the BFS root"),
-    }
+    order.sort_unstable_by_key(|&v| (depth[v.index()], v));
+    let root = root.expect("exactly one node must be the BFS root");
+    RootedTree::from_parents(g, root, &parent, &depth, &order)
 }
 
 #[cfg(test)]
@@ -221,17 +221,27 @@ mod tests {
     fn assert_flood_matches_centralized(g: &Graph, root: NodeId, sim: SimConfig) -> RunMetrics {
         let run = Simulator::new(g, sim).run(|v, _| BfsTreeProgram::new(v == root));
         assert!(run.metrics.terminated);
-        let tk = extract_tree(g, &run);
-        let want = TreeKnowledge::from_rooted_tree(g, &bfs::bfs_tree(g, root));
-        assert_eq!(tk.root, root);
-        assert_eq!(tk.depth, want.depth, "depths");
-        assert_eq!(tk.parent_port, want.parent_port, "parent ports");
-        for v in g.nodes() {
-            let mut children = want.children_ports[v.index()].clone();
+        let want = bfs::bfs_tree(g, root);
+        let port = |v: NodeId, w: NodeId| g.port_to(v, w).expect("tree edges are graph edges");
+        for (v, prog) in g.nodes().zip(&run.programs) {
+            let depth = want.contains(v).then(|| want.depth(v));
+            assert_eq!(prog.dist(), depth, "depth of {v:?}");
+            let up = want.parent(v).map(|(p, _)| port(v, p));
+            assert_eq!(prog.parent_port(), up, "parent port of {v:?}");
+            let mut children: Vec<usize> = want.children(v).iter().map(|&c| port(v, c)).collect();
             children.sort_unstable();
-            assert_eq!(tk.children_ports[v.index()], children, "children of {v:?}");
+            assert_eq!(prog.children_ports(), children, "children of {v:?}");
         }
-        let reached = |v: NodeId| want.depth[v.index()] != u32::MAX;
+        let tree = extract_tree(g, &run);
+        assert_eq!(tree.root(), root);
+        assert_eq!(tree.order().len(), want.order().len());
+        for v in g.nodes().filter(|&v| want.contains(v)) {
+            assert_eq!(
+                (tree.depth(v), tree.parent(v)),
+                (want.depth(v), want.parent(v))
+            );
+        }
+        let reached = |v: NodeId| want.contains(v);
         let n = g.nodes().filter(|&v| reached(v)).count() as u64;
         let m = g.edges().filter(|e| reached(e.u)).count() as u64;
         assert_eq!(run.metrics.messages, 2 * m - (n - 1), "2m − (n − 1)");

@@ -1,7 +1,7 @@
 //! Tree convergecast: aggregate one value per node up to the root.
 
-use crate::protocols::TreeKnowledge;
 use crate::{Ctx, Incoming, NodeProgram};
+use lcs_graph::{Graph, NodeId, RootedTree};
 
 /// The aggregation operator of a convergecast.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,17 +44,19 @@ pub struct ConvergecastProgram {
 }
 
 impl ConvergecastProgram {
-    /// Creates the per-node program from the node's tree knowledge and local
-    /// input `value`.
-    pub fn new(tk: &TreeKnowledge, node: lcs_graph::NodeId, op: AggOp, value: u64) -> Self {
-        let in_tree = tk.depth[node.index()] != u32::MAX;
+    /// Creates the program of `node` — its port to its parent in `tree` and
+    /// its number of children there — with local input `value`.
+    pub fn new(g: &Graph, tree: &RootedTree, node: NodeId, op: AggOp, value: u64) -> Self {
+        let parent_port = tree
+            .parent(node)
+            .map(|(p, _)| g.port_to(node, p).expect("tree parent is a graph neighbor"));
         ConvergecastProgram {
             op,
             value,
-            parent_port: tk.parent_port[node.index()],
-            expected: tk.children_ports[node.index()].len(),
+            parent_port,
+            expected: tree.children(node).len(),
             heard: 0,
-            in_tree,
+            in_tree: tree.contains(node),
             sent: false,
             result: None,
         }
@@ -101,16 +103,14 @@ impl NodeProgram for ConvergecastProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::TreeKnowledge;
     use crate::{SimConfig, Simulator};
-    use lcs_graph::{bfs, gen, NodeId};
+    use lcs_graph::{bfs, gen};
 
     fn run_agg(op: AggOp, values: impl Fn(NodeId) -> u64) -> (u64, u64) {
         let g = gen::grid(4, 4);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let tk = TreeKnowledge::from_rooted_tree(&g, &tree);
         let sim = Simulator::new(&g, SimConfig::default());
-        let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, op, values(v)));
+        let run = sim.run(|v, _| ConvergecastProgram::new(&g, &tree, v, op, values(v)));
         assert!(run.metrics.terminated);
         (run.programs[0].result().unwrap(), run.metrics.rounds)
     }
@@ -138,9 +138,8 @@ mod tests {
     fn single_node_tree() {
         let g = gen::path(1);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let tk = TreeKnowledge::from_rooted_tree(&g, &tree);
         let sim = Simulator::new(&g, SimConfig::default());
-        let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, 7));
+        let run = sim.run(|v, _| ConvergecastProgram::new(&g, &tree, v, AggOp::Sum, 7));
         assert_eq!(run.programs[0].result(), Some(7));
         assert_eq!(run.metrics.rounds, 0);
     }

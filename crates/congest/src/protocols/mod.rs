@@ -2,8 +2,10 @@
 //!
 //! These are the primitives every shortcut-based algorithm composes
 //! (Section 2 of the paper assumes them implicitly). Each protocol is a
-//! [`NodeProgram`](crate::NodeProgram) plus an extraction helper that turns
-//! the final node states into whole-network knowledge for the next layer.
+//! [`NodeProgram`](crate::NodeProgram) over the one tree type,
+//! [`RootedTree`](lcs_graph::RootedTree): the BFS flood's final node states
+//! become one through [`extract_tree`], and a convergecast reads each
+//! node's parent port and child count from one.
 //!
 //! All protocols run unchanged on the sharded parallel executor
 //! ([`SimConfig::threads`](crate::SimConfig::threads)): node callbacks only
@@ -15,8 +17,6 @@ mod parallel_tests;
 
 mod bfs_tree;
 mod convergecast;
-mod tree_knowledge;
 
 pub use bfs_tree::{extract_tree, BfsMsg, BfsTreeProgram};
 pub use convergecast::{AggOp, ConvergecastProgram};
-pub use tree_knowledge::TreeKnowledge;

@@ -25,6 +25,8 @@ fn bfs_tree_is_thread_count_invariant() {
     for threads in [2, 4] {
         let (metrics, tree) = run_with(threads);
         assert_eq!(metrics.counts(), metrics1.counts(), "threads={threads}");
-        assert_eq!(tree.parent_port, tree1.parent_port, "threads={threads}");
+        for v in g.nodes() {
+            assert_eq!(tree.parent(v), tree1.parent(v), "threads={threads}");
+        }
     }
 }

@@ -386,7 +386,7 @@ pub fn distributed_bfs(
 ) -> Result<(RootedTree, RunMetrics), Truncated> {
     let run = Simulator::new(g, sim).run(|v, _| BfsTreeProgram::new(v == root));
     quiesced(&run.metrics, "bfs", &sim)?;
-    Ok((extract_tree(g, &run).to_rooted_tree(g), run.metrics))
+    Ok((extract_tree(g, &run), run.metrics))
 }
 
 /// One detection sweep over `tree` for the `active` parts at guess `δ̂`:

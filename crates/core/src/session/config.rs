@@ -69,29 +69,11 @@ pub struct AggregateOpts {
     pub delay_range: u32,
 }
 
-/// Knobs of Boruvka MST / connectivity (`distributed_mst`; a session
-/// derives the per-phase shortcut provider from its [`Backend`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MstOpts {
-    /// Seed of the coin function every node evaluates.
-    pub seed: u64,
-    /// Safety cap on phases; `None` = `4·log₂ n + 16`.
-    pub max_phases: Option<usize>,
-}
-
-impl Default for MstOpts {
-    fn default() -> Self {
-        MstOpts {
-            seed: 0xb0_aa_12,
-            max_phases: None,
-        }
-    }
-}
-
 /// Every knob in one serde-able struct a service can load from disk:
 /// shortcut-construction parameters, the simulator configuration every op
-/// runs on, and one block per op that has knobs (unicast routing and the
-/// min-cut approximation have none). The explicit-artifact entry points
+/// runs on, and one block per op that has knobs — only aggregation has
+/// any: unicast routing, Boruvka (its coins are public, from a fixed seed)
+/// and the min-cut approximation have none. The explicit-artifact entry points
 /// (`AggregateOp::run_on`, `distributed_mst`, …) read these same blocks.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
@@ -106,8 +88,6 @@ pub struct SessionConfig {
     pub sim: SimConfig,
     /// Aggregation knobs.
     pub aggregate: AggregateOpts,
-    /// MST / connectivity / min-cut knobs.
-    pub mst: MstOpts,
     /// Declarative partition source, resolved at
     /// [`build`](super::SessionBuilder::build) time when the builder was
     /// given no explicit partition (an explicit `.partition(..)` always

@@ -71,8 +71,9 @@
 //! `lcs_algos`; the umbrella crate's `facade` module re-exports both):
 //! `session.aggregate(..)`, `session.mst(..)`, … read the cached artifacts
 //! and call the algorithm. Every operation returns a uniform [`OpReport`].
-//! All knobs live in one serde-able [`SessionConfig`] with one block per
-//! op.
+//! All knobs live in one serde-able [`SessionConfig`]: the construction
+//! constant, the simulator settings, and the aggregation block, the one
+//! op with a knob.
 //!
 //! # Layout
 //!
@@ -92,7 +93,7 @@ mod error;
 pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
 pub use cache::{ArtifactStats, CacheStats};
-pub use config::{AggregateOpts, Backend, MstOpts, SessionConfig, TreeSource};
+pub use config::{AggregateOpts, Backend, SessionConfig, TreeSource};
 pub use construct::FullArtifact;
 pub use error::SessionError;
 

@@ -522,13 +522,18 @@ impl SessionSpec {
         let partition = PartitionSpec::from_value(v)?;
         let backend: Option<Backend> = json::optional(v, "backend")?;
         let mut config: Option<SessionConfig> = json::optional(v, "config")?;
-        // The config parser skips keys it does not know, so any key the
-        // parsed config does not write back was dropped — a silently
+        // The backend and config parsers skip keys they do not know, so any
+        // key the parsed value does not write back was dropped — a silently
         // different session again (e.g. a knob that has been deleted).
-        if let (Some(posted), Some(c)) = (json::lookup(v, "config"), &config) {
-            if let Some(path) = unread_key("config", posted, &c.to_value()) {
+        for (field, parsed) in [
+            ("backend", backend.to_value()),
+            ("config", config.to_value()),
+        ] {
+            let posted = json::lookup(v, field).unwrap_or(&Value::Null);
+            if let Some(path) = unread_key(field, posted, &parsed) {
                 return Err(ApiError::bad_args(format!(
-                    "unknown field `{path}` — `GET /defaults` lists every config key"
+                    "unknown field `{path}` — the server has no such setting \
+                     (`GET /defaults` lists the config keys)"
                 )));
             }
         }

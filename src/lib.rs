@@ -153,7 +153,7 @@ pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
         AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
-        GraphHandle, MstOpts, OpReport, Session, SessionBuilder, SessionConfig, SessionError,
+        GraphHandle, OpReport, Session, SessionBuilder, SessionConfig, SessionError,
         ShortcutSession, TreeSource,
     };
     pub use lcs_core::PartitionSource;

@@ -19,7 +19,7 @@
 
 use low_congestion_shortcuts::congest::protocols::{AggOp, BfsTreeProgram};
 use low_congestion_shortcuts::congest::{
-    Ctx, Incoming, NodeProgram, SimConfig, SimMode, Simulator,
+    Ctx, Incoming, MessageSize, NodeProgram, SimConfig, SimMode, Simulator,
 };
 use low_congestion_shortcuts::core::dist::{
     distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
@@ -364,14 +364,24 @@ fn gossip_is_packing_invariant() {
     }
 }
 
+/// A payload billed at `BITS` bits.
+#[derive(Clone, Copy)]
+struct Wide<const BITS: usize>;
+
+impl<const BITS: usize> MessageSize for Wide<BITS> {
+    fn size_bits_in(&self, _n: usize) -> usize {
+        BITS
+    }
+}
+
 /// Exact bits accounting: a receiver never observes more than
 /// `floor(B / value_bits)` values over one edge in one round — the packed
 /// envelope respects the bandwidth budget `B` exactly, regardless of how
 /// large `message_packing` is set.
 #[test]
 fn per_edge_round_delivery_respects_the_bit_budget() {
-    const VALUE_BITS: usize = 32; // u32 payloads
-    const BUDGET: usize = 100; // fits 3 values, not 4
+    const VALUE_BITS: usize = 40;
+    const BUDGET: usize = 136; // n = 2: fits 3 values, not 4
     struct Sender;
     struct Recorder(Vec<usize>);
     enum P {
@@ -379,15 +389,19 @@ fn per_edge_round_delivery_respects_the_bit_budget() {
         R(Recorder),
     }
     impl NodeProgram for P {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        type Msg = Wide<VALUE_BITS>;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wide<VALUE_BITS>>) {
             if let P::S(_) = self {
-                for k in 0..20u32 {
-                    ctx.send(0, k);
+                for _ in 0..20 {
+                    ctx.send(0, Wide);
                 }
             }
         }
-        fn on_round(&mut self, _: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
+        fn on_round(
+            &mut self,
+            _: &mut Ctx<'_, Wide<VALUE_BITS>>,
+            inbox: &[Incoming<Wide<VALUE_BITS>>],
+        ) {
             if let P::R(r) = self {
                 r.0.push(inbox.len());
             }
@@ -403,7 +417,6 @@ fn per_edge_round_delivery_respects_the_bit_budget() {
             &g,
             SimConfig {
                 mode: SimMode::Queued,
-                bandwidth_bits: Some(BUDGET),
                 message_packing: packing,
                 ..SimConfig::default()
             },
@@ -416,6 +429,7 @@ fn per_edge_round_delivery_respects_the_bit_budget() {
             }
         });
         assert!(run.metrics.terminated);
+        assert_eq!(run.metrics.bandwidth_bits, BUDGET);
         let P::R(r) = &run.programs[1] else {
             panic!("node 1 records");
         };
@@ -439,15 +453,15 @@ fn per_edge_round_delivery_respects_the_bit_budget() {
 fn envelope_counting_matches_the_packed_schedule() {
     struct Sender;
     impl NodeProgram for Sender {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        type Msg = Wide<8>;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wide<8>>) {
             if ctx.node() == NodeId(0) {
-                for k in 0..10u32 {
-                    ctx.send(0, k);
+                for _ in 0..10 {
+                    ctx.send(0, Wide);
                 }
             }
         }
-        fn on_round(&mut self, _: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {}
+        fn on_round(&mut self, _: &mut Ctx<'_, Wide<8>>, _: &[Incoming<Wide<8>>]) {}
         fn is_done(&self) -> bool {
             true
         }
@@ -458,8 +472,8 @@ fn envelope_counting_matches_the_packed_schedule() {
             &g,
             SimConfig {
                 mode: SimMode::Queued,
-                // Roomy budget: the packing factor is the only limit.
-                bandwidth_bits: Some(1 << 12),
+                // Ten 8-bit values fit the budget: the packing factor is
+                // the only limit.
                 message_packing: packing,
                 ..SimConfig::default()
             },
@@ -473,7 +487,7 @@ fn envelope_counting_matches_the_packed_schedule() {
             run.metrics.rounds, expect_messages,
             "queued mode drains one envelope per round"
         );
-        assert_eq!(run.metrics.bits, 10 * 32, "u32 payload bits are invariant");
+        assert_eq!(run.metrics.bits, 10 * 8, "payload bits are invariant");
     }
 }
 

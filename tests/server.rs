@@ -724,38 +724,53 @@ fn config_partition_source_speaks_the_kind_notation() {
     handle.shutdown();
 }
 
-/// The config parser skips keys it does not know, so the server compares
-/// the posted `config` with what it understood: a deleted knob or a typo
-/// is a 422 `bad_args` naming the key's path, never a session built
-/// without it. The `/defaults` body itself is served.
+/// The config and backend parsers skip keys they do not know, so the
+/// server compares the posted `config` and `backend` with what it
+/// understood: a deleted setting or a typo is a 422 `bad_args` naming the
+/// key's path, never a session built without it. The `/defaults` body
+/// itself is served.
 #[test]
 fn config_keys_the_server_does_not_have_are_refused() {
     let handle = start();
     let mut client = Client::new(handle.addr());
     let defaults = client.get("/defaults").expect("defaults");
     assert_eq!(defaults.status, 200);
-    let Some(Value::Obj(config)) = defaults.field("config") else {
-        panic!("configs serialize to objects");
-    };
-    let spec_with = |config: Vec<(String, Value)>| {
+    let config = defaults.field("config").expect("defaults carry a config");
+    let spec_with = |field: &str, value: Value| {
         let mut spec = grid_spec(4, 4);
         let Value::Obj(fields) = &mut spec else {
             unreachable!("a spec is an object");
         };
-        fields.push(("config".to_string(), Value::Obj(config)));
+        fields.push((field.to_string(), value));
         spec
     };
-    create(&mut client, &spec_with(config.clone()));
+    create(&mut client, &spec_with("config", config.clone()));
 
-    // `(block, key)` spliced into the defaults (`""`: at the top).
+    // `key` spliced into `value` at the dotted `block` (`""`: at the top).
+    let mut refused = |field: &str, mut value: Value, block: &str, key: &str, path: &str| {
+        let mut at = &mut value;
+        for name in block.split('.').filter(|name| !name.is_empty()) {
+            let Value::Obj(fields) = at else {
+                panic!("`{block}` is no object block");
+            };
+            let found = fields.iter_mut().find(|(k, _)| k == name);
+            at = &mut found.unwrap_or_else(|| panic!("no block `{name}`")).1;
+        }
+        let Value::Obj(fields) = at else {
+            panic!("`{block}` is no object block");
+        };
+        fields.push((key.to_string(), Value::U64(1)));
+        let r = client.post("/sessions", &spec_with(field, value)).unwrap();
+        let body = lcs_server::json::render(&r.body);
+        let code = Some(Value::Str("bad_args".to_string()));
+        assert_eq!((r.status, r.field("error").cloned()), (422, code), "{body}");
+        assert!(body.contains(&format!("`{path}`")), "{body}");
+    };
     for (block, key, path) in [
         ("sim", "seed", "config.sim.seed"),
         ("sim", "sed", "config.sim.sed"),
-        (
-            "mst",
-            "skip_small_fragments",
-            "config.mst.skip_small_fragments",
-        ),
+        ("sim", "bandwidth_bits", "config.sim.bandwidth_bits"),
+        ("", "mst", "config.mst"),
         ("aggregate", "seed", "config.aggregate.seed"),
         ("", "mincut", "config.mincut"),
         ("", "unicast", "config.unicast"),
@@ -768,17 +783,20 @@ fn config_keys_the_server_does_not_have_are_refused() {
         ("shortcut", "seed", "config.shortcut.seed"),
         ("shortcut", "witness_mode", "config.shortcut.witness_mode"),
     ] {
-        let mut fields = config.clone();
-        let extra = (key.to_string(), Value::U64(1));
-        match fields.iter_mut().find(|(k, _)| k == block) {
-            Some((_, Value::Obj(inner))) => inner.push(extra),
-            _ => fields.push(extra),
-        }
-        let r = client.post("/sessions", &spec_with(fields)).unwrap();
-        let body = lcs_server::json::render(&r.body);
-        let code = Some(Value::Str("bad_args".to_string()));
-        assert_eq!((r.status, r.field("error").cloned()), (422, code), "{body}");
-        assert!(body.contains(&format!("`{path}`")), "{body}");
+        refused("config", config.clone(), block, key, path);
+    }
+    let distributed = Backend::Distributed(SimConfig::default());
+    let sketch = Backend::Sketch(DistConfig::default());
+    for (backend, block, key, path) in [
+        (distributed, "Distributed", "sed", "backend.Distributed.sed"),
+        (
+            sketch,
+            "Sketch.sim",
+            "bandwidth_bits",
+            "backend.Sketch.sim.bandwidth_bits",
+        ),
+    ] {
+        refused("backend", backend.to_value(), block, key, path);
     }
     let listed = client.get("/sessions").unwrap();
     let Some(Value::Arr(sessions)) = listed.field("sessions") else {

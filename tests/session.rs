@@ -91,19 +91,6 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
     assert!(!free.mst(&unit).truncated);
     assert!(!free.components().truncated);
     assert!(!free.mincut().truncated);
-
-    let mut one_phase = Session::on(&g)
-        .config(SessionConfig {
-            mst: MstOpts {
-                max_phases: Some(1),
-                ..MstOpts::default()
-            },
-            ..fast_config()
-        })
-        .build()
-        .unwrap();
-    let mst = one_phase.try_mst(&unit).expect("flagged, not refused");
-    assert!(mst.truncated && mst.result.phases == 1);
 }
 
 /// The same cap under a *construction*: on the simulating backends a
@@ -988,7 +975,7 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     cfg.sim.mode = SimMode::Queued;
     cfg.sim.threads = 4;
     cfg.aggregate.delay_range = 9;
-    cfg.mst.max_phases = Some(12);
+    cfg.sim.max_rounds = 12;
     assert_eq!(roundtrip(&cfg), cfg);
 
     // Pinned snapshot of the defaults: changing any default or renaming a
@@ -999,8 +986,9 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     // A config persisted before the unused knobs were deleted still loads
     // (unknown keys are ignored) to today's defaults, and so does one from
     // before the per-op `sim` overrides were removed, which spells
-    // `"sim": null` inside an op block, and one from before the
-    // construction settings were cut to the congestion factor.
+    // `"sim": null` inside an op block, one from before the construction
+    // settings were cut to the congestion factor, and one from before the
+    // MST block and the bandwidth setting went.
     let older =
         SNAPSHOT_WITH_DELETED_KNOBS.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
     assert_ne!(older, SNAPSHOT_WITH_DELETED_KNOBS);
@@ -1008,6 +996,7 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
         SNAPSHOT_WITH_DELETED_KNOBS,
         &older,
         SNAPSHOT_WITH_CONSTRUCTION_KNOBS,
+        SNAPSHOT_WITH_MST_BLOCK,
     ] {
         let loaded: SessionConfig = serde_json::from_str(old).expect("old schema still loads");
         assert_eq!(loaded, SessionConfig::default());
@@ -1017,6 +1006,14 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
 /// The serialized `SessionConfig::default()` — the on-disk schema a
 /// serving deployment would persist.
 const SNAPSHOT: &str = "{\"shortcut\":{\"congestion_factor\":8},\
+\"sim\":{\"mode\":\"Strict\",\"max_rounds\":1000000,\
+\"threads\":1,\"message_packing\":1},\
+\"aggregate\":{\"delay_range\":0},\
+\"partition_source\":null,\"graph_source\":null}";
+
+/// The default schema as persisted before the MST block (the coin seed and
+/// the phase cap) and the simulator's bandwidth setting were deleted.
+const SNAPSHOT_WITH_MST_BLOCK: &str = "{\"shortcut\":{\"congestion_factor\":8},\
 \"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\"max_rounds\":1000000,\
 \"threads\":1,\"message_packing\":1},\
 \"aggregate\":{\"delay_range\":0},\
