@@ -78,6 +78,20 @@ mod tests {
         assert!(rep.label.iter().all(|&l| l == rep.label[0]));
     }
 
+    /// Node 0's tree is node 0 alone (`D = 0`), so no fragment of the path
+    /// beside it gets a shortcut: its echoes are as tall as the fragments,
+    /// and the phase clock still lets every run finish.
+    #[test]
+    fn a_path_beside_the_tree_finishes() {
+        let g = Graph::from_edges(201, (1..200).map(|v| (v, v + 1)));
+        let rep = components_of(&g);
+        assert!(!rep.mst.truncated);
+        assert_eq!((rep.count, rep.mst.edges.len()), (2, 199));
+        assert!(rep.label[1..]
+            .iter()
+            .all(|&l| l == rep.label[1] && l != rep.label[0]));
+    }
+
     #[test]
     fn matches_centralized_components() {
         let g = Graph::from_edges(8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (5, 7)]);

@@ -101,6 +101,8 @@ pub struct MincutReport {
     pub trees: usize,
     /// Simulated rounds of the tree constructions (the first tree's: none).
     pub rounds: MstSteps,
+    /// The constructions' [`MstReport::clock_rounds`](crate::mst::MstReport).
+    pub clock_rounds: MstSteps,
     /// Additional simulated rounds of the evaluation convergecasts.
     pub eval_rounds: u64,
     /// Total simulated messages: `message_split`'s sum plus
@@ -108,6 +110,8 @@ pub struct MincutReport {
     pub messages: u64,
     /// Simulated messages of the tree constructions, per step.
     pub message_split: MstSteps,
+    /// The constructions' [`MstReport::mwoe_downs`](crate::mst::MstReport).
+    pub mwoe_downs: u64,
     /// Simulated messages of the evaluation convergecasts.
     pub eval_messages: u64,
     /// Total simulated bits.
@@ -127,8 +131,10 @@ impl std::ops::AddAssign<&MstReport> for MincutReport {
     /// Adds one packed tree's construction.
     fn add_assign(&mut self, tree: &MstReport) {
         self.rounds += &tree.rounds;
+        self.clock_rounds += &tree.clock_rounds;
         self.message_split += &tree.message_split;
         self.messages += tree.messages;
+        self.mwoe_downs += tree.mwoe_downs;
         self.bits += tree.bits;
         self.truncated |= tree.truncated;
         self.echoes += tree.echoes;

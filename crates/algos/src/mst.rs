@@ -14,9 +14,11 @@
 //! a fragment's spanning tree is carried over from the previous phase, a
 //! merged fragment's being its constituents' trees joined at the MWOE edges,
 //! a node they share keeping one parent (at most `2D + 1` high, one block;
-//! a fragment whose tree cannot be carried runs the full echo) — and sends
-//! the minimum down only the path to the member inside the MWOE
-//! ([`Wave::ToExtreme`]), and (4) merges fragments after public
+//! a fragment whose tree cannot be carried runs the full echo). A slot sends
+//! `Up` only when its subtree minimum or its parent changed since it last
+//! did, and once the `Up`s are quiet the minimum goes down only the path to
+//! the member inside the MWOE ([`Wave::ToExtreme`]); every run of a phase
+//! ends on its clock. (4) merges fragments after public
 //! coin flips (seed, phase and id fix a coin): each tail sends a 1-bit
 //! notice across its MWOE, a tail merges into a head, and of a mutual-MWOE
 //! pair of tails (notices crossing on one edge) the smaller id merges into
@@ -137,10 +139,15 @@ pub struct MstReport {
     pub phases: usize,
     /// Simulated rounds per step.
     pub rounds: MstSteps,
+    /// `rounds` on the phase clock ([`AggregateOp::run_masked`]): its MWOE
+    /// `Up` and `Down` and notify runs bill all of it, the rest what they take.
+    pub clock_rounds: MstSteps,
     /// Total simulated messages: `message_split`'s sum.
     pub messages: u64,
     /// Simulated messages per step.
     pub message_split: MstSteps,
+    /// Of `message_split.aggregation`, the `Down`s to each MWOE's holder.
+    pub mwoe_downs: u64,
     /// Total simulated bits (id-aware accounting; id exchanges are billed
     /// at `id_bits(n)` per message; a merge notice is 1 bit).
     pub bits: u64,
@@ -191,10 +198,10 @@ fn coin(seed: u64, phase: usize, id: u32) -> bool {
 /// providers — the blocks `session.mst(..)` passes.
 ///
 /// A run that cannot finish — a simulator run hits
-/// [`sim.max_rounds`](lcs_congest::SimConfig::max_rounds) (the provider's
-/// own cap for its construction phases), or the next phase would exceed
-/// the phase cap — stops there and reports the forest found so far with
-/// [`truncated`](MstReport::truncated) set.
+/// [`sim.max_rounds`](lcs_congest::SimConfig::max_rounds) or its phase's
+/// clock (the provider's own cap for its construction phases), or the next
+/// phase would exceed the phase cap — stops there and reports the forest
+/// found so far with [`truncated`](MstReport::truncated) set.
 ///
 /// # Panics
 ///
@@ -229,7 +236,8 @@ pub(crate) fn boruvka(
     // fragment tree is kept up to, and the size above which an in-tree
     // fragment gets a construction (a smaller one meets the dilation bound
     // on its own; the tree cannot reach one outside its component).
-    let block = 2 * tree.depth_of_tree() as usize + 1;
+    let (depth, mut delta_hat) = (tree.depth_of_tree(), 1);
+    let block = 2 * depth as usize + 1;
     let constructs = |nodes: &[NodeId]| tree.contains(nodes[0]) && nodes.len() > block;
     let mut report = MstReport::default();
 
@@ -312,6 +320,7 @@ pub(crate) fn boruvka(
                         report.truncated = true;
                         break;
                     };
+                    delta_hat = delta_hat.max(built.delta_hat);
                     report.rounds.construction += built.cost.rounds;
                     report.message_split.construction += built.cost.messages;
                     report.bits += built.cost.bits;
@@ -345,13 +354,22 @@ pub(crate) fn boruvka(
         let cold = (partition.iter().zip(forest.tree_edges(&participation)))
             .filter(|((_, nodes), edges)| nodes.len() > 1 && *edges == 0)
             .count();
+        // The phase's clock (`run_masked`): the parts an edge carries (the
+        // congestion bound at the largest `δ̂` reached, `⌈log₂(n+1)⌉` sweeps,
+        // or the most at a node), the tallest tree a run can use, the delays.
+        let bound = config.shortcut.envelope(delta_hat, depth, id_bits(n));
+        let c = u64::from(bound.congestion).max(participation.load() as u64);
+        let h = forest.height_bound(&participation, block) as u64;
+        let clock = u64::from(config.aggregate.delay_range) + c + 2 * h + 1;
+        let mut sim = config.sim;
+        sim.max_rounds = sim.max_rounds.min(clock);
         let mut aggregate = |values: &[u64], op, leaders: &[NodeId], shape| {
             let op = AggregateOp {
                 values,
                 op,
                 leaders: Some(leaders),
             };
-            let blocks = (&config.aggregate, config.sim);
+            let blocks = (&config.aggregate, sim);
             let out = op.run_masked(g, &partition, blocks, &participation, &mut forest, shape);
             report.bits += out.metrics.bits;
             report.truncated |= out.metrics.truncated;
@@ -362,7 +380,9 @@ pub(crate) fn boruvka(
         // member inside the MWOE.
         let agg = aggregate(&local, AggOp::Min, &leaders, (Wave::ToExtreme, None));
         report.rounds.aggregation += agg.metrics.rounds;
+        report.clock_rounds.aggregation += 2 * clock;
         report.message_split.aggregation += agg.metrics.messages;
+        report.mwoe_downs += agg.down.messages;
         report.echoes += cold;
         if agg.metrics.truncated {
             break; // a partial minimum is no MWOE
@@ -423,6 +443,7 @@ pub(crate) fn boruvka(
         report.notified += stays.iter().filter(|&&stays| !stays).count();
         report.message_split.notification += note.metrics.messages;
         report.rounds.notification += note.metrics.rounds;
+        report.clock_rounds.notification += clock;
         if note.metrics.truncated {
             break; // a partial broadcast would relabel half a fragment
         }
@@ -459,6 +480,8 @@ pub(crate) fn boruvka(
         (partition, transition) = (next, Some(t));
     }
 
+    report.clock_rounds.exchange = report.rounds.exchange;
+    report.clock_rounds.construction = report.rounds.construction;
     report.edges.sort_unstable();
     report.total_weight = weights.total(report.edges.iter().copied());
     report.messages = report.message_split.total();
@@ -470,6 +493,7 @@ mod tests {
     use super::*;
     use lcs_core::{measure_quality, ConstructionStats};
     use lcs_graph::{bfs, gen};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::{BTreeMap, BTreeSet};
@@ -556,20 +580,63 @@ mod tests {
 
     /// One phase re-run from scratch: the fragments, the parts the MWOE
     /// run served warm, the fragments of at least 2 members it echoed, the
-    /// carry's detaches, both runs' messages, the merging tails' kept
-    /// non-root slots after the MWOE run, the carried trees' heights, and
-    /// whether a fresh construction over every in-tree fragment above
-    /// `2D + 1` nodes cut an edge.
+    /// carry's detaches, both runs' messages and the MWOE's `Down`s, the
+    /// MWOE holders' depths in the trees it left, the carried kept
+    /// non-root slots whose parent port or subtree minimum the previous
+    /// phase's `Up`s did not carry, the merging tails' kept non-root slots
+    /// after the MWOE run, the carried trees' heights, and whether a fresh
+    /// construction over every in-tree fragment above `2D + 1` nodes cut
+    /// an edge.
     struct PhaseRuns {
         k: usize,
         rooted: usize,
         echoes: usize,
         detaches: usize,
         mwoe: u64,
+        downs: u64,
+        holder_depths: u64,
+        changed: usize,
         notify: u64,
         merging_edges: usize,
         heights: Vec<Option<usize>>,
         cut: bool,
+    }
+
+    /// `(node, fragment id) → (parent port, subtree minimum)` per kept
+    /// non-root slot.
+    type Links = BTreeMap<(u32, u32), (u32, u64)>;
+
+    /// Per kept non-root slot of `forest` over `map`, keyed by its node and
+    /// fragment id (`ids[part]`): its port towards the parent and the
+    /// minimum of `local` over its subtree. Also the summed depth of each
+    /// fragment's MWOE holder, the member whose value is the fragment's
+    /// minimum (if it has an outgoing edge).
+    fn subtree_minima(
+        g: &Graph,
+        partition: &Partition,
+        (map, forest): (&ParticipationMap, &AggForest),
+        ids: &[u32],
+        local: &[u64],
+    ) -> (Links, u64) {
+        let mut links: Links = (forest.links(map).into_iter())
+            .map(|(v, p, port)| ((v.0, ids[p.index()]), (port, u64::MAX)))
+            .collect();
+        let mut holder_depths = 0;
+        for (p, members) in partition.iter() {
+            let f = ids[p.index()];
+            let min = members.iter().map(|v| local[v.index()]).min().unwrap();
+            for &u in members {
+                let (mut v, mut depth) = (u, 0);
+                while let Some((port, below)) = links.get_mut(&(v.0, f)) {
+                    *below = (*below).min(local[u.index()]);
+                    (v, depth) = (g.heads(v)[*port as usize], depth + 1);
+                }
+                if min != u64::MAX && local[u.index()] == min {
+                    holder_depths += depth;
+                }
+            }
+        }
+        (links, holder_depths)
     }
 
     /// Re-runs every replayed phase from scratch — `Partition::from_parts`
@@ -607,6 +674,9 @@ mod tests {
         let block = 2 * depth as usize + 1;
         let big = |nodes: &[NodeId]| tree.contains(nodes[0]) && nodes.len() > block;
         let mut last: Option<(Partition, Shortcut, ParticipationMap, AggForest, Vec<u32>)> = None;
+        // What the last phase's `Up`s carried: per kept non-root slot, its
+        // node, fragment id, parent port and subtree minimum.
+        let mut last_ups = BTreeSet::new();
         let mut runs = Vec::new();
         for (i, phase) in phases.iter().enumerate() {
             let before = &phase.fragment_of;
@@ -732,7 +802,31 @@ mod tests {
                 run.run_masked(g, &partition, blocks, &participation, forest, shape)
             };
             let extreme = (Wave::ToExtreme, None);
+            // The differential wave finds what the full wave finds over the
+            // same trees with nothing remembered: the same minima, sent down
+            // the same paths, and leaves the same trees remembering the same.
+            let mut full = forest.trees();
+            let reference = run(&mut full, &local, AggOp::Min, &leaders, extreme);
+            let carried = (&participation, &forest);
+            let (links, _) = subtree_minima(g, &partition, carried, &ids, &local);
             let mwoe = run(&mut forest, &local, AggOp::Min, &leaders, extreme);
+            assert_eq!(mwoe.results, reference.results, "phase {i}");
+            assert!(mwoe.all_members_informed && reference.all_members_informed);
+            let paths = (mwoe.down.counts(), reference.down.counts());
+            assert_eq!(paths.0, paths.1, "phase {i}: the Down paths");
+            assert_eq!(forest, full, "phase {i}: the trees and their memory");
+            // A fragment's members moved to the fragment of its id.
+            let heard: BTreeSet<_> = (last_ups.iter())
+                .map(|&(v, f, port, min)| (v, before[f as usize], port, min))
+                .collect();
+            let changed = (links.iter())
+                .filter(|&(&(v, f), &(port, min))| !heard.contains(&(v, f, port, min)))
+                .count();
+            let (left, holder_depths) =
+                subtree_minima(g, &partition, (&participation, &forest), &ids, &local);
+            last_ups = (left.into_iter())
+                .map(|((v, f), (port, min))| (v, f, port, min))
+                .collect();
             let edges = forest.tree_edges(&participation).into_iter().zip(&stays);
             let merging_edges = edges.filter(|(_, &stays)| !stays).map(|(e, _)| e).sum();
             let shape = (Wave::Broadcast, Some(&stays[..]));
@@ -743,6 +837,9 @@ mod tests {
                 echoes: k - mwoe.rooted_parts - cold_singletons,
                 detaches,
                 mwoe: mwoe.metrics.messages,
+                downs: mwoe.down.messages,
+                holder_depths,
+                changed,
                 notify: notify.metrics.messages,
                 merging_edges,
                 heights,
@@ -799,8 +896,13 @@ mod tests {
                 run.notify, run.merging_edges as u64,
                 "{provider:?} phase {i}"
             );
+            // The MWOE goes down to its holder; a warm phase sends an `Up`
+            // from at least every kept slot whose parent port or subtree
+            // minimum the last phase's `Up`s did not carry.
+            assert_eq!(run.downs, run.holder_depths, "{provider:?} phase {i}");
             if run.rooted == run.k {
-                assert!(run.notify <= run.mwoe, "{provider:?} phase {i}");
+                let ups = run.mwoe - run.downs;
+                assert!(ups >= run.changed as u64, "{provider:?} phase {i}");
             }
             let before = &phase.fragment_of;
             let after = phases.get(i + 1).map_or(&last, |p| &p.fragment_of);
@@ -813,6 +915,8 @@ mod tests {
             }
         }
         assert_eq!(report.message_split, expected, "{provider:?}");
+        let downs: u64 = runs.iter().map(|r| r.downs).sum();
+        assert_eq!(report.mwoe_downs, downs, "{provider:?}");
         assert_eq!(report.messages, expected.total(), "{provider:?}");
         let echoes: usize = runs.iter().map(|r| r.echoes).sum();
         assert_eq!(report.echoes, echoes, "{provider:?}");
@@ -1063,10 +1167,106 @@ mod tests {
         }
     }
 
+    /// A graph of at most 300 nodes from the grid, torus, wheel, 3-tree and
+    /// road-like families, a provider that constructs, gives the whole tree
+    /// or gives nothing, and weight and coin seeds.
+    fn arb_instance() -> impl Strategy<Value = (Graph, ShortcutProvider, u64, u64)> {
+        let providers = [
+            ShortcutProvider::Oracle,
+            ShortcutProvider::Baseline,
+            ShortcutProvider::None,
+        ];
+        let shape = (0usize..5, 3usize..18, 0usize..3);
+        (shape, 0u64..1000, 0u64..1000).prop_map(move |((family, side, p), seed, coins)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = match family {
+                0 => gen::grid(side, side),
+                1 => gen::torus(side, side),
+                2 => gen::wheel(side * side),
+                3 => gen::ktree(side * side, 3, &mut rng),
+                _ => gen::road_like(side, side, seed),
+            };
+            (g, providers[p], seed, coins)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The differential MWOE wave is the full wave saying less: at
+        /// every phase [`check_bill`]'s re-run finds, over the same carried
+        /// forest with nothing remembered, the same minima sent down the
+        /// same paths, leaving the same trees remembering the same values.
+        /// The tree is Kruskal's, every count repeats at 2 and 8 lanes, and
+        /// packing 8 finds the same tree.
+        #[test]
+        fn the_differential_wave_is_the_full_wave((g, provider, seed, coins) in arb_instance()) {
+            let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
+            let (report, _) = check_bill(&g, &w, provider, coins);
+            prop_assert_eq!(&report.edges, &kruskal(&g, &w));
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let run = |threads, message_packing| {
+                let mut config = SessionConfig::default();
+                (config.sim.threads, config.sim.message_packing) = (threads, message_packing);
+                boruvka(&g, &w, &tree, provider, &config, coins, usize::MAX)
+            };
+            let counts = |r: &MstReport| {
+                let steps = (r.rounds.clone(), r.clock_rounds.clone(), r.message_split.clone());
+                (steps, r.mwoe_downs, r.bits, r.echoes, r.notified, r.edges.clone())
+            };
+            let one = counts(&run(1, 1));
+            for threads in [2, 8] {
+                prop_assert_eq!(counts(&run(threads, 1)), one.clone());
+            }
+            prop_assert_eq!(run(1, 8).edges, one.5);
+        }
+    }
+
+    /// Where a merge stitches two trees through a node both keep, the node
+    /// keeps one parent and forgets what it sent up, and a relay the
+    /// stitching leaves without a child reports `Empty` to a parent that
+    /// knew its last value: the differential wave still finds every MWOE
+    /// (on `torus` 28², the smallest grid, torus, 3-tree or road-like
+    /// instance of a sweep over seeds 0–5 where either repair was missing
+    /// and Boruvka returned a wrong tree).
+    #[test]
+    fn stitched_trees_resend_where_they_meet() {
+        let g = gen::torus(28, 28);
+        let w = EdgeWeights::random(&g, 1000, &mut SmallRng::seed_from_u64(0));
+        let (report, _) = check_bill(&g, &w, ShortcutProvider::Oracle, COIN_SEED);
+        assert_eq!(report.edges, kruskal(&g, &w));
+    }
+
     #[test]
     fn matches_kruskal_with_no_shortcuts() {
         let g = gen::wheel(20);
         check_matches_kruskal(&g, 14, ShortcutProvider::None);
+    }
+
+    /// Fragments no shortcut serves run their echo over `G[P_i]` alone,
+    /// as tall as the fragment, and the clock waits for them: a wheel whose
+    /// rim is light runs rim paths hundreds of nodes long under every
+    /// provider, and none of its runs is cut short.
+    #[test]
+    fn rim_paths_finish_on_the_clock() {
+        let g = gen::wheel(1024);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let heavy = |e: lcs_graph::EdgeRef| if e.u == NodeId(0) { 1 << 20 } else { 0 };
+        let w = g
+            .edges()
+            .map(|e| heavy(e) + rand::Rng::gen_range(&mut rng, 1..1000u64))
+            .collect();
+        let w = EdgeWeights::from_vec(&g, w);
+        for provider in [
+            ShortcutProvider::None,
+            ShortcutProvider::Baseline,
+            ShortcutProvider::Oracle,
+        ] {
+            let report = mst_of(&g, &w, provider);
+            assert!(!report.truncated, "{provider:?}");
+            assert_eq!(report.edges, kruskal(&g, &w), "{provider:?}");
+            assert!(report.rounds.aggregation <= report.clock_rounds.aggregation);
+        }
     }
 
     #[test]
@@ -1107,16 +1307,20 @@ mod tests {
         assert_eq!(none.rounds.construction, 0);
         assert_eq!(none.messages, 2 * g.num_edges() as u64);
 
-        // A round cap that cuts an MWOE run short (the third phase's):
+        // A round cap of 1 cuts an MWOE run short (the third phase's `Up`s):
         // that phase sent no notice, so the exchange rounds are
-        // `2·phases − 1`.
-        let mut config = SessionConfig::default();
-        config.sim.max_rounds = 2;
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let cut = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
-        assert!(cut.truncated && cut.phases == 3);
-        assert_eq!(cut.rounds.exchange, 2 * cut.phases as u64 - 1);
-        assert!(cut.edges.iter().all(|e| reference.contains(e)));
+        // `2·phases − 1`. A cap of 2 lets the third phase's MWOE `Up`s and
+        // `Down`s through, each run on its own, and cuts its notify wave,
+        // after the notices: `2·phases`.
+        for (cap, notices) in [(1, 0), (2, 1)] {
+            let mut config = SessionConfig::default();
+            config.sim.max_rounds = cap;
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let cut = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+            assert!(cut.truncated && cut.phases == 3, "cap {cap}");
+            assert_eq!(cut.rounds.exchange, 2 * cut.phases as u64 - 1 + notices);
+            assert!(cut.edges.iter().all(|e| reference.contains(e)));
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use lcs_graph::{bfs, gen, Graph, NodeId};
 
 const EXACT: &str = "Cor 1.6 every provider's MST ≡ Kruskal";
 const SEPARATION: &str = "Cor 1.6 wheel rounds: minor-sweep ≤ D+√n baseline";
+const CLOCK: &str = "Cor 1.6 minor-sweep rounds ≤ its phase clock's";
 
 /// One weighting of `g` under each provider (minor-sweep, baseline, none),
 /// and whether all three returned Kruskal's tree.
@@ -35,7 +36,9 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
 }
 
 /// Runs E6: the wheel and the grid sweep. Rounds are per provider;
-/// phases, messages, the MWOE and notify waves' share of them, echoes
+/// the rounds on the phase clock (every run billed its whole clock),
+/// phases, messages, the MWOE `Up`s' and `Down`s' and the notify wave's
+/// share of them, echoes
 /// (MWOE aggregates no carried tree served, over fragments of at least 2
 /// members — a singleton's echo sends nothing) and notified (fragments whose
 /// merge-notify broadcast ran: the merging tails) are the minor-sweep
@@ -45,19 +48,24 @@ pub fn run() -> Report {
     // Wheel sweep: D = 2 fixed, n grows.
     out.table(
         "E6a (Corollary 1.6): MST rounds on wheels (D = 2, rim diameter Θ(n))",
-        "n, minor-sweep, phases, messages, mwoe msgs, notify msgs, echoes, notified, baseline D+√n, no shortcuts, exact",
+        "n, minor-sweep, clock, phases, messages, mwoe up, mwoe down, notify msgs, echoes, notified, \
+         baseline D+√n, no shortcuts, exact",
     );
     for n in [64, 128, 256, 512, 1024] {
         let ([sweep, base, none], exact) = run_all(&gen::wheel(n), 7);
         let (rounds, base_rounds) = (sweep.rounds.total(), base.rounds.total());
         let row = format!("wheel {n}");
         out.claim(&row, EXACT, exact, Exactly, true);
+        let clock = sweep.clock_rounds.total();
+        out.claim(&row, CLOCK, rounds as f64, AtMost, clock as f64);
         out.row(&[
             &n,
             &rounds,
+            &clock,
             &sweep.phases,
             &sweep.messages,
-            &sweep.message_split.aggregation,
+            &(sweep.message_split.aggregation - sweep.mwoe_downs),
+            &sweep.mwoe_downs,
             &sweep.message_split.notification,
             &sweep.echoes,
             &sweep.notified,
@@ -70,19 +78,24 @@ pub fn run() -> Report {
     // Grid sweep: all providers comparable (easy instance).
     out.table(
         "E6b: MST rounds on planar grids (compact fragments — an easy case)",
-        "side, n, minor-sweep, phases, messages, mwoe msgs, notify msgs, echoes, notified, baseline D+√n, no shortcuts, exact",
+        "side, n, minor-sweep, clock, phases, messages, mwoe up, mwoe down, notify msgs, echoes, \
+         notified, baseline D+√n, no shortcuts, exact",
     );
     for s in [8, 12, 16, 24] {
         let ([sweep, base, none], exact) = run_all(&gen::grid(s, s), 9);
         let row = format!("grid {s}x{s}");
         out.claim(&row, EXACT, exact, Exactly, true);
+        let (rounds, clock) = (sweep.rounds.total(), sweep.clock_rounds.total());
+        out.claim(&row, CLOCK, rounds as f64, AtMost, clock as f64);
         out.row(&[
             &s,
             &(s * s),
-            &sweep.rounds.total(),
+            &rounds,
+            &clock,
             &sweep.phases,
             &sweep.messages,
-            &sweep.message_split.aggregation,
+            &(sweep.message_split.aggregation - sweep.mwoe_downs),
+            &sweep.mwoe_downs,
             &sweep.message_split.notification,
             &sweep.echoes,
             &sweep.notified,

@@ -23,14 +23,15 @@ const UPPER_BOUND: &str = "Cor 1.7 1-respecting estimate ≥ λ";
 const EXACT: &str = "Cor 1.7 2-respecting cut = λ";
 const EVALUATION: &str = "Cor 1.7 evaluation = trees·(n − 1) messages";
 const EVAL_ROUNDS: &str = "Cor 1.7 evaluation rounds = Σ depth(packed trees)";
+const CLOCK: &str = "Cor 1.7 construction rounds ≤ their phase clocks'";
 
 /// Runs E7.
 pub fn run() -> Report {
     let mut out = Report::default();
     out.table(
         "E7 (Corollary 1.7): min-cut — tree packing + 1-respecting vs Stoer-Wagner",
-        "graph, n, m, λ exact, 1-respect, 2-respect, ratio, trees, construction rounds, \
-         eval rounds, max packed depth, sound",
+        "graph, n, m, λ exact, 1-respect, 2-respect, ratio, trees, construction rounds, clock, \
+         mwoe up, mwoe down, eval rounds, max packed depth, sound",
     );
     // The three random graphs draw from one stream, in this order.
     let mut rng = rng(77);
@@ -57,6 +58,8 @@ pub fn run() -> Report {
         let eval = (trees * (n - 1)) as f64;
         out.claim(name, UPPER_BOUND, one as f64, AtLeast, exact as f64);
         out.claim(name, EXACT, two as f64, Exactly, exact as f64);
+        let clock = rep.clock_rounds.total();
+        out.claim(name, CLOCK, rounds as f64, AtMost, clock as f64);
         out.claim(name, EVALUATION, rep.eval_messages as f64, Exactly, eval);
         // The packed trees are the centralized greedy packing's (pinned by
         // `mincut::tests::distributed_packing_is_the_greedy_packing`), and
@@ -85,6 +88,9 @@ pub fn run() -> Report {
             &ratio,
             &trees,
             &rounds,
+            &clock,
+            &(rep.message_split.aggregation - rep.mwoe_downs),
+            &rep.mwoe_downs,
             &rep.eval_rounds,
             &depth,
             &sound,

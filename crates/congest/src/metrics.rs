@@ -87,6 +87,19 @@ pub struct PhaseTimings {
     pub merge_ms: f64,
 }
 
+impl std::ops::AddAssign<&RunMetrics> for RunMetrics {
+    /// Appends `next`, a run that started when this one ended: the counts
+    /// add up, the backlog is the larger, either run's cap truncates, and
+    /// `next` says whether all ended done.
+    fn add_assign(&mut self, next: &RunMetrics) {
+        self.rounds += next.rounds;
+        self.messages += next.messages;
+        self.bits += next.bits;
+        self.max_queue = self.max_queue.max(next.max_queue);
+        (self.terminated, self.truncated) = (next.terminated, self.truncated || next.truncated);
+    }
+}
+
 impl RunMetrics {
     /// The measurement counters alone, without the execution configuration
     /// (`threads`, `bandwidth_bits`, `packing`): `(rounds, messages, bits, max_queue,

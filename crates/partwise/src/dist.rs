@@ -10,7 +10,6 @@ use lcs_core::{Partition, Shortcut, Transition};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -25,6 +24,8 @@ pub struct PartwiseOutcome {
     /// Simulation metrics (rounds are the headline number: expect
     /// `Õ(congestion + dilation)`).
     pub metrics: RunMetrics,
+    /// Of `metrics`, a [`Wave::ToExtreme`]'s second run, the `Down`s.
+    pub down: RunMetrics,
     /// Parts served from the cached [`AggForest`] in this run: they sent
     /// only `Up`/`Down` and did not pay for the offer wave. `0` on a cold
     /// run.
@@ -53,9 +54,9 @@ const NO_PORT: u32 = u32::MAX;
 pub enum Wave {
     /// The echo: `Down` to every kept slot, so every member learns it.
     Echo,
-    /// For `Min` / `Max`: a slot sends `Down` only to the child whose `Up`
-    /// last strictly changed its value, so the leader and the member
-    /// holding the extreme learn it.
+    /// For `Min` / `Max`: `Up` only where a slot's extreme changed since the
+    /// forest's last such wave, then a second run sends the result `Down`
+    /// only towards it: the leader and holder learn.
     ToExtreme,
     /// The leader's own value goes `Down` over its part's tree, rooted
     /// anywhere, each slot passing it to every kept tree neighbour but the
@@ -242,6 +243,12 @@ impl ParticipationMap {
         map
     }
 
+    /// The most parts any node takes part in: no edge carries more.
+    pub fn load(&self) -> usize {
+        let slots = self.first_slot.windows(2).map(|w| w[1] - w[0]);
+        slots.max().unwrap_or(0) as usize
+    }
+
     /// Node `v`'s slots in the table-wide slot numbering.
     fn slot_range(&self, v: NodeId) -> Range<usize> {
         self.first_slot[v.index()] as usize..self.first_slot[v.index() + 1] as usize
@@ -251,6 +258,12 @@ impl ParticipationMap {
     fn slot_of(&self, v: NodeId, part: u32) -> Option<usize> {
         let local = self.node(v).parts().binary_search(&part).ok()?;
         Some(self.slot_range(v).start + local)
+    }
+
+    /// Where slot `s`'s entry for `port` sits in the port array, if any.
+    fn pair(&self, s: usize, port: u32) -> Option<usize> {
+        let range = self.entry_range(s);
+        Some(range.start + self.ports[range].binary_search(&port).ok()?)
     }
 
     /// Where table-wide slot `s`'s ports sit in the port array.
@@ -339,7 +352,7 @@ const NO_ROOT: u32 = u32::MAX;
 /// next run re-roots it with the full echo.
 ///
 /// When the partition moves, [`carried_over`](Self::carried_over) lays the
-/// trees across its [`Transition`] onto the next table.
+/// trees across its [`Transition`] onto the next table, memory included.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggForest {
     /// Per part, the leader its tree is rooted at; `NO_ROOT` if none is.
@@ -350,7 +363,15 @@ pub struct AggForest {
     /// Per `(slot, port)` entry, whether the neighbor is a kept child of
     /// this slot; `false` throughout unrooted parts.
     child: Vec<bool>,
+    /// Per `(slot, port)` entry, what the last [`Wave::ToExtreme`]s heard
+    /// from that child, or at the parent's entry what the slot sent up
+    /// ([`UNHEARD`]: unknown; moot while unrooted); empty until the first.
+    heard: Vec<u64>,
 }
+
+/// What a forest's memory holds where it knows nothing. A real value equal
+/// to it reads the same, which costs `Up`s, never a wrong result.
+const UNHEARD: u64 = u64::MAX - 1;
 
 impl AggForest {
     /// The forest of a cold start: every part of `partition` unrooted, shaped
@@ -360,6 +381,25 @@ impl AggForest {
             root: vec![NO_ROOT; partition.num_parts()],
             parent: vec![NO_PORT; participation.slot_part.len()],
             child: vec![false; participation.ports.len()],
+            heard: Vec::new(),
+        }
+    }
+
+    /// Gives the forest its memory, knowing nothing yet.
+    fn remember(&mut self) {
+        self.heard = vec![UNHEARD; self.child.len()];
+    }
+
+    /// This forest's trees, remembering nothing: its next
+    /// [`Wave::ToExtreme`] sends every `Up`, as its first did.
+    pub fn trees(&self) -> Self {
+        let (root, parent, child) = (self.root.clone(), self.parent.clone(), self.child.clone());
+        let heard = Vec::new();
+        AggForest {
+            root,
+            parent,
+            child,
+            heard,
         }
     }
 
@@ -380,7 +420,10 @@ impl AggForest {
     /// gets a detach, one message naming the part, that clears its child
     /// flag. Rank never decreases along parent pointers, and each
     /// constituent's walk ends at its root or at the join into the one
-    /// that joins nothing, so the result is a tree.
+    /// that joins nothing, so the result is a tree. The memory
+    /// ([`Wave::ToExtreme`]) of a link that keeps its direction comes along;
+    /// a link made, flipped or detached starts unknown at both ends, and a
+    /// slot where constituents meet forgets what it sent up.
     ///
     /// Two repairs, read off this forest and `partition` alone, follow
     /// membership changes:
@@ -427,15 +470,20 @@ impl AggForest {
             "forest is laid out over `old`"
         );
         let mut joined = vec![false; into.len()];
-        let mut src = Cow::Borrowed(self);
+        // The re-rooted copy reads its memory from `self`.
+        let mut rerooted = None;
         for &(q, inside, far) in joins {
             joined[q.index()] = true;
-            let src = src.to_mut();
+            let src = rerooted.get_or_insert_with(|| self.trees());
             if src.reroot(g, old, q.0, inside, far).is_none() {
                 src.root[q.index()] = NO_ROOT;
             }
         }
+        let src = rerooted.as_ref().unwrap_or(self);
         let mut out = AggForest::unrooted(partition, new);
+        if !self.heard.is_empty() {
+            out.remember();
+        }
         let mut fits = vec![true; out.root.len()];
         for (q, (&p, &root)) in into.iter().zip(&src.root).enumerate() {
             let root_left = || partition.part_of(NodeId(root)) != Some(p);
@@ -482,15 +530,21 @@ impl AggForest {
                     if drops != NO_PORT {
                         dropped.push((v, at, drops));
                     }
-                    let children = old_slots
-                        .ports(o)
-                        .iter()
-                        .zip(&src.child[old_slots.entry_range(o)]);
-                    let stays =
-                        |&(&port, &c): &(&u32, &bool)| c && !departs(g.heads(v)[port as usize], q);
-                    for (port, _) in children.filter(stays) {
-                        let at = ports.binary_search(port).ok()?;
-                        out.child[new_slots.entry_range(s).start + at] = true;
+                    // The memory of a link that kept its direction: a child's
+                    // last report, and what the slot sent at its parent's entry.
+                    let up = self.parent[old_base + o];
+                    let old_entries = old_slots.entry_range(o);
+                    for (e, &port) in old_entries.zip(old_slots.ports(o)) {
+                        let child = src.child[e] && !departs(g.heads(v)[port as usize], q);
+                        let known = (child && self.child[e]) || (port == parent && port == up);
+                        if child || known {
+                            let at =
+                                new_slots.entry_range(s).start + ports.binary_search(&port).ok()?;
+                            out.child[at] |= child;
+                            if let Some(heard) = out.heard.get_mut(at).filter(|_| known) {
+                                *heard = self.heard[e];
+                            }
+                        }
                     }
                     Some(())
                 });
@@ -505,6 +559,11 @@ impl AggForest {
         }
         dropped.sort_unstable();
         dropped.dedup();
+        for &(_, s, port) in &dropped {
+            // Constituents met: what any of them sent up is moot.
+            out.forget_at(new, s, port);
+            out.forget_at(new, s, out.parent[s]);
+        }
         dropped.retain(|&(_, s, port)| port != out.parent[s]);
         for &(v, s, port) in &dropped {
             let (p, w) = (new.slot_part[s], g.heads(v)[port as usize]);
@@ -534,6 +593,7 @@ impl AggForest {
                     break;
                 };
                 out.parent[s] = port;
+                out.forget_at(new, s, port);
                 let back = g.port_to(w, v).expect("adjacent") as u32;
                 (out.set_child(new, (w, p.0), back, true))
                     .expect("an edge inside a part participates");
@@ -600,11 +660,27 @@ impl AggForest {
         port: u32,
         child: bool,
     ) -> Option<()> {
-        let slots = map.node(v);
-        let local = slots.parts().binary_search(&part).ok()?;
-        let at = slots.ports(local).binary_search(&port).ok()?;
-        self.child[slots.entry_range(local).start + at] = child;
+        let at = map.pair(map.slot_of(v, part)?, port)?;
+        self.child[at] = child;
+        forget(&mut self.heard, at..at + 1);
         Some(())
+    }
+
+    /// Forgets what slot `s` of `map` remembers at its entry for `port`.
+    fn forget_at(&mut self, map: &ParticipationMap, s: usize, port: u32) {
+        if let Some(at) = map.pair(s, port) {
+            forget(&mut self.heard, at..at + 1);
+        }
+    }
+
+    /// The most edges from a root down to a kept slot that a run over `map`
+    /// can leave, if every rooted part's tree is at most `cap` high: an
+    /// unrooted part's echo spans at most its slots.
+    pub fn height_bound(&self, map: &ParticipationMap, cap: usize) -> usize {
+        let mut slots = vec![0; self.root.len()];
+        (map.slot_part.iter()).for_each(|&part| slots[part as usize] += 1);
+        let echoed = (slots.iter().zip(&self.root)).filter(|(_, &root)| root == NO_ROOT);
+        echoed.map(|(&s, _)| s - 1).fold(cap, usize::max)
     }
 
     /// Per part, the edges of its tree over `map`: its kept non-root slots.
@@ -614,6 +690,14 @@ impl AggForest {
             edges[part as usize] += usize::from(parent != NO_PORT);
         }
         edges
+    }
+
+    /// The kept non-root slots over `map`: node, part and parent port each.
+    pub fn links(&self, map: &ParticipationMap) -> Vec<(NodeId, PartId, u32)> {
+        let slot = |v: NodeId, s: usize| (v, PartId(map.slot_part[s]), self.parent[s]);
+        let nodes = (0..map.first_slot.len() - 1).map(|v| NodeId(v as u32));
+        let slots = nodes.flat_map(|v| map.slot_range(v).map(move |s| slot(v, s)));
+        slots.filter(|&(.., port)| port != NO_PORT).collect()
     }
 
     /// Per part, the height of its tree over `map` — the most edges from
@@ -783,16 +867,14 @@ struct SlotState {
     /// The part's scheduling priority (its random delay, reused as a queue
     /// priority so late-starting parts also yield edge access).
     priority: u32,
-    /// The port of the child whose `Up` last strictly changed `acc`;
-    /// `NO_PORT` while `acc` is the slot's own value.
-    from: u32,
     /// Port towards the parent; `NO_PORT` until adopted.
     parent: u32,
     awaiting_replies: u32,
     pending_up: u32,
     started: bool,
+    member: bool,
     /// Whether a member of the part sits in this slot's subtree: the node
-    /// itself, or a child that reported `Up`.
+    /// itself, or a child that reported `Up` (last, to the extreme).
     member_below: bool,
     up_sent: bool,
     has_result: bool,
@@ -811,9 +893,9 @@ impl SlotState {
     }
 }
 
-/// One node's part of the echo, over its sub-slices of two run-wide arenas
+/// One node's part of the echo, over its sub-slices of the run-wide arenas
 /// laid out like the [`ParticipationMap`]: the run's slot states and the
-/// forest's own [`AggForest::child`], which the run updates in place.
+/// forest's own child flags and memory, which the run updates in place.
 struct PaProgram<'a> {
     op: AggOp,
     wave: Wave,
@@ -824,14 +906,34 @@ struct PaProgram<'a> {
     /// laid out like the node's ports (see [`NodeSlots::port_range`]): a
     /// slot's children in port order.
     is_child: &'a mut [bool],
+    /// Laid out like `is_child`: to the extreme, each child's last report
+    /// and at the parent's entry the slot's ([`AggForest::heard`]).
+    heard: &'a mut [u64],
     /// The slot of the part this node leads; `NO_SLOT` if it leads none.
     leads: u32,
     /// The remaining start delay of the led part, until it starts.
     start_in: Option<u32>,
+    /// Whether this run sends a [`Wave::ToExtreme`]'s results down.
+    downs: bool,
 }
 
 /// "No slot": a [`PaProgram`] that leads no part.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Makes a forest's (or program's) memory `cells` unknown, if it has any.
+fn forget(cells: &mut [u64], range: Range<usize>) {
+    if let Some(cells) = cells.get_mut(range) {
+        cells.fill(UNHEARD);
+    }
+}
+
+/// Splits the first `at` cells (all, if fewer) off `cells`.
+fn split_off<'a, T>(cells: &mut &'a mut [T], at: usize) -> &'a mut [T] {
+    let all = std::mem::take(cells);
+    let (head, rest) = all.split_at_mut(at.min(all.len()));
+    *cells = rest;
+    head
+}
 
 impl PaProgram<'_> {
     /// Counts down the led part's start delay; starts it at zero.
@@ -866,40 +968,77 @@ impl PaProgram<'_> {
         self.maybe_up(ctx, slot);
     }
 
+    /// The extreme of `slot`'s value and its children's last reports, the
+    /// port it came from (`NO_PORT`: the value; ties go to it, then to lower
+    /// ports), and whether a child is left (it reported an `Up`).
+    fn extreme(&self, slot: usize) -> (u64, u32, bool) {
+        let st = &self.states[slot];
+        if self.wave != Wave::ToExtreme {
+            return (st.acc, NO_PORT, false);
+        }
+        let range = self.slots.port_range(slot);
+        let ports = self.slots.ports(slot);
+        let children = ports.iter().zip(&self.is_child[range.clone()]);
+        let mut best = (st.acc, NO_PORT, false);
+        for ((&port, _), &val) in children.zip(&self.heard[range]).filter(|((_, &c), _)| c) {
+            if self.op.apply(best.0, val) != best.0 {
+                (best.0, best.1) = (val, port);
+            }
+            best.2 = true;
+        }
+        best
+    }
+
     fn maybe_up(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize) {
-        let st = &mut self.states[slot];
-        if st.up_sent || !st.started || st.awaiting_replies > 0 || st.pending_up > 0 {
+        let st = &self.states[slot];
+        if !st.started || st.awaiting_replies > 0 || st.pending_up > 0 || st.pruned() {
             return;
         }
-        st.up_sent = true;
-        let acc = st.acc;
+        let (acc, _, heard_up) = self.extreme(slot);
+        let remembers = self.wave == Wave::ToExtreme;
+        let st = &mut self.states[slot];
+        st.member_below = st.member || heard_up || (!remembers && st.member_below);
+        let reported = std::mem::replace(&mut st.up_sent, true);
         if slot == self.leads as usize {
-            self.deliver(ctx, slot, acc, NO_PORT);
-        } else {
-            assert_ne!(st.parent, NO_PORT, "non-leader has a parent once started");
+            if self.downs || (!reported && !remembers) {
+                self.deliver(ctx, slot, acc, NO_PORT);
+            }
+            return;
+        }
+        let (parent, prio, below) = (st.parent, u64::from(st.priority), st.member_below);
+        let news = match remembers {
+            // What the slot last sent up sits at its parent's entry.
+            true => {
+                let at = self.pair(slot, parent);
+                std::mem::replace(&mut self.heard[at], acc) != acc || acc == UNHEARD
+            }
+            false => !reported,
+        };
+        if news {
+            assert_ne!(parent, NO_PORT, "non-leader has a parent once started");
             let part = self.slots.parts()[slot];
-            let up = if st.member_below {
+            let up = if below {
                 PaMsg::Up(part, acc)
             } else {
                 PaMsg::Empty(part)
             };
-            ctx.send_with_priority(st.parent as usize, up, u64::from(st.priority));
+            ctx.send_with_priority(parent as usize, up, prio);
         }
     }
 
-    /// The "is my child" flag of `slot`'s neighbor over `port`.
-    fn child_flag(&mut self, slot: usize, port: u32) -> &mut bool {
+    /// Where `slot`'s pair with `port` sits in the node's per-pair cells.
+    fn pair(&self, slot: usize, port: u32) -> usize {
         let at = self.slots.ports(slot).binary_search(&port);
-        let at = at.expect("children reply over a port the slot offered");
-        &mut self.is_child[self.slots.port_range(slot).start + at]
+        self.slots.port_range(slot).start + at.expect("a slot's tree neighbours are on its ports")
     }
 
     /// Records the part's result and passes it to every kept tree neighbour
     /// but `sender` (the echo's parent), or only towards the extreme.
     fn deliver(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, val: u64, sender: u32) {
+        let (_, from, _) = self.extreme(slot);
         let st = &mut self.states[slot];
         (st.acc, st.has_result) = (val, true);
-        let (from, parent, prio) = (st.from, st.parent, u64::from(st.priority));
+        let (parent, prio) = (st.parent, u64::from(st.priority));
         let down = PaMsg::Down(self.slots.parts()[slot], val);
         let children = &self.is_child[self.slots.port_range(slot)];
         let to = |&(&p, &child): &(&u32, &bool)| match self.wave {
@@ -949,7 +1088,7 @@ impl NodeProgram for PaProgram<'_> {
                 }
                 PaMsg::Adopt(part) => {
                     let slot = self.slots.slot_of(part);
-                    *self.child_flag(slot, port) = true;
+                    self.is_child[self.pair(slot, port)] = true;
                     let st = &mut self.states[slot];
                     st.pending_up += 1;
                     st.awaiting_replies -= 1;
@@ -957,20 +1096,34 @@ impl NodeProgram for PaProgram<'_> {
                 }
                 PaMsg::Up(part, val) => {
                     let slot = self.slots.slot_of(part);
-                    let st = &mut self.states[slot];
-                    let acc = self.op.apply(st.acc, val);
-                    if acc != st.acc {
-                        (st.acc, st.from) = (acc, port);
+                    self.states[slot].member_below = true;
+                    // To the extreme: wait for first `Up`s only, report once a round.
+                    if self.wave == Wave::ToExtreme {
+                        let at = self.pair(slot, port);
+                        // A real `UNHEARD` can read as a second first report.
+                        let first = std::mem::replace(&mut self.heard[at], val) == UNHEARD;
+                        let st = &mut self.states[slot];
+                        st.pending_up = st.pending_up.saturating_sub(u32::from(first));
+                        continue;
                     }
-                    st.member_below = true;
+                    let st = &mut self.states[slot];
+                    st.acc = self.op.apply(st.acc, val);
                     st.pending_up -= 1;
                     self.maybe_up(ctx, slot);
                 }
                 PaMsg::Empty(part) => {
                     let slot = self.slots.slot_of(part);
-                    *self.child_flag(slot, port) = false;
-                    self.states[slot].pending_up -= 1;
-                    self.maybe_up(ctx, slot);
+                    let at = self.pair(slot, port);
+                    self.is_child[at] = false;
+                    // To the extreme, a known child's last report goes too.
+                    if self.wave == Wave::ToExtreme {
+                        let first = std::mem::replace(&mut self.heard[at], UNHEARD) == UNHEARD;
+                        let st = &mut self.states[slot];
+                        st.pending_up = st.pending_up.saturating_sub(u32::from(first));
+                    } else {
+                        self.states[slot].pending_up -= 1;
+                        self.maybe_up(ctx, slot);
+                    }
                 }
                 PaMsg::Down(part, val) => {
                     let slot = self.slots.slot_of(part);
@@ -978,6 +1131,12 @@ impl NodeProgram for PaProgram<'_> {
                         self.deliver(ctx, slot, val, port);
                     }
                 }
+            }
+        }
+        let remembers = self.wave == Wave::ToExtreme;
+        for m in inbox.iter().filter(|_| remembers) {
+            if let PaMsg::Up(part, _) | PaMsg::Empty(part) = m.msg {
+                self.maybe_up(ctx, self.slots.slot_of(part));
             }
         }
     }
@@ -1059,7 +1218,20 @@ impl AggregateOp<'_> {
     /// [`Wave`]'s learners: in a [`Wave::ToExtreme`] run the members holding
     /// a non-identity result, else every member. Afterwards `forest` holds
     /// the trees of the parts this run finished, that sat out or that it
-    /// broadcast over, and no other.
+    /// broadcast over, and no other; a [`Wave::ToExtreme`] run also leaves
+    /// what each slot sent up and heard, which the next one diffs against.
+    ///
+    /// # Clock
+    ///
+    /// A caller that must know when a run is done caps `sim.max_rounds` at
+    /// its clock, `r + c + 2h + 1` rounds for `r = opts.delay_range`, `≤ c`
+    /// parts per edge and running trees `≤ h` high, carried or echoed
+    /// ([`AggForest::height_bound`]). Alone, a part starts within `r`; its
+    /// offers and replies take `h + 1` and its `Up`s `h`; `Down`s or a
+    /// broadcast cross the tree in `2h`; parts sharing edges queue on their
+    /// priorities, `O(c + h log n)` in all (Leighton–Maggs–Rao). Boruvka's
+    /// `c` is the larger of Theorem 1.1's `8δ̂D·⌈log₂(n + 1)⌉` and
+    /// [`ParticipationMap::load`].
     ///
     /// # Panics
     ///
@@ -1084,6 +1256,9 @@ impl AggregateOp<'_> {
                 && forest.child.len() == participation.ports.len(),
             "forest is not laid out over this participation map"
         );
+        if wave == Wave::ToExtreme && forest.heard.is_empty() {
+            forest.remember();
+        }
         let any_leaders: Vec<NodeId> = (partition.iter().zip(&forest.root))
             .map(|((_, nodes), &root)| match root {
                 NO_ROOT => *nodes.iter().min().expect("parts are non-empty"),
@@ -1112,76 +1287,88 @@ impl AggregateOp<'_> {
 
         let delays = random_delays(k, opts.delay_range);
 
-        // The run's slot states, one per slot of the table in node order,
-        // and the forest's child flags, which the run updates in place.
+        // The run's slot states, one per slot of the table in node order; the
+        // forest's child flags and (to the extreme) memory change in place.
         let mut states = vec![SlotState::default(); participation.slot_part.len()];
-        let (mut states_left, mut children_left) = (&mut states[..], &mut forest.child[..]);
-        let (parent, root) = (&forest.parent, &forest.root);
-        let mut next = 0;
-        let sim_cfg = SimConfig {
-            mode: SimMode::Queued,
-            ..sim
-        };
-        let run = Simulator::new(g, sim_cfg).run(|v, _| {
-            // The engine builds the programs once each, in node order,
-            // before round 0, so each takes the next run of both arenas.
-            assert_eq!(v.0, next, "programs are built in node order");
-            next += 1;
-            let slots = participation.node(v);
-            let (states, rest) = std::mem::take(&mut states_left).split_at_mut(slots.parts().len());
-            let (is_child, more) =
-                std::mem::take(&mut children_left).split_at_mut(slots.entries().len());
-            (states_left, children_left) = (rest, more);
-            let own = partition.part_of(v).map(|p| p.0);
-            let leads = own.filter(|&p| leaders[p as usize] == v);
-            let parents = &parent[participation.slot_range(v)];
-            for (s, (&part, st)) in slots.parts().iter().zip(states.iter_mut()).enumerate() {
-                let children = &mut is_child[slots.port_range(s)];
-                let (seeded, runs) = (rooted[part as usize], runs(part));
-                if runs && !seeded {
-                    children.fill(false);
-                }
-                let (member, is_leader) = (own == Some(part), leads == Some(part));
-                debug_assert!(
-                    !seeded || !member || root[part as usize] == v.0 || parents[s] != NO_PORT,
-                    "a member of a rooted part hangs below its root"
-                );
-                // A seeded broadcast sends no `Up`: its leader starts the
-                // `Down`s with its own value.
-                let down_only = seeded && broadcast;
-                *st = SlotState {
-                    acc: if member && (is_leader || !broadcast) {
+        let remembers = wave == Wave::ToExtreme;
+        let mode = SimMode::Queued;
+        let sim = Simulator::new(g, SimConfig { mode, ..sim });
+        // To the extreme, the leaders send the results down in a second run.
+        let (mut metrics, mut down) = (RunMetrics::default(), RunMetrics::default());
+        for downs in [false, true].into_iter().filter(|&d| !d || remembers) {
+            let (parent, root) = (&forest.parent, &forest.root);
+            let (mut left, mut next) = ((&mut states[..], &mut forest.child[..]), 0);
+            let mut memo = &mut forest.heard[..];
+            let run = sim.run(|v, _| {
+                // The engine builds the programs once each, in node order,
+                // before round 0, so each takes the next run of the arenas.
+                assert_eq!(v.0, next, "programs are built in node order");
+                next += 1;
+                let slots = participation.node(v);
+                let (k, e) = (slots.parts().len(), slots.entries().len());
+                let (states, is_child) = (split_off(&mut left.0, k), split_off(&mut left.1, e));
+                let heard = split_off(&mut memo, e);
+                let own = partition.part_of(v).map(|p| p.0);
+                let leads = own.filter(|&p| leaders[p as usize] == v && runs(p));
+                let parents = &parent[participation.slot_range(v)];
+                for (s, &part) in slots.parts().iter().enumerate().filter(|_| !downs) {
+                    let (seeded, runs) = (rooted[part as usize], runs(part));
+                    let range = slots.port_range(s);
+                    if runs && !seeded {
+                        is_child[range.clone()].fill(false);
+                        forget(heard, range.clone());
+                    }
+                    let (member, is_leader) = (own == Some(part), leads == Some(part));
+                    debug_assert!(
+                        !seeded || !member || root[part as usize] == v.0 || parents[s] != NO_PORT,
+                        "a member of a rooted part hangs below its root"
+                    );
+                    // A seeded broadcast sends no `Up`: its leader starts the
+                    // `Down`s with its own value.
+                    let down_only = seeded && broadcast;
+                    let value = if member && (is_leader || !broadcast) {
                         values[v.index()]
                     } else {
                         identity(op)
-                    },
-                    priority: delays[part as usize],
-                    from: NO_PORT,
-                    parent: if seeded { parents[s] } else { NO_PORT },
-                    pending_up: children.iter().filter(|&&c| c && !down_only).count() as u32,
-                    started: seeded,
-                    member_below: member && runs,
-                    // Done before the run starts: a pruned slot of a
-                    // seeded tree, every slot of a part that sits out.
-                    up_sent: !runs
-                        || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
-                    ..SlotState::default()
-                };
+                    };
+                    // To the extreme, a slot waits only for children it knows nothing of.
+                    let waits = |&i: &usize| is_child[i] && (!remembers || heard[i] == UNHEARD);
+                    states[s] = SlotState {
+                        acc: value,
+                        priority: delays[part as usize],
+                        parent: if seeded { parents[s] } else { NO_PORT },
+                        pending_up: range.filter(waits).count() as u32 * u32::from(!down_only),
+                        started: seeded,
+                        member: member && runs,
+                        member_below: member && runs,
+                        // Done before the run starts: a pruned slot of a
+                        // seeded tree, every slot of a part that sits out.
+                        up_sent: !runs
+                            || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
+                        ..SlotState::default()
+                    };
+                }
+                // A seeded leader has no wave to start.
+                let starts = leads.filter(|&p| !rooted[p as usize] && !downs);
+                PaProgram {
+                    op,
+                    wave,
+                    slots,
+                    states,
+                    is_child,
+                    heard,
+                    leads: leads.map_or(NO_SLOT, |p| slots.slot_of(p) as u32),
+                    start_in: starts.map(|p| delays[p as usize]),
+                    downs,
+                }
+            });
+            if downs {
+                metrics += &run.metrics;
+                down = run.metrics;
+            } else {
+                metrics = run.metrics;
             }
-            // A seeded leader has no wave to start.
-            let starts = leads.filter(|&p| runs(p) && !rooted[p as usize]);
-            PaProgram {
-                op,
-                wave,
-                slots,
-                states,
-                is_child,
-                leads: leads.map_or(NO_SLOT, |p| slots.slot_of(p) as u32),
-                start_in: starts.map(|p| delays[p as usize]),
-            }
-        });
-        let metrics = run.metrics;
-        drop(run.programs);
+        }
 
         // Collect results: a member always owns a slot for its part.
         let result_at = |v: NodeId, part: PartId| {
@@ -1211,6 +1398,7 @@ impl AggregateOp<'_> {
             results,
             all_members_informed: all_informed,
             metrics,
+            down,
             rooted_parts: rooted.iter().filter(|&&r| r).count(),
         }
     }
@@ -1333,6 +1521,24 @@ mod tests {
         let on_chain = member_chains(g, partition, map, forest);
         let kept = forest.parent.iter().map(|&p| p != NO_PORT);
         kept.zip(on_chain).filter(|&(k, c)| k && !c).count() as u64
+    }
+
+    /// Whether `forest`'s memory agrees at both ends of every kept tree
+    /// edge of a rooted part: what the child last sent is what its parent
+    /// last heard from it, unless the child knows it sent nothing since the
+    /// edge was made (and so will). A forest without memory agrees.
+    fn memory_agrees(g: &Graph, map: &ParticipationMap, forest: &AggForest) -> bool {
+        let links = forest.links(map).into_iter();
+        links
+            .filter(|_| !forest.heard.is_empty())
+            .all(|(v, p, port)| {
+                let (s, w) = (map.slot_of(v, p.0).unwrap(), g.heads(v)[port as usize]);
+                let t = map.slot_of(w, p.0).unwrap();
+                let at = map.pair(t, g.port_to(w, v).unwrap() as u32).unwrap();
+                let sent = forest.heard[map.pair(s, port).unwrap()];
+                let rooted = forest.root[p.index()] != NO_ROOT;
+                !rooted || (forest.child[at] && (sent == UNHEARD || forest.heard[at] == sent))
+            })
     }
 
     /// The tables of `partition` and `shortcut` and the forest a cold run
@@ -1772,9 +1978,11 @@ mod tests {
                         prop_assert!(carried.parent[s] != NO_PORT || root == v.0);
                     }
                 }
+                prop_assert!(memory_agrees(&g, &next, &carried));
                 let rooted = rooted_parts(&carried);
                 let shape = (Wave::ToExtreme, None);
                 let warm = min.run_masked(&g, &merged, (&opts, sim), &next, &mut carried, shape);
+                prop_assert!(memory_agrees(&g, &next, &carried));
                 let cold = min.run_on(&g, &merged, &next_shortcut, &opts, sim);
                 prop_assert_eq!(warm.rooted_parts, rooted);
                 prop_assert_eq!(warm.results, cold.results);
@@ -1980,10 +2188,45 @@ mod tests {
         }
     }
 
-    /// A warm `Min` or `Max` to the extreme over distinct values sends one
-    /// `Up` per kept non-root slot and one `Down` per edge from the root to
-    /// the extreme's holder. The leader and the holder learn the result,
-    /// the forest is unchanged, and the echo after it is warm.
+    /// A warm `Min` or `Max` to the extreme over distinct values, with
+    /// nothing remembered, sends one `Up` per kept non-root slot and one
+    /// `Down` per edge from the root to the extreme's holder. The leader and
+    /// the holder learn the result, the forest is unchanged, a second wave
+    /// over the same values sends only the `Down`s, and the echo after it is
+    /// warm.
+    /// A real value equal to the memory's "unknown" mark costs `Up`s, not
+    /// a wrong result: waves to the extreme over it (one member per part
+    /// holds it, and part 0 also `u64::MAX`) find every extreme, cold and
+    /// warm.
+    #[test]
+    fn a_value_that_reads_as_unheard_is_still_found() {
+        let (g, partition, map, rooted, mut values) = voronoi_rooted();
+        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        for (p, members) in partition.iter() {
+            values[members[members.len() - 1].index()] = UNHEARD;
+            if p.0 == 0 {
+                values[members[0].index()] = u64::MAX;
+            }
+        }
+        for op in [AggOp::Min, AggOp::Max] {
+            let op = AggregateOp {
+                op,
+                ..sum_of(&values)
+            };
+            let expect = crate::centralized_aggregate(&partition, &values, op.op);
+            let mut forest = rooted.clone();
+            for _ in 0..3 {
+                let shape = (Wave::ToExtreme, None);
+                let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+                assert!(out.metrics.terminated && out.all_members_informed);
+                assert_eq!(
+                    out.results,
+                    expect.iter().copied().map(Some).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_wave_to_the_extreme_goes_down_one_path() {
         let (g, partition, map, rooted, values) = voronoi_rooted();
@@ -2016,7 +2259,12 @@ mod tests {
             let path: u64 = holders.sum();
             assert!(path > 0, "{:?}: some extreme sits below its root", op.op);
             assert_eq!(out.metrics.messages, edges as u64 + path, "{:?}", op.op);
+            assert_eq!(out.down.messages, path, "{:?}", op.op);
             assert_eq!(facts(&forest, &map), facts(&rooted, &map), "{:?}", op.op);
+            // Nothing changed: the next wave sends no `Up`, only the `Down`s.
+            let again = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            assert_eq!(again.results, out.results, "{:?}", op.op);
+            assert_eq!(again.metrics.messages, path, "{:?}", op.op);
             let echo = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
             assert_eq!(echo.rooted_parts, k);
             assert_eq!(echo.metrics.messages, 2 * edges as u64);

@@ -235,7 +235,7 @@ fn partwise_aggregates_are_packing_invariant() {
 /// road-like voronoi cells): a `Min` / `Max` to the extreme, and a
 /// broadcast from each part's last member, with one part masked out. Every
 /// packing level and thread count returns the same results and leaves the
-/// same forest, and cost never grows as packing does.
+/// same forest, remembering the same, and cost never grows as packing does.
 #[test]
 fn wave_shapes_are_packing_invariant() {
     let road = gen::road_like(16, 16, 3);

@@ -561,6 +561,62 @@ fn partwise_metrics_match_pinned_corpus() {
     }
 }
 
+/// `(case, unpacked, message_packing = 8)`, each column set
+/// `[rounds, messages, bits]`, of Boruvka's MST (oracle shortcuts). Its
+/// exact bill re-runs the MWOE wave through the same code, so a drift in the
+/// wave itself shows here and only here.
+#[rustfmt::skip]
+const BORUVKA_PINNED: &[(&str, [u64; 3], [u64; 3])] = &[
+    ("road24/mst", [1037, 11637, 538710], [1037, 11637, 538710]),
+];
+
+/// One MST of `road_like` 24² under seeded random weights at `threads`
+/// lanes and `packing`; the fingerprint is the edge set.
+fn boruvka_row(threads: usize, packing: usize) -> Row {
+    use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+    use low_congestion_shortcuts::graph::weights::EdgeWeights;
+
+    let g = gen::road_like(24, 24, 7);
+    let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(7));
+    let mut config = SessionConfig::default();
+    (config.sim.threads, config.sim.message_packing) = (threads, packing);
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let mst = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+    assert!(!mst.truncated && mst.edges == kruskal(&g, &w), "road24/mst");
+    Row {
+        case: "road24/mst".to_string(),
+        rounds: mst.rounds.total(),
+        messages: mst.messages,
+        bits: mst.bits,
+        max_queue: 0,
+        fingerprint: format!("{:?}", mst.edges),
+    }
+}
+
+/// Boruvka keeps its exact wire stream, unpacked and at
+/// `message_packing = 8`, at threads ∈ {1, 2, 4, 8} (plus
+/// `LCS_SIM_THREADS`), with the same tree at all of them.
+#[test]
+fn boruvka_metrics_match_pinned_row() {
+    let reference = boruvka_row(1, 1);
+    let mut lanes = vec![1, 2, 4, 8, env_threads()];
+    lanes.sort_unstable();
+    lanes.dedup();
+    let pinned: Vec<(&str, String)> = (BORUVKA_PINNED.iter())
+        .map(|&(case, unpacked, packed)| (case, format!("{unpacked:?}, {packed:?}")))
+        .collect();
+    for threads in lanes {
+        let (unpacked, packed) = (boruvka_row(threads, 1), boruvka_row(threads, 8));
+        let columns = |r: &Row| [r.rounds, r.messages, r.bits];
+        let cols = format!("{:?}, {:?}", columns(&unpacked), columns(&packed));
+        let what = format!("BORUVKA_PINNED (threads={threads})");
+        assert_pinned(&what, &[(unpacked.case.clone(), cols)], &pinned);
+        for r in [unpacked, packed] {
+            assert_eq!(r.fingerprint, reference.fingerprint, "threads={threads}");
+        }
+    }
+}
+
 /// Strict mode must keep rejecting a double send over one directed edge in
 /// one round (the rewrite batches sends, so the check moved from queue push
 /// to the pending arena — behavior must be unchanged).
