@@ -1015,7 +1015,7 @@ mod tests {
         }
     }
 
-    /// Every phase leads each fragment from its id. `run_with` asserts that
+    /// Every phase leads each fragment from its id. `run_masked` asserts that
     /// a leader is a member of its part, so a finished run is the proof
     /// that fragment ids stay members through every merge pattern the coin
     /// and weight seeds produce; the forest must still be Kruskal's. Every

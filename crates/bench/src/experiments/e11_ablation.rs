@@ -11,7 +11,7 @@
 use crate::experiments::{cut_set_difference, instance};
 use crate::{f2, Relation::*, Report};
 use lcs_core::dist::DistMode;
-use lcs_core::{ShortcutConfig, SweepOutcome};
+use lcs_core::ShortcutConfig;
 use lcs_graph::{gen, minor};
 
 const CONGESTION: &str = "Thm 3.1 case (I) congestion ≤ own threshold";
@@ -32,21 +32,21 @@ fn sketch_ablation(out: &mut Report) {
     let g = gen::grid(24, 24);
     let parts = gen::singleton_parts(&g);
     let inst = instance("grid singletons", g, parts);
-    let exact = inst.detect(DistMode::Exact);
+    let (exact, _) = inst.detect(DistMode::Exact);
     out.table(
         "E11a: sketch size t vs detection accuracy (grid, δ̂ = 1)",
         "t, |O| sketch, |O| exact, sym diff, cong, detect rounds, served",
     );
     for tt in [4, 8, 16, 32, 64] {
-        let res = inst.detect(DistMode::Sketch {
+        let (res, detect) = inst.detect(DistMode::Sketch {
             t: tt,
             hash_seed: 0x5eed,
             cut_factor: 1.0,
         });
-        let (cuts, exact_cuts) = (res.over_edges.len(), exact.over_edges.len());
+        let (cuts, exact_cuts) = (res.data.over_edges.len(), exact.data.over_edges.len());
         let sym_diff = cut_set_difference(&res.data, &exact.data);
         let cong = inst.quality(&res.shortcut).max_congestion;
-        let (rounds, served) = (res.metrics_shortcut.rounds, res.served.len());
+        let (rounds, served) = (detect.rounds, res.served.len());
         out.row(&[&tt, &cuts, &exact_cuts, &sym_diff, &cong, &rounds, &served]);
     }
 }
@@ -63,25 +63,24 @@ fn constant_ablation(out: &mut Report) {
             congestion_factor: factor,
         };
         let row = format!("{} factor {factor}", inst.name);
-        match inst.sweep(1, &cfg) {
-            SweepOutcome::Shortcut(ps) => {
-                let q = inst.quality(&ps.shortcut);
-                let (c, cuts) = (ps.data.congestion_threshold, ps.data.over_edges.len());
-                let (served, cong, blocks) = (ps.served.len(), q.max_congestion, q.max_blocks);
-                let own = cfg.envelope(1, inst.d, 1);
-                out.claim(&row, CONGESTION, cong, AtMost, own.congestion);
-                out.claim(&row, BLOCKS, blocks, AtMost, own.blocks);
-                out.row(&[&factor, &c, &"I", &cuts, &served, &cong, &blocks, &"-"]);
-            }
-            SweepOutcome::DenseMinor { witness, data } => {
-                // An absent or unverifiable witness certifies nothing.
-                let verified = witness.filter(|w| minor::verify_minor(&inst.graph, w).is_ok());
-                let density = verified.map(|w| w.density());
-                out.claim(&row, WITNESS, density.unwrap_or(0.0), MoreThan, 1);
-                let (c, cuts) = (data.congestion_threshold, data.over_edges.len());
-                let density = density.map_or("none".to_string(), f2);
-                out.row(&[&factor, &c, &"II", &cuts, &0, &"-", &"-", &density]);
-            }
+        let sweep = inst.sweep(1, &cfg, None).0;
+        let (c, cuts) = (sweep.data.congestion_threshold, sweep.data.over_edges.len());
+        if sweep.case_one() {
+            let q = inst.quality(&sweep.shortcut);
+            let (served, cong, blocks) = (sweep.served.len(), q.max_congestion, q.max_blocks);
+            let own = cfg.envelope(1, inst.d, 1);
+            out.claim(&row, CONGESTION, cong, AtMost, own.congestion);
+            out.claim(&row, BLOCKS, blocks, AtMost, own.blocks);
+            out.row(&[&factor, &c, &"I", &cuts, &served, &cong, &blocks, &"-"]);
+        } else {
+            // An absent or unverifiable witness certifies nothing.
+            let verified = sweep
+                .witness
+                .filter(|w| minor::verify_minor(&inst.graph, w).is_ok());
+            let density = verified.map(|w| w.density());
+            out.claim(&row, WITNESS, density.unwrap_or(0.0), MoreThan, 1);
+            let density = density.map_or("none".to_string(), f2);
+            out.row(&[&factor, &c, &"II", &cuts, &0, &"-", &"-", &density]);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::experiments::instance;
 use crate::{f2, Relation::*, Report};
-use lcs_core::{extract_witness_sampled, ShortcutConfig, SweepOutcome};
+use lcs_core::{extract_witness_sampled, ShortcutConfig};
 use lcs_graph::{gen, minor};
 
 const SAMPLED: &str = "Thm 3.1 every sampled witness verifies, density > δ̂";
@@ -25,10 +25,12 @@ pub fn run() -> Report {
         let inst = instance(format!("comb({tt},{k})"), comb.graph, comb.parts);
         let (g, tree, partition) = (&inst.graph, &inst.tree, &inst.partition);
         let cfg = ShortcutConfig::default();
-        let SweepOutcome::DenseMinor { witness, data } = inst.sweep(1, &cfg) else {
+        let sweep = inst.sweep(1, &cfg, None).0;
+        if sweep.case_one() {
             // Not a Case (II) instance at this size; skip the row.
             continue;
-        };
+        }
+        let (witness, data) = (sweep.witness, sweep.data);
         let b_edges: usize = data.over_edges.iter().map(|oe| oe.parts.len()).sum();
         // The density a witness certifies: none unless it verifies.
         let certified = |w: &minor::MinorWitness| match minor::verify_minor(g, w) {

@@ -7,7 +7,7 @@
 
 use crate::experiments::family_zoo;
 use crate::{Relation::*, Report};
-use lcs_core::{ShortcutConfig, SweepOutcome};
+use lcs_core::ShortcutConfig;
 
 const VALID: &str = "Thm 3.1 tree-restricted, served parts connected";
 const CONGESTION: &str = "Thm 3.1 congestion ≤ 8δ̂D";
@@ -24,10 +24,11 @@ pub fn run() -> Report {
     for inst in family_zoo() {
         let mut delta_hat = 1;
         let ps = loop {
-            match inst.sweep(delta_hat, &cfg) {
-                SweepOutcome::Shortcut(ps) => break ps,
-                SweepOutcome::DenseMinor { .. } => delta_hat *= 2,
+            let sweep = inst.sweep(delta_hat, &cfg, None).0;
+            if sweep.case_one() {
+                break sweep;
             }
+            delta_hat *= 2;
         };
         let q = inst.quality(&ps.shortcut);
         let served = || ps.served.iter().map(|&p| q.per_part[p.index()]);

@@ -9,9 +9,9 @@
 
 use crate::experiments::{cut_set_difference, instance, random_parts};
 use crate::{f2, Relation::*, Report};
-use lcs_core::dist::DistMode;
-use lcs_core::{ShortcutConfig, SweepOutcome};
-use lcs_graph::gen;
+use lcs_core::dist::{distributed_bfs, DistConfig, DistMode};
+use lcs_core::ShortcutConfig;
+use lcs_graph::{gen, NodeId};
 
 const CASE_ONE: &str = "Thm 3.1 case (I) at δ̂ = 1";
 const SAME_CUTS: &str = "Thm 1.5 exact cut set ≡ centralized";
@@ -39,25 +39,25 @@ pub fn run() -> Report {
         let parts = random_parts(&g, s * s / 4, 42);
         let inst = instance(format!("grid {s}x{s}"), g, parts);
         let (name, n, m, d, k) = (&inst.name, inst.n, inst.graph.num_edges(), inst.d, inst.k);
-        let central = match inst.sweep(1, &ShortcutConfig::default()) {
-            SweepOutcome::Shortcut(ps) => ps.data,
-            SweepOutcome::DenseMinor { data, .. } => data,
-        };
+        let central = inst.sweep(1, &ShortcutConfig::default(), None).0.data;
+        // The flood that builds `T` (the instance's BFS tree) for every mode.
+        let (_, flood) = distributed_bfs(&inst.graph, NodeId(0), DistConfig::default().sim)
+            .expect("default round cap");
         for (mode_name, mode) in modes {
-            let res = inst.detect(mode);
-            let rounds = res.metrics_bfs.rounds + res.metrics_shortcut.rounds;
-            let msgs = res.metrics_bfs.messages + res.metrics_shortcut.messages;
+            let (res, detect) = inst.detect(mode);
+            let rounds = flood.rounds + detect.rounds;
+            let msgs = flood.messages + detect.messages;
             let row = format!("{name} {mode_name}");
-            out.claim(&row, CASE_ONE, res.case_one, Exactly, true);
+            out.claim(&row, CASE_ONE, res.case_one(), Exactly, true);
             let case_one = out.cell(&row);
             if mode == DistMode::Exact {
                 let diff = cut_set_difference(&res.data, &central) as f64;
                 out.claim(&row, SAME_CUTS, diff, Exactly, 0);
             }
-            let flood = res.metrics_bfs.messages as f64;
+            let flood = flood.messages as f64;
             out.claim(&row, FLOOD, flood, Exactly, (2 * m - (n - 1)) as f64);
             let per_d = f2(rounds as f64 / f64::from(d.max(1)));
-            let (per_m, cuts) = (f2(msgs as f64 / m as f64), res.over_edges.len());
+            let (per_m, cuts) = (f2(msgs as f64 / m as f64), res.data.over_edges.len());
             out.row(&[
                 name, &n, &m, &d, &k, &mode_name, &rounds, &per_d, &msgs, &per_m, &cuts, &case_one,
             ]);

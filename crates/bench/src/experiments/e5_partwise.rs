@@ -22,7 +22,9 @@ use lcs_congest::protocols::AggOp;
 use lcs_core::session::{AggregateOpts, SessionConfig};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{bfs, gen, Graph, NodeId};
-use lcs_partwise::{centralized_aggregate, AggForest, AggregateOp, ParticipationMap, UnicastOp};
+use lcs_partwise::{
+    centralized_aggregate, AggForest, AggregateOp, ParticipationMap, UnicastOp, Wave,
+};
 use rand::seq::SliceRandom;
 
 const CORRECT: &str = "Lemma 2.8 every member learns its part's aggregate";
@@ -80,7 +82,8 @@ fn aggregation_table(out: &mut Report) {
             op: AggOp::Min,
             leaders: None,
         };
-        let mut run = || op.run_with(g, partition, opts, sim, &map, &mut forest);
+        let echo = (Wave::Echo, None);
+        let mut run = || op.run_masked(g, partition, (opts, sim), &map, &mut forest, echo);
         let (agg, warm) = (run(), run());
         let expect = centralized_aggregate(partition, &values, AggOp::Min);
         let got: Vec<u64> = agg.results.iter().map(|r| r.unwrap_or(u64::MAX)).collect();
@@ -146,7 +149,8 @@ fn delay_table(out: &mut Report) {
     let runs = ranges.map(|delay_range| {
         let opts = AggregateOpts { delay_range };
         let mut forest = AggForest::unrooted(partition, &map);
-        let mut run = || op.run_with(g, partition, &opts, sim, &map, &mut forest);
+        let echo = (Wave::Echo, None);
+        let mut run = || op.run_masked(g, partition, (&opts, sim), &map, &mut forest, echo);
         let (cold, warm) = (run(), run());
         for out in [&cold, &warm] {
             correct &= out.all_members_informed && out.results == expect;

@@ -16,11 +16,12 @@ pub mod e9_treewidth;
 
 use crate::{Relation::*, Report};
 use lcs_congest::protocols::AggOp;
-use lcs_core::dist::{distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut};
+use lcs_congest::RunMetrics;
+use lcs_core::dist::{DistConfig, DistMode};
 use lcs_core::session::SessionConfig;
 use lcs_core::{
     full_shortcut, measure_quality, partial_shortcut_or_witness, Envelope, FullShortcutResult,
-    Partition, QualityReport, Shortcut, ShortcutConfig, SweepData, SweepOutcome,
+    Partition, QualityReport, Shortcut, ShortcutConfig, Sweep, SweepData,
 };
 use lcs_graph::{bfs, gen, EdgeId, Graph, NodeId, RootedTree};
 use lcs_partwise::{AggregateOp, PartwiseOutcome};
@@ -59,20 +60,29 @@ impl Instance {
         measure_quality(&self.graph, &self.partition, &self.tree, shortcut)
     }
 
-    /// One centralized Theorem 3.1 sweep at `delta_hat`.
-    pub(crate) fn sweep(&self, delta_hat: u32, cfg: &ShortcutConfig) -> SweepOutcome {
-        partial_shortcut_or_witness(&self.graph, &self.tree, &self.partition, delta_hat, cfg)
+    /// One Theorem 3.1 sweep over every part at `delta_hat`: centralized
+    /// (`None`), or cutting what the simulated detection found, with that
+    /// run's metrics.
+    pub(crate) fn sweep(
+        &self,
+        delta_hat: u32,
+        cfg: &ShortcutConfig,
+        dist: Option<&DistConfig>,
+    ) -> (Sweep, RunMetrics) {
+        let (g, partition) = (&self.graph, &self.partition);
+        let all: Vec<_> = partition.part_ids().collect();
+        partial_shortcut_or_witness(g, &self.tree, partition, &all, delta_hat, cfg, dist)
+            .expect("default round cap")
     }
 
-    /// One simulated Theorem 1.5 sweep at `δ̂ = 1` (it extracts no witness).
-    pub(crate) fn detect(&self, mode: DistMode) -> DistPartialShortcut {
+    /// One simulated Theorem 1.5 sweep at `δ̂ = 1` over the instance's BFS
+    /// tree, with the metrics of its detection run.
+    pub(crate) fn detect(&self, mode: DistMode) -> (Sweep, RunMetrics) {
         let dist = DistConfig {
             mode,
             ..DistConfig::default()
         };
-        let (g, partition) = (&self.graph, &self.partition);
-        let cfg = ShortcutConfig::default();
-        distributed_partial_shortcut(g, NodeId(0), partition, 1, &cfg, &dist)
+        self.sweep(1, &ShortcutConfig::default(), Some(&dist))
     }
 
     /// The Theorem 1.2 construction, measured, and what the theorem

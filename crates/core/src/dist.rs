@@ -20,22 +20,22 @@
 //!    only a `t`-value KMV sketch ([`KmvSketch`]), trading exactness for
 //!    `O(t)` messages per edge.
 //!
-//! Shortcut assembly, the Case (I)/(II) split, and witness extraction reuse
-//! the centralized code on the protocol's cut set. The paper's
-//! dissemination phase runs there, on the host, uncharged: it is not
-//! bookkeeping the nodes could do locally, since a part's `B`-degree sums
-//! over-edges scattered across `T`. The Observation 2.7 loop around the
-//! sweeps is [`construct`](crate::construct), which takes the detected cut
-//! set where the centralized construction applies the threshold rule.
+//! Shortcut assembly, the Case (I)/(II) split, and witness extraction are
+//! the same function as the centralized sweep,
+//! [`partial_shortcut_or_witness`](crate::partial_shortcut_or_witness),
+//! which takes the protocol's cut set where it would apply the threshold
+//! rule. The paper's dissemination phase runs there, on the host,
+//! uncharged: it is not bookkeeping the nodes could do locally, since a
+//! part's `B`-degree sums over-edges scattered across `T`. The Observation
+//! 2.7 loop around the sweeps is [`construct`](crate::construct).
 
-use crate::sweep::{build_shortcut, case_one_accepts, sweep_core, CutRule};
-use crate::{Partition, Shortcut, ShortcutConfig, SweepData};
+use crate::Partition;
 use lcs_congest::protocols::{extract_tree, BfsTreeProgram};
 use lcs_congest::{
     id_bits, splitmix, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode,
     Simulator,
 };
-use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree};
+use lcs_graph::{Graph, NodeId, RootedTree};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -177,28 +177,6 @@ impl KmvSketch {
             (self.t - 1) as f64 * (u64::MAX as f64) / (kth as f64 + 1.0)
         }
     }
-}
-
-/// Result of [`distributed_partial_shortcut`].
-#[derive(Clone, Debug)]
-pub struct DistPartialShortcut {
-    /// The assembled partial shortcut (forest ancestor edges of every part
-    /// whose `B`-degree meets the block threshold).
-    pub shortcut: Shortcut,
-    /// Parts served by this sweep, sorted.
-    pub served: Vec<PartId>,
-    /// Whether at least half the active parts were served (Case (I)).
-    pub case_one: bool,
-    /// The cut set `O` the protocol detected, in the sweep's deepest-first
-    /// order.
-    pub over_edges: Vec<EdgeId>,
-    /// Centralized re-derivation of the sweep bookkeeping under the
-    /// protocol's cut set (thresholds, `B`-degrees, representatives).
-    pub data: SweepData,
-    /// Simulation metrics of the BFS phase.
-    pub metrics_bfs: RunMetrics,
-    /// Simulation metrics of the detection phase.
-    pub metrics_shortcut: RunMetrics,
 }
 
 /// Messages of the detection convergecast.
@@ -389,8 +367,9 @@ pub fn distributed_bfs(
     Ok((extract_tree(g, &run), run.metrics))
 }
 
-/// One detection sweep over `tree` for the `active` parts at guess `δ̂`:
-/// the cut-edge marks the convergecast left and the metrics of the run.
+/// One detection convergecast over `tree` for the parts marked in
+/// `is_active` at congestion threshold `threshold`: the cut-edge marks it
+/// left and the metrics of the run.
 ///
 /// # Errors
 ///
@@ -400,16 +379,10 @@ pub(crate) fn detect_cuts(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
-    active: &[PartId],
-    delta_hat: u32,
-    config: &ShortcutConfig,
+    is_active: &[bool],
+    threshold: u32,
     dist: &DistConfig,
 ) -> Result<(Vec<bool>, RunMetrics), Truncated> {
-    let mut is_active = vec![false; partition.num_parts()];
-    for &p in active {
-        is_active[p.index()] = true;
-    }
-    let threshold = config.congestion_threshold(delta_hat, tree.depth_of_tree());
     let sim = Simulator::new(
         g,
         SimConfig {
@@ -466,58 +439,29 @@ pub(crate) fn detect_cuts(
     Ok((fixed_o, run.metrics))
 }
 
-/// One distributed Theorem 3.1 sweep over all parts of `partition` with
-/// guess `δ̂` (Theorem 1.5, single level of the doubling search): a
-/// simulated BFS from `root`, one detection convergecast, and the
-/// centralized re-derivation of the sweep bookkeeping under the detected
-/// cut set. The full construction is [`construct`](crate::construct) over
-/// a [`distributed_bfs`] tree.
-///
-/// In [`DistMode::Exact`] the returned cut set equals the centralized
-/// [`crate::partial_shortcut_or_witness`] cut set on the same root
-/// edge-for-edge.
-///
-/// # Panics
-///
-/// Panics if `δ̂ = 0`, some part node lies outside the component of
-/// `root`, or a phase hits `dist.sim.max_rounds` (with [`Truncated`]'s
-/// message).
-pub fn distributed_partial_shortcut(
-    g: &Graph,
-    root: NodeId,
-    partition: &Partition,
-    delta_hat: u32,
-    config: &ShortcutConfig,
-    dist: &DistConfig,
-) -> DistPartialShortcut {
-    let (tree, metrics_bfs) = distributed_bfs(g, root, dist.sim).unwrap_or_else(|t| panic!("{t}"));
-    let active: Vec<PartId> = partition.part_ids().collect();
-    let (fixed_o, metrics_shortcut) =
-        detect_cuts(g, &tree, partition, &active, delta_hat, config, dist)
-            .unwrap_or_else(|t| panic!("{t}"));
-    let rule = CutRule::Fixed(&fixed_o);
-    let (data, o_mark, served) = sweep_core(g, &tree, partition, &active, delta_hat, config, rule);
-    // Unlike the full loop, the partial result reports the assembled
-    // shortcut in both cases, so it is built unconditionally.
-    let shortcut = build_shortcut(g, &tree, partition, &served, &o_mark);
-    let case_one = case_one_accepts(served.len(), active.len());
-    let over_edges = data.over_edges.iter().map(|oe| oe.edge).collect();
-    DistPartialShortcut {
-        shortcut,
-        served,
-        case_one,
-        over_edges,
-        data,
-        metrics_bfs,
-        metrics_shortcut,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{measure_quality, partial_shortcut_or_witness, SweepOutcome};
-    use lcs_graph::{bfs, gen};
+    use crate::{measure_quality, partial_shortcut_or_witness, ShortcutConfig, Sweep};
+    use lcs_graph::{bfs, gen, EdgeId, PartId};
+
+    /// One sweep over every part of `partition` at `δ̂ = 1` on the BFS tree
+    /// of node 0.
+    fn sweep_all(
+        g: &Graph,
+        partition: &Partition,
+        dist: Option<&DistConfig>,
+    ) -> (Sweep, RunMetrics) {
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let cfg = ShortcutConfig::default();
+        partial_shortcut_or_witness(g, &tree, partition, &all, 1, &cfg, dist)
+            .expect("default round cap")
+    }
+
+    fn cut_edges(sweep: &Sweep) -> Vec<EdgeId> {
+        sweep.data.over_edges.iter().map(|oe| oe.edge).collect()
+    }
 
     #[test]
     fn kmv_exact_below_capacity() {
@@ -548,32 +492,17 @@ mod tests {
 
     #[test]
     fn exact_mode_matches_centralized_cut_set_on_grid() {
-        let g = gen::grid(8, 8);
-        let parts = gen::singleton_parts(&g);
-        let partition = Partition::from_parts(&g, parts).unwrap();
-        let cfg = ShortcutConfig::default();
-        let res = distributed_partial_shortcut(
-            &g,
-            NodeId(0),
-            &partition,
-            1,
-            &cfg,
-            &DistConfig::default(),
+        // 256 singletons against c = 8·30: an edge above ≥ 240 nodes cuts.
+        let g = gen::grid(16, 16);
+        let partition = Partition::from_parts(&g, gen::singleton_parts(&g)).unwrap();
+        let (res, run) = sweep_all(&g, &partition, Some(&DistConfig::default()));
+        let (central, _) = sweep_all(&g, &partition, None);
+        assert!(
+            !central.data.over_edges.is_empty(),
+            "the instance must cut edges"
         );
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let central = partial_shortcut_or_witness(&g, &tree, &partition, 1, &cfg);
-        let central_cuts: Vec<EdgeId> = match &central {
-            SweepOutcome::Shortcut(ps) => ps.data.over_edges.iter().map(|oe| oe.edge).collect(),
-            SweepOutcome::DenseMinor { data, .. } => {
-                data.over_edges.iter().map(|oe| oe.edge).collect()
-            }
-        };
-        let mut a = res.over_edges.clone();
-        a.sort_unstable();
-        let mut b = central_cuts;
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(res.metrics_bfs.terminated && res.metrics_shortcut.terminated);
+        assert_eq!(cut_edges(&res), cut_edges(&central));
+        assert!(run.terminated && run.messages > 0);
     }
 
     #[test]
@@ -598,14 +527,7 @@ mod tests {
     fn rejects_parts_outside_root_component() {
         let g = lcs_graph::Graph::from_edges(4, [(0, 1), (2, 3)]);
         let partition = Partition::from_parts(&g, vec![vec![NodeId(2)]]).unwrap();
-        distributed_partial_shortcut(
-            &g,
-            NodeId(0),
-            &partition,
-            1,
-            &ShortcutConfig::default(),
-            &DistConfig::default(),
-        );
+        sweep_all(&g, &partition, Some(&DistConfig::default()));
     }
 
     #[test]
@@ -613,7 +535,6 @@ mod tests {
         let g = gen::grid(6, 6);
         let parts = gen::singleton_parts(&g);
         let partition = Partition::from_parts(&g, parts).unwrap();
-        let cfg = ShortcutConfig::default();
         let dist = DistConfig {
             mode: DistMode::Sketch {
                 t: 8,
@@ -622,10 +543,10 @@ mod tests {
             },
             ..DistConfig::default()
         };
-        let a = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
-        let b = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
-        assert_eq!(a.over_edges, b.over_edges);
-        assert_eq!(a.shortcut, b.shortcut);
+        let (a, run_a) = sweep_all(&g, &partition, Some(&dist));
+        let (b, run_b) = sweep_all(&g, &partition, Some(&dist));
+        assert_eq!(cut_edges(&a), cut_edges(&b));
+        assert_eq!((a.shortcut.clone(), run_a), (b.shortcut, run_b));
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let q = measure_quality(&g, &partition, &tree, &a.shortcut);
         assert!(q.tree_restricted);
@@ -634,7 +555,7 @@ mod tests {
         // `t = 16` KMV estimate carries ~25% relative error, so the sketch
         // may cut different tree edges than the exact detector; its
         // decisions must stay inside the estimator's error band. `data`
-        // is re-derived centrally, so `oe.parts` is each cut's true load.
+        // is derived on the host, so `oe.parts` is each cut's true load.
         let g = gen::grid(32, 32);
         let partition = Partition::from_parts(&g, gen::singleton_parts(&g)).unwrap();
         let dist = DistConfig {
@@ -645,7 +566,7 @@ mod tests {
             },
             ..DistConfig::default()
         };
-        let data = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist).data;
+        let data = sweep_all(&g, &partition, Some(&dist)).0.data;
         assert!(!data.over_edges.is_empty(), "the instance must cut edges");
         let threshold = data.congestion_threshold as usize;
         for oe in &data.over_edges {
@@ -656,11 +577,7 @@ mod tests {
                 oe.parts.len()
             );
         }
-        let tree = bfs::bfs_tree(&g, NodeId(0));
-        let exact = match partial_shortcut_or_witness(&g, &tree, &partition, 1, &cfg) {
-            SweepOutcome::Shortcut(ps) => ps.data.over_edges.len(),
-            SweepOutcome::DenseMinor { data, .. } => data.over_edges.len(),
-        };
+        let exact = sweep_all(&g, &partition, None).0.data.over_edges.len();
         let sketch = data.over_edges.len();
         assert!(
             4 * sketch >= exact && sketch <= 4 * exact,

@@ -4,9 +4,8 @@
 //! construction (Theorem 1.2) and the distributed one (Theorem 1.5): they
 //! differ only in where a sweep's cut set comes from and what it costs.
 
-use crate::dist::{detect_cuts, distributed_bfs, DistConfig, Truncated};
-use crate::sweep::{sweep_active, CutRule, SweepOutcome};
-use crate::{Partition, Shortcut, ShortcutConfig};
+use crate::dist::{distributed_bfs, DistConfig, Truncated};
+use crate::{partial_shortcut_or_witness, Partition, Shortcut, ShortcutConfig};
 use lcs_congest::RunMetrics;
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{bfs, Graph, NodeId, PartId, RootedTree};
@@ -128,15 +127,16 @@ pub fn construction_tree(
 /// Builds tree-restricted shortcuts for `parts` — any duplicate-free subset
 /// of the part ids: all of them from scratch, the touched ones for an
 /// incremental re-customization. Per Observation 2.7, repeated
-/// partial-shortcut sweeps over the still-unserved parts, with a doubling
-/// search over `δ̂` from `start_delta_hat` (clamped to `>= 1`).
+/// [`partial_shortcut_or_witness`] sweeps over the still-unserved parts,
+/// with a doubling search over `δ̂` from `start_delta_hat` (clamped to
+/// `>= 1`).
 ///
-/// `dist` is the whole backend decision. `None`: every sweep cuts by the
-/// Theorem 3.1 threshold rule, centrally, at no simulated cost (Theorem
-/// 1.2). `Some`: every sweep cuts what one detection convergecast over
-/// `tree` found on the simulator — the same edges in exact mode, an
-/// estimate in sketch mode — and is charged to
-/// [`cost`](FullShortcutResult::cost) (Theorem 1.5).
+/// `dist` is the whole backend decision, passed to every sweep. `None`:
+/// the Theorem 3.1 threshold rule, centrally, at no simulated cost
+/// (Theorem 1.2). `Some`: what one detection convergecast over `tree`
+/// found on the simulator — the same edges in exact mode, an estimate in
+/// sketch mode — charged to [`cost`](FullShortcutResult::cost) (Theorem
+/// 1.5).
 ///
 /// Guarantees on the output (for the default paper constants):
 ///
@@ -182,46 +182,31 @@ pub fn construct(
 
     while !remaining.is_empty() {
         let delta_hat = res.delta_hat;
-        let cuts;
-        let rule = match dist {
-            None => CutRule::Threshold,
-            Some(dist) => {
-                let (marks, run) =
-                    detect_cuts(g, tree, partition, &remaining, delta_hat, config, dist)?;
-                res.cost += ConstructionStats::from(&run);
-                cuts = marks;
-                CutRule::Fixed(&cuts)
+        let (sweep, run) =
+            partial_shortcut_or_witness(g, tree, partition, &remaining, delta_hat, config, dist)?;
+        res.cost += ConstructionStats::from(&run);
+        let case_one = sweep.case_one();
+        res.round_log.push(RoundLog {
+            delta_hat,
+            remaining: remaining.len(),
+            served: if case_one { sweep.served.len() } else { 0 },
+            over_edges: sweep.data.over_edges.len(),
+        });
+        if case_one {
+            res.successful_rounds += 1;
+            for &p in &sweep.served {
+                res.shortcut
+                    .set_edges(p, sweep.shortcut.edges_for(p).to_vec());
             }
-        };
-        match sweep_active(g, tree, partition, &remaining, delta_hat, config, rule) {
-            SweepOutcome::Shortcut(ps) => {
-                res.round_log.push(RoundLog {
-                    delta_hat,
-                    remaining: remaining.len(),
-                    served: ps.served.len(),
-                    over_edges: ps.data.over_edges.len(),
-                });
-                res.successful_rounds += 1;
-                for &p in &ps.served {
-                    res.shortcut.set_edges(p, ps.shortcut.edges_for(p).to_vec());
-                }
-                let served: std::collections::HashSet<PartId> = ps.served.iter().copied().collect();
-                remaining.retain(|p| !served.contains(p));
-            }
-            SweepOutcome::DenseMinor { witness, data } => {
-                res.round_log.push(RoundLog {
-                    delta_hat,
-                    remaining: remaining.len(),
-                    served: 0,
-                    over_edges: data.over_edges.len(),
-                });
-                keep_denser(&mut res.best_witness, witness);
-                res.delta_hat = delta_hat.saturating_mul(2);
-                assert!(
-                    u64::from(res.delta_hat) <= cap,
-                    "doubling search exceeded 4n — sweep invariant broken"
-                );
-            }
+            let served: std::collections::HashSet<PartId> = sweep.served.into_iter().collect();
+            remaining.retain(|p| !served.contains(p));
+        } else {
+            keep_denser(&mut res.best_witness, sweep.witness);
+            res.delta_hat = delta_hat.saturating_mul(2);
+            assert!(
+                u64::from(res.delta_hat) <= cap,
+                "doubling search exceeded 4n — sweep invariant broken"
+            );
         }
     }
     Ok(res)

@@ -48,11 +48,14 @@
 //!
 //! * [`Partition`] / [`Shortcut`]: the objects of Definition 2.1/2.2, and
 //!   the [`Transition`] both follow when a partition moves,
-//! * [`partial_shortcut_or_witness`]: the Theorem 3.1 sweep — either a
-//!   tree-restricted `8δ̂D`-congestion `8δ̂`-block *partial* shortcut for at
-//!   least half the parts, or a certified minor of density `> δ̂`
-//!   (Case (II), extracted derandomized via conditional expectations;
-//!   [`extract_witness_sampled`] is the paper's sampling, for comparison),
+//! * [`partial_shortcut_or_witness`]: the Theorem 3.1 sweep of both
+//!   theorems — either a tree-restricted `8δ̂D`-congestion `8δ̂`-block
+//!   *partial* shortcut for at least half the active parts, or a certified
+//!   minor of density `> δ̂` (Case (II), extracted derandomized via
+//!   conditional expectations; [`extract_witness_sampled`] is the paper's
+//!   sampling, for comparison); its cut set comes from the threshold rule
+//!   or, distributedly, from the detection convergecast, and assembly, the
+//!   Case split and witness extraction are the same function either way,
 //! * [`construct`]: the Observation 2.7 loop plus doubling search over
 //!   `δ̂`, yielding the full shortcuts of Theorem 1.2 together with a
 //!   dense-minor certificate for near-optimality — centrally
@@ -97,5 +100,5 @@ pub use session::{
 };
 pub use shortcut::Shortcut;
 pub use source::{GeneratorSpec, GraphSource, GraphSourceError, PartitionSource, ResolvedGraph};
-pub use sweep::{partial_shortcut_or_witness, OverEdge, PartialShortcut, SweepData, SweepOutcome};
+pub use sweep::{partial_shortcut_or_witness, OverEdge, Sweep, SweepData};
 pub use witness::{extract_witness_derandomized, extract_witness_sampled};

@@ -7,10 +7,14 @@
 //! that congested them; parts of small `B`-degree receive their forest
 //! ancestor edges as the shortcut (Case (I)), and if fewer than half the
 //! parts qualify, `B` contains a dense minor (Case (II), extracted in
-//! [`crate::witness`]).
+//! [`crate::witness`]). [`partial_shortcut_or_witness`] is the sweep of both
+//! theorems: `O` comes from the threshold rule (Theorem 1.2) or from the
+//! detection convergecast of [`crate::dist`] (Theorem 1.5).
 
+use crate::dist::{detect_cuts, DistConfig, Truncated};
 use crate::witness;
 use crate::{Partition, Shortcut, ShortcutConfig};
+use lcs_congest::RunMetrics;
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
@@ -55,147 +59,93 @@ pub struct SweepData {
     pub active: Vec<PartId>,
 }
 
-/// A successful Case (I) outcome: at least half the active parts served.
+/// One Theorem 3.1 sweep: the parts it served, their `H_i`, its
+/// bookkeeping, and — in Case (II) only — the dense-minor certificate.
 #[derive(Clone, Debug)]
-pub struct PartialShortcut {
-    /// Parts that received a shortcut this round (`deg_B <= 8δ̂`), sorted.
+pub struct Sweep {
+    /// Active parts with `deg_B <= 8δ̂`, in `active` order.
     pub served: Vec<PartId>,
-    /// `H_i` for served parts (empty for others); sized like the partition.
+    /// `H_i` (the forest ancestor edges) for the served parts, empty for
+    /// the others; sized like the partition.
     pub shortcut: Shortcut,
     /// The sweep's bookkeeping.
     pub data: SweepData,
+    /// Case (II): the minor of density `> δ̂` the derandomized extraction
+    /// found. With the paper's congestion factor `8` the counting argument
+    /// guarantees one on trees of depth at least 4, so the doubled `δ̂` is
+    /// certified; `None` in Case (I), and where that argument does not
+    /// reach (a shallower tree, a weaker ablation factor).
+    pub witness: Option<MinorWitness>,
 }
 
-/// Result of one sweep: a partial shortcut or a dense-minor certificate.
-#[derive(Clone, Debug)]
-pub enum SweepOutcome {
-    /// Case (I): at least half the active parts have `B`-degree at most
-    /// `8δ̂` and receive their forest ancestor edges.
-    Shortcut(PartialShortcut),
-    /// Case (II): more than half the active parts have large `B`-degree,
-    /// certifying a minor of density `> δ̂`.
-    DenseMinor {
-        /// The minor of density `> δ̂` the derandomized extraction found.
-        /// With the paper's congestion factor `8` the counting argument
-        /// guarantees one on trees of depth at least 4, so the doubled `δ̂`
-        /// is certified; `None` only where that argument does not reach (a
-        /// shallower tree, a weaker ablation factor).
-        witness: Option<MinorWitness>,
-        /// The sweep's bookkeeping.
-        data: SweepData,
-    },
-}
-
-/// Runs one Theorem 3.1 sweep on all parts of `partition` with guess `δ̂`.
-///
-/// # Panics
-///
-/// Panics if `δ̂ = 0` or some part node lies outside `tree`'s component.
-pub fn partial_shortcut_or_witness(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    delta_hat: u32,
-    config: &ShortcutConfig,
-) -> SweepOutcome {
-    let all: Vec<PartId> = partition.part_ids().collect();
-    sweep_active(
-        g,
-        tree,
-        partition,
-        &all,
-        delta_hat,
-        config,
-        CutRule::Threshold,
-    )
-}
-
-/// Runs one sweep considering only the parts in `active` (the unit of the
-/// Observation 2.7 loop), cutting by `rule`: a partial shortcut when at
-/// least half of `active` is served, the derandomized Case (II) certificate
-/// otherwise.
-///
-/// # Panics
-///
-/// Panics like [`sweep_core`].
-pub(crate) fn sweep_active(
-    g: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    active: &[PartId],
-    delta_hat: u32,
-    config: &ShortcutConfig,
-    rule: CutRule<'_>,
-) -> SweepOutcome {
-    let (data, o_mark, served) = sweep_core(g, tree, partition, active, delta_hat, config, rule);
-    if case_one_accepts(served.len(), active.len()) {
-        let shortcut = build_shortcut(g, tree, partition, &served, &o_mark);
-        SweepOutcome::Shortcut(PartialShortcut {
-            served,
-            shortcut,
-            data,
-        })
-    } else {
-        let witness = witness::extract_witness_derandomized(g, tree, partition, &data);
-        SweepOutcome::DenseMinor { witness, data }
+impl Sweep {
+    /// Case (I) of Theorem 3.1: at least half the active parts were served.
+    pub fn case_one(&self) -> bool {
+        2 * self.served.len() >= self.data.active.len()
     }
 }
 
-/// How one sweep decides which tree edges to cut.
-pub(crate) enum CutRule<'a> {
-    /// Cut when at least `c = congestion_factor·δ̂·D` active parts intersect
-    /// the descendants — the Theorem 3.1 rule of the centralized sweep.
-    Threshold,
-    /// Cut exactly the marked edges — re-deriving the bookkeeping under a
-    /// cut set the distributed protocol already detected.
-    Fixed(&'a [bool]),
-}
-
-/// The bookkeeping every sweep shares: input validation, threshold
-/// computation, the bottom-up merge under the given cut rule,
-/// [`SweepData`] assembly, and the served filter (`deg_B <= block
-/// threshold`). Returns `(data, o_mark, served)`.
+/// Runs one Theorem 3.1 sweep over the parts in `active` (the unit of the
+/// Observation 2.7 loop) with guess `δ̂`.
+///
+/// `dist` picks where the cut set `O` comes from. `None`: the threshold
+/// rule, centrally, and the returned metrics are zero (Theorem 1.2).
+/// `Some`: the edges one detection convergecast over `tree` cut on the
+/// simulator — the threshold rule's edges in [`DistMode::Exact`], an
+/// estimate in sketch mode — with that run's metrics (Theorem 1.5).
+/// Everything else — the `B`-degrees, the served parts, their `H_i` and
+/// the Case (II) certificate — is derived from `O` the same way.
+///
+/// [`DistMode::Exact`]: crate::dist::DistMode::Exact
+///
+/// # Errors
+///
+/// [`Truncated`] (`phase: "detection"`) if the convergecast hit
+/// `dist.sim.max_rounds`; never with `dist = None`.
 ///
 /// # Panics
 ///
 /// Panics if `δ̂ = 0`, some active part's node lies outside `tree`'s
 /// component, or `active` contains duplicates or out-of-range part ids.
-pub(crate) fn sweep_core(
+pub fn partial_shortcut_or_witness(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
     active: &[PartId],
     delta_hat: u32,
     config: &ShortcutConfig,
-    rule: CutRule<'_>,
-) -> (SweepData, Vec<bool>, Vec<PartId>) {
+    dist: Option<&DistConfig>,
+) -> Result<(Sweep, RunMetrics), Truncated> {
     assert!(delta_hat >= 1, "δ̂ must be at least 1");
-    let num_parts = partition.num_parts();
-    let mut is_active = vec![false; num_parts];
-    for &p in active {
-        assert!(p.index() < num_parts, "active part {p:?} out of range");
-        assert!(!is_active[p.index()], "duplicate active part {p:?}");
-        is_active[p.index()] = true;
-        for &v in partition.part(p) {
-            assert!(
-                tree.contains(v),
-                "part node {v:?} outside the tree's component"
-            );
-        }
-    }
     let d_t = tree.depth_of_tree();
     let c = config.congestion_threshold(delta_hat, d_t);
     let b_thr = config.block_threshold(delta_hat);
-
-    let (over_edges, o_mark, deg_b) = match rule {
-        CutRule::Threshold => bottom_up(g, tree, partition, &is_active, |set_len, _| {
-            set_len >= c as usize
-        }),
-        CutRule::Fixed(fixed_o) => {
-            bottom_up(g, tree, partition, &is_active, |_, e| fixed_o[e.index()])
+    // The cut set `O`: the threshold rule's, or what the detection cut.
+    let (over_edges, o_mark, deg_b, run) = {
+        let num_parts = partition.num_parts();
+        let mut is_active = vec![false; num_parts];
+        for &p in active {
+            assert!(p.index() < num_parts, "active part {p:?} out of range");
+            assert!(!is_active[p.index()], "duplicate active part {p:?}");
+            is_active[p.index()] = true;
+            for &v in partition.part(p) {
+                assert!(
+                    tree.contains(v),
+                    "part node {v:?} outside the tree's component"
+                );
+            }
         }
+        let detected = dist
+            .map(|dist| detect_cuts(g, tree, partition, &is_active, c, dist))
+            .transpose()?;
+        let cut = |set_len: usize, e: EdgeId| match &detected {
+            None => set_len >= c as usize,
+            Some((cuts, _)) => cuts[e.index()],
+        };
+        let (over_edges, o_mark, deg_b) = bottom_up(g, tree, partition, &is_active, cut);
+        let run = detected.map(|(_, run)| run).unwrap_or_default();
+        (over_edges, o_mark, deg_b, run)
     };
-
     let data = SweepData {
         delta_hat,
         congestion_threshold: c,
@@ -210,13 +160,16 @@ pub(crate) fn sweep_core(
         .copied()
         .filter(|&p| data.deg_b[p.index()] <= b_thr)
         .collect();
-    (data, o_mark, served)
-}
-
-/// The Case (I) acceptance rule of Theorem 3.1: a sweep succeeds when at
-/// least half its active parts were served.
-pub(crate) fn case_one_accepts(served: usize, active: usize) -> bool {
-    2 * served >= active
+    let mut sweep = Sweep {
+        shortcut: build_shortcut(g, tree, partition, &served, &o_mark),
+        served,
+        data,
+        witness: None,
+    };
+    if !sweep.case_one() {
+        sweep.witness = witness::extract_witness_derandomized(g, tree, partition, &sweep.data);
+    }
+    Ok((sweep, run))
 }
 
 /// The bottom-up small-to-large merge of (part -> min-depth representative)
@@ -298,7 +251,7 @@ fn bottom_up(
 
 /// `H_i` = all ancestor edges of `P_i` in the forest `T \ O`, for each
 /// served part.
-pub(crate) fn build_shortcut(
+fn build_shortcut(
     g: &Graph,
     tree: &RootedTree,
     partition: &Partition,
@@ -327,8 +280,26 @@ pub(crate) fn build_shortcut(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::dist::DistMode;
     use crate::measure_quality;
+    use lcs_congest::SimConfig;
     use lcs_graph::{bfs, gen, minor};
+
+    /// One centralized sweep over every part of `partition`.
+    pub(crate) fn sweep_all(
+        g: &Graph,
+        tree: &RootedTree,
+        partition: &Partition,
+        delta_hat: u32,
+        config: &ShortcutConfig,
+    ) -> Sweep {
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let (sweep, run) =
+            partial_shortcut_or_witness(g, tree, partition, &all, delta_hat, config, None)
+                .expect("no simulated phase runs");
+        assert_eq!(run, RunMetrics::default(), "a central sweep is free");
+        sweep
+    }
 
     /// The "comb" instance that deterministically triggers Case (II) at
     /// δ̂ = 1 with paper constants: a root, `t` middle nodes with `k` leaves
@@ -364,10 +335,8 @@ pub(crate) mod tests {
         let g = gen::grid(6, 6);
         let partition = Partition::from_parts(&g, gen::rows_of_grid(6, 6)).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let out = partial_shortcut_or_witness(&g, &tree, &partition, 1, &ShortcutConfig::default());
-        let SweepOutcome::Shortcut(ps) = out else {
-            panic!("expected Case (I)");
-        };
+        let ps = sweep_all(&g, &tree, &partition, 1, &ShortcutConfig::default());
+        assert!(ps.case_one() && ps.witness.is_none());
         assert_eq!(ps.served.len(), 6);
         assert!(ps.data.over_edges.is_empty());
         let q = measure_quality(&g, &partition, &tree, &ps.shortcut);
@@ -382,10 +351,13 @@ pub(crate) mod tests {
         let (g, partition) = comb_instance(10, 20);
         let tree = bfs::bfs_tree(&g, NodeId(0));
         assert_eq!(tree.depth_of_tree(), 2);
-        let out = partial_shortcut_or_witness(&g, &tree, &partition, 1, &ShortcutConfig::default());
-        let SweepOutcome::DenseMinor { witness, data } = out else {
-            panic!("expected Case (II)");
-        };
+        let Sweep {
+            served,
+            witness,
+            data,
+            ..
+        } = sweep_all(&g, &tree, &partition, 1, &ShortcutConfig::default());
+        assert!(served.is_empty(), "expected Case (II)");
         // All 10 root edges overcongest (20 parts >= c = 16).
         assert_eq!(data.over_edges.len(), 10);
         assert!(data.deg_b.iter().all(|&d| d == 10));
@@ -403,10 +375,8 @@ pub(crate) mod tests {
         let (g, partition) = comb_instance(10, 20);
         let tree = bfs::bfs_tree(&g, NodeId(0));
         // c = 8·2·2 = 32 > 20 parts: nothing overcongests.
-        let out = partial_shortcut_or_witness(&g, &tree, &partition, 2, &ShortcutConfig::default());
-        let SweepOutcome::Shortcut(ps) = out else {
-            panic!("expected Case (I) at δ̂ = 2");
-        };
+        let ps = sweep_all(&g, &tree, &partition, 2, &ShortcutConfig::default());
+        assert!(ps.case_one(), "expected Case (I) at δ̂ = 2");
         assert_eq!(ps.served.len(), 20);
         let q = measure_quality(&g, &partition, &tree, &ps.shortcut);
         assert_eq!(q.max_blocks, 1);
@@ -421,15 +391,13 @@ pub(crate) mod tests {
         let parts = gen::random_connected_parts(&g, 64, &mut rng);
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let out = partial_shortcut_or_witness(&g, &tree, &partition, 1, &ShortcutConfig::default());
-        if let SweepOutcome::Shortcut(ps) = out {
-            let q = measure_quality(&g, &partition, &tree, &ps.shortcut);
-            // Served parts' H_i use only non-overcongested edges, whose
-            // |I_e| < c; so congestion < c.
-            assert!(q.max_congestion < ps.data.congestion_threshold);
-            for &p in &ps.served {
-                assert!(q.per_part[p.index()].blocks <= ps.data.deg_b[p.index()] + 1);
-            }
+        let ps = sweep_all(&g, &tree, &partition, 1, &ShortcutConfig::default());
+        let q = measure_quality(&g, &partition, &tree, &ps.shortcut);
+        // Served parts' H_i use only non-overcongested edges, whose
+        // |I_e| < c; so congestion < c — in either case.
+        assert!(q.max_congestion < ps.data.congestion_threshold);
+        for &p in &ps.served {
+            assert!(q.per_part[p.index()].blocks <= ps.data.deg_b[p.index()] + 1);
         }
     }
 
@@ -439,10 +407,8 @@ pub(crate) mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         // δ̂ = 1: c = 16 <= 20 parts, so all 6 root edges cut; deg_B = 6 <= 8
         // for every part: Case (I) with 6 blocks each.
-        let out = partial_shortcut_or_witness(&g, &tree, &partition, 1, &ShortcutConfig::default());
-        let SweepOutcome::Shortcut(ps) = out else {
-            panic!("expected Case (I)");
-        };
+        let ps = sweep_all(&g, &tree, &partition, 1, &ShortcutConfig::default());
+        assert!(ps.case_one());
         assert_eq!(ps.served.len(), 20);
         let q = measure_quality(&g, &partition, &tree, &ps.shortcut);
         for &p in &ps.served {
@@ -461,18 +427,10 @@ pub(crate) mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         // Only 10 active parts: c = 16 > 10, nothing overcongests.
         let active: Vec<PartId> = (0..10).map(PartId).collect();
-        let out = sweep_active(
-            &g,
-            &tree,
-            &partition,
-            &active,
-            1,
-            &ShortcutConfig::default(),
-            CutRule::Threshold,
-        );
-        let SweepOutcome::Shortcut(ps) = out else {
-            panic!("expected Case (I)");
-        };
+        let cfg = ShortcutConfig::default();
+        let (ps, _) =
+            partial_shortcut_or_witness(&g, &tree, &partition, &active, 1, &cfg, None).unwrap();
+        assert!(ps.case_one());
         assert_eq!(ps.served, active);
         // Inactive parts got no edges.
         assert!(ps.shortcut.edges_for(PartId(15)).is_empty());
@@ -484,7 +442,51 @@ pub(crate) mod tests {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         let partition = Partition::from_parts(&g, vec![vec![NodeId(2)]]).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        partial_shortcut_or_witness(&g, &tree, &partition, 1, &ShortcutConfig::default());
+        sweep_all(&g, &tree, &partition, 1, &ShortcutConfig::default());
+    }
+
+    #[test]
+    fn a_capped_detection_is_truncated_not_a_panic() {
+        // The comb's detection takes more rounds than its depth: at a cap
+        // of 2 rounds the convergecast is cut short, and the sweep says so.
+        let (g, partition) = comb_instance(10, 20);
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let cfg = ShortcutConfig::default();
+        for mode in [
+            DistMode::Exact,
+            DistMode::Sketch {
+                t: 4,
+                hash_seed: 1,
+                cut_factor: 1.0,
+            },
+        ] {
+            let dist = DistConfig {
+                mode,
+                sim: SimConfig {
+                    max_rounds: 2,
+                    ..SimConfig::default()
+                },
+            };
+            let err =
+                partial_shortcut_or_witness(&g, &tree, &partition, &all, 1, &cfg, Some(&dist))
+                    .expect_err("a capped convergecast is no cut set");
+            assert_eq!(
+                err,
+                Truncated {
+                    phase: "detection",
+                    max_rounds: 2
+                }
+            );
+            let free = DistConfig {
+                mode,
+                ..DistConfig::default()
+            };
+            let (_, run) =
+                partial_shortcut_or_witness(&g, &tree, &partition, &all, 1, &cfg, Some(&free))
+                    .expect("the default cap lets it finish");
+            assert!(run.terminated && run.rounds > 2);
+        }
     }
 
     use lcs_graph::Graph;

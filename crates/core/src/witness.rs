@@ -318,41 +318,15 @@ pub fn extract_witness_derandomized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{partial_shortcut_or_witness, SweepOutcome};
+    use crate::sweep::tests::{comb_instance as comb, sweep_all};
     use crate::ShortcutConfig;
     use lcs_graph::{bfs, minor};
 
-    /// Rebuilds the comb instance (see `sweep::tests`) without cross-module
-    /// test dependencies.
-    fn comb(t: usize, k: usize) -> (Graph, Partition) {
-        let n = 1 + t + t * k;
-        let mut bld = lcs_graph::GraphBuilder::new(n);
-        let leaf = |i: usize, p: usize| NodeId((1 + t + i * k + p) as u32);
-        for i in 0..t {
-            bld.add_edge(NodeId(0), NodeId((1 + i) as u32));
-            for q in 0..k {
-                bld.add_edge(NodeId((1 + i) as u32), leaf(i, q));
-            }
-        }
-        for q in 0..k {
-            for i in 0..t - 1 {
-                bld.add_edge(leaf(i, q), leaf(i + 1, q));
-            }
-        }
-        let g = bld.build();
-        let parts = (0..k)
-            .map(|q| (0..t).map(|i| leaf(i, q)).collect())
-            .collect();
-        let partition = Partition::from_parts(&g, parts).unwrap();
-        (g, partition)
-    }
-
     fn failing_sweep_data(g: &Graph, partition: &Partition) -> (RootedTree, SweepData) {
         let tree = bfs::bfs_tree(g, NodeId(0));
-        match partial_shortcut_or_witness(g, &tree, partition, 1, &ShortcutConfig::default()) {
-            SweepOutcome::DenseMinor { data, .. } => (tree, data),
-            SweepOutcome::Shortcut(_) => panic!("instance must fail at δ̂ = 1"),
-        }
+        let sweep = sweep_all(g, &tree, partition, 1, &ShortcutConfig::default());
+        assert!(!sweep.case_one(), "instance must fail at δ̂ = 1");
+        (tree, sweep.data)
     }
 
     #[test]
@@ -402,9 +376,9 @@ mod tests {
         let cfg = ShortcutConfig {
             congestion_factor: 1,
         };
-        if let SweepOutcome::DenseMinor { data, .. } =
-            partial_shortcut_or_witness(&g, &tree, &partition, 1, &cfg)
-        {
+        let sweep = sweep_all(&g, &tree, &partition, 1, &cfg);
+        if !sweep.case_one() {
+            let data = sweep.data;
             if let Some(w) = extract_witness_derandomized(&g, &tree, &partition, &data) {
                 assert!(minor::verify_minor(&g, &w).is_ok());
                 assert!(w.density() > 1.0);

@@ -1190,21 +1190,15 @@ impl AggregateOp<'_> {
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
         let mut forest = AggForest::unrooted(partition, &participation);
-        self.run_with(g, partition, opts, sim, &participation, &mut forest)
-    }
-
-    /// [`run_masked`](Self::run_masked) with every part running.
-    pub fn run_with(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        opts: &AggregateOpts,
-        sim: SimConfig,
-        participation: &ParticipationMap,
-        forest: &mut AggForest,
-    ) -> PartwiseOutcome {
         let shape = (Wave::Echo, None);
-        self.run_masked(g, partition, (opts, sim), participation, forest, shape)
+        self.run_masked(
+            g,
+            partition,
+            (opts, sim),
+            &participation,
+            &mut forest,
+            shape,
+        )
     }
 
     /// Runs the protocol over a prebuilt [`ParticipationMap`] of
@@ -1411,6 +1405,9 @@ mod tests {
     use lcs_graph::{bfs, gen};
     use proptest::prelude::*;
 
+    /// Every part running the echo.
+    const ECHO: (Wave, Option<&[bool]>) = (Wave::Echo, None);
+
     fn grid_setup(side: usize) -> (Graph, Partition, Shortcut) {
         let g = gen::grid(side, side);
         let partition = Partition::from_parts(&g, gen::rows_of_grid(side, side)).unwrap();
@@ -1552,7 +1549,7 @@ mod tests {
         let mut forest = AggForest::unrooted(partition, &map);
         let values = vec![1; g.num_nodes()];
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-        sum_of(&values).run_with(g, partition, &opts, sim, &map, &mut forest);
+        sum_of(&values).run_masked(g, partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!(rooted_parts(&forest), partition.num_parts());
         (map, forest)
     }
@@ -1602,7 +1599,7 @@ mod tests {
         let memberless = memberless_relays(g, partition, &map, &carried);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-        let out = sum_of(&values).run_with(g, partition, &opts, sim, &map, &mut carried);
+        let out = sum_of(&values).run_masked(g, partition, (&opts, sim), &map, &mut carried, ECHO);
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!(out.rooted_parts, rooted);
         let expect = crate::centralized_aggregate(partition, &values, AggOp::Sum);
@@ -1687,7 +1684,7 @@ mod tests {
         let map = ParticipationMap::build(&g, &partition, &built.shortcut);
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let mut forest = AggForest::unrooted(&partition, &map);
-        let with = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let with = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         let without = run_cold(op, &g, &partition, &baseline::no_shortcut(&partition));
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
@@ -1700,7 +1697,7 @@ mod tests {
         );
         // The hub, the rim's only relay, carries members below it: nothing
         // is pruned, so both runs send what the unpruned echo sends.
-        let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!(pruned_slots(&g, &partition, &map, &forest), 0);
         let (ports, non_roots) = (map.ports.len() as u64, map.slot_part.len() as u64 - 1);
         assert_eq!(with.metrics.messages, ports + 2 * non_roots);
@@ -1775,7 +1772,14 @@ mod tests {
             };
             let mut forest = AggForest::unrooted(&partition, &map);
             let runs = [(); 2].map(|()| {
-                let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+                let out = sum_of(&values).run_masked(
+                    &g,
+                    &partition,
+                    (&opts, sim),
+                    &map,
+                    &mut forest,
+                    ECHO,
+                );
                 assert!(out.all_members_informed);
                 (out.results, out.metrics.counts(), out.rooted_parts)
             });
@@ -2017,8 +2021,8 @@ mod tests {
             let opts = AggregateOpts { delay_range: 16 * delay_range };
             let sim = SimConfig::default();
             let mut forest = AggForest::unrooted(&partition, &map);
-            let cold = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
-            let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
             prop_assert!(cold.metrics.terminated && warm.metrics.terminated);
             prop_assert_eq!(warm.rooted_parts, partition.num_parts());
             let k = partition.num_parts() as u64;
@@ -2078,7 +2082,7 @@ mod tests {
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
             let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
             let mut forest = AggForest::unrooted(&partition, &map);
-            sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
             assert_eq!(rooted_parts(&forest), partition.num_parts());
             let rooted = forest.clone();
             for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
@@ -2087,7 +2091,7 @@ mod tests {
                     ..sum_of(&values)
                 };
                 let cold = op.run_on(&g, &partition, &shortcut, &opts, sim);
-                let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+                let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
                 assert_eq!(
                     (cold.rooted_parts, warm.rooted_parts),
                     (0, partition.num_parts())
@@ -2129,7 +2133,7 @@ mod tests {
         assert!(kept > 0, "the masked part has a tree to keep");
 
         let mut full = rooted.clone();
-        let all = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut full);
+        let all = sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut full, ECHO);
         let mut sits_out = vec![false; k];
         sits_out[masked as usize] = true;
         let mut forest = rooted.clone();
@@ -2265,7 +2269,7 @@ mod tests {
             let again = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
             assert_eq!(again.results, out.results, "{:?}", op.op);
             assert_eq!(again.metrics.messages, path, "{:?}", op.op);
-            let echo = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let echo = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
             assert_eq!(echo.rooted_parts, k);
             assert_eq!(echo.metrics.messages, 2 * edges as u64);
         }
@@ -2333,10 +2337,18 @@ mod tests {
 
         let mut forest = AggForest::unrooted(&partition, &map);
         for seeded in [0, partition.num_parts()] {
-            let cut = sum_of(&values).run_with(&g, &partition, &opts, capped, &map, &mut forest);
+            let cut = sum_of(&values).run_masked(
+                &g,
+                &partition,
+                (&opts, capped),
+                &map,
+                &mut forest,
+                ECHO,
+            );
             assert!(cut.metrics.truncated && cut.rooted_parts == seeded);
             assert_eq!(forest, AggForest::unrooted(&partition, &map));
-            let rerooted = sum_of(&values).run_with(&g, &partition, &opts, free, &map, &mut forest);
+            let rerooted =
+                sum_of(&values).run_masked(&g, &partition, (&opts, free), &map, &mut forest, ECHO);
             assert_eq!(rerooted.rooted_parts, 0);
             assert_eq!(rerooted.metrics.counts(), cold.metrics.counts());
             assert_eq!(rerooted.results, cold.results);
@@ -2359,14 +2371,16 @@ mod tests {
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let values = vec![1; 8];
         let mut forest = AggForest::unrooted(&partition, &map);
-        let first = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let first =
+            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert!(!first.metrics.terminated && first.all_members_informed);
         assert_eq!(
             forest.root,
             [NO_ROOT, 2],
             "only the connected part is rooted"
         );
-        let again = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let again =
+            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!(again.rooted_parts, 1);
         assert_eq!(again.results, vec![Some(2), Some(2)]);
         assert!(!again.metrics.terminated && again.all_members_informed);
@@ -2401,15 +2415,16 @@ mod tests {
         let cold = elsewhere.run_on(&g, &partition, &shortcut, &opts, sim);
 
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
-        let moved = elsewhere.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let moved = elsewhere.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!(moved.rooted_parts, 1);
         assert_eq!(moved.results, cold.results);
         assert!(moved.metrics.terminated && moved.all_members_informed);
         assert_eq!(forest.root, last.iter().map(|l| l.0).collect::<Vec<_>>());
-        let warm = elsewhere.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let warm = elsewhere.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!((warm.rooted_parts, &warm.results), (k, &cold.results));
-        let back = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let back =
+            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!((back.rooted_parts, &back.results), (k, &cold.results));
         assert_eq!(back.metrics.messages, warm.metrics.messages);
     }
@@ -2493,8 +2508,10 @@ mod tests {
             let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
             let values = vec![1; n as usize];
             let mut forest = AggForest::unrooted(&partition, &map);
-            let cold = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
-            let warm = sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let cold =
+                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let warm =
+                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
             for out in [&cold, &warm] {
                 assert!(out.metrics.terminated && out.all_members_informed);
                 assert_eq!(out.results, [Some(u64::from(members))]);
@@ -2531,7 +2548,7 @@ mod tests {
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         assert_eq!(rooted_parts(&forest), partition.num_parts());
 
         let mut pairs = std::collections::BTreeSet::new();
@@ -2553,7 +2570,8 @@ mod tests {
             let (mut carried, _) =
                 forest.carried_over(&g, &map, &merged, &next, &transition, usize::MAX);
             let k = merged.num_parts();
-            let out = sum_of(&values).run_with(&g, &merged, &opts, sim, &next, &mut carried);
+            let out =
+                sum_of(&values).run_masked(&g, &merged, (&opts, sim), &next, &mut carried, ECHO);
             assert!(out.metrics.terminated && out.all_members_informed);
             let expect = crate::centralized_aggregate(&merged, &values, AggOp::Sum);
             assert_eq!(
@@ -2644,7 +2662,7 @@ mod tests {
         let values: Vec<u64> = (0..8).collect();
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
         let hub = map.slot_of(NodeId(0), 0).unwrap();
         assert_ne!(forest.parent[hub], NO_PORT, "the hub is a kept relay");
         let hub_ports = map.node(NodeId(0)).ports(0);
@@ -2661,7 +2679,8 @@ mod tests {
                 ParticipationMap::build(&g, &partition, &Shortcut::from_edge_lists(vec![kept]));
             let (mut carried, _) =
                 forest.carried_over(&g, &map, &partition, &next, &identity, usize::MAX);
-            let out = sum_of(&values).run_with(&g, &partition, &opts, sim, &next, &mut carried);
+            let out =
+                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &next, &mut carried, ECHO);
             assert!(out.metrics.terminated && out.all_members_informed);
             assert_eq!(out.results, [Some(28)]);
             assert_eq!(out.rooted_parts, usize::from(!used(port)), "spoke {port}");
@@ -2796,8 +2815,8 @@ mod tests {
             let expect = crate::centralized_aggregate(&partition, &values, op.op);
             let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
             let mut forest = AggForest::unrooted(&partition, &map);
-            let cold = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
-            let warm = op.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+            let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
             for (run, out) in [("cold", &cold), ("warm", &warm)] {
                 assert!(out.all_members_informed, "{:?} {run}", op.op);
                 assert_eq!(out.results, expect, "{:?} {run}", op.op);

@@ -29,12 +29,12 @@
 //! # Root once, aggregate many
 //!
 //! The wave's spanning trees depend only on `G[P_i] + H_i` and the leaders,
-//! so an [`AggForest`] keeps them between runs ([`AggregateOp::run_with`]
-//! takes it in/out). A *cold* run (nothing rooted; every
-//! [`AggregateOp::run_on`]) is the echo above, bit for bit; a *warm* run
-//! sends only the convergecast and the broadcast over the kept slots, and
-//! [`PartwiseOutcome::rooted_parts`] reports how many parts the forest
-//! served. The tables and the forest follow a partition's
+//! so an [`AggForest`] keeps them between runs ([`AggregateOp::run_masked`]
+//! takes it in/out; the session ops run it with `(Wave::Echo, None)`). A
+//! *cold* run (nothing rooted; every [`AggregateOp::run_on`]) is the echo
+//! above, bit for bit; a *warm* run sends only the convergecast and the
+//! broadcast over the kept slots, and [`PartwiseOutcome::rooted_parts`]
+//! reports how many parts the forest served. The tables and the forest follow a partition's
 //! [`Transition`](lcs_core::Transition) — the session's `reassign_parts`
 //! churn, every Boruvka phase — through [`ParticipationMap::refreshed`] and
 //! [`AggForest::carried_over`]. This is a model choice, not a host

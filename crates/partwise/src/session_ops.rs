@@ -8,7 +8,7 @@
 //! [`SessionConfig`]: lcs_core::session::SessionConfig
 
 use crate::dist::SessionTables;
-use crate::{AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome};
+use crate::{AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome, Wave};
 use lcs_congest::protocols::AggOp;
 use lcs_congest::RunMetrics;
 use lcs_core::session::{OpReport, SessionError, ShortcutSession};
@@ -172,8 +172,9 @@ fn aggregate_on(
         op,
         leaders,
     };
-    let (opts, sim, participation) = (&config.aggregate, config.sim, &tables.participation);
-    let out = op.run_with(g, partition, opts, sim, participation, &mut forest);
+    let (knobs, participation) = ((&config.aggregate, config.sim), &tables.participation);
+    let shape = (Wave::Echo, None);
+    let out = op.run_masked(g, partition, knobs, participation, &mut forest, shape);
     session.op_artifact_swap(SessionTables {
         participation: participation.clone(),
         forest,

@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --release --example certify_dense_minor`
 
-use low_congestion_shortcuts::core::SweepOutcome;
 use low_congestion_shortcuts::prelude::*;
 
 fn main() {
@@ -21,27 +20,33 @@ fn main() {
 
     let tree = session.tree().clone();
     let config = session.config().shortcut;
+    let all: Vec<PartId> = session.partition().part_ids().collect();
     for delta_hat in [1u32, 2] {
         let (g, partition) = (session.graph(), session.partition());
-        match partial_shortcut_or_witness(g, &tree, partition, delta_hat, &config) {
-            SweepOutcome::Shortcut(ps) => println!(
+        let (sweep, _) =
+            partial_shortcut_or_witness(g, &tree, partition, &all, delta_hat, &config, None)
+                .expect("a central sweep runs no simulated phase");
+        let data = &sweep.data;
+        if sweep.case_one() {
+            println!(
                 "δ̂ = {delta_hat}: Case (I) — {} of {k} parts served, {} overcongested edges",
-                ps.served.len(),
-                ps.data.over_edges.len()
-            ),
-            SweepOutcome::DenseMinor { witness, data } => {
-                let w = witness.expect("derandomized extraction always succeeds here");
-                minor::verify_minor(&comb.graph, &w).expect("witness must verify");
-                println!(
-                    "δ̂ = {delta_hat}: Case (II) — {} overcongested edges; certified minor \
-                     with {} branch sets, {} edges, density {:.3} > {delta_hat}",
-                    data.over_edges.len(),
-                    w.num_nodes(),
-                    w.num_edges(),
-                    w.density()
-                );
-                assert!(w.density() > f64::from(delta_hat));
-            }
+                sweep.served.len(),
+                data.over_edges.len()
+            );
+        } else {
+            let w = sweep
+                .witness
+                .expect("derandomized extraction always succeeds here");
+            minor::verify_minor(&comb.graph, &w).expect("witness must verify");
+            println!(
+                "δ̂ = {delta_hat}: Case (II) — {} overcongested edges; certified minor \
+                 with {} branch sets, {} edges, density {:.3} > {delta_hat}",
+                data.over_edges.len(),
+                w.num_nodes(),
+                w.num_edges(),
+                w.density()
+            );
+            assert!(w.density() > f64::from(delta_hat));
         }
     }
 

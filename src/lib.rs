@@ -100,8 +100,10 @@ pub use lcs_separator as separator;
 /// derives from its backend, and `tree` is the session's own
 /// (`session.tree()`). One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:
-/// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), δ̂, &config.shortcut)`
-/// over a clone of `session.tree()` is the call.
+/// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), &active, δ̂, &config.shortcut, dist)`
+/// over a clone of `session.tree()` is the call — `dist = None` for the
+/// threshold rule, `Some(&dist)` for the simulated detection; it returns
+/// the [`Sweep`](lcs_core::Sweep) and the detection run's metrics.
 ///
 /// Simulator knobs ride [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim),
 /// so every backend and op picks them up from the one config surface:

@@ -3,9 +3,6 @@
 //! `end_to_end`; `lcs_algos`'s Boruvka bill replay reads them itself):
 //! every result must be identical at any lane count and packing factor.
 
-// Each test binary compiles its own copy and `end_to_end` reads one knob.
-#![allow(dead_code)]
-
 fn env_usize(name: &str) -> usize {
     std::env::var(name)
         .ok()

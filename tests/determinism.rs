@@ -5,7 +5,8 @@
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
-use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig, DistMode};
+use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
+use low_congestion_shortcuts::core::Sweep;
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
@@ -62,10 +63,15 @@ fn distributed_construction_is_replayable_per_seed() {
         },
         ..DistConfig::default()
     };
-    let a = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
-    let b = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist);
-    assert_eq!(a.over_edges, b.over_edges);
-    assert_eq!(a.metrics_shortcut, b.metrics_shortcut);
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let sweep = |dist| {
+        partial_shortcut_or_witness(&g, &tree, &partition, &all, 1, &cfg, Some(dist)).unwrap()
+    };
+    let cuts = |s: &Sweep| -> Vec<EdgeId> { s.data.over_edges.iter().map(|oe| oe.edge).collect() };
+    let ((a, run_a), (b, run_b)) = (sweep(&dist), sweep(&dist));
+    assert_eq!(cuts(&a), cuts(&b));
+    assert_eq!(run_a, run_b);
     assert_eq!(a.shortcut, b.shortcut);
 
     // A different hash seed may legitimately differ, but stays valid.
@@ -77,8 +83,7 @@ fn distributed_construction_is_replayable_per_seed() {
         },
         ..DistConfig::default()
     };
-    let c = distributed_partial_shortcut(&g, NodeId(0), &partition, 1, &cfg, &dist2);
-    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let (c, _) = sweep(&dist2);
     let q = measure_quality(&g, &partition, &tree, &c.shortcut);
     assert!(q.tree_restricted);
 }

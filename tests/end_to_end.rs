@@ -5,17 +5,15 @@
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
-use low_congestion_shortcuts::core::dist::{
-    distributed_bfs, distributed_partial_shortcut, DistConfig,
-};
-use low_congestion_shortcuts::core::{construct, SweepOutcome};
+use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
+use low_congestion_shortcuts::core::{construct, Sweep};
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 mod common;
-use common::env_packing;
+use common::{env_packing, env_threads};
 
 fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
     let partition = Partition::from_parts(g, parts).expect("valid partition");
@@ -105,31 +103,37 @@ fn pipeline_on_lower_bound_topology() {
     pipeline(&lb.graph, lb.rows, 5);
 }
 
-/// Differential check: `DistMode::Exact` must reproduce the centralized
-/// sweep's cut set edge-for-edge on `g` with the given partition.
+/// Differential check: on `g` with the given partition, the `DistMode::Exact`
+/// sweep must be the centralized one — the same cut edges, `B`-degrees,
+/// served parts, shortcut, case, and Case (II) witness.
 fn assert_distributed_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label: &str) {
     use low_congestion_shortcuts::congest::SimConfig;
     let partition = Partition::from_parts(g, parts).unwrap();
     let cfg = ShortcutConfig::default();
     let dist_cfg = DistConfig {
         sim: SimConfig {
+            threads: env_threads(),
             message_packing: env_packing(),
             ..SimConfig::default()
         },
         ..DistConfig::default()
     };
-    let dist = distributed_partial_shortcut(g, NodeId(0), &partition, 1, &cfg, &dist_cfg);
-    let tree = bfs::bfs_tree(g, NodeId(0));
-    let central = partial_shortcut_or_witness(g, &tree, &partition, 1, &cfg);
-    let central_cuts: Vec<_> = match &central {
-        SweepOutcome::Shortcut(ps) => ps.data.over_edges.iter().map(|oe| oe.edge).collect(),
-        SweepOutcome::DenseMinor { data, .. } => data.over_edges.iter().map(|oe| oe.edge).collect(),
+    let (flooded, _) = distributed_bfs(g, NodeId(0), dist_cfg.sim).expect("default round cap");
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let sweep = |tree: &RootedTree, dist| {
+        partial_shortcut_or_witness(g, tree, &partition, &all, 1, &cfg, dist)
+            .expect("default round cap")
+            .0
     };
-    let mut a = dist.over_edges.clone();
-    a.sort_unstable();
-    let mut b = central_cuts;
-    b.sort_unstable();
-    assert_eq!(a, b, "{label}: exact mode must match the centralized sweep");
+    let dist = sweep(&flooded, Some(&dist_cfg));
+    let central = sweep(&bfs::bfs_tree(g, NodeId(0)), None);
+    let cuts = |s: &Sweep| -> Vec<EdgeId> { s.data.over_edges.iter().map(|oe| oe.edge).collect() };
+    assert_eq!(cuts(&dist), cuts(&central), "{label}: cut edges");
+    assert_eq!(dist.data.deg_b, central.data.deg_b, "{label}: B-degrees");
+    assert_eq!(dist.served, central.served, "{label}: served parts");
+    assert_eq!(dist.shortcut, central.shortcut, "{label}: shortcut");
+    assert_eq!(dist.case_one(), central.case_one(), "{label}: case");
+    assert_eq!(dist.witness, central.witness, "{label}: witness");
 }
 
 const DIFFERENTIAL_SEEDS: u64 = 50;
@@ -205,5 +209,3 @@ fn mst_exact_across_providers_and_families() {
         }
     }
 }
-
-use low_congestion_shortcuts::core::partial_shortcut_or_witness;

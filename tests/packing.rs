@@ -19,12 +19,10 @@
 
 use low_congestion_shortcuts::congest::protocols::{AggOp, BfsTreeProgram};
 use low_congestion_shortcuts::congest::{
-    Ctx, Incoming, MessageSize, NodeProgram, SimConfig, SimMode, Simulator,
+    Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use low_congestion_shortcuts::core::dist::{
-    distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
-};
-use low_congestion_shortcuts::core::{Partition, ShortcutConfig};
+use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
+use low_congestion_shortcuts::core::{Partition, ShortcutConfig, Sweep};
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::{
     centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap, Wave,
@@ -100,7 +98,7 @@ fn run_detection(
     mode: DistMode,
     threads: usize,
     packing: usize,
-) -> DistPartialShortcut {
+) -> (Sweep, RunMetrics) {
     let cfg = ShortcutConfig::default();
     let dist = DistConfig {
         mode,
@@ -110,7 +108,13 @@ fn run_detection(
             ..SimConfig::default()
         },
     };
-    distributed_partial_shortcut(g, NodeId(0), partition, 1, &cfg, &dist)
+    let tree = bfs::bfs_tree(g, NodeId(0));
+    let all: Vec<PartId> = partition.part_ids().collect();
+    partial_shortcut_or_witness(g, &tree, partition, &all, 1, &cfg, Some(&dist)).unwrap()
+}
+
+fn cut_edges(sweep: &Sweep) -> Vec<EdgeId> {
+    sweep.data.over_edges.iter().map(|oe| oe.edge).collect()
 }
 
 /// The two hot convergecast producers — exact part streams and KMV sketch
@@ -133,14 +137,13 @@ fn detection_cut_sets_are_packing_invariant() {
     ];
     for (mode_name, mode) in modes {
         for threads in THREADS {
-            let mut reference: Option<DistPartialShortcut> = None;
+            let mut reference: Option<Sweep> = None;
             let mut prev: Option<(u64, u64, u64)> = None;
             let mut unpacked_rounds = 0;
             let mut packed8_rounds = 0;
             for packing in PACKING_LEVELS {
-                let res = run_detection(&g, &partition, mode, threads, packing);
+                let (res, m) = run_detection(&g, &partition, mode, threads, packing);
                 let label = format!("{mode_name}/t{threads}/p{packing}");
-                let m = &res.metrics_shortcut;
                 let cost = (m.rounds, m.messages, m.bits);
                 if packing == 1 {
                     unpacked_rounds = m.rounds;
@@ -151,7 +154,7 @@ fn detection_cut_sets_are_packing_invariant() {
                 match &reference {
                     None => reference = Some(res),
                     Some(base) => {
-                        assert_eq!(res.over_edges, base.over_edges, "{label}: cut set drifted");
+                        assert_eq!(cut_edges(&res), cut_edges(base), "{label}: cut set drifted");
                         assert_eq!(res.shortcut, base.shortcut, "{label}: shortcut drifted");
                         assert_eq!(res.served, base.served, "{label}: served parts drifted");
                     }
@@ -211,8 +214,14 @@ fn partwise_aggregates_are_packing_invariant() {
                         let mut forest = AggForest::unrooted(&partition, &map);
                         // Cold, then warm over the forest the cold run left.
                         let messages = [(); 2].map(|()| {
-                            let out =
-                                aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+                            let out = aggregate.run_masked(
+                                &g,
+                                &partition,
+                                (&opts, sim),
+                                &map,
+                                &mut forest,
+                                (Wave::Echo, None),
+                            );
                             assert!(out.all_members_informed, "{label}: not all informed");
                             assert_eq!(out.results, expect, "{label}: results drifted");
                             out.metrics.messages
@@ -258,14 +267,8 @@ fn wave_shapes_are_packing_invariant() {
             op: AggOp::Sum,
             leaders: None,
         };
-        sum.run_with(
-            &g,
-            &partition,
-            &opts,
-            SimConfig::default(),
-            &map,
-            &mut rooted,
-        );
+        let knobs = (&opts, SimConfig::default());
+        sum.run_masked(&g, &partition, knobs, &map, &mut rooted, (Wave::Echo, None));
         let last: Vec<NodeId> = partition.iter().map(|(_, m)| *m.last().unwrap()).collect();
         let mut sits_out = vec![false; partition.num_parts()];
         sits_out[1] = true;
@@ -504,13 +507,13 @@ fn sketch_stream_compression_reduces_billed_bits() {
         hash_seed: 0xbeef,
         cut_factor: 1.0,
     };
-    let unpacked = run_detection(&g, &partition, mode, 1, 1);
-    let packed = run_detection(&g, &partition, mode, 1, 8);
+    let (unpacked, unpacked_run) = run_detection(&g, &partition, mode, 1, 1);
+    let (packed, packed_run) = run_detection(&g, &partition, mode, 1, 8);
     assert!(
-        packed.metrics_shortcut.bits < unpacked.metrics_shortcut.bits,
+        packed_run.bits < unpacked_run.bits,
         "shared-tag batches must bill fewer bits ({} vs {})",
-        packed.metrics_shortcut.bits,
-        unpacked.metrics_shortcut.bits
+        packed_run.bits,
+        unpacked_run.bits
     );
-    assert_eq!(packed.over_edges, unpacked.over_edges);
+    assert_eq!(cut_edges(&packed), cut_edges(&unpacked));
 }

@@ -2,7 +2,6 @@
 //! numbered as in the text, checked on concrete instances.
 
 use low_congestion_shortcuts::congest::protocols::AggOp;
-use low_congestion_shortcuts::core::{partial_shortcut_or_witness, SweepOutcome};
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -95,22 +94,18 @@ fn theorem_3_1_dichotomy() {
     for (g, parts) in cases {
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
+        let all: Vec<PartId> = partition.part_ids().collect();
+        let cfg = ShortcutConfig::default();
         for delta_hat in [1u32, 2] {
-            match partial_shortcut_or_witness(
-                &g,
-                &tree,
-                &partition,
-                delta_hat,
-                &ShortcutConfig::default(),
-            ) {
-                SweepOutcome::Shortcut(ps) => {
-                    assert!(2 * ps.served.len() >= partition.num_parts());
-                }
-                SweepOutcome::DenseMinor { witness, .. } => {
-                    let w = witness.expect("paper constants guarantee extraction");
-                    minor::verify_minor(&g, &w).expect("witness must verify");
-                    assert!(w.density() > f64::from(delta_hat));
-                }
+            let (sweep, _) =
+                partial_shortcut_or_witness(&g, &tree, &partition, &all, delta_hat, &cfg, None)
+                    .unwrap();
+            if sweep.case_one() {
+                assert!(2 * sweep.served.len() >= partition.num_parts() && sweep.witness.is_none());
+            } else {
+                let w = sweep.witness.expect("paper constants guarantee extraction");
+                minor::verify_minor(&g, &w).expect("witness must verify");
+                assert!(w.density() > f64::from(delta_hat));
             }
         }
     }

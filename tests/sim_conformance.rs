@@ -52,7 +52,7 @@ use low_congestion_shortcuts::congest::protocols::BfsTreeProgram;
 use low_congestion_shortcuts::congest::{
     Ctx, Incoming, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use low_congestion_shortcuts::core::dist::{distributed_partial_shortcut, DistConfig};
+use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -148,38 +148,28 @@ fn partial_metrics(
         },
         ..DistConfig::default()
     };
-    let res = distributed_partial_shortcut(g, NodeId(0), &partition, 1, &cfg, &dist);
-    assert!(res.metrics_bfs.terminated && res.metrics_shortcut.terminated);
-    let mut cuts = res.over_edges.clone();
+    let (tree, bfs) = distributed_bfs(g, NodeId(0), dist.sim).expect("BFS must quiesce");
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let (sweep, detect) =
+        partial_shortcut_or_witness(g, &tree, &partition, &all, 1, &cfg, Some(&dist))
+            .expect("detection must quiesce");
+    let mut cuts: Vec<EdgeId> = sweep.data.over_edges.iter().map(|oe| oe.edge).collect();
     cuts.sort_unstable();
-    let fingerprint = format!("cuts {cuts:?} / shortcut {:?}", res.shortcut);
+    let fingerprint = format!("cuts {cuts:?} / shortcut {:?}", sweep.shortcut);
     // Fingerprint the BFS phase by replaying the identical deterministic
-    // run the pipeline executed (same graph, root, and sim config) — the
-    // pipeline does not expose its program states directly.
+    // run (same graph, root, and sim config) — `distributed_bfs` returns
+    // the tree, not its program states.
     let bfs_fp = {
         let replay = Simulator::new(g, dist.sim).run(|v, _| BfsTreeProgram::new(v == NodeId(0)));
         assert_eq!(
-            (
-                replay.metrics.rounds,
-                replay.metrics.messages,
-                replay.metrics.bits
-            ),
-            (
-                res.metrics_bfs.rounds,
-                res.metrics_bfs.messages,
-                res.metrics_bfs.bits
-            ),
-            "{case}: BFS replay must be the pipeline's own run"
+            replay.metrics, bfs,
+            "{case}: BFS replay must be the flood's own run"
         );
         bfs_fingerprint(&replay.programs)
     };
     vec![
-        row(&format!("{case}/bfs"), &res.metrics_bfs, bfs_fp),
-        row(
-            &format!("{case}/detect"),
-            &res.metrics_shortcut,
-            fingerprint,
-        ),
+        row(&format!("{case}/bfs"), &bfs, bfs_fp),
+        row(&format!("{case}/detect"), &detect, fingerprint),
     ]
 }
 
@@ -448,7 +438,7 @@ const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
 /// the protocol results.
 fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
     use low_congestion_shortcuts::facade::{AggregateOp, AggregateOpts, UnicastOp};
-    use low_congestion_shortcuts::partwise::{AggForest, ParticipationMap};
+    use low_congestion_shortcuts::partwise::{AggForest, ParticipationMap, Wave};
     use rand::Rng;
 
     let sim = SimConfig {
@@ -490,8 +480,9 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
         let opts = AggregateOpts::default();
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let mut forest = AggForest::unrooted(&partition, &map);
-        aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
-        let out = aggregate.run_with(&g, &partition, &opts, sim, &map, &mut forest);
+        let echo = (Wave::Echo, None);
+        aggregate.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, echo);
+        let out = aggregate.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, echo);
         assert!(
             out.all_members_informed && out.rooted_parts == partition.num_parts(),
             "{name}/aggregate_sum_warm"
