@@ -49,41 +49,46 @@ impl MessageSize for BfsMsg {
 #[derive(Clone, Debug)]
 pub struct BfsTreeProgram {
     is_root: bool,
-    dist: Option<u32>,
-    parent_port: Option<usize>,
-    children_ports: Vec<usize>,
+    /// BFS depth, [`NONE`] while unreached.
+    dist: u32,
+    /// Port to the parent, [`NONE`] at the root and unreached nodes.
+    parent_port: u32,
+    children_ports: Vec<u32>,
 }
+
+/// The unset `dist` / `parent_port`.
+const NONE: u32 = u32::MAX;
 
 impl BfsTreeProgram {
     /// Creates the program; exactly one node must pass `is_root = true`.
     pub fn new(is_root: bool) -> Self {
         BfsTreeProgram {
             is_root,
-            dist: if is_root { Some(0) } else { None },
-            parent_port: None,
+            dist: if is_root { 0 } else { NONE },
+            parent_port: NONE,
             children_ports: Vec::new(),
         }
     }
 
     /// The node's BFS depth, `None` if unreached.
     pub fn dist(&self) -> Option<u32> {
-        self.dist
+        (self.dist != NONE).then_some(self.dist)
     }
 
     /// Port to the parent (`None` at the root / unreached nodes).
     pub fn parent_port(&self) -> Option<usize> {
-        self.parent_port
+        (self.parent_port != NONE).then_some(self.parent_port as usize)
     }
 
     /// Ports to the children, ascending.
-    pub fn children_ports(&self) -> &[usize] {
+    pub fn children_ports(&self) -> &[u32] {
         &self.children_ports
     }
 
     /// Activation in the round the first `Dist`s arrive (all of them
     /// `Dist`, since only activated nodes answer). `children_ports` is the
-    /// one allocation: every port, the heard ones marked, then only the
-    /// ports `Dist` went out on.
+    /// one allocation: every port, the heard ones marked, then shrunk to
+    /// the ports `Dist` went out on.
     fn activate(&mut self, ctx: &mut Ctx<'_, BfsMsg>, inbox: &[Incoming<BfsMsg>]) {
         let mut best: Option<(u32, usize)> = None;
         for m in inbox {
@@ -94,10 +99,10 @@ impl BfsTreeProgram {
             }
         }
         let Some((d, parent)) = best else { return };
-        self.dist = Some(d + 1);
-        self.parent_port = Some(parent);
+        self.dist = d + 1;
+        self.parent_port = parent as u32;
         let ports = &mut self.children_ports;
-        ports.extend(0..ctx.degree());
+        ports.extend(0..ctx.degree() as u32);
         for m in inbox {
             ports[m.port] |= HEARD;
         }
@@ -109,16 +114,17 @@ impl BfsTreeProgram {
             }
         }
         keep_unmarked(ports);
+        ports.shrink_to_fit();
     }
 }
 
 /// Marks a port in `children_ports` for [`keep_unmarked`]; the marked
 /// list stays sorted by port.
-const HEARD: usize = 1 << (usize::BITS - 1);
+const HEARD: u32 = 1 << (u32::BITS - 1);
 
 /// Drops the marked ports in one pass. A leaf keeps no allocation, so
 /// the finished programs of a flood hold lists only at inner nodes.
-fn keep_unmarked(ports: &mut Vec<usize>) {
+fn keep_unmarked(ports: &mut Vec<u32>) {
     ports.retain(|&q| q & HEARD == 0);
     if ports.is_empty() {
         *ports = Vec::new();
@@ -131,12 +137,12 @@ impl NodeProgram for BfsTreeProgram {
     fn on_start(&mut self, ctx: &mut Ctx<'_, BfsMsg>) {
         if self.is_root {
             ctx.broadcast(BfsMsg::Dist(0));
-            self.children_ports.extend(0..ctx.degree());
+            self.children_ports.extend(0..ctx.degree() as u32);
         }
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BfsMsg>, inbox: &[Incoming<BfsMsg>]) {
-        if self.dist.is_none() {
+        if self.dist == NONE {
             self.activate(ctx, inbox);
             return;
         }
@@ -144,7 +150,7 @@ impl NodeProgram for BfsTreeProgram {
         // in `r + 2` — strikes the port it came on.
         let ports = &mut self.children_ports;
         for m in inbox {
-            if let Ok(i) = ports.binary_search_by_key(&m.port, |&q| q & !HEARD) {
+            if let Ok(i) = ports.binary_search_by_key(&(m.port as u32), |&q| q & !HEARD) {
                 ports[i] |= HEARD;
             }
         }
@@ -172,12 +178,12 @@ pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> RootedTree {
         if prog.is_root {
             root = Some(v);
         }
-        let Some(d) = prog.dist else {
+        let Some(d) = prog.dist() else {
             continue;
         };
         depth[v.index()] = d;
         order.push(v);
-        if let Some(port) = prog.parent_port {
+        if let Some(port) = prog.parent_port() {
             let nb = g.neighbor(v, port);
             parent[v.index()] = Some((nb.node, nb.edge));
         }
@@ -228,7 +234,9 @@ mod tests {
             assert_eq!(prog.dist(), depth, "depth of {v:?}");
             let up = want.parent(v).map(|(p, _)| port(v, p));
             assert_eq!(prog.parent_port(), up, "parent port of {v:?}");
-            let mut children: Vec<usize> = want.children(v).iter().map(|&c| port(v, c)).collect();
+            let mut children: Vec<u32> = (want.children(v).iter())
+                .map(|&c| port(v, c) as u32)
+                .collect();
             children.sort_unstable();
             assert_eq!(prog.children_ports(), children, "children of {v:?}");
         }
@@ -307,6 +315,14 @@ mod tests {
         for m in &runs[1..] {
             assert_eq!(m.counts(), runs[0].counts());
         }
+    }
+
+    /// A finished flood keeps one program per node: the root flag, the
+    /// depth and parent port as `u32`s, and the children list (its heap
+    /// sized to the ports `Dist` went out on at activation).
+    #[test]
+    fn a_program_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<BfsTreeProgram>(), 40);
     }
 
     #[test]
