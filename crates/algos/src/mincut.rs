@@ -17,16 +17,18 @@
 //! literature, and it adds no new use of shortcuts to measure.
 //!
 //! Round accounting: tree construction rounds are fully simulated; the
-//! 1-respecting evaluation is the classic subtree-sum convergecast whose
-//! deg-sum half is simulated and whose LCA-token half is computed centrally
-//! (charged as zero; `O(D + load)` rounds in theory).
+//! 1-respecting evaluation is the classic subtree-sum convergecast, its
+//! LCA-token half computed centrally (charged as zero; `O(D + load)` rounds
+//! in theory), its deg-sum half the [`Wave::Convergecast`] over the packed
+//! tree as a one-part forest ([`AggForest::of_tree`]): `n − 1` `Up`s.
 
 use crate::mst::{distributed_mst, kruskal, MstReport, MstSteps, ShortcutProvider};
-use lcs_congest::protocols::{AggOp, ConvergecastProgram};
-use lcs_congest::Simulator;
+use lcs_congest::protocols::AggOp;
 use lcs_core::session::SessionConfig;
+use lcs_core::{Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, components, EdgeId, Graph, NodeId, RootedTree};
+use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, Wave};
 
 /// Exact minimum cut by Stoer–Wagner (`O(n³)`); returns 0 for disconnected
 /// graphs. Unit edge weights (edge connectivity).
@@ -169,6 +171,9 @@ pub fn approx_mincut_distributed(
         estimate: u64::MAX,
         ..MincutReport::default()
     };
+    let whole = Partition::from_parts(g, vec![g.nodes().collect()]).expect("g is connected");
+    let participation = ParticipationMap::build(g, &whole, &Shortcut::empty(1));
+    let degrees: Vec<u64> = g.nodes().map(|v| g.degree(v) as u64).collect();
 
     // Every node knows its own ports of `tree`, the first packed tree.
     let mut packed = tree.clone();
@@ -185,9 +190,14 @@ pub fn approx_mincut_distributed(
 
         // Simulate the deg-sum convergecast of the evaluation (one per
         // tree); the LCA-token half is centralized (see module docs).
-        let sim = Simulator::new(g, config.sim);
-        let degree = |v| g.degree(v) as u64;
-        let run = sim.run(|v, _| ConvergecastProgram::new(g, &packed, v, AggOp::Sum, degree(v)));
+        let mut forest = AggForest::of_tree(g, &participation, &packed);
+        let sum = AggregateOp {
+            values: &degrees,
+            op: AggOp::Sum,
+            leaders: Some(&[packed.root()]),
+        };
+        let (blocks, shape) = ((&config.aggregate, config.sim), (Wave::Convergecast, None));
+        let run = sum.run_masked(g, &whole, blocks, &participation, &mut forest, shape);
         out.eval_rounds += run.metrics.rounds;
         out.eval_messages += run.metrics.messages;
         out.messages += run.metrics.messages;
@@ -463,6 +473,9 @@ mod tests {
         assert_eq!((g.min_degree(), rep.trees), (1, 1));
         assert_eq!(split.total(), 0);
         assert_eq!(rep.messages, g.num_nodes() as u64 - 1);
+        // Each evaluation `Up` carries its part id beside the 64-bit sum.
+        let up_bits = 3 + id_bits(g.num_nodes()) as u64 + 64;
+        assert_eq!(rep.bits, rep.messages * up_bits);
     }
 
     /// Torus 6×6 packs `q = 4` trees: trees 2 … 4 are built by Boruvka,
@@ -591,6 +604,6 @@ mod tests {
         assert_eq!(rep.estimate, greedy_estimate(&torus, session.tree(), 4));
     }
 
-    use lcs_congest::SimConfig;
+    use lcs_congest::{id_bits, SimConfig};
     use lcs_graph::Graph;
 }

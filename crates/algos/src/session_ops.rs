@@ -31,7 +31,7 @@ use lcs_graph::{components, Graph, RootedTree};
 /// let weights = EdgeWeights::unit(&g);
 /// let mst = session.mst(&weights);
 /// assert_eq!(mst.result.edges.len(), 24);
-/// let comps = session.components();
+/// let comps = session.try_components()?;
 /// assert_eq!(comps.result.count, 1);
 /// # Ok::<(), lcs_core::session::SessionError>(())
 /// ```
@@ -46,15 +46,10 @@ pub trait SessionAlgoOps {
     /// Panics where [`try_mst`](Self::try_mst) fails.
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport>;
 
-    /// Connected components by unit-weight Boruvka
-    /// ([`distributed_components`] semantics). The report is
-    /// topology-scoped: partition churn keeps it cached.
-    fn components(&mut self) -> OpReport<ComponentsReport>;
-
     /// Min-cut upper bound by greedy tree packing + 1-respecting cuts
     /// (Corollary 1.7; [`approx_mincut_distributed`] semantics), the first
     /// packed tree being the session's own. Topology-scoped like
-    /// [`components`](Self::components).
+    /// [`try_components`](Self::try_components).
     ///
     /// # Panics
     ///
@@ -68,11 +63,9 @@ pub trait SessionAlgoOps {
     /// responses.
     fn try_mst(&mut self, weights: &EdgeWeights) -> Result<OpReport<MstReport>, SessionError>;
 
-    /// [`components`](Self::components) behind the same fallible signature
-    /// as the other `try_` entry points (connectivity accepts any graph a
-    /// session can be built over, so this fails only where the session's
-    /// tree does: a flood cut short by the backend's `max_rounds`, as for
-    /// every op of this trait).
+    /// Connected components by unit-weight Boruvka
+    /// ([`distributed_components`] semantics), cached across partition
+    /// churn. It fails only where the session's tree does.
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError>;
 
     /// [`mincut`](Self::mincut) with the preconditions checked up front:
@@ -133,10 +126,6 @@ struct MstMemo {
 impl SessionAlgoOps for ShortcutSession<'_> {
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport> {
         self.try_mst(weights).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn components(&mut self) -> OpReport<ComponentsReport> {
-        self.try_components().unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn mincut(&mut self) -> OpReport<MincutReport> {

@@ -12,8 +12,9 @@
 //!   messages with priorities (queued mode, used for random-delay and
 //!   random-priority scheduling), and reporting exact round/message/bit
 //!   counts ([`RunMetrics`]),
-//! * [`protocols`] — the standard building blocks (BFS tree,
-//!   convergecast) the distributed algorithms in the workspace reuse.
+//! * [`protocols`] — the standard building blocks (the BFS tree flood,
+//!   the aggregation operators) the distributed algorithms in the
+//!   workspace reuse.
 //!
 //! Determinism: the engine draws no randomness of its own — a protocol that
 //! needs random choices derives them from its own seed (e.g. with

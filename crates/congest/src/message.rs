@@ -266,13 +266,6 @@ impl MessageSize for u32 {
     }
 }
 
-/// Raw 64-bit payload (aggregate values, hashes): billed at full width.
-impl MessageSize for u64 {
-    fn size_bits_in(&self, _n: usize) -> usize {
-        64
-    }
-}
-
 impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
     fn size_bits_in(&self, n: usize) -> usize {
         self.0.size_bits_in(n) + self.1.size_bits_in(n)
@@ -296,7 +289,6 @@ mod tests {
             assert_eq!(().size_bits_in(n), 1);
             assert_eq!(true.size_bits_in(n), 1);
             assert_eq!(7u32.size_bits_in(n), 32);
-            assert_eq!(7u64.size_bits_in(n), 64);
         }
     }
 
@@ -306,7 +298,7 @@ mod tests {
         assert_eq!(Some(1u32).size_bits_in(64), 33);
         assert_eq!(None::<u32>.size_bits_in(64), 1);
         // Composites forward the n-aware sizing to their components.
-        assert_eq!((NodeIdMsg(1), 2u64).size_bits_in(64), 7 + 64);
+        assert_eq!((NodeIdMsg(1), 2u32).size_bits_in(64), 7 + 32);
         assert_eq!(Some(NodeIdMsg(1)).size_bits_in(64), 1 + 7);
     }
 

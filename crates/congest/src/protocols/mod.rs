@@ -1,22 +1,43 @@
-//! Standard CONGEST building blocks: BFS trees and convergecast.
+//! Standard CONGEST building blocks: the BFS tree flood and the
+//! aggregation operators.
 //!
-//! These are the primitives every shortcut-based algorithm composes
-//! (Section 2 of the paper assumes them implicitly). Each protocol is a
-//! [`NodeProgram`](crate::NodeProgram) over the one tree type,
-//! [`RootedTree`](lcs_graph::RootedTree): the BFS flood's final node states
-//! become one through [`extract_tree`], and a convergecast reads each
-//! node's parent port and child count from one.
-//!
-//! All protocols run unchanged on the sharded parallel executor
+//! [`BfsTreeProgram`] is a [`NodeProgram`](crate::NodeProgram) whose final
+//! node states become the one tree type,
+//! [`RootedTree`](lcs_graph::RootedTree), through [`extract_tree`]. It runs
+//! unchanged on the sharded parallel executor
 //! ([`SimConfig::threads`](crate::SimConfig::threads)): node callbacks only
 //! touch their own state and `Ctx`, so shard workers can execute them
 //! concurrently while the engine guarantees thread-count-invariant metrics.
+//!
+//! [`AggOp`] names what an aggregation computes; the part-wise program of
+//! `lcs_partwise` runs every aggregation, a convergecast along one tree
+//! included.
 
 #[cfg(test)]
 mod parallel_tests;
 
 mod bfs_tree;
-mod convergecast;
 
 pub use bfs_tree::{extract_tree, BfsMsg, BfsTreeProgram};
-pub use convergecast::{AggOp, ConvergecastProgram};
+
+/// The operator of an aggregation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AggOp {
+    /// Sum of all values (counts, subtree sizes).
+    Sum,
+    /// Minimum.
+    Min,
+    /// Maximum (e.g. tree depth).
+    Max,
+}
+
+impl AggOp {
+    /// Applies the operator.
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            AggOp::Sum => a.wrapping_add(b),
+            AggOp::Min => a.min(b),
+            AggOp::Max => a.max(b),
+        }
+    }
+}

@@ -61,19 +61,9 @@ impl ShortcutSession<'_> {
         Ok(self.cached_tree())
     }
 
-    /// The full-shortcut artifact (constructed on first access via the
-    /// session backend).
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`try_full_artifact`](Self::try_full_artifact) fails.
-    pub fn full_artifact(&mut self) -> &FullArtifact {
-        self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`full_artifact`](Self::full_artifact) with the missing partition
-    /// reported as [`SessionError::NoPartition`] and a construction phase
-    /// cut short by the backend's `max_rounds` as
+    /// The full-shortcut artifact, constructed on first access via the
+    /// session backend: no partition is [`SessionError::NoPartition`], a
+    /// construction phase cut short by the backend's `max_rounds`
     /// [`SessionError::Truncated`] (nothing is cached then). A fresh
     /// caller-provided shortcut is served without requiring a partition.
     pub fn try_full_artifact(&mut self) -> Result<&FullArtifact, SessionError> {
@@ -87,17 +77,20 @@ impl ShortcutSession<'_> {
 
     /// The served full shortcut.
     pub fn shortcut(&mut self) -> &Shortcut {
-        &self.full_artifact().shortcut
+        let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
+        &full.shortcut
     }
 
     /// Final `δ̂` of the doubling search (0 for provided shortcuts).
     pub fn delta_hat(&mut self) -> u32 {
-        self.full_artifact().delta_hat
+        let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
+        full.delta_hat
     }
 
     /// The densest dense-minor certificate collected during construction.
     pub fn witness(&mut self) -> Option<&MinorWitness> {
-        self.full_artifact().witness.as_ref()
+        let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
+        full.witness.as_ref()
     }
 
     /// Simulated cost of everything constructed since
@@ -105,7 +98,7 @@ impl ShortcutSession<'_> {
     /// to date first: the tree's flood plus every detection sweep,
     /// re-customizations included (zero on the centralized backend).
     pub fn construction_stats(&mut self) -> ConstructionStats {
-        self.full_artifact();
+        self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
         self.construction
     }
 

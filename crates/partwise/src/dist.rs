@@ -7,7 +7,7 @@ use lcs_congest::{
 };
 use lcs_core::session::{AggregateOpts, ShortcutSession};
 use lcs_core::{Partition, Shortcut, Transition};
-use lcs_graph::{Graph, NodeId, PartId};
+use lcs_graph::{Graph, NodeId, PartId, RootedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -63,6 +63,9 @@ pub enum Wave {
     /// sender; the tree stays as it was. An unrooted part runs the echo
     /// from the leader, the other members contributing the identity.
     Broadcast,
+    /// `Up` only, leaves first: the leader learns the result and no `Down`
+    /// is sent, so one message crosses each kept tree edge.
+    Convergecast,
 }
 
 /// Per node, per part, the participating ports — the subgraph
@@ -383,6 +386,26 @@ impl AggForest {
             child: vec![false; participation.ports.len()],
             heard: Vec::new(),
         }
+    }
+
+    /// The forest of a one-part table whose part is the set of nodes `tree`
+    /// spans: rooted at `tree.root()`, each other slot hung from its tree
+    /// parent. Panics if `map` lacks a node or an edge of `tree` in part 0.
+    pub fn of_tree(g: &Graph, map: &ParticipationMap, tree: &RootedTree) -> Self {
+        let mut forest = AggForest {
+            root: vec![tree.root().0],
+            parent: vec![NO_PORT; map.slot_part.len()],
+            child: vec![false; map.ports.len()],
+            heard: Vec::new(),
+        };
+        let port = |a, b| g.port_to(a, b).expect("tree edges are graph edges") as u32;
+        for &v in &tree.order()[1..] {
+            let (p, _) = tree.parent(v).expect("the root is first in tree order");
+            let s = map.slot_of(v, 0).expect("the part spans the tree");
+            forest.parent[s] = port(v, p);
+            (forest.set_child(map, (p, 0), port(p, v), true)).expect("tree edges participate");
+        }
+        forest
     }
 
     /// Gives the forest its memory, knowing nothing yet.
@@ -887,9 +910,10 @@ impl SlotState {
         self.up_sent && !self.member_below
     }
 
-    /// Holds the result, is pruned, or (to the extreme) has reported.
+    /// Holds the result, is pruned, or (to the extreme, up only) reported.
     fn done(&self, wave: Wave) -> bool {
-        self.has_result || self.pruned() || (wave == Wave::ToExtreme && self.up_sent)
+        let reports = matches!(wave, Wave::ToExtreme | Wave::Convergecast);
+        self.has_result || self.pruned() || (reports && self.up_sent)
     }
 }
 
@@ -1032,8 +1056,8 @@ impl PaProgram<'_> {
         self.slots.port_range(slot).start + at.expect("a slot's tree neighbours are on its ports")
     }
 
-    /// Records the part's result and passes it to every kept tree neighbour
-    /// but `sender` (the echo's parent), or only towards the extreme.
+    /// Records the part's result and passes it on: to every kept tree
+    /// neighbour but `sender`, towards the extreme, or (convergecast) none.
     fn deliver(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, val: u64, sender: u32) {
         let (_, from, _) = self.extreme(slot);
         let st = &mut self.states[slot];
@@ -1043,6 +1067,7 @@ impl PaProgram<'_> {
         let children = &self.is_child[self.slots.port_range(slot)];
         let to = |&(&p, &child): &(&u32, &bool)| match self.wave {
             Wave::ToExtreme => p == from,
+            Wave::Convergecast => false,
             _ => (child || p == parent) && p != sender,
         };
         for (&p, _) in self.slots.ports(slot).iter().zip(children).filter(to) {
@@ -1210,10 +1235,11 @@ impl AggregateOp<'_> {
     /// `sits_out[i]` set does not run (it sends nothing and has no result);
     /// every other part runs the full echo. `all_members_informed` asks the
     /// [`Wave`]'s learners: in a [`Wave::ToExtreme`] run the members holding
-    /// a non-identity result, else every member. Afterwards `forest` holds
-    /// the trees of the parts this run finished, that sat out or that it
-    /// broadcast over, and no other; a [`Wave::ToExtreme`] run also leaves
-    /// what each slot sent up and heard, which the next one diffs against.
+    /// a non-identity result, in a [`Wave::Convergecast`] the leader, else
+    /// every member. Afterwards `forest` holds the trees of the parts this
+    /// run finished, that sat out or that it broadcast over, and no other;
+    /// a [`Wave::ToExtreme`] run also leaves what each slot sent up and
+    /// heard, which the next one diffs against.
     ///
     /// # Clock
     ///
@@ -1374,9 +1400,13 @@ impl AggregateOp<'_> {
         let results: Vec<_> = (leaders.iter().enumerate())
             .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
             .collect();
-        // A run to the extreme owes its result only to the members holding it.
-        let owes =
-            |v: NodeId, r| wave != Wave::ToExtreme || (r != identity(op) && values[v.index()] == r);
+        // A run to the extreme owes its result only to the members holding
+        // it, a convergecast to none but the leader.
+        let owes = |v: NodeId, r| match wave {
+            Wave::ToExtreme => r != identity(op) && values[v.index()] == r,
+            Wave::Convergecast => false,
+            _ => true,
+        };
         let informed = |(pid, members): (PartId, &[NodeId])| {
             let knows = |&v: &NodeId| result_at(v, pid).is_some();
             results[pid.index()].is_some_and(|r| members.iter().filter(|&&v| owes(v, r)).all(knows))
@@ -2034,6 +2064,151 @@ mod tests {
             prop_assert!(2 * (members - k) <= warm.metrics.messages);
             prop_assert!(warm.metrics.messages <= 2 * non_roots);
         }
+
+        /// A convergecast is the echo without its `Down`s, and each leader
+        /// learns its part's aggregate. Over the forest an echo rooted it
+        /// sends one `Up` per kept non-root slot, `slots − parts − pruned`,
+        /// and leaves that forest as it was; cold, it sends the cold echo's
+        /// count minus the echo's `Down`s, `ports + (slots − parts)` on any
+        /// tree the offers find, and roots every part.
+        #[test]
+        fn a_convergecast_is_the_echo_without_its_downs(
+            (g, parts) in arb_instance(0..5),
+            op in 0usize..3,
+        ) {
+            let partition = Partition::from_parts(&g, parts).unwrap();
+            let tree = bfs::bfs_tree(&g, NodeId(0));
+            let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
+            let map = ParticipationMap::build(&g, &partition, &shortcut);
+            let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
+            let op = [AggOp::Sum, AggOp::Min, AggOp::Max][op];
+            let op = AggregateOp { op, ..sum_of(&values) };
+            let blocks = (&AggregateOpts::default(), SimConfig::default());
+            let convergecast = (Wave::Convergecast, None);
+            let mut echoed = AggForest::unrooted(&partition, &map);
+            let echo = op.run_masked(&g, &partition, blocks, &map, &mut echoed, ECHO);
+            let rooted = echoed.clone();
+            let warm = op.run_masked(&g, &partition, blocks, &map, &mut echoed, convergecast);
+            let mut forest = AggForest::unrooted(&partition, &map);
+            let cold = op.run_masked(&g, &partition, blocks, &map, &mut forest, convergecast);
+            let expect = crate::centralized_aggregate(&partition, &values, op.op);
+            let expect: Vec<_> = expect.into_iter().map(Some).collect();
+            for out in [&echo, &warm, &cold] {
+                prop_assert!(out.metrics.terminated && out.all_members_informed);
+                prop_assert_eq!(&out.results, &expect);
+            }
+            let k = partition.num_parts() as u64;
+            let non_roots = map.slot_part.len() as u64 - k;
+            let downs = non_roots - pruned_slots(&g, &partition, &map, &rooted);
+            prop_assert_eq!(warm.rooted_parts as u64, k);
+            prop_assert_eq!(warm.metrics.messages, downs);
+            prop_assert!(echoed == rooted, "a convergecast keeps the trees it ran over");
+            prop_assert_eq!(cold.metrics.messages, echo.metrics.messages - downs);
+            prop_assert_eq!(cold.metrics.messages, map.ports.len() as u64 + non_roots);
+            prop_assert_eq!(rooted_parts(&forest) as u64, k);
+        }
+    }
+
+    /// A convergecast of `values` along the BFS tree of `g` from `root`,
+    /// over the one part that tree spans and the forest
+    /// [`AggForest::of_tree`] lays out: `depth` rounds, one message per
+    /// tree edge, and the forest comes back as it was given. Returns the
+    /// root's result.
+    fn convergecast_along(g: &Graph, root: NodeId, op: AggOp, values: &[u64]) -> Option<u64> {
+        let tree = bfs::bfs_tree(g, root);
+        let partition = Partition::from_parts(g, vec![tree.order().to_vec()]).unwrap();
+        let map = ParticipationMap::build(g, &partition, &Shortcut::empty(1));
+        let mut forest = AggForest::of_tree(g, &map, &tree);
+        let laid_out = forest.clone();
+        let op = AggregateOp {
+            values,
+            op,
+            leaders: Some(&[root]),
+        };
+        let blocks = (&AggregateOpts::default(), SimConfig::default());
+        let shape = (Wave::Convergecast, None);
+        let out = op.run_masked(g, &partition, blocks, &map, &mut forest, shape);
+        assert!(out.metrics.terminated && out.all_members_informed);
+        let depth = tree.depth_of_tree();
+        let counts = (out.metrics.rounds, out.metrics.messages);
+        assert_eq!(counts, (u64::from(depth), tree.num_tree_nodes() as u64 - 1));
+        assert_eq!(out.rooted_parts, 1);
+        assert_eq!(
+            forest, laid_out,
+            "a convergecast leaves the forest as it was"
+        );
+        assert_eq!(forest.heights(g, &map), vec![Some(depth as usize)]);
+        out.results[0]
+    }
+
+    #[test]
+    fn convergecast_sum_counts_nodes() {
+        let g = gen::grid(4, 4);
+        assert_eq!(
+            convergecast_along(&g, NodeId(0), AggOp::Sum, &[1; 16]),
+            Some(16)
+        );
+    }
+
+    #[test]
+    fn convergecast_max_finds_global_max() {
+        let g = gen::grid(4, 4);
+        let values: Vec<u64> = (0..16).map(|v| v * 10).collect();
+        assert_eq!(
+            convergecast_along(&g, NodeId(0), AggOp::Max, &values),
+            Some(150)
+        );
+    }
+
+    #[test]
+    fn convergecast_min_finds_global_min() {
+        let g = gen::grid(4, 4);
+        let values: Vec<u64> = (0..16).map(|v| 100 + v).collect();
+        assert_eq!(
+            convergecast_along(&g, NodeId(0), AggOp::Min, &values),
+            Some(100)
+        );
+    }
+
+    /// A lone root holds its own value: 0 rounds, 0 messages.
+    #[test]
+    fn convergecast_single_node_tree() {
+        let g = gen::path(1);
+        assert_eq!(convergecast_along(&g, NodeId(0), AggOp::Sum, &[7]), Some(7));
+    }
+
+    /// `depth(T)` rounds and `n − 1` messages on a grid (from a corner and
+    /// from the middle), a wheel from its hub and from the rim, and a path.
+    #[test]
+    fn convergecast_takes_depth_rounds_and_one_message_per_tree_edge() {
+        for (g, root) in [
+            (gen::grid(7, 5), 0),
+            (gen::grid(7, 5), 17),
+            (gen::wheel(20), 0),
+            (gen::wheel(20), 5),
+            (gen::path(12), 0),
+            (gen::path(12), 7),
+        ] {
+            let n = g.num_nodes() as u64;
+            let out = convergecast_along(&g, NodeId(root), AggOp::Sum, &vec![1; n as usize]);
+            assert_eq!(out, Some(n));
+        }
+    }
+
+    /// A tree spans one component of a disconnected graph: the part is that
+    /// component, the other nodes take no part.
+    #[test]
+    fn convergecast_along_one_component_of_a_disconnected_graph() {
+        let g = Graph::from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]);
+        let values = [1, 2, 3, 4, 50, 60, 70];
+        assert_eq!(
+            convergecast_along(&g, NodeId(1), AggOp::Sum, &values),
+            Some(10)
+        );
+        assert_eq!(
+            convergecast_along(&g, NodeId(6), AggOp::Max, &values),
+            Some(70)
+        );
     }
 
     /// Offers that cross answer each other. `n = 9`: nodes 4 and 5 start

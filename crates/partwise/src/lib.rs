@@ -41,6 +41,11 @@
 //! optimisation: nodes keep `O(participation)` words of state between
 //! aggregations.
 //!
+//! Four [`Wave`]s say who learns a result: every member (`Echo`), the
+//! leader and the extreme's holder (`ToExtreme`), every member from the
+//! leader's value (`Broadcast`), or the leader alone (`Convergecast`, `Up`s
+//! only: over [`AggForest::of_tree`], the subtree sum along a given tree).
+//!
 //! # Multiple unicasts
 //!
 //! [`UnicastOp`] routes one packet per demand store-and-forward along its

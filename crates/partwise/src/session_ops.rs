@@ -80,14 +80,6 @@ pub trait SessionPartwiseOps {
     /// of their cached tree).
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome>;
 
-    /// Aggregation with explicit per-part leaders.
-    fn aggregate_with_leaders(
-        &mut self,
-        values: &[u64],
-        op: AggOp,
-        leaders: &[NodeId],
-    ) -> OpReport<PartwiseOutcome>;
-
     /// Idempotent aggregation with no leaders asked for: the
     /// [`AggregateOp`] of the same operator over the session's aggregation
     /// forest. A rooted part runs from its tree's root and sends only
@@ -112,9 +104,8 @@ pub trait SessionPartwiseOps {
         op: AggOp,
     ) -> Result<OpReport<PartwiseOutcome>, SessionError>;
 
-    /// [`aggregate_with_leaders`](Self::aggregate_with_leaders) with
-    /// arguments validated up front (partition presence, value count,
-    /// leader count, leader range and membership).
+    /// Aggregation with explicit per-part leaders, validated up front:
+    /// partition, value count, leader count, leader range and membership.
     fn try_aggregate_with_leaders(
         &mut self,
         values: &[u64],
@@ -186,16 +177,6 @@ fn aggregate_on(
 impl SessionPartwiseOps for ShortcutSession<'_> {
     fn aggregate(&mut self, values: &[u64], op: AggOp) -> OpReport<PartwiseOutcome> {
         self.try_aggregate(values, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn aggregate_with_leaders(
-        &mut self,
-        values: &[u64],
-        op: AggOp,
-        leaders: &[NodeId],
-    ) -> OpReport<PartwiseOutcome> {
-        self.try_aggregate_with_leaders(values, op, leaders)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -383,7 +364,7 @@ mod tests {
     }
 
     /// A gossip asks for no leaders, so it rides whatever roots the forest
-    /// holds: after `aggregate_with_leaders` it is warm from those leaders
+    /// holds: after `try_aggregate_with_leaders` it is warm from those leaders
     /// and leaves them in place — the next aggregate with the same leaders
     /// is warm too, and sends what the gossip sent.
     #[test]
@@ -392,7 +373,9 @@ mod tests {
         let mut s = rows_session(&g);
         let values: Vec<u64> = (0..36).map(|x| x * 7 % 23).collect();
         let last: Vec<NodeId> = (0..6).map(|r| NodeId(6 * r + 5)).collect();
-        let cold = s.aggregate_with_leaders(&values, AggOp::Sum, &last);
+        let cold = s
+            .try_aggregate_with_leaders(&values, AggOp::Sum, &last)
+            .unwrap();
         assert_eq!(cold.result.rooted_parts, 0);
         let gossip = s.gossip(&values, IdempotentOp::Max);
         assert_eq!(gossip.result.rooted_parts, 6);
@@ -402,7 +385,9 @@ mod tests {
             gossip.result.results,
             expect.into_iter().map(Some).collect::<Vec<_>>()
         );
-        let again = s.aggregate_with_leaders(&values, AggOp::Sum, &last);
+        let again = s
+            .try_aggregate_with_leaders(&values, AggOp::Sum, &last)
+            .unwrap();
         assert_eq!(again.result.rooted_parts, 6);
         assert_eq!(again.result.results, cold.result.results);
         assert_eq!(gossip.messages, again.messages);
@@ -491,8 +476,6 @@ mod tests {
                 num_nodes: 16
             }
         );
-        let text = panic_text(|| drop(s.aggregate_with_leaders(&values, AggOp::Sum, &oor)));
-        assert_eq!(text, err.to_string());
     }
 
     /// Unicast packets travel tree paths: an endpoint in another component

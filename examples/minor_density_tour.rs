@@ -82,7 +82,7 @@ fn main() {
         ("torus 5x5", gen::torus(5, 5)),
     ] {
         let mut session = Session::on(&g).build().expect("no partition needed");
-        let comps = session.components();
+        let comps = session.try_components().expect("the flood is not capped");
         let cut = session.mincut();
         let exact = low_congestion_shortcuts::algos::mincut::stoer_wagner(&g);
         assert_eq!(

@@ -77,13 +77,13 @@ pub use lcs_separator as separator;
 /// | Explicit-artifact call | Session method |
 /// |---|---|
 /// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, &config.aggregate, config.sim)` | `session.aggregate(values, op)` |
-/// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
+/// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.try_aggregate_with_leaders(values, op, leaders)` |
 /// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
 /// | `UnicastOp { demands }.run_on(g, tree, config.sim)` | `session.unicast(demands)` |
 /// | `distributed_mst(g, weights, &tree, provider, &config)` | `session.mst(weights)` |
-/// | `distributed_components(g, &tree, provider, &config)` | `session.components()` |
+/// | `distributed_components(g, &tree, provider, &config)` | `session.try_components()` |
 /// | `approx_mincut_distributed(g, &tree, provider, &config)` | `session.mincut()` |
-/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.full_artifact()` |
+/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.try_full_artifact()` |
 /// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()`; both costs in `session.construction_stats()` |
 /// | `bfs::bfs_tree(g, root)` | `session.tree()` on `Backend::Centralized` |
 /// | `measure_quality(g, parts, tree, shortcut)` | `session.quality()` |

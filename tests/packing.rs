@@ -240,9 +240,10 @@ fn partwise_aggregates_are_packing_invariant() {
     }
 }
 
-/// Boruvka's two wave shapes over one rooted forest (grid rows and
-/// road-like voronoi cells): a `Min` / `Max` to the extreme, and a
-/// broadcast from each part's last member, with one part masked out. Every
+/// Boruvka's two wave shapes and min-cut's over one rooted forest (grid
+/// rows and road-like voronoi cells): a `Min` / `Max` to the extreme, a
+/// broadcast from each part's last member, with one part masked out, and
+/// a `Sum` convergecast, `Up`s only, to each part's root. Every
 /// packing level and thread count returns the same results and leaves the
 /// same forest, remembering the same, and cost never grows as packing does.
 #[test]
@@ -280,6 +281,7 @@ fn wave_shapes_are_packing_invariant() {
                 Some(&last[..]),
                 (Wave::Broadcast, Some(&sits_out[..])),
             ),
+            (AggOp::Sum, None, (Wave::Convergecast, None)),
         ];
         for (op, leaders, shape) in shapes {
             let aggregate = AggregateOp {

@@ -89,7 +89,7 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
     assert!(!free.gossip(&values, IdempotentOp::Max).truncated);
     assert!(!free.unicast(&demands).truncated);
     assert!(!free.mst(&unit).truncated);
-    assert!(!free.components().truncated);
+    assert!(!free.try_components().expect("connected").truncated);
     assert!(!free.mincut().truncated);
 }
 
@@ -561,7 +561,7 @@ fn aggregation_forest_follows_the_participation_tables() {
     let last: Vec<NodeId> = (session.partition().iter())
         .map(|(_, nodes)| *nodes.iter().max().unwrap())
         .collect();
-    let moved = session.aggregate_with_leaders(&values, AggOp::Sum, &last);
+    let moved = (session.try_aggregate_with_leaders(&values, AggOp::Sum, &last)).unwrap();
     assert_eq!(moved.result.rooted_parts, 0);
     assert!(moved.result.all_members_informed);
     assert_eq!(moved.result.results, expect);
@@ -866,7 +866,7 @@ fn all_ops_stay_differential_under_churn() {
         assert_eq!((memo.builds, memo.invalidations), (2, 1), "{name}");
 
         // Partition churn must not disturb topology-scoped results.
-        let comps_before = session.components();
+        let comps_before = session.try_components().unwrap();
         let cut_before = session.mincut();
         let _ = reassign_one_boundary_node(&mut session).expect("grid rows have valid moves");
         assert_ops_match_fresh(
@@ -875,7 +875,7 @@ fn all_ops_stay_differential_under_churn() {
             &(0..36u64).collect::<Vec<_>>(),
             &format!("all-ops/{name}"),
         );
-        let comps_after = session.components();
+        let comps_after = session.try_components().unwrap();
         let cut_after = session.mincut();
         assert_eq!(
             comps_before.result.count, comps_after.result.count,
@@ -906,7 +906,7 @@ fn algorithm_ops_run_through_the_session() {
     assert!(mst.rounds > 0 && mst.messages > 0 && mst.bits > 0);
     assert!(mst.quality.is_none(), "fragment ops carry no quality");
 
-    let comps = session.components();
+    let comps = session.try_components().unwrap();
     assert_eq!(comps.result.count, 1);
 
     let cut = session.mincut();

@@ -53,7 +53,7 @@ use low_congestion_shortcuts::congest::{
     Ctx, Incoming, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
 use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
-use low_congestion_shortcuts::core::{Partition, ShortcutConfig};
+use low_congestion_shortcuts::core::{Partition, Shortcut, ShortcutConfig};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -415,6 +415,10 @@ fn metrics_match_pinned_seed_corpus_threads8() {
 /// The `unicast` rows were re-captured when packets lost their random
 /// start delays (every packet leaves its source in round 0, keeping its
 /// random priority): messages and bits did not move, rounds dropped by 2.
+/// The `convergecast_sum` row, min-cut's evaluation of one packed tree,
+/// was captured when that evaluation became the part-wise program's
+/// `Wave::Convergecast`: `depth(T)` rounds and `n − 1` `Up`s of
+/// `3 + id_bits(n) + 64` bits, which packing cannot coalesce.
 #[rustfmt::skip]
 const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
     ("road48_voronoi24/aggregate_sum", [174, 18802, 583342, 3], [174, 18160, 583342, 1]),
@@ -429,6 +433,7 @@ const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
     ("wheel64_rim/aggregate_sum_delayed", [19, 378, 11844, 1], [19, 378, 11844, 1]),
     ("wheel64_rim/aggregate_sum_warm", [4, 126, 9324, 1], [4, 126, 9324, 1]),
     ("wheel64_rim/unicast", [4, 62, 1984, 3], [4, 62, 1984, 3]),
+    ("road48_bfs_tree/convergecast_sum", [83, 2303, 181937, 1], [83, 2303, 181937, 1]),
 ];
 
 /// The part-wise corpus: aggregate (cold with and without random delays,
@@ -510,6 +515,27 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             format!("{:?}", (out.congestion, out.dilation)),
         ));
     }
+    // Min-cut's evaluation: the degree sum convergecast along a BFS tree,
+    // as the one part that tree spans.
+    let road = gen::road_like(48, 48, 7);
+    let tree = bfs::bfs_tree(&road, NodeId(0));
+    let whole = Partition::from_parts(&road, vec![tree.order().to_vec()]).unwrap();
+    let map = ParticipationMap::build(&road, &whole, &Shortcut::empty(1));
+    let mut forest = AggForest::of_tree(&road, &map, &tree);
+    let degrees: Vec<u64> = road.nodes().map(|v| road.degree(v) as u64).collect();
+    let sum = AggregateOp {
+        values: &degrees,
+        op: AggOp::Sum,
+        leaders: Some(&[NodeId(0)]),
+    };
+    let (blocks, shape) = ((&AggregateOpts::default(), sim), (Wave::Convergecast, None));
+    let out = sum.run_masked(&road, &whole, blocks, &map, &mut forest, shape);
+    assert!(out.all_members_informed, "road48_bfs_tree/convergecast_sum");
+    rows.push(row(
+        "road48_bfs_tree/convergecast_sum",
+        &out.metrics,
+        format!("{:?}", out.results),
+    ));
     rows
 }
 
