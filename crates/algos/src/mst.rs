@@ -862,8 +862,8 @@ mod tests {
     /// per kept non-root slot of the merging tails, and a phase whose MWOE
     /// run is warm throughout sends at least that. Both run at the CI
     /// matrix's lane count and packing factor (`LCS_SIM_THREADS`,
-    /// `LCS_SIM_PACKING`, 1 when unset). Returns the report and the re-run
-    /// phases.
+    /// `LCS_SIM_PACKING`; unset, the default lane count and packing 1).
+    /// Returns the report and the re-run phases.
     fn check_bill(
         g: &Graph,
         w: &EdgeWeights,
@@ -872,7 +872,7 @@ mod tests {
     ) -> (MstReport, Vec<PhaseRuns>) {
         let env = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
         let mut config = SessionConfig::default();
-        config.sim.threads = env("LCS_SIM_THREADS").unwrap_or(1);
+        config.sim.threads = env("LCS_SIM_THREADS").unwrap_or(config.sim.threads);
         config.sim.message_packing = env("LCS_SIM_PACKING").unwrap_or(1);
         let config = &config;
         let tree = bfs::bfs_tree(g, NodeId(0));

@@ -55,8 +55,11 @@ pub(crate) struct ShardAccount {
     pub max_queue: u64,
     /// Wake-ups the shard's programs requested for future rounds.
     pub wakes: usize,
-    /// Envelopes still queued in this partition after staging.
+    /// Envelopes still queued in this partition after the round.
     pub pending: usize,
+    /// Envelopes this shard's nodes sent that wait in a mailbox for the
+    /// receiving lane to ingest them.
+    pub routed: usize,
 }
 
 /// One receiver shard's delivery partition: accepts validated sends
@@ -74,6 +77,10 @@ pub(crate) trait Delivery<M: MessageSize> {
 
     /// Number of accepted messages not yet staged.
     fn pending(&self) -> usize;
+
+    /// Gives every growable buffer its first allocation on the calling
+    /// thread, before a worker thread runs the partition.
+    fn prime(&mut self);
 
     /// Moves every message due in `round` into `out` as `(dir, msg)` pairs
     /// and accounts the deliveries (`messages`, `max_queue`, `pending`)

@@ -274,6 +274,12 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         self.pending
     }
 
+    fn prime(&mut self) {
+        crate::engine::prime(&mut self.entries);
+        crate::engine::prime(&mut self.tokens);
+        crate::engine::prime(&mut self.overflow);
+    }
+
     fn stage(
         &mut self,
         round: u64,

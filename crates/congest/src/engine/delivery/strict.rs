@@ -50,6 +50,10 @@ impl<M: MessageSize> Delivery<M> for StrictDelivery<M> {
         self.pending
     }
 
+    fn prime(&mut self) {
+        crate::engine::prime(&mut self.arena);
+    }
+
     fn stage(
         &mut self,
         _round: u64,

@@ -25,8 +25,11 @@
 //!   place a send is checked and billed. The coordinator's serial window
 //!   between rounds is an `O(threads)` account fold, a prefix sum of send
 //!   counts (the sequence-number bases), and a mailbox rotation — no
-//!   per-message serial work. `threads = 1` is the same loop with one
-//!   lane on the calling thread, spawning nothing.
+//!   per-message serial work. Lanes run on the calling thread until a
+//!   round's due work reaches [`GRAIN`] per thread, which starts the
+//!   worker threads; `threads = 1`, a small graph at the default
+//!   `threads = 0`, and a run whose rounds stay light are the same loop,
+//!   spawning nothing.
 //!
 //! Determinism: every per-message decision happens inside a lane, in an
 //! order fixed by the topology (nodes ascending within a shard, issue
@@ -45,6 +48,7 @@ mod topology;
 use crate::{MessageSize, PhaseTimings, RunMetrics};
 use delivery::{CalendarDelivery, StrictDelivery};
 use lcs_graph::{EdgeId, Graph, NodeId};
+use parallel::Exec;
 use serde::{Deserialize, Serialize};
 use shard::Shard;
 use std::sync::OnceLock;
@@ -82,13 +86,20 @@ pub struct SimConfig {
     /// [`RunMetrics::truncated`]` = true`.
     pub max_rounds: u64,
     /// Lanes of the round loop: the node-id space is split into this many
-    /// contiguous shards, run by up to as many OS threads as the host has
-    /// cores. `1` (the default) is one lane on the calling thread — nothing
-    /// is spawned; `0` resolves to the host's available parallelism; larger
-    /// values are capped at 64 and at the node count. **Any setting yields
-    /// bit-identical metrics**: the lanes' sends are sequence-numbered in
-    /// shard order, so rounds, messages, bits, and max_queue never depend
-    /// on the thread count.
+    /// contiguous shards, run round-robin by up to as many OS threads as
+    /// the host has cores. `0` (the default) resolves to two lanes per core
+    /// of the host's available parallelism — one lane on a single core —
+    /// and at most one lane per [`GRAIN`] nodes, so a graph of fewer than
+    /// `2 · GRAIN` nodes runs on one lane; any other value is taken as it
+    /// is, capped at 64 and at the node count. `1` is one lane on the
+    /// calling thread. A multi-lane run starts its worker threads only at
+    /// the first round whose due work (envelopes in flight plus wake-ups)
+    /// reaches [`GRAIN`] per thread; the rounds before it run every lane on
+    /// the calling thread, and a run that never gets that heavy spawns
+    /// nothing. **Any setting yields bit-identical metrics**: the lanes'
+    /// sends are sequence-numbered in shard order, so rounds, messages,
+    /// bits, and max_queue never depend on the lane count or on which
+    /// thread ran a lane.
     pub threads: usize,
     /// Multi-value message packing factor. `1` (the default) is the
     /// unpacked engine: every send is its own message, metrics are
@@ -116,7 +127,7 @@ impl Default for SimConfig {
         SimConfig {
             mode: SimMode::Strict,
             max_rounds: 1_000_000,
-            threads: 1,
+            threads: 0,
             message_packing: 1,
         }
     }
@@ -289,14 +300,19 @@ impl<'g> Simulator<'g> {
         4 * (n + 1.0).log2().ceil() as usize + 128
     }
 
-    /// The worker count [`SimConfig::threads`] resolves to on this host.
+    /// The lane count [`SimConfig::threads`] resolves to on this host and
+    /// graph.
     pub fn effective_threads(&self) -> usize {
-        let t = if self.config.threads == 0 {
-            host_parallelism()
-        } else {
-            self.config.threads
+        let n = self.graph.num_nodes().max(1);
+        let t = match (self.config.threads, host_parallelism()) {
+            (0, 1) => 1,
+            // Two lanes per core: the threads run the lanes round-robin, so
+            // work that piles up at one end of the id range (the part-wise
+            // echo's, near the BFS root at node 0) still spreads over them.
+            (0, cores) => (2 * cores).min(n / GRAIN),
+            (t, _) => t,
         };
-        t.clamp(1, 64).min(self.graph.num_nodes().max(1))
+        t.clamp(1, 64).min(n)
     }
 
     /// The packing factor [`SimConfig::message_packing`] resolves to
@@ -326,13 +342,14 @@ impl<'g> Simulator<'g> {
         P::Msg: Send,
         F: FnMut(NodeId, &Graph) -> P,
     {
-        self.run_on(None, init)
+        self.run_on(Exec::host(), init).0
     }
 
-    /// [`run`](Self::run) with the OS thread count forced to
-    /// `exec_override` (tests use it to exercise the multi-thread schedule
-    /// on single-core hosts); `None` resolves to the host parallelism.
-    pub(crate) fn run_on<P, F>(&self, exec_override: Option<usize>, mut init: F) -> RunOutcome<P>
+    /// [`run`](Self::run) on an explicit thread plan (tests force the OS
+    /// thread count and the grain to exercise the multi-thread schedule on
+    /// single-core hosts and small graphs); also returns the number of
+    /// worker threads the run started.
+    pub(crate) fn run_on<P, F>(&self, exec: Exec, mut init: F) -> (RunOutcome<P>, usize)
     where
         P: NodeProgram + Send,
         P::Msg: Send,
@@ -341,13 +358,22 @@ impl<'g> Simulator<'g> {
         let g = self.graph;
         let topo = Topology::build(g, self.effective_threads());
         let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
+        // One vector holds every program; each shard borrows its run of it,
+        // so the run hands the vector back as it is.
+        let mut programs: Vec<P> = g.nodes().map(|v| init(v, g)).collect();
+        let mut rest = &mut programs[..];
         let lanes = 0..topo.num_shards();
-        let shards: Vec<Shard<P>> = lanes
+        let shards: Vec<Shard<'_, P>> = lanes
             .clone()
-            .map(|s| Shard::new(g, topo.shard_range(s), pack, budget, &mut init))
+            .map(|s| {
+                let (lo, hi) = topo.shard_range(s);
+                let (own, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) as usize);
+                rest = tail;
+                Shard::new(g, lo, own, pack, budget)
+            })
             .collect();
         // `parts[s]` is receiver shard `s`'s delivery partition.
-        match self.config.mode {
+        let (metrics, timings, workers) = match self.config.mode {
             SimMode::Strict => parallel::drive_lanes(
                 &self.config,
                 g,
@@ -357,7 +383,7 @@ impl<'g> Simulator<'g> {
                     .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
                     .collect(),
                 shards,
-                exec_override,
+                exec,
             ),
             SimMode::Queued => parallel::drive_lanes(
                 &self.config,
@@ -368,11 +394,37 @@ impl<'g> Simulator<'g> {
                     .map(|s| CalendarDelivery::new(topo.shard_dir_count(s), pack, budget))
                     .collect(),
                 shards,
-                exec_override,
+                exec,
             ),
-        }
+        };
+        let outcome = RunOutcome {
+            programs,
+            metrics,
+            timings,
+        };
+        (outcome, workers)
     }
 }
+
+/// Nodes per lane, and due work per thread, from which running lanes on
+/// threads of their own pays. [`SimConfig::threads`]` = 0` gives a graph
+/// at most one lane per `GRAIN` nodes, and a multi-lane run starts its
+/// worker threads at the first round whose due work — envelopes in flight
+/// plus wake-ups — reaches `GRAIN` per thread.
+///
+/// Chosen on 2 vCPUs at seed 7. Per node: `algos_cold`'s `road_like` 64²
+/// (4 096 nodes, hundreds of short runs per op) and `serve_mixed`'s grid
+/// 32² stay on one lane, which takes `GRAIN > 2 048`. Per thread, so 5 120
+/// at two threads: the cold part-wise echo of the `churn_answer` instance
+/// (`road_like` 200², 400 parts; 1 076 rounds, 575 113 messages, at most
+/// ≈ 12 000 envelopes in flight) reaches it in its fourth round, and would
+/// at up to four threads; a BFS flood of `road_like` 256² (≤ 643 in
+/// flight) never does, so it runs no threads; the sketch detection of
+/// `construct_cold` starts them in its first round (≈ 16 000 in flight).
+/// With the default four lanes on two threads that first aggregate took
+/// 178 ms, against 209 on two lanes and 248 on one (medians of 11
+/// alternating runs in one process).
+pub const GRAIN: usize = 2_560;
 
 /// The host's available parallelism (1 when it cannot be queried), asked
 /// once per process: the query reads the affinity mask and the cgroup
@@ -384,6 +436,16 @@ fn host_parallelism() -> usize {
             .map(|p| p.get())
             .unwrap_or(1)
     })
+}
+
+/// Gives an empty buffer its first, small allocation on the calling
+/// thread, so that a worker thread grows it with `realloc` — which stays in
+/// the allocator arena the buffer came from — instead of filling an arena
+/// of its own.
+fn prime<T>(buf: &mut Vec<T>) {
+    if buf.capacity() == 0 {
+        buf.reserve(1);
+    }
 }
 
 /// SplitMix64-style mixer: derives a well-mixed 64-bit value from a seed
@@ -783,7 +845,7 @@ mod tests {
     }
 
     /// The `init` contract of [`Simulator::run`], with the lanes forced
-    /// onto as many OS threads as there are lanes.
+    /// onto as many OS threads as there are lanes from round 0 on.
     #[test]
     fn init_runs_once_per_node_in_order_on_the_calling_thread_before_round_0() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -811,7 +873,8 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let (built, mut order) = (AtomicUsize::new(0), Vec::new());
             let sim = Simulator::new(&g, with_threads(threads));
-            let run = sim.run_on(Some(threads), |v, _| {
+            let exec = Exec { threads, grain: 0 };
+            let (run, _) = sim.run_on(exec, |v, _| {
                 assert_eq!(std::thread::current().id(), caller, "threads={threads}");
                 order.push(v.0);
                 built.fetch_add(1, Ordering::SeqCst);

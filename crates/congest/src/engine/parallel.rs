@@ -26,17 +26,21 @@
 //! finished round, and rotate the mailbox buffers (the receiver's drained
 //! vec swaps back to the sender — the steady state allocates nothing).
 //!
-//! # Lane 0 skips the mailbox
+//! # Who skips the mailbox
 //!
 //! Lane 0's sends are the first of the round in the global order, so its
 //! sequence base *is* the running `seq` — known before the round starts.
 //! It therefore pushes the sends addressed to its own partition straight
 //! into that partition with the exact `seq + idx + 1`, and they precede
 //! everything the other lanes route there (ingested next round), exactly
-//! as the mailbox order would have it. A single-lane run (`threads = 1`)
-//! thus never buffers a round's traffic twice: the partition's staged
-//! messages land in the shard's inbound buffer and its outbox flushes
-//! directly back.
+//! as the mailbox order would have it. A round with every lane on the
+//! calling thread ([`serial_round`]) goes further: all lanes ingest and
+//! stage first, then lane `t` flushes once lanes `0..t` have, so its base
+//! `seq + Σ_{u<t} sends_u` is known and every send goes straight into its
+//! receiving partition, in the global order. Such a round — and with it
+//! every round of a single-lane run — never buffers its traffic twice:
+//! the partitions' staged messages land in the shards' inbound buffers and
+//! the outboxes flush directly back.
 //!
 //! # Determinism argument
 //!
@@ -54,30 +58,41 @@
 //!
 //! # Execution
 //!
-//! Lanes are the *determinism* unit; OS threads are the *execution* unit.
-//! `exec = min(available_parallelism, lanes)` threads run the lanes
-//! round-robin (thread `w` owns lanes `w, w + exec, …`; the calling thread
-//! is thread 0) between two barriers per round. With `exec == 1` — one
-//! lane, or a single-core host — the same loop runs on the calling thread
-//! alone: no worker is spawned, the barrier has one participant and falls
-//! through, and no lock is ever contended. With `exec > 1`, rounds are
-//! microseconds long, so the barrier is a spin barrier (sense-reversing,
-//! two atomics) with a `yield_now` fallback for oversubscribed hosts. A
-//! panic inside a lane phase (a protocol assertion, an oversized message,
-//! a strict-mode double send) is caught, parked until the barrier cycle
-//! completes (a raw unwind past a barrier would deadlock everyone else),
-//! and re-raised on the calling thread once the workers have been shut
-//! down.
+//! Lanes are the *determinism* unit; OS threads are the *execution* unit,
+//! and a run starts threads only once its rounds are heavy. A round's
+//! *due work* is what the previous serial window counted: envelopes in
+//! flight plus wake-ups (round 0, `on_start`, has none). Until a round's
+//! due work reaches [`Exec::grain`] per thread, every round runs all lanes
+//! on the calling thread ([`serial_round`]), which spawns nothing and
+//! buffers no envelope twice. The first round that reaches it starts
+//! `exec − 1` worker threads, `exec = min(threads, lanes)`, and from then
+//! on every round runs the lanes round-robin (thread `w` owns lanes `w, w +
+//! exec, …`; the calling thread is thread 0) between two barriers. A lane
+//! does not go back to the calling thread for a lighter round: moving its
+//! working set between cores round by round cost the cold part-wise echo
+//! more than the barrier it saved (on 2 vCPUs and two lanes, 270 against
+//! 211 ms for the `churn_answer` instance's first aggregate). A run with
+//! one lane, or one core, never starts a thread. Rounds are microseconds
+//! long, so the barrier is a spin barrier (sense-reversing, two atomics)
+//! with a `yield_now` fallback for oversubscribed hosts. Just before the
+//! workers start, the calling thread gives every lane buffer that is
+//! still empty its first allocation ([`Lane::prime`]), so a worker grows
+//! the buffers in place, in the calling thread's allocator arena, rather
+//! than filling an arena of its own. A panic inside a lane phase (a protocol
+//! assertion, an oversized message, a strict-mode double send) is caught,
+//! parked until the barrier cycle completes (a raw unwind past a barrier
+//! would deadlock everyone else), and re-raised on the calling thread once
+//! the workers have been shut down.
 
 use super::delivery::{Delivery, ShardAccount};
 use super::shard::Shard;
 use super::topology::Topology;
-use super::{host_parallelism, NodeProgram, RunMetrics, RunOutcome, SimConfig};
+use super::{host_parallelism, prime, NodeProgram, RunMetrics, SimConfig, GRAIN};
 use crate::{MessageSize, PackedMsg, PhaseTimings};
 use lcs_graph::Graph;
 use std::ops::DerefMut;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -144,8 +159,8 @@ struct Mail<M> {
 /// A lane: one shard plus the delivery partition of the dirs it receives,
 /// its mailboxes, and its per-round account. The unit of deterministic
 /// work; several lanes may share one OS thread.
-struct Lane<P: NodeProgram, D> {
-    shard: Shard<P>,
+struct Lane<'p, P: NodeProgram, D> {
+    shard: Shard<'p, P>,
     part: D,
     /// `in_from[t]`: the mailbox sender lane `t` routed to this lane last
     /// round. Ingested in `t` order (= global send order filtered to this
@@ -157,28 +172,56 @@ struct Lane<P: NodeProgram, D> {
     account: ShardAccount,
 }
 
+impl<P: NodeProgram, D: Delivery<PackedMsg<P::Msg>>> Lane<'_, P, D> {
+    /// Gives every growable buffer of the lane its first allocation on the
+    /// calling thread, before a worker thread runs it.
+    fn prime(&mut self) {
+        self.shard.prime();
+        self.part.prime();
+        self.in_from
+            .iter_mut()
+            .for_each(|mail| prime(&mut mail.envs));
+        self.out_to.iter_mut().for_each(prime);
+    }
+}
+
+/// How a run's lanes map onto OS threads.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Exec {
+    /// OS threads, the calling thread included; capped at the lane count.
+    pub threads: usize,
+    /// Due work per thread from which a round starts the worker threads
+    /// ([`GRAIN`](super::GRAIN) in [`Simulator::run`]; tests pass `0` to
+    /// put every round, round 0 included, on the workers).
+    ///
+    /// [`Simulator::run`]: super::Simulator::run
+    pub grain: usize,
+}
+
+impl Exec {
+    /// The plan of [`Simulator::run`](super::Simulator::run): every core of
+    /// the host, workers from [`GRAIN`] due work per thread.
+    pub fn host() -> Self {
+        Exec {
+            threads: host_parallelism(),
+            grain: GRAIN,
+        }
+    }
+}
+
 /// Milliseconds of a [`Duration`], for the phase-timing accumulators.
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// One lane's full round: ingest → stage → compute → flush (round 0:
-/// `on_start` → flush). Runs with no access to any other lane's state;
-/// panics (program, bandwidth or strict-mode assertions) unwind to the
-/// calling thread's catch.
-///
-/// `own_base` is `Some(seq)` for lane 0 only — its sequence base for this
-/// round is the running `seq` (see the module docs), which lets it push
-/// the sends it receives itself straight into its partition.
-fn lane_phase<P, D>(
-    lane: &mut Lane<P, D>,
-    g: &Graph,
-    topo: &Topology<'_>,
-    round: u64,
-    bandwidth: usize,
-    own_base: Option<u64>,
-    timings: &mut PhaseTimings,
-) where
+/// Ingest + stage: pushes last round's mailboxes into the lane's
+/// partition (sender-lane major; the senders executed in `round - 1`,
+/// which is the round the delivery backends schedule from), then stages
+/// this round's due deliveries straight into the shard's inbound buffer —
+/// no coordinator staging pass, no extra copy. Round 0 has nothing to
+/// ingest. Resets the lane's account.
+fn ingest_and_stage<P, D>(lane: &mut Lane<'_, P, D>, topo: &Topology<'_>, round: u64)
+where
     P: NodeProgram,
     D: Delivery<PackedMsg<P::Msg>>,
 {
@@ -186,53 +229,55 @@ fn lane_phase<P, D>(
         shard,
         part,
         in_from,
-        out_to,
         account: acc,
+        ..
     } = lane;
     *acc = ShardAccount::default();
-    let t0 = Instant::now();
-
-    if round > 0 {
-        // Ingest: last round's sends routed to this partition, sender-lane
-        // major. The senders executed in `round - 1`, which is the round
-        // the delivery backends schedule from.
-        for mail in in_from.iter_mut() {
-            for env in mail.envs.drain(..) {
-                part.push(
-                    env.dir,
-                    env.priority,
-                    mail.base + u64::from(env.idx) + 1,
-                    env.msg,
-                    round - 1,
-                    topo,
-                );
-            }
-        }
-        // Stage this round's due deliveries straight into the shard's
-        // inbound buffer — no coordinator staging pass, no extra copy.
-        debug_assert!(shard.inbound.is_empty());
-        part.stage(round, topo, &mut shard.inbound, acc);
+    if round == 0 {
+        return;
     }
-    let t1 = Instant::now();
+    for mail in in_from.iter_mut() {
+        for env in mail.envs.drain(..) {
+            part.push(
+                env.dir,
+                env.priority,
+                mail.base + u64::from(env.idx) + 1,
+                env.msg,
+                round - 1,
+                topo,
+            );
+        }
+    }
+    debug_assert!(shard.inbound.is_empty());
+    part.stage(round, topo, &mut shard.inbound, acc);
+}
 
-    // Compute: `on_start` is round 0.
+/// Compute: the node callbacks, `on_start` being round 0.
+fn compute<P: NodeProgram>(shard: &mut Shard<'_, P>, g: &Graph, topo: &Topology<'_>, round: u64) {
     if round == 0 {
         shard.run_start(g);
     } else {
         shard.run_round(g, topo, round);
     }
-    let t2 = Instant::now();
+}
 
-    // Flush: validate + bit-account this lane's own sends and route each
-    // envelope to the lane that receives it. `idx` is the lane-local send
-    // index the coordinator's prefix sum turns into exact global seqs.
-    // Sizing is `n`-aware ([`MessageSize::size_bits_in`]): id payloads are
-    // billed at `O(log n)` bits, as the CONGEST model assumes; a packed
-    // envelope bills its true multi-value width (see [`PackedMsg`]) and
-    // must fit the budget like any other message.
-    let n = topo.num_nodes();
+/// Flush: validates and bit-accounts a lane's sends into `acc`, and hands
+/// each to `route` with its lane-local send index (the coordinator's
+/// prefix sum turns it into an exact global sequence number). Sizing is
+/// `n`-aware ([`MessageSize::size_bits_in`]): id payloads are billed at
+/// `O(log n)` bits, as the CONGEST model assumes; a packed envelope bills
+/// its true multi-value width (see [`PackedMsg`]) and must fit the budget
+/// like any other message. The only place a send is checked and billed.
+#[inline]
+fn flush<M: MessageSize>(
+    outbox: &mut Vec<(u32, u64, PackedMsg<M>)>,
+    n: usize,
+    bandwidth: usize,
+    acc: &mut ShardAccount,
+    mut route: impl FnMut(u32, u64, u32, PackedMsg<M>),
+) {
     let mut idx = 0u32;
-    for send in shard.outbox.drain(..) {
+    for send in outbox.drain(..) {
         // Sized through the reference and only then taken apart: with the
         // tuple destructured in the loop head and two places for `msg` to
         // go, LLVM spills the envelope through overlapping stack slots — a
@@ -244,20 +289,66 @@ fn lane_phase<P, D>(
         );
         acc.bits += bits as u64;
         let (dir, priority, msg) = send;
-        match (own_base, topo.dir_shard(dir)) {
-            (Some(base), 0) => {
-                part.push(dir, priority, base + u64::from(idx) + 1, msg, round, topo)
-            }
-            (_, to) => out_to[to].push(Env {
-                dir,
-                priority,
-                idx,
-                msg,
-            }),
-        }
+        route(dir, priority, idx, msg);
         idx += 1;
     }
     acc.sends = u64::from(idx);
+}
+
+/// One lane's full round on whichever thread owns it: ingest → stage →
+/// compute → flush, with no access to any other lane's state; each send
+/// goes to the receiving lane's mailbox. Panics (program, bandwidth or
+/// strict-mode assertions) unwind to the calling thread's catch.
+///
+/// `own_base` is `Some(seq)` for lane 0 only — its sequence base for this
+/// round is the running `seq` (see the module docs), which lets it push
+/// the sends it receives itself straight into its partition.
+fn lane_phase<P, D>(
+    lane: &mut Lane<'_, P, D>,
+    g: &Graph,
+    topo: &Topology<'_>,
+    round: u64,
+    bandwidth: usize,
+    own_base: Option<u64>,
+    timings: &mut PhaseTimings,
+) where
+    P: NodeProgram,
+    D: Delivery<PackedMsg<P::Msg>>,
+{
+    let t0 = Instant::now();
+    ingest_and_stage(lane, topo, round);
+    let t1 = Instant::now();
+    compute(&mut lane.shard, g, topo, round);
+    let t2 = Instant::now();
+    let Lane {
+        shard,
+        part,
+        out_to,
+        account: acc,
+        ..
+    } = lane;
+    let mut routed = 0;
+    flush(
+        &mut shard.outbox,
+        topo.num_nodes(),
+        bandwidth,
+        acc,
+        |dir, priority, idx, msg| match (own_base, topo.dir_shard(dir)) {
+            (Some(base), 0) => {
+                part.push(dir, priority, base + u64::from(idx) + 1, msg, round, topo)
+            }
+            (_, to) => {
+                out_to[to].push(Env {
+                    dir,
+                    priority,
+                    idx,
+                    msg,
+                });
+                routed += 1;
+            }
+        },
+    );
+    acc.routed = routed;
     acc.wakes = shard.pending_wakes();
     acc.pending = part.pending();
     let t3 = Instant::now();
@@ -266,15 +357,73 @@ fn lane_phase<P, D>(
     timings.merge_ms += ms(t3 - t2);
 }
 
+/// A round with every lane on the calling thread: all lanes ingest and
+/// stage first, then each computes and flushes in lane order, pushing
+/// every send straight into the receiving partition with its exact
+/// sequence number — lane `t`'s base is `seq` plus the sends of the lanes
+/// before it, which have run. The pushes reach each partition in the
+/// global send order, as the mailboxes would deliver them, and no
+/// envelope is buffered twice.
+fn serial_round<'p, P, D>(
+    lanes: &mut [impl DerefMut<Target = Lane<'p, P, D>>],
+    g: &Graph,
+    topo: &Topology<'_>,
+    round: u64,
+    bandwidth: usize,
+    seq: u64,
+    timings: &mut PhaseTimings,
+) where
+    P: NodeProgram + 'p,
+    D: Delivery<PackedMsg<P::Msg>>,
+{
+    let t0 = Instant::now();
+    for lane in lanes.iter_mut() {
+        ingest_and_stage(lane, topo, round);
+    }
+    let mut base = seq;
+    let (mut compute_ms, mut merge_ms) = (0.0, 0.0);
+    for t in 0..lanes.len() {
+        let t1 = Instant::now();
+        compute(&mut lanes[t].shard, g, topo, round);
+        let t2 = Instant::now();
+        let mut outbox = std::mem::take(&mut lanes[t].shard.outbox);
+        let mut acc = lanes[t].account;
+        flush(
+            &mut outbox,
+            topo.num_nodes(),
+            bandwidth,
+            &mut acc,
+            |dir, priority, idx, msg| {
+                let seq = base + u64::from(idx) + 1;
+                let to = topo.dir_shard(dir);
+                lanes[to].part.push(dir, priority, seq, msg, round, topo);
+            },
+        );
+        let lane = &mut lanes[t];
+        lane.shard.outbox = outbox;
+        acc.wakes = lane.shard.pending_wakes();
+        lane.account = acc;
+        base += acc.sends;
+        compute_ms += ms(t2 - t1);
+        merge_ms += ms(t2.elapsed());
+    }
+    for lane in lanes.iter_mut() {
+        lane.account.pending = lane.part.pending();
+    }
+    timings.stage_ms += ms(t0.elapsed()) - compute_ms - merge_ms;
+    timings.compute_ms += compute_ms;
+    timings.merge_ms += merge_ms;
+}
+
 /// The coordinator's mailbox rotation: assigns each lane its sequence
 /// base for the finished round (prefix sum of send counts in lane
 /// order — the determinism keystone) and swaps every `out_to[s]` with the
 /// matching `in_from[t]` buffer, so the receiver gets the envelopes and
 /// the sender gets a drained vec back. `O(lanes²)` pointer swaps, no
 /// envelope is copied.
-fn rotate_mailboxes<P, D>(lanes: &mut [impl DerefMut<Target = Lane<P, D>>], seq: &mut u64)
+fn rotate_mailboxes<'p, P, D>(lanes: &mut [impl DerefMut<Target = Lane<'p, P, D>>], seq: &mut u64)
 where
-    P: NodeProgram,
+    P: NodeProgram + 'p,
 {
     let count = lanes.len();
     for t in 0..count {
@@ -302,20 +451,18 @@ where
 }
 
 /// Runs `shards.len()` lanes from round 0 (`on_start`) to quiescence or
-/// the round cap.
-///
-/// `exec_override` forces the OS thread count (tests use it to exercise
-/// the multi-thread schedule on single-core hosts); `None` resolves to the
-/// host parallelism.
+/// the round cap, on the threads `exec` allows (see the module docs); the
+/// programs are left in the slices the shards borrow. Returns the metrics,
+/// the calling thread's timings and the number of worker threads started.
 pub(super) fn drive_lanes<P, D>(
     config: &SimConfig,
     g: &Graph,
     topo: &Topology<'_>,
     bandwidth: usize,
     parts: Vec<D>,
-    shards: Vec<Shard<P>>,
-    exec_override: Option<usize>,
-) -> RunOutcome<P>
+    shards: Vec<Shard<'_, P>>,
+    exec: Exec,
+) -> (RunMetrics, PhaseTimings, usize)
 where
     P: NodeProgram + Send,
     P::Msg: Send,
@@ -323,7 +470,7 @@ where
 {
     let count = shards.len();
     debug_assert_eq!(parts.len(), count);
-    let cells: Vec<Mutex<Lane<P, D>>> = shards
+    let cells: Vec<Mutex<Lane<'_, P, D>>> = shards
         .into_iter()
         .zip(parts)
         .map(|(shard, part)| {
@@ -341,9 +488,8 @@ where
             })
         })
         .collect();
-    let exec = exec_override
-        .unwrap_or_else(host_parallelism)
-        .clamp(1, count);
+    let stride = exec.threads.clamp(1, count);
+    let heavy = exec.grain.saturating_mul(stride);
 
     let mut metrics = RunMetrics {
         threads: count,
@@ -351,40 +497,51 @@ where
         packing: config.message_packing,
         ..RunMetrics::default()
     };
-    let barrier = SpinBarrier::new(exec);
+    let barrier = SpinBarrier::new(stride);
     let stop = AtomicBool::new(false);
+    // The round the coordinator releases the workers into. Relaxed: the
+    // coordinator stores it before it arrives at the release barrier, and a
+    // worker loads it after leaving that barrier, which synchronizes with
+    // the arrival (through the `AcqRel` count, or the `Release` generation
+    // bump of the last arrival that the waiters `Acquire`).
+    let released = AtomicU64::new(0);
     let lane_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let mut timings = PhaseTimings::default();
     let mut seq = 0u64;
+    let mut started = false;
 
     std::thread::scope(|scope| {
-        for w in 1..exec {
-            let (cells, lane_panic) = (&cells, &lane_panic);
-            let (barrier, stop) = (&barrier, &stop);
-            scope.spawn(move || {
-                // Workers never run lane 0 and report no timings (see
-                // `PhaseTimings`: the buckets are the calling thread's).
-                let mut unreported = PhaseTimings::default();
-                // Every release is the next round, counted from 0 like the
-                // coordinator's `metrics.rounds`.
-                for round in 0u64.. {
-                    barrier.wait(); // released by the coordinator
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        for cell in cells.iter().skip(w).step_by(exec) {
-                            let lane = &mut lock(cell);
-                            lane_phase(lane, g, topo, round, bandwidth, None, &mut unreported);
+        let start_workers = || {
+            for cell in &cells {
+                lock(cell).prime();
+            }
+            for w in 1..stride {
+                let (cells, lane_panic) = (&cells, &lane_panic);
+                let (barrier, stop, released) = (&barrier, &stop, &released);
+                scope.spawn(move || {
+                    // Workers never run lane 0 and report no timings (see
+                    // `PhaseTimings`: the buckets are the calling thread's).
+                    let mut unreported = PhaseTimings::default();
+                    loop {
+                        barrier.wait(); // released by the coordinator
+                        if stop.load(Ordering::Acquire) {
+                            break;
                         }
-                    }));
-                    if let Err(payload) = result {
-                        lock(lane_panic).get_or_insert(payload);
+                        let round = released.load(Ordering::Relaxed);
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            for cell in cells.iter().skip(w).step_by(stride) {
+                                let lane = &mut lock(cell);
+                                lane_phase(lane, g, topo, round, bandwidth, None, &mut unreported);
+                            }
+                        }));
+                        if let Err(payload) = result {
+                            lock(lane_panic).get_or_insert(payload);
+                        }
+                        barrier.wait(); // round work done
                     }
-                    barrier.wait(); // round work done
-                }
-            });
-        }
+                });
+            }
+        };
 
         // The coordinator must not unwind between barriers (the workers
         // would deadlock): its own lane phases are caught like a worker's,
@@ -393,22 +550,38 @@ where
             // Every lane's guard during the serial window; allocated once
             // so the steady-state round allocates nothing.
             let mut lanes = Vec::with_capacity(count);
+            // Envelopes in flight plus wake-ups: the round's due work.
+            let mut due = 0usize;
             loop {
-                // Parallel region: every lane runs round `metrics.rounds`; the
-                // coordinator is thread 0.
                 let round = metrics.rounds;
-                barrier.wait(); // release the workers into the round
-                let own = catch_unwind(AssertUnwindSafe(|| {
-                    for (t, cell) in cells.iter().enumerate().step_by(exec) {
-                        let own_base = (t == 0).then_some(seq);
-                        let lane = &mut lock(cell);
-                        lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
+                let parallel = started || (stride > 1 && due >= heavy);
+                let own = if parallel {
+                    if !started {
+                        start_workers();
+                        started = true;
                     }
-                }));
+                    // The calling thread is thread 0.
+                    released.store(round, Ordering::Relaxed);
+                    barrier.wait(); // release the workers into the round
+                    let own = catch_unwind(AssertUnwindSafe(|| {
+                        for (t, cell) in cells.iter().enumerate().step_by(stride) {
+                            let own_base = (t == 0).then_some(seq);
+                            let lane = &mut lock(cell);
+                            lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
+                        }
+                    }));
+                    barrier.wait(); // wait for every lane to finish
+                    lanes.extend(cells.iter().map(lock));
+                    own
+                } else {
+                    lanes.extend(cells.iter().map(lock));
+                    catch_unwind(AssertUnwindSafe(|| {
+                        serial_round(&mut lanes, g, topo, round, bandwidth, seq, &mut timings);
+                    }))
+                };
                 if let Err(payload) = own {
                     lock(&lane_panic).get_or_insert(payload);
                 }
-                barrier.wait(); // wait for every lane to finish
                 if lock(&lane_panic).is_some() {
                     break; // re-raised below, after the workers are stopped
                 }
@@ -416,16 +589,14 @@ where
                 // Serial window: the workers are parked at the release
                 // barrier, so every lock is uncontended.
                 let t0 = Instant::now();
-                lanes.extend(cells.iter().map(lock));
-                let (mut inflight, mut wakes) = (0usize, 0usize);
+                due = 0;
                 for acc in lanes.iter().map(|l| l.account) {
                     metrics.bits += acc.bits;
                     metrics.messages += acc.messages;
                     metrics.max_queue = metrics.max_queue.max(acc.max_queue);
-                    inflight += acc.pending + acc.sends as usize;
-                    wakes += acc.wakes;
+                    due += acc.pending + acc.routed + acc.wakes;
                 }
-                if inflight == 0 && wakes == 0 {
+                if due == 0 {
                     metrics.terminated = lanes.iter().all(|l| l.shard.all_done());
                     break;
                 }
@@ -441,8 +612,10 @@ where
         }));
 
         // Shut the workers down (they are parked at the release barrier).
-        stop.store(true, Ordering::Release);
-        barrier.wait();
+        if started {
+            stop.store(true, Ordering::Release);
+            barrier.wait();
+        }
         if let Err(payload) = outcome {
             lock(&lane_panic).get_or_insert(payload);
         }
@@ -451,21 +624,7 @@ where
     if let Some(payload) = lock(&lane_panic).take() {
         resume_unwind(payload);
     }
-
-    // One lane hands its program vector over as it is; further lanes
-    // append to it.
-    let mut shards = cells
-        .into_iter()
-        .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()).shard);
-    let mut programs = shards.next().map_or_else(Vec::new, Shard::into_programs);
-    for shard in shards {
-        programs.extend(shard.into_programs());
-    }
-    RunOutcome {
-        programs,
-        metrics,
-        timings,
-    }
+    (metrics, timings, if started { stride - 1 } else { 0 })
 }
 
 /// Locks ignoring poison: a poisoned lane only occurs on a lane panic,
@@ -481,32 +640,38 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
-    /// A max-flood over `lanes` lanes with the OS thread count forced to
-    /// `exec` — the only way to exercise the multi-thread schedule on a
-    /// single-core host.
-    fn run_max_flood(g: &Graph, lanes: usize, exec: usize) -> (Vec<MaxFlood>, RunMetrics) {
+    /// Every round, round 0 included, on `threads` OS threads — the only
+    /// way to exercise the multi-thread schedule on a single-core host or a
+    /// small graph.
+    fn eager(threads: usize) -> Exec {
+        Exec { threads, grain: 0 }
+    }
+
+    /// A max-flood on `lanes` lanes with the thread plan `exec`: the
+    /// programs, the metrics and the number of worker threads started.
+    fn max_flood(g: &Graph, lanes: usize, exec: Exec) -> (Vec<MaxFlood>, RunMetrics, usize) {
         let config = SimConfig {
             threads: lanes,
             ..SimConfig::default()
         };
-        let run = Simulator::new(g, config).run_on(Some(exec), |v, _| MaxFlood { best: v.0 });
-        (run.programs, run.metrics)
+        let (run, workers) = Simulator::new(g, config).run_on(exec, |v, _| MaxFlood { best: v.0 });
+        (run.programs, run.metrics, workers)
     }
 
     #[test]
     fn forced_exec_counts_yield_identical_runs() {
         let g = gen::grid(7, 9);
-        let (base_progs, base) = run_max_flood(&g, 4, 1);
+        let (base_progs, base, _) = max_flood(&g, 4, eager(1));
         assert!(base.terminated);
         assert!(base_progs.iter().all(|p| p.best == 62));
         for exec in [2, 3, 4] {
-            let (progs, metrics) = run_max_flood(&g, 4, exec);
+            let (progs, metrics, _) = max_flood(&g, 4, eager(exec));
             assert_eq!(metrics, base, "exec={exec}");
             assert!(progs.iter().all(|p| p.best == 62), "exec={exec}");
         }
         // Lanes ≠ exec ≠ divisor cases: uneven round-robin assignment.
-        let (_, m7) = run_max_flood(&g, 7, 3);
-        let (_, m7b) = run_max_flood(&g, 7, 1);
+        let (_, m7, _) = max_flood(&g, 7, eager(3));
+        let (_, m7b, _) = max_flood(&g, 7, eager(1));
         assert_eq!(m7, m7b);
         assert_eq!(m7.counts(), base.counts());
     }
@@ -522,10 +687,88 @@ mod tests {
         };
         for exec in [1, 2, 3, 4] {
             let sim = Simulator::new(&g, config);
-            let result = catch_unwind(AssertUnwindSafe(|| sim.run_on(Some(exec), |_, _| Bomb)));
+            let result = catch_unwind(AssertUnwindSafe(|| sim.run_on(eager(exec), |_, _| Bomb)));
             let payload = result.expect_err("the lane panic must reach the caller");
             let msg = panic_message(payload.as_ref());
             assert!(msg.contains("protocol bug on node 5"), "exec={exec}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_graph_below_the_grain_gets_one_lane_and_starts_no_thread() {
+        let g = gen::grid(40, 40);
+        assert!(g.num_nodes() < 2 * GRAIN);
+        let sim = Simulator::new(&g, SimConfig::default());
+        assert_eq!(sim.config.threads, 0, "the default resolves per host");
+        assert_eq!(sim.effective_threads(), 1);
+        let (progs, metrics, workers) = max_flood(&g, 0, Exec::host());
+        assert_eq!((metrics.threads, workers), (1, 0));
+        assert!(progs.iter().all(|p| p.best == 1599));
+    }
+
+    #[test]
+    fn a_multi_lane_run_whose_rounds_stay_light_never_starts_a_worker() {
+        // 63 nodes on 4 lanes: no round has `GRAIN` envelopes in flight.
+        let g = gen::grid(7, 9);
+        let (_, one, _) = max_flood(&g, 1, Exec::host());
+        for exec in [2, 4] {
+            let light = Exec {
+                threads: exec,
+                grain: GRAIN,
+            };
+            let (_, metrics, workers) = max_flood(&g, 4, light);
+            assert_eq!((metrics.threads, workers), (4, 0), "exec={exec}");
+            assert_eq!(metrics.counts(), one.counts(), "exec={exec}");
+            // The same run with every round heavy does start them.
+            let (_, _, workers) = max_flood(&g, 4, eager(exec));
+            assert_eq!(workers, exec - 1, "exec={exec}");
+        }
+    }
+
+    #[test]
+    fn the_default_equals_one_lane_and_a_heavy_round_starts_the_workers() {
+        // 6 400 nodes: two lanes wherever the host has two cores or more,
+        // and the flood's first round has 2m ≈ 25 000 envelopes in flight.
+        let g = gen::grid(80, 80);
+        let (one_progs, one, _) = max_flood(&g, 1, Exec::host());
+        let best = |progs: &[MaxFlood]| progs.iter().map(|p| p.best).collect::<Vec<_>>();
+        let (progs, metrics, workers) = max_flood(&g, 0, Exec::host());
+        let cores = host_parallelism();
+        let lanes = if cores == 1 { 1 } else { 2 };
+        assert_eq!((metrics.threads, workers), (lanes, lanes - 1));
+        assert_eq!(metrics.counts(), one.counts());
+        assert_eq!(best(&progs), best(&one_progs));
+        // Four lanes forced onto two threads, whatever the host: the first
+        // round with `GRAIN` per thread in flight starts the one worker.
+        let exec = Exec {
+            threads: 2,
+            grain: GRAIN,
+        };
+        let (progs, metrics, workers) = max_flood(&g, 4, exec);
+        assert_eq!((metrics.threads, workers), (4, 1));
+        assert_eq!(metrics.counts(), one.counts());
+        assert_eq!(best(&progs), best(&one_progs));
+    }
+
+    #[test]
+    fn workers_started_at_any_round_change_nothing() {
+        // A grain per thread between 0 and the flood's peak starts the
+        // workers at a different round each time: the rounds before run
+        // every lane on the calling thread with no mailbox, the rounds
+        // after on the workers through the mailboxes.
+        let g = gen::grid(20, 24);
+        let (_, one, _) = max_flood(&g, 1, Exec::host());
+        for (lanes, exec) in [(2, 2), (4, 2), (4, 4), (5, 3)] {
+            for grain in [1, 20, 60, 150, usize::MAX] {
+                let exec = Exec {
+                    threads: exec,
+                    grain,
+                };
+                let (progs, metrics, _) = max_flood(&g, lanes, exec);
+                let label = format!("lanes={lanes} {exec:?}");
+                assert_eq!(metrics.counts(), one.counts(), "{label}");
+                assert!(progs.iter().all(|p| p.best == 479), "{label}");
+            }
         }
     }
 }

@@ -1,8 +1,10 @@
 //! A contiguous node shard: the unit of work of the parallel round
 //! executor.
 //!
-//! Each shard exclusively owns its nodes' programs and wake bookkeeping,
-//! plus two message buffers: `inbound` (staged deliveries for the current
+//! Each shard exclusively borrows its nodes' run of the run-wide program
+//! vector (the run hands that vector back as it is, with no per-shard copy
+//! to concatenate) and owns their wake bookkeeping, plus two message
+//! buffers: `inbound` (staged deliveries for the current
 //! round, filled in place by the shard's own delivery partition) and
 //! `outbox` (wire envelopes produced this round, validated and routed by
 //! the lane's flush step). A worker thread touches nothing outside its
@@ -43,10 +45,11 @@ use super::{Ctx, Incoming, NodeProgram};
 use crate::{MessageSize, PackedMsg};
 use lcs_graph::{Graph, NodeId};
 
-pub(crate) struct Shard<P: NodeProgram> {
+pub(crate) struct Shard<'p, P: NodeProgram> {
     /// First node id owned by this shard.
     lo: u32,
-    programs: Vec<P>,
+    /// The shard's run of the run-wide program vector, one per node.
+    programs: &'p mut [P],
     /// Per local node, zero between rounds. While a round's `inbound` is
     /// sorted: the envelopes addressed to the node, then where its run in
     /// `order` starts, then where it ends.
@@ -83,19 +86,13 @@ pub(crate) struct Shard<P: NodeProgram> {
     n: usize,
 }
 
-impl<P: NodeProgram> Shard<P> {
-    pub fn new(
-        g: &Graph,
-        range: (u32, u32),
-        pack: usize,
-        budget: usize,
-        init: &mut impl FnMut(NodeId, &Graph) -> P,
-    ) -> Self {
-        let (lo, hi) = range;
-        let len = (hi - lo) as usize;
+impl<'p, P: NodeProgram> Shard<'p, P> {
+    /// The shard of nodes `lo..lo + programs.len()`.
+    pub fn new(g: &Graph, lo: u32, programs: &'p mut [P], pack: usize, budget: usize) -> Self {
+        let len = programs.len();
         Shard {
             lo,
-            programs: (lo..hi).map(|v| init(NodeId(v), g)).collect(),
+            programs,
             counts: vec![0; len],
             order: Vec::new(),
             inbox: Vec::new(),
@@ -110,6 +107,19 @@ impl<P: NodeProgram> Shard<P> {
             budget,
             n: g.num_nodes(),
         }
+    }
+
+    /// Gives every growable buffer its first allocation on the calling
+    /// thread, before a worker thread runs the shard.
+    pub fn prime(&mut self) {
+        super::prime(&mut self.order);
+        super::prime(&mut self.inbox);
+        super::prime(&mut self.wake_list);
+        super::prime(&mut self.inbound);
+        super::prime(&mut self.outbox);
+        super::prime(&mut self.raw);
+        super::prime(&mut self.batch_lens);
+        super::prime(&mut self.to_run);
     }
 
     /// Runs `on_start` for every node of the shard (round 0).
@@ -284,9 +294,5 @@ impl<P: NodeProgram> Shard<P> {
     /// Whether every program of the shard reports local termination.
     pub fn all_done(&self) -> bool {
         self.programs.iter().all(NodeProgram::is_done)
-    }
-
-    pub fn into_programs(self) -> Vec<P> {
-        self.programs
     }
 }

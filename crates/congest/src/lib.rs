@@ -45,6 +45,8 @@ mod metrics;
 
 pub mod protocols;
 
-pub use engine::{splitmix, Ctx, Incoming, NodeProgram, RunOutcome, SimConfig, SimMode, Simulator};
+pub use engine::{
+    splitmix, Ctx, Incoming, NodeProgram, RunOutcome, SimConfig, SimMode, Simulator, GRAIN,
+};
 pub use message::{id_bits, MessageSize, NodeIdMsg, PackedMsg};
 pub use metrics::{PhaseTimings, RunMetrics};

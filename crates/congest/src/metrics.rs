@@ -28,9 +28,9 @@ pub struct RunMetrics {
     ///
     /// [`SimConfig::max_rounds`]: crate::SimConfig::max_rounds
     pub truncated: bool,
-    /// Worker threads the sharded executor actually ran with (the resolved
-    /// [`SimConfig::threads`]). Execution configuration, not a measurement:
-    /// every counter above is identical at any thread count.
+    /// Lanes the run used (the resolved [`SimConfig::threads`]).
+    /// Execution configuration, not a measurement: every counter above is
+    /// identical at any lane count.
     ///
     /// [`SimConfig::threads`]: crate::SimConfig::threads
     pub threads: usize,
@@ -67,8 +67,9 @@ pub struct RunMetrics {
 /// | `merge_ms`   | flushing the sends — bandwidth validation, bit accounting, routing — plus the serial window between rounds (account fold, quiescence check, seq-base prefix sum, mailbox rotation) |
 ///
 /// The clock runs on the calling thread, over the lanes that thread
-/// executes: all of them unless the host gives the run more than one core,
-/// lanes `0, exec, 2·exec, …` of `exec` OS threads otherwise. The three
+/// executes: all of them until the run starts its worker threads (never,
+/// on one lane or one core), lanes `0, exec, 2·exec, …` of `exec` OS
+/// threads from then on. The three
 /// buckets therefore never sum to more than the wall of
 /// [`Simulator::run`]; the remainder is run set-up (routing tables, program
 /// construction) and, on several threads, barrier waits.

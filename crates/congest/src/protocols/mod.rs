@@ -7,7 +7,7 @@
 //! unchanged on the sharded parallel executor
 //! ([`SimConfig::threads`](crate::SimConfig::threads)): node callbacks only
 //! touch their own state and `Ctx`, so shard workers can execute them
-//! concurrently while the engine guarantees thread-count-invariant metrics.
+//! concurrently while the engine guarantees lane-count-invariant metrics.
 //!
 //! [`AggOp`] names what an aggregation computes; the part-wise program of
 //! `lcs_partwise` runs every aggregation, a convergecast along one tree

@@ -99,8 +99,9 @@ pub struct DistConfig {
     /// Simulator settings. The detection phase forces
     /// [`SimMode::Queued`] since set streaming
     /// sends several messages per edge. [`SimConfig::threads`] selects the
-    /// sharded executor's worker count for both phases; the construction —
-    /// cut set, shortcut, and metrics — is identical at any thread count.
+    /// lane count for both phases (by default every core, at most one lane
+    /// per [`GRAIN`](lcs_congest::GRAIN) nodes); the construction — cut
+    /// set, shortcut, and metrics — is identical at any lane count.
     /// [`SimConfig::message_packing`]` = k > 1` coalesces each node's
     /// upward stream (part ids / sketch values, closed by the `Done`
     /// marker) into multi-value messages, cutting detection rounds ~`k`×

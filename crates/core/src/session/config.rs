@@ -80,7 +80,9 @@ pub struct SessionConfig {
     /// Theorem 3.1 construction constant (the congestion factor).
     pub shortcut: ShortcutConfig,
     /// Simulator settings every op inherits (ops force the queue mode they
-    /// need; [`SimConfig::threads`] selects the sharded executor and
+    /// need; [`SimConfig::threads`] selects the lane count — by default
+    /// every core, at most one lane per [`GRAIN`](lcs_congest::GRAIN)
+    /// nodes, with worker threads only from a run's first heavy round — and
     /// [`SimConfig::message_packing`] the multi-value packing factor —
     /// `k > 1` coalesces burst sends into multi-value CONGEST messages,
     /// cutting rounds on streaming workloads like the sketch construction

@@ -133,7 +133,8 @@ pub struct OpReport<T> {
     /// same allocation instead of a per-call deep clone of its O(k)
     /// per-part vectors.
     pub quality: Option<Arc<QualityReport>>,
-    /// Worker threads the simulator ran with.
+    /// Lanes the simulator ran with (the resolved
+    /// [`SimConfig::threads`](lcs_congest::SimConfig::threads)).
     pub threads: usize,
     /// Per-message bandwidth limit (bits) the run enforced.
     pub bandwidth_bits: usize,

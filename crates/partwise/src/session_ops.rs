@@ -498,4 +498,86 @@ mod tests {
         let ok = s.try_unicast(&[(NodeId(0), NodeId(2))]).expect("same side");
         assert_eq!(ok.result.delivered, 1);
     }
+
+    /// The `churn_answer` instance (`road_like` 200², 400 Voronoi parts, 32
+    /// boundary nodes toggling between two parts for 20 ticks of
+    /// `reassign_parts`, `prepare` and an aggregate) at the default lane
+    /// count — several lanes on a multi-core host, whose heavy rounds start
+    /// worker threads — is the one-lane run bit for bit: every aggregate's
+    /// results and counts, and the forest it leaves behind. Release only
+    /// (`cargo test --release -- --ignored scale_`).
+    #[test]
+    #[ignore = "release-mode scale test"]
+    fn scale_churn_on_the_default_lanes_is_the_one_lane_run() {
+        use lcs_congest::{splitmix, SimConfig, Simulator};
+        use lcs_core::session::SessionConfig;
+
+        let g = gen::road_like(200, 200, 7);
+        let parts = gen::voronoi_parts_seeded(&g, 400, splitmix(7, 0x5eed));
+        let n = g.num_nodes() as u64;
+        let values: Vec<u64> = (0..n).map(|v| splitmix(v, 11) % 1_000_000).collect();
+        let run = |threads| {
+            let config = SessionConfig {
+                sim: SimConfig {
+                    threads,
+                    ..SimConfig::default()
+                },
+                ..SessionConfig::default()
+            };
+            let mut session = Session::on(&g)
+                .partition(parts.clone())
+                .config(config)
+                .build()
+                .unwrap();
+            let mut seen = Vec::new();
+            let mut aggregate = |session: &mut ShortcutSession<'_>| {
+                let out = session.aggregate(&values, AggOp::Sum);
+                assert!(out.result.all_members_informed && !out.truncated);
+                let forest = SessionTables::of_session(session).forest.clone();
+                let counts = out.result.metrics.counts();
+                seen.push((out.result.results, counts, forest));
+                out.threads
+            };
+            let lanes = aggregate(&mut session);
+
+            // Movers over pairwise disjoint part pairs; 7919 is prime to
+            // n = 40 000, so the scan visits every node, spread out.
+            let partition = session.partition().clone();
+            let (mut movers, mut used) = (Vec::new(), vec![false; partition.num_parts()]);
+            for v in (0..n).map(|i| NodeId((i * 7919 % n) as u32)) {
+                let home = partition.part_of(v).expect("voronoi cells cover the graph");
+                let away = (g.neighbors(v).filter_map(|nb| partition.part_of(nb.node)))
+                    .find(|&p| p != home && !used[p.index()] && !used[home.index()]);
+                let Some(away) = away else { continue };
+                if partition.reassign(&g, &[(v, away)]).is_ok() {
+                    (used[home.index()], used[away.index()]) = (true, true);
+                    movers.push((v, home, away));
+                }
+                if movers.len() == 32 {
+                    break;
+                }
+            }
+            assert_eq!(movers.len(), 32);
+            for tick in 0..20 {
+                let moves: Vec<(NodeId, PartId)> = (movers.iter())
+                    .map(|&(v, home, away)| (v, if tick % 2 == 0 { away } else { home }))
+                    .collect();
+                session.reassign_parts(&moves).unwrap();
+                session.prepare();
+                aggregate(&mut session);
+            }
+            (lanes, seen)
+        };
+        let (one, expected) = run(1);
+        let (lanes, got) = run(0);
+        assert_eq!(one, 1);
+        let default = Simulator::new(&g, SimConfig::default()).effective_threads();
+        assert_eq!(lanes, default);
+        assert_eq!(got.len(), 21);
+        for (tick, (a, b)) in got.iter().zip(&expected).enumerate() {
+            assert!(a.0 == b.0, "results of aggregate {tick}");
+            assert_eq!(a.1, b.1, "counts of aggregate {tick}");
+            assert!(a.2 == b.2, "forest after aggregate {tick}");
+        }
+    }
 }

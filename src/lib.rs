@@ -107,7 +107,8 @@ pub use lcs_separator as separator;
 ///
 /// Simulator knobs ride [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim),
 /// so every backend and op picks them up from the one config surface:
-/// `threads` selects the sharded executor,
+/// `threads` selects the lane count (by default every core, at most one
+/// lane per [`GRAIN`](lcs_congest::GRAIN) nodes),
 /// [`message_packing`](lcs_congest::SimConfig::message_packing) enables
 /// multi-value CONGEST messages (`k > 1` coalesces burst sends into packed
 /// batches within the `O(log n)`-bit budget — the n = 10⁵ sketch

@@ -5,18 +5,28 @@
 //! 400 Voronoi parts, seed 7) keeps the live heap within 32 MB.
 //!
 //! The counters are thread-local, so the tests of this binary do not see
-//! each other's allocations, and every run here is one lane
-//! (`SimConfig::threads = 1`, the default), so it allocates on the
-//! calling thread only.
+//! each other's allocations, and the runs they count are pinned to one
+//! lane (`SimConfig::threads = 1`), so they allocate on the calling thread
+//! only. One more pair of counters spans every thread: with it, the first
+//! aggregate at the default lane count, worker threads included, keeps the
+//! same 32 MB bound. The tests take turns, so that those counters see one
+//! test's allocations.
 
-use low_congestion_shortcuts::congest::splitmix;
+use low_congestion_shortcuts::congest::{splitmix, SimConfig};
 use low_congestion_shortcuts::facade::*;
 use low_congestion_shortcuts::graph::bfs;
 use low_congestion_shortcuts::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct Counting;
+
+/// Bytes every thread of the process holds: allocated minus freed.
+static ALL_LIVE: AtomicIsize = AtomicIsize::new(0);
+/// The most `ALL_LIVE` has been since the last [`reset_peak`].
+static ALL_PEAK: AtomicIsize = AtomicIsize::new(0);
 
 thread_local! {
     /// Allocations made by this thread (growing a buffer in place or by
@@ -29,6 +39,8 @@ thread_local! {
 }
 
 fn track(grow: isize, new_allocation: bool) {
+    let all = ALL_LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
+    ALL_PEAK.fetch_max(all, Ordering::Relaxed);
     // `try_with`: a thread being torn down still frees memory.
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + grow);
@@ -77,20 +89,43 @@ fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Restarts the peak at the current live heap.
+/// Restarts both peaks at the current live heaps.
 fn reset_peak() {
     PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
+    ALL_PEAK.store(ALL_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 fn peak_mb() -> f64 {
     PEAK.with(Cell::get) as f64 / (1 << 20) as f64
 }
 
+fn all_peak_mb() -> f64 {
+    ALL_PEAK.load(Ordering::Relaxed) as f64 / (1 << 20) as f64
+}
+
+/// Held by every test of this binary, so that no other test allocates
+/// while one reads the process-wide counters.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The benchmark's serving instance: a seeded `road_like` graph, a
 /// provided BFS tree and a seeded Voronoi partition, prepared on the
-/// centralized backend. The graph, tree and parts stay alive next to the
-/// session, as they do in the benchmark.
+/// centralized backend, its runs on one lane. The graph, tree and parts
+/// stay alive next to the session, as they do in the benchmark.
 fn with_road_session<T>(
+    side: usize,
+    parts: usize,
+    run: impl FnOnce(&mut ShortcutSession<'_>) -> T,
+) -> T {
+    with_road_session_on(1, side, parts, run)
+}
+
+/// [`with_road_session`] with its runs on `threads` lanes
+/// ([`SimConfig::threads`]).
+fn with_road_session_on<T>(
+    threads: usize,
     side: usize,
     parts: usize,
     run: impl FnOnce(&mut ShortcutSession<'_>) -> T,
@@ -103,6 +138,13 @@ fn with_road_session<T>(
         .tree(TreeSource::Provided(tree.clone()))
         .partition(parts.clone())
         .backend(Backend::Centralized)
+        .config(SessionConfig {
+            sim: SimConfig {
+                threads,
+                ..SimConfig::default()
+            },
+            ..SessionConfig::default()
+        })
         .build()
         .expect("voronoi cells are connected parts");
     session.prepare();
@@ -115,6 +157,7 @@ fn values(n: usize) -> Vec<u64> {
 
 #[test]
 fn a_warm_aggregate_allocates_the_same_at_every_size() {
+    let _turn = one_at_a_time();
     let counts: Vec<u64> = [64, 128]
         .into_iter()
         .map(|side| {
@@ -142,6 +185,7 @@ fn a_warm_aggregate_allocates_the_same_at_every_size() {
 
 #[test]
 fn the_first_aggregate_keeps_the_heap_within_32_mb() {
+    let _turn = one_at_a_time();
     let peak = with_road_session(200, 400, |session| {
         let values = values(200 * 200);
         reset_peak();
@@ -155,6 +199,27 @@ fn the_first_aggregate_keeps_the_heap_within_32_mb() {
     );
 }
 
+/// The same first aggregate at the default lane count (every core the
+/// host has, at most one lane per `GRAIN` nodes), counted over every
+/// thread: the lanes' buffers and the workers' allocations stay within
+/// the one-lane bound.
+#[test]
+fn the_first_aggregate_on_the_default_lanes_keeps_the_heap_within_32_mb() {
+    let _turn = one_at_a_time();
+    let threads = SimConfig::default().threads;
+    let (peak, lanes) = with_road_session_on(threads, 200, 400, |session| {
+        let values = values(200 * 200);
+        reset_peak();
+        let first = session.aggregate(&values, AggOp::Sum);
+        assert!(first.result.all_members_informed);
+        (all_peak_mb(), first.threads)
+    });
+    assert!(
+        peak <= 32.0,
+        "the first aggregate on {lanes} lanes: live heap peaked at {peak:.1} MB"
+    );
+}
+
 /// At n = 262 144 (`road_like` 512², 2 621 Voronoi parts) a cold and then
 /// a warm aggregate each add at most a fixed number of bytes per node and
 /// directed edge to the live heap: the run's memory is its tables and its
@@ -163,6 +228,7 @@ fn the_first_aggregate_keeps_the_heap_within_32_mb() {
 #[test]
 #[ignore]
 fn scale_aggregate_heap_on_road_like_512() {
+    let _turn = one_at_a_time();
     let side = 512;
     let (cold, warm, elements) = with_road_session(side, side * side / 100, |session| {
         let g = session.graph();

@@ -14,7 +14,7 @@
 use lcs_graph::minor;
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::kruskal;
-use low_congestion_shortcuts::congest::{SimConfig, SimMode};
+use low_congestion_shortcuts::congest::{SimConfig, SimMode, Simulator};
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
 use low_congestion_shortcuts::facade::*;
 use low_congestion_shortcuts::partwise::{centralized_aggregate, IdempotentOp};
@@ -219,7 +219,10 @@ fn second_aggregate_reuses_cached_shortcut() {
     assert!(third.result.converged);
     // The uniform report carries cost and execution configuration.
     assert!(first.rounds > 0 && first.messages > 0 && first.bits > 0);
-    assert_eq!(first.threads, 1);
+    // `threads` is the resolved lane count: the default's host
+    // parallelism, at most one lane per `GRAIN` nodes — one for 64 nodes.
+    let lanes = Simulator::new(&g, SimConfig::default()).effective_threads();
+    assert_eq!((first.threads, lanes), (1, 1));
     assert!(first.bandwidth_bits > 0);
     let q = first
         .quality
@@ -988,7 +991,16 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     // before the per-op `sim` overrides were removed, which spells
     // `"sim": null` inside an op block, one from before the construction
     // settings were cut to the congestion factor, and one from before the
-    // MST block and the bandwidth setting went.
+    // MST block and the bandwidth setting went. Each of them spells out
+    // `"threads":1`, the default lane count when it was written, and keeps
+    // it.
+    let then = SessionConfig {
+        sim: SimConfig {
+            threads: 1,
+            ..SimConfig::default()
+        },
+        ..SessionConfig::default()
+    };
     let older =
         SNAPSHOT_WITH_DELETED_KNOBS.replace("\"trees\":null}", "\"trees\":null,\"sim\":null}");
     assert_ne!(older, SNAPSHOT_WITH_DELETED_KNOBS);
@@ -999,7 +1011,7 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
         SNAPSHOT_WITH_MST_BLOCK,
     ] {
         let loaded: SessionConfig = serde_json::from_str(old).expect("old schema still loads");
-        assert_eq!(loaded, SessionConfig::default());
+        assert_eq!(loaded, then);
     }
 }
 
@@ -1007,7 +1019,7 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
 /// serving deployment would persist.
 const SNAPSHOT: &str = "{\"shortcut\":{\"congestion_factor\":8},\
 \"sim\":{\"mode\":\"Strict\",\"max_rounds\":1000000,\
-\"threads\":1,\"message_packing\":1},\
+\"threads\":0,\"message_packing\":1},\
 \"aggregate\":{\"delay_range\":0},\
 \"partition_source\":null,\"graph_source\":null}";
 
