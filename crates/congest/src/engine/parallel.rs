@@ -26,21 +26,16 @@
 //! finished round, and rotate the mailbox buffers (the receiver's drained
 //! vec swaps back to the sender — the steady state allocates nothing).
 //!
-//! # Who skips the mailbox
+//! # Lane 0 skips the mailbox
 //!
 //! Lane 0's sends are the first of the round in the global order, so its
 //! sequence base *is* the running `seq` — known before the round starts.
 //! It therefore pushes the sends addressed to its own partition straight
 //! into that partition with the exact `seq + idx + 1`, and they precede
 //! everything the other lanes route there (ingested next round), exactly
-//! as the mailbox order would have it. A round with every lane on the
-//! calling thread ([`serial_round`]) goes further: all lanes ingest and
-//! stage first, then lane `t` flushes once lanes `0..t` have, so its base
-//! `seq + Σ_{u<t} sends_u` is known and every send goes straight into its
-//! receiving partition, in the global order. Such a round — and with it
-//! every round of a single-lane run — never buffers its traffic twice:
-//! the partitions' staged messages land in the shards' inbound buffers and
-//! the outboxes flush directly back.
+//! as the mailbox order would have it. A single-lane run thus never
+//! buffers a round's traffic twice: the partition's staged messages land
+//! in the shard's inbound buffer and its outbox flushes directly back.
 //!
 //! # Determinism argument
 //!
@@ -62,27 +57,28 @@
 //! and a run starts threads only once its rounds are heavy. A round's
 //! *due work* is what the previous serial window counted: envelopes in
 //! flight plus wake-ups (round 0, `on_start`, has none). Until a round's
-//! due work reaches [`Exec::grain`] per thread, every round runs all lanes
-//! on the calling thread ([`serial_round`]), which spawns nothing and
-//! buffers no envelope twice. The first round that reaches it starts
-//! `exec − 1` worker threads, `exec = min(threads, lanes)`, and from then
-//! on every round runs the lanes round-robin (thread `w` owns lanes `w, w +
-//! exec, …`; the calling thread is thread 0) between two barriers. A lane
-//! does not go back to the calling thread for a lighter round: moving its
-//! working set between cores round by round cost the cold part-wise echo
-//! more than the barrier it saved (on 2 vCPUs and two lanes, 270 against
-//! 211 ms for the `churn_answer` instance's first aggregate). A run with
-//! one lane, or one core, never starts a thread. Rounds are microseconds
-//! long, so the barrier is a spin barrier (sense-reversing, two atomics)
-//! with a `yield_now` fallback for oversubscribed hosts. Just before the
-//! workers start, the calling thread gives every lane buffer that is
-//! still empty its first allocation ([`Lane::prime`]), so a worker grows
-//! the buffers in place, in the calling thread's allocator arena, rather
-//! than filling an arena of its own. A panic inside a lane phase (a protocol
-//! assertion, an oversized message, a strict-mode double send) is caught,
-//! parked until the barrier cycle completes (a raw unwind past a barrier
-//! would deadlock everyone else), and re-raised on the calling thread once
-//! the workers have been shut down.
+//! due work reaches [`Exec::grain`] per thread, the calling thread runs
+//! every lane's phase itself, in lane order, through the same mailboxes —
+//! no worker, no barrier, no contended lock. The first round that reaches
+//! it starts `exec − 1` worker threads, `exec = min(threads, lanes)`, and
+//! from then on every round runs the lanes round-robin (thread `w` owns
+//! lanes `w, w + exec, …`; the calling thread is thread 0) between two
+//! barriers. A lane does not go back to the calling thread for a lighter
+//! round: moving its working set between cores round by round cost the
+//! cold part-wise echo more than the barrier it saved (on 2 vCPUs and two
+//! lanes, 270 against 211 ms for the `churn_answer` instance's first
+//! aggregate). A run with one lane, or one core, never starts a thread.
+//! Rounds are microseconds long, so the barrier is a spin barrier
+//! (sense-reversing, two atomics) with a `yield_now` fallback for
+//! oversubscribed hosts. Just before the workers start, the calling
+//! thread gives every lane buffer that is still empty its first
+//! allocation ([`Lane::prime`]), so a worker grows the buffers in place,
+//! in the calling thread's allocator arena, rather than filling an arena
+//! of its own. A panic inside a lane phase (a protocol assertion, an
+//! oversized message, a strict-mode double send) is caught, parked until
+//! the barrier cycle completes (a raw unwind past a barrier would deadlock
+//! everyone else), and re-raised on the calling thread once the workers
+//! have been shut down.
 
 use super::delivery::{Delivery, ShardAccount};
 use super::shard::Shard;
@@ -214,91 +210,10 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Ingest + stage: pushes last round's mailboxes into the lane's
-/// partition (sender-lane major; the senders executed in `round - 1`,
-/// which is the round the delivery backends schedule from), then stages
-/// this round's due deliveries straight into the shard's inbound buffer —
-/// no coordinator staging pass, no extra copy. Round 0 has nothing to
-/// ingest. Resets the lane's account.
-fn ingest_and_stage<P, D>(lane: &mut Lane<'_, P, D>, topo: &Topology<'_>, round: u64)
-where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let Lane {
-        shard,
-        part,
-        in_from,
-        account: acc,
-        ..
-    } = lane;
-    *acc = ShardAccount::default();
-    if round == 0 {
-        return;
-    }
-    for mail in in_from.iter_mut() {
-        for env in mail.envs.drain(..) {
-            part.push(
-                env.dir,
-                env.priority,
-                mail.base + u64::from(env.idx) + 1,
-                env.msg,
-                round - 1,
-                topo,
-            );
-        }
-    }
-    debug_assert!(shard.inbound.is_empty());
-    part.stage(round, topo, &mut shard.inbound, acc);
-}
-
-/// Compute: the node callbacks, `on_start` being round 0.
-fn compute<P: NodeProgram>(shard: &mut Shard<'_, P>, g: &Graph, topo: &Topology<'_>, round: u64) {
-    if round == 0 {
-        shard.run_start(g);
-    } else {
-        shard.run_round(g, topo, round);
-    }
-}
-
-/// Flush: validates and bit-accounts a lane's sends into `acc`, and hands
-/// each to `route` with its lane-local send index (the coordinator's
-/// prefix sum turns it into an exact global sequence number). Sizing is
-/// `n`-aware ([`MessageSize::size_bits_in`]): id payloads are billed at
-/// `O(log n)` bits, as the CONGEST model assumes; a packed envelope bills
-/// its true multi-value width (see [`PackedMsg`]) and must fit the budget
-/// like any other message. The only place a send is checked and billed.
-#[inline]
-fn flush<M: MessageSize>(
-    outbox: &mut Vec<(u32, u64, PackedMsg<M>)>,
-    n: usize,
-    bandwidth: usize,
-    acc: &mut ShardAccount,
-    mut route: impl FnMut(u32, u64, u32, PackedMsg<M>),
-) {
-    let mut idx = 0u32;
-    for send in outbox.drain(..) {
-        // Sized through the reference and only then taken apart: with the
-        // tuple destructured in the loop head and two places for `msg` to
-        // go, LLVM spills the envelope through overlapping stack slots — a
-        // store-forwarding stall per message, +35 % on this loop.
-        let bits = send.2.size_bits_in(n);
-        assert!(
-            bits <= bandwidth,
-            "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
-        );
-        acc.bits += bits as u64;
-        let (dir, priority, msg) = send;
-        route(dir, priority, idx, msg);
-        idx += 1;
-    }
-    acc.sends = u64::from(idx);
-}
-
 /// One lane's full round on whichever thread owns it: ingest → stage →
-/// compute → flush, with no access to any other lane's state; each send
-/// goes to the receiving lane's mailbox. Panics (program, bandwidth or
-/// strict-mode assertions) unwind to the calling thread's catch.
+/// compute → flush (round 0: `on_start` → flush), with no access to any
+/// other lane's state. Panics (program, bandwidth or strict-mode
+/// assertions) unwind to the calling thread's catch.
 ///
 /// `own_base` is `Some(seq)` for lane 0 only — its sequence base for this
 /// round is the running `seq` (see the module docs), which lets it push
@@ -315,25 +230,69 @@ fn lane_phase<P, D>(
     P: NodeProgram,
     D: Delivery<PackedMsg<P::Msg>>,
 {
-    let t0 = Instant::now();
-    ingest_and_stage(lane, topo, round);
-    let t1 = Instant::now();
-    compute(&mut lane.shard, g, topo, round);
-    let t2 = Instant::now();
     let Lane {
         shard,
         part,
+        in_from,
         out_to,
         account: acc,
-        ..
     } = lane;
-    let mut routed = 0;
-    flush(
-        &mut shard.outbox,
-        topo.num_nodes(),
-        bandwidth,
-        acc,
-        |dir, priority, idx, msg| match (own_base, topo.dir_shard(dir)) {
+    *acc = ShardAccount::default();
+    let t0 = Instant::now();
+
+    if round > 0 {
+        // Ingest: last round's sends routed to this partition, sender-lane
+        // major. The senders executed in `round - 1`, which is the round
+        // the delivery backends schedule from.
+        for mail in in_from.iter_mut() {
+            for env in mail.envs.drain(..) {
+                part.push(
+                    env.dir,
+                    env.priority,
+                    mail.base + u64::from(env.idx) + 1,
+                    env.msg,
+                    round - 1,
+                    topo,
+                );
+            }
+        }
+        // Stage this round's due deliveries straight into the shard's
+        // inbound buffer — no coordinator staging pass, no extra copy.
+        debug_assert!(shard.inbound.is_empty());
+        part.stage(round, topo, &mut shard.inbound, acc);
+    }
+    let t1 = Instant::now();
+
+    // Compute: `on_start` is round 0.
+    if round == 0 {
+        shard.run_start(g);
+    } else {
+        shard.run_round(g, topo, round);
+    }
+    let t2 = Instant::now();
+
+    // Flush: validate + bit-account this lane's own sends and route each
+    // envelope to the lane that receives it. `idx` is the lane-local send
+    // index the coordinator's prefix sum turns into exact global seqs.
+    // Sizing is `n`-aware ([`MessageSize::size_bits_in`]): id payloads are
+    // billed at `O(log n)` bits, as the CONGEST model assumes; a packed
+    // envelope bills its true multi-value width (see [`PackedMsg`]) and
+    // must fit the budget like any other message.
+    let n = topo.num_nodes();
+    let (mut idx, mut routed) = (0u32, 0);
+    for send in shard.outbox.drain(..) {
+        // Sized through the reference and only then taken apart: with the
+        // tuple destructured in the loop head and two places for `msg` to
+        // go, LLVM spills the envelope through overlapping stack slots — a
+        // store-forwarding stall per message, +35 % on this loop.
+        let bits = send.2.size_bits_in(n);
+        assert!(
+            bits <= bandwidth,
+            "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
+        );
+        acc.bits += bits as u64;
+        let (dir, priority, msg) = send;
+        match (own_base, topo.dir_shard(dir)) {
             (Some(base), 0) => {
                 part.push(dir, priority, base + u64::from(idx) + 1, msg, round, topo)
             }
@@ -346,8 +305,10 @@ fn lane_phase<P, D>(
                 });
                 routed += 1;
             }
-        },
-    );
+        }
+        idx += 1;
+    }
+    acc.sends = u64::from(idx);
     acc.routed = routed;
     acc.wakes = shard.pending_wakes();
     acc.pending = part.pending();
@@ -355,64 +316,6 @@ fn lane_phase<P, D>(
     timings.stage_ms += ms(t1 - t0);
     timings.compute_ms += ms(t2 - t1);
     timings.merge_ms += ms(t3 - t2);
-}
-
-/// A round with every lane on the calling thread: all lanes ingest and
-/// stage first, then each computes and flushes in lane order, pushing
-/// every send straight into the receiving partition with its exact
-/// sequence number — lane `t`'s base is `seq` plus the sends of the lanes
-/// before it, which have run. The pushes reach each partition in the
-/// global send order, as the mailboxes would deliver them, and no
-/// envelope is buffered twice.
-fn serial_round<'p, P, D>(
-    lanes: &mut [impl DerefMut<Target = Lane<'p, P, D>>],
-    g: &Graph,
-    topo: &Topology<'_>,
-    round: u64,
-    bandwidth: usize,
-    seq: u64,
-    timings: &mut PhaseTimings,
-) where
-    P: NodeProgram + 'p,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let t0 = Instant::now();
-    for lane in lanes.iter_mut() {
-        ingest_and_stage(lane, topo, round);
-    }
-    let mut base = seq;
-    let (mut compute_ms, mut merge_ms) = (0.0, 0.0);
-    for t in 0..lanes.len() {
-        let t1 = Instant::now();
-        compute(&mut lanes[t].shard, g, topo, round);
-        let t2 = Instant::now();
-        let mut outbox = std::mem::take(&mut lanes[t].shard.outbox);
-        let mut acc = lanes[t].account;
-        flush(
-            &mut outbox,
-            topo.num_nodes(),
-            bandwidth,
-            &mut acc,
-            |dir, priority, idx, msg| {
-                let seq = base + u64::from(idx) + 1;
-                let to = topo.dir_shard(dir);
-                lanes[to].part.push(dir, priority, seq, msg, round, topo);
-            },
-        );
-        let lane = &mut lanes[t];
-        lane.shard.outbox = outbox;
-        acc.wakes = lane.shard.pending_wakes();
-        lane.account = acc;
-        base += acc.sends;
-        compute_ms += ms(t2 - t1);
-        merge_ms += ms(t2.elapsed());
-    }
-    for lane in lanes.iter_mut() {
-        lane.account.pending = lane.part.pending();
-    }
-    timings.stage_ms += ms(t0.elapsed()) - compute_ms - merge_ms;
-    timings.compute_ms += compute_ms;
-    timings.merge_ms += merge_ms;
 }
 
 /// The coordinator's mailbox rotation: assigns each lane its sequence
@@ -554,31 +457,30 @@ where
             let mut due = 0usize;
             loop {
                 let round = metrics.rounds;
-                let parallel = started || (stride > 1 && due >= heavy);
-                let own = if parallel {
-                    if !started {
-                        start_workers();
-                        started = true;
-                    }
-                    // The calling thread is thread 0.
+                if !started && stride > 1 && due >= heavy {
+                    start_workers();
+                    started = true;
+                }
+                // The calling thread is thread 0: it runs its share of the
+                // lanes between the workers' two barriers, or every lane
+                // before the workers have started.
+                let step = if started {
                     released.store(round, Ordering::Relaxed);
                     barrier.wait(); // release the workers into the round
-                    let own = catch_unwind(AssertUnwindSafe(|| {
-                        for (t, cell) in cells.iter().enumerate().step_by(stride) {
-                            let own_base = (t == 0).then_some(seq);
-                            let lane = &mut lock(cell);
-                            lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
-                        }
-                    }));
-                    barrier.wait(); // wait for every lane to finish
-                    lanes.extend(cells.iter().map(lock));
-                    own
+                    stride
                 } else {
-                    lanes.extend(cells.iter().map(lock));
-                    catch_unwind(AssertUnwindSafe(|| {
-                        serial_round(&mut lanes, g, topo, round, bandwidth, seq, &mut timings);
-                    }))
+                    1
                 };
+                let own = catch_unwind(AssertUnwindSafe(|| {
+                    for (t, cell) in cells.iter().enumerate().step_by(step) {
+                        let own_base = (t == 0).then_some(seq);
+                        let lane = &mut lock(cell);
+                        lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
+                    }
+                }));
+                if started {
+                    barrier.wait(); // wait for every lane to finish
+                }
                 if let Err(payload) = own {
                     lock(&lane_panic).get_or_insert(payload);
                 }
@@ -589,6 +491,7 @@ where
                 // Serial window: the workers are parked at the release
                 // barrier, so every lock is uncontended.
                 let t0 = Instant::now();
+                lanes.extend(cells.iter().map(lock));
                 due = 0;
                 for acc in lanes.iter().map(|l| l.account) {
                     metrics.bits += acc.bits;
@@ -636,7 +539,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{panic_message, Bomb, MaxFlood};
-    use super::super::Simulator;
+    use super::super::{Ctx, Incoming, SimMode, Simulator};
     use super::*;
     use lcs_graph::gen;
 
@@ -674,6 +577,76 @@ mod tests {
         let (_, m7b, _) = max_flood(&g, 7, eager(1));
         assert_eq!(m7, m7b);
         assert_eq!(m7.counts(), base.counts());
+    }
+
+    /// Relays tagged values in [`SimMode::Queued`]: every node starts
+    /// three sends per port over three priorities, two of them equal (so
+    /// packing has runs to coalesce), and forwards what it hears for three
+    /// hops over a port and at a priority the value picks. `heard` folds
+    /// every inbox in arrival order, so it tells delivery orders apart.
+    struct Relay {
+        heard: u64,
+    }
+
+    impl NodeProgram for Relay {
+        type Msg = u32;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            let v = ctx.node().0;
+            for port in 0..ctx.degree() {
+                for k in 0..3u32 {
+                    let value = (v * 7 + k) << 2;
+                    ctx.send_with_priority(port, value, u64::from((v + k.min(1)) % 3));
+                }
+            }
+        }
+
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
+            for m in inbox {
+                self.heard = self
+                    .heard
+                    .wrapping_mul(31)
+                    .wrapping_add(u64::from(m.msg) + 1);
+                let (value, hop) = (m.msg >> 2, m.msg & 3);
+                if hop < 3 {
+                    let port = value as usize % ctx.degree();
+                    ctx.send_with_priority(port, (value << 2) | (hop + 1), u64::from(value % 4));
+                }
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn queued_runs_through_the_mailboxes_equal_one_lane() {
+        let g = gen::grid(9, 11);
+        let run = |lanes: usize, packing: usize, exec: Exec| {
+            let config = SimConfig {
+                mode: SimMode::Queued,
+                threads: lanes,
+                message_packing: packing,
+                ..SimConfig::default()
+            };
+            let (run, _) = Simulator::new(&g, config).run_on(exec, |_, _| Relay { heard: 0 });
+            let heard: Vec<u64> = run.programs.iter().map(|p| p.heard).collect();
+            (run.metrics, heard)
+        };
+        for packing in [1, 8] {
+            let (one, one_heard) = run(1, packing, Exec::host());
+            assert!(one.terminated && one.max_queue > 1, "packing={packing}");
+            for lanes in [2, 4, 7] {
+                for threads in [1, 2, lanes] {
+                    let (metrics, heard) = run(lanes, packing, eager(threads));
+                    let label = format!("packing={packing} lanes={lanes} threads={threads}");
+                    assert_eq!(metrics.counts(), one.counts(), "{label}");
+                    assert_eq!(metrics.threads, lanes, "{label}");
+                    assert_eq!(heard, one_heard, "{label}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -754,7 +727,7 @@ mod tests {
     fn workers_started_at_any_round_change_nothing() {
         // A grain per thread between 0 and the flood's peak starts the
         // workers at a different round each time: the rounds before run
-        // every lane on the calling thread with no mailbox, the rounds
+        // every lane on the calling thread, the rounds
         // after on the workers through the mailboxes.
         let g = gen::grid(20, 24);
         let (_, one, _) = max_flood(&g, 1, Exec::host());

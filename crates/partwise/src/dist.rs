@@ -901,9 +901,6 @@ struct SlotState {
     member_below: bool,
     up_sent: bool,
     has_result: bool,
-    /// To the extreme: an `Up` or `Empty` reached the slot this round, so
-    /// it re-folds its children's memory once the inbox is read.
-    refold: bool,
 }
 
 impl SlotState {
@@ -1132,7 +1129,6 @@ impl NodeProgram for PaProgram<'_> {
                         let first = std::mem::replace(&mut self.heard[at], val) == UNHEARD;
                         let st = &mut self.states[slot];
                         st.pending_up = st.pending_up.saturating_sub(u32::from(first));
-                        st.refold = true;
                         continue;
                     }
                     let st = &mut self.states[slot];
@@ -1149,7 +1145,6 @@ impl NodeProgram for PaProgram<'_> {
                         let first = std::mem::replace(&mut self.heard[at], UNHEARD) == UNHEARD;
                         let st = &mut self.states[slot];
                         st.pending_up = st.pending_up.saturating_sub(u32::from(first));
-                        st.refold = true;
                     } else {
                         self.states[slot].pending_up -= 1;
                         self.maybe_up(ctx, slot);
@@ -1163,15 +1158,10 @@ impl NodeProgram for PaProgram<'_> {
                 }
             }
         }
-        // To the extreme, each slot that heard reports folds them once, in
-        // the order the inbox first names it.
         let remembers = self.wave == Wave::ToExtreme;
         for m in inbox.iter().filter(|_| remembers) {
             if let PaMsg::Up(part, _) | PaMsg::Empty(part) = m.msg {
-                let slot = self.slots.slot_of(part);
-                if std::mem::take(&mut self.states[slot].refold) {
-                    self.maybe_up(ctx, slot);
-                }
+                self.maybe_up(ctx, self.slots.slot_of(part));
             }
         }
     }
