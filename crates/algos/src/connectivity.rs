@@ -5,10 +5,12 @@
 //! unit weights, the MST machinery computes a spanning forest, and fragment
 //! ids at fixpoint are component labels, in `Õ(δD)` rounds per phase.
 
-use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
+use crate::mst::{distributed_mst, MstReport};
+use lcs_core::dist::Truncated;
 use lcs_core::session::SessionConfig;
+use lcs_core::{FullShortcutResult, Partition};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{Graph, RootedTree, UnionFind};
+use lcs_graph::{Graph, PartId, RootedTree, UnionFind};
 
 /// Result of [`distributed_components`].
 #[derive(Clone, Debug)]
@@ -22,7 +24,7 @@ pub struct ComponentsReport {
 }
 
 /// Computes connected components distributedly via unit-weight Boruvka
-/// (`tree`, `provider` and `config` as for [`distributed_mst`]).
+/// (`tree`, `fresh` and `config` as for [`distributed_mst`]).
 ///
 /// # Panics
 ///
@@ -30,11 +32,11 @@ pub struct ComponentsReport {
 pub fn distributed_components(
     g: &Graph,
     tree: &RootedTree,
-    provider: ShortcutProvider,
+    fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
     config: &SessionConfig,
 ) -> ComponentsReport {
     let weights = EdgeWeights::unit(g);
-    let mst = distributed_mst(g, &weights, tree, provider, config);
+    let mst = distributed_mst(g, &weights, tree, fresh, config);
     let mut uf = UnionFind::new(g.num_nodes());
     for &e in &mst.edges {
         let (u, v) = g.endpoints(e);
@@ -60,13 +62,17 @@ pub fn distributed_components(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_core::construct;
     use lcs_graph::{bfs, components, gen, NodeId};
 
     /// Components from node 0 with oracle shortcuts, default knobs.
     fn components_of(g: &Graph) -> ComponentsReport {
         let config = SessionConfig::default();
         let tree = bfs::bfs_tree(g, NodeId(0));
-        distributed_components(g, &tree, ShortcutProvider::Oracle, &config)
+        let fresh = |p: &Partition, parts: &[PartId]| {
+            construct(g, &tree, p, parts, 1, &config.shortcut, None)
+        };
+        distributed_components(g, &tree, fresh, &config)
     }
 
     #[test]

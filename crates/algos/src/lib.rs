@@ -2,8 +2,8 @@
 //! with centralized references.
 //!
 //! * [`mst`] — Boruvka's MST over part-wise aggregation (Corollary 1.6),
-//!   checked against Kruskal; pluggable shortcut providers (minor-sweep,
-//!   `D+√n` baseline, none).
+//!   checked against Kruskal; each phase asks its caller for shortcuts
+//!   (a session's construction, or a comparator's `D+√n` baseline or none).
 //! * [`connectivity`] — spanning forest / connected components as unweighted
 //!   Boruvka.
 //! * [`mincut`] — minimum cut: exact Stoer–Wagner reference and the

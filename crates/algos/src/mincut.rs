@@ -22,12 +22,13 @@
 //! in theory), its deg-sum half the [`Wave::Convergecast`] over the packed
 //! tree as a one-part forest ([`AggForest::of_tree`]): `n − 1` `Up`s.
 
-use crate::mst::{distributed_mst, kruskal, MstReport, MstSteps, ShortcutProvider};
+use crate::mst::{distributed_mst, kruskal, MstReport, MstSteps};
 use lcs_congest::protocols::AggOp;
+use lcs_core::dist::Truncated;
 use lcs_core::session::SessionConfig;
-use lcs_core::{Partition, Shortcut};
+use lcs_core::{FullShortcutResult, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{bfs, components, EdgeId, Graph, NodeId, RootedTree};
+use lcs_graph::{bfs, components, EdgeId, Graph, NodeId, PartId, RootedTree};
 use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, Wave};
 
 /// Exact minimum cut by Stoer–Wagner (`O(n³)`); returns 0 for disconnected
@@ -148,8 +149,9 @@ impl std::ops::AddAssign<&MstReport> for MincutReport {
 /// 1-respecting cuts. The first packed tree is `tree`, the spanning tree the
 /// shortcuts are built on (uniform loads make any spanning tree minimum);
 /// each later one is built by [`distributed_mst`] over `tree`, rooted at its
-/// root. It packs `min(min_degree, 2·⌈ln n⌉ + 4)` trees, reads of `config`
-/// what [`distributed_mst`] reads, and counts a tree once it is evaluated.
+/// root, on the shortcuts `fresh` returns. It packs
+/// `min(min_degree, 2·⌈ln n⌉ + 4)` trees, reads of `config` what
+/// [`distributed_mst`] reads, and counts a tree once it is evaluated.
 ///
 /// # Panics
 ///
@@ -157,7 +159,7 @@ impl std::ops::AddAssign<&MstReport> for MincutReport {
 pub fn approx_mincut_distributed(
     g: &Graph,
     tree: &RootedTree,
-    provider: ShortcutProvider,
+    mut fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
     config: &SessionConfig,
 ) -> MincutReport {
     assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
@@ -179,7 +181,7 @@ pub fn approx_mincut_distributed(
     let mut packed = tree.clone();
     for i in 0..q {
         if i > 0 {
-            let report = distributed_mst(g, &loads, tree, provider, config);
+            let report = distributed_mst(g, &loads, tree, &mut fresh, config);
             out += &report;
             if report.truncated {
                 // A forest cut short spans nothing to evaluate or pack.
@@ -339,11 +341,17 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
-    /// The approximation from node 0 with oracle shortcuts, default knobs.
+    /// The approximation from node 0 with oracle shortcuts on `config`.
+    fn approx_on(g: &Graph, tree: &RootedTree, config: &SessionConfig) -> MincutReport {
+        let fresh = |p: &Partition, parts: &[PartId]| {
+            lcs_core::construct(g, tree, p, parts, 1, &config.shortcut, None)
+        };
+        approx_mincut_distributed(g, tree, fresh, config)
+    }
+
+    /// [`approx_on`] the BFS tree of node 0, default knobs.
     fn approx(g: &Graph) -> MincutReport {
-        let config = SessionConfig::default();
-        let tree = bfs::bfs_tree(g, NodeId(0));
-        approx_mincut_distributed(g, &tree, ShortcutProvider::Oracle, &config)
+        approx_on(g, &bfs::bfs_tree(g, NodeId(0)), &SessionConfig::default())
     }
 
     #[test]
@@ -510,7 +518,7 @@ mod tests {
                 },
                 ..SessionConfig::default()
             };
-            approx_mincut_distributed(&g, &tree, ShortcutProvider::Oracle, &config)
+            approx_on(&g, &tree, &config)
         };
         let none = capped(depth - 1);
         assert!(none.truncated);

@@ -32,9 +32,9 @@
 
 use lcs_congest::protocols::AggOp;
 use lcs_congest::{id_bits, splitmix};
-use lcs_core::dist::DistConfig;
+use lcs_core::dist::Truncated;
 use lcs_core::session::SessionConfig;
-use lcs_core::{baseline, construct, Partition, Shortcut, Transition};
+use lcs_core::{FullShortcutResult, Partition, Shortcut, Transition};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
 use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, Wave};
@@ -59,37 +59,6 @@ pub fn kruskal(g: &Graph, weights: &EdgeWeights) -> Vec<EdgeId> {
     forest
 }
 
-/// How each Boruvka phase obtains its shortcuts — the one input of the
-/// Boruvka family a [`SessionConfig`] does not carry (a session derives it
-/// from its [`Backend`](lcs_core::session::Backend)). The construction
-/// constants are read from [`SessionConfig::shortcut`] either way.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ShortcutProvider {
-    /// Centralized Theorem 1.2 construction ("oracle" — construction rounds
-    /// are not charged; use to isolate aggregation cost).
-    Oracle,
-    /// The real distributed Theorem 1.5 construction: the detection sweeps
-    /// are simulated and charged per phase. The tree they run over is the
-    /// caller's — a session charges its flood once, to its
-    /// `construction_stats`.
-    Distributed(DistConfig),
-    /// The folklore `D + √n` shortcut (parts bigger than `√n` get the whole
-    /// BFS tree). Constructible in `O(D)` rounds, charged as zero.
-    Baseline,
-    /// No shortcuts: fragments communicate inside `G[P_i]` only.
-    None,
-}
-
-impl ShortcutProvider {
-    /// The simulated construction this provider runs and charges, if any.
-    fn dist_config(&self) -> Option<DistConfig> {
-        match *self {
-            ShortcutProvider::Distributed(dist) => Some(dist),
-            _ => None,
-        }
-    }
-}
-
 /// A run's cost per step: its rounds ([`MstReport::rounds`]) or its
 /// messages ([`MstReport::message_split`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,7 +73,8 @@ pub struct MstSteps {
     /// node shared by merged trees drops ([`AggForest::carried_over`]), and
     /// one 1-bit notice per tail with an outgoing MWOE.
     pub exchange: u64,
-    /// Shortcut construction (only for the distributed provider).
+    /// Shortcut construction: the [`cost`](FullShortcutResult::cost) of
+    /// every shortcut `fresh` returned (zero where it builds centrally).
     pub construction: u64,
     /// MWOE aggregations.
     pub aggregation: u64,
@@ -194,14 +164,26 @@ fn coin(seed: u64, phase: usize, id: u32) -> bool {
 /// and the run stops after `4·bitlen(n) + 16` phases. Of `config` it reads
 /// [`aggregate`](SessionConfig::aggregate) and
 /// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
-/// and [`shortcut`](SessionConfig::shortcut) for the constructing
-/// providers — the blocks `session.mst(..)` passes.
+/// and [`shortcut`](SessionConfig::shortcut) for the phase clock's
+/// congestion bound.
+///
+/// Shortcuts come from the caller. Once per phase after the first,
+/// Boruvka calls `fresh(partition, parts)`, where `parts` are the fragments
+/// the last merge touched that lie in `tree`'s component and have more than
+/// `2D + 1` members. The result is shaped like `partition`: every touched
+/// fragment takes its `H_i` from it, every other fragment keeps its own.
+/// Its [`cost`](FullShortcutResult::cost) is charged to
+/// [`MstSteps::construction`], and its `δ̂` raises the phase clock's. A
+/// session passes [`construct`](lcs_core::construct) on its backend;
+/// comparators pass `construct` unsimulated, `construct` over no part (no
+/// shortcuts), or the `D + √n`
+/// [baseline](lcs_core::baseline::general_graph_shortcut).
 ///
 /// A run that cannot finish — a simulator run hits
 /// [`sim.max_rounds`](lcs_congest::SimConfig::max_rounds) or its phase's
-/// clock (the provider's own cap for its construction phases), or the next
-/// phase would exceed the phase cap — stops there and reports the forest
-/// found so far with [`truncated`](MstReport::truncated) set.
+/// clock, `fresh` returns [`Truncated`], or the next phase would exceed
+/// the phase cap — stops there and reports the forest found so far with
+/// [`truncated`](MstReport::truncated) set.
 ///
 /// # Panics
 ///
@@ -210,11 +192,11 @@ pub fn distributed_mst(
     g: &Graph,
     weights: &EdgeWeights,
     tree: &RootedTree,
-    provider: ShortcutProvider,
+    fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
     config: &SessionConfig,
 ) -> MstReport {
     let max_phases = 4 * (usize::BITS - g.num_nodes().leading_zeros()) as usize + 16;
-    boruvka(g, weights, tree, provider, config, COIN_SEED, max_phases)
+    boruvka(g, weights, tree, fresh, config, COIN_SEED, max_phases)
 }
 
 /// [`distributed_mst`] on the coins of `coins` and a cap of `max_phases`.
@@ -222,7 +204,7 @@ pub(crate) fn boruvka(
     g: &Graph,
     weights: &EdgeWeights,
     tree: &RootedTree,
-    provider: ShortcutProvider,
+    mut fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
     config: &SessionConfig,
     coins: u64,
     max_phases: usize,
@@ -307,27 +289,17 @@ pub(crate) fn boruvka(
         // the first phase). Fragments only grow, so the carry's churn
         // repairs (departures, arrivals) never fire here.
         if let Some(t) = transition.take() {
-            let fresh = match provider {
-                ShortcutProvider::None => Shortcut::empty(k),
-                ShortcutProvider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
-                ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {
-                    let touched = t.touched().iter().copied();
-                    let search: Vec<PartId> =
-                        touched.filter(|&p| constructs(partition.part(p))).collect();
-                    let (cfg, dist) = (&config.shortcut, provider.dist_config());
-                    let built = construct(g, tree, &partition, &search, 1, cfg, dist.as_ref());
-                    let Ok(built) = built else {
-                        report.truncated = true;
-                        break;
-                    };
-                    delta_hat = delta_hat.max(built.delta_hat);
-                    report.rounds.construction += built.cost.rounds;
-                    report.message_split.construction += built.cost.messages;
-                    report.bits += built.cost.bits;
-                    built.shortcut
-                }
+            let touched = t.touched().iter().copied();
+            let search: Vec<PartId> = touched.filter(|&p| constructs(partition.part(p))).collect();
+            let Ok(built) = fresh(&partition, &search) else {
+                report.truncated = true;
+                break;
             };
-            shortcut = shortcut.carried_over(&t, fresh);
+            delta_hat = delta_hat.max(built.delta_hat);
+            report.rounds.construction += built.cost.rounds;
+            report.message_split.construction += built.cost.messages;
+            report.bits += built.cost.bits;
+            shortcut = shortcut.carried_over(&t, built.shortcut);
             let next = participation.refreshed(g, &partition, &shortcut, &t);
             let (carried, detaches) =
                 forest.carried_over(g, &participation, &partition, &next, &t, block);
@@ -491,17 +463,53 @@ pub(crate) fn boruvka(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::{measure_quality, ConstructionStats};
+    use lcs_core::dist::DistConfig;
+    use lcs_core::{baseline, construct, measure_quality, ConstructionStats};
     use lcs_graph::{bfs, gen};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::{BTreeMap, BTreeSet};
 
+    /// Where a test's Boruvka phases get their shortcuts: the centralized
+    /// or simulated construction, the `D + √n` baseline, or none.
+    #[derive(Clone, Copy, Debug)]
+    enum Provider {
+        Oracle,
+        Distributed(DistConfig),
+        Baseline,
+        None,
+    }
+
+    impl Provider {
+        /// The `fresh` closure this provider stands for over `tree`. The
+        /// baseline ignores `parts` and, like no shortcuts, is free at
+        /// `δ̂ = 1`.
+        fn fresh<'a>(
+            self,
+            g: &'a Graph,
+            tree: &'a RootedTree,
+            config: &'a SessionConfig,
+        ) -> impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated> + 'a
+        {
+            let cfg = &config.shortcut;
+            move |p, parts| match self {
+                Provider::Oracle => construct(g, tree, p, parts, 1, cfg, None),
+                Provider::Distributed(dist) => construct(g, tree, p, parts, 1, cfg, Some(&dist)),
+                Provider::None => construct(g, tree, p, &[], 1, cfg, None),
+                Provider::Baseline => {
+                    let shortcut = baseline::general_graph_shortcut(g, tree, p);
+                    let empty = construct(g, tree, p, &[], 1, cfg, None)?;
+                    Ok(FullShortcutResult { shortcut, ..empty })
+                }
+            }
+        }
+    }
+
     /// Boruvka over the BFS tree of node 0 on the default knobs.
-    fn mst_of(g: &Graph, w: &EdgeWeights, provider: ShortcutProvider) -> MstReport {
-        let tree = bfs::bfs_tree(g, NodeId(0));
-        distributed_mst(g, w, &tree, provider, &SessionConfig::default())
+    fn mst_of(g: &Graph, w: &EdgeWeights, provider: Provider) -> MstReport {
+        let (tree, config) = (bfs::bfs_tree(g, NodeId(0)), SessionConfig::default());
+        distributed_mst(g, w, &tree, provider.fresh(g, &tree, &config), &config)
     }
 
     /// One Boruvka phase replayed on the host: the fragment map it starts
@@ -666,7 +674,7 @@ mod tests {
         w: &EdgeWeights,
         tree: &RootedTree,
         phases: &[Phase],
-        provider: ShortcutProvider,
+        provider: Provider,
         config: &SessionConfig,
     ) -> (Vec<PhaseRuns>, ConstructionStats) {
         let mut constructions = ConstructionStats::default();
@@ -691,14 +699,11 @@ mod tests {
             let k = partition.num_parts();
             let mut cut = false;
             let shortcut = match provider {
-                ShortcutProvider::None => Shortcut::empty(k),
-                ShortcutProvider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
-                ShortcutProvider::Oracle | ShortcutProvider::Distributed(_) => {
-                    let (cfg, dist) = (&config.shortcut, provider.dist_config());
-                    let build = |parts: &[PartId]| {
-                        construct(g, tree, &partition, parts, 1, cfg, dist.as_ref())
-                            .expect("uncapped")
-                    };
+                Provider::None => Shortcut::empty(k),
+                Provider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
+                Provider::Oracle | Provider::Distributed(_) => {
+                    let (cfg, mut fresh) = (&config.shortcut, provider.fresh(g, tree, config));
+                    let mut build = |parts: &[PartId]| fresh(&partition, parts).expect("uncapped");
                     let mut kept = Shortcut::empty(k);
                     let mut search = Vec::new();
                     for (p, nodes) in partition.iter() {
@@ -867,7 +872,7 @@ mod tests {
     fn check_bill(
         g: &Graph,
         w: &EdgeWeights,
-        provider: ShortcutProvider,
+        provider: Provider,
         coins: u64,
     ) -> (MstReport, Vec<PhaseRuns>) {
         let env = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
@@ -876,7 +881,8 @@ mod tests {
         config.sim.message_packing = env("LCS_SIM_PACKING").unwrap_or(1);
         let config = &config;
         let tree = bfs::bfs_tree(g, NodeId(0));
-        let report = boruvka(g, w, &tree, provider, config, coins, usize::MAX);
+        let fresh = provider.fresh(g, &tree, config);
+        let report = boruvka(g, w, &tree, fresh, config, coins, usize::MAX);
         let (phases, last) = replay(g, w, coins);
         assert_eq!(report.phases, phases.len(), "{provider:?}");
         let rounds = 2 * phases.len() as u64 + 1;
@@ -925,7 +931,7 @@ mod tests {
         (report, runs)
     }
 
-    fn check_matches_kruskal(g: &Graph, seed: u64, provider: ShortcutProvider) {
+    fn check_matches_kruskal(g: &Graph, seed: u64, provider: Provider) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
@@ -945,19 +951,19 @@ mod tests {
     #[test]
     fn matches_kruskal_on_grid() {
         let g = gen::grid(7, 7);
-        check_matches_kruskal(&g, 11, ShortcutProvider::Oracle);
+        check_matches_kruskal(&g, 11, Provider::Oracle);
     }
 
     #[test]
     fn matches_kruskal_on_torus() {
         let g = gen::torus(5, 5);
-        check_matches_kruskal(&g, 12, ShortcutProvider::Oracle);
+        check_matches_kruskal(&g, 12, Provider::Oracle);
     }
 
     #[test]
     fn matches_kruskal_with_baseline_provider() {
         let g = gen::grid(6, 6);
-        check_matches_kruskal(&g, 13, ShortcutProvider::Baseline);
+        check_matches_kruskal(&g, 13, Provider::Baseline);
     }
 
     /// The `Baseline` provider is `lcs_core::baseline`'s function — big
@@ -969,7 +975,7 @@ mod tests {
     fn baseline_provider_is_the_core_baseline() {
         let g = gen::grid(10, 10);
         let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(5));
-        let (report, _) = check_bill(&g, &w, ShortcutProvider::Baseline, COIN_SEED);
+        let (report, _) = check_bill(&g, &w, Provider::Baseline, COIN_SEED);
         assert_eq!(
             report.rounds.construction + report.message_split.construction,
             0
@@ -1005,7 +1011,7 @@ mod tests {
         for g in &families {
             let random = EdgeWeights::random_unique(g, &mut SmallRng::seed_from_u64(7));
             for w in [random, EdgeWeights::unit(g)] {
-                let (report, runs) = check_bill(g, &w, ShortcutProvider::Oracle, COIN_SEED);
+                let (report, runs) = check_bill(g, &w, Provider::Oracle, COIN_SEED);
                 assert_eq!(report.edges, kruskal(g, &w), "{g:?}");
                 assert!(
                     runs.iter().all(|r| !r.cut),
@@ -1025,10 +1031,10 @@ mod tests {
     #[test]
     fn fragments_are_led_from_their_ids() {
         let cases = [
-            (gen::path(4), ShortcutProvider::Oracle),
-            (gen::grid(7, 7), ShortcutProvider::Oracle),
-            (gen::torus(6, 6), ShortcutProvider::Oracle),
-            (gen::grid(8, 8), ShortcutProvider::Baseline),
+            (gen::path(4), Provider::Oracle),
+            (gen::grid(7, 7), Provider::Oracle),
+            (gen::torus(6, 6), Provider::Oracle),
+            (gen::grid(8, 8), Provider::Baseline),
         ];
         for (g, provider) in cases {
             let tree = bfs::bfs_tree(&g, NodeId(0));
@@ -1036,7 +1042,8 @@ mod tests {
             for seed in 0..32 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
                 let config = SessionConfig::default();
-                let report = boruvka(&g, &w, &tree, provider, &config, 100 + seed, usize::MAX);
+                let fresh = provider.fresh(&g, &tree, &config);
+                let report = boruvka(&g, &w, &tree, fresh, &config, 100 + seed, usize::MAX);
                 assert!(!report.truncated, "{provider:?} {seed}");
                 assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
                 let (phases, _) = replay(&g, &w, 100 + seed);
@@ -1061,7 +1068,7 @@ mod tests {
         let mut tail_pairs = 0;
         for seed in 0..32 {
             let config = SessionConfig::default();
-            let oracle = ShortcutProvider::Oracle;
+            let oracle = Provider::Oracle.fresh(&g, &tree, &config);
             let report = boruvka(&g, &w, &tree, oracle, &config, seed, usize::MAX);
             let mut phases = 1;
             loop {
@@ -1082,12 +1089,12 @@ mod tests {
     /// and some phases of each run find every fragment's tree carried.
     #[test]
     fn messages_are_exchanges_queries_and_phase_runs() {
-        let dist = ShortcutProvider::Distributed(DistConfig::default());
+        let dist = Provider::Distributed(DistConfig::default());
         let cases = [
-            (gen::grid(7, 7), ShortcutProvider::Oracle),
-            (gen::torus(6, 6), ShortcutProvider::Oracle),
-            (gen::grid(8, 8), ShortcutProvider::Baseline),
-            (gen::wheel(20), ShortcutProvider::None),
+            (gen::grid(7, 7), Provider::Oracle),
+            (gen::torus(6, 6), Provider::Oracle),
+            (gen::grid(8, 8), Provider::Baseline),
+            (gen::wheel(20), Provider::None),
             (gen::grid(6, 6), dist),
         ];
         for (g, provider) in cases {
@@ -1111,9 +1118,9 @@ mod tests {
     #[test]
     fn carried_trees_stay_within_the_tree_depth() {
         for (g, provider) in [
-            (gen::wheel(256), ShortcutProvider::Oracle),
-            (gen::grid(6, 6), ShortcutProvider::Oracle),
-            (gen::grid(6, 6), ShortcutProvider::None),
+            (gen::wheel(256), Provider::Oracle),
+            (gen::grid(6, 6), Provider::Oracle),
+            (gen::grid(6, 6), Provider::None),
         ] {
             let depth = bfs::bfs_tree(&g, NodeId(0)).depth_of_tree() as usize;
             let block = 2 * depth + 1;
@@ -1150,7 +1157,7 @@ mod tests {
             .collect();
         weightings.push(EdgeWeights::unit(&g));
         for (i, w) in weightings.iter().enumerate() {
-            let (report, runs) = check_bill(&g, w, ShortcutProvider::Oracle, COIN_SEED);
+            let (report, runs) = check_bill(&g, w, Provider::Oracle, COIN_SEED);
             assert_eq!(report.edges, kruskal(&g, w), "weighting {i}");
             assert!(!report.truncated, "weighting {i}");
             let highest = runs.iter().flat_map(|r| r.heights.iter().flatten()).max();
@@ -1170,12 +1177,8 @@ mod tests {
     /// A graph of at most 300 nodes from the grid, torus, wheel, 3-tree and
     /// road-like families, a provider that constructs, gives the whole tree
     /// or gives nothing, and weight and coin seeds.
-    fn arb_instance() -> impl Strategy<Value = (Graph, ShortcutProvider, u64, u64)> {
-        let providers = [
-            ShortcutProvider::Oracle,
-            ShortcutProvider::Baseline,
-            ShortcutProvider::None,
-        ];
+    fn arb_instance() -> impl Strategy<Value = (Graph, Provider, u64, u64)> {
+        let providers = [Provider::Oracle, Provider::Baseline, Provider::None];
         let shape = (0usize..5, 3usize..18, 0usize..3);
         (shape, 0u64..1000, 0u64..1000).prop_map(move |((family, side, p), seed, coins)| {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -1208,7 +1211,8 @@ mod tests {
             let run = |threads, message_packing| {
                 let mut config = SessionConfig::default();
                 (config.sim.threads, config.sim.message_packing) = (threads, message_packing);
-                boruvka(&g, &w, &tree, provider, &config, coins, usize::MAX)
+                let fresh = provider.fresh(&g, &tree, &config);
+                boruvka(&g, &w, &tree, fresh, &config, coins, usize::MAX)
             };
             let counts = |r: &MstReport| {
                 let steps = (r.rounds.clone(), r.clock_rounds.clone(), r.message_split.clone());
@@ -1233,14 +1237,14 @@ mod tests {
     fn stitched_trees_resend_where_they_meet() {
         let g = gen::torus(28, 28);
         let w = EdgeWeights::random(&g, 1000, &mut SmallRng::seed_from_u64(0));
-        let (report, _) = check_bill(&g, &w, ShortcutProvider::Oracle, COIN_SEED);
+        let (report, _) = check_bill(&g, &w, Provider::Oracle, COIN_SEED);
         assert_eq!(report.edges, kruskal(&g, &w));
     }
 
     #[test]
-    fn matches_kruskal_with_no_shortcuts() {
+    fn matches_kruskal_with_empty_shortcuts() {
         let g = gen::wheel(20);
-        check_matches_kruskal(&g, 14, ShortcutProvider::None);
+        check_matches_kruskal(&g, 14, Provider::None);
     }
 
     /// Fragments no shortcut serves run their echo over `G[P_i]` alone,
@@ -1257,11 +1261,7 @@ mod tests {
             .map(|e| heavy(e) + rand::Rng::gen_range(&mut rng, 1..1000u64))
             .collect();
         let w = EdgeWeights::from_vec(&g, w);
-        for provider in [
-            ShortcutProvider::None,
-            ShortcutProvider::Baseline,
-            ShortcutProvider::Oracle,
-        ] {
+        for provider in [Provider::None, Provider::Baseline, Provider::Oracle] {
             let report = mst_of(&g, &w, provider);
             assert!(!report.truncated, "{provider:?}");
             assert_eq!(report.edges, kruskal(&g, &w), "{provider:?}");
@@ -1272,7 +1272,7 @@ mod tests {
     #[test]
     fn matches_kruskal_with_distributed_construction() {
         let g = gen::grid(6, 6);
-        let provider = ShortcutProvider::Distributed(DistConfig::default());
+        let provider = Provider::Distributed(DistConfig::default());
         let mut rng = SmallRng::seed_from_u64(15);
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
@@ -1291,18 +1291,19 @@ mod tests {
         let g = gen::grid(6, 6);
         let mut rng = SmallRng::seed_from_u64(16);
         let w = EdgeWeights::random_unique(&g, &mut rng);
-        let capped = |max_phases, provider| {
+        let capped = |max_phases, provider: Provider| {
             let tree = bfs::bfs_tree(&g, NodeId(0));
             let config = SessionConfig::default();
-            boruvka(&g, &w, &tree, provider, &config, COIN_SEED, max_phases)
+            let fresh = provider.fresh(&g, &tree, &config);
+            boruvka(&g, &w, &tree, fresh, &config, COIN_SEED, max_phases)
         };
-        let one = capped(1, ShortcutProvider::Oracle);
+        let one = capped(1, Provider::Oracle);
         assert!(one.truncated && one.phases == 1);
         let reference = kruskal(&g, &w);
         assert!(!one.edges.is_empty() && one.edges.len() < reference.len());
         assert!(one.edges.iter().all(|e| reference.contains(e)));
 
-        let none = capped(0, ShortcutProvider::Distributed(DistConfig::default()));
+        let none = capped(0, Provider::Distributed(DistConfig::default()));
         assert!(none.truncated && none.phases == 0 && none.edges.is_empty());
         assert_eq!(none.rounds.construction, 0);
         assert_eq!(none.messages, 2 * g.num_edges() as u64);
@@ -1316,7 +1317,8 @@ mod tests {
             let mut config = SessionConfig::default();
             config.sim.max_rounds = cap;
             let tree = bfs::bfs_tree(&g, NodeId(0));
-            let cut = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+            let oracle = Provider::Oracle.fresh(&g, &tree, &config);
+            let cut = distributed_mst(&g, &w, &tree, oracle, &config);
             assert!(cut.truncated && cut.phases == 3, "cap {cap}");
             assert_eq!(cut.rounds.exchange, 2 * cut.phases as u64 - 1 + notices);
             assert!(cut.edges.iter().all(|e| reference.contains(e)));
@@ -1327,7 +1329,7 @@ mod tests {
     fn spanning_forest_on_disconnected_graph() {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]);
         let w = EdgeWeights::unit(&g);
-        let report = mst_of(&g, &w, ShortcutProvider::Oracle);
+        let report = mst_of(&g, &w, Provider::Oracle);
         // Forest: 2 + 2 edges.
         assert_eq!(report.edges.len(), 4);
         assert_eq!(report.edges, kruskal(&g, &w));
@@ -1337,7 +1339,7 @@ mod tests {
     fn single_node_graph() {
         let g = Graph::from_edges(1, []);
         let w = EdgeWeights::unit(&g);
-        let report = mst_of(&g, &w, ShortcutProvider::Oracle);
+        let report = mst_of(&g, &w, Provider::Oracle);
         assert!(report.edges.is_empty());
         assert_eq!(report.phases, 0);
     }

@@ -2,24 +2,26 @@
 //! connectivity, and min-cut. Each method calls its algorithm with the
 //! session's graph, cached tree (the one its shortcut is built on — a
 //! provided tree, or the BFS tree whose flood the session charged once),
-//! [`SessionConfig`] and backend-derived [`ShortcutProvider`], and caches
-//! the report as a session artifact.
+//! [`SessionConfig`] and the session's construction as the algorithm's
+//! `fresh` shortcuts, and caches the report as a session artifact.
 //!
 //! [`ShortcutSession`]: lcs_core::session::ShortcutSession
 
 use crate::connectivity::{distributed_components, ComponentsReport};
 use crate::mincut::{approx_mincut_distributed, MincutReport};
-use crate::mst::{distributed_mst, MstReport, ShortcutProvider};
+use crate::mst::{distributed_mst, MstReport};
 use lcs_congest::Simulator;
+use lcs_core::dist::Truncated;
 use lcs_core::session::{OpReport, SessionConfig, SessionError, ShortcutSession};
+use lcs_core::{construct, FullShortcutResult, Partition};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{components, Graph, RootedTree};
+use lcs_graph::{components, Graph, PartId, RootedTree};
 
 /// Shortcut-based distributed algorithms served by a
-/// [`ShortcutSession`]. The shortcut provider of every Boruvka phase is
-/// derived from the session's backend: the centralized Theorem 1.2 oracle
-/// for `Backend::Centralized`, the simulated Theorem 1.5 construction for
-/// `Backend::Distributed` / `Backend::Sketch`.
+/// [`ShortcutSession`]. Every Boruvka phase's shortcuts are built the way
+/// the session builds its own: the centralized Theorem 1.2 construction
+/// for `Backend::Centralized`, the simulated Theorem 1.5 construction,
+/// charged per phase, for `Backend::Distributed` / `Backend::Sketch`.
 ///
 /// ```
 /// use lcs_algos::SessionAlgoOps;
@@ -74,22 +76,23 @@ pub trait SessionAlgoOps {
     fn try_mincut(&mut self) -> Result<OpReport<MincutReport>, SessionError>;
 }
 
-/// The provider matching the session's backend: the centralized oracle, or
-/// the simulated Theorem 1.5 construction on the backend's settings.
-fn provider_of(session: &ShortcutSession<'_>) -> ShortcutProvider {
-    let dist = session.backend().dist_config();
-    dist.map_or(ShortcutProvider::Oracle, ShortcutProvider::Distributed)
-}
+/// A Boruvka-family algorithm's `fresh` shortcuts ([`distributed_mst`]).
+type Fresh<'a> = dyn FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated> + 'a;
 
 /// Runs a Boruvka-family algorithm on the session's graph, cached tree
-/// (ensured by the caller, so this does not fail), provider and config.
+/// (ensured by the caller, so this does not fail) and config, handing it
+/// [`construct`] on the session's backend over that tree.
 fn with_tree<T>(
     session: &mut ShortcutSession<'_>,
-    run: impl FnOnce(&Graph, &RootedTree, ShortcutProvider, &SessionConfig) -> T,
+    run: impl FnOnce(&Graph, &RootedTree, &mut Fresh<'_>, &SessionConfig) -> T,
 ) -> T {
-    let (g, provider) = (session.graph_handle(), provider_of(session));
+    let (g, dist) = (session.graph_handle(), session.backend().dist_config());
     let tree = session.tree().clone();
-    run(&g, &tree, provider, session.config())
+    let config = session.config();
+    let cfg = &config.shortcut;
+    let mut fresh =
+        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, cfg, dist.as_ref());
+    run(&g, &tree, &mut fresh, config)
 }
 
 /// Wraps the (cached) report of a whole-graph op into the uniform
@@ -146,8 +149,8 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         let memo = self.op_artifact_with(
             |memo: &MstMemo| memo.weights == *weights,
             |s| MstMemo {
-                report: with_tree(s, |g, tree, provider, config| {
-                    distributed_mst(g, weights, tree, provider, config)
+                report: with_tree(s, |g, tree, fresh, config| {
+                    distributed_mst(g, weights, tree, fresh, config)
                 }),
                 weights: weights.clone(),
             },
@@ -160,7 +163,14 @@ impl SessionAlgoOps for ShortcutSession<'_> {
 
     fn try_components(&mut self) -> Result<OpReport<ComponentsReport>, SessionError> {
         self.try_tree()?;
-        let r = self.op_artifact_with(|_| true, |s| with_tree(s, distributed_components));
+        let r = self.op_artifact_with(
+            |_| true,
+            |s| {
+                with_tree(s, |g, tree, fresh, config| {
+                    distributed_components(g, tree, fresh, config)
+                })
+            },
+        );
         let (m, rounds) = (&r.mst, r.mst.rounds.total());
         let report = op_report(self, rounds, m.messages, m.bits, m.truncated, (*r).clone());
         Ok(report)
@@ -177,7 +187,14 @@ impl SessionAlgoOps for ShortcutSession<'_> {
             return Err(SessionError::GraphDisconnected);
         }
         self.try_tree()?;
-        let r = self.op_artifact_with(|_| true, |s| with_tree(s, approx_mincut_distributed));
+        let r = self.op_artifact_with(
+            |_| true,
+            |s| {
+                with_tree(s, |g, tree, fresh, config| {
+                    approx_mincut_distributed(g, tree, fresh, config)
+                })
+            },
+        );
         let rounds = r.rounds.total() + r.eval_rounds;
         let report = op_report(self, rounds, r.messages, r.bits, r.truncated, (*r).clone());
         Ok(report)
@@ -293,8 +310,13 @@ mod tests {
             .unwrap();
         let served = s.mst(&w);
         assert_eq!(served.result.edges, kruskal(&g, &w));
-        let oracle = ShortcutProvider::Oracle;
-        let over = |tree: &RootedTree| distributed_mst(&g, &w, tree, oracle, s.config());
+        let config = s.config();
+        let over = |tree: &RootedTree| {
+            let fresh = |p: &Partition, parts: &[PartId]| {
+                construct(&g, tree, p, parts, 1, &config.shortcut, None)
+            };
+            distributed_mst(&g, &w, tree, fresh, config)
+        };
         let (direct, bfs) = (over(&snake), over(&bfs::bfs_tree(&g, NodeId(0))));
         let counts = |r: &MstReport| (r.rounds.total(), r.messages, r.bits);
         assert_eq!(

@@ -5,7 +5,7 @@
 use crate::experiments::instance;
 use crate::{f2, Relation::*, Report};
 use lcs_congest::protocols::AggOp;
-use lcs_core::baseline;
+use lcs_core::Shortcut;
 use lcs_graph::{gen, NodeId};
 
 /// Runs E10.
@@ -22,7 +22,7 @@ pub fn run() -> Report {
         let (res, q, _) = inst.full_shortcut();
         let values: Vec<u64> = (0..n as u64).collect();
         let with = inst.aggregate(&res.shortcut, &values, AggOp::Max);
-        let none = baseline::no_shortcut(&inst.partition);
+        let none = Shortcut::empty(inst.partition.num_parts());
         let without = inst.aggregate(&none, &values, AggOp::Max);
         assert_eq!(with.results, without.results, "results must agree");
         let (with, without) = (with.metrics.rounds, without.metrics.rounds);

@@ -49,7 +49,7 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn no_shortcut_beats_the_lemma() {
+    fn every_shortcut_meets_the_lemma() {
         crate::experiments::assert_claims_hold(super::run());
     }
 }

@@ -9,10 +9,11 @@
 
 use crate::experiments::rng;
 use crate::{Relation::*, Report};
-use lcs_algos::mst::{distributed_mst, kruskal, MstReport, ShortcutProvider};
+use lcs_algos::mst::{distributed_mst, kruskal, MstReport};
 use lcs_core::session::SessionConfig;
+use lcs_core::{baseline, construct, FullShortcutResult, Partition};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{bfs, gen, Graph, NodeId};
+use lcs_graph::{bfs, gen, Graph, NodeId, PartId};
 
 const EXACT: &str = "Cor 1.6 every provider's MST ≡ Kruskal";
 const SEPARATION: &str = "Cor 1.6 wheel rounds: minor-sweep ≤ D+√n baseline";
@@ -24,13 +25,22 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
     let weights = EdgeWeights::random_unique(g, &mut rng(seed));
     let reference = kruskal(g, &weights);
     let config = SessionConfig::default();
-    let providers = [
-        ShortcutProvider::Oracle,
-        ShortcutProvider::Baseline,
-        ShortcutProvider::None,
+    let (tree, cfg) = (bfs::bfs_tree(g, NodeId(0)), &config.shortcut);
+    // Constructing over no part is the free empty shortcut at `δ̂ = 1`.
+    let none = |p: &Partition, _: &[PartId]| construct(g, &tree, p, &[], 1, cfg, None);
+    let sweep = |p: &Partition, parts: &[PartId]| construct(g, &tree, p, parts, 1, cfg, None);
+    let base = |p: &Partition, _: &[PartId]| {
+        let shortcut = baseline::general_graph_shortcut(g, &tree, p);
+        Ok(FullShortcutResult {
+            shortcut,
+            ..none(p, &[])?
+        })
+    };
+    let reports = [
+        distributed_mst(g, &weights, &tree, sweep, &config),
+        distributed_mst(g, &weights, &tree, base, &config),
+        distributed_mst(g, &weights, &tree, none, &config),
     ];
-    let tree = bfs::bfs_tree(g, NodeId(0));
-    let reports = providers.map(|provider| distributed_mst(g, &weights, &tree, provider, &config));
     let exact = reports.iter().all(|r| r.edges == reference);
     (reports, exact)
 }

@@ -15,9 +15,9 @@ use crate::{f2, Relation::*, Report};
 use lcs_algos::mincut::{
     approx_mincut_distributed, exact_mincut_via_packing, greedy_packing, stoer_wagner,
 };
-use lcs_algos::mst::ShortcutProvider;
 use lcs_core::session::SessionConfig;
-use lcs_graph::{bfs, gen, Graph, NodeId};
+use lcs_core::{construct, Partition};
+use lcs_graph::{bfs, gen, Graph, NodeId, PartId};
 
 const UPPER_BOUND: &str = "Cor 1.7 1-respecting estimate ≥ λ";
 const EXACT: &str = "Cor 1.7 2-respecting cut = λ";
@@ -51,7 +51,10 @@ pub fn run() -> Report {
     for (name, g) in cases {
         let exact = stoer_wagner(&g);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let rep = approx_mincut_distributed(&g, &tree, ShortcutProvider::Oracle, &config);
+        let sweep = |p: &Partition, parts: &[PartId]| {
+            construct(&g, &tree, p, parts, 1, &config.shortcut, None)
+        };
+        let rep = approx_mincut_distributed(&g, &tree, sweep, &config);
         let (one, trees) = (rep.estimate, rep.trees);
         let two = exact_mincut_via_packing(&g, &tree, trees.max(3));
         let (n, m, rounds) = (g.num_nodes(), g.num_edges(), rep.rounds.total());

@@ -6,7 +6,9 @@
 //! (`H_i = ∅`). At most `√n` parts can exceed `√n` nodes, so congestion is
 //! at most `√n`; big parts have dilation `<= 2D`, small parts at most their
 //! own size. This is the general-graph baseline the minor-density shortcuts
-//! are compared against (experiment E6).
+//! are compared against (experiment E6). The "no shortcuts" strawman is
+//! [`Shortcut::empty`]: a [`construct`](crate::construct) over no part
+//! returns it for free at `δ̂ = 1`.
 
 use crate::{Partition, Shortcut};
 use lcs_graph::{EdgeId, Graph, RootedTree};
@@ -28,12 +30,6 @@ pub fn general_graph_shortcut(g: &Graph, tree: &RootedTree, partition: &Partitio
         })
         .collect();
     Shortcut::from_edge_lists(lists)
-}
-
-/// The trivial shortcut `H_i = ∅` for every part (parts communicate inside
-/// `G[P_i]` only) — the "no shortcuts" strawman.
-pub fn no_shortcut(partition: &Partition) -> Shortcut {
-    Shortcut::empty(partition.num_parts())
 }
 
 #[cfg(test)]
@@ -73,12 +69,22 @@ mod tests {
         assert_eq!(q.max_dilation_upper, 7);
     }
 
+    /// The "no shortcuts" strawman: constructing over no part, centrally
+    /// or simulated, builds the empty shortcut at `δ̂ = 1` and costs nothing.
     #[test]
-    fn no_shortcut_shape() {
+    fn constructing_no_part_is_the_empty_shortcut() {
         let g = gen::path(6);
         let partition = Partition::from_parts(&g, vec![vec![NodeId(0), NodeId(1)]]).unwrap();
-        let s = no_shortcut(&partition);
-        assert_eq!(s.num_parts(), 1);
-        assert_eq!(s.total_edges(), 0);
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let config = crate::ShortcutConfig::default();
+        for dist in [None, Some(crate::dist::DistConfig::default())] {
+            let res = crate::construct(&g, &tree, &partition, &[], 1, &config, dist.as_ref());
+            let res = res.expect("nothing to run");
+            assert_eq!(res.shortcut, Shortcut::empty(1));
+            assert_eq!(
+                (res.delta_hat, res.cost),
+                (1, crate::ConstructionStats::default())
+            );
+        }
     }
 }

@@ -486,7 +486,10 @@ mod tests {
         fn touch(self, s: &mut ShortcutSession<'_>) {
             match self {
                 Column::Tree => assert_eq!(s.tree().root(), NodeId(0)),
-                Column::Full => assert_eq!(s.shortcut().num_parts(), s.partition().num_parts()),
+                Column::Full => assert_eq!(
+                    s.try_full_artifact().unwrap().shortcut.num_parts(),
+                    s.partition().num_parts()
+                ),
                 Column::Quality => {
                     let served = s.quality().clone();
                     let tree = s.tree().clone();

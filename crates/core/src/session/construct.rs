@@ -75,22 +75,10 @@ impl ShortcutSession<'_> {
         Ok(self.cached_full())
     }
 
-    /// The served full shortcut.
-    pub fn shortcut(&mut self) -> &Shortcut {
-        let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
-        &full.shortcut
-    }
-
     /// Final `δ̂` of the doubling search (0 for provided shortcuts).
     pub fn delta_hat(&mut self) -> u32 {
         let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
         full.delta_hat
-    }
-
-    /// The densest dense-minor certificate collected during construction.
-    pub fn witness(&mut self) -> Option<&MinorWitness> {
-        let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
-        full.witness.as_ref()
     }
 
     /// Simulated cost of everything constructed since
@@ -164,7 +152,8 @@ impl ShortcutSession<'_> {
     /// # Panics
     ///
     /// Panics if the artifact was not built yet (call
-    /// [`prepare`](Self::prepare) or [`shortcut`](Self::shortcut) first),
+    /// [`prepare`](Self::prepare) or
+    /// [`try_full_artifact`](Self::try_full_artifact) first),
     /// or if it went stale because an input was mutated since — references
     /// obtained before a mutation must be re-fetched through
     /// [`prepare`](Self::prepare).

@@ -21,7 +21,8 @@
 //! // every later access reuses.
 //! let delta_hat = session.delta_hat();
 //! assert_eq!(session.cache_stats().full.builds, 1);
-//! let _ = session.shortcut(); // cached — no second construction
+//! let full = session.try_full_artifact()?; // cached — no second construction
+//! assert_eq!(full.delta_hat, delta_hat);
 //! assert_eq!(session.cache_stats().full.builds, 1);
 //! # Ok::<(), lcs_core::session::SessionError>(())
 //! ```
@@ -291,11 +292,10 @@ mod tests {
         assert_eq!(dh, 1);
         assert_eq!(constructed(&s), 1);
         // Every later access is served from the cache.
-        let edges_a = s.shortcut().total_edges();
-        let edges_b = s.shortcut().total_edges();
+        let edges_a = s.try_full_artifact().unwrap().shortcut.total_edges();
+        let edges_b = s.try_full_artifact().unwrap().shortcut.total_edges();
         assert_eq!(edges_a, edges_b);
         let _ = s.quality();
-        let _ = s.witness();
         assert_eq!(constructed(&s), 1);
         assert_eq!(s.cache_stats().full.builds, 1);
         assert!(s.cache_stats().full.hits >= 3);
@@ -328,7 +328,10 @@ mod tests {
             .build()
             .unwrap();
         // Exact streaming reproduces the centralized construction.
-        assert_eq!(central.shortcut(), dist.shortcut());
+        assert_eq!(
+            central.try_full_artifact().unwrap().shortcut,
+            dist.try_full_artifact().unwrap().shortcut
+        );
         assert_eq!(central.delta_hat(), dist.delta_hat());
         // The distributed backend charges simulated construction cost.
         let stats = dist.construction_stats();
@@ -341,13 +344,13 @@ mod tests {
         let g = gen::grid(6, 6);
         let parts = gen::rows_of_grid(6, 6);
         let mut built = Session::on(&g).partition(parts.clone()).build().unwrap();
-        let sc = built.shortcut().clone();
+        let sc = built.try_full_artifact().unwrap().shortcut.clone();
         let mut served = Session::on(&g)
             .partition(parts)
             .shortcut(sc.clone())
             .build()
             .unwrap();
-        assert_eq!(served.shortcut(), &sc);
+        assert_eq!(served.try_full_artifact().unwrap().shortcut, sc);
         assert_eq!(served.delta_hat(), 0, "provided shortcuts have unknown δ̂");
         assert_eq!(constructed(&served), 0);
     }
@@ -362,7 +365,7 @@ mod tests {
             .backend(Backend::Distributed(SimConfig::default()))
             .build()
             .unwrap();
-        let _ = s.shortcut(); // the provided tree IS the protocol's tree
+        s.try_full_artifact().unwrap(); // the provided tree IS the protocol's tree
         assert_eq!(constructed(&s), 1);
     }
 
@@ -397,10 +400,11 @@ mod tests {
         };
         let mut central = on(Backend::Centralized);
         let mut dist = on(Backend::Distributed(SimConfig::default()));
-        assert_eq!(dist.shortcut(), central.shortcut());
+        let served = dist.try_full_artifact().unwrap().shortcut.clone();
+        assert_eq!(served, central.try_full_artifact().unwrap().shortcut);
         // Part 1 reaches the root along the path, not around the cycle.
-        assert_eq!(dist.shortcut().edges_for(PartId(1)).len(), 4);
-        assert!(dist.shortcut().is_tree_restricted(&path_tree));
+        assert_eq!(served.edges_for(PartId(1)).len(), 4);
+        assert!(served.is_tree_restricted(&path_tree));
         // Charged: exactly the detection sweeps, no flood.
         let partition = crate::Partition::from_parts(&g, parts.clone()).unwrap();
         let sweeps = crate::construct(
@@ -438,7 +442,11 @@ mod tests {
         for mv in [(NodeId(8), PartId(0)), (NodeId(63), PartId(6))] {
             central.reassign_parts(&[mv]).unwrap();
             dist.reassign_parts(&[mv]).unwrap();
-            assert_eq!(dist.shortcut(), central.shortcut(), "after {mv:?}");
+            assert_eq!(
+                dist.try_full_artifact().unwrap().shortcut,
+                central.try_full_artifact().unwrap().shortcut,
+                "after {mv:?}"
+            );
             assert_eq!(dist.delta_hat(), central.delta_hat());
         }
         let patched = dist.construction_stats();
@@ -465,7 +473,9 @@ mod tests {
     fn partition_ops_demand_a_partition() {
         let g = gen::path(4);
         let mut s = Session::on(&g).build().unwrap();
-        let _ = s.shortcut();
+        let err = s.try_full_artifact().unwrap_err();
+        assert_eq!(err, SessionError::NoPartition);
+        s.quality();
     }
 
     #[test]
@@ -527,7 +537,7 @@ mod tests {
     #[test]
     fn repeated_reassignments_accumulate_into_one_patch() {
         let mut s = grid_session(8);
-        let _ = s.shortcut();
+        s.try_full_artifact().unwrap();
         // Two mutations before the next artifact access: the refresh must
         // cover the union of touched parts.
         s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();

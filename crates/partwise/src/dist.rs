@@ -1431,7 +1431,7 @@ impl AggregateOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::{baseline, full_shortcut, ShortcutConfig};
+    use lcs_core::{full_shortcut, ShortcutConfig};
     use lcs_graph::{bfs, gen};
     use proptest::prelude::*;
 
@@ -1677,9 +1677,9 @@ mod tests {
     }
 
     #[test]
-    fn no_shortcut_still_correct_but_slower() {
+    fn empty_shortcut_still_correct_but_slower() {
         let (g, partition, shortcut) = grid_setup(8);
-        let empty = baseline::no_shortcut(&partition);
+        let empty = Shortcut::empty(partition.num_parts());
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
         let op = AggregateOp {
             values: &values,
@@ -1715,7 +1715,7 @@ mod tests {
         let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
         let mut forest = AggForest::unrooted(&partition, &map);
         let with = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
-        let without = run_cold(op, &g, &partition, &baseline::no_shortcut(&partition));
+        let without = run_cold(op, &g, &partition, &Shortcut::empty(partition.num_parts()));
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
         // Shortcut routes through the hub: O(1) diameter vs Θ(n) rim walk.
@@ -2227,7 +2227,7 @@ mod tests {
                 sum_of(&values),
                 &g,
                 &partition,
-                &baseline::no_shortcut(&partition),
+                &Shortcut::empty(partition.num_parts()),
             );
             assert!(out.metrics.terminated && out.all_members_informed);
             assert_eq!(out.results, vec![Some(n as u64)]);
@@ -2611,7 +2611,7 @@ mod tests {
         let g = gen::path(3);
         let parts = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(2)]];
         let partition = Partition::from_parts(&g, parts).unwrap();
-        let shortcut = baseline::no_shortcut(&partition);
+        let shortcut = Shortcut::empty(partition.num_parts());
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let slots = map.node(NodeId(0));
         assert_eq!(slots.parts(), &[0]);
@@ -2885,7 +2885,7 @@ mod tests {
     fn a_departed_leaf_is_unhooked() {
         let (g, mut rows) = grid_rows();
         let partition = Partition::from_parts(&g, rows.clone()).unwrap();
-        let no_h = baseline::no_shortcut(&partition);
+        let no_h = Shortcut::empty(partition.num_parts());
         let mut before = rooted(&g, &partition, &no_h);
         assert_eq!(parent_of(&g, &before, 5, 0), Some(4));
         rows[0].pop(); // node 5 now belongs to no part
@@ -2911,7 +2911,7 @@ mod tests {
     fn an_arrival_hangs_from_a_kept_neighbour() {
         let (g, rows) = grid_rows();
         let after = Partition::from_parts(&g, rows.clone()).unwrap();
-        let no_h = baseline::no_shortcut(&after);
+        let no_h = Shortcut::empty(after.num_parts());
         for (row, carried) in [(0..4, 6), (2..6, 5)] {
             let mut short = rows.clone();
             short[0] = row.map(NodeId).collect();
@@ -2929,7 +2929,7 @@ mod tests {
     fn a_departed_root_unroots_its_part() {
         let (g, mut rows) = grid_rows();
         let partition = Partition::from_parts(&g, rows.clone()).unwrap();
-        let mut before = rooted(&g, &partition, &baseline::no_shortcut(&partition));
+        let mut before = rooted(&g, &partition, &Shortcut::empty(partition.num_parts()));
         assert_eq!(before.1.root[0], 0);
         rows[0].remove(0);
         let after = Partition::from_parts(&g, rows).unwrap();
@@ -2949,7 +2949,7 @@ mod tests {
     fn a_departed_inner_node_keeps_relaying_or_echoes() {
         let g = gen::cycle(6);
         let partition = Partition::from_parts(&g, vec![g.nodes().collect()]).unwrap();
-        let before = rooted(&g, &partition, &baseline::no_shortcut(&partition));
+        let before = rooted(&g, &partition, &Shortcut::empty(partition.num_parts()));
         assert_eq!(parent_of(&g, &before, 2, 0), Some(1));
         let after = Partition::from_parts(&g, vec![[0, 2, 3, 4, 5].map(NodeId).to_vec()]).unwrap();
         for (h, carried) in [(&[(0, 1), (1, 2)][..], 1), (&[(1, 2)], 0)] {

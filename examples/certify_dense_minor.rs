@@ -52,10 +52,9 @@ fn main() {
 
     // The full construction's doubling search collects the densest
     // certificate as a by-product (the remark after Theorem 3.1).
-    let full_witness = session
-        .witness()
-        .expect("the comb's failed δ̂ = 1 round yields a witness")
-        .clone();
+    let full = session.try_full_artifact().expect("the comb is connected");
+    let full_witness =
+        (full.witness.clone()).expect("the comb's failed δ̂ = 1 round yields a witness");
     println!(
         "full construction: δ̂ = {}, by-product certificate density {:.3}",
         session.delta_hat(),

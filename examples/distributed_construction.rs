@@ -86,7 +86,8 @@ fn main() {
     )
     .expect("default round cap");
     let stats = exact.construction_stats();
-    assert_eq!(&built.shortcut, exact.shortcut());
+    let served = exact.try_full_artifact().expect("default round cap");
+    assert_eq!(built.shortcut, served.shortcut);
     assert_eq!(flood.rounds + built.cost.rounds, stats.rounds);
     println!(
         "\nexplicit: flood {} + sweeps {} = {} rounds",

@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example mst_planar`
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
+use low_congestion_shortcuts::core::{baseline, construct, FullShortcutResult};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,14 +44,31 @@ fn main() {
         "minor-sweep (session)", report.result.phases, report.rounds, "yes"
     );
 
-    // The strawmen are providers no backend stands for: the same
-    // algorithm, called directly with the session's tree and configuration.
-    let tree = session.tree().clone();
-    for (name, provider) in [
-        ("baseline D+sqrt(n)", ShortcutProvider::Baseline),
-        ("no shortcuts", ShortcutProvider::None),
-    ] {
-        let report = distributed_mst(&g, &weights, &tree, provider, session.config());
+    // The strawmen are shortcuts no backend builds: the same algorithm,
+    // called directly with the session's tree and configuration, asking for
+    // the `D+sqrt(n)` baseline or for no shortcut at all (a construction
+    // over no part: empty, free, at δ̂ = 1).
+    let (tree, config) = (session.tree().clone(), session.config());
+    let none =
+        |p: &Partition, _: &[PartId]| construct(&g, &tree, p, &[], 1, &config.shortcut, None);
+    let base = |p: &Partition, _: &[PartId]| {
+        let shortcut = baseline::general_graph_shortcut(&g, &tree, p);
+        Ok(FullShortcutResult {
+            shortcut,
+            ..none(p, &[])?
+        })
+    };
+    let strawmen = [
+        (
+            "baseline D+sqrt(n)",
+            distributed_mst(&g, &weights, &tree, base, config),
+        ),
+        (
+            "no shortcuts",
+            distributed_mst(&g, &weights, &tree, none, config),
+        ),
+    ];
+    for (name, report) in strawmen {
         assert_eq!(report.edges, reference, "{name} must produce the exact MST");
         println!(
             "{:<22} {:>8} {:>10} {:>8}",

@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --release --example wheel_aggregation`
 
-use low_congestion_shortcuts::core::baseline;
 use low_congestion_shortcuts::prelude::*;
 
 fn main() {
@@ -21,7 +20,6 @@ fn main() {
         let n = 1 << exp;
         let g = gen::wheel(n);
         let rim: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
-        let partition = Partition::from_parts(&g, vec![rim.clone()]).expect("rim is connected");
         let values: Vec<u64> = (0..n as u64).collect();
 
         let mut with = Session::on(&g)
@@ -30,7 +28,7 @@ fn main() {
             .expect("partition is valid");
         let mut without = Session::on(&g)
             .partition(vec![rim])
-            .shortcut(baseline::no_shortcut(&partition))
+            .shortcut(Shortcut::empty(1))
             .build()
             .expect("partition is valid");
 

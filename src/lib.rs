@@ -80,11 +80,11 @@ pub use lcs_separator as separator;
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.try_aggregate_with_leaders(values, op, leaders)` |
 /// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
 /// | `UnicastOp { demands }.run_on(g, tree, config.sim)` | `session.unicast(demands)` |
-/// | `distributed_mst(g, weights, &tree, provider, &config)` | `session.mst(weights)` |
-/// | `distributed_components(g, &tree, provider, &config)` | `session.try_components()` |
-/// | `approx_mincut_distributed(g, &tree, provider, &config)` | `session.mincut()` |
-/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.shortcut()` / `session.try_full_artifact()` |
-/// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()`; both costs in `session.construction_stats()` |
+/// | `distributed_mst(g, weights, &tree, fresh, &config)` | `session.mst(weights)` |
+/// | `distributed_components(g, &tree, fresh, &config)` | `session.try_components()` |
+/// | `approx_mincut_distributed(g, &tree, fresh, &config)` | `session.mincut()` |
+/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.try_full_artifact()` |
+/// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.try_full_artifact()`; both costs in `session.construction_stats()` |
 /// | `bfs::bfs_tree(g, root)` | `session.tree()` on `Backend::Centralized` |
 /// | `measure_quality(g, parts, tree, shortcut)` | `session.quality()` |
 ///
@@ -95,10 +95,10 @@ pub use lcs_separator as separator;
 /// aggregation forest, so the gossip is warm after any aggregate. There is
 /// one part-wise protocol and no leaderless one: every part runs from the
 /// caller's leader, its cached root, or its minimum member, picked on the
-/// host at zero charge. `provider` is a
-/// [`ShortcutProvider`](lcs_algos::mst::ShortcutProvider), which a session
-/// derives from its backend, and `tree` is the session's own
-/// (`session.tree()`). One Theorem 3.1 sweep at a fixed `δ̂` is no
+/// host at zero charge. `fresh(partition, parts)` returns each Boruvka
+/// phase's shortcut: a session passes
+/// `construct(g, &tree, partition, parts, 1, &config.shortcut, backend.dist_config().as_ref())`,
+/// and `tree` is the session's own (`session.tree()`). One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:
 /// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), &active, δ̂, &config.shortcut, dist)`
 /// over a clone of `session.tree()` is the call — `dist = None` for the

@@ -3,10 +3,10 @@
 //! claim it pins on them — exactly reproducible.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, ShortcutProvider};
+use low_congestion_shortcuts::algos::mst::distributed_mst;
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
-use low_congestion_shortcuts::core::Sweep;
+use low_congestion_shortcuts::core::{construct, Sweep};
 use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
@@ -40,8 +40,10 @@ fn mst_runs_are_replayable() {
     let w = EdgeWeights::random_unique(&g, &mut rng);
     let config = SessionConfig::default();
     let tree = bfs::bfs_tree(&g, NodeId(0));
-    let a = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
-    let b = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+    let sweep =
+        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &config.shortcut, None);
+    let a = distributed_mst(&g, &w, &tree, sweep, &config);
+    let b = distributed_mst(&g, &w, &tree, sweep, &config);
     assert_eq!(a.edges, b.edges);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.messages, b.messages);

@@ -3,10 +3,10 @@
 //! the distributed algorithms.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
-use low_congestion_shortcuts::core::{construct, Sweep};
+use low_congestion_shortcuts::core::{baseline, construct, FullShortcutResult, Sweep};
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -198,13 +198,22 @@ fn mst_exact_across_providers_and_families() {
         let mut rng = SmallRng::seed_from_u64(100 + i as u64);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
-        let tree = bfs::bfs_tree(g, NodeId(0));
-        for provider in [
-            ShortcutProvider::Oracle,
-            ShortcutProvider::Baseline,
-            ShortcutProvider::None,
+        let (tree, config) = (bfs::bfs_tree(g, NodeId(0)), SessionConfig::default());
+        let cfg = &config.shortcut;
+        let sweep = |p: &Partition, parts: &[PartId]| construct(g, &tree, p, parts, 1, cfg, None);
+        let none = |p: &Partition, _: &[PartId]| construct(g, &tree, p, &[], 1, cfg, None);
+        let base = |p: &Partition, _: &[PartId]| {
+            let shortcut = baseline::general_graph_shortcut(g, &tree, p);
+            Ok(FullShortcutResult {
+                shortcut,
+                ..none(p, &[])?
+            })
+        };
+        for rep in [
+            distributed_mst(g, &w, &tree, sweep, &config),
+            distributed_mst(g, &w, &tree, base, &config),
+            distributed_mst(g, &w, &tree, none, &config),
         ] {
-            let rep = distributed_mst(g, &w, &tree, provider, &SessionConfig::default());
             assert_eq!(rep.edges, reference, "family {i} provider mismatch");
         }
     }

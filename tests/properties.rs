@@ -1,8 +1,9 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
 use low_congestion_shortcuts::congest::protocols::AggOp;
+use low_congestion_shortcuts::core::construct;
 use low_congestion_shortcuts::core::dist::KmvSketch;
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
@@ -82,7 +83,10 @@ proptest! {
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let rep = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &SessionConfig::default());
+        let config = SessionConfig::default();
+        let cfg = &config.shortcut;
+        let sweep = |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, cfg, None);
+        let rep = distributed_mst(&g, &w, &tree, sweep, &config);
         prop_assert_eq!(rep.edges, reference);
     }
 

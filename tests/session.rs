@@ -97,8 +97,8 @@ fn op_reports_flag_runs_cut_short_by_the_round_cap() {
 /// phase that cannot finish is a typed error from every entry point that
 /// needs the artifact — the BFS flood first, the detection convergecast
 /// when a provided tree spares the flood — and nothing is cached. The
-/// Boruvka family needs the tree too, but its providers construct per
-/// phase, so a detection cut short flags its report instead. Boruvka
+/// Boruvka family needs the tree too, but it constructs per phase, so a
+/// detection cut short flags its report instead. Boruvka
 /// constructs only for fragments above `2D + 1` nodes, which grid 8² never
 /// grows, so the flagged half runs on grid 16².
 #[test]
@@ -423,7 +423,7 @@ fn assert_session_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label:
         let got: Vec<u64> = out.result.results.iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, expect, "{label}/{name}: aggregate differs");
 
-        let shortcut = session.shortcut().clone();
+        let shortcut = session.try_full_artifact().unwrap().shortcut.clone();
         let gossips = [
             (IdempotentOp::Min, AggOp::Min),
             (IdempotentOp::Max, AggOp::Max),
@@ -509,13 +509,12 @@ fn the_distributed_session_certifies_its_doubling() {
     };
     let mut exact = session(Backend::Distributed(env_sim()));
     assert_eq!(exact.delta_hat(), 2);
-    let w = exact
-        .witness()
-        .expect("the failed sweep's certificate")
-        .clone();
+    let w = exact.try_full_artifact().unwrap().witness.clone();
+    let w = w.expect("the failed sweep's certificate");
     assert!(minor::verify_minor(&comb.graph, &w).is_ok());
     assert!(w.density() > 1.0);
-    assert_eq!(session(Backend::Centralized).witness(), Some(&w));
+    let mut central = session(Backend::Centralized);
+    assert_eq!(central.try_full_artifact().unwrap().witness, Some(w));
 }
 
 /// Root once, aggregate many: the aggregation forest rides the
@@ -919,6 +918,62 @@ fn algorithm_ops_run_through_the_session() {
     assert!(cut.messages > 0 && cut.bits > 0);
 }
 
+/// A session's Boruvka builds each phase's shortcuts the way the session
+/// builds its own. On grid 16² (rows, a provided BFS tree: `2D + 1` = 61,
+/// so some fragment above it gets a construction), `session.mst` on the
+/// simulating backends is `distributed_mst` handed `construct` on the
+/// backend's `DistConfig`, with a charged construction; the centralized
+/// backend's constructions are free.
+#[test]
+fn session_mst_constructs_on_its_backend() {
+    use low_congestion_shortcuts::algos::mst::{distributed_mst, MstReport};
+    use low_congestion_shortcuts::core::construct;
+    let g = gen::grid(16, 16);
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(3));
+    let sketch = DistConfig {
+        mode: DistMode::Sketch {
+            t: 8,
+            hash_seed: 0xbeef,
+            cut_factor: 1.0,
+        },
+        sim: env_sim(),
+    };
+    let backends = [
+        Backend::Distributed(env_sim()),
+        Backend::Sketch(sketch),
+        Backend::Centralized,
+    ];
+    for backend in backends {
+        let dist = backend.dist_config();
+        let mut session = Session::on(&g)
+            .partition(gen::rows_of_grid(16, 16))
+            .tree(TreeSource::Provided(tree.clone()))
+            .backend(backend)
+            .config(fast_config())
+            .build()
+            .unwrap();
+        let served = session.mst(&w).result;
+        let config = session.config();
+        let fresh = |p: &Partition, parts: &[PartId]| {
+            construct(&g, &tree, p, parts, 1, &config.shortcut, dist.as_ref())
+        };
+        let direct = distributed_mst(&g, &w, &tree, fresh, config);
+        let counts = |r: &MstReport| {
+            (
+                r.edges.clone(),
+                r.rounds.clone(),
+                r.message_split.clone(),
+                r.bits,
+            )
+        };
+        assert_eq!(counts(&served), counts(&direct), "{dist:?}");
+        assert_eq!(served.edges, kruskal(&g, &w), "{dist:?}");
+        let charged = served.message_split.construction > 0;
+        assert_eq!(charged, dist.is_some(), "{dist:?}");
+    }
+}
+
 /// Unicast rides on the cached tree only — it must not trigger a shortcut
 /// construction.
 #[test]
@@ -945,7 +1000,8 @@ fn deserialized_shortcut_serves_a_fresh_session() {
     let g = gen::grid(6, 6);
     let parts = gen::rows_of_grid(6, 6);
     let mut builder_session = Session::on(&g).partition(parts.clone()).build().unwrap();
-    let json = serde_json::to_string(builder_session.shortcut()).unwrap();
+    let json =
+        serde_json::to_string(&builder_session.try_full_artifact().unwrap().shortcut).unwrap();
 
     let restored: Shortcut = serde_json::from_str(&json).unwrap();
     let mut serving = Session::on(&g)

@@ -590,7 +590,8 @@ const BORUVKA_PINNED: &[(&str, [u64; 3], [u64; 3])] = &[
 /// One MST of `road_like` 24² under seeded random weights at `threads`
 /// lanes and `packing`; the fingerprint is the edge set.
 fn boruvka_row(threads: usize, packing: usize) -> Row {
-    use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal, ShortcutProvider};
+    use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
+    use low_congestion_shortcuts::core::construct;
     use low_congestion_shortcuts::graph::weights::EdgeWeights;
 
     let g = gen::road_like(24, 24, 7);
@@ -598,7 +599,9 @@ fn boruvka_row(threads: usize, packing: usize) -> Row {
     let mut config = SessionConfig::default();
     (config.sim.threads, config.sim.message_packing) = (threads, packing);
     let tree = bfs::bfs_tree(&g, NodeId(0));
-    let mst = distributed_mst(&g, &w, &tree, ShortcutProvider::Oracle, &config);
+    let sweep =
+        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &config.shortcut, None);
+    let mst = distributed_mst(&g, &w, &tree, sweep, &config);
     assert!(!mst.truncated && mst.edges == kruskal(&g, &w), "road24/mst");
     Row {
         case: "road24/mst".to_string(),
