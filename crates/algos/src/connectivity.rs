@@ -6,8 +6,8 @@
 //! ids at fixpoint are component labels, in `Õ(δD)` rounds per phase.
 
 use crate::mst::{distributed_mst, MstReport};
+use lcs_congest::SimConfig;
 use lcs_core::dist::Truncated;
-use lcs_core::session::SessionConfig;
 use lcs_core::{FullShortcutResult, Partition};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, PartId, RootedTree, UnionFind};
@@ -24,7 +24,7 @@ pub struct ComponentsReport {
 }
 
 /// Computes connected components distributedly via unit-weight Boruvka
-/// (`tree`, `fresh` and `config` as for [`distributed_mst`]).
+/// (`tree`, `fresh` and `sim` as for [`distributed_mst`]).
 ///
 /// # Panics
 ///
@@ -33,10 +33,10 @@ pub fn distributed_components(
     g: &Graph,
     tree: &RootedTree,
     fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
-    config: &SessionConfig,
+    sim: SimConfig,
 ) -> ComponentsReport {
     let weights = EdgeWeights::unit(g);
-    let mst = distributed_mst(g, &weights, tree, fresh, config);
+    let mst = distributed_mst(g, &weights, tree, fresh, sim);
     let mut uf = UnionFind::new(g.num_nodes());
     for &e in &mst.edges {
         let (u, v) = g.endpoints(e);
@@ -62,17 +62,15 @@ pub fn distributed_components(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::construct;
+    use lcs_core::{construct, ShortcutConfig};
     use lcs_graph::{bfs, components, gen, NodeId};
 
-    /// Components from node 0 with oracle shortcuts, default knobs.
+    /// Components from node 0 with oracle shortcuts, on the default
+    /// simulator.
     fn components_of(g: &Graph) -> ComponentsReport {
-        let config = SessionConfig::default();
-        let tree = bfs::bfs_tree(g, NodeId(0));
-        let fresh = |p: &Partition, parts: &[PartId]| {
-            construct(g, &tree, p, parts, 1, &config.shortcut, None)
-        };
-        distributed_components(g, &tree, fresh, &config)
+        let (tree, cfg) = (bfs::bfs_tree(g, NodeId(0)), ShortcutConfig::default());
+        let fresh = |p: &Partition, parts: &[PartId]| construct(g, &tree, p, parts, 1, &cfg, None);
+        distributed_components(g, &tree, fresh, SimConfig::default())
     }
 
     #[test]

@@ -24,8 +24,8 @@
 
 use crate::mst::{distributed_mst, kruskal, MstReport, MstSteps};
 use lcs_congest::protocols::AggOp;
+use lcs_congest::SimConfig;
 use lcs_core::dist::Truncated;
-use lcs_core::session::SessionConfig;
 use lcs_core::{FullShortcutResult, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, components, EdgeId, Graph, NodeId, PartId, RootedTree};
@@ -150,8 +150,8 @@ impl std::ops::AddAssign<&MstReport> for MincutReport {
 /// shortcuts are built on (uniform loads make any spanning tree minimum);
 /// each later one is built by [`distributed_mst`] over `tree`, rooted at its
 /// root, on the shortcuts `fresh` returns. It packs
-/// `min(min_degree, 2·⌈ln n⌉ + 4)` trees, reads of `config` what
-/// [`distributed_mst`] reads, and counts a tree once it is evaluated.
+/// `min(min_degree, 2·⌈ln n⌉ + 4)` trees on `sim`, as [`distributed_mst`]
+/// runs, and counts a tree once it is evaluated.
 ///
 /// # Panics
 ///
@@ -160,7 +160,7 @@ pub fn approx_mincut_distributed(
     g: &Graph,
     tree: &RootedTree,
     mut fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
-    config: &SessionConfig,
+    sim: SimConfig,
 ) -> MincutReport {
     assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
     assert!(components::is_connected(g), "graph must be connected");
@@ -181,7 +181,7 @@ pub fn approx_mincut_distributed(
     let mut packed = tree.clone();
     for i in 0..q {
         if i > 0 {
-            let report = distributed_mst(g, &loads, tree, &mut fresh, config);
+            let report = distributed_mst(g, &loads, tree, &mut fresh, sim);
             out += &report;
             if report.truncated {
                 // A forest cut short spans nothing to evaluate or pack.
@@ -198,8 +198,8 @@ pub fn approx_mincut_distributed(
             op: AggOp::Sum,
             leaders: Some(&[packed.root()]),
         };
-        let (blocks, shape) = ((&config.aggregate, config.sim), (Wave::Convergecast, None));
-        let run = sum.run_masked(g, &whole, blocks, &participation, &mut forest, shape);
+        let shape = (Wave::Convergecast, None);
+        let run = sum.run_masked(g, &whole, (0, sim), &participation, &mut forest, shape);
         out.eval_rounds += run.metrics.rounds;
         out.eval_messages += run.metrics.messages;
         out.messages += run.metrics.messages;
@@ -341,17 +341,17 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
-    /// The approximation from node 0 with oracle shortcuts on `config`.
-    fn approx_on(g: &Graph, tree: &RootedTree, config: &SessionConfig) -> MincutReport {
-        let fresh = |p: &Partition, parts: &[PartId]| {
-            lcs_core::construct(g, tree, p, parts, 1, &config.shortcut, None)
-        };
-        approx_mincut_distributed(g, tree, fresh, config)
+    /// The approximation from node 0 with oracle shortcuts on `sim`.
+    fn approx_on(g: &Graph, tree: &RootedTree, sim: SimConfig) -> MincutReport {
+        let cfg = ShortcutConfig::default();
+        let fresh =
+            |p: &Partition, parts: &[PartId]| lcs_core::construct(g, tree, p, parts, 1, &cfg, None);
+        approx_mincut_distributed(g, tree, fresh, sim)
     }
 
-    /// [`approx_on`] the BFS tree of node 0, default knobs.
+    /// [`approx_on`] the BFS tree of node 0, on the default simulator.
     fn approx(g: &Graph) -> MincutReport {
-        approx_on(g, &bfs::bfs_tree(g, NodeId(0)), &SessionConfig::default())
+        approx_on(g, &bfs::bfs_tree(g, NodeId(0)), SimConfig::default())
     }
 
     #[test]
@@ -511,14 +511,11 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let depth = u64::from(tree.depth_of_tree());
         let capped = |max_rounds| {
-            let config = SessionConfig {
-                sim: SimConfig {
-                    max_rounds,
-                    ..SimConfig::default()
-                },
-                ..SessionConfig::default()
+            let sim = SimConfig {
+                max_rounds,
+                ..SimConfig::default()
             };
-            approx_on(&g, &tree, &config)
+            approx_on(&g, &tree, sim)
         };
         let none = capped(depth - 1);
         assert!(none.truncated);
@@ -612,6 +609,7 @@ mod tests {
         assert_eq!(rep.estimate, greedy_estimate(&torus, session.tree(), 4));
     }
 
-    use lcs_congest::{id_bits, SimConfig};
+    use lcs_congest::id_bits;
+    use lcs_core::ShortcutConfig;
     use lcs_graph::Graph;
 }

@@ -31,10 +31,9 @@
 //! exact.
 
 use lcs_congest::protocols::AggOp;
-use lcs_congest::{id_bits, splitmix};
+use lcs_congest::{id_bits, splitmix, SimConfig};
 use lcs_core::dist::Truncated;
-use lcs_core::session::SessionConfig;
-use lcs_core::{FullShortcutResult, Partition, Shortcut, Transition};
+use lcs_core::{FullShortcutResult, Partition, Shortcut, ShortcutConfig, Transition};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
 use lcs_partwise::{AggForest, AggregateOp, ParticipationMap, Wave};
@@ -161,11 +160,11 @@ fn coin(seed: u64, phase: usize, id: u32) -> bool {
 /// depth `D`, a carried fragment tree is kept up to one block's dilation,
 /// `2D + 1` high, so a warm aggregate stays within about `2(2D + 1)`
 /// rounds plus queueing. The coins are public, drawn from one fixed seed,
-/// and the run stops after `4·bitlen(n) + 16` phases. Of `config` it reads
-/// [`aggregate`](SessionConfig::aggregate) and
-/// [`sim`](SessionConfig::sim) for the two aggregations of every phase,
-/// and [`shortcut`](SessionConfig::shortcut) for the phase clock's
-/// congestion bound.
+/// and the run stops after `4·bitlen(n) + 16` phases. The two undelayed
+/// aggregations of every phase run on `sim` (a session passes its
+/// [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim)), each
+/// capped at the phase clock, whose congestion bound has the paper's
+/// constants ([`ShortcutConfig::default`]).
 ///
 /// Shortcuts come from the caller. Once per phase after the first,
 /// Boruvka calls `fresh(partition, parts)`, where `parts` are the fragments
@@ -193,10 +192,10 @@ pub fn distributed_mst(
     weights: &EdgeWeights,
     tree: &RootedTree,
     fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
-    config: &SessionConfig,
+    sim: SimConfig,
 ) -> MstReport {
     let max_phases = 4 * (usize::BITS - g.num_nodes().leading_zeros()) as usize + 16;
-    boruvka(g, weights, tree, fresh, config, COIN_SEED, max_phases)
+    boruvka(g, weights, tree, fresh, sim, COIN_SEED, max_phases)
 }
 
 /// [`distributed_mst`] on the coins of `coins` and a cap of `max_phases`.
@@ -205,7 +204,7 @@ pub(crate) fn boruvka(
     weights: &EdgeWeights,
     tree: &RootedTree,
     mut fresh: impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated>,
-    config: &SessionConfig,
+    sim: SimConfig,
     coins: u64,
     max_phases: usize,
 ) -> MstReport {
@@ -326,23 +325,25 @@ pub(crate) fn boruvka(
         let cold = (partition.iter().zip(forest.tree_edges(&participation)))
             .filter(|((_, nodes), edges)| nodes.len() > 1 && *edges == 0)
             .count();
-        // The phase's clock (`run_masked`): the parts an edge carries (the
-        // congestion bound at the largest `δ̂` reached, `⌈log₂(n+1)⌉` sweeps,
-        // or the most at a node), the tallest tree a run can use, the delays.
-        let bound = config.shortcut.envelope(delta_hat, depth, id_bits(n));
+        // The phase's clock (`run_masked`, undelayed): the parts an edge
+        // carries (the congestion bound at the largest `δ̂` reached,
+        // `⌈log₂(n+1)⌉` sweeps, or the most at a node) and the tallest tree
+        // a run can use.
+        let bound = ShortcutConfig::default().envelope(delta_hat, depth, id_bits(n));
         let c = u64::from(bound.congestion).max(participation.load() as u64);
         let h = forest.height_bound(&participation, block) as u64;
-        let clock = u64::from(config.aggregate.delay_range) + c + 2 * h + 1;
-        let mut sim = config.sim;
-        sim.max_rounds = sim.max_rounds.min(clock);
+        let clock = c + 2 * h + 1;
+        let sim = SimConfig {
+            max_rounds: sim.max_rounds.min(clock),
+            ..sim
+        };
         let mut aggregate = |values: &[u64], op, leaders: &[NodeId], shape| {
             let op = AggregateOp {
                 values,
                 op,
                 leaders: Some(leaders),
             };
-            let blocks = (&config.aggregate, sim);
-            let out = op.run_masked(g, &partition, blocks, &participation, &mut forest, shape);
+            let out = op.run_masked(g, &partition, (0, sim), &participation, &mut forest, shape);
             report.bits += out.metrics.bits;
             report.truncated |= out.metrics.truncated;
             out
@@ -489,27 +490,26 @@ mod tests {
             self,
             g: &'a Graph,
             tree: &'a RootedTree,
-            config: &'a SessionConfig,
         ) -> impl FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated> + 'a
         {
-            let cfg = &config.shortcut;
+            let cfg = ShortcutConfig::default();
             move |p, parts| match self {
-                Provider::Oracle => construct(g, tree, p, parts, 1, cfg, None),
-                Provider::Distributed(dist) => construct(g, tree, p, parts, 1, cfg, Some(&dist)),
-                Provider::None => construct(g, tree, p, &[], 1, cfg, None),
+                Provider::Oracle => construct(g, tree, p, parts, 1, &cfg, None),
+                Provider::Distributed(dist) => construct(g, tree, p, parts, 1, &cfg, Some(&dist)),
+                Provider::None => construct(g, tree, p, &[], 1, &cfg, None),
                 Provider::Baseline => {
                     let shortcut = baseline::general_graph_shortcut(g, tree, p);
-                    let empty = construct(g, tree, p, &[], 1, cfg, None)?;
+                    let empty = construct(g, tree, p, &[], 1, &cfg, None)?;
                     Ok(FullShortcutResult { shortcut, ..empty })
                 }
             }
         }
     }
 
-    /// Boruvka over the BFS tree of node 0 on the default knobs.
+    /// Boruvka over the BFS tree of node 0 on the default simulator.
     fn mst_of(g: &Graph, w: &EdgeWeights, provider: Provider) -> MstReport {
-        let (tree, config) = (bfs::bfs_tree(g, NodeId(0)), SessionConfig::default());
-        distributed_mst(g, w, &tree, provider.fresh(g, &tree, &config), &config)
+        let tree = bfs::bfs_tree(g, NodeId(0));
+        distributed_mst(g, w, &tree, provider.fresh(g, &tree), SimConfig::default())
     }
 
     /// One Boruvka phase replayed on the host: the fragment map it starts
@@ -675,7 +675,7 @@ mod tests {
         tree: &RootedTree,
         phases: &[Phase],
         provider: Provider,
-        config: &SessionConfig,
+        sim: SimConfig,
     ) -> (Vec<PhaseRuns>, ConstructionStats) {
         let mut constructions = ConstructionStats::default();
         let depth = tree.depth_of_tree();
@@ -702,7 +702,7 @@ mod tests {
                 Provider::None => Shortcut::empty(k),
                 Provider::Baseline => baseline::general_graph_shortcut(g, tree, &partition),
                 Provider::Oracle | Provider::Distributed(_) => {
-                    let (cfg, mut fresh) = (&config.shortcut, provider.fresh(g, tree, config));
+                    let mut fresh = provider.fresh(g, tree);
                     let mut build = |parts: &[PartId]| fresh(&partition, parts).expect("uncapped");
                     let mut kept = Shortcut::empty(k);
                     let mut search = Vec::new();
@@ -732,7 +732,8 @@ mod tests {
                     if cut {
                         let q = measure_quality(g, &partition, tree, &kept);
                         let sweeps = fresh.successful_rounds;
-                        let envelope = cfg.envelope(fresh.delta_hat, depth, sweeps);
+                        let envelope =
+                            ShortcutConfig::default().envelope(fresh.delta_hat, depth, sweeps);
                         assert!(envelope.occupancy(&q) <= 1.0, "{provider:?} phase {i}");
                     } else {
                         assert_eq!(kept, fresh.shortcut, "{provider:?} phase {i}");
@@ -803,8 +804,7 @@ mod tests {
                     op,
                     leaders: Some(leaders),
                 };
-                let blocks = (&config.aggregate, config.sim);
-                run.run_masked(g, &partition, blocks, &participation, forest, shape)
+                run.run_masked(g, &partition, (0, sim), &participation, forest, shape)
             };
             let extreme = (Wave::ToExtreme, None);
             // The differential wave finds what the full wave finds over the
@@ -876,19 +876,18 @@ mod tests {
         coins: u64,
     ) -> (MstReport, Vec<PhaseRuns>) {
         let env = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
-        let mut config = SessionConfig::default();
-        config.sim.threads = env("LCS_SIM_THREADS").unwrap_or(config.sim.threads);
-        config.sim.message_packing = env("LCS_SIM_PACKING").unwrap_or(1);
-        let config = &config;
+        let mut sim = SimConfig::default();
+        sim.threads = env("LCS_SIM_THREADS").unwrap_or(sim.threads);
+        sim.message_packing = env("LCS_SIM_PACKING").unwrap_or(1);
         let tree = bfs::bfs_tree(g, NodeId(0));
-        let fresh = provider.fresh(g, &tree, config);
-        let report = boruvka(g, w, &tree, fresh, config, coins, usize::MAX);
+        let fresh = provider.fresh(g, &tree);
+        let report = boruvka(g, w, &tree, fresh, sim, coins, usize::MAX);
         let (phases, last) = replay(g, w, coins);
         assert_eq!(report.phases, phases.len(), "{provider:?}");
         let rounds = 2 * phases.len() as u64 + 1;
         assert_eq!(report.rounds.exchange, rounds, "{provider:?}");
 
-        let (runs, constructions) = rerun(g, w, &tree, &phases, provider, config);
+        let (runs, constructions) = rerun(g, w, &tree, &phases, provider, sim);
         let mut expected = MstSteps {
             exchange: 2 * g.num_edges() as u64,
             construction: constructions.messages,
@@ -1041,9 +1040,8 @@ mod tests {
             let mut mixed_phases = 0;
             for seed in 0..32 {
                 let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(seed));
-                let config = SessionConfig::default();
-                let fresh = provider.fresh(&g, &tree, &config);
-                let report = boruvka(&g, &w, &tree, fresh, &config, 100 + seed, usize::MAX);
+                let (fresh, sim) = (provider.fresh(&g, &tree), SimConfig::default());
+                let report = boruvka(&g, &w, &tree, fresh, sim, 100 + seed, usize::MAX);
                 assert!(!report.truncated, "{provider:?} {seed}");
                 assert_eq!(report.edges, kruskal(&g, &w), "{provider:?} {seed}");
                 let (phases, _) = replay(&g, &w, 100 + seed);
@@ -1067,9 +1065,8 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let mut tail_pairs = 0;
         for seed in 0..32 {
-            let config = SessionConfig::default();
-            let oracle = Provider::Oracle.fresh(&g, &tree, &config);
-            let report = boruvka(&g, &w, &tree, oracle, &config, seed, usize::MAX);
+            let (oracle, sim) = (Provider::Oracle.fresh(&g, &tree), SimConfig::default());
+            let report = boruvka(&g, &w, &tree, oracle, sim, seed, usize::MAX);
             let mut phases = 1;
             loop {
                 let (a, b) = (coin(seed, phases - 1, 0), coin(seed, phases - 1, 1));
@@ -1209,10 +1206,10 @@ mod tests {
             prop_assert_eq!(&report.edges, &kruskal(&g, &w));
             let tree = bfs::bfs_tree(&g, NodeId(0));
             let run = |threads, message_packing| {
-                let mut config = SessionConfig::default();
-                (config.sim.threads, config.sim.message_packing) = (threads, message_packing);
-                let fresh = provider.fresh(&g, &tree, &config);
-                boruvka(&g, &w, &tree, fresh, &config, coins, usize::MAX)
+                let mut sim = SimConfig::default();
+                (sim.threads, sim.message_packing) = (threads, message_packing);
+                let fresh = provider.fresh(&g, &tree);
+                boruvka(&g, &w, &tree, fresh, sim, coins, usize::MAX)
             };
             let counts = |r: &MstReport| {
                 let steps = (r.rounds.clone(), r.clock_rounds.clone(), r.message_split.clone());
@@ -1293,9 +1290,8 @@ mod tests {
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let capped = |max_phases, provider: Provider| {
             let tree = bfs::bfs_tree(&g, NodeId(0));
-            let config = SessionConfig::default();
-            let fresh = provider.fresh(&g, &tree, &config);
-            boruvka(&g, &w, &tree, fresh, &config, COIN_SEED, max_phases)
+            let (fresh, sim) = (provider.fresh(&g, &tree), SimConfig::default());
+            boruvka(&g, &w, &tree, fresh, sim, COIN_SEED, max_phases)
         };
         let one = capped(1, Provider::Oracle);
         assert!(one.truncated && one.phases == 1);
@@ -1314,11 +1310,13 @@ mod tests {
         // `Down`s through, each run on its own, and cuts its notify wave,
         // after the notices: `2·phases`.
         for (cap, notices) in [(1, 0), (2, 1)] {
-            let mut config = SessionConfig::default();
-            config.sim.max_rounds = cap;
+            let sim = SimConfig {
+                max_rounds: cap,
+                ..SimConfig::default()
+            };
             let tree = bfs::bfs_tree(&g, NodeId(0));
-            let oracle = Provider::Oracle.fresh(&g, &tree, &config);
-            let cut = distributed_mst(&g, &w, &tree, oracle, &config);
+            let oracle = Provider::Oracle.fresh(&g, &tree);
+            let cut = distributed_mst(&g, &w, &tree, oracle, sim);
             assert!(cut.truncated && cut.phases == 3, "cap {cap}");
             assert_eq!(cut.rounds.exchange, 2 * cut.phases as u64 - 1 + notices);
             assert!(cut.edges.iter().all(|e| reference.contains(e)));

@@ -2,18 +2,19 @@
 //! connectivity, and min-cut. Each method calls its algorithm with the
 //! session's graph, cached tree (the one its shortcut is built on — a
 //! provided tree, or the BFS tree whose flood the session charged once),
-//! [`SessionConfig`] and the session's construction as the algorithm's
+//! [`SessionConfig::sim`] and the session's construction as the algorithm's
 //! `fresh` shortcuts, and caches the report as a session artifact.
 //!
 //! [`ShortcutSession`]: lcs_core::session::ShortcutSession
+//! [`SessionConfig::sim`]: lcs_core::session::SessionConfig::sim
 
 use crate::connectivity::{distributed_components, ComponentsReport};
 use crate::mincut::{approx_mincut_distributed, MincutReport};
 use crate::mst::{distributed_mst, MstReport};
-use lcs_congest::Simulator;
+use lcs_congest::{SimConfig, Simulator};
 use lcs_core::dist::Truncated;
-use lcs_core::session::{OpReport, SessionConfig, SessionError, ShortcutSession};
-use lcs_core::{construct, FullShortcutResult, Partition};
+use lcs_core::session::{OpReport, SessionError, ShortcutSession};
+use lcs_core::{construct, FullShortcutResult, Partition, ShortcutConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{components, Graph, PartId, RootedTree};
 
@@ -80,19 +81,19 @@ pub trait SessionAlgoOps {
 type Fresh<'a> = dyn FnMut(&Partition, &[PartId]) -> Result<FullShortcutResult, Truncated> + 'a;
 
 /// Runs a Boruvka-family algorithm on the session's graph, cached tree
-/// (ensured by the caller, so this does not fail) and config, handing it
-/// [`construct`] on the session's backend over that tree.
+/// (ensured by the caller, so this does not fail) and simulator settings,
+/// handing it [`construct`] with the paper's constants on the session's
+/// backend over that tree.
 fn with_tree<T>(
     session: &mut ShortcutSession<'_>,
-    run: impl FnOnce(&Graph, &RootedTree, &mut Fresh<'_>, &SessionConfig) -> T,
+    run: impl FnOnce(&Graph, &RootedTree, &mut Fresh<'_>, SimConfig) -> T,
 ) -> T {
     let (g, dist) = (session.graph_handle(), session.backend().dist_config());
     let tree = session.tree().clone();
-    let config = session.config();
-    let cfg = &config.shortcut;
+    let cfg = ShortcutConfig::default();
     let mut fresh =
-        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, cfg, dist.as_ref());
-    run(&g, &tree, &mut fresh, config)
+        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &cfg, dist.as_ref());
+    run(&g, &tree, &mut fresh, session.config().sim)
 }
 
 /// Wraps the (cached) report of a whole-graph op into the uniform
@@ -149,8 +150,8 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         let memo = self.op_artifact_with(
             |memo: &MstMemo| memo.weights == *weights,
             |s| MstMemo {
-                report: with_tree(s, |g, tree, fresh, config| {
-                    distributed_mst(g, weights, tree, fresh, config)
+                report: with_tree(s, |g, tree, fresh, sim| {
+                    distributed_mst(g, weights, tree, fresh, sim)
                 }),
                 weights: weights.clone(),
             },
@@ -166,8 +167,8 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         let r = self.op_artifact_with(
             |_| true,
             |s| {
-                with_tree(s, |g, tree, fresh, config| {
-                    distributed_components(g, tree, fresh, config)
+                with_tree(s, |g, tree, fresh, sim| {
+                    distributed_components(g, tree, fresh, sim)
                 })
             },
         );
@@ -190,8 +191,8 @@ impl SessionAlgoOps for ShortcutSession<'_> {
         let r = self.op_artifact_with(
             |_| true,
             |s| {
-                with_tree(s, |g, tree, fresh, config| {
-                    approx_mincut_distributed(g, tree, fresh, config)
+                with_tree(s, |g, tree, fresh, sim| {
+                    approx_mincut_distributed(g, tree, fresh, sim)
                 })
             },
         );
@@ -310,12 +311,11 @@ mod tests {
             .unwrap();
         let served = s.mst(&w);
         assert_eq!(served.result.edges, kruskal(&g, &w));
-        let config = s.config();
+        let (cfg, sim) = (ShortcutConfig::default(), s.config().sim);
         let over = |tree: &RootedTree| {
-            let fresh = |p: &Partition, parts: &[PartId]| {
-                construct(&g, tree, p, parts, 1, &config.shortcut, None)
-            };
-            distributed_mst(&g, &w, tree, fresh, config)
+            let fresh =
+                |p: &Partition, parts: &[PartId]| construct(&g, tree, p, parts, 1, &cfg, None);
+            distributed_mst(&g, &w, tree, fresh, sim)
         };
         let (direct, bfs) = (over(&snake), over(&bfs::bfs_tree(&g, NodeId(0))));
         let counts = |r: &MstReport| (r.rounds.total(), r.messages, r.bits);

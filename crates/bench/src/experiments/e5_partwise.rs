@@ -11,15 +11,15 @@
 //! them: between `2·(members − k)` and `2·(slots − k)` messages, in no more
 //! rounds.
 //!
-//! The random delays the `O(c + d·log n)` bound schedules with are the one
-//! aggregation knob ([`AggregateOpts::delay_range`]); E5c pins what they
-//! buy where parts contend — the Lemma 3.2 rows, which share their few
-//! vertical paths — and prints the messages they cost.
+//! The random delays the `O(c + d·log n)` bound schedules with are
+//! `run_masked`'s `delay_range` (a session aggregates undelayed); E5c pins
+//! what they buy where parts contend — the Lemma 3.2 rows, which share
+//! their few vertical paths — and prints the messages they cost.
 
 use crate::experiments::{family_zoo, instance, rng};
 use crate::{f2, Relation::*, Report};
 use lcs_congest::protocols::AggOp;
-use lcs_core::session::{AggregateOpts, SessionConfig};
+use lcs_congest::SimConfig;
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{bfs, gen, Graph, NodeId};
 use lcs_partwise::{
@@ -67,8 +67,7 @@ fn aggregation_table(out: &mut Report) {
         "E5a (Lemma 2.8): part-wise aggregation rounds vs c + d·log₂n",
         "family, n, k, c, d, rounds, c+d·log₂n, ratio, correct, warm rounds, warm msgs",
     );
-    let config = SessionConfig::default();
-    let (opts, sim) = (&config.aggregate, config.sim);
+    let sim = SimConfig::default();
     for inst in family_zoo() {
         let (res, q, _) = inst.full_shortcut();
         let (g, partition, shortcut) = (&inst.graph, &inst.partition, &res.shortcut);
@@ -83,7 +82,7 @@ fn aggregation_table(out: &mut Report) {
             leaders: None,
         };
         let echo = (Wave::Echo, None);
-        let mut run = || op.run_masked(g, partition, (opts, sim), &map, &mut forest, echo);
+        let mut run = || op.run_masked(g, partition, (0, sim), &map, &mut forest, echo);
         let (agg, warm) = (run(), run());
         let expect = centralized_aggregate(partition, &values, AggOp::Min);
         let got: Vec<u64> = agg.results.iter().map(|r| r.unwrap_or(u64::MAX)).collect();
@@ -131,7 +130,7 @@ fn delay_table(out: &mut Report) {
     let (res, q, _) = inst.full_shortcut();
     let (g, partition, shortcut) = (&inst.graph, &inst.partition, &res.shortcut);
     let c = q.max_congestion;
-    let sim = SessionConfig::default().sim;
+    let sim = SimConfig::default();
     let values: Vec<u64> = (0..inst.n as u64).map(|x| (x * 131) % 997).collect();
     let expect: Vec<Option<u64>> = centralized_aggregate(partition, &values, AggOp::Sum)
         .into_iter()
@@ -147,10 +146,9 @@ fn delay_table(out: &mut Report) {
     // Per range: `[cold rounds, cold messages, warm rounds, warm messages]`.
     let ranges = [0, 2 * c];
     let runs = ranges.map(|delay_range| {
-        let opts = AggregateOpts { delay_range };
         let mut forest = AggForest::unrooted(partition, &map);
         let echo = (Wave::Echo, None);
-        let mut run = || op.run_masked(g, partition, (&opts, sim), &map, &mut forest, echo);
+        let mut run = || op.run_masked(g, partition, (delay_range, sim), &map, &mut forest, echo);
         let (cold, warm) = (run(), run());
         for out in [&cold, &warm] {
             correct &= out.all_members_informed && out.results == expect;
@@ -188,7 +186,7 @@ fn unicast_table(out: &mut Report) {
         "E5b (LMR scheduling): multiple unicasts along tree paths, rounds vs c + d",
         "graph, packets, c, d, rounds, rounds/(c+d), delivered",
     );
-    let config = SessionConfig::default();
+    let sim = SimConfig::default();
     for s in [8, 16, 24] {
         let (name, g) = (format!("grid {s}x{s}"), gen::grid(s, s));
         let tree = bfs::bfs_tree(&g, NodeId(0));
@@ -199,7 +197,7 @@ fn unicast_table(out: &mut Report) {
             nodes.shuffle(&mut rng(500 + k as u64));
             let pairs: Vec<(NodeId, NodeId)> =
                 (0..k).map(|i| (nodes[2 * i], nodes[2 * i + 1])).collect();
-            let uni = UnicastOp { demands: &pairs }.run_on(&g, &tree, config.sim);
+            let uni = UnicastOp { demands: &pairs }.run_on(&g, &tree, sim);
             let (c, d, rounds) = (uni.congestion, uni.dilation, uni.metrics.rounds);
             let row = format!("{name} × {k}");
             out.claim(&row, DELIVERED, uni.delivered as f64, Exactly, k as f64);

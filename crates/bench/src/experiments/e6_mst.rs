@@ -10,8 +10,8 @@
 use crate::experiments::rng;
 use crate::{Relation::*, Report};
 use lcs_algos::mst::{distributed_mst, kruskal, MstReport};
-use lcs_core::session::SessionConfig;
-use lcs_core::{baseline, construct, FullShortcutResult, Partition};
+use lcs_congest::SimConfig;
+use lcs_core::{baseline, construct, FullShortcutResult, Partition, ShortcutConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, gen, Graph, NodeId, PartId};
 
@@ -24,8 +24,7 @@ const CLOCK: &str = "Cor 1.6 minor-sweep rounds ≤ its phase clock's";
 fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
     let weights = EdgeWeights::random_unique(g, &mut rng(seed));
     let reference = kruskal(g, &weights);
-    let config = SessionConfig::default();
-    let (tree, cfg) = (bfs::bfs_tree(g, NodeId(0)), &config.shortcut);
+    let (tree, cfg) = (bfs::bfs_tree(g, NodeId(0)), &ShortcutConfig::default());
     // Constructing over no part is the free empty shortcut at `δ̂ = 1`.
     let none = |p: &Partition, _: &[PartId]| construct(g, &tree, p, &[], 1, cfg, None);
     let sweep = |p: &Partition, parts: &[PartId]| construct(g, &tree, p, parts, 1, cfg, None);
@@ -37,9 +36,9 @@ fn run_all(g: &Graph, seed: u64) -> ([MstReport; 3], bool) {
         })
     };
     let reports = [
-        distributed_mst(g, &weights, &tree, sweep, &config),
-        distributed_mst(g, &weights, &tree, base, &config),
-        distributed_mst(g, &weights, &tree, none, &config),
+        distributed_mst(g, &weights, &tree, sweep, SimConfig::default()),
+        distributed_mst(g, &weights, &tree, base, SimConfig::default()),
+        distributed_mst(g, &weights, &tree, none, SimConfig::default()),
     ];
     let exact = reports.iter().all(|r| r.edges == reference);
     (reports, exact)

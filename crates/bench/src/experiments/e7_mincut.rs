@@ -15,8 +15,8 @@ use crate::{f2, Relation::*, Report};
 use lcs_algos::mincut::{
     approx_mincut_distributed, exact_mincut_via_packing, greedy_packing, stoer_wagner,
 };
-use lcs_core::session::SessionConfig;
-use lcs_core::{construct, Partition};
+use lcs_congest::SimConfig;
+use lcs_core::{construct, Partition, ShortcutConfig};
 use lcs_graph::{bfs, gen, Graph, NodeId, PartId};
 
 const UPPER_BOUND: &str = "Cor 1.7 1-respecting estimate ≥ λ";
@@ -47,14 +47,12 @@ pub fn run() -> Report {
         ("gnm 80/200", gen::gnm_connected(80, 200, &mut rng)),
         ("wheel 256", gen::wheel(256)),
     ];
-    let config = SessionConfig::default();
+    let cfg = ShortcutConfig::default();
     for (name, g) in cases {
         let exact = stoer_wagner(&g);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let sweep = |p: &Partition, parts: &[PartId]| {
-            construct(&g, &tree, p, parts, 1, &config.shortcut, None)
-        };
-        let rep = approx_mincut_distributed(&g, &tree, sweep, &config);
+        let sweep = |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &cfg, None);
+        let rep = approx_mincut_distributed(&g, &tree, sweep, SimConfig::default());
         let (one, trees) = (rep.estimate, rep.trees);
         let two = exact_mincut_via_packing(&g, &tree, trees.max(3));
         let (n, m, rounds) = (g.num_nodes(), g.num_edges(), rep.rounds.total());

@@ -16,9 +16,8 @@ pub mod e9_treewidth;
 
 use crate::{Relation::*, Report};
 use lcs_congest::protocols::AggOp;
-use lcs_congest::RunMetrics;
+use lcs_congest::{RunMetrics, SimConfig};
 use lcs_core::dist::{DistConfig, DistMode};
-use lcs_core::session::SessionConfig;
 use lcs_core::{
     full_shortcut, measure_quality, partial_shortcut_or_witness, Envelope, FullShortcutResult,
     Partition, QualityReport, Shortcut, ShortcutConfig, Sweep, SweepData,
@@ -95,16 +94,16 @@ impl Instance {
         (res, q, bound)
     }
 
-    /// Part-wise aggregation of `values` over the shortcut `h`, default knobs.
+    /// Part-wise aggregation of `values` over the shortcut `h`, undelayed
+    /// on the default simulator.
     pub(crate) fn aggregate(&self, h: &Shortcut, values: &[u64], op: AggOp) -> PartwiseOutcome {
-        let config = SessionConfig::default();
         let (g, partition, leaders) = (&self.graph, &self.partition, None);
         let op = AggregateOp {
             values,
             op,
             leaders,
         };
-        op.run_on(g, partition, h, &config.aggregate, config.sim)
+        op.run_on(g, partition, h, 0, SimConfig::default())
     }
 }
 

@@ -48,5 +48,5 @@ pub mod protocols;
 pub use engine::{
     splitmix, Ctx, Incoming, NodeProgram, RunOutcome, SimConfig, SimMode, Simulator, GRAIN,
 };
-pub use message::{id_bits, MessageSize, NodeIdMsg, PackedMsg};
+pub use message::{id_bits, MessageSize, PackedMsg};
 pub use metrics::{PhaseTimings, RunMetrics};

@@ -30,10 +30,6 @@ pub fn id_bits(n: usize) -> usize {
 /// `O(log n)` like the model assumes; value payloads (raw `u64`
 /// aggregates, hashes) ignore `n` and bill their full width.
 ///
-/// For protocols whose whole message is one bare id, use the ready-made
-/// [`NodeIdMsg`] wrapper instead of `u32` (which bills a fixed 32 bits
-/// regardless of `n`).
-///
 /// [`RunMetrics::bits`]: crate::RunMetrics::bits
 pub trait MessageSize {
     /// Size of this message in bits in an `n`-node network. Id payloads
@@ -227,24 +223,6 @@ impl<M: MessageSize> Mergeable for PackedMsg<M> {
     }
 }
 
-/// A message that is exactly one id (node, part, fragment, …), billed at
-/// [`id_bits`]`(n)` by the simulator — the `O(log n)`-scaling counterpart
-/// of sending a raw `u32` (which always bills 32 bits).
-///
-/// ```
-/// use lcs_congest::{id_bits, MessageSize, NodeIdMsg};
-/// let m = NodeIdMsg(17);
-/// assert_eq!(m.size_bits_in(100), id_bits(100)); // 7 bits, not 32
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct NodeIdMsg(pub u32);
-
-impl MessageSize for NodeIdMsg {
-    fn size_bits_in(&self, n: usize) -> usize {
-        id_bits(n)
-    }
-}
-
 impl MessageSize for () {
     fn size_bits_in(&self, _n: usize) -> usize {
         1
@@ -257,9 +235,9 @@ impl MessageSize for bool {
     }
 }
 
-/// Raw 32-bit payload: billed at full width regardless of `n`. For id
-/// payloads use [`NodeIdMsg`] (or an `n`-aware [`MessageSize::size_bits_in`]
-/// impl) so the bits-metric scales as `O(log n)`.
+/// Raw 32-bit payload: billed at full width regardless of `n`. Id payloads
+/// want an `n`-aware [`MessageSize::size_bits_in`] impl, billing
+/// [`id_bits`]`(n)`, so the bits-metric scales as `O(log n)`.
 impl MessageSize for u32 {
     fn size_bits_in(&self, _n: usize) -> usize {
         32
@@ -298,8 +276,8 @@ mod tests {
         assert_eq!(Some(1u32).size_bits_in(64), 33);
         assert_eq!(None::<u32>.size_bits_in(64), 1);
         // Composites forward the n-aware sizing to their components.
-        assert_eq!((NodeIdMsg(1), 2u32).size_bits_in(64), 7 + 32);
-        assert_eq!(Some(NodeIdMsg(1)).size_bits_in(64), 1 + 7);
+        assert_eq!((Tagged::Id(1), 2u32).size_bits_in(64), 3 + 7 + 32);
+        assert_eq!(Some(Tagged::Id(1)).size_bits_in(64), 1 + 3 + 7);
     }
 
     #[test]
@@ -312,12 +290,6 @@ mod tests {
         assert_eq!(id_bits(255), 8);
         assert_eq!(id_bits(256), 9);
         assert_eq!(id_bits(100_000), 17);
-    }
-
-    #[test]
-    fn node_id_msg_scales_with_n() {
-        assert_eq!(NodeIdMsg(5).size_bits_in(2), 2);
-        assert_eq!(NodeIdMsg(5).size_bits_in(1024), 11);
     }
 
     /// A test message with a 3-bit tag whose marginal cost drops the tag
@@ -347,8 +319,8 @@ mod tests {
 
     #[test]
     fn packed_one_bills_exactly_the_inner_message() {
-        let one = PackedMsg::One(NodeIdMsg(9));
-        assert_eq!(one.size_bits_in(100), NodeIdMsg(9).size_bits_in(100));
+        let one = PackedMsg::One(Tagged::Id(9));
+        assert_eq!(one.size_bits_in(100), Tagged::Id(9).size_bits_in(100));
         assert_eq!(one.len(), 1);
         assert!(!one.is_empty());
     }

@@ -121,8 +121,9 @@ impl Default for DistConfig {
 
 /// A `k`-minimum-values sketch over hashed 64-bit items: keeps the `t`
 /// smallest distinct hash values seen: exact distinct count below capacity,
-/// an unbiased `(t-1)·2⁶⁴/v_t` estimate above it, and mergeable by value
-/// union — exactly what the sketch detection mode streams up the tree.
+/// an unbiased `(t-1)·2⁶⁴/v_t` estimate above it. Inserting one sketch's
+/// retained values into another gives the union's sketch — exactly what
+/// the sketch detection mode streams up the tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KmvSketch {
     t: usize,
@@ -153,13 +154,6 @@ impl KmvSketch {
                     self.values.truncate(self.t);
                 }
             }
-        }
-    }
-
-    /// Merges another sketch (union semantics).
-    pub fn merge(&mut self, other: &KmvSketch) {
-        for &v in &other.values {
-            self.insert(v);
         }
     }
 
@@ -474,6 +468,8 @@ mod tests {
         assert_eq!(s.estimate() as usize, 4);
     }
 
+    /// Inserting one sketch's retained values into another, as the
+    /// detection does with a child's report, gives the union's sketch.
     #[test]
     fn kmv_merge_equals_union() {
         let mut a = KmvSketch::new(4);
@@ -487,7 +483,9 @@ mod tests {
             }
             whole.insert(*v);
         }
-        a.merge(&b);
+        for &v in b.values() {
+            a.insert(v);
+        }
         assert_eq!(a.values(), whole.values());
     }
 

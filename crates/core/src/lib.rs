@@ -14,11 +14,14 @@
 //! three pluggable [`Backend`]s — centralized Theorem 1.2, the simulated
 //! exact Theorem 1.5 protocol, or KMV-sketch detection — and every
 //! operation (the extension-trait methods of `lcs_partwise` /
-//! `lcs_algos`) returns a uniform [`OpReport`]. All knobs live in one
-//! serde-able [`SessionConfig`].
+//! `lcs_algos`) returns a uniform [`OpReport`]. Every setting lives in
+//! one serde-able [`SessionConfig`]; construction runs with the paper's
+//! constants, [`ShortcutConfig::default`], whose
+//! [`envelope`](ShortcutConfig::envelope) bounds what a session serves.
 //!
 //! ```
 //! use lcs_core::session::{Backend, Session, TreeSource};
+//! use lcs_core::ShortcutConfig;
 //! use lcs_graph::{gen, NodeId};
 //!
 //! let g = gen::grid(8, 8);
@@ -29,7 +32,7 @@
 //!     .build()?;
 //! let q = session.quality().clone();                 // constructs + caches
 //! let (delta_hat, depth) = (session.delta_hat(), session.tree().depth_of_tree());
-//! let bound = session.config().shortcut.envelope(delta_hat, depth, 1);
+//! let bound = ShortcutConfig::default().envelope(delta_hat, depth, 1);
 //! assert!(q.max_blocks <= bound.blocks && q.max_dilation_upper <= bound.dilation);
 //! assert_eq!(session.cache_stats().full.builds, 1);  // …and stays cached
 //! # Ok::<(), lcs_core::session::SessionError>(())

@@ -201,11 +201,6 @@ impl Partition {
         self.part_of.iter().all(Option::is_some)
     }
 
-    /// Total number of covered nodes.
-    pub fn covered_nodes(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
-    }
-
     /// The per-node assignment vector (indexed by node id).
     pub fn assignment(&self) -> &[Option<PartId>] {
         &self.part_of
@@ -400,7 +395,6 @@ mod tests {
         assert_eq!(p.num_parts(), 2);
         assert!(p.covers_all());
         assert_eq!(p.part_of(NodeId(4)), Some(PartId(1)));
-        assert_eq!(p.covered_nodes(), 6);
     }
 
     #[test]
@@ -418,7 +412,7 @@ mod tests {
         let p = Partition::from_parts(&g, vec![vec![NodeId(0), NodeId(1)]]).unwrap();
         assert!(!p.covers_all());
         assert_eq!(p.part_of(NodeId(4)), None);
-        assert_eq!(p.covered_nodes(), 2);
+        assert_eq!(p.part(PartId(0)), &[NodeId(0), NodeId(1)]);
     }
 
     #[test]
@@ -520,7 +514,8 @@ mod tests {
         let p = Partition::from_parts(&g, vec![vec![NodeId(0), NodeId(1)]]).unwrap();
         let (next, t) = p.reassign(&g, &[(NodeId(2), PartId(0))]).unwrap();
         assert_eq!(t.touched, vec![PartId(0)]);
-        assert_eq!(next.covered_nodes(), 3);
+        assert_eq!(next.part(PartId(0)), &[NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(next.part_of(NodeId(3)), None);
     }
 
     /// The path 0–5 in three pairs: the middle pair joins the first over

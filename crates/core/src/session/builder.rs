@@ -1,12 +1,10 @@
 //! The typed builder: `Session::on(&graph)` … `.build()`.
 
-use super::cache::{CacheStats, Slot, SHORTCUT_SCOPED, TOPOLOGY_ONLY};
-use super::{
-    Backend, FullArtifact, GraphHandle, SessionConfig, SessionError, ShortcutSession, TreeSource,
-};
+use super::cache::{CacheStats, Slot, TOPOLOGY_ONLY};
+use super::{Backend, GraphHandle, SessionConfig, SessionError, ShortcutSession, TreeSource};
 use crate::dist::{DistConfig, DistMode};
 use crate::source::{GraphSource, PartitionSource};
-use crate::{ConstructionStats, Partition, Shortcut};
+use crate::{ConstructionStats, Partition};
 use lcs_graph::{Graph, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -35,7 +33,6 @@ impl Session {
             config: SessionConfig::default(),
             partition_source: None,
             graph_source: None,
-            provided_shortcut: None,
         }
     }
 }
@@ -52,7 +49,6 @@ pub struct SessionBuilder<'g> {
     config: SessionConfig,
     partition_source: Option<PartitionSource>,
     graph_source: Option<GraphSource>,
-    provided_shortcut: Option<Shortcut>,
 }
 
 impl<'g> SessionBuilder<'g> {
@@ -109,14 +105,6 @@ impl<'g> SessionBuilder<'g> {
     /// Sources set by their own setters are kept, whatever the order.
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Seeds the shortcut cache with an externally built shortcut (e.g.
-    /// deserialized from a prior run, or a baseline for comparison). The
-    /// session serves it as-is and charges zero constructions.
-    pub fn shortcut(mut self, shortcut: Shortcut) -> Self {
-        self.provided_shortcut = Some(shortcut);
         self
     }
 
@@ -177,9 +165,7 @@ impl<'g> SessionBuilder<'g> {
             config: self.config,
             epoch: 0,
             tree: tree.map(|t| Slot::new(t, 0, TOPOLOGY_ONLY)),
-            full: self
-                .provided_shortcut
-                .map(|s| Slot::new(FullArtifact::provided(s), 0, SHORTCUT_SCOPED)),
+            full: None,
             op_artifacts: HashMap::new(),
             partition_log: VecDeque::new(),
             stats: CacheStats::default(),

@@ -1,10 +1,8 @@
 //! What a session is configured with: tree source, construction backend,
-//! and the one serde-able [`SessionConfig`] with one option block per op —
-//! the only place an op knob is declared.
+//! and the one serde-able [`SessionConfig`].
 
 use crate::dist::{DistConfig, DistMode};
 use crate::source::{GraphSource, PartitionSource};
-use crate::ShortcutConfig;
 use lcs_congest::SimConfig;
 use lcs_graph::{NodeId, RootedTree};
 use serde::{Deserialize, Serialize};
@@ -56,40 +54,30 @@ impl Backend {
     }
 }
 
-/// Knobs of leader-based part-wise aggregation (`AggregateOp`, and the
-/// aggregations inside every Boruvka phase).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct AggregateOpts {
-    /// Leaders delay their start uniformly in `[0, delay_range)` rounds,
-    /// drawn from a fixed seed — the random-delays scheduling of many parts
-    /// sharing edges (Lemma 2.8). `0` (the default) disables it. It pays
-    /// where parts contend: at `delay_range = 2c` on the Lemma 3.2
-    /// topology (`c` the shortcut congestion) the aggregate takes fewer
-    /// rounds for somewhat more messages (`experiments e5`).
-    pub delay_range: u32,
-}
-
-/// Every knob in one serde-able struct a service can load from disk:
-/// shortcut-construction parameters, the simulator configuration every op
-/// runs on, and one block per op that has knobs — only aggregation has
-/// any: unicast routing, Boruvka (its coins are public, from a fixed seed)
-/// and the min-cut approximation have none. The explicit-artifact entry points
-/// (`AggregateOp::run_on`, `distributed_mst`, …) read these same blocks.
+/// What a session is configured with, in one serde-able struct a service
+/// can load from disk: the simulator settings and the two declarative
+/// sources. Ops have no knobs: a session constructs with
+/// [`ShortcutConfig::default`](crate::ShortcutConfig::default) (Theorem
+/// 3.1's `c = 8δ̂D`) and aggregates without start delays; unicast routing,
+/// Boruvka (its coins are public, from a fixed seed) and the min-cut
+/// approximation read only [`sim`](Self::sim). Callers that sweep the
+/// construction constant or the delays pass them to the explicit entry
+/// points: [`construct`](crate::construct) takes a `ShortcutConfig`,
+/// `AggregateOp::run_on` / `run_masked` a `delay_range`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
-    /// Theorem 3.1 construction constant (the congestion factor).
-    pub shortcut: ShortcutConfig,
-    /// Simulator settings every op inherits (ops force the queue mode they
-    /// need; [`SimConfig::threads`] selects the lane count — by default
-    /// every core, at most one lane per [`GRAIN`](lcs_congest::GRAIN)
-    /// nodes, with worker threads only from a run's first heavy round — and
-    /// [`SimConfig::message_packing`] the multi-value packing factor —
-    /// `k > 1` coalesces burst sends into multi-value CONGEST messages,
-    /// cutting rounds on streaming workloads like the sketch construction
-    /// while leaving every result bit-identical).
+    /// Simulator settings every op inherits: [`SimConfig::threads`]
+    /// selects the lane count — by default every core, at most one lane
+    /// per [`GRAIN`](lcs_congest::GRAIN) nodes, with worker threads only
+    /// from a run's first heavy round — [`SimConfig::max_rounds`] caps
+    /// each run, and [`SimConfig::message_packing`] is the multi-value
+    /// packing factor (`k > 1` coalesces burst sends into multi-value
+    /// CONGEST messages, cutting rounds on streaming workloads like the
+    /// sketch construction while leaving every result bit-identical). Its
+    /// [`mode`](SimConfig::mode) is read by nothing a session runs: every
+    /// op forces [`Queued`](lcs_congest::SimMode::Queued), and
+    /// construction runs on the backend's own `SimConfig`.
     pub sim: SimConfig,
-    /// Aggregation knobs.
-    pub aggregate: AggregateOpts,
     /// Declarative partition source, resolved at
     /// [`build`](super::SessionBuilder::build) time when the builder was
     /// given no explicit partition (an explicit `.partition(..)` always

@@ -7,7 +7,7 @@ use super::{SessionError, ShortcutSession};
 use crate::full::keep_denser;
 use crate::{
     construct, construction_tree, measure_quality, ConstructionStats, FullShortcutResult,
-    QualityReport, Shortcut, Transition,
+    QualityReport, Shortcut, ShortcutConfig, Transition,
 };
 use lcs_graph::minor::MinorWitness;
 use lcs_graph::{PartId, RootedTree};
@@ -18,8 +18,7 @@ use std::sync::Arc;
 pub struct FullArtifact {
     /// The union shortcut serving every part.
     pub shortcut: Shortcut,
-    /// Final `δ̂` of the doubling search (0 for a caller-provided shortcut,
-    /// whose construction parameters are unknown).
+    /// Final `δ̂` of the doubling search.
     pub delta_hat: u32,
     /// Densest dense-minor certificate from failed sweeps, if any.
     pub witness: Option<MinorWitness>,
@@ -28,18 +27,6 @@ pub struct FullArtifact {
     /// measures: re-customization patches both together, invalidation
     /// drops both together.
     quality: Option<Arc<QualityReport>>,
-}
-
-impl FullArtifact {
-    /// A caller-provided shortcut: unknown `δ̂`, no certificate.
-    pub(super) fn provided(shortcut: Shortcut) -> Self {
-        FullArtifact {
-            shortcut,
-            delta_hat: 0,
-            witness: None,
-            quality: None,
-        }
-    }
 }
 
 impl ShortcutSession<'_> {
@@ -64,18 +51,14 @@ impl ShortcutSession<'_> {
     /// The full-shortcut artifact, constructed on first access via the
     /// session backend: no partition is [`SessionError::NoPartition`], a
     /// construction phase cut short by the backend's `max_rounds`
-    /// [`SessionError::Truncated`] (nothing is cached then). A fresh
-    /// caller-provided shortcut is served without requiring a partition.
+    /// [`SessionError::Truncated`] (nothing is cached then).
     pub fn try_full_artifact(&mut self) -> Result<&FullArtifact, SessionError> {
-        let fresh = self.full.as_ref().is_some_and(|s| s.fresh(self.epoch));
-        if !fresh && self.partition.is_none() {
-            return Err(SessionError::NoPartition);
-        }
+        self.try_partition()?;
         self.ensure_full()?;
         Ok(self.cached_full())
     }
 
-    /// Final `δ̂` of the doubling search (0 for provided shortcuts).
+    /// Final `δ̂` of the doubling search.
     pub fn delta_hat(&mut self) -> u32 {
         let full = self.try_full_artifact().unwrap_or_else(|e| panic!("{e}"));
         full.delta_hat
@@ -243,7 +226,8 @@ impl ShortcutSession<'_> {
 
     /// The one construction behind every build and patch: [`construct`]
     /// over `parts` of the current partition on the session tree, from
-    /// `start`, on the session backend — charged to the session's tally.
+    /// `start`, with the paper's constants on the session backend — charged
+    /// to the session's tally.
     fn construct_parts(
         &mut self,
         parts: &[PartId],
@@ -257,7 +241,7 @@ impl ShortcutSession<'_> {
             self.partition(),
             parts,
             start,
-            &self.config.shortcut,
+            &ShortcutConfig::default(),
             dist.as_ref(),
         )?;
         self.construction += res.cost;
@@ -268,9 +252,10 @@ impl ShortcutSession<'_> {
         let all: Vec<PartId> = self.partition().part_ids().collect();
         let res = self.construct_parts(&all, 1)?;
         Ok(FullArtifact {
+            shortcut: res.shortcut,
             delta_hat: res.delta_hat,
             witness: res.best_witness,
-            ..FullArtifact::provided(res.shortcut)
+            quality: None,
         })
     }
 

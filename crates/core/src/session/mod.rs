@@ -72,14 +72,13 @@
 //! `lcs_algos`; the umbrella crate's `facade` module re-exports both):
 //! `session.aggregate(..)`, `session.mst(..)`, … read the cached artifacts
 //! and call the algorithm. Every operation returns a uniform [`OpReport`].
-//! All knobs live in one serde-able [`SessionConfig`]: the construction
-//! constant, the simulator settings, and the aggregation block, the one
-//! op with a knob.
+//! Every setting lives in one serde-able [`SessionConfig`]: the simulator
+//! settings and the declarative sources. Ops have no knobs of their own.
 //!
 //! # Layout
 //!
 //! `error` (the typed [`SessionError`]), `config` ([`TreeSource`],
-//! [`Backend`], [`SessionConfig`] and its option blocks), `builder`
+//! [`Backend`], [`SessionConfig`]), `builder`
 //! ([`Session`] / [`SessionBuilder`]), `cache` (the partition epoch, the
 //! dependency declarations, stats, the cache routine, the mutation API and
 //! the op-artifact table) and `construct` (the artifacts and how each is produced); this
@@ -94,7 +93,7 @@ mod error;
 pub use crate::ConstructionStats;
 pub use builder::{Session, SessionBuilder};
 pub use cache::{ArtifactStats, CacheStats};
-pub use config::{AggregateOpts, Backend, SessionConfig, TreeSource};
+pub use config::{Backend, SessionConfig, TreeSource};
 pub use construct::FullArtifact;
 pub use error::SessionError;
 
@@ -337,22 +336,6 @@ mod tests {
         let stats = dist.construction_stats();
         assert!(stats.rounds > 0 && stats.messages > 0 && stats.bits > 0);
         assert_eq!(central.construction_stats(), ConstructionStats::default());
-    }
-
-    #[test]
-    fn provided_shortcut_is_served_without_construction() {
-        let g = gen::grid(6, 6);
-        let parts = gen::rows_of_grid(6, 6);
-        let mut built = Session::on(&g).partition(parts.clone()).build().unwrap();
-        let sc = built.try_full_artifact().unwrap().shortcut.clone();
-        let mut served = Session::on(&g)
-            .partition(parts)
-            .shortcut(sc.clone())
-            .build()
-            .unwrap();
-        assert_eq!(served.try_full_artifact().unwrap().shortcut, sc);
-        assert_eq!(served.delta_hat(), 0, "provided shortcuts have unknown δ̂");
-        assert_eq!(constructed(&served), 0);
     }
 
     #[test]

@@ -53,18 +53,6 @@ pub fn complete(n: usize) -> Graph {
     b.build()
 }
 
-/// The complete bipartite graph `K_{a,b}` (left side `0..a`, right side
-/// `a..a+b`). Diameter 2 (for `a, b >= 1`).
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut builder = GraphBuilder::new(a + b);
-    for i in 0..a {
-        for j in 0..b {
-            builder.add_edge(NodeId(i as u32), NodeId((a + j) as u32));
-        }
-    }
-    builder.build()
-}
-
 /// The wheel `W_n`: hub node 0 plus a cycle on nodes `1..n`.
 ///
 /// This is the paper's Section 2 example: diameter 2 but the rim — a single
@@ -127,13 +115,6 @@ mod tests {
         assert_eq!(g.num_edges(), 15);
         assert_eq!(g.density(), 2.5); // (n-1)/2
         assert_eq!(diameter::exact_diameter(&g), 1);
-    }
-
-    #[test]
-    fn bipartite_shape() {
-        let g = complete_bipartite(2, 3);
-        assert_eq!(g.num_edges(), 6);
-        assert_eq!(diameter::exact_diameter(&g), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@ mod random;
 mod structured;
 
 pub use adversarial::{comb, CombInstance};
-pub use basic::{complete, complete_bipartite, cycle, path, star, wheel};
+pub use basic::{complete, cycle, path, star, wheel};
 pub use grids::{grid, grid_king, torus};
 pub use lower_bound::{lower_bound_topology, LowerBoundTopology};
 pub use partitions::{
@@ -22,4 +22,4 @@ pub use partitions::{
     voronoi_parts_seeded,
 };
 pub use random::{gnm_connected, grid_plus_random_edges, ring_with_matchings, road_like};
-pub use structured::{binary_tree, caterpillar, grid_of_cliques, ktree, path_power};
+pub use structured::{binary_tree, grid_of_cliques, ktree, path_power};

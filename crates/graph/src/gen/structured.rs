@@ -14,27 +14,6 @@ pub fn binary_tree(depth: u32) -> Graph {
     b.build()
 }
 
-/// A caterpillar: a spine path of `spine` nodes, each with `legs` pendant
-/// leaves. Pathwidth 1, so `δ <= 1`; diameter `spine + 1`.
-///
-/// # Panics
-///
-/// Panics if `spine == 0`.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    assert!(spine > 0, "caterpillar needs a spine");
-    let n = spine * (1 + legs);
-    let mut b = GraphBuilder::new(n);
-    for s in 1..spine {
-        b.add_edge(NodeId((s - 1) as u32), NodeId(s as u32));
-    }
-    for s in 0..spine {
-        for l in 0..legs {
-            b.add_edge(NodeId(s as u32), NodeId((spine + s * legs + l) as u32));
-        }
-    }
-    b.build()
-}
-
 /// The `k`-th power of a path on `n` nodes: `i ~ j` iff `|i - j| <= k`.
 ///
 /// Treewidth (and pathwidth) exactly `k`, hence `δ(G) <= k` by Lemma 3.3 of
@@ -148,14 +127,6 @@ mod tests {
         assert_eq!(g.num_nodes(), 15);
         assert_eq!(g.num_edges(), 14);
         assert_eq!(diameter::exact_diameter(&g), 6);
-    }
-
-    #[test]
-    fn caterpillar_counts() {
-        let g = caterpillar(4, 2);
-        assert_eq!(g.num_nodes(), 12);
-        assert_eq!(g.num_edges(), 3 + 8);
-        assert!(components::is_connected(&g));
     }
 
     #[test]

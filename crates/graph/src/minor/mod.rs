@@ -15,13 +15,11 @@
 //!   to validate the heuristics in tests.
 
 mod clique;
-mod contract;
 mod density;
 mod exact;
 mod witness;
 
 pub use clique::{excludes_clique_minor, guaranteed_clique_minor_order, max_clique_minor_order};
-pub use contract::{contract_parts, ContractedGraph};
 pub use density::{degeneracy, greedy_contraction_density, DensityEstimate};
 pub use exact::exact_minor_density_small;
 pub use witness::{verify_minor, MinorVerifyError, MinorWitness};

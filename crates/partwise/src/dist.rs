@@ -5,7 +5,7 @@ use lcs_congest::protocols::AggOp;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{AggregateOpts, ShortcutSession};
+use lcs_core::session::ShortcutSession;
 use lcs_core::{Partition, Shortcut, Transition};
 use lcs_graph::{Graph, NodeId, PartId, RootedTree};
 use rand::rngs::SmallRng;
@@ -32,7 +32,8 @@ pub struct PartwiseOutcome {
     pub rooted_parts: usize,
 }
 
-/// Seed of the leaders' start delays ([`AggregateOpts::delay_range`]).
+/// Seed of the leaders' start delays (`delay_range` of
+/// [`AggregateOp::run_masked`]).
 const DELAY_SEED: u64 = 0xde1af;
 
 /// `count` start delays, uniform in `[0, range)`; `range == 0` disables
@@ -1194,11 +1195,16 @@ pub struct AggregateOp<'a> {
 
 impl AggregateOp<'_> {
     /// Runs the protocol over explicit artifacts (the non-session path) —
-    /// always cold: the spanning trees it finds are not kept. `opts` and
-    /// `sim` are the [`SessionConfig`](lcs_core::session::SessionConfig)
-    /// blocks a session would pass; the simulator mode is forced to
-    /// [`Queued`](SimMode::Queued) because several protocol instances
-    /// share edges.
+    /// always cold: the spanning trees it finds are not kept. Leaders
+    /// delay their start uniformly in `[0, delay_range)` rounds, drawn from
+    /// a fixed seed — the random-delays scheduling of many parts sharing
+    /// edges (Lemma 2.8); `0`, what a session passes, disables it. It pays
+    /// where parts contend: at `delay_range = 2c` on the Lemma 3.2
+    /// topology (`c` the shortcut congestion) the aggregate takes fewer
+    /// rounds for somewhat more messages (`experiments e5`). `sim` is a
+    /// session's [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim),
+    /// with the mode forced to [`Queued`](SimMode::Queued) because several
+    /// protocol instances share edges.
     ///
     /// # Panics
     ///
@@ -1210,7 +1216,7 @@ impl AggregateOp<'_> {
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
-        opts: &AggregateOpts,
+        delay_range: u32,
         sim: SimConfig,
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
@@ -1219,7 +1225,7 @@ impl AggregateOp<'_> {
         self.run_masked(
             g,
             partition,
-            (opts, sim),
+            (delay_range, sim),
             &participation,
             &mut forest,
             shape,
@@ -1244,7 +1250,7 @@ impl AggregateOp<'_> {
     /// # Clock
     ///
     /// A caller that must know when a run is done caps `sim.max_rounds` at
-    /// its clock, `r + c + 2h + 1` rounds for `r = opts.delay_range`, `≤ c`
+    /// its clock, `r + c + 2h + 1` rounds for `r = delay_range`, `≤ c`
     /// parts per edge and running trees `≤ h` high, carried or echoed
     /// ([`AggForest::height_bound`]). Alone, a part starts within `r`; its
     /// offers and replies take `h + 1` and its `Up`s `h`; `Down`s or a
@@ -1262,7 +1268,7 @@ impl AggregateOp<'_> {
         &self,
         g: &Graph,
         partition: &Partition,
-        (opts, sim): (&AggregateOpts, SimConfig),
+        (delay_range, sim): (u32, SimConfig),
         participation: &ParticipationMap,
         forest: &mut AggForest,
         (wave, sits_out): (Wave, Option<&[bool]>),
@@ -1305,7 +1311,7 @@ impl AggregateOp<'_> {
             })
             .collect();
 
-        let delays = random_delays(k, opts.delay_range);
+        let delays = random_delays(k, delay_range);
 
         // The run's slot states, one per slot of the table in node order; the
         // forest's child flags and (to the extreme) memory change in place.
@@ -1451,15 +1457,14 @@ mod tests {
         forest.root.iter().filter(|&&r| r != NO_ROOT).count()
     }
 
-    /// A cold run on the default knobs.
+    /// A cold undelayed run on the default simulator.
     fn run_cold(
         op: AggregateOp<'_>,
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
     ) -> PartwiseOutcome {
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-        op.run_on(g, partition, shortcut, &opts, sim)
+        op.run_on(g, partition, shortcut, 0, SimConfig::default())
     }
 
     fn sum_of(values: &[u64]) -> AggregateOp<'_> {
@@ -1578,8 +1583,8 @@ mod tests {
         let map = ParticipationMap::build(g, partition, shortcut);
         let mut forest = AggForest::unrooted(partition, &map);
         let values = vec![1; g.num_nodes()];
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-        sum_of(&values).run_masked(g, partition, (&opts, sim), &map, &mut forest, ECHO);
+        let sim = SimConfig::default();
+        sum_of(&values).run_masked(g, partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!(rooted_parts(&forest), partition.num_parts());
         (map, forest)
     }
@@ -1628,8 +1633,8 @@ mod tests {
         let rooted = rooted_parts(&carried);
         let memberless = memberless_relays(g, partition, &map, &carried);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
-        let out = sum_of(&values).run_masked(g, partition, (&opts, sim), &map, &mut carried, ECHO);
+        let sim = SimConfig::default();
+        let out = sum_of(&values).run_masked(g, partition, (0, sim), &map, &mut carried, ECHO);
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!(out.rooted_parts, rooted);
         let expect = crate::centralized_aggregate(partition, &values, AggOp::Sum);
@@ -1712,9 +1717,9 @@ mod tests {
             leaders: None,
         };
         let map = ParticipationMap::build(&g, &partition, &built.shortcut);
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let mut forest = AggForest::unrooted(&partition, &map);
-        let with = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let with = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         let without = run_cold(op, &g, &partition, &Shortcut::empty(partition.num_parts()));
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
@@ -1727,7 +1732,7 @@ mod tests {
         );
         // The hub, the rim's only relay, carries members below it: nothing
         // is pruned, so both runs send what the unpruned echo sends.
-        let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let warm = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!(pruned_slots(&g, &partition, &map, &forest), 0);
         let (ports, non_roots) = (map.ports.len() as u64, map.slot_part.len() as u64 - 1);
         assert_eq!(with.metrics.messages, ports + 2 * non_roots);
@@ -1774,13 +1779,7 @@ mod tests {
             op: AggOp::Sum,
             leaders: Some(&leaders),
         }
-        .run_on(
-            &g,
-            &partition,
-            &shortcut,
-            &AggregateOpts { delay_range: 8 },
-            SimConfig::default(),
-        );
+        .run_on(&g, &partition, &shortcut, 8, SimConfig::default());
         assert!(out.all_members_informed);
         assert!(out.results.iter().all(|&r| r == Some(18)));
     }
@@ -1795,7 +1794,7 @@ mod tests {
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
         let cold_then_warm = |threads| {
-            let opts = AggregateOpts { delay_range: 12 };
+            let delay_range = 12;
             let sim = SimConfig {
                 threads,
                 ..SimConfig::default()
@@ -1805,7 +1804,7 @@ mod tests {
                 let out = sum_of(&values).run_masked(
                     &g,
                     &partition,
-                    (&opts, sim),
+                    (delay_range, sim),
                     &map,
                     &mut forest,
                     ECHO,
@@ -1980,7 +1979,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37 + seed) % 101).collect();
             let min = AggregateOp { op: AggOp::Min, ..sum_of(&values) };
-            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+            let sim = SimConfig::default();
             for _ in 0..12 {
                 let heads: Vec<bool> = partition.part_ids().map(|_| rng.gen_bool(0.5)).collect();
                 let mut joins: Vec<(PartId, NodeId, NodeId)> = Vec::new();
@@ -2015,9 +2014,9 @@ mod tests {
                 prop_assert!(memory_agrees(&g, &next, &carried));
                 let rooted = rooted_parts(&carried);
                 let shape = (Wave::ToExtreme, None);
-                let warm = min.run_masked(&g, &merged, (&opts, sim), &next, &mut carried, shape);
+                let warm = min.run_masked(&g, &merged, (0, sim), &next, &mut carried, shape);
                 prop_assert!(memory_agrees(&g, &next, &carried));
-                let cold = min.run_on(&g, &merged, &next_shortcut, &opts, sim);
+                let cold = min.run_on(&g, &merged, &next_shortcut, 0, sim);
                 prop_assert_eq!(warm.rooted_parts, rooted);
                 prop_assert_eq!(warm.results, cold.results);
                 (partition, shortcut, map, forest) = (merged, next_shortcut, next, carried);
@@ -2048,11 +2047,11 @@ mod tests {
                 leaders: (explicit_leaders == 1).then_some(&last[..]),
                 ..sum_of(&values)
             };
-            let opts = AggregateOpts { delay_range: 16 * delay_range };
+            let delay_range = 16 * delay_range;
             let sim = SimConfig::default();
             let mut forest = AggForest::unrooted(&partition, &map);
-            let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
-            let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let cold = op.run_masked(&g, &partition, (delay_range, sim), &map, &mut forest, ECHO);
+            let warm = op.run_masked(&g, &partition, (delay_range, sim), &map, &mut forest, ECHO);
             prop_assert!(cold.metrics.terminated && warm.metrics.terminated);
             prop_assert_eq!(warm.rooted_parts, partition.num_parts());
             let k = partition.num_parts() as u64;
@@ -2083,7 +2082,7 @@ mod tests {
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
             let op = [AggOp::Sum, AggOp::Min, AggOp::Max][op];
             let op = AggregateOp { op, ..sum_of(&values) };
-            let blocks = (&AggregateOpts::default(), SimConfig::default());
+            let blocks = (0, SimConfig::default());
             let convergecast = (Wave::Convergecast, None);
             let mut echoed = AggForest::unrooted(&partition, &map);
             let echo = op.run_masked(&g, &partition, blocks, &map, &mut echoed, ECHO);
@@ -2125,7 +2124,7 @@ mod tests {
             op,
             leaders: Some(&[root]),
         };
-        let blocks = (&AggregateOpts::default(), SimConfig::default());
+        let blocks = (0, SimConfig::default());
         let shape = (Wave::Convergecast, None);
         let out = op.run_masked(g, &partition, blocks, &map, &mut forest, shape);
         assert!(out.metrics.terminated && out.all_members_informed);
@@ -2255,9 +2254,9 @@ mod tests {
                 full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
             let map = ParticipationMap::build(&g, &partition, &shortcut);
             let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+            let sim = SimConfig::default();
             let mut forest = AggForest::unrooted(&partition, &map);
-            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
             assert_eq!(rooted_parts(&forest), partition.num_parts());
             let rooted = forest.clone();
             for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
@@ -2265,8 +2264,8 @@ mod tests {
                     op,
                     ..sum_of(&values)
                 };
-                let cold = op.run_on(&g, &partition, &shortcut, &opts, sim);
-                let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+                let cold = op.run_on(&g, &partition, &shortcut, 0, sim);
+                let warm = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
                 assert_eq!(
                     (cold.rooted_parts, warm.rooted_parts),
                     (0, partition.num_parts())
@@ -2300,7 +2299,7 @@ mod tests {
         let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
         let (map, rooted) = rooted(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let (k, masked) = (partition.num_parts(), 4);
         let kept = (map.slot_part.iter().zip(&rooted.parent))
             .filter(|&(&part, &parent)| part == masked && parent != NO_PORT)
@@ -2308,14 +2307,14 @@ mod tests {
         assert!(kept > 0, "the masked part has a tree to keep");
 
         let mut full = rooted.clone();
-        let all = sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut full, ECHO);
+        let all = sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut full, ECHO);
         let mut sits_out = vec![false; k];
         sits_out[masked as usize] = true;
         let mut forest = rooted.clone();
         let out = sum_of(&values).run_masked(
             &g,
             &partition,
-            (&opts, sim),
+            (0, sim),
             &map,
             &mut forest,
             (Wave::Echo, Some(&sits_out)),
@@ -2380,7 +2379,7 @@ mod tests {
     #[test]
     fn a_value_that_reads_as_unheard_is_still_found() {
         let (g, partition, map, rooted, mut values) = voronoi_rooted();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         for (p, members) in partition.iter() {
             values[members[members.len() - 1].index()] = UNHEARD;
             if p.0 == 0 {
@@ -2396,7 +2395,7 @@ mod tests {
             let mut forest = rooted.clone();
             for _ in 0..3 {
                 let shape = (Wave::ToExtreme, None);
-                let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+                let out = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, shape);
                 assert!(out.metrics.terminated && out.all_members_informed);
                 assert_eq!(
                     out.results,
@@ -2409,7 +2408,7 @@ mod tests {
     #[test]
     fn a_wave_to_the_extreme_goes_down_one_path() {
         let (g, partition, map, rooted, values) = voronoi_rooted();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let edges: usize = rooted.tree_edges(&map).iter().sum();
         let k = partition.num_parts();
         for op in [AggOp::Min, AggOp::Max] {
@@ -2420,7 +2419,7 @@ mod tests {
             let expect = crate::centralized_aggregate(&partition, &values, op.op);
             let mut forest = rooted.clone();
             let shape = (Wave::ToExtreme, None);
-            let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            let out = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, shape);
             assert!(
                 out.metrics.terminated && out.all_members_informed,
                 "{:?}",
@@ -2441,10 +2440,10 @@ mod tests {
             assert_eq!(out.down.messages, path, "{:?}", op.op);
             assert_eq!(facts(&forest, &map), facts(&rooted, &map), "{:?}", op.op);
             // Nothing changed: the next wave sends no `Up`, only the `Down`s.
-            let again = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            let again = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, shape);
             assert_eq!(again.results, out.results, "{:?}", op.op);
             assert_eq!(again.metrics.messages, path, "{:?}", op.op);
-            let echo = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let echo = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
             assert_eq!(echo.rooted_parts, k);
             assert_eq!(echo.metrics.messages, 2 * edges as u64);
         }
@@ -2458,7 +2457,7 @@ mod tests {
     #[test]
     fn a_broadcast_from_a_member_crosses_each_kept_edge_once() {
         let (g, partition, map, rooted, values) = voronoi_rooted();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let leaders: Vec<NodeId> = (partition.iter().zip(&rooted.root))
             .map(|((_, members), &root)| *members.iter().rfind(|v| v.0 != root).unwrap())
             .collect();
@@ -2475,7 +2474,7 @@ mod tests {
         for mask in [None, Some(&sits_out[..])] {
             let mut forest = rooted.clone();
             let shape = (Wave::Broadcast, mask);
-            let out = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+            let out = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, shape);
             assert!(out.metrics.terminated && out.all_members_informed);
             let mut expect = expect.clone();
             let mut sent: usize = edges.iter().sum();
@@ -2489,7 +2488,7 @@ mod tests {
 
         let mut forest = AggForest::unrooted(&partition, &map);
         let shape = (Wave::Broadcast, None);
-        let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, shape);
+        let cold = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, shape);
         assert!(cold.metrics.terminated && cold.all_members_informed);
         assert_eq!((cold.rooted_parts, cold.results), (0, expect));
         assert_eq!(forest.root, leaders.iter().map(|v| v.0).collect::<Vec<_>>());
@@ -2502,28 +2501,21 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values = vec![1u64; g.num_nodes()];
-        let opts = AggregateOpts::default();
         let free = SimConfig::default();
         let capped = SimConfig {
             max_rounds: 2,
             ..free
         };
-        let cold = sum_of(&values).run_on(&g, &partition, &shortcut, &opts, free);
+        let cold = sum_of(&values).run_on(&g, &partition, &shortcut, 0, free);
 
         let mut forest = AggForest::unrooted(&partition, &map);
         for seeded in [0, partition.num_parts()] {
-            let cut = sum_of(&values).run_masked(
-                &g,
-                &partition,
-                (&opts, capped),
-                &map,
-                &mut forest,
-                ECHO,
-            );
+            let cut =
+                sum_of(&values).run_masked(&g, &partition, (0, capped), &map, &mut forest, ECHO);
             assert!(cut.metrics.truncated && cut.rooted_parts == seeded);
             assert_eq!(forest, AggForest::unrooted(&partition, &map));
             let rerooted =
-                sum_of(&values).run_masked(&g, &partition, (&opts, free), &map, &mut forest, ECHO);
+                sum_of(&values).run_masked(&g, &partition, (0, free), &map, &mut forest, ECHO);
             assert_eq!(rerooted.rooted_parts, 0);
             assert_eq!(rerooted.metrics.counts(), cold.metrics.counts());
             assert_eq!(rerooted.results, cold.results);
@@ -2543,19 +2535,17 @@ mod tests {
         let far = g.find_edge(NodeId(6), NodeId(7)).unwrap();
         let s = Shortcut::from_edge_lists(vec![vec![far], vec![]]);
         let map = ParticipationMap::build(&g, &partition, &s);
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let values = vec![1; 8];
         let mut forest = AggForest::unrooted(&partition, &map);
-        let first =
-            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let first = sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert!(!first.metrics.terminated && first.all_members_informed);
         assert_eq!(
             forest.root,
             [NO_ROOT, 2],
             "only the connected part is rooted"
         );
-        let again =
-            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let again = sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!(again.rooted_parts, 1);
         assert_eq!(again.results, vec![Some(2), Some(2)]);
         assert!(!again.metrics.terminated && again.all_members_informed);
@@ -2576,7 +2566,7 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(6);
         let k = partition.num_parts();
         let map = ParticipationMap::build(&g, &partition, &shortcut);
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
         let mut last: Vec<NodeId> = partition
             .iter()
@@ -2587,19 +2577,18 @@ mod tests {
             leaders: Some(&last),
             ..sum_of(&values)
         };
-        let cold = elsewhere.run_on(&g, &partition, &shortcut, &opts, sim);
+        let cold = elsewhere.run_on(&g, &partition, &shortcut, 0, sim);
 
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
-        let moved = elsewhere.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
+        let moved = elsewhere.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!(moved.rooted_parts, 1);
         assert_eq!(moved.results, cold.results);
         assert!(moved.metrics.terminated && moved.all_members_informed);
         assert_eq!(forest.root, last.iter().map(|l| l.0).collect::<Vec<_>>());
-        let warm = elsewhere.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let warm = elsewhere.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!((warm.rooted_parts, &warm.results), (k, &cold.results));
-        let back =
-            sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        let back = sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!((back.rooted_parts, &back.results), (k, &cold.results));
         assert_eq!(back.metrics.messages, warm.metrics.messages);
     }
@@ -2680,13 +2669,13 @@ mod tests {
             let chain = (0..relays).map(|v| g.find_edge(NodeId(v), NodeId(v + 1)).unwrap());
             let shortcut = Shortcut::from_edge_lists(vec![chain.collect()]);
             let map = ParticipationMap::build(&g, &partition, &shortcut);
-            let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+            let sim = SimConfig::default();
             let values = vec![1; n as usize];
             let mut forest = AggForest::unrooted(&partition, &map);
             let cold =
-                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+                sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
             let warm =
-                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+                sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
             for out in [&cold, &warm] {
                 assert!(out.metrics.terminated && out.all_members_informed);
                 assert_eq!(out.results, [Some(u64::from(members))]);
@@ -2721,9 +2710,9 @@ mod tests {
         let shortcut = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default()).shortcut;
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         assert_eq!(rooted_parts(&forest), partition.num_parts());
 
         let mut pairs = std::collections::BTreeSet::new();
@@ -2745,8 +2734,7 @@ mod tests {
             let (mut carried, _) =
                 forest.carried_over(&g, &map, &merged, &next, &transition, usize::MAX);
             let k = merged.num_parts();
-            let out =
-                sum_of(&values).run_masked(&g, &merged, (&opts, sim), &next, &mut carried, ECHO);
+            let out = sum_of(&values).run_masked(&g, &merged, (0, sim), &next, &mut carried, ECHO);
             assert!(out.metrics.terminated && out.all_members_informed);
             let expect = crate::centralized_aggregate(&merged, &values, AggOp::Sum);
             assert_eq!(
@@ -2806,12 +2794,12 @@ mod tests {
             op: AggOp::Min,
             ..sum_of(&values)
         };
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let (map, forest) = &mut after;
         let edges: usize = forest.tree_edges(map).iter().sum();
         let path = depth(&g, map, forest, NodeId(8), 0); // 8 holds the minimum, 1
         let shape = (Wave::ToExtreme, None);
-        let out = min.run_masked(&g, &merged, (&opts, sim), map, forest, shape);
+        let out = min.run_masked(&g, &merged, (0, sim), map, forest, shape);
         assert!(out.metrics.terminated && out.all_members_informed);
         assert_eq!((out.rooted_parts, out.results), (1, vec![Some(1)]));
         assert_eq!(out.metrics.messages, edges as u64 + path);
@@ -2835,9 +2823,9 @@ mod tests {
             &Shortcut::from_edge_lists(vec![spokes.clone()]),
         );
         let values: Vec<u64> = (0..8).collect();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         let mut forest = AggForest::unrooted(&partition, &map);
-        sum_of(&values).run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+        sum_of(&values).run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
         let hub = map.slot_of(NodeId(0), 0).unwrap();
         assert_ne!(forest.parent[hub], NO_PORT, "the hub is a kept relay");
         let hub_ports = map.node(NodeId(0)).ports(0);
@@ -2855,7 +2843,7 @@ mod tests {
             let (mut carried, _) =
                 forest.carried_over(&g, &map, &partition, &next, &identity, usize::MAX);
             let out =
-                sum_of(&values).run_masked(&g, &partition, (&opts, sim), &next, &mut carried, ECHO);
+                sum_of(&values).run_masked(&g, &partition, (0, sim), &next, &mut carried, ECHO);
             assert!(out.metrics.terminated && out.all_members_informed);
             assert_eq!(out.results, [Some(28)]);
             assert_eq!(out.rooted_parts, usize::from(!used(port)), "spoke {port}");
@@ -2981,7 +2969,7 @@ mod tests {
         let values: Vec<u64> = (0..g.num_nodes() as u64)
             .map(|x| x * 7919 % 100_003)
             .collect();
-        let (opts, sim) = (AggregateOpts::default(), SimConfig::default());
+        let sim = SimConfig::default();
         for op in [AggOp::Min, AggOp::Max] {
             let op = AggregateOp {
                 op,
@@ -2990,8 +2978,8 @@ mod tests {
             let expect = crate::centralized_aggregate(&partition, &values, op.op);
             let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
             let mut forest = AggForest::unrooted(&partition, &map);
-            let cold = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
-            let warm = op.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, ECHO);
+            let cold = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
+            let warm = op.run_masked(&g, &partition, (0, sim), &map, &mut forest, ECHO);
             for (run, out) in [("cold", &cold), ("warm", &warm)] {
                 assert!(out.all_members_informed, "{:?} {run}", op.op);
                 assert_eq!(out.results, expect, "{:?} {run}", op.op);

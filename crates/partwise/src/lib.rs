@@ -9,7 +9,7 @@
 //! hears; two offers that cross on an edge answer each other), then
 //! convergecast and result broadcast over the adopted tree — multiplexed on
 //! the queued CONGEST simulator, optionally with the random start delays
-//! of [LMR94, Gha15] (`AggregateOpts::delay_range`, drawn from a fixed
+//! of [LMR94, Gha15] (`run_on`'s `delay_range`, drawn from a fixed
 //! seed; they pay where parts contend, `experiments e5`), completing in
 //! `Õ(congestion + dilation)` rounds. A slot with
 //! no member of its part below it reports `Empty` instead of a value and
@@ -58,7 +58,6 @@
 //! ```
 //! use lcs_congest::protocols::AggOp;
 //! use lcs_congest::SimConfig;
-//! use lcs_core::session::AggregateOpts;
 //! use lcs_core::{full_shortcut, Partition, ShortcutConfig};
 //! use lcs_graph::{bfs, gen, NodeId};
 //! use lcs_partwise::AggregateOp;
@@ -70,7 +69,7 @@
 //! let values: Vec<u64> = (0..36).collect();
 //!
 //! let out = AggregateOp { values: &values, op: AggOp::Max, leaders: None }
-//!     .run_on(&g, &partition, &built.shortcut, &AggregateOpts::default(), SimConfig::default());
+//!     .run_on(&g, &partition, &built.shortcut, 0, SimConfig::default());
 //! assert!(out.all_members_informed);
 //! assert_eq!(out.results[0], Some(5)); // max of row 0's values 0..=5
 //! # Ok::<(), lcs_core::session::SessionError>(())

@@ -1,11 +1,11 @@
 //! The part-wise half of the [`ShortcutSession`] operation surface:
 //! aggregation, gossip, and unicast routing over the session's cached
 //! artifacts. Each method reads what it needs from the session — tree,
-//! shortcut, participation tables and forest, the [`SessionConfig`] block
-//! of its op — and calls the protocol in [`AggregateOp`] (aggregate and
-//! gossip) or [`UnicastOp`].
+//! shortcut, participation tables and forest, [`SessionConfig::sim`] —
+//! and calls the protocol in [`AggregateOp`] (aggregate and gossip,
+//! undelayed) or [`UnicastOp`].
 //!
-//! [`SessionConfig`]: lcs_core::session::SessionConfig
+//! [`SessionConfig::sim`]: lcs_core::session::SessionConfig::sim
 
 use crate::dist::SessionTables;
 use crate::{AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome, Wave};
@@ -163,9 +163,9 @@ fn aggregate_on(
         op,
         leaders,
     };
-    let (knobs, participation) = ((&config.aggregate, config.sim), &tables.participation);
+    let (undelayed, participation) = ((0, config.sim), &tables.participation);
     let shape = (Wave::Echo, None);
-    let out = op.run_masked(g, partition, knobs, participation, &mut forest, shape);
+    let out = op.run_masked(g, partition, undelayed, participation, &mut forest, shape);
     session.op_artifact_swap(SessionTables {
         participation: participation.clone(),
         forest,

@@ -116,9 +116,9 @@ pub struct UnicastOp<'a> {
 }
 
 impl UnicastOp<'_> {
-    /// Routes over an explicit tree (the non-session path). `sim` is the
-    /// [`SessionConfig`](lcs_core::session::SessionConfig) block a session
-    /// would pass; the simulator mode is forced to queued.
+    /// Routes over an explicit tree (the non-session path). `sim` is a
+    /// session's [`SessionConfig::sim`](lcs_core::session::SessionConfig::sim),
+    /// with the mode forced to queued.
     ///
     /// # Panics
     ///

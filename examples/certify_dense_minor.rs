@@ -19,7 +19,7 @@ fn main() {
     let k = session.partition().num_parts();
 
     let tree = session.tree().clone();
-    let config = session.config().shortcut;
+    let config = ShortcutConfig::default();
     let all: Vec<PartId> = session.partition().part_ids().collect();
     for delta_hat in [1u32, 2] {
         let (g, partition) = (session.graph(), session.partition());

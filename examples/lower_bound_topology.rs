@@ -27,7 +27,7 @@ fn main() {
         let n = lb.graph.num_nodes() as f64;
         // Theorem 1.2: congestion O(δD log n) — one sweep's bound, at most
         // log₂ n sweeps — plus dilation O(δD).
-        let bound = session.config().shortcut.envelope(delta_hat, d, 1);
+        let bound = ShortcutConfig::default().envelope(delta_hat, d, 1);
         let upper = f64::from(bound.congestion) * n.log2() + f64::from(bound.dilation);
         println!(
             "{:>4} {:>5} {:>7} {:>7} {:>10} {:>12.1} {:>12.0}",

@@ -45,12 +45,15 @@ fn main() {
     );
 
     // The strawmen are shortcuts no backend builds: the same algorithm,
-    // called directly with the session's tree and configuration, asking for
+    // called directly with the session's tree and simulator, asking for
     // the `D+sqrt(n)` baseline or for no shortcut at all (a construction
     // over no part: empty, free, at δ̂ = 1).
-    let (tree, config) = (session.tree().clone(), session.config());
-    let none =
-        |p: &Partition, _: &[PartId]| construct(&g, &tree, p, &[], 1, &config.shortcut, None);
+    let (tree, sim, cfg) = (
+        session.tree().clone(),
+        session.config().sim,
+        ShortcutConfig::default(),
+    );
+    let none = |p: &Partition, _: &[PartId]| construct(&g, &tree, p, &[], 1, &cfg, None);
     let base = |p: &Partition, _: &[PartId]| {
         let shortcut = baseline::general_graph_shortcut(&g, &tree, p);
         Ok(FullShortcutResult {
@@ -61,11 +64,11 @@ fn main() {
     let strawmen = [
         (
             "baseline D+sqrt(n)",
-            distributed_mst(&g, &weights, &tree, base, config),
+            distributed_mst(&g, &weights, &tree, base, sim),
         ),
         (
             "no shortcuts",
-            distributed_mst(&g, &weights, &tree, none, config),
+            distributed_mst(&g, &weights, &tree, none, sim),
         ),
     ];
     for (name, report) in strawmen {

@@ -37,7 +37,7 @@ fn main() {
         q.max_congestion, q.max_dilation_upper, q.max_blocks
     );
     // Theorem 1.2's envelope, per successful sweep ("round") of the search.
-    let bound = session.config().shortcut.envelope(delta_hat, d, 1);
+    let bound = ShortcutConfig::default().envelope(delta_hat, d, 1);
     println!(
         "bounds:    congestion <= {:>3}·rounds   dilation <= {:>4}   blocks <= {}",
         bound.congestion, bound.dilation, bound.blocks

@@ -3,12 +3,14 @@
 //! aggregation inside the part alone needs Θ(n) rounds; with a shortcut
 //! through the hub it needs O(1)·D.
 //!
-//! Both sides run through `ShortcutSession`s over the same topology: one
-//! builds the real shortcut, the other is seeded with the empty shortcut
-//! (the strawman) via the builder's `.shortcut(..)` hook.
+//! Both sides run the same echo over the same topology: a
+//! `ShortcutSession` builds the real shortcut, and the strawman is the
+//! explicit-artifact call `AggregateOp::run_on` over the empty shortcut.
 //!
 //! Run with: `cargo run --release --example wheel_aggregation`
 
+use low_congestion_shortcuts::congest::SimConfig;
+use low_congestion_shortcuts::facade::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 
 fn main() {
@@ -26,22 +28,24 @@ fn main() {
             .partition(vec![rim.clone()])
             .build()
             .expect("partition is valid");
-        let mut without = Session::on(&g)
-            .partition(vec![rim])
-            .shortcut(Shortcut::empty(1))
-            .build()
-            .expect("partition is valid");
+        let rim = Partition::from_parts(&g, vec![rim]).expect("partition is valid");
 
         let fast = with.aggregate(&values, AggOp::Max);
-        let slow = without.aggregate(&values, AggOp::Max);
+        // The same cold echo from the rim's minimum member, over no shortcut.
+        let max = AggregateOp {
+            values: &values,
+            op: AggOp::Max,
+            leaders: None,
+        };
+        let slow = max.run_on(&g, &rim, &Shortcut::empty(1), 0, SimConfig::default());
         assert_eq!(fast.result.results[0], Some(n as u64 - 1));
-        assert_eq!(slow.result.results[0], Some(n as u64 - 1));
+        assert_eq!(slow.results[0], Some(n as u64 - 1));
         println!(
             "{:>6} {:>16} {:>18} {:>7.1}x",
             n,
-            slow.rounds,
+            slow.metrics.rounds,
             fast.rounds,
-            slow.rounds as f64 / fast.rounds as f64
+            slow.metrics.rounds as f64 / fast.rounds as f64
         );
     }
 }

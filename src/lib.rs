@@ -76,31 +76,34 @@ pub use lcs_separator as separator;
 ///
 /// | Explicit-artifact call | Session method |
 /// |---|---|
-/// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, &config.aggregate, config.sim)` | `session.aggregate(values, op)` |
+/// | `AggregateOp { values, op, leaders: None }.run_on(g, parts, shortcut, 0, config.sim)` | `session.aggregate(values, op)` |
 /// | `AggregateOp { leaders: Some(leaders), .. }.run_on(..)` | `session.try_aggregate_with_leaders(values, op, leaders)` |
 /// | `AggregateOp { values, op: op.into(), leaders: None }.run_on(..)` | `session.gossip(values, op)` |
 /// | `UnicastOp { demands }.run_on(g, tree, config.sim)` | `session.unicast(demands)` |
-/// | `distributed_mst(g, weights, &tree, fresh, &config)` | `session.mst(weights)` |
-/// | `distributed_components(g, &tree, fresh, &config)` | `session.try_components()` |
-/// | `approx_mincut_distributed(g, &tree, fresh, &config)` | `session.mincut()` |
-/// | `full_shortcut(g, tree, parts, &config.shortcut)` | `session.try_full_artifact()` |
-/// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &config.shortcut, Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.try_full_artifact()`; both costs in `session.construction_stats()` |
+/// | `distributed_mst(g, weights, &tree, fresh, config.sim)` | `session.mst(weights)` |
+/// | `distributed_components(g, &tree, fresh, config.sim)` | `session.try_components()` |
+/// | `approx_mincut_distributed(g, &tree, fresh, config.sim)` | `session.mincut()` |
+/// | `full_shortcut(g, tree, parts, &ShortcutConfig::default())` | `session.try_full_artifact()` |
+/// | `distributed_bfs(g, root, dist.sim)`, then `construct(g, &tree, parts, &all_parts, δ̂₀, &ShortcutConfig::default(), Some(&dist))` | `Backend::Distributed` / `Backend::Sketch` + `session.try_full_artifact()`; both costs in `session.construction_stats()` |
 /// | `bfs::bfs_tree(g, root)` | `session.tree()` on `Backend::Centralized` |
 /// | `measure_quality(g, parts, tree, shortcut)` | `session.quality()` |
 ///
-/// `config` is a [`SessionConfig`](lcs_core::session::SessionConfig) on
-/// both sides — the only place an op knob is declared; the explicit calls
-/// read the same blocks a session passes. A session runs its aggregates
+/// `config` is the session's [`SessionConfig`](lcs_core::session::SessionConfig):
+/// a session passes its `sim` and nothing else of it. Ops have no knobs; a
+/// session constructs with the paper's constants
+/// ([`ShortcutConfig::default`](lcs_core::ShortcutConfig::default)) and
+/// aggregates undelayed (`0`), and the explicit calls are where a caller
+/// sweeps either (E11b the congestion factor, E5c the start delays). A session runs its aggregates
 /// and its gossip (the `AggregateOp` of the same min / max) over its cached
 /// aggregation forest, so the gossip is warm after any aggregate. There is
 /// one part-wise protocol and no leaderless one: every part runs from the
 /// caller's leader, its cached root, or its minimum member, picked on the
 /// host at zero charge. `fresh(partition, parts)` returns each Boruvka
 /// phase's shortcut: a session passes
-/// `construct(g, &tree, partition, parts, 1, &config.shortcut, backend.dist_config().as_ref())`,
+/// `construct(g, &tree, partition, parts, 1, &ShortcutConfig::default(), backend.dist_config().as_ref())`,
 /// and `tree` is the session's own (`session.tree()`). One Theorem 3.1 sweep at a fixed `δ̂` is no
 /// session artifact:
-/// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), &active, δ̂, &config.shortcut, dist)`
+/// `partial_shortcut_or_witness(session.graph(), &tree, session.partition(), &active, δ̂, &ShortcutConfig::default(), dist)`
 /// over a clone of `session.tree()` is the call — `dist = None` for the
 /// threshold rule, `Some(&dist)` for the simulated detection; it returns
 /// the [`Sweep`](lcs_core::Sweep) and the detection run's metrics.
@@ -155,9 +158,8 @@ pub use lcs_separator as separator;
 pub mod facade {
     pub use lcs_algos::session_ops::SessionAlgoOps;
     pub use lcs_core::session::{
-        AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact,
-        GraphHandle, OpReport, Session, SessionBuilder, SessionConfig, SessionError,
-        ShortcutSession, TreeSource,
+        ArtifactStats, Backend, CacheStats, ConstructionStats, FullArtifact, GraphHandle, OpReport,
+        Session, SessionBuilder, SessionConfig, SessionError, ShortcutSession, TreeSource,
     };
     pub use lcs_core::PartitionSource;
     pub use lcs_partwise::{AggregateOp, SessionPartwiseOps, UnicastOp};

@@ -5,9 +5,9 @@
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::distributed_mst;
 use low_congestion_shortcuts::congest::protocols::AggOp;
+use low_congestion_shortcuts::congest::SimConfig;
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
 use low_congestion_shortcuts::core::{construct, Sweep};
-use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -20,15 +20,15 @@ fn partwise_runs_are_replayable() {
     let tree = bfs::bfs_tree(&g, NodeId(0));
     let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
     let values: Vec<u64> = (0..64).collect();
-    let opts = AggregateOpts { delay_range: 16 };
+    let delay_range = 16;
     let sim = SessionConfig::default().sim;
     let op = AggregateOp {
         values: &values,
         op: AggOp::Sum,
         leaders: None,
     };
-    let a = op.run_on(&g, &partition, &built.shortcut, &opts, sim);
-    let b = op.run_on(&g, &partition, &built.shortcut, &opts, sim);
+    let a = op.run_on(&g, &partition, &built.shortcut, delay_range, sim);
+    let b = op.run_on(&g, &partition, &built.shortcut, delay_range, sim);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.results, b.results);
 }
@@ -38,12 +38,14 @@ fn mst_runs_are_replayable() {
     let g = gen::torus(6, 6);
     let mut rng = SmallRng::seed_from_u64(9);
     let w = EdgeWeights::random_unique(&g, &mut rng);
-    let config = SessionConfig::default();
-    let tree = bfs::bfs_tree(&g, NodeId(0));
-    let sweep =
-        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &config.shortcut, None);
-    let a = distributed_mst(&g, &w, &tree, sweep, &config);
-    let b = distributed_mst(&g, &w, &tree, sweep, &config);
+    let (tree, cfg, sim) = (
+        bfs::bfs_tree(&g, NodeId(0)),
+        ShortcutConfig::default(),
+        SimConfig::default(),
+    );
+    let sweep = |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &cfg, None);
+    let a = distributed_mst(&g, &w, &tree, sweep, sim);
+    let b = distributed_mst(&g, &w, &tree, sweep, sim);
     assert_eq!(a.edges, b.edges);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.messages, b.messages);

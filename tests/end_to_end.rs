@@ -5,6 +5,7 @@
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
 use low_congestion_shortcuts::congest::protocols::AggOp;
+use low_congestion_shortcuts::congest::SimConfig;
 use low_congestion_shortcuts::core::dist::{distributed_bfs, DistConfig};
 use low_congestion_shortcuts::core::{baseline, construct, FullShortcutResult, Sweep};
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
@@ -21,14 +22,12 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
     let d = tree.depth_of_tree();
 
     // 1. Full shortcut respects every Theorem 1.2 bound.
-    let config = SessionConfig::default();
-    let built = full_shortcut(g, &tree, &partition, &config.shortcut);
+    let config = ShortcutConfig::default();
+    let built = full_shortcut(g, &tree, &partition, &config);
     let q = measure_quality(g, &partition, &tree, &built.shortcut);
     assert!(q.tree_restricted);
     assert!(q.all_connected());
-    let bound = config
-        .shortcut
-        .envelope(built.delta_hat, d, built.successful_rounds);
+    let bound = config.envelope(built.delta_hat, d, built.successful_rounds);
     assert!(q.max_blocks <= bound.blocks);
     assert!(q.max_congestion <= bound.congestion);
     assert!(q.max_dilation_upper <= bound.dilation);
@@ -51,13 +50,7 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
             op,
             leaders: None,
         }
-        .run_on(
-            g,
-            &partition,
-            &built.shortcut,
-            &config.aggregate,
-            config.sim,
-        );
+        .run_on(g, &partition, &built.shortcut, 0, SimConfig::default());
         assert!(
             out.all_members_informed,
             "all members must learn the result"
@@ -107,7 +100,6 @@ fn pipeline_on_lower_bound_topology() {
 /// sweep must be the centralized one — the same cut edges, `B`-degrees,
 /// served parts, shortcut, case, and Case (II) witness.
 fn assert_distributed_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, label: &str) {
-    use low_congestion_shortcuts::congest::SimConfig;
     let partition = Partition::from_parts(g, parts).unwrap();
     let cfg = ShortcutConfig::default();
     let dist_cfg = DistConfig {
@@ -198,8 +190,7 @@ fn mst_exact_across_providers_and_families() {
         let mut rng = SmallRng::seed_from_u64(100 + i as u64);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
-        let (tree, config) = (bfs::bfs_tree(g, NodeId(0)), SessionConfig::default());
-        let cfg = &config.shortcut;
+        let (tree, cfg) = (bfs::bfs_tree(g, NodeId(0)), &ShortcutConfig::default());
         let sweep = |p: &Partition, parts: &[PartId]| construct(g, &tree, p, parts, 1, cfg, None);
         let none = |p: &Partition, _: &[PartId]| construct(g, &tree, p, &[], 1, cfg, None);
         let base = |p: &Partition, _: &[PartId]| {
@@ -210,9 +201,9 @@ fn mst_exact_across_providers_and_families() {
             })
         };
         for rep in [
-            distributed_mst(g, &w, &tree, sweep, &config),
-            distributed_mst(g, &w, &tree, base, &config),
-            distributed_mst(g, &w, &tree, none, &config),
+            distributed_mst(g, &w, &tree, sweep, SimConfig::default()),
+            distributed_mst(g, &w, &tree, base, SimConfig::default()),
+            distributed_mst(g, &w, &tree, none, SimConfig::default()),
         ] {
             assert_eq!(rep.edges, reference, "family {i} provider mismatch");
         }

@@ -23,7 +23,6 @@ use low_congestion_shortcuts::congest::{
 };
 use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, Sweep};
-use low_congestion_shortcuts::facade::AggregateOpts;
 use low_congestion_shortcuts::partwise::{
     centralized_aggregate, AggForest, AggregateOp, IdempotentOp, ParticipationMap, Wave,
 };
@@ -205,7 +204,6 @@ fn partwise_aggregates_are_packing_invariant() {
             let expect: Vec<Option<u64>> = expect.into_iter().map(Some).collect();
             for threads in THREADS {
                 for delay_range in [0, 8] {
-                    let opts = AggregateOpts { delay_range };
                     let mut previous: Option<[u64; 2]> = None;
                     for packing in PACKING_LEVELS {
                         let n = g.num_nodes();
@@ -217,7 +215,7 @@ fn partwise_aggregates_are_packing_invariant() {
                             let out = aggregate.run_masked(
                                 &g,
                                 &partition,
-                                (&opts, sim),
+                                (delay_range, sim),
                                 &map,
                                 &mut forest,
                                 (Wave::Echo, None),
@@ -261,14 +259,14 @@ fn wave_shapes_are_packing_invariant() {
         let map = ParticipationMap::build(&g, &partition, &built.shortcut);
         let n = g.num_nodes() as u64;
         let values: Vec<u64> = (0..n).map(|x| x * 37 % n).collect();
-        let opts = AggregateOpts { delay_range: 8 };
+        let delay_range = 8;
         let mut rooted = AggForest::unrooted(&partition, &map);
         let sum = AggregateOp {
             values: &values,
             op: AggOp::Sum,
             leaders: None,
         };
-        let knobs = (&opts, SimConfig::default());
+        let knobs = (delay_range, SimConfig::default());
         sum.run_masked(&g, &partition, knobs, &map, &mut rooted, (Wave::Echo, None));
         let last: Vec<NodeId> = partition.iter().map(|(_, m)| *m.last().unwrap()).collect();
         let mut sits_out = vec![false; partition.num_parts()];
@@ -294,7 +292,7 @@ fn wave_shapes_are_packing_invariant() {
                 let mut prev = None;
                 for packing in PACKING_LEVELS {
                     let label = format!("{op:?}/{:?}/n{n}/t{threads}/p{packing}", shape.0);
-                    let blocks = (&opts, sim(SimMode::Queued, threads, packing));
+                    let blocks = (delay_range, sim(SimMode::Queued, threads, packing));
                     let mut forest = rooted.clone();
                     let out =
                         aggregate.run_masked(&g, &partition, blocks, &map, &mut forest, shape);

@@ -2,6 +2,7 @@
 //! numbered as in the text, checked on concrete instances.
 
 use low_congestion_shortcuts::congest::protocols::AggOp;
+use low_congestion_shortcuts::congest::SimConfig;
 use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
@@ -153,8 +154,7 @@ fn section_2_aggregation_within_quality_budget() {
     let g = gen::grid(12, 12);
     let partition = Partition::from_parts(&g, gen::rows_of_grid(12, 12)).unwrap();
     let tree = bfs::bfs_tree(&g, NodeId(0));
-    let config = SessionConfig::default();
-    let built = full_shortcut(&g, &tree, &partition, &config.shortcut);
+    let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
     let q = measure_quality(&g, &partition, &tree, &built.shortcut);
     let values = vec![1u64; g.num_nodes()];
     let out = AggregateOp {
@@ -162,13 +162,7 @@ fn section_2_aggregation_within_quality_budget() {
         op: AggOp::Sum,
         leaders: None,
     }
-    .run_on(
-        &g,
-        &partition,
-        &built.shortcut,
-        &config.aggregate,
-        config.sim,
-    );
+    .run_on(&g, &partition, &built.shortcut, 0, SimConfig::default());
     assert!(out.all_members_informed);
     let budget = f64::from(q.max_congestion)
         + f64::from(q.max_dilation_upper) * (g.num_nodes() as f64).log2();

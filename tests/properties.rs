@@ -3,6 +3,7 @@
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::{distributed_mst, kruskal};
 use low_congestion_shortcuts::congest::protocols::AggOp;
+use low_congestion_shortcuts::congest::SimConfig;
 use low_congestion_shortcuts::core::construct;
 use low_congestion_shortcuts::core::dist::KmvSketch;
 use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
@@ -64,11 +65,10 @@ proptest! {
     fn aggregation_matches_reference((g, parts) in arb_instance(), op_idx in 0usize..3) {
         let partition = Partition::from_parts(&g, parts).unwrap();
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let config = SessionConfig::default();
-        let built = full_shortcut(&g, &tree, &partition, &config.shortcut);
+        let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let op = [AggOp::Min, AggOp::Max, AggOp::Sum][op_idx];
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x.wrapping_mul(2654435761) % 10_000).collect();
-        let out = AggregateOp { values: &values, op, leaders: None }.run_on(&g, &partition, &built.shortcut, &config.aggregate, config.sim);
+        let out = AggregateOp { values: &values, op, leaders: None }.run_on(&g, &partition, &built.shortcut, 0, SimConfig::default());
         prop_assert!(out.all_members_informed);
         let expect = centralized_aggregate(&partition, &values, op);
         for (i, r) in out.results.iter().enumerate() {
@@ -83,10 +83,9 @@ proptest! {
         let w = EdgeWeights::random_unique(&g, &mut rng);
         let reference = kruskal(&g, &w);
         let tree = bfs::bfs_tree(&g, NodeId(0));
-        let config = SessionConfig::default();
-        let cfg = &config.shortcut;
+        let cfg = &ShortcutConfig::default();
         let sweep = |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, cfg, None);
-        let rep = distributed_mst(&g, &w, &tree, sweep, &config);
+        let rep = distributed_mst(&g, &w, &tree, sweep, SimConfig::default());
         prop_assert_eq!(rep.edges, reference);
     }
 
@@ -105,7 +104,9 @@ proptest! {
         prop_assert!(g.density() <= exact + 1e-9);
     }
 
-    /// KMV sketches: exact below capacity, merge = union semantics.
+    /// KMV sketches: exact below capacity, and inserting one half-stream's
+    /// retained values into the other's sketch (what the detection does
+    /// with a child's report) gives the whole stream's sketch.
     #[test]
     fn kmv_sketch_properties(vals in prop::collection::vec(0u32..5000, 0..200), t in 1usize..64) {
         let mut whole = KmvSketch::new(t);
@@ -117,7 +118,7 @@ proptest! {
         if distinct.len() < t {
             prop_assert_eq!(whole.estimate() as usize, distinct.len());
         }
-        // Splitting the stream and merging gives the same sketch.
+        // Splitting the stream and combining gives the same sketch.
         let (a_half, b_half) = vals.split_at(vals.len() / 2);
         let mut a = KmvSketch::new(t);
         for &v in a_half {
@@ -127,7 +128,9 @@ proptest! {
         for &v in b_half {
             b.insert(hash(v));
         }
-        a.merge(&b);
+        for &v in b.values() {
+            a.insert(v);
+        }
         prop_assert_eq!(a.values(), whole.values());
     }
 

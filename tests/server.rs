@@ -771,17 +771,10 @@ fn config_keys_the_server_does_not_have_are_refused() {
         ("sim", "sed", "config.sim.sed"),
         ("sim", "bandwidth_bits", "config.sim.bandwidth_bits"),
         ("", "mst", "config.mst"),
-        ("aggregate", "seed", "config.aggregate.seed"),
+        ("", "aggregate", "config.aggregate"),
         ("", "mincut", "config.mincut"),
         ("", "unicast", "config.unicast"),
-        (
-            "shortcut",
-            "initial_delta_hat",
-            "config.shortcut.initial_delta_hat",
-        ),
-        ("shortcut", "block_factor", "config.shortcut.block_factor"),
-        ("shortcut", "seed", "config.shortcut.seed"),
-        ("shortcut", "witness_mode", "config.shortcut.witness_mode"),
+        ("", "shortcut", "config.shortcut"),
     ] {
         refused("config", config.clone(), block, key, path);
     }

@@ -266,10 +266,13 @@ fn every_setter_order_builds_the_same_session() {
     let g = gen::grid(4, 4);
     let graph = GraphSource::Generator(GeneratorSpec::Grid { rows: 4, cols: 4 });
     let rows = PartitionSource::Rows { rows: 4, cols: 4 };
-    let config = SessionConfig {
-        aggregate: AggregateOpts { delay_range: 3 },
-        ..fast_config()
-    };
+    // A config no other setter could produce: its round cap is marked.
+    fn marked() -> SessionConfig {
+        let mut config = fast_config();
+        config.sim.max_rounds = 999_999;
+        config
+    }
+    let config = marked();
     type Setter = fn(SessionBuilder<'_>) -> SessionBuilder<'_>;
     let setters: [(&str, Setter); 5] = [
         ("partition_source", |b| {
@@ -281,12 +284,7 @@ fn every_setter_order_builds_the_same_session() {
                 cols: 4,
             }))
         }),
-        ("config", |b| {
-            b.config(SessionConfig {
-                aggregate: AggregateOpts { delay_range: 3 },
-                ..fast_config()
-            })
-        }),
+        ("config", |b| b.config(marked())),
         ("backend", |b| {
             b.backend(Backend::Distributed(SimConfig::default()))
         }),
@@ -954,11 +952,11 @@ fn session_mst_constructs_on_its_backend() {
             .build()
             .unwrap();
         let served = session.mst(&w).result;
-        let config = session.config();
+        let cfg = ShortcutConfig::default();
         let fresh = |p: &Partition, parts: &[PartId]| {
-            construct(&g, &tree, p, parts, 1, &config.shortcut, dist.as_ref())
+            construct(&g, &tree, p, parts, 1, &cfg, dist.as_ref())
         };
-        let direct = distributed_mst(&g, &w, &tree, fresh, config);
+        let direct = distributed_mst(&g, &w, &tree, fresh, session.config().sim);
         let counts = |r: &MstReport| {
             (
                 r.edges.clone(),
@@ -993,32 +991,6 @@ fn unicast_uses_the_tree_without_constructing_shortcuts() {
     );
 }
 
-/// A provided shortcut (e.g. deserialized from a prior run) is served
-/// as-is — the production serving path.
-#[test]
-fn deserialized_shortcut_serves_a_fresh_session() {
-    let g = gen::grid(6, 6);
-    let parts = gen::rows_of_grid(6, 6);
-    let mut builder_session = Session::on(&g).partition(parts.clone()).build().unwrap();
-    let json =
-        serde_json::to_string(&builder_session.try_full_artifact().unwrap().shortcut).unwrap();
-
-    let restored: Shortcut = serde_json::from_str(&json).unwrap();
-    let mut serving = Session::on(&g)
-        .partition(parts)
-        .shortcut(restored)
-        .build()
-        .unwrap();
-    let values = vec![1u64; 36];
-    let out = serving.aggregate(&values, AggOp::Sum);
-    assert_eq!(out.result.results, vec![Some(6); 6]);
-    assert_eq!(
-        serving.cache_stats().full.builds,
-        0,
-        "served from the provided artifact"
-    );
-}
-
 fn roundtrip<T>(value: &T) -> T
 where
     T: serde::Serialize + serde::de::DeserializeOwned,
@@ -1030,10 +1002,8 @@ where
 #[test]
 fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     let mut cfg = SessionConfig::default();
-    cfg.shortcut.congestion_factor = 4;
     cfg.sim.mode = SimMode::Queued;
     cfg.sim.threads = 4;
-    cfg.aggregate.delay_range = 9;
     cfg.sim.max_rounds = 12;
     assert_eq!(roundtrip(&cfg), cfg);
 
@@ -1049,7 +1019,8 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     // settings were cut to the congestion factor, and one from before the
     // MST block and the bandwidth setting went. Each of them spells out
     // `"threads":1`, the default lane count when it was written, and keeps
-    // it.
+    // it. One from before the construction and aggregation blocks left the
+    // session loads to today's defaults.
     let then = SessionConfig {
         sim: SimConfig {
             threads: 1,
@@ -1069,11 +1040,20 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
         let loaded: SessionConfig = serde_json::from_str(old).expect("old schema still loads");
         assert_eq!(loaded, then);
     }
+    let loaded: SessionConfig =
+        serde_json::from_str(SNAPSHOT_WITH_SESSION_KNOBS).expect("old schema still loads");
+    assert_eq!(loaded, SessionConfig::default());
 }
 
 /// The serialized `SessionConfig::default()` — the on-disk schema a
 /// serving deployment would persist.
-const SNAPSHOT: &str = "{\"shortcut\":{\"congestion_factor\":8},\
+const SNAPSHOT: &str = "{\"sim\":{\"mode\":\"Strict\",\"max_rounds\":1000000,\
+\"threads\":0,\"message_packing\":1},\
+\"partition_source\":null,\"graph_source\":null}";
+
+/// The default schema as persisted before the construction constant and
+/// the aggregation start delays left the session.
+const SNAPSHOT_WITH_SESSION_KNOBS: &str = "{\"shortcut\":{\"congestion_factor\":8},\
 \"sim\":{\"mode\":\"Strict\",\"max_rounds\":1000000,\
 \"threads\":0,\"message_packing\":1},\
 \"aggregate\":{\"delay_range\":0},\

@@ -442,7 +442,7 @@ const PARTWISE_PINNED: &[(&str, [u64; 4], [u64; 4])] = &[
 /// graph with voronoi parts, grid rows and the wheel rim. Fingerprints are
 /// the protocol results.
 fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
-    use low_congestion_shortcuts::facade::{AggregateOp, AggregateOpts, UnicastOp};
+    use low_congestion_shortcuts::facade::{AggregateOp, UnicastOp};
     use low_congestion_shortcuts::partwise::{AggForest, ParticipationMap, Wave};
     use rand::Rng;
 
@@ -472,8 +472,7 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             leaders: None,
         };
         for (case, delay_range) in [("aggregate_sum", 0), ("aggregate_sum_delayed", 16)] {
-            let opts = AggregateOpts { delay_range };
-            let out = aggregate.run_on(&g, &partition, &shortcut, &opts, sim);
+            let out = aggregate.run_on(&g, &partition, &shortcut, delay_range, sim);
             assert!(out.all_members_informed, "{name}/{case}");
             rows.push(row(
                 &format!("{name}/{case}"),
@@ -482,12 +481,11 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
             ));
         }
         // The second of two runs over one forest: `Up`/`Down` only.
-        let opts = AggregateOpts::default();
         let map = ParticipationMap::build(&g, &partition, &shortcut);
         let mut forest = AggForest::unrooted(&partition, &map);
         let echo = (Wave::Echo, None);
-        aggregate.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, echo);
-        let out = aggregate.run_masked(&g, &partition, (&opts, sim), &map, &mut forest, echo);
+        aggregate.run_masked(&g, &partition, (0, sim), &map, &mut forest, echo);
+        let out = aggregate.run_masked(&g, &partition, (0, sim), &map, &mut forest, echo);
         assert!(
             out.all_members_informed && out.rooted_parts == partition.num_parts(),
             "{name}/aggregate_sum_warm"
@@ -528,7 +526,7 @@ fn partwise_corpus(threads: usize, packing: usize) -> Vec<Row> {
         op: AggOp::Sum,
         leaders: Some(&[NodeId(0)]),
     };
-    let (blocks, shape) = ((&AggregateOpts::default(), sim), (Wave::Convergecast, None));
+    let (blocks, shape) = ((0, sim), (Wave::Convergecast, None));
     let out = sum.run_masked(&road, &whole, blocks, &map, &mut forest, shape);
     assert!(out.all_members_informed, "road48_bfs_tree/convergecast_sum");
     rows.push(row(
@@ -596,12 +594,11 @@ fn boruvka_row(threads: usize, packing: usize) -> Row {
 
     let g = gen::road_like(24, 24, 7);
     let w = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(7));
-    let mut config = SessionConfig::default();
-    (config.sim.threads, config.sim.message_packing) = (threads, packing);
-    let tree = bfs::bfs_tree(&g, NodeId(0));
-    let sweep =
-        |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &config.shortcut, None);
-    let mst = distributed_mst(&g, &w, &tree, sweep, &config);
+    let mut sim = SimConfig::default();
+    (sim.threads, sim.message_packing) = (threads, packing);
+    let (tree, cfg) = (bfs::bfs_tree(&g, NodeId(0)), ShortcutConfig::default());
+    let sweep = |p: &Partition, parts: &[PartId]| construct(&g, &tree, p, parts, 1, &cfg, None);
+    let mst = distributed_mst(&g, &w, &tree, sweep, sim);
     assert!(!mst.truncated && mst.edges == kruskal(&g, &w), "road24/mst");
     Row {
         case: "road24/mst".to_string(),
