@@ -35,7 +35,7 @@ mod strict;
 pub(crate) use queued::CalendarDelivery;
 pub(crate) use strict::StrictDelivery;
 
-use super::topology::Topology;
+use super::topology::{To, Topology};
 use crate::MessageSize;
 
 /// Per-shard, per-round delivery accounting, folded into [`RunMetrics`] by
@@ -64,16 +64,18 @@ pub(crate) struct ShardAccount {
 
 /// One receiver shard's delivery partition: accepts validated sends
 /// addressed to this shard's dirs, schedules them, and stages each round's
-/// deliveries.
+/// deliveries. Its per-dir state is indexed by the receiving port's CSR
+/// slot ([`Topology::slot`]) within the shard's own range
+/// ([`Topology::shard_dirs`]).
 pub(crate) trait Delivery<M: MessageSize> {
-    /// Accepts one message on directed edge `dir` (which must belong to
-    /// this partition's shard).
+    /// Accepts one message arriving at `to`, a `(node, port)` of this
+    /// partition's shard.
     ///
     /// `seq` is the run-global send sequence number (monotonic in global
     /// push order); `round` is the round the sender executed in (0 during
     /// `on_start`). Backends may panic on protocol violations (e.g. a
     /// strict-mode double send).
-    fn push(&mut self, dir: u32, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology<'_>);
+    fn push(&mut self, to: To, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology<'_>);
 
     /// Number of accepted messages not yet staged.
     fn pending(&self) -> usize;
@@ -82,7 +84,7 @@ pub(crate) trait Delivery<M: MessageSize> {
     /// thread, before a worker thread runs the partition.
     fn prime(&mut self);
 
-    /// Moves every message due in `round` into `out` as `(dir, msg)` pairs
+    /// Moves every message due in `round` into `out` as `(to, msg)` pairs
     /// and accounts the deliveries (`messages`, `max_queue`, `pending`)
     /// into `acc`. `out` is this shard's inbound buffer; it is empty on
     /// entry.
@@ -90,7 +92,7 @@ pub(crate) trait Delivery<M: MessageSize> {
         &mut self,
         round: u64,
         topo: &Topology<'_>,
-        out: &mut Vec<(u32, M)>,
+        out: &mut Vec<(To, M)>,
         acc: &mut ShardAccount,
     );
 }

@@ -3,13 +3,14 @@
 //!
 //! Queued mode delivers, per round, the `(priority, seq)`-minimum pending
 //! message of every non-empty directed edge, off a calendar. Its memory is
-//! 16 B per local directed edge plus its in-flight traffic, held in two
+//! 16 B per directed edge it receives plus its in-flight traffic, held in two
 //! pooled arenas that grow to the run's peak and are reused through free
 //! lists, so a run allocates a constant number of buffers:
 //!
 //! - **Per-dir lists** hold each directed edge's pending messages sorted
 //!   ascending by `(priority, seq)`: singly linked through the *entry
-//!   arena*, with a `head` and `tail` index per partition-local dir. The
+//!   arena*, with a `head` and `tail` index per partition dir (indexed by
+//!   the receiving port's slot, [`Topology::slot`]). The
 //!   head entry also carries the dir's queue length. The dominant
 //!   workloads (detection convergecasts, the part-wise echo) send
 //!   everything at one priority, so inserts append at the tail and pops
@@ -53,9 +54,10 @@
 //! occupy consecutive rounds from the round after its first pending send,
 //! so every non-empty dir fires exactly one token per round.
 
-use super::{Delivery, ShardAccount, Topology};
+use super::{Delivery, ShardAccount, To, Topology};
 use crate::message::Mergeable;
 use crate::MessageSize;
+use std::ops::Range;
 
 /// Calendar width in rounds. Backlogs deeper than this spill to the
 /// overflow ring; 64 covers every corpus workload (detection backlogs track
@@ -86,6 +88,9 @@ impl<M> Entry<M> {
 }
 
 pub(crate) struct CalendarDelivery<M> {
+    /// The partition's first slot: a dir's local index is its receiving
+    /// port's slot minus `base`.
+    base: u32,
     /// Per local dir, its first (minimum) entry; `NIL` when empty.
     head: Vec<u32>,
     /// Per local dir, its last entry; meaningful only while `head` is not
@@ -98,17 +103,17 @@ pub(crate) struct CalendarDelivery<M> {
     entries: Vec<Entry<M>>,
     /// Head of the released entries' list.
     free_entry: u32,
-    /// Per bucket, the `(first, last)` token of the (global) dirs
-    /// delivering in round `r` for `bucket[r % horizon]`; `first == NIL`
-    /// when empty.
+    /// Per bucket, the `(first, last)` token of the dirs delivering in
+    /// round `r` for `bucket[r % horizon]`; `first == NIL` when empty.
     buckets: Vec<(u32, u32)>,
-    /// The token arena: `(dir, next token of the same bucket)`; released
-    /// tokens are chained through `next` from `free_token`.
-    tokens: Vec<(u32, u32)>,
+    /// The token arena: `(where the dir arrives, next token of the same
+    /// bucket)`; released tokens are chained through `next` from
+    /// `free_token`.
+    tokens: Vec<(To, u32)>,
     free_token: u32,
-    /// Tokens scheduled beyond the calendar window: `(round, dir)`, swept
-    /// into the buckets at each calendar wrap.
-    overflow: Vec<(u64, u32)>,
+    /// Tokens scheduled beyond the calendar window: `(round, where the dir
+    /// arrives)`, swept into the buckets at each calendar wrap.
+    overflow: Vec<(u64, To)>,
     horizon: u64,
     /// Messages accepted but not yet delivered.
     pending: usize,
@@ -120,15 +125,18 @@ pub(crate) struct CalendarDelivery<M> {
 }
 
 impl<M> CalendarDelivery<M> {
-    pub fn new(local_dirs: usize, pack: usize, budget: usize) -> Self {
-        Self::with_horizon(local_dirs, HORIZON, pack, budget)
+    /// The partition of the receiving ports whose slots are `dirs`.
+    pub fn new(dirs: Range<u32>, pack: usize, budget: usize) -> Self {
+        Self::with_horizon(dirs, HORIZON, pack, budget)
     }
 
     /// Test hook: a custom (small) horizon exercises the overflow ring
     /// without thousand-message backlogs.
-    pub fn with_horizon(local_dirs: usize, horizon: u64, pack: usize, budget: usize) -> Self {
+    pub fn with_horizon(dirs: Range<u32>, horizon: u64, pack: usize, budget: usize) -> Self {
         assert!(horizon >= 1);
+        let local_dirs = dirs.len();
         CalendarDelivery {
+            base: dirs.start,
             head: vec![NIL; local_dirs],
             tail: vec![NIL; local_dirs],
             next_slot: vec![0; local_dirs],
@@ -217,9 +225,11 @@ impl<M> CalendarDelivery<M> {
         Some((priority, msg, len as usize))
     }
 
-    /// Appends a token for `dir` to the bucket of round `slot`.
-    fn schedule(&mut self, slot: u64, dir: u32) {
-        let t = pool_insert(&mut self.tokens, &mut self.free_token, (dir, NIL), |t| t.1);
+    /// Appends a token for the dir arriving at `to` to the bucket of
+    /// round `slot`.
+    fn schedule(&mut self, slot: u64, to: To) {
+        let token = (to, NIL);
+        let t = pool_insert(&mut self.tokens, &mut self.free_token, token, |t| t.1);
         let bucket = &mut self.buckets[(slot % self.horizon) as usize];
         match bucket.0 {
             NIL => *bucket = (t, t),
@@ -249,8 +259,8 @@ fn pool_insert<T>(pool: &mut Vec<T>, free: &mut u32, item: T, next_of: impl Fn(&
 }
 
 impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
-    fn push(&mut self, dir: u32, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology) {
-        let local = topo.dir_local(dir);
+    fn push(&mut self, to: To, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology) {
+        let local = (topo.slot(to) - self.base) as usize;
         self.insert(local, priority, seq, msg);
         // Claim the dir's next free delivery round. `round + 1 ..
         // round + horizon` are all in the calendar window at push time (the
@@ -263,9 +273,9 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         let slot = (round + 1).max(self.next_slot[local]);
         self.next_slot[local] = slot + 1;
         if slot < round + self.horizon {
-            self.schedule(slot, dir);
+            self.schedule(slot, to);
         } else {
-            self.overflow.push((slot, dir));
+            self.overflow.push((slot, to));
         }
         self.pending += 1;
     }
@@ -284,7 +294,7 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         &mut self,
         round: u64,
         topo: &Topology,
-        out: &mut Vec<(u32, M)>,
+        out: &mut Vec<(To, M)>,
         acc: &mut ShardAccount,
     ) {
         // Calendar wrap: pull overdue-soon tokens out of the overflow ring.
@@ -293,11 +303,11 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         // and wait for the next wrap.
         if round.is_multiple_of(self.horizon) && !self.overflow.is_empty() {
             let mut overflow = std::mem::take(&mut self.overflow);
-            overflow.retain(|&(slot, dir)| {
+            overflow.retain(|&(slot, to)| {
                 debug_assert!(slot >= round);
                 let due = slot < round + self.horizon;
                 if due {
-                    self.schedule(slot, dir);
+                    self.schedule(slot, to);
                 }
                 !due
             });
@@ -308,11 +318,11 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         let idx = (round % self.horizon) as usize;
         let mut token = std::mem::replace(&mut self.buckets[idx], (NIL, NIL)).0;
         while token != NIL {
-            let (dir, next) = self.tokens[token as usize];
+            let (to, next) = self.tokens[token as usize];
             self.tokens[token as usize].1 = self.free_token;
             self.free_token = token;
             token = next;
-            let local = topo.dir_local(dir);
+            let local = (topo.slot(to) - self.base) as usize;
             let Some((priority, mut msg, qlen)) = self.pop_min(local) else {
                 continue; // stale token: this dir's backlog merged away
             };
@@ -345,7 +355,7 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
                     removed += 1;
                 }
             }
-            out.push((dir, msg));
+            out.push((to, msg));
             acc.messages += 1;
             self.pending -= removed;
         }
@@ -357,6 +367,9 @@ mod tests {
     use super::*;
     use crate::PackedMsg;
     use lcs_graph::gen;
+
+    /// Where node 0's one edge of `gen::path(2)` arrives: node 1, port 0.
+    const TO: To = (1, 0);
 
     /// Raw `u32` payloads are unmergeable (the [`Mergeable`] defaults), so
     /// the scheduling tests below exercise the calendar exactly as a
@@ -384,10 +397,10 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
         // Same priority: seq (send order) breaks the tie.
         for (seq, msg) in [(1, 10), (2, 11), (3, 12), (4, 13)] {
-            cal.push(0, 7, seq, msg, 0, &topo);
+            cal.push(TO, 7, seq, msg, 0, &topo);
         }
         assert_eq!(drain_all(&mut cal, &topo, 0), vec![10, 11, 12, 13]);
     }
@@ -397,10 +410,10 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
-        cal.push(0, 5, 1, 50, 0, &topo);
-        cal.push(0, 5, 2, 51, 0, &topo);
-        cal.push(0, 1, 3, 10, 0, &topo); // lower priority value drains first
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
+        cal.push(TO, 5, 1, 50, 0, &topo);
+        cal.push(TO, 5, 2, 51, 0, &topo);
+        cal.push(TO, 1, 3, 10, 0, &topo); // lower priority value drains first
         assert_eq!(drain_all(&mut cal, &topo, 0), vec![10, 50, 51]);
     }
 
@@ -409,10 +422,10 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
         let sends = [(1, 10), (9, 90), (5, 50), (5, 51), (7, 70), (0, 0), (9, 91)];
         for (seq, &(priority, msg)) in (1..).zip(&sends) {
-            cal.push(0, priority, seq, msg, 0, &topo);
+            cal.push(TO, priority, seq, msg, 0, &topo);
         }
         assert_eq!(
             drain_all(&mut cal, &topo, 0),
@@ -421,7 +434,7 @@ mod tests {
         // Delivered entries are reused: a second burst of the same size
         // leaves the arena as large as the first made it.
         for (seq, &(priority, msg)) in (8..).zip(&sends) {
-            cal.push(0, priority, seq, msg, 20, &topo);
+            cal.push(TO, priority, seq, msg, 20, &topo);
         }
         assert_eq!(
             drain_all(&mut cal, &topo, 20),
@@ -437,9 +450,9 @@ mod tests {
         // Horizon 4, backlog 11: tokens for rounds 1..=11, rounds >= 4
         // overflow and must be swept in across several calendar wraps.
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
         for seq in 1..=11u64 {
-            cal.push(0, 0, seq, seq as u32, 0, &topo);
+            cal.push(TO, 0, seq, seq as u32, 0, &topo);
         }
         assert!(
             !cal.overflow.is_empty(),
@@ -466,16 +479,16 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
         let mut acc = ShardAccount::default();
         let mut out = Vec::new();
-        cal.push(0, 0, 1, 1, 0, &topo);
-        cal.push(0, 0, 2, 2, 0, &topo);
+        cal.push(TO, 0, 1, 1, 0, &topo);
+        cal.push(TO, 0, 2, 2, 0, &topo);
         cal.stage(1, &topo, &mut out, &mut acc);
         assert_eq!(out.drain(..).map(|(_, m)| m).collect::<Vec<_>>(), vec![1]);
         // Sent during round 1 while a token for round 2 is in flight: the
         // new message claims round 3, not a duplicate round-2 token.
-        cal.push(0, 0, 3, 3, 1, &topo);
+        cal.push(TO, 0, 3, 3, 1, &topo);
         cal.stage(2, &topo, &mut out, &mut acc);
         assert_eq!(out.drain(..).map(|(_, m)| m).collect::<Vec<_>>(), vec![2]);
         cal.stage(3, &topo, &mut out, &mut acc);
@@ -489,10 +502,10 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<u32> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 4, 1, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
         let mut acc = ShardAccount::default();
         let mut out = Vec::new();
-        cal.push(0, 0, 1, 1, 0, &topo);
+        cal.push(TO, 0, 1, 1, 0, &topo);
         cal.stage(1, &topo, &mut out, &mut acc);
         out.clear();
         // Quiet rounds pass; a much later send must deliver the round after
@@ -501,7 +514,7 @@ mod tests {
             cal.stage(round, &topo, &mut out, &mut acc);
             assert!(out.is_empty());
         }
-        cal.push(0, 0, 2, 42, 9, &topo);
+        cal.push(TO, 0, 2, 42, 9, &topo);
         cal.stage(10, &topo, &mut out, &mut acc);
         assert_eq!(out.drain(..).map(|(_, m)| m).collect::<Vec<_>>(), vec![42]);
     }
@@ -525,10 +538,10 @@ mod tests {
         let topo = Topology::build(&g, 1);
         // u32 payloads bill 32 bits each; a 70-bit budget fits 2 values.
         let mut cal: CalendarDelivery<PackedMsg<u32>> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 8, 4, 70);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 8, 4, 70);
         let mut acc = ShardAccount::default();
         for seq in 1..=6u64 {
-            cal.push(0, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
+            cal.push(TO, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
         }
         // Budget caps each envelope at 2 values despite pack = 4; FIFO
         // order is preserved across the merged envelopes.
@@ -553,16 +566,16 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<PackedMsg<u32>> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 8, 3, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 8, 3, usize::MAX);
         let mut acc = ShardAccount::default();
         // Four priority-0 values then two priority-1 values: the first
         // envelope takes 3 (the pack cap), the second takes the remaining
         // priority-0 value alone (a priority boundary stops the merge).
         for seq in 1..=4u64 {
-            cal.push(0, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
+            cal.push(TO, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
         }
         for seq in 5..=6u64 {
-            cal.push(0, 1, seq, PackedMsg::One(seq as u32), 0, &topo);
+            cal.push(TO, 1, seq, PackedMsg::One(seq as u32), 0, &topo);
         }
         let r1 = stage_packed(&mut cal, &topo, 1, &mut acc);
         assert_eq!(r1.len(), 1);
@@ -586,17 +599,17 @@ mod tests {
         let g = gen::path(2);
         let topo = Topology::build(&g, 1);
         let mut cal: CalendarDelivery<PackedMsg<u32>> =
-            CalendarDelivery::with_horizon(topo.num_dirs(), 8, 4, usize::MAX);
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 8, 4, usize::MAX);
         let mut acc = ShardAccount::default();
         // Backlog of 4 merges into one envelope in round 1, leaving stale
         // tokens at rounds 2..4. A send during round 1 must not ride a
         // stale token *and* its own token.
         for seq in 1..=4u64 {
-            cal.push(0, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
+            cal.push(TO, 0, seq, PackedMsg::One(seq as u32), 0, &topo);
         }
         let r1 = stage_packed(&mut cal, &topo, 1, &mut acc);
         assert_eq!(r1[0].len(), 4);
-        cal.push(0, 0, 5, PackedMsg::One(5), 1, &topo);
+        cal.push(TO, 0, 5, PackedMsg::One(5), 1, &topo);
         let mut deliveries = 0;
         for round in 2..=8u64 {
             let envs = stage_packed(&mut cal, &topo, round, &mut acc);

@@ -4,10 +4,12 @@
 //!
 //! The engine is split into focused layers (see each module's docs):
 //!
-//! - [`topology`] — the per-run routing tables: directed-edge reverse map
-//!   (`dir = first_out[v] + port` is the message address), the shard
-//!   layout of the node-id space, and the per-shard dir partition
-//!   (`dir_shard` / `dir_local`) the decentralized delivery indexes by.
+//! - [`topology`] — per-run routing without per-edge tables: the shard
+//!   layout of the node-id space, and where a send arrives (the neighbour
+//!   on the sender's port and its port back, a binary search in the
+//!   neighbour's sorted heads; the receiving shard is arithmetic on the
+//!   shard bounds). A shard's delivery partition is indexed by its own
+//!   nodes' CSR slots `first_out[w] + port`.
 //! - [`delivery`] — pluggable delivery backends behind the `Delivery`
 //!   trait, instantiated **once per receiver shard**: strict mode is a
 //!   flat send arena drained in one linear pass; queued mode is a
@@ -52,6 +54,7 @@ use parallel::Exec;
 use serde::{Deserialize, Serialize};
 use shard::Shard;
 use std::sync::OnceLock;
+use std::time::Instant;
 use topology::Topology;
 
 /// How the engine treats sends beyond one message per edge per round.
@@ -182,7 +185,7 @@ pub struct Ctx<'a, M> {
     /// Incident edge ids, parallel to `heads`.
     pub(crate) edges: &'a [EdgeId],
     /// Sends issued by this node: `(port, priority, msg)`; the shard
-    /// rewrites `port` to the global directed-edge id after the callback.
+    /// resolves `port` to where the send arrives after the callback.
     pub(crate) outbox: &'a mut Vec<(u32, u64, M)>,
     pub(crate) wake: &'a mut bool,
 }
@@ -355,6 +358,7 @@ impl<'g> Simulator<'g> {
         P::Msg: Send,
         F: FnMut(NodeId, &Graph) -> P,
     {
+        let begun = Instant::now();
         let g = self.graph;
         let topo = Topology::build(g, self.effective_threads());
         let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
@@ -376,25 +380,25 @@ impl<'g> Simulator<'g> {
         let (metrics, timings, workers) = match self.config.mode {
             SimMode::Strict => parallel::drive_lanes(
                 &self.config,
-                g,
                 &topo,
                 budget,
                 lanes
-                    .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
+                    .map(|s| StrictDelivery::new(topo.shard_dirs(s)))
                     .collect(),
                 shards,
                 exec,
+                begun,
             ),
             SimMode::Queued => parallel::drive_lanes(
                 &self.config,
-                g,
                 &topo,
                 budget,
                 lanes
-                    .map(|s| CalendarDelivery::new(topo.shard_dir_count(s), pack, budget))
+                    .map(|s| CalendarDelivery::new(topo.shard_dirs(s), pack, budget))
                     .collect(),
                 shards,
                 exec,
+                begun,
             ),
         };
         let outcome = RunOutcome {

@@ -2,7 +2,7 @@
 //!
 //! All per-message work happens **inside the lanes**. A *lane* pairs a
 //! [`Shard`] with the delivery partition of the dirs its nodes receive,
-//! and one lane phase is one round of that shard, timed into the three
+//! and one lane phase is one round of that shard, timed into three of the
 //! [`PhaseTimings`] buckets:
 //!
 //! 1. **Ingest + stage** (`stage_ms`): push the mailboxes routed to the
@@ -63,7 +63,9 @@
 //! it starts `exec − 1` worker threads, `exec = min(threads, lanes)`, and
 //! from then on every round runs the lanes round-robin (thread `w` owns
 //! lanes `w, w + exec, …`; the calling thread is thread 0) between two
-//! barriers. A lane does not go back to the calling thread for a lighter
+//! barriers, whose waits the calling thread books as `wait_ms` (the worker
+//! start, like the set-up before round 0, goes to `setup_ms`). A lane
+//! does not go back to the calling thread for a lighter
 //! round: moving its working set between cores round by round cost the
 //! cold part-wise echo more than the barrier it saved (on 2 vCPUs and two
 //! lanes, 270 against 211 ms for the `churn_answer` instance's first
@@ -82,10 +84,9 @@
 
 use super::delivery::{Delivery, ShardAccount};
 use super::shard::Shard;
-use super::topology::Topology;
+use super::topology::{To, Topology};
 use super::{host_parallelism, prime, NodeProgram, RunMetrics, SimConfig, GRAIN};
 use crate::{MessageSize, PackedMsg, PhaseTimings};
-use lcs_graph::Graph;
 use std::ops::DerefMut;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -137,7 +138,8 @@ impl SpinBarrier {
 /// One routed envelope: a validated send awaiting ingestion by the
 /// receiving lane.
 struct Env<M> {
-    dir: u32,
+    /// Where it arrives: the receiving node and port.
+    to: To,
     priority: u64,
     /// Send index within the sending lane's round (0-based); the global
     /// sequence number is `Mail::base + idx + 1`.
@@ -220,7 +222,6 @@ fn ms(d: Duration) -> f64 {
 /// the sends it receives itself straight into its partition.
 fn lane_phase<P, D>(
     lane: &mut Lane<'_, P, D>,
-    g: &Graph,
     topo: &Topology<'_>,
     round: u64,
     bandwidth: usize,
@@ -247,7 +248,7 @@ fn lane_phase<P, D>(
         for mail in in_from.iter_mut() {
             for env in mail.envs.drain(..) {
                 part.push(
-                    env.dir,
+                    env.to,
                     env.priority,
                     mail.base + u64::from(env.idx) + 1,
                     env.msg,
@@ -265,9 +266,9 @@ fn lane_phase<P, D>(
 
     // Compute: `on_start` is round 0.
     if round == 0 {
-        shard.run_start(g);
+        shard.run_start(topo);
     } else {
-        shard.run_round(g, topo, round);
+        shard.run_round(topo, round);
     }
     let t2 = Instant::now();
 
@@ -291,14 +292,12 @@ fn lane_phase<P, D>(
             "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
         );
         acc.bits += bits as u64;
-        let (dir, priority, msg) = send;
-        match (own_base, topo.dir_shard(dir)) {
-            (Some(base), 0) => {
-                part.push(dir, priority, base + u64::from(idx) + 1, msg, round, topo)
-            }
-            (_, to) => {
-                out_to[to].push(Env {
-                    dir,
+        let (to, priority, msg) = send;
+        match (own_base, topo.shard_of(to.0)) {
+            (Some(base), 0) => part.push(to, priority, base + u64::from(idx) + 1, msg, round, topo),
+            (_, lane) => {
+                out_to[lane].push(Env {
+                    to,
                     priority,
                     idx,
                     msg,
@@ -357,14 +356,17 @@ where
 /// the round cap, on the threads `exec` allows (see the module docs); the
 /// programs are left in the slices the shards borrow. Returns the metrics,
 /// the calling thread's timings and the number of worker threads started.
+/// `begun` is when the run's set-up began: everything until round 0, the
+/// start of the worker threads and the release of the lanes after the
+/// last round are booked as `setup_ms`.
 pub(super) fn drive_lanes<P, D>(
     config: &SimConfig,
-    g: &Graph,
     topo: &Topology<'_>,
     bandwidth: usize,
     parts: Vec<D>,
     shards: Vec<Shard<'_, P>>,
     exec: Exec,
+    begun: Instant,
 ) -> (RunMetrics, PhaseTimings, usize)
 where
     P: NodeProgram + Send,
@@ -409,9 +411,15 @@ where
     // bump of the last arrival that the waiters `Acquire`).
     let released = AtomicU64::new(0);
     let lane_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let mut timings = PhaseTimings::default();
+    let mut timings = PhaseTimings {
+        setup_ms: ms(begun.elapsed()),
+        ..PhaseTimings::default()
+    };
     let mut seq = 0u64;
     let mut started = false;
+    // The calling thread's barrier waits, and when it began to shut the
+    // workers down (the scope joins them on its way out).
+    let (mut waited, mut shutdown) = (Duration::ZERO, None);
 
     std::thread::scope(|scope| {
         let start_workers = || {
@@ -434,7 +442,7 @@ where
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             for cell in cells.iter().skip(w).step_by(stride) {
                                 let lane = &mut lock(cell);
-                                lane_phase(lane, g, topo, round, bandwidth, None, &mut unreported);
+                                lane_phase(lane, topo, round, bandwidth, None, &mut unreported);
                             }
                         }));
                         if let Err(payload) = result {
@@ -458,15 +466,19 @@ where
             loop {
                 let round = metrics.rounds;
                 if !started && stride > 1 && due >= heavy {
+                    let t0 = Instant::now();
                     start_workers();
                     started = true;
+                    timings.setup_ms += ms(t0.elapsed());
                 }
                 // The calling thread is thread 0: it runs its share of the
                 // lanes between the workers' two barriers, or every lane
                 // before the workers have started.
                 let step = if started {
                     released.store(round, Ordering::Relaxed);
+                    let t0 = Instant::now();
                     barrier.wait(); // release the workers into the round
+                    waited += t0.elapsed();
                     stride
                 } else {
                     1
@@ -475,11 +487,13 @@ where
                     for (t, cell) in cells.iter().enumerate().step_by(step) {
                         let own_base = (t == 0).then_some(seq);
                         let lane = &mut lock(cell);
-                        lane_phase(lane, g, topo, round, bandwidth, own_base, &mut timings);
+                        lane_phase(lane, topo, round, bandwidth, own_base, &mut timings);
                     }
                 }));
                 if started {
+                    let t0 = Instant::now();
                     barrier.wait(); // wait for every lane to finish
+                    waited += t0.elapsed();
                 }
                 if let Err(payload) = own {
                     lock(&lane_panic).get_or_insert(payload);
@@ -499,23 +513,28 @@ where
                     metrics.max_queue = metrics.max_queue.max(acc.max_queue);
                     due += acc.pending + acc.routed + acc.wakes;
                 }
-                if due == 0 {
+                let last = if due == 0 {
                     metrics.terminated = lanes.iter().all(|l| l.shard.all_done());
-                    break;
-                }
-                if metrics.rounds >= config.max_rounds {
+                    true
+                } else if metrics.rounds >= config.max_rounds {
                     metrics.truncated = true;
-                    break;
-                }
-                rotate_mailboxes(&mut lanes, &mut seq);
-                metrics.rounds += 1;
+                    true
+                } else {
+                    rotate_mailboxes(&mut lanes, &mut seq);
+                    metrics.rounds += 1;
+                    false
+                };
                 lanes.clear(); // unlock for the next round's phases
                 timings.merge_ms += ms(t0.elapsed());
+                if last {
+                    break;
+                }
             }
         }));
 
         // Shut the workers down (they are parked at the release barrier).
         if started {
+            shutdown = Some(Instant::now());
             stop.store(true, Ordering::Release);
             barrier.wait();
         }
@@ -524,9 +543,14 @@ where
         }
     });
 
+    waited += shutdown.map_or(Duration::ZERO, |t0| t0.elapsed());
     if let Some(payload) = lock(&lane_panic).take() {
         resume_unwind(payload);
     }
+    let t0 = Instant::now();
+    drop(cells);
+    timings.setup_ms += ms(t0.elapsed());
+    timings.wait_ms = ms(waited);
     (metrics, timings, if started { stride - 1 } else { 0 })
 }
 
@@ -541,7 +565,7 @@ mod tests {
     use super::super::tests::{panic_message, Bomb, MaxFlood};
     use super::super::{Ctx, Incoming, SimMode, Simulator};
     use super::*;
-    use lcs_graph::gen;
+    use lcs_graph::{gen, Graph};
 
     /// Every round, round 0 included, on `threads` OS threads — the only
     /// way to exercise the multi-thread schedule on a single-core host or a
@@ -647,6 +671,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_five_buckets_cover_the_wall_of_a_run_on_the_workers() {
+        // Four lanes on two threads, every round on the workers: set-up,
+        // the worker start, the barriers and the lanes' release are all on
+        // the calling thread's clock.
+        let g = gen::grid(50, 50);
+        let config = SimConfig {
+            threads: 4,
+            ..SimConfig::default()
+        };
+        let sim = Simulator::new(&g, config);
+        let begun = Instant::now();
+        let (run, workers) = sim.run_on(eager(2), |v, _| MaxFlood { best: v.0 });
+        let wall = ms(begun.elapsed());
+        assert_eq!(workers, 1);
+        assert!(run.programs.iter().all(|p| p.best == 2_499));
+        let t = run.timings;
+        let sum = t.setup_ms + t.stage_ms + t.compute_ms + t.merge_ms + t.wait_ms;
+        assert!(t.setup_ms > 0.0 && t.wait_ms > 0.0, "{t:?}");
+        assert!(
+            (wall - sum).abs() <= 0.05 * wall,
+            "the buckets sum to {sum:.3} ms of a {wall:.3} ms run: {t:?}"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! [`SimConfig::message_packing`]: super::SimConfig::message_packing
 
-use super::topology::Topology;
+use super::topology::{To, Topology};
 use super::{Ctx, Incoming, NodeProgram};
 use crate::{MessageSize, PackedMsg};
 use lcs_graph::{Graph, NodeId};
@@ -61,14 +61,15 @@ pub(crate) struct Shard<'p, P: NodeProgram> {
     wake_flag: Vec<bool>,
     /// Nodes (global ids) that requested a wake-up for the next round.
     wake_list: Vec<u32>,
-    /// Deliveries staged for this round: `(dir, envelope)` with the
-    /// receiver in this shard. Filled by the shard's delivery partition,
-    /// unpacked and drained by `run_round`.
-    pub(crate) inbound: Vec<(u32, PackedMsg<P::Msg>)>,
-    /// Wire envelopes produced this round: `(dir, priority, envelope)` in
-    /// deterministic node-then-issue order. Validated, bit-accounted, and
-    /// routed to the receiving lanes by the flush step.
-    pub(crate) outbox: Vec<(u32, u64, PackedMsg<P::Msg>)>,
+    /// Deliveries staged for this round: `((receiver, port), envelope)`
+    /// with the receiver in this shard. Filled by the shard's delivery
+    /// partition, unpacked and drained by `run_round`.
+    pub(crate) inbound: Vec<(To, PackedMsg<P::Msg>)>,
+    /// Wire envelopes produced this round: `((receiver, port), priority,
+    /// envelope)` in deterministic node-then-issue order, addressed to the
+    /// receiving node and the port they arrive on. Validated,
+    /// bit-accounted, and routed to the receiving lanes by the flush step.
+    pub(crate) outbox: Vec<(To, u64, PackedMsg<P::Msg>)>,
     /// Scratch: one node's raw sends `(port, priority, msg)` during its
     /// callback, coalesced into `outbox` envelopes afterwards.
     raw: Vec<(u32, u64, P::Msg)>,
@@ -123,23 +124,22 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
     }
 
     /// Runs `on_start` for every node of the shard (round 0).
-    pub fn run_start(&mut self, g: &Graph) {
+    pub fn run_start(&mut self, topo: &Topology<'_>) {
         for local in 0..self.programs.len() {
-            self.exec_node(g, self.lo + local as u32, 0, true);
+            self.exec_node(topo, self.lo + local as u32, 0, true);
         }
     }
 
     /// One round: counting-sort the staged `inbound` envelopes by
     /// receiver, pick up pending wake-ups, and run the affected nodes in
     /// ascending order, each on its own envelopes unpacked.
-    pub fn run_round(&mut self, g: &Graph, topo: &Topology<'_>, round: u64) {
+    pub fn run_round(&mut self, topo: &Topology<'_>, round: u64) {
         let lo = self.lo;
-        let local = |dir: u32| (topo.recv(dir).0 - lo) as usize;
         self.to_run.clear();
-        for &(dir, _) in &self.inbound {
-            let count = &mut self.counts[local(dir)];
+        for &((recv, _), _) in &self.inbound {
+            let count = &mut self.counts[(recv - lo) as usize];
             if *count == 0 {
-                self.to_run.push(topo.recv(dir).0);
+                self.to_run.push(recv);
             }
             *count += 1;
         }
@@ -161,8 +161,8 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
             (start, *count) = (start + *count, start);
         }
         self.order.resize(self.inbound.len(), 0);
-        for (i, &(dir, _)) in self.inbound.iter().enumerate() {
-            let at = &mut self.counts[local(dir)];
+        for (i, &((recv, _), _)) in self.inbound.iter().enumerate() {
+            let at = &mut self.counts[(recv - lo) as usize];
             self.order[*at as usize] = i as u32;
             *at += 1;
         }
@@ -172,14 +172,14 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
         for &v in &to_run {
             let end = std::mem::take(&mut self.counts[(v - lo) as usize]) as usize;
             for &i in &self.order[start..end] {
-                let (dir, env) = &mut self.inbound[i as usize];
-                let port = topo.recv(*dir).1 as usize;
+                let ((_, port), env) = &mut self.inbound[i as usize];
+                let port = *port as usize;
                 // An empty batch is a placeholder that allocates nothing.
                 let env = std::mem::replace(env, PackedMsg::Batch(Vec::new()));
                 env.for_each(|msg| self.inbox.push(Incoming { port, msg }));
             }
             start = end;
-            self.exec_node(g, v, round, false);
+            self.exec_node(topo, v, round, false);
         }
         self.to_run = to_run;
         self.inbound.clear();
@@ -187,10 +187,11 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
 
     /// Runs one node's callback, coalesces its raw sends into wire
     /// envelopes (same-port, same-priority groups, split into runs of up
-    /// to `pack` values within the bit budget), and appends them — ports
-    /// rewritten to directed-edge ids — to the shard outbox.
-    fn exec_node(&mut self, g: &Graph, v: u32, round: u64, start: bool) {
-        let local = (v - self.lo) as usize;
+    /// to `pack` values within the bit budget), and appends them — each
+    /// port resolved to the receiving node and its port back — to the
+    /// shard outbox.
+    fn exec_node(&mut self, topo: &Topology<'_>, v: u32, round: u64, start: bool) {
+        let (g, local) = (topo.graph(), (v - self.lo) as usize);
         let node = NodeId(v);
         let mut wake = false;
         debug_assert!(self.raw.is_empty());
@@ -214,16 +215,14 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
             self.wake_flag[local] = true;
             self.wake_list.push(v);
         }
-        // Ctx::send recorded the local port; the CSR base rewrites it to
-        // the global directed edge id now that the sender is known.
-        let base = g.first_out()[v as usize];
+        // Ctx::send recorded the local port; the envelope is addressed to
+        // where it arrives, which the delivery and the receiving shard read.
         if self.pack == 1 {
             // Unpacked fast path: every send is its own envelope, in issue
             // order — the exact wire stream of the pre-packing engine.
             for (port, priority, msg) in self.raw.drain(..) {
-                debug_assert!((port as usize) < g.degree(node));
-                self.outbox
-                    .push((base + port, priority, PackedMsg::One(msg)));
+                let to = topo.recv(v, port);
+                self.outbox.push((to, priority, PackedMsg::One(msg)));
             }
             return;
         }
@@ -269,7 +268,6 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
         let mut it = self.raw.drain(..);
         for &len in &self.batch_lens {
             let (port, priority, msg) = it.next().expect("length computed from this buffer");
-            debug_assert!((port as usize) < g.degree(node));
             let env = if len == 1 {
                 PackedMsg::One(msg)
             } else {
@@ -280,7 +278,7 @@ impl<'p, P: NodeProgram> Shard<'p, P> {
                 }
                 PackedMsg::Batch(values)
             };
-            self.outbox.push((base + port, priority, env));
+            self.outbox.push((topo.recv(v, port), priority, env));
         }
         debug_assert!(it.next().is_none());
         drop(it);

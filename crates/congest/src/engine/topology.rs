@@ -1,109 +1,56 @@
-//! Per-run routing tables: the directed-edge reverse map and the shard
-//! layout of the node-id space.
+//! Per-run routing: the shard layout of the node-id space, and where a
+//! directed edge's messages are received, read off the graph itself.
 //!
-//! Messages are addressed by *directed edge id* — the graph's CSR slot
-//! index `first_out[v] + port`, reused verbatim so the engine needs no
-//! per-run index building beyond one O(n + m) reverse-port table. Shards
-//! are contiguous node-id ranges; since a directed edge has exactly one
-//! receiver, each dir belongs to exactly one receiver shard, which is what
-//! lets the delivery backends route staged messages without locks.
+//! A run builds no per-edge table. A send over `v`'s `port` is addressed,
+//! once, to where it arrives: the neighbour `w` on that port and `w`'s
+//! port back to `v`, a binary search in `w`'s sorted neighbours
+//! ([`Topology::recv`]). The receiving shard follows from `w` and the
+//! shard bounds by arithmetic. Shards are contiguous node-id ranges, so
+//! the directed edges a shard *receives* correspond one-to-one to its own
+//! nodes' CSR slots `first_out[lo]..first_out[hi]` (slot `first_out[w] +
+//! back` for the edge into `w` over `back`): that range indexes the
+//! shard's delivery partition, which lets the delivery backends route
+//! staged messages without locks and size their flat arrays by their own
+//! dirs.
 
 use lcs_graph::{Graph, NodeId};
+use std::ops::Range;
+
+/// Where a message arrives: the receiving node and the port it arrives
+/// on.
+pub(crate) type To = (u32, u32);
 
 /// Immutable per-run routing state shared by the delivery backends and the
-/// shard workers (read-only across threads).
+/// shard workers (read-only across threads): `O(shards)` words.
 pub(crate) struct Topology<'g> {
     g: &'g Graph,
-    /// dir -> (receiver node, receiver's port back to the sender).
-    dir_recv: Vec<(u32, u32)>,
     /// Shard boundaries over the node-id space: shard `s` owns nodes
-    /// `starts[s]..starts[s + 1]`. Length `num_shards + 1`.
+    /// `starts[s]..starts[s + 1]`, with `starts[s] = ⌊s·n / shards⌋`.
+    /// Length `num_shards + 1`.
     starts: Vec<u32>,
-    /// dir -> shard of the *receiver*, precomputed so the hot flush path
-    /// routes envelopes without the boundary scan in [`shard_of`].
-    ///
-    /// [`shard_of`]: Topology::shard_of
-    dir_shard: Vec<u32>,
-    /// dir -> dense index within the receiver shard's dir partition,
-    /// assigned in ascending global-dir order (so with one shard it is the
-    /// identity). Lets the per-shard delivery partitions use flat arrays
-    /// sized by their own dir count.
-    dir_local: Vec<u32>,
-    /// Per-shard partition sizes: `shard_dirs[s]` dirs are received by
-    /// shard `s`.
-    shard_dirs: Vec<usize>,
 }
 
 impl<'g> Topology<'g> {
-    /// Builds the reverse-port table in O(n + m) and splits the node-id
-    /// space into `shards` contiguous, near-equal ranges.
+    /// Splits the node-id space into `shards` contiguous, near-equal
+    /// ranges.
     pub fn build(g: &'g Graph, shards: usize) -> Self {
         let n = g.num_nodes();
-        let first_out = g.first_out();
-        let num_dirs = *first_out.last().unwrap_or(&0) as usize;
-
-        // dir -> (receiver, receiver's port back), built by pairing each
-        // undirected edge's two CSR slots. A slot's side is 1 iff its tail
-        // is the edge's larger endpoint, derivable from the head entry
-        // alone (endpoints are canonical `u < v`, so tail > head ⟺ tail is
-        // the larger endpoint).
-        let mut edge_dirs: Vec<[u32; 2]> = vec![[0; 2]; g.num_edges()];
-        for v in g.nodes() {
-            let base = first_out[v.index()];
-            let heads = g.heads(v);
-            for (port, &e) in g.edge_ids(v).iter().enumerate() {
-                let side = usize::from(v > heads[port]);
-                edge_dirs[e.index()][side] = base + port as u32;
-            }
-        }
-        let mut dir_recv: Vec<(u32, u32)> = vec![(0, 0); num_dirs];
-        for v in g.nodes() {
-            let base = first_out[v.index()];
-            let heads = g.heads(v);
-            for (port, &e) in g.edge_ids(v).iter().enumerate() {
-                let side = usize::from(v > heads[port]);
-                let back = edge_dirs[e.index()][1 - side];
-                let recv = heads[port];
-                dir_recv[(base + port as u32) as usize] = (recv.0, back - first_out[recv.index()]);
-            }
-        }
-
         let shards = shards.max(1).min(n.max(1));
-        let starts: Vec<u32> = (0..=shards).map(|s| (s * n / shards) as u32).collect();
-        let mut topo = Topology {
-            g,
-            dir_recv,
-            starts,
-            dir_shard: Vec::new(),
-            dir_local: Vec::new(),
-            shard_dirs: Vec::new(),
-        };
+        let starts = (0..=shards).map(|s| (s * n / shards) as u32).collect();
+        Topology { g, starts }
+    }
 
-        // Receiver-shard routing: one more O(m) pass. `dir_local` is dense
-        // within each shard and ascending in global dir order, so the
-        // delivery partitions can index flat arrays by it while preserving
-        // the global order whenever they iterate their own dirs.
-        let mut dir_shard = vec![0u32; num_dirs];
-        let mut dir_local = vec![0u32; num_dirs];
-        let mut shard_dirs = vec![0usize; shards];
-        for dir in 0..num_dirs {
-            let s = topo.shard_of(topo.dir_recv[dir].0);
-            dir_shard[dir] = s as u32;
-            dir_local[dir] = shard_dirs[s] as u32;
-            shard_dirs[s] += 1;
-        }
-        topo.dir_shard = dir_shard;
-        topo.dir_local = dir_local;
-        topo.shard_dirs = shard_dirs;
-        topo
+    /// The graph the run simulates.
+    pub fn graph(&self) -> &'g Graph {
+        self.g
     }
 
     /// Number of directed edges (`2m`). Production code sizes per-shard
-    /// structures via [`shard_dir_count`](Topology::shard_dir_count); this
-    /// remains for the delivery unit tests.
+    /// structures via [`shard_dirs`](Topology::shard_dirs); this remains
+    /// for the delivery unit tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn num_dirs(&self) -> usize {
-        self.dir_recv.len()
+        *self.g.first_out().last().unwrap_or(&0) as usize
     }
 
     /// Number of nodes in the simulated network — the `n` the id-aware
@@ -124,55 +71,53 @@ impl<'g> Topology<'g> {
         (self.starts[s], self.starts[s + 1])
     }
 
-    /// The shard owning `node`. Linear scan over the interior boundaries:
-    /// at most `threads - 1` entries, and none at all with one shard, which
-    /// returns before setting up the scan. Only the table build calls it —
-    /// once per dir, so the early return is worth tens of microseconds of
-    /// every one-lane run; the round loop reads the precomputed
-    /// [`dir_shard`](Topology::dir_shard).
+    /// The shard owning `node`: the largest `s` with `⌊s·n / shards⌋ ≤
+    /// node`, i.e. `⌊((node + 1)·shards − 1) / n⌋` — one division, and
+    /// none with one shard.
     #[inline]
     pub fn shard_of(&self, node: u32) -> usize {
-        debug_assert!((node as usize) < self.g.num_nodes());
-        if self.starts.len() == 2 {
+        let n = self.g.num_nodes() as u64;
+        debug_assert!(u64::from(node) < n);
+        let shards = self.starts.len() as u64 - 1;
+        if shards == 1 {
             return 0;
         }
-        self.starts[1..self.starts.len() - 1]
-            .iter()
-            .take_while(|&&b| b <= node)
-            .count()
+        (((u64::from(node) + 1) * shards - 1) / n) as usize
     }
 
-    /// `(receiver node, receiver's port back to the sender)` of `dir`.
+    /// Where a send over `node`'s `port` arrives: the neighbour and its
+    /// port back to `node`, a binary search in the neighbour's sorted
+    /// heads. Its own inverse: `recv` of the result is `(node, port)`.
     #[inline]
-    pub fn recv(&self, dir: u32) -> (u32, u32) {
-        self.dir_recv[dir as usize]
+    pub fn recv(&self, node: u32, port: u32) -> To {
+        let (v, w) = (NodeId(node), self.g.heads(NodeId(node))[port as usize]);
+        let back = self.g.port_to(w, v).expect("an edge's reverse slot exists");
+        (w.0, back as u32)
     }
 
-    /// The shard that *receives* (and therefore delivers) `dir`.
+    /// The CSR slot of `node`'s `port`, which indexes the delivery
+    /// partition of the shard owning `node` ([`shard_dirs`]).
+    ///
+    /// [`shard_dirs`]: Self::shard_dirs
     #[inline]
-    pub fn dir_shard(&self, dir: u32) -> usize {
-        self.dir_shard[dir as usize] as usize
+    pub fn slot(&self, (node, port): To) -> u32 {
+        self.g.first_out()[node as usize] + port
     }
 
-    /// Dense index of `dir` within its receiver shard's partition.
-    #[inline]
-    pub fn dir_local(&self, dir: u32) -> usize {
-        self.dir_local[dir as usize] as usize
-    }
-
-    /// Number of dirs received by shard `s` — the size of its delivery
-    /// partition.
-    #[inline]
-    pub fn shard_dir_count(&self, s: usize) -> usize {
-        self.shard_dirs[s]
-    }
-
-    /// The sender side of `dir`: `(node, port)`. O(log n) — only used on
-    /// error-reporting paths.
-    pub fn sender_of(&self, dir: u32) -> (NodeId, usize) {
+    /// The ports shard `s`'s nodes receive on — their CSR slots, each the
+    /// reverse of one directed edge into the shard — which index its
+    /// delivery partition.
+    pub fn shard_dirs(&self, s: usize) -> Range<u32> {
+        let (lo, hi) = self.shard_range(s);
         let first_out = self.g.first_out();
-        let v = first_out.partition_point(|&b| b <= dir) - 1;
-        (NodeId(v as u32), (dir - first_out[v]) as usize)
+        first_out[lo as usize]..first_out[hi as usize]
+    }
+
+    /// The sender of what arrives at `(node, port)`: its node and port.
+    /// Only used on error-reporting paths.
+    pub fn sender_of(&self, (node, port): To) -> (NodeId, usize) {
+        let (v, back) = self.recv(node, port);
+        (NodeId(v), back as usize)
     }
 }
 
@@ -185,65 +130,53 @@ mod tests {
     fn reverse_ports_pair_up() {
         let g = gen::grid(4, 5);
         let topo = Topology::build(&g, 3);
-        let first_out = g.first_out();
         for v in g.nodes() {
-            let base = first_out[v.index()];
-            for port in 0..g.degree(v) {
-                let dir = base + port as u32;
-                let (recv, back) = topo.recv(dir);
-                // The reverse slot of the reverse slot is the original.
-                let back_dir = first_out[recv as usize] + back;
-                let (r2, p2) = topo.recv(back_dir);
-                assert_eq!((r2, p2), (v.0, port as u32));
+            for port in 0..g.degree(v) as u32 {
+                let (recv, back) = topo.recv(v.0, port);
+                assert_eq!(g.heads(v)[port as usize], NodeId(recv));
+                // The reverse port of the reverse port is the original.
+                assert_eq!(topo.recv(recv, back), (v.0, port));
             }
         }
     }
 
     #[test]
     fn shards_partition_the_id_space() {
-        let g = gen::path(10);
-        for shards in [1, 2, 3, 4, 10, 16] {
-            let topo = Topology::build(&g, shards);
-            assert_eq!(topo.shard_range(0).0, 0);
-            assert_eq!(topo.shard_range(topo.num_shards() - 1).1, 10);
-            for s in 0..topo.num_shards() {
-                let (lo, hi) = topo.shard_range(s);
-                assert!(lo <= hi);
-                for v in lo..hi {
-                    assert_eq!(topo.shard_of(v), s);
+        for n in [1, 2, 7, 10, 64] {
+            let g = gen::path(n);
+            for shards in [1, 2, 3, 4, 10, 16] {
+                let topo = Topology::build(&g, shards);
+                assert_eq!(topo.shard_range(0).0, 0);
+                assert_eq!(topo.shard_range(topo.num_shards() - 1).1, n as u32);
+                for s in 0..topo.num_shards() {
+                    let (lo, hi) = topo.shard_range(s);
+                    assert!(lo < hi, "n={n} shards={shards}: shard {s} is empty");
+                    for v in lo..hi {
+                        assert_eq!(topo.shard_of(v), s, "n={n} shards={shards}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn dir_partitions_are_dense_and_order_preserving() {
+    fn each_dir_is_received_in_the_shard_of_its_reverse_slot() {
         let g = gen::grid(4, 5);
         for shards in [1, 2, 3, 7] {
             let topo = Topology::build(&g, shards);
             let mut counts = vec![0usize; topo.num_shards()];
-            let mut last_local = vec![None::<usize>; topo.num_shards()];
-            for dir in 0..topo.num_dirs() as u32 {
-                let s = topo.dir_shard(dir);
-                assert_eq!(s, topo.shard_of(topo.recv(dir).0));
-                let local = topo.dir_local(dir);
-                // Dense and ascending in global dir order within a shard.
-                assert_eq!(local, counts[s]);
-                if let Some(prev) = last_local[s] {
-                    assert_eq!(local, prev + 1);
+            for v in g.nodes() {
+                for port in 0..g.degree(v) as u32 {
+                    let to = topo.recv(v.0, port);
+                    let s = topo.shard_of(to.0);
+                    assert!(topo.shard_dirs(s).contains(&topo.slot(to)));
+                    counts[s] += 1;
                 }
-                last_local[s] = Some(local);
-                counts[s] += 1;
             }
             for (s, &c) in counts.iter().enumerate() {
-                assert_eq!(c, topo.shard_dir_count(s));
+                assert_eq!(c, topo.shard_dirs(s).len());
             }
             assert_eq!(counts.iter().sum::<usize>(), topo.num_dirs());
-        }
-        // Single shard: dir_local is the identity.
-        let topo = Topology::build(&g, 1);
-        for dir in 0..topo.num_dirs() as u32 {
-            assert_eq!(topo.dir_local(dir), dir as usize);
         }
     }
 
@@ -254,7 +187,9 @@ mod tests {
         for v in g.nodes() {
             for port in 0..g.degree(v) {
                 let dir = g.first_out()[v.index()] + port as u32;
-                assert_eq!(topo.sender_of(dir), (v, port));
+                let to = topo.recv(v.0, port as u32);
+                assert_eq!(topo.sender_of(to), (v, port));
+                assert_eq!(topo.slot((v.0, port as u32)), dir);
             }
         }
     }

@@ -56,29 +56,32 @@ pub struct RunMetrics {
 /// thread counts and compared with `==` by the conformance suite, while
 /// timings are measurements of *this* execution.
 ///
-/// Every run goes through one round loop, and the buckets are timed inside
-/// its lane phases (round 0 — `on_start` — included), so they mean the
-/// same thing at every [`SimConfig::threads`]:
+/// Every run goes through one round loop, and the three per-round buckets
+/// are timed inside its lane phases (round 0 — `on_start` — included), so
+/// they mean the same thing at every [`SimConfig::threads`]:
 ///
 /// | bucket       | what the calling thread spent in                      |
 /// |--------------|-------------------------------------------------------|
+/// | `setup_ms`   | everything before round 0 — the shard layout, the shards' per-node buffers, the delivery partitions' per-dir heads (16 B per dir received in queued mode, 8 B in strict mode), the programs' construction — plus starting the worker threads and releasing the lanes after the last round |
 /// | `stage_ms`   | ingesting routed envelopes into the delivery partition and staging the round's due deliveries |
 /// | `compute_ms` | the node programs' `on_start` / `on_round` callbacks (with inbox unpacking and send coalescing) |
 /// | `merge_ms`   | flushing the sends — bandwidth validation, bit accounting, routing — plus the serial window between rounds (account fold, quiescence check, seq-base prefix sum, mailbox rotation) |
+/// | `wait_ms`    | the barriers: releasing the workers into a round, waiting for their lanes, shutting them down (0 while no worker runs) |
 ///
 /// The clock runs on the calling thread, over the lanes that thread
 /// executes: all of them until the run starts its worker threads (never,
 /// on one lane or one core), lanes `0, exec, 2·exec, …` of `exec` OS
-/// threads from then on. The three
-/// buckets therefore never sum to more than the wall of
-/// [`Simulator::run`]; the remainder is run set-up (routing tables, program
-/// construction) and, on several threads, barrier waits.
+/// threads from then on. The five buckets cover the wall of
+/// [`Simulator::run`] but for the few lock and clock reads between them.
 ///
 /// [`RunOutcome::timings`]: crate::RunOutcome::timings
 /// [`SimConfig::threads`]: crate::SimConfig::threads
 /// [`Simulator::run`]: crate::Simulator::run
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimings {
+    /// Wall milliseconds setting the run up before round 0, starting its
+    /// worker threads and releasing its lanes at the end.
+    pub setup_ms: f64,
     /// Wall milliseconds in the node programs' callbacks.
     pub compute_ms: f64,
     /// Wall milliseconds ingesting and staging deliveries.
@@ -86,6 +89,8 @@ pub struct PhaseTimings {
     /// Wall milliseconds validating, billing and routing sends, plus the
     /// serial window between rounds.
     pub merge_ms: f64,
+    /// Wall milliseconds the calling thread waited at the barriers.
+    pub wait_ms: f64,
 }
 
 impl std::ops::AddAssign<&RunMetrics> for RunMetrics {

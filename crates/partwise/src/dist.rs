@@ -110,7 +110,7 @@ impl ParticipationMap {
     /// Panics if the shortcut's shape differs from the partition's.
     pub fn build(g: &Graph, partition: &Partition, shortcut: &Shortcut) -> Self {
         let entries = Self::entries_of(g, partition, shortcut, partition.part_ids());
-        Self::from_sorted(g.num_nodes(), entries.into_iter())
+        Self::from_sorted(g.num_nodes(), Self::sizes(&entries), entries.into_iter())
     }
 
     /// An incrementally refreshed copy, across `transition` to `partition`
@@ -137,6 +137,14 @@ impl ParticipationMap {
             is_touched[p.index()] = true;
         }
         let fresh = Self::entries_of(g, partition, shortcut, touched.iter().copied());
+        // The kept parts' slots and ports, and the touched parts' fresh ones:
+        // no `(node, part)` is in both.
+        let (mut slots, mut ports) = Self::sizes(&fresh);
+        for (s, &part) in self.slot_part.iter().enumerate() {
+            if !is_touched[into[part as usize].index()] {
+                (slots, ports) = (slots + 1, ports + self.entry_range(s).len());
+            }
+        }
         let mut kept = self
             .entries()
             .map(|(v, part, port)| (v, into[part as usize].0, port))
@@ -148,7 +156,7 @@ impl ParticipationMap {
             (Some(_), None) => kept.next(),
             _ => fresh.next(),
         });
-        Self::from_sorted(g.num_nodes(), merged)
+        Self::from_sorted(g.num_nodes(), (slots, ports), merged)
     }
 
     /// The sorted, deduplicated `(node, part, port)` entries of `parts`:
@@ -165,44 +173,57 @@ impl ParticipationMap {
             partition.num_parts(),
             "shortcut and partition shapes differ"
         );
-        let mut entries = Vec::new();
-        for pid in parts {
+        // Bucket the entries by node in one pass, each node's run sized by a
+        // bound read off the degrees: one entry per `H_i` edge end, and a
+        // member's own entry plus one per port. Then sort each run, and drop
+        // duplicates and the gaps the bound left.
+        let (n, parts) = (g.num_nodes(), parts.collect::<Vec<_>>());
+        let mut start = vec![0; n + 1];
+        for &pid in &parts {
+            for &e in shortcut.edges_for(pid) {
+                let (u, v) = g.endpoints(e);
+                start[u.index() + 1] += 1;
+                start[v.index() + 1] += 1;
+            }
+            for &u in partition.part(pid) {
+                start[u.index() + 1] += 1 + g.degree(u);
+            }
+        }
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        let (mut end, mut sorted) = (start.clone(), vec![(0, 0, 0); start[n]]);
+        let mut put = |entry: (u32, u32, u32)| {
+            sorted[end[entry.0 as usize]] = entry;
+            end[entry.0 as usize] += 1;
+        };
+        for &pid in &parts {
             for &e in shortcut.edges_for(pid) {
                 let (u, v) = g.endpoints(e);
                 for (a, b) in [(u, v), (v, u)] {
                     let port = g.port_to(a, b).expect("edge endpoints adjacent");
-                    entries.push((a.0, pid.0, port as u32));
+                    put((a.0, pid.0, port as u32));
                 }
             }
             for &u in partition.part(pid) {
-                entries.push((u.0, pid.0, NO_PORT));
+                put((u.0, pid.0, NO_PORT));
                 for (port, &w) in g.heads(u).iter().enumerate() {
                     if partition.part_of(w) == Some(pid) {
-                        entries.push((u.0, pid.0, port as u32));
+                        put((u.0, pid.0, port as u32));
                     }
                 }
             }
         }
-        // Counting sort on the node (counts two places up, so that after
-        // the prefix sum `first[v + 1]` is the cursor of `v` and, once all
-        // are placed, the end of its run), then each node's short run.
-        let mut first = vec![0usize; g.num_nodes() + 2];
-        for &(v, ..) in &entries {
-            first[v as usize + 2] += 1;
+        let mut len = 0;
+        for v in 0..n {
+            sorted[start[v]..end[v]].sort_unstable();
+            for i in start[v]..end[v] {
+                if len == 0 || sorted[len - 1] != sorted[i] {
+                    (sorted[len], len) = (sorted[i], len + 1);
+                }
+            }
         }
-        for v in 2..first.len() {
-            first[v] += first[v - 1];
-        }
-        let mut sorted = vec![(0, 0, 0); entries.len()];
-        for &entry in &entries {
-            let at = &mut first[entry.0 as usize + 1];
-            sorted[*at] = entry;
-            *at += 1;
-        }
-        for run in first.windows(2) {
-            sorted[run[0]..run[1]].sort_unstable();
-        }
-        sorted.dedup();
+        sorted.truncate(len);
         sorted
     }
 
@@ -218,15 +239,27 @@ impl ParticipationMap {
         })
     }
 
+    /// The slots (distinct `(node, part)` pairs) and ports of sorted
+    /// entries.
+    fn sizes(entries: &[(u32, u32, u32)]) -> (usize, usize) {
+        let slots = entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).count();
+        (slots, entries.iter().filter(|e| e.2 != NO_PORT).count())
+    }
+
     /// Lays sorted `(node, part, port)` entries out as the flat table: a
     /// new slot per distinct `(node, part)`, `NO_PORT` entries opening a
-    /// slot without adding a port.
-    fn from_sorted(n: usize, entries: impl Iterator<Item = (u32, u32, u32)>) -> Self {
+    /// slot without adding a port. Every array is allocated at its exact
+    /// size, `slots` and `ports` (see [`sizes`](Self::sizes)).
+    fn from_sorted(
+        n: usize,
+        (slots, ports): (usize, usize),
+        entries: impl Iterator<Item = (u32, u32, u32)>,
+    ) -> Self {
         let mut map = ParticipationMap {
             first_slot: vec![0; n + 1],
-            slot_part: Vec::new(),
-            first_port: Vec::new(),
-            ports: Vec::new(),
+            slot_part: Vec::with_capacity(slots),
+            first_port: Vec::with_capacity(slots + 1),
+            ports: Vec::with_capacity(ports),
         };
         let mut open = None;
         for (node, part, port) in entries {
@@ -241,6 +274,7 @@ impl ParticipationMap {
             }
         }
         map.first_port.push(map.ports.len() as u32);
+        debug_assert_eq!((map.slot_part.len(), map.ports.len()), (slots, ports));
         for v in 0..n {
             map.first_slot[v + 1] += map.first_slot[v];
         }
@@ -817,7 +851,10 @@ impl AggForest {
 /// ([`ShortcutSession::op_artifact_patched`]).
 pub(crate) struct SessionTables {
     pub(crate) participation: Arc<ParticipationMap>,
-    pub(crate) forest: AggForest,
+    /// `None` before the first aggregate, while one holds the forest, and
+    /// after one that panicked: the next run starts from an unrooted
+    /// forest.
+    pub(crate) forest: Option<AggForest>,
 }
 
 impl SessionTables {
@@ -827,22 +864,25 @@ impl SessionTables {
                 let (partition, shortcut) = (s.partition(), s.shortcut_ref());
                 let participation = ParticipationMap::build(s.graph(), partition, shortcut);
                 SessionTables {
-                    forest: AggForest::unrooted(partition, &participation),
                     participation: Arc::new(participation),
+                    forest: None,
                 }
             },
             |s, old: &Self, transition| {
                 let (g, partition, shortcut) = (s.graph(), s.partition(), s.shortcut_ref());
                 let old_map = &old.participation;
                 let participation = old_map.refreshed(g, partition, shortcut, transition);
-                let (forest, _) = (old.forest).carried_over(
-                    g,
-                    old_map,
-                    partition,
-                    &participation,
-                    transition,
-                    usize::MAX,
-                );
+                let forest = old.forest.as_ref().map(|forest| {
+                    let (carried, _) = forest.carried_over(
+                        g,
+                        old_map,
+                        partition,
+                        &participation,
+                        transition,
+                        usize::MAX,
+                    );
+                    carried
+                });
                 SessionTables {
                     forest,
                     participation: Arc::new(participation),
@@ -882,49 +922,76 @@ impl MessageSize for PaMsg {
     }
 }
 
-/// Per-(node, part) protocol state, one per slot.
-#[derive(Clone, Debug, Default)]
+/// Per-(node, part) protocol state, one per slot: three words. A part's
+/// scheduling priority is not kept here but read from the run's per-part
+/// delays ([`PaRun::delays`]).
+#[derive(Clone, Copy, Debug, Default)]
 struct SlotState {
-    /// The slot's aggregate so far, and the part's result once
-    /// `has_result` is set.
+    /// The slot's aggregate so far, and the part's result once it holds
+    /// it.
     acc: u64,
-    /// The part's scheduling priority (its random delay, reused as a queue
-    /// priority so late-starting parts also yield edge access).
-    priority: u32,
     /// Port towards the parent; `NO_PORT` until adopted.
     parent: u32,
     awaiting_replies: u32,
     pending_up: u32,
-    started: bool,
-    member: bool,
-    /// Whether a member of the part sits in this slot's subtree: the node
-    /// itself, or a child that reported `Up` (last, to the extreme).
-    member_below: bool,
-    up_sent: bool,
-    has_result: bool,
+    /// Five bits, [`STARTED`] to [`HAS_RESULT`].
+    flags: u8,
 }
 
+// `SlotState::flags`: the slot joined its part's wave (or was seeded past
+// it); its node is a member of the running part; a member sits in its
+// subtree (the node itself, or a child that reported `Up` — last, to the
+// extreme); it reported to its parent, or owes no report; it holds the
+// part's result.
+const STARTED: u8 = 1;
+const MEMBER: u8 = 1 << 1;
+const MEMBER_BELOW: u8 = 1 << 2;
+const UP_SENT: u8 = 1 << 3;
+const HAS_RESULT: u8 = 1 << 4;
+
 impl SlotState {
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        self.flags = (self.flags & !flag) | if on { flag } else { 0 };
+    }
+
     /// Reported `Empty` (in this run or, seeded, in the run that rooted
     /// the part): nothing of the part's result is owed here.
     fn pruned(&self) -> bool {
-        self.up_sent && !self.member_below
+        self.has(UP_SENT) && !self.has(MEMBER_BELOW)
     }
 
     /// Holds the result, is pruned, or (to the extreme, up only) reported.
     fn done(&self, wave: Wave) -> bool {
         let reports = matches!(wave, Wave::ToExtreme | Wave::Convergecast);
-        self.has_result || self.pruned() || (reports && self.up_sent)
+        self.has(HAS_RESULT) || self.pruned() || (reports && self.has(UP_SENT))
     }
+}
+
+/// What every [`PaProgram`] of one simulated run shares.
+struct PaRun<'a> {
+    op: AggOp,
+    wave: Wave,
+    /// Whether this run sends a [`Wave::ToExtreme`]'s results down.
+    downs: bool,
+    map: &'a ParticipationMap,
+    /// Per part, its leader's start delay, reused as every slot's queue
+    /// priority so late-starting parts also yield edge access; all 0
+    /// without delays.
+    delays: &'a [u32],
 }
 
 /// One node's part of the echo, over its sub-slices of the run-wide arenas
 /// laid out like the [`ParticipationMap`]: the run's slot states and the
 /// forest's own child flags and memory, which the run updates in place.
 struct PaProgram<'a> {
-    op: AggOp,
-    wave: Wave,
-    slots: NodeSlots<'a>,
+    run: &'a PaRun<'a>,
+    /// The node's slots `lo..hi` of the table ([`Self::slots`]).
+    lo: u32,
+    hi: u32,
     /// Indexed by slot.
     states: &'a mut [SlotState],
     /// "Adopted me" per `(slot, port)` pair, cleared again by an `Empty`,
@@ -936,14 +1003,17 @@ struct PaProgram<'a> {
     heard: &'a mut [u64],
     /// The slot of the part this node leads; `NO_SLOT` if it leads none.
     leads: u32,
-    /// The remaining start delay of the led part, until it starts.
-    start_in: Option<u32>,
-    /// Whether this run sends a [`Wave::ToExtreme`]'s results down.
-    downs: bool,
+    /// The remaining start delay of the led part until it starts;
+    /// `NO_START` once it has, or if there is none to start.
+    start_in: u32,
 }
 
 /// "No slot": a [`PaProgram`] that leads no part.
 const NO_SLOT: u32 = u32::MAX;
+
+/// "No start": a [`PaProgram`] with no led part left to start (delays are
+/// below `u32::MAX`).
+const NO_START: u32 = u32::MAX;
 
 /// Makes a forest's (or program's) memory `cells` unknown, if it has any.
 fn forget(cells: &mut [u64], range: Range<usize>) {
@@ -960,29 +1030,41 @@ fn split_off<'a, T>(cells: &mut &'a mut [T], at: usize) -> &'a mut [T] {
     head
 }
 
-impl PaProgram<'_> {
+impl<'a> PaProgram<'a> {
+    /// The node's view of the run's table.
+    fn slots(&self) -> NodeSlots<'a> {
+        let (map, lo, hi) = (self.run.map, self.lo, self.hi);
+        NodeSlots { map, lo, hi }
+    }
+
+    /// The queue priority of `slot`'s sends: its part's start delay.
+    fn priority(&self, slot: usize) -> u64 {
+        u64::from(self.run.delays[self.slots().parts()[slot] as usize])
+    }
+
     /// Counts down the led part's start delay; starts it at zero.
     fn tick_leader_start(&mut self, ctx: &mut Ctx<'_, PaMsg>, elapsed: u32) {
-        let Some(delay) = self.start_in else {
-            return;
-        };
-        if delay == elapsed {
-            self.start_in = None;
-            self.start_part(ctx, self.leads as usize, NO_PORT);
-        } else {
-            self.start_in = Some(delay - elapsed);
-            ctx.wake_next_round();
+        match self.start_in {
+            NO_START => {}
+            delay if delay == elapsed => {
+                self.start_in = NO_START;
+                self.start_part(ctx, self.leads as usize, NO_PORT);
+            }
+            delay => {
+                self.start_in = delay - elapsed;
+                ctx.wake_next_round();
+            }
         }
     }
 
     /// Joins the part's wave at `slot`: adopts over `parent` (`NO_PORT`
     /// when the leader starts its own part) and offers to every other port.
     fn start_part(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, parent: u32) {
-        let (part, ports) = (self.slots.parts()[slot], self.slots.ports(slot));
+        let (part, ports) = (self.slots().parts()[slot], self.slots().ports(slot));
+        let prio = self.priority(slot);
         let st = &mut self.states[slot];
-        st.started = true;
+        st.set(STARTED, true);
         st.parent = parent;
-        let prio = u64::from(st.priority);
         if parent != NO_PORT {
             ctx.send_with_priority(parent as usize, PaMsg::Adopt(part), prio);
         }
@@ -998,15 +1080,15 @@ impl PaProgram<'_> {
     /// ports), and whether a child is left (it reported an `Up`).
     fn extreme(&self, slot: usize) -> (u64, u32, bool) {
         let st = &self.states[slot];
-        if self.wave != Wave::ToExtreme {
+        if self.run.wave != Wave::ToExtreme {
             return (st.acc, NO_PORT, false);
         }
-        let range = self.slots.port_range(slot);
-        let ports = self.slots.ports(slot);
+        let range = self.slots().port_range(slot);
+        let ports = self.slots().ports(slot);
         let children = ports.iter().zip(&self.is_child[range.clone()]);
         let mut best = (st.acc, NO_PORT, false);
         for ((&port, _), &val) in children.zip(&self.heard[range]).filter(|((_, &c), _)| c) {
-            if self.op.apply(best.0, val) != best.0 {
+            if self.run.op.apply(best.0, val) != best.0 {
                 (best.0, best.1) = (val, port);
             }
             best.2 = true;
@@ -1016,21 +1098,24 @@ impl PaProgram<'_> {
 
     fn maybe_up(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize) {
         let st = &self.states[slot];
-        if !st.started || st.awaiting_replies > 0 || st.pending_up > 0 || st.pruned() {
+        if !st.has(STARTED) || st.awaiting_replies > 0 || st.pending_up > 0 || st.pruned() {
             return;
         }
         let (acc, _, heard_up) = self.extreme(slot);
-        let remembers = self.wave == Wave::ToExtreme;
+        let remembers = self.run.wave == Wave::ToExtreme;
+        let prio = self.priority(slot);
         let st = &mut self.states[slot];
-        st.member_below = st.member || heard_up || (!remembers && st.member_below);
-        let reported = std::mem::replace(&mut st.up_sent, true);
+        let below = st.has(MEMBER) || heard_up || (!remembers && st.has(MEMBER_BELOW));
+        st.set(MEMBER_BELOW, below);
+        let reported = st.has(UP_SENT);
+        st.set(UP_SENT, true);
         if slot == self.leads as usize {
-            if self.downs || (!reported && !remembers) {
+            if self.run.downs || (!reported && !remembers) {
                 self.deliver(ctx, slot, acc, NO_PORT);
             }
             return;
         }
-        let (parent, prio, below) = (st.parent, u64::from(st.priority), st.member_below);
+        let parent = st.parent;
         let news = match remembers {
             // What the slot last sent up sits at its parent's entry.
             true => {
@@ -1041,7 +1126,7 @@ impl PaProgram<'_> {
         };
         if news {
             assert_ne!(parent, NO_PORT, "non-leader has a parent once started");
-            let part = self.slots.parts()[slot];
+            let part = self.slots().parts()[slot];
             let up = if below {
                 PaMsg::Up(part, acc)
             } else {
@@ -1053,25 +1138,27 @@ impl PaProgram<'_> {
 
     /// Where `slot`'s pair with `port` sits in the node's per-pair cells.
     fn pair(&self, slot: usize, port: u32) -> usize {
-        let at = self.slots.ports(slot).binary_search(&port);
-        self.slots.port_range(slot).start + at.expect("a slot's tree neighbours are on its ports")
+        let at = self.slots().ports(slot).binary_search(&port);
+        self.slots().port_range(slot).start + at.expect("a slot's tree neighbours are on its ports")
     }
 
     /// Records the part's result and passes it on: to every kept tree
     /// neighbour but `sender`, towards the extreme, or (convergecast) none.
     fn deliver(&mut self, ctx: &mut Ctx<'_, PaMsg>, slot: usize, val: u64, sender: u32) {
         let (_, from, _) = self.extreme(slot);
+        let (slots, prio) = (self.slots(), self.priority(slot));
         let st = &mut self.states[slot];
-        (st.acc, st.has_result) = (val, true);
-        let (parent, prio) = (st.parent, u64::from(st.priority));
-        let down = PaMsg::Down(self.slots.parts()[slot], val);
-        let children = &self.is_child[self.slots.port_range(slot)];
-        let to = |&(&p, &child): &(&u32, &bool)| match self.wave {
+        st.acc = val;
+        st.set(HAS_RESULT, true);
+        let parent = st.parent;
+        let down = PaMsg::Down(slots.parts()[slot], val);
+        let children = &self.is_child[slots.port_range(slot)];
+        let to = |&(&p, &child): &(&u32, &bool)| match self.run.wave {
             Wave::ToExtreme => p == from,
             Wave::Convergecast => false,
             _ => (child || p == parent) && p != sender,
         };
-        for (&p, _) in self.slots.ports(slot).iter().zip(children).filter(to) {
+        for (&p, _) in slots.ports(slot).iter().zip(children).filter(to) {
             ctx.send_with_priority(p as usize, down, prio);
         }
     }
@@ -1085,7 +1172,7 @@ impl NodeProgram for PaProgram<'_> {
         // at once, the others as soon as their children have, and a pruned
         // slot is already done.
         for slot in 0..self.states.len() {
-            if self.states[slot].started {
+            if self.states[slot].has(STARTED) {
                 self.maybe_up(ctx, slot);
             }
         }
@@ -1095,13 +1182,15 @@ impl NodeProgram for PaProgram<'_> {
     fn on_round(&mut self, ctx: &mut Ctx<'_, PaMsg>, inbox: &[Incoming<PaMsg>]) {
         self.tick_leader_start(ctx, 1);
 
+        let slots = self.slots();
+        let remembers = self.run.wave == Wave::ToExtreme;
         for m in inbox {
             let port = m.port as u32;
             match m.msg {
                 PaMsg::Offer(part) => {
-                    let slot = self.slots.slot_of(part);
+                    let slot = slots.slot_of(part);
                     let st = &mut self.states[slot];
-                    if st.started {
+                    if st.has(STARTED) {
                         // A started slot offered over every port but its
                         // parent's, so this offer crossed its own.
                         assert_ne!(port, st.parent, "a parent offers once");
@@ -1113,7 +1202,7 @@ impl NodeProgram for PaProgram<'_> {
                     }
                 }
                 PaMsg::Adopt(part) => {
-                    let slot = self.slots.slot_of(part);
+                    let slot = slots.slot_of(part);
                     self.is_child[self.pair(slot, port)] = true;
                     let st = &mut self.states[slot];
                     st.pending_up += 1;
@@ -1121,10 +1210,10 @@ impl NodeProgram for PaProgram<'_> {
                     self.maybe_up(ctx, slot);
                 }
                 PaMsg::Up(part, val) => {
-                    let slot = self.slots.slot_of(part);
-                    self.states[slot].member_below = true;
+                    let slot = slots.slot_of(part);
+                    self.states[slot].set(MEMBER_BELOW, true);
                     // To the extreme: wait for first `Up`s only, report once a round.
-                    if self.wave == Wave::ToExtreme {
+                    if remembers {
                         let at = self.pair(slot, port);
                         // A real `UNHEARD` can read as a second first report.
                         let first = std::mem::replace(&mut self.heard[at], val) == UNHEARD;
@@ -1133,16 +1222,16 @@ impl NodeProgram for PaProgram<'_> {
                         continue;
                     }
                     let st = &mut self.states[slot];
-                    st.acc = self.op.apply(st.acc, val);
+                    st.acc = self.run.op.apply(st.acc, val);
                     st.pending_up -= 1;
                     self.maybe_up(ctx, slot);
                 }
                 PaMsg::Empty(part) => {
-                    let slot = self.slots.slot_of(part);
+                    let slot = slots.slot_of(part);
                     let at = self.pair(slot, port);
                     self.is_child[at] = false;
                     // To the extreme, a known child's last report goes too.
-                    if self.wave == Wave::ToExtreme {
+                    if remembers {
                         let first = std::mem::replace(&mut self.heard[at], UNHEARD) == UNHEARD;
                         let st = &mut self.states[slot];
                         st.pending_up = st.pending_up.saturating_sub(u32::from(first));
@@ -1152,23 +1241,22 @@ impl NodeProgram for PaProgram<'_> {
                     }
                 }
                 PaMsg::Down(part, val) => {
-                    let slot = self.slots.slot_of(part);
-                    if !self.states[slot].has_result {
+                    let slot = slots.slot_of(part);
+                    if !self.states[slot].has(HAS_RESULT) {
                         self.deliver(ctx, slot, val, port);
                     }
                 }
             }
         }
-        let remembers = self.wave == Wave::ToExtreme;
         for m in inbox.iter().filter(|_| remembers) {
             if let PaMsg::Up(part, _) | PaMsg::Empty(part) = m.msg {
-                self.maybe_up(ctx, self.slots.slot_of(part));
+                self.maybe_up(ctx, slots.slot_of(part));
             }
         }
     }
 
     fn is_done(&self) -> bool {
-        self.states.iter().all(|st| st.done(self.wave))
+        self.states.iter().all(|st| st.done(self.run.wave))
     }
 }
 
@@ -1325,6 +1413,13 @@ impl AggregateOp<'_> {
             let (parent, root) = (&forest.parent, &forest.root);
             let (mut left, mut next) = ((&mut states[..], &mut forest.child[..]), 0);
             let mut memo = &mut forest.heard[..];
+            let shared = PaRun {
+                op,
+                wave,
+                downs,
+                map: participation,
+                delays: &delays,
+            };
             let run = sim.run(|v, _| {
                 // The engine builds the programs once each, in node order,
                 // before round 0, so each takes the next run of the arenas.
@@ -1359,33 +1454,32 @@ impl AggregateOp<'_> {
                     };
                     // To the extreme, a slot waits only for children it knows nothing of.
                     let waits = |&i: &usize| is_child[i] && (!remembers || heard[i] == UNHEARD);
-                    states[s] = SlotState {
+                    // Done before the run starts: a pruned slot of a seeded
+                    // tree, every slot of a part that sits out.
+                    let owes_nothing =
+                        !runs || (seeded && !is_leader && (down_only || parents[s] == NO_PORT));
+                    let mut st = SlotState {
                         acc: value,
-                        priority: delays[part as usize],
                         parent: if seeded { parents[s] } else { NO_PORT },
                         pending_up: range.filter(waits).count() as u32 * u32::from(!down_only),
-                        started: seeded,
-                        member: member && runs,
-                        member_below: member && runs,
-                        // Done before the run starts: a pruned slot of a
-                        // seeded tree, every slot of a part that sits out.
-                        up_sent: !runs
-                            || (seeded && !is_leader && (down_only || parents[s] == NO_PORT)),
                         ..SlotState::default()
                     };
+                    st.set(STARTED, seeded);
+                    st.set(MEMBER | MEMBER_BELOW, member && runs);
+                    st.set(UP_SENT, owes_nothing);
+                    states[s] = st;
                 }
                 // A seeded leader has no wave to start.
                 let starts = leads.filter(|&p| !rooted[p as usize] && !downs);
                 PaProgram {
-                    op,
-                    wave,
-                    slots,
+                    run: &shared,
+                    lo: slots.lo,
+                    hi: slots.hi,
                     states,
                     is_child,
                     heard,
                     leads: leads.map_or(NO_SLOT, |p| slots.slot_of(p) as u32),
-                    start_in: starts.map(|p| delays[p as usize]),
-                    downs,
+                    start_in: starts.map_or(NO_START, |p| delays[p as usize]),
                 }
             });
             if downs {
@@ -1401,7 +1495,7 @@ impl AggregateOp<'_> {
             let slot = participation
                 .slot_of(v, part.0)
                 .expect("a member owns a slot");
-            states[slot].has_result.then_some(states[slot].acc)
+            states[slot].has(HAS_RESULT).then_some(states[slot].acc)
         };
         let results: Vec<_> = (leaders.iter().enumerate())
             .map(|(i, &leader)| result_at(leader, PartId(i as u32)))
@@ -1654,8 +1748,15 @@ mod tests {
 
     /// A run holds one state per slot, most of them pruned relays.
     #[test]
-    fn a_slot_state_is_four_words() {
-        assert!(std::mem::size_of::<SlotState>() <= 32);
+    fn a_slot_state_is_three_words() {
+        assert!(std::mem::size_of::<SlotState>() <= 24);
+    }
+
+    /// A run holds one program per node; what is the same for all of them
+    /// sits in the run's shared [`PaRun`].
+    #[test]
+    fn a_program_is_nine_words() {
+        assert!(std::mem::size_of::<PaProgram<'_>>() <= 72);
     }
 
     #[test]
@@ -1872,7 +1973,8 @@ mod tests {
                 }
             }
             triples.sort_unstable();
-            let expect = ParticipationMap::from_sorted(g.num_nodes(), triples.into_iter());
+            let sizes = ParticipationMap::sizes(&triples);
+            let expect = ParticipationMap::from_sorted(g.num_nodes(), sizes, triples.into_iter());
             prop_assert_eq!(ParticipationMap::build(&g, &partition, &shortcut), expect);
         }
 

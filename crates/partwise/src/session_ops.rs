@@ -8,11 +8,12 @@
 //! [`SessionConfig::sim`]: lcs_core::session::SessionConfig::sim
 
 use crate::dist::SessionTables;
-use crate::{AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome, Wave};
+use crate::{AggForest, AggregateOp, PartwiseOutcome, UnicastOp, UnicastOutcome, Wave};
 use lcs_congest::protocols::AggOp;
 use lcs_congest::RunMetrics;
 use lcs_core::session::{OpReport, SessionError, ShortcutSession};
 use lcs_graph::{NodeId, PartId};
+use std::sync::Arc;
 
 /// The operators of [`SessionPartwiseOps::gossip`]: the idempotent ones of
 /// [`AggOp`].
@@ -145,8 +146,11 @@ fn check_values(s: &ShortcutSession<'_>, values: &[u64]) -> Result<(), SessionEr
 
 /// The body of every aggregate form: runs the protocol over the cached
 /// tables, seeded from the cached forest, and stores the forest the run
-/// leaves behind. Fails only when preparing the session does — a
-/// construction phase cut short by the backend's round cap.
+/// leaves behind. The forest is taken out of the session's tables for the
+/// run, not copied, and swapped back harvested; a run that panics leaves
+/// the session none, so the next aggregate starts cold. Fails only when
+/// preparing the session does — a construction phase cut short by the
+/// backend's round cap.
 fn aggregate_on(
     session: &mut ShortcutSession<'_>,
     values: &[u64],
@@ -156,19 +160,25 @@ fn aggregate_on(
     session.try_prepare()?;
     let quality = session.quality_shared()?;
     let tables = SessionTables::of_session(session);
-    let mut forest = tables.forest.clone();
+    let participation = Arc::clone(&tables.participation);
+    let taken = SessionTables {
+        participation: Arc::clone(&participation),
+        forest: None,
+    };
+    session.op_artifact_swap(taken);
+    let forest = Arc::try_unwrap(tables).map_or_else(|shared| shared.forest.clone(), |t| t.forest);
     let (g, partition, config) = (session.graph(), session.partition(), session.config());
+    let mut forest = forest.unwrap_or_else(|| AggForest::unrooted(partition, &participation));
     let op = AggregateOp {
         values,
         op,
         leaders,
     };
-    let (undelayed, participation) = ((0, config.sim), &tables.participation);
-    let shape = (Wave::Echo, None);
-    let out = op.run_masked(g, partition, undelayed, participation, &mut forest, shape);
+    let (undelayed, shape) = ((0, config.sim), (Wave::Echo, None));
+    let out = op.run_masked(g, partition, undelayed, &participation, &mut forest, shape);
     session.op_artifact_swap(SessionTables {
-        participation: participation.clone(),
-        forest,
+        participation,
+        forest: Some(forest),
     });
     let metrics = out.metrics.clone();
     Ok(OpReport::from_metrics(out, &metrics, quality))

@@ -1,15 +1,16 @@
 //! What a part-wise run costs the host heap: a counting global allocator
 //! wrapping `System` checks that a warm aggregate makes the same small
-//! number of allocations whatever the graph's size, and that the first
+//! number of allocations whatever the graph's size, that the first
 //! aggregate on the `partwise_warm` benchmark instance (`road_like` 200²,
-//! 400 Voronoi parts, seed 7) keeps the live heap within 32 MB.
+//! 400 Voronoi parts, seed 7) keeps the live heap within 25 MB, and that a
+//! warm one there adds at most 12.5 MB while it runs.
 //!
 //! The counters are thread-local, so the tests of this binary do not see
 //! each other's allocations, and the runs they count are pinned to one
 //! lane (`SimConfig::threads = 1`), so they allocate on the calling thread
 //! only. One more pair of counters spans every thread: with it, the first
 //! aggregate at the default lane count, worker threads included, keeps the
-//! same 32 MB bound. The tests take turns, so that those counters see one
+//! same 25 MB bound. The tests take turns, so that those counters see one
 //! test's allocations.
 
 use low_congestion_shortcuts::congest::{splitmix, SimConfig};
@@ -183,8 +184,10 @@ fn a_warm_aggregate_allocates_the_same_at_every_size() {
     );
 }
 
+/// 20.9 MB measured (26.5 with 32 B slot states, 80 B programs, per-run
+/// routing tables and an unreserved participation build).
 #[test]
-fn the_first_aggregate_keeps_the_heap_within_32_mb() {
+fn the_first_aggregate_keeps_the_heap_within_25_mb() {
     let _turn = one_at_a_time();
     let peak = with_road_session(200, 400, |session| {
         let values = values(200 * 200);
@@ -194,9 +197,37 @@ fn the_first_aggregate_keeps_the_heap_within_32_mb() {
         peak_mb()
     });
     assert!(
-        peak <= 32.0,
+        peak <= 25.0,
         "the first aggregate's live heap peaked at {peak:.1} MB"
     );
+}
+
+/// A warm aggregate on the same instance adds a fixed transient to the
+/// live heap — the run's slot states (24 B per slot), programs (72 B per
+/// node), delivery heads (16 B per directed edge) and traffic — and keeps
+/// nothing: 10.7 MB measured, 15.1 while slot states were 32 B, programs
+/// 80 B, every run built 16 B of routing tables per directed edge and the
+/// op copied the cached forest.
+#[test]
+fn a_warm_aggregate_adds_a_fixed_transient() {
+    let _turn = one_at_a_time();
+    let (added, kept) = with_road_session(200, 400, |session| {
+        let values = values(200 * 200);
+        session.aggregate(&values, AggOp::Sum);
+        let before = LIVE.with(Cell::get);
+        reset_peak();
+        let warm = session.aggregate(&values, AggOp::Sum);
+        assert_eq!(warm.result.rooted_parts, 400);
+        drop(warm);
+        let mb = |bytes: isize| bytes as f64 / (1 << 20) as f64;
+        let (peak, after) = (PEAK.with(Cell::get), LIVE.with(Cell::get));
+        (mb(peak - before), mb(after - before))
+    });
+    assert!(
+        added <= 12.5,
+        "a warm aggregate raised the live heap by {added:.1} MB"
+    );
+    assert!(kept.abs() < 0.01, "a warm aggregate kept {kept:.3} MB");
 }
 
 /// The same first aggregate at the default lane count (every core the
@@ -204,7 +235,7 @@ fn the_first_aggregate_keeps_the_heap_within_32_mb() {
 /// thread: the lanes' buffers and the workers' allocations stay within
 /// the one-lane bound.
 #[test]
-fn the_first_aggregate_on_the_default_lanes_keeps_the_heap_within_32_mb() {
+fn the_first_aggregate_on_the_default_lanes_keeps_the_heap_within_25_mb() {
     let _turn = one_at_a_time();
     let threads = SimConfig::default().threads;
     let (peak, lanes) = with_road_session_on(threads, 200, 400, |session| {
@@ -215,7 +246,7 @@ fn the_first_aggregate_on_the_default_lanes_keeps_the_heap_within_32_mb() {
         (all_peak_mb(), first.threads)
     });
     assert!(
-        peak <= 32.0,
+        peak <= 25.0,
         "the first aggregate on {lanes} lanes: live heap peaked at {peak:.1} MB"
     );
 }
@@ -244,15 +275,16 @@ fn scale_aggregate_heap_on_road_like_512() {
         let cold = added();
         (cold, added(), elements)
     });
-    // Measured: cold 194, warm 132 B per element, of which the warm run's
-    // slot states are 62 (about 8 slots per node here).
+    // Measured: cold 140, warm 95 B per element, of which the warm run's
+    // slot states are 47 (about 8 slots per node here); 198 / 136 with
+    // 32 B slot states, 80 B programs and per-run routing tables.
     assert!(
-        cold <= 224.0 * elements,
+        cold <= 160.0 * elements,
         "cold: {:.1} B per element",
         cold / elements
     );
     assert!(
-        warm <= 160.0 * elements,
+        warm <= 110.0 * elements,
         "warm: {:.1} B per element",
         warm / elements
     );
