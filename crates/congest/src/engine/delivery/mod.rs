@@ -32,7 +32,7 @@
 mod queued;
 mod strict;
 
-pub(crate) use queued::CalendarDelivery;
+pub(crate) use queued::{CalendarDelivery, HORIZON};
 pub(crate) use strict::StrictDelivery;
 
 use super::topology::{To, Topology};

@@ -3,9 +3,10 @@
 //!
 //! Queued mode delivers, per round, the `(priority, seq)`-minimum pending
 //! message of every non-empty directed edge, off a calendar. Its memory is
-//! 16 B per directed edge it receives plus its in-flight traffic, held in two
-//! pooled arenas that grow to the run's peak and are reused through free
-//! lists, so a run allocates a constant number of buffers:
+//! 12 B per directed edge it receives (a `head`, a `tail` and a token clock,
+//! `u32`s all three) plus its in-flight traffic, held in two pooled arenas
+//! that grow to the run's peak and are reused through free lists, so a run
+//! allocates a constant number of buffers:
 //!
 //! - **Per-dir lists** hold each directed edge's pending messages sorted
 //!   ascending by `(priority, seq)`: singly linked through the *entry
@@ -24,7 +25,11 @@
 //!   keeps delivery-time merging (below) within the one-message-per-edge-
 //!   per-round CONGEST discipline. Tokens are anonymous — a fired token
 //!   delivers whatever is minimal *at that round* — so preemption never
-//!   reschedules anything.
+//!   reschedules anything. The clock is a `u32` that saturates: the engine
+//!   caps a run at `u32::MAX − HORIZON` rounds, so every slot the calendar
+//!   can still deliver is below `u32::MAX` and distinct, and a saturated
+//!   clock only claims slots past the cap, which wait in the overflow
+//!   ring until the run ends.
 //! - **Calendar buckets**: a token for round `r` is appended to the FIFO
 //!   list of `bucket[r % horizon]`, linked through the *token arena*;
 //!   staging round `r` drains that one list in order. Tokens more than
@@ -97,8 +102,8 @@ pub(crate) struct CalendarDelivery<M> {
     /// `NIL`.
     tail: Vec<u32>,
     /// Per-local-dir token clock: the earliest round this dir has not yet
-    /// claimed a delivery token for.
-    next_slot: Vec<u64>,
+    /// claimed a delivery token for, saturating at `u32::MAX`.
+    next_slot: Vec<u32>,
     /// The entry arena: every pending message of the partition.
     entries: Vec<Entry<M>>,
     /// Head of the released entries' list.
@@ -270,8 +275,8 @@ impl<M: MessageSize + Mergeable> Delivery<M> for CalendarDelivery<M> {
         // `round + 1` while the dir has been idle, in which case it has no
         // outstanding tokens; after merging it may lead the dir's true
         // backlog, keeping new slots distinct from stale tokens.
-        let slot = (round + 1).max(self.next_slot[local]);
-        self.next_slot[local] = slot + 1;
+        let slot = (round + 1).max(u64::from(self.next_slot[local]));
+        self.next_slot[local] = (slot + 1).min(u64::from(u32::MAX)) as u32;
         if slot < round + self.horizon {
             self.schedule(slot, to);
         } else {
@@ -517,6 +522,47 @@ mod tests {
         cal.push(TO, 0, 2, 42, 9, &topo);
         cal.stage(10, &topo, &mut out, &mut acc);
         assert_eq!(out.drain(..).map(|(_, m)| m).collect::<Vec<_>>(), vec![42]);
+    }
+
+    #[test]
+    fn a_calendar_is_twelve_bytes_per_directed_edge() {
+        let g = gen::path(5);
+        let topo = Topology::build(&g, 1);
+        let cal: CalendarDelivery<u32> = CalendarDelivery::new(topo.shard_dirs(0), 1, usize::MAX);
+        let per_dir = |v: &[u32]| std::mem::size_of_val(v) / v.len();
+        let bytes = per_dir(&cal.head) + per_dir(&cal.tail) + per_dir(&cal.next_slot);
+        assert_eq!((cal.head.len(), bytes), (8, 12));
+    }
+
+    /// The last rounds a run may reach: a backlog pushed just below the
+    /// engine's round cap delivers one message per round, in order, up to
+    /// the cap, and a backlog reaching past `u32::MAX` saturates the clock
+    /// instead of wrapping it back into the calendar.
+    #[test]
+    fn the_clock_holds_up_to_the_round_cap() {
+        use crate::engine::ROUND_CAP;
+        let g = gen::path(2);
+        let topo = Topology::build(&g, 1);
+        let mut cal: CalendarDelivery<u32> =
+            CalendarDelivery::with_horizon(topo.shard_dirs(0), 4, 1, usize::MAX);
+        let start = ROUND_CAP - 8;
+        for seq in 1..=10u64 {
+            cal.push(TO, 0, seq, seq as u32, start, &topo);
+        }
+        // Twice the calendar's width past the cap's own clock.
+        for seq in 11..=(10 + 2 * HORIZON) {
+            cal.push(TO, 0, seq, seq as u32, start, &topo);
+        }
+        let local = topo.slot(TO) as usize;
+        assert_eq!(cal.next_slot[local], u32::MAX, "the clock saturates");
+        let mut acc = ShardAccount::default();
+        let mut out = Vec::new();
+        for round in start + 1..=ROUND_CAP {
+            cal.stage(round, &topo, &mut out, &mut acc);
+            let staged: Vec<u32> = out.drain(..).map(|(_, msg)| msg).collect();
+            assert_eq!(staged, vec![(round - start) as u32], "round {round}");
+        }
+        assert_eq!(cal.pending() as u64, 2 + 2 * HORIZON);
     }
 
     /// Stages one round of a packed-envelope calendar, returning the

@@ -86,7 +86,10 @@ pub struct SimConfig {
     pub mode: SimMode,
     /// Hard cap on simulated rounds (guards against non-terminating
     /// protocols). A run cut short by the cap reports
-    /// [`RunMetrics::truncated`]` = true`.
+    /// [`RunMetrics::truncated`]` = true`. A run resolves the cap to at
+    /// most `u32::MAX − 64` rounds ([`Simulator::effective_max_rounds`]):
+    /// the delivery tables keep round numbers as `u32`s, and queued
+    /// delivery claims rounds up to 64 ahead of the current one.
     pub max_rounds: u64,
     /// Lanes of the round loop: the node-id space is split into this many
     /// contiguous shards, run round-robin by up to as many OS threads as
@@ -287,11 +290,13 @@ pub struct Simulator<'g> {
 
 impl<'g> Simulator<'g> {
     /// Creates a simulator over `graph`. The config is normalized here —
-    /// the single place `message_packing == 0` becomes `1` — so every
-    /// consumer downstream reads the stored value as-is.
+    /// the single place `message_packing == 0` becomes `1` and
+    /// `max_rounds` is capped at `u32::MAX − 64` — so every consumer
+    /// downstream reads the stored value as-is.
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
         let config = SimConfig {
             message_packing: config.message_packing.max(1),
+            max_rounds: config.max_rounds.min(ROUND_CAP),
             ..config
         };
         Simulator { graph, config }
@@ -322,6 +327,12 @@ impl<'g> Simulator<'g> {
     /// (`0` was normalized to `1` at construction).
     pub fn effective_packing(&self) -> usize {
         self.config.message_packing
+    }
+
+    /// The round cap [`SimConfig::max_rounds`] resolves to: the configured
+    /// value, at most `u32::MAX − 64` (see [`SimConfig::max_rounds`]).
+    pub fn effective_max_rounds(&self) -> u64 {
+        self.config.max_rounds
     }
 
     /// Runs one program per node (constructed by `init`) to quiescence or
@@ -429,6 +440,14 @@ impl<'g> Simulator<'g> {
 /// 178 ms, against 209 on two lanes and 248 on one (medians of 11
 /// alternating runs in one process).
 pub const GRAIN: usize = 2_560;
+
+/// The most rounds a run executes, whatever [`SimConfig::max_rounds`]
+/// says: `u32::MAX − 64`. Strict delivery stamps each directed edge with
+/// `round + 1` and queued delivery's token clocks claim rounds up to 64
+/// (its calendar width) past the current one, both as `u32`s; under this
+/// cap neither wraps inside a run. At a million rounds a second that is
+/// over an hour of simulated time.
+pub(crate) const ROUND_CAP: u64 = u32::MAX as u64 - delivery::HORIZON;
 
 /// The host's available parallelism (1 when it cannot be queried), asked
 /// once per process: the query reads the affinity mask and the cgroup
@@ -711,6 +730,26 @@ mod tests {
                 "hitting the cap with pending work must be observable"
             );
             assert_eq!(run.metrics.rounds, 10, "threads={threads}");
+        }
+    }
+
+    /// The cap resolves below the `u32` rounds of the delivery tables,
+    /// whatever the config asks; a cap below it is kept as it is.
+    #[test]
+    fn the_round_cap_resolves_below_the_u32_tables() {
+        let g = gen::path(2);
+        let cap = |max_rounds| {
+            let config = SimConfig {
+                max_rounds,
+                ..SimConfig::default()
+            };
+            Simulator::new(&g, config).effective_max_rounds()
+        };
+        assert_eq!(cap(u64::MAX), ROUND_CAP);
+        assert_eq!(cap(ROUND_CAP + 1), ROUND_CAP);
+        assert_eq!(ROUND_CAP + delivery::HORIZON, u64::from(u32::MAX));
+        for max_rounds in [0, 10, 1_000_000, ROUND_CAP] {
+            assert_eq!(cap(max_rounds), max_rounds);
         }
     }
 

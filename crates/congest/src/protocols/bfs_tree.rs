@@ -45,11 +45,13 @@ impl MessageSize for BfsMsg {
 /// children list is the `Dist` ports minus those that answered, final two
 /// rounds after activation, with no clock or wake-up.
 ///
-/// After the run, [`extract_tree`] recovers the tree.
+/// A program is 32 B: the depth and the parent port as `u32`s with an
+/// unset sentinel, and the children list. The root is the node at depth
+/// 0, so no flag marks it. After the run, [`extract_tree`] recovers the
+/// tree.
 #[derive(Clone, Debug)]
 pub struct BfsTreeProgram {
-    is_root: bool,
-    /// BFS depth, [`NONE`] while unreached.
+    /// BFS depth, [`NONE`] while unreached; 0 exactly at the root.
     dist: u32,
     /// Port to the parent, [`NONE`] at the root and unreached nodes.
     parent_port: u32,
@@ -63,7 +65,6 @@ impl BfsTreeProgram {
     /// Creates the program; exactly one node must pass `is_root = true`.
     pub fn new(is_root: bool) -> Self {
         BfsTreeProgram {
-            is_root,
             dist: if is_root { 0 } else { NONE },
             parent_port: NONE,
             children_ports: Vec::new(),
@@ -135,7 +136,7 @@ impl NodeProgram for BfsTreeProgram {
     type Msg = BfsMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, BfsMsg>) {
-        if self.is_root {
+        if self.dist == 0 {
             ctx.broadcast(BfsMsg::Dist(0));
             self.children_ports.extend(0..ctx.degree() as u32);
         }
@@ -175,12 +176,12 @@ pub fn extract_tree(g: &Graph, run: &RunOutcome<BfsTreeProgram>) -> RootedTree {
     let mut order: Vec<NodeId> = Vec::new();
     let mut root = None;
     for (v, prog) in g.nodes().zip(&run.programs) {
-        if prog.is_root {
-            root = Some(v);
-        }
         let Some(d) = prog.dist() else {
             continue;
         };
+        if d == 0 {
+            root = Some(v);
+        }
         depth[v.index()] = d;
         order.push(v);
         if let Some(port) = prog.parent_port() {
@@ -317,12 +318,12 @@ mod tests {
         }
     }
 
-    /// A finished flood keeps one program per node: the root flag, the
-    /// depth and parent port as `u32`s, and the children list (its heap
-    /// sized to the ports `Dist` went out on at activation).
+    /// A finished flood keeps one program per node: the depth and parent
+    /// port as `u32`s, and the children list (its heap sized to the ports
+    /// `Dist` went out on at activation); the root is the node at depth 0.
     #[test]
-    fn a_program_is_forty_bytes() {
-        assert_eq!(std::mem::size_of::<BfsTreeProgram>(), 40);
+    fn a_program_is_at_most_thirty_two_bytes() {
+        assert!(std::mem::size_of::<BfsTreeProgram>() <= 32);
     }
 
     #[test]

@@ -45,7 +45,8 @@ use std::fmt;
 pub struct Truncated {
     /// The phase that was cut short: `"bfs"` or `"detection"`.
     pub phase: &'static str,
-    /// The round cap it ran under.
+    /// The round cap it ran under: [`SimConfig::max_rounds`], at most
+    /// `u32::MAX − 64` ([`Simulator::effective_max_rounds`]).
     pub max_rounds: u64,
 }
 
@@ -61,12 +62,12 @@ impl fmt::Display for Truncated {
 
 impl std::error::Error for Truncated {}
 
-/// Whether a phase run under `sim` reached quiescence.
-fn quiesced(metrics: &RunMetrics, phase: &'static str, sim: &SimConfig) -> Result<(), Truncated> {
+/// Whether a phase run on `sim` reached quiescence.
+fn quiesced(metrics: &RunMetrics, phase: &'static str, sim: &Simulator) -> Result<(), Truncated> {
     if metrics.truncated || !metrics.terminated {
         return Err(Truncated {
             phase,
-            max_rounds: sim.max_rounds,
+            max_rounds: sim.effective_max_rounds(),
         });
     }
     Ok(())
@@ -146,15 +147,7 @@ impl KmvSketch {
 
     /// Inserts one hashed item.
     pub fn insert(&mut self, hash: u64) {
-        match self.values.binary_search(&hash) {
-            Ok(_) => {}
-            Err(pos) => {
-                if pos < self.t {
-                    self.values.insert(pos, hash);
-                    self.values.truncate(self.t);
-                }
-            }
-        }
+        kmv_insert(&mut self.values, self.t, hash);
     }
 
     /// The retained minima, ascending.
@@ -165,12 +158,29 @@ impl KmvSketch {
     /// Estimated distinct count: exact below capacity, `(t-1)·2⁶⁴/v_t`
     /// at capacity.
     pub fn estimate(&self) -> f64 {
-        if self.values.len() < self.t {
-            self.values.len() as f64
-        } else {
-            let kth = self.values[self.t - 1];
-            (self.t - 1) as f64 * (u64::MAX as f64) / (kth as f64 + 1.0)
+        kmv_estimate(&self.values, self.t)
+    }
+}
+
+/// [`KmvSketch::insert`] on the bare retained minima of a capacity-`t`
+/// sketch, the form a detection node keeps (its run holds `t`).
+fn kmv_insert(values: &mut Vec<u64>, t: usize, hash: u64) {
+    if let Err(pos) = values.binary_search(&hash) {
+        if pos < t {
+            values.insert(pos, hash);
+            values.truncate(t);
         }
+    }
+}
+
+/// [`KmvSketch::estimate`] on the bare retained minima of a capacity-`t`
+/// sketch.
+fn kmv_estimate(values: &[u64], t: usize) -> f64 {
+    if values.len() < t {
+        values.len() as f64
+    } else {
+        let kth = values[t - 1];
+        (t - 1) as f64 * (u64::MAX as f64) / (kth as f64 + 1.0)
     }
 }
 
@@ -214,52 +224,78 @@ impl MessageSize for DetectMsg {
     }
 }
 
-/// Exact-mode part-set accumulator: a plain `Vec` on the ingest hot path
-/// (every received part id is an O(1) push — no hashing), normalized by one
-/// `sort + dedup` pass at finalization, right before the set is sized
-/// against the threshold and streamed upward. Duplicates are bounded by the
-/// messages received, so the buffer never exceeds the node's inbound
-/// traffic.
-#[derive(Clone, Debug, Default)]
-struct VecSet {
-    items: Vec<u32>,
-}
-
-impl VecSet {
-    fn insert(&mut self, part: u32) {
-        self.items.push(part);
-    }
-
-    /// Sorts, dedups, and returns the set contents (ascending).
-    fn normalize(&mut self) -> &[u32] {
-        self.items.sort_unstable();
-        self.items.dedup();
-        &self.items
-    }
-}
-
-/// Per-node accumulator of the convergecast.
-#[derive(Clone, Debug)]
-enum SetAcc {
-    Exact(VecSet),
-    Sketch(KmvSketch),
-}
-
-/// The detection-phase program of one node.
-struct DetectProgram {
-    /// Port to the tree parent (`None` at the root and off-tree nodes).
-    parent_port: Option<usize>,
-    /// Tree children that have not sent [`DetectMsg::Done`] yet.
-    pending_children: usize,
-    /// This node's active part, pre-hashed for sketch mode.
-    own_part: Option<u32>,
-    acc: SetAcc,
+/// What every node of one detection run reads alike, held once per run and
+/// borrowed by each [`DetectProgram`] instead of copied into it.
+struct DetectRun {
     /// Congestion threshold `c`.
     threshold: u32,
-    /// Sketch cut factor (1.0 in exact mode).
-    cut_factor: f64,
+    /// Sketch capacity `t`; 0 in exact mode, whose nodes stream exact sets.
+    capacity: usize,
     /// Hash seed (sketch mode).
     hash_seed: u64,
+    /// Sketch cut factor (1.0 in exact mode).
+    cut_factor: f64,
+}
+
+impl DetectRun {
+    fn new(threshold: u32, mode: DistMode) -> Self {
+        match mode {
+            DistMode::Exact => DetectRun {
+                threshold,
+                capacity: 0,
+                hash_seed: 0,
+                cut_factor: 1.0,
+            },
+            DistMode::Sketch {
+                t,
+                hash_seed,
+                cut_factor,
+            } => {
+                // t = 1 is a legal sketch but a degenerate detector: its
+                // at-capacity estimate is identically 0, so no edge would
+                // ever be cut and the congestion guarantee silently breaks.
+                assert!(t >= 2, "sketch detection needs capacity t >= 2");
+                DetectRun {
+                    threshold,
+                    capacity: t,
+                    hash_seed,
+                    cut_factor,
+                }
+            }
+        }
+    }
+}
+
+/// A node's part set while it convergecasts, emptied (and its buffer
+/// freed) once the node has streamed it upward or cut.
+#[derive(Debug)]
+enum SetAcc {
+    /// Exact mode: every received part id, pushed as it arrives (no
+    /// hashing on the ingest hot path) and normalized by one
+    /// `sort + dedup` pass when the node finalizes. Duplicates are
+    /// bounded by the messages received, so the buffer never exceeds the
+    /// node's inbound traffic.
+    Exact(Vec<u32>),
+    /// Sketch mode: the retained minima of a sketch of the run's capacity.
+    Sketch(Vec<u64>),
+}
+
+/// The unset `parent_port` / `own_part`.
+const NONE: u32 = u32::MAX;
+
+/// The detection-phase program of one node, at most 56 B: the run it
+/// shares, its tree position and part as `u32`s with [`NONE`] for unset,
+/// three flags and its part set. Only `cut` is read after the run, so the
+/// set is dropped as soon as it has been streamed or cut.
+struct DetectProgram<'a> {
+    run: &'a DetectRun,
+    acc: SetAcc,
+    /// Port to the tree parent ([`NONE`] at the root and off-tree nodes).
+    parent_port: u32,
+    /// Tree children that have not sent [`DetectMsg::Done`] yet.
+    pending_children: u32,
+    /// This node's active part ([`NONE`] if it has none).
+    own_part: u32,
     /// Whether this node cut its parent edge.
     cut: bool,
     finished: bool,
@@ -267,15 +303,42 @@ struct DetectProgram {
     in_tree: bool,
 }
 
-impl DetectProgram {
+impl<'a> DetectProgram<'a> {
+    /// Node `v`'s program over `tree`, with its active part if it has one.
+    fn new(run: &'a DetectRun, g: &Graph, tree: &RootedTree, v: NodeId, part: Option<u32>) -> Self {
+        let in_tree = tree.contains(v);
+        DetectProgram {
+            run,
+            acc: match run.capacity {
+                0 => SetAcc::Exact(Vec::new()),
+                _ => SetAcc::Sketch(Vec::new()),
+            },
+            parent_port: tree.parent(v).map_or(NONE, |(p, _)| {
+                g.port_to(v, p).expect("tree parent is a graph neighbor") as u32
+            }),
+            pending_children: if in_tree {
+                tree.children(v).len() as u32
+            } else {
+                0
+            },
+            own_part: part.unwrap_or(NONE),
+            cut: false,
+            finished: false,
+            in_tree,
+        }
+    }
+
     fn finalize(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
-        if let Some(p) = self.own_part {
+        if self.own_part != NONE {
+            let run = self.run;
             match &mut self.acc {
-                SetAcc::Exact(set) => set.insert(p),
-                SetAcc::Sketch(s) => s.insert(splitmix(self.hash_seed, p)),
+                SetAcc::Exact(set) => set.push(self.own_part),
+                SetAcc::Sketch(values) => {
+                    kmv_insert(values, run.capacity, splitmix(run.hash_seed, self.own_part))
+                }
             }
         }
-        if let Some(port) = self.parent_port {
+        if self.parent_port != NONE {
             // Size the accumulated set against the threshold, then either
             // cut the parent edge or stream the set upward. Exact mode
             // normalizes (sort + dedup) here — once per node — and streams
@@ -283,21 +346,28 @@ impl DetectProgram {
             // the closing Done) is issued on one port in one callback, which
             // is exactly the shape the engine's message-packing coalesces
             // into multi-value batches.
+            let port = self.parent_port as usize;
             let estimate = match &mut self.acc {
-                SetAcc::Exact(set) => set.normalize().len() as f64,
-                SetAcc::Sketch(s) => s.estimate() * self.cut_factor,
+                SetAcc::Exact(set) => {
+                    set.sort_unstable();
+                    set.dedup();
+                    set.len() as f64
+                }
+                SetAcc::Sketch(values) => {
+                    kmv_estimate(values, self.run.capacity) * self.run.cut_factor
+                }
             };
-            if estimate >= f64::from(self.threshold) {
+            if estimate >= f64::from(self.run.threshold) {
                 self.cut = true;
             } else {
                 match &self.acc {
                     SetAcc::Exact(set) => {
-                        for &p in &set.items {
+                        for &p in set {
                             ctx.send(port, DetectMsg::Part(p));
                         }
                     }
-                    SetAcc::Sketch(s) => {
-                        for &v in s.values() {
+                    SetAcc::Sketch(values) => {
+                        for &v in values {
                             ctx.send(port, DetectMsg::SketchVal(v));
                         }
                     }
@@ -305,11 +375,15 @@ impl DetectProgram {
             }
             ctx.send(port, DetectMsg::Done);
         }
+        match &mut self.acc {
+            SetAcc::Exact(set) => *set = Vec::new(),
+            SetAcc::Sketch(values) => *values = Vec::new(),
+        }
         self.finished = true;
     }
 }
 
-impl NodeProgram for DetectProgram {
+impl NodeProgram for DetectProgram<'_> {
     type Msg = DetectMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
@@ -322,18 +396,13 @@ impl NodeProgram for DetectProgram {
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, DetectMsg>, inbox: &[Incoming<DetectMsg>]) {
         for m in inbox {
-            match m.msg {
-                DetectMsg::Part(p) => {
-                    if let SetAcc::Exact(set) = &mut self.acc {
-                        set.insert(p);
-                    }
+            match (m.msg, &mut self.acc) {
+                (DetectMsg::Part(p), SetAcc::Exact(set)) => set.push(p),
+                (DetectMsg::SketchVal(v), SetAcc::Sketch(values)) => {
+                    kmv_insert(values, self.run.capacity, v)
                 }
-                DetectMsg::SketchVal(v) => {
-                    if let SetAcc::Sketch(s) = &mut self.acc {
-                        s.insert(v);
-                    }
-                }
-                DetectMsg::Done => self.pending_children -= 1,
+                (DetectMsg::Done, _) => self.pending_children -= 1,
+                _ => {}
             }
         }
         if self.pending_children == 0 && !self.finished {
@@ -357,7 +426,8 @@ pub fn distributed_bfs(
     root: NodeId,
     sim: SimConfig,
 ) -> Result<(RootedTree, RunMetrics), Truncated> {
-    let run = Simulator::new(g, sim).run(|v, _| BfsTreeProgram::new(v == root));
+    let sim = Simulator::new(g, sim);
+    let run = sim.run(|v, _| BfsTreeProgram::new(v == root));
     quiesced(&run.metrics, "bfs", &sim)?;
     Ok((extract_tree(g, &run), run.metrics))
 }
@@ -385,45 +455,12 @@ pub(crate) fn detect_cuts(
             ..dist.sim
         },
     );
+    let shared = DetectRun::new(threshold, dist.mode);
     let run = sim.run(|v, _| {
-        let in_tree = tree.contains(v);
-        let parent_port = if in_tree {
-            tree.parent(v)
-                .map(|(p, _)| g.port_to(v, p).expect("tree parent is a graph neighbor"))
-        } else {
-            None
-        };
-        let (acc, cut_factor, hash_seed) = match dist.mode {
-            DistMode::Exact => (SetAcc::Exact(VecSet::default()), 1.0, 0),
-            DistMode::Sketch {
-                t,
-                hash_seed,
-                cut_factor,
-            } => {
-                // t = 1 is a legal sketch but a degenerate detector: its
-                // at-capacity estimate is identically 0, so no edge would
-                // ever be cut and the congestion guarantee silently breaks.
-                assert!(t >= 2, "sketch detection needs capacity t >= 2");
-                (SetAcc::Sketch(KmvSketch::new(t)), cut_factor, hash_seed)
-            }
-        };
-        DetectProgram {
-            parent_port,
-            pending_children: if in_tree { tree.children(v).len() } else { 0 },
-            own_part: partition
-                .part_of(v)
-                .filter(|p| is_active[p.index()])
-                .map(|p| p.0),
-            acc,
-            threshold,
-            cut_factor,
-            hash_seed,
-            cut: false,
-            finished: false,
-            in_tree,
-        }
+        let part = partition.part_of(v).filter(|p| is_active[p.index()]);
+        DetectProgram::new(&shared, g, tree, v, part.map(|p| p.0))
     });
-    quiesced(&run.metrics, "detection", &dist.sim)?;
+    quiesced(&run.metrics, "detection", &sim)?;
     let mut fixed_o = vec![false; g.num_edges()];
     for v in g.nodes() {
         if run.programs[v.index()].cut {
@@ -456,6 +493,85 @@ mod tests {
 
     fn cut_edges(sweep: &Sweep) -> Vec<EdgeId> {
         sweep.data.over_edges.iter().map(|oe| oe.edge).collect()
+    }
+
+    /// A program shares its run's threshold and mode constants and keeps
+    /// its tree position and part in `u32`s: 88 B while it copied them.
+    #[test]
+    fn a_detection_program_is_at_most_fifty_six_bytes() {
+        assert!(std::mem::size_of::<DetectProgram<'_>>() <= 56);
+    }
+
+    /// After the run a node holds no set: every node streamed its set or
+    /// cut, and freed it either way, in both modes.
+    #[test]
+    fn a_finished_node_keeps_no_set() {
+        let g = gen::grid(12, 12);
+        let partition = Partition::from_parts(&g, gen::singleton_parts(&g)).unwrap();
+        let tree = bfs::bfs_tree(&g, NodeId(0));
+        let sketch = DistMode::Sketch {
+            t: 8,
+            hash_seed: 0xbeef,
+            cut_factor: 1.0,
+        };
+        for mode in [DistMode::Exact, sketch] {
+            let queued = SimConfig {
+                mode: SimMode::Queued,
+                ..SimConfig::default()
+            };
+            let sim = Simulator::new(&g, queued);
+            let shared = DetectRun::new(40, mode);
+            let run = sim.run(|v, _| {
+                let part = partition.part_of(v).map(|p| p.0);
+                DetectProgram::new(&shared, &g, &tree, v, part)
+            });
+            assert!(run.metrics.terminated);
+            assert!(run.programs.iter().any(|p| p.cut), "{mode:?}");
+            for p in &run.programs {
+                let held = match &p.acc {
+                    SetAcc::Exact(set) => set.capacity(),
+                    SetAcc::Sketch(values) => values.capacity(),
+                };
+                assert!(p.finished && held == 0, "{mode:?}");
+            }
+        }
+    }
+
+    /// A cap above what the engine resolves still ends in the typed error,
+    /// which reports the cap the run ran under.
+    #[test]
+    fn an_unbounded_cap_truncates_at_the_resolved_cap() {
+        let g = gen::path(3);
+        let sim = Simulator::new(
+            &g,
+            SimConfig {
+                max_rounds: u64::MAX,
+                ..SimConfig::default()
+            },
+        );
+        let cut_short = RunMetrics {
+            truncated: true,
+            ..RunMetrics::default()
+        };
+        let err = quiesced(&cut_short, "detection", &sim).unwrap_err();
+        assert_eq!(err.phase, "detection");
+        assert_eq!(err.max_rounds, u64::from(u32::MAX) - 64);
+        let done = RunMetrics {
+            terminated: true,
+            ..RunMetrics::default()
+        };
+        assert_eq!(quiesced(&done, "detection", &sim), Ok(()));
+        // A run under that cap ends at quiescence as under any other.
+        let (tree, flood) = distributed_bfs(
+            &g,
+            NodeId(0),
+            SimConfig {
+                max_rounds: u64::MAX,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(flood.terminated && tree.contains(NodeId(2)));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! wrapping `System` checks that a warm aggregate makes the same small
 //! number of allocations whatever the graph's size, that the first
 //! aggregate on the `partwise_warm` benchmark instance (`road_like` 200²,
-//! 400 Voronoi parts, seed 7) keeps the live heap within 25 MB, and that a
-//! warm one there adds at most 12.5 MB while it runs.
+//! 400 Voronoi parts, seed 7) keeps the live heap within 25 MB, that a
+//! warm one there adds at most 12.5 MB while it runs, and that one exact
+//! Theorem 1.5 construction adds at most 170 B per node.
 //!
 //! The counters are thread-local, so the tests of this binary do not see
 //! each other's allocations, and the runs they count are pinned to one
@@ -14,6 +15,8 @@
 //! test's allocations.
 
 use low_congestion_shortcuts::congest::{splitmix, SimConfig};
+use low_congestion_shortcuts::core::construct;
+use low_congestion_shortcuts::core::dist::{DistConfig, DistMode};
 use low_congestion_shortcuts::facade::*;
 use low_congestion_shortcuts::graph::bfs;
 use low_congestion_shortcuts::prelude::*;
@@ -184,8 +187,9 @@ fn a_warm_aggregate_allocates_the_same_at_every_size() {
     );
 }
 
-/// 20.9 MB measured (26.5 with 32 B slot states, 80 B programs, per-run
-/// routing tables and an unreserved participation build).
+/// 20.4 MB measured (20.9 with 16 B of calendar per directed edge; 26.5
+/// with 32 B slot states, 80 B programs, per-run routing tables and an
+/// unreserved participation build).
 #[test]
 fn the_first_aggregate_keeps_the_heap_within_25_mb() {
     let _turn = one_at_a_time();
@@ -204,10 +208,10 @@ fn the_first_aggregate_keeps_the_heap_within_25_mb() {
 
 /// A warm aggregate on the same instance adds a fixed transient to the
 /// live heap — the run's slot states (24 B per slot), programs (72 B per
-/// node), delivery heads (16 B per directed edge) and traffic — and keeps
-/// nothing: 10.7 MB measured, 15.1 while slot states were 32 B, programs
-/// 80 B, every run built 16 B of routing tables per directed edge and the
-/// op copied the cached forest.
+/// node), calendar (12 B per directed edge) and traffic — and keeps
+/// nothing: 10.3 MB measured, 10.7 with a 16 B calendar, 15.1 while slot
+/// states were 32 B, programs 80 B, every run built 16 B of routing tables
+/// per directed edge and the op copied the cached forest.
 #[test]
 fn a_warm_aggregate_adds_a_fixed_transient() {
     let _turn = one_at_a_time();
@@ -275,9 +279,10 @@ fn scale_aggregate_heap_on_road_like_512() {
         let cold = added();
         (cold, added(), elements)
     });
-    // Measured: cold 140, warm 95 B per element, of which the warm run's
-    // slot states are 47 (about 8 slots per node here); 198 / 136 with
-    // 32 B slot states, 80 B programs and per-run routing tables.
+    // Measured: cold 137.5, warm 92.4 B per element, of which the warm
+    // run's slot states are 47 (about 8 slots per node here); 140 / 95
+    // with a 16 B calendar, 198 / 136 with 32 B slot states, 80 B programs
+    // and per-run routing tables.
     assert!(
         cold <= 160.0 * elements,
         "cold: {:.1} B per element",
@@ -288,4 +293,60 @@ fn scale_aggregate_heap_on_road_like_512() {
         "warm: {:.1} B per element",
         warm / elements
     );
+}
+
+/// The live heap one exact Theorem 1.5 construction adds, per node: on
+/// `road_like` `side`² (seed 7) with `side²/100` Voronoi parts, every part
+/// from δ̂ = 1 over the host BFS tree of node 0, its detection on one lane.
+fn exact_construction_bytes_per_node(side: usize) -> f64 {
+    let seed = 7;
+    let g = gen::road_like(side, side, seed);
+    let parts = gen::voronoi_parts_seeded(&g, side * side / 100, splitmix(seed, 0x5eed));
+    let partition = Partition::from_parts(&g, parts).expect("voronoi cells are connected");
+    let tree = bfs::bfs_tree(&g, NodeId(0));
+    let all: Vec<PartId> = partition.part_ids().collect();
+    let dist = DistConfig {
+        mode: DistMode::Exact,
+        sim: SimConfig {
+            threads: 1,
+            ..SimConfig::default()
+        },
+    };
+    let before = LIVE.with(Cell::get);
+    reset_peak();
+    let res = construct(
+        &g,
+        &tree,
+        &partition,
+        &all,
+        1,
+        &ShortcutConfig::default(),
+        Some(&dist),
+    )
+    .expect("the default round cap");
+    assert!(res.cost.messages > 0);
+    (PEAK.with(Cell::get) - before) as f64 / g.num_nodes() as f64
+}
+
+/// The exact construction on `road_like` 128² (163 parts) adds at most
+/// 170 B per node to the live heap: 160.9 measured (207 / 220 at 96² /
+/// 64², where fixed costs weigh more); 228.5 while a detection program
+/// was 88 B and kept its set after streaming it and the calendar kept
+/// 16 B per directed edge.
+#[test]
+fn the_exact_construction_adds_at_most_170_bytes_per_node() {
+    let _turn = one_at_a_time();
+    let added = exact_construction_bytes_per_node(128);
+    assert!(added <= 170.0, "{added:.1} B per node");
+}
+
+/// The same at n = 262 144 (`road_like` 512², 2 621 parts): 160.9 B per
+/// node measured, 255 before. Release only (`cargo test --release --
+/// --ignored scale_`).
+#[test]
+#[ignore]
+fn scale_construction_heap_on_road_like_512() {
+    let _turn = one_at_a_time();
+    let added = exact_construction_bytes_per_node(512);
+    assert!(added <= 170.0, "{added:.1} B per node");
 }
