@@ -62,7 +62,7 @@ pub struct RunMetrics {
 ///
 /// | bucket       | what the calling thread spent in                      |
 /// |--------------|-------------------------------------------------------|
-/// | `setup_ms`   | everything before round 0 — the shard layout, the shards' per-node buffers, the delivery partitions' per-dir heads (16 B per dir received in queued mode, 8 B in strict mode), the programs' construction — plus starting the worker threads and releasing the lanes after the last round |
+/// | `setup_ms`   | everything before round 0 — the shard layout, the shards' per-node buffers, the delivery partitions' per-dir tables (12 B per dir received in queued mode, 4 B in strict mode), the programs' construction — plus starting the worker threads and releasing the lanes after the last round |
 /// | `stage_ms`   | ingesting routed envelopes into the delivery partition and staging the round's due deliveries |
 /// | `compute_ms` | the node programs' `on_start` / `on_round` callbacks (with inbox unpacking and send coalescing) |
 /// | `merge_ms`   | flushing the sends — bandwidth validation, bit accounting, routing — plus the serial window between rounds (account fold, quiescence check, seq-base prefix sum, mailbox rotation) |

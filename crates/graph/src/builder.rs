@@ -200,9 +200,12 @@ impl GraphBuilder {
             scratch[lo..hi].sort_unstable_by_key(|&(node, _)| node);
         }
         let (head, edge_id): (Vec<NodeId>, Vec<EdgeId>) = scratch.into_iter().unzip();
+        // The edge list grew by pushes: keep none of its spare capacity.
+        let mut endpoints = self.edges;
+        endpoints.shrink_to_fit();
         Graph {
             num_nodes: n,
-            endpoints: self.edges,
+            endpoints,
             first_out,
             head,
             edge_id,
@@ -222,6 +225,12 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
         assert!(g.has_edge(NodeId(0), NodeId(2)));
+    }
+
+    #[test]
+    fn a_built_graph_keeps_no_spare_edge_capacity() {
+        let g = crate::gen::road_like(64, 64, 7);
+        assert_eq!(g.endpoints.capacity(), g.num_edges());
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! * the levels form a refinement chain: level-`k` parts are unions of
 //!   level-`k+1` parts by construction.
 //!
+//! The tree is one order of the nodes plus ranges into it: every region is
+//! a range of the order, and its children split that range, child after
+//! child. A split rewrites its region's range into its children in place,
+//! so a dissection keeps no per-region node lists; the separators sit in
+//! one more array, and each region is a fixed 32 B record — about 19 B per
+//! node on `road_like` graphs.
+//!
 //! A split costs at most three BFS passes over its region: the first sweep
 //! (from the smallest id, which also checks connectivity), the second
 //! (from that sweep's farthest node, giving the levels), and the search
@@ -31,14 +38,14 @@
 //! its farthest node is handed down, and a far child is split with two
 //! passes (so is a disconnected region's first component, which the
 //! first sweep reached from its smallest id). Sibling subtrees share
-//! nothing, so they are dissected on every core and spliced back in one
-//! fixed order.
+//! nothing — each owns its range of the order — so they are dissected on
+//! every core and spliced back in one fixed order.
 //!
-//! Everything is deterministic: regions are kept sorted by node id, BFS
-//! follows the CSR adjacency order, and farthest-node ties break toward
-//! the smallest id — the same tree is produced on every run and on any
-//! number of cores, which is what lets servers key warm-session caches on
-//! the separator spec alone.
+//! Everything is deterministic: leaf ranges are sorted; an inner range is
+//! its children's. BFS follows the CSR adjacency order, and farthest-node
+//! ties break toward the smallest id — the same tree is produced on every
+//! run and on any number of cores, which is what lets servers key
+//! warm-session caches on the separator spec alone.
 //!
 //! ```
 //! use lcs_graph::gen;
@@ -60,7 +67,7 @@ use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::{mem, thread};
 
 /// Knobs of the nested-dissection recursion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,69 +90,177 @@ impl Default for SeparatorConfig {
     }
 }
 
-/// One region of the dissection: its nodes, the separator chosen to split
-/// it, and its place in the recursion tree.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SepNode {
-    /// The region's nodes, sorted ascending by id.
-    pub region: Vec<NodeId>,
-    /// The cut: the BFS level chosen to split this region (sorted; empty
-    /// for leaves and for disconnected regions, which split into
-    /// components without a cut). The separator nodes stay in the *near*
-    /// child (`children[0]`), so child regions cover the region exactly.
-    pub separator: Vec<NodeId>,
-    /// Arena index of the parent region (`None` for the root).
-    pub parent: Option<usize>,
-    /// Arena indices of the child regions. For a cut split, `children[0]`
-    /// is the near side (BFS prefix including the separator) and the rest
-    /// are the far components; for a disconnected region, one child per
-    /// component. Empty for leaves.
-    pub children: Vec<usize>,
+/// The `parent` of the root region.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One region as the tree stores it: ranges into the node order and the
+/// cut arena, and its place in the recursion. An empty range is `0..0`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Region {
+    /// The region's nodes are `order[start..end]`.
+    start: u32,
+    end: u32,
+    /// Its separator is `cuts[cut_start..cut_end]`.
+    cut_start: u32,
+    cut_end: u32,
+    /// Arena index of the parent region, [`NO_PARENT`] for the root.
+    parent: u32,
+    /// Its children are the arena indices `first_child..end_child`.
+    first_child: u32,
+    end_child: u32,
     /// Depth in the recursion tree (root = 0).
-    pub depth: u32,
+    depth: u32,
 }
 
-impl SepNode {
-    /// Whether this region was not split further.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+/// `x` as a `u32` index: the tree's arrays are indexed like the node ids.
+fn u32_index(x: usize) -> u32 {
+    u32::try_from(x).expect("the dissection's arrays fit u32 indices")
+}
+
+/// `range` as stored in a [`Region`], `0..0` when empty.
+fn span(range: Range<usize>) -> (u32, u32) {
+    if range.is_empty() {
+        (0, 0)
+    } else {
+        (u32_index(range.start), u32_index(range.end))
     }
 }
 
-/// The nested-dissection recursion tree: an arena of [`SepNode`]s with the
+impl Region {
+    /// A region of `len` nodes from `start` of the order, without parent,
+    /// cut or children.
+    fn new(start: usize, len: usize, depth: u32) -> Region {
+        Region {
+            start: u32_index(start),
+            end: u32_index(start + len),
+            parent: NO_PARENT,
+            depth,
+            ..Region::default()
+        }
+    }
+
+    fn nodes(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn set_cut(&mut self, cut: Range<usize>) {
+        (self.cut_start, self.cut_end) = span(cut);
+    }
+
+    fn set_children(&mut self, children: Range<usize>) {
+        (self.first_child, self.end_child) = span(children);
+    }
+}
+
+/// One region of the dissection, read from its [`SeparatorTree`]: its
+/// nodes, the separator chosen to split it, and its place in the
+/// recursion tree.
+#[derive(Clone, Copy)]
+pub struct SepNode<'t> {
+    tree: &'t SeparatorTree,
+    region: &'t Region,
+}
+
+impl<'t> SepNode<'t> {
+    /// The region's nodes: ascending by id for a leaf; for an inner
+    /// region, its children's nodes, child after child.
+    pub fn region(&self) -> &'t [NodeId] {
+        &self.tree.order[self.region.nodes()]
+    }
+
+    /// The cut: the BFS level chosen to split this region (sorted; empty
+    /// for leaves and for disconnected regions, which split into
+    /// components without a cut). The separator nodes stay in the *near*
+    /// child (the first of [`children`](Self::children)), so child regions
+    /// cover the region exactly.
+    pub fn separator(&self) -> &'t [NodeId] {
+        &self.tree.cuts[self.region.cut_start as usize..self.region.cut_end as usize]
+    }
+
+    /// Arena index of the parent region (`None` for the root).
+    pub fn parent(&self) -> Option<usize> {
+        (self.region.parent != NO_PARENT).then_some(self.region.parent as usize)
+    }
+
+    /// Arena indices of the child regions, consecutive. For a cut split,
+    /// the first is the near side (BFS prefix including the separator) and
+    /// the rest are the far components; for a disconnected region, one
+    /// child per component. Empty for leaves.
+    pub fn children(&self) -> Range<usize> {
+        self.region.first_child as usize..self.region.end_child as usize
+    }
+
+    /// Depth in the recursion tree (root = 0).
+    pub fn depth(&self) -> u32 {
+        self.region.depth
+    }
+
+    /// Whether this region was not split further.
+    pub fn is_leaf(&self) -> bool {
+        self.children().is_empty()
+    }
+}
+
+/// The nested-dissection recursion tree: an arena of regions with the
 /// root at index 0 (empty for the empty graph), in split order — a
 /// region's children get consecutive indices when it splits, then the
 /// subtree below each child follows in turn (see [`nested_dissection`]).
+/// [`node`](Self::node) and [`nodes`](Self::nodes) read them as
+/// [`SepNode`]s.
 ///
 /// Every level of the tree is a partition of the vertex set into
 /// connected parts ([`partition_at_level`](Self::partition_at_level)),
 /// and level-`k` parts are unions of level-`k+1` parts.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeparatorTree {
+    /// Every node once, each region a range: a leaf's range ascending by
+    /// id, an inner region's its children's ranges in child order.
+    order: Vec<NodeId>,
+    /// The separators, one sorted range per cut region.
+    cuts: Vec<NodeId>,
     /// The arena, in split order, root first.
-    pub nodes: Vec<SepNode>,
+    regions: Vec<Region>,
 }
 
 impl SeparatorTree {
     /// Number of regions in the tree.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.regions.len()
     }
 
     /// Whether the tree is empty (only for the empty graph).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.regions.is_empty()
+    }
+
+    /// The region at arena index `index`.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not below [`len`](Self::len).
+    pub fn node(&self, index: usize) -> SepNode<'_> {
+        SepNode {
+            tree: self,
+            region: &self.regions[index],
+        }
+    }
+
+    /// Every region, in arena order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = SepNode<'_>> + '_ {
+        self.regions
+            .iter()
+            .map(move |region| SepNode { tree: self, region })
     }
 
     /// The root region, if any.
-    pub fn root(&self) -> Option<&SepNode> {
-        self.nodes.first()
+    pub fn root(&self) -> Option<SepNode<'_>> {
+        (!self.is_empty()).then(|| self.node(0))
     }
 
     /// Maximum region depth (0 for a single-region tree and for the empty
     /// tree).
     pub fn depth(&self) -> u32 {
-        self.nodes.iter().map(|r| r.depth).max().unwrap_or(0)
+        self.regions.iter().map(|r| r.depth).max().unwrap_or(0)
     }
 
     /// Number of distinct dissection levels (`depth() + 1`; 0 when empty).
@@ -158,18 +273,23 @@ impl SeparatorTree {
     }
 
     /// The partition induced by cutting the tree at `level`: every region
-    /// at exactly that depth, plus every leaf above it. Parts are
-    /// disjoint, cover all nodes, and each induces a connected subgraph
-    /// (provided each graph component is a region, which
-    /// [`nested_dissection`] guarantees for levels ≥ 1 on any graph and
-    /// for level 0 on connected graphs).
+    /// at exactly that depth, plus every leaf above it, each part sorted
+    /// ascending. Parts are disjoint, cover all nodes, and each induces a
+    /// connected subgraph (provided each graph component is a region,
+    /// which [`nested_dissection`] guarantees for levels ≥ 1 on any graph
+    /// and for level 0 on connected graphs).
     ///
     /// Levels past [`depth`](Self::depth) saturate to the leaf partition.
     pub fn partition_at_level(&self, level: u32) -> Vec<Vec<NodeId>> {
-        self.nodes
-            .iter()
-            .filter(|r| r.depth == level || (r.is_leaf() && r.depth < level))
-            .map(|r| r.region.clone())
+        self.nodes()
+            .filter(|r| r.depth() == level || (r.is_leaf() && r.depth() < level))
+            .map(|r| {
+                let mut part = r.region().to_vec();
+                if !r.is_leaf() {
+                    part.sort_unstable();
+                }
+                part
+            })
             .collect()
     }
 }
@@ -187,10 +307,21 @@ struct Scratch {
     pos: Vec<u32>,
     /// Per-local-index BFS distance.
     dist: Vec<u32>,
-    /// Per-local-index component label for the far side.
-    comp: Vec<u32>,
+    /// Per-local-index child: 0 for the near side (or the component the
+    /// first sweep reached), 1, 2, … for the far components in the order
+    /// of their smallest ids.
+    child: Vec<u32>,
     /// The queue of every BFS: sweeps and component searches.
     queue: Vec<NodeId>,
+    /// Per-BFS-level node counts of the level sweep, then each child's
+    /// next free position while the region is rewritten.
+    counts: Vec<u32>,
+    /// The children of the last split: each one's size and, when the
+    /// split already ran its first sweep, that sweep's
+    /// [farthest](Scratch::farthest) node.
+    kids: Vec<(usize, Option<NodeId>)>,
+    /// A copy of the region being rewritten into its children.
+    copy: Vec<NodeId>,
 }
 
 const UNSET: u32 = u32::MAX;
@@ -200,8 +331,11 @@ impl Scratch {
         Scratch {
             pos: vec![UNSET; n],
             dist: Vec::new(),
-            comp: Vec::new(),
+            child: Vec::new(),
             queue: Vec::new(),
+            counts: Vec::new(),
+            kids: Vec::new(),
+            copy: Vec::new(),
         }
     }
 
@@ -209,8 +343,9 @@ impl Scratch {
     fn enter(&mut self, region: &[NodeId]) {
         self.dist.clear();
         self.dist.resize(region.len(), UNSET);
-        self.comp.clear();
-        self.comp.resize(region.len(), UNSET);
+        self.child.clear();
+        self.child.resize(region.len(), UNSET);
+        self.kids.clear();
         for (i, &v) in region.iter().enumerate() {
             self.pos[v.index()] = i as u32;
         }
@@ -262,17 +397,34 @@ impl Scratch {
         }
         best
     }
+
+    /// Rewrites the installed region into its children, child after child
+    /// as `kids` lists them: a stable counting sort by `child`, so each
+    /// child keeps the region's ascending order.
+    fn rewrite(&mut self, region: &mut [NodeId]) {
+        self.copy.clear();
+        self.copy.extend_from_slice(region);
+        self.counts.clear();
+        let mut at = 0;
+        for &(len, _) in &self.kids {
+            self.counts.push(at);
+            at += len as u32;
+        }
+        for (&v, &child) in self.copy.iter().zip(&self.child) {
+            let next = &mut self.counts[child as usize];
+            region[*next as usize] = v;
+            *next += 1;
+        }
+    }
 }
 
-/// A child region (sorted) and, when the split that made it already ran
-/// its first sweep, that sweep's [farthest](Scratch::farthest) node.
-type Child = (Vec<NodeId>, Option<NodeId>);
-
-/// Computes the split of one (sorted) region: `None` if it stays a leaf
-/// (no balanced cut exists — e.g. a clique, whose only balanced cut is
-/// the whole region), else the cut nodes and the child regions. A cut
-/// split's children are the near side, then the far components; a
-/// disconnected region splits into its components with an empty cut.
+/// Splits one region, whose nodes `region` holds ascending by id: `false`
+/// if it stays a leaf (no balanced cut exists — e.g. a clique, whose only
+/// balanced cut is the whole region). Otherwise appends the cut to `cuts`,
+/// lists the children in `scratch.kids` — the near side, then the far
+/// components — and rewrites `region` into them in that order, each
+/// ascending; a disconnected region splits into its components with an
+/// empty cut.
 ///
 /// `peripheral` is the far end of the region's first sweep (a BFS from
 /// its smallest id), known when the region is a component its parent's
@@ -280,10 +432,11 @@ type Child = (Vec<NodeId>, Option<NodeId>);
 /// the connectivity check are skipped.
 fn split_region(
     g: &Graph,
-    region: &[NodeId],
+    region: &mut [NodeId],
     peripheral: Option<NodeId>,
     scratch: &mut Scratch,
-) -> Option<(Vec<NodeId>, Vec<Child>)> {
+    cuts: &mut Vec<NodeId>,
+) -> bool {
     let n_r = region.len();
     scratch.enter(region);
 
@@ -292,19 +445,20 @@ fn split_region(
         None => {
             // Sweep 1: connectivity check + peripheral node from the
             // smallest id.
-            if scratch.bfs(g, region[0]) < n_r {
-                let first: Vec<NodeId> = region
-                    .iter()
-                    .zip(&scratch.dist)
-                    .filter(|&(_, &d)| d != UNSET)
-                    .map(|(&v, _)| v)
-                    .collect();
-                let mut comps = vec![(first, Some(scratch.farthest(region)))];
-                comps.extend(far_components(g, region, scratch, UNSET));
-                scratch.leave(region);
-                return Some((Vec::new(), comps));
-            }
+            let reached = scratch.bfs(g, region[0]);
             let p = scratch.farthest(region);
+            if reached < n_r {
+                for (child, &d) in scratch.child.iter_mut().zip(&scratch.dist) {
+                    if d != UNSET {
+                        *child = 0;
+                    }
+                }
+                scratch.kids.push((reached, Some(p)));
+                far_components(g, region, scratch);
+                scratch.rewrite(region);
+                scratch.leave(region);
+                return true;
+            }
             scratch.dist.fill(UNSET);
             p
         }
@@ -314,7 +468,9 @@ fn split_region(
     scratch.bfs(g, peripheral);
 
     let ecc = scratch.dist.iter().copied().max().unwrap_or(0) as usize;
-    let mut level_count = vec![0usize; ecc + 1];
+    let level_count = &mut scratch.counts;
+    level_count.clear();
+    level_count.resize(ecc + 1, 0);
     for &d in &scratch.dist {
         level_count[d as usize] += 1;
     }
@@ -328,10 +484,10 @@ fn split_region(
     let lo = n_r.div_ceil(3);
     let hi = 2 * n_r / 3;
     let mut prefix = 0usize;
-    let mut cut: Option<(usize, usize)> = None; // (level, level size)
+    let mut cut: Option<(usize, u32)> = None; // (level, level size)
     let mut fallback: Option<usize> = None;
     for (l, &c) in level_count.iter().enumerate() {
-        prefix += c;
+        prefix += c as usize;
         if prefix >= lo && fallback.is_none() {
             fallback = Some(l);
         }
@@ -344,57 +500,47 @@ fn split_region(
     }
     let cut_level = cut.map(|(l, _)| l).or(fallback).unwrap_or(ecc) as u32;
 
-    let mut near = Vec::new();
-    let mut separator = Vec::new();
-    for (&v, &d) in region.iter().zip(&scratch.dist) {
+    let cut_from = cuts.len();
+    let mut near = 0;
+    for ((&v, &d), child) in region.iter().zip(&scratch.dist).zip(&mut scratch.child) {
         if d <= cut_level {
-            near.push(v);
+            *child = 0;
+            near += 1;
             if d == cut_level {
-                separator.push(v);
+                cuts.push(v);
             }
         }
     }
-    if near.len() == n_r {
+    if near == n_r {
         // The cut swallowed the region (small-diameter regions like
         // cliques): no balanced separator exists at this granularity.
+        cuts.truncate(cut_from);
         scratch.leave(region);
-        return None;
+        return false;
     }
-    let mut children = vec![(near, None)];
-    children.extend(far_components(g, region, scratch, cut_level));
+    scratch.kids.push((near, None));
+    far_components(g, region, scratch);
+    scratch.rewrite(region);
     scratch.leave(region);
-    Some((separator, children))
+    true
 }
 
-/// The connected components of the installed region's nodes with
-/// `dist > cut_level` (`cut_level = UNSET` means the unreached nodes),
-/// each sorted ascending, with its farthest node from its smallest id.
-/// Labels are written into `scratch.comp`.
+/// Labels the connected components of the installed region's nodes that
+/// no child holds yet, in the order of their smallest ids, each as the
+/// next child of `scratch.kids`, with its size and its farthest node from
+/// its smallest id.
 ///
 /// Each component is searched by BFS from its smallest id — the first
 /// sweep the component's own split would run — so its last BFS layer
 /// holds that sweep's farthest nodes, the smallest of them the one
 /// [`Scratch::farthest`] picks.
-fn far_components(
-    g: &Graph,
-    region: &[NodeId],
-    scratch: &mut Scratch,
-    cut_level: u32,
-) -> Vec<Child> {
-    let in_far = |dist: u32| {
-        if cut_level == UNSET {
-            dist == UNSET
-        } else {
-            dist != UNSET && dist > cut_level
-        }
-    };
-    let mut comps = Vec::new();
+fn far_components(g: &Graph, region: &[NodeId], scratch: &mut Scratch) {
     for (i, &v) in region.iter().enumerate() {
-        if !in_far(scratch.dist[i]) || scratch.comp[i] != UNSET {
+        if scratch.child[i] != UNSET {
             continue;
         }
-        let label = comps.len() as u32;
-        scratch.comp[i] = label;
+        let label = scratch.kids.len() as u32;
+        scratch.child[i] = label;
         let queue = &mut scratch.queue;
         queue.clear();
         queue.push(v);
@@ -409,38 +555,35 @@ fn far_components(
             head += 1;
             for &next in g.heads(u) {
                 let p = scratch.pos[next.index()];
-                if p != UNSET
-                    && in_far(scratch.dist[p as usize])
-                    && scratch.comp[p as usize] == UNSET
-                {
-                    scratch.comp[p as usize] = label;
+                if p != UNSET && scratch.child[p as usize] == UNSET {
+                    scratch.child[p as usize] = label;
                     queue.push(next);
                 }
             }
         }
         let farthest = queue[layer].iter().min().copied();
-        let mut members = queue.clone();
-        members.sort_unstable();
-        comps.push((members, farthest));
+        scratch.kids.push((queue.len(), farthest));
     }
-    comps
 }
 
-/// A region waiting to be split: its tree node (parent and children
-/// unset) and the far end of its first sweep, if known.
-struct Pending {
-    node: SepNode,
+/// A region waiting to be split: its range of the node order, still
+/// ascending by id, and the far end of its first sweep, if known.
+struct Pending<'o> {
+    nodes: &'o mut [NodeId],
+    /// Where `nodes` starts in the node order.
+    start: usize,
+    depth: u32,
     peripheral: Option<NodeId>,
 }
 
 /// What became of a region handed to a worker.
 enum Outcome {
-    /// A region at or above the grain, split once: its node (separator
-    /// set, children not yet numbered) and its children's outcome ids.
-    Split(SepNode, Range<usize>),
-    /// A region below the grain, dissected whole: its subtree in the
-    /// arena order, rooted at index 0.
-    Whole(Vec<SepNode>),
+    /// A region at or above the grain, split once: its record (no parent,
+    /// cut or children yet), its cut and its children's outcome ids.
+    Split(Region, Vec<NodeId>, Range<usize>),
+    /// A region below the grain, dissected whole: see
+    /// [`Dissection::subtree`].
+    Whole(Vec<Region>, Vec<NodeId>),
 }
 
 /// The recursion's fixed inputs.
@@ -451,68 +594,62 @@ struct Dissection<'g> {
 }
 
 impl Dissection<'_> {
-    /// Splits `node` unless it is small, depth-capped or has no balanced
-    /// cut: sets its separator and returns its children.
+    /// Splits the region `nodes` at `depth` unless it is small,
+    /// depth-capped or has no balanced cut (see [`split_region`]).
     fn split(
         &self,
-        node: &mut SepNode,
+        nodes: &mut [NodeId],
+        depth: u32,
         peripheral: Option<NodeId>,
         scratch: &mut Scratch,
-    ) -> Vec<Pending> {
-        if node.region.len() <= self.min_region || node.depth >= self.max_levels {
-            return Vec::new();
-        }
-        let Some((separator, children)) = split_region(self.g, &node.region, peripheral, scratch)
-        else {
-            return Vec::new();
-        };
-        node.separator = separator;
-        children
-            .into_iter()
-            .map(|(region, peripheral)| Pending {
-                node: leaf(region, node.depth + 1),
-                peripheral,
-            })
-            .collect()
+        cuts: &mut Vec<NodeId>,
+    ) -> bool {
+        nodes.len() > self.min_region
+            && depth < self.max_levels
+            && split_region(self.g, nodes, peripheral, scratch, cuts)
     }
 
-    /// Dissects one region whole: its subtree in the arena order, the
-    /// region at index 0 (its `parent` is left as passed in).
-    fn subtree(&self, root: Pending, scratch: &mut Scratch) -> Vec<SepNode> {
-        let mut arena = vec![root.node];
+    /// Dissects one region whole: its subtree's records in the arena
+    /// order, the region at index 0 (its parent left unset, children
+    /// numbered from it), and the cuts in the order the regions were
+    /// split, which the records' cut ranges index.
+    fn subtree(&self, root: Pending<'_>, scratch: &mut Scratch) -> (Vec<Region>, Vec<NodeId>) {
+        let base = root.start;
+        let mut regions = vec![Region::new(base, root.nodes.len(), root.depth)];
+        let mut cuts = Vec::new();
         let mut stack = vec![(0, root.peripheral)];
         while let Some((idx, peripheral)) = stack.pop() {
-            let kids = self.split(&mut arena[idx], peripheral, scratch);
-            let first = arena.len();
-            arena[idx].children = (first..first + kids.len()).collect();
+            let region = regions[idx];
+            let range = region.nodes();
+            let nodes = &mut root.nodes[range.start - base..range.end - base];
+            let cut_from = cuts.len();
+            if !self.split(nodes, region.depth, peripheral, scratch, &mut cuts) {
+                continue;
+            }
+            let first = regions.len();
+            let kids = first..first + scratch.kids.len();
+            regions[idx].set_cut(cut_from..cuts.len());
+            regions[idx].set_children(kids.clone());
+            let mut start = range.start;
+            for &(len, _) in &scratch.kids {
+                let mut kid = Region::new(start, len, region.depth + 1);
+                kid.parent = u32_index(idx);
+                regions.push(kid);
+                start += len;
+            }
             // Reverse push so the near side is processed (and numbered
             // below) first.
-            let peripherals = kids.iter().map(|kid| kid.peripheral);
-            stack.extend((first..first + kids.len()).zip(peripherals).rev());
-            arena.extend(kids.into_iter().map(|kid| SepNode {
-                parent: Some(idx),
-                ..kid.node
-            }));
+            let peripherals = scratch.kids.iter().map(|kid| kid.1);
+            stack.extend(kids.zip(peripherals).rev());
         }
-        arena
-    }
-}
-
-/// A tree node with no cut and no children yet.
-fn leaf(region: Vec<NodeId>, depth: u32) -> SepNode {
-    SepNode {
-        region,
-        separator: Vec::new(),
-        parent: None,
-        children: Vec::new(),
-        depth,
+        (regions, cuts)
     }
 }
 
 /// The work list the workers of one dissection share.
-struct Pool {
+struct Pool<'o> {
     /// Regions no worker has taken yet, with their outcome ids.
-    todo: Vec<(usize, Pending)>,
+    todo: Vec<(usize, Pending<'o>)>,
     /// One slot per region made so far, the root first; filled when the
     /// region's worker is done with it.
     outcomes: Vec<Option<Outcome>>,
@@ -522,15 +659,15 @@ struct Pool {
 }
 
 /// The pool and the signal that it changed.
-struct Shared {
-    pool: Mutex<Pool>,
+struct Shared<'o> {
+    pool: Mutex<Pool<'o>>,
     changed: Condvar,
 }
 
-impl Shared {
+impl<'o> Shared<'o> {
     /// Locks the pool. Workers compute with it unlocked, so only a bug in
     /// the few lines that update it could have poisoned it.
-    fn lock(&self) -> MutexGuard<'_, Pool> {
+    fn lock(&self) -> MutexGuard<'_, Pool<'o>> {
         self.pool
             .lock()
             .expect("no worker panics while holding the pool")
@@ -539,9 +676,9 @@ impl Shared {
 
 /// A taken region: done when dropped, even by a panicking worker, so the
 /// others stop waiting for it (the scope then re-raises the panic).
-struct Taken<'a>(&'a Shared);
+struct Taken<'a, 'o>(&'a Shared<'o>);
 
-impl Drop for Taken<'_> {
+impl Drop for Taken<'_, '_> {
     fn drop(&mut self) {
         // Every update leaves the pool valid, and a drop must not panic.
         let mut pool = self.0.pool.lock().unwrap_or_else(PoisonError::into_inner);
@@ -553,12 +690,12 @@ impl Drop for Taken<'_> {
 
 impl Dissection<'_> {
     /// One worker: takes regions until none are left or coming. A region
-    /// at or above `grain` is split once and its children go back to the
-    /// pool; a smaller one is dissected whole.
-    fn work(&self, shared: &Shared, grain: usize, scratch: &mut Scratch) {
+    /// at or above `grain` is split once and its children's ranges go
+    /// back to the pool; a smaller one is dissected whole.
+    fn work(&self, shared: &Shared<'_>, grain: usize, scratch: &mut Scratch) {
         loop {
             let mut pool = shared.lock();
-            let (id, mut pending) = loop {
+            let (id, pending) = loop {
                 if let Some(next) = pool.todo.pop() {
                     break next;
                 }
@@ -573,18 +710,40 @@ impl Dissection<'_> {
             pool.busy += 1;
             drop(pool);
             let _taken = Taken(shared);
-            if pending.node.region.len() < grain {
-                let sub = self.subtree(pending, scratch);
-                shared.lock().outcomes[id] = Some(Outcome::Whole(sub));
-            } else {
-                let kids = self.split(&mut pending.node, pending.peripheral, scratch);
-                let mut pool = shared.lock();
-                let first = pool.outcomes.len();
-                pool.outcomes.extend(kids.iter().map(|_| None));
-                let ids = first..pool.outcomes.len();
-                pool.outcomes[id] = Some(Outcome::Split(pending.node, ids.clone()));
-                pool.todo.extend(ids.zip(kids));
+            if pending.nodes.len() < grain {
+                let (regions, cuts) = self.subtree(pending, scratch);
+                shared.lock().outcomes[id] = Some(Outcome::Whole(regions, cuts));
+                continue;
             }
+            let Pending {
+                mut nodes,
+                mut start,
+                depth,
+                peripheral,
+            } = pending;
+            let region = Region::new(start, nodes.len(), depth);
+            let mut cut = Vec::new();
+            let mut kids = Vec::new();
+            if self.split(nodes, depth, peripheral, scratch, &mut cut) {
+                // Each child takes its range off the front of the rest.
+                for &(len, peripheral) in &scratch.kids {
+                    let (head, tail) = mem::take(&mut nodes).split_at_mut(len);
+                    nodes = tail;
+                    kids.push(Pending {
+                        nodes: head,
+                        start,
+                        depth: depth + 1,
+                        peripheral,
+                    });
+                    start += len;
+                }
+            }
+            let mut pool = shared.lock();
+            let first = pool.outcomes.len();
+            pool.outcomes.extend(kids.iter().map(|_| None));
+            let ids = first..pool.outcomes.len();
+            pool.outcomes[id] = Some(Outcome::Split(region, cut, ids.clone()));
+            pool.todo.extend(ids.zip(kids));
         }
     }
 }
@@ -612,7 +771,8 @@ pub fn nested_dissection(g: &Graph, cfg: &SeparatorConfig) -> SeparatorTree {
 
 /// [`nested_dissection`] on `workers` threads: regions of at least
 /// `grain` nodes are split one at a time by whichever worker is free,
-/// smaller ones dissected whole.
+/// smaller ones dissected whole. Each worker rewrites the ranges of the
+/// one node order it is handed.
 fn dissect(g: &Graph, cfg: &SeparatorConfig, workers: usize, grain: usize) -> SeparatorTree {
     let n = g.num_nodes();
     if n == 0 {
@@ -623,8 +783,11 @@ fn dissect(g: &Graph, cfg: &SeparatorConfig, workers: usize, grain: usize) -> Se
         min_region: cfg.min_region.max(1),
         max_levels: cfg.max_levels,
     };
+    let mut order: Vec<NodeId> = g.nodes().collect();
     let root = Pending {
-        node: leaf(g.nodes().collect(), 0),
+        nodes: &mut order,
+        start: 0,
+        depth: 0,
         peripheral: None,
     };
     let shared = Shared {
@@ -647,49 +810,81 @@ fn dissect(g: &Graph, cfg: &SeparatorConfig, workers: usize, grain: usize) -> Se
         }
         d.work(&shared, grain, &mut Scratch::new(n));
     });
-    let pool = shared.pool.into_inner();
-    let outcomes = pool
+    let outcomes = shared
+        .pool
+        .into_inner()
         .expect("no worker panics while holding the pool")
         .outcomes;
-    SeparatorTree {
-        nodes: assemble(outcomes),
-    }
+    assemble(order, outcomes)
 }
 
 /// Lays the outcomes out in the order [`Dissection::subtree`] numbers a
 /// whole tree: the same walk, with each split looked up instead of
 /// computed and each whole subtree spliced in with its indices shifted.
-fn assemble(mut outcomes: Vec<Option<Outcome>>) -> Vec<SepNode> {
-    let mut arena = vec![leaf(Vec::new(), 0)];
+/// The cuts are concatenated in the walk's order, the order one worker
+/// splits the regions of a whole tree in.
+fn assemble(order: Vec<NodeId>, mut outcomes: Vec<Option<Outcome>>) -> SeparatorTree {
+    // Sized exactly, so the tree holds no spare capacity and the splice
+    // never regrows a buffer.
+    let (mut num_regions, mut num_cut) = (0, 0);
+    for outcome in outcomes.iter().flatten() {
+        let (regions, cut) = match outcome {
+            Outcome::Split(_, cut, _) => (1, cut.len()),
+            Outcome::Whole(regions, cuts) => (regions.len(), cuts.len()),
+        };
+        num_regions += regions;
+        num_cut += cut;
+    }
+    let mut regions = Vec::with_capacity(num_regions);
+    let mut cuts = Vec::with_capacity(num_cut);
+    regions.push(Region::default());
     // (outcome id, arena index, parent)
-    let mut stack = vec![(0, 0, None)];
+    let mut stack = vec![(0, 0, NO_PARENT)];
     while let Some((id, idx, parent)) = stack.pop() {
         match outcomes[id].take().expect("every region has an outcome") {
-            Outcome::Split(mut node, kids) => {
-                let at = arena.len()..arena.len() + kids.len();
-                node.parent = parent;
-                node.children = at.clone().collect();
-                arena[idx] = node;
-                arena.extend(at.clone().map(|_| leaf(Vec::new(), 0)));
-                stack.extend(kids.zip(at).map(|(k, i)| (k, i, Some(idx))).rev());
+            Outcome::Split(mut region, cut, kids) => {
+                let at = regions.len()..regions.len() + kids.len();
+                region.parent = parent;
+                region.set_cut(cuts.len()..cuts.len() + cut.len());
+                region.set_children(at.clone());
+                cuts.extend(cut);
+                regions[idx] = region;
+                regions.resize(at.end, Region::default());
+                let kids = kids.zip(at).map(|(k, i)| (k, i, u32_index(idx)));
+                stack.extend(kids.rev());
             }
-            Outcome::Whole(sub) => {
+            Outcome::Whole(sub, sub_cuts) => {
                 // Sub-arena index 0 is `idx`; index `l ≥ 1` lands at
-                // `offset + l`.
-                let offset = arena.len() - 1;
-                let at = |l: usize| if l == 0 { idx } else { offset + l };
-                let mut sub = sub.into_iter().map(|mut node| {
-                    node.parent = node.parent.map(at);
-                    node.children.iter_mut().for_each(|c| *c = at(*c));
-                    node
+                // `offset + l`; the sub-arena's cuts at `cut_offset` on.
+                let offset = u32_index(regions.len() - 1);
+                let cut_offset = u32_index(cuts.len());
+                cuts.extend(sub_cuts);
+                let mut sub = sub.into_iter().map(|mut region| {
+                    region.parent = match region.parent {
+                        NO_PARENT => parent,
+                        0 => u32_index(idx),
+                        l => offset + l,
+                    };
+                    if region.first_child != region.end_child {
+                        region.first_child += offset;
+                        region.end_child += offset;
+                    }
+                    if region.cut_start != region.cut_end {
+                        region.cut_start += cut_offset;
+                        region.cut_end += cut_offset;
+                    }
+                    region
                 });
-                let head = sub.next().expect("a subtree holds its root");
-                arena[idx] = SepNode { parent, ..head };
-                arena.extend(sub);
+                regions[idx] = sub.next().expect("a subtree holds its root");
+                regions.extend(sub);
             }
         }
     }
-    arena
+    SeparatorTree {
+        order,
+        cuts,
+        regions,
+    }
 }
 
 /// Convenience: the flat partition at `level` of a fresh dissection of
@@ -716,18 +911,19 @@ mod tests {
     /// Checks the classical balance guarantee on every cut region: each
     /// component of `region \ separator` has at most ⌊2n/3⌋ nodes.
     fn assert_balanced(tree: &SeparatorTree) {
-        for node in &tree.nodes {
-            if node.separator.is_empty() || node.is_leaf() {
+        for node in tree.nodes() {
+            if node.separator().is_empty() || node.is_leaf() {
                 continue;
             }
-            let n_r = node.region.len();
-            let near_strict = tree.nodes[node.children[0]].region.len() - node.separator.len();
+            let n_r = node.region().len();
+            let near_strict =
+                tree.node(node.children().start).region().len() - node.separator().len();
             assert!(
                 near_strict <= 2 * n_r / 3,
                 "near side {near_strict} exceeds 2/3 of {n_r}"
             );
-            for &c in &node.children[1..] {
-                let far = tree.nodes[c].region.len();
+            for c in node.children().skip(1) {
+                let far = tree.node(c).region().len();
                 assert!(far <= 2 * n_r / 3, "far side {far} exceeds 2/3 of {n_r}");
             }
         }
@@ -757,7 +953,7 @@ mod tests {
         assert_balanced(&tree);
         assert_level_partitions(&g, &tree);
         // Grid separators are BFS levels: O(√n)-ish, far below the region.
-        let root_sep = tree.root().unwrap().separator.len();
+        let root_sep = tree.root().unwrap().separator().len();
         assert!(root_sep > 0 && root_sep < g.num_nodes() / 3);
     }
 
@@ -768,7 +964,7 @@ mod tests {
         assert_balanced(&tree);
         assert_level_partitions(&g, &tree);
         // A path's level cut is a single node.
-        assert_eq!(tree.root().unwrap().separator.len(), 1);
+        assert_eq!(tree.root().unwrap().separator().len(), 1);
     }
 
     #[test]
@@ -794,8 +990,8 @@ mod tests {
         let g = Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]);
         let tree = nested_dissection(&g, &deep_cfg());
         let root = tree.root().unwrap();
-        assert!(root.separator.is_empty());
-        assert_eq!(root.children.len(), 3);
+        assert!(root.separator().is_empty());
+        assert_eq!(root.children().len(), 3);
         let parts = tree.partition_at_level(1);
         assert_eq!(parts.len(), 3);
         for p in &parts {
@@ -821,13 +1017,13 @@ mod tests {
                 max_levels: 30,
             },
         );
-        for leaf in coarse.nodes.iter().filter(|r| r.is_leaf()) {
+        for leaf in coarse.nodes().filter(|r| r.is_leaf()) {
             // A leaf is either small or the unsplittable child of a cut.
-            assert!(leaf.region.len() <= 40 || leaf.separator.is_empty());
+            assert!(leaf.region().len() <= 40 || leaf.separator().is_empty());
         }
-        for node in &coarse.nodes {
+        for node in coarse.nodes() {
             if !node.is_leaf() {
-                assert!(node.region.len() > 40);
+                assert!(node.region().len() > 40);
             }
         }
     }
@@ -844,17 +1040,18 @@ mod tests {
     fn children_refine_their_parent() {
         let g = gen::grid(10, 10);
         let tree = nested_dissection(&g, &deep_cfg());
-        for node in &tree.nodes {
+        for node in tree.nodes() {
             if node.is_leaf() {
                 continue;
             }
             let mut union: Vec<NodeId> = node
-                .children
-                .iter()
-                .flat_map(|&c| tree.nodes[c].region.iter().copied())
+                .children()
+                .flat_map(|c| tree.node(c).region().iter().copied())
                 .collect();
             union.sort_unstable();
-            assert_eq!(union, node.region, "children must cover the region");
+            let mut region = node.region().to_vec();
+            region.sort_unstable();
+            assert_eq!(union, region, "children must cover the region");
         }
     }
 
@@ -931,9 +1128,13 @@ mod tests {
             Some(16),
         ];
         assert_eq!(tree.len(), 21);
-        for (i, node) in tree.nodes.iter().enumerate() {
-            assert_eq!(node.parent, parents[i], "parent of {i}");
-            assert_eq!(node.children, children[i], "children of {i}");
+        for (i, node) in tree.nodes().enumerate() {
+            assert_eq!(node.parent(), parents[i], "parent of {i}");
+            assert_eq!(
+                node.children().collect::<Vec<_>>(),
+                children[i],
+                "children of {i}"
+            );
         }
         for workers in [2, 8] {
             assert_eq!(
@@ -943,7 +1144,8 @@ mod tests {
         }
     }
 
-    /// FNV-1a over every node's depth, region, separator and children.
+    /// FNV-1a over every node's depth, region (sorted), separator and
+    /// children.
     fn digest(tree: &SeparatorTree) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |x: u64| {
@@ -952,14 +1154,16 @@ mod tests {
                 h = h.wrapping_mul(0x0100_0000_01b3);
             }
         };
-        for node in &tree.nodes {
-            eat(u64::from(node.depth));
-            eat(node.region.len() as u64);
-            node.region.iter().for_each(|v| eat(v.index() as u64));
-            eat(node.separator.len() as u64);
-            node.separator.iter().for_each(|v| eat(v.index() as u64));
-            eat(node.children.len() as u64);
-            node.children.iter().for_each(|&c| eat(c as u64));
+        for node in tree.nodes() {
+            let mut region = node.region().to_vec();
+            region.sort_unstable();
+            eat(u64::from(node.depth()));
+            eat(region.len() as u64);
+            region.iter().for_each(|v| eat(v.index() as u64));
+            eat(node.separator().len() as u64);
+            node.separator().iter().for_each(|v| eat(v.index() as u64));
+            eat(node.children().len() as u64);
+            node.children().for_each(|c| eat(c as u64));
         }
         h
     }

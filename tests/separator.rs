@@ -41,24 +41,62 @@ proptest! {
     fn separator_is_balanced_on_all_families((g, family) in arb_any_family()) {
         let cfg = SeparatorConfig { min_region: 2, max_levels: 30 };
         let tree = nested_dissection(&g, &cfg);
-        for node in &tree.nodes {
-            if node.separator.is_empty() || node.is_leaf() {
+        for node in tree.nodes() {
+            if node.separator().is_empty() || node.is_leaf() {
                 continue;
             }
-            let n_r = node.region.len();
+            let n_r = node.region().len();
             let near_strict =
-                tree.nodes[node.children[0]].region.len() - node.separator.len();
+                tree.node(node.children().start).region().len() - node.separator().len();
             prop_assert!(
                 near_strict <= 2 * n_r / 3,
                 "{family}: near side {near_strict} exceeds 2/3 of {n_r}"
             );
-            for &c in &node.children[1..] {
-                let far = tree.nodes[c].region.len();
+            for c in node.children().skip(1) {
+                let far = tree.node(c).region().len();
                 prop_assert!(
                     far <= 2 * n_r / 3,
                     "{family}: far side {far} exceeds 2/3 of {n_r}"
                 );
             }
+        }
+    }
+
+    /// The layout the in-place build relies on, on every family: every
+    /// leaf's nodes are sorted ascending, every inner region's are its
+    /// children's concatenated in child order, and every cut is a sorted
+    /// subset of its near child's nodes.
+    #[test]
+    fn regions_are_ranges_of_one_node_order((g, family) in arb_any_family()) {
+        let cfg = SeparatorConfig { min_region: 2, max_levels: 30 };
+        let tree = nested_dissection(&g, &cfg);
+        for (i, node) in tree.nodes().enumerate() {
+            let region = node.region();
+            if node.is_leaf() {
+                prop_assert!(
+                    region.windows(2).all(|w| w[0] < w[1]),
+                    "{}: leaf {} is not sorted", family, i
+                );
+                continue;
+            }
+            let joined: Vec<_> = node
+                .children()
+                .flat_map(|c| tree.node(c).region().iter().copied())
+                .collect();
+            prop_assert!(
+                joined == region,
+                "{}: region {} is not its children's ranges in order", family, i
+            );
+            let cut = node.separator();
+            prop_assert!(
+                cut.windows(2).all(|w| w[0] < w[1]),
+                "{}: the cut of {} is not sorted", family, i
+            );
+            let near = tree.node(node.children().start).region();
+            prop_assert!(
+                cut.iter().all(|v| near.contains(v)),
+                "{}: the cut of {} leaves its near child", family, i
+            );
         }
     }
 
